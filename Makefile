@@ -14,19 +14,23 @@ test: build
 # mutex hygiene, plus the CFG-based resource-leak, dropped-error and
 # lock-order analyzers — fails on any finding or unexplained
 # lint:ignore), then race-check the packages with goroutines (the
-# analysis engine's CFG/dataflow tests included, owner-sharded parallel
-# VVM and HVNL, parallel HHNL), the accumulator layer they share, the
-# entry cache the parallel HVNL coordinator drives, the telemetry
-# collector they all report to, the request tracer and flight recorder
+# analysis engine's CFG/dataflow tests included; in internal/core the one
+# fan-out helper of fanout.go and the stages it drains: hhnl.go's chunked
+# block scoring shared with lsh.go, the owner-sharded accumulators of
+# hvnl.go and vvm.go), the accumulator layer they share, the entry cache
+# the HVNL coordinator drives, the telemetry collector they all report to, the request tracer and flight recorder
 # that follow each request, the SLO engine computing error budgets over
 # them, and the observability server that scrapes it during in-flight
 # joins. The core run includes the differential harness (telemetry
 # on/off invariance, concurrent snapshots). It finishes with the
 # observability smokes: the self-driving textjoind endpoint check, the
 # load-generator gate, the SLO/error-budget gate, and the
-# baseline-checked benchmark grids.
+# baseline-checked benchmark grids. benchmark/ is a module of its own
+# that root ./... patterns never reach, so it is vetted and tested by
+# name: a facade rename must not break it unnoticed.
 verify: obs-smoke loadgen-smoke slo-smoke bench-json bench-prefilter bench-lsh
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
 	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./internal/analysis/... ./cmd/textjoind/...
 
@@ -68,7 +72,7 @@ trace-smoke:
 	$(GO) run ./cmd/textjoin -p1 wsj -p2 wsj -scale 8192 -alg auto -lambda 5 -mem 200 -show 0 -telemetry json 2>&1 1>/dev/null | $(GO) run ./cmd/tracecheck
 
 # obs-smoke boots textjoind on an ephemeral loopback port, drives every
-# endpoint (/healthz, /join serial and parallel, /metrics twice so rate
+# endpoint (/healthz, /join inline and with workers, /metrics twice so rate
 # gauges appear, /traces, /debug/pprof/), validates the exposition with
 # the strict parser and the trace stream with the tracecheck schema, and
 # shuts down cleanly — all in-process, no curl needed.

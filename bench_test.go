@@ -347,7 +347,7 @@ func BenchmarkAblationHVNLPolicy(b *testing.B) {
 			var cost float64
 			var fetches int64
 			for i := 0; i < b.N; i++ {
-				_, st, err := core.JoinHVNL(env.in, opts)
+				_, st, err := core.Join(core.HVNL, env.in, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -417,7 +417,7 @@ func BenchmarkAblationSharedHead(b *testing.B) {
 		in := core.Inputs{Outer: c2, Inner: c1, InnerInv: inv1}
 		var cost float64
 		for i := 0; i < b.N; i++ {
-			_, st, err := core.JoinHVNL(in, core.Options{Lambda: 5, MemoryPages: 25})
+			_, st, err := core.Join(core.HVNL, in, core.Options{Lambda: 5, MemoryPages: 25})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -477,7 +477,7 @@ func BenchmarkAblationClusteredOrder(b *testing.B) {
 			var fetches int64
 			var cost float64
 			for i := 0; i < b.N; i++ {
-				_, st, err := core.JoinHVNL(core.Inputs{Outer: tc.outer, Inner: inner, InnerInv: inv}, opts)
+				_, st, err := core.Join(core.HVNL, core.Inputs{Outer: tc.outer, Inner: inner, InnerInv: inv}, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -490,78 +490,25 @@ func BenchmarkAblationClusteredOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelJoins compares serial and parallel HHNL/HVNL/VVM
-// wall-clock on a memory-resident corpus (the paper's further-studies
-// item 3).
+// BenchmarkParallelJoins runs each exact family inline (w1) and fanned
+// out (w2, w4) on a memory-resident corpus (the paper's further-studies
+// item 3). Fixed worker counts expose the chunking and owner-sharded
+// routing cost even when GOMAXPROCS is low.
 func BenchmarkParallelJoins(b *testing.B) {
 	env := newMeasuredEnv(b, 256)
-	opts := core.Options{Lambda: 10, MemoryPages: 500}
-	b.Run("HHNL-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHHNL(env.in, opts); err != nil {
-				b.Fatal(err)
-			}
+	for _, alg := range []core.Algorithm{core.HHNL, core.HVNL, core.VVM} {
+		for _, workers := range []int{1, 2, 4} {
+			opts := core.Options{Lambda: 10, MemoryPages: 500, Workers: workers}
+			b.Run(fmt.Sprintf("%v/w%d", alg, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := core.Join(alg, env.in, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
-	b.Run("HHNL-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHHNLParallel(env.in, opts, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HVNL-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHVNL(env.in, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HVNL-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHVNLParallel(env.in, opts, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("VVM-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinVVM(env.in, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("VVM-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinVVMParallel(env.in, opts, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// A fixed worker count exposes the owner-sharded routing cost even
-	// when GOMAXPROCS is low (workers=0 may degenerate to serial).
-	b.Run("VVM-parallel-4w", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinVVMParallel(env.in, opts, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HVNL-parallel-4w", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHVNLParallel(env.in, opts, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // accumWorkload is a fixed random stream of (row, inner, v) adds shaped
@@ -637,7 +584,7 @@ func BenchmarkAccumVVM(b *testing.B) {
 
 // BenchmarkAccumHVNL compares HVNL's per-outer-document store — the old
 // map[uint32]float64 versus the flat touched-list accumulator — on a
-// stream of documents reusing one accumulator (as JoinHVNL now does).
+// stream of documents reusing one accumulator (as HVNL does).
 func BenchmarkAccumHVNL(b *testing.B) {
 	const n1, perDoc = 4096, 600
 	r := rand.New(rand.NewSource(12))

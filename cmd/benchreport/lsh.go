@@ -176,14 +176,8 @@ func runLSHCell(env *shapeEnv, sc *textjoin.LSHSidecar, cfg BenchConfig, shapeNa
 	env.ws.ParkHeads()
 	in, opts := env.inputs(), env.options(cfg)
 	opts.LSH = sc
-	var results []textjoin.Result
-	var stats *textjoin.JoinStats
-	var err error
-	if workers > 1 {
-		results, stats, err = textjoin.JoinLSHParallel(in, opts, workers)
-	} else {
-		results, stats, err = textjoin.JoinLSH(in, opts)
-	}
+	opts.Workers = workers
+	results, stats, err := textjoin.Join(textjoin.LSH, in, opts)
 	if err != nil {
 		return Cell{}, nil, err
 	}

@@ -146,17 +146,8 @@ func runPrefilterCell(env *shapeEnv, pf *textjoin.Prefilter, cfg BenchConfig, sh
 	env.ws.ParkHeads()
 	in, opts := env.inputs(), env.options(cfg)
 	opts.Prefilter = pf
-	var results []textjoin.Result
-	var stats *textjoin.JoinStats
-	var err error
-	switch {
-	case workers > 1 && alg == textjoin.HHNL:
-		results, stats, err = textjoin.JoinHHNLParallel(in, opts, workers)
-	case workers > 1 && alg == textjoin.HVNL:
-		results, stats, err = textjoin.JoinHVNLParallel(in, opts, workers)
-	default:
-		results, stats, err = textjoin.Join(alg, in, opts)
-	}
+	opts.Workers = workers
+	results, stats, err := textjoin.Join(alg, in, opts)
 	if err != nil {
 		return Cell{}, err
 	}

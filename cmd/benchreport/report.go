@@ -73,8 +73,8 @@ type Cell struct {
 	BucketProbes int64   `json:"bucket_probes,omitempty"`
 	Candidates   int64   `json:"candidates,omitempty"`
 	// ResultsHash fingerprints the full result set, so the baseline
-	// comparison also catches correctness regressions (and proves the
-	// parallel variants produce serial-identical output).
+	// comparison also catches correctness regressions (and proves every
+	// worker count produces the inline run's output).
 	ResultsHash string `json:"results_hash"`
 }
 
@@ -290,19 +290,8 @@ func runCell(env *shapeEnv, cfg BenchConfig, shapeName string, alg textjoin.Algo
 	// independent of where the previous cell finished.
 	env.ws.ParkHeads()
 	in, opts := env.inputs(), env.options(cfg)
-	var results []textjoin.Result
-	var stats *textjoin.JoinStats
-	var err error
-	switch {
-	case workers > 1 && alg == textjoin.HHNL:
-		results, stats, err = textjoin.JoinHHNLParallel(in, opts, workers)
-	case workers > 1 && alg == textjoin.HVNL:
-		results, stats, err = textjoin.JoinHVNLParallel(in, opts, workers)
-	case workers > 1 && alg == textjoin.VVM:
-		results, stats, err = textjoin.JoinVVMParallel(in, opts, workers)
-	default:
-		results, stats, err = textjoin.Join(alg, in, opts)
-	}
+	opts.Workers = workers
+	results, stats, err := textjoin.Join(alg, in, opts)
 	if err != nil {
 		return Cell{}, nil, err
 	}

@@ -168,7 +168,7 @@ func (s *server) footprintBytes(algName string, lambda, workers int) int64 {
 	tracker := int64(costmodel.SimBytes) * int64(lambda) * st2.N
 
 	// Accumulators: HVNL and VVM keep one similarity slot per inner
-	// document; parallel variants keep one array per worker.
+	// document; a fanned-out join keeps one shard per worker.
 	accum := int64(costmodel.SimBytes) * st1.N * int64(workers)
 	if algName == "hhnl" {
 		accum = 0

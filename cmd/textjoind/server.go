@@ -321,9 +321,14 @@ type joinMatch struct {
 	Sim float64 `json:"sim"`
 }
 
+// maxWorkers caps the workers parameter: each worker costs a goroutine, a
+// λ-tracker set or accumulator shard, and a telemetry counter name.
+const maxWorkers = 64
+
 // handleJoin runs one join. Parameters: alg (auto, hhnl, hvnl, vvm, lsh;
-// default auto), lambda, workers (>1 selects the parallel variant of an
-// explicit algorithm), weighting (raw, cosine, tfidf), show (result rows
+// default auto), lambda, workers (1..maxWorkers, default 1: goroutines
+// sharing the join's CPU work, alg=auto's choice included; I/O stays on
+// one), weighting (raw, cosine, tfidf), show (result rows
 // to include, default 3), prefilter (on, off; default off) to offer the
 // signature sidecars to the join — results are byte-identical either
 // way, only the I/O pattern changes. mode (exact, lsh; default exact)
@@ -342,8 +347,10 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	span := reqtrace.FromContext(r.Context())
 	algName := param(r, "alg", "auto")
+	var alg textjoin.Algorithm // unused under alg=auto
+	var err error
 	if algName != "auto" {
-		if _, err := textjoin.ParseAlgorithm(algName); err != nil {
+		if alg, err = textjoin.ParseAlgorithm(algName); err != nil {
 			s.joinError(w, span, http.StatusBadRequest, err)
 			return
 		}
@@ -357,6 +364,9 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	workers, err := intParam(r, "workers", 1)
+	if err == nil && (workers < 1 || workers > maxWorkers) {
+		err = fmt.Errorf("parameter workers: want 1..%d, got %d", maxWorkers, workers)
+	}
 	if err != nil {
 		s.joinError(w, span, http.StatusBadRequest, err)
 		return
@@ -383,6 +393,8 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	if algName == "lsh" {
 		mode = "lsh"
+	} else if mode == "lsh" {
+		alg = textjoin.LSH
 	}
 	recall, err := floatParam(r, "recall", 0)
 	if err == nil && recall != 0 && (recall <= 0 || recall > 1) {
@@ -441,6 +453,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		Weighting:   weighting,
 		Telemetry:   s.tel,
 		Trace:       exec,
+		Workers:     workers,
 	}
 	if prefilter == "on" {
 		opts.Prefilter = &textjoin.Prefilter{Inner: s.sig1, Outer: s.sig2}
@@ -455,27 +468,11 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var stats *textjoin.JoinStats
 
 	execBegin := time.Now()
-	switch {
-	case mode == "lsh" && workers > 1:
-		results, stats, err = textjoin.JoinLSHParallel(in, opts, workers)
-	case mode == "lsh":
-		results, stats, err = textjoin.JoinLSH(in, opts)
-	case algName == "auto":
+	if algName == "auto" && mode != "lsh" {
 		results, stats, _, err = textjoin.JoinIntegrated(in, opts)
 		resp.Integrated = true
-	default:
-		//lint:ignore errdrop algName was validated with ParseAlgorithm before admission
-		alg, _ := textjoin.ParseAlgorithm(algName)
-		switch {
-		case workers > 1 && alg == textjoin.HHNL:
-			results, stats, err = textjoin.JoinHHNLParallel(in, opts, workers)
-		case workers > 1 && alg == textjoin.HVNL:
-			results, stats, err = textjoin.JoinHVNLParallel(in, opts, workers)
-		case workers > 1 && alg == textjoin.VVM:
-			results, stats, err = textjoin.JoinVVMParallel(in, opts, workers)
-		default:
-			results, stats, err = textjoin.Join(alg, in, opts)
-		}
+	} else {
+		results, stats, err = textjoin.Join(alg, in, opts)
 	}
 	exec.End()
 	recordViewIO(span, v)

@@ -110,6 +110,83 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
+// TestServerWorkers pins the workers parameter: out-of-range values are
+// refused with 400 before admission (no join runs, no budget is held),
+// and alg=auto really runs the planner's choice with the requested
+// worker count — same result hash as the inline run, per-worker counters
+// on the collector only after the fanned-out request.
+func TestServerWorkers(t *testing.T) {
+	s, hs := testServer(t, 4096)
+
+	for _, tc := range []struct {
+		workers string
+		want    int
+	}{
+		{"0", http.StatusBadRequest},
+		{"-3", http.StatusBadRequest},
+		{"65", http.StatusBadRequest},
+		{"100000", http.StatusBadRequest},
+		{"x", http.StatusBadRequest},
+		{"1", http.StatusOK},
+		{"64", http.StatusOK},
+	} {
+		for _, alg := range []string{"auto", "hhnl", "hvnl", "vvm", "lsh"} {
+			path := "/join?show=0&alg=" + alg + "&workers=" + tc.workers
+			if status, body := get(t, hs, path); status != tc.want {
+				t.Errorf("GET %s: status %d, want %d: %s", path, status, tc.want, body)
+			}
+		}
+	}
+	if got := s.joins.Load(); got != 10 {
+		t.Errorf("joins run by the table = %d, want the 10 in-range requests", got)
+	}
+
+	// run issues one /join and returns the reply with the result hash
+	// stamped on its trace's root span.
+	run := func(path string) (joinResponse, string) {
+		status, body := get(t, hs, path)
+		if status != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, status, body)
+		}
+		var j joinResponse
+		if err := json.Unmarshal(body, &j); err != nil {
+			t.Fatal(err)
+		}
+		trace := fetchTrace(t, hs, j.TraceID)
+		for _, a := range trace.Spans[len(trace.Spans)-1].Attrs {
+			if a.Key == "result.hash" {
+				return j, a.Value
+			}
+		}
+		t.Fatalf("GET %s: no result.hash on the root span", path)
+		return j, ""
+	}
+	workerCounters := func() int {
+		n := 0
+		for _, c := range s.tel.Snapshot().Counters {
+			if strings.Contains(c.Name, ".worker.") && c.Value > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	before := workerCounters()
+	inline, inlineHash := run("/join?alg=auto&show=0")
+	if n := workerCounters(); n != before {
+		t.Errorf("inline alg=auto touched %d per-worker counters", n-before)
+	}
+	fanned, fannedHash := run("/join?alg=auto&workers=2&show=0")
+	if !fanned.Integrated || fanned.Workers != 2 || fanned.Algorithm != inline.Algorithm {
+		t.Errorf("alg=auto&workers=2 replied %+v, inline ran %s", fanned, inline.Algorithm)
+	}
+	if fannedHash != inlineHash {
+		t.Errorf("alg=auto&workers=2 result hash %s, inline %s", fannedHash, inlineHash)
+	}
+	if workerCounters() == before {
+		t.Error("alg=auto&workers=2 left no per-worker counters: the planner's choice ran inline")
+	}
+}
+
 // TestServerLSH drives the approximate join end to end: mode=lsh (and
 // its alg=lsh spelling) must reply with LSH stats, the parallel variant
 // must return the same top-λ pairs as the serial one, and recall=r must

@@ -46,22 +46,24 @@ func TestIntegrationFullPipeline(t *testing.T) {
 
 	in := core.Inputs{Outer: outer, Inner: inner, InnerInv: innerInv, OuterInv: outerInv}
 	opts := core.Options{Lambda: 10, MemoryPages: 64}
+	fanned := opts
+	fanned.Workers = 4
 
 	type variant struct {
 		name string
 		run  func() ([]core.Result, *core.Stats, error)
 	}
 	variants := []variant{
-		{"hhnl", func() ([]core.Result, *core.Stats, error) { return core.JoinHHNL(in, opts) }},
+		{"hhnl", func() ([]core.Result, *core.Stats, error) { return core.Join(core.HHNL, in, opts) }},
 		{"hhnl-backward", func() ([]core.Result, *core.Stats, error) {
 			o := opts
 			o.Backward = true
-			return core.JoinHHNL(in, o)
+			return core.Join(core.HHNL, in, o)
 		}},
-		{"hhnl-parallel", func() ([]core.Result, *core.Stats, error) { return core.JoinHHNLParallel(in, opts, 4) }},
-		{"hvnl", func() ([]core.Result, *core.Stats, error) { return core.JoinHVNL(in, opts) }},
-		{"vvm", func() ([]core.Result, *core.Stats, error) { return core.JoinVVM(in, opts) }},
-		{"vvm-parallel", func() ([]core.Result, *core.Stats, error) { return core.JoinVVMParallel(in, opts, 4) }},
+		{"hhnl-w4", func() ([]core.Result, *core.Stats, error) { return core.Join(core.HHNL, in, fanned) }},
+		{"hvnl", func() ([]core.Result, *core.Stats, error) { return core.Join(core.HVNL, in, opts) }},
+		{"vvm", func() ([]core.Result, *core.Stats, error) { return core.Join(core.VVM, in, opts) }},
+		{"vvm-w4", func() ([]core.Result, *core.Stats, error) { return core.Join(core.VVM, in, fanned) }},
 	}
 	var baseline []core.Result
 	for _, v := range variants {

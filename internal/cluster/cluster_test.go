@@ -199,7 +199,7 @@ func TestClusteredOrderReducesHVNLFetches(t *testing.T) {
 	opts := core.Options{Lambda: 5, MemoryPages: 12, CachePolicy: entrycache.LRU}
 	run := func(outer *collection.Collection) int64 {
 		t.Helper()
-		_, st, err := core.JoinHVNL(core.Inputs{Outer: outer, Inner: inner, InnerInv: inv}, opts)
+		_, st, err := core.Join(core.HVNL, core.Inputs{Outer: outer, Inner: inner, InnerInv: inv}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

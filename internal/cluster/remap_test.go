@@ -83,7 +83,7 @@ func TestClusteredLayoutJoinRoundTrip(t *testing.T) {
 	}
 
 	opts := core.Options{Lambda: 40, MemoryPages: 300}
-	want, _, err := core.JoinHVNL(core.Inputs{Outer: c2, Inner: c1, InnerInv: inv1}, opts)
+	want, _, err := core.Join(core.HVNL, core.Inputs{Outer: c2, Inner: c1, InnerInv: inv1}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestClusteredLayoutJoinRoundTrip(t *testing.T) {
 		name string
 		run  func(in core.Inputs) ([]core.Result, *core.Stats, error)
 	}{
-		{"hvnl", func(in core.Inputs) ([]core.Result, *core.Stats, error) { return core.JoinHVNL(in, opts) }},
-		{"hhnl", func(in core.Inputs) ([]core.Result, *core.Stats, error) { return core.JoinHHNL(in, opts) }},
+		{"hvnl", func(in core.Inputs) ([]core.Result, *core.Stats, error) { return core.Join(core.HVNL, in, opts) }},
+		{"hhnl", func(in core.Inputs) ([]core.Result, *core.Stats, error) { return core.Join(core.HHNL, in, opts) }},
 	} {
 		got, _, err := join.run(core.Inputs{Outer: c2, Inner: rc, InnerInv: rinv})
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 // over budget) and a many-pass split, expecting identical results.
 func TestVVMAccumulatorRegimes(t *testing.T) {
 	e := buildEnv(t, 51, 45, 38, 70, 16, 128)
-	base, baseStats, err := JoinVVM(e.inputs(), Options{Lambda: 4, MemoryPages: 4000})
+	base, baseStats, err := Join(VVM, e.inputs(), Options{Lambda: 4, MemoryPages: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestVVMAccumulatorRegimes(t *testing.T) {
 		{Lambda: 4, MemoryPages: 12, Delta: 1.0}, // sparse, multi-pass
 		{Lambda: 4, MemoryPages: 20, Delta: 0.5},
 	} {
-		got, gotStats, err := JoinVVM(e.inputs(), opts)
+		got, gotStats, err := Join(VVM, e.inputs(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,12 +54,12 @@ func TestVVMParallelIdentity(t *testing.T) {
 			{Lambda: 5, MemoryPages: 2000, Weighting: weighting},
 			{Lambda: 5, MemoryPages: 10, Delta: 1.0, Weighting: weighting},
 		} {
-			serial, serialStats, err := JoinVVM(e.inputs(), opts)
+			serial, serialStats, err := Join(VVM, e.inputs(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 7} {
-				par, parStats, err := JoinVVMParallel(e.inputs(), opts, workers)
+				par, parStats, err := joinAt(VVM, e.inputs(), opts, workers)
 				if err != nil {
 					t.Fatalf("%v workers=%d: %v", weighting, workers, err)
 				}
@@ -97,7 +97,7 @@ func TestVVMSubsetAcrossRegimes(t *testing.T) {
 		{Lambda: 4, MemoryPages: 2000},           // dense
 		{Lambda: 4, MemoryPages: 10, Delta: 1.0}, // sparse, partitioned
 	} {
-		got, _, err := JoinVVM(in, opts)
+		got, _, err := Join(VVM, in, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestVVMSubsetAcrossRegimes(t *testing.T) {
 			t.Fatalf("serial opts %+v: %v", opts, err)
 		}
 		for _, workers := range []int{2, 7} {
-			par, _, err := JoinVVMParallel(in, opts, workers)
+			par, _, err := joinAt(VVM, in, opts, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,11 +146,11 @@ func TestQuickAccumRegimesEqual(t *testing.T) {
 		tight.MemoryPages = int64(pages16%40) + 6
 		tight.Delta = 1.0
 
-		want, _, err := JoinVVM(in, roomy)
+		want, _, err := Join(VVM, in, roomy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := JoinVVM(in, tight)
+		got, _, err := Join(VVM, in, tight)
 		if err != nil {
 			// A tiny budget may be legitimately insufficient.
 			return errors.Is(err, ErrInsufficientMemory)
@@ -158,7 +158,7 @@ func TestQuickAccumRegimesEqual(t *testing.T) {
 		if sameResults(want, got) != nil {
 			return false
 		}
-		par, _, err := JoinVVMParallel(in, tight, r.Intn(7)+1)
+		par, _, err := joinAt(VVM, in, tight, r.Intn(7)+1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,75 @@
+package core
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// parseNonTest parses every non-test Go file of dir.
+func parseNonTest(t *testing.T, dir string) map[string]*ast.File {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	files := make(map[string]*ast.File)
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = f
+	}
+	return files
+}
+
+// exportedJoins lists the exported package-level functions named Join*.
+func exportedJoins(files map[string]*ast.File) []string {
+	var names []string
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Join") {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestOneEntryPointPerLayer pins the slim layering: internal/core and the
+// textjoin facade each export exactly Join and JoinIntegrated — the
+// worker count is Options.Workers, not a function per variant.
+func TestOneEntryPointPerLayer(t *testing.T) {
+	want := "Join JoinIntegrated"
+	if got := strings.Join(exportedJoins(parseNonTest(t, ".")), " "); got != want {
+		t.Errorf("internal/core exports %q, want %q", got, want)
+	}
+	if got := strings.Join(exportedJoins(parseNonTest(t, "../..")), " "); got != want {
+		t.Errorf("textjoin exports %q, want %q", got, want)
+	}
+}
+
+// TestGoroutinesStartInFanOutOnly pins the single fan-out helper: no join
+// file starts goroutines of its own, so "what waits for this goroutine"
+// has one answer (fanOut.wait).
+func TestGoroutinesStartInFanOutOnly(t *testing.T) {
+	for name, f := range parseNonTest(t, ".") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if _, ok := n.(*ast.GoStmt); ok && name != "fanout.go" {
+				t.Errorf("%s starts a goroutine; only fanout.go may", name)
+			}
+			return true
+		})
+	}
+}

@@ -25,14 +25,14 @@ func TestBatchJoin(t *testing.T) {
 
 	want := reference(t, batch, e.c1, 4, rawScorer(t))
 
-	hh, hhStats, err := JoinHHNL(in, opts)
+	hh, hhStats, err := Join(HHNL, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sameResults(hh, want); err != nil {
 		t.Fatal(err)
 	}
-	hv, _, err := JoinHVNL(in, opts)
+	hv, _, err := Join(HVNL, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestBatchJoin(t *testing.T) {
 	}
 
 	// VVM is inapplicable for a batch.
-	if _, _, err := JoinVVM(Inputs{Outer: batch, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}, opts); !errors.Is(err, ErrMissingInput) {
+	if _, _, err := Join(VVM, Inputs{Outer: batch, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}, opts); !errors.Is(err, ErrMissingInput) {
 		t.Errorf("VVM on batch err = %v, want ErrMissingInput", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestBatchJoinSparseIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := JoinHVNL(Inputs{Outer: batch, Inner: e.c1, InnerInv: e.inv1}, Options{Lambda: 2, MemoryPages: 100})
+	res, _, err := Join(HVNL, Inputs{Outer: batch, Inner: e.c1, InnerInv: e.inv1}, Options{Lambda: 2, MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

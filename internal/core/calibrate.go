@@ -47,7 +47,7 @@ func PlanSamples(s *telemetry.Snapshot) []costmodel.Sample {
 			}
 			out = append(out, costmodel.Sample{
 				Label:     fmt.Sprintf("plan-%d", len(out)),
-				Algorithm: modelAlg(a),
+				Algorithm: modelAlgs[a],
 				Estimated: est,
 				Measured:  float64(e.Value),
 			})
@@ -56,16 +56,5 @@ func PlanSamples(s *telemetry.Snapshot) []costmodel.Sample {
 	return out
 }
 
-// modelAlg converts a core algorithm id to its costmodel counterpart.
-func modelAlg(a Algorithm) costmodel.Algorithm {
-	switch a {
-	case HVNL:
-		return costmodel.AlgHVNL
-	case VVM:
-		return costmodel.AlgVVM
-	case LSH:
-		return costmodel.AlgLSH
-	default:
-		return costmodel.AlgHHNL
-	}
-}
+// modelAlgs maps each core algorithm id to its costmodel counterpart.
+var modelAlgs = [...]costmodel.Algorithm{HHNL: costmodel.AlgHHNL, HVNL: costmodel.AlgHVNL, VVM: costmodel.AlgVVM, LSH: costmodel.AlgLSH}

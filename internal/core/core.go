@@ -55,33 +55,23 @@ const (
 	LSH
 )
 
+var algNames = [...]string{HHNL: "HHNL", HVNL: "HVNL", VVM: "VVM", LSH: "LSH"}
+
 // String names the algorithm as in the paper.
 func (a Algorithm) String() string {
-	switch a {
-	case HHNL:
-		return "HHNL"
-	case HVNL:
-		return "HVNL"
-	case VVM:
-		return "VVM"
-	case LSH:
-		return "LSH"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
+	if a >= 0 && int(a) < len(algNames) {
+		return algNames[a]
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// ParseAlgorithm converts a flag string to an Algorithm.
+// ParseAlgorithm converts a flag string (the paper's name, or its
+// lower-case form) to an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "hhnl", "HHNL":
-		return HHNL, nil
-	case "hvnl", "HVNL":
-		return HVNL, nil
-	case "vvm", "VVM":
-		return VVM, nil
-	case "lsh", "LSH":
-		return LSH, nil
+	for a, name := range algNames {
+		if s == name || s == strings.ToLower(name) {
+			return Algorithm(a), nil
+		}
 	}
 	return HHNL, fmt.Errorf("core: unknown algorithm %q", s)
 }
@@ -148,16 +138,22 @@ type Options struct {
 	// results are byte-identical to unfiltered ones.
 	Prefilter *Prefilter
 	// LSH supplies the inner collection's MinHash sidecar. Required by
-	// JoinLSH; offered to the integrated planner, which may pick the
+	// the LSH join; offered to the integrated planner, which may pick the
 	// approximate join when RecallSLO permits.
 	LSH *lsh.Sidecar
 	// RecallSLO is the lowest acceptable recall when the integrated
 	// planner considers the approximate LSH join: 0 (the default) and 1
 	// both restrict the planner to the exact algorithms; a value in
 	// (0, 1) lets LSH win when its estimated recall meets the SLO and
-	// its estimated cost beats every exact plan. Direct JoinLSH calls
-	// ignore it.
+	// its estimated cost beats every exact plan. Join(LSH, ...) ignores
+	// it.
 	RecallSLO float64
+	// Workers is how many goroutines share the join's CPU work; at 1 or
+	// below the whole join runs on the calling goroutine. Storage access
+	// never fans out, so results and Stats do not depend on it (except
+	// VVM's PeakMemoryBytes, the sum of its per-worker accumulators).
+	// Backward HHNL runs inline only.
+	Workers int
 }
 
 // withDefaults fills in the paper's base values.
@@ -290,6 +286,15 @@ func trackIO(files ...*iosim.File) *ioTracker {
 	return t
 }
 
+// treeFile returns the file backing inv's B+tree (nil for an empty
+// inverted file, which trackIO skips).
+func treeFile(inv *invfile.InvertedFile) *iosim.File {
+	if t := inv.Tree(); t != nil {
+		return t.File()
+	}
+	return nil
+}
+
 func (t *ioTracker) delta() iosim.Stats {
 	var total iosim.Stats
 	for i, f := range t.files {
@@ -365,15 +370,19 @@ func alpha(files ...*iosim.File) float64 {
 
 // Join runs the given algorithm.
 func Join(alg Algorithm, in Inputs, opts Options) ([]Result, *Stats, error) {
+	opts = opts.withDefaults()
+	if err := opts.validate(); err != nil {
+		return nil, nil, err
+	}
 	switch alg {
 	case HHNL:
-		return JoinHHNL(in, opts)
+		return runHHNL(in, opts)
 	case HVNL:
-		return JoinHVNL(in, opts)
+		return runHVNL(in, opts)
 	case VVM:
-		return JoinVVM(in, opts)
+		return runVVM(in, opts)
 	case LSH:
-		return JoinLSH(in, opts)
+		return runLSH(in, opts)
 	default:
 		return nil, nil, fmt.Errorf("core: unknown algorithm %v", alg)
 	}

@@ -193,23 +193,23 @@ func TestJoinDispatch(t *testing.T) {
 
 func TestMissingInputs(t *testing.T) {
 	e := buildEnv(t, 2, 5, 5, 20, 8, 256)
-	if _, _, err := JoinHHNL(Inputs{Outer: e.c2}, Options{}); !errors.Is(err, ErrMissingInput) {
+	if _, _, err := Join(HHNL, Inputs{Outer: e.c2}, Options{}); !errors.Is(err, ErrMissingInput) {
 		t.Errorf("HHNL err = %v", err)
 	}
-	if _, _, err := JoinHVNL(Inputs{Outer: e.c2, Inner: e.c1}, Options{}); !errors.Is(err, ErrMissingInput) {
+	if _, _, err := Join(HVNL, Inputs{Outer: e.c2, Inner: e.c1}, Options{}); !errors.Is(err, ErrMissingInput) {
 		t.Errorf("HVNL err = %v", err)
 	}
-	if _, _, err := JoinVVM(Inputs{Outer: e.c2, Inner: e.c1, InnerInv: e.inv1}, Options{}); !errors.Is(err, ErrMissingInput) {
+	if _, _, err := Join(VVM, Inputs{Outer: e.c2, Inner: e.c1, InnerInv: e.inv1}, Options{}); !errors.Is(err, ErrMissingInput) {
 		t.Errorf("VVM err = %v", err)
 	}
 }
 
 func TestOptionValidation(t *testing.T) {
 	e := buildEnv(t, 3, 4, 4, 20, 8, 256)
-	if _, _, err := JoinHHNL(e.inputs(), Options{Lambda: -1}); err == nil {
+	if _, _, err := Join(HHNL, e.inputs(), Options{Lambda: -1}); err == nil {
 		t.Error("negative lambda: want error")
 	}
-	if _, _, err := JoinHVNL(e.inputs(), Options{Delta: 2}); err == nil {
+	if _, _, err := Join(HVNL, e.inputs(), Options{Delta: 2}); err == nil {
 		t.Error("delta > 1: want error")
 	}
 }
@@ -217,7 +217,7 @@ func TestOptionValidation(t *testing.T) {
 func TestHHNLAgainstReference(t *testing.T) {
 	e := buildEnv(t, 4, 30, 25, 60, 15, 256)
 	opts := Options{Lambda: 5, MemoryPages: 50}
-	got, st, err := JoinHHNL(e.inputs(), opts)
+	got, st, err := Join(HHNL, e.inputs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestHHNLAgainstReference(t *testing.T) {
 func TestHHNLSmallMemoryMultipleBatches(t *testing.T) {
 	e := buildEnv(t, 5, 20, 20, 50, 12, 128)
 	// Tiny memory: a few pages -> many batches, each rescanning C1.
-	got, st, err := JoinHHNL(e.inputs(), Options{Lambda: 3, MemoryPages: 4})
+	got, st, err := Join(HHNL, e.inputs(), Options{Lambda: 3, MemoryPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestHHNLSmallMemoryMultipleBatches(t *testing.T) {
 
 func TestHHNLInsufficientMemory(t *testing.T) {
 	e := buildEnv(t, 6, 10, 10, 30, 20, 64)
-	_, _, err := JoinHHNL(e.inputs(), Options{Lambda: 100000, MemoryPages: 2})
+	_, _, err := Join(HHNL, e.inputs(), Options{Lambda: 100000, MemoryPages: 2})
 	if !errors.Is(err, ErrInsufficientMemory) {
 		t.Errorf("err = %v, want ErrInsufficientMemory", err)
 	}
@@ -273,11 +273,11 @@ func TestHHNLInsufficientMemory(t *testing.T) {
 
 func TestHHNLBackwardMatchesForward(t *testing.T) {
 	e := buildEnv(t, 7, 25, 18, 50, 12, 256)
-	fw, _, err := JoinHHNL(e.inputs(), Options{Lambda: 4, MemoryPages: 60})
+	fw, _, err := Join(HHNL, e.inputs(), Options{Lambda: 4, MemoryPages: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, st, err := JoinHHNL(e.inputs(), Options{Lambda: 4, MemoryPages: 60, Backward: true})
+	bw, st, err := Join(HHNL, e.inputs(), Options{Lambda: 4, MemoryPages: 60, Backward: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestHHNLEmptyCollections(t *testing.T) {
 	full := buildColl(t, d, "full", randomDocs(rand.New(rand.NewSource(1)), 5, 20, 8))
 
 	// Empty outer: no results.
-	res, _, err := JoinHHNL(Inputs{Outer: empty, Inner: full}, Options{Lambda: 2, MemoryPages: 10})
+	res, _, err := Join(HHNL, Inputs{Outer: empty, Inner: full}, Options{Lambda: 2, MemoryPages: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestHHNLEmptyCollections(t *testing.T) {
 		t.Errorf("empty outer: %d results", len(res))
 	}
 	// Empty inner: one result per outer doc, no matches.
-	res, _, err = JoinHHNL(Inputs{Outer: full, Inner: empty}, Options{Lambda: 2, MemoryPages: 10})
+	res, _, err = Join(HHNL, Inputs{Outer: full, Inner: empty}, Options{Lambda: 2, MemoryPages: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestHHNLEmptyCollections(t *testing.T) {
 		}
 	}
 	// Backward with empty inner behaves the same.
-	res, _, err = JoinHHNL(Inputs{Outer: full, Inner: empty}, Options{Lambda: 2, MemoryPages: 10, Backward: true})
+	res, _, err = Join(HHNL, Inputs{Outer: full, Inner: empty}, Options{Lambda: 2, MemoryPages: 10, Backward: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestHHNLEmptyCollections(t *testing.T) {
 
 func TestHVNLAgainstReference(t *testing.T) {
 	e := buildEnv(t, 8, 30, 25, 60, 15, 256)
-	got, st, err := JoinHVNL(e.inputs(), Options{Lambda: 5, MemoryPages: 200})
+	got, st, err := Join(HVNL, e.inputs(), Options{Lambda: 5, MemoryPages: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestHVNLAgainstReference(t *testing.T) {
 func TestHVNLCacheReuse(t *testing.T) {
 	// With ample memory every entry is fetched at most once.
 	e := buildEnv(t, 9, 40, 40, 30, 12, 256)
-	_, st, err := JoinHVNL(e.inputs(), Options{Lambda: 3, MemoryPages: 10000})
+	_, st, err := Join(HVNL, e.inputs(), Options{Lambda: 3, MemoryPages: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestHVNLCacheReuse(t *testing.T) {
 	}
 
 	// With tight memory entries are re-fetched.
-	_, tight, err := JoinHVNL(e.inputs(), Options{Lambda: 3, MemoryPages: 8})
+	_, tight, err := Join(HVNL, e.inputs(), Options{Lambda: 3, MemoryPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestHVNLCacheReuse(t *testing.T) {
 func TestHVNLPolicies(t *testing.T) {
 	e := buildEnv(t, 10, 40, 40, 30, 12, 256)
 	for _, policy := range []entrycache.Policy{entrycache.MinOuterDF, entrycache.LRU} {
-		got, _, err := JoinHVNL(e.inputs(), Options{Lambda: 3, MemoryPages: 10, CachePolicy: policy})
+		got, _, err := Join(HVNL, e.inputs(), Options{Lambda: 3, MemoryPages: 10, CachePolicy: policy})
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -391,7 +391,7 @@ func TestHVNLPolicies(t *testing.T) {
 
 func TestHVNLInsufficientMemory(t *testing.T) {
 	e := buildEnv(t, 11, 10, 10, 30, 10, 64)
-	_, _, err := JoinHVNL(e.inputs(), Options{Lambda: 3, MemoryPages: 1})
+	_, _, err := Join(HVNL, e.inputs(), Options{Lambda: 3, MemoryPages: 1})
 	if !errors.Is(err, ErrInsufficientMemory) {
 		t.Errorf("err = %v, want ErrInsufficientMemory", err)
 	}
@@ -399,7 +399,7 @@ func TestHVNLInsufficientMemory(t *testing.T) {
 
 func TestVVMAgainstReference(t *testing.T) {
 	e := buildEnv(t, 12, 30, 25, 60, 15, 256)
-	got, st, err := JoinVVM(e.inputs(), Options{Lambda: 5, MemoryPages: 1000})
+	got, st, err := Join(VVM, e.inputs(), Options{Lambda: 5, MemoryPages: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestVVMAgainstReference(t *testing.T) {
 
 func TestVVMPartitioned(t *testing.T) {
 	e := buildEnv(t, 13, 40, 40, 50, 12, 64)
-	got, st, err := JoinVVM(e.inputs(), Options{Lambda: 3, MemoryPages: 6, Delta: 1})
+	got, st, err := Join(VVM, e.inputs(), Options{Lambda: 3, MemoryPages: 6, Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestVVMPartitioned(t *testing.T) {
 
 func TestVVMInsufficientMemory(t *testing.T) {
 	e := buildEnv(t, 14, 200, 200, 30, 60, 64)
-	_, _, err := JoinVVM(e.inputs(), Options{Lambda: 3, MemoryPages: 1})
+	_, _, err := Join(VVM, e.inputs(), Options{Lambda: 3, MemoryPages: 1})
 	if !errors.Is(err, ErrInsufficientMemory) {
 		t.Errorf("err = %v, want ErrInsufficientMemory", err)
 	}
@@ -491,7 +491,7 @@ func TestSelfJoinClusteringSpecialCase(t *testing.T) {
 	// The paper frames IR clustering as the self-join special case.
 	e := buildEnv(t, 17, 20, 20, 40, 10, 256)
 	in := Inputs{Outer: e.c1, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv1}
-	got, _, err := JoinHHNL(in, Options{Lambda: 3, MemoryPages: 200})
+	got, _, err := Join(HHNL, in, Options{Lambda: 3, MemoryPages: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,9 +644,9 @@ func TestQuickBackwardEqualsForward(t *testing.T) {
 		c2 := buildColl(t, d, "c2", randomDocs(r, r.Intn(20)+1, 40, 10))
 		in := Inputs{Outer: c2, Inner: c1}
 		opts := Options{Lambda: 3, MemoryPages: 50}
-		fw, _, err1 := JoinHHNL(in, opts)
+		fw, _, err1 := Join(HHNL, in, opts)
 		opts.Backward = true
-		bw, _, err2 := JoinHHNL(in, opts)
+		bw, _, err2 := Join(HHNL, in, opts)
 		if err1 != nil || err2 != nil {
 			return errors.Is(err1, ErrInsufficientMemory) && errors.Is(err2, ErrInsufficientMemory)
 		}

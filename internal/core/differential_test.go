@@ -6,21 +6,24 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 )
 
 // This file is the differential harness promised by the telemetry layer:
-// every algorithm (serial and parallel, at several worker counts) must
-// return the identical top-λ on a corpus of adversarial shapes, and
-// attaching a telemetry collector must change neither the results nor
-// one byte of the Stats.
+// every join family at every worker count must return the identical
+// top-λ on a corpus of adversarial shapes, the worker count must change
+// neither the results nor the Stats, and attaching a telemetry collector
+// must change neither the results nor one byte of the Stats.
 
 // diffShape describes one seeded corpus shape. build returns the two
 // document sets; the remaining fields parameterize the join. Each call
@@ -191,93 +194,155 @@ func (s diffShape) options() Options {
 	return Options{Lambda: s.lambda, MemoryPages: s.mem, Delta: s.delta}
 }
 
-// diffVariant is one join entry point under test.
+// diffVariant is one cell of the harness table: a join family at a
+// worker count. Workers 0 and 1 both run the stage inline; 2 and 7 fan
+// out (7 exceeds several shapes' document counts, so some workers own
+// empty blocks).
 type diffVariant struct {
-	name string
-	run  func(in Inputs, opts Options) ([]Result, *Stats, error)
+	name    string
+	alg     Algorithm
+	workers int
 }
 
+func (v diffVariant) run(in Inputs, opts Options) ([]Result, *Stats, error) {
+	opts.Workers = v.workers
+	return Join(v.alg, in, opts)
+}
+
+// joinAt runs alg with the given worker count.
+func joinAt(alg Algorithm, in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
+	return diffVariant{alg: alg, workers: workers}.run(in, opts)
+}
+
+// diffVariants is families × Workers ∈ {0, 1, 2, 7}, each family's
+// Workers=0 cell first: it is the reference the other counts are held to.
 func diffVariants() []diffVariant {
-	vs := []diffVariant{
-		{"hhnl", JoinHHNL},
-		{"hvnl", JoinHVNL},
-		{"vvm", JoinVVM},
-	}
-	for _, w := range []int{1, 2, 7} {
-		w := w
-		vs = append(vs,
-			diffVariant{fmt.Sprintf("hhnl-p%d", w), func(in Inputs, o Options) ([]Result, *Stats, error) {
-				return JoinHHNLParallel(in, o, w)
-			}},
-			diffVariant{fmt.Sprintf("hvnl-p%d", w), func(in Inputs, o Options) ([]Result, *Stats, error) {
-				return JoinHVNLParallel(in, o, w)
-			}},
-			diffVariant{fmt.Sprintf("vvm-p%d", w), func(in Inputs, o Options) ([]Result, *Stats, error) {
-				return JoinVVMParallel(in, o, w)
-			}},
-		)
+	var vs []diffVariant
+	for _, alg := range []Algorithm{HHNL, HVNL, VVM, LSH} {
+		for _, w := range []int{0, 1, 2, 7} {
+			vs = append(vs, diffVariant{fmt.Sprintf("%s-w%d", strings.ToLower(alg.String()), w), alg, w})
+		}
 	}
 	return vs
 }
 
-// TestDifferentialShapes is the cross-algorithm harness: on every shape,
-// every variant must equal the serial HHNL baseline exactly.
+// variantEnv builds a fresh environment for one variant run, with the
+// inner MinHash sidecar the LSH family needs (the exact families ignore
+// Options.LSH). Building it for every variant keeps the disks — and so
+// the head positions — of all runs being compared identical.
+func variantEnv(tb testing.TB, shape diffShape) (*env, Options) {
+	tb.Helper()
+	e := buildDiffEnv(tb, shape, 1)
+	opts := shape.options()
+	opts.LSH = buildDiffLSH(tb, e, lshDiffConfig)
+	return e, opts
+}
+
+// sameStatsAcrossWorkers is the worker-count invariance rule: every Stats
+// field identical to the family's Workers=0 run, except VVM's
+// PeakMemoryBytes, which sums the per-worker accumulator shards.
+func sameStatsAcrossWorkers(v diffVariant, inline, got *Stats) error {
+	want, have := *inline, *got
+	if v.alg == VVM {
+		have.PeakMemoryBytes = want.PeakMemoryBytes
+	}
+	if want != have {
+		return fmt.Errorf("stats differ from Workers=0:\nwant %+v\ngot  %+v", *inline, *got)
+	}
+	return nil
+}
+
+// TestDifferentialShapes is the cross-algorithm, cross-worker-count
+// harness. On every shape every exact variant must equal the HHNL
+// baseline, and every variant — LSH included — must return bit-identical
+// similarities and the same Stats as its own family run inline.
 func TestDifferentialShapes(t *testing.T) {
 	for _, shape := range diffShapes() {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
 			baseEnv := buildDiffEnv(t, shape, 1)
-			want, _, err := JoinHHNL(baseEnv.inputs(), shape.options())
+			want, _, err := Join(HHNL, baseEnv.inputs(), shape.options())
 			if err != nil {
 				t.Fatalf("baseline HHNL: %v", err)
 			}
+			type run struct {
+				res []Result
+				st  *Stats
+			}
+			inline := make(map[Algorithm]run)
 			for _, v := range diffVariants() {
-				e := buildDiffEnv(t, shape, 1)
-				got, _, err := v.run(e.inputs(), shape.options())
+				e, opts := variantEnv(t, shape)
+				got, st, err := v.run(e.inputs(), opts)
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
-				if err := sameResults(want, got); err != nil {
-					t.Errorf("%s differs from baseline: %v", v.name, err)
+				if v.alg != LSH {
+					if err := sameResults(want, got); err != nil {
+						t.Errorf("%s differs from baseline: %v", v.name, err)
+					}
+				}
+				ref, ok := inline[v.alg]
+				if !ok {
+					inline[v.alg] = run{got, st}
+					continue
+				}
+				if err := exactSameResults(ref.res, got); err != nil {
+					t.Errorf("%s differs from Workers=0: %v", v.name, err)
+				}
+				if err := sameStatsAcrossWorkers(v, ref.st, st); err != nil {
+					t.Errorf("%s: %v", v.name, err)
 				}
 			}
 		})
 	}
 }
 
-// TestTelemetryInvariance pins the tentpole's contract: an attached
-// collector changes neither the results nor a single byte of the Stats,
-// for every variant on every shape. Fresh environments per run keep the
-// disk head positions (and so the seq/rand classification) comparable.
+// TestTelemetryInvariance pins the telemetry contract: an attached
+// collector and request trace change neither the results nor a single
+// byte of the Stats, for every variant on every shape. Fresh environments
+// per run keep the disk head positions (and so the seq/rand
+// classification) comparable.
 func TestTelemetryInvariance(t *testing.T) {
 	for _, shape := range diffShapes() {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
 			for _, v := range diffVariants() {
-				off := buildDiffEnv(t, shape, 1)
-				offRes, offSt, err := v.run(off.inputs(), shape.options())
+				off, offOpts := variantEnv(t, shape)
+				offRes, offSt, err := v.run(off.inputs(), offOpts)
 				if err != nil {
 					t.Fatalf("%s off: %v", v.name, err)
 				}
 
-				on := buildDiffEnv(t, shape, 1)
+				on, opts := variantEnv(t, shape)
 				tel := telemetry.New()
 				on.disk.SetCollector(tel)
-				opts := shape.options()
 				opts.Telemetry = tel
+				root := reqtrace.NewTracer(1, time.Now).StartTrace(v.name)
+				opts.Trace = root
 				onRes, onSt, err := v.run(on.inputs(), opts)
+				root.End()
 				if err != nil {
 					t.Fatalf("%s on: %v", v.name, err)
 				}
 
-				if err := sameResults(offRes, onRes); err != nil {
+				if err := exactSameResults(offRes, onRes); err != nil {
 					t.Errorf("%s: telemetry changed results: %v", v.name, err)
 				}
 				if *offSt != *onSt {
 					t.Errorf("%s: telemetry changed stats:\noff %+v\non  %+v", v.name, *offSt, *onSt)
 				}
-				if s := tel.Snapshot(); len(s.Counters) == 0 || len(s.Trace) == 0 {
+				s := tel.Snapshot()
+				if len(s.Counters) == 0 || len(s.Trace) == 0 {
 					t.Errorf("%s: enabled collector recorded nothing", v.name)
+				}
+				// Per-worker counters and the tracker merge exist only on
+				// the fan-out path; the span names are otherwise one set.
+				fanned := false
+				for _, c := range s.Counters {
+					fanned = fanned || strings.Contains(c.Name, ".worker.")
+				}
+				if fanned != (v.workers > 1) {
+					t.Errorf("%s: per-worker counters present = %v", v.name, fanned)
 				}
 			}
 		})
@@ -290,7 +355,7 @@ func TestTelemetryInvariance(t *testing.T) {
 func TestTelemetryConcurrentSnapshots(t *testing.T) {
 	shape := diffShapes()[0]
 	baseEnv := buildDiffEnv(t, shape, 1)
-	want, _, err := JoinHHNL(baseEnv.inputs(), shape.options())
+	want, _, err := Join(HHNL, baseEnv.inputs(), shape.options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +377,11 @@ func TestTelemetryConcurrentSnapshots(t *testing.T) {
 	}()
 
 	for _, v := range diffVariants() {
-		e := buildDiffEnv(t, shape, 1)
+		if v.alg == LSH {
+			continue // approximate: no exact baseline to hold it to here
+		}
+		e, opts := variantEnv(t, shape)
 		e.disk.SetCollector(tel)
-		opts := shape.options()
 		opts.Telemetry = tel
 		got, _, err := v.run(e.inputs(), opts)
 		if err != nil {
@@ -421,8 +488,8 @@ func exactSameResults(a, b []Result) error {
 // in outer order, (2) achieve measured recall ≥ the configured floor
 // against the exact ground truth, (3) show perfect precision — every
 // returned similarity byte-for-byte equal to the exact scorer on the
-// underlying documents, and (4) produce results and Stats identical to
-// the serial run from the parallel variant at workers 1, 2 and 7.
+// underlying documents. (Worker-count invariance of the LSH family is a
+// row of TestDifferentialShapes.)
 func TestDifferentialLSH(t *testing.T) {
 	floors := lshRecallFloors()
 	for _, shape := range diffShapes() {
@@ -435,9 +502,9 @@ func TestDifferentialLSH(t *testing.T) {
 			sc := buildDiffLSH(t, e, lshDiffConfig)
 			opts := shape.options()
 			opts.LSH = sc
-			got, st, err := JoinLSH(e.inputs(), opts)
+			got, st, err := Join(LSH, e.inputs(), opts)
 			if err != nil {
-				t.Fatalf("JoinLSH: %v", err)
+				t.Fatalf("LSH join: %v", err)
 			}
 			if st.Algorithm != LSH || !st.LSH.Enabled {
 				t.Fatalf("stats not marked as LSH: %+v", st)
@@ -504,25 +571,6 @@ func TestDifferentialLSH(t *testing.T) {
 			}
 			t.Logf("recall %.4f (floor %.2f), %d candidates, %d pages skipped",
 				recall, floor, st.LSH.Candidates, st.LSH.PagesSkipped)
-
-			// (4) Serial ≡ parallel: results and Stats byte-identical at
-			// every worker count, each from a fresh disk.
-			for _, w := range []int{1, 2, 7} {
-				ep := buildDiffEnv(t, shape, 1)
-				scp := buildDiffLSH(t, ep, lshDiffConfig)
-				po := shape.options()
-				po.LSH = scp
-				pres, pst, err := JoinLSHParallel(ep.inputs(), po, w)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				if err := exactSameResults(got, pres); err != nil {
-					t.Errorf("workers=%d results differ from serial: %v", w, err)
-				}
-				if *st != *pst {
-					t.Errorf("workers=%d stats differ:\nserial   %+v\nparallel %+v", w, *st, *pst)
-				}
-			}
 		})
 	}
 }
@@ -535,7 +583,7 @@ func TestDifferentialReference(t *testing.T) {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
 			e := buildDiffEnv(t, shape, 1)
-			got, _, err := JoinHHNL(e.inputs(), shape.options())
+			got, _, err := Join(HHNL, e.inputs(), shape.options())
 			if err != nil {
 				t.Fatal(err)
 			}

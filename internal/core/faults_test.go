@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"textjoin/internal/iosim"
+	"textjoin/internal/lsh"
+	"textjoin/internal/signature"
 	"textjoin/internal/telemetry"
 )
 
@@ -35,7 +37,7 @@ func TestJoinsPropagateStorageFaults(t *testing.T) {
 func TestBackwardHHNLPropagatesFaults(t *testing.T) {
 	e := buildEnv(t, 32, 20, 20, 40, 10, 128)
 	e.disk.InjectFaults(iosim.FaultPlan{FailAfterReads: 5, Repeat: true})
-	_, _, err := JoinHHNL(e.inputs(), Options{Lambda: 3, MemoryPages: 100, Backward: true})
+	_, _, err := Join(HHNL, e.inputs(), Options{Lambda: 3, MemoryPages: 100, Backward: true})
 	if !errors.Is(err, iosim.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -45,7 +47,7 @@ func TestHVNLPropagatesBTreeFaults(t *testing.T) {
 	e := buildEnv(t, 33, 20, 20, 40, 10, 128)
 	// Fail reads of the B+tree file specifically: LoadIndex must fail.
 	e.disk.InjectFaults(iosim.FaultPlan{FailFile: "c1.bt", Repeat: true})
-	_, _, err := JoinHVNL(e.inputs(), Options{Lambda: 3, MemoryPages: 100})
+	_, _, err := Join(HVNL, e.inputs(), Options{Lambda: 3, MemoryPages: 100})
 	if !errors.Is(err, iosim.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -54,7 +56,7 @@ func TestHVNLPropagatesBTreeFaults(t *testing.T) {
 func TestVVMPropagatesSecondFileFaults(t *testing.T) {
 	e := buildEnv(t, 34, 20, 20, 40, 10, 128)
 	e.disk.InjectFaults(iosim.FaultPlan{FailFile: "c2.inv", FailAfterReads: 1, Repeat: true})
-	_, _, err := JoinVVM(e.inputs(), Options{Lambda: 3, MemoryPages: 100})
+	_, _, err := Join(VVM, e.inputs(), Options{Lambda: 3, MemoryPages: 100})
 	if !errors.Is(err, iosim.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -74,29 +76,21 @@ func waitGoroutines(tb testing.TB, want int) {
 	}
 }
 
-// The parallel joins must propagate storage faults exactly like their
-// serial counterparts: a clean wrapped error, no partial results, no
-// leaked worker goroutines — and an attached collector must record the
+// The fanned-out joins must propagate storage faults exactly like the
+// inline ones: a clean wrapped error, no partial results, no leaked
+// worker goroutines — and an attached collector must record the
 // storage-level fault event.
 func TestParallelJoinsPropagateStorageFaults(t *testing.T) {
-	variants := []struct {
-		name string
-		run  func(Inputs, Options, int) ([]Result, *Stats, error)
-	}{
-		{"hhnl", JoinHHNLParallel},
-		{"hvnl", JoinHVNLParallel},
-		{"vvm", JoinVVMParallel},
-	}
-	for _, v := range variants {
+	for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
 		for _, workers := range []int{2, 7} {
-			v, workers := v, workers
-			t.Run(fmt.Sprintf("%s/w%d", v.name, workers), func(t *testing.T) {
+			alg, workers := alg, workers
+			t.Run(fmt.Sprintf("%s/w%d", strings.ToLower(alg.String()), workers), func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				e := buildEnv(t, 36, 20, 20, 40, 10, 128)
 				tel := telemetry.New()
 				e.disk.SetCollector(tel)
 				e.disk.InjectFaults(iosim.FaultPlan{FailAfterReads: 5, Repeat: true})
-				res, _, err := v.run(e.inputs(), Options{Lambda: 3, MemoryPages: 100, Telemetry: tel}, workers)
+				res, _, err := joinAt(alg, e.inputs(), Options{Lambda: 3, MemoryPages: 100, Telemetry: tel}, workers)
 				if !errors.Is(err, iosim.ErrInjected) {
 					t.Fatalf("err = %v, want ErrInjected", err)
 				}
@@ -118,17 +112,104 @@ func TestParallelJoinsPropagateStorageFaults(t *testing.T) {
 	}
 }
 
-// A fault confined to the B+tree file must stop the parallel HVNL before
+// A fault confined to the B+tree file must stop a fanned-out HVNL before
 // any worker spawns, and still leak nothing.
 func TestParallelHVNLPropagatesBTreeFaults(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := buildEnv(t, 37, 20, 20, 40, 10, 128)
 	e.disk.InjectFaults(iosim.FaultPlan{FailFile: "c1.bt", Repeat: true})
-	_, _, err := JoinHVNLParallel(e.inputs(), Options{Lambda: 3, MemoryPages: 100}, 4)
+	_, _, err := joinAt(HVNL, e.inputs(), Options{Lambda: 3, MemoryPages: 100}, 4)
 	if !errors.Is(err, iosim.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestFanOutLeavesNoWorkersOnFailure walks every way a fanned-out join can
+// fail around its one fan-out helper — a storage fault while the resident
+// side fills, one mid-scan/probe/merge with workers already draining, and
+// a sidecar that does not match its collection — and requires the error,
+// no partial results, and the goroutine count back at its pre-call value.
+func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
+	type failure struct {
+		name  string
+		fault iosim.FaultPlan
+		// stale swaps in a sidecar built over the wrong collection.
+		stale bool
+	}
+	families := []struct {
+		alg   Algorithm
+		mem   int64
+		cases []failure
+	}{
+		{HHNL, 100, []failure{
+			{name: "fill", fault: iosim.FaultPlan{FailFile: "c2", Repeat: true}},
+			{name: "inner-scan", fault: iosim.FaultPlan{FailFile: "c1", FailAfterReads: 3, Repeat: true}},
+			{name: "stale-prefilter", stale: true},
+		}},
+		// A tight budget keeps HVNL out of the preload regime, so the
+		// entry-file fault lands on a demand fetch mid-sweep.
+		{HVNL, 12, []failure{
+			{name: "outer-sweep", fault: iosim.FaultPlan{FailFile: "c2", FailAfterReads: 2, Repeat: true}},
+			{name: "probe", fault: iosim.FaultPlan{FailFile: "c1.inv", FailAfterReads: 4, Repeat: true}},
+			{name: "stale-prefilter", stale: true},
+		}},
+		{VVM, 100, []failure{
+			{name: "merge-scan-first", fault: iosim.FaultPlan{FailFile: "c1.inv", Repeat: true}},
+			{name: "merge-scan", fault: iosim.FaultPlan{FailFile: "c2.inv", FailAfterReads: 2, Repeat: true}},
+		}},
+		{LSH, 100, []failure{
+			{name: "fill", fault: iosim.FaultPlan{FailFile: "c2", Repeat: true}},
+			{name: "verify-scan", fault: iosim.FaultPlan{FailFile: "c1", FailAfterReads: 2, Repeat: true}},
+			{name: "stale-sidecar", stale: true},
+		}},
+	}
+	for _, fam := range families {
+		for _, fc := range fam.cases {
+			fam, fc := fam, fc
+			t.Run(fam.alg.String()+"/"+fc.name, func(t *testing.T) {
+				e := buildEnv(t, 38, 30, 24, 40, 10, 128)
+				opts := Options{Lambda: 3, MemoryPages: fam.mem, Workers: 3}
+				sidecarOver := e.c1
+				if fc.stale {
+					sidecarOver = e.c2 // 24 documents where the inner side has 30
+				}
+				if fam.alg == LSH {
+					f, err := e.disk.Create("side.lsh")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if opts.LSH, err = lsh.Build(sidecarOver, f, lshDiffConfig); err != nil {
+						t.Fatal(err)
+					}
+				} else if fc.stale {
+					f, err := e.disk.Create("side.sig")
+					if err != nil {
+						t.Fatal(err)
+					}
+					sc, err := signature.Build(sidecarOver, f, signature.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Prefilter = &Prefilter{Inner: sc}
+				}
+				e.disk.InjectFaults(fc.fault)
+				before := runtime.NumGoroutine()
+				res, st, err := Join(fam.alg, e.inputs(), opts)
+				if fc.stale {
+					if err == nil || errors.Is(err, iosim.ErrInjected) {
+						t.Fatalf("err = %v, want a sidecar mismatch", err)
+					}
+				} else if !errors.Is(err, iosim.ErrInjected) {
+					t.Fatalf("err = %v, want ErrInjected", err)
+				}
+				if res != nil || st != nil {
+					t.Error("partial results returned alongside error")
+				}
+				waitGoroutines(t, before)
+			})
+		}
+	}
 }
 
 // A fault that fires during one run must not poison a later run after the
@@ -136,11 +217,11 @@ func TestParallelHVNLPropagatesBTreeFaults(t *testing.T) {
 func TestJoinRecoversAfterDisarm(t *testing.T) {
 	e := buildEnv(t, 35, 15, 15, 30, 8, 128)
 	e.disk.InjectFaults(iosim.FaultPlan{FailAfterReads: 3, Repeat: true})
-	if _, _, err := JoinHHNL(e.inputs(), Options{Lambda: 3, MemoryPages: 100}); err == nil {
+	if _, _, err := Join(HHNL, e.inputs(), Options{Lambda: 3, MemoryPages: 100}); err == nil {
 		t.Fatal("expected injected failure")
 	}
 	e.disk.InjectFaults(iosim.FaultPlan{})
-	res, _, err := JoinHHNL(e.inputs(), Options{Lambda: 3, MemoryPages: 100})
+	res, _, err := Join(HHNL, e.inputs(), Options{Lambda: 3, MemoryPages: 100})
 	if err != nil {
 		t.Fatalf("after disarm: %v", err)
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"textjoin/internal/accum"
+	"textjoin/internal/codec"
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/entrycache"
@@ -13,7 +15,7 @@ import (
 	"textjoin/internal/topk"
 )
 
-// JoinHVNL evaluates the join with the Horizontal–Vertical Nested Loop of
+// runHVNL evaluates the join with the Horizontal–Vertical Nested Loop of
 // Section 4.2: read each document d of C2 in turn and, while d is in
 // memory, read the inverted file entries on C1 corresponding to d's terms,
 // accumulating similarities between d and every C1 document.
@@ -38,11 +40,13 @@ import (
 // The cache budget realizes the paper's X (number of resident entries):
 // B·P bytes minus one outer document (⌈S2⌉ pages), the B+tree (Bt1 pages),
 // the accumulator reservation, and the in-memory term list.
-func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
+//
+// Every storage access — the B+tree load, the sequential-preload
+// decision, every cache probe, entry fetch and cache insertion — happens
+// on the calling goroutine in one order whatever Options.Workers says, so
+// page counts, the sequential/random split and the cache/fetch statistics
+// do not depend on it. Only the accumulation goes through the hvnlStage.
+func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if in.Outer == nil || in.InnerInv == nil || in.Inner == nil {
 		return nil, nil, fmt.Errorf("%w: HVNL needs the outer documents and the inner inverted file", ErrMissingInput)
 	}
@@ -56,11 +60,7 @@ func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	}
 
 	invFile := in.InnerInv.File()
-	var treeFile *iosim.File
-	if in.InnerInv.Tree() != nil {
-		treeFile = in.InnerInv.Tree().File()
-	}
-	track := trackIO(in.Outer.File(), invFile, treeFile)
+	track := trackIO(in.Outer.File(), invFile, treeFile(in.InnerInv))
 	tel, trace := opts.Telemetry, opts.Trace
 
 	// One-time load of the B+tree into memory.
@@ -91,8 +91,7 @@ func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	// selection subset the base collection's statistics are used, as an
 	// IR system would ("document frequencies are stored for similarity
 	// computation ... no extra effort is needed to get them").
-	outerDF := in.Outer.DF
-	cache := entrycache.New(cacheBudget, opts.CachePolicy, func(term uint32) int64 { return outerDF(term) })
+	cache := entrycache.New(cacheBudget, opts.CachePolicy, in.Outer.DF)
 	cache.SetTelemetry(tel)
 
 	stats := &Stats{Algorithm: HVNL, InnerDocs: in.Inner.NumDocs()}
@@ -139,10 +138,7 @@ func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 			stats.Passes = 1 // one sequential sweep of the inverted file
 		}
 	}
-	var results []Result
-	acc := accum.NewFlat(int(in.Inner.NumDocs()))
 	var ordered []document.Cell // reusable cached-first ordering scratch
-	occupancy := tel.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets)
 
 	// With a prefilter, candidate outer documents whose signature is
 	// disjoint from the inner root aggregate are skipped before the
@@ -160,105 +156,243 @@ func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
-	probe := startPhase(tel, trace, telemetry.PhaseProbe, "hvnl.outer-sweep")
-	var outer collection.DocIterator
-	if opf == nil {
-		outer = in.Outer.Documents()
-	}
-	for {
-		var d2 *document.Document
-		if opf != nil {
-			var skippedID uint32
-			var skipped bool
-			d2, skippedID, skipped, err = opf.next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				probe.End()
-				return nil, nil, err
-			}
-			if skipped {
-				stats.OuterDocs++
-				results = append(results, Result{Outer: skippedID, Matches: emptyMatches()})
-				continue
-			}
-		} else {
-			d2, err = collection.NextReuse(outer)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				probe.End()
-				return nil, nil, err
-			}
+	sweep := func(stage *hvnlStage) error {
+		var outer collection.DocIterator
+		if opf == nil {
+			outer = in.Outer.Documents()
 		}
-		stats.OuterDocs++
-		accBefore := stats.Accumulations
-
-		// Order terms: cached entries first (the paper's reuse
-		// optimization), then the rest in term order. Cells are already
-		// term-sorted, so a stable two-pass split needs no sort and no
-		// per-document allocation.
-		ordered = ordered[:0]
-		for _, c := range d2.Cells {
-			if cache.Contains(c.Term) {
-				ordered = append(ordered, c)
-			}
-		}
-		for _, c := range d2.Cells {
-			if !cache.Contains(c.Term) {
-				ordered = append(ordered, c)
-			}
-		}
-
-		for _, c := range ordered {
-			if !index.Contains(c.Term) {
-				continue // term does not appear in C1
-			}
-			entry, ok := cache.Get(c.Term)
-			if !ok {
-				entry, err = in.InnerInv.FetchEntry(c.Term)
-				if err != nil {
-					probe.End()
-					return nil, nil, err
+		for {
+			var d2 *document.Document
+			var err error
+			if opf != nil {
+				var skippedID uint32
+				var skipped bool
+				d2, skippedID, skipped, err = opf.next()
+				if err == nil && skipped {
+					stats.OuterDocs++
+					stage.skip(skippedID)
+					continue
 				}
-				stats.EntryFetches++
-				// Cache charge: packed entry size plus the 3-byte term
-				// list slot.
-				cache.Put(c.Term, entry, entry.Bytes()+3)
+			} else {
+				d2, err = collection.NextReuse(outer)
 			}
-			factor := scorer.TermFactor(c.Term)
-			if factor == 0 {
-				continue
+			if err == io.EOF {
+				return nil
 			}
-			w := float64(c.Weight)
-			for _, cell := range entry.Cells {
-				acc.Add(cell.Number, w*float64(cell.Weight)*factor)
+			if err != nil {
+				return err
 			}
-			stats.Accumulations += int64(len(entry.Cells))
-		}
+			stats.OuterDocs++
+			accBefore := stats.Accumulations
 
-		if pf != nil && stats.Accumulations == accBefore {
-			stats.Prefilter.FalsePasses++
-		}
-		occupancy.Observe(int64(acc.Len()))
-		tk := topk.New(opts.Lambda)
-		acc.ForEach(func(d1 uint32, raw float64) {
-			tk.Offer(d1, scorer.Finalize(d2.ID, d1, raw))
-		})
-		results = append(results, Result{Outer: d2.ID, Matches: tk.Results()})
+			// Order terms: cached entries first (the paper's reuse
+			// optimization), then the rest in term order. Cells are already
+			// term-sorted, so a stable two-pass split needs no sort and no
+			// per-document allocation.
+			ordered = ordered[:0]
+			for _, c := range d2.Cells {
+				if cache.Contains(c.Term) {
+					ordered = append(ordered, c)
+				}
+			}
+			for _, c := range d2.Cells {
+				if !cache.Contains(c.Term) {
+					ordered = append(ordered, c)
+				}
+			}
 
-		if mem := cache.Used() + btreeBytes + accBytes + outerDocBytes; mem > stats.PeakMemoryBytes {
-			stats.PeakMemoryBytes = mem
+			for _, c := range ordered {
+				if !index.Contains(c.Term) {
+					continue // term does not appear in C1
+				}
+				entry, ok := cache.Get(c.Term)
+				if !ok {
+					entry, err = in.InnerInv.FetchEntry(c.Term)
+					if err != nil {
+						return err
+					}
+					stats.EntryFetches++
+					// Cache charge: packed entry size plus the 3-byte term
+					// list slot.
+					cache.Put(c.Term, entry, entry.Bytes()+3)
+				}
+				factor := scorer.TermFactor(c.Term)
+				if factor == 0 {
+					continue
+				}
+				stage.add(entry.Cells, float64(c.Weight), factor)
+				stats.Accumulations += int64(len(entry.Cells))
+			}
+
+			if pf != nil && stats.Accumulations == accBefore {
+				stats.Prefilter.FalsePasses++
+			}
+			stage.flush(d2.ID)
+			if mem := cache.Used() + btreeBytes + accBytes + outerDocBytes; mem > stats.PeakMemoryBytes {
+				stats.PeakMemoryBytes = mem
+			}
 		}
-		acc.Reset()
+	}
+	probe := startPhase(tel, trace, telemetry.PhaseProbe, "hvnl.outer-sweep")
+	stage := newHVNLStage(opts, scorer, int(in.Inner.NumDocs()), int(in.Outer.NumDocs()))
+	err = sweep(stage)
+	if stage.fan != nil {
+		stage.fan.wait()
 	}
 	probe.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	var merge phaseSpan // stays zero, and its End a no-op, on the inline path
+	if stage.fan != nil {
+		merge = startPhase(tel, trace, telemetry.PhaseMerge, "hvnl.merge-trackers")
+	}
+	results := stage.collect(opts)
+	merge.End()
 
 	stats.Cache = cache.Stats()
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(invFile))
 	recordJoinStats(tel, stats)
 	return results, stats, nil
+}
+
+// hvnlShard accumulates one outer document at a time over the inner ids
+// [lo, lo+n) in a private accum.Flat. The inline path has one shard
+// covering 0..N1-1; the fan-out path gives each worker a contiguous block
+// of the dense ids.
+type hvnlShard struct {
+	lo      uint32
+	acc     *accum.Flat
+	scorer  *document.Scorer
+	lambda  int
+	rows    [][]Match // the shard's top-λ per flushed outer document, in sweep order
+	touched []int     // and how many inner documents each one reached
+}
+
+// add accumulates one term's i-cells. w (the outer cell weight) and the
+// term factor stay separate so the product is w·float64(cell.Weight)·factor
+// with one associativity at every worker count — hence bit-identical sums.
+func (s *hvnlShard) add(cells []codec.Cell, w, factor float64) {
+	acc, lo := s.acc, s.lo // locals: the loop is the join's hottest
+	for _, cell := range cells {
+		acc.Add(cell.Number-lo, w*float64(cell.Weight)*factor)
+	}
+}
+
+// flush finalizes the shard's top-λ for the outer document and readies
+// the accumulator for the next.
+func (s *hvnlShard) flush(outer uint32) {
+	tk := topk.New(s.lambda)
+	s.acc.ForEach(func(local uint32, raw float64) {
+		d1 := local + s.lo
+		tk.Offer(d1, s.scorer.Finalize(outer, d1, raw))
+	})
+	s.rows = append(s.rows, tk.Results())
+	s.touched = append(s.touched, s.acc.Len())
+	s.acc.Reset()
+}
+
+// hvnlWork is one item on a shard's queue: an accumulation carrying the
+// shard-owned sub-slice of a fetched entry's i-cells, or (cells == nil)
+// the flush that ends outer document outer. Flushes travel in the queue,
+// so the pipeline never needs a per-document barrier.
+type hvnlWork struct {
+	cells     []codec.Cell
+	w, factor float64
+	outer     uint32
+}
+
+// hvnlStage is HVNL's compute stage. Each shard sees its items in
+// coordinator order, so per inner document the additions form the same
+// ordered subsequence at every worker count.
+type hvnlStage struct {
+	shards  []*hvnlShard
+	bounds  []uint32          // shard w owns inner ids [bounds[w], bounds[w+1])
+	fan     *fanOut[hvnlWork] // nil: the one shard is called inline
+	results []Result          // Matches stays nil until collect for flushed rows
+	routed  []int64           // per-shard routed-cell counts, kept on the coordinator
+}
+
+func newHVNLStage(opts Options, scorer *document.Scorer, n1, n2 int) *hvnlStage {
+	n := max(1, opts.Workers)
+	s := &hvnlStage{bounds: make([]uint32, n+1), shards: make([]*hvnlShard, n), routed: make([]int64, n), results: make([]Result, 0, n2)}
+	for w := range s.bounds {
+		s.bounds[w] = uint32(w * n1 / n)
+	}
+	for w := range s.shards {
+		s.shards[w] = &hvnlShard{lo: s.bounds[w], acc: accum.NewFlat(int(s.bounds[w+1] - s.bounds[w])), scorer: scorer, lambda: opts.Lambda,
+			rows: make([][]Match, 0, n2), touched: make([]int, 0, n2)}
+	}
+	if n > 1 {
+		s.fan = startFanOut(n, n, ownerQueueDepth, func(w int, in <-chan hvnlWork) {
+			for item := range in {
+				if item.cells != nil {
+					s.shards[w].add(item.cells, item.w, item.factor)
+				} else {
+					s.shards[w].flush(item.outer)
+				}
+			}
+		})
+	}
+	return s
+}
+
+func (s *hvnlStage) add(cells []codec.Cell, w, factor float64) {
+	if s.fan == nil {
+		s.shards[0].add(cells, w, factor)
+		return
+	}
+	splitByOwner(cells, s.bounds, func(wk int, part []codec.Cell) {
+		s.routed[wk] += int64(len(part))
+		s.fan.queues[wk] <- hvnlWork{cells: part, w: w, factor: factor}
+	})
+}
+
+// flush ends one outer document; its row is filled in by collect.
+func (s *hvnlStage) flush(outer uint32) {
+	s.results = append(s.results, Result{Outer: outer})
+	if s.fan == nil {
+		s.shards[0].flush(outer)
+		return
+	}
+	for _, q := range s.fan.queues {
+		q <- hvnlWork{outer: outer}
+	}
+}
+
+// skip emits the empty row of a prefiltered outer document.
+func (s *hvnlStage) skip(outer uint32) {
+	s.results = append(s.results, Result{Outer: outer, Matches: emptyMatches()})
+}
+
+// collect fills every flushed row from the shards' per-document top-λ,
+// merging them when there are several.
+func (s *hvnlStage) collect(opts Options) []Result {
+	tel := opts.Telemetry
+	occupancy := tel.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets)
+	parts := make([][]Match, len(s.shards))
+	k := 0
+	for i := range s.results {
+		if s.results[i].Matches != nil {
+			continue // skipped by the prefilter: no shard saw it
+		}
+		touched := 0
+		for w, sh := range s.shards {
+			parts[w] = sh.rows[k]
+			touched += sh.touched[k]
+		}
+		k++
+		occupancy.Observe(int64(touched))
+		s.results[i].Matches = parts[0]
+		if len(parts) > 1 {
+			s.results[i].Matches = topk.Select(opts.Lambda, slices.Concat(parts...))
+		}
+	}
+	if tel != nil && s.fan != nil {
+		for w, c := range s.routed {
+			tel.Counter(fmt.Sprintf("join.hvnl.worker.%d.routed_cells", w)).Add(c)
+		}
+	}
+	return s.results
 }

@@ -147,15 +147,10 @@ func Choose(in Inputs, opts Options) (Decision, error) {
 			dec.EstimatedRecall = lest.Recall
 		}
 	}
-	switch best {
-	case costmodel.AlgHHNL:
-		dec.Chosen = HHNL
-	case costmodel.AlgHVNL:
-		dec.Chosen = HVNL
-	case costmodel.AlgVVM:
-		dec.Chosen = VVM
-	case costmodel.AlgLSH:
-		dec.Chosen = LSH
+	for a, m := range modelAlgs {
+		if m == best {
+			dec.Chosen = Algorithm(a)
+		}
 	}
 	return dec, nil
 }
@@ -201,19 +196,8 @@ func recordPlan(tel *telemetry.Collector, dec Decision) {
 // picked (matching algorithm and prefilter flag), or NaN when the
 // estimate list lacks it.
 func chosenEstimate(dec Decision) float64 {
-	var want costmodel.Algorithm
-	switch dec.Chosen {
-	case HHNL:
-		want = costmodel.AlgHHNL
-	case HVNL:
-		want = costmodel.AlgHVNL
-	case VVM:
-		want = costmodel.AlgVVM
-	case LSH:
-		want = costmodel.AlgLSH
-	}
 	for _, e := range dec.Estimates {
-		if e.Algorithm == want && e.Prefiltered == dec.Prefiltered {
+		if e.Algorithm == modelAlgs[dec.Chosen] && e.Prefiltered == dec.Prefiltered {
 			return e.Seq
 		}
 	}

@@ -2,24 +2,21 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"sync"
 
 	"textjoin/internal/costmodel"
 	"textjoin/internal/document"
 	"textjoin/internal/lsh"
-	"textjoin/internal/telemetry"
-	"textjoin/internal/topk"
 )
 
-// JoinLSH evaluates the join approximately with MinHash/banding
-// buckets: resident outer batches are filled exactly as in HHNL (same
-// memory policy, same batch boundaries), but instead of scanning the
-// whole inner collection per batch, each resident outer document's band
-// keys probe the inner sidecar's buckets, and only the inner documents
-// that share at least one bucket with some resident outer document are
-// read — via the same filtered scan the signature prefilter uses, so
-// pages with no candidates are never read.
+// runLSH evaluates the join approximately with MinHash/banding buckets.
+// It runs the block skeleton of HHNL (same memory policy, same batch
+// boundaries, same fan-out), but instead of scanning the whole inner
+// collection per batch, each resident outer document's band keys probe
+// the inner sidecar's buckets, and only the inner documents that share at
+// least one bucket with some resident outer document are read — via the
+// same filtered scan the signature prefilter uses, so pages with no
+// candidates are never read — and scored against exactly the resident
+// outer documents they collided with.
 //
 // Every candidate pair is verified with the exact scorer before it may
 // enter a λ-tracker, so precision is perfect: any returned (outer,
@@ -32,11 +29,7 @@ import (
 // Options.LSH must hold the sidecar built over Inputs.Inner's current
 // layout. Options.Prefilter is ignored: bucket candidate generation
 // subsumes the signature skip.
-func JoinLSH(in Inputs, opts Options) ([]Result, *Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
+func runLSH(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if in.Outer == nil || in.Inner == nil {
 		return nil, nil, fmt.Errorf("%w: LSH needs both document collections", ErrMissingInput)
 	}
@@ -48,294 +41,14 @@ func JoinLSH(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &Stats{Algorithm: LSH, InnerDocs: in.Inner.NumDocs()}
-	stats.LSH.Enabled = true
-	budget, slotBytes, err := hhnlBatchBytes(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	track := trackIO(in.Outer.File(), in.Inner.File())
-	tel, trace := opts.Telemetry, opts.Trace
+	b := blockJoin{in: in, opts: opts, scorer: scorer, prepName: "lsh.candidates", scanName: "lsh.verify-scan",
+		stats: &Stats{Algorithm: LSH, InnerDocs: in.Inner.NumDocs(), LSH: LSHStats{Enabled: true}}}
 	gen := newLSHCandidates(sc, in)
-
-	var results []Result
-	outer := in.Outer.Documents()
-	var pending *document.Document
-	done := false
-	for !done {
-		fill := startPhase(tel, trace, telemetry.PhaseScan, "lsh.fill-batch")
-		var batch []*document.Document
-		var used int64
-		for {
-			var d *document.Document
-			if pending != nil {
-				d, pending = pending, nil
-			} else {
-				var err error
-				d, err = outer.Next()
-				if err == io.EOF {
-					done = true
-					break
-				}
-				if err != nil {
-					fill.End()
-					return nil, nil, err
-				}
-			}
-			cost := d.EncodedSize() + slotBytes
-			if used+cost > budget && len(batch) > 0 {
-				pending = d
-				break
-			}
-			if used+cost > budget {
-				fill.End()
-				return nil, nil, fmt.Errorf("%w: outer document %d (%d bytes) exceeds the batch budget %d",
-					ErrInsufficientMemory, d.ID, cost, budget)
-			}
-			batch = append(batch, d)
-			used += cost
-		}
-		fill.End()
-		if len(batch) == 0 {
-			break
-		}
-		stats.Passes++
-		stats.OuterDocs += int64(len(batch))
-		if used > stats.PeakMemoryBytes {
-			stats.PeakMemoryBytes = used
-		}
-
-		trackers := make([]*topk.TopK, len(batch))
-		for i := range trackers {
-			trackers[i] = topk.New(opts.Lambda)
-		}
-		// Probe the buckets with every resident outer document's band
-		// keys, building the per-inner-document candidate lists and the
-		// keep vector for the filtered verify scan.
-		cand := startPhase(tel, trace, telemetry.PhaseScan, "lsh.candidates")
-		err := gen.generate(batch, stats)
-		cand.End()
-		if err != nil {
-			return nil, nil, err
-		}
-
-		// Verify: read only candidate inner documents, score each
-		// against exactly the resident outer documents it collided
-		// with. One document consumed at a time, so the reuse arena
-		// applies.
-		score := startPhase(tel, trace, telemetry.PhaseScore, "lsh.verify-scan")
-		next := in.Inner.ScanFiltered(gen.keepFunc()).NextReuse
-		for {
-			d1, err := next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				score.End()
-				return nil, nil, err
-			}
-			for _, i := range gen.lists[d1.ID] {
-				sim := scorer.Score(batch[i], d1)
-				stats.Comparisons++
-				trackers[i].Offer(d1.ID, sim)
-			}
-		}
-		score.End()
-		flush := startPhase(tel, trace, telemetry.PhaseFlush, "lsh.flush-batch")
-		for i, d2 := range batch {
-			results = append(results, Result{Outer: d2.ID, Matches: trackers[i].Results()})
-		}
-		flush.End()
+	b.prepare = func(batch []*document.Document) ([]bool, [][]int32, error) {
+		err := gen.generate(batch, b.stats)
+		return gen.keep, gen.lists, err
 	}
-	stats.IO = track.delta()
-	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
-	recordJoinStats(tel, stats)
-	return results, stats, nil
-}
-
-// JoinLSHParallel is JoinLSH with the candidate verification fanned out
-// over workers, following the HHNL-parallel discipline: batch fill,
-// bucket probing and the filtered inner scan all stay on the
-// coordinator (same I/O, same candidates, same skip counters as
-// serial); chunks of scanned candidate documents go to a worker pool,
-// each worker scoring them against its candidates' resident outer
-// documents into its own trackers, merged per batch. Results and Stats
-// are byte-identical to the serial join.
-func JoinLSHParallel(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
-	if in.Outer == nil || in.Inner == nil {
-		return nil, nil, fmt.Errorf("%w: LSH needs both document collections", ErrMissingInput)
-	}
-	sc, err := activeLSH(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	scorer, err := in.scorer(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	nWorkers := resolveWorkers(workers)
-	stats := &Stats{Algorithm: LSH, InnerDocs: in.Inner.NumDocs()}
-	stats.LSH.Enabled = true
-	budget, slotBytes, err := hhnlBatchBytes(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	track := trackIO(in.Outer.File(), in.Inner.File())
-	tel, trace := opts.Telemetry, opts.Trace
-	gen := newLSHCandidates(sc, in)
-
-	const chunkSize = 64
-	chunkPool := sync.Pool{New: func() any {
-		s := make([]*document.Document, 0, chunkSize)
-		return &s
-	}}
-
-	var results []Result
-	outer := in.Outer.Documents()
-	var pending *document.Document
-	done := false
-	for !done {
-		fill := startPhase(tel, trace, telemetry.PhaseScan, "lshp.fill-batch")
-		var batch []*document.Document
-		var used int64
-		for {
-			var d *document.Document
-			if pending != nil {
-				d, pending = pending, nil
-			} else {
-				var err error
-				d, err = outer.Next()
-				if err == io.EOF {
-					done = true
-					break
-				}
-				if err != nil {
-					fill.End()
-					return nil, nil, err
-				}
-			}
-			cost := d.EncodedSize() + slotBytes
-			if used+cost > budget && len(batch) > 0 {
-				pending = d
-				break
-			}
-			if used+cost > budget {
-				fill.End()
-				return nil, nil, fmt.Errorf("%w: outer document %d (%d bytes) exceeds the batch budget %d",
-					ErrInsufficientMemory, d.ID, cost, budget)
-			}
-			batch = append(batch, d)
-			used += cost
-		}
-		fill.End()
-		if len(batch) == 0 {
-			break
-		}
-		stats.Passes++
-		stats.OuterDocs += int64(len(batch))
-		if used > stats.PeakMemoryBytes {
-			stats.PeakMemoryBytes = used
-		}
-
-		// Candidate generation on the coordinator, before any worker
-		// starts: the lists and keep vector are read-only afterwards.
-		cand := startPhase(tel, trace, telemetry.PhaseScan, "lshp.candidates")
-		err := gen.generate(batch, stats)
-		cand.End()
-		if err != nil {
-			return nil, nil, err
-		}
-
-		workerTrackers := make([][]*topk.TopK, nWorkers)
-		for w := range workerTrackers {
-			ts := make([]*topk.TopK, len(batch))
-			for i := range ts {
-				ts[i] = topk.New(opts.Lambda)
-			}
-			workerTrackers[w] = ts
-		}
-		compCounts := make([]int64, nWorkers)
-
-		chunks := make(chan *[]*document.Document, nWorkers)
-		var wg sync.WaitGroup
-		for w := 0; w < nWorkers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ts := workerTrackers[w]
-				var count int64
-				for chunk := range chunks {
-					for _, d1 := range *chunk {
-						for _, i := range gen.lists[d1.ID] {
-							sim := scorer.Score(batch[i], d1)
-							count++
-							ts[i].Offer(d1.ID, sim)
-						}
-					}
-					*chunk = (*chunk)[:0]
-					chunkPool.Put(chunk)
-				}
-				compCounts[w] = count
-			}(w)
-		}
-
-		// Single-threaded filtered scan; cloned documents because they
-		// outlive the scan step inside worker chunks.
-		score := startPhase(tel, trace, telemetry.PhaseScore, "lshp.verify-scan")
-		next := in.Inner.ScanFiltered(gen.keepFunc()).Next
-		var scanErr error
-		chunk := chunkPool.Get().(*[]*document.Document)
-		for {
-			d1, err := next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				scanErr = err
-				break
-			}
-			*chunk = append(*chunk, d1)
-			if len(*chunk) == chunkSize {
-				chunks <- chunk
-				chunk = chunkPool.Get().(*[]*document.Document)
-			}
-		}
-		if len(*chunk) > 0 && scanErr == nil {
-			chunks <- chunk
-		}
-		close(chunks)
-		wg.Wait()
-		score.End()
-		if scanErr != nil {
-			return nil, nil, scanErr
-		}
-
-		merge := startPhase(tel, trace, telemetry.PhaseMerge, "lshp.merge-trackers")
-		for i, d2 := range batch {
-			merged := topk.New(opts.Lambda)
-			for w := 0; w < nWorkers; w++ {
-				for _, m := range workerTrackers[w][i].Results() {
-					merged.Offer(m.Doc, m.Sim)
-				}
-			}
-			results = append(results, Result{Outer: d2.ID, Matches: merged.Results()})
-		}
-		merge.End()
-		for w, c := range compCounts {
-			stats.Comparisons += c
-			if tel != nil {
-				tel.Counter(fmt.Sprintf("join.lsh.worker.%d.comparisons", w)).Add(c)
-			}
-		}
-	}
-	stats.IO = track.delta()
-	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
-	recordJoinStats(tel, stats)
-	return results, stats, nil
+	return b.run()
 }
 
 // activeLSH validates Options.LSH against the inputs. A sidecar that
@@ -421,11 +134,6 @@ func (g *lshCandidates) generate(batch []*document.Document, st *Stats) error {
 	}
 	st.LSH.PagesSkipped += g.in.Inner.File().Pages() - touched
 	return nil
-}
-
-func (g *lshCandidates) keepFunc() func(id uint32) bool {
-	keep := g.keep
-	return func(id uint32) bool { return keep[id] }
 }
 
 // measureLSH probes the sidecar's resident bucket tables for the

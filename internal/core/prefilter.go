@@ -118,13 +118,10 @@ func sidecarNeed(sc *signature.Sidecar, coll *collection.Collection, q signature
 // aggregate overlapping q. All pages disqualified proves the document
 // disqualified (page aggregates are supersets of their documents).
 func docPagesLive(sc *signature.Sidecar, coll *collection.Collection, id uint32, q signature.Sig) (bool, error) {
-	ref, err := coll.Ref(id)
+	first, last, err := docPages(coll, id)
 	if err != nil {
 		return false, err
 	}
-	ps := int64(coll.File().PageSize())
-	first := ref.Off / ps
-	last := (ref.Off + int64(ref.Len) - 1) / ps
 	for p := first; p <= last && p < sc.NumPages(); p++ {
 		if signature.Overlaps(sc.Page(p), q) {
 			return true, nil
@@ -136,19 +133,16 @@ func docPagesLive(sc *signature.Sidecar, coll *collection.Collection, id uint32,
 // touchedPages counts the distinct pages the kept documents span — the
 // pages a filtered sweep actually reads.
 func touchedPages(coll *collection.Collection, need []bool) (int64, error) {
-	ps := int64(coll.File().PageSize())
 	var touched int64
 	last := int64(-1)
 	for id, keep := range need {
 		if !keep {
 			continue
 		}
-		ref, err := coll.Ref(uint32(id))
+		first, lastP, err := docPages(coll, uint32(id))
 		if err != nil {
 			return 0, err
 		}
-		first := ref.Off / ps
-		lastP := (ref.Off + int64(ref.Len) - 1) / ps
 		if first > last {
 			touched += lastP - first + 1
 		} else if lastP > last {
@@ -246,11 +240,12 @@ func newOuterPrefilter(in Inputs, pf *Prefilter, st *Stats) (*outerPrefilter, er
 				o.keep[i] = keep
 				if !keep {
 					st.Prefilter.DocsSkipped++
-					if saved, err := spannedPages(o.base, id); err == nil {
-						st.Prefilter.PagesSkipped += saved
-					} else {
+					// A skipped random fetch saves every page the document spans.
+					first, last, err := docPages(o.base, id)
+					if err != nil {
 						return nil, err
 					}
+					st.Prefilter.PagesSkipped += last - first + 1
 				}
 			}
 			return o, nil
@@ -292,15 +287,15 @@ func measurePrefilter(pf *Prefilter) costmodel.Prefilter {
 	return mp
 }
 
-// spannedPages counts the pages document id spans in its collection —
-// the reads a skipped random fetch saves.
-func spannedPages(c *collection.Collection, id uint32) (int64, error) {
+// docPages returns the first and last page document id spans in its
+// collection.
+func docPages(c *collection.Collection, id uint32) (first, last int64, err error) {
 	ref, err := c.Ref(id)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	ps := int64(c.File().PageSize())
-	return (ref.Off+int64(ref.Len)-1)/ps - ref.Off/ps + 1, nil
+	return ref.Off / ps, (ref.Off + int64(ref.Len) - 1) / ps, nil
 }
 
 // next yields the next outer document (skipped == false) or the id of a

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"textjoin/internal/collection"
@@ -47,24 +46,14 @@ func buildTestPrefilter(tb testing.TB, e *env, cfg signature.Config) *Prefilter 
 	return pf
 }
 
-// pfVariants are the join entry points that honor Options.Prefilter,
-// plus serial VVM, which must ignore it and still agree.
+// pfVariants are the families that honor Options.Prefilter at every
+// harness worker count, plus VVM, which must ignore it and still agree.
 func pfVariants() []diffVariant {
-	vs := []diffVariant{
-		{"hhnl", JoinHHNL},
-		{"hvnl", JoinHVNL},
-		{"vvm", JoinVVM},
-	}
-	for _, w := range []int{2, 7} {
-		w := w
-		vs = append(vs,
-			diffVariant{fmt.Sprintf("hhnl-p%d", w), func(in Inputs, o Options) ([]Result, *Stats, error) {
-				return JoinHHNLParallel(in, o, w)
-			}},
-			diffVariant{fmt.Sprintf("hvnl-p%d", w), func(in Inputs, o Options) ([]Result, *Stats, error) {
-				return JoinHVNLParallel(in, o, w)
-			}},
-		)
+	var vs []diffVariant
+	for _, v := range diffVariants() {
+		if v.alg == HHNL || v.alg == HVNL || (v.alg == VVM && v.workers == 0) {
+			vs = append(vs, v)
+		}
 	}
 	return vs
 }
@@ -77,7 +66,7 @@ func TestDifferentialPrefilter(t *testing.T) {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
 			baseEnv := buildDiffEnv(t, shape, 1)
-			want, _, err := JoinHHNL(baseEnv.inputs(), shape.options())
+			want, _, err := Join(HHNL, baseEnv.inputs(), shape.options())
 			if err != nil {
 				t.Fatalf("baseline HHNL: %v", err)
 			}
@@ -93,7 +82,7 @@ func TestDifferentialPrefilter(t *testing.T) {
 					if err := sameResults(want, got); err != nil {
 						t.Errorf("cfg%d/%s differs from unfiltered baseline: %v", ci, v.name, err)
 					}
-					if v.name != "vvm" && !st.Prefilter.Enabled {
+					if v.alg != VVM && !st.Prefilter.Enabled {
 						t.Errorf("cfg%d/%s: prefilter stats not marked enabled", ci, v.name)
 					}
 				}
@@ -118,7 +107,7 @@ func TestPrefilterSubsetOuter(t *testing.T) {
 			}
 			baseIn := baseEnv.inputs()
 			baseIn.Outer = baseSub
-			want, _, err := JoinHVNL(baseIn, shape.options())
+			want, _, err := Join(HVNL, baseIn, shape.options())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +124,7 @@ func TestPrefilterSubsetOuter(t *testing.T) {
 				if !withOuter {
 					opts.Prefilter.Outer = nil
 				}
-				got, st, err := JoinHVNL(in, opts)
+				got, st, err := Join(HVNL, in, opts)
 				if err != nil {
 					t.Fatalf("outer=%v: %v", withOuter, err)
 				}
@@ -150,42 +139,28 @@ func TestPrefilterSubsetOuter(t *testing.T) {
 	}
 }
 
-// TestPrefilterStatsParity pins the coordinator-side design: the
-// parallel variants make every prefilter decision on the coordinator
-// and count every document exactly once, so their PrefilterStats must
-// equal the serial run's byte for byte.
+// TestPrefilterStatsParity pins the coordinator-side design: every
+// prefilter decision is made on the coordinator and every document is
+// counted exactly once, so PrefilterStats at any worker count must equal
+// the inline run's byte for byte.
 func TestPrefilterStatsParity(t *testing.T) {
-	type serialParallel struct {
-		name     string
-		serial   func(in Inputs, o Options) ([]Result, *Stats, error)
-		parallel func(in Inputs, o Options, w int) ([]Result, *Stats, error)
-	}
-	pairs := []serialParallel{
-		{"hhnl", JoinHHNL, JoinHHNLParallel},
-		{"hvnl", JoinHVNL, JoinHVNLParallel},
-	}
 	for _, shape := range diffShapes() {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
-			for _, p := range pairs {
-				e := buildDiffEnv(t, shape, 1)
-				opts := shape.options()
-				opts.Prefilter = buildTestPrefilter(t, e, signature.Config{})
-				_, serialSt, err := p.serial(e.inputs(), opts)
-				if err != nil {
-					t.Fatalf("%s serial: %v", p.name, err)
-				}
-				for _, w := range []int{2, 7} {
-					pe := buildDiffEnv(t, shape, 1)
-					popts := shape.options()
-					popts.Prefilter = buildTestPrefilter(t, pe, signature.Config{})
-					_, parSt, err := p.parallel(pe.inputs(), popts, w)
+			for _, alg := range []Algorithm{HHNL, HVNL} {
+				var inline PrefilterStats
+				for _, w := range []int{0, 2, 7} {
+					e := buildDiffEnv(t, shape, 1)
+					opts := shape.options()
+					opts.Prefilter = buildTestPrefilter(t, e, signature.Config{})
+					_, st, err := joinAt(alg, e.inputs(), opts, w)
 					if err != nil {
-						t.Fatalf("%s-p%d: %v", p.name, w, err)
+						t.Fatalf("%v w%d: %v", alg, w, err)
 					}
-					if serialSt.Prefilter != parSt.Prefilter {
-						t.Errorf("%s-p%d prefilter stats diverge:\nserial   %+v\nparallel %+v",
-							p.name, w, serialSt.Prefilter, parSt.Prefilter)
+					if w == 0 {
+						inline = st.Prefilter
+					} else if st.Prefilter != inline {
+						t.Errorf("%v w%d prefilter stats diverge:\ninline %+v\nfanned %+v", alg, w, inline, st.Prefilter)
 					}
 				}
 			}

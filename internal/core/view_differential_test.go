@@ -23,18 +23,18 @@ type viewRequest struct {
 	prefilter bool
 }
 
-// viewRequests is the request mix: every harness variant (three
-// algorithms, serial and parallel at several worker counts) plus
-// prefiltered runs of the entry points that honor Options.Prefilter —
-// eleven requests, comfortably past the N>=8 the serving layer needs.
+// viewRequests is the request mix: every harness variant (four families
+// at four worker counts) plus prefiltered runs of the families that honor
+// Options.Prefilter — eighteen requests, comfortably past the N>=8 the
+// serving layer needs.
 func viewRequests() []viewRequest {
 	var reqs []viewRequest
 	for _, v := range diffVariants() {
 		reqs = append(reqs, viewRequest{name: v.name, run: v.run})
 	}
 	reqs = append(reqs,
-		viewRequest{name: "hhnl-pf", run: JoinHHNL, prefilter: true},
-		viewRequest{name: "hvnl-pf", run: JoinHVNL, prefilter: true},
+		viewRequest{name: "hhnl-pf", run: diffVariant{alg: HHNL}.run, prefilter: true},
+		viewRequest{name: "hvnl-pf", run: diffVariant{alg: HVNL}.run, prefilter: true},
 	)
 	return reqs
 }
@@ -82,9 +82,10 @@ func TestConcurrentViewsMatchSerial(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			e := buildDiffEnv(t, shape, 1)
 			pf := buildTestPrefilter(t, e, signature.Config{})
+			opts := shape.options()
+			opts.LSH = buildDiffLSH(t, e, lshDiffConfig)
 			preloadIndexes(t, e)
 			reqs := viewRequests()
-			opts := shape.options()
 
 			// Serial reference pass: one view per request, in order.
 			serialBase := e.disk.Stats()
@@ -159,7 +160,7 @@ func TestViewBindingIsolatesSharedHeads(t *testing.T) {
 	// Reference: serial join on a fresh env's shared files.
 	ref := buildDiffEnv(t, shape, 1)
 	preloadIndexes(t, ref)
-	wantRes, wantSt, err := JoinHVNL(ref.inputs(), shape.options())
+	wantRes, wantSt, err := Join(HVNL, ref.inputs(), shape.options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestViewBindingIsolatesSharedHeads(t *testing.T) {
 	// already run (and closed). Head positions must be unchanged.
 	e := buildDiffEnv(t, shape, 1)
 	preloadIndexes(t, e)
-	if _, _, err := runOnView(e, viewRequest{name: "warm", run: JoinVVM}, shape.options(), nil); err != nil {
+	if _, _, err := runOnView(e, viewRequest{name: "warm", run: diffVariant{alg: VVM}.run}, shape.options(), nil); err != nil {
 		t.Fatal(err)
 	}
 	e.disk.ResetStats()
-	gotRes, gotSt, err := JoinHVNL(e.inputs(), shape.options())
+	gotRes, gotSt, err := Join(HVNL, e.inputs(), shape.options())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,16 @@ import (
 	"io"
 
 	"textjoin/internal/accum"
+	"textjoin/internal/codec"
 	"textjoin/internal/collection"
+	"textjoin/internal/document"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
 
-// JoinVVM evaluates the join with the Vertical–Vertical Merge of Section
+// runVVM evaluates the join with the Vertical–Vertical Merge of Section
 // 4.3: scan the inverted files on both collections in parallel (they are
 // stored in ascending term-number order, so one scan of each suffices,
 // "very much like the merge phase of sort merge") and, whenever two
@@ -33,11 +35,13 @@ import (
 // accumulate — but the inverted files are still scanned in full, the
 // paper's point that "the sizes of the inverted files will remain the same
 // even if the number of documents ... can be reduced by a selection".
-func JoinVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
+//
+// The merge scan is one sequential sweep of each inverted file per pass,
+// always on the calling goroutine. Accumulation and the top-λ emission go
+// to vvmShards: one covering the pass's whole rank range called inline,
+// or, with Options.Workers > 1, one per worker owning a contiguous block
+// of the pass's outer-id ranks.
+func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if in.InnerInv == nil || in.OuterInv == nil || in.Outer == nil || in.Inner == nil {
 		return nil, nil, fmt.Errorf("%w: VVM needs both inverted files and both collections' statistics", ErrMissingInput)
 	}
@@ -58,71 +62,95 @@ func JoinVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 	}
 	stats := plan.stats
 	n1 := int(in.Inner.NumDocs())
+	nShards := max(1, opts.Workers)
 	tel, trace := opts.Telemetry, opts.Trace
 	occupancy := tel.Histogram("vvm.accum.occupancy", telemetry.DefaultSizeBuckets)
 
-	var results []Result
+	results := make([]Result, 0, len(plan.outerIDs))
 	for p := 0; p < plan.passes; p++ {
 		rangeIDs := plan.rangeIDs(p)
 		if len(rangeIDs) == 0 {
 			continue
 		}
+		// The pass's rows, in place: rangeIDs ascends, so rank order is
+		// emission order.
+		passResults := results[len(results) : len(results)+len(rangeIDs)]
+		results = results[:len(results)+len(rangeIDs)]
 		stats.Passes++
 		set := accum.NewIDSet(rangeIDs)
-		acc := accum.New(len(rangeIDs), n1, plan.passBytes)
+		dense := accum.UseDense(len(rangeIDs), n1, plan.passBytes)
+
+		// Shard w owns the contiguous rank block [lo, hi) of the
+		// (ascending) rangeIDs, and with it the document numbers from its
+		// first id up to the next shard's first id.
+		shards := make([]*vvmShard, nShards)
+		bounds := make([]uint32, nShards+1)
+		bounds[nShards] = rangeIDs[len(rangeIDs)-1] + 1
+		for w := range shards {
+			lo, hi := w*len(rangeIDs)/nShards, (w+1)*len(rangeIDs)/nShards
+			bounds[w] = rangeIDs[lo]
+			shards[w] = &vvmShard{set: set, rankLo: lo, ids: rangeIDs[lo:hi], out: passResults[lo:hi]}
+			if dense {
+				shards[w].acc = accum.NewDense(hi-lo, n1)
+			} else {
+				shards[w].acc = accum.NewTable(0)
+			}
+		}
 		if tel != nil {
-			tel.Counter("join.vvm.accum." + acc.Kind()).Add(1)
+			tel.Counter("join.vvm.accum." + shards[0].acc.Kind()).Add(1)
 		}
 
+		// Inline, the one shard consumes each entry pair before the scan
+		// moves on, so the scanners' reuse arenas suffice. Fanned out, the
+		// entries (and sub-slices of their cells) cross worker queues and
+		// must be stable.
 		merge := startPhase(tel, trace, telemetry.PhaseMerge, "vvm.merge-scan")
-		if err := mergeScan(in.InnerInv, in.OuterInv, true, func(term uint32, e1, e2 *invfile.Entry) {
-			factor := scorer.TermFactor(term)
-			if factor == 0 {
-				return
-			}
-			for _, c2 := range e2.Cells {
-				row, ok := set.Rank(c2.Number)
-				if !ok {
-					continue
+		accumulate := func(factor float64, e1 *invfile.Entry, cells []codec.Cell) { shards[0].add(factor, e1, cells) }
+		var fan *fanOut[vvmWork]
+		if nShards > 1 {
+			fan = startFanOut(nShards, nShards, ownerQueueDepth, func(w int, in <-chan vvmWork) {
+				for tw := range in {
+					shards[w].add(tw.factor, tw.e1, tw.cells)
 				}
-				v := float64(c2.Weight) * factor
-				for _, c1 := range e1.Cells {
-					acc.Add(row, c1.Number, float64(c1.Weight)*v)
-				}
-				stats.Accumulations += int64(len(e1.Cells))
+				// Blocks are disjoint slices of passResults, so the emit
+				// phase parallelizes too, without locking.
+				shards[w].emit(scorer, opts.Lambda)
+			})
+			accumulate = func(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
+				splitByOwner(cells, bounds, func(w int, part []codec.Cell) {
+					fan.queues[w] <- vvmWork{factor: factor, e1: e1, cells: part}
+				})
 			}
-		}); err != nil {
-			merge.End()
-			return nil, nil, err
+		}
+		err := mergeScan(in.InnerInv, in.OuterInv, fan == nil, func(term uint32, e1, e2 *invfile.Entry) {
+			if factor := scorer.TermFactor(term); factor != 0 {
+				accumulate(factor, e1, e2.Cells)
+			}
+		})
+		if fan != nil {
+			fan.wait()
 		}
 		merge.End()
-
-		if mem := acc.Bytes(); mem > stats.PeakMemoryBytes {
-			stats.PeakMemoryBytes = mem
+		if err != nil {
+			return nil, nil, err
 		}
-		occupancy.Observe(int64(acc.Len()))
 
-		// Emit the λ best matches for every outer document in the range,
-		// including documents with no non-zero similarity. rangeIDs is
-		// ascending, so row order is emission order.
-		finalize := startPhase(tel, trace, telemetry.PhaseFinalize, "vvm.emit-range")
-		trackers := make([]*topk.TopK, len(rangeIDs))
-		acc.ForEach(func(row int, inner uint32, raw float64) {
-			tk := trackers[row]
-			if tk == nil {
-				tk = topk.New(opts.Lambda)
-				trackers[row] = tk
-			}
-			tk.Offer(inner, scorer.Finalize(rangeIDs[row], inner, raw))
-		})
-		for row, id := range rangeIDs {
-			var matches []Match
-			if tk := trackers[row]; tk != nil {
-				matches = tk.Results()
-			}
-			results = append(results, Result{Outer: id, Matches: matches})
+		if fan == nil {
+			finalize := startPhase(tel, trace, telemetry.PhaseFinalize, "vvm.emit-range")
+			shards[0].emit(scorer, opts.Lambda)
+			finalize.End()
 		}
-		finalize.End()
+		var memBytes, pairs int64
+		for w, sh := range shards {
+			stats.Accumulations += sh.count
+			memBytes += sh.acc.Bytes()
+			pairs += sh.pairs
+			if tel != nil && fan != nil {
+				tel.Counter(fmt.Sprintf("join.vvm.worker.%d.accumulations", w)).Add(sh.count)
+			}
+		}
+		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, memBytes)
+		occupancy.Observe(pairs)
 	}
 
 	stats.IO = plan.track.delta()
@@ -131,8 +159,70 @@ func JoinVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 	return results, stats, nil
 }
 
-// vvmPlanned is the partitioning shared by the serial and parallel VVM
-// variants: the outer id list (always ascending — 0..N2-1 for a full
+// vvmShard accumulates and emits one contiguous rank block of a pass's
+// outer ids, in its own accumulator (dense rows or an open-addressing
+// table, one regime choice per pass).
+type vvmShard struct {
+	set    *accum.IDSet
+	rankLo int
+	ids    []uint32 // the block's outer ids, ascending
+	out    []Result // the block's rows of the pass results
+	acc    accum.Accumulator
+	count  int64 // cell products accumulated
+	pairs  int64 // non-zero (outer, inner) pairs emit found
+}
+
+// vvmWork is one shard's share of a common-term entry pair: its own
+// contiguous sub-slice of the outer entry's i-cells, plus the shared
+// (read-only) inner entry.
+type vvmWork struct {
+	factor float64
+	e1     *invfile.Entry
+	cells  []codec.Cell
+}
+
+// add accumulates every (outer cell, inner cell) product of one term.
+// Cells of documents outside the pass's id set are skipped.
+func (s *vvmShard) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
+	acc := s.acc // local: the inner loop is the join's hottest
+	for _, c2 := range cells {
+		rank, ok := s.set.Rank(c2.Number)
+		if !ok {
+			continue
+		}
+		v := float64(c2.Weight) * factor
+		row := rank - s.rankLo
+		for _, c1 := range e1.Cells {
+			acc.Add(row, c1.Number, float64(c1.Weight)*v)
+		}
+		s.count += int64(len(e1.Cells))
+	}
+}
+
+// emit writes the λ best matches for every outer document of the block,
+// including documents with no non-zero similarity. ids is ascending, so
+// row order is emission order.
+func (s *vvmShard) emit(scorer *document.Scorer, lambda int) {
+	trackers := make([]*topk.TopK, len(s.ids))
+	s.acc.ForEach(func(row int, inner uint32, raw float64) {
+		s.pairs++
+		tk := trackers[row]
+		if tk == nil {
+			tk = topk.New(lambda)
+			trackers[row] = tk
+		}
+		tk.Offer(inner, scorer.Finalize(s.ids[row], inner, raw))
+	})
+	for row, id := range s.ids {
+		var matches []Match
+		if tk := trackers[row]; tk != nil {
+			matches = tk.Results()
+		}
+		s.out[row] = Result{Outer: id, Matches: matches}
+	}
+}
+
+// vvmPlanned is VVM's partitioning: the outer id list (always ascending — 0..N2-1 for a full
 // collection, Subset.IDs order for a selection), the pass count, and the
 // per-pass accumulator budget M in bytes.
 type vvmPlanned struct {
@@ -151,8 +241,7 @@ func (pl *vvmPlanned) rangeIDs(p int) []uint32 {
 }
 
 // vvmPlan computes the outer id list, pass count, pass memory budget, base
-// statistics and I/O tracker shared by the serial and parallel VVM
-// variants.
+// statistics and I/O tracker.
 func vvmPlan(in Inputs, opts Options) (*vvmPlanned, error) {
 	// The outer document ids to join: all of C2, or the selection.
 	var outerIDs []uint32
@@ -177,26 +266,11 @@ func vvmPlan(in Inputs, opts Options) (*vvmPlanned, error) {
 	if mBytes <= 0 {
 		return nil, fmt.Errorf("%w: B=%d pages cannot hold one inverted entry from each file", ErrInsufficientMemory, opts.MemoryPages)
 	}
-	passes := 1
-	if smBytes > mBytes {
-		passes = int((smBytes + mBytes - 1) / mBytes)
-	}
-	if passes > len(outerIDs) && len(outerIDs) > 0 {
-		passes = len(outerIDs)
-	}
-	if len(outerIDs) == 0 {
-		passes = 0
-	}
+	// At least one pass, at most one per outer document (none without any).
+	passes := int(min(n2, max(1, (smBytes+mBytes-1)/mBytes)))
 
 	stats := &Stats{Algorithm: VVM, InnerDocs: n1, OuterDocs: n2}
-	var treeFiles []*iosim.File
-	if in.InnerInv.Tree() != nil {
-		treeFiles = append(treeFiles, in.InnerInv.Tree().File())
-	}
-	if in.OuterInv.Tree() != nil {
-		treeFiles = append(treeFiles, in.OuterInv.Tree().File())
-	}
-	track := trackIO(append([]*iosim.File{in.InnerInv.File(), in.OuterInv.File()}, treeFiles...)...)
+	track := trackIO(in.InnerInv.File(), in.OuterInv.File(), treeFile(in.InnerInv), treeFile(in.OuterInv))
 	return &vvmPlanned{outerIDs: outerIDs, passes: passes, passBytes: mBytes, stats: stats, track: track}, nil
 }
 
@@ -204,10 +278,9 @@ func vvmPlan(in Inputs, opts Options) (*vvmPlanned, error) {
 // for every term present in both (e1 from inner/C1, e2 from outer/C2).
 //
 // With reuse, entries are yielded from the scanners' arenas and are valid
-// only for the duration of fn (the serial VVM's accumulation consumes them
-// immediately); callers whose fn retains entries or sub-slices of their
-// cells — the parallel VVM routes both across worker channels — must pass
-// reuse=false to get stable, freshly allocated entries.
+// only for the duration of fn; a caller whose fn retains entries or
+// sub-slices of their cells must pass reuse=false to get stable, freshly
+// allocated entries.
 func mergeScan(inner, outer *invfile.InvertedFile, reuse bool, fn func(term uint32, e1, e2 *invfile.Entry)) error {
 	s1 := inner.Scan()
 	s2 := outer.Scan()

@@ -69,7 +69,8 @@ type (
 	Algorithm = core.Algorithm
 	// Inputs bundles the representations a join consumes.
 	Inputs = core.Inputs
-	// Options configures a join run (λ, memory budget, weighting, ...).
+	// Options configures a join run (λ, memory budget, weighting,
+	// workers, ...).
 	Options = core.Options
 	// Result holds one outer document's λ best matches.
 	Result = core.Result
@@ -493,13 +494,20 @@ var (
 	ErrMissingInput = core.ErrMissingInput
 )
 
-// Join runs one of the three algorithms.
+// Join runs one of the four join families: the paper's exact HHNL, HVNL
+// and VVM, or the approximate LSH join (candidate pairs from shared
+// MinHash buckets — Options.LSH must carry the inner sidecar — verified
+// with the exact scorer: perfect precision, bounded recall).
+// Options.Workers > 1 fans the CPU work out over that many goroutines
+// (further-studies item 3); I/O stays on the calling goroutine, so
+// results and JoinStats are the same at every worker count.
 func Join(alg Algorithm, in Inputs, opts Options) ([]Result, *JoinStats, error) {
 	return core.Join(alg, in, opts)
 }
 
 // JoinIntegrated estimates all three costs and runs the cheapest
-// algorithm — the paper's integrated algorithm.
+// algorithm — the paper's integrated algorithm — with the given options,
+// Workers included.
 func JoinIntegrated(in Inputs, opts Options) ([]Result, *JoinStats, Decision, error) {
 	return core.JoinIntegrated(in, opts)
 }
@@ -574,28 +582,6 @@ func EstimateTotalCosts(in CostInput, sys System, q QueryParams, cpu CPUParams, 
 	return costmodel.EstimateAllTotal(in, sys, q, cpu, net)
 }
 
-// JoinHHNLParallel runs HHNL with the similarity computation fanned out
-// over the given number of workers (0 = GOMAXPROCS); I/O stays
-// single-threaded and results are identical to the serial algorithm
-// (further-studies item 3).
-func JoinHHNLParallel(in Inputs, opts Options, workers int) ([]Result, *JoinStats, error) {
-	return core.JoinHHNLParallel(in, opts, workers)
-}
-
-// JoinVVMParallel runs VVM with per-term accumulation fanned out over
-// workers; the merge scan stays single-threaded.
-func JoinVVMParallel(in Inputs, opts Options, workers int) ([]Result, *JoinStats, error) {
-	return core.JoinVVMParallel(in, opts, workers)
-}
-
-// JoinHVNLParallel runs HVNL with probe-side accumulation fanned out over
-// workers owning disjoint inner-id blocks; the B+tree lookups, entry
-// fetches and cache stay single-threaded in serial order, so I/O and
-// cache statistics match the serial algorithm exactly.
-func JoinHVNLParallel(in Inputs, opts Options, workers int) ([]Result, *JoinStats, error) {
-	return core.JoinHVNLParallel(in, opts, workers)
-}
-
 // MeasureOverlap returns the measured probability that a distinct term of
 // outer also appears in inner — the paper's q (swap the arguments for p) —
 // computed exactly from the memory-resident document-frequency tables.
@@ -652,7 +638,7 @@ type (
 	LSHConfig = lsh.Config
 	// LSHSidecar is a collection's MinHash band-key file with its
 	// in-memory bucket tables, memory-resident once opened. Supply it to
-	// JoinLSH (or the integrated planner) via Options.LSH.
+	// Join(LSH, ...) (or the integrated planner) via Options.LSH.
 	LSHSidecar = lsh.Sidecar
 	// LSHStats reports an approximate join's bucket-probe outcome
 	// (JoinStats.LSH).
@@ -685,20 +671,6 @@ func (w *Workspace) OpenLSH(c *Collection) (*LSHSidecar, error) {
 // candidate under the given shape.
 func EstimateLSHRecall(bands, rows int, s float64) float64 {
 	return lsh.EstimateRecall(bands, rows, s)
-}
-
-// JoinLSH runs the approximate MinHash/banding join: candidate pairs
-// from shared buckets (Options.LSH must carry the inner sidecar),
-// verified with the exact scorer — perfect precision, bounded recall.
-func JoinLSH(in Inputs, opts Options) ([]Result, *JoinStats, error) {
-	return core.JoinLSH(in, opts)
-}
-
-// JoinLSHParallel runs JoinLSH with candidate verification fanned out
-// over workers; candidate generation and I/O stay single-threaded, so
-// results and Stats are byte-identical to the serial join.
-func JoinLSHParallel(in Inputs, opts Options, workers int) ([]Result, *JoinStats, error) {
-	return core.JoinLSHParallel(in, opts, workers)
 }
 
 // BuildSignatures builds and stores c's signature sidecar ("<name>.sig"

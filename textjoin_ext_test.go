@@ -35,7 +35,9 @@ func TestPublicParallelJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := JoinHHNLParallel(in, opts, 4)
+	fanned := opts
+	fanned.Workers = 4
+	parallel, _, err := Join(HHNL, in, fanned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,8 @@ func TestPublicParallelJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp, _, err := JoinVVMParallel(in, opts, 3)
+	fanned.Workers = 3
+	vp, _, err := Join(VVM, in, fanned)
 	if err != nil {
 		t.Fatal(err)
 	}
