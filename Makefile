@@ -18,17 +18,20 @@ test: build
 # fan-out helper of fanout.go and the stages it drains: hhnl.go's chunked
 # block scoring shared with lsh.go, the owner-sharded accumulators of
 # hvnl.go and vvm.go), the accumulator layer they share, the entry cache
-# the HVNL coordinator drives, the telemetry collector they all report to, the request tracer and flight recorder
-# that follow each request, the SLO engine computing error budgets over
-# them, and the observability server that scrapes it during in-flight
-# joins. The core run includes the differential harness (telemetry
-# on/off invariance, concurrent snapshots). It finishes with the
-# observability smokes: the self-driving textjoind endpoint check, the
-# load-generator gate, the SLO/error-budget gate, and the
-# baseline-checked benchmark grids. benchmark/ is a module of its own
-# that root ./... patterns never reach, so it is vetted and tested by
-# name: a facade rename must not break it unnoticed.
-verify: obs-smoke loadgen-smoke slo-smoke bench-json bench-prefilter bench-lsh
+# the HVNL coordinator drives, the telemetry collector whose counters and
+# histograms they all add to, the request tracer whose span tree is the
+# only timing any of them takes and the flight recorder that keeps the
+# finished trees, the SLO engine computing error budgets over the
+# collector, and the observability server that scrapes both during
+# in-flight joins. The core run includes the differential harness
+# (collector + trace on/off invariance, concurrent snapshots). It
+# finishes with the observability smokes: the self-driving textjoind
+# endpoint check, the load-generator gate, the SLO/error-budget gate, the
+# command-line runs piped into tracecheck, and the baseline-checked
+# benchmark grids. benchmark/ is a module of its own that root ./...
+# patterns never reach, so it is vetted and tested by name: a facade
+# rename must not break it unnoticed.
+verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json bench-prefilter bench-lsh
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
@@ -59,23 +62,24 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # bench-smoke runs every benchmark exactly once — a fast compile-and-run
-# check that the bench suite itself still works. BenchmarkTelemetryOverhead
-# fails this target if the disabled telemetry path ever allocates.
+# check that the bench suite itself still works.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
-# trace-smoke runs a real join with -telemetry json and validates the
-# emitted snapshot against the exporter schema (cmd/tracecheck). The
-# snapshot goes to stderr, results to stdout, so 2>&1 1>/dev/null routes
-# only the snapshot into the checker.
+# trace-smoke runs a real join, then the measured simulation group, with
+# -telemetry json and validates what each emits — a snapshot, then the
+# run's trace — against the two schemas (cmd/tracecheck). Telemetry goes
+# to stderr, results to stdout, so 2>&1 1>/dev/null routes only the two
+# documents into the checker.
 trace-smoke:
 	$(GO) run ./cmd/textjoin -p1 wsj -p2 wsj -scale 8192 -alg auto -lambda 5 -mem 200 -show 0 -telemetry json 2>&1 1>/dev/null | $(GO) run ./cmd/tracecheck
+	$(GO) run ./cmd/simulate -group measured -telemetry json 2>&1 1>/dev/null | $(GO) run ./cmd/tracecheck
 
 # obs-smoke boots textjoind on an ephemeral loopback port, drives every
 # endpoint (/healthz, /join inline and with workers, /metrics twice so rate
-# gauges appear, /traces, /debug/pprof/), validates the exposition with
-# the strict parser and the trace stream with the tracecheck schema, and
-# shuts down cleanly — all in-process, no curl needed.
+# gauges appear, /debug/requests, /debug/pprof/), validates the exposition
+# with the strict parser and a request's trace with the tracecheck schema,
+# and shuts down cleanly — all in-process, no curl needed.
 obs-smoke:
 	$(GO) run ./cmd/textjoind -smoke
 

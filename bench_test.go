@@ -19,6 +19,7 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"time"
 
 	"textjoin/internal/accum"
 	"textjoin/internal/cluster"
@@ -186,12 +187,12 @@ func BenchmarkMeasuredVVM(b *testing.B) {
 	benchMeasured(b, core.VVM, core.Options{Lambda: 20, MemoryPages: 100})
 }
 
-// BenchmarkTelemetryOverhead measures what the instrumentation layer
-// costs each measured join: disabled (nil collector — the default) vs
-// enabled (collector attached to both the disk and the join). The
-// disabled sub-benchmarks first assert that the nil-collector primitives
-// allocate nothing, so even a 1x bench-smoke run fails if the disabled
-// path regresses.
+// BenchmarkTelemetryOverhead measures what the instrumentation costs
+// each measured join: disabled (nil collector, nil trace — the default)
+// vs enabled the way a served request is — a collector on the disk and
+// the join, the join under a trace root, and the finished trace folded
+// into the phase histograms. That the disabled primitives allocate
+// nothing is pinned by tier-1 tests (telemetry, reqtrace, core), not here.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	algs := []struct {
 		name string
@@ -201,31 +202,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	for _, a := range algs {
 		env := newMeasuredEnv(b, 1024)
 		b.Run(a.name+"/disabled", func(b *testing.B) {
-			var tel *telemetry.Collector
-			if allocs := testing.AllocsPerRun(100, func() {
-				tel.Counter("x").Add(1)
-				tel.Histogram("h", telemetry.DefaultSizeBuckets).Observe(1)
-				tel.StartSpan(telemetry.PhaseScan, "s").End()
-				tel.Event(telemetry.PhaseIO, "e", 1)
-			}); allocs != 0 {
-				b.Fatalf("disabled telemetry path allocates %v/op, want 0", allocs)
-			}
-			// The request-tracing layer holds to the same contract: with
-			// no tracer attached (nil span in Options.Trace, nil recorder
-			// behind it), the hot loop must not allocate.
-			var rtr *reqtrace.Tracer
-			var rspan *reqtrace.Span
-			var rec *reqtrace.Recorder
-			if allocs := testing.AllocsPerRun(100, func() {
-				rtr.StartTrace("join").End()
-				rspan.StartChild("exec", "join").End()
-				rspan.SetAttr("k", "v")
-				rspan.SetInt("n", 1)
-				rspan.SetFloat("f", 0.5)
-				rec.Record(rspan)
-			}); allocs != 0 {
-				b.Fatalf("disabled reqtrace path allocates %v/op, want 0", allocs)
-			}
 			env.d.SetCollector(nil)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -238,14 +214,18 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.Run(a.name+"/enabled", func(b *testing.B) {
 			tel := telemetry.New()
 			env.d.SetCollector(tel)
+			tracer := reqtrace.NewTracer(1, time.Now)
 			o := opts
 			o.Telemetry = tel
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				root := tracer.StartTrace("join")
+				o.Trace = root
 				if _, _, err := core.Join(a.alg, env.in, o); err != nil {
 					b.Fatal(err)
 				}
+				reqtrace.ObservePhases(tel, root.Data())
 			}
 			b.StopTimer()
 			env.d.SetCollector(nil)

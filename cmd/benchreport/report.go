@@ -8,10 +8,8 @@ import (
 	"math"
 
 	"textjoin"
-	"textjoin/internal/core"
 	"textjoin/internal/corpus"
 	"textjoin/internal/costmodel"
-	"textjoin/internal/telemetry"
 )
 
 // BenchConfig fixes every input of the experiment grid; two runs with
@@ -101,9 +99,10 @@ type CalibrationSample struct {
 // CalibrationReport is the cost-model audit section of the report.
 type CalibrationReport struct {
 	Samples []CalibrationSample `json:"samples"`
-	// PlannerSamples are extracted by replaying the integrated runs'
-	// telemetry plan events through core.PlanSamples — the live-trace
-	// counterpart of the full-grid Samples above.
+	// PlannerSamples pair, per integrated run, the planner's estimate
+	// for the plan it chose with that run's own measured cost, in whole
+	// page units — what a live planner sees of itself, next to the
+	// full-grid Samples above.
 	PlannerSamples []CalibrationSample `json:"planner_samples"`
 	Mispicks       []struct {
 		Label         string  `json:"label"`
@@ -185,7 +184,7 @@ func runGrid(cfg BenchConfig, calibrate bool) (*Report, error) {
 		}
 
 		// The planner's view of the same shape.
-		ic, samples, err := runIntegrated(env, cfg, sh.name, measured)
+		ic, samples, plan, err := runIntegrated(env, cfg, sh.name, measured)
 		if err != nil {
 			return nil, fmt.Errorf("%s: integrated: %v", sh.name, err)
 		}
@@ -200,7 +199,7 @@ func runGrid(cfg BenchConfig, calibrate bool) (*Report, error) {
 					return nil, err
 				}
 			}
-			planner = append(planner, extractPlannerSamples(env.tel, sh.name)...)
+			planner = append(planner, plan)
 		}
 	}
 
@@ -313,17 +312,13 @@ func runCell(env *shapeEnv, cfg BenchConfig, shapeName string, alg textjoin.Algo
 
 // runIntegrated runs the planner on the shape and pairs its estimates
 // with the measured workers=1 costs of the grid, producing one
-// calibration sample per algorithm.
-func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured map[string]float64) (IntegratedCell, []CalibrationSample, error) {
+// calibration sample per algorithm, plus the planner sample: the chosen
+// plan's estimate against this run's own measured cost.
+func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured map[string]float64) (IntegratedCell, []CalibrationSample, CalibrationSample, error) {
 	env.ws.ParkHeads()
-	in, opts := env.inputs(), env.options(cfg)
-	dec, err := textjoin.Choose(in, opts)
+	_, stats, dec, err := textjoin.JoinIntegrated(env.inputs(), env.options(cfg))
 	if err != nil {
-		return IntegratedCell{}, nil, err
-	}
-	_, stats, _, err := textjoin.JoinIntegrated(in, opts)
-	if err != nil {
-		return IntegratedCell{}, nil, err
+		return IntegratedCell{}, nil, CalibrationSample{}, err
 	}
 	ic := IntegratedCell{
 		Shape:     shapeName,
@@ -339,22 +334,13 @@ func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured ma
 			samples = append(samples, CalibrationSample{Label: shapeName, Algorithm: name, Estimated: est.Seq, Measured: m})
 		}
 	}
-	return ic, samples, nil
-}
-
-// extractPlannerSamples replays the shape's telemetry plan events; the
-// labels are re-prefixed with the shape so grid cells stay distinct.
-func extractPlannerSamples(tel *telemetry.Collector, shapeName string) []CalibrationSample {
-	var out []CalibrationSample
-	for _, s := range core.PlanSamples(tel.Snapshot()) {
-		out = append(out, CalibrationSample{
-			Label:     shapeName + "/" + s.Label,
-			Algorithm: s.Algorithm.String(),
-			Estimated: s.Estimated,
-			Measured:  s.Measured,
-		})
+	plan := CalibrationSample{
+		Label:     shapeName + "/plan-0",
+		Algorithm: ic.Chosen,
+		Estimated: math.Floor(ic.Estimates[ic.Chosen] + 0.5),
+		Measured:  math.Floor(stats.Cost + 0.5),
 	}
-	return out
+	return ic, samples, plan, nil
 }
 
 // hashResults fingerprints a result set: outer ids, match ids and the

@@ -16,10 +16,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"textjoin/internal/corpus"
 	"textjoin/internal/costmodel"
 	"textjoin/internal/metrics"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/simulate"
 	"textjoin/internal/telemetry"
 )
@@ -29,7 +31,7 @@ func main() {
 	scale := flag.Int64("scale", 256, "corpus shrink divisor for -group measured")
 	mem := flag.Int64("mem", 200, "memory budget B in pages for -group measured")
 	seed := flag.Int64("seed", 1, "corpus seed for -group measured")
-	telemetryMode := flag.String("telemetry", "", "emit a telemetry snapshot to stderr after -group measured: text or json")
+	telemetryMode := flag.String("telemetry", "", "emit a telemetry snapshot, then the run's span tree, to stderr after -group measured: text or json")
 	promPath := flag.String("prom", "", "after -group measured, write the collector as a Prometheus text exposition to this file")
 	flag.Parse()
 
@@ -85,18 +87,22 @@ func run(group string, scale, mem, seed int64, telemetryMode, promPath string) e
 			fmt.Printf("%-18s %s\n", t.ID, strings.Join(choices, "  "))
 		}
 	case "measured":
+		// With -telemetry or -prom the run is one traced request: a
+		// collector for the counts, one root span with a child per
+		// measured join for where the time went.
 		var tel *telemetry.Collector
 		var sink telemetry.Sink
+		var root *reqtrace.Span
 		if telemetryMode != "" {
 			var err error
 			sink, err = telemetry.SinkFor(telemetryMode)
 			if err != nil {
 				return err
 			}
-			tel = telemetry.New()
 		}
-		if promPath != "" && tel == nil {
+		if sink != nil || promPath != "" {
 			tel = telemetry.New()
+			root = reqtrace.NewTracer(1, time.Now).StartTrace("simulate measured")
 		}
 		for _, pair := range [][2]corpus.Profile{
 			{corpus.WSJ, corpus.WSJ},
@@ -104,14 +110,19 @@ func run(group string, scale, mem, seed int64, telemetryMode, promPath string) e
 			{corpus.DOE, corpus.DOE},
 			{corpus.WSJ, corpus.DOE},
 		} {
-			res, err := simulate.MeasuredTelemetry(pair[0], pair[1], scale, mem, seed, tel)
+			res, err := simulate.MeasuredTelemetry(pair[0], pair[1], scale, mem, seed, tel, root)
 			if err != nil {
 				return err
 			}
 			fmt.Println(res.Format())
 		}
+		trace := root.Data()
+		reqtrace.ObservePhases(tel, trace)
 		if sink != nil {
 			if err := sink.Export(os.Stderr, tel.Snapshot()); err != nil {
+				return err
+			}
+			if err := reqtrace.Export(os.Stderr, telemetryMode, trace); err != nil {
 				return err
 			}
 		}

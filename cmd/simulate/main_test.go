@@ -72,6 +72,11 @@ func TestRunMeasuredProm(t *testing.T) {
 	if !strings.Contains(string(data), "textjoin_iosim_file_seq_reads_total") {
 		t.Error("prom export lacks per-file I/O counters")
 	}
+	// Phase timing is derived from the run's trace: four profile pairs
+	// times three measured joins, each under one exec span.
+	if want := `textjoin_phase_ns_count{phase="exec"} 12`; !strings.Contains(string(data), want) {
+		t.Errorf("prom export lacks %s", want)
+	}
 }
 
 func TestRunUnknownGroup(t *testing.T) {

@@ -10,7 +10,6 @@
 //	               JSON
 //	/metrics       Prometheus text exposition of the telemetry collector,
 //	               with per-second rate gauges between scrapes
-//	/traces        the trace ring as JSON Lines; ?since=<seq> tails
 //	/healthz       liveness plus workspace summary, JSON
 //	/debug/requests
 //	               the flight recorder: the slowest and most recent
@@ -48,7 +47,6 @@ func main() {
 	flag.Int64Var(&cfg.MemoryPages, "mem", cfg.MemoryPages, "memory budget B in pages")
 	flag.Float64Var(&cfg.Alpha, "alpha", cfg.Alpha, "random/sequential I/O cost ratio α")
 	flag.IntVar(&cfg.Lambda, "lambda", cfg.Lambda, "default λ of SIMILAR_TO(λ)")
-	flag.IntVar(&cfg.TraceCap, "trace-cap", cfg.TraceCap, "trace ring capacity in entries")
 	budgetMB := flag.Int64("budget-mb", cfg.BudgetBytes>>20, "admission budget for concurrent joins, MiB")
 	flag.IntVar(&cfg.QueueLen, "queue", cfg.QueueLen, "admission wait-queue capacity; a full queue rejects with 503")
 	flag.DurationVar(&cfg.QueueWait, "queue-wait", cfg.QueueWait, "longest a request may wait for admission before 503")

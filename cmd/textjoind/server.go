@@ -27,7 +27,6 @@ type config struct {
 	MemoryPages int64
 	Alpha       float64
 	Lambda      int
-	TraceCap    int
 	// BudgetBytes caps the summed footprint of concurrently running
 	// joins; QueueLen and QueueWait bound the FIFO wait queue behind
 	// it. Serialize charges every request the whole budget, restoring
@@ -63,7 +62,6 @@ func defaultConfig() config {
 		MemoryPages: 10000,
 		Alpha:       5,
 		Lambda:      5,
-		TraceCap:    4096,
 		BudgetBytes: 256 << 20,
 		QueueLen:    64,
 		QueueWait:   2 * time.Second,
@@ -82,8 +80,8 @@ func defaultConfig() config {
 // the workspace disk (its own head positions and counters over the same
 // immutable pages), so overlapping joins return results and stats
 // byte-identical to serial runs. The admitter bounds how many run at
-// once by their estimated memory footprints; /metrics, /traces and
-// /healthz bypass admission entirely and stay responsive under load.
+// once by their estimated memory footprints; /metrics, /debug/requests
+// and /healthz bypass admission entirely and stay responsive under load.
 type server struct {
 	cfg        config
 	ws         *textjoin.Workspace
@@ -156,7 +154,7 @@ func newServer(cfg config) (*server, error) {
 		return nil, err
 	}
 
-	tel := textjoin.NewTelemetry(telemetry.WithTraceCap(cfg.TraceCap))
+	tel := textjoin.NewTelemetry()
 	ws.ResetIOStats()
 	ws.SetTelemetry(tel)
 
@@ -221,9 +219,8 @@ func (s *server) timed(endpoint string, h http.Handler) http.Handler {
 // span for every request (linking to the caller's trace when a
 // Traceparent header is present), exposes it to the handler through the
 // request context, echoes the trace identity in the response
-// Traceparent header, and hands the finished tree to the flight
-// recorder when the handler returns — on every path, including panics
-// unwinding through the deferred Record.
+// Traceparent header, and finishes the trace when the handler returns —
+// on every path, including panics unwinding through the deferred call.
 func (s *server) traced(name string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var span *textjoin.RequestSpan
@@ -236,9 +233,17 @@ func (s *server) traced(name string, h http.Handler) http.Handler {
 			w.Header().Set(reqtrace.TraceparentHeader,
 				reqtrace.FormatTraceparent(span.TraceID(), span.SpanID()))
 		}
-		defer s.recorder.Record(span)
+		defer s.finishTrace(span)
 		h.ServeHTTP(w, r.WithContext(reqtrace.NewContext(r.Context(), span)))
 	})
+}
+
+// finishTrace seals a request's trace and files it twice: whole in the
+// flight recorder, and span by span in the per-phase duration
+// histograms, which are thereby the tree's own measurements.
+func (s *server) finishTrace(span *textjoin.RequestSpan) {
+	s.recorder.Record(span)
+	reqtrace.ObservePhases(s.tel, span.Data())
 }
 
 func (s *server) handler() http.Handler {
@@ -248,7 +253,6 @@ func (s *server) handler() http.Handler {
 	debugRequests := s.timed("debug_requests", textjoin.FlightRecorderHandler(s.recorder, "/debug/requests"))
 	mux.Handle("/debug/requests", debugRequests)
 	mux.Handle("/debug/requests/", debugRequests)
-	mux.Handle("/traces", s.timed("traces", textjoin.TraceStreamHandler(s.tel)))
 	mux.Handle("/healthz", s.timed("healthz", http.HandlerFunc(s.handleHealth)))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -439,10 +443,13 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 	// Snapshot: bind the inputs to a private I/O view so this join's
 	// page reads move private head positions and counters.
+	snap := span.StartChild("snapshot", "view")
 	v := s.ws.Snapshot()
 	defer v.Close()
 	in := textjoin.Inputs{Outer: s.c2, Inner: s.c1, InnerInv: s.inv1, OuterInv: s.inv2}
-	if in, err = in.WithView(v); err != nil {
+	in, err = in.WithView(v)
+	snap.End()
+	if err != nil {
 		s.joinError(w, span, http.StatusInternalServerError, err)
 		return
 	}
@@ -474,9 +481,11 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	} else {
 		results, stats, err = textjoin.Join(alg, in, opts)
 	}
+	// The reply's exec_seconds is the exec span's interval: both clocks
+	// stop here, before the view's I/O breakdown is formatted.
+	execSeconds := time.Since(execBegin).Seconds()
 	exec.End()
 	recordViewIO(span, v)
-	execSeconds := time.Since(execBegin).Seconds()
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, textjoin.ErrInsufficientMemory) || errors.Is(err, textjoin.ErrMissingInput) {
@@ -485,6 +494,10 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.joinError(w, span, status, err)
 		return
 	}
+	// Everything from here to the last byte handed to the connection:
+	// result digest, row conversion, JSON encoding, write.
+	reply := span.StartChild("reply", "encode")
+	defer reply.End()
 	s.joins.Add(1)
 	s.tel.Counter("query.joins").Add(1)
 	s.tel.Counter("http.join.ok").Add(1)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"textjoin/internal/metrics"
-	"textjoin/internal/telemetry"
 )
 
 func testServer(t *testing.T, scale int64) (*server, *httptest.Server) {
@@ -80,18 +79,25 @@ func TestServerEndpoints(t *testing.T) {
 	if err := metrics.Lint(body); err != nil {
 		t.Errorf("metrics exposition rejected: %v\n%s", err, body)
 	}
-	for _, want := range []string{"textjoin_plan_chosen_total", "textjoin_iosim_file_seq_reads_total", "textjoin_scrapes_total"} {
+	// The phase histograms are derived from the request's finished trace,
+	// so the server's own spans appear next to the join's.
+	for _, want := range []string{
+		"textjoin_plan_chosen_total", "textjoin_iosim_file_seq_reads_total", "textjoin_scrapes_total",
+		`textjoin_phase_ns_count{phase="request"} 1`, `textjoin_phase_ns_count{phase="queue"} 1`,
+		`textjoin_phase_ns_count{phase="plan"} 1`,
+	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics lack %s", want)
 		}
 	}
-
-	status, body = get(t, hs, "/traces")
-	if status != 200 {
-		t.Fatalf("traces status %d", status)
+	if strings.Contains(string(body), "textjoin_trace_") {
+		t.Error("metrics still export the trace-ring families")
 	}
-	if err := telemetry.ValidateJSONLines(body); err != nil {
-		t.Errorf("trace stream rejected: %v", err)
+
+	// The trace ring and its endpoint are gone; traces live under
+	// /debug/requests.
+	if status, _ = get(t, hs, "/traces"); status != http.StatusNotFound {
+		t.Errorf("/traces status %d, want 404", status)
 	}
 
 	for path, want := range map[string]int{
@@ -249,10 +255,10 @@ func TestServerLSH(t *testing.T) {
 }
 
 // TestConcurrentScrapes is the acceptance check for the live scrape
-// path: /metrics and /traces are hammered while parallel HVNL and VVM
-// joins are in flight. Every exposition must parse and every trace
-// stream must validate; run under -race this also proves the scrape
-// path shares no unsynchronized state with the join hot path.
+// path: /metrics and /debug/requests are hammered while parallel HVNL
+// and VVM joins are in flight. Every exposition must parse and every
+// recorder listing must decode; run under -race this also proves the
+// scrape path shares no unsynchronized state with the join hot path.
 func TestConcurrentScrapes(t *testing.T) {
 	_, hs := testServer(t, 2048)
 
@@ -321,18 +327,15 @@ func TestConcurrentScrapes(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := hs.Client().Get(hs.URL + "/traces")
+			resp, err := hs.Client().Get(hs.URL + "/debug/requests?format=json")
 			if err != nil {
 				errs <- err
 				return
 			}
-			body, err := io.ReadAll(resp.Body)
+			var list struct{ Recent []json.RawMessage }
+			err = json.NewDecoder(resp.Body).Decode(&list)
 			resp.Body.Close()
 			if err != nil {
-				errs <- err
-				return
-			}
-			if err := telemetry.ValidateJSONLines(body); err != nil {
 				errs <- err
 				return
 			}

@@ -12,13 +12,12 @@ import (
 
 	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 )
 
 // runSmoke is the self-contained health check behind `textjoind -smoke`
 // (and `make obs-smoke`): it starts the server on an ephemeral loopback
 // port, drives every endpoint through real HTTP, validates the /metrics
-// exposition with the strict parser and the /traces stream with the
+// exposition with the strict parser and a request's trace with the
 // tracecheck schema, and shuts the listener down cleanly. Any failure
 // returns an error (non-zero exit) — no curl, jq or scrape tooling
 // needed in CI.
@@ -211,19 +210,6 @@ func runSmoke(cfg config, out io.Writer) error {
 			}
 			return nil
 		}},
-		{"traces stream", func() error {
-			body, err := get("/traces")
-			if err != nil {
-				return err
-			}
-			if len(body) == 0 {
-				return fmt.Errorf("empty trace stream")
-			}
-			if err := telemetry.ValidateJSONLines(body); err != nil {
-				return fmt.Errorf("trace stream rejected: %v", err)
-			}
-			return nil
-		}},
 		{"request trace", func() error {
 			// A traced join: the response names its trace, the flight
 			// recorder serves the full tree, and the tree validates
@@ -261,7 +247,7 @@ func runSmoke(cfg config, out io.Writer) error {
 			for _, sp := range d.Spans {
 				phases[sp.Phase] = true
 			}
-			for _, want := range []string{"request", "queue", "exec", "io"} {
+			for _, want := range []string{"request", "queue", "snapshot", "exec", "io", "reply"} {
 				if !phases[want] {
 					return fmt.Errorf("trace %s lacks a %s span: %s", j.TraceID, want, detail)
 				}

@@ -296,3 +296,136 @@ func TestFlightRecorderUnderLoad(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 }
+
+// serveMixKinds are the six request kinds of the benchmark's serve_mix
+// workload (benchmark/serve.go), rows included as it asks for them.
+var serveMixKinds = []struct{ name, query string }{
+	{"auto", "alg=auto"},
+	{"hhnl_w2", "alg=hhnl&workers=2"},
+	{"hvnl", "alg=hvnl&weighting=tfidf"},
+	{"vvm_w2", "alg=vvm&weighting=cosine&workers=2"},
+	{"lsh", "mode=lsh"},
+	{"hhnl_prefilter", "alg=hhnl&prefilter=on"},
+}
+
+// joinAndTrace runs one /join and returns its reply with its trace.
+func joinAndTrace(t *testing.T, hs *httptest.Server, query string) (joinResponse, reqtrace.TraceData) {
+	t.Helper()
+	status, body := get(t, hs, "/join?"+query+"&lambda=5&show=100000")
+	if status != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", query, status, body)
+	}
+	var j joinResponse
+	if err := json.Unmarshal(body, &j); err != nil {
+		t.Fatal(err)
+	}
+	return j, fetchTrace(t, hs, j.TraceID)
+}
+
+// spanOf returns the trace's one span of the phase and the summed
+// duration of that span's children.
+func spanOf(t *testing.T, d reqtrace.TraceData, phase string) (reqtrace.SpanData, int64) {
+	t.Helper()
+	var found *reqtrace.SpanData
+	for i := range d.Spans {
+		if d.Spans[i].Phase == phase {
+			if found != nil {
+				t.Fatalf("trace %s has two %s spans", d.TraceID, phase)
+			}
+			found = &d.Spans[i]
+		}
+	}
+	if found == nil {
+		t.Fatalf("trace %s lacks a %s span", d.TraceID, phase)
+	}
+	var children int64
+	for _, sp := range d.Spans {
+		if sp.Parent == found.ID {
+			children += sp.DurNanos
+		}
+	}
+	return *found, children
+}
+
+// TestTraceClosure checks that a request's spans account for its time:
+// over the serve_mix kinds the root's children (queue, snapshot, exec,
+// io, reply) cover at least 90 % of the roots, the reply's exec_seconds
+// is the exec span's own interval, and the join phases under exec cover
+// at least 80 % of it for every kind (logged per kind: anything under
+// 95 % is a place no span looks yet).
+func TestTraceClosure(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.Scale = 512
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.handler())
+	defer hs.Close()
+
+	var roots, rootChildren int64
+	for _, k := range serveMixKinds {
+		var execs, execChildren int64
+		for i := 0; i < 3; i++ {
+			j, d := joinAndTrace(t, hs, k.query)
+			root, covered := spanOf(t, d, "request")
+			roots += root.DurNanos
+			rootChildren += covered
+			exec, covered := spanOf(t, d, "exec")
+			execs += exec.DurNanos
+			execChildren += covered
+			if diff := time.Duration(j.ExecSeconds*1e9) - time.Duration(exec.DurNanos); diff < -time.Millisecond || diff > time.Millisecond {
+				t.Errorf("%s: exec_seconds %v but the exec span took %v", k.name, j.ExecSeconds, time.Duration(exec.DurNanos))
+			}
+		}
+		ratio := float64(execChildren) / float64(execs)
+		t.Logf("%-15s phases cover %.3f of exec (%v)", k.name, ratio, time.Duration(execs/3))
+		if ratio < 0.80 {
+			t.Errorf("%s: join phases cover only %.3f of exec", k.name, ratio)
+		}
+	}
+	ratio := float64(rootChildren) / float64(roots)
+	t.Logf("children cover %.3f of the roots", ratio)
+	if ratio < 0.90 {
+		t.Errorf("root children cover only %.3f of the request time", ratio)
+	}
+}
+
+// TestExecSpanCarriesStats: the exec span's attributes are the reply's
+// own counts, so /debug/requests/{id} alone answers what a request cost.
+func TestExecSpanCarriesStats(t *testing.T) {
+	_, hs := tracedServer(t, false)
+	for _, k := range serveMixKinds {
+		j, d := joinAndTrace(t, hs, k.query)
+		exec, _ := spanOf(t, d, "exec")
+		attrs := map[string]string{}
+		for _, a := range exec.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		p := "join." + strings.ToLower(j.Algorithm)
+		want := map[string]int64{
+			p + ".io.seq":  j.SeqReads,
+			p + ".io.rand": j.RandReads,
+			p + ".passes":  int64(j.Passes),
+		}
+		if j.Prefilter != nil {
+			want[p+".prefilter.pages_skipped"] = j.Prefilter.PagesSkipped
+			want[p+".prefilter.false_passes"] = j.Prefilter.FalsePasses
+		}
+		if j.LSH != nil {
+			want[p+".candidates"] = j.LSH.Candidates
+			want[p+".pages_skipped"] = j.LSH.PagesSkipped
+		}
+		if (k.name == "hhnl_prefilter") != (j.Prefilter != nil) || (k.name == "lsh") != (j.LSH != nil) {
+			t.Errorf("%s: reply prefilter=%v lsh=%v", k.name, j.Prefilter != nil, j.LSH != nil)
+		}
+		for key, v := range want {
+			if attrs[key] != fmt.Sprint(v) {
+				t.Errorf("%s: exec attr %s = %q, reply says %d", k.name, key, attrs[key], v)
+			}
+		}
+		if _, ok := attrs[p+".cache.misses"]; ok != (j.Algorithm == "HVNL") {
+			t.Errorf("%s: cache attrs present = %v", k.name, ok)
+		}
+	}
+}

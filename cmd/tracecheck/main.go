@@ -1,10 +1,11 @@
-// Command tracecheck validates telemetry exports: JSON snapshots (the
+// Command tracecheck validates telemetry exports. Each input is a stream
+// of JSON documents of two kinds, told apart by the presence of the
+// reqtrace_schema key: request traces (the textjoind
+// /debug/requests/{traceID} format: a reqtrace span tree with exactly
+// one root and resolvable parents) and aggregate snapshots (the
 // -telemetry json exporter schema: counters and histograms sorted and
-// well-formed, bucket counts consistent, trace entries strictly ordered),
-// per-request trace trees (the textjoind /debug/requests/{traceID}
-// format: a reqtrace span tree with exactly one root and resolvable
-// parents), and JSON Lines trace streams (the textjoind /traces format,
-// one trace entry per line). The format is auto-detected per input.
+// well-formed, bucket counts consistent). A command-line run with
+// -telemetry json emits one of each, which is why an input is a stream.
 //
 // With no arguments it reads stdin, so it can terminate a pipeline like
 //
@@ -17,10 +18,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
@@ -74,25 +79,35 @@ func run(paths []string, stdin io.Reader, stdout, stderr io.Writer, quiet bool) 
 	return 0
 }
 
-// validate auto-detects the export format: the snapshot schema first,
-// then the per-request trace tree, then the JSON Lines trace stream.
-// Detection is unambiguous — each validator rejects unknown fields, and
-// the request-trace document is the only one carrying reqtrace_schema —
-// so the order only decides whose error message leads. An input valid
-// under any format passes; one valid under none reports all three
-// failures.
+// validate checks every JSON document of the stream against the schema
+// of its kind — a document carrying reqtrace_schema is a request trace,
+// any other must be a snapshot — and names the kinds it found, in order.
+// The first invalid document fails the input, with that one schema's
+// error; so does a stream holding no document at all.
 func validate(data []byte) (string, error) {
-	snapErr := telemetry.ValidateJSON(data)
-	if snapErr == nil {
-		return "snapshot", nil
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var kinds []string
+	for {
+		var doc json.RawMessage
+		if err := dec.Decode(&doc); err == io.EOF {
+			break
+		} else if err != nil {
+			return "", fmt.Errorf("document %d: not JSON: %v", len(kinds)+1, err)
+		}
+		kind, check := "snapshot", telemetry.ValidateJSON
+		var probe struct {
+			Schema *json.RawMessage `json:"reqtrace_schema"`
+		}
+		if json.Unmarshal(doc, &probe) == nil && probe.Schema != nil {
+			kind, check = "request trace", reqtrace.Validate
+		}
+		if err := check(doc); err != nil {
+			return "", fmt.Errorf("document %d: %v", len(kinds)+1, err)
+		}
+		kinds = append(kinds, kind)
 	}
-	reqErr := reqtrace.Validate(data)
-	if reqErr == nil {
-		return "request trace", nil
+	if len(kinds) == 0 {
+		return "", errors.New("no JSON document")
 	}
-	lineErr := telemetry.ValidateJSONLines(data)
-	if lineErr == nil {
-		return "trace stream", nil
-	}
-	return "", fmt.Errorf("not a valid snapshot (%v), request trace (%v), nor trace stream (%v)", snapErr, reqErr, lineErr)
+	return strings.Join(kinds, ", "), nil
 }

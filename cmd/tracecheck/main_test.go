@@ -15,14 +15,9 @@ import (
 
 func snapshotJSON(t *testing.T) []byte {
 	t.Helper()
-	tick := time.Unix(0, 0)
-	c := telemetry.New(telemetry.WithClock(func() time.Time {
-		tick = tick.Add(time.Millisecond)
-		return tick
-	}))
+	c := telemetry.New()
 	c.Counter("join.hhnl.outer_docs").Add(3)
-	c.Event(telemetry.PhasePlan, "estimate.hhnl.seq", 10)
-	c.StartSpan(telemetry.PhaseScan, "scan").End()
+	c.Histogram("phase.scan.ns", telemetry.DefaultLatencyBuckets).Observe(1000)
 	sink, err := telemetry.SinkFor("json")
 	if err != nil {
 		t.Fatal(err)
@@ -34,19 +29,11 @@ func snapshotJSON(t *testing.T) []byte {
 	return []byte(sb.String())
 }
 
-func jsonlStream(t *testing.T) []byte {
+// runStream is what a command-line run with -telemetry json emits: the
+// snapshot, then the run's trace.
+func runStream(t *testing.T) []byte {
 	t.Helper()
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	for i, name := range []string{"a", "b", "c"} {
-		if err := enc.Encode(telemetry.Entry{
-			Seq: uint64(i + 1), Kind: telemetry.KindEvent,
-			Phase: telemetry.PhaseIO, Name: name, StartNanos: int64(i),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return []byte(sb.String())
+	return append(snapshotJSON(t), requestTraceJSON(t)...)
 }
 
 func write(t *testing.T, dir, name string, data []byte) string {
@@ -62,27 +49,48 @@ func TestValidateFormats(t *testing.T) {
 	if f, err := validate(snapshotJSON(t)); err != nil || f != "snapshot" {
 		t.Errorf("snapshot: format %q err %v", f, err)
 	}
-	if f, err := validate(jsonlStream(t)); err != nil || f != "trace stream" {
-		t.Errorf("jsonl: format %q err %v", f, err)
+	if f, err := validate(runStream(t)); err != nil || f != "snapshot, request trace" {
+		t.Errorf("two-document stream: format %q err %v", f, err)
 	}
-	if _, err := validate([]byte("nonsense\n")); err == nil {
-		t.Error("garbage accepted")
-	} else if !strings.Contains(err.Error(), "snapshot") || !strings.Contains(err.Error(), "trace stream") {
-		t.Errorf("error does not mention both formats: %v", err)
+	// The second document is checked too, and the error says which.
+	if _, err := validate(append(snapshotJSON(t), `{"reqtrace_schema":1}`...)); err == nil {
+		t.Error("stream with an invalid second document accepted")
+	} else if !strings.Contains(err.Error(), "document 2") {
+		t.Errorf("error does not name the failing document: %v", err)
+	}
+	for name, doc := range map[string]string{
+		"garbage": "nonsense\n",
+		"empty":   "",
+		// Valid under neither schema: one error, from the one schema the
+		// document's keys select.
+		"neither": `{"spans":[]}`,
+	} {
+		_, err := validate([]byte(doc))
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		} else if strings.Count(err.Error(), "telemetry:")+strings.Count(err.Error(), "reqtrace:") > 1 {
+			t.Errorf("%s: more than one schema's error reported: %v", name, err)
+		}
+	}
+	// A snapshot from before the trace ring was removed is rejected by
+	// name, not read as its counters alone.
+	stale := `{"counters":[],"histograms":[],"trace":[],"trace_dropped":0}`
+	if _, err := validate([]byte(stale)); err == nil || !strings.Contains(err.Error(), `unknown field "trace"`) {
+		t.Errorf("stale trace key: err %v, want the unknown field named", err)
 	}
 }
 
 func TestRunMultipleFiles(t *testing.T) {
 	dir := t.TempDir()
 	good1 := write(t, dir, "snap.json", snapshotJSON(t))
-	good2 := write(t, dir, "trace.jsonl", jsonlStream(t))
+	good2 := write(t, dir, "run.json", runStream(t))
 	bad := write(t, dir, "bad.json", []byte("{broken\n"))
 
 	var out, errOut strings.Builder
 	if code := run([]string{good1, good2}, nil, &out, &errOut, false); code != 0 {
 		t.Errorf("all-valid run exited %d: %s", code, errOut.String())
 	}
-	if got := out.String(); !strings.Contains(got, "snapshot ok") || !strings.Contains(got, "trace stream ok") {
+	if got := out.String(); !strings.Contains(got, "snapshot ok") || !strings.Contains(got, "snapshot, request trace ok") {
 		t.Errorf("missing ok lines:\n%s", got)
 	}
 
@@ -180,9 +188,8 @@ func requestTraceJSON(t *testing.T) []byte {
 	return data
 }
 
-// TestValidateRequestTrace: the per-request format is auto-detected and
-// malformed trees are rejected by every format, not silently accepted
-// by another.
+// TestValidateRequestTrace: a request trace is recognised by its schema
+// key and malformed trees are rejected, never passed as a snapshot.
 func TestValidateRequestTrace(t *testing.T) {
 	good := requestTraceJSON(t)
 	if f, err := validate(good); err != nil || f != "request trace" {
@@ -215,18 +222,11 @@ func TestValidateRequestTrace(t *testing.T) {
 		}
 	}
 
-	// Cross-format isolation: the other two formats stay correctly
-	// attributed, and a request trace never passes as either.
+	// Cross-format isolation: neither kind passes as the other.
 	if err := telemetry.ValidateJSON(good); err == nil {
 		t.Error("request trace accepted as a snapshot")
 	}
-	if err := telemetry.ValidateJSONLines(good); err == nil {
-		t.Error("request trace accepted as a trace stream")
-	}
 	if err := reqtrace.Validate(snapshotJSON(t)); err == nil {
 		t.Error("snapshot accepted as a request trace")
-	}
-	if err := reqtrace.Validate(jsonlStream(t)); err == nil {
-		t.Error("trace stream accepted as a request trace")
 	}
 }

@@ -24,7 +24,8 @@ type Policy struct {
 	// WallClockExempt lists the internal packages allowed to read the
 	// wall clock and global rand state. Everything else under
 	// internal/ must stay deterministic so benchreport baselines remain
-	// byte-stable.
+	// byte-stable. The live policy exempts none: timestamps reach
+	// internal packages only through injected clocks.
 	WallClockExempt []string
 
 	// NilRecv maps a package to the types whose exported
@@ -58,7 +59,7 @@ type Policy struct {
 	// SpanPackages lists the module-relative packages whose
 	// End()-bearing named types count as spans for spanhygiene. A
 	// named type outside these packages that wraps one of them in a
-	// struct field (a per-package phase-span wrapper) counts too.
+	// struct field counts too.
 	SpanPackages []string
 
 	// Resources is the acquire→release pairing table for the CFG-based
@@ -99,9 +100,10 @@ type ResourceRule struct {
 // DefaultPolicy returns the live repo's policy. The ImportLayer table
 // transcribes the DESIGN.md layer diagram: telemetry is zero-dep,
 // accum/codec/costmodel/relation/topk/analysis are stdlib-only,
-// document sits one rung above codec, metrics sees only telemetry
-// among internal packages, and the join core is the only package that
-// may pull the whole storage stack together.
+// document sits one rung above codec, metrics and reqtrace see only
+// telemetry among internal packages (reqtrace to derive the phase
+// histograms from its finished trees), and the join core is the only
+// package that may pull the whole storage stack together.
 func DefaultPolicy() *Policy {
 	return &Policy{
 		ImportLayer: map[string][]string{
@@ -110,13 +112,13 @@ func DefaultPolicy() *Policy {
 			"internal/codec":     {},
 			"internal/costmodel": {},
 			"internal/relation":  {},
-			"internal/reqtrace":  {},
 			"internal/telemetry": {},
 			"internal/topk":      {},
 
 			"internal/document": {"internal/codec"},
 			"internal/iosim":    {"internal/telemetry"},
 			"internal/metrics":  {"internal/telemetry"},
+			"internal/reqtrace": {"internal/telemetry"},
 			"internal/slo":      {"internal/metrics", "internal/telemetry"},
 
 			"internal/btree":      {"internal/codec", "internal/iosim"},
@@ -146,14 +148,13 @@ func DefaultPolicy() *Policy {
 			"internal/simulate": {
 				"internal/collection", "internal/core", "internal/corpus",
 				"internal/costmodel", "internal/invfile", "internal/iosim",
-				"internal/telemetry",
+				"internal/reqtrace", "internal/telemetry",
 			},
 		},
 		MapDeterminism: []string{
 			"internal/accum", "internal/core", "internal/invfile", "internal/query",
 			"internal/lsh", "internal/metrics", "internal/reqtrace", "internal/slo",
 		},
-		WallClockExempt: []string{"internal/telemetry"},
 		NilRecv: map[string][]string{
 			"internal/telemetry": {"Collector", "Counter", "Histogram", "Snapshot"},
 			"internal/metrics":   {"Exporter"},
@@ -164,7 +165,7 @@ func DefaultPolicy() *Policy {
 		MutexForbidden: []string{"internal/iosim"},
 		MutexJoinScope: []string{"cmd/benchreport", "cmd/textjoin", "cmd/textjoind"},
 		SpanScope:      []string{"internal/core", "cmd/textjoind"},
-		SpanPackages:   []string{"internal/reqtrace", "internal/telemetry"},
+		SpanPackages:   []string{"internal/reqtrace"},
 		Resources: []ResourceRule{
 			// iosim view sessions: a leaked view never merges its IOStats
 			// into the shared ledger, corrupting the Section-5 accounting.

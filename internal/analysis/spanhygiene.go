@@ -18,8 +18,8 @@ import (
 // callee name begins with Start (or start) and whose result is a span
 // type: a named type carrying an End method that either lives in a
 // Policy.SpanPackages package or embeds such a type in a struct field
-// (which is how per-package wrappers like a dual telemetry+reqtrace
-// phase span are caught). The rules, per function scope:
+// (which is how a per-package wrapper around a span is caught). The
+// rules, per function scope:
 //
 //   - a start whose result is discarded (expression statement or
 //     assignment to _) is flagged outright, unless End is chained onto

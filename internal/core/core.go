@@ -119,17 +119,16 @@ type Options struct {
 	// CachePolicy selects HVNL's entry replacement policy. The default
 	// is the paper's MinOuterDF.
 	CachePolicy entrycache.Policy
-	// Telemetry receives per-phase spans, counters and histograms while
-	// the join runs. nil (the default) disables instrumentation with
-	// near-zero overhead; enabling it never changes results or Stats,
-	// which the differential test harness pins.
+	// Telemetry receives counters and histograms while the join runs.
+	// nil (the default) disables instrumentation with near-zero
+	// overhead; enabling it never changes results or Stats, which the
+	// differential test harness pins.
 	Telemetry *telemetry.Collector
-	// Trace is the request-scoped parent span: every phase the join
-	// runs hangs a child span under it, mirroring the aggregate
-	// telemetry phase spans with per-request causality. nil (the
-	// default) disables request tracing with the same zero-allocation
-	// contract as a nil Telemetry collector; tracing never changes
-	// results or Stats.
+	// Trace is the parent span the join runs under: every phase hangs a
+	// child span under it, and the finished join's Stats land on it as
+	// attributes. It is the only timing the join takes. nil (the
+	// default) makes a phase cost one nil check — no clock read, no
+	// allocation; tracing never changes results or Stats.
 	Trace *reqtrace.Span
 	// Prefilter supplies signature sidecars for pruning provably
 	// zero-similarity work from HHNL and HVNL (VVM's merge already
@@ -303,59 +302,50 @@ func (t *ioTracker) delta() iosim.Stats {
 	return total
 }
 
-// recordJoinStats publishes a finished join's Stats as telemetry
-// counters under "join.<alg>.*", so one snapshot carries the same
-// counts the Stats struct reports after the fact. No-op when tel is
-// nil; never mutates stats, so enabled and disabled runs stay
-// byte-identical.
-func recordJoinStats(tel *telemetry.Collector, st *Stats) {
-	if tel == nil {
+// recordJoinStats publishes a finished join's Stats twice under the same
+// "join.<alg>.*" names: as telemetry counters, so one snapshot carries
+// the counts the Stats struct reports after the fact, and as attributes
+// of the span the join ran under, so one request's trace answers what it
+// cost without a second lookup. The entry cache counts itself per policy
+// ("cache.<policy>.*"), so its outcome goes on the span only. No-op when
+// both sinks are nil; never mutates stats, so enabled and disabled runs
+// stay byte-identical.
+func recordJoinStats(tel *telemetry.Collector, trace *reqtrace.Span, st *Stats) {
+	if tel == nil && trace == nil {
 		return
 	}
 	p := "join." + strings.ToLower(st.Algorithm.String())
-	tel.Counter(p + ".outer_docs").Add(st.OuterDocs)
-	tel.Counter(p + ".inner_docs").Add(st.InnerDocs)
-	tel.Counter(p + ".comparisons").Add(st.Comparisons)
-	tel.Counter(p + ".accumulations").Add(st.Accumulations)
-	tel.Counter(p + ".entry_fetches").Add(st.EntryFetches)
-	tel.Counter(p + ".passes").Add(int64(st.Passes))
-	tel.Counter(p + ".io.seq").Add(st.IO.SeqReads)
-	tel.Counter(p + ".io.rand").Add(st.IO.RandReads)
-	tel.Counter(p + ".peak_bytes").Add(st.PeakMemoryBytes)
+	publish := func(name string, v int64) {
+		name = p + name
+		tel.Counter(name).Add(v)
+		trace.SetInt(name, v)
+	}
+	publish(".outer_docs", st.OuterDocs)
+	publish(".inner_docs", st.InnerDocs)
+	publish(".comparisons", st.Comparisons)
+	publish(".accumulations", st.Accumulations)
+	publish(".entry_fetches", st.EntryFetches)
+	publish(".passes", int64(st.Passes))
+	publish(".io.seq", st.IO.SeqReads)
+	publish(".io.rand", st.IO.RandReads)
+	publish(".peak_bytes", st.PeakMemoryBytes)
 	if st.Prefilter.Enabled {
-		tel.Counter(p + ".prefilter.pages_skipped").Add(st.Prefilter.PagesSkipped)
-		tel.Counter(p + ".prefilter.clusters_skipped").Add(st.Prefilter.ClustersSkipped)
-		tel.Counter(p + ".prefilter.docs_skipped").Add(st.Prefilter.DocsSkipped)
-		tel.Counter(p + ".prefilter.false_passes").Add(st.Prefilter.FalsePasses)
+		publish(".prefilter.pages_skipped", st.Prefilter.PagesSkipped)
+		publish(".prefilter.clusters_skipped", st.Prefilter.ClustersSkipped)
+		publish(".prefilter.docs_skipped", st.Prefilter.DocsSkipped)
+		publish(".prefilter.false_passes", st.Prefilter.FalsePasses)
 	}
 	if st.LSH.Enabled {
-		tel.Counter(p + ".bucket_probes").Add(st.LSH.BucketProbes)
-		tel.Counter(p + ".candidates").Add(st.LSH.Candidates)
-		tel.Counter(p + ".pages_skipped").Add(st.LSH.PagesSkipped)
-		tel.Counter(p + ".docs_skipped").Add(st.LSH.DocsSkipped)
+		publish(".bucket_probes", st.LSH.BucketProbes)
+		publish(".candidates", st.LSH.Candidates)
+		publish(".pages_skipped", st.LSH.PagesSkipped)
+		publish(".docs_skipped", st.LSH.DocsSkipped)
 	}
-}
-
-// phaseSpan pairs the aggregate telemetry span with the per-request
-// trace span, so every instrumented phase reports to both sinks with
-// one call. It is a value type: when both sinks are disabled (nil
-// collector, nil trace) startPhase allocates nothing and End is two
-// nil checks.
-type phaseSpan struct {
-	tel telemetry.Span
-	req *reqtrace.Span
-}
-
-// startPhase opens the phase in both sinks under the same phase label,
-// so the request tree and the aggregate phase histograms line up.
-func startPhase(tel *telemetry.Collector, trace *reqtrace.Span, phase, name string) phaseSpan {
-	return phaseSpan{tel: tel.StartSpan(phase, name), req: trace.StartChild(phase, name)}
-}
-
-// End finishes the phase in both sinks.
-func (p phaseSpan) End() {
-	p.tel.End()
-	p.req.End()
+	if st.Algorithm == HVNL {
+		trace.SetInt(p+".cache.hits", st.Cache.Hits)
+		trace.SetInt(p+".cache.misses", st.Cache.Misses)
+		trace.SetInt(p+".cache.evictions", st.Cache.Evictions)
+	}
 }
 
 // alpha returns the cost ratio of the disk backing the first non-nil file.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"textjoin/internal/collection"
+	"textjoin/internal/costmodel"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
@@ -331,9 +332,29 @@ func TestTelemetryInvariance(t *testing.T) {
 				if *offSt != *onSt {
 					t.Errorf("%s: telemetry changed stats:\noff %+v\non  %+v", v.name, *offSt, *onSt)
 				}
+				// The run's trace is a well-formed tree, and the phase
+				// histograms derived from it count exactly its spans.
+				trace := root.Data()
+				if err := reqtrace.ValidateData(trace); err != nil {
+					t.Errorf("%s: %v", v.name, err)
+				}
+				reqtrace.ObservePhases(tel, trace)
+				spans := map[string]int64{}
+				for _, sp := range trace.Spans {
+					spans["phase."+sp.Phase+".ns"]++
+				}
 				s := tel.Snapshot()
-				if len(s.Counters) == 0 || len(s.Trace) == 0 {
-					t.Errorf("%s: enabled collector recorded nothing", v.name)
+				if len(s.Counters) == 0 || len(spans) < 2 {
+					t.Errorf("%s: enabled collector or trace recorded nothing", v.name)
+				}
+				for _, h := range s.Histograms {
+					if n, ok := spans[h.Name]; ok && n != h.Count {
+						t.Errorf("%s: %s counts %d, trace has %d such spans", v.name, h.Name, h.Count, n)
+					}
+					delete(spans, h.Name)
+				}
+				if len(spans) != 0 {
+					t.Errorf("%s: phases with spans but no histogram: %v", v.name, spans)
 				}
 				// Per-worker counters and the tracker merge exist only on
 				// the fan-out path; the span names are otherwise one set.
@@ -346,6 +367,28 @@ func TestTelemetryInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNilTracePhaseDoesNotAllocate pins the disabled path of the one span
+// model: with no trace and no collector, opening and closing a phase and
+// publishing a finished join's Stats, plan and plan audit are nil checks
+// only — nothing allocates (and, the spans being nil, no clock is read).
+func TestNilTracePhaseDoesNotAllocate(t *testing.T) {
+	var opts Options
+	st := &Stats{Algorithm: HVNL, Prefilter: PrefilterStats{Enabled: true}}
+	dec := Decision{Chosen: HHNL, Estimates: []costmodel.Estimate{{Algorithm: costmodel.AlgHHNL, Seq: 10, Rand: 20}}}
+	allocs := testing.AllocsPerRun(100, func() {
+		phase := opts.Trace.StartChild(reqtrace.PhaseScan, "hhnl.fill-batch")
+		phase.End()
+		recordJoinStats(opts.Telemetry, opts.Trace, st)
+		plan := opts.Trace.StartChild(reqtrace.PhasePlan, "integrated.choose")
+		recordPlan(opts.Telemetry, plan, dec)
+		plan.End()
+		recordPlanAudit(opts.Telemetry, opts.Trace, dec, 12)
+	})
+	if allocs != 0 {
+		t.Fatalf("nil-trace phase path allocates %.1f per op, want 0", allocs)
 	}
 }
 

@@ -78,8 +78,8 @@ func waitGoroutines(tb testing.TB, want int) {
 
 // The fanned-out joins must propagate storage faults exactly like the
 // inline ones: a clean wrapped error, no partial results, no leaked
-// worker goroutines — and an attached collector must record the
-// storage-level fault event.
+// worker goroutines — and an attached collector must count the
+// storage-level fault against the file it hit.
 func TestParallelJoinsPropagateStorageFaults(t *testing.T) {
 	for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
 		for _, workers := range []int{2, 7} {
@@ -97,14 +97,14 @@ func TestParallelJoinsPropagateStorageFaults(t *testing.T) {
 				if res != nil {
 					t.Error("partial results returned alongside error")
 				}
-				found := false
-				for _, en := range tel.Snapshot().Trace {
-					if en.Kind == telemetry.KindEvent && en.Phase == telemetry.PhaseIO && strings.HasPrefix(en.Name, "fault.") {
-						found = true
+				var faults int64
+				for _, c := range tel.Snapshot().Counters {
+					if strings.HasPrefix(c.Name, "io.file.") && strings.HasSuffix(c.Name, ".faults") {
+						faults += c.Value
 					}
 				}
-				if !found {
-					t.Error("no io fault event in the telemetry trace")
+				if faults == 0 {
+					t.Error("no io.file.<file>.faults counter on the collector")
 				}
 				waitGoroutines(t, before)
 			})

@@ -8,8 +8,8 @@ import (
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/signature"
-	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
 
@@ -162,7 +162,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 
 	results := make([]Result, 0, in.Outer.NumDocs())
 	for {
-		fill := startPhase(tel, trace, telemetry.PhaseScan, fillName)
+		fill := trace.StartChild(reqtrace.PhaseScan, fillName)
 		batch, used, err := filler.fill()
 		fill.End()
 		if err != nil {
@@ -178,7 +178,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		var keep []bool
 		var lists [][]int32
 		if b.prepare != nil {
-			prep := startPhase(tel, trace, telemetry.PhaseScan, b.prepName)
+			prep := trace.StartChild(reqtrace.PhaseScan, b.prepName)
 			keep, lists, err = b.prepare(batch)
 			prep.End()
 			if err != nil {
@@ -195,7 +195,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		if keep != nil {
 			scan = in.Inner.ScanFiltered(func(id uint32) bool { return keep[id] })
 		}
-		score := startPhase(tel, trace, telemetry.PhaseScore, b.scanName)
+		score := trace.StartChild(reqtrace.PhaseScore, b.scanName)
 		if len(stages) == 1 {
 			err = scanInline(scan, stages[0])
 		} else {
@@ -219,7 +219,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 
 		trackers := stages[0].trackers
 		if len(stages) > 1 {
-			merge := startPhase(tel, trace, telemetry.PhaseMerge, mergeName)
+			merge := trace.StartChild(reqtrace.PhaseMerge, mergeName)
 			trackers = make([]*topk.TopK, len(batch))
 			for i := range trackers {
 				trackers[i] = topk.New(opts.Lambda)
@@ -231,7 +231,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 			}
 			merge.End()
 		}
-		flush := startPhase(tel, trace, telemetry.PhaseFlush, flushName)
+		flush := trace.StartChild(reqtrace.PhaseFlush, flushName)
 		for i, d2 := range batch {
 			results = append(results, Result{Outer: d2.ID, Matches: trackers[i].Results()})
 		}
@@ -239,7 +239,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	}
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
-	recordJoinStats(tel, stats)
+	recordJoinStats(tel, trace, stats)
 	return results, stats, nil
 }
 
@@ -362,7 +362,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 	var order []uint32
 	filler := batchFiller{next: in.Inner.Scan().Next, budget: budget, side: "inner"}
 	for firstPass := true; ; firstPass = false {
-		fill := startPhase(tel, trace, telemetry.PhaseScan, "hhnl.backward.fill-batch")
+		fill := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.fill-batch")
 		batch, used, err := filler.fill()
 		fill.End()
 		if err != nil {
@@ -381,7 +381,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 		// The streamed outer side is consumed one document at a time, so
 		// the reuse path applies (the resident inner batch, by contrast,
 		// is built from stable Next documents).
-		score := startPhase(tel, trace, telemetry.PhaseScore, "hhnl.backward.outer-scan")
+		score := trace.StartChild(reqtrace.PhaseScore, "hhnl.backward.outer-scan")
 		outerIt := in.Outer.Documents()
 		for {
 			d2, err := collection.NextReuse(outerIt)
@@ -409,7 +409,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 		}
 		score.End()
 	}
-	flush := startPhase(tel, trace, telemetry.PhaseFinalize, "hhnl.backward.finalize")
+	flush := trace.StartChild(reqtrace.PhaseFinalize, "hhnl.backward.finalize")
 	results := make([]Result, 0, len(order))
 	for _, id := range order {
 		results = append(results, Result{Outer: id, Matches: trackers[id].Results()})
@@ -417,6 +417,6 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 	flush.End()
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
-	recordJoinStats(tel, stats)
+	recordJoinStats(tel, trace, stats)
 	return results, stats, nil
 }

@@ -11,6 +11,7 @@ import (
 	"textjoin/internal/document"
 	"textjoin/internal/entrycache"
 	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
@@ -64,7 +65,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	tel, trace := opts.Telemetry, opts.Trace
 
 	// One-time load of the B+tree into memory.
-	setup := startPhase(tel, trace, telemetry.PhaseSetup, "hvnl.load-index")
+	setup := trace.StartChild(reqtrace.PhaseSetup, "hvnl.load-index")
 	index, err := in.InnerInv.LoadIndex()
 	setup.End()
 	if err != nil {
@@ -121,7 +122,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 		seqCost := float64(invStats.I)
 		randCost := float64(neededPages) * invFile.Disk().Alpha()
 		if seqCost < randCost {
-			preload := startPhase(tel, trace, telemetry.PhaseScan, "hvnl.preload")
+			preload := trace.StartChild(reqtrace.PhaseScan, "hvnl.preload")
 			sc := in.InnerInv.Scan()
 			for {
 				entry, err := sc.Next()
@@ -146,7 +147,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	// sidecar) their pages are never read.
 	var opf *outerPrefilter
 	if pf != nil {
-		filter := startPhase(tel, trace, telemetry.PhaseSetup, "hvnl.prefilter")
+		filter := trace.StartChild(reqtrace.PhaseSetup, "hvnl.prefilter")
 		opf, err = newOuterPrefilter(in, pf, stats)
 		filter.End()
 		if err != nil {
@@ -233,7 +234,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 			}
 		}
 	}
-	probe := startPhase(tel, trace, telemetry.PhaseProbe, "hvnl.outer-sweep")
+	probe := trace.StartChild(reqtrace.PhaseProbe, "hvnl.outer-sweep")
 	stage := newHVNLStage(opts, scorer, int(in.Inner.NumDocs()), int(in.Outer.NumDocs()))
 	err = sweep(stage)
 	if stage.fan != nil {
@@ -243,9 +244,9 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var merge phaseSpan // stays zero, and its End a no-op, on the inline path
+	var merge *reqtrace.Span // stays nil, and its End a no-op, on the inline path
 	if stage.fan != nil {
-		merge = startPhase(tel, trace, telemetry.PhaseMerge, "hvnl.merge-trackers")
+		merge = trace.StartChild(reqtrace.PhaseMerge, "hvnl.merge-trackers")
 	}
 	results := stage.collect(opts)
 	merge.End()
@@ -253,7 +254,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	stats.Cache = cache.Stats()
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(invFile))
-	recordJoinStats(tel, stats)
+	recordJoinStats(tel, trace, stats)
 	return results, stats, nil
 }
 

@@ -155,40 +155,36 @@ func Choose(in Inputs, opts Options) (Decision, error) {
 	return dec, nil
 }
 
-// costUnits rounds a model cost to whole page units for a telemetry
-// event, clamping infeasible (+Inf) estimates to the largest value.
-func costUnits(c float64) int64 {
-	if math.IsInf(c, 1) || c >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(c + 0.5)
-}
+// modelAlgs maps each core algorithm id to its costmodel counterpart.
+var modelAlgs = [...]costmodel.Algorithm{HHNL: costmodel.AlgHHNL, HVNL: costmodel.AlgHVNL, VVM: costmodel.AlgVVM, LSH: costmodel.AlgLSH}
 
-// recordPlan publishes the planner's estimates and choice as "plan" phase
-// events, so a snapshot shows estimated vs measured cost side by side.
-func recordPlan(tel *telemetry.Collector, dec Decision) {
-	if tel == nil {
-		return
-	}
-	for _, e := range dec.Estimates {
-		name := strings.ToLower(e.Algorithm.String())
-		if e.Prefiltered {
-			// Four-part names are ignored by costmodel.PlanSamples, so
-			// calibration keeps pairing only the unfiltered estimates.
-			name += ".prefilter"
+// recordPlan publishes the planner's decision: the choice and every
+// candidate's estimate as attributes of the plan span, so one trace
+// shows estimated next to measured cost, and the choice as counters.
+func recordPlan(tel *telemetry.Collector, span *reqtrace.Span, dec Decision) {
+	if span != nil {
+		span.SetAttr("plan.chosen", dec.Chosen.String())
+		if est := chosenEstimate(dec); !math.IsNaN(est) {
+			span.SetFloat("plan.estimated_cost", est)
 		}
-		tel.Event(telemetry.PhasePlan, "estimate."+name+".seq", costUnits(e.Seq))
-		tel.Event(telemetry.PhasePlan, "estimate."+name+".rand", costUnits(e.Rand))
+		span.SetFloat("plan.estimated_recall", dec.EstimatedRecall)
+		if dec.Prefiltered {
+			span.SetAttr("plan.prefiltered", "true")
+		}
+		for _, e := range dec.Estimates {
+			name := "plan.estimate." + strings.ToLower(e.Algorithm.String())
+			if e.Prefiltered {
+				name += ".prefilter"
+			}
+			span.SetFloat(name+".seq", e.Seq)
+			span.SetFloat(name+".rand", e.Rand)
+		}
 	}
-	tel.Counter("plan.chosen." + strings.ToLower(dec.Chosen.String())).Add(1)
-	if dec.Prefiltered {
-		tel.Counter("plan.prefilter.on").Add(1)
-	}
-	if dec.Chosen == LSH {
-		// Milli-recall as an event value (events carry int64); the name
-		// has no "estimate."/"measured." prefix, so calibration replay
-		// ignores it.
-		tel.Event(telemetry.PhasePlan, "plan.lsh.recall_milli", int64(dec.EstimatedRecall*1000+0.5))
+	if tel != nil {
+		tel.Counter("plan.chosen." + strings.ToLower(dec.Chosen.String())).Add(1)
+		if dec.Prefiltered {
+			tel.Counter("plan.prefilter.on").Add(1)
+		}
 	}
 }
 
@@ -236,22 +232,14 @@ func recordPlanAudit(tel *telemetry.Collector, trace *reqtrace.Span, dec Decisio
 // estimated cost.
 func JoinIntegrated(in Inputs, opts Options) ([]Result, *Stats, Decision, error) {
 	tel, trace := opts.Telemetry, opts.Trace
-	span := startPhase(tel, trace, telemetry.PhasePlan, "integrated.choose")
+	span := trace.StartChild(reqtrace.PhasePlan, "integrated.choose")
 	dec, err := Choose(in, opts)
 	if err != nil {
 		span.End()
 		return nil, nil, dec, err
 	}
-	span.req.SetAttr("plan.chosen", dec.Chosen.String())
-	if est := chosenEstimate(dec); !math.IsNaN(est) {
-		span.req.SetFloat("plan.estimated_cost", est)
-	}
-	span.req.SetFloat("plan.estimated_recall", dec.EstimatedRecall)
-	if dec.Prefiltered {
-		span.req.SetAttr("plan.prefiltered", "true")
-	}
+	recordPlan(tel, span, dec)
 	span.End()
-	recordPlan(tel, dec)
 	if !dec.Prefiltered {
 		// The unfiltered plan won on estimated cost; run it without the
 		// filter so the measured cost matches the estimate.
@@ -259,11 +247,6 @@ func JoinIntegrated(in Inputs, opts Options) ([]Result, *Stats, Decision, error)
 	}
 	results, stats, err := Join(dec.Chosen, in, opts)
 	if err == nil {
-		if tel != nil {
-			// Measured counterpart of the estimates above: the chosen
-			// algorithm's actual α-priced cost, in the same page units.
-			tel.Event(telemetry.PhasePlan, "measured."+strings.ToLower(dec.Chosen.String())+".cost", costUnits(stats.Cost))
-		}
 		recordPlanAudit(tel, trace, dec, stats.Cost)
 	}
 	return results, stats, dec, err

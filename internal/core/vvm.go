@@ -10,6 +10,7 @@ import (
 	"textjoin/internal/document"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
@@ -104,7 +105,7 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		// moves on, so the scanners' reuse arenas suffice. Fanned out, the
 		// entries (and sub-slices of their cells) cross worker queues and
 		// must be stable.
-		merge := startPhase(tel, trace, telemetry.PhaseMerge, "vvm.merge-scan")
+		merge := trace.StartChild(reqtrace.PhaseMerge, "vvm.merge-scan")
 		accumulate := func(factor float64, e1 *invfile.Entry, cells []codec.Cell) { shards[0].add(factor, e1, cells) }
 		var fan *fanOut[vvmWork]
 		if nShards > 1 {
@@ -136,7 +137,7 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		}
 
 		if fan == nil {
-			finalize := startPhase(tel, trace, telemetry.PhaseFinalize, "vvm.emit-range")
+			finalize := trace.StartChild(reqtrace.PhaseFinalize, "vvm.emit-range")
 			shards[0].emit(scorer, opts.Lambda)
 			finalize.End()
 		}
@@ -155,7 +156,7 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 
 	stats.IO = plan.track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.InnerInv.File()))
-	recordJoinStats(tel, stats)
+	recordJoinStats(tel, trace, stats)
 	return results, stats, nil
 }
 

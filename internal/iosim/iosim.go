@@ -110,8 +110,8 @@ type Disk struct {
 	lastFile   *File
 	faults     *faultState
 
-	// tel, when set, receives per-file read/write counters, record-fetch
-	// size and latency histograms, and fault events. nil disables all
+	// tel, when set, receives per-file read/write/fault counters and
+	// record-fetch size and latency histograms. nil disables all
 	// instrumentation (the default): the per-read cost is one nil check.
 	tel          *telemetry.Collector
 	telReadPages *telemetry.Histogram
@@ -185,8 +185,8 @@ func (d *Disk) SetAlpha(alpha float64) {
 // SetCollector attaches a telemetry collector to the disk: every file
 // (present and future) gets per-file sequential/random read and write
 // counters ("io.file.<name>.seq" etc.), record fetches feed size and
-// latency histograms, and injected faults record "io" events. Passing
-// nil detaches instrumentation.
+// latency histograms, and injected faults count in
+// "io.file.<name>.faults". Passing nil detaches instrumentation.
 func (d *Disk) SetCollector(c *telemetry.Collector) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,7 +14,7 @@ import (
 //
 // Scraping never blocks a running join's hot path: taking a snapshot
 // reads counters and buckets atomically and holds the collector's short
-// map and ring mutexes only while copying — the same operations the
+// map mutex only while listing them — the same operations the
 // differential harness pins as safe concurrent with collection. A nil
 // collector exports only the exporter's own scrape counter, so a server
 // with telemetry disabled still answers /metrics.
@@ -128,35 +126,4 @@ func (e *Exporter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is drop the connection early.
 		return
 	}
-}
-
-// TraceHandler serves the collector's trace ring as JSONL — one
-// telemetry Entry per line, ascending Seq, exactly the stream
-// telemetry.ValidateJSONLines (and cmd/tracecheck) accepts. The
-// optional ?since=<seq> query parameter returns only entries with
-// Seq > since, so a poller can tail the ring across requests.
-func TraceHandler(col *telemetry.Collector) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var since uint64
-		haveSince := false
-		if v := r.URL.Query().Get("since"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "traces: bad since parameter: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			since, haveSince = n, true
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		s := col.Snapshot()
-		enc := json.NewEncoder(w)
-		for _, e := range s.Trace {
-			if haveSince && e.Seq <= since {
-				continue
-			}
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
-	})
 }

@@ -11,13 +11,11 @@ import (
 // demoCollector populates one counter/histogram of every namespace the
 // instrumented layers use, exercising each naming rule.
 func demoCollector() *telemetry.Collector {
-	c := telemetry.New(telemetry.WithClock(func() func() time.Time {
-		t := time.Unix(0, 0)
-		return func() time.Time { t = t.Add(time.Millisecond); return t }
-	}()))
+	c := telemetry.New()
 	c.Counter("io.file.c1.inv.seq").Add(12)
 	c.Counter("io.file.c1.inv.rand").Add(3)
 	c.Counter("io.file.c1.writes").Add(7)
+	c.Counter("io.file.c1.bt.faults").Add(1)
 	c.Counter("cache.min-outer-df.hits").Add(40)
 	c.Counter("cache.min-outer-df.misses").Add(9)
 	c.Counter("join.hvnl.outer_docs").Add(100)
@@ -32,8 +30,7 @@ func demoCollector() *telemetry.Collector {
 	c.Histogram("http.request.join.ns", telemetry.DefaultLatencyBuckets).Observe(5000)
 	c.Histogram("io.readat.pages", telemetry.DefaultSizeBuckets).Observe(3)
 	c.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets).Observe(17)
-	c.StartSpan(telemetry.PhaseScan, "demo").End()
-	c.Event(telemetry.PhaseIO, "fault", 1)
+	c.Histogram("phase.scan.ns", telemetry.DefaultLatencyBuckets).Observe(2000)
 	return c
 }
 
@@ -48,6 +45,7 @@ func TestEncodeNaming(t *testing.T) {
 		`textjoin_iosim_file_seq_reads_total{file="c1.inv"} 12`,
 		`textjoin_iosim_file_rand_reads_total{file="c1.inv"} 3`,
 		`textjoin_iosim_file_writes_total{file="c1"} 7`,
+		`textjoin_iosim_file_faults_total{file="c1.bt"} 1`,
 		`textjoin_entrycache_hits_total{policy="min-outer-df"} 40`,
 		`textjoin_entrycache_misses_total{policy="min-outer-df"} 9`,
 		`textjoin_join_hvnl_outer_docs_total 100`,
@@ -64,8 +62,6 @@ func TestEncodeNaming(t *testing.T) {
 		`textjoin_http_rejected_total 4`,
 		"# TYPE textjoin_http_request_ns histogram",
 		`textjoin_http_request_ns_count{endpoint="join"} 1`,
-		`textjoin_trace_entries 2`,
-		`textjoin_trace_dropped_total 0`,
 		"# TYPE textjoin_phase_ns histogram",
 		`textjoin_phase_ns_count{phase="scan"} 1`,
 		"# TYPE textjoin_iosim_readat_pages histogram",

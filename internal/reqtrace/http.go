@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"html"
 	"net/http"
-	"sort"
 	"strings"
 )
 
@@ -120,58 +119,12 @@ func serveTrace(w http.ResponseWriter, r *http.Request, d *TraceData) {
 	if d.RemoteParent != "" {
 		fmt.Fprintf(&b, " &middot; remote parent <code>%s</code>", html.EscapeString(d.RemoteParent))
 	}
-	b.WriteString("</p>\n")
-	writeSpanTree(&b, d)
+	b.WriteString("</p>\n<pre>")
+	var tree strings.Builder
+	writeTree(&tree, d)
+	b.WriteString(html.EscapeString(tree.String()))
+	b.WriteString("</pre>\n")
 	fmt.Fprintf(&b, "<p><a href=\"%s?format=json\">JSON</a></p>\n", html.EscapeString(d.TraceID))
 	b.WriteString("</body></html>\n")
 	fmt.Fprint(w, b.String())
-}
-
-// writeSpanTree renders the span tree as nested lists, children in
-// start order under their parent.
-func writeSpanTree(b *strings.Builder, d *TraceData) {
-	children := make(map[string][]*SpanData)
-	var root *SpanData
-	for i := range d.Spans {
-		sp := &d.Spans[i]
-		if sp.Parent == "" {
-			root = sp
-			continue
-		}
-		children[sp.Parent] = append(children[sp.Parent], sp)
-	}
-	for _, kids := range children {
-		sort.Slice(kids, func(i, j int) bool { return kids[i].StartNanos < kids[j].StartNanos })
-	}
-	if root == nil {
-		b.WriteString("<p>malformed trace: no root span</p>\n")
-		return
-	}
-	var walk func(sp *SpanData)
-	walk = func(sp *SpanData) {
-		fmt.Fprintf(b, "<li><b>%s</b> <code>%s</code> +%.3f ms, %.3f ms",
-			html.EscapeString(sp.Phase), html.EscapeString(sp.Name),
-			float64(sp.StartNanos)/1e6, float64(sp.DurNanos)/1e6)
-		if len(sp.Attrs) > 0 {
-			b.WriteString(" <small>")
-			for i, a := range sp.Attrs {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				fmt.Fprintf(b, "%s=%s", html.EscapeString(a.Key), html.EscapeString(a.Value))
-			}
-			b.WriteString("</small>")
-		}
-		if kids := children[sp.ID]; len(kids) > 0 {
-			b.WriteString("<ul>\n")
-			for _, k := range kids {
-				walk(k)
-			}
-			b.WriteString("</ul>\n")
-		}
-		b.WriteString("</li>\n")
-	}
-	b.WriteString("<ul>\n")
-	walk(root)
-	b.WriteString("</ul>\n")
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // SchemaVersion identifies the per-request trace JSON shape. The field
-// name ("reqtrace_schema") is unique to this format, so cmd/tracecheck
-// can auto-detect a request trace next to telemetry snapshots and JSONL
-// streams without guessing.
+// name ("reqtrace_schema") is unique to this format: its presence is how
+// cmd/tracecheck tells a request trace from a telemetry snapshot.
 const SchemaVersion = 1
 
 // TraceData is the wire form of one finished request trace: exactly
@@ -39,7 +38,7 @@ type SpanData struct {
 	ID string `json:"id"`
 	// Parent is the parent span's ID; empty on the root.
 	Parent string `json:"parent,omitempty"`
-	// Phase is the telemetry phase label the span ran under.
+	// Phase is the Phase* label the span ran under.
 	Phase string `json:"phase"`
 	// Name identifies the operation, e.g. "hvnl.probe".
 	Name string `json:"name"`

@@ -69,9 +69,9 @@ func TestValidateNegativeCases(t *testing.T) {
 }
 
 func TestValidateRejectsForeignDocuments(t *testing.T) {
-	// A telemetry snapshot and a JSONL entry are both JSON but neither
-	// is a request trace: DisallowUnknownFields must reject them so the
-	// tracecheck auto-detection stays unambiguous.
+	// A telemetry snapshot and a lone span-like object are both JSON but
+	// neither is a request trace: DisallowUnknownFields must reject them,
+	// so nothing passes as a trace by accident.
 	foreign := [][]byte{
 		[]byte(`{"counters":[],"histograms":[],"trace":[],"trace_dropped":0}`),
 		[]byte(`{"seq":0,"kind":"span","phase":"scan","name":"x","start_ns":0}`),

@@ -23,7 +23,6 @@ type Recorder struct {
 	mu      sync.Mutex
 	recent  []*TraceData // ring, oldest first once full
 	nextIdx int
-	full    bool
 	slowest []*TraceData // sorted by DurNanos descending, len <= cap
 }
 
@@ -51,7 +50,6 @@ func (r *Recorder) Record(root *Span) {
 		r.recent = append(r.recent, d)
 	} else {
 		r.recent[r.nextIdx] = d
-		r.full = true
 	}
 	r.nextIdx = (r.nextIdx + 1) % r.cap
 	// Slowest list: insertion sort into a tiny descending slice.

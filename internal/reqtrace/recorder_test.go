@@ -157,6 +157,9 @@ func TestHandler(t *testing.T) {
 	if !strings.Contains(string(body), "join alg=vvm") {
 		t.Fatal("detail html lacks the request name")
 	}
+	if n := strings.Count(string(body), "\n  scan work +"); n != 2 {
+		t.Fatalf("detail html shows %d child spans, want 2:\n%s", n, body)
+	}
 
 	// Unknown ID → 404; nil recorder → 503.
 	if code, _, _ = get("/debug/requests/"+strings.Repeat("a", 32), ""); code != 404 {

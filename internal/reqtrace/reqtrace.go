@@ -1,16 +1,18 @@
-// Package reqtrace is the request-scoped tracing layer of the join
-// service: one trace per /join request, built from parent/child spans
-// with string attributes, identified by 128-bit trace IDs and 64-bit
-// span IDs.
+// Package reqtrace is the tracing layer of the join system and its only
+// span type: one trace per /join request (or per command-line run),
+// built from parent/child spans with string attributes, identified by
+// 128-bit trace IDs and 64-bit span IDs.
 //
-// Where internal/telemetry aggregates (counters, histograms, a global
-// ring of phase spans with no request identity), reqtrace preserves
-// causality: every span knows its parent, every trace is one request,
-// and the finished tree records where that request's milliseconds went
-// — queue wait, plan decision, join phases, per-view I/O — next to the
-// planner's estimates, so the paper's estimated-vs-measured comparison
-// (Section 5) exists per request on the live server, not only in
-// offline calibration runs.
+// Where internal/telemetry aggregates (counters and histograms, no
+// clock, no request identity), reqtrace preserves causality: every span
+// knows its parent, every trace is one request, and the finished tree
+// records where that request's milliseconds went — queue wait, plan
+// decision, join phases, per-view I/O, reply — next to the planner's
+// estimates and the join's measured counts, so the paper's
+// estimated-vs-measured comparison (Section 5) exists per request on
+// the live server, not only in offline calibration runs. The aggregate
+// per-phase duration histograms are derived from finished trees
+// (ObservePhases), never measured a second time.
 //
 // Two rules shape the implementation:
 //
@@ -18,15 +20,14 @@
 //     splitmix64 sequence, never from a global RNG, and every timestamp
 //     is read through the injected clock a Tracer is constructed with.
 //     The package itself never calls time.Now, so it stays inside the
-//     repo's wall-clock hygiene rule rather than joining telemetry on
-//     the exemption list; a fixed seed plus a fake clock reproduces a
-//     trace byte for byte.
+//     repo's wall-clock hygiene rule; a fixed seed plus a fake clock
+//     reproduces a trace byte for byte.
 //
 //   - The nil disabled path. Like a nil *telemetry.Collector, a nil
 //     *Tracer, *Span or *Recorder is the disabled tracer: every method
 //     is a nil-check no-op that performs no allocation and reads no
 //     clock, so instrumented code threads spans unconditionally and a
-//     server with tracing off pays one predictable branch per call.
+//     join with tracing off pays one predictable branch per phase.
 package reqtrace
 
 import (
@@ -233,10 +234,8 @@ func (s *Span) SpanID() SpanID {
 	return s.id
 }
 
-// StartChild begins a child span in the given phase. Phase labels reuse
-// the telemetry taxonomy (telemetry.PhaseScan etc.) so traces and the
-// aggregate phase histograms line up. On a nil span no clock is read
-// and nil is returned.
+// StartChild begins a child span in the given phase (one of the Phase*
+// labels). On a nil span no clock is read and nil is returned.
 func (s *Span) StartChild(phase, name string) *Span {
 	if s == nil {
 		return nil

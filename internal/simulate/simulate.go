@@ -32,6 +32,7 @@ import (
 	"textjoin/internal/costmodel"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 )
 
@@ -509,14 +510,16 @@ func (m *MeasuredResult) Format() string {
 // measured cost should fall between the model's sequential and random
 // variants and preserve the ranking.
 func Measured(p1, p2 corpus.Profile, scale int64, memoryPages int64, seed int64) (*MeasuredResult, error) {
-	return MeasuredTelemetry(p1, p2, scale, memoryPages, seed, nil)
+	return MeasuredTelemetry(p1, p2, scale, memoryPages, seed, nil, nil)
 }
 
 // MeasuredTelemetry is Measured with an optional telemetry collector
-// attached to the simulated disk and every join: estimated model costs
-// are recorded as "plan" events next to each algorithm's measured cost,
-// so one snapshot carries the estimated-vs-measured comparison.
-func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, seed int64, tel *telemetry.Collector) (*MeasuredResult, error) {
+// attached to the simulated disk and every join, and an optional parent
+// span: each measured join runs under one child span that carries the
+// model's estimates next to the measured cost (model_seq, model_rand,
+// measured_cost, in whole page units), so one trace holds the
+// estimated-vs-measured comparison and where each join's time went.
+func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, seed int64, tel *telemetry.Collector, trace *reqtrace.Span) (*MeasuredResult, error) {
 	d := iosim.NewDisk(iosim.WithPageSize(4096), iosim.WithAlpha(5))
 	c1, err := corpus.GenerateOn(d, "c1", p1.Scaled(scale), seed)
 	if err != nil {
@@ -557,17 +560,14 @@ func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, se
 		{core.HVNL, costmodel.HVNLSeq, costmodel.HVNLRand},
 		{core.VVM, costmodel.VVMSeq, costmodel.VVMRand},
 	} {
+		span := trace.StartChild("exec", "join "+strings.ToLower(mf.alg.String()))
+		opts.Trace = span
 		_, st, err := core.Join(mf.alg, in, opts)
 		if err != nil {
+			span.End()
 			return nil, fmt.Errorf("measured %v: %w", mf.alg, err)
 		}
-		if tel != nil {
-			name := strings.ToLower(mf.alg.String())
-			tel.Event(telemetry.PhasePlan, "estimate."+name+".seq", int64(mf.seq(mi, sys, q)+0.5))
-			tel.Event(telemetry.PhasePlan, "estimate."+name+".rand", int64(mf.rand(mi, sys, q)+0.5))
-			tel.Event(telemetry.PhasePlan, "measured."+name+".cost", int64(st.Cost+0.5))
-		}
-		res.Rows = append(res.Rows, MeasuredRow{
+		row := MeasuredRow{
 			Alg:          mf.alg.String(),
 			ModelSeq:     mf.seq(mi, sys, q),
 			ModelRand:    mf.rand(mi, sys, q),
@@ -575,7 +575,12 @@ func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, se
 			SeqReads:     st.IO.SeqReads,
 			RandReads:    st.IO.RandReads,
 			Passes:       st.Passes,
-		})
+		}
+		span.SetInt("model_seq", int64(row.ModelSeq+0.5))
+		span.SetInt("model_rand", int64(row.ModelRand+0.5))
+		span.SetInt("measured_cost", int64(row.MeasuredCost+0.5))
+		span.End()
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

@@ -1,9 +1,8 @@
 package telemetry
 
 // Diff returns the change from prev to s as a new Snapshot: counter
-// deltas, per-bucket histogram deltas, and the trace entries recorded
-// after prev's newest entry. It is the primitive behind scrape-to-scrape
-// rate computation in the metrics exporter.
+// deltas and per-bucket histogram deltas. It is the primitive behind
+// scrape-to-scrape rate computation in the metrics exporter.
 //
 // Snapshots are compared by name, not by origin, so prev may come from a
 // different collector — an earlier process run, a restarted service —
@@ -14,9 +13,9 @@ package telemetry
 // that exist only in prev are dropped (they no longer exist); counters
 // that exist only in s are reported whole.
 //
-// The result preserves Snapshot's ordering invariants (counters and
-// histograms sorted by name, trace in ascending Seq order), so a Diff
-// is itself a valid Snapshot for any Sink.
+// The result preserves Snapshot's ordering invariant (counters and
+// histograms sorted by name), so a Diff is itself a valid Snapshot for
+// any Sink.
 func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 	if s == nil {
 		return &Snapshot{}
@@ -44,30 +43,6 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 	}
 	for _, h := range s.Histograms {
 		out.Histograms = append(out.Histograms, diffHistogram(h, prevHists))
-	}
-
-	// Trace: everything newer than prev's newest entry. A current ring
-	// whose newest Seq is below prev's means a different (restarted)
-	// collector: the whole current trace is new.
-	var prevMax uint64
-	havePrev := len(prev.Trace) > 0
-	if havePrev {
-		prevMax = prev.Trace[len(prev.Trace)-1].Seq
-	}
-	var curMax uint64
-	if len(s.Trace) > 0 {
-		curMax = s.Trace[len(s.Trace)-1].Seq
-	}
-	restarted := havePrev && len(s.Trace) > 0 && curMax < prevMax
-	for _, e := range s.Trace {
-		if restarted || !havePrev || e.Seq > prevMax {
-			out.Trace = append(out.Trace, e)
-		}
-	}
-	if restarted || s.TraceDropped < prev.TraceDropped {
-		out.TraceDropped = s.TraceDropped
-	} else {
-		out.TraceDropped = s.TraceDropped - prev.TraceDropped
 	}
 	return out
 }

@@ -1,114 +1,54 @@
-// Package telemetry is the execution instrumentation layer of the join
-// system: atomic counters, bucketed histograms, and a bounded in-memory
-// trace of phase-labelled spans and events, exported through a Sink.
+// Package telemetry is the aggregate instrumentation layer of the join
+// system: atomic counters and bucketed histograms, exported through a
+// Sink.
 //
 // The paper's whole argument is built on counting — page reads, cache
 // hits, pass counts — and this package makes those counts observable
 // while a join runs instead of only in the coarse Stats struct after the
 // fact. Every layer that does work reports here: iosim classifies page
 // reads per file, the entry cache reports hits and evictions by policy,
-// the joins mark their phases (scan, probe, score, flush, merge,
-// finalize), and the integrated planner records its estimated cost next
-// to the measured one.
+// and the joins publish their Stats and accumulator occupancy. Timing
+// is not measured here: the package reads no clock. Where a request's
+// time went is internal/reqtrace's span tree, and the per-phase duration
+// histograms ("phase.<phase>.ns") are derived from a finished tree by
+// reqtrace.ObservePhases.
 //
 // The package is zero-dependency and near-zero-overhead when disabled:
-// a nil *Collector disables everything. All Collector, Counter,
-// Histogram and Span methods are nil-safe no-ops, so instrumented code
-// holds plain fields and calls them unconditionally — the disabled path
-// is a predictable nil check, performs no allocation, and reads no
-// clock. Instrumented hot loops resolve their counters once, outside the
-// loop, so the per-operation cost is one atomic add when enabled and one
-// branch when not.
+// a nil *Collector disables everything. All Collector, Counter and
+// Histogram methods are nil-safe no-ops, so instrumented code holds
+// plain fields and calls them unconditionally — the disabled path is a
+// predictable nil check and performs no allocation. Instrumented hot
+// loops resolve their counters once, outside the loop, so the
+// per-operation cost is one atomic add when enabled and one branch when
+// not.
 //
 // Collectors are safe for concurrent use: counters and histogram buckets
-// are atomics, the trace ring takes a short mutex, and Snapshot can run
-// while writers are active (the differential harness pins that results
-// are identical with collection running concurrently).
+// are atomics, and Snapshot can run while writers are active (the
+// differential harness pins that results are identical with collection
+// running concurrently).
 package telemetry
 
 import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Phase labels used by the join system. The taxonomy is shared across
-// algorithms so traces from different joins line up:
-//
-//	setup    — one-time structure loading (B+tree, index preload decision)
-//	scan     — sequential sweeps of stored structures
-//	probe    — per-outer-document index probing (HVNL)
-//	score    — similarity computation over resident documents (HHNL)
-//	flush    — per-document/per-pass accumulator drain into top-λ
-//	merge    — merge-scan of inverted files (VVM) or per-worker merges
-//	finalize — result emission
-//	plan     — the integrated planner's estimated and measured costs
-//	io       — storage-level events (fault injections)
-const (
-	PhaseSetup    = "setup"
-	PhaseScan     = "scan"
-	PhaseProbe    = "probe"
-	PhaseScore    = "score"
-	PhaseFlush    = "flush"
-	PhaseMerge    = "merge"
-	PhaseFinalize = "finalize"
-	PhasePlan     = "plan"
-	PhaseIO       = "io"
-)
-
-// DefaultTraceCap bounds the trace ring when WithTraceCap is not given.
-const DefaultTraceCap = 1024
-
-// Collector gathers counters, histograms and trace entries. The zero
-// value is not usable; create with New. A nil *Collector is the disabled
-// collector: every method is a cheap no-op.
+// Collector gathers counters and histograms. The zero value is not
+// usable; create with New. A nil *Collector is the disabled collector:
+// every method is a cheap no-op.
 type Collector struct {
-	now   func() time.Time
-	epoch time.Time
-
 	mu       sync.Mutex
 	counters map[string]*Counter
 	hists    map[string]*Histogram
-
-	traceMu  sync.Mutex
-	trace    []Entry
-	traceCap int
-	seq      uint64
-}
-
-// Option configures a Collector.
-type Option func(*Collector)
-
-// WithTraceCap sets the trace ring capacity; older entries are
-// overwritten once the ring is full. n must be positive.
-func WithTraceCap(n int) Option {
-	return func(c *Collector) {
-		if n > 0 {
-			c.traceCap = n
-		}
-	}
-}
-
-// WithClock substitutes the time source, letting tests produce
-// deterministic span timings.
-func WithClock(now func() time.Time) Option {
-	return func(c *Collector) { c.now = now }
 }
 
 // New creates an enabled collector.
-func New(opts ...Option) *Collector {
-	c := &Collector{
-		now:      time.Now,
+func New() *Collector {
+	return &Collector{
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*Histogram),
-		traceCap: DefaultTraceCap,
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	c.epoch = c.now()
-	return c
 }
 
 // Enabled reports whether the collector records anything.
@@ -236,95 +176,6 @@ var (
 	DefaultSizeBuckets = ExpBuckets(1, 2, 16)
 )
 
-// Entry is one trace-ring record: a finished span or a point event.
-type Entry struct {
-	// Seq is the global record order; Snapshot returns entries in Seq
-	// order with gaps only where the ring overwrote older entries.
-	Seq uint64 `json:"seq"`
-	// Kind is "span" or "event".
-	Kind string `json:"kind"`
-	// Phase is one of the Phase* labels.
-	Phase string `json:"phase"`
-	// Name identifies the specific operation, e.g. "hvnl.preload".
-	Name string `json:"name"`
-	// StartNanos is the offset from the collector's creation.
-	StartNanos int64 `json:"start_ns"`
-	// DurNanos is the span duration (spans only).
-	DurNanos int64 `json:"dur_ns,omitempty"`
-	// Value carries an event's payload (events only).
-	Value int64 `json:"value,omitempty"`
-}
-
-// KindSpan and KindEvent are the two Entry kinds.
-const (
-	KindSpan  = "span"
-	KindEvent = "event"
-)
-
-// Span is an in-flight phase measurement. The zero Span (from a nil
-// collector) is a no-op.
-type Span struct {
-	c     *Collector
-	phase string
-	name  string
-	start time.Time
-}
-
-// StartSpan begins a span in the given phase. On a nil collector no
-// clock is read and the returned Span does nothing.
-func (c *Collector) StartSpan(phase, name string) Span {
-	if c == nil {
-		return Span{}
-	}
-	return Span{c: c, phase: phase, name: name, start: c.now()}
-}
-
-// End finishes the span: one trace entry plus an observation in the
-// phase's duration histogram ("phase.<phase>.ns").
-func (s Span) End() {
-	if s.c == nil {
-		return
-	}
-	dur := s.c.now().Sub(s.start)
-	s.c.record(Entry{
-		Kind:       KindSpan,
-		Phase:      s.phase,
-		Name:       s.name,
-		StartNanos: s.start.Sub(s.c.epoch).Nanoseconds(),
-		DurNanos:   dur.Nanoseconds(),
-	})
-	s.c.Histogram("phase."+s.phase+".ns", DefaultLatencyBuckets).Observe(dur.Nanoseconds())
-}
-
-// Event records a point event with a value in the trace ring. No-op on a
-// nil collector.
-func (c *Collector) Event(phase, name string, value int64) {
-	if c == nil {
-		return
-	}
-	c.record(Entry{
-		Kind:       KindEvent,
-		Phase:      phase,
-		Name:       name,
-		StartNanos: c.now().Sub(c.epoch).Nanoseconds(),
-		Value:      value,
-	})
-}
-
-// record appends e to the bounded ring, overwriting the oldest entry
-// when full.
-func (c *Collector) record(e Entry) {
-	c.traceMu.Lock()
-	e.Seq = c.seq
-	if len(c.trace) < c.traceCap {
-		c.trace = append(c.trace, e)
-	} else {
-		c.trace[c.seq%uint64(c.traceCap)] = e
-	}
-	c.seq++
-	c.traceMu.Unlock()
-}
-
 // CounterValue is one counter in a Snapshot.
 type CounterValue struct {
 	Name  string `json:"name"`
@@ -349,13 +200,10 @@ type HistogramValue struct {
 }
 
 // Snapshot is a point-in-time copy of everything the collector holds,
-// ready for a Sink. Counters and histograms are sorted by name; trace
-// entries are in Seq order, oldest surviving entry first.
+// ready for a Sink. Counters and histograms are sorted by name.
 type Snapshot struct {
-	Counters     []CounterValue   `json:"counters"`
-	Histograms   []HistogramValue `json:"histograms"`
-	Trace        []Entry          `json:"trace"`
-	TraceDropped uint64           `json:"trace_dropped"`
+	Counters   []CounterValue   `json:"counters"`
+	Histograms []HistogramValue `json:"histograms"`
 }
 
 const maxInt64 = int64(^uint64(0) >> 1)
@@ -403,21 +251,5 @@ func (c *Collector) Snapshot() *Snapshot {
 		hv.Count = inBuckets
 		s.Histograms = append(s.Histograms, hv)
 	}
-
-	c.traceMu.Lock()
-	if c.seq > uint64(len(c.trace)) {
-		s.TraceDropped = c.seq - uint64(len(c.trace))
-	}
-	start := c.seq % uint64(c.traceCap)
-	for i := range c.trace {
-		var e Entry
-		if len(c.trace) < c.traceCap {
-			e = c.trace[i]
-		} else {
-			e = c.trace[(start+uint64(i))%uint64(c.traceCap)]
-		}
-		s.Trace = append(s.Trace, e)
-	}
-	c.traceMu.Unlock()
 	return s
 }

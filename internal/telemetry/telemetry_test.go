@@ -1,22 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
-
-// fakeClock returns a deterministic clock that advances by step on every
-// reading, starting at the Unix epoch.
-func fakeClock(step time.Duration) func() time.Time {
-	base := time.Unix(0, 0)
-	n := 0
-	return func() time.Time {
-		n++
-		return base.Add(time.Duration(n) * step)
-	}
-}
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	c := New()
@@ -124,62 +111,6 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestTraceRingBounded(t *testing.T) {
-	const cap = 8
-	c := New(WithTraceCap(cap), WithClock(fakeClock(time.Microsecond)))
-	for i := 0; i < 3*cap; i++ {
-		c.Event(PhaseIO, fmt.Sprintf("e%d", i), int64(i))
-	}
-	s := c.Snapshot()
-	if len(s.Trace) != cap {
-		t.Fatalf("trace len = %d, want %d", len(s.Trace), cap)
-	}
-	if s.TraceDropped != 2*cap {
-		t.Errorf("dropped = %d, want %d", s.TraceDropped, 2*cap)
-	}
-	// Oldest surviving entry first, strictly ascending.
-	for i, e := range s.Trace {
-		if want := uint64(2*cap + i); e.Seq != want {
-			t.Errorf("trace[%d].Seq = %d, want %d", i, e.Seq, want)
-		}
-	}
-}
-
-func TestTraceUnderCap(t *testing.T) {
-	c := New(WithTraceCap(16))
-	c.Event(PhasePlan, "only", 1)
-	s := c.Snapshot()
-	if len(s.Trace) != 1 || s.TraceDropped != 0 {
-		t.Fatalf("trace = %d entries dropped %d, want 1 and 0", len(s.Trace), s.TraceDropped)
-	}
-	if s.Trace[0].Kind != KindEvent || s.Trace[0].Name != "only" || s.Trace[0].Value != 1 {
-		t.Errorf("entry = %+v", s.Trace[0])
-	}
-}
-
-func TestSpanRecordsDuration(t *testing.T) {
-	// The fake clock advances 1ms per reading: epoch at t=1ms, span start
-	// at t=2ms, span end at t=3ms → StartNanos 1ms, DurNanos 1ms.
-	c := New(WithClock(fakeClock(time.Millisecond)))
-	sp := c.StartSpan(PhaseScan, "sweep")
-	sp.End()
-	s := c.Snapshot()
-	if len(s.Trace) != 1 {
-		t.Fatalf("trace len = %d, want 1", len(s.Trace))
-	}
-	e := s.Trace[0]
-	if e.Kind != KindSpan || e.Phase != PhaseScan || e.Name != "sweep" {
-		t.Errorf("entry = %+v", e)
-	}
-	if e.StartNanos != int64(time.Millisecond) || e.DurNanos != int64(time.Millisecond) {
-		t.Errorf("start=%d dur=%d, want both %d", e.StartNanos, e.DurNanos, int64(time.Millisecond))
-	}
-	// End also feeds the per-phase duration histogram.
-	if n := c.Histogram("phase.scan.ns", nil).Count(); n != 1 {
-		t.Errorf("phase histogram count = %d, want 1", n)
-	}
-}
-
 func TestNilCollectorIsDisabled(t *testing.T) {
 	var c *Collector
 	if c.Enabled() {
@@ -194,11 +125,8 @@ func TestNilCollectorIsDisabled(t *testing.T) {
 	if n := c.Histogram("h", nil).Count(); n != 0 {
 		t.Errorf("nil histogram count = %d", n)
 	}
-	c.StartSpan(PhaseScan, "s").End()
-	Span{}.End()
-	c.Event(PhaseIO, "e", 1)
 	s := c.Snapshot()
-	if len(s.Counters) != 0 || len(s.Histograms) != 0 || len(s.Trace) != 0 {
+	if len(s.Counters) != 0 || len(s.Histograms) != 0 {
 		t.Errorf("nil snapshot not empty: %+v", s)
 	}
 }
@@ -215,8 +143,6 @@ func TestDisabledPathDoesNotAllocate(t *testing.T) {
 	}{
 		{"counter-add", func() { ct.Add(1) }},
 		{"histogram-observe", func() { h.Observe(7) }},
-		{"span", func() { c.StartSpan(PhaseScan, "s").End() }},
-		{"event", func() { c.Event(PhaseIO, "e", 1) }},
 		{"resolve-counter", func() { c.Counter("x") }},
 		{"resolve-histogram", func() { c.Histogram("h", nil) }},
 	}
@@ -249,7 +175,7 @@ func TestSnapshotSortedByName(t *testing.T) {
 // Snapshot must be callable while writers are active without tripping the
 // race detector or producing an inconsistent bucket/count pair.
 func TestSnapshotDuringWrites(t *testing.T) {
-	c := New(WithTraceCap(32))
+	c := New()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -265,7 +191,6 @@ func TestSnapshotDuringWrites(t *testing.T) {
 			default:
 				ct.Add(1)
 				h.Observe(i % 64)
-				c.Event(PhaseIO, "tick", i)
 				i++
 			}
 		}
@@ -279,11 +204,6 @@ func TestSnapshotDuringWrites(t *testing.T) {
 			}
 			if sum != hv.Count {
 				t.Fatalf("histogram %s: buckets sum to %d, count %d", hv.Name, sum, hv.Count)
-			}
-		}
-		for j := 1; j < len(s.Trace); j++ {
-			if s.Trace[j].Seq <= s.Trace[j-1].Seq {
-				t.Fatalf("trace seq not ascending at %d", j)
 			}
 		}
 	}

@@ -196,12 +196,11 @@ type (
 
 // Telemetry layer.
 type (
-	// Telemetry is the execution instrumentation collector: per-phase
-	// spans, I/O and cache counters, histograms, a bounded trace ring.
-	// A nil *Telemetry disables collection everywhere it is passed.
+	// Telemetry is the aggregate instrumentation collector: I/O, cache
+	// and join counters and histograms. It reads no clock — timing is
+	// the RequestSpan tree's job. A nil *Telemetry disables collection
+	// everywhere it is passed.
 	Telemetry = telemetry.Collector
-	// TelemetryOption configures a collector (trace capacity, clock).
-	TelemetryOption = telemetry.Option
 	// TelemetrySnapshot is a point-in-time copy of a collector's state.
 	TelemetrySnapshot = telemetry.Snapshot
 	// TelemetrySink renders a snapshot as text or JSON.
@@ -212,7 +211,7 @@ type (
 // Options.Telemetry (or QueryOptions.Telemetry) and to the storage layer
 // via Workspace.SetTelemetry; read it back with its Snapshot method and
 // a TelemetrySink.
-func NewTelemetry(opts ...TelemetryOption) *Telemetry { return telemetry.New(opts...) }
+func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // TelemetrySinkFor maps "text" or "json" to a sink.
 func TelemetrySinkFor(mode string) (TelemetrySink, error) { return telemetry.SinkFor(mode) }
@@ -232,18 +231,14 @@ func NewMetricsExporter(t *Telemetry, opts ...MetricsExporterOption) *MetricsExp
 // the stable textjoin_* naming scheme (see DESIGN.md §10).
 func EncodeMetrics(w io.Writer, s *TelemetrySnapshot) error { return metrics.Encode(w, s) }
 
-// TraceStreamHandler serves a collector's trace ring as JSON Lines (one
-// telemetry entry per line); the since query parameter tails entries
-// with larger sequence numbers.
-func TraceStreamHandler(t *Telemetry) http.Handler { return metrics.TraceHandler(t) }
-
 // Request tracing and SLO layer.
 type (
 	// RequestTracer mints request-scoped traces with seeded-deterministic
 	// IDs. A nil *RequestTracer disables tracing (nil spans, no-ops).
 	RequestTracer = reqtrace.Tracer
-	// RequestSpan is one timed operation in a request's trace tree.
-	// Thread it through Options.Trace to hang the join phases under it.
+	// RequestSpan is one timed operation in a request's trace tree, the
+	// only span type there is. Thread it through Options.Trace to hang
+	// the join phases, and the finished join's Stats, under it.
 	RequestSpan = reqtrace.Span
 	// RequestTraceData is the wire form of one finished request trace.
 	RequestTraceData = reqtrace.TraceData
