@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-smoke race trace-smoke obs-smoke bench-json bench-prefilter bench-lsh bench-load loadgen-smoke slo-smoke lint lint-fast lint-report
+.PHONY: build test verify race perf perf-aa trace-smoke obs-smoke bench-json bench-load loadgen-smoke slo-smoke lint lint-fast lint-report
 
 build:
 	$(GO) build ./...
@@ -27,11 +27,11 @@ test: build
 # (collector + trace on/off invariance, concurrent snapshots). It
 # finishes with the observability smokes: the self-driving textjoind
 # endpoint check, the load-generator gate, the SLO/error-budget gate, the
-# command-line runs piped into tracecheck, and the baseline-checked
-# benchmark grids. benchmark/ is a module of its own that root ./...
+# command-line runs piped into tracecheck, and the page-read grid checked
+# against its baseline. benchmark/ is a module of its own that root ./...
 # patterns never reach, so it is vetted and tested by name: a facade
 # rename must not break it unnoticed.
-verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json bench-prefilter bench-lsh
+verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
@@ -58,13 +58,15 @@ lint-report:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+# perf is the one instrument that measures time: the four workloads of
+# BENCHMARK.json, end to end and layer by layer (benchmark/README.md).
+# perf-aa runs them five times over and checks the harness agrees with
+# itself before any before/after comparison is believed.
+perf:
+	bash benchmark/run.sh
 
-# bench-smoke runs every benchmark exactly once — a fast compile-and-run
-# check that the bench suite itself still works.
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x .
+perf-aa:
+	bash benchmark/run.sh -aa 5
 
 # trace-smoke runs a real join, then the measured simulation group, with
 # -telemetry json and validates what each emits — a snapshot, then the
@@ -83,12 +85,20 @@ trace-smoke:
 obs-smoke:
 	$(GO) run ./cmd/textjoind -smoke
 
-# bench-json runs the benchmark observatory grid (shapes × algorithms ×
-# worker counts over the deterministic simulated store), writes the
-# machine-readable report and the cost-model calibration audit, and
-# fails if any cell regressed against the checked-in baseline.
+# bench-json is the one instrument that measures page reads: the grid of
+# cmd/benchreport over the deterministic simulated store — the paper's
+# shapes × exact algorithms × worker counts with the planner's choices,
+# then the clustered shapes with the signature prefilter off and on and
+# every LSH banding shape, recall measured against the exact pairs. The
+# run itself fails if a prefilter changes a result hash or no LSH cell
+# reaches recall ≥ 0.9 at half the best exact join's reads; the gate
+# fails on any difference from BENCH_BASELINE.json — a cell's counts or
+# result hash, a planner choice, estimate or mispick. It writes nothing
+# (go test ./cmd/benchreport holds the same gate in tier-1). Regenerate
+# the baseline and the calibration audit after an intended change with:
+# go run ./cmd/benchreport -q -json BENCH_BASELINE.json -calreport CALIBRATION_PR4.md
 bench-json:
-	$(GO) run ./cmd/benchreport -q -json BENCH_PR4.json -baseline BENCH_BASELINE.json -calibrate -calreport CALIBRATION_PR4.md
+	$(GO) run ./cmd/benchreport -q -baseline BENCH_BASELINE.json
 
 # loadgen-smoke is the CI check for the concurrent serving path: boot a
 # real textjoind on a loopback port, fire a short open-loop run over the
@@ -120,37 +130,20 @@ slo-smoke:
 	rc=$$?; kill $$pid 2>/dev/null; exit $$rc
 
 # bench-load reproduces the checked-in BENCH_PR7.json: the identical
-# open-loop arrival process against a serialized server and a concurrent
-# one, both modeling 3ms of device latency per page read. The serialized
-# baseline saturates and sheds load (503s, by design); the concurrent
-# server absorbs the full rate at a far lower p99. Numbers are
-# machine-dependent — regenerate rather than diff-check.
+# open-loop arrival process against a serialized server (-budget-mb 0:
+# every join is charged the whole admission budget, so one runs at a
+# time) and a concurrent one, both modeling 3ms of device latency per
+# page read. The serialized baseline saturates and sheds load (503s, by
+# design); the concurrent server absorbs the full rate at a far lower
+# p99. Ungated: numbers are machine-dependent — regenerate rather than
+# diff-check.
 bench-load:
 	$(GO) build -o /tmp/textjoind.loadgen ./cmd/textjoind
 	$(GO) build -o /tmp/loadgen.loadgen ./cmd/loadgen
-	@/tmp/textjoind.loadgen -addr 127.0.0.1:18575 -scale 4096 -io-delay 3ms -serialize & \
+	@/tmp/textjoind.loadgen -addr 127.0.0.1:18575 -scale 4096 -io-delay 3ms -budget-mb 0 & \
 	pid1=$$!; \
 	/tmp/textjoind.loadgen -addr 127.0.0.1:18576 -scale 4096 -io-delay 3ms & \
 	pid2=$$!; \
 	/tmp/loadgen.loadgen -target serialized=http://127.0.0.1:18575 -target concurrent=http://127.0.0.1:18576 \
 		-wait 30s -rate 600 -duration 10s -json BENCH_PR7.json; \
 	rc=$$?; kill $$pid1 $$pid2 2>/dev/null; exit $$rc
-
-# bench-prefilter runs the signature-prefilter grid: clustered shapes,
-# each cell with the filter off and on. The run itself fails if any
-# on-cell's result hash differs from its off-cell (signatures may only
-# skip, never admit), and the baseline gate fails if the measured I/O
-# or skip counters drift from the checked-in BENCH_PR6.json. Regenerate
-# the baseline with: go run ./cmd/benchreport -prefilter -json BENCH_PR6.json
-bench-prefilter:
-	$(GO) run ./cmd/benchreport -prefilter -q -baseline BENCH_PR6.json
-
-# bench-lsh runs the LSH recall-vs-speed grid: clustered shapes, exact
-# ground-truth cells plus every banding shape, with recall measured
-# against the exact result pairs (not estimated). The run itself fails
-# unless some cell reaches recall ≥ 0.9 at no more than half the best
-# exact join's page reads, and the baseline gate fails if the frontier
-# drifts from the checked-in BENCH_PR8.json. Regenerate the baseline
-# with: go run ./cmd/benchreport -lsh -json BENCH_PR8.json
-bench-lsh:
-	$(GO) run ./cmd/benchreport -lsh -q -baseline BENCH_PR8.json

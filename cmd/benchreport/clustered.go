@@ -9,15 +9,16 @@ import (
 	"textjoin/internal/corpus"
 )
 
-// The prefilter grid measures the signature + cluster pruning layer on
-// corpora where it can act: planted-topic collections run through the
-// cluster-driven build path (greedy reorder → signature sidecar →
-// id-remapped inverted file). Each (shape, algorithm, workers) pair is
-// run twice — prefilter off and on — and the run itself fails unless
-// the two result hashes are identical: the baseline file cannot even be
-// generated from a filter that changes results.
+// The clustered shapes measure the signature + cluster pruning layer
+// and the approximate LSH join (lsh.go) on corpora where they can act:
+// planted-topic collections run through the cluster-driven build path
+// (greedy reorder → signature sidecar → id-remapped inverted file). Each
+// (shape, algorithm, workers) pair is run twice — prefilter off and on —
+// and the run itself fails unless the two result hashes are identical:
+// the baseline file cannot even be generated from a filter that changes
+// results. The off cells double as the LSH cells' exact ground truth.
 
-// pfShape is one clustered pairing of the prefilter grid.
+// pfShape is one clustered pairing of the grid.
 type pfShape struct {
 	name             string
 	n1, n2           int64
@@ -26,7 +27,7 @@ type pfShape struct {
 	topics1, topics2 int
 }
 
-// pfShapes returns the prefilter grid's pairings: a self-similar pair
+// pfShapes returns the clustered pairings: a self-similar pair
 // of equal vocabularies (inner-scan pruning carries HHNL) and a pair
 // where the outer vocabulary is four times wider, so three quarters of
 // the outer documents are provably disjoint from the inner collection
@@ -38,19 +39,19 @@ func pfShapes() []pfShape {
 	}
 }
 
-// pfSigConfig is the code the prefilter grid uses. One hash over
+// pfSigConfig is the signature code of the "+pf" cells. One hash over
 // coarse term buckets keeps the page and cluster aggregates sparse
 // enough that topically distinct regions stay distinguishable.
 func pfSigConfig() textjoin.SignatureConfig {
 	return textjoin.SignatureConfig{Bits: 2048, Hashes: 1, Granularity: 512, ClusterDocs: 16}
 }
 
-// buildPrefilterShape builds one clustered workspace: the inner
+// buildClusteredShape builds one clustered workspace: the inner
 // collection is generated scattered and then rebuilt through the full
 // clustered layout (reorder, sidecar, remapped inverted file); the
 // outer collection is stored topic-contiguously so HHNL batches stay
 // topically narrow.
-func buildPrefilterShape(sh pfShape, cfg BenchConfig) (*shapeEnv, *textjoin.Prefilter, error) {
+func buildClusteredShape(sh pfShape, cfg BenchConfig) (*shapeEnv, *textjoin.Prefilter, error) {
 	ws := textjoin.NewWorkspace(textjoin.WithAlpha(cfg.Alpha))
 	gen := func(name string, n, vocab int64, topics int, scatter bool, seed int64) (*textjoin.Collection, error) {
 		f, err := ws.Disk().Create(name)
@@ -102,73 +103,59 @@ func buildPrefilterShape(sh pfShape, cfg BenchConfig) (*shapeEnv, *textjoin.Pref
 	return env, &textjoin.Prefilter{Inner: lay.Signatures, Outer: sig2}, nil
 }
 
-// runPrefilterGrid executes the prefilter grid: every cell twice, off
-// then on, gated on exact result-hash equality. The memory budget is
-// pinned low per algorithm — 8 pages for HHNL so its batches span few
-// topics (the regime the pruning targets), 64 for HVNL whose resident
-// B+tree index alone needs more than 8.
-func runPrefilterGrid(cfg BenchConfig) (*Report, error) {
-	cfg.MemoryPages = 8
-	report := &Report{Version: 1, Config: cfg}
+// The clustered cells' memory budgets are pinned whatever -mem says:
+// 8 pages for HHNL and LSH, so a batch spans few topics (the regime the
+// pruning targets), 64 for HVNL, whose resident B+tree index alone needs
+// more than 8.
+const (
+	clusteredPages     = 8
+	clusteredHVNLPages = 64
+)
+
+// runClustered appends the clustered shapes' cells to the report, each
+// shape built once: the exact cells off and on, gated on exact
+// result-hash equality, then the LSH cells (lsh.go) measured against the
+// inline HHNL result as ground truth. It fails unless the LSH cells meet
+// the frontier gate.
+func runClustered(cfg BenchConfig, report *Report) error {
+	cfg.MemoryPages = clusteredPages
 	for _, sh := range pfShapes() {
-		env, pf, err := buildPrefilterShape(sh, cfg)
+		env, pf, err := buildClusteredShape(sh, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %v", sh.name, err)
+			return fmt.Errorf("%s: %v", sh.name, err)
 		}
+		var truth map[lshPair]bool
 		for _, alg := range []textjoin.Algorithm{textjoin.HHNL, textjoin.HVNL} {
 			cfg := cfg
 			if alg == textjoin.HVNL {
-				cfg.MemoryPages = 64
+				cfg.MemoryPages = clusteredHVNLPages
 			}
 			for _, workers := range cfg.Workers {
-				off, _, err := runCell(env, cfg, sh.name, alg, workers)
+				opts := env.options(cfg, workers)
+				off, results, err := runCell(env, sh.name, alg.String(), alg, opts)
 				if err != nil {
-					return nil, fmt.Errorf("%s/%v/w%d: %v", sh.name, alg, workers, err)
+					return err
 				}
-				on, err := runPrefilterCell(env, pf, cfg, sh.name, alg, workers)
+				opts.Prefilter = pf
+				on, _, err := runCell(env, sh.name, alg.String()+"+pf", alg, opts)
 				if err != nil {
-					return nil, fmt.Errorf("%s/%v/w%d+pf: %v", sh.name, alg, workers, err)
+					return err
 				}
 				if on.ResultsHash != off.ResultsHash {
-					return nil, fmt.Errorf("%s/%v/w%d: prefilter changed results: hash %s (on) vs %s (off)",
-						sh.name, alg, workers, on.ResultsHash, off.ResultsHash)
+					return fmt.Errorf("%s: prefilter changed results: hash %s (on) vs %s (off)",
+						off.key(), on.ResultsHash, off.ResultsHash)
 				}
 				report.Cells = append(report.Cells, off, on)
+				if alg == textjoin.HHNL && workers == 1 {
+					truth = lshPairSet(results)
+				}
 			}
 		}
+		if err := runLSHCells(env, sh.name, cfg, truth, report); err != nil {
+			return err
+		}
 	}
-	return report, nil
-}
-
-// runPrefilterCell is runCell with the sidecars offered to the join;
-// the cell's algorithm label gains a "+pf" suffix.
-func runPrefilterCell(env *shapeEnv, pf *textjoin.Prefilter, cfg BenchConfig, shapeName string, alg textjoin.Algorithm, workers int) (Cell, error) {
-	env.ws.ParkHeads()
-	in, opts := env.inputs(), env.options(cfg)
-	opts.Prefilter = pf
-	opts.Workers = workers
-	results, stats, err := textjoin.Join(alg, in, opts)
-	if err != nil {
-		return Cell{}, err
-	}
-	return Cell{
-		Shape:           shapeName,
-		Algorithm:       alg.String() + "+pf",
-		Workers:         workers,
-		SeqReads:        stats.IO.SeqReads,
-		RandReads:       stats.IO.RandReads,
-		Cost:            stats.Cost,
-		Comparisons:     stats.Comparisons,
-		Accumulations:   stats.Accumulations,
-		EntryFetches:    stats.EntryFetches,
-		CacheHits:       stats.Cache.Hits,
-		CacheMisses:     stats.Cache.Misses,
-		PagesSkipped:    stats.Prefilter.PagesSkipped,
-		ClustersSkipped: stats.Prefilter.ClustersSkipped,
-		DocsSkipped:     stats.Prefilter.DocsSkipped,
-		FalsePasses:     stats.Prefilter.FalsePasses,
-		ResultsHash:     hashResults(results),
-	}, nil
+	return checkFrontier(report.Cells)
 }
 
 // writePrefilterSummary appends the pruning outcome per on/off pair:
@@ -176,15 +163,16 @@ func runPrefilterCell(env *shapeEnv, pf *textjoin.Prefilter, cfg BenchConfig, sh
 func writePrefilterSummary(w io.Writer, r *Report) {
 	off := map[string]Cell{}
 	for _, c := range r.Cells {
-		if !strings.HasSuffix(c.Algorithm, "+pf") {
+		if !c.isPrefiltered() {
 			off[c.key()] = c
 		}
 	}
 	for _, c := range r.Cells {
-		if !strings.HasSuffix(c.Algorithm, "+pf") {
+		if !c.isPrefiltered() {
 			continue
 		}
-		base, ok := off[fmt.Sprintf("%s/%s/w%d", c.Shape, strings.TrimSuffix(c.Algorithm, "+pf"), c.Workers)]
+		alg := strings.TrimSuffix(c.Algorithm, "+pf")
+		base, ok := off[fmt.Sprintf("%s/%s/w%d", c.Shape, alg, c.Workers)]
 		if !ok {
 			continue
 		}
@@ -195,7 +183,7 @@ func writePrefilterSummary(w io.Writer, r *Report) {
 			red = 100 * (1 - float64(cr)/float64(br))
 		}
 		fmt.Fprintf(w, "%-14s %-5s w%d: page reads %d → %d (%.1f%% fewer; skipped %d pages, %d clusters, %d docs; %d false passes)\n",
-			c.Shape, strings.TrimSuffix(c.Algorithm, "+pf"), c.Workers, br, cr, red,
+			c.Shape, alg, c.Workers, br, cr, red,
 			c.PagesSkipped, c.ClustersSkipped, c.DocsSkipped, c.FalsePasses)
 	}
 }

@@ -1,18 +1,20 @@
-// Command benchreport is the benchmark observatory: it runs the
-// experiment grid (collection shapes × algorithms × worker counts) over
-// the simulated store, emits a machine-readable JSON report plus a
-// human-readable table, fails when a checked-in baseline regresses, and
-// audits the cost model's calibration (estimated vs measured cost, with
-// the cells where the integrated algorithm would mispick).
+// Command benchreport is the page-read observatory: it runs the one
+// experiment grid over the simulated store — the paper's collection
+// pairings × exact algorithms × worker counts with the planner's choice
+// and the cost-model calibration audit, then the clustered pairings with
+// their signature-prefilter and LSH cells — prints it as a table, and
+// fails when anything differs from the checked-in baseline.
 //
 // Every reported number derives from the deterministic simulated disk —
 // no wall-clock time — so reports are byte-stable across machines and
-// runs, and the baseline comparison can demand exact equality.
+// runs, and the baseline comparison demands exact equality. (Time is
+// benchmark/'s to measure; see BENCHMARK.json.)
 //
 // Usage:
 //
-//	benchreport -json BENCH_PR4.json -baseline BENCH_BASELINE.json
-//	benchreport -calibrate -calreport CALIBRATION_PR4.md
+//	benchreport                                   # the table and both summaries
+//	benchreport -q -baseline BENCH_BASELINE.json  # the gate (also tier-1: TestBaseline)
+//	benchreport -q -json BENCH_BASELINE.json -calreport CALIBRATION_PR4.md
 package main
 
 import (
@@ -27,49 +29,29 @@ import (
 func main() {
 	cfg := defaultBenchConfig()
 	jsonPath := flag.String("json", "", "write the machine-readable report to this file")
-	baselinePath := flag.String("baseline", "", "compare against this baseline report; exit non-zero on regression")
-	tolerance := flag.Float64("tolerance", 0, "relative deviation tolerated by the baseline comparison (0 = exact)")
-	calibrate := flag.Bool("calibrate", false, "audit cost-model calibration and include it in the report")
-	prefilter := flag.Bool("prefilter", false, "run the signature-prefilter grid (clustered shapes, cells with the filter off and on) instead of the main grid")
-	lshGrid := flag.Bool("lsh", false, "run the LSH recall-vs-speed grid (clustered shapes, exact ground-truth cells plus every banding shape, measured recall) instead of the main grid")
-	calReport := flag.String("calreport", "", "write the calibration report to this file (implies -calibrate)")
+	baselinePath := flag.String("baseline", "", "compare against this baseline report; exit non-zero on any difference")
+	calReport := flag.String("calreport", "", "write the cost-model calibration audit to this file")
 	quiet := flag.Bool("q", false, "suppress the human-readable table")
 	flag.Int64Var(&cfg.Scale, "scale", cfg.Scale, "profile shrink divisor")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generation seed")
-	flag.Int64Var(&cfg.MemoryPages, "mem", cfg.MemoryPages, "memory budget B in pages")
+	flag.Int64Var(&cfg.MemoryPages, "mem", cfg.MemoryPages, "memory budget B in pages (the clustered cells' budgets are pinned)")
 	flag.IntVar(&cfg.Lambda, "lambda", cfg.Lambda, "λ of SIMILAR_TO(λ)")
 	flag.Float64Var(&cfg.Alpha, "alpha", cfg.Alpha, "random/sequential I/O cost ratio α")
 	workers := flag.String("workers", "1,4", "comma-separated worker counts")
 	flag.Parse()
 
-	if *calReport != "" {
-		*calibrate = true
-	}
 	var err error
 	if cfg.Workers, err = parseWorkers(*workers); err != nil {
 		fatal(err)
 	}
-
-	var report *Report
-	switch {
-	case *prefilter:
-		report, err = runPrefilterGrid(cfg)
-	case *lshGrid:
-		report, err = runLSHGrid(cfg)
-	default:
-		report, err = runGrid(cfg, *calibrate)
-	}
+	report, err := runGrid(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	if !*quiet {
 		writeHuman(os.Stdout, report)
-		if *prefilter {
-			writePrefilterSummary(os.Stdout, report)
-		}
-		if *lshGrid {
-			writeLSHSummary(os.Stdout, report)
-		}
+		writePrefilterSummary(os.Stdout, report)
+		writeLSHSummary(os.Stdout, report)
 	}
 
 	if *jsonPath != "" {
@@ -82,7 +64,7 @@ func main() {
 		}
 		fmt.Printf("report written to %s\n", *jsonPath)
 	}
-	if *calibrate {
+	if *calReport != "" {
 		if err := writeCalibration(report, *calReport); err != nil {
 			fatal(err)
 		}
@@ -93,15 +75,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		regressions := compare(report, base, *tolerance)
-		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "benchreport: %d regression(s) vs %s:\n", len(regressions), *baselinePath)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
+		if diffs := compare(report, base); len(diffs) > 0 {
+			fmt.Fprintf(os.Stderr, "benchreport: %d difference(s) vs %s:\n", len(diffs), *baselinePath)
+			for _, d := range diffs {
+				fmt.Fprintf(os.Stderr, "  %s\n", d)
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("baseline check: %d cells match %s\n", len(report.Cells), *baselinePath)
+		fmt.Printf("baseline check: %d cells and the planner's %d shapes match %s\n", len(report.Cells), len(report.Integrated), *baselinePath)
 	}
 }
 
@@ -130,9 +111,6 @@ func loadReport(path string) (*Report, error) {
 }
 
 func writeCalibration(report *Report, path string) error {
-	if path == "" {
-		return report.Calibration.writeReport(os.Stdout)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

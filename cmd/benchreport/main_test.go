@@ -3,37 +3,86 @@ package main
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
-	"textjoin/internal/analysis"
+	"textjoin"
 )
 
-// tinyConfig keeps test grids fast: heavily scaled collections.
-func tinyConfig() BenchConfig {
-	cfg := defaultBenchConfig()
-	cfg.Scale = 2048
-	cfg.MemoryPages = 1000
-	return cfg
+// gridReport runs the grid once at the default config — the config of
+// the checked-in baseline — and shares the report between the tests.
+var gridReport = sync.OnceValues(func() (*Report, error) { return runGrid(defaultBenchConfig()) })
+
+func grid(t *testing.T) *Report {
+	t.Helper()
+	report, err := gridReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report
+}
+
+// clone deep-copies a report through its JSON form, so a test can
+// perturb the copy.
+func clone(t *testing.T, r *Report) *Report {
+	t.Helper()
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Report
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// TestBaseline is the page-read gate in tier-1: the grid at the default
+// config must match the checked-in baseline in every cell (page reads,
+// work counters, result hashes) and in everything the planner did, and
+// the calibration audit it renders must be the checked-in one.
+// Regenerate both, after an intended change, with
+//
+//	go run ./cmd/benchreport -q -json BENCH_BASELINE.json -calreport CALIBRATION_PR4.md
+func TestBaseline(t *testing.T) {
+	report := grid(t)
+	base, err := loadReport("../../BENCH_BASELINE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Cells) != len(report.Cells) {
+		t.Errorf("baseline holds %d cells, the grid has %d", len(base.Cells), len(report.Cells))
+	}
+	for _, d := range compare(report, base) {
+		t.Error(d)
+	}
+
+	want, err := os.ReadFile("../../CALIBRATION_PR4.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := report.Calibration.writeReport(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("calibration audit differs from CALIBRATION_PR4.md:\n%s", sb.String())
+	}
 }
 
 // TestGridDeterminism is the property the checked-in baseline relies on:
 // two runs with the same config produce byte-identical JSON.
 func TestGridDeterminism(t *testing.T) {
-	r1, err := runGrid(tinyConfig(), true)
+	again, err := runGrid(defaultBenchConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := runGrid(tinyConfig(), true)
+	j1, err := json.Marshal(grid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := json.Marshal(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(r2)
+	j2, err := json.Marshal(again)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +91,55 @@ func TestGridDeterminism(t *testing.T) {
 	}
 }
 
-func TestGridShape(t *testing.T) {
-	cfg := tinyConfig()
-	report, err := runGrid(cfg, true)
-	if err != nil {
-		t.Fatal(err)
+// TestLSHGridDeterminism holds what sharing one workspace between the
+// banding shapes relies on: an LSH cell does not depend on what ran on
+// its workspace before it. The last banding shape, measured alone on a
+// fresh workspace, must equal its cell in the grid.
+func TestLSHGridDeterminism(t *testing.T) {
+	cfg := defaultBenchConfig()
+	cfg.MemoryPages = clusteredPages
+	lcfg := lshGridConfigs()[len(lshGridConfigs())-1]
+	cells := map[string]Cell{}
+	for _, c := range grid(t).Cells {
+		cells[c.key()] = c
 	}
-	wantCells := len(shapes()) * 3 * len(cfg.Workers)
+	for _, sh := range pfShapes() {
+		env, _, err := buildClusteredShape(sh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := env.ws.BuildLSH(env.c1, lcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.ws.ResetIOStats()
+		opts := env.options(cfg, 1)
+		opts.LSH = sc
+		got, _, err := runCell(env, sh.name, lshAlgName(lcfg), textjoin.LSH, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cells[got.key()]
+		got.Recall = want.Recall // measured against the grid's exact cells, not here
+		if got != want {
+			t.Errorf("%s alone on a fresh workspace:\n got %+v\nwant %+v", got.key(), got, want)
+		}
+	}
+}
+
+func TestGridShape(t *testing.T) {
+	report := grid(t)
+	workers := len(report.Config.Workers)
+	wantCells := len(shapes())*3*workers + len(pfShapes())*(2*2+len(lshGridConfigs()))*workers
 	if len(report.Cells) != wantCells {
 		t.Errorf("got %d cells, want %d", len(report.Cells), wantCells)
+	}
+	keys := map[string]bool{}
+	for _, c := range report.Cells {
+		if keys[c.key()] {
+			t.Errorf("%s: duplicate cell", c.key())
+		}
+		keys[c.key()] = true
 	}
 	if len(report.Integrated) != len(shapes()) {
 		t.Errorf("got %d integrated cells, want %d", len(report.Integrated), len(shapes()))
@@ -89,71 +178,23 @@ func TestGridShape(t *testing.T) {
 	}
 }
 
-// TestLSHGridDeterminism extends the byte-identical-reports property to
-// the LSH grid, whose baseline BENCH_PR8.json is diff-checked in CI.
-func TestLSHGridDeterminism(t *testing.T) {
-	r1, err := runLSHGrid(defaultBenchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := runLSHGrid(defaultBenchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := json.Marshal(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(j1) != string(j2) {
-		t.Errorf("LSH reports differ across runs:\n%s\n%s", j1, j2)
-	}
-}
-
-// TestLSHGridShape pins the grid's structure and the semantics of its
-// cells: exact cells carry no recall or probe counters, LSH cells carry
-// a measured recall in (0, 1] and a full probe/skip account, the
-// serial/parallel pairs hash identically, and the frontier gate the run
-// enforces (recall ≥ 0.9 at ≤ half the best exact page reads) is met by
-// at least one serial LSH cell.
+// TestLSHGridShape pins the semantics of the clustered shapes' cells:
+// exact cells carry no recall or probe counters, LSH cells carry a
+// measured recall in (0, 1] and a full probe/skip account, and the
+// frontier gate the run enforces (recall ≥ 0.9 at ≤ half the best exact
+// page reads) is met by the report it returned.
 func TestLSHGridShape(t *testing.T) {
-	cfg := defaultBenchConfig()
-	report, err := runLSHGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCells := len(pfShapes()) * (2 + len(lshGridConfigs())) * len(cfg.Workers)
-	if len(report.Cells) != wantCells {
-		t.Errorf("got %d cells, want %d", len(report.Cells), wantCells)
-	}
-
-	bestExact := map[string]int64{}
+	report := grid(t)
+	lshCells := 0
 	for _, c := range report.Cells {
-		if strings.HasPrefix(c.Algorithm, "LSH-") {
+		if !c.isLSH() {
+			if c.Recall != 0 || c.BucketProbes != 0 || c.Candidates != 0 {
+				t.Errorf("%s: exact cell carries LSH fields: recall %v, probes %d, candidates %d",
+					c.key(), c.Recall, c.BucketProbes, c.Candidates)
+			}
 			continue
 		}
-		if c.Recall != 0 || c.BucketProbes != 0 || c.Candidates != 0 {
-			t.Errorf("%s: exact cell carries LSH fields: recall %v, probes %d, candidates %d",
-				c.key(), c.Recall, c.BucketProbes, c.Candidates)
-		}
-		if c.Workers != 1 {
-			continue
-		}
-		reads := c.SeqReads + c.RandReads
-		if cur, ok := bestExact[c.Shape]; !ok || reads < cur {
-			bestExact[c.Shape] = reads
-		}
-	}
-
-	gateMet := false
-	serial := map[string]Cell{}
-	for _, c := range report.Cells {
-		if !strings.HasPrefix(c.Algorithm, "LSH-") {
-			continue
-		}
+		lshCells++
 		if c.Recall <= 0 || c.Recall > 1 {
 			t.Errorf("%s: measured recall %v outside (0, 1]", c.key(), c.Recall)
 		}
@@ -161,73 +202,65 @@ func TestLSHGridShape(t *testing.T) {
 			t.Errorf("%s: LSH cell missing probe counters: %d probes, %d candidates",
 				c.key(), c.BucketProbes, c.Candidates)
 		}
-		if c.Workers == 1 {
-			serial[c.Shape+"/"+c.Algorithm] = c
-			reads := c.SeqReads + c.RandReads
-			if c.Recall >= lshRecallFloor && float64(reads)*lshSpeedupFloor <= float64(bestExact[c.Shape]) {
-				gateMet = true
-			}
-		} else if s := serial[c.Shape+"/"+c.Algorithm]; c.ResultsHash != s.ResultsHash {
-			t.Errorf("%s: parallel results diverge from serial", c.key())
-		}
 	}
-	if !gateMet {
-		t.Error("no serial LSH cell meets the recall/speedup gate")
+	if want := len(pfShapes()) * len(lshGridConfigs()) * len(report.Config.Workers); lshCells != want {
+		t.Errorf("got %d LSH cells, want %d", lshCells, want)
+	}
+	if err := checkFrontier(report.Cells); err != nil {
+		t.Error(err)
 	}
 }
 
+// TestCompare: the gate reports nothing on equal reports and exactly the
+// key of whatever moved otherwise — a cell's page count or result hash,
+// the planner's choice on a shape, a mispick in either direction.
 func TestCompare(t *testing.T) {
-	cur, err := runGrid(tinyConfig(), false)
-	if err != nil {
-		t.Fatal(err)
+	cur := grid(t)
+	if msgs := compare(cur, cur); len(msgs) != 0 {
+		t.Errorf("self-comparison found differences: %v", msgs)
 	}
-	if msgs := compare(cur, cur, 0); len(msgs) != 0 {
-		t.Errorf("self-comparison found regressions: %v", msgs)
-	}
+	mispick := Mispick{Label: "fr-fr", EstimatedBest: "HHNL", MeasuredBest: "VVM", Penalty: 1.5}
 
-	// Perturb one cell: exact comparison flags it, a loose tolerance
-	// accepts it, a hash flip always fails.
-	base, _ := runGrid(tinyConfig(), false)
-	base.Cells[0].Cost += 1
-	base.Cells[1].Cost *= 1.001
-	msgs := compare(cur, base, 0)
-	if len(msgs) != 2 {
-		t.Errorf("exact comparison found %d regressions, want 2: %v", len(msgs), msgs)
-	}
-	if msgs := compare(cur, base, 0.5); len(msgs) != 0 {
-		t.Errorf("tolerant comparison still failed: %v", msgs)
-	}
-	base.Cells[2].ResultsHash = "feedfacefeedface"
-	if msgs := compare(cur, base, 0.5); len(msgs) != 1 {
-		t.Errorf("hash flip: %d regressions, want 1: %v", len(msgs), msgs)
-	}
-
-	// A baseline cell missing from the current report is a regression.
-	extra := &Report{Cells: append([]Cell{}, base.Cells...)}
-	extra.Cells = append(extra.Cells, Cell{Shape: "zz", Algorithm: "HHNL", Workers: 1})
-	if msgs := compare(cur, extra, 0.5); len(msgs) < 2 {
-		t.Errorf("missing cell not flagged: %v", msgs)
+	for _, tc := range []struct {
+		name   string
+		mutate func(cur, base *Report)
+		want   string
+	}{
+		{"seq_reads", func(_, b *Report) { b.Cells[0].SeqReads++ }, cur.Cells[0].key() + ": seq_reads"},
+		{"cost", func(_, b *Report) { b.Cells[1].Cost *= 1.001 }, cur.Cells[1].key() + ": cost"},
+		{"results_hash", func(_, b *Report) { b.Cells[30].ResultsHash = "feedfacefeedface" }, cur.Cells[30].key() + ": results hash"},
+		{"recall", func(_, b *Report) { b.Cells[59].Recall += 1e-9 }, cur.Cells[59].key() + ": recall"},
+		{"missing cell", func(_, b *Report) {
+			b.Cells = append(b.Cells, Cell{Shape: "zz", Algorithm: "HHNL", Workers: 1})
+		}, "zz/HHNL/w1: cell missing"},
+		{"chosen", func(_, b *Report) { b.Integrated[0].Chosen = "VVM" }, "wsj-wsj/integrated: chosen HHNL"},
+		{"estimate", func(_, b *Report) { b.Integrated[3].Estimates["HVNL"]++ }, "wsj-fr/integrated: "},
+		{"planner sample", func(_, b *Report) { b.Calibration.PlannerSamples[2].Measured++ }, "doe-doe/plan-0/planner_sample: "},
+		{"mispick gone", func(_, b *Report) {
+			b.Calibration.Mispicks = append(b.Calibration.Mispicks, mispick)
+		}, "fr-fr/mispick: missing from current report"},
+		{"mispick grown", func(c, _ *Report) {
+			c.Calibration.Mispicks = append(c.Calibration.Mispicks, mispick)
+		}, "fr-fr/mispick: not in baseline"},
+	} {
+		c, base := clone(t, cur), clone(t, cur)
+		tc.mutate(c, base)
+		msgs := compare(c, base)
+		if len(msgs) != 1 || !strings.HasPrefix(msgs[0], tc.want) {
+			t.Errorf("%s: got %q, want exactly one message starting %q", tc.name, msgs, tc.want)
+		}
 	}
 }
 
 func TestCalibrationReportText(t *testing.T) {
-	report, err := runGrid(tinyConfig(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sb strings.Builder
-	if err := report.Calibration.writeReport(&sb); err != nil {
+	if err := grid(t).Calibration.writeReport(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"# Cost-model calibration report", "## HHNL", "## HVNL", "## VVM", "mispicks"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("calibration report lacks %q", want)
 		}
-	}
-
-	var none *CalibrationReport
-	if err := none.writeReport(&sb); err == nil {
-		t.Error("nil calibration section should error")
 	}
 }
 
@@ -242,44 +275,21 @@ func TestParseWorkers(t *testing.T) {
 	}
 }
 
+// TestHumanReport: with no flags the command prints the grid table and
+// both summaries.
 func TestHumanReport(t *testing.T) {
-	report, err := runGrid(tinyConfig(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := grid(t)
 	var sb strings.Builder
 	writeHuman(&sb, report)
-	for _, want := range []string{"wsj-wsj", "doe-doe", "integrated chose"} {
+	writePrefilterSummary(&sb, report)
+	writeLSHSummary(&sb, report)
+	for _, want := range []string{
+		"wsj-wsj", "doe-doe", "integrated chose",
+		"clustered-eq   HHNL  w1: page reads 328 → 109 (66.8% fewer",
+		"clustered-eq   LSH-b64r1 recall 0.9352: page reads 109 vs best exact 328 (3.0× fewer",
+	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("human report lacks %q:\n%s", want, sb.String())
 		}
-	}
-}
-
-// TestLintcheckClean holds this command to the repo's own static
-// analysis suite: the benchmark harness feeds checked-in baselines, so
-// its own determinism hygiene is lint-enforced, not just reviewed.
-func TestLintcheckClean(t *testing.T) {
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			t.Fatal("no go.mod above working directory")
-		}
-		root = parent
-	}
-	report, err := analysis.Run(root, analysis.DefaultPolicy(),
-		analysis.RunOptions{Packages: []string{"cmd/benchreport"}})
-	if err != nil {
-		t.Fatalf("analysis.Run: %v", err)
-	}
-	for _, d := range report.Diagnostics {
-		t.Errorf("%s", d)
 	}
 }

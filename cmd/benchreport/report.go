@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"sort"
+	"strings"
 
 	"textjoin"
 	"textjoin/internal/corpus"
@@ -58,14 +60,15 @@ type Cell struct {
 	EntryFetches  int64   `json:"entry_fetches"`
 	CacheHits     int64   `json:"cache_hits"`
 	CacheMisses   int64   `json:"cache_misses"`
-	// Prefilter counters; only the prefilter grid's "+pf" cells carry
+	// Prefilter counters; only the clustered shapes' "+pf" cells carry
 	// non-zero values.
 	PagesSkipped    int64 `json:"pages_skipped,omitempty"`
 	ClustersSkipped int64 `json:"clusters_skipped,omitempty"`
 	DocsSkipped     int64 `json:"docs_skipped,omitempty"`
 	FalsePasses     int64 `json:"false_passes,omitempty"`
-	// Approximate-join fields; only the LSH grid's "LSH-b*r*" cells
-	// carry non-zero values. Recall is measured against the exact
+	// Approximate-join fields; only the clustered shapes' "LSH-b*r*"
+	// cells carry non-zero values (their skip counts land in
+	// PagesSkipped and DocsSkipped). Recall is measured against the exact
 	// ground-truth pair set of the same shape, not estimated.
 	Recall       float64 `json:"recall,omitempty"`
 	BucketProbes int64   `json:"bucket_probes,omitempty"`
@@ -77,6 +80,11 @@ type Cell struct {
 }
 
 func (c Cell) key() string { return fmt.Sprintf("%s/%s/w%d", c.Shape, c.Algorithm, c.Workers) }
+
+// A cell's kind is read off its algorithm label: "<alg>+pf" ran with
+// the signature prefilter, "LSH-b<bands>r<rows>" is an approximate join.
+func (c Cell) isPrefiltered() bool { return strings.HasSuffix(c.Algorithm, "+pf") }
+func (c Cell) isLSH() bool         { return strings.HasPrefix(c.Algorithm, "LSH-") }
 
 // IntegratedCell records the planner's behaviour on one shape: the
 // estimates it ranked, its choice, and the measured cost of that choice.
@@ -104,12 +112,16 @@ type CalibrationReport struct {
 	// page units — what a live planner sees of itself, next to the
 	// full-grid Samples above.
 	PlannerSamples []CalibrationSample `json:"planner_samples"`
-	Mispicks       []struct {
-		Label         string  `json:"label"`
-		EstimatedBest string  `json:"estimated_best"`
-		MeasuredBest  string  `json:"measured_best"`
-		Penalty       float64 `json:"penalty"`
-	} `json:"mispicks"`
+	Mispicks       []Mispick           `json:"mispicks"`
+}
+
+// Mispick is one shape where the estimated and the measured ranking
+// disagree about the winner (costmodel.Mispick with string algorithms).
+type Mispick struct {
+	Label         string  `json:"label"`
+	EstimatedBest string  `json:"estimated_best"`
+	MeasuredBest  string  `json:"measured_best"`
+	Penalty       float64 `json:"penalty"`
 }
 
 // calibration rebuilds the aggregation from the serialized samples.
@@ -128,9 +140,6 @@ func (c *CalibrationReport) calibration() (*costmodel.Calibration, error) {
 }
 
 func (c *CalibrationReport) writeReport(w io.Writer) error {
-	if c == nil {
-		return fmt.Errorf("report carries no calibration section (run with -calibrate)")
-	}
 	cal, err := c.calibration()
 	if err != nil {
 		return err
@@ -149,18 +158,20 @@ func parseModelAlg(s string) (costmodel.Algorithm, error) {
 
 // Report is the complete observatory output.
 type Report struct {
-	Version     int                `json:"version"`
-	Config      BenchConfig        `json:"config"`
-	Cells       []Cell             `json:"cells"`
-	Integrated  []IntegratedCell   `json:"integrated"`
-	Calibration *CalibrationReport `json:"calibration,omitempty"`
+	Version     int               `json:"version"`
+	Config      BenchConfig       `json:"config"`
+	Cells       []Cell            `json:"cells"`
+	Integrated  []IntegratedCell  `json:"integrated"`
+	Calibration CalibrationReport `json:"calibration"`
 }
 
-// runGrid executes the full experiment grid.
-func runGrid(cfg BenchConfig, calibrate bool) (*Report, error) {
+// runGrid executes the one experiment grid: the paper's pairings under
+// every exact algorithm with the planner's view and the cost-model audit
+// of each, then the clustered pairings with their prefilter and LSH
+// cells (clustered.go).
+func runGrid(cfg BenchConfig) (*Report, error) {
 	report := &Report{Version: 1, Config: cfg}
-	cal := costmodel.NewCalibration(nil)
-	var planner []CalibrationSample
+	cr := &report.Calibration
 
 	for _, sh := range shapes() {
 		env, err := buildShape(sh, cfg)
@@ -172,9 +183,9 @@ func runGrid(cfg BenchConfig, calibrate bool) (*Report, error) {
 		measured := map[string]float64{}
 		for _, alg := range []textjoin.Algorithm{textjoin.HHNL, textjoin.HVNL, textjoin.VVM} {
 			for _, workers := range cfg.Workers {
-				cell, _, err := runCell(env, cfg, sh.name, alg, workers)
+				cell, _, err := runCell(env, sh.name, alg.String(), alg, env.options(cfg, workers))
 				if err != nil {
-					return nil, fmt.Errorf("%s/%v/w%d: %v", sh.name, alg, workers, err)
+					return nil, err
 				}
 				report.Cells = append(report.Cells, cell)
 				if workers == 1 {
@@ -189,36 +200,20 @@ func runGrid(cfg BenchConfig, calibrate bool) (*Report, error) {
 			return nil, fmt.Errorf("%s: integrated: %v", sh.name, err)
 		}
 		report.Integrated = append(report.Integrated, ic)
-		if calibrate {
-			for _, s := range samples {
-				alg, err := parseModelAlg(s.Algorithm)
-				if err != nil {
-					return nil, err
-				}
-				if err := cal.Add(costmodel.Sample{Label: s.Label, Algorithm: alg, Estimated: s.Estimated, Measured: s.Measured}); err != nil {
-					return nil, err
-				}
-			}
-			planner = append(planner, plan)
-		}
+		cr.Samples = append(cr.Samples, samples...)
+		cr.PlannerSamples = append(cr.PlannerSamples, plan)
 	}
 
-	if calibrate {
-		cr := &CalibrationReport{PlannerSamples: planner}
-		for _, s := range cal.Samples() {
-			cr.Samples = append(cr.Samples, CalibrationSample{
-				Label: s.Label, Algorithm: s.Algorithm.String(), Estimated: s.Estimated, Measured: s.Measured,
-			})
-		}
-		for _, m := range cal.Mispicks() {
-			cr.Mispicks = append(cr.Mispicks, struct {
-				Label         string  `json:"label"`
-				EstimatedBest string  `json:"estimated_best"`
-				MeasuredBest  string  `json:"measured_best"`
-				Penalty       float64 `json:"penalty"`
-			}{m.Label, m.EstimatedBest.String(), m.MeasuredBest.String(), m.Penalty})
-		}
-		report.Calibration = cr
+	cal, err := cr.calibration()
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range cal.Mispicks() {
+		cr.Mispicks = append(cr.Mispicks, Mispick{m.Label, m.EstimatedBest.String(), m.MeasuredBest.String(), m.Penalty})
+	}
+
+	if err := runClustered(cfg, report); err != nil {
+		return nil, err
 	}
 	return report, nil
 }
@@ -277,37 +272,48 @@ func (e *shapeEnv) inputs() textjoin.Inputs {
 	return textjoin.Inputs{Outer: e.c2, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}
 }
 
-func (e *shapeEnv) options(cfg BenchConfig) textjoin.Options {
-	return textjoin.Options{Lambda: cfg.Lambda, MemoryPages: cfg.MemoryPages, Telemetry: e.tel}
+func (e *shapeEnv) options(cfg BenchConfig, workers int) textjoin.Options {
+	return textjoin.Options{Lambda: cfg.Lambda, MemoryPages: cfg.MemoryPages, Workers: workers, Telemetry: e.tel}
 }
 
-// runCell measures one (shape, algorithm, workers) grid point. The raw
-// results are returned alongside the cell so grids that need them — the
-// LSH grid's ground truth — avoid a second, head-position-dependent run.
-func runCell(env *shapeEnv, cfg BenchConfig, shapeName string, alg textjoin.Algorithm, workers int) (Cell, []textjoin.Result, error) {
+// runCell measures one grid point: alg under opts on the shape, filed
+// under label (the algorithm's name, plus "+pf" when opts offers the
+// signature sidecars, or the banding shape for LSH). The raw results are
+// returned alongside the cell so the LSH cells' ground truth needs no
+// second, head-position-dependent run.
+func runCell(env *shapeEnv, shapeName, label string, alg textjoin.Algorithm, opts textjoin.Options) (Cell, []textjoin.Result, error) {
 	// Park the heads so each cell's sequential/random classification is
 	// independent of where the previous cell finished.
 	env.ws.ParkHeads()
-	in, opts := env.inputs(), env.options(cfg)
-	opts.Workers = workers
-	results, stats, err := textjoin.Join(alg, in, opts)
+	results, stats, err := textjoin.Join(alg, env.inputs(), opts)
 	if err != nil {
-		return Cell{}, nil, err
+		return Cell{}, nil, fmt.Errorf("%s/%s/w%d: %v", shapeName, label, opts.Workers, err)
 	}
-	return Cell{
-		Shape:         shapeName,
-		Algorithm:     alg.String(),
-		Workers:       workers,
-		SeqReads:      stats.IO.SeqReads,
-		RandReads:     stats.IO.RandReads,
-		Cost:          stats.Cost,
-		Comparisons:   stats.Comparisons,
-		Accumulations: stats.Accumulations,
-		EntryFetches:  stats.EntryFetches,
-		CacheHits:     stats.Cache.Hits,
-		CacheMisses:   stats.Cache.Misses,
-		ResultsHash:   hashResults(results),
-	}, results, nil
+	cell := Cell{
+		Shape:           shapeName,
+		Algorithm:       label,
+		Workers:         opts.Workers,
+		SeqReads:        stats.IO.SeqReads,
+		RandReads:       stats.IO.RandReads,
+		Cost:            stats.Cost,
+		Comparisons:     stats.Comparisons,
+		Accumulations:   stats.Accumulations,
+		EntryFetches:    stats.EntryFetches,
+		CacheHits:       stats.Cache.Hits,
+		CacheMisses:     stats.Cache.Misses,
+		PagesSkipped:    stats.Prefilter.PagesSkipped,
+		ClustersSkipped: stats.Prefilter.ClustersSkipped,
+		DocsSkipped:     stats.Prefilter.DocsSkipped,
+		FalsePasses:     stats.Prefilter.FalsePasses,
+		ResultsHash:     hashResults(results),
+	}
+	if alg == textjoin.LSH {
+		cell.PagesSkipped = stats.LSH.PagesSkipped
+		cell.DocsSkipped = stats.LSH.DocsSkipped
+		cell.BucketProbes = stats.LSH.BucketProbes
+		cell.Candidates = stats.LSH.Candidates
+	}
+	return cell, results, nil
 }
 
 // runIntegrated runs the planner on the shape and pairs its estimates
@@ -316,7 +322,7 @@ func runCell(env *shapeEnv, cfg BenchConfig, shapeName string, alg textjoin.Algo
 // plan's estimate against this run's own measured cost.
 func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured map[string]float64) (IntegratedCell, []CalibrationSample, CalibrationSample, error) {
 	env.ws.ParkHeads()
-	_, stats, dec, err := textjoin.JoinIntegrated(env.inputs(), env.options(cfg))
+	_, stats, dec, err := textjoin.JoinIntegrated(env.inputs(), env.options(cfg, 1))
 	if err != nil {
 		return IntegratedCell{}, nil, CalibrationSample{}, err
 	}
@@ -363,10 +369,14 @@ func hashResults(results []textjoin.Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// compare returns one message per regression of cur against base. Cells
-// present only in cur are additions, not regressions; cells missing from
-// cur and any value drifting beyond the relative tolerance fail.
-func compare(cur, base *Report, tolerance float64) []string {
+// compare returns one message per difference of cur against base, each
+// led by the key of what moved. Every number derives from the simulated
+// store, so equality is exact. Cells present only in cur are additions,
+// not regressions; a cell missing from cur, any drifted value, and any
+// change in what the planner did — the integrated choice, estimates and
+// measured cost per shape, the planner samples, the mispick list, in
+// either direction — fail.
+func compare(cur, base *Report) []string {
 	var out []string
 	curCells := map[string]Cell{}
 	for _, c := range cur.Cells {
@@ -379,7 +389,7 @@ func compare(cur, base *Report, tolerance float64) []string {
 			continue
 		}
 		check := func(field string, got, want float64) {
-			if !within(got, want, tolerance) {
+			if got != want {
 				out = append(out, fmt.Sprintf("%s: %s = %g, baseline %g", b.key(), field, got, want))
 			}
 		}
@@ -401,33 +411,71 @@ func compare(cur, base *Report, tolerance float64) []string {
 			out = append(out, fmt.Sprintf("%s: results hash %s, baseline %s", b.key(), c.ResultsHash, b.ResultsHash))
 		}
 	}
-	return out
+	return append(out, diffKeyed(cur.plannerFacts(), base.plannerFacts())...)
 }
 
-func within(got, want, tolerance float64) bool {
-	if got == want {
-		return true
+// plannerFacts flattens the integrated and calibration sections into
+// key → rendered value, one entry per fact the baseline gate holds
+// still: "<shape>/integrated", "<label>/planner_sample",
+// "<label>/mispick".
+func (r *Report) plannerFacts() map[string]string {
+	facts := map[string]string{}
+	for _, ic := range r.Integrated {
+		// fmt renders a map in sorted key order.
+		facts[ic.Shape+"/integrated"] = fmt.Sprintf("chosen %s, estimates %v, measured %g", ic.Chosen, ic.Estimates, ic.Measured)
 	}
-	if want == 0 {
-		return math.Abs(got) <= tolerance
+	for _, s := range r.Calibration.PlannerSamples {
+		facts[s.Label+"/planner_sample"] = fmt.Sprintf("%s estimated %g, measured %g", s.Algorithm, s.Estimated, s.Measured)
 	}
-	return math.Abs(got-want)/math.Abs(want) <= tolerance
+	for _, m := range r.Calibration.Mispicks {
+		facts[m.Label+"/mispick"] = fmt.Sprintf("estimated best %s, measured best %s, penalty %g", m.EstimatedBest, m.MeasuredBest, m.Penalty)
+	}
+	return facts
+}
+
+// diffKeyed reports, in key order, every key whose value differs between
+// cur and base or that only one of them holds.
+func diffKeyed(cur, base map[string]string) []string {
+	keys := make([]string, 0, len(base))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	for k := range cur {
+		if _, ok := base[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var out []string
+	for _, k := range keys {
+		c, inCur := cur[k]
+		b, inBase := base[k]
+		switch {
+		case !inCur:
+			out = append(out, fmt.Sprintf("%s: missing from current report (baseline: %s)", k, b))
+		case !inBase:
+			out = append(out, fmt.Sprintf("%s: not in baseline (%s)", k, c))
+		case c != b:
+			out = append(out, fmt.Sprintf("%s: %s; baseline: %s", k, c, b))
+		}
+	}
+	return out
 }
 
 // writeHuman renders the report as a table.
 func writeHuman(w io.Writer, r *Report) {
 	fmt.Fprintf(w, "benchreport: scale=%d lambda=%d mem=%d alpha=%.1f\n\n",
 		r.Config.Scale, r.Config.Lambda, r.Config.MemoryPages, r.Config.Alpha)
-	fmt.Fprintf(w, "%-10s %-5s %3s %9s %9s %10s %12s %s\n",
+	fmt.Fprintf(w, "%-14s %-9s %3s %9s %9s %10s %12s %s\n",
 		"shape", "alg", "w", "seq", "rand", "cost", "accum", "hash")
 	for _, c := range r.Cells {
 		work := c.Comparisons + c.Accumulations
-		fmt.Fprintf(w, "%-10s %-5s %3d %9d %9d %10.0f %12d %.8s\n",
+		fmt.Fprintf(w, "%-14s %-9s %3d %9d %9d %10.0f %12d %.8s\n",
 			c.Shape, c.Algorithm, c.Workers, c.SeqReads, c.RandReads, c.Cost, work, c.ResultsHash)
 	}
 	fmt.Fprintln(w)
 	for _, ic := range r.Integrated {
-		fmt.Fprintf(w, "%-10s integrated chose %-5s (measured %.0f; estimates", ic.Shape, ic.Chosen, ic.Measured)
+		fmt.Fprintf(w, "%-14s integrated chose %-5s (measured %.0f; estimates", ic.Shape, ic.Chosen, ic.Measured)
 		for _, a := range []string{"HHNL", "HVNL", "VVM"} {
 			if v, ok := ic.Estimates[a]; ok {
 				fmt.Fprintf(w, " %s=%.0f", a, v)

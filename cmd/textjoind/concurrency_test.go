@@ -84,12 +84,13 @@ func TestConcurrentJoinsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestSerializeMode: with -serialize every request charges the whole
-// budget, so requests still succeed concurrently — they just take turns.
+// TestSerializeMode: with a budget smaller than any footprint (what
+// -budget-mb 0 becomes) every request charges the whole budget, so
+// requests still succeed concurrently — they just take turns.
 func TestSerializeMode(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Scale = 2048
-	cfg.Serialize = true
+	cfg.BudgetBytes = 1
 	cfg.QueueWait = 10 * time.Second
 	s, err := newServer(cfg)
 	if err != nil {

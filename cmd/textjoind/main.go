@@ -47,10 +47,9 @@ func main() {
 	flag.Int64Var(&cfg.MemoryPages, "mem", cfg.MemoryPages, "memory budget B in pages")
 	flag.Float64Var(&cfg.Alpha, "alpha", cfg.Alpha, "random/sequential I/O cost ratio α")
 	flag.IntVar(&cfg.Lambda, "lambda", cfg.Lambda, "default λ of SIMILAR_TO(λ)")
-	budgetMB := flag.Int64("budget-mb", cfg.BudgetBytes>>20, "admission budget for concurrent joins, MiB")
+	budgetMB := flag.Int64("budget-mb", cfg.BudgetBytes>>20, "admission budget for concurrent joins, MiB (0 runs joins one at a time)")
 	flag.IntVar(&cfg.QueueLen, "queue", cfg.QueueLen, "admission wait-queue capacity; a full queue rejects with 503")
 	flag.DurationVar(&cfg.QueueWait, "queue-wait", cfg.QueueWait, "longest a request may wait for admission before 503")
-	flag.BoolVar(&cfg.Serialize, "serialize", cfg.Serialize, "run joins one at a time (benchmark baseline)")
 	flag.DurationVar(&cfg.IODelay, "io-delay", cfg.IODelay, "real wall-clock latency per simulated page read (benchmark device model)")
 	flag.Uint64Var(&cfg.TraceSeed, "trace-seed", cfg.TraceSeed, "seed of the request tracer's deterministic ID stream")
 	flag.IntVar(&cfg.RecorderCap, "recorder-cap", cfg.RecorderCap, "flight recorder capacity: keeps this many slowest and this many most recent request traces")

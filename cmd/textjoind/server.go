@@ -29,13 +29,12 @@ type config struct {
 	Lambda      int
 	// BudgetBytes caps the summed footprint of concurrently running
 	// joins; QueueLen and QueueWait bound the FIFO wait queue behind
-	// it. Serialize charges every request the whole budget, restoring
-	// one-join-at-a-time execution (the pre-concurrency behavior, kept
-	// as a benchmark baseline).
+	// it. A footprint larger than the budget is charged all of it, so
+	// a budget of 0 runs one join at a time (the pre-concurrency
+	// behavior; bench-load's baseline server).
 	BudgetBytes int64
 	QueueLen    int
 	QueueWait   time.Duration
-	Serialize   bool
 	// IODelay charges every simulated page read that much real time
 	// (default 0), modeling device latency for serving benchmarks.
 	IODelay time.Duration
@@ -420,13 +419,8 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		span.SetFloat("join.recall_slo", recall)
 	}
 
-	// Admission: charge the estimated footprint against the budget. In
-	// serialize mode every request is charged the whole budget, so at
-	// most one join runs at a time (the benchmark baseline).
+	// Admission: charge the estimated footprint against the budget.
 	cost := s.footprintBytes(algName, lambda, workers)
-	if s.cfg.Serialize {
-		cost = s.cfg.BudgetBytes
-	}
 	qspan := span.StartChild("queue", "admission")
 	qspan.SetInt("queue.cost_bytes", cost)
 	queued, err := s.adm.admit(cost)

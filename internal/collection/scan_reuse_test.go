@@ -101,3 +101,34 @@ func TestScanReuseArenaSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestScanReuseSweepAllocs guards the claim that the reuse path is
+// allocation-free in the steady state: a full NextReuse sweep allocates
+// its scanner, page window and the arena's few growth steps — a constant
+// that does not grow with the number of records. The same bound holds
+// for N and 4N documents; one allocation per record would break it at
+// either size.
+func TestScanReuseSweepAllocs(t *testing.T) {
+	const bound = 16
+	for _, n := range []int{200, 800} {
+		r := rand.New(rand.NewSource(7))
+		d := iosim.NewDisk(iosim.WithPageSize(4096))
+		c := buildDocs(t, d, "c", randomDocs(r, n, 400, 40))
+		sweep := func() {
+			sc := c.Scan()
+			for {
+				if _, err := sc.NextReuse(); err == io.EOF {
+					return
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// AllocsPerRun's own first call is the warm-up sweep.
+		got := testing.AllocsPerRun(5, sweep)
+		t.Logf("%d documents: %.0f allocations per sweep", n, got)
+		if got > bound {
+			t.Errorf("%d documents: %.0f allocations per sweep, want ≤ %d", n, got, bound)
+		}
+	}
+}

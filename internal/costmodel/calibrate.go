@@ -213,7 +213,7 @@ func (c *Calibration) Mispicks() []Mispick {
 
 // WriteReport renders the calibration audit as human-readable text: one
 // error histogram per algorithm, then the mispick table. The format is
-// markdown-friendly (it is what cmd/benchreport -calibrate writes).
+// markdown-friendly (it is what cmd/benchreport -calreport writes).
 func (c *Calibration) WriteReport(w io.Writer) error {
 	ew := &reportWriter{w: w}
 	ew.printf("# Cost-model calibration report\n\n")

@@ -268,15 +268,3 @@ func TestQuickMinDFEvictsLowest(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkPutGet(b *testing.B) {
-	c := New(1<<20, MinOuterDF, func(t uint32) int64 { return int64(t % 100) })
-	e := entry(0, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		term := uint32(i % 10000)
-		if _, ok := c.Get(term); !ok {
-			c.Put(term, e, 128)
-		}
-	}
-}

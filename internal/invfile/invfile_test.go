@@ -2,7 +2,6 @@ package invfile
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -456,20 +455,5 @@ func TestQuickFetchMatchesScan(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkBuild(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	d := iosim.NewDisk()
-	docs := randomDocs(r, 1000, 2000, 50)
-	c := buildCollection(b, d, "c", docs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ef, _ := d.Create(fmt.Sprintf("e%d", i))
-		tf, _ := d.Create(fmt.Sprintf("t%d", i))
-		if _, err := Build(c, ef, tf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

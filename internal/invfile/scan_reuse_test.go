@@ -110,3 +110,38 @@ func TestScanReuseArenaSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestScanReuseSweepAllocs guards the claim that the reuse path is
+// allocation-free in the steady state: a full NextReuse sweep of the
+// inverted file allocates its scanner, page window and the arena's few
+// growth steps — a constant that does not grow with the number of
+// entries. The same bound holds for N and 4N documents over a vocabulary
+// that grows with them; one allocation per entry would break it at
+// either size.
+func TestScanReuseSweepAllocs(t *testing.T) {
+	const bound = 16
+	for _, n := range []int{200, 800} {
+		r := rand.New(rand.NewSource(7))
+		d := iosim.NewDisk(iosim.WithPageSize(4096))
+		inv := buildInverted(t, d, buildCollection(t, d, "c", randomDocs(r, n, 2*n, 40)), "c")
+		entries := 0
+		sweep := func() {
+			entries = 0
+			sc := inv.Scan()
+			for {
+				if _, err := sc.NextReuse(); err == io.EOF {
+					return
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				entries++
+			}
+		}
+		// AllocsPerRun's own first call is the warm-up sweep.
+		got := testing.AllocsPerRun(5, sweep)
+		t.Logf("%d entries: %.0f allocations per sweep", entries, got)
+		if got > bound {
+			t.Errorf("%d entries: %.0f allocations per sweep, want ≤ %d", entries, got, bound)
+		}
+	}
+}

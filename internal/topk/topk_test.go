@@ -230,16 +230,3 @@ func TestQuickResultsSorted(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkOffer(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	sims := make([]float64, 4096)
-	for i := range sims {
-		sims[i] = r.Float64()
-	}
-	tk := New(20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tk.Offer(uint32(i), sims[i%len(sims)])
-	}
-}
