@@ -356,7 +356,6 @@ func hashResults(results []textjoin.Result) string {
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
-		//lint:ignore errdrop hash.Hash Write is documented to never return an error
 		h.Write(buf[:])
 	}
 	for _, r := range results {

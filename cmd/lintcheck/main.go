@@ -1,34 +1,31 @@
 // Command lintcheck runs the repo's static-analysis suite
 // (internal/analysis) over the whole module and exits non-zero on any
-// finding. It is the `make lint` gate: the nine analyzers encode the
+// finding. It is the `make lint` gate: the seven analyzers encode the
 // project's architectural promises — the DESIGN.md package DAG
 // (importlayer), deterministic result production (mapdeterminism),
 // byte-stable baselines (wallclock), the nil-safe telemetry contract
-// (nilrecv), scrape-lock-free locking (mutexhygiene), leak-free
-// request tracing (spanhygiene), released resources (resourceleak),
-// consulted errors (errdrop) and a cycle-free lock-acquisition order
-// (lockorder) — plus the lintdirective hygiene rule that keeps every
-// //lint:ignore explained and load-bearing.
+// (nilrecv), released resources and ended trace spans (resourceleak),
+// consulted errors (errdrop) and leaf locks never held across simulated
+// I/O or a whole join (mutexhygiene) — plus the lintdirective hygiene
+// rule that keeps every //lint:ignore explained and load-bearing.
 //
 // Usage:
 //
-//	lintcheck [-root dir] [-rule r1,r2] [-pkg p1,p2] [-fast] [-json] [-report] [-q]
+//	lintcheck [-root dir] [-rule r1,r2] [-pkg p1,p2] [-report] [-q]
 //
 // With no flags it finds the module root by walking up from the
 // working directory to go.mod and prints go-vet-style findings, one
 // per line. -rule and -pkg narrow the run (stale-ignore detection is
-// skipped on narrowed runs). -fast runs only the syntactic analyzers,
-// skipping type checking entirely — the `make lint-fast` edit-loop
-// gate. -json emits the machine-readable report validated by
-// analysis.ValidateReport. -report prints a human summary: every rule
-// that ran with its finding count, files visited, pre-suppression
+// skipped on narrowed runs; the loader skips type checking when no
+// selected rule needs it, so `-rule importlayer,nilrecv` is the
+// parse-only edit-loop run). -report prints a human summary: every
+// rule that ran with its finding count, files visited, pre-suppression
 // diagnostics and wall time, plus the suppression tally.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load/type-check error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -45,16 +42,14 @@ func main() {
 		root    = flag.String("root", "", "module root (default: nearest go.mod above the working directory)")
 		rules   = flag.String("rule", "", "comma-separated rule names to run (default: all)")
 		pkgs    = flag.String("pkg", "", "comma-separated module-relative package paths (prefixes) to check")
-		fast    = flag.Bool("fast", false, "run only the syntactic analyzers, skipping type checking")
-		asJSON  = flag.Bool("json", false, "emit the machine-readable report")
 		summary = flag.Bool("report", false, "print a per-rule summary instead of one line per finding")
 		quiet   = flag.Bool("q", false, "suppress the trailing ok/finding-count line")
 	)
 	flag.Parse()
-	os.Exit(run(*root, *rules, *pkgs, *fast, *asJSON, *summary, *quiet, os.Stdout, os.Stderr))
+	os.Exit(run(*root, *rules, *pkgs, *summary, *quiet, os.Stdout, os.Stderr))
 }
 
-func run(root, rules, pkgs string, fast, asJSON, summary, quiet bool, stdout, stderr io.Writer) int {
+func run(root, rules, pkgs string, summary, quiet bool, stdout, stderr io.Writer) int {
 	if root == "" {
 		r, err := findRoot()
 		if err != nil {
@@ -63,62 +58,33 @@ func run(root, rules, pkgs string, fast, asJSON, summary, quiet bool, stdout, st
 		}
 		root = r
 	}
-	ruleList := splitList(rules)
-	if fast {
-		if len(ruleList) > 0 {
-			fmt.Fprintln(stderr, "lintcheck: -fast and -rule are mutually exclusive")
-			return 2
-		}
-		ruleList = syntacticRules()
-	}
-	opts := analysis.RunOptions{Rules: ruleList, Packages: splitList(pkgs), Now: time.Now}
+	opts := analysis.RunOptions{Rules: splitList(rules), Packages: splitList(pkgs), Now: time.Now}
 	report, err := analysis.Run(root, analysis.DefaultPolicy(), opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "lintcheck: %v\n", err)
 		return 2
 	}
 
-	switch {
-	case asJSON:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(stderr, "lintcheck: %v\n", err)
-			return 2
-		}
-	case summary:
+	if summary {
 		printSummary(stdout, report)
-	default:
+	} else {
 		for _, d := range report.Diagnostics {
 			fmt.Fprintln(stdout, d.String())
 		}
 	}
 
 	if len(report.Diagnostics) > 0 {
-		if !quiet && !asJSON {
+		if !quiet {
 			fmt.Fprintf(stderr, "lintcheck: %d finding(s) in %d package(s)\n",
 				len(report.Diagnostics), len(report.Packages))
 		}
 		return 1
 	}
-	if !quiet && !asJSON {
+	if !quiet {
 		fmt.Fprintf(stdout, "lintcheck: ok (%d packages, %d rules, %d suppressed)\n",
 			len(report.Packages), len(report.Rules), report.Suppressed)
 	}
 	return 0
-}
-
-// syntacticRules names the analyzers that run without type
-// information; selecting only these makes the loader skip the type
-// checker, which is the entire point of `lintcheck -fast`.
-func syntacticRules() []string {
-	var out []string
-	for _, a := range analysis.Analyzers(analysis.DefaultPolicy()) {
-		if !a.NeedsTypes() {
-			out = append(out, a.Name())
-		}
-	}
-	return out
 }
 
 // printSummary renders the -report mode: each rule that ran with its

@@ -600,7 +600,6 @@ func resultHash(results []textjoin.Result) string {
 	var buf [8]byte
 	put32 := func(v uint32) {
 		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		//lint:ignore errdrop hash.Hash Write is documented to never return an error
 		h.Write(buf[:4])
 	}
 	for _, res := range results {
@@ -612,7 +611,6 @@ func resultHash(results []textjoin.Result) string {
 			for i := 0; i < 8; i++ {
 				buf[i] = byte(bits >> (8 * i))
 			}
-			//lint:ignore errdrop hash.Hash Write is documented to never return an error
 			h.Write(buf[:8])
 		}
 	}

@@ -1,10 +1,16 @@
 // Package analysis is the repo's in-tree static-analysis engine: a
-// stdlib-only (go/parser, go/ast, go/types, go/importer) loader plus a
-// set of analyzers that lock the project's architectural promises into
-// CI — the DESIGN.md package DAG, deterministic result production,
-// byte-stable baselines (no stray wall-clock or global-rand reads), the
-// telemetry layer's nil-receiver contract, and mutex hygiene on the
-// scrape-lock-free paths.
+// stdlib-only (go/parser, go/ast, go/types, go/importer) loader plus
+// seven analyzers that lock the project's architectural promises into
+// CI — the DESIGN.md package DAG (importlayer), deterministic result
+// production (mapdeterminism), byte-stable baselines with no stray
+// wall-clock or global-rand reads (wallclock), the telemetry layer's
+// nil-receiver contract (nilrecv), and the three rules that reason
+// about paths over one CFG + dataflow core (cfg.go, dataflow.go):
+// resources — trace spans included — released on every path
+// (resourceleak), errors consulted before they are dropped (errdrop),
+// and no lock held across another acquire or a forbidden call
+// (mutexhygiene). A new must-release or must-not-hold invariant is a
+// row in the Policy table those rules read, not an analyzer of its own.
 //
 // The engine mirrors the shape of golang.org/x/tools/go/analysis at a
 // fraction of its surface, because the container bakes in only the Go
@@ -37,12 +43,12 @@ import (
 // Diagnostic is one finding: a rule violation at a position. File is
 // relative to the module root so output is stable across checkouts.
 type Diagnostic struct {
-	Rule    string `json:"rule"`
-	Package string `json:"package"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Rule    string
+	Package string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the go-vet-style one-liner.
@@ -90,6 +96,34 @@ func (p *Package) diag(rule string, pos token.Pos, format string, args ...any) D
 	}
 }
 
+// calleeFunc resolves a call to the declared function or method it
+// invokes, or nil for builtins, conversions, function values and
+// anything else without a package-level identity.
+func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	default:
+		return nil
+	}
+	fn, ok := p.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return nil
+	}
+	return fn
+}
+
+// objOf resolves an identifier to the object it defines or uses.
+func objOf(p *Package, id *ast.Ident) types.Object {
+	if o := p.Info.Defs[id]; o != nil {
+		return o
+	}
+	return p.Info.Uses[id]
+}
+
 // Analyzer inspects one package and reports findings. Analyzers are
 // constructed from a Policy (see Analyzers) so every repo-specific
 // fact — the import DAG, the determinism-sensitive packages, the
@@ -126,30 +160,29 @@ type RunOptions struct {
 // RuleStat aggregates one analyzer's work across a run, the numbers
 // behind `lintcheck -report`.
 type RuleStat struct {
-	Rule string `json:"rule"`
+	Rule string
 	// Files counts source files the analyzer visited (package files of
 	// every package it ran over).
-	Files int `json:"files"`
+	Files int
 	// Diagnostics counts pre-suppression findings, so a rule that fires
 	// only into lint:ignore directives still shows its work.
-	Diagnostics int `json:"diagnostics"`
+	Diagnostics int
 	// WallNS is the summed wall-clock nanoseconds spent in Check, zero
 	// when the driver injected no clock.
-	WallNS int64 `json:"wall_ns"`
+	WallNS int64
 }
 
-// Report is the result of one engine run; it is the schema behind
-// `lintcheck -json` (see ValidateReport).
+// Report is the result of one engine run.
 type Report struct {
-	Module      string       `json:"module"`
-	Rules       []string     `json:"rules"`
-	Packages    []string     `json:"packages"`
-	Diagnostics []Diagnostic `json:"diagnostics"`
+	Module      string
+	Rules       []string
+	Packages    []string
+	Diagnostics []Diagnostic
 	// Suppressed counts findings silenced by lint:ignore directives.
-	Suppressed int `json:"suppressed"`
+	Suppressed int
 	// RuleStats carries per-analyzer file/diagnostic counts and wall
 	// time, ordered by rule name.
-	RuleStats []RuleStat `json:"rule_stats"`
+	RuleStats []RuleStat
 }
 
 // Run loads every package of the module rooted at root, runs the
@@ -180,13 +213,7 @@ func Run(root string, pol *Policy, opts RunOptions) (*Report, error) {
 	}
 	// The ignore bookkeeping needs the unfiltered directive set of each
 	// analyzed package, so filtering happens per package, not per walk.
-	// Slices start non-nil so -json emits [] rather than null on a
-	// clean run: consumers get a stable shape either way.
-	report := &Report{
-		Module:      loader.Module,
-		Packages:    []string{},
-		Diagnostics: []Diagnostic{},
-	}
+	report := &Report{Module: loader.Module}
 	stats := make(map[string]*RuleStat, len(selected))
 	for _, a := range selected {
 		report.Rules = append(report.Rules, a.Name())

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -143,79 +142,5 @@ func TestSelectPackage(t *testing.T) {
 		if got := selectPackage(c.rel, c.filters); got != c.want {
 			t.Errorf("selectPackage(%q, %v) = %v, want %v", c.rel, c.filters, got, c.want)
 		}
-	}
-}
-
-// TestValidateReport round-trips a real engine run through the JSON
-// schema validator, then checks each structural invariant rejects.
-func TestValidateReport(t *testing.T) {
-	report, err := Run("testdata/layers", layersPolicy(), RunOptions{Rules: []string{"importlayer"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateReport(data); err != nil {
-		t.Fatalf("real report rejected: %v", err)
-	}
-
-	diag := `{"rule":"importlayer","package":"m","file":"a.go","line":1,"col":1,"message":"x"}`
-	cases := []struct {
-		name string
-		data string
-		want string
-	}{
-		{"unknown field",
-			`{"module":"m","rules":["importlayer"],"packages":["m"],"diagnostics":[],"suppressed":0,"extra":1}`,
-			"invalid report"},
-		{"trailing data",
-			`{"module":"m","rules":["importlayer"],"packages":["m"],"diagnostics":[],"suppressed":0} {}`,
-			"trailing data"},
-		{"no module",
-			`{"module":"","rules":["importlayer"],"packages":["m"],"diagnostics":[],"suppressed":0}`,
-			"no module"},
-		{"no rules",
-			`{"module":"m","rules":[],"packages":["m"],"diagnostics":[],"suppressed":0}`,
-			"ran no rules"},
-		{"unknown rule",
-			`{"module":"m","rules":["nosuchrule"],"packages":["m"],"diagnostics":[],"suppressed":0}`,
-			"unknown rule"},
-		{"unsorted rules",
-			`{"module":"m","rules":["wallclock","importlayer"],"packages":["m"],"diagnostics":[],"suppressed":0}`,
-			"not sorted"},
-		{"unsorted packages",
-			`{"module":"m","rules":["importlayer"],"packages":["m/b","m/a"],"diagnostics":[],"suppressed":0}`,
-			"not sorted"},
-		{"diag for rule that did not run",
-			`{"module":"m","rules":["importlayer"],"packages":["m"],"diagnostics":[` +
-				`{"rule":"wallclock","package":"m","file":"a.go","line":1,"col":1,"message":"x"}],"suppressed":0}`,
-			"did not run"},
-		{"zero position",
-			`{"module":"m","rules":["importlayer"],"packages":["m"],"diagnostics":[` +
-				`{"rule":"importlayer","package":"m","file":"a.go","line":0,"col":1,"message":"x"}],"suppressed":0}`,
-			"before line 1"},
-		{"empty message",
-			`{"module":"m","rules":["importlayer"],"packages":["m"],"diagnostics":[` +
-				`{"rule":"importlayer","package":"m","file":"a.go","line":1,"col":1,"message":""}],"suppressed":0}`,
-			"empty"},
-		{"negative suppressed",
-			`{"module":"m","rules":["importlayer"],"packages":["m"],"diagnostics":[],"suppressed":-1}`,
-			"negative suppressed"},
-		{"out of order diagnostics",
-			`{"module":"m","rules":["importlayer"],"packages":["m"],"diagnostics":[` +
-				`{"rule":"importlayer","package":"m","file":"b.go","line":1,"col":1,"message":"x"},` + diag +
-				`],"suppressed":0}`,
-			"not in position order"},
-	}
-	for _, c := range cases {
-		err := ValidateReport([]byte(c.data))
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
-		}
-	}
-	if err := ValidateReport([]byte(`{"module":"m","rules":["importlayer"],"packages":["m"],"diagnostics":[` + diag + `],"suppressed":0}`)); err != nil {
-		t.Errorf("minimal valid report rejected: %v", err)
 	}
 }

@@ -26,51 +26,12 @@ func repoRoot(t *testing.T) string {
 }
 
 // TestArchitecture runs the import-layer analyzer against the live
-// repo, so `go test ./...` alone — without the Makefile — fails on a
-// package DAG violation. importlayer is syntactic, so this stays a
-// parse-only smoke (no type checking).
+// repo, so `go test ./internal/analysis` alone — without the Makefile —
+// fails on a package DAG violation. importlayer is syntactic, so this
+// stays a parse-only smoke (no type checking); the typed rules' one pass
+// over the live tree is cmd/lintcheck's TestLiveRepoClean.
 func TestArchitecture(t *testing.T) {
 	report, err := Run(repoRoot(t), DefaultPolicy(), RunOptions{Rules: []string{"importlayer"}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, d := range report.Diagnostics {
-		t.Errorf("%s", d)
-	}
-	if len(report.Packages) < 20 {
-		t.Errorf("only %d packages analyzed; the walker lost most of the module", len(report.Packages))
-	}
-}
-
-// TestRepoLintClean runs the full suite — all nine analyzers plus
-// directive hygiene — over the live repo and requires zero diagnostics.
-// This is the checked-in-tree acceptance bar: every suppression in the
-// tree must be explained and load-bearing, every finding fixed.
-func TestRepoLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full typed lint run in -short mode")
-	}
-	report, err := Run(repoRoot(t), DefaultPolicy(), RunOptions{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, d := range report.Diagnostics {
-		t.Errorf("%s", d)
-	}
-}
-
-// TestPathSensitiveRulesClean is the dedicated gate for the CFG-based
-// analyzers: resourceleak, errdrop and lockorder must report nothing
-// against the live repo. It runs the three rules in isolation so a
-// regression in the dataflow engine is named by this test even when
-// the full-suite run fails for an unrelated reason.
-func TestPathSensitiveRulesClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typed lint run in -short mode")
-	}
-	report, err := Run(repoRoot(t), DefaultPolicy(), RunOptions{
-		Rules: []string{"resourceleak", "errdrop", "lockorder"},
-	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

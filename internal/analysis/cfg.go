@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
 // cfg.go builds the intraprocedural control-flow graph the
-// path-sensitive analyzers (resourceleak, errdrop, lockorder) run on.
+// path-sensitive analyzers (resourceleak, errdrop, mutexhygiene) run on.
 // One graph covers one function scope: a FuncDecl body or a FuncLit
-// body — never both, a literal is its own scope, mirroring the
-// straight-line analyzers' scoping rule.
+// body — never both, a literal is its own scope (eachScope enumerates
+// them, inspectScope walks one without entering the next).
 //
 // Blocks hold the scope's leaf nodes in execution order: plain
 // statements verbatim, plus the decomposed pieces of control
@@ -436,6 +435,41 @@ func walkFlowNode(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
+// eachScope calls fn once per function scope of the package, in source
+// order: every FuncDecl body under the function's name, then each
+// function literal inside it as "<name> literal".
+func eachScope(p *Package, fn func(name string, body *ast.BlockStmt)) {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn(fd.Name.Name, fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					fn(fd.Name.Name+" literal", lit.Body)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// inspectScope walks scope without descending into nested function
+// literals (each literal is its own scope).
+func inspectScope(scope *ast.BlockStmt, fn func(ast.Node)) {
+	ast.Inspect(scope, func(n ast.Node) bool {
+		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != scope {
+			return false
+		}
+		if n != nil {
+			fn(n)
+		}
+		return true
+	})
+}
+
 // String renders the graph for tests and debugging: one line per
 // block with node kinds and successor edges.
 func (g *cfg) String() string {
@@ -487,6 +521,5 @@ func (g *cfg) reachable() []*cfgBlock {
 			out = append(out, b)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].index < out[j].index })
 	return out
 }

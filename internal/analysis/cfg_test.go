@@ -269,7 +269,7 @@ func TestDataflowMayMerge(t *testing.T) {
 	}
 }
 
-// TestDataflowMustMerge pins the intersection join lockorder uses: a
+// TestDataflowMustMerge pins the intersection join mutexhygiene uses: a
 // fact set on only one branch does NOT survive the merge, while a fact
 // set on both does.
 func TestDataflowMustMerge(t *testing.T) {

@@ -45,17 +45,9 @@ func (a *errDrop) Check(p *Package) []Diagnostic {
 		return nil
 	}
 	var diags []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			for _, scope := range functionScopes(fd.Body) {
-				diags = append(diags, a.checkScope(p, fd.Name.Name, scope)...)
-			}
-		}
-	}
+	eachScope(p, func(name string, body *ast.BlockStmt) {
+		diags = append(diags, a.checkScope(p, name, body)...)
+	})
 	return diags
 }
 
@@ -254,17 +246,34 @@ func (sc *edScope) transfer(st flowState, n ast.Node) {
 // error that a bare expression statement throws away, returning the
 // diagnostic position and a printable callee name.
 func (sc *edScope) discardedError(call *ast.CallExpr) (token.Pos, string) {
-	if !resultHasError(sc.p, call) {
+	if !resultHasError(sc.p, call) || sc.exemptCall(call) {
 		return token.NoPos, ""
 	}
-	path, display, _ := calleePackage(sc.p, call)
-	if path != "" && containsString(sc.a.pol.ErrDropExempt, path) {
-		return token.NoPos, ""
+	if fn := calleeFunc(sc.p, call); fn != nil {
+		return call.Pos(), fn.Pkg().Name() + "." + fn.Name()
 	}
-	if display == "" {
-		display = "the call"
+	return call.Pos(), "the call"
+}
+
+// exemptCall reports whether call's error is vacuous by contract: the
+// package that states the contract is on Policy.ErrDropExempt. That is
+// the callee's package, except for an interface method — h.Write on a
+// hash.Hash64 resolves to io.Writer.Write, declared in io, while the
+// never-fails promise is hash.Hash's — where the receiver expression's
+// static named type speaks for the contract.
+func (sc *edScope) exemptCall(call *ast.CallExpr) bool {
+	fn := calleeFunc(sc.p, call)
+	if fn == nil {
+		return false
 	}
-	return call.Pos(), display
+	pkg := fn.Pkg()
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if recv := fn.Type().(*types.Signature).Recv(); isSel && recv != nil && types.IsInterface(recv.Type()) {
+		if named, ok := sc.p.Info.TypeOf(sel.X).(*types.Named); ok && named.Obj().Pkg() != nil {
+			pkg = named.Obj().Pkg()
+		}
+	}
+	return containsString(sc.a.pol.ErrDropExempt, pkg.Path())
 }
 
 // blankErrors flags error results assigned to the blank identifier.
@@ -279,11 +288,8 @@ func (sc *edScope) blankErrors(as *ast.AssignStmt) []Diagnostic {
 		if !ok || id.Name != "_" || !errorPos[i] {
 			continue
 		}
-		if !blankFedByCall(as, i) {
-			continue
-		}
 		// The _ = err idiom still hides an error; policy wants a reason.
-		if exemptBlankAssign(sc.p, as, i, sc.a.pol.ErrDropExempt) {
+		if call, ok := blankSource(as, i).(*ast.CallExpr); !ok || sc.exemptCall(call) {
 			continue
 		}
 		diags = append(diags, sc.p.diag(sc.a.Name(), id.Pos(),
@@ -292,34 +298,15 @@ func (sc *edScope) blankErrors(as *ast.AssignStmt) []Diagnostic {
 	return diags
 }
 
-// blankFedByCall reports whether the value feeding LHS slot i comes
-// from a call expression.
-func blankFedByCall(as *ast.AssignStmt, i int) bool {
-	var rhs ast.Expr
+// blankSource returns the expression feeding LHS slot i.
+func blankSource(as *ast.AssignStmt, i int) ast.Expr {
 	if len(as.Rhs) == 1 {
-		rhs = as.Rhs[0]
-	} else if i < len(as.Rhs) {
-		rhs = as.Rhs[i]
+		return as.Rhs[0]
 	}
-	_, ok := rhs.(*ast.CallExpr)
-	return ok
-}
-
-// exemptBlankAssign reports whether the value feeding the blank error
-// slot comes from an exempt package's call.
-func exemptBlankAssign(p *Package, as *ast.AssignStmt, i int, exempt []string) bool {
-	var rhs ast.Expr
-	if len(as.Rhs) == 1 {
-		rhs = as.Rhs[0]
-	} else if i < len(as.Rhs) {
-		rhs = as.Rhs[i]
+	if i < len(as.Rhs) {
+		return as.Rhs[i]
 	}
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	path, _, _ := calleePackage(p, call)
-	return path != "" && containsString(exempt, path)
+	return nil
 }
 
 // errorPositions maps each LHS index of an assignment to whether an
@@ -428,11 +415,4 @@ func (sc *edScope) collectSpecCandidates(vs *ast.ValueSpec) {
 // position precedes the body.
 func (sc *edScope) isNamedResult(body *ast.BlockStmt, obj types.Object) bool {
 	return obj.Pos() < body.Pos()
-}
-
-func objOf(p *Package, id *ast.Ident) types.Object {
-	if o := p.Info.Defs[id]; o != nil {
-		return o
-	}
-	return p.Info.Uses[id]
 }

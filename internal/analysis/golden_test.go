@@ -30,23 +30,22 @@ func fixturePolicy() *Policy {
 			"internal/reqtrace":  {},
 			"internal/resources": {"internal/iosim"},
 			"internal/spans":     {"internal/reqtrace"},
-			"internal/telemetry": {},
 		},
-		MapDeterminism:  []string{"internal/core"},
-		WallClockExempt: []string{"internal/telemetry"},
-		NilRecv:         map[string][]string{"internal/guards": {"Thing"}},
-		MutexScope:      []string{"internal/locks"},
-		MutexForbidden:  []string{"internal/iosim"},
-		MutexJoinScope:  []string{"cmd/served"},
-		SpanScope:       []string{"internal/spans"},
-		SpanPackages:    []string{"internal/reqtrace"},
+		MapDeterminism: []string{"internal/core"},
+		NilRecv:        map[string][]string{"internal/guards": {"Thing"}},
 		Resources: []ResourceRule{
 			{Pkg: "internal/iosim", Call: "Open", Release: "Close"},
 			{Pkg: "internal/iosim", Call: "OpenPair", Release: "Close"},
+			{Pkg: "internal/reqtrace", Call: "StartSpan", Release: "End"},
+			{Pkg: "internal/reqtrace", Call: "StartChild", Release: "End"},
 		},
 		ErrDrop:       []string{"internal/errs"},
-		ErrDropExempt: []string{"fmt"},
+		ErrDropExempt: []string{"fmt", "hash"},
 		LockOrder:     []string{"internal/order"},
+		HeldCalls: []HeldCallRule{
+			{Scope: []string{"internal/locks"}, Pkg: "internal/iosim", Why: "no simulated I/O under a lock"},
+			{Scope: []string{"cmd/served"}, Pkg: ".", Prefix: "Join", Why: "join unlocked"},
+		},
 	}
 }
 
@@ -66,9 +65,11 @@ func layersPolicy() *Policy {
 // stale-ignore detection is live) over the type-checked fixture.
 func TestGoldenModule(t *testing.T) {
 	report := runGolden(t, "testdata/module", fixturePolicy(), RunOptions{})
-	// One used suppression per analyzer fixture: mapdeterminism,
-	// wallclock, nilrecv, mutexhygiene, spanhygiene, resourceleak,
-	// errdrop, lockorder.
+	// One used suppression per fixture package that carries one:
+	// mapdeterminism (core), wallclock (clock), nilrecv (guards),
+	// errdrop (errs), resourceleak twice (resources, and the span rows in
+	// spans) and mutexhygiene twice (the held-call rows in locks, the
+	// leaf-lock rule in order).
 	if report.Suppressed != 8 {
 		t.Errorf("suppressed = %d, want 8", report.Suppressed)
 	}

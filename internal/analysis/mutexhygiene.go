@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -8,271 +9,375 @@ import (
 	"strings"
 )
 
-// mutexHygiene enforces three locking rules.
+// mutexHygiene is the one lock rule: it computes, per function scope,
+// the set of locks held at every call, and asks the policy's questions
+// of that set. The serving layer is the motivating customer: textjoind
+// guards the admission semaphore, the flight recorder and the SLO
+// engine with short mutexes, and each promise below is what keeps a
+// scrape or a request from queueing behind another request's join.
 //
-// Copy-by-value (module-wide): no receiver, parameter or result passes
-// a sync.Mutex/sync.RWMutex — or a struct containing one — by value. A
-// copied mutex guards nothing; go vet's copylocks catches many such
-// sites, this rule pins the signature-level cases the repo cares about
-// even when vet is not run.
+// The held set is a must-analysis over the scope's CFG: a lock key is
+// held at a node only when it is held on EVERY path reaching it (join =
+// intersection). A lock taken on one branch therefore never convicts
+// code after the merge — a deliberate false negative, the price of
+// never reporting a maybe. A deferred unlock keeps the lock held to
+// scope exit, matching its runtime meaning, so a call after
+// `defer mu.Unlock()` really is a call under the lock. Function
+// literals are separate scopes: a closure body does not run under the
+// lock state of its definition site. Lock keys name the lock's
+// declaration site, not its dynamic identity: "pkg.Type.field" for a
+// mutex field reached through any receiver, "pkg.var" for a
+// package-level mutex, "pkg.func.name" for a local.
 //
-// Lock-across-I/O (Policy.MutexScope, i.e. the observability layer):
-// within a scope package, no function calls directly into a
-// Policy.MutexForbidden package (internal/iosim) while a mutex is
-// held. This is the scrape-lock-free promise: /metrics and /traces
-// snapshot atomics under short mutexes and must never sit on a lock
-// waiting for simulated disk I/O.
+// Two questions are asked wherever the held set is non-empty:
 //
-// Lock-across-join (Policy.MutexJoinScope, i.e. the front ends under
-// cmd/): within a scope package, no function calls a facade
-// (module-root) function whose name starts with Join while a mutex is
-// held. A handler that runs a whole join under a lock serializes every
-// concurrent request behind that join's simulated device I/O — the
-// serving path snapshots a view under a short lock and joins unlocked
-// (DESIGN.md §13).
+// Held calls (Policy.HeldCalls): is this a call the policy forbids under
+// a lock — into internal/iosim from the scrape-lock-free packages, into
+// a facade Join* from the front ends under cmd/? Direct calls only.
 //
-// Both held-lock analyses are per function body, straight-line by
-// source position, and intentionally direct-call only. A deferred
-// Unlock does not release — the lock is genuinely held for the rest of
-// the function, so a forbidden call after `defer mu.Unlock()` is a
-// real finding. Function literals are separate scopes (a closure body
-// does not run under the lock state of its definition site).
+// Leaf locks (Policy.LockOrder scopes): does this call acquire a lock —
+// itself, or through a same-package callee's summary of the locks it
+// transitively acquires (a fixpoint over the package's call graph)?
+// Every lock in this module is a leaf: nothing is ever acquired while
+// another lock is held, which is strictly stronger than an acyclic
+// acquisition order (every cycle contains a nested acquire) and needs
+// no order graph to check. The day two locks must nest, that acquire
+// is the first edge of the graph this rule then owes. Acquiring a key
+// already in the held set is reported as what it is: sync.Mutex
+// self-deadlock. Summaries stop at the package boundary; a callee in
+// another package that locks internally is not seen.
+//
+// Copying a mutex by value is go vet's finding (copylocks), which is why
+// `make verify` runs vet ahead of this suite.
 type mutexHygiene struct{ pol *Policy }
 
 func (a *mutexHygiene) Name() string { return "mutexhygiene" }
 func (a *mutexHygiene) Doc() string {
-	return "no mutex copied by value in signatures; no lock held across a direct call into iosim in the scrape-lock-free packages; no lock held across a facade Join* call in the serving front ends"
+	return "no lock acquired while another is held (every lock is a leaf; same-package callees included), and no lock held across a direct call into iosim in the scrape-lock-free packages or a facade Join* call in the front ends"
 }
 func (a *mutexHygiene) NeedsTypes() bool { return true }
+
+const mhHeld fact = 1
+
+// mhScan carries one package's rule selection and findings.
+type mhScan struct {
+	a    *mutexHygiene
+	p    *Package
+	rows []*HeldCallRule
+	leaf bool
+	// acquires maps each function of the package to the locks it may
+	// acquire, with one acquire site per lock as witness; nil outside
+	// the leaf-lock scope.
+	acquires map[*types.Func]map[string]token.Pos
+	diags    []Diagnostic
+}
 
 func (a *mutexHygiene) Check(p *Package) []Diagnostic {
 	if p.Info == nil {
 		return nil
 	}
-	var diags []Diagnostic
-	forbidden := make(map[string]bool, len(a.pol.MutexForbidden))
-	for _, rel := range a.pol.MutexForbidden {
-		forbidden[p.Module+"/"+rel] = true
+	sc := &mhScan{a: a, p: p, leaf: matchScope(a.pol.LockOrder, p.Rel)}
+	for i := range a.pol.HeldCalls {
+		if r := &a.pol.HeldCalls[i]; matchScope(r.Scope, p.Rel) {
+			sc.rows = append(sc.rows, r)
+		}
 	}
-	if !containsString(a.pol.MutexScope, p.Rel) {
-		forbidden = nil
+	if !sc.leaf && len(sc.rows) == 0 {
+		return nil
 	}
-	joinScope := containsString(a.pol.MutexJoinScope, p.Rel)
+	if sc.leaf {
+		sc.acquires = acquireSummaries(p)
+	}
+	eachScope(p, sc.checkScope)
+	return sc.diags
+}
 
+// acquireSummaries computes, for every declared function, the locks its
+// own body (literals run on their own schedule) or any same-package
+// function it calls may acquire. Functions and callees are visited in
+// declaration order so the witness site kept for a lock is stable.
+func acquireSummaries(p *Package) map[*types.Func]map[string]token.Pos {
+	sums := make(map[*types.Func]map[string]token.Pos)
+	callees := make(map[*types.Func][]*types.Func)
+	var order []*types.Func
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			diags = append(diags, a.checkSignature(p, fd)...)
-			if (len(forbidden) == 0 && !joinScope) || fd.Body == nil {
-				continue
-			}
-			for _, scope := range functionScopes(fd.Body) {
-				diags = append(diags, a.checkLockHeld(p, fd, scope, forbidden, joinScope)...)
-			}
-		}
-	}
-	return diags
-}
-
-// checkSignature flags by-value mutexes in receiver, params, results.
-func (a *mutexHygiene) checkSignature(p *Package, fd *ast.FuncDecl) []Diagnostic {
-	var diags []Diagnostic
-	var fields []*ast.Field
-	if fd.Recv != nil {
-		fields = append(fields, fd.Recv.List...)
-	}
-	if fd.Type.Params != nil {
-		fields = append(fields, fd.Type.Params.List...)
-	}
-	if fd.Type.Results != nil {
-		fields = append(fields, fd.Type.Results.List...)
-	}
-	for _, field := range fields {
-		tv, ok := p.Info.Types[field.Type]
-		if !ok {
-			continue
-		}
-		if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if containsLockType(tv.Type, make(map[types.Type]bool)) {
-			diags = append(diags, p.diag(a.Name(), field.Type.Pos(),
-				"%s passes a mutex by value (%s); a copied mutex guards nothing — use a pointer",
-				fd.Name.Name, tv.Type.String()))
-		}
-	}
-	return diags
-}
-
-// functionScopes returns body plus every function-literal body inside
-// it, each to be analyzed as its own straight-line scope.
-func functionScopes(body *ast.BlockStmt) []*ast.BlockStmt {
-	scopes := []*ast.BlockStmt{body}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			scopes = append(scopes, fl.Body)
-		}
-		return true
-	})
-	return scopes
-}
-
-type lockEvent struct {
-	pos  token.Pos
-	kind int // 0 lock, 1 unlock, 2 forbidden call, 3 facade join call
-	name string
-}
-
-// checkLockHeld scans one function scope in source order and reports
-// forbidden-package calls (and, in the join scope, facade Join* calls)
-// made between a Lock and its Unlock.
-func (a *mutexHygiene) checkLockHeld(p *Package, fd *ast.FuncDecl, scope *ast.BlockStmt, forbidden map[string]bool, joinScope bool) []Diagnostic {
-	deferred := make(map[*ast.CallExpr]bool)
-	var events []lockEvent
-	inspectScope(scope, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferred[n.Call] = true
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if ok {
-				switch sel.Sel.Name {
-				case "Lock", "RLock":
-					if isMutexExpr(p, sel.X) && !deferred[n] {
-						events = append(events, lockEvent{n.Pos(), 0, ""})
-						return
+			order = append(order, fn)
+			sums[fn] = make(map[string]token.Pos)
+			inspectScope(fd.Body, func(n ast.Node) {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return
+				}
+				switch key, kind := mutexCallKey(p, fd.Name.Name, call); kind {
+				case mhAcquire:
+					if _, seen := sums[fn][key]; !seen {
+						sums[fn][key] = call.Pos()
 					}
-				case "Unlock", "RUnlock":
-					if isMutexExpr(p, sel.X) {
-						if !deferred[n] {
-							events = append(events, lockEvent{n.Pos(), 1, ""})
-						}
-						return
+				case mhNone:
+					if callee := calleeFunc(p, call); callee != nil {
+						callees[fn] = append(callees[fn], callee)
+					}
+				}
+			})
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range order {
+			for _, callee := range callees[fn] {
+				for key, pos := range sums[callee] {
+					if _, seen := sums[fn][key]; !seen {
+						sums[fn][key] = pos
+						changed = true
 					}
 				}
 			}
-			switch path, name, bare := calleePackage(p, n); {
-			case forbidden[path]:
-				events = append(events, lockEvent{n.Pos(), 2, name})
-			case joinScope && path == p.Module && strings.HasPrefix(bare, "Join"):
-				events = append(events, lockEvent{n.Pos(), 3, name})
-			}
-		}
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	var diags []Diagnostic
-	held := 0
-	for _, e := range events {
-		switch e.kind {
-		case 0:
-			held++
-		case 1:
-			if held > 0 {
-				held--
-			}
-		case 2:
-			if held > 0 {
-				diags = append(diags, p.diag(a.Name(), e.pos,
-					"%s calls %s while holding a mutex; the scrape-lock-free layer must not block on simulated I/O under a lock",
-					fd.Name.Name, e.name))
-			}
-		case 3:
-			if held > 0 {
-				diags = append(diags, p.diag(a.Name(), e.pos,
-					"%s calls %s while holding a mutex; serve joins from a snapshot view instead of locking across the whole join",
-					fd.Name.Name, e.name))
-			}
 		}
 	}
-	return diags
+	return sums
 }
 
-// inspectScope walks scope without descending into nested function
-// literals (each literal is its own scope).
-func inspectScope(scope *ast.BlockStmt, fn func(ast.Node)) {
-	ast.Inspect(scope, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != scope {
-			return false
+// checkScope runs the held-set dataflow over one scope and judges every
+// call in it.
+func (sc *mhScan) checkScope(fname string, body *ast.BlockStmt) {
+	// Quick reject: a scope that never touches a mutex holds nothing.
+	locks := false
+	inspectScope(body, func(n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok && !locks {
+			_, kind := mutexCallKey(sc.p, fname, call)
+			locks = kind != mhNone
 		}
-		if n != nil {
-			fn(n)
+	})
+	if !locks {
+		return
+	}
+	fl := &flow{
+		// Must-analysis: held only if held on every path.
+		join: func(x, y fact) fact {
+			if x == y {
+				return x
+			}
+			return 0
+		},
+		transfer: func(st flowState, n ast.Node) { sc.step(st, fname, n, false) },
+	}
+	g := buildCFG(body)
+	fl.scanBlocks(g, fl.forward(g), func(st flowState, n ast.Node, _ *cfgBlock) {
+		sc.step(st.clone(), fname, n, true)
+	})
+}
+
+// step applies one CFG node's lock events to st in walk order and, when
+// judging, puts the rule's questions to each call against the held set
+// as it stands at that call — one node can both acquire and call.
+func (sc *mhScan) step(st flowState, fname string, n ast.Node, judging bool) {
+	if _, ok := n.(*ast.DeferStmt); ok {
+		return // a deferred unlock releases at exit: the held set is unchanged
+	}
+	walkFlowNode(n, func(m ast.Node) bool {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		judge := judging && len(st) > 0
+		switch key, kind := mutexCallKey(sc.p, fname, call); kind {
+		case mhAcquire:
+			if judge && sc.leaf {
+				sc.nestedAcquire(st, fname, call, key)
+			}
+			st[key] = mhHeld
+		case mhRelease:
+			delete(st, key)
+		case mhNone:
+			if judge {
+				sc.heldCall(st, fname, call)
+			}
 		}
 		return true
 	})
 }
 
-// calleePackage resolves the defining package path, display name and
-// bare function name of a call's callee, or "" when unresolvable.
-func calleePackage(p *Package, call *ast.CallExpr) (string, string, string) {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
+const leafAdvice = "nested acquire — every lock in this module is a leaf; release first, or the first path that nests the pair the other way round deadlocks"
+
+// nestedAcquire reports an acquire of key made while st's locks are held.
+func (sc *mhScan) nestedAcquire(st flowState, fname string, call *ast.CallExpr, key string) {
+	if st[key] == mhHeld {
+		sc.report(call, "%s acquires %s while already holding it; a second Lock on a held sync mutex deadlocks", fname, key)
+		return
+	}
+	sc.report(call, "%s acquires %s while holding %s: %s", fname, key, heldKeys(st), leafAdvice)
+}
+
+// heldCall reports an ordinary call made while st's locks are held if a
+// HeldCalls row forbids it or its callee's summary acquires a lock.
+func (sc *mhScan) heldCall(st flowState, fname string, call *ast.CallExpr) {
+	fn := calleeFunc(sc.p, call)
+	if fn == nil {
+		return
+	}
+	for _, r := range sc.rows {
+		if fn.Pkg().Path() == rulePkgPath(sc.p, r.Pkg) && strings.HasPrefix(fn.Name(), r.Prefix) {
+			sc.report(call, "%s calls %s.%s while holding a mutex (%s); %s", fname, fn.Pkg().Name(), fn.Name(), heldKeys(st), r.Why)
+		}
+	}
+	// One finding per call site: a re-acquired held lock if the callee
+	// has one, else the first lock it acquires.
+	acquired := sc.acquires[fn]
+	if len(acquired) == 0 {
+		return
+	}
+	keys := make([]string, 0, len(acquired))
+	for k := range acquired {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if st[k] == mhHeld {
+			sc.report(call, "%s calls %s while holding %s, and %s acquires %s again (%s); recursive acquisition deadlocks",
+				fname, fn.Name(), heldKeys(st), fn.Name(), k, posString(sc.p, acquired[k]))
+			return
+		}
+	}
+	sc.report(call, "%s calls %s while holding %s, and %s acquires %s (%s): %s",
+		fname, fn.Name(), heldKeys(st), fn.Name(), keys[0], posString(sc.p, acquired[keys[0]]), leafAdvice)
+}
+
+func (sc *mhScan) report(call *ast.CallExpr, format string, args ...any) {
+	sc.diags = append(sc.diags, sc.p.diag(sc.a.Name(), call.Pos(), format, args...))
+}
+
+type mhKind int
+
+const (
+	mhNone mhKind = iota
+	mhAcquire
+	mhRelease
+)
+
+// mutexCallKey classifies a call as a mutex acquire/release and
+// computes the lock's declaration-site key.
+func mutexCallKey(p *Package, fname string, call *ast.CallExpr) (string, mhKind) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", mhNone
+	}
+	var kind mhKind
+	switch sel.Sel.Name {
+	case "Lock", "RLock", "TryLock", "TryRLock":
+		kind = mhAcquire
+	case "Unlock", "RUnlock":
+		kind = mhRelease
 	default:
-		return "", "", ""
+		return "", mhNone
 	}
-	fn, ok := p.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return "", "", ""
+	if !isMutexExpr(p, sel.X) {
+		return "", mhNone
 	}
-	return fn.Pkg().Path(), fn.Pkg().Name() + "." + fn.Name(), fn.Name()
+	key := lockKey(p, fname, sel.X)
+	if key == "" {
+		return "", mhNone
+	}
+	return key, kind
 }
 
 // isMutexExpr reports whether e's type is (a pointer to) sync.Mutex,
 // sync.RWMutex or the sync.Locker interface.
 func isMutexExpr(p *Package, e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	if !ok {
+	t := p.Info.TypeOf(e)
+	if t == nil {
 		return false
 	}
-	t := tv.Type
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	return isSyncLockType(t)
-}
-
-// isSyncLockType matches the lockable sync types. The Locker
-// interface counts for held-lock tracking but not for the copy check —
-// copying an interface value does not copy the mutex behind it.
-func isSyncLockType(t types.Type) bool {
-	return isNamedSync(t, "Mutex") || isNamedSync(t, "RWMutex") || isNamedSync(t, "Locker")
-}
-
-func isNamedSync(t types.Type, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
-}
-
-// containsLockType reports whether t holds a sync mutex by value,
-// walking named types, structs and arrays (seen guards recursion).
-func containsLockType(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
 		return false
 	}
-	seen[t] = true
-	if isNamedSync(t, "Mutex") || isNamedSync(t, "RWMutex") {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockType(u.Field(i).Type(), seen) {
-				return true
+	return obj.Name() == "Mutex" || obj.Name() == "RWMutex" || obj.Name() == "Locker"
+}
+
+// lockKey names a mutex by its declaration site. RWMutex read and
+// write locks share a key: a read lock nested under another lock still
+// deadlocks once a writer queues up.
+func lockKey(p *Package, fname string, e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		// receiver.field (possibly nested): key on the owning type.
+		t := p.Info.TypeOf(e.X)
+		if t == nil {
+			return ""
+		}
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			obj := named.Obj()
+			pkg := ""
+			if obj.Pkg() != nil {
+				pkg = shortPkg(p, obj.Pkg().Path())
+			}
+			return pkg + "." + obj.Name() + "." + e.Sel.Name
+		}
+		// pkgname.mu: package-level mutex through a selector.
+		if id, ok := e.X.(*ast.Ident); ok {
+			if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
+				return shortPkg(p, pn.Imported().Path()) + "." + e.Sel.Name
 			}
 		}
-	case *types.Array:
-		return containsLockType(u.Elem(), seen)
+		return ""
+	case *ast.Ident:
+		obj := objOf(p, e)
+		if obj == nil || obj.Pkg() == nil {
+			return ""
+		}
+		pkg := shortPkg(p, obj.Pkg().Path())
+		if obj.Parent() == obj.Pkg().Scope() {
+			return pkg + "." + obj.Name()
+		}
+		return pkg + "." + fname + "." + obj.Name()
 	}
-	return false
+	return ""
+}
+
+// shortPkg trims the module prefix so keys and messages read as
+// "internal/slo.Engine.mu" rather than a full import path.
+func shortPkg(p *Package, path string) string {
+	if path == p.Module {
+		return "."
+	}
+	if rest, ok := strings.CutPrefix(path, p.Module+"/"); ok {
+		return rest
+	}
+	return path
+}
+
+// heldKeys renders the held set for messages: sorted, comma-separated.
+func heldKeys(st flowState) string {
+	var out []string
+	for k := range st {
+		if s, ok := k.(string); ok {
+			out = append(out, s)
+		}
+	}
+	sort.Strings(out)
+	return strings.Join(out, ", ")
+}
+
+func posString(p *Package, pos token.Pos) string {
+	pp := p.Position(pos)
+	return fmt.Sprintf("%s:%d", pp.Filename, pp.Line)
 }

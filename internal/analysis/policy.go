@@ -21,50 +21,15 @@ type Policy struct {
 	// later feeds a sort (or the site carries an ignore directive).
 	MapDeterminism []string
 
-	// WallClockExempt lists the internal packages allowed to read the
-	// wall clock and global rand state. Everything else under
-	// internal/ must stay deterministic so benchreport baselines remain
-	// byte-stable. The live policy exempts none: timestamps reach
-	// internal packages only through injected clocks.
-	WallClockExempt []string
-
 	// NilRecv maps a package to the types whose exported
 	// pointer-receiver methods must begin with a nil-receiver guard
 	// (the telemetry disabled-path contract).
 	NilRecv map[string][]string
 
-	// MutexScope lists the packages where holding a mutex across a
-	// call into a MutexForbidden package is flagged — the
-	// scrape-lock-free promise of the observability layer.
-	MutexScope []string
-
-	// MutexForbidden lists the module-relative packages whose
-	// functions and methods must not be called under a held lock
-	// within MutexScope (direct calls only).
-	MutexForbidden []string
-
-	// MutexJoinScope lists the packages (the serving and benchmark
-	// front ends under cmd/) in which holding a mutex across a facade
-	// Join* call is flagged. A handler that runs a whole join under a
-	// lock serializes every concurrent request behind that join's
-	// simulated device I/O; the serving path must snapshot a view
-	// under a short lock and run the join unlocked.
-	MutexJoinScope []string
-
-	// SpanScope lists the request-path packages in which spanhygiene
-	// tracks trace spans: every span started there must be ended on
-	// all return paths, deferred, or handed off.
-	SpanScope []string
-
-	// SpanPackages lists the module-relative packages whose
-	// End()-bearing named types count as spans for spanhygiene. A
-	// named type outside these packages that wraps one of them in a
-	// struct field counts too.
-	SpanPackages []string
-
 	// Resources is the acquire→release pairing table for the CFG-based
 	// resourceleak analyzer: each rule names an acquiring function and
-	// the release method its result owes on every path to exit.
+	// the release method its result owes on every path to exit. A new
+	// must-release invariant is a row here, not an analyzer.
 	Resources []ResourceRule
 
 	// ErrDrop lists the package scopes (prefix semantics; "." is the
@@ -73,15 +38,23 @@ type Policy struct {
 	// overwritten or abandoned before being consulted.
 	ErrDrop []string
 
-	// ErrDropExempt lists callee import paths whose returned errors are
-	// vacuous by contract (fmt printers, in-memory buffer and hash
-	// writes) and may be discarded without a directive.
+	// ErrDropExempt lists the packages whose functions' and types'
+	// returned errors are vacuous by contract (fmt printers, in-memory
+	// buffer and hash writes) and may be discarded without a directive.
+	// A call through an interface is judged by the package of the
+	// receiver's static type: every hash/fnv hash is a hash.Hash.
 	ErrDropExempt []string
 
-	// LockOrder lists the package scopes in which lockorder builds the
-	// lock-acquisition order graph and reports cycles and recursive
-	// acquisitions.
+	// LockOrder lists the package scopes in which mutexhygiene enforces
+	// the one lock order the tree uses: every lock is a leaf, so no lock
+	// is acquired — directly or through a same-package callee — while
+	// another (or the same one) is held.
 	LockOrder []string
+
+	// HeldCalls is the must-not-hold table of mutexhygiene: each rule
+	// names calls that must not be made while any lock is held. A new
+	// must-not-hold invariant is a row here, not an analyzer.
+	HeldCalls []HeldCallRule
 }
 
 // ResourceRule pairs an acquiring call with the release method its
@@ -95,6 +68,17 @@ type ResourceRule struct {
 	Call    string
 	Release string
 	Scope   []string
+}
+
+// HeldCallRule forbids, within the Scope package prefixes, calling any
+// function or method of package Pkg (same spelling as ResourceRule.Pkg)
+// whose name starts with Prefix while a lock is held on every path into
+// the call. Why ends the diagnostic: what the caller should do instead.
+type HeldCallRule struct {
+	Scope  []string
+	Pkg    string
+	Prefix string
+	Why    string
 }
 
 // DefaultPolicy returns the live repo's policy. The ImportLayer table
@@ -161,12 +145,13 @@ func DefaultPolicy() *Policy {
 			"internal/reqtrace":  {"Tracer", "Span", "Recorder"},
 			"internal/slo":       {"Engine"},
 		},
-		MutexScope:     []string{"internal/metrics", "internal/telemetry", "cmd/textjoind"},
-		MutexForbidden: []string{"internal/iosim"},
-		MutexJoinScope: []string{"cmd/benchreport", "cmd/textjoin", "cmd/textjoind"},
-		SpanScope:      []string{"internal/core", "cmd/textjoind"},
-		SpanPackages:   []string{"internal/reqtrace"},
 		Resources: []ResourceRule{
+			// Trace spans, module-wide: a span that some path never Ends
+			// is missing from the recorded tree, so the phase it timed
+			// drops out of the trace exactly when the trace is needed.
+			{Pkg: "internal/reqtrace", Call: "StartTrace", Release: "End"},
+			{Pkg: "internal/reqtrace", Call: "StartLinkedTrace", Release: "End"},
+			{Pkg: "internal/reqtrace", Call: "StartChild", Release: "End"},
 			// iosim view sessions: a leaked view never merges its IOStats
 			// into the shared ledger, corrupting the Section-5 accounting.
 			{Pkg: "internal/iosim", Call: "View", Release: "Close"},
@@ -184,10 +169,22 @@ func DefaultPolicy() *Policy {
 			".", "cmd",
 		},
 		ErrDropExempt: []string{
-			"fmt", "strings", "bytes", "hash", "hash/fnv", "hash/maphash",
-			"math/rand",
+			"fmt", "strings", "bytes", "hash", "hash/maphash", "math/rand",
 		},
 		LockOrder: []string{"internal", "cmd", "."},
+		HeldCalls: []HeldCallRule{
+			// The scrape-lock-free promise: /metrics and /debug/requests
+			// snapshot atomics under short mutexes and never sit on a
+			// lock waiting for simulated disk I/O.
+			{Scope: []string{"internal/metrics", "internal/telemetry", "cmd/textjoind"},
+				Pkg: "internal/iosim",
+				Why: "the scrape-lock-free layer must not block on simulated I/O under a lock"},
+			// A front end that runs a whole join under a lock serializes
+			// every concurrent request behind that join's device I/O.
+			{Scope: []string{"cmd/benchreport", "cmd/textjoin", "cmd/textjoind"},
+				Pkg: ".", Prefix: "Join",
+				Why: "serve joins from a snapshot view instead of locking across the whole join"},
+		},
 	}
 }
 
@@ -214,12 +211,10 @@ func Analyzers(pol *Policy) []Analyzer {
 	return []Analyzer{
 		&importLayer{pol: pol},
 		&mapDeterminism{pol: pol},
-		&wallClock{pol: pol},
+		&wallClock{},
 		&nilRecv{pol: pol},
-		&mutexHygiene{pol: pol},
-		&spanHygiene{pol: pol},
 		&resourceLeak{pol: pol},
 		&errDrop{pol: pol},
-		&lockOrder{pol: pol},
+		&mutexHygiene{pol: pol},
 	}
 }

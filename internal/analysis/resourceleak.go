@@ -14,7 +14,10 @@ import (
 // facade Workspace.Snapshot session: a leaked view never merges its
 // per-view IOStats into the shared ledger, silently corrupting the
 // paper's Section-5 I/O accounting — invisible to every syntactic
-// analyzer because the happy path closes the view correctly.
+// analyzer because the happy path closes the view correctly. Trace
+// spans are the same shape (Start* owes End): a span some path never
+// ends is simply missing from the recorded tree, so the leak hides
+// exactly when the trace is needed.
 //
 // Per function scope (literals are separate scopes) the analyzer runs
 // a forward merge-over-paths dataflow on the scope's CFG with the
@@ -46,7 +49,7 @@ type resourceLeak struct{ pol *Policy }
 
 func (a *resourceLeak) Name() string { return "resourceleak" }
 func (a *resourceLeak) Doc() string {
-	return "every acquired resource (iosim views, workspace snapshots, listeners, cmd/ file handles) is released, deferred, returned or handed off on every path to exit"
+	return "every acquired resource (trace spans, iosim views, workspace snapshots, listeners, cmd/ file handles) is released, deferred, returned or handed off on every path to exit"
 }
 func (a *resourceLeak) NeedsTypes() bool { return true }
 
@@ -65,21 +68,9 @@ func (a *resourceLeak) Check(p *Package) []Diagnostic {
 		return nil
 	}
 	var diags []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			diags = append(diags, a.checkScope(p, fd.Name.Name, fd.Body, rules)...)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					diags = append(diags, a.checkScope(p, fd.Name.Name+" literal", fl.Body, rules)...)
-				}
-				return true
-			})
-		}
-	}
+	eachScope(p, func(name string, body *ast.BlockStmt) {
+		diags = append(diags, a.checkScope(p, name, body, rules)...)
+	})
 	return diags
 }
 
@@ -212,17 +203,8 @@ func (r *ResourceRule) what() string {
 // acquireRule resolves call's callee and matches it against the active
 // rules, returning the matched rule or nil.
 func (sc *rlScope) acquireRule(call *ast.CallExpr) *ResourceRule {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return nil
-	}
-	fn, ok := sc.p.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := calleeFunc(sc.p, call)
+	if fn == nil {
 		return nil
 	}
 	path := fn.Pkg().Path()
@@ -274,26 +256,31 @@ func (sc *rlScope) registerAssign(n *ast.AssignStmt, diags *[]Diagnostic) {
 	}
 }
 
-// registerValueSpec records `var v = acquire()` bindings.
-func (sc *rlScope) registerValueSpec(vs *ast.ValueSpec) {
+// specAcquire matches `var v[, err] = acquire()` and returns the call
+// with its rule, or nils for any other spec — a bare `var v T` among
+// them, which declares a name and acquires nothing.
+func (sc *rlScope) specAcquire(vs *ast.ValueSpec) (*ast.CallExpr, *ResourceRule) {
 	if len(vs.Values) != 1 {
-		return
+		return nil, nil
 	}
 	call, ok := vs.Values[0].(*ast.CallExpr)
 	if !ok {
-		return
+		return nil, nil
 	}
-	rule := sc.acquireRule(call)
+	return call, sc.acquireRule(call)
+}
+
+// registerValueSpec records `var v = acquire()` bindings.
+func (sc *rlScope) registerValueSpec(vs *ast.ValueSpec) {
+	call, rule := sc.specAcquire(vs)
 	if rule == nil {
 		return
 	}
-	if len(vs.Names) >= 1 {
-		var errIdent *ast.Ident
-		if len(vs.Names) == 2 {
-			errIdent = vs.Names[1]
-		}
-		sc.bindIdent(vs.Names[0], errIdent, call, rule)
+	var errIdent *ast.Ident
+	if len(vs.Names) == 2 {
+		errIdent = vs.Names[1]
 	}
+	sc.bindIdent(vs.Names[0], errIdent, call, rule)
 }
 
 func (sc *rlScope) bind(lhs, errLhs ast.Expr, call *ast.CallExpr, rule *ResourceRule, diags *[]Diagnostic) {
@@ -317,10 +304,7 @@ func (sc *rlScope) bind(lhs, errLhs ast.Expr, call *ast.CallExpr, rule *Resource
 }
 
 func (sc *rlScope) bindIdent(id, errIdent *ast.Ident, call *ast.CallExpr, rule *ResourceRule) {
-	obj := sc.p.Info.Defs[id]
-	if obj == nil {
-		obj = sc.p.Info.Uses[id]
-	}
+	obj := objOf(sc.p, id)
 	if obj == nil {
 		return
 	}
@@ -329,11 +313,7 @@ func (sc *rlScope) bindIdent(id, errIdent *ast.Ident, call *ast.CallExpr, rule *
 	}
 	t := &rlTracked{obj: obj, rule: rule, pos: call.Pos(), name: id.Name}
 	if errIdent != nil {
-		if eo := sc.p.Info.Defs[errIdent]; eo != nil {
-			t.errObj = eo
-		} else if eo := sc.p.Info.Uses[errIdent]; eo != nil {
-			t.errObj = eo
-		}
+		t.errObj = objOf(sc.p, errIdent)
 	}
 	sc.tracked[obj] = t
 	sc.order = append(sc.order, t)
@@ -368,7 +348,7 @@ func (sc *rlScope) transferDefer(st flowState, n *ast.DeferStmt) {
 	call := n.Call
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if id, ok := sel.X.(*ast.Ident); ok {
-			if t := sc.tracked[sc.useObj(id)]; t != nil {
+			if t := sc.tracked[objOf(sc.p, id)]; t != nil {
 				t.handled = true
 				if sel.Sel.Name == t.rule.Release {
 					st[t.obj] = rlReleased
@@ -397,7 +377,7 @@ func (sc *rlScope) transferDefer(st flowState, n *ast.DeferStmt) {
 			if !ok {
 				return true
 			}
-			if t := sc.tracked[sc.useObj(id)]; t != nil && sel.Sel.Name == t.rule.Release {
+			if t := sc.tracked[objOf(sc.p, id)]; t != nil && sel.Sel.Name == t.rule.Release {
 				released[t.obj] = true
 			}
 			return true
@@ -438,7 +418,7 @@ func (sc *rlScope) scanNode(st flowState, n ast.Node) {
 		case *ast.CallExpr:
 			if sel, ok := m.Fun.(*ast.SelectorExpr); ok {
 				if id, ok := sel.X.(*ast.Ident); ok {
-					if t := sc.tracked[sc.useObj(id)]; t != nil {
+					if t := sc.tracked[objOf(sc.p, id)]; t != nil {
 						benign[id] = true
 						if sel.Sel.Name == t.rule.Release {
 							t.handled = true
@@ -462,7 +442,7 @@ func (sc *rlScope) scanNode(st flowState, n ast.Node) {
 	if as, ok := n.(*ast.AssignStmt); ok {
 		for _, lhs := range as.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok {
-				if t := sc.tracked[sc.defOrUseObj(id)]; t != nil {
+				if t := sc.tracked[objOf(sc.p, id)]; t != nil {
 					benign[id] = true
 					// Re-binding the variable: an acquire RHS re-acquires,
 					// anything else ends tracking on this path.
@@ -479,10 +459,18 @@ func (sc *rlScope) scanNode(st flowState, n ast.Node) {
 		if gd, ok := ds.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, name := range vs.Names {
-						if t := sc.tracked[sc.defOrUseObj(name)]; t != nil {
+					_, rule := sc.specAcquire(vs)
+					for i, name := range vs.Names {
+						if t := sc.tracked[objOf(sc.p, name)]; t != nil {
 							benign[name] = true
-							st[t.obj] = rlAcquired
+							// Like a re-binding assignment: only an acquire
+							// value acquires; a bare declaration (the acquire
+							// comes later) owes nothing on this path yet.
+							if rule != nil && i == 0 {
+								st[t.obj] = rlAcquired
+							} else {
+								delete(st, t.obj)
+							}
 						}
 					}
 				}
@@ -510,7 +498,7 @@ func (sc *rlScope) scanNode(st flowState, n ast.Node) {
 		if !ok || benign[id] {
 			return true
 		}
-		if t := sc.tracked[sc.useObj(id)]; t != nil && id.Pos() != t.pos {
+		if t := sc.tracked[objOf(sc.p, id)]; t != nil && id.Pos() != t.pos {
 			t.handled = true
 			st[t.obj] = rlEscaped
 		}
@@ -549,7 +537,7 @@ func (sc *rlScope) edgeTransfer(st flowState, cond ast.Expr, branch bool) {
 	if id == nil {
 		return
 	}
-	obj := sc.useObj(id)
+	obj := objOf(sc.p, id)
 	if obj == nil {
 		return
 	}
@@ -571,20 +559,6 @@ func (sc *rlScope) edgeTransfer(st flowState, cond ast.Expr, branch bool) {
 			st[t.obj] = rlInvalid
 		}
 	}
-}
-
-func (sc *rlScope) useObj(id *ast.Ident) types.Object {
-	if o := sc.p.Info.Uses[id]; o != nil {
-		return o
-	}
-	return sc.p.Info.Defs[id]
-}
-
-func (sc *rlScope) defOrUseObj(id *ast.Ident) types.Object {
-	if o := sc.p.Info.Defs[id]; o != nil {
-		return o
-	}
-	return sc.p.Info.Uses[id]
 }
 
 // identComparedToNil returns the ident compared against nil in a

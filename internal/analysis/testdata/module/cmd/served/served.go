@@ -1,6 +1,6 @@
-// Package served is the lock-across-join fixture: it is in the
-// fixture policy's MutexJoinScope and fixture (the module root) is the
-// facade whose Join* calls must not run under a held lock.
+// Package served is the lock-across-join fixture: it is in the scope
+// of the fixture policy's second HeldCalls row, and fixture (the module
+// root) is the facade whose Join* calls must not run under a held lock.
 package served
 
 import (

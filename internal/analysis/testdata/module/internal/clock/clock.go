@@ -1,5 +1,5 @@
-// Package clock is the wallclock fixture: an internal package outside
-// the exempt list.
+// Package clock is the wallclock fixture: an internal package, so it
+// may read neither the wall clock nor the global rand state.
 package clock
 
 import (

@@ -3,7 +3,10 @@
 // bare-statement discards, no overwrite or abandonment before use.
 package errs
 
-import "fmt"
+import (
+	"fmt"
+	"hash/fnv"
+)
 
 func fail() error        { return fmt.Errorf("boom") }
 func pair() (int, error) { return 0, fmt.Errorf("boom") }
@@ -94,6 +97,17 @@ func CleanNamedBareReturn() (err error) {
 // vacuous by contract.
 func CleanExempt() {
 	fmt.Println("ok")
+}
+
+// CleanExemptInterface discards the error of an interface method whose
+// contract lives with the receiver's type, not with the package that
+// declares the method: h.Write is io.Writer.Write, but the promise that
+// it never fails is hash.Hash's, and hash is on the exempt list.
+func CleanExemptInterface() uint64 {
+	h := fnv.New64a()
+	h.Write([]byte("x"))
+	_, _ = h.Write([]byte("y"))
+	return h.Sum64()
 }
 
 // CleanAddressTaken has consumers the intraprocedural flow cannot see.

@@ -1,6 +1,6 @@
-// Package locks is the mutexhygiene fixture: it is in the fixture
-// policy's scrape-lock-free scope and fixture/internal/iosim is the
-// forbidden callee.
+// Package locks is the mutexhygiene held-call fixture: it is in the
+// scope of the fixture policy's HeldCalls row whose forbidden callee
+// is fixture/internal/iosim.
 package locks
 
 import (
@@ -45,21 +45,6 @@ func (s *Store) Handler() func() []byte {
 	defer s.mu.Unlock()
 	return func() []byte { return s.f.ReadPage(1) }
 }
-
-// CopyParam passes a mutex by value: flagged.
-func CopyParam(mu sync.Mutex) int { // want mutexhygiene "by value"
-	_ = mu
-	return 0
-}
-
-// CopyStruct passes a lock-bearing struct by value: flagged.
-func CopyStruct(s Store) int { // want mutexhygiene "by value"
-	_ = s
-	return 0
-}
-
-// PointerParam is the correct shape.
-func PointerParam(mu *sync.Mutex) { mu.Lock(); mu.Unlock() }
 
 // Justified suppresses a deliberate hold with a reason.
 func (s *Store) Justified() []byte {

@@ -1,5 +1,5 @@
-// Package reqtrace is the fixture span provider for the spanhygiene
-// rule: a named type with an End method in a policy span package.
+// Package reqtrace is the fixture span provider: the fixture policy's
+// resourceleak table pairs StartSpan and StartChild with End.
 package reqtrace
 
 // Span is the fixture span type.

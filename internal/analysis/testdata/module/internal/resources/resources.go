@@ -92,6 +92,18 @@ func CleanNilCheck() int {
 	return 1
 }
 
+// CleanDeclaredFirst declares the variable, may return before anything
+// is acquired, and only then acquires: a bare declaration owes no Close.
+func CleanDeclaredFirst(flag bool) int {
+	var f *iosim.File
+	if flag {
+		return 0
+	}
+	f = iosim.Open()
+	defer f.Close()
+	return 1
+}
+
 // CleanReturned hands the file to the caller.
 func CleanReturned() *iosim.File {
 	f := iosim.Open()

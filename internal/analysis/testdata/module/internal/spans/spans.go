@@ -1,35 +1,23 @@
-// Package spans exercises the spanhygiene rule: every span started in
-// a scope package must be ended on all return paths, deferred, or
+// Package spans exercises the span rows of the resourceleak table:
+// every span started must be ended on all return paths, deferred, or
 // handed off to someone who will end it.
 package spans
 
 import "fixture/internal/reqtrace"
 
-// phase wraps the provider span the way a per-package phase span does;
-// the struct-field rule makes the wrapper count as a span too.
-type phase struct{ s *reqtrace.Span }
-
-// End closes the wrapped span.
-func (p phase) End() { p.s.End() }
-
-// startPhase constructs the wrapper; the construction itself neither
-// binds nor drops a tracked variable, exactly like the real core's
-// phase-span helper.
-func startPhase(name string) phase { return phase{s: reqtrace.StartSpan(name)} }
-
 // Dropped starts a span as a bare statement: nothing can ever end it.
 func Dropped() {
-	reqtrace.StartSpan("dropped") // want spanhygiene "discards it"
+	reqtrace.StartSpan("dropped") // want resourceleak "discards it"
 }
 
 // Blank discards the span through the blank identifier.
 func Blank() {
-	_ = reqtrace.StartSpan("blank") // want spanhygiene "discards it"
+	_ = reqtrace.StartSpan("blank") // want resourceleak "discards it"
 }
 
 // NeverEnded binds the span but no path ends it.
 func NeverEnded() {
-	s := reqtrace.StartSpan("leak") // want spanhygiene "never ends it"
+	s := reqtrace.StartSpan("leak") // want resourceleak "never releases it"
 	s.SetAttr("k", "v")
 }
 
@@ -38,19 +26,9 @@ func NeverEnded() {
 func EarlyReturn(fail bool) {
 	s := reqtrace.StartSpan("early")
 	if fail {
-		return // want spanhygiene "returns without ending span s"
+		return // want resourceleak "returns without releasing s"
 	}
 	s.End()
-}
-
-// WrapperLeak leaks through the local phase wrapper: the struct-field
-// rule sees through it.
-func WrapperLeak(fail bool) {
-	p := startPhase("wrapped")
-	if fail {
-		return // want spanhygiene "returns without ending span p"
-	}
-	p.End()
 }
 
 // Deferred is the canonical safe shape: the deferred End runs on every
@@ -103,7 +81,7 @@ func Returned() *reqtrace.Span {
 
 // Justified keeps a deliberate leak with an explanation.
 func Justified() {
-	//lint:ignore spanhygiene fixture: process-lifetime span ended at shutdown elsewhere
+	//lint:ignore resourceleak fixture: process-lifetime span ended at shutdown elsewhere
 	s := reqtrace.StartSpan("background")
 	s.SetAttr("k", "v")
 }

@@ -6,12 +6,13 @@ import (
 	"strings"
 )
 
-// wallClock forbids wall-clock reads and global-rand state in internal
-// packages outside the exempt list (telemetry, whose whole job is
-// timing). The benchmark observatory's reports are byte-stable only
-// because nothing on a measured path consults the real clock or the
-// shared rand source; a stray time.Now would surface as flaky baseline
-// diffs long after the offending PR merged.
+// wallClock forbids wall-clock reads and global-rand state in every
+// internal package: the ones that need a clock (reqtrace, slo, the
+// exporter) are handed one, and telemetry reads none. The benchmark
+// observatory's reports are byte-stable only because nothing on a
+// measured path consults the real clock or the shared rand source; a
+// stray time.Now would surface as flaky baseline diffs long after the
+// offending PR merged.
 //
 // Flagged: uses of time.Now / time.Since / time.Until (calls or stored
 // function values — a stored clock still reads wall time at run time)
@@ -20,11 +21,11 @@ import (
 // …). Seeded construction — rand.New, rand.NewSource, rand.NewZipf,
 // rand.NewPCG, rand.NewChaCha8 — and methods on an explicit *rand.Rand
 // stay legal: they are deterministic under a fixed seed.
-type wallClock struct{ pol *Policy }
+type wallClock struct{}
 
 func (a *wallClock) Name() string { return "wallclock" }
 func (a *wallClock) Doc() string {
-	return "forbid time.Now/time.Since/time.Until and math/rand global-state calls in internal packages outside telemetry"
+	return "forbid time.Now/time.Since/time.Until and math/rand global-state calls in internal packages"
 }
 func (a *wallClock) NeedsTypes() bool { return true }
 
@@ -38,7 +39,7 @@ var randConstructors = map[string]bool{
 }
 
 func (a *wallClock) Check(p *Package) []Diagnostic {
-	if !strings.HasPrefix(p.Rel, "internal/") || containsString(a.pol.WallClockExempt, p.Rel) || p.Info == nil {
+	if !strings.HasPrefix(p.Rel, "internal/") || p.Info == nil {
 		return nil
 	}
 	var diags []Diagnostic
@@ -52,7 +53,7 @@ func (a *wallClock) Check(p *Package) []Diagnostic {
 			case "time":
 				if clockFuncs[sel.Sel.Name] {
 					diags = append(diags, p.diag(a.Name(), sel.Pos(),
-						"time.%s in %s: internal packages outside telemetry must not read the wall clock (inject a clock, or justify with //lint:ignore %s <reason>)",
+						"time.%s in %s: internal packages must not read the wall clock (inject a clock, or justify with //lint:ignore %s <reason>)",
 						sel.Sel.Name, p.Rel, a.Name()))
 				}
 			case "math/rand", "math/rand/v2":
