@@ -10,7 +10,9 @@ test: build
 
 # verify is the CI gate for the concurrent join paths: vet everything,
 # run the in-repo static-analysis suite (cmd/lintcheck, seven analyzers:
-# package-DAG, map-iteration determinism, wall-clock hygiene,
+# package-DAG — its program rows included: a cmd/ or examples/ package
+# reaches the storage and join stack through the facade only —
+# map-iteration determinism, wall-clock hygiene,
 # nil-receiver guards, plus the CFG-based resource-leak (trace spans
 # included), dropped-error and mutex-hygiene rules — fails on any
 # finding or unexplained lint:ignore; a mutex copied by value is go
@@ -29,7 +31,7 @@ test: build
 # (collector + trace on/off invariance, concurrent snapshots). It
 # finishes with the observability smokes: the self-driving textjoind
 # endpoint check, the load-generator gate, the SLO/error-budget gate, the
-# command-line runs piped into tracecheck, and the page-read grid checked
+# command-line run piped into tracecheck, and the page-read grid checked
 # against its baseline. benchmark/ is a module of its own that root ./...
 # patterns never reach, so it is vetted and tested by name: a facade
 # rename must not break it unnoticed.
@@ -65,14 +67,15 @@ perf:
 perf-aa:
 	bash benchmark/run.sh -aa 5
 
-# trace-smoke runs a real join, then the measured simulation group, with
-# -telemetry json and validates what each emits — a snapshot, then the
-# run's trace — against the two schemas (cmd/tracecheck). Telemetry goes
+# trace-smoke runs a real join with -telemetry json and validates what it
+# emits against the two schemas (cmd/tracecheck). One line covers both:
+# the run prints a snapshot and then its request trace, tracecheck checks
+# each document against the schema its kind selects, and its verdict
+# ("snapshot, request trace ok") names the kinds it saw. Telemetry goes
 # to stderr, results to stdout, so 2>&1 1>/dev/null routes only the two
 # documents into the checker.
 trace-smoke:
 	$(GO) run ./cmd/textjoin -p1 wsj -p2 wsj -scale 8192 -alg auto -lambda 5 -mem 200 -show 0 -telemetry json 2>&1 1>/dev/null | $(GO) run ./cmd/tracecheck
-	$(GO) run ./cmd/simulate -group measured -telemetry json 2>&1 1>/dev/null | $(GO) run ./cmd/tracecheck
 
 # obs-smoke boots textjoind on an ephemeral loopback port, drives every
 # endpoint (/healthz, /join inline and with workers, /metrics twice so rate

@@ -1,16 +1,13 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"sort"
 	"strings"
 
 	"textjoin"
-	"textjoin/internal/corpus"
 	"textjoin/internal/costmodel"
 )
 
@@ -228,20 +225,11 @@ type shapeEnv struct {
 
 func buildShape(sh shape, cfg BenchConfig) (*shapeEnv, error) {
 	ws := textjoin.NewWorkspace(textjoin.WithAlpha(cfg.Alpha))
-	gen := func(name, profile string, seed int64) (*textjoin.Collection, error) {
-		p, err := corpus.ProfileByName(profile)
-		if err != nil {
-			return nil, err
-		}
-		sp := p.Scaled(cfg.Scale)
-		sp.Name = name
-		return ws.GenerateCorpus(sp, seed)
-	}
-	c1, err := gen("c1", sh.p1, cfg.Seed)
+	c1, err := ws.GenerateProfile("c1", sh.p1, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	c2, err := gen("c2", sh.p2, cfg.Seed+1)
+	c2, err := ws.GenerateProfile("c2", sh.p2, cfg.Scale, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +293,7 @@ func runCell(env *shapeEnv, shapeName, label string, alg textjoin.Algorithm, opt
 		ClustersSkipped: stats.Prefilter.ClustersSkipped,
 		DocsSkipped:     stats.Prefilter.DocsSkipped,
 		FalsePasses:     stats.Prefilter.FalsePasses,
-		ResultsHash:     hashResults(results),
+		ResultsHash:     textjoin.ResultDigest(results),
 	}
 	if alg == textjoin.LSH {
 		cell.PagesSkipped = stats.LSH.PagesSkipped
@@ -347,25 +335,6 @@ func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured ma
 		Measured:  math.Floor(stats.Cost + 0.5),
 	}
 	return ic, samples, plan, nil
-}
-
-// hashResults fingerprints a result set: outer ids, match ids and the
-// exact similarity bits.
-func hashResults(results []textjoin.Result) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	for _, r := range results {
-		put(uint64(r.Outer))
-		for _, m := range r.Matches {
-			put(uint64(m.Doc))
-			put(math.Float64bits(m.Sim))
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // compare returns one message per difference of cur against base, each

@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"os"
 
+	"textjoin"
 	"textjoin/internal/corpus"
-	"textjoin/internal/document"
 )
 
 func main() {
@@ -53,7 +53,7 @@ func run(profileName string, scale, nDocs int64, termsPerDoc float64, vocab, see
 	if err != nil {
 		return err
 	}
-	generated := make([]*document.Document, 0, p.NumDocs)
+	generated := make([]*textjoin.Document, 0, p.NumDocs)
 	for id := int64(0); id < p.NumDocs; id++ {
 		generated = append(generated, g.Document(uint32(id)))
 	}

@@ -50,7 +50,8 @@ func TestLiveRepoClean(t *testing.T) {
 }
 
 // writeInjected builds a temp module containing a deliberate wallclock
-// violation in a package missing from the import-layer table.
+// violation in a package missing from the import-layer table, and a
+// program that reaches past the facade for the simulated disk.
 func writeInjected(t *testing.T) string {
 	t.Helper()
 	return writeModule(t, map[string]string{
@@ -62,6 +63,14 @@ import "time"
 
 // Stamp reads the wall clock from library code.
 func Stamp() int64 { return time.Now().UnixNano() }
+`,
+		"internal/iosim/iosim.go": "// Package iosim stands in for the simulated disk.\npackage iosim\n",
+		"cmd/textjoin/main.go": `// Command textjoin goes around the facade on purpose.
+package main
+
+import _ "injected/internal/iosim"
+
+func main() {}
 `,
 	})
 }
@@ -90,6 +99,11 @@ func TestInjectedViolationFails(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "not in the import-layer policy table") {
 		t.Errorf("policy-table finding missing: %s", stdout.String())
+	}
+	// ... and the program for importing a storage package its policy
+	// row does not list.
+	if !strings.Contains(stdout.String(), "not an allowed dependency of cmd/textjoin") {
+		t.Errorf("program-import finding missing: %s", stdout.String())
 	}
 }
 

@@ -2,13 +2,12 @@
 //
 // Usage:
 //
-//	simulate [-group all|table1|1|2|3|4|5|findings|integrated|measured]
-//	         [-scale N] [-mem B] [-seed S]
+//	simulate [-group all|table1|1|2|3|4|5|lambda|delta|extended|findings|integrated]
 //
-// The analytic groups evaluate the cost formulas at full TREC scale, which
-// is exactly what the paper's simulation did. The measured group builds
-// 1/scale synthetic corpora, runs the three real algorithms and prints
-// measured page I/O next to the model.
+// Every group evaluates the cost formulas at full TREC scale, which is
+// exactly what the paper's simulation did; no join runs. The measured
+// counterpart — the real algorithms' page reads next to the model — is
+// `go run ./cmd/benchreport -calreport <file>`.
 package main
 
 import (
@@ -16,32 +15,23 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"textjoin/internal/corpus"
 	"textjoin/internal/costmodel"
-	"textjoin/internal/metrics"
-	"textjoin/internal/reqtrace"
 	"textjoin/internal/simulate"
-	"textjoin/internal/telemetry"
 )
 
 func main() {
-	group := flag.String("group", "all", "which experiment group to run: all, table1, 1, 2, 3, 4, 5, lambda, delta, extended, findings, integrated, measured")
-	scale := flag.Int64("scale", 256, "corpus shrink divisor for -group measured")
-	mem := flag.Int64("mem", 200, "memory budget B in pages for -group measured")
-	seed := flag.Int64("seed", 1, "corpus seed for -group measured")
-	telemetryMode := flag.String("telemetry", "", "emit a telemetry snapshot, then the run's span tree, to stderr after -group measured: text or json")
-	promPath := flag.String("prom", "", "after -group measured, write the collector as a Prometheus text exposition to this file")
+	group := flag.String("group", "all", "which experiment group to run: all, table1, 1, 2, 3, 4, 5, lambda, delta, extended, findings, integrated")
 	flag.Parse()
 
-	if err := run(*group, *scale, *mem, *seed, *telemetryMode, *promPath); err != nil {
+	if err := run(*group); err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(group string, scale, mem, seed int64, telemetryMode, promPath string) error {
+func run(group string) error {
 	printTables := func(tables []*simulate.Table) {
 		for _, t := range tables {
 			fmt.Println(t.Format())
@@ -86,51 +76,6 @@ func run(group string, scale, mem, seed int64, telemetryMode, promPath string) e
 			}
 			fmt.Printf("%-18s %s\n", t.ID, strings.Join(choices, "  "))
 		}
-	case "measured":
-		// With -telemetry or -prom the run is one traced request: a
-		// collector for the counts, one root span with a child per
-		// measured join for where the time went.
-		var tel *telemetry.Collector
-		var sink telemetry.Sink
-		var root *reqtrace.Span
-		if telemetryMode != "" {
-			var err error
-			sink, err = telemetry.SinkFor(telemetryMode)
-			if err != nil {
-				return err
-			}
-		}
-		if sink != nil || promPath != "" {
-			tel = telemetry.New()
-			root = reqtrace.NewTracer(1, time.Now).StartTrace("simulate measured")
-		}
-		for _, pair := range [][2]corpus.Profile{
-			{corpus.WSJ, corpus.WSJ},
-			{corpus.FR, corpus.FR},
-			{corpus.DOE, corpus.DOE},
-			{corpus.WSJ, corpus.DOE},
-		} {
-			res, err := simulate.MeasuredTelemetry(pair[0], pair[1], scale, mem, seed, tel, root)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Format())
-		}
-		trace := root.Data()
-		reqtrace.ObservePhases(tel, trace)
-		if sink != nil {
-			if err := sink.Export(os.Stderr, tel.Snapshot()); err != nil {
-				return err
-			}
-			if err := reqtrace.Export(os.Stderr, telemetryMode, trace); err != nil {
-				return err
-			}
-		}
-		if promPath != "" {
-			if err := writeProm(promPath, tel); err != nil {
-				return err
-			}
-		}
 	default:
 		return fmt.Errorf("unknown group %q", group)
 	}
@@ -169,20 +114,4 @@ func printExtended() {
 		}
 		fmt.Println()
 	}
-}
-
-// writeProm renders the collector as a Prometheus text exposition, so a
-// measured run's counters can be pushed to any scrape-file collector.
-func writeProm(path string, tel *telemetry.Collector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	// Backstop release for the error path; the success path checks the
-	// explicit Close below and the second Close is a no-op.
-	defer f.Close()
-	if err := metrics.Encode(f, tel.Snapshot()); err != nil {
-		return err
-	}
-	return f.Close()
 }

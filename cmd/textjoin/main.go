@@ -12,6 +12,11 @@
 //
 // With -alg auto the integrated algorithm estimates all three costs and
 // runs the cheapest; -explain prints the estimates.
+//
+// The program is written on the textjoin facade alone: its disk,
+// collections and inverted files come from a Workspace, so a -save-disk
+// snapshot re-attaches with LoadWorkspace, OpenCollection("c1", N) and
+// OpenInvertedFile.
 package main
 
 import (
@@ -20,17 +25,10 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"time"
 
-	"textjoin/internal/collection"
-	"textjoin/internal/core"
+	"textjoin"
 	"textjoin/internal/corpus"
-	"textjoin/internal/document"
-	"textjoin/internal/invfile"
-	"textjoin/internal/iosim"
-	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 )
 
 func main() {
@@ -55,24 +53,24 @@ func main() {
 
 	// With -telemetry the run is one traced request: a collector for the
 	// counts, one root span for where the time went.
-	var tel *telemetry.Collector
-	var sink telemetry.Sink
-	var root *reqtrace.Span
+	var tel *textjoin.Telemetry
+	var sink textjoin.TelemetrySink
+	var root *textjoin.RequestSpan
 	if *telemetryMode != "" {
 		var err error
-		sink, err = telemetry.SinkFor(*telemetryMode)
+		sink, err = textjoin.TelemetrySinkFor(*telemetryMode)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "textjoin:", err)
 			os.Exit(1)
 		}
-		tel = telemetry.New()
-		root = reqtrace.NewTracer(1, time.Now).StartTrace("textjoin")
+		tel = textjoin.NewTelemetry()
+		root = textjoin.NewRequestTracer(1).StartTrace("textjoin")
 	}
 	if *pprofAddr != "" {
 		// Alongside pprof, expose the live collector (when -telemetry is
 		// on) in the format textjoind serves.
 		if tel != nil {
-			http.Handle("/metrics", metrics.NewExporter(tel))
+			http.Handle("/metrics", textjoin.NewMetricsExporter(tel))
 		}
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -85,7 +83,7 @@ func main() {
 	if *queries != "" {
 		err = runBatch(*c1Path, *p1, *scale, *seed, *queries, *lambda, *mem, *alpha, *weighting, *show, tel, root)
 	} else {
-		err = run(*c1Path, *c2Path, *p1, *p2, *scale, *seed, *alg, *lambda, *mem, *alpha, *weighting, *show, *explain, *saveDisk, tel, root)
+		_, err = run(*c1Path, *c2Path, *p1, *p2, *scale, *seed, *alg, *lambda, *mem, *alpha, *weighting, *show, *explain, *saveDisk, tel, root)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "textjoin:", err)
@@ -104,9 +102,9 @@ func main() {
 	}
 }
 
-// saveSnapshot serializes the simulated disk so the built corpus and
-// index structures can be inspected or reused.
-func saveSnapshot(d *iosim.Disk, path string) error {
+// saveSnapshot serializes the workspace so the built corpus and index
+// structures can be inspected or reused.
+func saveSnapshot(ws *textjoin.Workspace, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -114,159 +112,154 @@ func saveSnapshot(d *iosim.Disk, path string) error {
 	// Backstop release for the error path; the success path checks the
 	// explicit Close below and the second Close is a no-op.
 	defer f.Close()
-	if _, err := d.WriteTo(f); err != nil {
+	if _, err := ws.Save(f); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// runBatch joins an ad-hoc query batch (no stored collection, no inverted
-// file on the batch) against C1 — the paper's batch-query scenario. The
-// integrated algorithm picks between HHNL and HVNL; VVM is inapplicable.
-func runBatch(c1Path, p1 string, scale, seed int64, queriesPath string, lambda int, mem int64, alphaRatio float64, weighting string, show int, tel *telemetry.Collector, trace *reqtrace.Span) error {
-	d := iosim.NewDisk(iosim.WithPageSize(4096), iosim.WithAlpha(alphaRatio))
-	c1, err := loadCollection(d, "c1", c1Path, p1, scale, seed)
+// readDocs parses a portable text file.
+func readDocs(path string) ([]*textjoin.Document, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ef, err := d.Create("c1.inv")
-	if err != nil {
-		return err
-	}
-	tf, err := d.Create("c1.bt")
-	if err != nil {
-		return err
-	}
-	inv1, err := invfile.Build(c1, ef, tf)
-	if err != nil {
-		return err
-	}
-	qf, err := os.Open(queriesPath)
-	if err != nil {
-		return err
-	}
-	defer qf.Close()
-	docs, err := corpus.ReadText(qf)
-	if err != nil {
-		return err
-	}
-	batch, err := collection.NewBatch("queries", docs)
-	if err != nil {
-		return err
-	}
-	d.ResetStats()
-	d.SetCollector(tel)
+	defer f.Close()
+	return corpus.ReadText(f)
+}
 
-	w, err := document.ParseWeighting(weighting)
-	if err != nil {
-		return err
+// operand is one stored side of the join with its inverted file, and the
+// label the report prints for it: the file name it is stored under, or
+// the scaled profile's own name ("WSJ/512") when generated.
+type operand struct {
+	c     *textjoin.Collection
+	inv   *textjoin.InvertedFile
+	label string
+}
+
+// load stores one operand on the workspace under name — parsed from a
+// portable text file or generated from a paper profile — and builds its
+// inverted file.
+func load(ws *textjoin.Workspace, name, path, profile string, scale, seed int64) (operand, error) {
+	op := operand{label: name}
+	var err error
+	switch {
+	case path != "":
+		var docs []*textjoin.Document
+		if docs, err = readDocs(path); err != nil {
+			return op, err
+		}
+		// A stored collection's ids are dense: reassign them in file order.
+		for i, d := range docs {
+			docs[i] = &textjoin.Document{ID: uint32(i), Cells: d.Cells}
+		}
+		op.c, err = ws.NewCollection(name, docs)
+	case profile != "":
+		var p corpus.Profile
+		if p, err = corpus.ProfileByName(profile); err != nil {
+			return op, err
+		}
+		op.label = p.Scaled(scale).Name
+		op.c, err = ws.GenerateProfile(name, profile, scale, seed)
+	default:
+		err = fmt.Errorf("collection %s: provide a file or a profile", name)
 	}
-	in := core.Inputs{Outer: batch, Inner: c1, InnerInv: inv1}
-	opts := core.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
-	results, stats, dec, err := core.JoinIntegrated(in, opts)
 	if err != nil {
-		return err
+		return op, err
 	}
-	fmt.Printf("batch: %d queries against %s (N=%d)\n", batch.NumDocs(), c1.Name(), c1.NumDocs())
-	fmt.Printf("integrated choice: %v (VVM inapplicable for a batch)\n", dec.Chosen)
-	fmt.Printf("I/O: %s  cost=%.0f\n", stats.IO, stats.Cost)
+	op.inv, err = ws.BuildInvertedFile(op.c)
+	return op, err
+}
+
+func printMatches(who string, results []textjoin.Result, show int) {
 	for i, r := range results {
 		if i >= show {
 			break
 		}
-		fmt.Printf("query %d:", r.Outer)
+		fmt.Printf("%s %d:", who, r.Outer)
 		for _, m := range r.Matches {
 			fmt.Printf("  (%d, %.4g)", m.Doc, m.Sim)
 		}
 		fmt.Println()
 	}
+}
+
+// runBatch joins an ad-hoc query batch (no stored collection, no inverted
+// file on the batch) against C1 — the paper's batch-query scenario. The
+// integrated algorithm picks between HHNL and HVNL; VVM is inapplicable.
+func runBatch(c1Path, p1 string, scale, seed int64, queriesPath string, lambda int, mem int64, alpha float64, weighting string, show int, tel *textjoin.Telemetry, trace *textjoin.RequestSpan) error {
+	ws := textjoin.NewWorkspace(textjoin.WithAlpha(alpha))
+	c1, err := load(ws, "c1", c1Path, p1, scale, seed)
+	if err != nil {
+		return err
+	}
+	docs, err := readDocs(queriesPath)
+	if err != nil {
+		return err
+	}
+	batch, err := textjoin.NewBatch("queries", docs)
+	if err != nil {
+		return err
+	}
+	ws.ResetIOStats()
+	ws.SetTelemetry(tel)
+
+	w, err := textjoin.ParseWeighting(weighting)
+	if err != nil {
+		return err
+	}
+	in := textjoin.Inputs{Outer: batch, Inner: c1.c, InnerInv: c1.inv}
+	opts := textjoin.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
+	results, stats, dec, err := textjoin.JoinIntegrated(in, opts)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("batch: %d queries against %s (N=%d)\n", batch.NumDocs(), c1.label, c1.c.NumDocs())
+	fmt.Printf("integrated choice: %v (VVM inapplicable for a batch)\n", dec.Chosen)
+	fmt.Printf("I/O: %s  cost=%.0f\n", stats.IO, stats.Cost)
+	printMatches("query", results, show)
 	return nil
 }
 
-func loadCollection(d *iosim.Disk, name, path, profileName string, scale, seed int64) (*collection.Collection, error) {
-	switch {
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		docs, err := corpus.ReadText(f)
-		if err != nil {
-			return nil, err
-		}
-		file, err := d.Create(name)
-		if err != nil {
-			return nil, err
-		}
-		return corpus.BuildFromDocs(name, file, docs)
-	case profileName != "":
-		p, err := corpus.ProfileByName(profileName)
-		if err != nil {
-			return nil, err
-		}
-		return corpus.GenerateOn(d, name, p.Scaled(scale), seed)
-	default:
-		return nil, fmt.Errorf("collection %s: provide a file or a profile", name)
-	}
-}
-
-func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambda int, mem int64, alpha float64, weighting string, show int, explain bool, saveDisk string, tel *telemetry.Collector, trace *reqtrace.Span) error {
-	d := iosim.NewDisk(iosim.WithPageSize(4096), iosim.WithAlpha(alpha))
-	c1, err := loadCollection(d, "c1", c1Path, p1, scale, seed)
+// run joins two stored collections and returns the full result set next
+// to what it printed.
+func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambda int, mem int64, alpha float64, weighting string, show int, explain bool, saveDisk string, tel *textjoin.Telemetry, trace *textjoin.RequestSpan) ([]textjoin.Result, error) {
+	ws := textjoin.NewWorkspace(textjoin.WithAlpha(alpha))
+	c1, err := load(ws, "c1", c1Path, p1, scale, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c2, err := loadCollection(d, "c2", c2Path, p2, scale, seed+1)
+	c2, err := load(ws, "c2", c2Path, p2, scale, seed+1)
 	if err != nil {
-		return err
-	}
-	buildInv := func(c *collection.Collection, prefix string) (*invfile.InvertedFile, error) {
-		ef, err := d.Create(prefix + ".inv")
-		if err != nil {
-			return nil, err
-		}
-		tf, err := d.Create(prefix + ".bt")
-		if err != nil {
-			return nil, err
-		}
-		return invfile.Build(c, ef, tf)
-	}
-	inv1, err := buildInv(c1, "c1")
-	if err != nil {
-		return err
-	}
-	inv2, err := buildInv(c2, "c2")
-	if err != nil {
-		return err
+		return nil, err
 	}
 	if saveDisk != "" {
-		if err := saveSnapshot(d, saveDisk); err != nil {
-			return err
+		if err := saveSnapshot(ws, saveDisk); err != nil {
+			return nil, err
 		}
 		fmt.Printf("disk snapshot written to %s\n", saveDisk)
 	}
-	d.ResetStats()
-	d.SetCollector(tel)
+	ws.ResetIOStats()
+	ws.SetTelemetry(tel)
 
-	w, err := document.ParseWeighting(weighting)
+	w, err := textjoin.ParseWeighting(weighting)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	in := core.Inputs{Outer: c2, Inner: c1, InnerInv: inv1, OuterInv: inv2}
-	opts := core.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
+	in := textjoin.Inputs{Outer: c2.c, Inner: c1.c, InnerInv: c1.inv, OuterInv: c2.inv}
+	opts := textjoin.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
 
-	st1, st2 := c1.Stats(), c2.Stats()
-	fmt.Printf("C1: %s  N=%d K=%.1f T=%d D=%d pages\n", c1.Name(), st1.N, st1.K, st1.T, st1.D)
-	fmt.Printf("C2: %s  N=%d K=%.1f T=%d D=%d pages\n", c2.Name(), st2.N, st2.K, st2.T, st2.D)
+	st1, st2 := c1.c.Stats(), c2.c.Stats()
+	fmt.Printf("C1: %s  N=%d K=%.1f T=%d D=%d pages\n", c1.label, st1.N, st1.K, st1.T, st1.D)
+	fmt.Printf("C2: %s  N=%d K=%.1f T=%d D=%d pages\n", c2.label, st2.N, st2.K, st2.T, st2.D)
 
-	var results []core.Result
-	var stats *core.Stats
+	var results []textjoin.Result
+	var stats *textjoin.JoinStats
 	if algName == "auto" {
-		var dec core.Decision
-		results, stats, dec, err = core.JoinIntegrated(in, opts)
+		var dec textjoin.Decision
+		results, stats, dec, err = textjoin.JoinIntegrated(in, opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("integrated choice: %v\n", dec.Chosen)
 		if explain {
@@ -275,33 +268,23 @@ func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambd
 			}
 		}
 	} else {
-		a, err := core.ParseAlgorithm(algName)
+		a, err := textjoin.ParseAlgorithm(algName)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		results, stats, err = core.Join(a, in, opts)
+		results, stats, err = textjoin.Join(a, in, opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 
 	fmt.Printf("join: %v  outer=%d inner=%d passes=%d\n",
 		stats.Algorithm, stats.OuterDocs, stats.InnerDocs, stats.Passes)
 	fmt.Printf("I/O: %s  cost=%.0f (alpha=%.1f)\n", stats.IO, stats.Cost, alpha)
-	if stats.Algorithm == core.HVNL {
+	if stats.Algorithm == textjoin.HVNL {
 		fmt.Printf("cache: hits=%d misses=%d evictions=%d hit-rate=%.2f\n",
 			stats.Cache.Hits, stats.Cache.Misses, stats.Cache.Evictions, stats.Cache.HitRate())
 	}
-
-	for i, r := range results {
-		if i >= show {
-			break
-		}
-		fmt.Printf("C2 doc %d:", r.Outer)
-		for _, m := range r.Matches {
-			fmt.Printf("  (%d, %.4g)", m.Doc, m.Sim)
-		}
-		fmt.Println()
-	}
-	return nil
+	printMatches("C2 doc", results, show)
+	return results, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"textjoin"
-	"textjoin/internal/corpus"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 )
@@ -102,20 +100,11 @@ type server struct {
 
 func newServer(cfg config) (*server, error) {
 	ws := textjoin.NewWorkspace(textjoin.WithAlpha(cfg.Alpha), textjoin.WithIODelay(cfg.IODelay))
-	gen := func(name, profile string, seed int64) (*textjoin.Collection, error) {
-		p, err := corpus.ProfileByName(profile)
-		if err != nil {
-			return nil, err
-		}
-		sp := p.Scaled(cfg.Scale)
-		sp.Name = name
-		return ws.GenerateCorpus(sp, seed)
-	}
-	c1, err := gen("c1", cfg.P1, cfg.Seed)
+	c1, err := ws.GenerateProfile("c1", cfg.P1, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	c2, err := gen("c2", cfg.P2, cfg.Seed+1)
+	c2, err := ws.GenerateProfile("c2", cfg.P2, cfg.Scale, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +487,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	span.SetInt("http.status", http.StatusOK)
 	span.SetAttr("join.chosen", stats.Algorithm.String())
 	span.SetInt("result.rows", int64(len(results)))
-	span.SetAttr("result.hash", resultHash(results))
+	span.SetAttr("result.hash", textjoin.ResultDigest(results))
 	resp.TraceID = traceIDString(span)
 
 	resp.Algorithm = stats.Algorithm.String()
@@ -589,32 +578,6 @@ func recordViewIO(span *textjoin.RequestSpan, v *textjoin.IOView) {
 	io.SetInt("io.rand_reads", rand)
 	io.SetInt("io.writes", writes)
 	io.End()
-}
-
-// resultHash is a stable FNV-1a digest of a result set — two joins that
-// produced byte-identical rankings share it, so traces of equivalent
-// requests (serial vs parallel, prefiltered vs not) can be compared at
-// a glance.
-func resultHash(results []textjoin.Result) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put32 := func(v uint32) {
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(buf[:4])
-	}
-	for _, res := range results {
-		put32(res.Outer)
-		put32(uint32(len(res.Matches)))
-		for _, m := range res.Matches {
-			put32(m.Doc)
-			bits := math.Float64bits(m.Sim)
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(bits >> (8 * i))
-			}
-			h.Write(buf[:8])
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // retryAfter renders the admission deadline as a whole-second

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"textjoin"
 	"textjoin/internal/metrics"
 )
 
@@ -191,6 +192,17 @@ func TestServerWorkers(t *testing.T) {
 	}
 	if fannedHash != inlineHash {
 		t.Errorf("alg=auto&workers=2 result hash %s, inline %s", fannedHash, inlineHash)
+	}
+	// The third value: the facade run of the same inputs under the one
+	// digest, which is also what a BENCH_BASELINE.json cell records.
+	direct, _, _, err := textjoin.JoinIntegrated(
+		textjoin.Inputs{Outer: s.c2, Inner: s.c1, InnerInv: s.inv1, OuterInv: s.inv2},
+		textjoin.Options{Lambda: s.cfg.Lambda, MemoryPages: s.cfg.MemoryPages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := textjoin.ResultDigest(direct); d != inlineHash {
+		t.Errorf("trace result.hash %s, ResultDigest of the facade run %s", inlineHash, d)
 	}
 	if workerCounters() == before {
 		t.Error("alg=auto&workers=2 left no per-worker counters: the planner's choice ran inline")

@@ -95,9 +95,10 @@ func main() {
 	fmt.Printf("clusters: %d multi-document clusters (largest %d docs), %d singletons\n",
 		clusters, largest, singletons)
 
-	// Show one non-trivial cluster's members.
-	for root, n := range sizes {
-		if n > 1 && n <= 8 {
+	// Show one non-trivial cluster's members: the lowest-numbered root,
+	// whatever order the map would have been walked in.
+	for root := range parent {
+		if n := sizes[root]; n > 1 && n <= 8 {
 			fmt.Printf("example cluster (root %d):", root)
 			for i := range parent {
 				if find(i) == root {

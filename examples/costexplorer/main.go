@@ -45,7 +45,7 @@ func main() {
 	ioOnly := textjoin.EstimateCosts(in, sys, q)
 	extended := textjoin.EstimateTotalCosts(in, sys, q,
 		textjoin.CPUParams{OpsPerPageRead: 1000}, textjoin.NetParams{})
-	fmt.Printf("%10s %12s %14s %14s   %s\n", "", "io-only", "cpu-part", "total", "")
+	fmt.Printf("%10s %12s %14s %14s\n", "", "io-only", "cpu-part", "total")
 	for i, e := range ioOnly {
 		b := extended[i]
 		fmt.Printf("%10v %12.0f %14.0f %14.0f\n", e.Algorithm, e.Seq, b.CPU, b.Total())

@@ -50,13 +50,15 @@ func fixturePolicy() *Policy {
 }
 
 // layersPolicy is the policy testdata/layers is written against.
-// internal/notable is deliberately missing from the table.
+// internal/notable is deliberately missing from the table, and so is
+// cmd/tool: only a program with a row (cmd/door) is held to it.
 func layersPolicy() *Policy {
 	return &Policy{
 		ImportLayer: map[string][]string{
 			"internal/a": {},
 			"internal/b": {"internal/a"},
 			"internal/c": {},
+			"cmd/door":   {"internal/a"},
 		},
 	}
 }

@@ -6,11 +6,13 @@ import (
 )
 
 // importLayer enforces the package DAG of Policy.ImportLayer — the
-// mechanical form of the DESIGN.md layer diagram. Three global
+// mechanical form of the DESIGN.md layer diagram. Four global
 // invariants apply on top of the per-package allow lists:
 //
 //   - no package imports a cmd/* binary;
 //   - no internal package imports the facade (module root) package;
+//   - a program with a row imports the facade and its row, nothing else
+//     of the module (packages outside internal/ without a row are free);
 //   - no package imports anything outside the module and the standard
 //     library — the repo is dependency-free by design.
 //
@@ -52,9 +54,10 @@ func (a *importLayer) Check(p *Package) []Diagnostic {
 				case rel == "cmd" || strings.HasPrefix(rel, "cmd/"):
 					diags = append(diags, p.diag(a.Name(), imp.Pos(),
 						"import of %s: cmd binaries are never importable", path))
-				case !internal:
-					// The facade, cmd/* and examples/* may import any
-					// module package (cmd/* was excluded above).
+				case !internal && (!listed || rel == ""):
+					// The facade and unlisted packages outside internal/
+					// may import any module package; a listed program,
+					// the facade plus its row (cmd/* was excluded above).
 				case rel == "":
 					diags = append(diags, p.diag(a.Name(), imp.Pos(),
 						"import of %s: internal packages must not import the facade package", path))

@@ -11,9 +11,11 @@ type Policy struct {
 	// never allowed — the repo is dependency-free by design). Every
 	// package under internal/ MUST have an entry: an internal package
 	// missing from the table is itself a violation, so new packages
-	// declare their layer on arrival. Packages outside internal/
-	// (the facade, cmd/*, examples/*) may import any module package
-	// except that nothing may import cmd/* binaries.
+	// declare their layer on arrival. A program (cmd/*, examples/*)
+	// with an entry may import the facade plus the internal packages
+	// its entry lists; packages outside internal/ without one (the
+	// facade itself, the benchmark harness) may import any module
+	// package. Nothing may import cmd/* binaries.
 	ImportLayer map[string][]string
 
 	// MapDeterminism lists the result-producing packages in which a
@@ -87,7 +89,12 @@ type HeldCallRule struct {
 // document sits one rung above codec, metrics and reqtrace see only
 // telemetry among internal packages (reqtrace to derive the phase
 // histograms from its finished trees), and the join core is the only
-// package that may pull the whole storage stack together.
+// package that may pull the whole storage stack together. The program
+// rows are the one-door rule: a program gets its disk, collections,
+// inverted files and joins from the facade, and lists only what it is
+// about besides — data generation (corpus), pure formulas (costmodel,
+// simulate), observability, the lint engine — never a storage or join
+// package.
 func DefaultPolicy() *Policy {
 	return &Policy{
 		ImportLayer: map[string][]string{
@@ -129,11 +136,25 @@ func DefaultPolicy() *Policy {
 				"internal/document", "internal/invfile", "internal/lsh",
 				"internal/relation", "internal/telemetry",
 			},
-			"internal/simulate": {
-				"internal/collection", "internal/core", "internal/corpus",
-				"internal/costmodel", "internal/invfile", "internal/iosim",
-				"internal/reqtrace", "internal/telemetry",
+			"internal/simulate": {"internal/corpus", "internal/costmodel"},
+
+			"cmd/benchreport": {"internal/corpus", "internal/costmodel"},
+			"cmd/corpusgen":   {"internal/corpus"},
+			"cmd/lintcheck":   {"internal/analysis"},
+			"cmd/loadgen":     {"internal/metrics"},
+			"cmd/simulate":    {"internal/corpus", "internal/costmodel", "internal/simulate"},
+			"cmd/textjoin":    {"internal/corpus", "internal/reqtrace"},
+			"cmd/textjoind": {
+				"internal/costmodel", "internal/metrics", "internal/reqtrace",
+				"internal/telemetry",
 			},
+			"cmd/tracecheck": {"internal/reqtrace", "internal/telemetry"},
+
+			"examples/clustering":   {},
+			"examples/costexplorer": {},
+			"examples/jobmatch":     {},
+			"examples/multidb":      {},
+			"examples/reviewers":    {},
 		},
 		MapDeterminism: []string{
 			"internal/accum", "internal/core", "internal/invfile", "internal/query",

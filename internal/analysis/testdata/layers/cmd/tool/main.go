@@ -1,4 +1,5 @@
-// Command tool may import anything in the module.
+// Command tool has no row in the fixture policy, so it may import
+// anything in the module.
 package main
 
 import (

@@ -12,12 +12,12 @@ import (
 	"textjoin/internal/telemetry"
 )
 
-// ModelInput derives the cost-model description of a join from measured
+// modelInput derives the cost-model description of a join from measured
 // structures: C2's participating statistics come from the outer reader
 // (subset statistics when a selection applies), while the inverted-file
 // statistics stay at the base collections' values — the paper's point that
 // inverted files do not shrink under selections.
-func ModelInput(in Inputs) (costmodel.Input, error) {
+func modelInput(in Inputs) (costmodel.Input, error) {
 	if in.Outer == nil || in.Inner == nil {
 		return costmodel.Input{}, fmt.Errorf("%w: cost model needs both collections", ErrMissingInput)
 	}
@@ -43,9 +43,9 @@ func ModelInput(in Inputs) (costmodel.Input, error) {
 	return mi, nil
 }
 
-// ModelSystem derives the cost-model system parameters from the disk
+// modelSystem derives the cost-model system parameters from the disk
 // backing the inner collection and the memory budget in the options.
-func ModelSystem(in Inputs, opts Options) costmodel.System {
+func modelSystem(in Inputs, opts Options) costmodel.System {
 	opts = opts.withDefaults()
 	sys := costmodel.System{B: opts.MemoryPages, P: 4096, Alpha: 5}
 	if in.Inner != nil {
@@ -75,11 +75,11 @@ type Decision struct {
 // returns the cheapest runnable algorithm.
 func Choose(in Inputs, opts Options) (Decision, error) {
 	opts = opts.withDefaults()
-	mi, err := ModelInput(in)
+	mi, err := modelInput(in)
 	if err != nil {
 		return Decision{}, err
 	}
-	sys := ModelSystem(in, opts)
+	sys := modelSystem(in, opts)
 	q := costmodel.Query{Lambda: int64(opts.Lambda), Delta: opts.Delta}
 	_, ests := costmodel.Choose(mi, sys, q)
 	dec := Decision{Estimates: ests}

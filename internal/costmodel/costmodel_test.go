@@ -475,3 +475,40 @@ func TestQuickChooseIsArgmin(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRecall pins the S-curve's shape and boundary values.
+func TestRecall(t *testing.T) {
+	if got := Recall(16, 2, 0); got != 0 {
+		t.Errorf("recall at s=0: %v", got)
+	}
+	if got := Recall(16, 2, 1); got != 1 {
+		t.Errorf("recall at s=1: %v", got)
+	}
+	// Monotone in s.
+	prev := -1.0
+	for s := 0.05; s < 1; s += 0.05 {
+		r := Recall(16, 2, s)
+		if r <= prev {
+			t.Fatalf("recall not increasing at s=%.2f", s)
+		}
+		if r < 0 || r > 1 {
+			t.Fatalf("recall out of range at s=%.2f: %v", s, r)
+		}
+		prev = r
+	}
+	// More bands raise recall; more rows lower it (fixed moderate s).
+	if Recall(32, 2, 0.5) <= Recall(8, 2, 0.5) {
+		t.Error("more bands did not raise recall")
+	}
+	if Recall(16, 4, 0.5) >= Recall(16, 2, 0.5) {
+		t.Error("more rows did not lower recall")
+	}
+	// One band, one row: recall equals s exactly.
+	if got := Recall(1, 1, 0.3); math.Abs(got-0.3) > 1e-12 {
+		t.Errorf("b=r=1 recall = %v, want 0.3", got)
+	}
+	// A degenerate shape generates no candidates at all.
+	if Recall(0, 2, 0.5) != 0 || Recall(16, 0, 0.5) != 0 || Recall(-1, -1, 1) != 0 {
+		t.Error("bands <= 0 or rows <= 0 must give recall 0")
+	}
+}

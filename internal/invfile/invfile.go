@@ -106,6 +106,50 @@ type extent struct {
 	off, length int64
 }
 
+// files is the one place that knows where a collection's inverted file
+// lives on its disk: the entries in "<name>.inv", the B+tree in
+// "<name>.btree". get is the disk's Create (build) or Open (re-attach).
+func files(name string, get func(string) (*iosim.File, error)) (entryFile, treeFile *iosim.File, err error) {
+	if entryFile, err = get(name + ".inv"); err != nil {
+		return nil, nil, err
+	}
+	if treeFile, err = get(name + ".btree"); err != nil {
+		return nil, nil, err
+	}
+	return entryFile, treeFile, nil
+}
+
+// BuildOn builds c's inverted file and B+tree in fresh files on d, named
+// after c (see Build for the I/O it charges).
+func BuildOn(d *iosim.Disk, c *collection.Collection) (*InvertedFile, error) {
+	ef, tf, err := files(c.Name(), d.Create)
+	if err != nil {
+		return nil, err
+	}
+	return Build(c, ef, tf)
+}
+
+// BuildRemappedOn is BuildOn for a reordered collection c: the postings
+// come from src, the original order's inverted file, through newID (see
+// BuildRemapped).
+func BuildRemappedOn(d *iosim.Disk, c *collection.Collection, src *InvertedFile, newID func(uint32) uint32) (*InvertedFile, error) {
+	ef, tf, err := files(c.Name(), d.Create)
+	if err != nil {
+		return nil, err
+	}
+	return BuildRemapped(src, newID, ef, tf)
+}
+
+// OpenOn re-attaches to the inverted file BuildOn or BuildRemappedOn
+// wrote for c on d (see Open).
+func OpenOn(d *iosim.Disk, c *collection.Collection) (*InvertedFile, error) {
+	ef, tf, err := files(c.Name(), d.Open)
+	if err != nil {
+		return nil, err
+	}
+	return Open(ef, tf)
+}
+
 // Build scans a collection and writes its inverted file into entryFile and
 // the accompanying B+tree into treeFile (both must be empty). The scan of
 // the collection is charged to the collection's disk like any other scan;

@@ -10,7 +10,7 @@
 //
 //	P(candidate) = 1 − (1 − s^r)^b
 //
-// which EstimateRecall exposes to the cost model. Unlike the
+// which the cost model prices as costmodel.Recall. Unlike the
 // superimposed-code prefilter (which may only skip, never admit), LSH
 // may miss truly similar pairs — the join that consumes these buckets
 // verifies every candidate with the exact scorer, so precision is
@@ -180,19 +180,6 @@ func (c Config) batchKeys(d *document.Document, minima, dst []uint64) []uint64 {
 		dst[b] = foldBand(c.bandSalt(b), minima[b*c.Rows:(b+1)*c.Rows])
 	}
 	return dst
-}
-
-// EstimateRecall returns the banding S-curve 1 − (1 − s^rows)^bands:
-// the probability that a pair with Jaccard similarity s shares at least
-// one band key.
-func EstimateRecall(bands, rows int, s float64) float64 {
-	if s <= 0 {
-		return 0
-	}
-	if s >= 1 {
-		return 1
-	}
-	return 1 - math.Pow(1-math.Pow(s, float64(rows)), float64(bands))
 }
 
 // Sidecar is a collection's MinHash band-key file held resident after

@@ -1,7 +1,6 @@
 package lsh
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -286,39 +285,6 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	f = writeFile("body", bad)
 	if _, err := Open(f); err == nil || !strings.Contains(err.Error(), "truncated body") {
 		t.Errorf("body: err = %v, want truncated body", err)
-	}
-}
-
-// TestEstimateRecall pins the S-curve's shape and boundary values.
-func TestEstimateRecall(t *testing.T) {
-	if got := EstimateRecall(16, 2, 0); got != 0 {
-		t.Errorf("recall at s=0: %v", got)
-	}
-	if got := EstimateRecall(16, 2, 1); got != 1 {
-		t.Errorf("recall at s=1: %v", got)
-	}
-	// Monotone in s.
-	prev := -1.0
-	for s := 0.05; s < 1; s += 0.05 {
-		r := EstimateRecall(16, 2, s)
-		if r <= prev {
-			t.Fatalf("recall not increasing at s=%.2f", s)
-		}
-		if r < 0 || r > 1 {
-			t.Fatalf("recall out of range at s=%.2f: %v", s, r)
-		}
-		prev = r
-	}
-	// More bands raise recall; more rows lower it (fixed moderate s).
-	if EstimateRecall(32, 2, 0.5) <= EstimateRecall(8, 2, 0.5) {
-		t.Error("more bands did not raise recall")
-	}
-	if EstimateRecall(16, 4, 0.5) >= EstimateRecall(16, 2, 0.5) {
-		t.Error("more rows did not lower recall")
-	}
-	// One band, one row: recall equals s exactly.
-	if got := EstimateRecall(1, 1, 0.3); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("b=r=1 recall = %v, want 0.3", got)
 	}
 }
 

@@ -484,15 +484,7 @@ func materializeInner(bind TextBinding, bt *boundTable, col int) (materializedIn
 	if err != nil {
 		return materializedInner{}, nil, err
 	}
-	ef, err := disk.Create(prefix + ".inv")
-	if err != nil {
-		return materializedInner{}, nil, err
-	}
-	tf, err := disk.Create(prefix + ".bt")
-	if err != nil {
-		return materializedInner{}, nil, err
-	}
-	inv, err := invfile.Build(coll, ef, tf)
+	inv, err := invfile.BuildOn(disk, coll)
 	if err != nil {
 		return materializedInner{}, nil, err
 	}

@@ -1,13 +1,12 @@
-package query
+package query_test
 
 import (
 	"strings"
 	"testing"
 
-	"textjoin/internal/collection"
+	"textjoin"
 	"textjoin/internal/core"
-	"textjoin/internal/invfile"
-	"textjoin/internal/iosim"
+	"textjoin/internal/query"
 	"textjoin/internal/relation"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/termmap"
@@ -17,8 +16,8 @@ import (
 // jobEnv builds the motivating example: Positions and Applicants with
 // textual attributes over real tokenized text.
 type jobEnv struct {
-	cat    *Catalog
-	engine *Engine
+	cat    *query.Catalog
+	engine *query.Engine
 }
 
 var positionTexts = []string{
@@ -44,35 +43,23 @@ var applicantNames = []string{"Ada", "Bob", "Cara", "Dan", "Eve"}
 
 func buildJobEnv(t *testing.T) *jobEnv {
 	t.Helper()
-	d := iosim.NewDisk(iosim.WithPageSize(256))
+	ws := textjoin.NewWorkspace(textjoin.WithPageSize(256))
 	dict := termmap.NewDictionary()
 	tok := tokenize.New(dict, tokenize.Options{})
 
-	build := func(name string, texts []string) (*collection.Collection, *invfile.InvertedFile) {
-		f, err := d.Create(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := collection.NewBuilder(name, f)
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func(name string, texts []string) (*textjoin.Collection, *textjoin.InvertedFile) {
+		docs := make([]*textjoin.Document, len(texts))
 		for i, text := range texts {
-			doc, err := tok.Document(uint32(i), text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Add(doc); err != nil {
+			var err error
+			if docs[i], err = tok.Document(uint32(i), text); err != nil {
 				t.Fatal(err)
 			}
 		}
-		c, err := b.Finish()
+		c, err := ws.NewCollection(name, docs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ef, _ := d.Create(name + ".inv")
-		tf, _ := d.Create(name + ".bt")
-		inv, err := invfile.Build(c, ef, tf)
+		inv, err := ws.BuildInvertedFile(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,20 +96,20 @@ func buildJobEnv(t *testing.T) *jobEnv {
 		}
 	}
 
-	cat := NewCatalog()
+	cat := query.NewCatalog()
 	if err := cat.Register(positions); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.Register(applicants); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.BindText("Positions", "Job_descr", TextBinding{Collection: descrs, Inverted: descrsInv}); err != nil {
+	if err := cat.BindText("Positions", "Job_descr", query.TextBinding{Collection: descrs, Inverted: descrsInv}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.BindText("Applicants", "Resume", TextBinding{Collection: resumes, Inverted: resumesInv}); err != nil {
+	if err := cat.BindText("Applicants", "Resume", query.TextBinding{Collection: resumes, Inverted: resumesInv}); err != nil {
 		t.Fatal(err)
 	}
-	return &jobEnv{cat: cat, engine: NewEngine(cat)}
+	return &jobEnv{cat: cat, engine: query.NewEngine(cat)}
 }
 
 func TestCatalogValidation(t *testing.T) {
@@ -134,13 +121,13 @@ func TestCatalogValidation(t *testing.T) {
 	if _, err := e.cat.Relation("nope"); err == nil {
 		t.Error("unknown relation: want error")
 	}
-	if err := e.cat.BindText("Positions", "Title", TextBinding{}); err == nil {
+	if err := e.cat.BindText("Positions", "Title", query.TextBinding{}); err == nil {
 		t.Error("binding non-text column: want error")
 	}
-	if err := e.cat.BindText("Positions", "Job_descr", TextBinding{}); err == nil {
+	if err := e.cat.BindText("Positions", "Job_descr", query.TextBinding{}); err == nil {
 		t.Error("binding without collection: want error")
 	}
-	if err := e.cat.BindText("Nope", "x", TextBinding{}); err == nil {
+	if err := e.cat.BindText("Nope", "x", query.TextBinding{}); err == nil {
 		t.Error("binding unknown relation: want error")
 	}
 }
@@ -150,7 +137,7 @@ func TestExecuteMotivatingExample(t *testing.T) {
 	rs, err := e.engine.ExecuteString(`
 		Select P.P#, P.Title, A.SSN, A.Name
 		From Positions P, Applicants A
-		Where A.Resume SIMILAR_TO(2) P.Job_descr`, Options{MemoryPages: 100})
+		Where A.Resume SIMILAR_TO(2) P.Job_descr`, query.Options{MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +170,7 @@ func TestExecuteWithSelectionOnOuter(t *testing.T) {
 		Select P.Title, A.Name
 		From Positions P, Applicants A
 		Where P.Title like "%Engineer%" and A.Resume SIMILAR_TO(1) P.Job_descr`,
-		Options{MemoryPages: 100})
+		query.Options{MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +192,7 @@ func TestExecuteWithSelectionOnInner(t *testing.T) {
 		Select P.Title, A.Name, A.SSN
 		From Positions P, Applicants A
 		Where A.SSN >= 1002 and A.Resume SIMILAR_TO(1) P.Job_descr`,
-		Options{MemoryPages: 100})
+		query.Options{MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +210,10 @@ func TestExecuteForcedAlgorithms(t *testing.T) {
 	e := buildJobEnv(t)
 	src := `Select P.Title, A.Name From Positions P, Applicants A
 		Where A.Resume SIMILAR_TO(2) P.Job_descr`
-	var baseline *ResultSet
+	var baseline *query.ResultSet
 	for _, alg := range []core.Algorithm{core.HHNL, core.HVNL, core.VVM} {
 		a := alg
-		rs, err := e.engine.ExecuteString(src, Options{MemoryPages: 100, Force: &a})
+		rs, err := e.engine.ExecuteString(src, query.Options{MemoryPages: 100, Force: &a})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -269,7 +256,7 @@ func TestExecuteErrors(t *testing.T) {
 		`select a.Name from Applicants a, Applicants a where a.Resume similar_to(1) a.Resume`,
 	}
 	for _, src := range cases {
-		if _, err := e.engine.ExecuteString(src, Options{MemoryPages: 100}); err == nil {
+		if _, err := e.engine.ExecuteString(src, query.Options{MemoryPages: 100}); err == nil {
 			t.Errorf("ExecuteString(%q): want error", src)
 		}
 	}
@@ -281,7 +268,7 @@ func TestExplainOnly(t *testing.T) {
 		Select P.Title, A.Name
 		From Positions P, Applicants A
 		Where P.Title like "%Engineer%" and A.Resume SIMILAR_TO(2) P.Job_descr`,
-		Options{MemoryPages: 100, ExplainOnly: true})
+		query.Options{MemoryPages: 100, ExplainOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +293,7 @@ func TestExplainOnly(t *testing.T) {
 	rs2, err := e.engine.ExecuteString(`
 		Select P.Title From Positions P, Applicants A
 		Where A.Resume SIMILAR_TO(1) P.Job_descr`,
-		Options{MemoryPages: 100, ExplainOnly: true, Force: &forced})
+		query.Options{MemoryPages: 100, ExplainOnly: true, Force: &forced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +308,7 @@ func TestExecuteSelectionLeavesNothing(t *testing.T) {
 		Select P.Title, A.Name
 		From Positions P, Applicants A
 		Where P.Title like "%Astronaut%" and A.Resume SIMILAR_TO(1) P.Job_descr`,
-		Options{MemoryPages: 100})
+		query.Options{MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +324,7 @@ func TestExecuteSelectionOnBothSides(t *testing.T) {
 		From Positions P, Applicants A
 		Where P.Title like "%Engineer%" and A.SSN <> 1000
 		  and A.Resume SIMILAR_TO(1) P.Job_descr`,
-		Options{MemoryPages: 100})
+		query.Options{MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +347,7 @@ func TestExecuteNotLike(t *testing.T) {
 		Select P.Title, A.Name
 		From Positions P, Applicants A
 		Where P.Title not like "%Engineer%" and A.Resume SIMILAR_TO(1) P.Job_descr`,
-		Options{MemoryPages: 100})
+		query.Options{MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +363,7 @@ func TestExecuteUnqualifiedAndAmbiguous(t *testing.T) {
 	// Unqualified unique columns resolve fine.
 	rs, err := e.engine.ExecuteString(`
 		select Title, Name from Positions, Applicants
-		where Resume similar_to(1) Job_descr`, Options{MemoryPages: 100})
+		where Resume similar_to(1) Job_descr`, query.Options{MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +375,7 @@ func TestExecuteUnqualifiedAndAmbiguous(t *testing.T) {
 func TestExecuteTelemetryCounters(t *testing.T) {
 	e := buildJobEnv(t)
 	tel := telemetry.New()
-	opts := Options{MemoryPages: 100, Telemetry: tel}
+	opts := query.Options{MemoryPages: 100, Telemetry: tel}
 	rs, err := e.engine.ExecuteString(`
 		Select P.Title, A.Name
 		From Positions P, Applicants A
@@ -421,7 +408,7 @@ func TestExecuteTelemetryCounters(t *testing.T) {
 	// A nil collector must stay nil-safe end to end.
 	if _, err := e.engine.ExecuteString(`
 		Select P.Title From Positions P, Applicants A
-		Where A.Resume SIMILAR_TO(1) P.Job_descr`, Options{MemoryPages: 100}); err != nil {
+		Where A.Resume SIMILAR_TO(1) P.Job_descr`, query.Options{MemoryPages: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

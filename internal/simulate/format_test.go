@@ -30,26 +30,6 @@ func TestTableFormatGolden(t *testing.T) {
 	}
 }
 
-func TestMeasuredFormatGolden(t *testing.T) {
-	m := &MeasuredResult{
-		Title: "demo",
-		Rows: []MeasuredRow{
-			{Alg: "HHNL", ModelSeq: 10, ModelRand: 20, MeasuredCost: 15, SeqReads: 9, RandReads: 2, Passes: 1},
-		},
-	}
-	got := m.Format()
-	if !strings.Contains(got, "== measured: demo ==") {
-		t.Errorf("missing header: %q", got)
-	}
-	if !strings.Contains(got, "HHNL") || !strings.Contains(got, "15") {
-		t.Errorf("missing row data: %q", got)
-	}
-	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Errorf("lines = %d, want 3 (header, columns, row)", len(lines))
-	}
-}
-
 func TestFindingsFormatListsAll(t *testing.T) {
 	out := FormatFindings([]Finding{
 		{ID: 1, Statement: "s1", Holds: true, Evidence: "e1"},

@@ -14,10 +14,10 @@
 //	Group 4  — an originally small C2 of m documents derived from C1
 //	Group 5  — fewer-but-larger-document transforms (VVM's sweet spot)
 //
-// plus a programmatic check of the paper's five summary findings and, as
-// the empirical counterpart the paper leaves to future work, Measured —
-// which runs the three real algorithms on scaled synthetic corpora and
-// compares measured page I/O against the formulas.
+// plus a programmatic check of the paper's five summary findings. The
+// study is analytic, as the paper's was: it evaluates the formulas and
+// runs no join. The empirical counterpart — the real algorithms' measured
+// page reads next to the same formulas — is cmd/benchreport -calreport.
 package simulate
 
 import (
@@ -26,14 +26,8 @@ import (
 	"sort"
 	"strings"
 
-	"textjoin/internal/collection"
-	"textjoin/internal/core"
 	"textjoin/internal/corpus"
 	"textjoin/internal/costmodel"
-	"textjoin/internal/invfile"
-	"textjoin/internal/iosim"
-	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 )
 
 // Sweep values used by the groups.
@@ -218,11 +212,7 @@ func Group2() []*Table {
 // Group 4 both shrink with the small collection.
 func group34Input(p corpus.Profile, m int64, originallyLarge bool) costmodel.Input {
 	full := p.Stats()
-	sub := costmodel.Collection{
-		N: m,
-		K: p.TermsPerDoc,
-		T: int64(collection.VocabularyGrowth(float64(p.DistinctTerms), p.TermsPerDoc, float64(m))),
-	}
+	sub := p.Small(m).Stats()
 	in := costmodel.Input{C1: full, C2: sub, InvOnC1: full}
 	if originallyLarge {
 		in.InvOnC2 = full
@@ -473,128 +463,6 @@ func FormatFindings(fs []Finding) string {
 		fmt.Fprintf(&b, "(%d) %s\n    -> %s: %s\n", f.ID, f.Statement, status, f.Evidence)
 	}
 	return b.String()
-}
-
-// MeasuredRow compares a real algorithm run against the model.
-type MeasuredRow struct {
-	Alg          string
-	ModelSeq     float64
-	ModelRand    float64
-	MeasuredCost float64
-	SeqReads     int64
-	RandReads    int64
-	Passes       int
-}
-
-// MeasuredResult is the outcome of one empirical experiment.
-type MeasuredResult struct {
-	Title string
-	Rows  []MeasuredRow
-}
-
-// Format renders the measured-vs-model table.
-func (m *MeasuredResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== measured: %s ==\n", m.Title)
-	fmt.Fprintf(&b, "%-8s%12s%12s%12s%12s%12s%8s\n", "alg", "model-seq", "model-rand", "measured", "seqReads", "randReads", "passes")
-	for _, r := range m.Rows {
-		fmt.Fprintf(&b, "%-8s%12.0f%12.0f%12.0f%12d%12d%8d\n",
-			r.Alg, r.ModelSeq, r.ModelRand, r.MeasuredCost, r.SeqReads, r.RandReads, r.Passes)
-	}
-	return b.String()
-}
-
-// Measured builds scaled synthetic corpora for the two profiles, runs all
-// three real algorithms, and reports measured I/O cost next to the cost
-// model evaluated at the scaled corpora's *measured* statistics. The
-// measured cost should fall between the model's sequential and random
-// variants and preserve the ranking.
-func Measured(p1, p2 corpus.Profile, scale int64, memoryPages int64, seed int64) (*MeasuredResult, error) {
-	return MeasuredTelemetry(p1, p2, scale, memoryPages, seed, nil, nil)
-}
-
-// MeasuredTelemetry is Measured with an optional telemetry collector
-// attached to the simulated disk and every join, and an optional parent
-// span: each measured join runs under one child span that carries the
-// model's estimates next to the measured cost (model_seq, model_rand,
-// measured_cost, in whole page units), so one trace holds the
-// estimated-vs-measured comparison and where each join's time went.
-func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, seed int64, tel *telemetry.Collector, trace *reqtrace.Span) (*MeasuredResult, error) {
-	d := iosim.NewDisk(iosim.WithPageSize(4096), iosim.WithAlpha(5))
-	c1, err := corpus.GenerateOn(d, "c1", p1.Scaled(scale), seed)
-	if err != nil {
-		return nil, err
-	}
-	c2, err := corpus.GenerateOn(d, "c2", p2.Scaled(scale), seed+1)
-	if err != nil {
-		return nil, err
-	}
-	inv1, err := buildInv(d, c1, "c1")
-	if err != nil {
-		return nil, err
-	}
-	inv2, err := buildInv(d, c2, "c2")
-	if err != nil {
-		return nil, err
-	}
-	d.ResetStats()
-	d.SetCollector(tel)
-
-	in := core.Inputs{Outer: c2, Inner: c1, InnerInv: inv1, OuterInv: inv2}
-	opts := core.Options{Lambda: 20, MemoryPages: memoryPages, Telemetry: tel}
-	mi, err := core.ModelInput(in)
-	if err != nil {
-		return nil, err
-	}
-	sys := core.ModelSystem(in, opts)
-	q := costmodel.Query{Lambda: 20, Delta: 0.1}
-
-	res := &MeasuredResult{Title: fmt.Sprintf("C1=%s C2=%s scale=1/%d B=%d", p1.Name, p2.Name, scale, memoryPages)}
-	type modelFns struct {
-		alg  core.Algorithm
-		seq  func(costmodel.Input, costmodel.System, costmodel.Query) float64
-		rand func(costmodel.Input, costmodel.System, costmodel.Query) float64
-	}
-	for _, mf := range []modelFns{
-		{core.HHNL, costmodel.HHNLSeq, costmodel.HHNLRand},
-		{core.HVNL, costmodel.HVNLSeq, costmodel.HVNLRand},
-		{core.VVM, costmodel.VVMSeq, costmodel.VVMRand},
-	} {
-		span := trace.StartChild("exec", "join "+strings.ToLower(mf.alg.String()))
-		opts.Trace = span
-		_, st, err := core.Join(mf.alg, in, opts)
-		if err != nil {
-			span.End()
-			return nil, fmt.Errorf("measured %v: %w", mf.alg, err)
-		}
-		row := MeasuredRow{
-			Alg:          mf.alg.String(),
-			ModelSeq:     mf.seq(mi, sys, q),
-			ModelRand:    mf.rand(mi, sys, q),
-			MeasuredCost: st.Cost,
-			SeqReads:     st.IO.SeqReads,
-			RandReads:    st.IO.RandReads,
-			Passes:       st.Passes,
-		}
-		span.SetInt("model_seq", int64(row.ModelSeq+0.5))
-		span.SetInt("model_rand", int64(row.ModelRand+0.5))
-		span.SetInt("measured_cost", int64(row.MeasuredCost+0.5))
-		span.End()
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-func buildInv(d *iosim.Disk, c *collection.Collection, prefix string) (*invfile.InvertedFile, error) {
-	ef, err := d.Create(prefix + ".inv")
-	if err != nil {
-		return nil, err
-	}
-	tf, err := d.Create(prefix + ".bt")
-	if err != nil {
-		return nil, err
-	}
-	return invfile.Build(c, ef, tf)
 }
 
 // RunAll regenerates every analytic table: the paper's five groups in

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"textjoin/internal/corpus"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -219,78 +217,6 @@ func TestRunAllCount(t *testing.T) {
 	for _, tb := range tables {
 		if tb.Format() == "" {
 			t.Errorf("%s: empty format", tb.ID)
-		}
-	}
-}
-
-func TestMeasuredRankingMatchesModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("empirical run")
-	}
-	// The headline validation: across profiles, the measured cost
-	// ranking of the three algorithms agrees with the model's
-	// sequential-cost ranking (ties in either direction tolerated
-	// within 20%).
-	for _, p := range []corpus.Profile{corpus.WSJ, corpus.DOE} {
-		res, err := Measured(p, p, 256, 200, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		costs := map[string]float64{}
-		models := map[string]float64{}
-		for _, r := range res.Rows {
-			costs[r.Alg] = r.MeasuredCost
-			models[r.Alg] = r.ModelSeq
-		}
-		pairs := [][2]string{{"HHNL", "HVNL"}, {"HHNL", "VVM"}, {"HVNL", "VVM"}}
-		for _, pair := range pairs {
-			a, b := pair[0], pair[1]
-			modelSaysALess := models[a] < models[b]*0.8
-			modelSaysBLess := models[b] < models[a]*0.8
-			switch {
-			case modelSaysALess && costs[a] > costs[b]*1.2:
-				t.Errorf("%s: model ranks %s < %s but measured %v > %v", p.Name, a, b, costs[a], costs[b])
-			case modelSaysBLess && costs[b] > costs[a]*1.2:
-				t.Errorf("%s: model ranks %s < %s but measured %v > %v", p.Name, b, a, costs[b], costs[a])
-			}
-		}
-	}
-}
-
-func TestMeasuredAgainstModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping empirical run in -short mode")
-	}
-	res, err := Measured(corpus.WSJ, corpus.WSJ, 256, 200, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.MeasuredCost <= 0 {
-			t.Errorf("%s: measured cost %v", r.Alg, r.MeasuredCost)
-		}
-		if r.SeqReads+r.RandReads == 0 {
-			t.Errorf("%s: no reads", r.Alg)
-		}
-	}
-	if res.Format() == "" {
-		t.Error("empty format")
-	}
-	// Shape check: VVM's measured cost should be within an order of
-	// magnitude of its sequential model. The model idealizes records as
-	// bare 5-byte cells while the real layout adds per-record headers,
-	// which at reduced scale (short postings lists) inflate the files —
-	// so the tolerance is generous but still catches order-of-magnitude
-	// drift.
-	for _, r := range res.Rows {
-		if r.Alg == "VVM" && !math.IsInf(r.ModelSeq, 1) {
-			ratio := r.MeasuredCost / r.ModelSeq
-			if ratio < 0.2 || ratio > 8 {
-				t.Errorf("VVM measured/model = %v, want within [0.2, 8]", ratio)
-			}
 		}
 	}
 }

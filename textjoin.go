@@ -20,7 +20,15 @@
 //     "SELECT ... WHERE A.Resume SIMILAR_TO(20) P.Job_descr" with
 //     selection push-down;
 //   - synthetic corpus generation matching the paper's WSJ/FR/DOE
-//     statistics, and the complete Section 6 simulation study.
+//     statistics.
+//
+// The package is the one door to the storage and join stack: every
+// program under cmd/ and examples/ gets its disk, collections, inverted
+// files and sidecars from a Workspace and runs joins through Join and
+// JoinIntegrated, and the lint policy (internal/analysis) forbids them
+// the storage packages underneath. In return the facade stays as small
+// as its callers: an export no program names is deleted, not kept
+// (TestFacadeExportsHaveProgramCallers).
 //
 // # Quick start
 //
@@ -32,11 +40,15 @@
 //	    textjoin.Inputs{Outer: c2, Inner: c1, InnerInv: inv1},
 //	    textjoin.Options{Lambda: 5, MemoryPages: 1000})
 //
-// See the examples directory for complete programs.
+// See example_test.go and the examples directory for complete programs.
 package textjoin
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -46,7 +58,6 @@ import (
 	"textjoin/internal/corpus"
 	"textjoin/internal/costmodel"
 	"textjoin/internal/document"
-	"textjoin/internal/entrycache"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
@@ -55,9 +66,7 @@ import (
 	"textjoin/internal/relation"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/signature"
-	"textjoin/internal/simulate"
 	"textjoin/internal/slo"
-	"textjoin/internal/stats"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/termmap"
 	"textjoin/internal/tokenize"
@@ -95,19 +104,14 @@ type (
 	// Disk is the simulated paged store with sequential/random I/O
 	// accounting.
 	Disk = iosim.Disk
-	// IOStats are page-read/write counters with the α cost model.
-	IOStats = iosim.Stats
 	// Document is a term vector.
 	Document = document.Document
-	// Cell is one (term, occurrences) vector component.
-	Cell = document.Cell
 	// Weighting selects the similarity function.
 	Weighting = document.Weighting
 	// Collection is an immutable on-disk document collection.
 	Collection = collection.Collection
-	// Subset is a selection over a collection, read with random I/O.
-	Subset = collection.Subset
-	// Reader is a document source: a Collection, a Subset or a Batch.
+	// Reader is a document source: a Collection, a selection subset of
+	// one (Collection.Subset) or a Batch.
 	Reader = collection.Reader
 	// Batch is a memory-resident set of query documents joined against
 	// a stored collection (the paper's batch-query scenario; VVM is
@@ -115,8 +119,6 @@ type (
 	Batch = collection.Batch
 	// InvertedFile is a collection's inverted file with its B+tree.
 	InvertedFile = invfile.InvertedFile
-	// CachePolicy selects HVNL's entry replacement policy.
-	CachePolicy = entrycache.Policy
 )
 
 // Similarity weightings.
@@ -129,15 +131,6 @@ const (
 	// TFIDF weights each term by its squared inverse document
 	// frequency.
 	TFIDF = document.TFIDF
-)
-
-// HVNL cache replacement policies.
-const (
-	// MinOuterDF is the paper's policy: evict the entry whose term is
-	// least frequent in the outer collection.
-	MinOuterDF = entrycache.MinOuterDF
-	// LRU is the ablation baseline.
-	LRU = entrycache.LRU
 )
 
 // Cost model.
@@ -156,15 +149,8 @@ type (
 	Estimate = costmodel.Estimate
 )
 
-// Corpora and simulation.
-type (
-	// Profile describes a synthetic collection's target statistics.
-	Profile = corpus.Profile
-	// SimTable is one regenerated simulation table.
-	SimTable = simulate.Table
-	// Finding is one of the paper's summary findings re-derived.
-	Finding = simulate.Finding
-)
+// Profile describes a synthetic collection's target statistics.
+type Profile = corpus.Profile
 
 // Query layer.
 type (
@@ -177,14 +163,10 @@ type (
 	TextBinding = query.TextBinding
 	// QueryOptions configures query execution.
 	QueryOptions = query.Options
-	// ResultSet is a query's rows plus the planner's explanation.
-	ResultSet = query.ResultSet
 	// Relation is an in-memory table with text attributes.
 	Relation = relation.Relation
 	// Column describes one relation attribute.
 	Column = relation.Column
-	// Value is one attribute value.
-	Value = relation.Value
 	// Dictionary is the standard term-number mapping of Section 3.
 	Dictionary = termmap.Dictionary
 	// LocalMapping translates a local IR system's term numbers to the
@@ -201,8 +183,6 @@ type (
 	// the RequestSpan tree's job. A nil *Telemetry disables collection
 	// everywhere it is passed.
 	Telemetry = telemetry.Collector
-	// TelemetrySnapshot is a point-in-time copy of a collector's state.
-	TelemetrySnapshot = telemetry.Snapshot
 	// TelemetrySink renders a snapshot as text or JSON.
 	TelemetrySink = telemetry.Sink
 )
@@ -227,10 +207,6 @@ func NewMetricsExporter(t *Telemetry, opts ...MetricsExporterOption) *MetricsExp
 	return metrics.NewExporter(t, opts...)
 }
 
-// EncodeMetrics renders one snapshot as Prometheus exposition text, with
-// the stable textjoin_* naming scheme (see DESIGN.md §10).
-func EncodeMetrics(w io.Writer, s *TelemetrySnapshot) error { return metrics.Encode(w, s) }
-
 // Request tracing and SLO layer.
 type (
 	// RequestTracer mints request-scoped traces with seeded-deterministic
@@ -240,8 +216,6 @@ type (
 	// only span type there is. Thread it through Options.Trace to hang
 	// the join phases, and the finished join's Stats, under it.
 	RequestSpan = reqtrace.Span
-	// RequestTraceData is the wire form of one finished request trace.
-	RequestTraceData = reqtrace.TraceData
 	// FlightRecorder keeps the N slowest and N most recent finished
 	// request traces for /debug/requests.
 	FlightRecorder = reqtrace.Recorder
@@ -397,20 +371,26 @@ func (w *Workspace) NewCollection(name string, docs []*Document) (*Collection, e
 // BuildInvertedFile builds a collection's inverted file and B+tree on the
 // workspace disk.
 func (w *Workspace) BuildInvertedFile(c *Collection) (*InvertedFile, error) {
-	ef, err := w.disk.Create(c.Name() + ".inv")
-	if err != nil {
-		return nil, err
-	}
-	tf, err := w.disk.Create(c.Name() + ".btree")
-	if err != nil {
-		return nil, err
-	}
-	return invfile.Build(c, ef, tf)
+	return invfile.BuildOn(w.disk, c)
 }
 
 // GenerateCorpus synthesizes a collection matching the profile.
 func (w *Workspace) GenerateCorpus(p Profile, seed int64) (*Collection, error) {
 	return corpus.GenerateOn(w.disk, p.Name, p, seed)
+}
+
+// GenerateProfile synthesizes the paper profile called profile ("wsj",
+// "fr" or "doe", in any case) shrunk by the divisor scale (Profile.Scaled)
+// and stores it as the collection name, so two collections of one
+// profile can share a workspace.
+func (w *Workspace) GenerateProfile(name, profile string, scale, seed int64) (*Collection, error) {
+	p, err := corpus.ProfileByName(profile)
+	if err != nil {
+		return nil, err
+	}
+	p = p.Scaled(scale)
+	p.Name = name
+	return w.GenerateCorpus(p, seed)
 }
 
 // Save serializes the workspace's simulated disk — every collection,
@@ -444,15 +424,7 @@ func (w *Workspace) OpenCollection(name string, numDocs int64) (*Collection, err
 // OpenInvertedFile re-attaches to the inverted file built for c by
 // BuildInvertedFile.
 func (w *Workspace) OpenInvertedFile(c *Collection) (*InvertedFile, error) {
-	ef, err := w.disk.Open(c.Name() + ".inv")
-	if err != nil {
-		return nil, err
-	}
-	tf, err := w.disk.Open(c.Name() + ".btree")
-	if err != nil {
-		return nil, err
-	}
-	return invfile.Open(ef, tf)
+	return invfile.OpenOn(w.disk, c)
 }
 
 // NewDocument builds a document from a term → occurrences map.
@@ -474,9 +446,6 @@ func NewDictionary() *Dictionary { return termmap.NewDictionary() }
 func NewTokenizer(dict *Dictionary) *Tokenizer {
 	return tokenize.New(dict, tokenize.Options{})
 }
-
-// Similarity returns the paper's base similarity of two documents.
-func Similarity(a, b *Document) float64 { return document.Similarity(a, b) }
 
 // Join failure classes, for callers (such as servers) that map them to
 // distinct outcomes. Match with errors.Is: join errors wrap these.
@@ -505,6 +474,28 @@ func Join(alg Algorithm, in Inputs, opts Options) ([]Result, *JoinStats, error) 
 // Workers included.
 func JoinIntegrated(in Inputs, opts Options) ([]Result, *JoinStats, Decision, error) {
 	return core.JoinIntegrated(in, opts)
+}
+
+// ResultDigest fingerprints a result set — outer ids, match ids and the
+// exact similarity bits, each as an 8-byte little-endian word through
+// FNV-1a — so two joins that produced byte-identical rankings share it.
+// It is the one digest: a BENCH_BASELINE.json cell's results_hash and a
+// textjoind trace's result.hash are this string.
+func ResultDigest(results []Result) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, r := range results {
+		put(uint64(r.Outer))
+		for _, m := range r.Matches {
+			put(uint64(m.Doc))
+			put(math.Float64bits(m.Sim))
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Choose runs only the integrated algorithm's selection step.
@@ -551,13 +542,6 @@ var (
 	TextValue = relation.TextValue
 )
 
-// RunSimulation regenerates every analytic table of the paper's Section 6
-// study.
-func RunSimulation() []*SimTable { return simulate.RunAll() }
-
-// RunFindings re-derives the paper's five summary findings.
-func RunFindings() []Finding { return simulate.Findings() }
-
 // Extensions beyond the conference paper (its "further studies" items).
 
 // Extended cost model (CPU + communication, further-studies item 2).
@@ -575,36 +559,6 @@ type (
 // model for all three algorithms.
 func EstimateTotalCosts(in CostInput, sys System, q QueryParams, cpu CPUParams, net NetParams) []CostBreakdown {
 	return costmodel.EstimateAllTotal(in, sys, q, cpu, net)
-}
-
-// MeasureOverlap returns the measured probability that a distinct term of
-// outer also appears in inner — the paper's q (swap the arguments for p) —
-// computed exactly from the memory-resident document-frequency tables.
-func MeasureOverlap(inner, outer *Collection) float64 {
-	return stats.OverlapQ(inner, outer)
-}
-
-// MeasureDelta estimates δ, the fraction of document pairs with non-zero
-// similarity, from the document-frequency tables under term independence.
-func MeasureDelta(c1, c2 *Collection) float64 {
-	return stats.Delta(c1, c2)
-}
-
-// ClusterOrder returns a greedy storage order for the documents such that
-// neighbors share many terms — the tractable counterpart of the paper's
-// NP-hard optimal-order proposition, realizing its clustered-collection
-// scenario for HVNL.
-func ClusterOrder(docs []*Document) []int { return cluster.GreedyOrder(docs) }
-
-// ClusterCollection materializes a collection reordered by ClusterOrder
-// on the workspace disk, returning the new collection and the mapping
-// from new to original document ids.
-func (w *Workspace) ClusterCollection(name string, src *Collection) (*Collection, IDMap, error) {
-	f, err := w.disk.Create(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cluster.Clustered(name, f, src)
 }
 
 // Signature prefiltering.
@@ -661,13 +615,6 @@ func (w *Workspace) OpenLSH(c *Collection) (*LSHSidecar, error) {
 	return lsh.Open(f)
 }
 
-// EstimateLSHRecall returns the banding S-curve 1 − (1 − s^rows)^bands:
-// the probability that a pair of Jaccard similarity s becomes a
-// candidate under the given shape.
-func EstimateLSHRecall(bands, rows int, s float64) float64 {
-	return lsh.EstimateRecall(bands, rows, s)
-}
-
 // BuildSignatures builds and stores c's signature sidecar ("<name>.sig"
 // on the workspace disk), returning the memory-resident handle.
 func (w *Workspace) BuildSignatures(c *Collection, cfg SignatureConfig) (*SignatureSidecar, error) {
@@ -702,13 +649,20 @@ type ClusteredLayout struct {
 	InvertedFile *InvertedFile
 }
 
-// BuildClusteredLayout runs the full cluster-driven build path: reorder
-// src by ClusterOrder, build the signature sidecar over the new layout
-// (clustering is what makes the aggregates selective), and — when
-// srcInv is given — rewrite the inverted file with the remapped ids so
-// HVNL probes stay consistent with the reordered collection.
+// BuildClusteredLayout runs the full cluster-driven build path: store
+// src as name in a greedy order whose neighbors share many terms — the
+// tractable counterpart of the paper's NP-hard optimal-order
+// proposition, realizing its clustered-collection scenario for HVNL —
+// build the signature sidecar over the new layout (clustering is what
+// makes the aggregates selective), and — when srcInv is given — rewrite
+// the inverted file with the remapped ids so HVNL probes stay consistent
+// with the reordered collection.
 func (w *Workspace) BuildClusteredLayout(name string, src *Collection, srcInv *InvertedFile, cfg SignatureConfig) (*ClusteredLayout, error) {
-	c, idmap, err := w.ClusterCollection(name, src)
+	f, err := w.disk.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	c, idmap, err := cluster.Clustered(name, f, src)
 	if err != nil {
 		return nil, err
 	}
@@ -718,16 +672,8 @@ func (w *Workspace) BuildClusteredLayout(name string, src *Collection, srcInv *I
 	}
 	lay := &ClusteredLayout{Collection: c, IDMap: idmap, Signatures: sc}
 	if srcInv != nil {
-		ef, err := w.disk.Create(name + ".inv")
-		if err != nil {
-			return nil, err
-		}
-		tf, err := w.disk.Create(name + ".btree")
-		if err != nil {
-			return nil, err
-		}
 		inv := idmap.Inverse()
-		lay.InvertedFile, err = invfile.BuildRemapped(srcInv, func(orig uint32) uint32 { return inv[orig] }, ef, tf)
+		lay.InvertedFile, err = invfile.BuildRemappedOn(w.disk, c, srcInv, func(orig uint32) uint32 { return inv[orig] })
 		if err != nil {
 			return nil, err
 		}

@@ -71,26 +71,6 @@ func TestPublicParallelJoins(t *testing.T) {
 	}
 }
 
-func TestPublicClusterOrder(t *testing.T) {
-	docs := []*Document{
-		NewDocument(0, map[uint32]int{1: 1, 2: 1}),
-		NewDocument(1, map[uint32]int{50: 1, 51: 1}),
-		NewDocument(2, map[uint32]int{2: 1, 3: 1}),
-		NewDocument(3, map[uint32]int{51: 1, 52: 1}),
-	}
-	order := ClusterOrder(docs)
-	if len(order) != 4 {
-		t.Fatalf("order = %v", order)
-	}
-	seen := map[int]bool{}
-	for _, i := range order {
-		seen[i] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("not a permutation: %v", order)
-	}
-}
-
 func TestPublicClusterCollection(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ws := NewWorkspace(WithPageSize(256))
@@ -98,10 +78,11 @@ func TestPublicClusterCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clustered, origIDs, err := ws.ClusterCollection("clustered", src)
+	lay, err := ws.BuildClusteredLayout("clustered", src, nil, SignatureConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clustered, origIDs := lay.Collection, lay.IDMap
 	if clustered.NumDocs() != src.NumDocs() || len(origIDs) != 15 {
 		t.Fatalf("clustered N = %d, origIDs = %d", clustered.NumDocs(), len(origIDs))
 	}

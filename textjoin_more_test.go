@@ -1,7 +1,6 @@
 package textjoin
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -59,30 +58,6 @@ func TestPublicBatch(t *testing.T) {
 	}
 }
 
-func TestPublicMeasureStats(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	ws := NewWorkspace(WithPageSize(256))
-	c1, err := ws.NewCollection("c1", randomDocuments(r, 20, 40, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ws.NewCollection("c2", randomDocuments(r, 20, 40, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := MeasureOverlap(c1, c2)
-	if q <= 0 || q > 1 {
-		t.Errorf("q = %v", q)
-	}
-	if got := MeasureOverlap(c1, c1); got != 1 {
-		t.Errorf("self overlap = %v, want 1", got)
-	}
-	delta := MeasureDelta(c1, c2)
-	if delta <= 0 || delta > 1 {
-		t.Errorf("delta = %v", delta)
-	}
-}
-
 func TestPublicLocalMapping(t *testing.T) {
 	dict := NewDictionary()
 	m, err := NewLocalMapping("sys", dict, map[uint32]string{10: "go", 20: "db"})
@@ -135,13 +110,5 @@ func TestPublicBuildErrors(t *testing.T) {
 	other, _ := ws.NewCollection("other", nil)
 	if _, err := ws.OpenInvertedFile(other); err == nil {
 		t.Error("missing inverted file: want error")
-	}
-}
-
-func TestPublicSimilarityWeightsMatch(t *testing.T) {
-	a := NewDocument(0, map[uint32]int{1: 2, 2: 3})
-	b := NewDocument(1, map[uint32]int{1: 4, 3: 1})
-	if got := Similarity(a, b); math.Abs(got-8) > 1e-12 {
-		t.Errorf("Similarity = %v, want 8", got)
 	}
 }
