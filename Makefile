@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify race perf perf-aa trace-smoke obs-smoke bench-json bench-load loadgen-smoke slo-smoke lint lint-report
+.PHONY: build test verify race perf perf-aa trace-smoke obs-smoke bench-json bench-load smoke-bin loadgen-smoke slo-smoke lint lint-report
 
 build:
 	$(GO) build ./...
@@ -100,18 +100,30 @@ obs-smoke:
 bench-json:
 	$(GO) run ./cmd/benchreport -q -baseline BENCH_BASELINE.json
 
+# The load-generator targets run a real server process and a real client
+# process. Their binaries are built where benchmark/run.sh builds its own,
+# under the ignored .bench_build/bin (under names of their own: the
+# benchmark's textjoind may be running), so make verify writes nothing
+# outside the checkout. smoke-bin runs once per make invocation and leaves
+# rebuilding to the Go build cache.
+SMOKE_BIN := .bench_build/bin
+SMOKE_SERVER := $(SMOKE_BIN)/textjoind.smoke
+SMOKE_CLIENT := $(SMOKE_BIN)/loadgen.smoke
+smoke-bin:
+	@mkdir -p $(SMOKE_BIN)
+	$(GO) build -o $(SMOKE_SERVER) ./cmd/textjoind
+	$(GO) build -o $(SMOKE_CLIENT) ./cmd/loadgen
+
 # loadgen-smoke is the CI check for the concurrent serving path: boot a
 # real textjoind on a loopback port, fire a short open-loop run over the
 # mixed request profiles, and fail unless every request completed with
 # plausible latency percentiles. The server is killed whether or not the
 # check passes.
 LOADGEN_PORT ?= 18573
-loadgen-smoke:
-	$(GO) build -o /tmp/textjoind.loadgen ./cmd/textjoind
-	$(GO) build -o /tmp/loadgen.loadgen ./cmd/loadgen
-	@/tmp/textjoind.loadgen -addr 127.0.0.1:$(LOADGEN_PORT) -scale 4096 & \
+loadgen-smoke: smoke-bin
+	@$(SMOKE_SERVER) -addr 127.0.0.1:$(LOADGEN_PORT) -scale 4096 & \
 	pid=$$!; \
-	/tmp/loadgen.loadgen -addr http://127.0.0.1:$(LOADGEN_PORT) -wait 30s -rate 40 -duration 2s -check; \
+	$(SMOKE_CLIENT) -addr http://127.0.0.1:$(LOADGEN_PORT) -wait 30s -rate 40 -duration 2s -check; \
 	rc=$$?; kill $$pid 2>/dev/null; exit $$rc
 
 # slo-smoke is the CI gate for the SLO layer: boot a real textjoind,
@@ -121,12 +133,10 @@ loadgen-smoke:
 # budget remaining. -check also enforces the client-vs-server clock
 # gates: no reply may claim more server time than the client measured.
 SLO_PORT ?= 18574
-slo-smoke:
-	$(GO) build -o /tmp/textjoind.slo ./cmd/textjoind
-	$(GO) build -o /tmp/loadgen.slo ./cmd/loadgen
-	@/tmp/textjoind.slo -addr 127.0.0.1:$(SLO_PORT) -scale 4096 & \
+slo-smoke: smoke-bin
+	@$(SMOKE_SERVER) -addr 127.0.0.1:$(SLO_PORT) -scale 4096 & \
 	pid=$$!; \
-	/tmp/loadgen.slo -addr http://127.0.0.1:$(SLO_PORT) -wait 30s -rate 40 -duration 3s -slo -check; \
+	$(SMOKE_CLIENT) -addr http://127.0.0.1:$(SLO_PORT) -wait 30s -rate 40 -duration 3s -slo -check; \
 	rc=$$?; kill $$pid 2>/dev/null; exit $$rc
 
 # bench-load reproduces the checked-in BENCH_PR7.json: the identical
@@ -137,13 +147,11 @@ slo-smoke:
 # design); the concurrent server absorbs the full rate at a far lower
 # p99. Ungated: numbers are machine-dependent — regenerate rather than
 # diff-check.
-bench-load:
-	$(GO) build -o /tmp/textjoind.loadgen ./cmd/textjoind
-	$(GO) build -o /tmp/loadgen.loadgen ./cmd/loadgen
-	@/tmp/textjoind.loadgen -addr 127.0.0.1:18575 -scale 4096 -io-delay 3ms -budget-mb 0 & \
+bench-load: smoke-bin
+	@$(SMOKE_SERVER) -addr 127.0.0.1:18575 -scale 4096 -io-delay 3ms -budget-mb 0 & \
 	pid1=$$!; \
-	/tmp/textjoind.loadgen -addr 127.0.0.1:18576 -scale 4096 -io-delay 3ms & \
+	$(SMOKE_SERVER) -addr 127.0.0.1:18576 -scale 4096 -io-delay 3ms & \
 	pid2=$$!; \
-	/tmp/loadgen.loadgen -target serialized=http://127.0.0.1:18575 -target concurrent=http://127.0.0.1:18576 \
+	$(SMOKE_CLIENT) -target serialized=http://127.0.0.1:18575 -target concurrent=http://127.0.0.1:18576 \
 		-wait 30s -rate 600 -duration 10s -json BENCH_PR7.json; \
 	rc=$$?; kill $$pid1 $$pid2 2>/dev/null; exit $$rc

@@ -349,10 +349,16 @@ func spanOf(t *testing.T, d reqtrace.TraceData, phase string) (reqtrace.SpanData
 
 // TestTraceClosure checks that a request's spans account for its time:
 // over the serve_mix kinds the root's children (queue, snapshot, exec,
-// io, reply) cover at least 90 % of the roots, the reply's exec_seconds
+// io, reply) cover at least 90 % of the root, the reply's exec_seconds
 // is the exec span's own interval, and the join phases under exec cover
 // at least 80 % of it for every kind (logged per kind: anything under
 // 95 % is a place no span looks yet).
+//
+// The property is structural — is there a stretch of the request no span
+// looks at — and a request here takes about a millisecond, so one
+// scheduler hiccup between two spans would swamp a sum over requests.
+// Each kind is therefore judged by the best-covered of five requests: a
+// hiccup spoils one request, a missing span spoils all five.
 func TestTraceClosure(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Scale = 512
@@ -363,31 +369,28 @@ func TestTraceClosure(t *testing.T) {
 	hs := httptest.NewServer(s.handler())
 	defer hs.Close()
 
-	var roots, rootChildren int64
 	for _, k := range serveMixKinds {
-		var execs, execChildren int64
-		for i := 0; i < 3; i++ {
+		var bestRoot, bestExec float64
+		var bestExecDur time.Duration
+		for i := 0; i < 5; i++ {
 			j, d := joinAndTrace(t, hs, k.query)
 			root, covered := spanOf(t, d, "request")
-			roots += root.DurNanos
-			rootChildren += covered
+			bestRoot = max(bestRoot, float64(covered)/float64(root.DurNanos))
 			exec, covered := spanOf(t, d, "exec")
-			execs += exec.DurNanos
-			execChildren += covered
+			if ratio := float64(covered) / float64(exec.DurNanos); ratio > bestExec {
+				bestExec, bestExecDur = ratio, time.Duration(exec.DurNanos)
+			}
 			if diff := time.Duration(j.ExecSeconds*1e9) - time.Duration(exec.DurNanos); diff < -time.Millisecond || diff > time.Millisecond {
 				t.Errorf("%s: exec_seconds %v but the exec span took %v", k.name, j.ExecSeconds, time.Duration(exec.DurNanos))
 			}
 		}
-		ratio := float64(execChildren) / float64(execs)
-		t.Logf("%-15s phases cover %.3f of exec (%v)", k.name, ratio, time.Duration(execs/3))
-		if ratio < 0.80 {
-			t.Errorf("%s: join phases cover only %.3f of exec", k.name, ratio)
+		t.Logf("%-15s phases cover %.3f of exec (%v), children %.3f of the root", k.name, bestExec, bestExecDur, bestRoot)
+		if bestExec < 0.80 {
+			t.Errorf("%s: join phases cover only %.3f of exec", k.name, bestExec)
 		}
-	}
-	ratio := float64(rootChildren) / float64(roots)
-	t.Logf("children cover %.3f of the roots", ratio)
-	if ratio < 0.90 {
-		t.Errorf("root children cover only %.3f of the request time", ratio)
+		if bestRoot < 0.90 {
+			t.Errorf("%s: root children cover only %.3f of the request time", k.name, bestRoot)
+		}
 	}
 }
 

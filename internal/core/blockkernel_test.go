@@ -1,0 +1,272 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"textjoin/internal/document"
+	"textjoin/internal/iosim"
+	"textjoin/internal/topk"
+)
+
+// pairwiseStage is the loop the accumulate kernel replaced, kept here as
+// its oracle: one Scorer.Score merge walk per (slot, streamed document)
+// pair, every pair offered, zero or not.
+type pairwiseStage struct {
+	scorer   *document.Scorer
+	batch    []document.Document
+	lists    [][]int32
+	trackers []*topk.TopK
+
+	comparisons, falsePasses int64
+}
+
+func newPairwiseStage(scorer *document.Scorer, batch []document.Document, lists [][]int32, lambda int) *pairwiseStage {
+	s := &pairwiseStage{scorer: scorer, batch: batch, lists: lists, trackers: make([]*topk.TopK, len(batch))}
+	for i := range s.trackers {
+		s.trackers[i] = topk.New(lambda)
+	}
+	return s
+}
+
+func (s *pairwiseStage) score(d1 *document.Document) {
+	slots := make([]int32, len(s.batch))
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	if s.lists != nil {
+		slots = s.lists[d1.ID]
+	}
+	anyHit := false
+	for _, i := range slots {
+		sim := s.scorer.Score(&s.batch[i], d1)
+		if sim != 0 {
+			anyHit = true
+		}
+		s.trackers[i].Offer(d1.ID, sim)
+	}
+	s.comparisons += int64(len(slots))
+	if !anyHit {
+		s.falsePasses++
+	}
+}
+
+// kernelDocs draws n documents with ids from firstID over terms
+// [lo, lo+vocab). One in six is empty; the weights reach the encoding's
+// maximum, where a product no longer fits 32 bits.
+func kernelDocs(r *rand.Rand, n int, firstID, lo uint32, vocab, maxLen int) []document.Document {
+	docs := make([]document.Document, n)
+	for i := range docs {
+		counts := map[uint32]int{}
+		if r.Intn(6) > 0 {
+			for j, l := 0, r.Intn(maxLen)+1; j < l; j++ {
+				counts[lo+uint32(r.Intn(vocab))] += 1 + r.Intn(3)*r.Intn(30000)
+			}
+		}
+		docs[i] = *document.New(firstID+uint32(i), counts)
+	}
+	return docs
+}
+
+// kernelScorer is one weighting of the property test.
+type kernelScorer struct {
+	name string
+	*document.Scorer
+}
+
+// kernelScorers builds the three weightings over the two sides. Cosine
+// gives one document in five a zero norm; tf-idf leaves one term in five
+// without a weight, so its factor is 0.
+func kernelScorers(t *testing.T, r *rand.Rand, resident, streamed []document.Document, vocab int) []kernelScorer {
+	t.Helper()
+	// One norm map serves as both sides': the test scores every pair in
+	// both role assignments.
+	norms := map[uint32]float64{}
+	for _, docs := range [][]document.Document{resident, streamed} {
+		for i := range docs {
+			if r.Intn(5) > 0 {
+				norms[docs[i].ID] = docs[i].Norm()
+			}
+		}
+	}
+	idf := map[uint32]float64{}
+	for term := 0; term < vocab; term++ {
+		if r.Intn(5) > 0 {
+			idf[uint32(term)] = document.IDF(int64(vocab), int64(1+r.Intn(vocab)))
+		}
+	}
+	raw, err1 := document.NewScorer(document.RawTF, nil, nil, nil)
+	cosine, err2 := document.NewScorer(document.Cosine, nil, norms, norms)
+	tfidf, err3 := document.NewScorer(document.TFIDF, idf, nil, nil)
+	if err1 != nil || err2 != nil || err3 != nil {
+		t.Fatal(err1, err2, err3)
+	}
+	return []kernelScorer{{"raw", raw}, {"cosine", cosine}, {"tfidf", tfidf}}
+}
+
+// kernelLists draws the three slot-list regimes: nil (every slot), sparse
+// ascending lists, and lists that are empty for most streamed documents.
+func kernelLists(r *rand.Rand, mode, streamed, slots int) [][]int32 {
+	if mode == 0 {
+		return nil
+	}
+	lists := make([][]int32, streamed)
+	for id := range lists {
+		if mode == 2 && r.Intn(4) > 0 {
+			continue
+		}
+		for slot := 0; slot < slots; slot++ {
+			if r.Intn(3) == 0 {
+				lists[id] = append(lists[id], int32(slot))
+			}
+		}
+	}
+	return lists
+}
+
+// TestBlockKernelMatchesPairwiseScoring is the gate of DESIGN §5.8: over
+// random resident batches and streamed documents, under every weighting
+// and slot-list regime, the accumulate kernel's similarities are the
+// pairwise scorer's to the last bit — in both role assignments, forward
+// HHNL's and backward HHNL's — and a stage fed through it ends with the
+// trackers, comparisons and false passes of the pairwise loop. Each trial
+// runs several batches through one block and one stage, as a join does.
+func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
+	const lambda = 4
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		vocab := 5 + r.Intn(40)
+		streamed := kernelDocs(r, 1+r.Intn(30), 0, 0, vocab, 12)
+		if seed%8 == 0 {
+			// No term in common with any batch.
+			streamed = kernelDocs(r, 5, 0, uint32(vocab), vocab, 12)
+		}
+		var block residentBlock
+		stages := map[string]*blockStage{}
+		for batchNo, size := range []int{1 + r.Intn(20), 1, 1 + r.Intn(40)} {
+			batch := kernelDocs(r, size, uint32(1000*(batchNo+1)), 0, vocab, 12)
+			block.regroup(batch)
+			for _, ks := range kernelScorers(t, r, batch, streamed, vocab) {
+				name, scorer := ks.name, ks.Scorer
+				var acc blockAccum
+				for i := range streamed {
+					d := &streamed[i]
+					acc.add(&block, scorer, d)
+					for slot := range batch {
+						res := &batch[slot]
+						fwd := scorer.Finalize(res.ID, d.ID, acc.raw[slot])
+						if want := scorer.Score(res, d); math.Float64bits(fwd) != math.Float64bits(want) {
+							t.Fatalf("seed %d %s batch %d: resident %d × streamed %d = %v, pairwise %v", seed, name, batchNo, res.ID, d.ID, fwd, want)
+						}
+						bwd := scorer.Finalize(d.ID, res.ID, acc.raw[slot])
+						if want := scorer.Score(d, res); math.Float64bits(bwd) != math.Float64bits(want) {
+							t.Fatalf("seed %d %s batch %d: streamed %d × resident %d = %v, pairwise %v", seed, name, batchNo, d.ID, res.ID, bwd, want)
+						}
+					}
+					for _, slot := range acc.touched {
+						acc.raw[slot] = 0
+					}
+					for slot, v := range acc.raw {
+						if v != 0 {
+							t.Fatalf("seed %d %s: slot %d holds %v but is not listed as touched", seed, name, slot, v)
+						}
+					}
+				}
+
+				for mode := 0; mode < 3; mode++ {
+					lists := kernelLists(r, mode, len(streamed), len(batch))
+					key := name + string(rune('0'+mode))
+					st := stages[key]
+					if st == nil {
+						st = &blockStage{block: &block}
+						stages[key] = st
+					}
+					st.scorer = scorer
+					st.begin(lists, lambda)
+					want := newPairwiseStage(scorer, batch, lists, lambda)
+					for i := range streamed {
+						st.score(&streamed[i])
+						want.score(&streamed[i])
+					}
+					if st.comparisons != want.comparisons || st.falsePasses != want.falsePasses {
+						t.Errorf("seed %d %s lists %d batch %d: comparisons %d false passes %d, pairwise %d and %d",
+							seed, name, mode, batchNo, st.comparisons, st.falsePasses, want.comparisons, want.falsePasses)
+					}
+					for slot := range batch {
+						got, exp := st.trackers[slot].Results(), want.trackers[slot].Results()
+						if err := exactSameResults([]Result{{Matches: got}}, []Result{{Matches: exp}}); err != nil {
+							t.Fatalf("seed %d %s lists %d batch %d slot %d: %v", seed, name, mode, batchNo, slot, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockJoinAllocationsDoNotGrowWithPasses is the go-test form of
+// alloc_kb_per_op's bound on the benchmark's hhnl_scan: the cell arena,
+// the regrouped block, every stage's accumulator and its trackers are
+// built once per join and reused by every batch. So, first, regrouping a
+// batch into a block that has held one as large, and readying a stage for
+// it, allocates nothing; second, the same collections joined in four or
+// more passes allocate what one pass allocates, give or take a scanner per
+// pass — and forward, where a tracker belongs to a resident slot, a whole
+// object per outer document less. A tracker set rebuilt per batch costs
+// two objects per outer document and fails the second at once.
+func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	batch := kernelDocs(r, 50, 0, 0, 40, 10)
+	var block residentBlock
+	st := &blockStage{block: &block}
+	block.regroup(batch)
+	st.begin(nil, 3)
+	if allocs := testing.AllocsPerRun(10, func() {
+		block.regroup(batch[:20])
+		st.begin(nil, 3)
+		block.regroup(batch)
+		st.begin(nil, 3)
+	}); allocs != 0 {
+		t.Errorf("regrouping into a warm block allocates %.0f objects, want 0", allocs)
+	}
+
+	const n2 = 200
+	d := iosim.NewDisk(iosim.WithPageSize(256))
+	c1 := buildColl(t, d, "c1", randomDocs(r, 60, 50, 10))
+	c2 := buildColl(t, d, "c2", randomDocs(r, n2, 50, 10))
+	in := Inputs{Outer: c2, Inner: c1}
+	for _, backward := range []bool{false, true} {
+		allocs := func(pages int64) (allocs float64, passes int) {
+			opts := Options{Lambda: 3, MemoryPages: pages, Backward: backward}
+			allocs = testing.AllocsPerRun(5, func() {
+				res, st, err := Join(HHNL, in, opts)
+				if err != nil || len(res) != n2 {
+					t.Fatalf("backward=%v B=%d: rows=%d stats=%+v err=%v", backward, pages, len(res), st, err)
+				}
+				passes = st.Passes
+			})
+			return allocs, passes
+		}
+		pages := int64(8)
+		if backward {
+			pages = 12 // the outer trackers are resident as well
+		}
+		one, passes1 := allocs(4000)
+		many, passes := allocs(pages)
+		if passes1 != 1 || passes < 4 {
+			t.Fatalf("backward=%v: %d and %d passes, want 1 and at least 4", backward, passes1, passes)
+		}
+		// A pass opens one scan of the streamed side: a scanner and its
+		// buffers.
+		budget := one + 8*float64(passes)
+		if !backward {
+			// One pass builds a tracker — two objects — per outer document,
+			// four passes or more at most a quarter of them.
+			budget -= n2
+		}
+		if many > budget {
+			t.Errorf("backward=%v: %.0f allocations in one pass, %.0f in %d; want at most %.0f", backward, one, many, passes, budget)
+		}
+	}
+}

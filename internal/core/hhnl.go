@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
+	"textjoin/internal/codec"
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
@@ -26,7 +28,16 @@ import (
 //
 // realized in exact bytes: ⌈S1⌉ pages are reserved to hold one inner
 // document, and each outer document charges its packed size plus 4λ bytes
-// for its similarity slots.
+// for its similarity slots. The resident batch is held regrouped by term
+// (residentBlock): the same cells in another order, a slot number and a
+// weight per cell and a directory entry per distinct term in place of a
+// header per document. It is charged to the same B by that same rule, so X,
+// the passes and the page reads are what the paper's formula says.
+//
+// The paper prices the similarity computation at nothing; here it is the
+// whole CPU cost, so "compute its similarity with every resident C2
+// document" is one walk of the C1 document's cells past the block's
+// postings into an accumulator (blockAccum.add), not X merge walks.
 //
 // With Options.Backward the loop order flips (an extension the paper
 // defers to the technical report): blocks of C1 are held in memory while
@@ -66,7 +77,7 @@ func runHHNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 		var q signature.Sig
 		var need []bool
 		b.prepName = "hhnl.prefilter"
-		b.prepare = func(batch []*document.Document) ([]bool, [][]int32, error) {
+		b.prepare = func(batch []document.Document) ([]bool, [][]int32, error) {
 			q = batchSig(cfg, batch, q)
 			var err error
 			need, err = sidecarNeed(pf.Inner, in.Inner, q, need, &b.stats.Prefilter)
@@ -84,7 +95,9 @@ func streamReserve(avgDocBytes float64, pageSize int64) int64 {
 
 // batchFiller cuts a document stream into memory-budgeted resident
 // batches, carrying the document that overflowed one batch into the next.
-// Each document charges its packed size plus overhead bytes.
+// Each document charges its packed size plus overhead bytes. The batches
+// live in one cell arena reused from batch to batch, so next may yield
+// reuse-path documents: each is copied before the following call.
 type batchFiller struct {
 	next     func() (*document.Document, error)
 	budget   int64
@@ -92,12 +105,29 @@ type batchFiller struct {
 	side     string // "outer" or "inner", for the oversized-document error
 	pending  *document.Document
 	done     bool
+	docs     []document.Document
+	cells    []document.Cell
+}
+
+// batchSlack pads a buffer sized from one full batch, measured or
+// expected: batches are cut by bytes, so their document and cell counts
+// differ by a few percent, and a sixteenth more makes a regrow rare.
+func batchSlack(n int) int { return n + n/16 + 1 }
+
+// newBatchFiller sizes the arena for a full batch of average documents of
+// a stream of n documents of avgBytes packed bytes each.
+func newBatchFiller(next func() (*document.Document, error), budget, overhead int64, side string, n int64, avgBytes float64) *batchFiller {
+	docs := min(float64(n), float64(budget)/(avgBytes+float64(overhead)))
+	cells := docs * (avgBytes - codec.DocHeaderSize) / codec.CellSize
+	return &batchFiller{next: next, budget: budget, overhead: overhead, side: side,
+		docs:  make([]document.Document, 0, batchSlack(int(docs))),
+		cells: make([]document.Cell, 0, batchSlack(int(cells)))}
 }
 
 // fill returns the next batch and the bytes it charges; an empty batch
-// means the stream is exhausted. Batches are built from stable Next
-// documents, since they stay resident across a whole scan of the other side.
-func (f *batchFiller) fill() (batch []*document.Document, used int64, err error) {
+// means the stream is exhausted. The batch is valid until the next fill.
+func (f *batchFiller) fill() (batch []document.Document, used int64, err error) {
+	f.docs, f.cells = f.docs[:0], f.cells[:0]
 	for !f.done {
 		d := f.pending
 		f.pending = nil
@@ -111,23 +141,25 @@ func (f *batchFiller) fill() (batch []*document.Document, used int64, err error)
 		}
 		cost := d.EncodedSize() + f.overhead
 		if used+cost > f.budget {
-			if len(batch) > 0 {
+			if len(f.docs) > 0 {
 				f.pending = d
 				break
 			}
 			return nil, 0, fmt.Errorf("%w: %s document %d (%d bytes) exceeds the batch budget %d",
 				ErrInsufficientMemory, f.side, d.ID, cost, f.budget)
 		}
-		batch = append(batch, d)
+		start := len(f.cells)
+		f.cells = append(f.cells, d.Cells...)
+		f.docs = append(f.docs, document.Document{ID: d.ID, Cells: f.cells[start:len(f.cells):len(f.cells)]})
 		used += cost
 	}
-	return batch, used, nil
+	return f.docs, used, nil
 }
 
 // blockJoin is the block skeleton forward HHNL and LSH share: fill a
 // resident outer batch → prepare it (the prefilter's keep vector, or the
-// LSH candidate lists) → scan the inner documents the preparation kept
-// through the scoring stage → flush the batch's rows.
+// LSH candidate lists) → regroup it by term → stream the inner documents
+// the preparation kept through the scoring stage → flush the batch's rows.
 type blockJoin struct {
 	in     Inputs
 	opts   Options
@@ -138,7 +170,7 @@ type blockJoin struct {
 	// the inner documents the scan reads (nil: all of them — the filtered
 	// scan never reads a page without a kept document), lists maps an inner
 	// id to the resident slots it scores against (nil: every slot).
-	prepare            func(batch []*document.Document) (keep []bool, lists [][]int32, err error)
+	prepare            func(batch []document.Document) (keep []bool, lists [][]int32, err error)
 	prepName, scanName string
 }
 
@@ -155,10 +187,18 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	}
 	tel, trace := opts.Telemetry, opts.Trace
 	name := strings.ToLower(stats.Algorithm.String())
-	fillName, mergeName, flushName := name+".fill-batch", name+".merge-trackers", name+".flush-batch"
+	fillName, invertName, mergeName, flushName := name+".fill-batch", name+".invert-batch", name+".merge-trackers", name+".flush-batch"
 	track := trackIO(in.Outer.File(), in.Inner.File())
-	filler := batchFiller{next: in.Outer.Documents().Next, budget: budget, overhead: 4 * int64(opts.Lambda), side: "outer"}
+	outer := in.Outer.Documents()
+	filler := newBatchFiller(func() (*document.Document, error) { return collection.NextReuse(outer) },
+		budget, 4*int64(opts.Lambda), "outer", in.Outer.NumDocs(), in.Outer.AvgDocBytes())
+	// The block, every stage's accumulator and its trackers are built once
+	// and reused by every batch.
+	var block residentBlock
 	stages := make([]*blockStage, max(1, opts.Workers))
+	for w := range stages {
+		stages[w] = &blockStage{scorer: b.scorer, block: &block}
+	}
 
 	results := make([]Result, 0, in.Outer.NumDocs())
 	for {
@@ -185,9 +225,14 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 				return nil, nil, err
 			}
 		}
-		for w := range stages {
-			stages[w] = newBlockStage(b.scorer, batch, lists, opts.Lambda)
+		// Regrouped on this goroutine before any worker starts; the stages
+		// only read the block.
+		invert := trace.StartChild(reqtrace.PhaseScan, invertName)
+		block.regroup(batch)
+		for _, st := range stages {
+			st.begin(lists, opts.Lambda)
 		}
+		invert.End()
 
 		// One scan of the (kept) inner documents per batch, always on this
 		// goroutine.
@@ -220,10 +265,8 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		trackers := stages[0].trackers
 		if len(stages) > 1 {
 			merge := trace.StartChild(reqtrace.PhaseMerge, mergeName)
-			trackers = make([]*topk.TopK, len(batch))
-			for i := range trackers {
-				trackers[i] = topk.New(opts.Lambda)
-				for _, st := range stages {
+			for i := range batch {
+				for _, st := range stages[1:] {
 					for _, m := range st.trackers[i].Results() {
 						trackers[i].Offer(m.Doc, m.Sim)
 					}
@@ -232,8 +275,8 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 			merge.End()
 		}
 		flush := trace.StartChild(reqtrace.PhaseFlush, flushName)
-		for i, d2 := range batch {
-			results = append(results, Result{Outer: d2.ID, Matches: trackers[i].Results()})
+		for i := range batch {
+			results = append(results, Result{Outer: batch[i].ID, Matches: trackers[i].Results()})
 		}
 		flush.End()
 	}
@@ -243,49 +286,162 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	return results, stats, nil
 }
 
+// residentBlock is a resident batch regrouped by term: the batch's own
+// d-cells in another order — for each distinct term the (slot, weight) of
+// every resident document containing it, ascending by slot — so that one
+// streamed document is scored against the whole batch by walking its cells
+// past the postings (the paper's HVNL idea, Section 4.2, applied to the
+// block HHNL already holds). It is rebuilt for every batch into the same
+// buffers and is read-only between two regroups.
+type residentBlock struct {
+	ids  []uint32         // slot → document id
+	dir  map[uint32]int32 // term → its entry
+	offs []int32          // entry e's postings are post[offs[e]:offs[e+1]]
+	post []posting
+}
+
+// posting is one resident d-cell seen from its term.
+type posting struct {
+	slot   int32
+	weight uint16
+}
+
+// regroup is a counting sort of the batch's cells by term. The first pass
+// counts each term's cells (held negated in dir); the second numbers the
+// terms in first-seen order, which makes entry e's postings start where
+// entry e-1's end, and places the cells. Cells are visited in slot order,
+// so each term's postings ascend by slot.
+func (b *residentBlock) regroup(batch []document.Document) {
+	if b.dir == nil {
+		b.dir = make(map[uint32]int32)
+	}
+	clear(b.dir)
+	b.ids = b.ids[:0]
+	cells := 0
+	for i := range batch {
+		b.ids = append(b.ids, batch[i].ID)
+		for _, c := range batch[i].Cells {
+			b.dir[c.Term]--
+		}
+		cells += len(batch[i].Cells)
+	}
+	if cap(b.post) < cells {
+		b.post = make([]posting, batchSlack(cells)) // the first batch is a full one
+	}
+	post := b.post[:cells]
+	// offs[e+1] is entry e's cursor: its start when the entry is numbered,
+	// its end — the start of entry e+1 — once its cells are placed.
+	offs := append(slices.Grow(b.offs[:0], len(b.dir)+1), 0)
+	next := int32(0)
+	for i := range batch {
+		for _, c := range batch[i].Cells {
+			e := b.dir[c.Term]
+			if e < 0 {
+				count := -e
+				e = int32(len(offs) - 1)
+				b.dir[c.Term] = e
+				offs = append(offs, next)
+				next += count
+			}
+			post[offs[e+1]] = posting{slot: int32(i), weight: c.Weight}
+			offs[e+1]++
+		}
+	}
+	b.offs, b.post = offs, post
+}
+
+// blockAccum scores one streamed document at a time against a resident
+// block: raw[slot] accumulates Σ w_resident·w_streamed·factor over the
+// common terms and touched lists the slots reached, so finishing a
+// document costs O(touched), not O(batch).
+type blockAccum struct {
+	raw     []float64
+	touched []int32
+}
+
+// add streams d's cells past the block's postings. Per slot the products
+// are added in d's ascending term order, each as (w·w)·factor — the order
+// and association of Scorer.Score's merge walk, so every sum has its bits
+// (DESIGN §6). A slot whose products are all zero may be listed twice;
+// the callers clear raw[slot] as they read it, so the repeat reads zero.
+func (a *blockAccum) add(blk *residentBlock, scorer *document.Scorer, d *document.Document) {
+	if len(a.raw) < len(blk.ids) {
+		a.raw = make([]float64, len(blk.ids))
+	}
+	raw, touched := a.raw, a.touched[:0] // locals: the loop is the join's hottest
+	for _, c := range d.Cells {
+		e, ok := blk.dir[c.Term]
+		if !ok {
+			continue
+		}
+		w, factor := float64(c.Weight), scorer.TermFactor(c.Term)
+		for _, p := range blk.post[blk.offs[e]:blk.offs[e+1]] {
+			v := raw[p.slot]
+			if v == 0 {
+				touched = append(touched, p.slot)
+			}
+			raw[p.slot] = v + float64(p.weight)*w*factor
+		}
+	}
+	a.touched = touched
+}
+
 // blockStage is the scoring stage of the block skeleton: it scores inner
-// documents against resident outer slots into its own tracker set. The
+// documents against the resident block into its own tracker set. The
 // inline path has one; the fan-out path one per worker.
 type blockStage struct {
-	scorer   *document.Scorer
-	batch    []*document.Document
-	lists    [][]int32 // inner id → slots to score, ascending; nil: every slot
+	scorer *document.Scorer
+	block  *residentBlock
+	lists  [][]int32 // inner id → slots to score, ascending; nil: every slot
+	// trackers[:len(block.ids)] are the batch's; the set grows to the
+	// largest batch and is reset, not rebuilt, from batch to batch.
 	trackers []*topk.TopK
+	blockAccum
 
-	comparisons int64
+	comparisons int64 // pairs the scan stands for: slots (or listed slots) per document
 	falsePasses int64 // documents that scored zero against every slot
 }
 
-func newBlockStage(scorer *document.Scorer, batch []*document.Document, lists [][]int32, lambda int) *blockStage {
-	s := &blockStage{scorer: scorer, batch: batch, lists: lists, trackers: make([]*topk.TopK, len(batch))}
-	for i := range s.trackers {
-		s.trackers[i] = topk.New(lambda)
+// begin readies the stage for the batch the block now holds.
+func (s *blockStage) begin(lists [][]int32, lambda int) {
+	s.lists, s.comparisons, s.falsePasses = lists, 0, 0
+	for len(s.trackers) < len(s.block.ids) {
+		s.trackers = append(s.trackers, topk.New(lambda))
 	}
-	return s
+	for _, tk := range s.trackers[:len(s.block.ids)] {
+		tk.Reset()
+	}
 }
 
-// score is the pairwise scoring loop: d1 against each of its slots, in
-// ascending slot order, so every tracker's Offer order is deterministic.
+// score offers d1 to the tracker of every slot it reached — of every
+// listed slot it reached, under slot lists. A slot it did not reach has
+// similarity zero, which no tracker keeps.
 func (s *blockStage) score(d1 *document.Document) {
-	var slots []int32
-	n := len(s.batch)
-	if s.lists != nil {
-		slots = s.lists[d1.ID]
-		n = len(slots)
-	}
+	s.add(s.block, s.scorer, d1)
+	ids, raw := s.block.ids, s.raw
 	anyHit := false
-	for k := 0; k < n; k++ {
-		i := k
-		if slots != nil {
-			i = int(slots[k])
-		}
-		sim := s.scorer.Score(s.batch[i], d1)
-		if sim != 0 {
+	offer := func(slot int32, v float64) {
+		if sim := s.scorer.Finalize(ids[slot], d1.ID, v); sim != 0 {
 			anyHit = true
+			s.trackers[slot].Offer(d1.ID, sim)
 		}
-		s.trackers[i].Offer(d1.ID, sim)
 	}
-	s.comparisons += int64(n)
+	if s.lists == nil {
+		for _, slot := range s.touched {
+			offer(slot, raw[slot])
+			raw[slot] = 0
+		}
+		s.comparisons += int64(len(ids))
+	} else {
+		slots := s.lists[d1.ID]
+		for _, slot := range slots {
+			offer(slot, raw[slot])
+		}
+		for _, slot := range s.touched {
+			raw[slot] = 0
+		}
+		s.comparisons += int64(len(slots))
+	}
 	if !anyHit {
 		s.falsePasses++
 	}
@@ -360,7 +516,11 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 
 	trackers := make(map[uint32]*topk.TopK)
 	var order []uint32
-	filler := batchFiller{next: in.Inner.Scan().Next, budget: budget, side: "inner"}
+	filler := newBatchFiller(in.Inner.Scan().NextReuse, budget, 0, "inner", in.Inner.NumDocs(), in.Inner.AvgDocBytes())
+	// The same kernel with the roles swapped: the inner block is resident
+	// and regrouped, each outer document streams past it.
+	var block residentBlock
+	var acc blockAccum
 	for firstPass := true; ; firstPass = false {
 		fill := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.fill-batch")
 		batch, used, err := filler.fill()
@@ -377,10 +537,12 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 			stats.Passes++
 			stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, used+trackerBytes)
 		}
+		invert := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.invert-batch")
+		block.regroup(batch)
+		invert.End()
 
 		// The streamed outer side is consumed one document at a time, so
-		// the reuse path applies (the resident inner batch, by contrast,
-		// is built from stable Next documents).
+		// the reuse path applies.
 		score := trace.StartChild(reqtrace.PhaseScore, "hhnl.backward.outer-scan")
 		outerIt := in.Outer.Documents()
 		for {
@@ -401,11 +563,13 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 			if firstPass {
 				stats.OuterDocs++
 			}
-			for _, d1 := range batch {
-				sim := scorer.Score(d2, d1)
-				stats.Comparisons++
-				tk.Offer(d1.ID, sim)
+			acc.add(&block, scorer, d2)
+			for _, slot := range acc.touched {
+				d1 := block.ids[slot]
+				tk.Offer(d1, scorer.Finalize(d2.ID, d1, acc.raw[slot]))
+				acc.raw[slot] = 0
 			}
+			stats.Comparisons += int64(len(batch))
 		}
 		score.End()
 	}

@@ -272,8 +272,9 @@ type hvnlShard struct {
 }
 
 // add accumulates one term's i-cells. w (the outer cell weight) and the
-// term factor stay separate so the product is w·float64(cell.Weight)·factor
-// with one associativity at every worker count — hence bit-identical sums.
+// term factor stay separate so the product is w·float64(cell.Weight)·factor,
+// the (w·w)·factor association of the floating-point rule (DESIGN §6), at
+// every worker count — hence bit-identical sums.
 func (s *hvnlShard) add(cells []codec.Cell, w, factor float64) {
 	acc, lo := s.acc, s.lo // locals: the loop is the join's hottest
 	for _, cell := range cells {

@@ -18,12 +18,12 @@ import (
 // candidates are never read — and scored against exactly the resident
 // outer documents they collided with.
 //
-// Every candidate pair is verified with the exact scorer before it may
-// enter a λ-tracker, so precision is perfect: any returned (outer,
+// Every candidate pair is verified with the exact similarity (the block
+// kernel of hhnl.go) before it may enter a λ-tracker, so precision is perfect: any returned (outer,
 // inner, sim) triple is byte-identical to what the exact joins compute
 // for that pair. What LSH trades away is recall — a truly similar pair
 // whose band keys never collide is missed. The expected recall for a
-// pair of Jaccard similarity s is 1 − (1 − s^r)^b (lsh.EstimateRecall),
+// pair of Jaccard similarity s is 1 − (1 − s^r)^b (costmodel.Recall),
 // which the cost model exposes to the integrated planner.
 //
 // Options.LSH must hold the sidecar built over Inputs.Inner's current
@@ -44,7 +44,7 @@ func runLSH(in Inputs, opts Options) ([]Result, *Stats, error) {
 	b := blockJoin{in: in, opts: opts, scorer: scorer, prepName: "lsh.candidates", scanName: "lsh.verify-scan",
 		stats: &Stats{Algorithm: LSH, InnerDocs: in.Inner.NumDocs(), LSH: LSHStats{Enabled: true}}}
 	gen := newLSHCandidates(sc, in)
-	b.prepare = func(batch []*document.Document) ([]bool, [][]int32, error) {
+	b.prepare = func(batch []document.Document) ([]bool, [][]int32, error) {
 		err := gen.generate(batch, b.stats)
 		return gen.keep, gen.lists, err
 	}
@@ -100,14 +100,14 @@ func newLSHCandidates(sc *lsh.Sidecar, in Inputs) *lshCandidates {
 // with a stamp per outer probe), in ascending batch order within each
 // inner list, so the verify order — and with it every tracker's Offer
 // order — is deterministic. Skip counters accrue into st.
-func (g *lshCandidates) generate(batch []*document.Document, st *Stats) error {
+func (g *lshCandidates) generate(batch []document.Document, st *Stats) error {
 	cfg := g.sc.Config()
 	for id := range g.lists {
 		g.lists[id] = g.lists[id][:0]
 		g.keep[id] = false
 	}
-	for i, d2 := range batch {
-		g.keys = cfg.Keys(d2, g.keys)
+	for i := range batch {
+		g.keys = cfg.Keys(&batch[i], g.keys)
 		g.probe++
 		for b, key := range g.keys {
 			st.LSH.BucketProbes++

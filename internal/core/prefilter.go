@@ -160,15 +160,15 @@ func touchedPages(coll *collection.Collection, need []bool) (int64, error) {
 // from the decoded documents (the batch is already in memory, so this
 // is CPU-only) under the inner sidecar's configuration — both sides of
 // an AND must share one code.
-func batchSig(cfg signature.Config, batch []*document.Document, q signature.Sig) signature.Sig {
+func batchSig(cfg signature.Config, batch []document.Document, q signature.Sig) signature.Sig {
 	if len(q) != cfg.Words() {
 		q = cfg.New()
 	}
 	for i := range q {
 		q[i] = 0
 	}
-	for _, d := range batch {
-		q = cfg.FromDoc(q, d)
+	for i := range batch {
+		q = cfg.FromDoc(q, &batch[i])
 	}
 	return q
 }

@@ -326,9 +326,10 @@ func (s *Scorer) Finalize(outer, inner uint32, raw float64) float64 {
 	return raw / (no * ni)
 }
 
-// Score computes the full similarity of two documents under the scorer,
-// the reference implementation used by HHNL and by the tests of the
-// accumulating algorithms.
+// Score computes the full similarity of two documents under the scorer
+// with one merge walk: the reference implementation, whose summation order
+// and product association every join is held to by its tests. No join
+// calls it.
 func (s *Scorer) Score(outer, inner *Document) float64 {
 	var raw float64
 	i, j := 0, 0

@@ -14,7 +14,7 @@
 // pair sharing no terms can never appear in a result.
 package topk
 
-import "sort"
+import "slices"
 
 // Match pairs an inner document with its similarity to the outer document.
 type Match struct {
@@ -30,6 +30,19 @@ func Less(a, b Match) bool {
 		return a.Sim > b.Sim
 	}
 	return a.Doc < b.Doc
+}
+
+// compare is Less as a three-way comparison, for slices.SortFunc. Less is
+// a total order over matches of distinct documents, so a tracker's sorted
+// output is unique.
+func compare(a, b Match) int {
+	switch {
+	case Less(a, b):
+		return -1
+	case Less(b, a):
+		return 1
+	}
+	return 0
 }
 
 // TopK keeps the k best matches seen so far.
@@ -123,11 +136,11 @@ func (t *TopK) down(i int) {
 }
 
 // Results returns the kept matches ordered best-first. The tracker remains
-// usable afterwards.
+// usable afterwards. The returned slice is the call's only allocation.
 func (t *TopK) Results() []Match {
 	out := make([]Match, len(t.heap))
 	copy(out, t.heap)
-	sort.Slice(out, func(i, j int) bool { return Less(out[i], out[j]) })
+	slices.SortFunc(out, compare)
 	return out
 }
 

@@ -230,3 +230,45 @@ func TestQuickResultsSorted(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Results allocates the slice it returns and nothing else: it runs once
+// per outer document on the flush path of every join family.
+func TestResultsAllocatesOnlyItsSlice(t *testing.T) {
+	tk := New(20)
+	for i := 0; i < 100; i++ {
+		tk.Offer(uint32(i), float64(i%7+1))
+	}
+	if tk.Len() != tk.K() {
+		t.Fatalf("tracker holds %d of %d", tk.Len(), tk.K())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tk.Results() }); allocs != 1 {
+		t.Errorf("Results allocates %.0f objects, want 1", allocs)
+	}
+}
+
+// Property: with distinct documents and heavily tied similarities — a
+// join's case — Results is the order sort.Slice over Less gave before the
+// sort lost its reflection-based swapper.
+func TestQuickResultsOrderUnderTies(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		k := r.Intn(30) + 1
+		tk := New(k)
+		for _, doc := range r.Perm(200) {
+			tk.Offer(uint32(doc), float64(r.Intn(4)))
+		}
+		got := tk.Results()
+		want := make([]Match, len(tk.heap))
+		copy(want, tk.heap)
+		sort.Slice(want, func(i, j int) bool { return Less(want[i], want[j]) })
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return len(got) == len(want)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
