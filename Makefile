@@ -19,9 +19,9 @@ test: build
 # vet's finding, not the suite's, which is why vet stays ahead of
 # lintcheck here), then race-check the packages with goroutines (the
 # analysis engine's CFG/dataflow tests included; in internal/core the one
-# fan-out helper of fanout.go and the stages it drains: hhnl.go's chunked
-# block scoring shared with lsh.go, the owner-sharded accumulators of
-# hvnl.go and vvm.go), the accumulator layer they share, the entry cache
+# fan-out helper of fanout.go and the stages it drains: the owner-sharded
+# accumulators of hvnl.go and vvm.go), the accumulator layer they share
+# with the inline block joins of hhnl.go and lsh.go, the entry cache
 # the HVNL coordinator drives, the telemetry collector whose counters and
 # histograms they all add to, the request tracer whose span tree is the
 # only timing any of them takes and the flight recorder that keeps the

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -160,5 +162,43 @@ func TestAdmitterConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	if a.inUse != 0 {
 		t.Fatalf("inUse after churn = %d, want 0", a.inUse)
+	}
+}
+
+// TestFootprintBlockFamiliesHoldNoWorkerState: HHNL and LSH allocate no
+// inner accumulator and run inline, so their charge ignores the worker
+// count — under both spellings of the approximate join — while an
+// accumulating family is charged a shard per worker.
+func TestFootprintBlockFamiliesHoldNoWorkerState(t *testing.T) {
+	s, hs := testServer(t, 4096)
+	block := s.footprintBytes("hhnl", 5, 1)
+	for _, alg := range []string{"hhnl", "lsh"} {
+		if got := s.footprintBytes(alg, 5, 4); got != block {
+			t.Errorf("footprint(%s, workers=4) = %d, want the inline HHNL charge %d", alg, got, block)
+		}
+	}
+	if one, four := s.footprintBytes("vvm", 5, 1), s.footprintBytes("vvm", 5, 4); one <= block || four <= one {
+		t.Errorf("footprint(vvm) = %d at one worker and %d at four, want both above %d and growing", one, four, block)
+	}
+	for _, path := range []string{"/join?alg=lsh&lambda=5&workers=4&show=0", "/join?mode=lsh&lambda=5&workers=4&show=0"} {
+		status, body := get(t, hs, path)
+		if status != 200 {
+			t.Fatalf("GET %s: status %d: %s", path, status, body)
+		}
+		var j joinResponse
+		if err := json.Unmarshal(body, &j); err != nil {
+			t.Fatal(err)
+		}
+		charged := ""
+		for _, sp := range fetchTrace(t, hs, j.TraceID).Spans {
+			for _, a := range sp.Attrs {
+				if a.Key == "queue.cost_bytes" {
+					charged = a.Value
+				}
+			}
+		}
+		if charged != strconv.FormatInt(block, 10) {
+			t.Errorf("GET %s: admission charged %s bytes, want %d", path, charged, block)
+		}
 	}
 }

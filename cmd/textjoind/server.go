@@ -313,13 +313,14 @@ type joinMatch struct {
 	Sim float64 `json:"sim"`
 }
 
-// maxWorkers caps the workers parameter: each worker costs a goroutine, a
-// λ-tracker set or accumulator shard, and a telemetry counter name.
+// maxWorkers caps the workers parameter: each worker costs a goroutine, an
+// accumulator shard, and a telemetry counter name.
 const maxWorkers = 64
 
 // handleJoin runs one join. Parameters: alg (auto, hhnl, hvnl, vvm, lsh;
-// default auto), lambda, workers (1..maxWorkers, default 1: goroutines
-// sharing the join's CPU work, alg=auto's choice included; I/O stays on
+// default auto), lambda, workers (1..maxWorkers, default 1: a ceiling on
+// the goroutines sharing the join's CPU work, alg=auto's choice included —
+// HVNL and VVM use it, HHNL and LSH run on one at any value; I/O stays on
 // one), weighting (raw, cosine, tfidf), show (result rows
 // to include, default 3), prefilter (on, off; default off) to offer the
 // signature sidecars to the join — results are byte-identical either
@@ -409,7 +410,11 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Admission: charge the estimated footprint against the budget.
-	cost := s.footprintBytes(algName, lambda, workers)
+	family := algName
+	if mode == "lsh" {
+		family = "lsh"
+	}
+	cost := s.footprintBytes(family, lambda, workers)
 	qspan := span.StartChild("queue", "admission")
 	qspan.SetInt("queue.cost_bytes", cost)
 	queued, err := s.adm.admit(cost)

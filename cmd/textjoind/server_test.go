@@ -119,9 +119,9 @@ func TestServerEndpoints(t *testing.T) {
 
 // TestServerWorkers pins the workers parameter: out-of-range values are
 // refused with 400 before admission (no join runs, no budget is held),
-// and alg=auto really runs the planner's choice with the requested
-// worker count — same result hash as the inline run, per-worker counters
-// on the collector only after the fanned-out request.
+// and a worker count reaches the join — same result hash as the inline run
+// for alg=auto's choice, per-worker counters on the collector only after a
+// request whose family fans out (alg=vvm).
 func TestServerWorkers(t *testing.T) {
 	s, hs := testServer(t, 4096)
 
@@ -204,8 +204,16 @@ func TestServerWorkers(t *testing.T) {
 	if d := textjoin.ResultDigest(direct); d != inlineHash {
 		t.Errorf("trace result.hash %s, ResultDigest of the facade run %s", inlineHash, d)
 	}
+	// The two block families run inline at any worker count; VVM fans out.
+	for _, alg := range []string{"hhnl", "lsh"} {
+		run("/join?alg=" + alg + "&workers=2&show=0")
+	}
+	if n := workerCounters(); n != before {
+		t.Errorf("alg=hhnl and alg=lsh at workers=2 added %d to the per-worker counters", n-before)
+	}
+	run("/join?alg=vvm&workers=2&show=0")
 	if workerCounters() == before {
-		t.Error("alg=auto&workers=2 left no per-worker counters: the planner's choice ran inline")
+		t.Error("alg=vvm&workers=2 left no per-worker counters: the join ran inline")
 	}
 }
 

@@ -22,52 +22,85 @@
 // All three accumulate exactly like a map[key]float64 fed the same adds in
 // the same order: per-key float sums are bit-identical, which is what keeps
 // the joins byte-identical to their map-backed originals.
+//
+// The package also owns how a similarity is accumulated. Every join adds
+// the products of one term at a time — one cell of one document against a
+// list of cells of the other side — and each store's AddCells is that step:
+// the product is (w·float64(c.Weight))·factor, in that association, for
+// every family (DESIGN §6), so the joins differ only in the order in which
+// they present terms.
 package accum
 
-import "math"
+import (
+	"math"
+
+	"textjoin/internal/codec"
+)
 
 // Flat accumulates values against a contiguous id space 0..n-1, tracking
 // which ids were touched so that iteration and reset cost O(touched)
-// instead of O(n). It is HVNL's per-outer-document accumulator.
+// instead of O(n). It is the per-streamed-document accumulator of HVNL
+// (ids are inner document numbers) and of block HHNL (ids are resident
+// slots). A value of zero is the first-touch mark — there is no second
+// array — so an id whose adds so far were all zero is listed again by its
+// next add; Take clears as it reads, so the repeat reads zero, and a zero
+// similarity is no candidate.
 type Flat struct {
 	vals    []float64
-	seen    []bool
 	touched []uint32
 }
 
 // NewFlat returns a Flat over ids 0..n-1.
 func NewFlat(n int) *Flat {
-	return &Flat{vals: make([]float64, n), seen: make([]bool, n)}
+	return &Flat{vals: make([]float64, n)}
 }
 
 // Add accumulates v into id.
 func (f *Flat) Add(id uint32, v float64) {
-	if !f.seen[id] {
-		f.seen[id] = true
+	if f.vals[id] == 0 {
 		f.touched = append(f.touched, id)
 	}
 	f.vals[id] += v
 }
 
-// Len returns the number of distinct ids touched since the last Reset.
+// AddCells accumulates one term's products: w is the weight of the streamed
+// document's cell, cells the other side's cells of that term, and cell c
+// adds to id c.Number-lo. It equals one Add per cell.
+func (f *Flat) AddCells(cells []codec.Cell, lo uint32, w, factor float64) {
+	vals, touched := f.vals, f.touched // locals: the loop is the joins' hottest
+	for _, c := range cells {
+		id := c.Number - lo
+		v := vals[id]
+		if v == 0 {
+			touched = append(touched, id)
+		}
+		vals[id] = v + (w*float64(c.Weight))*factor
+	}
+	f.touched = touched
+}
+
+// Len returns the number of ids touched since the last Reset.
 func (f *Flat) Len() int { return len(f.touched) }
 
-// ForEach calls fn for every touched id, in first-touch order.
-func (f *Flat) ForEach(fn func(id uint32, v float64)) {
-	for _, id := range f.touched {
-		fn(id, f.vals[id])
-	}
+// Touched returns the touched ids in first-touch order, valid until the
+// next Add, AddCells or Reset.
+func (f *Flat) Touched() []uint32 { return f.touched }
+
+// Take returns what id has accumulated since the last Reset and clears it.
+func (f *Flat) Take(id uint32) float64 {
+	v := f.vals[id]
+	f.vals[id] = 0
+	return v
 }
 
 // Kind names the store for telemetry labels.
 func (f *Flat) Kind() string { return "flat" }
 
 // Reset clears only the touched slots, readying the accumulator for the
-// next outer document.
+// next streamed document.
 func (f *Flat) Reset() {
 	for _, id := range f.touched {
 		f.vals[id] = 0
-		f.seen[id] = false
 	}
 	f.touched = f.touched[:0]
 }
@@ -81,6 +114,10 @@ func (f *Flat) Reset() {
 type Accumulator interface {
 	// Add accumulates v into (row, inner).
 	Add(row int, inner uint32, v float64)
+	// AddCells accumulates one term's products into a row: w is the
+	// weight of the row's cell and cell c adds to (row, c.Number). It
+	// equals one Add per cell.
+	AddCells(cells []codec.Cell, row int, w, factor float64)
 	// ForEach calls fn for every non-zero pair. Iteration order is
 	// unspecified; join results do not depend on it because each pair is
 	// a distinct top-λ candidate.
@@ -130,6 +167,14 @@ func NewDense(rows, cols int) *Dense {
 // Add accumulates v into (row, inner).
 func (d *Dense) Add(row int, inner uint32, v float64) {
 	d.vals[row*d.cols+int(inner)] += v
+}
+
+// AddCells accumulates one term's products into row.
+func (d *Dense) AddCells(cells []codec.Cell, row int, w, factor float64) {
+	vals := d.vals[row*d.cols : (row+1)*d.cols]
+	for _, c := range cells {
+		vals[c.Number] += (w * float64(c.Weight)) * factor
+	}
 }
 
 // ForEach calls fn for every non-zero pair in row-major order.
@@ -223,6 +268,13 @@ func (t *Table) Add(row int, inner uint32, v float64) {
 			return
 		}
 		i = (i + 1) & mask
+	}
+}
+
+// AddCells accumulates one term's products into row.
+func (t *Table) AddCells(cells []codec.Cell, row int, w, factor float64) {
+	for _, c := range cells {
+		t.Add(row, c.Number, (w*float64(c.Weight))*factor)
 	}
 }
 

@@ -1,10 +1,13 @@
 package accum
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"textjoin/internal/codec"
 )
 
 // mapRef replays adds into the map semantics the join algorithms used
@@ -92,7 +95,9 @@ func TestFlatEquivalence(t *testing.T) {
 				ref[id] += v
 			}
 			got := make(map[uint32]float64)
-			f.ForEach(func(id uint32, v float64) { got[id] = v })
+			for _, id := range f.Touched() {
+				got[id] = f.Take(id)
+			}
 			if len(got) != len(ref) || f.Len() != len(ref) {
 				t.Fatalf("cycle %d: %d touched, want %d", cycle, f.Len(), len(ref))
 			}
@@ -113,14 +118,78 @@ func TestFlatEquivalence(t *testing.T) {
 	}
 }
 
+// TestAddCellsEqualsAdds pins the one kernel: for every store, AddCells
+// leaves what the same stream of Add calls leaves, each product associated
+// (w·weight)·factor — bit for bit, touched order included. Factors are
+// irrational-looking so a different association would round differently;
+// one term in eight has factor 0.
+func TestAddCellsEqualsAdds(t *testing.T) {
+	check := func(seed int64, rows8, cols8 uint8) bool {
+		rows, cols := int(rows8%20)+1, int(cols8%50)+1
+		r := rand.New(rand.NewSource(seed))
+		const lo = 7 // Flat's ids are cell numbers less lo
+		flat, flatRef := NewFlat(cols), NewFlat(cols)
+		stores := []struct{ got, want Accumulator }{
+			{NewDense(rows, cols), NewDense(rows, cols)},
+			{NewTable(0), NewTable(0)},
+		}
+		for term, terms := 0, r.Intn(60); term < terms; term++ {
+			var cells []codec.Cell
+			for n := 0; n < cols; n++ {
+				if r.Intn(3) == 0 {
+					cells = append(cells, codec.Cell{Number: uint32(n), Weight: uint16(1 + r.Intn(60000))})
+				}
+			}
+			row, w, factor := r.Intn(rows), float64(1+r.Intn(60000)), math.Sqrt(r.Float64()*9)
+			if r.Intn(8) == 0 {
+				factor = 0
+			}
+			shifted := make([]codec.Cell, len(cells))
+			for i, c := range cells {
+				shifted[i] = codec.Cell{Number: c.Number + lo, Weight: c.Weight}
+				flatRef.Add(c.Number, (w*float64(c.Weight))*factor)
+				for _, st := range stores {
+					st.want.Add(row, c.Number, (w*float64(c.Weight))*factor)
+				}
+			}
+			flat.AddCells(shifted, lo, w, factor)
+			for _, st := range stores {
+				st.got.AddCells(cells, row, w, factor)
+			}
+		}
+		if len(flat.Touched()) != len(flatRef.Touched()) {
+			t.Fatalf("flat: %d touched, Add touches %d", flat.Len(), flatRef.Len())
+		}
+		for i, id := range flatRef.Touched() {
+			if got := flat.Touched()[i]; got != id || math.Float64bits(flat.vals[id]) != math.Float64bits(flatRef.vals[id]) {
+				t.Fatalf("flat: touch %d is id %d = %v, Add leaves id %d = %v", i, got, flat.vals[got], id, flatRef.vals[id])
+			}
+		}
+		for _, st := range stores {
+			got, want := collect(st.got), collect(st.want)
+			if len(got) != len(want) || st.got.Len() != st.want.Len() {
+				t.Fatalf("%s: %d pairs, Add leaves %d", st.got.Kind(), len(got), len(want))
+			}
+			for k, v := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(v) {
+					t.Fatalf("%s: key %d = %v, Add leaves %v", st.got.Kind(), k, got[k], v)
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestFlatFirstTouchOrder(t *testing.T) {
 	f := NewFlat(10)
 	f.Add(7, 1)
 	f.Add(2, 1)
 	f.Add(7, 2)
 	f.Add(0, 5)
-	var order []uint32
-	f.ForEach(func(id uint32, v float64) { order = append(order, id) })
+	order := f.Touched()
 	want := []uint32{7, 2, 0}
 	if len(order) != len(want) {
 		t.Fatalf("order %v, want %v", order, want)

@@ -73,3 +73,32 @@ func TestGoroutinesStartInFanOutOnly(t *testing.T) {
 		})
 	}
 }
+
+// isWeightOperand reports whether e is a float64(x.Weight) conversion.
+func isWeightOperand(e ast.Expr) bool {
+	if p, ok := e.(*ast.ParenExpr); ok {
+		return isWeightOperand(p.X)
+	}
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return false
+	}
+	fun, ok := call.Fun.(*ast.Ident)
+	sel, isSel := call.Args[0].(*ast.SelectorExpr)
+	return ok && fun.Name == "float64" && isSel && sel.Sel.Name == "Weight"
+}
+
+// TestWeightProductsLiveInAccumOnly pins the one scoring kernel: no join
+// file multiplies a cell weight — the product, and with it its
+// association, is internal/accum's AddCells (DESIGN §6); the joins pass
+// weights and factors along.
+func TestWeightProductsLiveInAccumOnly(t *testing.T) {
+	for name, f := range parseNonTest(t, ".") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if b, ok := n.(*ast.BinaryExpr); ok && b.Op == token.MUL && (isWeightOperand(b.X) || isWeightOperand(b.Y)) {
+				t.Errorf("%s multiplies a cell weight; only internal/accum may", name)
+			}
+			return true
+		})
+	}
+}

@@ -127,8 +127,9 @@ func kernelLists(r *rand.Rand, mode, streamed, slots int) [][]int32 {
 
 // TestBlockKernelMatchesPairwiseScoring is the gate of DESIGN §5.8: over
 // random resident batches and streamed documents, under every weighting
-// and slot-list regime, the accumulate kernel's similarities are the
-// pairwise scorer's to the last bit — in both role assignments, forward
+// and slot-list regime, the similarities the shared kernel (accum.Flat's
+// AddCells, fed by residentBlock.accumulate) leaves are the pairwise
+// scorer's to the last bit — in both role assignments, forward
 // HHNL's and backward HHNL's — and a stage fed through it ends with the
 // trackers, comparisons and false passes of the pairwise loop. Each trial
 // runs several batches through one block and one stage, as a join does.
@@ -149,29 +150,29 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 			block.regroup(batch)
 			for _, ks := range kernelScorers(t, r, batch, streamed, vocab) {
 				name, scorer := ks.name, ks.Scorer
-				var acc blockAccum
+				acc := block.acc
 				for i := range streamed {
 					d := &streamed[i]
-					acc.add(&block, scorer, d)
+					block.accumulate(scorer, d)
+					listed := map[uint32]bool{}
+					for _, slot := range acc.Touched() {
+						listed[slot] = true
+					}
 					for slot := range batch {
-						res := &batch[slot]
-						fwd := scorer.Finalize(res.ID, d.ID, acc.raw[slot])
+						res, raw := &batch[slot], acc.Take(uint32(slot))
+						if raw != 0 && !listed[uint32(slot)] {
+							t.Fatalf("seed %d %s: slot %d holds %v but is not listed as touched", seed, name, slot, raw)
+						}
+						fwd := scorer.Finalize(res.ID, d.ID, raw)
 						if want := scorer.Score(res, d); math.Float64bits(fwd) != math.Float64bits(want) {
 							t.Fatalf("seed %d %s batch %d: resident %d × streamed %d = %v, pairwise %v", seed, name, batchNo, res.ID, d.ID, fwd, want)
 						}
-						bwd := scorer.Finalize(d.ID, res.ID, acc.raw[slot])
+						bwd := scorer.Finalize(d.ID, res.ID, raw)
 						if want := scorer.Score(d, res); math.Float64bits(bwd) != math.Float64bits(want) {
 							t.Fatalf("seed %d %s batch %d: streamed %d × resident %d = %v, pairwise %v", seed, name, batchNo, d.ID, res.ID, bwd, want)
 						}
 					}
-					for _, slot := range acc.touched {
-						acc.raw[slot] = 0
-					}
-					for slot, v := range acc.raw {
-						if v != 0 {
-							t.Fatalf("seed %d %s: slot %d holds %v but is not listed as touched", seed, name, slot, v)
-						}
-					}
+					acc.Reset()
 				}
 
 				for mode := 0; mode < 3; mode++ {

@@ -196,9 +196,9 @@ func (s diffShape) options() Options {
 }
 
 // diffVariant is one cell of the harness table: a join family at a
-// worker count. Workers 0 and 1 both run the stage inline; 2 and 7 fan
-// out (7 exceeds several shapes' document counts, so some workers own
-// empty blocks).
+// worker count. Workers 0 and 1 both run the stage inline; at 2 and 7
+// HVNL and VVM fan out (7 exceeds several shapes' document counts, so some
+// workers own empty blocks) and HHNL and LSH still run inline.
 type diffVariant struct {
 	name    string
 	alg     Algorithm
@@ -356,14 +356,14 @@ func TestTelemetryInvariance(t *testing.T) {
 				if len(spans) != 0 {
 					t.Errorf("%s: phases with spans but no histogram: %v", v.name, spans)
 				}
-				// Per-worker counters and the tracker merge exist only on
-				// the fan-out path; the span names are otherwise one set.
+				// Per-worker counters exist only on the fan-out path, which
+				// the accumulating families alone have.
 				fanned := false
 				for _, c := range s.Counters {
 					fanned = fanned || strings.Contains(c.Name, ".worker.")
 				}
-				if fanned != (v.workers > 1) {
-					t.Errorf("%s: per-worker counters present = %v", v.name, fanned)
+				if want := v.workers > 1 && (v.alg == HVNL || v.alg == VVM); fanned != want {
+					t.Errorf("%s: per-worker counters present = %v, want %v", v.name, fanned, want)
 				}
 			}
 		})

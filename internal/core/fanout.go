@@ -9,11 +9,13 @@ import (
 
 // The paper's concluding remarks list "(3) develop algorithms that
 // process textual joins in parallel" as further study. Options.Workers
-// answers it inside each join: one coordinator per family performs every
-// storage access, cache probe, prefilter/candidate decision and Stats
-// count on the calling goroutine, and hands the CPU side — similarity
-// computation and accumulation — to a small stage that is called inline at
-// Workers ≤ 1 and drained by that many goroutines otherwise.
+// answers it inside the two accumulating joins, HVNL and VVM: the
+// coordinator performs every storage access, cache probe and Stats count on
+// the calling goroutine, and hands the CPU side — accumulation and top-λ
+// selection — to a small stage that is called inline at Workers ≤ 1 and
+// drained by that many goroutines otherwise. The two block families, HHNL
+// and LSH, run inline at every Workers: a fan-out of theirs has to earn a
+// speed-up first (DESIGN §5.8).
 //
 // Storage access deliberately never fans out: the paper's cost model is
 // about page I/O, and interleaving concurrent readers would corrupt the
@@ -25,9 +27,8 @@ import (
 // document ascending) is total, and so the top-λ of the merged candidates
 // is the global top-λ.
 
-// fanOut is the one place the joins start goroutines: workers drain
-// either a single shared queue (HHNL and LSH chunks) or one queue each
-// (the ownership shards of HVNL and VVM), running body until it closes.
+// fanOut is the one place the joins start goroutines: each worker drains
+// its own queue — one per ownership shard — running body until it closes.
 type fanOut[T any] struct {
 	queues []chan T
 	wg     sync.WaitGroup
@@ -36,17 +37,15 @@ type fanOut[T any] struct {
 // startFanOut starts the workers. The coordinator must call wait exactly
 // once on every path, error paths included: that is what guarantees no
 // goroutine outlives a failed join.
-func startFanOut[T any](workers, queues, depth int, body func(w int, in <-chan T)) *fanOut[T] {
-	f := &fanOut[T]{queues: make([]chan T, queues)}
-	for q := range f.queues {
-		f.queues[q] = make(chan T, depth)
-	}
-	for w := 0; w < workers; w++ {
+func startFanOut[T any](workers, depth int, body func(w int, in <-chan T)) *fanOut[T] {
+	f := &fanOut[T]{queues: make([]chan T, workers)}
+	for w := range f.queues {
+		f.queues[w] = make(chan T, depth)
 		f.wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer f.wg.Done()
-			body(w, f.queues[w%queues])
-		}(w)
+			body(w, f.queues[w])
+		}()
 	}
 	return f
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"textjoin/internal/accum"
 	"textjoin/internal/codec"
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
@@ -37,12 +38,13 @@ import (
 // The paper prices the similarity computation at nothing; here it is the
 // whole CPU cost, so "compute its similarity with every resident C2
 // document" is one walk of the C1 document's cells past the block's
-// postings into an accumulator (blockAccum.add), not X merge walks.
+// postings into an accumulator (residentBlock.accumulate), not X merge
+// walks. The whole join runs on the calling goroutine at every
+// Options.Workers.
 //
 // With Options.Backward the loop order flips (an extension the paper
 // defers to the technical report): blocks of C1 are held in memory while
 // C2 is scanned once per block, with all C2 trackers kept across blocks.
-// Backward order runs inline only.
 //
 // With Options.Prefilter the inner scan of each batch skips clusters,
 // pages and documents whose aggregate signatures are disjoint from the
@@ -50,9 +52,6 @@ import (
 // outer document, so results are byte-identical. The backward variant
 // ignores the prefilter (its resident side is the inner collection).
 func runHHNL(in Inputs, opts Options) ([]Result, *Stats, error) {
-	if opts.Backward && opts.Workers > 1 {
-		return nil, nil, fmt.Errorf("core: backward HHNL runs inline only, got Workers=%d", opts.Workers)
-	}
 	if in.Outer == nil || in.Inner == nil {
 		return nil, nil, fmt.Errorf("%w: HHNL needs both document collections", ErrMissingInput)
 	}
@@ -165,11 +164,10 @@ type blockJoin struct {
 	opts   Options
 	scorer *document.Scorer
 	stats  *Stats
-	// prepare, when non-nil, runs on the coordinator once per batch, before
-	// any worker starts (its outputs are read-only afterwards): keep marks
-	// the inner documents the scan reads (nil: all of them — the filtered
-	// scan never reads a page without a kept document), lists maps an inner
-	// id to the resident slots it scores against (nil: every slot).
+	// prepare, when non-nil, runs once per batch: keep marks the inner
+	// documents the scan reads (nil: all of them — the filtered scan never
+	// reads a page without a kept document), lists maps an inner id to the
+	// resident slots it scores against (nil: every slot).
 	prepare            func(batch []document.Document) (keep []bool, lists [][]int32, err error)
 	prepName, scanName string
 }
@@ -187,18 +185,15 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	}
 	tel, trace := opts.Telemetry, opts.Trace
 	name := strings.ToLower(stats.Algorithm.String())
-	fillName, invertName, mergeName, flushName := name+".fill-batch", name+".invert-batch", name+".merge-trackers", name+".flush-batch"
+	fillName, invertName, flushName := name+".fill-batch", name+".invert-batch", name+".flush-batch"
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	outer := in.Outer.Documents()
 	filler := newBatchFiller(func() (*document.Document, error) { return collection.NextReuse(outer) },
 		budget, 4*int64(opts.Lambda), "outer", in.Outer.NumDocs(), in.Outer.AvgDocBytes())
-	// The block, every stage's accumulator and its trackers are built once
-	// and reused by every batch.
+	// The block, its accumulator and the stage's trackers are built once and
+	// reused by every batch.
 	var block residentBlock
-	stages := make([]*blockStage, max(1, opts.Workers))
-	for w := range stages {
-		stages[w] = &blockStage{scorer: b.scorer, block: &block}
-	}
+	st := &blockStage{scorer: b.scorer, block: &block}
 
 	results := make([]Result, 0, in.Outer.NumDocs())
 	for {
@@ -225,58 +220,38 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 				return nil, nil, err
 			}
 		}
-		// Regrouped on this goroutine before any worker starts; the stages
-		// only read the block.
 		invert := trace.StartChild(reqtrace.PhaseScan, invertName)
 		block.regroup(batch)
-		for _, st := range stages {
-			st.begin(lists, opts.Lambda)
-		}
+		st.begin(lists, opts.Lambda)
 		invert.End()
 
-		// One scan of the (kept) inner documents per batch, always on this
-		// goroutine.
+		// One scan of the (kept) inner documents per batch. Each is scored
+		// before the next is read, so the scan's reuse arena suffices — the
+		// hot loop allocates nothing.
 		var scan collection.ReuseIterator = in.Inner.Scan()
 		if keep != nil {
 			scan = in.Inner.ScanFiltered(func(id uint32) bool { return keep[id] })
 		}
 		score := trace.StartChild(reqtrace.PhaseScore, b.scanName)
-		if len(stages) == 1 {
-			err = scanInline(scan, stages[0])
-		} else {
-			err = scanFanned(scan, stages)
+		for {
+			var d1 *document.Document
+			if d1, err = scan.NextReuse(); err != nil {
+				break
+			}
+			st.score(d1)
 		}
 		score.End()
-		if err != nil {
+		if err != io.EOF {
 			return nil, nil, err
 		}
-		for w, st := range stages {
-			stats.Comparisons += st.comparisons
-			if stats.Prefilter.Enabled {
-				// Each scanned inner document is counted by exactly one
-				// stage, so the sum is the same at every worker count.
-				stats.Prefilter.FalsePasses += st.falsePasses
-			}
-			if tel != nil && len(stages) > 1 {
-				tel.Counter(fmt.Sprintf("join.%s.worker.%d.comparisons", name, w)).Add(st.comparisons)
-			}
+		stats.Comparisons += st.comparisons
+		if stats.Prefilter.Enabled {
+			stats.Prefilter.FalsePasses += st.falsePasses
 		}
 
-		trackers := stages[0].trackers
-		if len(stages) > 1 {
-			merge := trace.StartChild(reqtrace.PhaseMerge, mergeName)
-			for i := range batch {
-				for _, st := range stages[1:] {
-					for _, m := range st.trackers[i].Results() {
-						trackers[i].Offer(m.Doc, m.Sim)
-					}
-				}
-			}
-			merge.End()
-		}
 		flush := trace.StartChild(reqtrace.PhaseFlush, flushName)
 		for i := range batch {
-			results = append(results, Result{Outer: batch[i].ID, Matches: trackers[i].Results()})
+			results = append(results, Result{Outer: batch[i].ID, Matches: st.trackers[i].Results()})
 		}
 		flush.End()
 	}
@@ -287,23 +262,18 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 }
 
 // residentBlock is a resident batch regrouped by term: the batch's own
-// d-cells in another order — for each distinct term the (slot, weight) of
-// every resident document containing it, ascending by slot — so that one
-// streamed document is scored against the whole batch by walking its cells
-// past the postings (the paper's HVNL idea, Section 4.2, applied to the
-// block HHNL already holds). It is rebuilt for every batch into the same
-// buffers and is read-only between two regroups.
+// d-cells in another order — for each distinct term the i-cell (Number is
+// the slot) of every resident document containing it, ascending by slot —
+// so that one streamed document is scored against the whole batch by
+// walking its cells past the postings (the paper's HVNL idea, Section 4.2,
+// applied to the block HHNL already holds). It is rebuilt for every batch
+// into the same buffers; between two regroups only acc changes.
 type residentBlock struct {
 	ids  []uint32         // slot → document id
 	dir  map[uint32]int32 // term → its entry
 	offs []int32          // entry e's postings are post[offs[e]:offs[e+1]]
-	post []posting
-}
-
-// posting is one resident d-cell seen from its term.
-type posting struct {
-	slot   int32
-	weight uint16
+	post []codec.Cell
+	acc  *accum.Flat // over the slots: the streamed document being scored
 }
 
 // regroup is a counting sort of the batch's cells by term. The first pass
@@ -316,6 +286,10 @@ func (b *residentBlock) regroup(batch []document.Document) {
 		b.dir = make(map[uint32]int32)
 	}
 	clear(b.dir)
+	if b.acc == nil || cap(b.ids) < len(batch) {
+		b.ids = make([]uint32, 0, batchSlack(len(batch)))
+		b.acc = accum.NewFlat(cap(b.ids))
+	}
 	b.ids = b.ids[:0]
 	cells := 0
 	for i := range batch {
@@ -326,7 +300,7 @@ func (b *residentBlock) regroup(batch []document.Document) {
 		cells += len(batch[i].Cells)
 	}
 	if cap(b.post) < cells {
-		b.post = make([]posting, batchSlack(cells)) // the first batch is a full one
+		b.post = make([]codec.Cell, batchSlack(cells)) // the first batch is a full one
 	}
 	post := b.post[:cells]
 	// offs[e+1] is entry e's cursor: its start when the entry is numbered,
@@ -343,52 +317,25 @@ func (b *residentBlock) regroup(batch []document.Document) {
 				offs = append(offs, next)
 				next += count
 			}
-			post[offs[e+1]] = posting{slot: int32(i), weight: c.Weight}
+			post[offs[e+1]] = codec.Cell{Number: uint32(i), Weight: c.Weight}
 			offs[e+1]++
 		}
 	}
 	b.offs, b.post = offs, post
 }
 
-// blockAccum scores one streamed document at a time against a resident
-// block: raw[slot] accumulates Σ w_resident·w_streamed·factor over the
-// common terms and touched lists the slots reached, so finishing a
-// document costs O(touched), not O(batch).
-type blockAccum struct {
-	raw     []float64
-	touched []int32
-}
-
-// add streams d's cells past the block's postings. Per slot the products
-// are added in d's ascending term order, each as (w·w)·factor — the order
-// and association of Scorer.Score's merge walk, so every sum has its bits
-// (DESIGN §6). A slot whose products are all zero may be listed twice;
-// the callers clear raw[slot] as they read it, so the repeat reads zero.
-func (a *blockAccum) add(blk *residentBlock, scorer *document.Scorer, d *document.Document) {
-	if len(a.raw) < len(blk.ids) {
-		a.raw = make([]float64, len(blk.ids))
-	}
-	raw, touched := a.raw, a.touched[:0] // locals: the loop is the join's hottest
+// accumulate streams d's cells past the block's postings into acc: per slot
+// the products arrive in d's ascending term order (DESIGN §6).
+func (b *residentBlock) accumulate(scorer *document.Scorer, d *document.Document) {
 	for _, c := range d.Cells {
-		e, ok := blk.dir[c.Term]
-		if !ok {
-			continue
-		}
-		w, factor := float64(c.Weight), scorer.TermFactor(c.Term)
-		for _, p := range blk.post[blk.offs[e]:blk.offs[e+1]] {
-			v := raw[p.slot]
-			if v == 0 {
-				touched = append(touched, p.slot)
-			}
-			raw[p.slot] = v + float64(p.weight)*w*factor
+		if e, ok := b.dir[c.Term]; ok {
+			b.acc.AddCells(b.post[b.offs[e]:b.offs[e+1]], 0, float64(c.Weight), scorer.TermFactor(c.Term))
 		}
 	}
-	a.touched = touched
 }
 
 // blockStage is the scoring stage of the block skeleton: it scores inner
-// documents against the resident block into its own tracker set. The
-// inline path has one; the fan-out path one per worker.
+// documents against the resident block, the resident slot being the row.
 type blockStage struct {
 	scorer *document.Scorer
 	block  *residentBlock
@@ -396,7 +343,6 @@ type blockStage struct {
 	// trackers[:len(block.ids)] are the batch's; the set grows to the
 	// largest batch and is reset, not rebuilt, from batch to batch.
 	trackers []*topk.TopK
-	blockAccum
 
 	comparisons int64 // pairs the scan stands for: slots (or listed slots) per document
 	falsePasses int64 // documents that scored zero against every slot
@@ -417,86 +363,43 @@ func (s *blockStage) begin(lists [][]int32, lambda int) {
 // listed slot it reached, under slot lists. A slot it did not reach has
 // similarity zero, which no tracker keeps.
 func (s *blockStage) score(d1 *document.Document) {
-	s.add(s.block, s.scorer, d1)
-	ids, raw := s.block.ids, s.raw
+	s.block.accumulate(s.scorer, d1)
+	ids, acc := s.block.ids, s.block.acc
 	anyHit := false
-	offer := func(slot int32, v float64) {
-		if sim := s.scorer.Finalize(ids[slot], d1.ID, v); sim != 0 {
+	offer := func(slot uint32, raw float64) {
+		if sim := s.scorer.Finalize(ids[slot], d1.ID, raw); sim != 0 {
 			anyHit = true
 			s.trackers[slot].Offer(d1.ID, sim)
 		}
 	}
 	if s.lists == nil {
-		for _, slot := range s.touched {
-			offer(slot, raw[slot])
-			raw[slot] = 0
+		for _, slot := range acc.Touched() {
+			offer(slot, acc.Take(slot))
 		}
 		s.comparisons += int64(len(ids))
 	} else {
 		slots := s.lists[d1.ID]
 		for _, slot := range slots {
-			offer(slot, raw[slot])
-		}
-		for _, slot := range s.touched {
-			raw[slot] = 0
+			offer(uint32(slot), acc.Take(uint32(slot)))
 		}
 		s.comparisons += int64(len(slots))
 	}
+	acc.Reset()
 	if !anyHit {
 		s.falsePasses++
 	}
 }
 
-// scanInline scores on the calling goroutine. Each inner document is
-// consumed before the next is read, so the scan's reuse arena suffices —
-// the hot loop allocates nothing.
-func scanInline(scan collection.ReuseIterator, st *blockStage) error {
-	for {
-		d1, err := scan.NextReuse()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		st.score(d1)
+// offerReached is the other finishing shape: the streamed document is the
+// row, and every resident document it reached is offered to its one tracker
+// (backward HHNL, HVNL's flush). resident maps an accumulator id to that
+// document's number.
+func offerReached(acc *accum.Flat, scorer *document.Scorer, tk *topk.TopK, outer uint32, resident func(id uint32) uint32) {
+	for _, id := range acc.Touched() {
+		d1 := resident(id)
+		tk.Offer(d1, scorer.Finalize(outer, d1, acc.Take(id)))
 	}
-}
-
-// chunkSize is how many scanned inner documents travel to a worker at once.
-const chunkSize = 64
-
-// scanFanned hands chunks of scanned documents to one worker per stage.
-// The documents are stable Next copies because they outlive the scan step
-// inside the chunks.
-func scanFanned(scan collection.ReuseIterator, stages []*blockStage) error {
-	// One queued chunk per worker keeps every worker busy while the
-	// coordinator fills the next chunk.
-	fan := startFanOut(len(stages), 1, len(stages), func(w int, in <-chan []*document.Document) {
-		for chunk := range in {
-			for _, d1 := range chunk {
-				stages[w].score(d1)
-			}
-		}
-	})
-	chunk := make([]*document.Document, 0, chunkSize)
-	var err error
-	for {
-		var d1 *document.Document
-		if d1, err = scan.Next(); err != nil {
-			break
-		}
-		if chunk = append(chunk, d1); len(chunk) == chunkSize {
-			fan.queues[0] <- chunk
-			chunk = make([]*document.Document, 0, chunkSize)
-		}
-	}
-	if err == io.EOF {
-		err = nil
-		fan.queues[0] <- chunk
-	}
-	fan.wait()
-	return err
+	acc.Reset()
 }
 
 func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *Stats, error) {
@@ -520,7 +423,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 	// The same kernel with the roles swapped: the inner block is resident
 	// and regrouped, each outer document streams past it.
 	var block residentBlock
-	var acc blockAccum
+	resident := func(slot uint32) uint32 { return block.ids[slot] }
 	for firstPass := true; ; firstPass = false {
 		fill := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.fill-batch")
 		batch, used, err := filler.fill()
@@ -563,12 +466,8 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 			if firstPass {
 				stats.OuterDocs++
 			}
-			acc.add(&block, scorer, d2)
-			for _, slot := range acc.touched {
-				d1 := block.ids[slot]
-				tk.Offer(d1, scorer.Finalize(d2.ID, d1, acc.raw[slot]))
-				acc.raw[slot] = 0
-			}
+			block.accumulate(scorer, d2)
+			offerReached(block.acc, scorer, tk, d2.ID, resident)
 			stats.Comparisons += int64(len(batch))
 		}
 		score.End()

@@ -272,27 +272,19 @@ type hvnlShard struct {
 }
 
 // add accumulates one term's i-cells. w (the outer cell weight) and the
-// term factor stay separate so the product is w·float64(cell.Weight)·factor,
-// the (w·w)·factor association of the floating-point rule (DESIGN §6), at
-// every worker count — hence bit-identical sums.
+// term factor travel separately, so the shard's sums do not depend on how
+// the entry was split (DESIGN §6).
 func (s *hvnlShard) add(cells []codec.Cell, w, factor float64) {
-	acc, lo := s.acc, s.lo // locals: the loop is the join's hottest
-	for _, cell := range cells {
-		acc.Add(cell.Number-lo, w*float64(cell.Weight)*factor)
-	}
+	s.acc.AddCells(cells, s.lo, w, factor)
 }
 
 // flush finalizes the shard's top-λ for the outer document and readies
 // the accumulator for the next.
 func (s *hvnlShard) flush(outer uint32) {
 	tk := topk.New(s.lambda)
-	s.acc.ForEach(func(local uint32, raw float64) {
-		d1 := local + s.lo
-		tk.Offer(d1, s.scorer.Finalize(outer, d1, raw))
-	})
-	s.rows = append(s.rows, tk.Results())
 	s.touched = append(s.touched, s.acc.Len())
-	s.acc.Reset()
+	offerReached(s.acc, s.scorer, tk, outer, func(local uint32) uint32 { return local + s.lo })
+	s.rows = append(s.rows, tk.Results())
 }
 
 // hvnlWork is one item on a shard's queue: an accumulation carrying the
@@ -327,7 +319,7 @@ func newHVNLStage(opts Options, scorer *document.Scorer, n1, n2 int) *hvnlStage 
 			rows: make([][]Match, 0, n2), touched: make([]int, 0, n2)}
 	}
 	if n > 1 {
-		s.fan = startFanOut(n, n, ownerQueueDepth, func(w int, in <-chan hvnlWork) {
+		s.fan = startFanOut(n, ownerQueueDepth, func(w int, in <-chan hvnlWork) {
 			for item := range in {
 				if item.cells != nil {
 					s.shards[w].add(item.cells, item.w, item.factor)

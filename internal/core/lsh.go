@@ -10,7 +10,7 @@ import (
 
 // runLSH evaluates the join approximately with MinHash/banding buckets.
 // It runs the block skeleton of HHNL (same memory policy, same batch
-// boundaries, same fan-out), but instead of scanning the whole inner
+// boundaries, inline at every Options.Workers), but instead of scanning the whole inner
 // collection per batch, each resident outer document's band keys probe
 // the inner sidecar's buckets, and only the inner documents that share at
 // least one bucket with some resident outer document are read — via the
@@ -19,7 +19,7 @@ import (
 // outer documents they collided with.
 //
 // Every candidate pair is verified with the exact similarity (the block
-// kernel of hhnl.go) before it may enter a λ-tracker, so precision is perfect: any returned (outer,
+// scoring of hhnl.go) before it may enter a λ-tracker, so precision is perfect: any returned (outer,
 // inner, sim) triple is byte-identical to what the exact joins compute
 // for that pair. What LSH trades away is recall — a truly similar pair
 // whose band keys never collide is missed. The expected recall for a

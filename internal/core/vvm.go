@@ -109,7 +109,7 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		accumulate := func(factor float64, e1 *invfile.Entry, cells []codec.Cell) { shards[0].add(factor, e1, cells) }
 		var fan *fanOut[vvmWork]
 		if nShards > 1 {
-			fan = startFanOut(nShards, nShards, ownerQueueDepth, func(w int, in <-chan vvmWork) {
+			fan = startFanOut(nShards, ownerQueueDepth, func(w int, in <-chan vvmWork) {
 				for tw := range in {
 					shards[w].add(tw.factor, tw.e1, tw.cells)
 				}
@@ -185,17 +185,12 @@ type vvmWork struct {
 // add accumulates every (outer cell, inner cell) product of one term.
 // Cells of documents outside the pass's id set are skipped.
 func (s *vvmShard) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
-	acc := s.acc // local: the inner loop is the join's hottest
 	for _, c2 := range cells {
 		rank, ok := s.set.Rank(c2.Number)
 		if !ok {
 			continue
 		}
-		v := float64(c2.Weight) * factor
-		row := rank - s.rankLo
-		for _, c1 := range e1.Cells {
-			acc.Add(row, c1.Number, float64(c1.Weight)*v)
-		}
+		s.acc.AddCells(e1.Cells, rank-s.rankLo, float64(c2.Weight), factor)
 		s.count += int64(len(e1.Cells))
 	}
 }

@@ -18,36 +18,33 @@ import (
 // property checks — each holding Join at Workers > 1 to the same join
 // run inline.
 
+// HHNL runs inline at every worker count, backward order included: Workers
+// is a ceiling it does not use, never an error.
 func TestParallelHHNLMatchesSerial(t *testing.T) {
 	e := buildEnv(t, 41, 40, 35, 60, 14, 256)
-	opts := Options{Lambda: 5, MemoryPages: 60}
-	serial, serialStats, err := Join(HHNL, e.inputs(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		par, parStats, err := joinAt(HHNL, e.inputs(), opts, workers)
+	for _, opts := range []Options{
+		{Lambda: 5, MemoryPages: 60},
+		{Lambda: 5, MemoryPages: 60, Backward: true},
+	} {
+		serial, serialStats, err := Join(HHNL, e.inputs(), opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if err := sameResults(serial, par); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		for _, workers := range []int{1, 2, 4, 7} {
+			par, parStats, err := joinAt(HHNL, e.inputs(), opts, workers)
+			if err != nil {
+				t.Fatalf("backward=%v workers=%d: %v", opts.Backward, workers, err)
+			}
+			if err := exactSameResults(serial, par); err != nil {
+				t.Fatalf("backward=%v workers=%d: %v", opts.Backward, workers, err)
+			}
+			if parStats.Comparisons != serialStats.Comparisons {
+				t.Errorf("backward=%v workers=%d: comparisons %d vs serial %d", opts.Backward, workers, parStats.Comparisons, serialStats.Comparisons)
+			}
+			if parStats.IO.Reads() != serialStats.IO.Reads() {
+				t.Errorf("backward=%v workers=%d: reads %d vs serial %d", opts.Backward, workers, parStats.IO.Reads(), serialStats.IO.Reads())
+			}
 		}
-		if parStats.Comparisons != serialStats.Comparisons {
-			t.Errorf("workers=%d: comparisons %d vs serial %d", workers, parStats.Comparisons, serialStats.Comparisons)
-		}
-		// I/O is identical: the scan stays single-threaded.
-		if parStats.IO.Reads() != serialStats.IO.Reads() {
-			t.Errorf("workers=%d: reads %d vs serial %d", workers, parStats.IO.Reads(), serialStats.IO.Reads())
-		}
-	}
-}
-
-func TestParallelHHNLRejectsBackward(t *testing.T) {
-	e := buildEnv(t, 42, 5, 5, 20, 8, 256)
-	_, _, err := joinAt(HHNL, e.inputs(), Options{Backward: true, MemoryPages: 50}, 2)
-	if err == nil {
-		t.Error("backward parallel: want error")
 	}
 }
 
@@ -340,11 +337,10 @@ func TestQuickHVNLParallelEqual(t *testing.T) {
 }
 
 // TestInlinePathAllocationsDoNotGrowWithInner is the go-test form of what
-// alloc_kb_per_op on the benchmark's hhnl_scan measures: with Workers ≤ 1
-// the inner scan reuses one arena document, so a four times larger inner
-// collection must not cost more allocations. A scan through the stable
-// Next path — the fan-out path's, were it ever taken inline — allocates at
-// least two objects per inner document and fails this at once.
+// alloc_kb_per_op on the benchmark's hhnl_scan measures: the inner scan
+// reuses one arena document, so a four times larger inner collection must
+// not cost more allocations. A scan through the stable Next path allocates
+// at least two objects per inner document and fails this at once.
 func TestInlinePathAllocationsDoNotGrowWithInner(t *testing.T) {
 	const n = 150
 	// Every document shares one vocabulary, so with its single-row bands the

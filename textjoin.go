@@ -462,9 +462,10 @@ var (
 // and VVM, or the approximate LSH join (candidate pairs from shared
 // MinHash buckets — Options.LSH must carry the inner sidecar — verified
 // with the exact scorer: perfect precision, bounded recall).
-// Options.Workers > 1 fans the CPU work out over that many goroutines
-// (further-studies item 3); I/O stays on the calling goroutine, so
-// results and JoinStats are the same at every worker count.
+// Options.Workers > 1 fans HVNL's and VVM's CPU work out over that many
+// goroutines (further-studies item 3; HHNL and LSH run on one at any
+// value); I/O stays on the calling goroutine, so results and JoinStats
+// are the same at every worker count.
 func Join(alg Algorithm, in Inputs, opts Options) ([]Result, *JoinStats, error) {
 	return core.Join(alg, in, opts)
 }
