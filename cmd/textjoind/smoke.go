@@ -294,6 +294,10 @@ func runSmoke(cfg config, out io.Writer) error {
 		fmt.Fprintf(out, "smoke: %-18s ok\n", step.name)
 	}
 
+	// The concurrent burst can leave connections the client dialed but
+	// never sent a request on; the server counts those idle only after
+	// 5 s, as long as the deadline below, so close them from this side.
+	client.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {

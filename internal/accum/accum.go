@@ -12,16 +12,20 @@
 //     iteration cost O(non-zero) — preserving the paper's "only non-zero
 //     similarities are stored" accounting — while each accumulation is a
 //     single indexed add.
-//   - Dense is the per-pass accumulator of VVM when the rows×cols matrix
-//     fits the pass's memory budget: one contiguous block, no per-add
-//     branching at all.
-//   - Table is the fallback when it does not: a power-of-two
-//     open-addressing table keyed by (row, inner), still one cache line
-//     per accumulation in the common hit case.
+//   - Store is VVM's: one per shard per join, Reset between passes. It has
+//     two representations and picks between them by size, not by an
+//     expected population. A pass starts as the dense rows×cols matrix
+//     when that fits the budget M (UseDense), otherwise as a power-of-two
+//     open-addressing table keyed by (row, inner); and when the table's
+//     next growth would make it larger than the matrix, the store moves
+//     into the matrix instead of growing. It never holds more bytes than a
+//     table fed the same adds would have reached, and Bytes is what it
+//     holds — what Stats.PeakMemoryBytes reports.
 //
-// All three accumulate exactly like a map[key]float64 fed the same adds in
-// the same order: per-key float sums are bit-identical, which is what keeps
-// the joins byte-identical to their map-backed originals.
+// Both accumulate exactly like a map[key]float64 fed the same adds in the
+// same order: per-key float sums are bit-identical (a promotion copies
+// each partial sum and later adds continue on it), which is what keeps the
+// joins byte-identical to their map-backed originals.
 //
 // The package also owns how a similarity is accumulated. Every join adds
 // the products of one term at a time — one cell of one document against a
@@ -105,33 +109,6 @@ func (f *Flat) Reset() {
 	f.touched = f.touched[:0]
 }
 
-// Accumulator is the per-pass similarity store of VVM: values accumulate
-// against (row, inner) where row indexes the pass's outer range and inner
-// is an inner document number 0..cols-1.
-//
-// Implementations assume non-negative adds (term weights and factors are
-// non-negative), so a pair is non-zero iff it was touched.
-type Accumulator interface {
-	// Add accumulates v into (row, inner).
-	Add(row int, inner uint32, v float64)
-	// AddCells accumulates one term's products into a row: w is the
-	// weight of the row's cell and cell c adds to (row, c.Number). It
-	// equals one Add per cell.
-	AddCells(cells []codec.Cell, row int, w, factor float64)
-	// ForEach calls fn for every non-zero pair. Iteration order is
-	// unspecified; join results do not depend on it because each pair is
-	// a distinct top-λ candidate.
-	ForEach(fn func(row int, inner uint32, v float64))
-	// Len returns the number of non-zero pairs.
-	Len() int
-	// Bytes returns the resident size of the store, for
-	// Stats.PeakMemoryBytes.
-	Bytes() int64
-	// Kind names the store ("dense" or "table") so telemetry can label
-	// which regime a pass ran in.
-	Kind() string
-}
-
 // UseDense reports whether a dense rows×cols float64 matrix fits within
 // budgetBytes. This is the paper's regime split restated in bytes: the
 // sparse estimate SM = 4·δ·N1·N2 already sized the pass, so a pass whose
@@ -142,54 +119,129 @@ func UseDense(rows, cols int, budgetBytes int64) bool {
 	return cells <= budgetBytes/8
 }
 
-// New returns the accumulator for one VVM pass: Dense when the full matrix
-// fits budgetBytes, Table otherwise.
-func New(rows, cols int, budgetBytes int64) Accumulator {
-	if UseDense(rows, cols, budgetBytes) {
-		return NewDense(rows, cols)
+// Store is VVM's similarity store: values accumulate against (row, inner)
+// where row indexes a pass's block of outer ids and inner is an inner
+// document number 0..cols-1. It is created once per join and readied for
+// each pass by Reset, which keeps its capacity.
+//
+// It assumes non-negative adds (term weights and factors are
+// non-negative), so a pair is non-zero iff it was touched.
+type Store struct {
+	rows, cols int
+	// limit is the largest matrix, in bytes, a pass may start dense in:
+	// the budget M, raised by every promotion to the table size the store
+	// declined to grow to.
+	limit    int64
+	dense    bool
+	promoted bool      // this pass moved from the table into the matrix
+	matrix   []float64 // rows×cols, row-major, while dense
+	table    table     // while not dense
+}
+
+// New returns a store over cols inner documents with budgetBytes of the
+// pass budget M, readied for a pass of rows rows.
+func New(rows, cols int, budgetBytes int64) *Store {
+	s := &Store{cols: cols, limit: budgetBytes}
+	s.Reset(rows)
+	return s
+}
+
+// Reset empties the store for a pass of rows rows. The pass starts dense
+// when its matrix fits the limit — reusing the matrix already held when
+// it is large enough — and as the table otherwise, which keeps its slots.
+func (s *Store) Reset(rows int) {
+	s.rows, s.promoted = rows, false
+	s.dense = UseDense(rows, s.cols, s.limit)
+	if !s.dense {
+		s.matrix = nil
+		s.table.reset()
+		return
 	}
-	return NewTable(0)
-}
-
-// Dense is a rows×cols matrix accumulator. Adds are unconditional indexed
-// adds; iteration scans the matrix and skips zeros (values are sums of
-// non-negative products, so zero means untouched).
-type Dense struct {
-	vals []float64
-	cols int
-}
-
-// NewDense returns a zeroed rows×cols matrix.
-func NewDense(rows, cols int) *Dense {
-	return &Dense{vals: make([]float64, rows*cols), cols: cols}
+	s.table = table{}
+	if n := rows * s.cols; n <= cap(s.matrix) {
+		s.matrix = s.matrix[:n]
+		clear(s.matrix)
+	} else {
+		s.matrix = make([]float64, n)
+	}
 }
 
 // Add accumulates v into (row, inner).
-func (d *Dense) Add(row int, inner uint32, v float64) {
-	d.vals[row*d.cols+int(inner)] += v
+func (s *Store) Add(row int, inner uint32, v float64) {
+	if s.dense {
+		s.matrix[row*s.cols+int(inner)] += v
+		return
+	}
+	key := uint64(row)<<32 | uint64(inner)
+	for !s.table.add(key, v) {
+		if 2*s.table.bytes() > int64(s.rows)*int64(s.cols)*8 { // the matrix's bytes
+			s.promote()
+			s.matrix[row*s.cols+int(inner)] += v
+			return
+		}
+		s.table.grow()
+	}
 }
 
-// AddCells accumulates one term's products into row.
-func (d *Dense) AddCells(cells []codec.Cell, row int, w, factor float64) {
-	vals := d.vals[row*d.cols : (row+1)*d.cols]
+// AddCells accumulates one term's products into a row: w is the weight of
+// the row's cell and cell c adds to (row, c.Number). It equals one Add per
+// cell.
+func (s *Store) AddCells(cells []codec.Cell, row int, w, factor float64) {
+	if !s.dense {
+		for _, c := range cells {
+			s.Add(row, c.Number, (w*float64(c.Weight))*factor)
+		}
+		return
+	}
+	vals := s.matrix[row*s.cols : (row+1)*s.cols]
 	for _, c := range cells {
 		vals[c.Number] += (w * float64(c.Weight)) * factor
 	}
 }
 
-// ForEach calls fn for every non-zero pair in row-major order.
-func (d *Dense) ForEach(fn func(row int, inner uint32, v float64)) {
-	for i, v := range d.vals {
+// promote moves the table's pairs into a fresh matrix, each partial sum
+// copied exactly, and drops the table.
+func (s *Store) promote() {
+	s.limit = max(s.limit, 2*s.table.bytes())
+	s.matrix = make([]float64, s.rows*s.cols)
+	s.table.forEach(func(row int, inner uint32, v float64) {
+		s.matrix[row*s.cols+int(inner)] = v
+	})
+	s.table = table{}
+	s.dense, s.promoted = true, true
+}
+
+// Dense reports whether the store is the matrix, so Row applies.
+func (s *Store) Dense() bool { return s.dense }
+
+// Row returns a dense store's row: the accumulated value of every inner
+// document, zero for the untouched.
+func (s *Store) Row(row int) []float64 {
+	return s.matrix[row*s.cols : (row+1)*s.cols]
+}
+
+// ForEach calls fn for every non-zero pair: row-major when dense, in slot
+// order otherwise. Join results do not depend on the order because each
+// pair is a distinct top-λ candidate.
+func (s *Store) ForEach(fn func(row int, inner uint32, v float64)) {
+	if !s.dense {
+		s.table.forEach(fn)
+		return
+	}
+	for i, v := range s.matrix {
 		if v != 0 {
-			fn(i/d.cols, uint32(i%d.cols), v)
+			fn(i/s.cols, uint32(i%s.cols), v)
 		}
 	}
 }
 
-// Len returns the number of non-zero cells.
-func (d *Dense) Len() int {
+// Len returns the number of non-zero pairs.
+func (s *Store) Len() int {
+	if !s.dense {
+		return s.table.n
+	}
 	n := 0
-	for _, v := range d.vals {
+	for _, v := range s.matrix {
 		if v != 0 {
 			n++
 		}
@@ -197,15 +249,32 @@ func (d *Dense) Len() int {
 	return n
 }
 
-// Bytes returns the matrix size.
-func (d *Dense) Bytes() int64 { return int64(len(d.vals)) * 8 }
+// Bytes returns the resident size of the representation held: the
+// matrix's capacity or the table's key and value arrays.
+func (s *Store) Bytes() int64 {
+	if s.dense {
+		return int64(cap(s.matrix)) * 8
+	}
+	return s.table.bytes()
+}
 
-// Kind names the store for telemetry labels.
-func (d *Dense) Kind() string { return "dense" }
+// Kind names the regime the pass is in for telemetry labels: "dense"
+// from its start, "promoted" from the table into the matrix, or "table".
+func (s *Store) Kind() string {
+	switch {
+	case s.promoted:
+		return "promoted"
+	case s.dense:
+		return "dense"
+	}
+	return "table"
+}
 
-// Table is a power-of-two open-addressing accumulator keyed by
-// (row, inner). Linear probing, fibonacci hashing, grown at 3/4 load.
-type Table struct {
+// table is the Store's sparse representation: a power-of-two
+// open-addressing table keyed by row<<32 | inner. Linear probing,
+// fibonacci hashing, full at 3/4 load; the Store decides whether a full
+// table grows.
+type table struct {
 	keys  []uint64
 	vals  []float64
 	shift uint // 64 - log2(len(keys))
@@ -218,18 +287,7 @@ const tableEmpty = math.MaxUint64
 
 const tableMinSize = 16
 
-// NewTable returns a table pre-sized for hint pairs (0 for the default).
-func NewTable(hint int) *Table {
-	size := tableMinSize
-	for size*3/4 < hint {
-		size *= 2
-	}
-	t := &Table{}
-	t.init(size)
-	return t
-}
-
-func (t *Table) init(size int) {
+func (t *table) init(size int) {
 	t.keys = make([]uint64, size)
 	for i := range t.keys {
 		t.keys[i] = tableEmpty
@@ -239,48 +297,55 @@ func (t *Table) init(size int) {
 	for s := size; s > 1; s >>= 1 {
 		t.shift--
 	}
+	t.n = 0
+}
+
+// reset empties the table, keeping its slots (values are written on
+// insert, so only the keys need clearing).
+func (t *table) reset() {
+	if t.keys == nil {
+		t.init(tableMinSize)
+		return
+	}
+	for i := range t.keys {
+		t.keys[i] = tableEmpty
+	}
+	t.n = 0
 }
 
 // slot returns the starting probe index for key.
-func (t *Table) slot(key uint64) int {
+func (t *table) slot(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
-// Add accumulates v into (row, inner).
-func (t *Table) Add(row int, inner uint32, v float64) {
-	key := uint64(row)<<32 | uint64(inner)
+// add accumulates v into key. It stores nothing and returns false when key
+// is new and the table is full.
+func (t *table) add(key uint64, v float64) bool {
 	mask := len(t.keys) - 1
 	i := t.slot(key)
 	for {
 		switch t.keys[i] {
 		case key:
 			t.vals[i] += v
-			return
+			return true
 		case tableEmpty:
 			if t.n >= len(t.keys)*3/4 {
-				t.grow()
-				t.Add(row, inner, v)
-				return
+				return false
 			}
 			t.keys[i] = key
 			t.vals[i] = v
 			t.n++
-			return
+			return true
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// AddCells accumulates one term's products into row.
-func (t *Table) AddCells(cells []codec.Cell, row int, w, factor float64) {
-	for _, c := range cells {
-		t.Add(row, c.Number, (w*float64(c.Weight))*factor)
-	}
-}
-
-func (t *Table) grow() {
-	oldKeys, oldVals := t.keys, t.vals
+// grow doubles the table, rehashing every pair.
+func (t *table) grow() {
+	oldKeys, oldVals, n := t.keys, t.vals, t.n
 	t.init(len(oldKeys) * 2)
+	t.n = n
 	mask := len(t.keys) - 1
 	for j, key := range oldKeys {
 		if key == tableEmpty {
@@ -295,8 +360,8 @@ func (t *Table) grow() {
 	}
 }
 
-// ForEach calls fn for every stored pair, in slot order.
-func (t *Table) ForEach(fn func(row int, inner uint32, v float64)) {
+// forEach calls fn for every stored pair, in slot order.
+func (t *table) forEach(fn func(row int, inner uint32, v float64)) {
 	for i, key := range t.keys {
 		if key != tableEmpty {
 			fn(int(key>>32), uint32(key), t.vals[i])
@@ -304,11 +369,5 @@ func (t *Table) ForEach(fn func(row int, inner uint32, v float64)) {
 	}
 }
 
-// Len returns the number of stored pairs.
-func (t *Table) Len() int { return t.n }
-
-// Bytes returns the size of the key and value arrays.
-func (t *Table) Bytes() int64 { return int64(len(t.keys)) * 16 }
-
-// Kind names the store for telemetry labels.
-func (t *Table) Kind() string { return "table" }
+// bytes returns the size of the key and value arrays.
+func (t *table) bytes() int64 { return int64(len(t.keys)) * 16 }

@@ -18,13 +18,27 @@ func (m mapRef) add(row int, inner uint32, v float64) {
 	m[uint64(row)<<32|uint64(inner)] += v
 }
 
-// collect drains an Accumulator into comparable form.
-func collect(a Accumulator) map[uint64]float64 {
+// collect drains a store (a ForEach method value) into comparable form.
+func collect(forEach func(func(row int, inner uint32, v float64))) map[uint64]float64 {
 	out := make(map[uint64]float64)
-	a.ForEach(func(row int, inner uint32, v float64) {
+	forEach(func(row int, inner uint32, v float64) {
 		out[uint64(row)<<32|uint64(inner)] = v
 	})
 	return out
+}
+
+// put is a plain table's add: it grows whenever the table is full.
+func (t *table) put(row int, inner uint32, v float64) {
+	for key := uint64(row)<<32 | uint64(inner); !t.add(key, v); {
+		t.grow()
+	}
+}
+
+// newTable is a plain table at its minimum size.
+func newTable() *table {
+	t := &table{}
+	t.reset()
+	return t
 }
 
 // sameEntries compares accumulator contents against the map reference,
@@ -48,34 +62,115 @@ func sameEntries(t *testing.T, name string, got, want map[uint64]float64) {
 	}
 }
 
-// TestAccumulatorEquivalence drives Dense and Table with identical random
-// add sequences and checks both match the map semantics bit-for-bit —
-// including per-key float sums, which must accumulate in arrival order.
+// TestAccumulatorEquivalence drives a store that is dense from the start,
+// one that starts as the table (and moves into the matrix when the table
+// would outgrow it) and a plain table with identical random add sequences,
+// and checks all three match the map semantics bit-for-bit — including
+// per-key float sums, which must accumulate in arrival order.
 func TestAccumulatorEquivalence(t *testing.T) {
 	check := func(seed int64, rows8, cols8 uint8) bool {
 		rows := int(rows8%30) + 1
 		cols := int(cols8%50) + 1
 		r := rand.New(rand.NewSource(seed))
-		dense := NewDense(rows, cols)
-		table := NewTable(0)
+		dense := New(rows, cols, int64(rows*cols*8))
+		sparse := New(rows, cols, 0)
+		plain := newTable()
 		ref := make(mapRef)
 		for i, n := 0, r.Intn(500); i < n; i++ {
 			row := r.Intn(rows)
 			inner := uint32(r.Intn(cols))
 			v := float64(r.Intn(50)+1) * float64(r.Intn(50)+1) * (r.Float64() + 0.5)
 			dense.Add(row, inner, v)
-			table.Add(row, inner, v)
+			sparse.Add(row, inner, v)
+			plain.put(row, inner, v)
 			ref.add(row, inner, v)
 		}
-		sameEntries(t, "dense", collect(dense), map[uint64]float64(ref))
-		sameEntries(t, "table", collect(table), map[uint64]float64(ref))
-		if dense.Len() != len(ref) || table.Len() != len(ref) {
-			t.Fatalf("len: dense %d table %d want %d", dense.Len(), table.Len(), len(ref))
+		if dense.Kind() != "dense" || sparse.Kind() == "dense" {
+			t.Fatalf("kinds %s and %s, want dense and table or promoted", dense.Kind(), sparse.Kind())
+		}
+		sameEntries(t, "dense", collect(dense.ForEach), map[uint64]float64(ref))
+		sameEntries(t, sparse.Kind(), collect(sparse.ForEach), map[uint64]float64(ref))
+		sameEntries(t, "plain table", collect(plain.forEach), map[uint64]float64(ref))
+		if dense.Len() != len(ref) || sparse.Len() != len(ref) || plain.n != len(ref) {
+			t.Fatalf("len: dense %d %s %d table %d want %d", dense.Len(), sparse.Kind(), sparse.Len(), plain.n, len(ref))
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStorePromotesExactlyAcrossResets is the store's property: random
+// Add and AddCells streams over passes of random row counts, each pass's
+// contents equal to a map fed the same adds, bit for bit — through
+// promotions in mid-stream and passes that start dense because an earlier
+// one promoted — and after every step Bytes no larger than a plain table
+// fed the same stream (kept across passes, as the store keeps its slots).
+func TestStorePromotesExactlyAcrossResets(t *testing.T) {
+	kinds := map[string]int{}
+	check := func(seed int64, cols8 uint8) bool {
+		cols := int(cols8%40) + 1
+		r := rand.New(rand.NewSource(seed))
+		s := New(0, cols, 0)
+		plain := newTable()
+		for pass := 0; pass < 4; pass++ {
+			// One step is a Reset, an AddCells call or a single Add.
+			step := func() {
+				if got, lim := s.Bytes(), plain.bytes(); got > lim {
+					t.Fatalf("seed %d pass %d: store holds %d bytes (%s), a plain table %d", seed, pass, got, s.Kind(), lim)
+				}
+			}
+			rows := r.Intn(12) + 1
+			s.Reset(rows)
+			plain.reset()
+			step()
+			ref := make(mapRef)
+			density := r.Float64()
+			for i, n := 0, r.Intn(rows*cols*2+1); i < n; i++ {
+				row := r.Intn(rows)
+				w, factor := float64(1+r.Intn(60000)), math.Sqrt(r.Float64()*9)
+				var cells []codec.Cell
+				for inner := 0; inner < cols; inner++ {
+					if r.Float64() < density/4 {
+						cells = append(cells, codec.Cell{Number: uint32(inner), Weight: uint16(1 + r.Intn(60000))})
+					}
+				}
+				byCells := r.Intn(2) == 0
+				for _, c := range cells {
+					v := (w * float64(c.Weight)) * factor
+					ref.add(row, c.Number, v)
+					plain.put(row, c.Number, v)
+					if !byCells {
+						s.Add(row, c.Number, v)
+						step()
+					}
+				}
+				if byCells {
+					s.AddCells(cells, row, w, factor)
+					step()
+				}
+			}
+			got := collect(s.ForEach)
+			if len(got) != len(ref) || s.Len() != len(ref) {
+				t.Fatalf("seed %d pass %d (%s): %d pairs, Len %d, want %d", seed, pass, s.Kind(), len(got), s.Len(), len(ref))
+			}
+			for k, v := range ref {
+				if math.Float64bits(got[k]) != math.Float64bits(v) {
+					t.Fatalf("seed %d pass %d (%s): key %d = %v, want %v", seed, pass, s.Kind(), k, got[k], v)
+				}
+			}
+			kinds[s.Kind()]++
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	for _, kind := range []string{"table", "promoted", "dense"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no pass ended %s: %v", kind, kinds)
+		}
 	}
 }
 
@@ -129,9 +224,10 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		const lo = 7 // Flat's ids are cell numbers less lo
 		flat, flatRef := NewFlat(cols), NewFlat(cols)
-		stores := []struct{ got, want Accumulator }{
-			{NewDense(rows, cols), NewDense(rows, cols)},
-			{NewTable(0), NewTable(0)},
+		budget := int64(rows * cols * 8)
+		stores := []struct{ got, want *Store }{
+			{New(rows, cols, budget), New(rows, cols, budget)}, // dense from the start
+			{New(rows, cols, 0), New(rows, cols, 0)},           // table, promoted if it outgrows the matrix
 		}
 		for term, terms := 0, r.Intn(60); term < terms; term++ {
 			var cells []codec.Cell
@@ -166,7 +262,7 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 			}
 		}
 		for _, st := range stores {
-			got, want := collect(st.got), collect(st.want)
+			got, want := collect(st.got.ForEach), collect(st.want.ForEach)
 			if len(got) != len(want) || st.got.Len() != st.want.Len() {
 				t.Fatalf("%s: %d pairs, Add leaves %d", st.got.Kind(), len(got), len(want))
 			}
@@ -205,31 +301,37 @@ func TestFlatFirstTouchOrder(t *testing.T) {
 }
 
 func TestTableGrowth(t *testing.T) {
-	table := NewTable(0)
+	table := newTable()
 	ref := make(mapRef)
 	// Push far past several growth thresholds, including key 0.
 	for row := 0; row < 40; row++ {
 		for inner := uint32(0); inner < 40; inner++ {
 			v := float64(row*40) + float64(inner) + 0.5
-			table.Add(row, inner, v)
+			table.put(row, inner, v)
 			ref.add(row, inner, v)
 		}
 	}
-	sameEntries(t, "table", collect(table), map[uint64]float64(ref))
-	if table.Len() != 1600 {
-		t.Fatalf("len = %d, want 1600", table.Len())
+	sameEntries(t, "table", collect(table.forEach), map[uint64]float64(ref))
+	if table.n != 1600 {
+		t.Fatalf("len = %d, want 1600", table.n)
 	}
-	if table.Bytes() < 1600*16 {
-		t.Fatalf("bytes = %d, too small for %d entries", table.Bytes(), table.Len())
+	if table.bytes() < 1600*16 {
+		t.Fatalf("bytes = %d, too small for %d entries", table.bytes(), table.n)
+	}
+	// A reset keeps the slots and forgets the pairs.
+	bytes := table.bytes()
+	table.reset()
+	if table.n != 0 || table.bytes() != bytes || len(collect(table.forEach)) != 0 {
+		t.Fatalf("reset: %d pairs in %d bytes, want 0 in %d", table.n, table.bytes(), bytes)
 	}
 }
 
 func TestNewChoosesByBudget(t *testing.T) {
-	if _, ok := New(10, 10, 800).(*Dense); !ok {
-		t.Error("10x10 at 800 bytes: want Dense")
+	if kind := New(10, 10, 800).Kind(); kind != "dense" {
+		t.Errorf("10x10 at 800 bytes: %s, want dense", kind)
 	}
-	if _, ok := New(10, 10, 799).(*Table); !ok {
-		t.Error("10x10 at 799 bytes: want Table")
+	if kind := New(10, 10, 799).Kind(); kind != "table" {
+		t.Errorf("10x10 at 799 bytes: %s, want table", kind)
 	}
 	if !UseDense(0, 5, 1) {
 		t.Error("zero rows should always fit")
@@ -237,6 +339,37 @@ func TestNewChoosesByBudget(t *testing.T) {
 	// Large dimensions must not overflow the byte computation.
 	if UseDense(1<<24, 1<<24, 1<<40) {
 		t.Error("2^48 cells in 2^40 bytes: want sparse")
+	}
+}
+
+// TestStoreKeepsWhatItPromotedInto walks the regimes of one store by hand:
+// a table that would outgrow its 4×8 matrix moves into it at the growth
+// it declines, later passes that fit the raised limit start dense in the
+// same buffer, and one too large for it starts as the table again.
+func TestStoreKeepsWhatItPromotedInto(t *testing.T) {
+	s := New(4, 8, 0) // a 256-byte matrix: the 16-slot table may not double
+	for inner := uint32(0); inner < 12; inner++ {
+		s.Add(1, inner%8, 1)
+		s.Add(2, inner%8, 1)
+	}
+	if s.Kind() != "promoted" || s.Bytes() != 4*8*8 || s.Len() != 16 {
+		t.Fatalf("after 16 pairs: %s, %d bytes, %d pairs; want promoted, 256, 16", s.Kind(), s.Bytes(), s.Len())
+	}
+	if got := s.Row(1)[3]; got != 2 {
+		t.Fatalf("(1, 3) = %v, want 2", got)
+	}
+	buf := &s.matrix[0]
+	s.Reset(3)
+	if s.Kind() != "dense" || &s.matrix[0] != buf || s.Len() != 0 || s.Bytes() != 4*8*8 {
+		t.Fatalf("3-row pass: %s, %d pairs, %d bytes; want dense in the same 256-byte buffer, empty", s.Kind(), s.Len(), s.Bytes())
+	}
+	s.Reset(8) // 512 bytes: exactly the table size declined
+	if s.Kind() != "dense" || s.Bytes() != 8*8*8 {
+		t.Fatalf("8-row pass: %s in %d bytes, want dense in 512", s.Kind(), s.Bytes())
+	}
+	s.Reset(9)
+	if s.Kind() != "table" || s.Bytes() != tableMinSize*16 {
+		t.Fatalf("9-row pass: %s in %d bytes, want a fresh table", s.Kind(), s.Bytes())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
+	"textjoin/internal/telemetry"
 )
 
 // The accumulator layer (internal/accum) must be invisible in results:
@@ -15,33 +16,60 @@ import (
 // workers, full collections and selections all produce byte-identical
 // top-λ lists. These tests pin that across the regime boundaries.
 
+// regimeCorpora are a dense corpus, whose tight passes outgrow the table
+// and move into the matrix, and a sparse one (a large vocabulary, short
+// documents), whose tight passes stay tables.
+var regimeCorpora = []struct {
+	name          string
+	seed          int64
+	vocab, maxLen int
+}{{"dense", 0, 70, 16}, {"sparse", 3, 600, 6}}
+
+// coversRegimes fails unless some pass of the joins reporting to tel
+// finished in each of the store's three regimes (join.vvm.accum.<kind>):
+// dense from its start, a table throughout, and a table promoted into the
+// matrix.
+func coversRegimes(t *testing.T, tel *telemetry.Collector) {
+	t.Helper()
+	for _, kind := range []string{"dense", "table", "promoted"} {
+		if tel.Counter("join.vvm.accum."+kind).Value() == 0 {
+			t.Errorf("no pass finished %s", kind)
+		}
+	}
+}
+
 // TestVVMAccumulatorRegimes runs the same join in the dense regime (one
-// roomy pass), the open-addressing regime (δ=1 forces the sparse estimate
-// over budget) and a many-pass split, expecting identical results.
+// roomy pass) and in many-pass splits (δ ≥ 0.5 forces the sparse estimate
+// over budget), expecting identical results, on a corpus whose tight
+// passes promote and one whose tight passes stay tables.
 func TestVVMAccumulatorRegimes(t *testing.T) {
-	e := buildEnv(t, 51, 45, 38, 70, 16, 128)
-	base, baseStats, err := Join(VVM, e.inputs(), Options{Lambda: 4, MemoryPages: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseStats.Passes != 1 {
-		t.Fatalf("base run: %d passes, want 1 (dense single pass)", baseStats.Passes)
-	}
-	for _, opts := range []Options{
-		{Lambda: 4, MemoryPages: 12, Delta: 1.0}, // sparse, multi-pass
-		{Lambda: 4, MemoryPages: 20, Delta: 0.5},
-	} {
-		got, gotStats, err := Join(VVM, e.inputs(), opts)
+	tel := telemetry.New()
+	for _, corpus := range regimeCorpora {
+		e := buildEnv(t, 51+corpus.seed, 45, 38, corpus.vocab, corpus.maxLen, 128)
+		base, baseStats, err := Join(VVM, e.inputs(), Options{Lambda: 4, MemoryPages: 4000, Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotStats.Passes <= 1 {
-			t.Fatalf("opts %+v: %d passes, want a multi-pass split", opts, gotStats.Passes)
+		if baseStats.Passes != 1 {
+			t.Fatalf("%s base run: %d passes, want 1 (dense single pass)", corpus.name, baseStats.Passes)
 		}
-		if err := sameResults(base, got); err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
+		for _, opts := range []Options{
+			{Lambda: 4, MemoryPages: 12, Delta: 1.0, Telemetry: tel}, // sparse, multi-pass
+			{Lambda: 4, MemoryPages: 20, Delta: 0.5, Telemetry: tel},
+		} {
+			got, gotStats, err := Join(VVM, e.inputs(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotStats.Passes <= 1 {
+				t.Fatalf("%s opts %+v: %d passes, want a multi-pass split", corpus.name, opts, gotStats.Passes)
+			}
+			if err := sameResults(base, got); err != nil {
+				t.Fatalf("%s opts %+v: %v", corpus.name, opts, err)
+			}
 		}
 	}
+	coversRegimes(t, tel)
 }
 
 // TestVVMParallelIdentity is the tentpole's identity matrix: parallel VVM
@@ -79,41 +107,45 @@ func TestVVMParallelIdentity(t *testing.T) {
 
 // TestVVMSubsetAcrossRegimes joins a scattered selection (exercising the
 // IDSet bitmap/binary-search paths rather than the contiguous fast path)
-// under both accumulator regimes, serial and parallel, against the
-// brute-force reference.
+// in every store regime, serial and parallel, against the brute-force
+// reference.
 func TestVVMSubsetAcrossRegimes(t *testing.T) {
-	e := buildEnv(t, 53, 35, 40, 55, 12, 128)
-	sub, err := e.c2.Subset([]uint32{0, 3, 4, 11, 17, 18, 19, 31, 39})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := Inputs{Outer: sub, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}
-	scorer, err := in.scorer(Options{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reference(t, sub, e.c1, 4, scorer)
-	for _, opts := range []Options{
-		{Lambda: 4, MemoryPages: 2000},           // dense
-		{Lambda: 4, MemoryPages: 10, Delta: 1.0}, // sparse, partitioned
-	} {
-		got, _, err := Join(VVM, in, opts)
+	tel := telemetry.New()
+	for _, corpus := range regimeCorpora {
+		e := buildEnv(t, 53+corpus.seed, 35, 40, corpus.vocab, corpus.maxLen, 128)
+		sub, err := e.c2.Subset([]uint32{0, 3, 4, 11, 17, 18, 19, 31, 39})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameResults(want, got); err != nil {
-			t.Fatalf("serial opts %+v: %v", opts, err)
+		in := Inputs{Outer: sub, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}
+		scorer, err := in.scorer(Options{}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 7} {
-			par, _, err := joinAt(VVM, in, opts, workers)
+		want := reference(t, sub, e.c1, 4, scorer)
+		for _, opts := range []Options{
+			{Lambda: 4, MemoryPages: 2000, Telemetry: tel},           // dense
+			{Lambda: 4, MemoryPages: 10, Delta: 1.0, Telemetry: tel}, // table or promoted, partitioned
+		} {
+			got, _, err := Join(VVM, in, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameResults(want, par); err != nil {
-				t.Fatalf("parallel workers=%d opts %+v: %v", workers, opts, err)
+			if err := sameResults(want, got); err != nil {
+				t.Fatalf("%s serial opts %+v: %v", corpus.name, opts, err)
+			}
+			for _, workers := range []int{2, 7} {
+				par, _, err := joinAt(VVM, in, opts, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameResults(want, par); err != nil {
+					t.Fatalf("%s parallel workers=%d opts %+v: %v", corpus.name, workers, opts, err)
+				}
 			}
 		}
 	}
+	coversRegimes(t, tel)
 }
 
 // TestQuickAccumRegimesEqual property-tests that memory budget (and with

@@ -28,9 +28,11 @@ import (
 // M = (B − ⌈J1⌉ − ⌈J2⌉)·P, the outer collection is divided into ⌈SM/M⌉
 // ranges and both inverted files are re-scanned once per range.
 //
-// The per-pass similarity store is an accum.Accumulator: a dense
-// range×N1 matrix when it fits M, an open-addressing table otherwise —
-// never a Go map, whose hashing dominated the accumulation hot loop.
+// The similarity store is one accum.Store per shard for the whole join,
+// Reset between passes: a pass starts as the dense range×N1 matrix when it
+// fits M, as an open-addressing table otherwise, and the table moves into
+// the matrix once it would outgrow it — never a Go map, whose hashing
+// dominated the accumulation hot loop.
 //
 // When Inputs.Outer is a selection subset, only i-cells of its documents
 // accumulate — but the inverted files are still scanned in full, the
@@ -67,6 +69,16 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 	tel, trace := opts.Telemetry, opts.Trace
 	occupancy := tel.Histogram("vvm.accum.occupancy", telemetry.DefaultSizeBuckets)
 
+	// Shard w owns the contiguous rank block [lo, hi) of each pass's
+	// (ascending) rangeIDs, and with it the document numbers from its
+	// first id up to the next shard's first id. Its store and trackers
+	// live for the whole join, with 1/nShards of the pass budget.
+	shards := make([]*vvmShard, nShards)
+	for w := range shards {
+		shards[w] = newVVMShard(n1, plan.passBytes/int64(nShards), opts.Lambda)
+	}
+	bounds := make([]uint32, nShards+1)
+
 	results := make([]Result, 0, len(plan.outerIDs))
 	for p := 0; p < plan.passes; p++ {
 		rangeIDs := plan.rangeIDs(p)
@@ -79,26 +91,11 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		results = results[:len(results)+len(rangeIDs)]
 		stats.Passes++
 		set := accum.NewIDSet(rangeIDs)
-		dense := accum.UseDense(len(rangeIDs), n1, plan.passBytes)
-
-		// Shard w owns the contiguous rank block [lo, hi) of the
-		// (ascending) rangeIDs, and with it the document numbers from its
-		// first id up to the next shard's first id.
-		shards := make([]*vvmShard, nShards)
-		bounds := make([]uint32, nShards+1)
 		bounds[nShards] = rangeIDs[len(rangeIDs)-1] + 1
-		for w := range shards {
+		for w, sh := range shards {
 			lo, hi := w*len(rangeIDs)/nShards, (w+1)*len(rangeIDs)/nShards
 			bounds[w] = rangeIDs[lo]
-			shards[w] = &vvmShard{set: set, rankLo: lo, ids: rangeIDs[lo:hi], out: passResults[lo:hi]}
-			if dense {
-				shards[w].acc = accum.NewDense(hi-lo, n1)
-			} else {
-				shards[w].acc = accum.NewTable(0)
-			}
-		}
-		if tel != nil {
-			tel.Counter("join.vvm.accum." + shards[0].acc.Kind()).Add(1)
+			sh.begin(set, lo, rangeIDs[lo:hi], passResults[lo:hi])
 		}
 
 		// Inline, the one shard consumes each entry pair before the scan
@@ -152,6 +149,10 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		}
 		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, memBytes)
 		occupancy.Observe(pairs)
+		if tel != nil {
+			// The regime the pass finished in: dense, table or promoted.
+			tel.Counter("join.vvm.accum." + shards[0].acc.Kind()).Add(1)
+		}
 	}
 
 	stats.IO = plan.track.delta()
@@ -160,17 +161,43 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 	return results, stats, nil
 }
 
-// vvmShard accumulates and emits one contiguous rank block of a pass's
-// outer ids, in its own accumulator (dense rows or an open-addressing
-// table, one regime choice per pass).
+// vvmShard accumulates and emits one contiguous rank block of each pass's
+// outer ids, in its own store. The store and the trackers are the join's;
+// the block fields are the current pass's.
 type vvmShard struct {
+	acc *accum.Store
+	tk  *topk.TopK // the dense drain's one tracker
+	// rows are the table drain's per-row trackers, grown to the largest
+	// block and reused from pass to pass.
+	rows []vvmRow
+
 	set    *accum.IDSet
 	rankLo int
 	ids    []uint32 // the block's outer ids, ascending
 	out    []Result // the block's rows of the pass results
-	acc    accum.Accumulator
-	count  int64 // cell products accumulated
-	pairs  int64 // non-zero (outer, inner) pairs emit found
+	count  int64    // cell products accumulated
+	pairs  int64    // non-zero (outer, inner) pairs emit found
+}
+
+// vvmRow is one outer document's state in the table drain.
+type vvmRow struct {
+	live bool // the pass offered this row a pair
+	fin  document.Row
+	tk   *topk.TopK
+}
+
+// newVVMShard returns a shard with its store for the whole join: cols
+// inner documents and budget bytes of the pass budget M.
+func newVVMShard(cols int, budget int64, lambda int) *vvmShard {
+	return &vvmShard{acc: accum.New(0, cols, budget), tk: topk.New(lambda)}
+}
+
+// begin readies the shard for a pass's block: ids at ranks rankLo.. of
+// set, emitted into out.
+func (s *vvmShard) begin(set *accum.IDSet, rankLo int, ids []uint32, out []Result) {
+	s.set, s.rankLo, s.ids, s.out = set, rankLo, ids, out
+	s.count, s.pairs = 0, 0
+	s.acc.Reset(len(ids))
 }
 
 // vvmWork is one shard's share of a common-term entry pair: its own
@@ -196,25 +223,53 @@ func (s *vvmShard) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
 }
 
 // emit writes the λ best matches for every outer document of the block,
-// including documents with no non-zero similarity. ids is ascending, so
-// row order is emission order.
+// including documents with no non-zero similarity (nil Matches). ids is
+// ascending, so row order is emission order. A dense store drains row by
+// row through the one tracker; a table drains in slot order into a
+// tracker per row.
 func (s *vvmShard) emit(scorer *document.Scorer, lambda int) {
-	trackers := make([]*topk.TopK, len(s.ids))
+	if s.acc.Dense() {
+		for row, id := range s.ids {
+			fin, touched := scorer.Row(id), false
+			s.tk.Reset()
+			for inner, raw := range s.acc.Row(row) {
+				if raw != 0 {
+					touched = true
+					s.pairs++
+					s.tk.Offer(uint32(inner), fin.Finalize(uint32(inner), raw))
+				}
+			}
+			s.out[row] = Result{Outer: id}
+			if touched {
+				s.out[row].Matches = s.tk.Results()
+			}
+		}
+		return
+	}
+	for len(s.rows) < len(s.ids) {
+		s.rows = append(s.rows, vvmRow{})
+	}
+	rows := s.rows[:len(s.ids)]
+	for i := range rows {
+		rows[i].live = false
+	}
 	s.acc.ForEach(func(row int, inner uint32, raw float64) {
 		s.pairs++
-		tk := trackers[row]
-		if tk == nil {
-			tk = topk.New(lambda)
-			trackers[row] = tk
+		r := &rows[row]
+		if !r.live {
+			r.live, r.fin = true, scorer.Row(s.ids[row])
+			if r.tk == nil {
+				r.tk = topk.New(lambda)
+			}
+			r.tk.Reset()
 		}
-		tk.Offer(inner, scorer.Finalize(s.ids[row], inner, raw))
+		r.tk.Offer(inner, r.fin.Finalize(inner, raw))
 	})
 	for row, id := range s.ids {
-		var matches []Match
-		if tk := trackers[row]; tk != nil {
-			matches = tk.Results()
+		s.out[row] = Result{Outer: id}
+		if rows[row].live {
+			s.out[row].Matches = rows[row].tk.Results()
 		}
-		s.out[row] = Result{Outer: id, Matches: matches}
 	}
 }
 

@@ -271,20 +271,31 @@ type Scorer struct {
 	weighting Weighting
 	// idf maps term -> idf weight (TFIDF only).
 	idf map[uint32]float64
-	// norms maps document id -> norm for each side (Cosine only).
+	// outerNorms maps outer document id -> norm; innerNorms is indexed by
+	// inner document id, 0 where the map had none (Cosine only).
 	outerNorms map[uint32]float64
-	innerNorms map[uint32]float64
+	innerNorms []float64
 }
 
 // NewScorer builds a scorer for the given weighting. idf may be nil unless
 // the weighting is TFIDF; the norm maps may be nil unless it is Cosine.
 func NewScorer(w Weighting, idf map[uint32]float64, outerNorms, innerNorms map[uint32]float64) (*Scorer, error) {
-	s := &Scorer{weighting: w, idf: idf, outerNorms: outerNorms, innerNorms: innerNorms}
+	s := &Scorer{weighting: w, idf: idf, outerNorms: outerNorms}
 	switch w {
 	case RawTF:
 	case Cosine:
 		if outerNorms == nil || innerNorms == nil {
 			return nil, fmt.Errorf("document: cosine weighting requires pre-computed norms")
+		}
+		// Inner ids are contiguous, so the emit path indexes a slice
+		// instead of hashing once per pair.
+		var n uint32
+		for id := range innerNorms {
+			n = max(n, id+1)
+		}
+		s.innerNorms = make([]float64, n)
+		for id, norm := range innerNorms {
+			s.innerNorms[id] = norm
 		}
 	case TFIDF:
 		if idf == nil {
@@ -315,15 +326,38 @@ func (s *Scorer) TermFactor(term uint32) float64 {
 // (division by the norms for cosine; identity otherwise). outer is the C2
 // document id, inner the C1 document id.
 func (s *Scorer) Finalize(outer, inner uint32, raw float64) float64 {
+	return s.Row(outer).Finalize(inner, raw)
+}
+
+// Row is the scorer fixed to one outer document, so a join finalizing many
+// pairs of the same outer document looks its norm up once.
+type Row struct {
+	cosine     bool
+	outerNorm  float64
+	innerNorms []float64
+}
+
+// Row returns the scorer fixed to outer document outer.
+func (s *Scorer) Row(outer uint32) Row {
 	if s.weighting != Cosine {
+		return Row{}
+	}
+	return Row{cosine: true, outerNorm: s.outerNorms[outer], innerNorms: s.innerNorms}
+}
+
+// Finalize is Scorer.Finalize for the row's outer document.
+func (r Row) Finalize(inner uint32, raw float64) float64 {
+	if !r.cosine {
 		return raw
 	}
-	no := s.outerNorms[outer]
-	ni := s.innerNorms[inner]
-	if no == 0 || ni == 0 {
+	var ni float64
+	if int(inner) < len(r.innerNorms) {
+		ni = r.innerNorms[inner]
+	}
+	if r.outerNorm == 0 || ni == 0 {
 		return 0
 	}
-	return raw / (no * ni)
+	return raw / (r.outerNorm * ni)
 }
 
 // Score computes the full similarity of two documents under the scorer

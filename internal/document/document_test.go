@@ -209,6 +209,15 @@ func TestScorerCosine(t *testing.T) {
 	if got := s.Finalize(99, 2, 10); got != 0 {
 		t.Errorf("Finalize missing norm = %v, want 0", got)
 	}
+	// Inner norms are a slice by id: below its length, past it.
+	for _, inner := range []uint32{0, 7} {
+		if got := s.Row(1).Finalize(inner, 10); got != 0 {
+			t.Errorf("Finalize missing inner norm %d = %v, want 0", inner, got)
+		}
+	}
+	if got, want := s.Row(1).Finalize(2, 10), s.Finalize(1, 2, 10); got != want || got != 10.0/50 {
+		t.Errorf("Row(1).Finalize(2, 10) = %v, Finalize %v, want 0.2", got, want)
+	}
 }
 
 func TestScorerTFIDF(t *testing.T) {
