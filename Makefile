@@ -22,7 +22,10 @@ test: build
 # fan-out helper of fanout.go and the stages it drains: the owner-sharded
 # accumulators of hvnl.go and vvm.go), the accumulator layer they share
 # with the inline block joins of hhnl.go and lsh.go, the entry cache
-# the HVNL coordinator drives, the telemetry collector whose counters and
+# the HVNL coordinator drives and the inverted file and paged store under
+# it (ReadSpan hands concurrent views aliases of the shared page images;
+# TestHVNLFanOutMatchesInline fails here if a fanned-out HVNL recycles
+# evicted entries), the telemetry collector whose counters and
 # histograms they all add to, the request tracer whose span tree is the
 # only timing any of them takes and the flight recorder that keeps the
 # finished trees, the SLO engine computing error budgets over the
@@ -39,7 +42,7 @@ verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
-	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./internal/analysis/... ./cmd/textjoind/...
+	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./internal/analysis/... ./cmd/textjoind/...
 
 # lint runs the repo's own static-analysis suite over the whole module:
 # seven analyzers driven by the checked-in policy table in

@@ -8,10 +8,11 @@
 // hash map:
 //
 //   - Flat is the per-outer-document accumulator of HVNL: a []float64
-//     indexed by inner document number with a touched list, so reset and
-//     iteration cost O(non-zero) — preserving the paper's "only non-zero
-//     similarities are stored" accounting — while each accumulation is a
-//     single indexed add.
+//     indexed by inner document number with a touched list while a row is
+//     sparse, so draining costs O(non-zero) — preserving the paper's "only
+//     non-zero similarities are stored" accounting — and no list once a
+//     quarter of the ids are touched, so each accumulation is a single
+//     indexed add and the drain a scan.
 //   - Store is VVM's: one per shard per join, Reset between passes. It has
 //     two representations and picks between them by size, not by an
 //     expected population. A pass starts as the dense rows×cols matrix
@@ -41,28 +42,41 @@ import (
 	"textjoin/internal/codec"
 )
 
-// Flat accumulates values against a contiguous id space 0..n-1, tracking
-// which ids were touched so that iteration and reset cost O(touched)
-// instead of O(n). It is the per-streamed-document accumulator of HVNL
-// (ids are inner document numbers) and of block HHNL (ids are resident
-// slots). A value of zero is the first-touch mark — there is no second
-// array — so an id whose adds so far were all zero is listed again by its
-// next add; Take clears as it reads, so the repeat reads zero, and a zero
-// similarity is no candidate.
+// Flat accumulates values against a contiguous id space 0..n-1. It is the
+// per-streamed-document accumulator of HVNL (ids are inner document
+// numbers) and of block HHNL (ids are resident slots). It has two regimes
+// per streamed document. While sparse, it lists each id on its first
+// touch, so draining and resetting cost O(touched) instead of O(n). Once
+// the list reaches n/4 ids it is dense: it stops listing, each add is one
+// indexed add with no branch, and draining scans all n values — at most
+// four times the list walk it replaces. A value of zero is the first-touch
+// mark — there is no second array — so an id whose adds so far were all
+// zero is listed again by its next add; the drain clears as it reads, so
+// the repeat reads zero, and a zero similarity is no candidate.
 type Flat struct {
 	vals    []float64
 	touched []uint32
+	limit   int  // the list length at which the regime turns dense
+	dense   bool // the list is abandoned until the next drain or Reset
+	sums    []Sum
+}
+
+// Sum is one id's accumulated value, as Drain hands it out.
+type Sum struct {
+	ID uint32
+	V  float64
 }
 
 // NewFlat returns a Flat over ids 0..n-1.
 func NewFlat(n int) *Flat {
-	return &Flat{vals: make([]float64, n)}
+	return &Flat{vals: make([]float64, n), limit: n / 4}
 }
 
 // Add accumulates v into id.
 func (f *Flat) Add(id uint32, v float64) {
-	if f.vals[id] == 0 {
+	if !f.dense && f.vals[id] == 0 {
 		f.touched = append(f.touched, id)
+		f.dense = len(f.touched) >= f.limit
 	}
 	f.vals[id] += v
 }
@@ -71,42 +85,82 @@ func (f *Flat) Add(id uint32, v float64) {
 // document's cell, cells the other side's cells of that term, and cell c
 // adds to id c.Number-lo. It equals one Add per cell.
 func (f *Flat) AddCells(cells []codec.Cell, lo uint32, w, factor float64) {
-	vals, touched := f.vals, f.touched // locals: the loop is the joins' hottest
-	for _, c := range cells {
-		id := c.Number - lo
-		v := vals[id]
-		if v == 0 {
-			touched = append(touched, id)
-		}
-		vals[id] = v + (w*float64(c.Weight))*factor
+	if !f.dense {
+		cells = f.addListed(cells, lo, w, factor)
 	}
-	f.touched = touched
+	vals := f.vals // a local: the loop is the joins' hottest
+	for _, c := range cells {
+		vals[c.Number-lo] += (w * float64(c.Weight)) * factor
+	}
 }
 
-// Len returns the number of ids touched since the last Reset.
-func (f *Flat) Len() int { return len(f.touched) }
+// addListed is AddCells in the sparse regime. When the list reaches the
+// limit it turns the regime dense and returns the cells it left unadded.
+func (f *Flat) addListed(cells []codec.Cell, lo uint32, w, factor float64) []codec.Cell {
+	vals, touched := f.vals, f.touched
+	for i, c := range cells {
+		id := c.Number - lo
+		v := vals[id]
+		vals[id] = v + (w*float64(c.Weight))*factor
+		if v == 0 {
+			touched = append(touched, id)
+			if len(touched) >= f.limit {
+				f.touched, f.dense = touched, true
+				return cells[i+1:]
+			}
+		}
+	}
+	f.touched = touched
+	return nil
+}
 
-// Touched returns the touched ids in first-touch order, valid until the
-// next Add, AddCells or Reset.
-func (f *Flat) Touched() []uint32 { return f.touched }
+// Drain returns every id holding a non-zero value, with that value, and
+// readies the accumulator for the next streamed document: sparse, in
+// first-touch order; dense, in id order. The slice is the Flat's, valid
+// until the next Drain.
+func (f *Flat) Drain() []Sum {
+	if f.sums == nil {
+		f.sums = make([]Sum, 0, len(f.vals))
+	}
+	vals, dst := f.vals, f.sums[:0]
+	if f.dense {
+		for id, v := range vals {
+			if v != 0 {
+				dst = append(dst, Sum{ID: uint32(id), V: v})
+			}
+		}
+		clear(vals)
+	} else {
+		for _, id := range f.touched {
+			if v := vals[id]; v != 0 {
+				dst = append(dst, Sum{ID: id, V: v})
+				vals[id] = 0
+			}
+		}
+	}
+	f.touched, f.dense = f.touched[:0], false
+	return dst
+}
 
-// Take returns what id has accumulated since the last Reset and clears it.
+// Take returns what id has accumulated since the last Reset and clears it:
+// a drain of listed ids, which Reset must follow.
 func (f *Flat) Take(id uint32) float64 {
 	v := f.vals[id]
 	f.vals[id] = 0
 	return v
 }
 
-// Kind names the store for telemetry labels.
-func (f *Flat) Kind() string { return "flat" }
-
-// Reset clears only the touched slots, readying the accumulator for the
-// next streamed document.
+// Reset clears every value — only the listed ids while sparse — readying
+// the accumulator for the next streamed document.
 func (f *Flat) Reset() {
-	for _, id := range f.touched {
-		f.vals[id] = 0
+	if f.dense {
+		clear(f.vals)
+	} else {
+		for _, id := range f.touched {
+			f.vals[id] = 0
+		}
 	}
-	f.touched = f.touched[:0]
+	f.touched, f.dense = f.touched[:0], false
 }
 
 // UseDense reports whether a dense rows×cols float64 matrix fits within

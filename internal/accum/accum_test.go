@@ -174,51 +174,120 @@ func TestStorePromotesExactlyAcrossResets(t *testing.T) {
 	}
 }
 
+// drained drains f into a map from id to the value's bits, failing on an
+// id drained twice or a zero drained at all.
+func drained(t *testing.T, f *Flat) map[uint32]uint64 {
+	t.Helper()
+	out := map[uint32]uint64{}
+	for _, s := range f.Drain() {
+		if _, dup := out[s.ID]; dup || s.V == 0 {
+			t.Fatalf("drain hands out id %d = %v twice or at zero", s.ID, s.V)
+		}
+		out[s.ID] = math.Float64bits(s.V)
+	}
+	return out
+}
+
+// sameBits compares a drained row with the reference's non-zero sums.
+func sameBits(t *testing.T, name string, got map[uint32]uint64, ref map[uint32]float64) {
+	t.Helper()
+	want := 0
+	for id, v := range ref {
+		if v == 0 {
+			continue
+		}
+		want++
+		if got[id] != math.Float64bits(v) {
+			t.Fatalf("%s: id %d = %v, want %v", name, id, math.Float64frombits(got[id]), v)
+		}
+	}
+	if len(got) != want {
+		t.Fatalf("%s: %d ids drained, want %d", name, len(got), want)
+	}
+}
+
 // TestFlatEquivalence checks the HVNL per-document accumulator against map
-// semantics across Reset cycles (one cycle per outer document).
+// semantics across rows (one per outer document), in both regimes and both
+// ways a row ends: a Drain, or a Take of listed ids followed by Reset — so
+// a row that went dense and was finished by listed Takes must leave the
+// next row clean. Every combination must occur.
 func TestFlatEquivalence(t *testing.T) {
+	ends := map[string]int{}
 	check := func(seed int64, n8 uint8) bool {
 		n := int(n8%60) + 1
 		r := rand.New(rand.NewSource(seed))
 		f := NewFlat(n)
-		for cycle := 0; cycle < 3; cycle++ {
+		for row := 0; row < 4; row++ {
 			ref := make(map[uint32]float64)
-			for i, adds := 0, r.Intn(200); i < adds; i++ {
+			for i, adds := 0, r.Intn(n*3); i < adds; i++ {
 				id := uint32(r.Intn(n))
-				v := float64(r.Intn(100)+1) * r.Float64()
+				v := float64(r.Intn(100)) * r.Float64() // one add in a hundred is zero
 				f.Add(id, v)
 				ref[id] += v
 			}
-			got := make(map[uint32]float64)
-			for _, id := range f.Touched() {
-				got[id] = f.Take(id)
+			regime := "sparse"
+			if f.dense {
+				regime = "dense"
 			}
-			if len(got) != len(ref) || f.Len() != len(ref) {
-				t.Fatalf("cycle %d: %d touched, want %d", cycle, f.Len(), len(ref))
+			if r.Intn(2) == 0 {
+				ends["drain/"+regime]++
+				sameBits(t, "drain/"+regime, drained(t, f), ref)
+				continue
 			}
-			for id, v := range ref {
-				if got[id] != v {
-					t.Fatalf("cycle %d: id %d = %v, want %v", cycle, id, got[id], v)
+			ends["take/"+regime]++
+			for id := 0; id < n; id++ {
+				if r.Intn(3) > 0 {
+					continue // not listed: left for Reset
+				}
+				if got := f.Take(uint32(id)); math.Float64bits(got) != math.Float64bits(ref[uint32(id)]) {
+					t.Fatalf("take/%s: id %d = %v, want %v", regime, id, got, ref[uint32(id)])
 				}
 			}
 			f.Reset()
-			if f.Len() != 0 {
-				t.Fatal("reset left touched entries")
-			}
+		}
+		if got := drained(t, f); len(got) != 0 {
+			t.Fatalf("an empty row drains %v", got)
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+	for _, end := range []string{"drain/sparse", "drain/dense", "take/sparse", "take/dense"} {
+		if ends[end] == 0 {
+			t.Errorf("no row ended %s: %v", end, ends)
+		}
+	}
+}
+
+// TestFlatDenseTakeThenReset is the trap of the dense regime by hand: a row
+// that stopped listing is finished by a Take of one listed id, and Reset
+// must clear the ids nobody took, or they leak into the next row.
+func TestFlatDenseTakeThenReset(t *testing.T) {
+	f := NewFlat(8) // dense at the second listed id
+	f.Add(1, 2)
+	f.Add(5, 3)
+	f.Add(6, 4)
+	if !f.dense {
+		t.Fatal("two ids of eight: want dense")
+	}
+	if got := f.Take(5); got != 3 {
+		t.Fatalf("Take(5) = %v, want 3", got)
+	}
+	f.Reset()
+	f.Add(6, 1)
+	sameBits(t, "next row", drained(t, f), map[uint32]float64{6: 1})
 }
 
 // TestAddCellsEqualsAdds pins the one kernel: for every store, AddCells
 // leaves what the same stream of Add calls leaves, each product associated
-// (w·weight)·factor — bit for bit, touched order included. Factors are
-// irrational-looking so a different association would round differently;
-// one term in eight has factor 0.
+// (w·weight)·factor — bit for bit. For Flat the drained (id, bits) multiset
+// is compared, over rows that stay sparse and rows that turn dense in the
+// middle of an AddCells call; both must occur.
+// Factors are irrational-looking so a different association would round
+// differently; one term in eight has factor 0.
 func TestAddCellsEqualsAdds(t *testing.T) {
+	regimes := map[bool]int{}
 	check := func(seed int64, rows8, cols8 uint8) bool {
 		rows, cols := int(rows8%20)+1, int(cols8%50)+1
 		r := rand.New(rand.NewSource(seed))
@@ -229,10 +298,11 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 			{New(rows, cols, budget), New(rows, cols, budget)}, // dense from the start
 			{New(rows, cols, 0), New(rows, cols, 0)},           // table, promoted if it outgrows the matrix
 		}
+		density := 1 + r.Intn(12) // one cell in density per term
 		for term, terms := 0, r.Intn(60); term < terms; term++ {
 			var cells []codec.Cell
 			for n := 0; n < cols; n++ {
-				if r.Intn(3) == 0 {
+				if r.Intn(density) == 0 {
 					cells = append(cells, codec.Cell{Number: uint32(n), Weight: uint16(1 + r.Intn(60000))})
 				}
 			}
@@ -253,12 +323,14 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 				st.got.AddCells(cells, row, w, factor)
 			}
 		}
-		if len(flat.Touched()) != len(flatRef.Touched()) {
-			t.Fatalf("flat: %d touched, Add touches %d", flat.Len(), flatRef.Len())
+		regimes[flat.dense]++
+		got, want := drained(t, flat), drained(t, flatRef)
+		if len(got) != len(want) {
+			t.Fatalf("flat: %d ids drained, Add leaves %d", len(got), len(want))
 		}
-		for i, id := range flatRef.Touched() {
-			if got := flat.Touched()[i]; got != id || math.Float64bits(flat.vals[id]) != math.Float64bits(flatRef.vals[id]) {
-				t.Fatalf("flat: touch %d is id %d = %v, Add leaves id %d = %v", i, got, flat.vals[got], id, flatRef.vals[id])
+		for id, bits := range want {
+			if got[id] != bits {
+				t.Fatalf("flat: id %d = %v, Add leaves %v", id, math.Float64frombits(got[id]), math.Float64frombits(bits))
 			}
 		}
 		for _, st := range stores {
@@ -277,27 +349,44 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+	if regimes[false] == 0 || regimes[true] == 0 {
+		t.Errorf("rows ended sparse %d times and dense %d times, want both", regimes[false], regimes[true])
+	}
 }
 
+// TestFlatFirstTouchOrder pins the two drain orders: sparse, first touch;
+// dense, id order.
 func TestFlatFirstTouchOrder(t *testing.T) {
-	f := NewFlat(10)
+	f := NewFlat(16) // dense at the fourth listed id
+	drain := func(want ...Sum) {
+		t.Helper()
+		got := f.Drain()
+		if len(got) != len(want) {
+			t.Fatalf("drained %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("drained %v, want %v", got, want)
+			}
+		}
+	}
 	f.Add(7, 1)
 	f.Add(2, 1)
 	f.Add(7, 2)
 	f.Add(0, 5)
-	order := f.Touched()
-	want := []uint32{7, 2, 0}
-	if len(order) != len(want) {
-		t.Fatalf("order %v, want %v", order, want)
+	drain(Sum{7, 3}, Sum{2, 1}, Sum{0, 5})
+	for _, id := range []uint32{9, 4, 12, 3, 1} {
+		f.Add(id, float64(id))
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
+	if !f.dense {
+		t.Fatal("five ids of sixteen: want dense")
 	}
-	if f.vals[7] != 3 {
-		t.Fatalf("vals[7] = %v, want 3", f.vals[7])
+	drain(Sum{1, 1}, Sum{3, 3}, Sum{4, 4}, Sum{9, 9}, Sum{12, 12})
+	f.Add(5, 1)
+	if f.dense {
+		t.Fatal("a drain must return the row to the sparse regime")
 	}
+	drain(Sum{5, 1})
 }
 
 func TestTableGrowth(t *testing.T) {

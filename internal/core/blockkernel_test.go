@@ -128,7 +128,8 @@ func kernelLists(r *rand.Rand, mode, streamed, slots int) [][]int32 {
 // TestBlockKernelMatchesPairwiseScoring is the gate of DESIGN §5.8: over
 // random resident batches and streamed documents, under every weighting
 // and slot-list regime, the similarities the shared kernel (accum.Flat's
-// AddCells, fed by residentBlock.accumulate) leaves are the pairwise
+// AddCells, fed by residentBlock.accumulate) leaves, as its Drain hands
+// them out, are the pairwise
 // scorer's to the last bit — in both role assignments, forward
 // HHNL's and backward HHNL's — and a stage fed through it ends with the
 // trackers, comparisons and false passes of the pairwise loop. Each trial
@@ -154,15 +155,15 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 				for i := range streamed {
 					d := &streamed[i]
 					block.accumulate(scorer, d)
-					listed := map[uint32]bool{}
-					for _, slot := range acc.Touched() {
-						listed[slot] = true
+					drained := map[uint32]float64{}
+					for _, sum := range acc.Drain() {
+						if _, dup := drained[sum.ID]; dup || sum.V == 0 {
+							t.Fatalf("seed %d %s: slot %d drained twice or at zero (%v)", seed, name, sum.ID, sum.V)
+						}
+						drained[sum.ID] = sum.V
 					}
 					for slot := range batch {
-						res, raw := &batch[slot], acc.Take(uint32(slot))
-						if raw != 0 && !listed[uint32(slot)] {
-							t.Fatalf("seed %d %s: slot %d holds %v but is not listed as touched", seed, name, slot, raw)
-						}
+						res, raw := &batch[slot], drained[uint32(slot)]
 						fwd := scorer.Finalize(res.ID, d.ID, raw)
 						if want := scorer.Score(res, d); math.Float64bits(fwd) != math.Float64bits(want) {
 							t.Fatalf("seed %d %s batch %d: resident %d × streamed %d = %v, pairwise %v", seed, name, batchNo, res.ID, d.ID, fwd, want)
@@ -172,7 +173,6 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 							t.Fatalf("seed %d %s batch %d: streamed %d × resident %d = %v, pairwise %v", seed, name, batchNo, d.ID, res.ID, bwd, want)
 						}
 					}
-					acc.Reset()
 				}
 
 				for mode := 0; mode < 3; mode++ {

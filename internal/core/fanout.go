@@ -68,7 +68,8 @@ const ownerQueueDepth = 128
 // both ascend, so one forward sweep of binary searches splits the list
 // without copying. The sub-slices alias the entry's cell array (which the
 // garbage collector therefore pins), so evicting a cached entry whose
-// cells a worker is still scanning is safe.
+// cells a worker is still scanning is safe as long as nothing reuses the
+// array: a fanned-out HVNL does not recycle evicted entries.
 func splitByOwner(cells []codec.Cell, bounds []uint32, fn func(w int, part []codec.Cell)) {
 	i := 0
 	for w := 0; w+1 < len(bounds) && i < len(cells); w++ {

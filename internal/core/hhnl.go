@@ -373,8 +373,8 @@ func (s *blockStage) score(d1 *document.Document) {
 		}
 	}
 	if s.lists == nil {
-		for _, slot := range acc.Touched() {
-			offer(slot, acc.Take(slot))
+		for _, sum := range acc.Drain() {
+			offer(sum.ID, sum.V)
 		}
 		s.comparisons += int64(len(ids))
 	} else {
@@ -382,24 +382,12 @@ func (s *blockStage) score(d1 *document.Document) {
 		for _, slot := range slots {
 			offer(uint32(slot), acc.Take(uint32(slot)))
 		}
+		acc.Reset()
 		s.comparisons += int64(len(slots))
 	}
-	acc.Reset()
 	if !anyHit {
 		s.falsePasses++
 	}
-}
-
-// offerReached is the other finishing shape: the streamed document is the
-// row, and every resident document it reached is offered to its one tracker
-// (backward HHNL, HVNL's flush). resident maps an accumulator id to that
-// document's number.
-func offerReached(acc *accum.Flat, scorer *document.Scorer, tk *topk.TopK, outer uint32, resident func(id uint32) uint32) {
-	for _, id := range acc.Touched() {
-		d1 := resident(id)
-		tk.Offer(d1, scorer.Finalize(outer, d1, acc.Take(id)))
-	}
-	acc.Reset()
 }
 
 func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *Stats, error) {
@@ -423,7 +411,6 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 	// The same kernel with the roles swapped: the inner block is resident
 	// and regrouped, each outer document streams past it.
 	var block residentBlock
-	resident := func(slot uint32) uint32 { return block.ids[slot] }
 	for firstPass := true; ; firstPass = false {
 		fill := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.fill-batch")
 		batch, used, err := filler.fill()
@@ -466,8 +453,14 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 			if firstPass {
 				stats.OuterDocs++
 			}
+			// The other finishing shape: the streamed document is the row,
+			// and every resident document it reached goes to its one tracker.
 			block.accumulate(scorer, d2)
-			offerReached(block.acc, scorer, tk, d2.ID, resident)
+			fin := scorer.Row(d2.ID)
+			for _, sum := range block.acc.Drain() {
+				d1 := block.ids[sum.ID]
+				tk.Offer(d1, fin.Finalize(d1, sum.V))
+			}
 			stats.Comparisons += int64(len(batch))
 		}
 		score.End()

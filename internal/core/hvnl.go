@@ -35,8 +35,8 @@ import (
 //   - Only non-zero intermediate similarities are stored; the memory
 //     reservation for them is 4·N1·δ bytes, exactly the paper's estimate.
 //     The store itself is an accum.Flat — inner ids are contiguous
-//     0..N1-1, so each accumulation is one indexed add and the touched
-//     list keeps reset and iteration proportional to the non-zero count.
+//     0..N1-1, so each accumulation is one indexed add, and the touched
+//     list keeps a sparse row's drain proportional to the non-zero count.
 //
 // The cache budget realizes the paper's X (number of resident entries):
 // B·P bytes minus one outer document (⌈S2⌉ pages), the B+tree (Bt1 pages),
@@ -140,6 +140,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 		}
 	}
 	var ordered []document.Cell // reusable cached-first ordering scratch
+	var scratch []byte          // stitches the entries that cross a page
 
 	// With a prefilter, candidate outer documents whose signature is
 	// disjoint from the inner root aggregate are skipped before the
@@ -208,8 +209,8 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 				}
 				entry, ok := cache.Get(c.Term)
 				if !ok {
-					entry, err = in.InnerInv.FetchEntry(c.Term)
-					if err != nil {
+					entry = cache.Spare()
+					if scratch, err = in.InnerInv.FetchEntryInto(c.Term, entry, scratch); err != nil {
 						return err
 					}
 					stats.EntryFetches++
@@ -236,6 +237,12 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	}
 	probe := trace.StartChild(reqtrace.PhaseProbe, "hvnl.outer-sweep")
 	stage := newHVNLStage(opts, scorer, int(in.Inner.NumDocs()), int(in.Outer.NumDocs()))
+	if stage.fan == nil {
+		// Inline, an entry's cells are consumed before the next Put, so an
+		// evicted entry's slab can take the next miss. Fanned out, queued
+		// sub-slices may still alias it (DESIGN §8).
+		cache.Recycle()
+	}
 	err = sweep(stage)
 	if stage.fan != nil {
 		stage.fan.wait()
@@ -261,14 +268,15 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 // hvnlShard accumulates one outer document at a time over the inner ids
 // [lo, lo+n) in a private accum.Flat. The inline path has one shard
 // covering 0..N1-1; the fan-out path gives each worker a contiguous block
-// of the dense ids.
+// of the dense ids. The accumulator and the tracker are the join's, reused
+// from document to document.
 type hvnlShard struct {
 	lo      uint32
 	acc     *accum.Flat
+	tk      *topk.TopK
 	scorer  *document.Scorer
-	lambda  int
 	rows    [][]Match // the shard's top-λ per flushed outer document, in sweep order
-	touched []int     // and how many inner documents each one reached
+	reached []int     // and how many inner documents each one reached
 }
 
 // add accumulates one term's i-cells. w (the outer cell weight) and the
@@ -279,11 +287,26 @@ func (s *hvnlShard) add(cells []codec.Cell, w, factor float64) {
 }
 
 // flush finalizes the shard's top-λ for the outer document and readies
-// the accumulator for the next.
+// the accumulator for the next: the streamed document is the row, and
+// every inner document it reached is offered to the one tracker. A
+// candidate below a full tracker's threshold cannot enter it, so it is
+// not offered.
 func (s *hvnlShard) flush(outer uint32) {
-	tk := topk.New(s.lambda)
-	s.touched = append(s.touched, s.acc.Len())
-	offerReached(s.acc, s.scorer, tk, outer, func(local uint32) uint32 { return local + s.lo })
+	sums := s.acc.Drain()
+	s.reached = append(s.reached, len(sums))
+	fin, tk := s.scorer.Row(outer), s.tk
+	tk.Reset()
+	threshold, full := tk.Threshold()
+	for _, sum := range sums {
+		d1 := sum.ID + s.lo
+		sim := fin.Finalize(d1, sum.V)
+		if full && sim < threshold {
+			continue
+		}
+		if tk.Offer(d1, sim) {
+			threshold, full = tk.Threshold()
+		}
+	}
 	s.rows = append(s.rows, tk.Results())
 }
 
@@ -315,8 +338,8 @@ func newHVNLStage(opts Options, scorer *document.Scorer, n1, n2 int) *hvnlStage 
 		s.bounds[w] = uint32(w * n1 / n)
 	}
 	for w := range s.shards {
-		s.shards[w] = &hvnlShard{lo: s.bounds[w], acc: accum.NewFlat(int(s.bounds[w+1] - s.bounds[w])), scorer: scorer, lambda: opts.Lambda,
-			rows: make([][]Match, 0, n2), touched: make([]int, 0, n2)}
+		s.shards[w] = &hvnlShard{lo: s.bounds[w], acc: accum.NewFlat(int(s.bounds[w+1] - s.bounds[w])), tk: topk.New(opts.Lambda), scorer: scorer,
+			rows: make([][]Match, 0, n2), reached: make([]int, 0, n2)}
 	}
 	if n > 1 {
 		s.fan = startFanOut(n, ownerQueueDepth, func(w int, in <-chan hvnlWork) {
@@ -371,13 +394,13 @@ func (s *hvnlStage) collect(opts Options) []Result {
 		if s.results[i].Matches != nil {
 			continue // skipped by the prefilter: no shard saw it
 		}
-		touched := 0
+		reached := 0
 		for w, sh := range s.shards {
 			parts[w] = sh.rows[k]
-			touched += sh.touched[k]
+			reached += sh.reached[k]
 		}
 		k++
-		occupancy.Observe(int64(touched))
+		occupancy.Observe(int64(reached))
 		s.results[i].Matches = parts[0]
 		if len(parts) > 1 {
 			s.results[i].Matches = topk.Select(opts.Lambda, slices.Concat(parts...))

@@ -77,6 +77,13 @@ type item struct {
 
 // Cache is a byte-budgeted inverted-file entry cache. It is not safe for
 // concurrent use; a join runs single-threaded over its own cache.
+//
+// Put allocates nothing once the cache has held as many entries as it
+// holds: a removed item is kept for the next insertion, and the evicted
+// terms come back in a buffer the next Put overwrites. With Recycle, the
+// entries themselves are recycled as well: an evicted entry goes onto a
+// short free list, and Spare hands its cell slab to the next miss to
+// decode into.
 type Cache struct {
 	policy   Policy
 	budget   int64
@@ -86,6 +93,11 @@ type Cache struct {
 	heap     evictHeap
 	clock    int64
 	stats    Stats
+
+	spareItems []*item
+	evicted    []uint32
+	recycle    bool
+	spares     []*invfile.Entry // evicted entries, while recycling
 
 	// Telemetry counters keyed by policy name, resolved once by
 	// SetTelemetry; nil (no-op) when telemetry is disabled.
@@ -166,11 +178,36 @@ func (c *Cache) Get(term uint32) (*invfile.Entry, bool) {
 	return it.entry, true
 }
 
+// maxSpares bounds the free list of evicted entries. A cache under
+// pressure evicts about one entry per insertion, so a few spares cover
+// the misses in between.
+const maxSpares = 16
+
+// Recycle turns entry recycling on: from now on an entry the cache evicts
+// is the cache's to overwrite, so the caller must keep no reference to a
+// cached entry, nor to a sub-slice of its cells, past the next Put. A
+// caller that hands cells to other goroutines must not recycle.
+func (c *Cache) Recycle() { c.recycle = true }
+
+// Spare returns an entry for the next miss to decode into: while
+// recycling, the last evicted entry on the free list, whose cell slab the
+// decode reuses (or outgrows); otherwise a new entry.
+func (c *Cache) Spare() *invfile.Entry {
+	last := len(c.spares) - 1
+	if last < 0 {
+		return &invfile.Entry{}
+	}
+	e := c.spares[last]
+	c.spares[last] = nil
+	c.spares = c.spares[:last]
+	return e
+}
+
 // Put inserts an entry of the given byte size, evicting victims until it
 // fits. Entries larger than the whole budget are not cached (the caller
 // still holds the fetched entry for the current document). Re-inserting a
 // cached term replaces the old copy. It returns the evicted terms, in
-// eviction order.
+// eviction order, in a buffer the next Put overwrites.
 func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 	if old, ok := c.items[term]; ok {
 		c.removeItem(old)
@@ -180,15 +217,25 @@ func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 		c.telRejected.Add(1)
 		return nil
 	}
-	var evicted []uint32
+	c.evicted = c.evicted[:0]
 	for c.used+size > c.budget {
 		victim := c.heap.items[0]
+		if c.recycle && len(c.spares) < maxSpares {
+			c.spares = append(c.spares, victim.entry)
+		}
+		c.evicted = append(c.evicted, victim.term)
 		c.removeItem(victim)
 		c.stats.Evictions++
 		c.telEvictions.Add(1)
-		evicted = append(evicted, victim.term)
 	}
-	it := &item{term: term, entry: entry, size: size}
+	var it *item
+	if n := len(c.spareItems); n > 0 {
+		it = c.spareItems[n-1]
+		c.spareItems = c.spareItems[:n-1]
+	} else {
+		it = &item{}
+	}
+	*it = item{term: term, entry: entry, size: size}
 	switch c.policy {
 	case MinOuterDF:
 		it.key = c.priority(term)
@@ -199,7 +246,7 @@ func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 	c.items[term] = it
 	heap.Push(&c.heap, it)
 	c.used += size
-	return evicted
+	return c.evicted
 }
 
 // Remove drops term from the cache if present.
@@ -218,10 +265,13 @@ func (c *Cache) Terms() []uint32 {
 	return out
 }
 
+// removeItem drops it from the cache and keeps it for the next insertion.
 func (c *Cache) removeItem(it *item) {
 	heap.Remove(&c.heap, it.idx)
 	delete(c.items, it.term)
 	c.used -= it.size
+	it.entry = nil
+	c.spareItems = append(c.spareItems, it)
 }
 
 // evictHeap is a min-heap over item.key with index maintenance.

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -399,28 +400,46 @@ func (f *InvertedFile) EntryPages(term uint32) (int64, error) {
 }
 
 // FetchEntry reads the entry of term with a random access through the
-// loaded index, touching every page the entry spans. The head is parked
-// afterwards: consecutive fetches of unrelated terms are all random, as in
-// the paper's ⌈J⌉·α per-entry cost.
+// loaded index into a new entry (see FetchEntryInto).
 func (f *InvertedFile) FetchEntry(term uint32) (*Entry, error) {
+	e := &Entry{}
+	if _, err := f.FetchEntryInto(term, e, nil); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// FetchEntryInto reads the entry of term with a random access through the
+// loaded index, touching every page the entry spans, and decodes it into
+// e, reusing the capacity of e.Cells. The head is parked afterwards:
+// consecutive fetches of unrelated terms are all random, as in the paper's
+// ⌈J⌉·α per-entry cost. An entry inside one page decodes straight from
+// the page image; one crossing pages is stitched into scratch, which is
+// returned, grown if it had to be, for the next call. With enough capacity
+// in both, a fetch allocates nothing.
+func (f *InvertedFile) FetchEntryInto(term uint32, e *Entry, scratch []byte) ([]byte, error) {
 	_, addrs, err := f.idx.get()
 	if err != nil {
-		return nil, err
+		return scratch, err
 	}
 	ext, ok := addrs[term]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoTerm, term)
+		return scratch, fmt.Errorf("%w: %d", ErrNoTerm, term)
 	}
-	raw, err := f.entries.ReadAt(ext.off, ext.length)
+	if iosim.SpannedPages(ext.off, ext.length, f.entries.PageSize()) > 1 {
+		scratch = slices.Grow(scratch[:0], int(ext.length))
+	}
+	raw, err := f.entries.ReadSpan(ext.off, ext.length, scratch)
 	if err != nil {
-		return nil, err
+		return scratch, err
 	}
 	f.entries.ParkHead()
-	rec, _, err := codec.DecodeRecord(raw)
+	number, cells, _, err := codec.DecodeRecordInto(raw, e.Cells[:0])
 	if err != nil {
-		return nil, err
+		return scratch, err
 	}
-	return &Entry{Term: rec.Number, Cells: rec.Cells}, nil
+	e.Term, e.Cells = number, cells
+	return scratch, nil
 }
 
 // Contains reports whether term has an entry, using the loaded index

@@ -3,6 +3,7 @@ package invfile
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +109,52 @@ func TestScanReuseArenaSemantics(t *testing.T) {
 		if e0.Cells[i] != cells0[i] {
 			t.Fatalf("cell %d of retained entry mutated", i)
 		}
+	}
+}
+
+// TestFetchEntryIntoAllocs guards the random-fetch twin of the reuse scan:
+// fetching every entry of an inverted file whose entries both fit in a page
+// and cross pages, into an entry and a scratch buffer large enough for the
+// largest, allocates nothing per call — and yields what FetchEntry yields.
+func TestFetchEntryIntoAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	d := iosim.NewDisk(iosim.WithPageSize(256))
+	inv := buildInverted(t, d, buildCollection(t, d, "c", randomDocs(r, 300, 200, 40)), "c")
+	index, err := inv.LoadIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e Entry
+	var scratch []byte
+	crossing := 0
+	for _, leaf := range index.Cells() {
+		if pages, _ := inv.EntryPages(leaf.Term); pages > 1 {
+			crossing++
+		}
+		want, err := inv.FetchEntry(leaf.Term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scratch, err = inv.FetchEntryInto(leaf.Term, &e, scratch); err != nil {
+			t.Fatal(err)
+		}
+		if e.Term != want.Term || !slices.Equal(e.Cells, want.Cells) {
+			t.Fatalf("term %d: FetchEntryInto %v, FetchEntry %v", leaf.Term, e, want)
+		}
+	}
+	if crossing == 0 || crossing == len(index.Cells()) {
+		t.Fatalf("%d of %d entries cross a page, want some and not all", crossing, len(index.Cells()))
+	}
+	// The warm-up above grew e and scratch to the largest entry.
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, leaf := range index.Cells() {
+			if scratch, err = inv.FetchEntryInto(leaf.Term, &e, scratch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d fetches into a warm entry allocate %.0f objects, want 0", len(index.Cells()), allocs)
 	}
 }
 

@@ -498,39 +498,68 @@ func (f *File) ReadRange(first, n int64, fn func(idx int64, page []byte) error) 
 }
 
 // ReadAt copies length bytes starting at byte offset off, reading every
-// page the range spans. It is the primitive used to fetch a packed record
-// (document or inverted-file entry) that may cross page boundaries.
+// page the range spans: ReadSpan into a buffer the caller owns.
 func (f *File) ReadAt(off, length int64) ([]byte, error) {
-	if length < 0 || off < 0 {
-		return nil, fmt.Errorf("iosim: negative offset or length (off=%d len=%d)", off, length)
+	if err := checkRange(off, length); err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, length)
+	span, err := f.ReadSpan(off, length, out)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, span...), nil
+}
+
+// ReadSpan returns the length bytes starting at byte offset off, reading
+// every page the range spans. It is the primitive used to fetch a packed
+// record (document or inverted-file entry) that may cross page
+// boundaries. A range inside one page is returned as a slice of the page
+// image, which must not be modified; a range crossing pages is stitched
+// into scratch, grown if it is too small. Either way the page reads, their
+// sequential/random classification and the record-fetch histograms are
+// ReadAt's.
+func (f *File) ReadSpan(off, length int64, scratch []byte) ([]byte, error) {
+	if err := checkRange(off, length); err != nil {
+		return nil, err
 	}
 	if hPages, hNanos := f.disk.readHists(); hPages != nil {
 		// This branch only runs with telemetry enabled, so the clock
 		// reads are telemetry timing, not simulation state: no counted
 		// cost or stored byte ever depends on them.
 		start := time.Now() //lint:ignore wallclock readat latency histogram is telemetry timing on the enabled path only
-		out, err := f.readAt(off, length)
+		out, err := f.readSpan(off, length, scratch)
 		hNanos.Observe(time.Since(start).Nanoseconds()) //lint:ignore wallclock readat latency histogram is telemetry timing on the enabled path only
 		hPages.Observe(SpannedPages(off, length, f.disk.pageSize))
 		return out, err
 	}
-	return f.readAt(off, length)
+	return f.readSpan(off, length, scratch)
 }
 
-func (f *File) readAt(off, length int64) ([]byte, error) {
-	out := make([]byte, 0, length)
+func checkRange(off, length int64) error {
+	if length < 0 || off < 0 {
+		return fmt.Errorf("iosim: negative offset or length (off=%d len=%d)", off, length)
+	}
+	return nil
+}
+
+func (f *File) readSpan(off, length int64, scratch []byte) ([]byte, error) {
 	ps := int64(f.disk.pageSize)
-	for remaining := length; remaining > 0; {
-		pageIdx := off / ps
-		pageOff := off % ps
-		page, err := f.ReadPage(pageIdx)
+	if pageOff := off % ps; length > 0 && pageOff+length <= ps {
+		page, err := f.ReadPage(off / ps)
 		if err != nil {
 			return nil, err
 		}
-		take := ps - pageOff
-		if take > remaining {
-			take = remaining
+		return page[pageOff : pageOff+length : pageOff+length], nil
+	}
+	out := scratch[:0]
+	for remaining := length; remaining > 0; {
+		pageOff := off % ps
+		page, err := f.ReadPage(off / ps)
+		if err != nil {
+			return nil, err
 		}
+		take := min(ps-pageOff, remaining)
 		out = append(out, page[pageOff:pageOff+take]...)
 		off += take
 		remaining -= take
