@@ -17,20 +17,17 @@ test: build
 # included), dropped-error and mutex-hygiene rules — fails on any
 # finding or unexplained lint:ignore; a mutex copied by value is go
 # vet's finding, not the suite's, which is why vet stays ahead of
-# lintcheck here), then race-check the packages with goroutines (the
-# analysis engine's CFG/dataflow tests included; in internal/core the one
-# fan-out helper of fanout.go and the stages it drains: the owner-sharded
-# accumulators of hvnl.go and vvm.go), the accumulator layer they share
-# with the inline block joins of hhnl.go and lsh.go, the entry cache
-# the HVNL coordinator drives and the inverted file and paged store under
-# it (ReadSpan hands concurrent views aliases of the shared page images;
-# TestHVNLFanOutMatchesInline fails here if a fanned-out HVNL recycles
-# evicted entries), the telemetry collector whose counters and
-# histograms they all add to, the request tracer whose span tree is the
-# only timing any of them takes and the flight recorder that keeps the
-# finished trees, the SLO engine computing error budgets over the
-# collector, and the observability server that scrapes both during
-# in-flight joins. The core run includes the differential harness
+# lintcheck here), then race-check the packages that run concurrently (the
+# analysis engine's CFG/dataflow tests included; in internal/core the
+# joins run concurrently on views of one disk, each on its caller's
+# goroutine), the accumulator layer the joins share, the entry cache HVNL
+# drives and the inverted file and paged store under it (ReadSpan hands
+# concurrent views aliases of the shared page images), the telemetry
+# collector whose counters and histograms they all add to, the request
+# tracer whose span tree is the only timing any of them takes and the
+# flight recorder that keeps the finished trees, the SLO engine computing
+# error budgets over the collector, and the observability server that
+# scrapes both during in-flight joins. The core run includes the differential harness
 # (collector + trace on/off invariance, concurrent snapshots). It
 # finishes with the observability smokes: the self-driving textjoind
 # endpoint check, the load-generator gate, the SLO/error-budget gate, the
@@ -81,7 +78,7 @@ trace-smoke:
 	$(GO) run ./cmd/textjoin -p1 wsj -p2 wsj -scale 8192 -alg auto -lambda 5 -mem 200 -show 0 -telemetry json 2>&1 1>/dev/null | $(GO) run ./cmd/tracecheck
 
 # obs-smoke boots textjoind on an ephemeral loopback port, drives every
-# endpoint (/healthz, /join inline and with workers, /metrics twice so rate
+# endpoint (/healthz, /join alone and in a concurrent burst, /metrics twice so rate
 # gauges appear, /debug/requests, /debug/pprof/), validates the exposition
 # with the strict parser and a request's trace with the tracecheck schema,
 # and shuts down cleanly — all in-process, no curl needed.
@@ -90,7 +87,7 @@ obs-smoke:
 
 # bench-json is the one instrument that measures page reads: the grid of
 # cmd/benchreport over the deterministic simulated store — the paper's
-# shapes × exact algorithms × worker counts with the planner's choices,
+# shapes × exact algorithms with the planner's choices,
 # then the clustered shapes with the signature prefilter off and on and
 # every LSH banding shape, recall measured against the exact pairs. The
 # run itself fails if a prefilter changes a result hash or no LSH cell

@@ -13,8 +13,8 @@ import (
 // and the approximate LSH join (lsh.go) on corpora where they can act:
 // planted-topic collections run through the cluster-driven build path
 // (greedy reorder → signature sidecar → id-remapped inverted file). Each
-// (shape, algorithm, workers) pair is run twice — prefilter off and on —
-// and the run itself fails unless the two result hashes are identical:
+// (shape, algorithm) pair is run twice — prefilter off and on — and the
+// run itself fails unless the two result hashes are identical:
 // the baseline file cannot even be generated from a filter that changes
 // results. The off cells double as the LSH cells' exact ground truth.
 
@@ -115,7 +115,7 @@ const (
 // runClustered appends the clustered shapes' cells to the report, each
 // shape built once: the exact cells off and on, gated on exact
 // result-hash equality, then the LSH cells (lsh.go) measured against the
-// inline HHNL result as ground truth. It fails unless the LSH cells meet
+// HHNL result as ground truth. It fails unless the LSH cells meet
 // the frontier gate.
 func runClustered(cfg BenchConfig, report *Report) error {
 	cfg.MemoryPages = clusteredPages
@@ -130,25 +130,23 @@ func runClustered(cfg BenchConfig, report *Report) error {
 			if alg == textjoin.HVNL {
 				cfg.MemoryPages = clusteredHVNLPages
 			}
-			for _, workers := range cfg.Workers {
-				opts := env.options(cfg, workers)
-				off, results, err := runCell(env, sh.name, alg.String(), alg, opts)
-				if err != nil {
-					return err
-				}
-				opts.Prefilter = pf
-				on, _, err := runCell(env, sh.name, alg.String()+"+pf", alg, opts)
-				if err != nil {
-					return err
-				}
-				if on.ResultsHash != off.ResultsHash {
-					return fmt.Errorf("%s: prefilter changed results: hash %s (on) vs %s (off)",
-						off.key(), on.ResultsHash, off.ResultsHash)
-				}
-				report.Cells = append(report.Cells, off, on)
-				if alg == textjoin.HHNL && workers == 1 {
-					truth = lshPairSet(results)
-				}
+			opts := env.options(cfg)
+			off, results, err := runCell(env, sh.name, alg.String(), alg, opts)
+			if err != nil {
+				return err
+			}
+			opts.Prefilter = pf
+			on, _, err := runCell(env, sh.name, alg.String()+"+pf", alg, opts)
+			if err != nil {
+				return err
+			}
+			if on.ResultsHash != off.ResultsHash {
+				return fmt.Errorf("%s: prefilter changed results: hash %s (on) vs %s (off)",
+					off.key(), on.ResultsHash, off.ResultsHash)
+			}
+			report.Cells = append(report.Cells, off, on)
+			if alg == textjoin.HHNL {
+				truth = lshPairSet(results)
 			}
 		}
 		if err := runLSHCells(env, sh.name, cfg, truth, report); err != nil {
@@ -172,7 +170,7 @@ func writePrefilterSummary(w io.Writer, r *Report) {
 			continue
 		}
 		alg := strings.TrimSuffix(c.Algorithm, "+pf")
-		base, ok := off[fmt.Sprintf("%s/%s/w%d", c.Shape, alg, c.Workers)]
+		base, ok := off[c.Shape+"/"+alg]
 		if !ok {
 			continue
 		}
@@ -182,8 +180,8 @@ func writePrefilterSummary(w io.Writer, r *Report) {
 		if br > 0 {
 			red = 100 * (1 - float64(cr)/float64(br))
 		}
-		fmt.Fprintf(w, "%-14s %-5s w%d: page reads %d → %d (%.1f%% fewer; skipped %d pages, %d clusters, %d docs; %d false passes)\n",
-			c.Shape, alg, c.Workers, br, cr, red,
+		fmt.Fprintf(w, "%-14s %s: page reads %d → %d (%.1f%% fewer; skipped %d pages, %d clusters, %d docs; %d false passes)\n",
+			c.Shape, alg, br, cr, red,
 			c.PagesSkipped, c.ClustersSkipped, c.DocsSkipped, c.FalsePasses)
 	}
 }

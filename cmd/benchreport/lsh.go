@@ -76,8 +76,7 @@ func lshMeasuredRecall(got []textjoin.Result, truth map[lshPair]bool) float64 {
 }
 
 // runLSHCells appends one clustered shape's LSH cells to the report:
-// every banding shape over the shape's one workspace, at every worker
-// count, gated on inline/fanned-out hash equality. Recall is measured
+// every banding shape over the shape's one workspace. Recall is measured
 // against truth, the shape's exact pair set. The sidecar file name is
 // fixed per collection, so each banding shape's file is removed before
 // the next is built; the join only ever touches the memory-resident
@@ -93,34 +92,25 @@ func runLSHCells(env *shapeEnv, shapeName string, cfg BenchConfig, truth map[lsh
 			return fmt.Errorf("%s/%s: %v", shapeName, label, err)
 		}
 		env.ws.ResetIOStats()
-		var serialHash string
-		for _, workers := range cfg.Workers {
-			opts := env.options(cfg, workers)
-			opts.LSH = sc
-			cell, results, err := runCell(env, shapeName, label, textjoin.LSH, opts)
-			if err != nil {
-				return err
-			}
-			cell.Recall = lshMeasuredRecall(results, truth)
-			if workers == 1 {
-				serialHash = cell.ResultsHash
-			} else if cell.ResultsHash != serialHash {
-				return fmt.Errorf("%s: parallel results diverge from serial: hash %s vs %s",
-					cell.key(), cell.ResultsHash, serialHash)
-			}
-			report.Cells = append(report.Cells, cell)
+		opts := env.options(cfg)
+		opts.LSH = sc
+		cell, results, err := runCell(env, shapeName, label, textjoin.LSH, opts)
+		if err != nil {
+			return err
 		}
+		cell.Recall = lshMeasuredRecall(results, truth)
+		report.Cells = append(report.Cells, cell)
 	}
 	return nil
 }
 
-// bestExactReads returns, per shape, the fewest page reads of any inline
-// exact cell run without the prefilter: what the frontier gate and the
+// bestExactReads returns, per shape, the fewest page reads of any exact
+// cell run without the prefilter: what the frontier gate and the
 // summary measure the LSH cells against.
 func bestExactReads(cells []Cell) map[string]int64 {
 	best := map[string]int64{}
 	for _, c := range cells {
-		if c.isLSH() || c.isPrefiltered() || c.Workers != 1 {
+		if c.isLSH() || c.isPrefiltered() {
 			continue
 		}
 		reads := c.SeqReads + c.RandReads
@@ -131,13 +121,13 @@ func bestExactReads(cells []Cell) map[string]int64 {
 	return best
 }
 
-// checkFrontier is the gate the baseline was accepted under: some inline
-// LSH cell must reach lshRecallFloor while reading at most
+// checkFrontier is the gate the baseline was accepted under: some LSH
+// cell must reach lshRecallFloor while reading at most
 // 1/lshSpeedupFloor of its shape's best exact pages.
 func checkFrontier(cells []Cell) error {
 	best := bestExactReads(cells)
 	for _, c := range cells {
-		if c.isLSH() && c.Workers == 1 && c.Recall >= lshRecallFloor &&
+		if c.isLSH() && c.Recall >= lshRecallFloor &&
 			float64(c.SeqReads+c.RandReads)*lshSpeedupFloor <= float64(best[c.Shape]) {
 			return nil
 		}
@@ -152,7 +142,7 @@ func checkFrontier(cells []Cell) error {
 func writeLSHSummary(w io.Writer, r *Report) {
 	bestExact := bestExactReads(r.Cells)
 	for _, c := range r.Cells {
-		if !c.isLSH() || c.Workers != 1 {
+		if !c.isLSH() {
 			continue
 		}
 		br := bestExact[c.Shape]

@@ -1,6 +1,6 @@
 // Command benchreport is the page-read observatory: it runs the one
 // experiment grid over the simulated store — the paper's collection
-// pairings × exact algorithms × worker counts with the planner's choice
+// pairings × exact algorithms with the planner's choice
 // and the cost-model calibration audit, then the clustered pairings with
 // their signature-prefilter and LSH cells — prints it as a table, and
 // fails when anything differs from the checked-in baseline.
@@ -22,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 )
 
 func main() {
@@ -37,13 +35,8 @@ func main() {
 	flag.Int64Var(&cfg.MemoryPages, "mem", cfg.MemoryPages, "memory budget B in pages (the clustered cells' budgets are pinned)")
 	flag.IntVar(&cfg.Lambda, "lambda", cfg.Lambda, "λ of SIMILAR_TO(λ)")
 	flag.Float64Var(&cfg.Alpha, "alpha", cfg.Alpha, "random/sequential I/O cost ratio α")
-	workers := flag.String("workers", "1,4", "comma-separated worker counts")
 	flag.Parse()
 
-	var err error
-	if cfg.Workers, err = parseWorkers(*workers); err != nil {
-		fatal(err)
-	}
 	report, err := runGrid(cfg)
 	if err != nil {
 		fatal(err)
@@ -84,18 +77,6 @@ func main() {
 		}
 		fmt.Printf("baseline check: %d cells and the planner's %d shapes match %s\n", len(report.Cells), len(report.Integrated), *baselinePath)
 	}
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("benchreport: bad worker count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func loadReport(path string) (*Report, error) {

@@ -113,7 +113,7 @@ func TestLSHGridDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		env.ws.ResetIOStats()
-		opts := env.options(cfg, 1)
+		opts := env.options(cfg)
 		opts.LSH = sc
 		got, _, err := runCell(env, sh.name, lshAlgName(lcfg), textjoin.LSH, opts)
 		if err != nil {
@@ -129,8 +129,7 @@ func TestLSHGridDeterminism(t *testing.T) {
 
 func TestGridShape(t *testing.T) {
 	report := grid(t)
-	workers := len(report.Config.Workers)
-	wantCells := len(shapes())*3*workers + len(pfShapes())*(2*2+len(lshGridConfigs()))*workers
+	wantCells := len(shapes())*3 + len(pfShapes())*(2*2+len(lshGridConfigs()))
 	if len(report.Cells) != wantCells {
 		t.Errorf("got %d cells, want %d", len(report.Cells), wantCells)
 	}
@@ -143,24 +142,6 @@ func TestGridShape(t *testing.T) {
 	}
 	if len(report.Integrated) != len(shapes()) {
 		t.Errorf("got %d integrated cells, want %d", len(report.Integrated), len(shapes()))
-	}
-
-	// Parallel workers must reproduce the serial results and I/O exactly.
-	serial := map[string]Cell{}
-	for _, c := range report.Cells {
-		if c.Workers == 1 {
-			serial[c.Shape+"/"+c.Algorithm] = c
-		}
-	}
-	for _, c := range report.Cells {
-		s := serial[c.Shape+"/"+c.Algorithm]
-		if c.ResultsHash != s.ResultsHash {
-			t.Errorf("%s: parallel results diverge from serial", c.key())
-		}
-		if c.SeqReads != s.SeqReads || c.RandReads != s.RandReads {
-			t.Errorf("%s: parallel I/O (%d,%d) differs from serial (%d,%d)",
-				c.key(), c.SeqReads, c.RandReads, s.SeqReads, s.RandReads)
-		}
 	}
 
 	// Calibration: one sample per (shape, algorithm), and the planner
@@ -203,7 +184,7 @@ func TestLSHGridShape(t *testing.T) {
 				c.key(), c.BucketProbes, c.Candidates)
 		}
 	}
-	if want := len(pfShapes()) * len(lshGridConfigs()) * len(report.Config.Workers); lshCells != want {
+	if want := len(pfShapes()) * len(lshGridConfigs()); lshCells != want {
 		t.Errorf("got %d LSH cells, want %d", lshCells, want)
 	}
 	if err := checkFrontier(report.Cells); err != nil {
@@ -228,11 +209,11 @@ func TestCompare(t *testing.T) {
 	}{
 		{"seq_reads", func(_, b *Report) { b.Cells[0].SeqReads++ }, cur.Cells[0].key() + ": seq_reads"},
 		{"cost", func(_, b *Report) { b.Cells[1].Cost *= 1.001 }, cur.Cells[1].key() + ": cost"},
-		{"results_hash", func(_, b *Report) { b.Cells[30].ResultsHash = "feedfacefeedface" }, cur.Cells[30].key() + ": results hash"},
-		{"recall", func(_, b *Report) { b.Cells[59].Recall += 1e-9 }, cur.Cells[59].key() + ": recall"},
+		{"results_hash", func(_, b *Report) { b.Cells[15].ResultsHash = "feedfacefeedface" }, cur.Cells[15].key() + ": results hash"},
+		{"recall", func(_, b *Report) { b.Cells[29].Recall += 1e-9 }, cur.Cells[29].key() + ": recall"},
 		{"missing cell", func(_, b *Report) {
-			b.Cells = append(b.Cells, Cell{Shape: "zz", Algorithm: "HHNL", Workers: 1})
-		}, "zz/HHNL/w1: cell missing"},
+			b.Cells = append(b.Cells, Cell{Shape: "zz", Algorithm: "HHNL"})
+		}, "zz/HHNL: cell missing"},
 		{"chosen", func(_, b *Report) { b.Integrated[0].Chosen = "VVM" }, "wsj-wsj/integrated: chosen HHNL"},
 		{"estimate", func(_, b *Report) { b.Integrated[3].Estimates["HVNL"]++ }, "wsj-fr/integrated: "},
 		{"planner sample", func(_, b *Report) { b.Calibration.PlannerSamples[2].Measured++ }, "doe-doe/plan-0/planner_sample: "},
@@ -264,17 +245,6 @@ func TestCalibrationReportText(t *testing.T) {
 	}
 }
 
-func TestParseWorkers(t *testing.T) {
-	if w, err := parseWorkers("1, 2,8"); err != nil || len(w) != 3 || w[2] != 8 {
-		t.Errorf("parseWorkers: %v %v", w, err)
-	}
-	for _, bad := range []string{"", "0", "x", "1,,2"} {
-		if _, err := parseWorkers(bad); err == nil {
-			t.Errorf("parseWorkers(%q) accepted", bad)
-		}
-	}
-}
-
 // TestHumanReport: with no flags the command prints the grid table and
 // both summaries.
 func TestHumanReport(t *testing.T) {
@@ -285,7 +255,7 @@ func TestHumanReport(t *testing.T) {
 	writeLSHSummary(&sb, report)
 	for _, want := range []string{
 		"wsj-wsj", "doe-doe", "integrated chose",
-		"clustered-eq   HHNL  w1: page reads 328 → 109 (66.8% fewer",
+		"clustered-eq   HHNL: page reads 328 → 109 (66.8% fewer",
 		"clustered-eq   LSH-b64r1 recall 0.9352: page reads 109 vs best exact 328 (3.0× fewer",
 	} {
 		if !strings.Contains(sb.String(), want) {

@@ -19,11 +19,10 @@ type BenchConfig struct {
 	MemoryPages int64   `json:"memory_pages"`
 	Lambda      int     `json:"lambda"`
 	Alpha       float64 `json:"alpha"`
-	Workers     []int   `json:"workers"`
 }
 
 func defaultBenchConfig() BenchConfig {
-	return BenchConfig{Scale: 256, Seed: 1, MemoryPages: 256, Lambda: 5, Alpha: 5, Workers: []int{1, 4}}
+	return BenchConfig{Scale: 256, Seed: 1, MemoryPages: 256, Lambda: 5, Alpha: 5}
 }
 
 // shape is one collection pairing of the grid.
@@ -48,7 +47,6 @@ func shapes() []shape {
 type Cell struct {
 	Shape         string  `json:"shape"`
 	Algorithm     string  `json:"alg"`
-	Workers       int     `json:"workers"`
 	SeqReads      int64   `json:"seq_reads"`
 	RandReads     int64   `json:"rand_reads"`
 	Cost          float64 `json:"cost"`
@@ -71,12 +69,11 @@ type Cell struct {
 	BucketProbes int64   `json:"bucket_probes,omitempty"`
 	Candidates   int64   `json:"candidates,omitempty"`
 	// ResultsHash fingerprints the full result set, so the baseline
-	// comparison also catches correctness regressions (and proves every
-	// worker count produces the inline run's output).
+	// comparison also catches correctness regressions.
 	ResultsHash string `json:"results_hash"`
 }
 
-func (c Cell) key() string { return fmt.Sprintf("%s/%s/w%d", c.Shape, c.Algorithm, c.Workers) }
+func (c Cell) key() string { return c.Shape + "/" + c.Algorithm }
 
 // A cell's kind is read off its algorithm label: "<alg>+pf" ran with
 // the signature prefilter, "LSH-b<bands>r<rows>" is an approximate join.
@@ -176,19 +173,15 @@ func runGrid(cfg BenchConfig) (*Report, error) {
 			return nil, fmt.Errorf("%s: %v", sh.name, err)
 		}
 
-		// Measured cost of every algorithm, per worker count.
+		// Measured cost of every algorithm.
 		measured := map[string]float64{}
 		for _, alg := range []textjoin.Algorithm{textjoin.HHNL, textjoin.HVNL, textjoin.VVM} {
-			for _, workers := range cfg.Workers {
-				cell, _, err := runCell(env, sh.name, alg.String(), alg, env.options(cfg, workers))
-				if err != nil {
-					return nil, err
-				}
-				report.Cells = append(report.Cells, cell)
-				if workers == 1 {
-					measured[alg.String()] = cell.Cost
-				}
+			cell, _, err := runCell(env, sh.name, alg.String(), alg, env.options(cfg))
+			if err != nil {
+				return nil, err
 			}
+			report.Cells = append(report.Cells, cell)
+			measured[alg.String()] = cell.Cost
 		}
 
 		// The planner's view of the same shape.
@@ -260,8 +253,8 @@ func (e *shapeEnv) inputs() textjoin.Inputs {
 	return textjoin.Inputs{Outer: e.c2, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}
 }
 
-func (e *shapeEnv) options(cfg BenchConfig, workers int) textjoin.Options {
-	return textjoin.Options{Lambda: cfg.Lambda, MemoryPages: cfg.MemoryPages, Workers: workers, Telemetry: e.tel}
+func (e *shapeEnv) options(cfg BenchConfig) textjoin.Options {
+	return textjoin.Options{Lambda: cfg.Lambda, MemoryPages: cfg.MemoryPages, Telemetry: e.tel}
 }
 
 // runCell measures one grid point: alg under opts on the shape, filed
@@ -275,12 +268,11 @@ func runCell(env *shapeEnv, shapeName, label string, alg textjoin.Algorithm, opt
 	env.ws.ParkHeads()
 	results, stats, err := textjoin.Join(alg, env.inputs(), opts)
 	if err != nil {
-		return Cell{}, nil, fmt.Errorf("%s/%s/w%d: %v", shapeName, label, opts.Workers, err)
+		return Cell{}, nil, fmt.Errorf("%s/%s: %v", shapeName, label, err)
 	}
 	cell := Cell{
 		Shape:           shapeName,
 		Algorithm:       label,
-		Workers:         opts.Workers,
 		SeqReads:        stats.IO.SeqReads,
 		RandReads:       stats.IO.RandReads,
 		Cost:            stats.Cost,
@@ -305,12 +297,12 @@ func runCell(env *shapeEnv, shapeName, label string, alg textjoin.Algorithm, opt
 }
 
 // runIntegrated runs the planner on the shape and pairs its estimates
-// with the measured workers=1 costs of the grid, producing one
+// with the measured costs of the grid, producing one
 // calibration sample per algorithm, plus the planner sample: the chosen
 // plan's estimate against this run's own measured cost.
 func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured map[string]float64) (IntegratedCell, []CalibrationSample, CalibrationSample, error) {
 	env.ws.ParkHeads()
-	_, stats, dec, err := textjoin.JoinIntegrated(env.inputs(), env.options(cfg, 1))
+	_, stats, dec, err := textjoin.JoinIntegrated(env.inputs(), env.options(cfg))
 	if err != nil {
 		return IntegratedCell{}, nil, CalibrationSample{}, err
 	}
@@ -434,12 +426,12 @@ func diffKeyed(cur, base map[string]string) []string {
 func writeHuman(w io.Writer, r *Report) {
 	fmt.Fprintf(w, "benchreport: scale=%d lambda=%d mem=%d alpha=%.1f\n\n",
 		r.Config.Scale, r.Config.Lambda, r.Config.MemoryPages, r.Config.Alpha)
-	fmt.Fprintf(w, "%-14s %-9s %3s %9s %9s %10s %12s %s\n",
-		"shape", "alg", "w", "seq", "rand", "cost", "accum", "hash")
+	fmt.Fprintf(w, "%-14s %-9s %9s %9s %10s %12s %s\n",
+		"shape", "alg", "seq", "rand", "cost", "accum", "hash")
 	for _, c := range r.Cells {
 		work := c.Comparisons + c.Accumulations
-		fmt.Fprintf(w, "%-14s %-9s %3d %9d %9d %10.0f %12d %.8s\n",
-			c.Shape, c.Algorithm, c.Workers, c.SeqReads, c.RandReads, c.Cost, work, c.ResultsHash)
+		fmt.Fprintf(w, "%-14s %-9s %9d %9d %10.0f %12d %.8s\n",
+			c.Shape, c.Algorithm, c.SeqReads, c.RandReads, c.Cost, work, c.ResultsHash)
 	}
 	fmt.Fprintln(w)
 	for _, ic := range r.Integrated {

@@ -60,11 +60,10 @@ func (t *targetList) Set(v string) error {
 	return nil
 }
 
-// defaultMix cycles through the serving profiles the acceptance
-// criterion names: all three exact algorithms, serial and parallel
-// variants, prefilter on and off, the approximate LSH join, plus the
+// defaultMix cycles through the serving profiles: all three exact
+// algorithms, prefilter on and off, the approximate LSH join, plus the
 // integrated planner.
-const defaultMix = "alg=hhnl|alg=hvnl|alg=vvm|alg=hvnl&workers=2|alg=vvm&workers=2|alg=hhnl&prefilter=on|alg=hvnl&prefilter=on|mode=lsh|alg=auto"
+const defaultMix = "alg=hhnl|alg=hvnl|alg=vvm|alg=hhnl&prefilter=on|alg=hvnl&prefilter=on|mode=lsh|alg=auto"
 
 // report is the JSON artifact. Field order is fixed by the struct, all
 // floats are rounded to fixed precision, and no timestamps are recorded

@@ -143,18 +143,15 @@ func (a *admitter) release(cost int64) {
 // budget B and the data actually on disk) plus the similarity
 // accumulators the algorithms allocate — the λ-tracker over the outer
 // collection and, for the inverted-file algorithms, one accumulator
-// array over the inner collection per worker. The two block families,
-// "hhnl" and "lsh", hold neither an inner accumulator nor any per-worker
-// state. The estimate reuses the cost model's S/D formulas and SimBytes
-// constant so it tracks the same corpus statistics the planner sees.
+// array over the inner collection. The two block families, "hhnl" and
+// "lsh", hold no inner accumulator. The estimate reuses the cost model's
+// S/D formulas and SimBytes constant so it tracks the same corpus
+// statistics the planner sees.
 // "auto" charges the worst case across algorithms, since the choice is
 // not known until after admission.
-func (s *server) footprintBytes(algName string, lambda, workers int) int64 {
+func (s *server) footprintBytes(algName string, lambda int) int64 {
 	st1, st2 := s.c1.Stats(), s.c2.Stats()
 	pageSize := int64(s.c1.File().PageSize())
-	if workers < 1 {
-		workers = 1
-	}
 
 	// Working set: the join never buffers more than B pages, and never
 	// more than both collections plus their inverted files (≈ D again).
@@ -169,8 +166,8 @@ func (s *server) footprintBytes(algName string, lambda, workers int) int64 {
 	tracker := int64(costmodel.SimBytes) * int64(lambda) * st2.N
 
 	// Accumulators: HVNL and VVM keep one similarity slot per inner
-	// document; a fanned-out join keeps one shard per worker.
-	accum := int64(costmodel.SimBytes) * st1.N * int64(workers)
+	// document.
+	accum := int64(costmodel.SimBytes) * st1.N
 	if algName == "hhnl" || algName == "lsh" {
 		accum = 0
 	}

@@ -166,21 +166,19 @@ func TestAdmitterConcurrentChurn(t *testing.T) {
 }
 
 // TestFootprintBlockFamiliesHoldNoWorkerState: HHNL and LSH allocate no
-// inner accumulator and run inline, so their charge ignores the worker
-// count — under both spellings of the approximate join — while an
-// accumulating family is charged a shard per worker.
+// inner accumulator, so they are charged the same — under both spellings
+// of the approximate join — while an accumulating family is charged its
+// accumulator on top.
 func TestFootprintBlockFamiliesHoldNoWorkerState(t *testing.T) {
 	s, hs := testServer(t, 4096)
-	block := s.footprintBytes("hhnl", 5, 1)
-	for _, alg := range []string{"hhnl", "lsh"} {
-		if got := s.footprintBytes(alg, 5, 4); got != block {
-			t.Errorf("footprint(%s, workers=4) = %d, want the inline HHNL charge %d", alg, got, block)
-		}
+	block := s.footprintBytes("hhnl", 5)
+	if got := s.footprintBytes("lsh", 5); got != block {
+		t.Errorf("footprint(lsh) = %d, want the HHNL charge %d", got, block)
 	}
-	if one, four := s.footprintBytes("vvm", 5, 1), s.footprintBytes("vvm", 5, 4); one <= block || four <= one {
-		t.Errorf("footprint(vvm) = %d at one worker and %d at four, want both above %d and growing", one, four, block)
+	if vvm := s.footprintBytes("vvm", 5); vvm <= block {
+		t.Errorf("footprint(vvm) = %d, want more than the HHNL charge %d", vvm, block)
 	}
-	for _, path := range []string{"/join?alg=lsh&lambda=5&workers=4&show=0", "/join?mode=lsh&lambda=5&workers=4&show=0"} {
+	for _, path := range []string{"/join?alg=lsh&lambda=5&show=0", "/join?mode=lsh&lambda=5&show=0"} {
 		status, body := get(t, hs, path)
 		if status != 200 {
 			t.Fatalf("GET %s: status %d: %s", path, status, body)

@@ -10,21 +10,21 @@ import (
 	"time"
 )
 
-// joinPaths is the mixed request set the acceptance criterion names:
-// all three algorithms, serial and parallel variants, prefilter on and
-// off — more than eight requests in flight at once.
+// joinPaths is the mixed request set: all three algorithms under every
+// weighting, prefilter on and off — more than eight requests in flight at
+// once.
 func joinPaths() []string {
 	return []string{
 		"/join?alg=hhnl&show=2",
 		"/join?alg=hvnl&show=2",
 		"/join?alg=vvm&show=2",
-		"/join?alg=hhnl&workers=2&show=2",
-		"/join?alg=hvnl&workers=2&show=2",
-		"/join?alg=vvm&workers=2&show=2",
+		"/join?alg=hhnl&weighting=cosine&show=2",
+		"/join?alg=hvnl&weighting=tfidf&show=2",
+		"/join?alg=vvm&weighting=cosine&show=2",
 		"/join?alg=hhnl&prefilter=on&show=2",
 		"/join?alg=hvnl&prefilter=on&show=2",
 		"/join?alg=auto&show=2",
-		"/join?alg=vvm&workers=7&show=2",
+		"/join?alg=vvm&lambda=7&show=2",
 	}
 }
 

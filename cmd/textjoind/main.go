@@ -5,9 +5,9 @@
 // Endpoints:
 //
 //	/join          run a join; query parameters alg (auto, hhnl, hvnl,
-//	               vvm, lsh), mode (exact, lsh), recall, lambda, workers,
-//	               weighting (raw, cosine, tfidf), show; responds with
-//	               JSON
+//	               vvm, lsh), mode (exact, lsh), recall, lambda,
+//	               weighting (raw, cosine, tfidf), prefilter, show;
+//	               responds with JSON
 //	/metrics       Prometheus text exposition of the telemetry collector,
 //	               with per-second rate gauges between scrapes
 //	/healthz       liveness plus workspace summary, JSON

@@ -271,7 +271,6 @@ type joinResponse struct {
 	TraceID      string          `json:"trace_id,omitempty"`
 	Algorithm    string          `json:"algorithm"`
 	Integrated   bool            `json:"integrated"`
-	Workers      int             `json:"workers"`
 	Lambda       int             `json:"lambda"`
 	OuterDocs    int64           `json:"outer_docs"`
 	InnerDocs    int64           `json:"inner_docs"`
@@ -313,21 +312,15 @@ type joinMatch struct {
 	Sim float64 `json:"sim"`
 }
 
-// maxWorkers caps the workers parameter: each worker costs a goroutine, an
-// accumulator shard, and a telemetry counter name.
-const maxWorkers = 64
-
-// handleJoin runs one join. Parameters: alg (auto, hhnl, hvnl, vvm, lsh;
-// default auto), lambda, workers (1..maxWorkers, default 1: a ceiling on
-// the goroutines sharing the join's CPU work, alg=auto's choice included —
-// HVNL and VVM use it, HHNL and LSH run on one at any value; I/O stays on
-// one), weighting (raw, cosine, tfidf), show (result rows
-// to include, default 3), prefilter (on, off; default off) to offer the
-// signature sidecars to the join — results are byte-identical either
-// way, only the I/O pattern changes. mode (exact, lsh; default exact)
-// set to lsh runs the approximate MinHash join (alg=lsh is the same
-// request), and recall in (0, 1] offers the LSH plan to alg=auto's
-// planner under that recall SLO.
+// handleJoin runs one join, on the request's goroutine. Parameters: alg
+// (auto, hhnl, hvnl, vvm, lsh; default auto), lambda, weighting (raw,
+// cosine, tfidf), show (result rows to include, default 3), prefilter (on,
+// off; default off) to offer the signature sidecars to the join — results
+// are byte-identical either way, only the I/O pattern changes. mode
+// (exact, lsh; default exact) set to lsh runs the approximate MinHash join
+// (alg=lsh is the same request), and recall in (0, 1] offers the LSH plan
+// to alg=auto's planner under that recall SLO. Any other parameter is
+// ignored.
 //
 // Every parameter is validated before the request is admitted, so a
 // malformed request never occupies budget or queue space. Admitted
@@ -351,14 +344,6 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	lambda, err := intParam(r, "lambda", s.cfg.Lambda)
 	if err == nil && lambda <= 0 {
 		err = fmt.Errorf("lambda must be positive")
-	}
-	if err != nil {
-		s.joinError(w, span, http.StatusBadRequest, err)
-		return
-	}
-	workers, err := intParam(r, "workers", 1)
-	if err == nil && (workers < 1 || workers > maxWorkers) {
-		err = fmt.Errorf("parameter workers: want 1..%d, got %d", maxWorkers, workers)
 	}
 	if err != nil {
 		s.joinError(w, span, http.StatusBadRequest, err)
@@ -403,7 +388,6 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("join.alg", algName)
 	span.SetAttr("join.mode", mode)
 	span.SetInt("join.lambda", int64(lambda))
-	span.SetInt("join.workers", int64(workers))
 	span.SetAttr("join.prefilter", prefilter)
 	if recall != 0 {
 		span.SetFloat("join.recall_slo", recall)
@@ -414,7 +398,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if mode == "lsh" {
 		family = "lsh"
 	}
-	cost := s.footprintBytes(family, lambda, workers)
+	cost := s.footprintBytes(family, lambda)
 	qspan := span.StartChild("queue", "admission")
 	qspan.SetInt("queue.cost_bytes", cost)
 	queued, err := s.adm.admit(cost)
@@ -448,7 +432,6 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		Weighting:   weighting,
 		Telemetry:   s.tel,
 		Trace:       exec,
-		Workers:     workers,
 	}
 	if prefilter == "on" {
 		opts.Prefilter = &textjoin.Prefilter{Inner: s.sig1, Outer: s.sig2}
@@ -458,7 +441,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		opts.RecallSLO = recall
 	}
 
-	resp := joinResponse{Workers: workers, Lambda: lambda}
+	resp := joinResponse{Lambda: lambda}
 	var results []textjoin.Result
 	var stats *textjoin.JoinStats
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -117,36 +118,12 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-// TestServerWorkers pins the workers parameter: out-of-range values are
-// refused with 400 before admission (no join runs, no budget is held),
-// and a worker count reaches the join — same result hash as the inline run
-// for alg=auto's choice, per-worker counters on the collector only after a
-// request whose family fans out (alg=vvm).
+// TestServerWorkers pins that the workers parameter, which the
+// benchmark's serve_mix still sends, is ignored like any other unknown
+// one: the request answers 200 with the results of the same request
+// without it, and they are the facade's results under the one digest.
 func TestServerWorkers(t *testing.T) {
 	s, hs := testServer(t, 4096)
-
-	for _, tc := range []struct {
-		workers string
-		want    int
-	}{
-		{"0", http.StatusBadRequest},
-		{"-3", http.StatusBadRequest},
-		{"65", http.StatusBadRequest},
-		{"100000", http.StatusBadRequest},
-		{"x", http.StatusBadRequest},
-		{"1", http.StatusOK},
-		{"64", http.StatusOK},
-	} {
-		for _, alg := range []string{"auto", "hhnl", "hvnl", "vvm", "lsh"} {
-			path := "/join?show=0&alg=" + alg + "&workers=" + tc.workers
-			if status, body := get(t, hs, path); status != tc.want {
-				t.Errorf("GET %s: status %d, want %d: %s", path, status, tc.want, body)
-			}
-		}
-	}
-	if got := s.joins.Load(); got != 10 {
-		t.Errorf("joins run by the table = %d, want the 10 in-range requests", got)
-	}
 
 	// run issues one /join and returns the reply with the result hash
 	// stamped on its trace's root span.
@@ -168,59 +145,28 @@ func TestServerWorkers(t *testing.T) {
 		t.Fatalf("GET %s: no result.hash on the root span", path)
 		return j, ""
 	}
-	// The sum of the per-worker counters, not how many are non-zero:
-	// which of the table's workers=64 goroutines drew work is up to the
-	// scheduler, so the fanned-out run below may land on a counter that
-	// is already positive.
-	workerCounters := func() int64 {
-		var n int64
-		for _, c := range s.tel.Snapshot().Counters {
-			if strings.Contains(c.Name, ".worker.") {
-				n += c.Value
-			}
-		}
-		return n
-	}
-	before := workerCounters()
-	inline, inlineHash := run("/join?alg=auto&show=0")
-	if n := workerCounters(); n != before {
-		t.Errorf("inline alg=auto added %d to the per-worker counters", n-before)
-	}
-	fanned, fannedHash := run("/join?alg=auto&workers=2&show=0")
-	if !fanned.Integrated || fanned.Workers != 2 || fanned.Algorithm != inline.Algorithm {
-		t.Errorf("alg=auto&workers=2 replied %+v, inline ran %s", fanned, inline.Algorithm)
-	}
-	if fannedHash != inlineHash {
-		t.Errorf("alg=auto&workers=2 result hash %s, inline %s", fannedHash, inlineHash)
+	plain, plainHash := run("/join?alg=vvm&weighting=cosine&show=3")
+	asked, askedHash := run("/join?alg=vvm&weighting=cosine&workers=2&show=3")
+	if askedHash != plainHash || !reflect.DeepEqual(deterministic(asked), deterministic(plain)) {
+		t.Errorf("workers=2 replied %+v (hash %s), without it %+v (hash %s)", asked, askedHash, plain, plainHash)
 	}
 	// The third value: the facade run of the same inputs under the one
 	// digest, which is also what a BENCH_BASELINE.json cell records.
-	direct, _, _, err := textjoin.JoinIntegrated(
+	direct, _, err := textjoin.Join(textjoin.VVM,
 		textjoin.Inputs{Outer: s.c2, Inner: s.c1, InnerInv: s.inv1, OuterInv: s.inv2},
-		textjoin.Options{Lambda: s.cfg.Lambda, MemoryPages: s.cfg.MemoryPages})
+		textjoin.Options{Lambda: s.cfg.Lambda, MemoryPages: s.cfg.MemoryPages, Weighting: textjoin.Cosine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := textjoin.ResultDigest(direct); d != inlineHash {
-		t.Errorf("trace result.hash %s, ResultDigest of the facade run %s", inlineHash, d)
-	}
-	// The two block families run inline at any worker count; VVM fans out.
-	for _, alg := range []string{"hhnl", "lsh"} {
-		run("/join?alg=" + alg + "&workers=2&show=0")
-	}
-	if n := workerCounters(); n != before {
-		t.Errorf("alg=hhnl and alg=lsh at workers=2 added %d to the per-worker counters", n-before)
-	}
-	run("/join?alg=vvm&workers=2&show=0")
-	if workerCounters() == before {
-		t.Error("alg=vvm&workers=2 left no per-worker counters: the join ran inline")
+	if d := textjoin.ResultDigest(direct); d != plainHash {
+		t.Errorf("trace result.hash %s, ResultDigest of the facade run %s", plainHash, d)
 	}
 }
 
-// TestServerLSH drives the approximate join end to end: mode=lsh (and
-// its alg=lsh spelling) must reply with LSH stats, the parallel variant
-// must return the same top-λ pairs as the serial one, and recall=r must
-// reach the integrated planner without breaking the auto path.
+// TestServerLSH drives the approximate join end to end: mode=lsh must
+// reply with LSH stats, its alg=lsh spelling must return the same top-λ
+// pairs, and recall=r must reach the integrated planner without breaking
+// the auto path.
 func TestServerLSH(t *testing.T) {
 	_, hs := testServer(t, 4096)
 
@@ -228,39 +174,39 @@ func TestServerLSH(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("mode=lsh status %d: %s", status, body)
 	}
-	var serial joinResponse
-	if err := json.Unmarshal(body, &serial); err != nil {
+	var mode joinResponse
+	if err := json.Unmarshal(body, &mode); err != nil {
 		t.Fatal(err)
 	}
-	if serial.Algorithm != "LSH" || serial.Integrated {
-		t.Errorf("mode=lsh ran %q (integrated=%v), want LSH", serial.Algorithm, serial.Integrated)
+	if mode.Algorithm != "LSH" || mode.Integrated {
+		t.Errorf("mode=lsh ran %q (integrated=%v), want LSH", mode.Algorithm, mode.Integrated)
 	}
-	if serial.LSH == nil || serial.LSH.BucketProbes == 0 {
-		t.Errorf("mode=lsh reply lacks LSH stats: %+v", serial.LSH)
+	if mode.LSH == nil || mode.LSH.BucketProbes == 0 {
+		t.Errorf("mode=lsh reply lacks LSH stats: %+v", mode.LSH)
 	}
 
-	status, body = get(t, hs, "/join?alg=lsh&lambda=3&show=2&workers=2")
+	status, body = get(t, hs, "/join?alg=lsh&lambda=3&show=2")
 	if status != 200 {
-		t.Fatalf("alg=lsh workers=2 status %d: %s", status, body)
+		t.Fatalf("alg=lsh status %d: %s", status, body)
 	}
-	var parallel joinResponse
-	if err := json.Unmarshal(body, &parallel); err != nil {
+	var alg joinResponse
+	if err := json.Unmarshal(body, &alg); err != nil {
 		t.Fatal(err)
 	}
-	if parallel.Algorithm != "LSH" {
-		t.Errorf("alg=lsh ran %q, want LSH", parallel.Algorithm)
+	if alg.Algorithm != "LSH" {
+		t.Errorf("alg=lsh ran %q, want LSH", alg.Algorithm)
 	}
-	if len(parallel.Results) != len(serial.Results) {
-		t.Fatalf("parallel returned %d result rows, serial %d", len(parallel.Results), len(serial.Results))
+	if len(alg.Results) != len(mode.Results) {
+		t.Fatalf("alg=lsh returned %d result rows, mode=lsh %d", len(alg.Results), len(mode.Results))
 	}
-	for i := range serial.Results {
-		a, b := serial.Results[i], parallel.Results[i]
+	for i := range mode.Results {
+		a, b := mode.Results[i], alg.Results[i]
 		if a.Outer != b.Outer || len(a.Matches) != len(b.Matches) {
-			t.Fatalf("row %d: serial %+v, parallel %+v", i, a, b)
+			t.Fatalf("row %d: mode=lsh %+v, alg=lsh %+v", i, a, b)
 		}
 		for j := range a.Matches {
 			if a.Matches[j] != b.Matches[j] {
-				t.Errorf("row %d match %d: serial %+v, parallel %+v", i, j, a.Matches[j], b.Matches[j])
+				t.Errorf("row %d match %d: mode=lsh %+v, alg=lsh %+v", i, j, a.Matches[j], b.Matches[j])
 			}
 		}
 	}
@@ -279,8 +225,8 @@ func TestServerLSH(t *testing.T) {
 }
 
 // TestConcurrentScrapes is the acceptance check for the live scrape
-// path: /metrics and /debug/requests are hammered while parallel HVNL
-// and VVM joins are in flight. Every exposition must parse and every
+// path: /metrics and /debug/requests are hammered while HVNL and VVM
+// joins are in flight. Every exposition must parse and every
 // recorder listing must decode; run under -race this also proves the
 // scrape path shares no unsynchronized state with the join hot path.
 func TestConcurrentScrapes(t *testing.T) {
@@ -289,9 +235,9 @@ func TestConcurrentScrapes(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	joins := []string{
-		"/join?alg=hvnl&workers=4&show=0",
-		"/join?alg=vvm&workers=4&show=0",
-		"/join?alg=hvnl&workers=2&show=0",
+		"/join?alg=hvnl&show=0",
+		"/join?alg=vvm&show=0",
+		"/join?alg=hvnl&prefilter=on&show=0",
 		"/join?alg=auto&show=0",
 	}
 	done := make(chan struct{})

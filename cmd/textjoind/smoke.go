@@ -93,16 +93,12 @@ func runSmoke(cfg config, out io.Writer) error {
 			fmt.Fprintf(out, "smoke: integrated chose %s (cost %.0f)\n", j.Algorithm, j.Cost)
 			return nil
 		}},
-		{"join parallel vvm", func() error {
-			_, err := get("/join?alg=vvm&workers=4&show=0")
-			return err
-		}},
 		{"join concurrent", func() error {
 			// A concurrent burst: every request must succeed, each on
 			// its own I/O view under the admission budget.
 			paths := []string{
 				"/join?alg=hhnl&show=0", "/join?alg=hvnl&show=0",
-				"/join?alg=vvm&show=0", "/join?alg=hvnl&workers=2&show=0",
+				"/join?alg=vvm&show=0", "/join?alg=hvnl&prefilter=on&show=0",
 			}
 			errs := make(chan error, len(paths))
 			for _, p := range paths {
@@ -195,7 +191,7 @@ func runSmoke(cfg config, out io.Writer) error {
 		}},
 		{"metrics rates", func() error {
 			// A second scrape after more work carries rate gauges.
-			if _, err := get("/join?alg=hvnl&workers=2&show=0"); err != nil {
+			if _, err := get("/join?alg=hvnl&show=0"); err != nil {
 				return err
 			}
 			body, err := get("/metrics")

@@ -70,7 +70,7 @@ func TestEveryJoinOutcomeYieldsTrace(t *testing.T) {
 	}{
 		{"/join?alg=hvnl&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
 		{"/join?mode=lsh&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
-		{"/join?alg=hvnl&workers=3&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
+		{"/join?alg=hvnl&weighting=tfidf&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
 		{"/join?alg=hhnl&prefilter=on&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
 		{"/join?alg=auto&show=0", http.StatusOK, []string{"request", "queue", "exec", "io", "plan"}},
 		{"/join?alg=bogus", http.StatusBadRequest, []string{"request"}},
@@ -156,7 +156,7 @@ func TestFlightRecorderUnderLoad(t *testing.T) {
 
 	paths := append(joinPaths(),
 		"/join?mode=lsh&show=0",
-		"/join?mode=lsh&workers=2&show=0",
+		"/join?alg=lsh&lambda=3&show=0",
 		"/join?alg=auto&recall=0.9&show=0",
 	)
 
@@ -298,12 +298,13 @@ func TestFlightRecorderUnderLoad(t *testing.T) {
 }
 
 // serveMixKinds are the six request kinds of the benchmark's serve_mix
-// workload (benchmark/serve.go), rows included as it asks for them.
+// workload (benchmark/serve.go), rows included as it asks for them. The
+// workers=2 it adds to hhnl_w2 and vvm_w2 is ignored (TestServerWorkers).
 var serveMixKinds = []struct{ name, query string }{
 	{"auto", "alg=auto"},
-	{"hhnl_w2", "alg=hhnl&workers=2"},
+	{"hhnl_w2", "alg=hhnl"},
 	{"hvnl", "alg=hvnl&weighting=tfidf"},
-	{"vvm_w2", "alg=vvm&weighting=cosine&workers=2"},
+	{"vvm_w2", "alg=vvm&weighting=cosine"},
 	{"lsh", "mode=lsh"},
 	{"hhnl_prefilter", "alg=hhnl&prefilter=on"},
 }

@@ -37,8 +37,6 @@ func TestIntegrationFullPipeline(t *testing.T) {
 
 	in := Inputs{Outer: outer, Inner: inner, InnerInv: innerInv, OuterInv: outerInv}
 	opts := Options{Lambda: 10, MemoryPages: 64}
-	fanned := opts
-	fanned.Workers = 4
 
 	type variant struct {
 		name string
@@ -51,10 +49,8 @@ func TestIntegrationFullPipeline(t *testing.T) {
 			o.Backward = true
 			return Join(HHNL, in, o)
 		}},
-		{"hhnl-w4", func() ([]Result, *JoinStats, error) { return Join(HHNL, in, fanned) }},
 		{"hvnl", func() ([]Result, *JoinStats, error) { return Join(HVNL, in, opts) }},
 		{"vvm", func() ([]Result, *JoinStats, error) { return Join(VVM, in, opts) }},
-		{"vvm-w4", func() ([]Result, *JoinStats, error) { return Join(VVM, in, fanned) }},
 	}
 	var baseline []Result
 	for _, v := range variants {

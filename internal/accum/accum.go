@@ -13,7 +13,7 @@
 //     non-zero similarities are stored" accounting — and no list once a
 //     quarter of the ids are touched, so each accumulation is a single
 //     indexed add and the drain a scan.
-//   - Store is VVM's: one per shard per join, Reset between passes. It has
+//   - Store is VVM's: one per join, Reset between passes. It has
 //     two representations and picks between them by size, not by an
 //     expected population. A pass starts as the dense rows×cols matrix
 //     when that fits the budget M (UseDense), otherwise as a power-of-two
@@ -83,23 +83,23 @@ func (f *Flat) Add(id uint32, v float64) {
 
 // AddCells accumulates one term's products: w is the weight of the streamed
 // document's cell, cells the other side's cells of that term, and cell c
-// adds to id c.Number-lo. It equals one Add per cell.
-func (f *Flat) AddCells(cells []codec.Cell, lo uint32, w, factor float64) {
+// adds to id c.Number. It equals one Add per cell.
+func (f *Flat) AddCells(cells []codec.Cell, w, factor float64) {
 	if !f.dense {
-		cells = f.addListed(cells, lo, w, factor)
+		cells = f.addListed(cells, w, factor)
 	}
 	vals := f.vals // a local: the loop is the joins' hottest
 	for _, c := range cells {
-		vals[c.Number-lo] += (w * float64(c.Weight)) * factor
+		vals[c.Number] += (w * float64(c.Weight)) * factor
 	}
 }
 
 // addListed is AddCells in the sparse regime. When the list reaches the
 // limit it turns the regime dense and returns the cells it left unadded.
-func (f *Flat) addListed(cells []codec.Cell, lo uint32, w, factor float64) []codec.Cell {
+func (f *Flat) addListed(cells []codec.Cell, w, factor float64) []codec.Cell {
 	vals, touched := f.vals, f.touched
 	for i, c := range cells {
-		id := c.Number - lo
+		id := c.Number
 		v := vals[id]
 		vals[id] = v + (w*float64(c.Weight))*factor
 		if v == 0 {

@@ -291,7 +291,6 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 	check := func(seed int64, rows8, cols8 uint8) bool {
 		rows, cols := int(rows8%20)+1, int(cols8%50)+1
 		r := rand.New(rand.NewSource(seed))
-		const lo = 7 // Flat's ids are cell numbers less lo
 		flat, flatRef := NewFlat(cols), NewFlat(cols)
 		budget := int64(rows * cols * 8)
 		stores := []struct{ got, want *Store }{
@@ -310,15 +309,13 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 			if r.Intn(8) == 0 {
 				factor = 0
 			}
-			shifted := make([]codec.Cell, len(cells))
-			for i, c := range cells {
-				shifted[i] = codec.Cell{Number: c.Number + lo, Weight: c.Weight}
+			for _, c := range cells {
 				flatRef.Add(c.Number, (w*float64(c.Weight))*factor)
 				for _, st := range stores {
 					st.want.Add(row, c.Number, (w*float64(c.Weight))*factor)
 				}
 			}
-			flat.AddCells(shifted, lo, w, factor)
+			flat.AddCells(cells, w, factor)
 			for _, st := range stores {
 				st.got.AddCells(cells, row, w, factor)
 			}

@@ -6,15 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/telemetry"
 )
 
 // The accumulator layer (internal/accum) must be invisible in results:
-// dense and open-addressing passes, serial and owner-sharded parallel
-// workers, full collections and selections all produce byte-identical
-// top-λ lists. These tests pin that across the regime boundaries.
+// dense and open-addressing passes, full collections and selections all
+// produce byte-identical top-λ lists. These tests pin that across the
+// regime boundaries.
 
 // regimeCorpora are a dense corpus, whose tight passes outgrow the table
 // and move into the matrix, and a sparse one (a large vocabulary, short
@@ -72,43 +71,9 @@ func TestVVMAccumulatorRegimes(t *testing.T) {
 	coversRegimes(t, tel)
 }
 
-// TestVVMParallelIdentity is the tentpole's identity matrix: parallel VVM
-// against serial VVM across all three weightings and worker counts
-// {1, 2, 7}, in both single-pass and partitioned runs.
-func TestVVMParallelIdentity(t *testing.T) {
-	e := buildEnv(t, 52, 40, 33, 60, 14, 128)
-	for _, weighting := range []document.Weighting{document.RawTF, document.Cosine, document.TFIDF} {
-		for _, opts := range []Options{
-			{Lambda: 5, MemoryPages: 2000, Weighting: weighting},
-			{Lambda: 5, MemoryPages: 10, Delta: 1.0, Weighting: weighting},
-		} {
-			serial, serialStats, err := Join(VVM, e.inputs(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 7} {
-				par, parStats, err := joinAt(VVM, e.inputs(), opts, workers)
-				if err != nil {
-					t.Fatalf("%v workers=%d: %v", weighting, workers, err)
-				}
-				if err := sameResults(serial, par); err != nil {
-					t.Fatalf("%v workers=%d: %v", weighting, workers, err)
-				}
-				if parStats.Accumulations != serialStats.Accumulations {
-					t.Errorf("%v workers=%d: accumulations %d vs %d", weighting, workers, parStats.Accumulations, serialStats.Accumulations)
-				}
-				if parStats.Passes != serialStats.Passes {
-					t.Errorf("%v workers=%d: passes %d vs %d", weighting, workers, parStats.Passes, serialStats.Passes)
-				}
-			}
-		}
-	}
-}
-
 // TestVVMSubsetAcrossRegimes joins a scattered selection (exercising the
 // IDSet bitmap/binary-search paths rather than the contiguous fast path)
-// in every store regime, serial and parallel, against the brute-force
-// reference.
+// in every store regime against the brute-force reference.
 func TestVVMSubsetAcrossRegimes(t *testing.T) {
 	tel := telemetry.New()
 	for _, corpus := range regimeCorpora {
@@ -132,16 +97,7 @@ func TestVVMSubsetAcrossRegimes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := sameResults(want, got); err != nil {
-				t.Fatalf("%s serial opts %+v: %v", corpus.name, opts, err)
-			}
-			for _, workers := range []int{2, 7} {
-				par, _, err := joinAt(VVM, in, opts, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sameResults(want, par); err != nil {
-					t.Fatalf("%s parallel workers=%d opts %+v: %v", corpus.name, workers, opts, err)
-				}
+				t.Fatalf("%s opts %+v: %v", corpus.name, opts, err)
 			}
 		}
 	}
@@ -187,14 +143,7 @@ func TestQuickAccumRegimesEqual(t *testing.T) {
 			// A tiny budget may be legitimately insufficient.
 			return errors.Is(err, ErrInsufficientMemory)
 		}
-		if sameResults(want, got) != nil {
-			return false
-		}
-		par, _, err := joinAt(VVM, in, tight, r.Intn(7)+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sameResults(want, par) == nil
+		return sameResults(want, got) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

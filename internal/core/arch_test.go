@@ -48,8 +48,8 @@ func exportedJoins(files map[string]*ast.File) []string {
 }
 
 // TestOneEntryPointPerLayer pins the slim layering: internal/core and the
-// textjoin facade each export exactly Join and JoinIntegrated — the
-// worker count is Options.Workers, not a function per variant.
+// textjoin facade each export exactly Join and JoinIntegrated — a variant
+// is an Options field, not a function of its own.
 func TestOneEntryPointPerLayer(t *testing.T) {
 	want := "Join JoinIntegrated"
 	if got := strings.Join(exportedJoins(parseNonTest(t, ".")), " "); got != want {
@@ -60,14 +60,15 @@ func TestOneEntryPointPerLayer(t *testing.T) {
 	}
 }
 
-// TestGoroutinesStartInFanOutOnly pins the single fan-out helper: no join
-// file starts goroutines of its own, so "what waits for this goroutine"
-// has one answer (fanOut.wait).
-func TestGoroutinesStartInFanOutOnly(t *testing.T) {
+// TestJoinsStartNoGoroutines pins one goroutine per join (DESIGN §8):
+// no join file starts a goroutine, so a join's CPU work, storage access
+// and failure all happen on its caller's goroutine, and a failed join
+// has nothing left to wait for.
+func TestJoinsStartNoGoroutines(t *testing.T) {
 	for name, f := range parseNonTest(t, ".") {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if _, ok := n.(*ast.GoStmt); ok && name != "fanout.go" {
-				t.Errorf("%s starts a goroutine; only fanout.go may", name)
+			if _, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s starts a goroutine; a join runs on its caller's", name)
 			}
 			return true
 		})
@@ -106,11 +107,9 @@ func TestWeightProductsLiveInAccumOnly(t *testing.T) {
 // storeConstructors are the accum calls that build a VVM similarity store.
 var storeConstructors = map[string]bool{"New": true, "NewDense": true, "NewTable": true}
 
-// TestStoresAreBuiltOutsideLoops pins one store per shard per join: no
-// accum.New (nor the NewDense/NewTable of older trees) in a join file sits
-// inside a for statement, where it would be rebuilt per pass instead of
-// Reset. The walk is per function body: a shard constructor called from
-// the once-per-join shard loop is the intended shape.
+// TestStoresAreBuiltOutsideLoops pins one store per join: no accum.New
+// (nor the NewDense/NewTable of older trees) in a join file sits inside a
+// for statement, where it would be rebuilt per pass instead of Reset.
 func TestStoresAreBuiltOutsideLoops(t *testing.T) {
 	for name, f := range parseNonTest(t, ".") {
 		var loops []ast.Node

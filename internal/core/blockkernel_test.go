@@ -7,6 +7,7 @@ import (
 
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
+	"textjoin/internal/lsh"
 	"textjoin/internal/topk"
 )
 
@@ -268,6 +269,58 @@ func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
 		}
 		if many > budget {
 			t.Errorf("backward=%v: %.0f allocations in one pass, %.0f in %d; want at most %.0f", backward, one, many, passes, budget)
+		}
+	}
+}
+
+// TestInlinePathAllocationsDoNotGrowWithInner is the go-test form of what
+// alloc_kb_per_op on the benchmark's hhnl_scan measures: the inner scan
+// reuses one arena document, so a four times larger inner collection must
+// not cost more allocations. A scan through the stable Next path allocates
+// at least two objects per inner document and fails this at once.
+func TestInlinePathAllocationsDoNotGrowWithInner(t *testing.T) {
+	const n = 150
+	// Every document shares one vocabulary, so with its single-row bands the
+	// LSH join sees every inner document as a candidate of the one outer
+	// document: its verify scan is as long as HHNL's inner scan.
+	build := func(inner int) (Inputs, Options) {
+		r := rand.New(rand.NewSource(7))
+		d := iosim.NewDisk(iosim.WithPageSize(256))
+		docs := make([]*document.Document, inner)
+		for i := range docs {
+			docs[i] = docOf(uint32(i), map[uint32]int{1: 1 + r.Intn(3), 2: 1, 3: 1 + r.Intn(2)})
+		}
+		c1 := buildColl(t, d, "c1", docs)
+		c2 := buildColl(t, d, "c2", docs[:1])
+		f, err := d.Create("c1.lsh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := lsh.Build(c1, f, lshDiffConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Inputs{Outer: c2, Inner: c1}, Options{Lambda: 5, MemoryPages: 4000, LSH: sc}
+	}
+	for _, tc := range []struct {
+		alg Algorithm
+		// perDoc is the state the family legitimately keeps per candidate
+		// inner document: LSH's one-entry candidate list.
+		perDoc float64
+	}{{HHNL, 0}, {LSH, 1}} {
+		allocs := func(inner int) float64 {
+			in, opts := build(inner)
+			return testing.AllocsPerRun(5, func() {
+				res, st, err := Join(tc.alg, in, opts)
+				if err != nil || len(res) != 1 || st.Comparisons != int64(inner) {
+					t.Fatalf("%v over %d inner docs: rows=%d stats=%+v err=%v", tc.alg, inner, len(res), st, err)
+				}
+			})
+		}
+		small, large := allocs(n), allocs(4*n)
+		if budget := small + tc.perDoc*3*n + 8; large > budget {
+			t.Errorf("%v: %.0f allocations over %d inner docs, %.0f over %d; want at most %.0f",
+				tc.alg, small, n, large, 4*n, budget)
 		}
 	}
 }

@@ -147,13 +147,6 @@ type Options struct {
 	// its estimated cost beats every exact plan. Join(LSH, ...) ignores
 	// it.
 	RecallSLO float64
-	// Workers is a ceiling on the goroutines sharing the join's CPU work.
-	// HVNL and VVM use all of it, one accumulator shard per worker; HHNL
-	// and LSH use none and run on the calling goroutine, as every join
-	// does at 1 or below. Storage access never fans out, so results and
-	// Stats do not depend on it (except VVM's PeakMemoryBytes, the sum of
-	// its per-worker accumulators), and no value is an error.
-	Workers int
 }
 
 // withDefaults fills in the paper's base values.

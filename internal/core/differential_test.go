@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,10 +20,9 @@ import (
 )
 
 // This file is the differential harness promised by the telemetry layer:
-// every join family at every worker count must return the identical
-// top-λ on a corpus of adversarial shapes, the worker count must change
-// neither the results nor the Stats, and attaching a telemetry collector
-// must change neither the results nor one byte of the Stats.
+// every exact join family must return the identical top-λ on a corpus of
+// adversarial shapes, and attaching a telemetry collector must change
+// neither the results nor one byte of the Stats.
 
 // diffShape describes one seeded corpus shape. build returns the two
 // document sets; the remaining fields parameterize the join. Each call
@@ -56,8 +54,8 @@ func diffShapes() []diffShape {
 		},
 		{
 			// Heavily skewed document frequencies: a few terms appear
-			// almost everywhere (stresses HVNL's cache policy and the
-			// merge fan-out of the parallel VVM).
+			// almost everywhere (stresses HVNL's cache policy and VVM's
+			// merge).
 			name: "skewed-df", pageSize: 256, lambda: 4, mem: 300,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				z := rand.NewZipf(r, 1.3, 1, 49)
@@ -195,37 +193,8 @@ func (s diffShape) options() Options {
 	return Options{Lambda: s.lambda, MemoryPages: s.mem, Delta: s.delta}
 }
 
-// diffVariant is one cell of the harness table: a join family at a
-// worker count. Workers 0 and 1 both run the stage inline; at 2 and 7
-// HVNL and VVM fan out (7 exceeds several shapes' document counts, so some
-// workers own empty blocks) and HHNL and LSH still run inline.
-type diffVariant struct {
-	name    string
-	alg     Algorithm
-	workers int
-}
-
-func (v diffVariant) run(in Inputs, opts Options) ([]Result, *Stats, error) {
-	opts.Workers = v.workers
-	return Join(v.alg, in, opts)
-}
-
-// joinAt runs alg with the given worker count.
-func joinAt(alg Algorithm, in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
-	return diffVariant{alg: alg, workers: workers}.run(in, opts)
-}
-
-// diffVariants is families × Workers ∈ {0, 1, 2, 7}, each family's
-// Workers=0 cell first: it is the reference the other counts are held to.
-func diffVariants() []diffVariant {
-	var vs []diffVariant
-	for _, alg := range []Algorithm{HHNL, HVNL, VVM, LSH} {
-		for _, w := range []int{0, 1, 2, 7} {
-			vs = append(vs, diffVariant{fmt.Sprintf("%s-w%d", strings.ToLower(alg.String()), w), alg, w})
-		}
-	}
-	return vs
-}
+// diffFamilies are the join families the harness runs on every shape.
+var diffFamilies = []Algorithm{HHNL, HVNL, VVM, LSH}
 
 // variantEnv builds a fresh environment for one variant run, with the
 // inner MinHash sidecar the LSH family needs (the exact families ignore
@@ -239,24 +208,8 @@ func variantEnv(tb testing.TB, shape diffShape) (*env, Options) {
 	return e, opts
 }
 
-// sameStatsAcrossWorkers is the worker-count invariance rule: every Stats
-// field identical to the family's Workers=0 run, except VVM's
-// PeakMemoryBytes, which sums the per-worker accumulator shards.
-func sameStatsAcrossWorkers(v diffVariant, inline, got *Stats) error {
-	want, have := *inline, *got
-	if v.alg == VVM {
-		have.PeakMemoryBytes = want.PeakMemoryBytes
-	}
-	if want != have {
-		return fmt.Errorf("stats differ from Workers=0:\nwant %+v\ngot  %+v", *inline, *got)
-	}
-	return nil
-}
-
-// TestDifferentialShapes is the cross-algorithm, cross-worker-count
-// harness. On every shape every exact variant must equal the HHNL
-// baseline, and every variant — LSH included — must return bit-identical
-// similarities and the same Stats as its own family run inline.
+// TestDifferentialShapes is the cross-algorithm harness: on every shape
+// HVNL and VVM must equal the HHNL baseline.
 func TestDifferentialShapes(t *testing.T) {
 	for _, shape := range diffShapes() {
 		shape := shape
@@ -266,32 +219,14 @@ func TestDifferentialShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("baseline HHNL: %v", err)
 			}
-			type run struct {
-				res []Result
-				st  *Stats
-			}
-			inline := make(map[Algorithm]run)
-			for _, v := range diffVariants() {
-				e, opts := variantEnv(t, shape)
-				got, st, err := v.run(e.inputs(), opts)
+			for _, alg := range []Algorithm{HVNL, VVM} {
+				e := buildDiffEnv(t, shape, 1)
+				got, _, err := Join(alg, e.inputs(), shape.options())
 				if err != nil {
-					t.Fatalf("%s: %v", v.name, err)
+					t.Fatalf("%v: %v", alg, err)
 				}
-				if v.alg != LSH {
-					if err := sameResults(want, got); err != nil {
-						t.Errorf("%s differs from baseline: %v", v.name, err)
-					}
-				}
-				ref, ok := inline[v.alg]
-				if !ok {
-					inline[v.alg] = run{got, st}
-					continue
-				}
-				if err := exactSameResults(ref.res, got); err != nil {
-					t.Errorf("%s differs from Workers=0: %v", v.name, err)
-				}
-				if err := sameStatsAcrossWorkers(v, ref.st, st); err != nil {
-					t.Errorf("%s: %v", v.name, err)
+				if err := sameResults(want, got); err != nil {
+					t.Errorf("%v differs from baseline: %v", alg, err)
 				}
 			}
 		})
@@ -300,43 +235,43 @@ func TestDifferentialShapes(t *testing.T) {
 
 // TestTelemetryInvariance pins the telemetry contract: an attached
 // collector and request trace change neither the results nor a single
-// byte of the Stats, for every variant on every shape. Fresh environments
+// byte of the Stats, for every family on every shape. Fresh environments
 // per run keep the disk head positions (and so the seq/rand
 // classification) comparable.
 func TestTelemetryInvariance(t *testing.T) {
 	for _, shape := range diffShapes() {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
-			for _, v := range diffVariants() {
+			for _, alg := range diffFamilies {
 				off, offOpts := variantEnv(t, shape)
-				offRes, offSt, err := v.run(off.inputs(), offOpts)
+				offRes, offSt, err := Join(alg, off.inputs(), offOpts)
 				if err != nil {
-					t.Fatalf("%s off: %v", v.name, err)
+					t.Fatalf("%v off: %v", alg, err)
 				}
 
 				on, opts := variantEnv(t, shape)
 				tel := telemetry.New()
 				on.disk.SetCollector(tel)
 				opts.Telemetry = tel
-				root := reqtrace.NewTracer(1, time.Now).StartTrace(v.name)
+				root := reqtrace.NewTracer(1, time.Now).StartTrace(alg.String())
 				opts.Trace = root
-				onRes, onSt, err := v.run(on.inputs(), opts)
+				onRes, onSt, err := Join(alg, on.inputs(), opts)
 				root.End()
 				if err != nil {
-					t.Fatalf("%s on: %v", v.name, err)
+					t.Fatalf("%v on: %v", alg, err)
 				}
 
 				if err := exactSameResults(offRes, onRes); err != nil {
-					t.Errorf("%s: telemetry changed results: %v", v.name, err)
+					t.Errorf("%v: telemetry changed results: %v", alg, err)
 				}
 				if *offSt != *onSt {
-					t.Errorf("%s: telemetry changed stats:\noff %+v\non  %+v", v.name, *offSt, *onSt)
+					t.Errorf("%v: telemetry changed stats:\noff %+v\non  %+v", alg, *offSt, *onSt)
 				}
 				// The run's trace is a well-formed tree, and the phase
 				// histograms derived from it count exactly its spans.
 				trace := root.Data()
 				if err := reqtrace.ValidateData(trace); err != nil {
-					t.Errorf("%s: %v", v.name, err)
+					t.Errorf("%v: %v", alg, err)
 				}
 				reqtrace.ObservePhases(tel, trace)
 				spans := map[string]int64{}
@@ -345,25 +280,16 @@ func TestTelemetryInvariance(t *testing.T) {
 				}
 				s := tel.Snapshot()
 				if len(s.Counters) == 0 || len(spans) < 2 {
-					t.Errorf("%s: enabled collector or trace recorded nothing", v.name)
+					t.Errorf("%v: enabled collector or trace recorded nothing", alg)
 				}
 				for _, h := range s.Histograms {
 					if n, ok := spans[h.Name]; ok && n != h.Count {
-						t.Errorf("%s: %s counts %d, trace has %d such spans", v.name, h.Name, h.Count, n)
+						t.Errorf("%v: %s counts %d, trace has %d such spans", alg, h.Name, h.Count, n)
 					}
 					delete(spans, h.Name)
 				}
 				if len(spans) != 0 {
-					t.Errorf("%s: phases with spans but no histogram: %v", v.name, spans)
-				}
-				// Per-worker counters exist only on the fan-out path, which
-				// the accumulating families alone have.
-				fanned := false
-				for _, c := range s.Counters {
-					fanned = fanned || strings.Contains(c.Name, ".worker.")
-				}
-				if want := v.workers > 1 && (v.alg == HVNL || v.alg == VVM); fanned != want {
-					t.Errorf("%s: per-worker counters present = %v, want %v", v.name, fanned, want)
+					t.Errorf("%v: phases with spans but no histogram: %v", alg, spans)
 				}
 			}
 		})
@@ -419,19 +345,17 @@ func TestTelemetryConcurrentSnapshots(t *testing.T) {
 		}
 	}()
 
-	for _, v := range diffVariants() {
-		if v.alg == LSH {
-			continue // approximate: no exact baseline to hold it to here
-		}
-		e, opts := variantEnv(t, shape)
+	for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
+		e := buildDiffEnv(t, shape, 1)
 		e.disk.SetCollector(tel)
+		opts := shape.options()
 		opts.Telemetry = tel
-		got, _, err := v.run(e.inputs(), opts)
+		got, _, err := Join(alg, e.inputs(), opts)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("%v: %v", alg, err)
 		}
 		if err := sameResults(want, got); err != nil {
-			t.Errorf("%s under concurrent snapshots: %v", v.name, err)
+			t.Errorf("%v under concurrent snapshots: %v", alg, err)
 		}
 	}
 	close(done)
@@ -531,8 +455,8 @@ func exactSameResults(a, b []Result) error {
 // in outer order, (2) achieve measured recall ≥ the configured floor
 // against the exact ground truth, (3) show perfect precision — every
 // returned similarity byte-for-byte equal to the exact scorer on the
-// underlying documents. (Worker-count invariance of the LSH family is a
-// row of TestDifferentialShapes.)
+// underlying documents. (Its run-to-run determinism is a row of
+// TestTelemetryInvariance.)
 func TestDifferentialLSH(t *testing.T) {
 	floors := lshRecallFloors()
 	for _, shape := range diffShapes() {

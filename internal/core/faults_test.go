@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,20 +14,32 @@ import (
 )
 
 // Every join algorithm must propagate storage errors instead of masking
-// them or returning partial results.
+// them or returning partial results, and an attached collector must count
+// the storage-level fault against the file it hit.
 func TestJoinsPropagateStorageFaults(t *testing.T) {
 	for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			e := buildEnv(t, 31, 20, 20, 40, 10, 128)
+			tel := telemetry.New()
+			e.disk.SetCollector(tel)
 			// Fail the 10th read of any file once the join starts.
 			e.disk.InjectFaults(iosim.FaultPlan{FailAfterReads: 10, Repeat: true})
-			res, _, err := Join(alg, e.inputs(), Options{Lambda: 3, MemoryPages: 100})
+			res, _, err := Join(alg, e.inputs(), Options{Lambda: 3, MemoryPages: 100, Telemetry: tel})
 			if !errors.Is(err, iosim.ErrInjected) {
 				t.Fatalf("err = %v, want ErrInjected", err)
 			}
 			if res != nil {
 				t.Errorf("partial results returned alongside error")
+			}
+			var faults int64
+			for _, c := range tel.Snapshot().Counters {
+				if strings.HasPrefix(c.Name, "io.file.") && strings.HasSuffix(c.Name, ".faults") {
+					faults += c.Value
+				}
+			}
+			if faults == 0 {
+				t.Error("no io.file.<file>.faults counter on the collector")
 			}
 		})
 	}
@@ -76,60 +87,11 @@ func waitGoroutines(tb testing.TB, want int) {
 	}
 }
 
-// The fanned-out joins must propagate storage faults exactly like the
-// inline ones: a clean wrapped error, no partial results, no leaked
-// worker goroutines — and an attached collector must count the
-// storage-level fault against the file it hit.
-func TestParallelJoinsPropagateStorageFaults(t *testing.T) {
-	for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
-		for _, workers := range []int{2, 7} {
-			alg, workers := alg, workers
-			t.Run(fmt.Sprintf("%s/w%d", strings.ToLower(alg.String()), workers), func(t *testing.T) {
-				before := runtime.NumGoroutine()
-				e := buildEnv(t, 36, 20, 20, 40, 10, 128)
-				tel := telemetry.New()
-				e.disk.SetCollector(tel)
-				e.disk.InjectFaults(iosim.FaultPlan{FailAfterReads: 5, Repeat: true})
-				res, _, err := joinAt(alg, e.inputs(), Options{Lambda: 3, MemoryPages: 100, Telemetry: tel}, workers)
-				if !errors.Is(err, iosim.ErrInjected) {
-					t.Fatalf("err = %v, want ErrInjected", err)
-				}
-				if res != nil {
-					t.Error("partial results returned alongside error")
-				}
-				var faults int64
-				for _, c := range tel.Snapshot().Counters {
-					if strings.HasPrefix(c.Name, "io.file.") && strings.HasSuffix(c.Name, ".faults") {
-						faults += c.Value
-					}
-				}
-				if faults == 0 {
-					t.Error("no io.file.<file>.faults counter on the collector")
-				}
-				waitGoroutines(t, before)
-			})
-		}
-	}
-}
-
-// A fault confined to the B+tree file must stop a fanned-out HVNL before
-// any worker spawns, and still leak nothing.
-func TestParallelHVNLPropagatesBTreeFaults(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := buildEnv(t, 37, 20, 20, 40, 10, 128)
-	e.disk.InjectFaults(iosim.FaultPlan{FailFile: "c1.bt", Repeat: true})
-	_, _, err := joinAt(HVNL, e.inputs(), Options{Lambda: 3, MemoryPages: 100}, 4)
-	if !errors.Is(err, iosim.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	waitGoroutines(t, before)
-}
-
-// TestFanOutLeavesNoWorkersOnFailure walks every way a fanned-out join can
-// fail around its one fan-out helper — a storage fault while the resident
-// side fills, one mid-scan/probe/merge with workers already draining, and
-// a sidecar that does not match its collection — and requires the error,
-// no partial results, and the goroutine count back at its pre-call value.
+// TestFanOutLeavesNoWorkersOnFailure walks every way a join can fail — a
+// storage fault while the resident side fills, one mid-scan/probe/merge,
+// and a sidecar that does not match its collection — and requires the
+// error, no partial results, and the goroutine count back at its pre-call
+// value: a join leaves no worker goroutine behind, because it starts none.
 func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
 	type failure struct {
 		name  string
@@ -169,7 +131,7 @@ func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
 			fam, fc := fam, fc
 			t.Run(fam.alg.String()+"/"+fc.name, func(t *testing.T) {
 				e := buildEnv(t, 38, 30, 24, 40, 10, 128)
-				opts := Options{Lambda: 3, MemoryPages: fam.mem, Workers: 3}
+				opts := Options{Lambda: 3, MemoryPages: fam.mem}
 				sidecarOver := e.c1
 				if fc.stale {
 					sidecarOver = e.c2 // 24 documents where the inner side has 30

@@ -39,8 +39,7 @@ import (
 // whole CPU cost, so "compute its similarity with every resident C2
 // document" is one walk of the C1 document's cells past the block's
 // postings into an accumulator (residentBlock.accumulate), not X merge
-// walks. The whole join runs on the calling goroutine at every
-// Options.Workers.
+// walks. The whole join runs on the calling goroutine.
 //
 // With Options.Backward the loop order flips (an extension the paper
 // defers to the technical report): blocks of C1 are held in memory while
@@ -329,7 +328,7 @@ func (b *residentBlock) regroup(batch []document.Document) {
 func (b *residentBlock) accumulate(scorer *document.Scorer, d *document.Document) {
 	for _, c := range d.Cells {
 		if e, ok := b.dir[c.Term]; ok {
-			b.acc.AddCells(b.post[b.offs[e]:b.offs[e+1]], 0, float64(c.Weight), scorer.TermFactor(c.Term))
+			b.acc.AddCells(b.post[b.offs[e]:b.offs[e+1]], float64(c.Weight), scorer.TermFactor(c.Term))
 		}
 	}
 }

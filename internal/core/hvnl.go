@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"textjoin/internal/accum"
-	"textjoin/internal/codec"
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/entrycache"
@@ -41,12 +39,6 @@ import (
 // The cache budget realizes the paper's X (number of resident entries):
 // B·P bytes minus one outer document (⌈S2⌉ pages), the B+tree (Bt1 pages),
 // the accumulator reservation, and the in-memory term list.
-//
-// Every storage access — the B+tree load, the sequential-preload
-// decision, every cache probe, entry fetch and cache insertion — happens
-// on the calling goroutine in one order whatever Options.Workers says, so
-// page counts, the sequential/random split and the cache/fetch statistics
-// do not depend on it. Only the accumulation goes through the hvnlStage.
 func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if in.Outer == nil || in.InnerInv == nil || in.Inner == nil {
 		return nil, nil, fmt.Errorf("%w: HVNL needs the outer documents and the inner inverted file", ErrMissingInput)
@@ -158,7 +150,10 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
-	sweep := func(stage *hvnlStage) error {
+	rows := &hvnlRows{acc: accum.NewFlat(int(in.Inner.NumDocs())), tk: topk.New(opts.Lambda), scorer: scorer,
+		occupancy: tel.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets),
+		results:   make([]Result, 0, in.Outer.NumDocs())}
+	sweep := func() error {
 		var outer collection.DocIterator
 		if opf == nil {
 			outer = in.Outer.Documents()
@@ -172,7 +167,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 				d2, skippedID, skipped, err = opf.next()
 				if err == nil && skipped {
 					stats.OuterDocs++
-					stage.skip(skippedID)
+					rows.results = append(rows.results, Result{Outer: skippedID, Matches: emptyMatches()})
 					continue
 				}
 			} else {
@@ -209,6 +204,8 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 				}
 				entry, ok := cache.Get(c.Term)
 				if !ok {
+					// An entry's cells are added before the next Put, so the
+					// slab of an entry the cache evicted can take this miss.
 					entry = cache.Spare()
 					if scratch, err = in.InnerInv.FetchEntryInto(c.Term, entry, scratch); err != nil {
 						return err
@@ -222,194 +219,62 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 				if factor == 0 {
 					continue
 				}
-				stage.add(entry.Cells, float64(c.Weight), factor)
+				rows.acc.AddCells(entry.Cells, float64(c.Weight), factor)
 				stats.Accumulations += int64(len(entry.Cells))
 			}
 
 			if pf != nil && stats.Accumulations == accBefore {
 				stats.Prefilter.FalsePasses++
 			}
-			stage.flush(d2.ID)
+			rows.flush(d2.ID)
 			if mem := cache.Used() + btreeBytes + accBytes + outerDocBytes; mem > stats.PeakMemoryBytes {
 				stats.PeakMemoryBytes = mem
 			}
 		}
 	}
 	probe := trace.StartChild(reqtrace.PhaseProbe, "hvnl.outer-sweep")
-	stage := newHVNLStage(opts, scorer, int(in.Inner.NumDocs()), int(in.Outer.NumDocs()))
-	if stage.fan == nil {
-		// Inline, an entry's cells are consumed before the next Put, so an
-		// evicted entry's slab can take the next miss. Fanned out, queued
-		// sub-slices may still alias it (DESIGN §8).
-		cache.Recycle()
-	}
-	err = sweep(stage)
-	if stage.fan != nil {
-		stage.fan.wait()
-	}
+	err = sweep()
 	probe.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	var merge *reqtrace.Span // stays nil, and its End a no-op, on the inline path
-	if stage.fan != nil {
-		merge = trace.StartChild(reqtrace.PhaseMerge, "hvnl.merge-trackers")
-	}
-	results := stage.collect(opts)
-	merge.End()
 
 	stats.Cache = cache.Stats()
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(invFile))
 	recordJoinStats(tel, trace, stats)
-	return results, stats, nil
+	return rows.results, stats, nil
 }
 
-// hvnlShard accumulates one outer document at a time over the inner ids
-// [lo, lo+n) in a private accum.Flat. The inline path has one shard
-// covering 0..N1-1; the fan-out path gives each worker a contiguous block
-// of the dense ids. The accumulator and the tracker are the join's, reused
-// from document to document.
-type hvnlShard struct {
-	lo      uint32
-	acc     *accum.Flat
-	tk      *topk.TopK
-	scorer  *document.Scorer
-	rows    [][]Match // the shard's top-λ per flushed outer document, in sweep order
-	reached []int     // and how many inner documents each one reached
+// hvnlRows turns the sweep's outer documents into result rows. One
+// accum.Flat over the inner ids 0..N1-1 and one tracker serve the whole
+// join, reused from document to document.
+type hvnlRows struct {
+	acc       *accum.Flat
+	tk        *topk.TopK
+	scorer    *document.Scorer
+	occupancy *telemetry.Histogram // inner documents each row reached
+	results   []Result
 }
 
-// add accumulates one term's i-cells. w (the outer cell weight) and the
-// term factor travel separately, so the shard's sums do not depend on how
-// the entry was split (DESIGN §6).
-func (s *hvnlShard) add(cells []codec.Cell, w, factor float64) {
-	s.acc.AddCells(cells, s.lo, w, factor)
-}
-
-// flush finalizes the shard's top-λ for the outer document and readies
-// the accumulator for the next: the streamed document is the row, and
-// every inner document it reached is offered to the one tracker. A
-// candidate below a full tracker's threshold cannot enter it, so it is
-// not offered.
-func (s *hvnlShard) flush(outer uint32) {
-	sums := s.acc.Drain()
-	s.reached = append(s.reached, len(sums))
-	fin, tk := s.scorer.Row(outer), s.tk
+// flush drains the accumulator into the outer document's row and readies
+// it for the next: every inner document the row reached is offered to the
+// tracker. A candidate below a full tracker's threshold cannot enter it, so
+// it is not offered.
+func (r *hvnlRows) flush(outer uint32) {
+	sums := r.acc.Drain()
+	r.occupancy.Observe(int64(len(sums)))
+	fin, tk := r.scorer.Row(outer), r.tk
 	tk.Reset()
 	threshold, full := tk.Threshold()
 	for _, sum := range sums {
-		d1 := sum.ID + s.lo
-		sim := fin.Finalize(d1, sum.V)
+		sim := fin.Finalize(sum.ID, sum.V)
 		if full && sim < threshold {
 			continue
 		}
-		if tk.Offer(d1, sim) {
+		if tk.Offer(sum.ID, sim) {
 			threshold, full = tk.Threshold()
 		}
 	}
-	s.rows = append(s.rows, tk.Results())
-}
-
-// hvnlWork is one item on a shard's queue: an accumulation carrying the
-// shard-owned sub-slice of a fetched entry's i-cells, or (cells == nil)
-// the flush that ends outer document outer. Flushes travel in the queue,
-// so the pipeline never needs a per-document barrier.
-type hvnlWork struct {
-	cells     []codec.Cell
-	w, factor float64
-	outer     uint32
-}
-
-// hvnlStage is HVNL's compute stage. Each shard sees its items in
-// coordinator order, so per inner document the additions form the same
-// ordered subsequence at every worker count.
-type hvnlStage struct {
-	shards  []*hvnlShard
-	bounds  []uint32          // shard w owns inner ids [bounds[w], bounds[w+1])
-	fan     *fanOut[hvnlWork] // nil: the one shard is called inline
-	results []Result          // Matches stays nil until collect for flushed rows
-	routed  []int64           // per-shard routed-cell counts, kept on the coordinator
-}
-
-func newHVNLStage(opts Options, scorer *document.Scorer, n1, n2 int) *hvnlStage {
-	n := max(1, opts.Workers)
-	s := &hvnlStage{bounds: make([]uint32, n+1), shards: make([]*hvnlShard, n), routed: make([]int64, n), results: make([]Result, 0, n2)}
-	for w := range s.bounds {
-		s.bounds[w] = uint32(w * n1 / n)
-	}
-	for w := range s.shards {
-		s.shards[w] = &hvnlShard{lo: s.bounds[w], acc: accum.NewFlat(int(s.bounds[w+1] - s.bounds[w])), tk: topk.New(opts.Lambda), scorer: scorer,
-			rows: make([][]Match, 0, n2), reached: make([]int, 0, n2)}
-	}
-	if n > 1 {
-		s.fan = startFanOut(n, ownerQueueDepth, func(w int, in <-chan hvnlWork) {
-			for item := range in {
-				if item.cells != nil {
-					s.shards[w].add(item.cells, item.w, item.factor)
-				} else {
-					s.shards[w].flush(item.outer)
-				}
-			}
-		})
-	}
-	return s
-}
-
-func (s *hvnlStage) add(cells []codec.Cell, w, factor float64) {
-	if s.fan == nil {
-		s.shards[0].add(cells, w, factor)
-		return
-	}
-	splitByOwner(cells, s.bounds, func(wk int, part []codec.Cell) {
-		s.routed[wk] += int64(len(part))
-		s.fan.queues[wk] <- hvnlWork{cells: part, w: w, factor: factor}
-	})
-}
-
-// flush ends one outer document; its row is filled in by collect.
-func (s *hvnlStage) flush(outer uint32) {
-	s.results = append(s.results, Result{Outer: outer})
-	if s.fan == nil {
-		s.shards[0].flush(outer)
-		return
-	}
-	for _, q := range s.fan.queues {
-		q <- hvnlWork{outer: outer}
-	}
-}
-
-// skip emits the empty row of a prefiltered outer document.
-func (s *hvnlStage) skip(outer uint32) {
-	s.results = append(s.results, Result{Outer: outer, Matches: emptyMatches()})
-}
-
-// collect fills every flushed row from the shards' per-document top-λ,
-// merging them when there are several.
-func (s *hvnlStage) collect(opts Options) []Result {
-	tel := opts.Telemetry
-	occupancy := tel.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets)
-	parts := make([][]Match, len(s.shards))
-	k := 0
-	for i := range s.results {
-		if s.results[i].Matches != nil {
-			continue // skipped by the prefilter: no shard saw it
-		}
-		reached := 0
-		for w, sh := range s.shards {
-			parts[w] = sh.rows[k]
-			reached += sh.reached[k]
-		}
-		k++
-		occupancy.Observe(int64(reached))
-		s.results[i].Matches = parts[0]
-		if len(parts) > 1 {
-			s.results[i].Matches = topk.Select(opts.Lambda, slices.Concat(parts...))
-		}
-	}
-	if tel != nil && s.fan != nil {
-		for w, c := range s.routed {
-			tel.Counter(fmt.Sprintf("join.hvnl.worker.%d.routed_cells", w)).Add(c)
-		}
-	}
-	return s.results
+	r.results = append(r.results, Result{Outer: outer, Matches: tk.Results()})
 }

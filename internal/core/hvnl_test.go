@@ -48,7 +48,7 @@ var wsjHVNLOptions = Options{Lambda: 20, MemoryPages: 11}
 
 // TestHVNLAllocationsDoNotGrowWithFetches is the go-test form of
 // alloc_kb_per_op's bound on the benchmark's hvnl_probe: a fetched entry
-// decodes into the slab of one the cache evicted, so an inline join over
+// decodes into the slab of one the cache evicted, so a join over
 // four times the outer documents, making three times the entry fetches,
 // allocates what the shorter join allocates plus its extra result rows and
 // a fixed bound. An entry allocated per fetch costs its header and cells
@@ -56,8 +56,7 @@ var wsjHVNLOptions = Options{Lambda: 20, MemoryPages: 11}
 func TestHVNLAllocationsDoNotGrowWithFetches(t *testing.T) {
 	n := int(wsjHVNLEnv(t, 0).c2.NumDocs()) / 4
 	// allocated returns the bytes a join over the first outer documents
-	// allocates beyond its result rows: per row, a Result, the stage's row
-	// and count, and the matches.
+	// allocates beyond its result rows: per row, a Result and its matches.
 	allocated := func(outer int) (bytes int64, st *Stats) {
 		e := wsjHVNLEnv(t, outer)
 		bytes = math.MaxInt64
@@ -71,7 +70,7 @@ func TestHVNLAllocationsDoNotGrowWithFetches(t *testing.T) {
 			}
 			rows := int64(0)
 			for _, r := range res {
-				rows += 32 + 24 + 8 + 16*int64(len(r.Matches))
+				rows += 32 + 16*int64(len(r.Matches))
 			}
 			bytes, st = min(bytes, int64(after.TotalAlloc-before.TotalAlloc)-rows), s
 		}
@@ -92,29 +91,35 @@ func TestHVNLAllocationsDoNotGrowWithFetches(t *testing.T) {
 	}
 }
 
-// TestHVNLFanOutMatchesInline runs the eviction-heavy configuration at
-// Workers 2 and 4 (make verify runs it under -race) against the inline
-// join, which recycles evicted entries. Fanned out, queued sub-slices of
-// an evicted entry may still be read by a worker, so that path must not
-// recycle: results and every Stats field must equal the inline run's.
-func TestHVNLFanOutMatchesInline(t *testing.T) {
-	inline, inlineStats, err := Join(HVNL, wsjHVNLEnv(t, 0).inputs(), wsjHVNLOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inlineStats.Cache.Evictions == 0 {
-		t.Fatal("no evictions: the configuration does not exercise recycling")
-	}
-	for _, workers := range []int{2, 4} {
-		par, parStats, err := joinAt(HVNL, wsjHVNLEnv(t, 0).inputs(), wsjHVNLOptions, workers)
+// TestHVNLSubsetAgainstReference joins a scattered selection subset,
+// with every entry cached and with a budget that evicts, against the
+// brute-force reference.
+func TestHVNLSubsetAgainstReference(t *testing.T) {
+	subsetIDs := []uint32{1, 2, 6, 9, 16, 23, 24, 40, 43}
+	build := func() Inputs {
+		e := buildEnv(t, 62, 38, 44, 58, 13, 128)
+		sub, err := e.c2.Subset(subsetIDs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := exactSameResults(inline, par); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		return Inputs{Outer: sub, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}
+	}
+	refIn := build()
+	scorer, err := refIn.scorer(Options{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reference(t, refIn.Outer, refIn.Inner, 4, scorer)
+	for _, opts := range []Options{
+		{Lambda: 4, MemoryPages: 4000},
+		{Lambda: 4, MemoryPages: 50},
+	} {
+		got, _, err := Join(HVNL, build(), opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if *parStats != *inlineStats {
-			t.Errorf("workers=%d: stats %+v, inline %+v", workers, *parStats, *inlineStats)
+		if err := sameResults(want, got); err != nil {
+			t.Fatalf("opts %+v: %v", opts, err)
 		}
 	}
 }
@@ -122,7 +127,7 @@ func TestHVNLFanOutMatchesInline(t *testing.T) {
 // TestHVNLOccupancyCountsReachedDocuments holds hvnl.accum.occupancy to
 // the brute-force count of inner documents each outer document shares a
 // term with, on a corpus whose rows stay sparse and rows that turn dense
-// (a quarter of a shard's ids), inline and fanned out.
+// (a quarter of the inner ids).
 func TestHVNLOccupancyCountsReachedDocuments(t *testing.T) {
 	e := buildEnv(t, 71, 60, 50, 400, 30, 256)
 	docs := func(c *collection.Collection) []*document.Document {
@@ -158,21 +163,18 @@ func TestHVNLOccupancyCountsReachedDocuments(t *testing.T) {
 	if sparse == 0 || dense == 0 {
 		t.Fatalf("%d sparse and %d dense rows, want both", sparse, dense)
 	}
-	for _, workers := range []int{0, 2} {
-		tel := telemetry.New()
-		opts := Options{Lambda: 5, MemoryPages: 4000, Telemetry: tel}
-		if _, _, err := joinAt(HVNL, e.inputs(), opts, workers); err != nil {
-			t.Fatal(err)
+	tel := telemetry.New()
+	if _, _, err := Join(HVNL, e.inputs(), Options{Lambda: 5, MemoryPages: 4000, Telemetry: tel}); err != nil {
+		t.Fatal(err)
+	}
+	var got telemetry.HistogramValue
+	for _, h := range tel.Snapshot().Histograms {
+		if h.Name == "hvnl.accum.occupancy" {
+			got = h
 		}
-		var got telemetry.HistogramValue
-		for _, h := range tel.Snapshot().Histograms {
-			if h.Name == "hvnl.accum.occupancy" {
-				got = h
-			}
-		}
-		if got.Count != e.c2.NumDocs() || got.Sum != want {
-			t.Errorf("workers=%d: occupancy %d rows summing to %d, want %d rows summing to %d",
-				workers, got.Count, got.Sum, e.c2.NumDocs(), want)
-		}
+	}
+	if got.Count != e.c2.NumDocs() || got.Sum != want {
+		t.Errorf("occupancy %d rows summing to %d, want %d rows summing to %d",
+			got.Count, got.Sum, e.c2.NumDocs(), want)
 	}
 }

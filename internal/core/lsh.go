@@ -10,8 +10,8 @@ import (
 
 // runLSH evaluates the join approximately with MinHash/banding buckets.
 // It runs the block skeleton of HHNL (same memory policy, same batch
-// boundaries, inline at every Options.Workers), but instead of scanning the whole inner
-// collection per batch, each resident outer document's band keys probe
+// boundaries, on the calling goroutine), but instead of scanning the whole
+// inner collection per batch, each resident outer document's band keys probe
 // the inner sidecar's buckets, and only the inner documents that share at
 // least one bucket with some resident outer document are read — via the
 // same filtered scan the signature prefilter uses, so pages with no

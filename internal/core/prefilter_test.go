@@ -46,21 +46,10 @@ func buildTestPrefilter(tb testing.TB, e *env, cfg signature.Config) *Prefilter 
 	return pf
 }
 
-// pfVariants are the families that honor Options.Prefilter at every
-// harness worker count, plus VVM, which must ignore it and still agree.
-func pfVariants() []diffVariant {
-	var vs []diffVariant
-	for _, v := range diffVariants() {
-		if v.alg == HHNL || v.alg == HVNL || (v.alg == VVM && v.workers == 0) {
-			vs = append(vs, v)
-		}
-	}
-	return vs
-}
-
 // TestDifferentialPrefilter runs the full prefilter axis: on every
-// shape, every prefilter-aware variant under every code must equal the
-// unfiltered serial HHNL baseline exactly.
+// shape, HHNL and HVNL, which honor Options.Prefilter, and VVM, which must
+// ignore it, must equal the unfiltered HHNL baseline exactly under every
+// code.
 func TestDifferentialPrefilter(t *testing.T) {
 	for _, shape := range diffShapes() {
 		shape := shape
@@ -71,19 +60,19 @@ func TestDifferentialPrefilter(t *testing.T) {
 				t.Fatalf("baseline HHNL: %v", err)
 			}
 			for ci, cfg := range pfTestConfigs() {
-				for _, v := range pfVariants() {
+				for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
 					e := buildDiffEnv(t, shape, 1)
 					opts := shape.options()
 					opts.Prefilter = buildTestPrefilter(t, e, cfg)
-					got, st, err := v.run(e.inputs(), opts)
+					got, st, err := Join(alg, e.inputs(), opts)
 					if err != nil {
-						t.Fatalf("cfg%d/%s: %v", ci, v.name, err)
+						t.Fatalf("cfg%d/%v: %v", ci, alg, err)
 					}
 					if err := sameResults(want, got); err != nil {
-						t.Errorf("cfg%d/%s differs from unfiltered baseline: %v", ci, v.name, err)
+						t.Errorf("cfg%d/%v differs from unfiltered baseline: %v", ci, alg, err)
 					}
-					if v.alg != VVM && !st.Prefilter.Enabled {
-						t.Errorf("cfg%d/%s: prefilter stats not marked enabled", ci, v.name)
+					if alg != VVM && !st.Prefilter.Enabled {
+						t.Errorf("cfg%d/%v: prefilter stats not marked enabled", ci, alg)
 					}
 				}
 			}
@@ -139,29 +128,52 @@ func TestPrefilterSubsetOuter(t *testing.T) {
 	}
 }
 
-// TestPrefilterStatsParity pins the coordinator-side design: every
-// prefilter decision is made on the coordinator and every document is
-// counted exactly once, so PrefilterStats at any worker count must equal
-// the inline run's byte for byte.
+// TestPrefilterStatsParity pins HVNL's prefilter accounting across its
+// three outer paths: a filtered scan planned from the outer sidecar, the
+// same sidecar over a selection of every id, and signatures computed on
+// the fly. Cluster and page aggregates are supersets of the document
+// signatures, so all three skip exactly the documents whose own signature
+// is disjoint from the inner root: DocsSkipped, FalsePasses and the
+// results must agree.
 func TestPrefilterStatsParity(t *testing.T) {
 	for _, shape := range diffShapes() {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
-			for _, alg := range []Algorithm{HHNL, HVNL} {
-				var inline PrefilterStats
-				for _, w := range []int{0, 2, 7} {
-					e := buildDiffEnv(t, shape, 1)
-					opts := shape.options()
-					opts.Prefilter = buildTestPrefilter(t, e, signature.Config{})
-					_, st, err := joinAt(alg, e.inputs(), opts, w)
+			var scan PrefilterStats
+			var want []Result
+			for _, path := range []string{"scan", "subset", "on-the-fly"} {
+				e := buildDiffEnv(t, shape, 1)
+				in := e.inputs()
+				opts := shape.options()
+				opts.Prefilter = buildTestPrefilter(t, e, signature.Config{})
+				switch path {
+				case "subset":
+					ids := make([]uint32, e.c2.NumDocs())
+					for i := range ids {
+						ids[i] = uint32(i)
+					}
+					sub, err := e.c2.Subset(ids)
 					if err != nil {
-						t.Fatalf("%v w%d: %v", alg, w, err)
+						t.Fatal(err)
 					}
-					if w == 0 {
-						inline = st.Prefilter
-					} else if st.Prefilter != inline {
-						t.Errorf("%v w%d prefilter stats diverge:\ninline %+v\nfanned %+v", alg, w, inline, st.Prefilter)
-					}
+					in.Outer = sub
+				case "on-the-fly":
+					opts.Prefilter.Outer = nil
+				}
+				got, st, err := Join(HVNL, in, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				if path == "scan" {
+					scan, want = st.Prefilter, got
+					continue
+				}
+				if st.Prefilter.DocsSkipped != scan.DocsSkipped || st.Prefilter.FalsePasses != scan.FalsePasses {
+					t.Errorf("%s: %d documents skipped, %d false passes; the filtered scan has %d and %d",
+						path, st.Prefilter.DocsSkipped, st.Prefilter.FalsePasses, scan.DocsSkipped, scan.FalsePasses)
+				}
+				if err := exactSameResults(want, got); err != nil {
+					t.Errorf("%s: %v", path, err)
 				}
 			}
 		})

@@ -19,24 +19,24 @@ import (
 // the per-request option knobs the server varies (prefilter on/off).
 type viewRequest struct {
 	name      string
-	run       func(in Inputs, opts Options) ([]Result, *Stats, error)
+	alg       Algorithm
 	prefilter bool
 }
 
-// viewRequests is the request mix: every harness variant (four families
-// at four worker counts) plus prefiltered runs of the families that honor
-// Options.Prefilter — eighteen requests, comfortably past the N>=8 the
-// serving layer needs.
+// viewRequests is the request mix: every harness family twice plus
+// prefiltered runs of the families that honor Options.Prefilter — ten
+// requests, comfortably past the N>=8 the serving layer needs.
 func viewRequests() []viewRequest {
 	var reqs []viewRequest
-	for _, v := range diffVariants() {
-		reqs = append(reqs, viewRequest{name: v.name, run: v.run})
+	for round := 1; round <= 2; round++ {
+		for _, alg := range diffFamilies {
+			reqs = append(reqs, viewRequest{name: fmt.Sprintf("%v-%d", alg, round), alg: alg})
+		}
 	}
-	reqs = append(reqs,
-		viewRequest{name: "hhnl-pf", run: diffVariant{alg: HHNL}.run, prefilter: true},
-		viewRequest{name: "hvnl-pf", run: diffVariant{alg: HVNL}.run, prefilter: true},
+	return append(reqs,
+		viewRequest{name: "HHNL-pf", alg: HHNL, prefilter: true},
+		viewRequest{name: "HVNL-pf", alg: HVNL, prefilter: true},
 	)
-	return reqs
 }
 
 // preloadIndexes forces both inverted files' one-time term-index loads
@@ -68,7 +68,7 @@ func runOnView(e *env, req viewRequest, opts Options, pf *Prefilter) ([]Result, 
 	if req.prefilter {
 		opts.Prefilter = pf
 	}
-	return req.run(in, opts)
+	return Join(req.alg, in, opts)
 }
 
 // TestConcurrentViewsMatchSerial is the tentpole check: on every shape,
@@ -169,7 +169,7 @@ func TestViewBindingIsolatesSharedHeads(t *testing.T) {
 	// already run (and closed). Head positions must be unchanged.
 	e := buildDiffEnv(t, shape, 1)
 	preloadIndexes(t, e)
-	if _, _, err := runOnView(e, viewRequest{name: "warm", run: diffVariant{alg: VVM}.run}, shape.options(), nil); err != nil {
+	if _, _, err := runOnView(e, viewRequest{name: "warm", alg: VVM}, shape.options(), nil); err != nil {
 		t.Fatal(err)
 	}
 	e.disk.ResetStats()

@@ -28,10 +28,10 @@ import (
 // M = (B − ⌈J1⌉ − ⌈J2⌉)·P, the outer collection is divided into ⌈SM/M⌉
 // ranges and both inverted files are re-scanned once per range.
 //
-// The similarity store is one accum.Store per shard for the whole join,
-// Reset between passes: a pass starts as the dense range×N1 matrix when it
-// fits M, as an open-addressing table otherwise, and the table moves into
-// the matrix once it would outgrow it — never a Go map, whose hashing
+// The similarity store is one accum.Store for the whole join, Reset
+// between passes: a pass starts as the dense range×N1 matrix when it fits
+// M, as an open-addressing table otherwise, and the table moves into the
+// matrix once it would outgrow it — never a Go map, whose hashing
 // dominated the accumulation hot loop.
 //
 // When Inputs.Outer is a selection subset, only i-cells of its documents
@@ -40,10 +40,9 @@ import (
 // even if the number of documents ... can be reduced by a selection".
 //
 // The merge scan is one sequential sweep of each inverted file per pass,
-// always on the calling goroutine. Accumulation and the top-λ emission go
-// to vvmShards: one covering the pass's whole rank range called inline,
-// or, with Options.Workers > 1, one per worker owning a contiguous block
-// of the pass's outer-id ranks.
+// and the whole join runs on the calling goroutine (DESIGN §8): each entry
+// pair is accumulated before the scan moves on, so the scanners' reuse
+// arenas suffice.
 func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if in.InnerInv == nil || in.OuterInv == nil || in.Outer == nil || in.Inner == nil {
 		return nil, nil, fmt.Errorf("%w: VVM needs both inverted files and both collections' statistics", ErrMissingInput)
@@ -64,20 +63,9 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		return nil, nil, err
 	}
 	stats := plan.stats
-	n1 := int(in.Inner.NumDocs())
-	nShards := max(1, opts.Workers)
 	tel, trace := opts.Telemetry, opts.Trace
 	occupancy := tel.Histogram("vvm.accum.occupancy", telemetry.DefaultSizeBuckets)
-
-	// Shard w owns the contiguous rank block [lo, hi) of each pass's
-	// (ascending) rangeIDs, and with it the document numbers from its
-	// first id up to the next shard's first id. Its store and trackers
-	// live for the whole join, with 1/nShards of the pass budget.
-	shards := make([]*vvmShard, nShards)
-	for w := range shards {
-		shards[w] = newVVMShard(n1, plan.passBytes/int64(nShards), opts.Lambda)
-	}
-	bounds := make([]uint32, nShards+1)
+	pass := &vvmPass{acc: accum.New(0, int(in.Inner.NumDocs()), plan.passBytes), tk: topk.New(opts.Lambda)}
 
 	results := make([]Result, 0, len(plan.outerIDs))
 	for p := 0; p < plan.passes; p++ {
@@ -87,71 +75,31 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		}
 		// The pass's rows, in place: rangeIDs ascends, so rank order is
 		// emission order.
-		passResults := results[len(results) : len(results)+len(rangeIDs)]
-		results = results[:len(results)+len(rangeIDs)]
+		n := len(results)
+		results = results[:n+len(rangeIDs)]
+		pass.begin(rangeIDs, results[n:])
 		stats.Passes++
-		set := accum.NewIDSet(rangeIDs)
-		bounds[nShards] = rangeIDs[len(rangeIDs)-1] + 1
-		for w, sh := range shards {
-			lo, hi := w*len(rangeIDs)/nShards, (w+1)*len(rangeIDs)/nShards
-			bounds[w] = rangeIDs[lo]
-			sh.begin(set, lo, rangeIDs[lo:hi], passResults[lo:hi])
-		}
 
-		// Inline, the one shard consumes each entry pair before the scan
-		// moves on, so the scanners' reuse arenas suffice. Fanned out, the
-		// entries (and sub-slices of their cells) cross worker queues and
-		// must be stable.
 		merge := trace.StartChild(reqtrace.PhaseMerge, "vvm.merge-scan")
-		accumulate := func(factor float64, e1 *invfile.Entry, cells []codec.Cell) { shards[0].add(factor, e1, cells) }
-		var fan *fanOut[vvmWork]
-		if nShards > 1 {
-			fan = startFanOut(nShards, ownerQueueDepth, func(w int, in <-chan vvmWork) {
-				for tw := range in {
-					shards[w].add(tw.factor, tw.e1, tw.cells)
-				}
-				// Blocks are disjoint slices of passResults, so the emit
-				// phase parallelizes too, without locking.
-				shards[w].emit(scorer, opts.Lambda)
-			})
-			accumulate = func(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
-				splitByOwner(cells, bounds, func(w int, part []codec.Cell) {
-					fan.queues[w] <- vvmWork{factor: factor, e1: e1, cells: part}
-				})
-			}
-		}
-		err := mergeScan(in.InnerInv, in.OuterInv, fan == nil, func(term uint32, e1, e2 *invfile.Entry) {
+		err := mergeScan(in.InnerInv, in.OuterInv, func(term uint32, e1, e2 *invfile.Entry) {
 			if factor := scorer.TermFactor(term); factor != 0 {
-				accumulate(factor, e1, e2.Cells)
+				pass.add(factor, e1, e2.Cells)
 			}
 		})
-		if fan != nil {
-			fan.wait()
-		}
 		merge.End()
 		if err != nil {
 			return nil, nil, err
 		}
 
-		if fan == nil {
-			finalize := trace.StartChild(reqtrace.PhaseFinalize, "vvm.emit-range")
-			shards[0].emit(scorer, opts.Lambda)
-			finalize.End()
-		}
-		var memBytes, pairs int64
-		for w, sh := range shards {
-			stats.Accumulations += sh.count
-			memBytes += sh.acc.Bytes()
-			pairs += sh.pairs
-			if tel != nil && fan != nil {
-				tel.Counter(fmt.Sprintf("join.vvm.worker.%d.accumulations", w)).Add(sh.count)
-			}
-		}
-		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, memBytes)
-		occupancy.Observe(pairs)
+		finalize := trace.StartChild(reqtrace.PhaseFinalize, "vvm.emit-range")
+		pass.emit(scorer, opts.Lambda)
+		finalize.End()
+		stats.Accumulations += pass.count
+		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, pass.acc.Bytes())
+		occupancy.Observe(pass.pairs)
 		if tel != nil {
 			// The regime the pass finished in: dense, table or promoted.
-			tel.Counter("join.vvm.accum." + shards[0].acc.Kind()).Add(1)
+			tel.Counter("join.vvm.accum." + pass.acc.Kind()).Add(1)
 		}
 	}
 
@@ -161,22 +109,20 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 	return results, stats, nil
 }
 
-// vvmShard accumulates and emits one contiguous rank block of each pass's
-// outer ids, in its own store. The store and the trackers are the join's;
-// the block fields are the current pass's.
-type vvmShard struct {
+// vvmPass accumulates and emits one pass's outer ids. The store and the
+// trackers are the join's; the remaining fields are the current pass's.
+type vvmPass struct {
 	acc *accum.Store
 	tk  *topk.TopK // the dense drain's one tracker
 	// rows are the table drain's per-row trackers, grown to the largest
-	// block and reused from pass to pass.
+	// pass and reused from pass to pass.
 	rows []vvmRow
 
-	set    *accum.IDSet
-	rankLo int
-	ids    []uint32 // the block's outer ids, ascending
-	out    []Result // the block's rows of the pass results
-	count  int64    // cell products accumulated
-	pairs  int64    // non-zero (outer, inner) pairs emit found
+	set   *accum.IDSet
+	ids   []uint32 // the pass's outer ids, ascending
+	out   []Result // the pass's rows of the results
+	count int64    // cell products accumulated
+	pairs int64    // non-zero (outer, inner) pairs emit found
 }
 
 // vvmRow is one outer document's state in the table drain.
@@ -186,48 +132,32 @@ type vvmRow struct {
 	tk   *topk.TopK
 }
 
-// newVVMShard returns a shard with its store for the whole join: cols
-// inner documents and budget bytes of the pass budget M.
-func newVVMShard(cols int, budget int64, lambda int) *vvmShard {
-	return &vvmShard{acc: accum.New(0, cols, budget), tk: topk.New(lambda)}
-}
-
-// begin readies the shard for a pass's block: ids at ranks rankLo.. of
-// set, emitted into out.
-func (s *vvmShard) begin(set *accum.IDSet, rankLo int, ids []uint32, out []Result) {
-	s.set, s.rankLo, s.ids, s.out = set, rankLo, ids, out
+// begin readies the pass over ids, emitted into out.
+func (s *vvmPass) begin(ids []uint32, out []Result) {
+	s.set, s.ids, s.out = accum.NewIDSet(ids), ids, out
 	s.count, s.pairs = 0, 0
 	s.acc.Reset(len(ids))
 }
 
-// vvmWork is one shard's share of a common-term entry pair: its own
-// contiguous sub-slice of the outer entry's i-cells, plus the shared
-// (read-only) inner entry.
-type vvmWork struct {
-	factor float64
-	e1     *invfile.Entry
-	cells  []codec.Cell
-}
-
 // add accumulates every (outer cell, inner cell) product of one term.
 // Cells of documents outside the pass's id set are skipped.
-func (s *vvmShard) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
+func (s *vvmPass) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
 	for _, c2 := range cells {
 		rank, ok := s.set.Rank(c2.Number)
 		if !ok {
 			continue
 		}
-		s.acc.AddCells(e1.Cells, rank-s.rankLo, float64(c2.Weight), factor)
+		s.acc.AddCells(e1.Cells, rank, float64(c2.Weight), factor)
 		s.count += int64(len(e1.Cells))
 	}
 }
 
-// emit writes the λ best matches for every outer document of the block,
+// emit writes the λ best matches for every outer document of the pass,
 // including documents with no non-zero similarity (nil Matches). ids is
 // ascending, so row order is emission order. A dense store drains row by
 // row through the one tracker; a table drains in slot order into a
 // tracker per row.
-func (s *vvmShard) emit(scorer *document.Scorer, lambda int) {
+func (s *vvmPass) emit(scorer *document.Scorer, lambda int) {
 	if s.acc.Dense() {
 		for row, id := range s.ids {
 			fin, touched := scorer.Row(id), false
@@ -327,35 +257,27 @@ func vvmPlan(in Inputs, opts Options) (*vvmPlanned, error) {
 
 // mergeScan runs one parallel scan over both inverted files, invoking fn
 // for every term present in both (e1 from inner/C1, e2 from outer/C2).
-//
-// With reuse, entries are yielded from the scanners' arenas and are valid
-// only for the duration of fn; a caller whose fn retains entries or
-// sub-slices of their cells must pass reuse=false to get stable, freshly
-// allocated entries.
-func mergeScan(inner, outer *invfile.InvertedFile, reuse bool, fn func(term uint32, e1, e2 *invfile.Entry)) error {
+// Entries are yielded from the scanners' arenas and are valid only for the
+// duration of fn.
+func mergeScan(inner, outer *invfile.InvertedFile, fn func(term uint32, e1, e2 *invfile.Entry)) error {
 	s1 := inner.Scan()
 	s2 := outer.Scan()
-	next1, next2 := s1.Next, s2.Next
-	if reuse {
-		next1, next2 = s1.NextReuse, s2.NextReuse
-	}
-	e1, err1 := next1()
-	e2, err2 := next2()
+	e1, err1 := s1.NextReuse()
+	e2, err2 := s2.NextReuse()
 	for err1 == nil && err2 == nil {
 		switch {
 		case e1.Term < e2.Term:
-			e1, err1 = next1()
+			e1, err1 = s1.NextReuse()
 		case e1.Term > e2.Term:
-			e2, err2 = next2()
+			e2, err2 = s2.NextReuse()
 		default:
 			fn(e1.Term, e1, e2)
-			e1, err1 = next1()
-			e2, err2 = next2()
+			e1, err1 = s1.NextReuse()
+			e2, err2 = s2.NextReuse()
 		}
 	}
 	// Drain the longer file so both scans cost their full sequential
-	// sweep, as the paper's one-scan cost I1 + I2 assumes. Drained
-	// entries are discarded, so the reuse path always applies.
+	// sweep, as the paper's one-scan cost I1 + I2 assumes.
 	for err1 == nil {
 		_, err1 = s1.NextReuse()
 	}

@@ -80,10 +80,11 @@ type item struct {
 //
 // Put allocates nothing once the cache has held as many entries as it
 // holds: a removed item is kept for the next insertion, and the evicted
-// terms come back in a buffer the next Put overwrites. With Recycle, the
-// entries themselves are recycled as well: an evicted entry goes onto a
-// short free list, and Spare hands its cell slab to the next miss to
-// decode into.
+// terms come back in a buffer the next Put overwrites. The entries
+// themselves are recycled as well: an evicted entry goes onto a short free
+// list, and Spare hands its cell slab to the next miss to decode into. An
+// evicted entry is the cache's to overwrite, so a caller must hold no
+// cached entry, nor any sub-slice of its cells, past the next Put.
 type Cache struct {
 	policy   Policy
 	budget   int64
@@ -96,8 +97,7 @@ type Cache struct {
 
 	spareItems []*item
 	evicted    []uint32
-	recycle    bool
-	spares     []*invfile.Entry // evicted entries, while recycling
+	spares     []*invfile.Entry // evicted entries, for Spare
 
 	// Telemetry counters keyed by policy name, resolved once by
 	// SetTelemetry; nil (no-op) when telemetry is disabled.
@@ -183,15 +183,9 @@ func (c *Cache) Get(term uint32) (*invfile.Entry, bool) {
 // the misses in between.
 const maxSpares = 16
 
-// Recycle turns entry recycling on: from now on an entry the cache evicts
-// is the cache's to overwrite, so the caller must keep no reference to a
-// cached entry, nor to a sub-slice of its cells, past the next Put. A
-// caller that hands cells to other goroutines must not recycle.
-func (c *Cache) Recycle() { c.recycle = true }
-
-// Spare returns an entry for the next miss to decode into: while
-// recycling, the last evicted entry on the free list, whose cell slab the
-// decode reuses (or outgrows); otherwise a new entry.
+// Spare returns an entry for the next miss to decode into: the last
+// evicted entry on the free list, whose cell slab the decode reuses (or
+// outgrows), or a new entry when the list is empty.
 func (c *Cache) Spare() *invfile.Entry {
 	last := len(c.spares) - 1
 	if last < 0 {
@@ -220,7 +214,7 @@ func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 	c.evicted = c.evicted[:0]
 	for c.used+size > c.budget {
 		victim := c.heap.items[0]
-		if c.recycle && len(c.spares) < maxSpares {
+		if len(c.spares) < maxSpares {
 			c.spares = append(c.spares, victim.entry)
 		}
 		c.evicted = append(c.evicted, victim.term)

@@ -171,42 +171,33 @@ func TestRemove(t *testing.T) {
 }
 
 // TestRecycleHandsOutEvictedEntries pins the storage half of the cache:
-// with Recycle, Spare hands out the entries eviction released, last first;
-// without it, fresh ones, leaving evicted entries alone. Either way, once
-// the cache has held as many entries as it holds, a miss's Spare and Put
-// allocate nothing.
+// Spare hands out the entries eviction released, last first, then fresh
+// ones; and once the cache has held as many entries as it holds, a miss's
+// Spare and Put allocate nothing.
 func TestRecycleHandsOutEvictedEntries(t *testing.T) {
-	for _, recycle := range []bool{false, true} {
-		c := New(30, LRU, nil)
-		if recycle {
-			c.Recycle()
-		}
-		a, b := entry(1, 4), entry(2, 4)
-		c.Put(1, a, 10)
-		c.Put(2, b, 10)
-		c.Put(3, entry(3, 4), 10)
-		c.Put(4, entry(4, 4), 20) // evicts 1, then 2
-		if got := c.Spare(); (got == b) != recycle || got == a {
-			t.Errorf("recycle=%v: Spare = %p, want %p (b) only while recycling", recycle, got, b)
-		}
-		if got := c.Spare(); (got == a) != recycle {
-			t.Errorf("recycle=%v: second Spare = %p, want %p (a) only while recycling", recycle, got, a)
-		}
-		if !recycle && (a.Term != 1 || b.Term != 2) {
-			t.Error("evicted entries changed without recycling")
-		}
-		if !recycle {
-			continue
-		}
-		term := uint32(10)
-		if allocs := testing.AllocsPerRun(100, func() {
-			term++
-			e := c.Spare()
-			e.Term = term
-			c.Put(term, e, 10)
-		}); allocs != 0 {
-			t.Errorf("a recycled miss allocates %.0f objects, want 0", allocs)
-		}
+	c := New(30, LRU, nil)
+	a, b := entry(1, 4), entry(2, 4)
+	c.Put(1, a, 10)
+	c.Put(2, b, 10)
+	c.Put(3, entry(3, 4), 10)
+	c.Put(4, entry(4, 4), 20) // evicts 1, then 2
+	if got := c.Spare(); got != b {
+		t.Errorf("Spare = %p, want %p (b, evicted last)", got, b)
+	}
+	if got := c.Spare(); got != a {
+		t.Errorf("second Spare = %p, want %p (a)", got, a)
+	}
+	if got := c.Spare(); got == a || got == b {
+		t.Errorf("third Spare = %p, want a fresh entry once the free list is empty", got)
+	}
+	term := uint32(10)
+	if allocs := testing.AllocsPerRun(100, func() {
+		term++
+		e := c.Spare()
+		e.Term = term
+		c.Put(term, e, 10)
+	}); allocs != 0 {
+		t.Errorf("a recycled miss allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -527,8 +527,7 @@ func (s *Scanner) NextReuse() (*Entry, error) {
 }
 
 // Next returns the next entry, or io.EOF after the last one. The entry is
-// freshly allocated and safe to retain (HVNL's preload caches it; parallel
-// VVM keeps it in flight across workers).
+// freshly allocated and safe to retain (HVNL's preload caches it).
 func (s *Scanner) Next() (*Entry, error) {
 	e, err := s.NextReuse()
 	if err != nil {

@@ -79,7 +79,6 @@ type family struct {
 //	                               → textjoin_iosim_file_{seq,rand}_reads_total /
 //	                                 textjoin_iosim_file_{writes,faults}_total {file}
 //	cache.<policy>.<event>         → textjoin_entrycache_<event>_total {policy}
-//	join.<alg>.worker.<n>.<stat>   → textjoin_join_<alg>_worker_<stat>_total {worker}
 //	join.<alg>.accum.<kind>        → textjoin_join_<alg>_accum_total   {kind}
 //	join.<alg>.<stat>              → textjoin_join_<alg>_<stat>_total
 //	plan.chosen.<alg>              → textjoin_plan_chosen_total        {alg}
@@ -115,10 +114,6 @@ func mapCounter(name string) (string, []labelPair) {
 		if len(parts) >= 3 {
 			alg := sanitize(parts[1])
 			switch {
-			case parts[2] == "worker" && len(parts) >= 5:
-				stat := sanitize(strings.Join(parts[4:], "_"))
-				return Namespace + "_join_" + alg + "_worker_" + stat + "_total",
-					[]labelPair{{"worker", parts[3]}}
 			case parts[2] == "accum" && len(parts) == 4:
 				return Namespace + "_join_" + alg + "_accum_total",
 					[]labelPair{{"kind", parts[3]}}

@@ -20,7 +20,6 @@ func demoCollector() *telemetry.Collector {
 	c.Counter("cache.min-outer-df.misses").Add(9)
 	c.Counter("join.hvnl.outer_docs").Add(100)
 	c.Counter("join.hvnl.io.seq").Add(55)
-	c.Counter("join.hvnl.worker.3.routed_cells").Add(1000)
 	c.Counter("join.vvm.accum.flat").Add(2)
 	c.Counter("plan.chosen.hvnl").Add(1)
 	c.Counter("query.statements").Add(5)
@@ -50,7 +49,6 @@ func TestEncodeNaming(t *testing.T) {
 		`textjoin_entrycache_misses_total{policy="min-outer-df"} 9`,
 		`textjoin_join_hvnl_outer_docs_total 100`,
 		`textjoin_join_hvnl_io_seq_total 55`,
-		`textjoin_join_hvnl_worker_routed_cells_total{worker="3"} 1000`,
 		`textjoin_join_vvm_accum_total{kind="flat"} 2`,
 		`textjoin_plan_chosen_total{alg="hvnl"} 1`,
 		`textjoin_query_statements_total 5`,

@@ -12,7 +12,7 @@ import "textjoin/internal/telemetry"
 //	probe    — per-outer-document index probing (HVNL)
 //	score    — similarity computation over resident documents (HHNL)
 //	flush    — per-document/per-pass accumulator drain into top-λ
-//	merge    — merge-scan of inverted files (VVM) or per-worker merges
+//	merge    — merge-scan of inverted files (VVM)
 //	finalize — result emission
 //
 // The serving path adds its own around them: request (every root),

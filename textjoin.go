@@ -79,7 +79,7 @@ type (
 	// Inputs bundles the representations a join consumes.
 	Inputs = core.Inputs
 	// Options configures a join run (λ, memory budget, weighting,
-	// workers, ...).
+	// prefilter, ...).
 	Options = core.Options
 	// Result holds one outer document's λ best matches.
 	Result = core.Result
@@ -461,18 +461,15 @@ var (
 // Join runs one of the four join families: the paper's exact HHNL, HVNL
 // and VVM, or the approximate LSH join (candidate pairs from shared
 // MinHash buckets — Options.LSH must carry the inner sidecar — verified
-// with the exact scorer: perfect precision, bounded recall).
-// Options.Workers > 1 fans HVNL's and VVM's CPU work out over that many
-// goroutines (further-studies item 3; HHNL and LSH run on one at any
-// value); I/O stays on the calling goroutine, so results and JoinStats
-// are the same at every worker count.
+// with the exact scorer: perfect precision, bounded recall). Every join
+// runs on the calling goroutine; concurrent joins, each on its own
+// Workspace.Snapshot view, are what use more cores.
 func Join(alg Algorithm, in Inputs, opts Options) ([]Result, *JoinStats, error) {
 	return core.Join(alg, in, opts)
 }
 
 // JoinIntegrated estimates all three costs and runs the cheapest
-// algorithm — the paper's integrated algorithm — with the given options,
-// Workers included.
+// algorithm — the paper's integrated algorithm — with the given options.
 func JoinIntegrated(in Inputs, opts Options) ([]Result, *JoinStats, Decision, error) {
 	return core.JoinIntegrated(in, opts)
 }

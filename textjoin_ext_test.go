@@ -6,70 +6,8 @@ import (
 	"testing"
 )
 
-// Tests for the public surface of the extensions (parallel joins,
-// clustered ordering, extended cost model).
-
-func TestPublicParallelJoins(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	ws := NewWorkspace(WithPageSize(256))
-	c1, err := ws.NewCollection("c1", randomDocuments(r, 25, 50, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ws.NewCollection("c2", randomDocuments(r, 20, 50, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv1, err := ws.BuildInvertedFile(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv2, err := ws.BuildInvertedFile(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := Inputs{Outer: c2, Inner: c1, InnerInv: inv1, OuterInv: inv2}
-	opts := Options{Lambda: 4, MemoryPages: 100}
-
-	serial, _, err := Join(HHNL, in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fanned := opts
-	fanned.Workers = 4
-	parallel, _, err := Join(HHNL, in, fanned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("row counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Outer != parallel[i].Outer || len(serial[i].Matches) != len(parallel[i].Matches) {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-
-	vs, _, err := Join(VVM, in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fanned.Workers = 3
-	vp, _, err := Join(VVM, in, fanned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vs {
-		if vs[i].Outer != vp[i].Outer || len(vs[i].Matches) != len(vp[i].Matches) {
-			t.Fatalf("VVM row %d differs", i)
-		}
-		for j := range vs[i].Matches {
-			if vs[i].Matches[j].Doc != vp[i].Matches[j].Doc {
-				t.Fatalf("VVM row %d match %d differs", i, j)
-			}
-		}
-	}
-}
+// Tests for the public surface of the extensions (clustered ordering,
+// extended cost model).
 
 func TestPublicClusterCollection(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
