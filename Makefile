@@ -22,7 +22,9 @@ test: build
 # joins run concurrently on views of one disk, each on its caller's
 # goroutine), the accumulator layer the joins share, the entry cache HVNL
 # drives and the inverted file and paged store under it (ReadSpan hands
-# concurrent views aliases of the shared page images), the telemetry
+# concurrent views aliases of the shared page images), the term tables
+# concurrent views read once memoized (B+tree image, document frequencies,
+# idf and norms, and the scorer that holds them), the telemetry
 # collector whose counters and histograms they all add to, the request
 # tracer whose span tree is the only timing any of them takes and the
 # flight recorder that keeps the finished trees, the SLO engine computing
@@ -39,7 +41,7 @@ verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
-	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./internal/analysis/... ./cmd/textjoind/...
+	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./internal/analysis/... ./cmd/textjoind/...
 
 # lint runs the repo's own static-analysis suite over the whole module:
 # seven analyzers driven by the checked-in policy table in

@@ -12,7 +12,8 @@
 //     sparse, so draining costs O(non-zero) — preserving the paper's "only
 //     non-zero similarities are stored" accounting — and no list once a
 //     quarter of the ids are touched, so each accumulation is a single
-//     indexed add and the drain a scan.
+//     indexed add and the row is finished by a scan, in place (Row) or
+//     through Drain.
 //   - Store is VVM's: one per join, Reset between passes. It has
 //     two representations and picks between them by size, not by an
 //     expected population. A pass starts as the dense rows×cols matrix
@@ -89,6 +90,15 @@ func (f *Flat) AddCells(cells []codec.Cell, w, factor float64) {
 		cells = f.addListed(cells, w, factor)
 	}
 	vals := f.vals // a local: the loop is the joins' hottest
+	// Four cells per step behind one bounds check on cells; the adds stay
+	// in cell order, so a repeated id sums exactly as one Add per cell.
+	for ; len(cells) >= 4; cells = cells[4:] {
+		c := cells[:4:4]
+		vals[c[0].Number] += (w * float64(c[0].Weight)) * factor
+		vals[c[1].Number] += (w * float64(c[1].Weight)) * factor
+		vals[c[2].Number] += (w * float64(c[2].Weight)) * factor
+		vals[c[3].Number] += (w * float64(c[3].Weight)) * factor
+	}
 	for _, c := range cells {
 		vals[c.Number] += (w * float64(c.Weight)) * factor
 	}
@@ -113,6 +123,14 @@ func (f *Flat) addListed(cells []codec.Cell, w, factor float64) []codec.Cell {
 	f.touched = touched
 	return nil
 }
+
+// Dense reports whether the row has stopped listing, so Row applies.
+func (f *Flat) Dense() bool { return f.dense }
+
+// Row returns a dense row's values, indexed by id, zero for the untouched:
+// a caller finishes the row by reading it in place, in id order — the
+// order Drain would hand it out in — and then calls Reset.
+func (f *Flat) Row() []float64 { return f.vals }
 
 // Drain returns every id holding a non-zero value, with that value, and
 // readies the accumulator for the next streamed document: sparse, in

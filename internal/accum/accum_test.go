@@ -1,6 +1,7 @@
 package accum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -279,14 +280,98 @@ func TestFlatDenseTakeThenReset(t *testing.T) {
 	sameBits(t, "next row", drained(t, f), map[uint32]float64{6: 1})
 }
 
+// TestFlatRowInPlace is the other dense finish, HVNL's: while dense, Row
+// holds every value at its id, and Reset leaves the next row listed and
+// clean.
+func TestFlatRowInPlace(t *testing.T) {
+	f := NewFlat(8) // dense at the second listed id
+	f.Add(1, 2)
+	if f.Dense() {
+		t.Fatal("one id of eight: want sparse")
+	}
+	f.Add(5, 3)
+	if !f.Dense() {
+		t.Fatal("two ids of eight: want dense")
+	}
+	want := []float64{0, 2, 0, 0, 0, 3, 0, 0}
+	for id, v := range f.Row() {
+		if v != want[id] {
+			t.Fatalf("Row() = %v, want %v", f.Row(), want)
+		}
+	}
+	f.Reset()
+	f.Add(6, 1)
+	if f.Dense() {
+		t.Fatal("Reset must return the row to the sparse regime")
+	}
+	sameBits(t, "next row", drained(t, f), map[uint32]float64{6: 1})
+}
+
 // TestAddCellsEqualsAdds pins the one kernel: for every store, AddCells
 // leaves what the same stream of Add calls leaves, each product associated
 // (w·weight)·factor — bit for bit. For Flat the drained (id, bits) multiset
 // is compared, over rows that stay sparse and rows that turn dense in the
 // middle of an AddCells call; both must occur.
 // Factors are irrational-looking so a different association would round
-// differently; one term in eight has factor 0.
+// differently; one term in eight has factor 0. Flat's four-wide loop gets
+// fixed cases too: every cell count 0–9 in each regime, ids repeating inside
+// a group of four, and calls whose switch to dense leaves each remainder
+// mod 4 for the loop.
 func TestAddCellsEqualsAdds(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	// flatCase feeds pre through Add to both Flats, then cells through one
+	// AddCells and through one Add per cell, and compares the drained rows.
+	flatCase := func(name string, n int, pre, cells []codec.Cell, wantDense bool) {
+		t.Helper()
+		flat, ref := NewFlat(n), NewFlat(n)
+		w, factor := float64(1+r.Intn(60000)), math.Sqrt(r.Float64()*9)
+		for _, c := range pre {
+			flat.Add(c.Number, float64(c.Weight))
+			ref.Add(c.Number, float64(c.Weight))
+		}
+		flat.AddCells(cells, w, factor)
+		for _, c := range cells {
+			ref.Add(c.Number, (w*float64(c.Weight))*factor)
+		}
+		if flat.Dense() != wantDense {
+			t.Fatalf("%s: dense = %v, want %v", name, flat.Dense(), wantDense)
+		}
+		got, want := drained(t, flat), drained(t, ref)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d ids drained, Add leaves %d", name, len(got), len(want))
+		}
+		for id, bits := range want {
+			if got[id] != bits {
+				t.Fatalf("%s: id %d = %v, Add leaves %v", name, id, math.Float64frombits(got[id]), math.Float64frombits(bits))
+			}
+		}
+	}
+	cellsOf := func(ids []int) []codec.Cell {
+		cells := make([]codec.Cell, len(ids))
+		for i, id := range ids {
+			cells[i] = codec.Cell{Number: uint32(id), Weight: uint16(1 + r.Intn(60000))}
+		}
+		return cells
+	}
+	for count := 0; count <= 9; count++ {
+		ids := make([]int, count) // drawn with repeats
+		for i := range ids {
+			ids[i] = r.Intn(12)
+		}
+		flatCase(fmt.Sprintf("sparse, %d cells", count), 64, nil, cellsOf(ids), false)                          // limit 16: stays listed
+		flatCase(fmt.Sprintf("dense, %d cells", count), 16, cellsOf([]int{12, 13, 14, 15}), cellsOf(ids), true) // limit 4: dense before the call
+	}
+	// Limit 16; 15−k ids already listed, so the call's cell k is the 16th
+	// listed id and the four-wide loop gets the 19−k cells after it.
+	for k := 0; k < 8; k++ {
+		fresh := cellsOf(r.Perm(32)[:20])
+		pre := make([]codec.Cell, 0, 15-k)
+		for id := 32; len(pre) < 15-k; id++ {
+			pre = append(pre, codec.Cell{Number: uint32(id), Weight: 1})
+		}
+		flatCase(fmt.Sprintf("switch at cell %d", k), 64, pre, fresh, true)
+	}
+
 	regimes := map[bool]int{}
 	check := func(seed int64, rows8, cols8 uint8) bool {
 		rows, cols := int(rows8%20)+1, int(cols8%50)+1
@@ -553,5 +638,49 @@ func TestIDSetQuick(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkFlatAddCells times the one kernel the joins call, per cell, over
+// as many ids as hvnl_probe's inner collection (6 171). Sparse: a term of 64
+// cells into a listed row, which Reset clears after each call. Dense: a term
+// of 1 000 cells into a row past its n/4 limit. Both must allocate nothing.
+//
+//	go test -run '^$' -bench FlatAddCells -benchmem ./internal/accum
+func BenchmarkFlatAddCells(b *testing.B) {
+	const n = 6171
+	r := rand.New(rand.NewSource(1))
+	term := func(k int) []codec.Cell {
+		ids := r.Perm(n)[:k]
+		sort.Ints(ids)
+		cells := make([]codec.Cell, k)
+		for i, id := range ids {
+			cells[i] = codec.Cell{Number: uint32(id), Weight: uint16(1 + r.Intn(8))}
+		}
+		return cells
+	}
+	for _, bc := range []struct {
+		name  string
+		cells int
+		dense bool
+	}{{"sparse", 64, false}, {"dense", 1000, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cells, f := term(bc.cells), NewFlat(n)
+			if bc.dense {
+				f.AddCells(term(n/4), 1, 1)
+			}
+			if f.Dense() != bc.dense {
+				b.Fatalf("dense = %v, want %v", f.Dense(), bc.dense)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.AddCells(cells, 3, 0.5)
+				if !bc.dense {
+					f.Reset()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cells)), "ns/cell")
+		})
 	}
 }

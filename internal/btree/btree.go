@@ -286,44 +286,56 @@ func (t *BTree) Scan(fn func(codec.BTreeCell) error) error {
 }
 
 // MemIndex is the in-memory image of a B+tree: the paper's algorithms load
-// the whole tree before probing the inverted file.
+// the whole tree before probing the inverted file, which then "decides for
+// free whether a term appears".
 type MemIndex struct {
 	cells []codec.BTreeCell
-	// byTerm gives O(1) lookups; cells stays sorted for ordered walks.
-	byTerm map[uint32]int
+	// pos[t] is one more than term t's position in cells, 0 when t is
+	// absent. Term numbers are dense (a dictionary numbers terms from 0),
+	// so a lookup is one slice read; cells stays sorted for ordered walks.
+	pos []int32
 }
 
 // LoadAll reads the leaf region sequentially (the paper's one-time cost of
 // Bt page reads) and returns the in-memory index.
 func (t *BTree) LoadAll() (*MemIndex, error) {
-	idx := &MemIndex{
-		cells:  make([]codec.BTreeCell, 0, t.cellCount),
-		byTerm: make(map[uint32]int, t.cellCount),
-	}
+	cells := make([]codec.BTreeCell, 0, t.cellCount)
 	err := t.Scan(func(c codec.BTreeCell) error {
-		idx.byTerm[c.Term] = len(idx.cells)
-		idx.cells = append(idx.cells, c)
+		cells = append(cells, c)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return idx, nil
+	return NewMemIndex(cells), nil
 }
 
 // NewMemIndex builds an index directly from sorted cells without touching
 // storage (used by builders that already hold the term list).
 func NewMemIndex(cells []codec.BTreeCell) *MemIndex {
-	idx := &MemIndex{cells: cells, byTerm: make(map[uint32]int, len(cells))}
+	var top uint32
+	for _, c := range cells {
+		top = max(top, c.Term+1)
+	}
+	idx := &MemIndex{cells: cells, pos: make([]int32, top)}
 	for i, c := range cells {
-		idx.byTerm[c.Term] = i
+		idx.pos[c.Term] = int32(i + 1)
 	}
 	return idx
 }
 
+// Pos returns term's position in Cells, if present.
+func (m *MemIndex) Pos(term uint32) (int, bool) {
+	if int(term) >= len(m.pos) {
+		return 0, false
+	}
+	p := int(m.pos[term])
+	return p - 1, p != 0
+}
+
 // Lookup returns the cell for term, if present.
 func (m *MemIndex) Lookup(term uint32) (codec.BTreeCell, bool) {
-	i, ok := m.byTerm[term]
+	i, ok := m.Pos(term)
 	if !ok {
 		return codec.BTreeCell{}, false
 	}
@@ -332,8 +344,7 @@ func (m *MemIndex) Lookup(term uint32) (codec.BTreeCell, bool) {
 
 // Contains reports whether term is indexed.
 func (m *MemIndex) Contains(term uint32) bool {
-	_, ok := m.byTerm[term]
-	return ok
+	return int(term) < len(m.pos) && m.pos[term] != 0
 }
 
 // Len returns the number of indexed terms.

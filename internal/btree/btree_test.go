@@ -282,8 +282,20 @@ func TestLoadAll(t *testing.T) {
 	if idx.Contains(0) {
 		t.Error("Contains(absent) = true")
 	}
+	for _, past := range []uint32{terms[len(terms)-1] + 1, codec.MaxNumber} {
+		if _, ok := idx.Lookup(past); ok || idx.Contains(past) {
+			t.Errorf("term %d past the largest: found", past)
+		}
+	}
+	if i, ok := idx.Pos(terms[7]); !ok || i != 7 {
+		t.Errorf("Pos(%d) = %d, %v, want 7", terms[7], i, ok)
+	}
 	if got := len(idx.Cells()); got != len(terms) {
 		t.Errorf("Cells len = %d", got)
+	}
+	empty := NewMemIndex(nil)
+	if _, ok := empty.Lookup(0); ok || empty.Contains(0) || empty.Len() != 0 {
+		t.Error("an empty index finds term 0")
 	}
 }
 

@@ -68,29 +68,33 @@ type DocRef struct {
 }
 
 // Collection is an immutable, fully built document collection.
+//
+// Its term tables are slices indexed by term number, which assumes what a
+// dictionary guarantees: term numbers are dense from 0 (termmap numbers
+// them so), so a table is as long as the largest term number plus one.
 type Collection struct {
 	name  string
 	file  *iosim.File
 	refs  []DocRef
 	stats Stats
-	df    map[uint32]int64
+	// df[t] is term t's document frequency, 0 when t is absent; 4 bytes
+	// suffice because N is below 2^24 (codec.MaxNumber).
+	df    []uint32
 	norms []float64
 
 	// der holds the lazily built derived tables behind a pointer shared
 	// by every view-bound copy of the collection, so WithView can return
 	// a shallow copy (no sync.Once is ever copied) and the O(N)/O(T)
-	// maps are still built exactly once per collection.
+	// tables are still built exactly once per collection.
 	der *derived
 }
 
-// derived memoizes tables built once on first use and shared afterwards
-// (every cosine/tf-idf join used to rebuild these O(N)/O(T) maps per
-// call).
+// derived memoizes tables built once on first use and shared afterwards.
 type derived struct {
 	normOnce sync.Once
 	normMap  map[uint32]float64
 	idfOnce  sync.Once
-	idfMap   map[uint32]float64
+	idf      []float64
 }
 
 // Builder accumulates documents into a collection file. Documents must be
@@ -101,7 +105,7 @@ type Builder struct {
 	file     *iosim.File
 	w        *iosim.Writer
 	refs     []DocRef
-	df       map[uint32]int64
+	df       []uint32
 	norms    []float64
 	cells    int64
 	finished bool
@@ -118,8 +122,30 @@ func NewBuilder(name string, file *iosim.File) (*Builder, error) {
 		name: name,
 		file: file,
 		w:    file.Writer(),
-		df:   make(map[uint32]int64),
 	}, nil
+}
+
+// countTerms adds one document's terms to the document-frequency table df,
+// growing it to cover them.
+func countTerms(df []uint32, cells []document.Cell) []uint32 {
+	for _, c := range cells {
+		if int(c.Term) >= len(df) {
+			df = append(df, make([]uint32, int(c.Term)+1-len(df))...)
+		}
+		df[c.Term]++
+	}
+	return df
+}
+
+// distinctTerms returns T, the number of terms df counts.
+func distinctTerms(df []uint32) int64 {
+	var t int64
+	for _, n := range df {
+		if n != 0 {
+			t++
+		}
+	}
+	return t
 }
 
 // Add appends one document. The document id must equal the number of
@@ -145,9 +171,7 @@ func (b *Builder) Add(d *document.Document) error {
 		return err
 	}
 	b.refs = append(b.refs, DocRef{Off: off, Len: int32(len(b.buf)), Terms: int32(len(d.Cells))})
-	for _, c := range d.Cells {
-		b.df[c.Term]++
-	}
+	b.df = countTerms(b.df, d.Cells)
 	b.norms = append(b.norms, d.Norm())
 	b.cells += int64(len(d.Cells))
 	return nil
@@ -165,7 +189,7 @@ func (b *Builder) Finish() (*Collection, error) {
 	n := int64(len(b.refs))
 	stats := Stats{
 		N:          n,
-		T:          int64(len(b.df)),
+		T:          distinctTerms(b.df),
 		TotalCells: b.cells,
 		Bytes:      b.w.Offset(),
 		D:          b.file.Pages(),
@@ -196,7 +220,6 @@ func Open(name string, file *iosim.File, expectedDocs int64) (*Collection, error
 	c := &Collection{
 		name:  name,
 		file:  file,
-		df:    make(map[uint32]int64),
 		stats: Stats{PageSize: file.PageSize()},
 		der:   &derived{},
 	}
@@ -235,15 +258,13 @@ func Open(name string, file *iosim.File, expectedDocs int64) (*Collection, error
 		buf = buf[consumed:]
 		d := document.FromRecord(rec)
 		c.refs = append(c.refs, DocRef{Off: off, Len: int32(consumed), Terms: int32(len(d.Cells))})
-		for _, cell := range d.Cells {
-			c.df[cell.Term]++
-		}
+		c.df = countTerms(c.df, d.Cells)
 		c.norms = append(c.norms, d.Norm())
 		c.stats.TotalCells += int64(len(d.Cells))
 		off += consumed
 	}
 	c.stats.N = expectedDocs
-	c.stats.T = int64(len(c.df))
+	c.stats.T = distinctTerms(c.df)
 	c.stats.Bytes = off
 	c.stats.D = file.Pages()
 	if expectedDocs > 0 {
@@ -276,22 +297,24 @@ func (c *Collection) Ref(id uint32) (DocRef, error) {
 
 // DF returns the document frequency of term (paper: "the frequency of a
 // term in a collection [is] the number of documents containing the term").
-func (c *Collection) DF(term uint32) int64 { return c.df[term] }
-
-// DFMap returns the full document-frequency table; callers must not modify
-// it.
-func (c *Collection) DFMap() map[uint32]int64 { return c.df }
+func (c *Collection) DF(term uint32) int64 {
+	if int(term) >= len(c.df) {
+		return 0
+	}
+	return int64(c.df[term])
+}
 
 // HasTerm reports whether term occurs anywhere in the collection.
-func (c *Collection) HasTerm(term uint32) bool { return c.df[term] > 0 }
+func (c *Collection) HasTerm(term uint32) bool { return c.DF(term) > 0 }
 
 // Terms returns all distinct terms in ascending order.
 func (c *Collection) Terms() []uint32 {
-	terms := make([]uint32, 0, len(c.df))
-	for t := range c.df {
-		terms = append(terms, t)
+	terms := make([]uint32, 0, c.stats.T)
+	for t, n := range c.df {
+		if n != 0 {
+			terms = append(terms, uint32(t))
+		}
 	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
 	return terms
 }
 
@@ -304,7 +327,17 @@ func (c *Collection) Norm(id uint32) float64 {
 	return c.norms[id]
 }
 
-// Norms returns the norm table keyed by document id, for cosine scoring.
+// DocNorms returns every document's pre-computed norm, indexed by id, for
+// cosine scoring: non-nil, even for an empty collection, since a nil table
+// means "no norms" to document.NewScorer. Callers must not modify it.
+func (c *Collection) DocNorms() []float64 {
+	if c.norms == nil {
+		return []float64{}
+	}
+	return c.norms
+}
+
+// Norms returns the norm table keyed by document id (Reader interface).
 // The table is computed once and the same map is returned on every call;
 // callers must not modify it.
 func (c *Collection) Norms() map[uint32]float64 {
@@ -318,18 +351,18 @@ func (c *Collection) Norms() map[uint32]float64 {
 	return c.der.normMap
 }
 
-// IDFMap returns idf weights for every term, for tf-idf scoring. The table
-// is computed once and the same map is returned on every call; callers
-// must not modify it.
-func (c *Collection) IDFMap() map[uint32]float64 {
+// IDF returns every term's idf weight, indexed by term number and 0 for a
+// term the collection lacks, for tf-idf scoring. The table is computed once
+// and the same slice is returned on every call; callers must not modify it.
+func (c *Collection) IDF() []float64 {
 	c.der.idfOnce.Do(func() {
-		m := make(map[uint32]float64, len(c.df))
+		idf := make([]float64, len(c.df))
 		for term, df := range c.df {
-			m[term] = document.IDF(c.stats.N, df)
+			idf[term] = document.IDF(c.stats.N, int64(df))
 		}
-		c.der.idfMap = m
+		c.der.idf = idf
 	})
-	return c.der.idfMap
+	return c.der.idf
 }
 
 // Fetch reads document id with a random access, touching the ⌈S⌉-ish pages

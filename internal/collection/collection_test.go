@@ -160,8 +160,8 @@ func TestDocumentFrequencies(t *testing.T) {
 	if len(terms) != 3 || terms[0] != 1 || terms[1] != 2 || terms[2] != 3 {
 		t.Errorf("Terms = %v", terms)
 	}
-	idf := c.IDFMap()
-	if idf[2] >= idf[1] {
+	idf := c.IDF()
+	if len(idf) != 4 || idf[0] != 0 || idf[2] >= idf[1] {
 		t.Errorf("idf common %v should be < idf rare %v", idf[2], idf[1])
 	}
 }
@@ -179,6 +179,9 @@ func TestNorms(t *testing.T) {
 	norms := c.Norms()
 	if len(norms) != 1 || norms[0] != c.Norm(0) {
 		t.Errorf("Norms = %v", norms)
+	}
+	if dn := c.DocNorms(); len(dn) != 1 || dn[0] != c.Norm(0) {
+		t.Errorf("DocNorms = %v", dn)
 	}
 }
 
@@ -348,8 +351,8 @@ func TestReaderAccessors(t *testing.T) {
 	if r.File() != c.File() || r.BaseStats() != c.Stats() {
 		t.Error("collection reader accessors wrong")
 	}
-	if len(c.DFMap()) != 2 {
-		t.Errorf("DFMap = %v", c.DFMap())
+	if c.Stats().T != 2 {
+		t.Errorf("T = %d, want 2", c.Stats().T)
 	}
 	// Subset delegates to the base collection.
 	sub, err := c.Subset([]uint32{1})

@@ -81,24 +81,31 @@ type kernelScorer struct {
 // without a weight, so its factor is 0.
 func kernelScorers(t *testing.T, r *rand.Rand, resident, streamed []document.Document, vocab int) []kernelScorer {
 	t.Helper()
-	// One norm map serves as both sides': the test scores every pair in
-	// both role assignments.
+	// One norm table serves as both sides' (a map for the outer side, a
+	// slice by id for the inner): the test scores every pair in both role
+	// assignments.
 	norms := map[uint32]float64{}
+	var innerNorms []float64
 	for _, docs := range [][]document.Document{resident, streamed} {
 		for i := range docs {
+			id := docs[i].ID
+			if int(id) >= len(innerNorms) {
+				innerNorms = append(innerNorms, make([]float64, int(id)+1-len(innerNorms))...)
+			}
 			if r.Intn(5) > 0 {
-				norms[docs[i].ID] = docs[i].Norm()
+				norms[id] = docs[i].Norm()
+				innerNorms[id] = norms[id]
 			}
 		}
 	}
-	idf := map[uint32]float64{}
-	for term := 0; term < vocab; term++ {
+	idf := make([]float64, vocab)
+	for term := range idf {
 		if r.Intn(5) > 0 {
-			idf[uint32(term)] = document.IDF(int64(vocab), int64(1+r.Intn(vocab)))
+			idf[term] = document.IDF(int64(vocab), int64(1+r.Intn(vocab)))
 		}
 	}
 	raw, err1 := document.NewScorer(document.RawTF, nil, nil, nil)
-	cosine, err2 := document.NewScorer(document.Cosine, nil, norms, norms)
+	cosine, err2 := document.NewScorer(document.Cosine, nil, norms, innerNorms)
 	tfidf, err3 := document.NewScorer(document.TFIDF, idf, nil, nil)
 	if err1 != nil || err2 != nil || err3 != nil {
 		t.Fatal(err1, err2, err3)

@@ -247,12 +247,12 @@ func (in Inputs) scorer(o Options) (*document.Scorer, error) {
 		if in.Inner == nil || in.Outer == nil {
 			return nil, fmt.Errorf("%w: cosine weighting needs both collections", ErrMissingInput)
 		}
-		return document.NewScorer(document.Cosine, nil, in.Outer.Norms(), in.Inner.Norms())
+		return document.NewScorer(document.Cosine, nil, in.Outer.Norms(), in.Inner.DocNorms())
 	case document.TFIDF:
 		if in.Inner == nil {
 			return nil, fmt.Errorf("%w: tfidf weighting needs the inner collection", ErrMissingInput)
 		}
-		return document.NewScorer(document.TFIDF, in.Inner.IDFMap(), nil, nil)
+		return document.NewScorer(document.TFIDF, in.Inner.IDF(), nil, nil)
 	default:
 		return nil, fmt.Errorf("core: unknown weighting %v", o.Weighting)
 	}

@@ -269,33 +269,25 @@ func IDF(n int64, df int64) float64 {
 // weights rather than recompute them per pair.
 type Scorer struct {
 	weighting Weighting
-	// idf maps term -> idf weight (TFIDF only).
-	idf map[uint32]float64
+	// idf is indexed by term number, 0 past its end (TFIDF only).
+	idf []float64
 	// outerNorms maps outer document id -> norm; innerNorms is indexed by
-	// inner document id, 0 where the map had none (Cosine only).
+	// inner document id, which is contiguous (Cosine only).
 	outerNorms map[uint32]float64
 	innerNorms []float64
 }
 
-// NewScorer builds a scorer for the given weighting. idf may be nil unless
-// the weighting is TFIDF; the norm maps may be nil unless it is Cosine.
-func NewScorer(w Weighting, idf map[uint32]float64, outerNorms, innerNorms map[uint32]float64) (*Scorer, error) {
-	s := &Scorer{weighting: w, idf: idf, outerNorms: outerNorms}
+// NewScorer builds a scorer for the given weighting. idf, indexed by term
+// number, may be nil unless the weighting is TFIDF; the norms may be nil
+// unless it is Cosine. The scorer holds the tables it is given; callers
+// must not modify them.
+func NewScorer(w Weighting, idf []float64, outerNorms map[uint32]float64, innerNorms []float64) (*Scorer, error) {
+	s := &Scorer{weighting: w, idf: idf, outerNorms: outerNorms, innerNorms: innerNorms}
 	switch w {
 	case RawTF:
 	case Cosine:
 		if outerNorms == nil || innerNorms == nil {
 			return nil, fmt.Errorf("document: cosine weighting requires pre-computed norms")
-		}
-		// Inner ids are contiguous, so the emit path indexes a slice
-		// instead of hashing once per pair.
-		var n uint32
-		for id := range innerNorms {
-			n = max(n, id+1)
-		}
-		s.innerNorms = make([]float64, n)
-		for id, norm := range innerNorms {
-			s.innerNorms[id] = norm
 		}
 	case TFIDF:
 		if idf == nil {
@@ -317,6 +309,9 @@ func (s *Scorer) Weighting() Weighting { return s.weighting }
 func (s *Scorer) TermFactor(term uint32) float64 {
 	if s.weighting != TFIDF {
 		return 1
+	}
+	if int(term) >= len(s.idf) {
+		return 0
 	}
 	w := s.idf[term]
 	return w * w

@@ -196,7 +196,7 @@ func TestScorerCosine(t *testing.T) {
 	d1 := doc(1, 1, 3, 2, 4) // norm 5
 	d2 := doc(2, 1, 6, 2, 8) // norm 10
 	norms1 := map[uint32]float64{1: d1.Norm()}
-	norms2 := map[uint32]float64{2: d2.Norm()}
+	norms2 := []float64{2: d2.Norm()}
 	s, err := NewScorer(Cosine, nil, norms1, norms2)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestScorerCosine(t *testing.T) {
 }
 
 func TestScorerTFIDF(t *testing.T) {
-	idf := map[uint32]float64{1: 2, 2: 0.5}
+	idf := []float64{1: 2, 2: 0.5}
 	s, err := NewScorer(TFIDF, idf, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"textjoin/internal/btree"
 	"textjoin/internal/codec"
@@ -84,27 +85,42 @@ type InvertedFile struct {
 	idx *indexState
 }
 
-// indexState holds the loaded term index: the in-memory B+tree image
-// plus each entry's byte extent derived from it. The mutex serializes
-// the one-time load; after that every access is read-only.
+// indexState holds the loaded term index, the in-memory B+tree image. The
+// mutex serializes the one-time load; after that the index is read-only,
+// so a probe reads it with one atomic load and no lock.
 type indexState struct {
 	mu    sync.Mutex
-	index *btree.MemIndex
-	addrs map[uint32]extent
+	index atomic.Pointer[btree.MemIndex]
 }
 
-// get returns the loaded index tables, or ErrNoIndex before LoadIndex.
-func (s *indexState) get() (*btree.MemIndex, map[uint32]extent, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.index == nil {
-		return nil, nil, ErrNoIndex
+// get returns the loaded index, or ErrNoIndex before LoadIndex.
+func (s *indexState) get() (*btree.MemIndex, error) {
+	idx := s.index.Load()
+	if idx == nil {
+		return nil, ErrNoIndex
 	}
-	return s.index, s.addrs, nil
+	return idx, nil
 }
 
-type extent struct {
-	off, length int64
+// extent returns the byte range of term's entry. Entries are packed in
+// term order, so an entry ends where the next one starts, and the last
+// at the end of the file's bytes.
+func (f *InvertedFile) extent(term uint32) (off, length int64, err error) {
+	idx, err := f.idx.get()
+	if err != nil {
+		return 0, 0, err
+	}
+	i, ok := idx.Pos(term)
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %d", ErrNoTerm, term)
+	}
+	cells := idx.Cells()
+	end := f.stats.Bytes
+	if i+1 < len(cells) {
+		end = int64(cells[i+1].Addr)
+	}
+	off = int64(cells[i].Addr)
+	return off, end - off, nil
 }
 
 // files is the one place that knows where a collection's inverted file
@@ -323,17 +339,7 @@ func Open(entryFile, treeFile *iosim.File) (*InvertedFile, error) {
 		f.stats.Bytes = int64(last.Addr) + size
 		f.stats.J = float64(f.stats.Bytes) / float64(f.stats.Entries) / float64(f.stats.PageSize)
 	}
-	// Reuse the already-loaded index for extents.
-	addrs := make(map[uint32]extent, len(cells))
-	for i, c := range cells {
-		end := f.stats.Bytes
-		if i+1 < len(cells) {
-			end = int64(cells[i+1].Addr)
-		}
-		addrs[c.Term] = extent{off: int64(c.Addr), length: end - int64(c.Addr)}
-	}
-	f.idx.index = idx
-	f.idx.addrs = addrs
+	f.idx.index.Store(idx)
 	return f, nil
 }
 
@@ -352,51 +358,34 @@ func (f *InvertedFile) File() *iosim.File { return f.entries }
 func (f *InvertedFile) LoadIndex() (*btree.MemIndex, error) {
 	f.idx.mu.Lock()
 	defer f.idx.mu.Unlock()
-	if f.idx.index != nil {
-		return f.idx.index, nil
+	if idx := f.idx.index.Load(); idx != nil {
+		return idx, nil
 	}
-	if f.tree == nil {
-		f.idx.index = btree.NewMemIndex(nil)
-		f.idx.addrs = map[uint32]extent{}
-		return f.idx.index, nil
-	}
-	idx, err := f.tree.LoadAll()
-	if err != nil {
-		return nil, err
-	}
-	cells := idx.Cells()
-	addrs := make(map[uint32]extent, len(cells))
-	for i, c := range cells {
-		end := f.stats.Bytes
-		if i+1 < len(cells) {
-			end = int64(cells[i+1].Addr)
+	idx := btree.NewMemIndex(nil)
+	if f.tree != nil {
+		var err error
+		if idx, err = f.tree.LoadAll(); err != nil {
+			return nil, err
 		}
-		addrs[c.Term] = extent{off: int64(c.Addr), length: end - int64(c.Addr)}
 	}
-	f.idx.index = idx
-	f.idx.addrs = addrs
+	f.idx.index.Store(idx)
 	return idx, nil
 }
 
 // Index returns the loaded in-memory index, or an error when LoadIndex has
 // not been called.
 func (f *InvertedFile) Index() (*btree.MemIndex, error) {
-	idx, _, err := f.idx.get()
-	return idx, err
+	return f.idx.get()
 }
 
 // EntryPages returns the number of pages a random fetch of term's entry
 // touches (the paper charges ⌈J⌉ pages per random entry read).
 func (f *InvertedFile) EntryPages(term uint32) (int64, error) {
-	_, addrs, err := f.idx.get()
+	off, length, err := f.extent(term)
 	if err != nil {
 		return 0, err
 	}
-	ext, ok := addrs[term]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoTerm, term)
-	}
-	return iosim.SpannedPages(ext.off, ext.length, f.stats.PageSize), nil
+	return iosim.SpannedPages(off, length, f.stats.PageSize), nil
 }
 
 // FetchEntry reads the entry of term with a random access through the
@@ -418,18 +407,14 @@ func (f *InvertedFile) FetchEntry(term uint32) (*Entry, error) {
 // returned, grown if it had to be, for the next call. With enough capacity
 // in both, a fetch allocates nothing.
 func (f *InvertedFile) FetchEntryInto(term uint32, e *Entry, scratch []byte) ([]byte, error) {
-	_, addrs, err := f.idx.get()
+	off, length, err := f.extent(term)
 	if err != nil {
 		return scratch, err
 	}
-	ext, ok := addrs[term]
-	if !ok {
-		return scratch, fmt.Errorf("%w: %d", ErrNoTerm, term)
+	if iosim.SpannedPages(off, length, f.entries.PageSize()) > 1 {
+		scratch = slices.Grow(scratch[:0], int(length))
 	}
-	if iosim.SpannedPages(ext.off, ext.length, f.entries.PageSize()) > 1 {
-		scratch = slices.Grow(scratch[:0], int(ext.length))
-	}
-	raw, err := f.entries.ReadSpan(ext.off, ext.length, scratch)
+	raw, err := f.entries.ReadSpan(off, length, scratch)
 	if err != nil {
 		return scratch, err
 	}
@@ -445,7 +430,7 @@ func (f *InvertedFile) FetchEntryInto(term uint32, e *Entry, scratch []byte) ([]
 // Contains reports whether term has an entry, using the loaded index
 // without touching storage.
 func (f *InvertedFile) Contains(term uint32) (bool, error) {
-	idx, _, err := f.idx.get()
+	idx, err := f.idx.get()
 	if err != nil {
 		return false, err
 	}
@@ -455,7 +440,7 @@ func (f *InvertedFile) Contains(term uint32) (bool, error) {
 // DocFreq returns the document frequency of term from the loaded index (0
 // when absent).
 func (f *InvertedFile) DocFreq(term uint32) (int64, error) {
-	idx, _, err := f.idx.get()
+	idx, err := f.idx.get()
 	if err != nil {
 		return 0, err
 	}

@@ -2,11 +2,14 @@ package invfile
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"textjoin/internal/btree"
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
@@ -204,6 +207,118 @@ func TestFetchEntry(t *testing.T) {
 	}
 	if _, err := inv.EntryPages(999999); !errors.Is(err, ErrNoTerm) {
 		t.Errorf("absent EntryPages err = %v, want ErrNoTerm", err)
+	}
+}
+
+// TestTermTablesAgreeWithSearch holds every by-term read of a loaded index
+// to the B+tree's own Search, on a built and on a reopened file: every
+// indexed term, each absent term inside the range, term 0 and terms past
+// the largest. An empty index knows no term.
+func TestTermTablesAgreeWithSearch(t *testing.T) {
+	d := iosim.NewDisk(iosim.WithPageSize(64))
+	r := rand.New(rand.NewSource(8))
+	c := buildCollection(t, d, "c", randomDocs(r, 40, 150, 8))
+	built := buildInverted(t, d, c, "c")
+	opened, err := Open(built.File(), built.Tree().File())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inv := range []*InvertedFile{built, opened} {
+		idx, err := inv.LoadIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, absent := idx.Cells()[idx.Len()-1].Term, 0
+		for term := uint32(0); term <= top+3; term++ {
+			cell, serr := inv.Tree().Search(term)
+			got, ok := idx.Lookup(term)
+			if ok != (serr == nil) || got != cell || idx.Contains(term) != ok {
+				t.Fatalf("term %d: Lookup %+v %v, Contains %v; Search %+v %v", term, got, ok, idx.Contains(term), cell, serr)
+			}
+			pages, perr := inv.EntryPages(term)
+			e := &Entry{}
+			_, ferr := inv.FetchEntryInto(term, e, nil)
+			df, derr := inv.DocFreq(term)
+			if !ok {
+				absent++
+				if !errors.Is(serr, btree.ErrNotFound) || !errors.Is(perr, ErrNoTerm) || !errors.Is(ferr, ErrNoTerm) || df != 0 || derr != nil {
+					t.Fatalf("absent term %d: EntryPages %v, FetchEntryInto %v, DocFreq %d %v", term, perr, ferr, df, derr)
+				}
+				continue
+			}
+			if perr != nil || ferr != nil || derr != nil {
+				t.Fatalf("term %d: %v %v %v", term, perr, ferr, derr)
+			}
+			if e.Term != term || len(e.Cells) != int(cell.DocFreq) || df != int64(cell.DocFreq) {
+				t.Fatalf("term %d: entry %d with %d cells, DocFreq %d; Search %+v", term, e.Term, len(e.Cells), df, cell)
+			}
+			if want := iosim.SpannedPages(int64(cell.Addr), e.Bytes(), 64); pages != want {
+				t.Fatalf("term %d: EntryPages %d, want %d", term, pages, want)
+			}
+		}
+		if absent <= 3 {
+			t.Fatalf("only %d absent terms probed", absent)
+		}
+	}
+
+	empty := buildInverted(t, d, buildCollection(t, d, "e", nil), "e")
+	idx, err := empty.LoadIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.Len() != 0 {
+		t.Fatalf("empty index holds %d cells", idx.Len())
+	}
+	for _, term := range []uint32{0, 1, 1000} {
+		_, ok := idx.Lookup(term)
+		_, perr := empty.EntryPages(term)
+		_, ferr := empty.FetchEntry(term)
+		df, derr := empty.DocFreq(term)
+		if ok || idx.Contains(term) || !errors.Is(perr, ErrNoTerm) || !errors.Is(ferr, ErrNoTerm) || df != 0 || derr != nil {
+			t.Fatalf("empty index, term %d: Lookup %v, EntryPages %v, FetchEntry %v, DocFreq %d %v", term, ok, perr, ferr, df, derr)
+		}
+	}
+}
+
+// TestIndexConcurrentFirstUse has views of a fresh inverted file race to
+// load its index and fetch through it: each must see the one index and
+// every entry. Run it under -race.
+func TestIndexConcurrentFirstUse(t *testing.T) {
+	d := iosim.NewDisk(iosim.WithPageSize(64))
+	c := buildCollection(t, d, "c", randomDocs(rand.New(rand.NewSource(31)), 30, 80, 8))
+	inv := buildInverted(t, d, c, "c")
+	const views = 4
+	idxs := make([]*btree.MemIndex, views)
+	errs := make([]error, views)
+	var wg sync.WaitGroup
+	for i := 0; i < views; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v := d.View()
+			defer v.Close()
+			iv, err := inv.WithView(v)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for _, term := range c.Terms() {
+				if e, err := iv.FetchEntry(term); err != nil || e.Term != term || int64(e.DocFreq()) != c.DF(term) {
+					errs[i] = fmt.Errorf("term %d: %+v, %v", term, e, err)
+					return
+				}
+			}
+			idxs[i], errs[i] = iv.Index()
+		}(i)
+	}
+	wg.Wait()
+	for i := range idxs {
+		if errs[i] != nil {
+			t.Fatalf("view %d: %v", i, errs[i])
+		}
+		if idxs[i] != idxs[0] {
+			t.Fatalf("view %d loaded an index of its own", i)
+		}
 	}
 }
 

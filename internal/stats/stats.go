@@ -24,17 +24,7 @@ import (
 // (and, with the arguments swapped, p). Both document-frequency tables are
 // memory-resident, so the measurement is free of I/O.
 func OverlapQ(inner, outer *collection.Collection) float64 {
-	outerDF := outer.DFMap()
-	if len(outerDF) == 0 {
-		return 0
-	}
-	shared := 0
-	for term := range outerDF {
-		if inner.HasTerm(term) {
-			shared++
-		}
-	}
-	return float64(shared) / float64(len(outerDF))
+	return OverlapQReader(inner, outer)
 }
 
 // OverlapQReader measures q for any outer document source (collection,
@@ -60,34 +50,26 @@ func OverlapQReader(inner *collection.Collection, outer collection.Reader) float
 //
 //	δ ≈ 1 − Π over common terms t of (1 − df1(t)·df2(t)/(N1·N2)).
 //
-// The product is evaluated in log space for stability. No documents are
-// read; the estimate is deterministic.
+// The product is evaluated in log space for stability, summed in ascending
+// term order so that the estimate is the same to the last bit on every
+// call. No documents are read.
 func Delta(c1, c2 *collection.Collection) float64 {
 	n1, n2 := c1.NumDocs(), c2.NumDocs()
 	if n1 == 0 || n2 == 0 {
 		return 0
 	}
-	df2 := c2.DFMap()
-	// Iterate the smaller vocabulary.
-	df1 := c1.DFMap()
-	small, other := df1, df2
-	swap := false
-	if len(df2) < len(df1) {
-		small, other = df2, df1
-		swap = true
+	// Walk the smaller vocabulary.
+	small, other := c1, c2
+	if c2.Stats().T < c1.Stats().T {
+		small, other = c2, c1
 	}
 	logNone := 0.0
 	total := float64(n1) * float64(n2)
-	for term, dfA := range small {
-		dfB, ok := other[term]
-		if !ok {
+	for _, term := range small.Terms() {
+		if !other.HasTerm(term) {
 			continue
 		}
-		a, b := float64(dfA), float64(dfB)
-		if swap {
-			a, b = b, a
-		}
-		p := a * b / total
+		p := float64(c1.DF(term)) * float64(c2.DF(term)) / total
 		if p >= 1 {
 			return 1
 		}

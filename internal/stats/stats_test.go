@@ -149,6 +149,32 @@ func TestDeltaAgainstExact(t *testing.T) {
 	t.Logf("delta: estimate=%.4f exact=%.4f", est, exact)
 }
 
+// TestDeltaIsDeterministic pins Delta's summation order: over a sparse Zipf
+// pair, 50 calls in either argument order must give one bit pattern.
+// Summing while ranging a map gave a different one on most calls.
+func TestDeltaIsDeterministic(t *testing.T) {
+	d := iosim.NewDisk(iosim.WithPageSize(4096))
+	p := corpus.Profile{Name: "sparse", NumDocs: 2000, TermsPerDoc: 4, DistinctTerms: 60000}
+	c1, err := corpus.GenerateOn(d, "c1", p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := corpus.GenerateOn(d, "c2", p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.Float64bits(Delta(c1, c2))
+	for i := 0; i < 50; i++ {
+		a, b := c1, c2
+		if i%2 == 1 {
+			a, b = c2, c1
+		}
+		if got := math.Float64bits(Delta(a, b)); got != want {
+			t.Fatalf("call %d: Delta = %v, first call %v", i, math.Float64frombits(got), math.Float64frombits(want))
+		}
+	}
+}
+
 func TestDeltaExactEmpty(t *testing.T) {
 	d := iosim.NewDisk(iosim.WithPageSize(128))
 	empty := build(t, d, "empty", nil)
