@@ -31,19 +31,19 @@ func joinPaths() []string {
 // deterministic strips a join response down to the fields that must be
 // byte-identical between serial and concurrent execution — everything
 // except the wall-clock timings.
-func deterministic(j joinResponse) joinResponse {
+func deterministic(j joinReply) joinReply {
 	j.WallSeconds, j.QueueSeconds, j.ExecSeconds = 0, 0, 0
 	j.TraceID = ""
 	return j
 }
 
-func getJoin(t *testing.T, hs *httptest.Server, path string) joinResponse {
+func getJoin(t *testing.T, hs *httptest.Server, path string) joinReply {
 	t.Helper()
 	status, body := get(t, hs, path)
 	if status != http.StatusOK {
 		t.Fatalf("GET %s: status %d: %s", path, status, body)
 	}
-	var j joinResponse
+	var j joinReply
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatalf("GET %s: %v", path, err)
 	}
@@ -59,12 +59,12 @@ func TestConcurrentJoinsMatchSerial(t *testing.T) {
 	_, hs := testServer(t, 2048)
 	paths := joinPaths()
 
-	want := make([]joinResponse, len(paths))
+	want := make([]joinReply, len(paths))
 	for i, p := range paths {
 		want[i] = deterministic(getJoin(t, hs, p))
 	}
 
-	got := make([]joinResponse, len(paths))
+	got := make([]joinReply, len(paths))
 	var wg sync.WaitGroup
 	for i, p := range paths {
 		i, p := i, p

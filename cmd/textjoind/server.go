@@ -263,7 +263,8 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// joinResponse is the /join reply. WallSeconds is the request's total
+// joinResponse is the header of the /join reply; writeJoinReply streams
+// the result rows after it. WallSeconds is the request's total
 // residence time; QueueSeconds is the share spent parked in the
 // admission queue and ExecSeconds the share actually executing the join,
 // so saturation (queue growth) is distinguishable from slow joins.
@@ -283,7 +284,6 @@ type joinResponse struct {
 	ExecSeconds  float64         `json:"exec_seconds"`
 	Prefilter    *prefilterStats `json:"prefilter,omitempty"`
 	LSH          *lshStats       `json:"lsh,omitempty"`
-	Results      []joinResult    `json:"results,omitempty"`
 }
 
 // lshStats reports the approximate join's candidate generation outcome.
@@ -300,16 +300,6 @@ type prefilterStats struct {
 	ClustersSkipped int64 `json:"clusters_skipped"`
 	DocsSkipped     int64 `json:"docs_skipped"`
 	FalsePasses     int64 `json:"false_passes"`
-}
-
-type joinResult struct {
-	Outer   uint32      `json:"outer"`
-	Matches []joinMatch `json:"matches"`
-}
-
-type joinMatch struct {
-	Doc uint32  `json:"doc"`
-	Sim float64 `json:"sim"`
 }
 
 // handleJoin runs one join, on the request's goroutine. Parameters: alg
@@ -466,7 +456,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Everything from here to the last byte handed to the connection:
-	// result digest, row conversion, JSON encoding, write.
+	// result digest, streamed JSON encode and write.
 	reply := span.StartChild("reply", "encode")
 	defer reply.End()
 	s.joins.Add(1)
@@ -504,17 +494,9 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			DocsSkipped:  stats.LSH.DocsSkipped,
 		}
 	}
-	for i, res := range results {
-		if i >= show {
-			break
-		}
-		jr := joinResult{Outer: res.Outer, Matches: []joinMatch{}}
-		for _, m := range res.Matches {
-			jr.Matches = append(jr.Matches, joinMatch{Doc: m.Doc, Sim: m.Sim})
-		}
-		resp.Results = append(resp.Results, jr)
+	if err := writeJoinReply(w, &resp, results, show); err != nil {
+		reply.SetAttr("error", err.Error())
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // traceIDString is the request's trace ID, or "" when tracing is off.
@@ -613,12 +595,6 @@ func floatParam(r *http.Request, name string, def float64) (float64, error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	//lint:ignore errdrop an encode error here means the client hung up; the handler has no recourse
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	json.NewEncoder(w).Encode(v)
 }

@@ -63,7 +63,7 @@ func TestServerEndpoints(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("join status %d: %s", status, body)
 	}
-	var j joinResponse
+	var j joinReply
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +127,12 @@ func TestServerWorkers(t *testing.T) {
 
 	// run issues one /join and returns the reply with the result hash
 	// stamped on its trace's root span.
-	run := func(path string) (joinResponse, string) {
+	run := func(path string) (joinReply, string) {
 		status, body := get(t, hs, path)
 		if status != http.StatusOK {
 			t.Fatalf("GET %s: status %d: %s", path, status, body)
 		}
-		var j joinResponse
+		var j joinReply
 		if err := json.Unmarshal(body, &j); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestServerLSH(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("mode=lsh status %d: %s", status, body)
 	}
-	var mode joinResponse
+	var mode joinReply
 	if err := json.Unmarshal(body, &mode); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestServerLSH(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("alg=lsh status %d: %s", status, body)
 	}
-	var alg joinResponse
+	var alg joinReply
 	if err := json.Unmarshal(body, &alg); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestServerLSH(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("auto recall=0.9 status %d: %s", status, body)
 	}
-	var auto joinResponse
+	var auto joinReply
 	if err := json.Unmarshal(body, &auto); err != nil {
 		t.Fatal(err)
 	}

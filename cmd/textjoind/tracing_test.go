@@ -131,7 +131,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	if traceID.String() != remote {
 		t.Fatalf("server did not adopt the caller's trace ID: got %s, want %s", traceID, remote)
 	}
-	var j joinResponse
+	var j joinReply
 	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 		t.Fatal(err)
 	}
@@ -310,13 +310,13 @@ var serveMixKinds = []struct{ name, query string }{
 }
 
 // joinAndTrace runs one /join and returns its reply with its trace.
-func joinAndTrace(t *testing.T, hs *httptest.Server, query string) (joinResponse, reqtrace.TraceData) {
+func joinAndTrace(t *testing.T, hs *httptest.Server, query string) (joinReply, reqtrace.TraceData) {
 	t.Helper()
 	status, body := get(t, hs, "/join?"+query+"&lambda=5&show=100000")
 	if status != http.StatusOK {
 		t.Fatalf("%s: status %d: %s", query, status, body)
 	}
-	var j joinResponse
+	var j joinReply
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}
