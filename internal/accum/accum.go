@@ -22,7 +22,9 @@
 //     next growth would make it larger than the matrix, the store moves
 //     into the matrix instead of growing. It never holds more bytes than a
 //     table fed the same adds would have reached, and Bytes is what it
-//     holds — what Stats.PeakMemoryBytes reports.
+//     holds — what Stats.PeakMemoryBytes reports. The matrix is allocated
+//     once, with room for the join's largest pass when that pass will be
+//     dense as well. Both fill a dense row with the same kernel, addRow.
 //
 // Both accumulate exactly like a map[key]float64 fed the same adds in the
 // same order: per-key float sums are bit-identical (a promotion copies
@@ -89,9 +91,14 @@ func (f *Flat) AddCells(cells []codec.Cell, w, factor float64) {
 	if !f.dense {
 		cells = f.addListed(cells, w, factor)
 	}
-	vals := f.vals // a local: the loop is the joins' hottest
-	// Four cells per step behind one bounds check on cells; the adds stay
-	// in cell order, so a repeated id sums exactly as one Add per cell.
+	addRow(f.vals, cells, w, factor)
+}
+
+// addRow is the one dense kernel, Flat's and Store's: cell c adds
+// (w·c.Weight)·factor to vals[c.Number]. It takes four cells per step
+// behind one bounds check on cells; the adds stay in cell order, so a
+// repeated id sums exactly as one Add per cell.
+func addRow(vals []float64, cells []codec.Cell, w, factor float64) {
 	for ; len(cells) >= 4; cells = cells[4:] {
 		c := cells[:4:4]
 		vals[c[0].Number] += (w * float64(c[0].Weight)) * factor
@@ -200,6 +207,7 @@ func UseDense(rows, cols int, budgetBytes int64) bool {
 // non-negative), so a pair is non-zero iff it was touched.
 type Store struct {
 	rows, cols int
+	most       int // the rows of the join's largest pass
 	// limit is the largest matrix, in bytes, a pass may start dense in:
 	// the budget M, raised by every promotion to the table size the store
 	// declined to grow to.
@@ -218,6 +226,13 @@ func New(rows, cols int, budgetBytes int64) *Store {
 	return s
 }
 
+// Reserve tells the store the rows of the caller's largest pass, which
+// must still be to come: VVM's partition ends on one. A matrix allocated
+// from then on has room for that pass when it would start dense too — it
+// will, since the limit only rises — so a join allocates one matrix, not
+// one per longer pass, and never more than the largest pass would hold.
+func (s *Store) Reserve(rows int) { s.most = rows }
+
 // Reset empties the store for a pass of rows rows. The pass starts dense
 // when its matrix fits the limit — reusing the matrix already held when
 // it is large enough — and as the table otherwise, which keeps its slots.
@@ -234,8 +249,18 @@ func (s *Store) Reset(rows int) {
 		s.matrix = s.matrix[:n]
 		clear(s.matrix)
 	} else {
-		s.matrix = make([]float64, n)
+		s.matrix = s.alloc()
 	}
+}
+
+// alloc returns a zeroed matrix for the pass, with room for the reserved
+// largest pass when that pass would start dense.
+func (s *Store) alloc() []float64 {
+	n := s.rows * s.cols
+	if s.most > s.rows && UseDense(s.most, s.cols, s.limit) {
+		return make([]float64, n, s.most*s.cols)
+	}
+	return make([]float64, n)
 }
 
 // Add accumulates v into (row, inner).
@@ -265,17 +290,14 @@ func (s *Store) AddCells(cells []codec.Cell, row int, w, factor float64) {
 		}
 		return
 	}
-	vals := s.matrix[row*s.cols : (row+1)*s.cols]
-	for _, c := range cells {
-		vals[c.Number] += (w * float64(c.Weight)) * factor
-	}
+	addRow(s.Row(row), cells, w, factor)
 }
 
 // promote moves the table's pairs into a fresh matrix, each partial sum
 // copied exactly, and drops the table.
 func (s *Store) promote() {
 	s.limit = max(s.limit, 2*s.table.bytes())
-	s.matrix = make([]float64, s.rows*s.cols)
+	s.matrix = s.alloc()
 	s.table.forEach(func(row int, inner uint32, v float64) {
 		s.matrix[row*s.cols+int(inner)] = v
 	})

@@ -313,10 +313,11 @@ func TestFlatRowInPlace(t *testing.T) {
 // is compared, over rows that stay sparse and rows that turn dense in the
 // middle of an AddCells call; both must occur.
 // Factors are irrational-looking so a different association would round
-// differently; one term in eight has factor 0. Flat's four-wide loop gets
-// fixed cases too: every cell count 0–9 in each regime, ids repeating inside
+// differently; one term in eight has factor 0. The four-wide dense kernel,
+// addRow, gets fixed cases too, through both stores: every cell count 0–9
+// in each of Flat's regimes and in a dense Store row, ids repeating inside
 // a group of four, and calls whose switch to dense leaves each remainder
-// mod 4 for the loop.
+// mod 4 for the loop — and a Store row the same cells.
 func TestAddCellsEqualsAdds(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	// flatCase feeds pre through Add to both Flats, then cells through one
@@ -346,6 +347,27 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 			}
 		}
 	}
+	// storeCase feeds cells to row 1 of a dense Store through one AddCells
+	// and to row 0 through one Add per cell, and compares the rows.
+	storeCase := func(name string, cells []codec.Cell) {
+		t.Helper()
+		const cols = 32
+		s := New(2, cols, 2*cols*8)
+		w, factor := float64(1+r.Intn(60000)), math.Sqrt(r.Float64()*9)
+		s.AddCells(cells, 1, w, factor)
+		for _, c := range cells {
+			s.Add(0, c.Number, (w*float64(c.Weight))*factor)
+		}
+		if !s.Dense() {
+			t.Fatalf("%s: store is %s, want dense", name, s.Kind())
+		}
+		got, want := s.Row(1), s.Row(0)
+		for id := range want {
+			if math.Float64bits(got[id]) != math.Float64bits(want[id]) {
+				t.Fatalf("%s: id %d = %v, Add leaves %v", name, id, got[id], want[id])
+			}
+		}
+	}
 	cellsOf := func(ids []int) []codec.Cell {
 		cells := make([]codec.Cell, len(ids))
 		for i, id := range ids {
@@ -358,6 +380,7 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		for i := range ids {
 			ids[i] = r.Intn(12)
 		}
+		storeCase(fmt.Sprintf("store, %d cells", count), cellsOf(ids))
 		flatCase(fmt.Sprintf("sparse, %d cells", count), 64, nil, cellsOf(ids), false)                          // limit 16: stays listed
 		flatCase(fmt.Sprintf("dense, %d cells", count), 16, cellsOf([]int{12, 13, 14, 15}), cellsOf(ids), true) // limit 4: dense before the call
 	}
@@ -369,6 +392,7 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		for id := 32; len(pre) < 15-k; id++ {
 			pre = append(pre, codec.Cell{Number: uint32(id), Weight: 1})
 		}
+		storeCase(fmt.Sprintf("store, the %d cells after switch %d", 19-k, k), fresh[k+1:])
 		flatCase(fmt.Sprintf("switch at cell %d", k), 64, pre, fresh, true)
 	}
 
@@ -544,6 +568,44 @@ func TestStoreKeepsWhatItPromotedInto(t *testing.T) {
 	}
 }
 
+// TestStoreAllocatesOneMatrix runs VVM's passes on vvm_merge's shape, 1542
+// outer documents in seven passes of 220 or 221 rows over 1542 columns.
+// The first pass starts as the table and promotes; the matrix it promotes
+// into has room for the largest pass, so every later pass starts dense in
+// the same array and Bytes is the largest pass's matrix throughout. A store
+// whose largest pass will not be dense leaves a smaller dense pass its own
+// size.
+func TestStoreAllocatesOneMatrix(t *testing.T) {
+	const cols = 1542
+	matrix := func(rows int) int64 { return int64(rows) * cols * 8 }
+	s := New(0, cols, matrix(100))
+	s.Reserve(221)
+	var buf *float64
+	for pass, rows := range []int{220, 221, 220, 220, 221, 220, 221} {
+		s.Reset(rows)
+		for row := 0; s.Kind() == "table"; row++ {
+			for inner := uint32(0); inner < cols; inner++ {
+				s.Add(row, inner, 1)
+			}
+		}
+		want := "dense"
+		if pass == 0 {
+			want, buf = "promoted", &s.matrix[0]
+		}
+		if s.Kind() != want || &s.matrix[0] != buf || s.Bytes() != matrix(221) {
+			t.Fatalf("pass %d (%d rows): %s, %d bytes, same array %v; want %s in the first array, %d bytes",
+				pass, rows, s.Kind(), s.Bytes(), &s.matrix[0] == buf, want, matrix(221))
+		}
+	}
+
+	s = New(0, cols, matrix(220))
+	s.Reserve(221)
+	s.Reset(220)
+	if s.Kind() != "dense" || s.Bytes() != matrix(220) {
+		t.Fatalf("220-row pass under a 220-row budget: %s in %d bytes, want dense in %d", s.Kind(), s.Bytes(), matrix(220))
+	}
+}
+
 func TestIDSetContiguous(t *testing.T) {
 	ids := []uint32{5, 6, 7, 8, 9}
 	s := NewIDSet(ids)
@@ -641,13 +703,15 @@ func TestIDSetQuick(t *testing.T) {
 	}
 }
 
-// BenchmarkFlatAddCells times the one kernel the joins call, per cell, over
-// as many ids as hvnl_probe's inner collection (6 171). Sparse: a term of 64
-// cells into a listed row, which Reset clears after each call. Dense: a term
-// of 1 000 cells into a row past its n/4 limit. Both must allocate nothing.
+// BenchmarkAddRow times the one dense kernel, addRow, per cell, over as
+// many ids as hvnl_probe's inner collection (6 171), through both callers:
+// a Flat row past its n/4 limit and a dense Store row, each fed a term of
+// 1 000 cells. flat-sparse is the listed path a Flat row takes before it
+// turns dense: a term of 64 cells, which Reset clears after each call. All
+// must allocate nothing.
 //
-//	go test -run '^$' -bench FlatAddCells -benchmem ./internal/accum
-func BenchmarkFlatAddCells(b *testing.B) {
+//	go test -run '^$' -bench AddRow -benchmem ./internal/accum
+func BenchmarkAddRow(b *testing.B) {
 	const n = 6171
 	r := rand.New(rand.NewSource(1))
 	term := func(k int) []codec.Cell {
@@ -659,26 +723,37 @@ func BenchmarkFlatAddCells(b *testing.B) {
 		}
 		return cells
 	}
+	flat := func(dense bool) func([]codec.Cell) {
+		f := NewFlat(n)
+		if dense {
+			f.AddCells(term(n/4), 1, 1)
+		}
+		if f.Dense() != dense {
+			b.Fatalf("dense = %v, want %v", f.Dense(), dense)
+		}
+		if dense {
+			return func(cells []codec.Cell) { f.AddCells(cells, 3, 0.5) }
+		}
+		return func(cells []codec.Cell) { f.AddCells(cells, 3, 0.5); f.Reset() }
+	}
+	store := func() func([]codec.Cell) {
+		s := New(1, n, n*8)
+		if !s.Dense() {
+			b.Fatalf("store is %s, want dense", s.Kind())
+		}
+		return func(cells []codec.Cell) { s.AddCells(cells, 0, 3, 0.5) }
+	}
 	for _, bc := range []struct {
 		name  string
 		cells int
-		dense bool
-	}{{"sparse", 64, false}, {"dense", 1000, true}} {
+		add   func([]codec.Cell)
+	}{{"flat-sparse", 64, flat(false)}, {"flat-dense", 1000, flat(true)}, {"store-dense", 1000, store()}} {
 		b.Run(bc.name, func(b *testing.B) {
-			cells, f := term(bc.cells), NewFlat(n)
-			if bc.dense {
-				f.AddCells(term(n/4), 1, 1)
-			}
-			if f.Dense() != bc.dense {
-				b.Fatalf("dense = %v, want %v", f.Dense(), bc.dense)
-			}
+			cells := term(bc.cells)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.AddCells(cells, 3, 0.5)
-				if !bc.dense {
-					f.Reset()
-				}
+				bc.add(cells)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cells)), "ns/cell")
 		})

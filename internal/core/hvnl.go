@@ -260,28 +260,16 @@ type hvnlRows struct {
 // flush turns the accumulator into the outer document's row and readies it
 // for the next: every inner document the row reached is offered to the
 // tracker. A dense row is read in place, in id order, and then Reset; a
-// sparse one is drained, in first-touch order. A candidate below a full
-// tracker's threshold cannot enter it, so it is not offered.
+// sparse one is drained, in first-touch order.
 func (r *hvnlRows) flush(outer uint32) {
 	fin, tk := r.scorer.Row(outer), r.tk
 	tk.Reset()
-	threshold, full := tk.Threshold()
-	// The two loops are one offer step written twice: it is too large to
-	// inline, and a call per reached inner document costs more than the
-	// step itself.
 	reached := 0
 	if r.acc.Dense() {
 		for id, v := range r.acc.Row() {
-			if v == 0 {
-				continue
-			}
-			reached++
-			sim := fin.Finalize(uint32(id), v)
-			if full && sim < threshold {
-				continue
-			}
-			if tk.Offer(uint32(id), sim) {
-				threshold, full = tk.Threshold()
+			if v != 0 {
+				reached++
+				tk.Offer(uint32(id), fin.Finalize(uint32(id), v))
 			}
 		}
 		r.acc.Reset()
@@ -289,13 +277,7 @@ func (r *hvnlRows) flush(outer uint32) {
 		sums := r.acc.Drain()
 		reached = len(sums)
 		for _, sum := range sums {
-			sim := fin.Finalize(sum.ID, sum.V)
-			if full && sim < threshold {
-				continue
-			}
-			if tk.Offer(sum.ID, sim) {
-				threshold, full = tk.Threshold()
-			}
+			tk.Offer(sum.ID, fin.Finalize(sum.ID, sum.V))
 		}
 	}
 	r.occupancy.Observe(int64(reached))

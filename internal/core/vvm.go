@@ -32,7 +32,8 @@ import (
 // between passes: a pass starts as the dense range×N1 matrix when it fits
 // M, as an open-addressing table otherwise, and the table moves into the
 // matrix once it would outgrow it — never a Go map, whose hashing
-// dominated the accumulation hot loop.
+// dominated the accumulation hot loop. The store is told the largest
+// pass's rows, so the matrix is allocated once per join.
 //
 // When Inputs.Outer is a selection subset, only i-cells of its documents
 // accumulate — but the inverted files are still scanned in full, the
@@ -65,7 +66,9 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 	stats := plan.stats
 	tel, trace := opts.Telemetry, opts.Trace
 	occupancy := tel.Histogram("vvm.accum.occupancy", telemetry.DefaultSizeBuckets)
-	pass := &vvmPass{acc: accum.New(0, int(in.Inner.NumDocs()), plan.passBytes), tk: topk.New(opts.Lambda)}
+	acc := accum.New(0, int(in.Inner.NumDocs()), plan.passBytes)
+	acc.Reserve(plan.largest())
+	pass := &vvmPass{acc: acc, tk: topk.New(opts.Lambda)}
 
 	results := make([]Result, 0, len(plan.outerIDs))
 	for p := 0; p < plan.passes; p++ {
@@ -77,10 +80,12 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		// emission order.
 		n := len(results)
 		results = results[:n+len(rangeIDs)]
-		pass.begin(rangeIDs, results[n:])
 		stats.Passes++
 
+		// The merge span covers readying the store: a pass's matrix is
+		// zeroed, or first allocated, here.
 		merge := trace.StartChild(reqtrace.PhaseMerge, "vvm.merge-scan")
+		pass.begin(rangeIDs, results[n:])
 		err := mergeScan(in.InnerInv, in.OuterInv, func(term uint32, e1, e2 *invfile.Entry) {
 			if factor := scorer.TermFactor(term); factor != 0 {
 				pass.add(factor, e1, e2.Cells)
@@ -219,6 +224,16 @@ func (pl *vvmPlanned) rangeIDs(p int) []uint32 {
 	lo := p * len(pl.outerIDs) / pl.passes
 	hi := (p + 1) * len(pl.outerIDs) / pl.passes
 	return pl.outerIDs[lo:hi]
+}
+
+// largest returns the row count of the largest pass, which the store sizes
+// its one matrix by. Every pass has ⌊N2/passes⌋ or ⌈N2/passes⌉ rows and the
+// last has the ceiling, so the largest pass is always still to come.
+func (pl *vvmPlanned) largest() int {
+	if pl.passes == 0 {
+		return 0
+	}
+	return len(pl.rangeIDs(pl.passes - 1))
 }
 
 // vvmPlan computes the outer id list, pass count, pass memory budget, base

@@ -71,3 +71,24 @@ func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
 			six, two, int64(six)-int64(two), st.PeakMemoryBytes)
 	}
 }
+
+// TestVVMLargestPassIsLast holds what Store.Reserve relies on: the last
+// pass of the partition is a largest one, for every N2 and pass count, so
+// a matrix sized for the largest pass is one the join still reaches.
+func TestVVMLargestPassIsLast(t *testing.T) {
+	if got := (&vvmPlanned{}).largest(); got != 0 {
+		t.Fatalf("no outer documents: largest %d, want 0", got)
+	}
+	for n := 1; n <= 60; n++ {
+		for passes := 1; passes <= n; passes++ {
+			pl := &vvmPlanned{outerIDs: make([]uint32, n), passes: passes}
+			most := 0
+			for p := range passes {
+				most = max(most, len(pl.rangeIDs(p)))
+			}
+			if got := pl.largest(); got != most {
+				t.Fatalf("%d documents in %d passes: largest %d, want %d", n, passes, got, most)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewPanicsOnBadK(t *testing.T) {
@@ -66,21 +67,34 @@ func TestTieBreakByDocID(t *testing.T) {
 	}
 }
 
+// TestThreshold follows the bar by hand: 0 until the tracker is full, then
+// the worst kept similarity — raised by every replacement — and 0 again
+// after Reset.
 func TestThreshold(t *testing.T) {
 	tk := New(2)
-	if _, full := tk.Threshold(); full {
-		t.Error("empty tracker reports full")
-	}
 	tk.Offer(1, 4)
+	if tk.bar != 0 {
+		t.Errorf("bar of a tracker holding 1 of 2 = %v, want 0", tk.bar)
+	}
 	tk.Offer(2, 6)
-	th, full := tk.Threshold()
-	if !full || th != 4 {
-		t.Errorf("Threshold = %v, %v; want 4, true", th, full)
+	if tk.bar != 4 {
+		t.Errorf("bar when full = %v, want 4", tk.bar)
 	}
 	tk.Offer(3, 5) // replaces doc 1
-	th, _ = tk.Threshold()
-	if th != 5 {
-		t.Errorf("Threshold after replace = %v, want 5", th)
+	if tk.bar != 5 {
+		t.Errorf("bar after replace = %v, want 5", tk.bar)
+	}
+	tk.Reset()
+	if tk.bar != 0 {
+		t.Errorf("bar after Reset = %v, want 0", tk.bar)
+	}
+}
+
+// A tracker is one 32-byte object: a slice and the bar, with k its
+// capacity. A 33rd byte moves every tracker into the 48-byte size class.
+func TestTrackerIs32Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(TopK{}); size != 32 {
+		t.Errorf("TopK is %d bytes, want 32", size)
 	}
 }
 
@@ -129,7 +143,7 @@ func TestLessOrdering(t *testing.T) {
 	}
 }
 
-// referenceSelect is a brute-force top-k used to verify the heap.
+// referenceSelect is a brute-force top-k used to verify the tracker.
 func referenceSelect(k int, candidates []Match) []Match {
 	var pos []Match
 	for _, m := range candidates {
@@ -144,27 +158,35 @@ func referenceSelect(k int, candidates []Match) []Match {
 	return pos
 }
 
-// Property: TopK matches a full sort-and-cut for any candidate stream.
+// Property: TopK matches a full sort-and-cut for any candidate stream —
+// through one tracker reused across several streams with Reset between,
+// as the joins reuse theirs. Integer similarities and a small document
+// range make ties and repeated documents common; the stream lengths run
+// from empty to many times k, so a Reset follows a full tracker.
 func TestQuickAgainstReference(t *testing.T) {
 	check := func(seed int64, kSeed uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		k := int(kSeed%20) + 1
-		n := r.Intn(200)
-		candidates := make([]Match, 0, n)
 		tk := New(k)
-		for i := 0; i < n; i++ {
-			m := Match{Doc: uint32(r.Intn(50)), Sim: float64(r.Intn(20))}
-			candidates = append(candidates, m)
-			tk.Offer(m.Doc, m.Sim)
-		}
-		got := tk.Results()
-		want := referenceSelect(k, candidates)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
+		for stream := 0; stream < 5; stream++ {
+			tk.Reset()
+			n := r.Intn(200)
+			top := 1 + r.Intn(20) // later streams may sit wholly below an earlier bar
+			candidates := make([]Match, 0, n)
+			for i := 0; i < n; i++ {
+				m := Match{Doc: uint32(r.Intn(50)), Sim: float64(r.Intn(top))}
+				candidates = append(candidates, m)
+				tk.Offer(m.Doc, m.Sim)
+			}
+			got := tk.Results()
+			want := referenceSelect(k, candidates)
+			if len(got) != len(want) {
 				return false
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return false
+				}
 			}
 		}
 		return true
@@ -247,8 +269,8 @@ func TestResultsAllocatesOnlyItsSlice(t *testing.T) {
 }
 
 // Property: with distinct documents and heavily tied similarities — a
-// join's case — Results is the order sort.Slice over Less gave before the
-// sort lost its reflection-based swapper.
+// join's case — Results, which no longer sorts, is the order sort.Slice
+// over Less gives the kept matches.
 func TestQuickResultsOrderUnderTies(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -258,8 +280,8 @@ func TestQuickResultsOrderUnderTies(t *testing.T) {
 			tk.Offer(uint32(doc), float64(r.Intn(4)))
 		}
 		got := tk.Results()
-		want := make([]Match, len(tk.heap))
-		copy(want, tk.heap)
+		want := make([]Match, len(tk.kept))
+		copy(want, tk.kept)
 		sort.Slice(want, func(i, j int) bool { return Less(want[i], want[j]) })
 		for i := range want {
 			if got[i] != want[i] {
