@@ -12,8 +12,8 @@
 //     sparse, so draining costs O(non-zero) — preserving the paper's "only
 //     non-zero similarities are stored" accounting — and no list once a
 //     quarter of the ids are touched, so each accumulation is a single
-//     indexed add and the row is finished by a scan, in place (Row) or
-//     through Drain.
+//     indexed add. A sparse row is finished through Drain, a dense one by
+//     a scan in place (Row, then Reset).
 //   - Store is VVM's: one per join, Reset between passes. It has
 //     two representations and picks between them by size, not by an
 //     expected population. A pass starts as the dense rows×cols matrix
@@ -51,11 +51,12 @@ import (
 // per streamed document. While sparse, it lists each id on its first
 // touch, so draining and resetting cost O(touched) instead of O(n). Once
 // the list reaches n/4 ids it is dense: it stops listing, each add is one
-// indexed add with no branch, and draining scans all n values — at most
-// four times the list walk it replaces. A value of zero is the first-touch
-// mark — there is no second array — so an id whose adds so far were all
-// zero is listed again by its next add; the drain clears as it reads, so
-// the repeat reads zero, and a zero similarity is no candidate.
+// indexed add with no branch, and the caller scans all n values in place
+// (Row) — at most four times the list walk it replaces. A value of zero is
+// the first-touch mark — there is no second array — so an id whose adds so
+// far were all zero is listed again by its next add; the drain clears as
+// it reads, so the repeat reads zero, and a zero similarity is no
+// candidate.
 type Flat struct {
 	vals    []float64
 	touched []uint32
@@ -135,35 +136,30 @@ func (f *Flat) addListed(cells []codec.Cell, w, factor float64) []codec.Cell {
 func (f *Flat) Dense() bool { return f.dense }
 
 // Row returns a dense row's values, indexed by id, zero for the untouched:
-// a caller finishes the row by reading it in place, in id order — the
-// order Drain would hand it out in — and then calls Reset.
+// a caller finishes the row by reading it in place, in id order, and then
+// calls Reset.
 func (f *Flat) Row() []float64 { return f.vals }
 
-// Drain returns every id holding a non-zero value, with that value, and
-// readies the accumulator for the next streamed document: sparse, in
-// first-touch order; dense, in id order. The slice is the Flat's, valid
-// until the next Drain.
+// Drain finishes a sparse row: it returns every listed id holding a
+// non-zero value, with that value, in first-touch order, and readies the
+// accumulator for the next streamed document. The slice is the Flat's,
+// valid until the next Drain. A dense row lists no ids; it is finished
+// through Row and Reset, and Drain panics on it.
 func (f *Flat) Drain() []Sum {
+	if f.dense {
+		panic("accum: Drain of a dense row; read Row and Reset")
+	}
 	if f.sums == nil {
-		f.sums = make([]Sum, 0, len(f.vals))
+		f.sums = make([]Sum, 0, f.limit)
 	}
 	vals, dst := f.vals, f.sums[:0]
-	if f.dense {
-		for id, v := range vals {
-			if v != 0 {
-				dst = append(dst, Sum{ID: uint32(id), V: v})
-			}
-		}
-		clear(vals)
-	} else {
-		for _, id := range f.touched {
-			if v := vals[id]; v != 0 {
-				dst = append(dst, Sum{ID: id, V: v})
-				vals[id] = 0
-			}
+	for _, id := range f.touched {
+		if v := vals[id]; v != 0 {
+			dst = append(dst, Sum{ID: id, V: v})
+			vals[id] = 0
 		}
 	}
-	f.touched, f.dense = f.touched[:0], false
+	f.touched = f.touched[:0]
 	return dst
 }
 

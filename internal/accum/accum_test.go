@@ -175,11 +175,21 @@ func TestStorePromotesExactlyAcrossResets(t *testing.T) {
 	}
 }
 
-// drained drains f into a map from id to the value's bits, failing on an
-// id drained twice or a zero drained at all.
-func drained(t *testing.T, f *Flat) map[uint32]uint64 {
+// finished finishes f's row as a join does — a dense one by reading Row in
+// place and then Reset, a sparse one by Drain — into a map from id to the
+// value's bits, failing on an id drained twice or a zero drained at all.
+func finished(t *testing.T, f *Flat) map[uint32]uint64 {
 	t.Helper()
 	out := map[uint32]uint64{}
+	if f.Dense() {
+		for id, v := range f.Row() {
+			if v != 0 {
+				out[uint32(id)] = math.Float64bits(v)
+			}
+		}
+		f.Reset()
+		return out
+	}
 	for _, s := range f.Drain() {
 		if _, dup := out[s.ID]; dup || s.V == 0 {
 			t.Fatalf("drain hands out id %d = %v twice or at zero", s.ID, s.V)
@@ -209,7 +219,8 @@ func sameBits(t *testing.T, name string, got map[uint32]uint64, ref map[uint32]f
 
 // TestFlatEquivalence checks the HVNL per-document accumulator against map
 // semantics across rows (one per outer document), in both regimes and both
-// ways a row ends: a Drain, or a Take of listed ids followed by Reset — so
+// ways a row ends: finished (a Drain while sparse, Row and Reset while
+// dense), or a Take of listed ids followed by Reset — so
 // a row that went dense and was finished by listed Takes must leave the
 // next row clean. Every combination must occur.
 func TestFlatEquivalence(t *testing.T) {
@@ -231,8 +242,8 @@ func TestFlatEquivalence(t *testing.T) {
 				regime = "dense"
 			}
 			if r.Intn(2) == 0 {
-				ends["drain/"+regime]++
-				sameBits(t, "drain/"+regime, drained(t, f), ref)
+				ends["finish/"+regime]++
+				sameBits(t, "finish/"+regime, finished(t, f), ref)
 				continue
 			}
 			ends["take/"+regime]++
@@ -246,7 +257,7 @@ func TestFlatEquivalence(t *testing.T) {
 			}
 			f.Reset()
 		}
-		if got := drained(t, f); len(got) != 0 {
+		if got := finished(t, f); len(got) != 0 {
 			t.Fatalf("an empty row drains %v", got)
 		}
 		return true
@@ -254,7 +265,7 @@ func TestFlatEquivalence(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
-	for _, end := range []string{"drain/sparse", "drain/dense", "take/sparse", "take/dense"} {
+	for _, end := range []string{"finish/sparse", "finish/dense", "take/sparse", "take/dense"} {
 		if ends[end] == 0 {
 			t.Errorf("no row ended %s: %v", end, ends)
 		}
@@ -277,12 +288,12 @@ func TestFlatDenseTakeThenReset(t *testing.T) {
 	}
 	f.Reset()
 	f.Add(6, 1)
-	sameBits(t, "next row", drained(t, f), map[uint32]float64{6: 1})
+	sameBits(t, "next row", finished(t, f), map[uint32]float64{6: 1})
 }
 
-// TestFlatRowInPlace is the other dense finish, HVNL's: while dense, Row
-// holds every value at its id, and Reset leaves the next row listed and
-// clean.
+// TestFlatRowInPlace is the dense finish every join uses: while dense, Row
+// holds every value at its id, Drain refuses the row (it lists no ids),
+// and Reset leaves the next row listed and clean.
 func TestFlatRowInPlace(t *testing.T) {
 	f := NewFlat(8) // dense at the second listed id
 	f.Add(1, 2)
@@ -299,12 +310,20 @@ func TestFlatRowInPlace(t *testing.T) {
 			t.Fatalf("Row() = %v, want %v", f.Row(), want)
 		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Drain of a dense row: want a panic")
+			}
+		}()
+		f.Drain()
+	}()
 	f.Reset()
 	f.Add(6, 1)
 	if f.Dense() {
 		t.Fatal("Reset must return the row to the sparse regime")
 	}
-	sameBits(t, "next row", drained(t, f), map[uint32]float64{6: 1})
+	sameBits(t, "next row", finished(t, f), map[uint32]float64{6: 1})
 }
 
 // TestAddCellsEqualsAdds pins the one kernel: for every store, AddCells
@@ -337,7 +356,7 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		if flat.Dense() != wantDense {
 			t.Fatalf("%s: dense = %v, want %v", name, flat.Dense(), wantDense)
 		}
-		got, want := drained(t, flat), drained(t, ref)
+		got, want := finished(t, flat), finished(t, ref)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d ids drained, Add leaves %d", name, len(got), len(want))
 		}
@@ -430,7 +449,7 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 			}
 		}
 		regimes[flat.dense]++
-		got, want := drained(t, flat), drained(t, flatRef)
+		got, want := finished(t, flat), finished(t, flatRef)
 		if len(got) != len(want) {
 			t.Fatalf("flat: %d ids drained, Add leaves %d", len(got), len(want))
 		}
@@ -460,8 +479,9 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 	}
 }
 
-// TestFlatFirstTouchOrder pins the two drain orders: sparse, first touch;
-// dense, id order.
+// TestFlatFirstTouchOrder pins the drain order, first touch, and that a
+// dense row finished in place through Row and Reset leaves the next row
+// sparse and draining in its own first-touch order.
 func TestFlatFirstTouchOrder(t *testing.T) {
 	f := NewFlat(16) // dense at the fourth listed id
 	drain := func(want ...Sum) {
@@ -487,12 +507,13 @@ func TestFlatFirstTouchOrder(t *testing.T) {
 	if !f.dense {
 		t.Fatal("five ids of sixteen: want dense")
 	}
-	drain(Sum{1, 1}, Sum{3, 3}, Sum{4, 4}, Sum{9, 9}, Sum{12, 12})
+	sameBits(t, "dense row", finished(t, f), map[uint32]float64{1: 1, 3: 3, 4: 4, 9: 9, 12: 12})
 	f.Add(5, 1)
+	f.Add(3, 2)
 	if f.dense {
-		t.Fatal("a drain must return the row to the sparse regime")
+		t.Fatal("a Reset must return the row to the sparse regime")
 	}
-	drain(Sum{5, 1})
+	drain(Sum{5, 1}, Sum{3, 2})
 }
 
 func TestTableGrowth(t *testing.T) {

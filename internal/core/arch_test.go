@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,6 +70,22 @@ func TestJoinsStartNoGoroutines(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if _, ok := n.(*ast.GoStmt); ok {
 				t.Errorf("%s starts a goroutine; a join runs on its caller's", name)
+			}
+			return true
+		})
+	}
+}
+
+// TestJoinFilesHoldNoMaps pins the term-indexed decision (DESIGN §8): no
+// join file names a map type — not in a field, a local, a make or a
+// literal. Terms, documents, slots and stream positions are dense
+// numbers, so every table a join keeps is a slice indexed by one, and a
+// hash on a join path is a regression. There is no allowlist.
+func TestJoinFilesHoldNoMaps(t *testing.T) {
+	for name, f := range parseNonTest(t, ".") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if m, ok := n.(*ast.MapType); ok {
+				t.Errorf("%s names %s; index a slice by the dense number instead", name, types.ExprString(m))
 			}
 			return true
 		})

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"textjoin/internal/corpus"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
@@ -136,9 +137,9 @@ func kernelLists(r *rand.Rand, mode, streamed, slots int) [][]int32 {
 // TestBlockKernelMatchesPairwiseScoring is the gate of DESIGN §5.8: over
 // random resident batches and streamed documents, under every weighting
 // and slot-list regime, the similarities the shared kernel (accum.Flat's
-// AddCells, fed by residentBlock.accumulate) leaves, as its Drain hands
-// them out, are the pairwise
-// scorer's to the last bit — in both role assignments, forward
+// AddCells, fed by residentBlock.accumulate) leaves, as its dense Row or
+// its sparse Drain hands them out, are the pairwise scorer's to the last
+// bit — in both role assignments, forward
 // HHNL's and backward HHNL's — and a stage fed through it ends with the
 // trackers, comparisons and false passes of the pairwise loop. Each trial
 // runs several batches through one block and one stage, as a join does.
@@ -164,6 +165,12 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 					d := &streamed[i]
 					block.accumulate(scorer, d)
 					drained := map[uint32]float64{}
+					if acc.Dense() {
+						for slot, v := range acc.Row()[:len(batch)] {
+							drained[uint32(slot)] = v
+						}
+						acc.Reset()
+					}
 					for _, sum := range acc.Drain() {
 						if _, dup := drained[sum.ID]; dup || sum.V == 0 {
 							t.Fatalf("seed %d %s: slot %d drained twice or at zero (%v)", seed, name, sum.ID, sum.V)
@@ -210,6 +217,82 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// blockOf is a resident batch of one document per term-count map, ids from
+// 100.
+func blockOf(counts ...map[uint32]int) []document.Document {
+	batch := make([]document.Document, len(counts))
+	for i, c := range counts {
+		batch[i] = *docOf(100+uint32(i), c)
+	}
+	return batch
+}
+
+// TestBlockDirectoryResetsThroughTermList regroups two batches into one
+// block, the second lacking term 5 of the first and holding as many
+// entries, so the directory keeps its size and a stale entry for term 5
+// would name one of the second batch's. A streamed document of term 5 must
+// reach both slots of batch 1 and score zero against batch 2: the regroup
+// clears the directory through the previous batch's term list, not over
+// the vocabulary.
+func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
+	var block residentBlock
+	st := &blockStage{scorer: rawScorer(t), block: &block}
+	d := docOf(7, map[uint32]int{5: 3})
+	for i, tc := range []struct {
+		batch       []document.Document
+		reached     int
+		falsePasses int64
+	}{
+		{blockOf(map[uint32]int{1: 1, 5: 2}, map[uint32]int{5: 1}), 2, 0},
+		{blockOf(map[uint32]int{2: 1, 3: 1}, map[uint32]int{3: 2}), 0, 1},
+	} {
+		block.regroup(tc.batch)
+		st.begin(nil, 3)
+		st.score(d)
+		reached := 0
+		for slot := range tc.batch {
+			reached += len(st.trackers[slot].Results())
+		}
+		if reached != tc.reached || st.falsePasses != tc.falsePasses || st.comparisons != 2 {
+			t.Errorf("batch %d: reached %d slots, %d false passes, %d comparisons; want %d, %d, 2",
+				i+1, reached, st.falsePasses, st.comparisons, tc.reached, tc.falsePasses)
+		}
+	}
+}
+
+// TestBlockSkipsTermsBeyondDirectory streams documents holding terms
+// numbered above every resident term — one just past the batch's largest,
+// and one far beyond the directory — past a block, mixed with shared terms
+// and alone: the stage ends with the pairwise loop's trackers and false
+// passes, so a document of such terms alone reaches no slot.
+func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
+	batch := blockOf(map[uint32]int{0: 2, 3: 1}, map[uint32]int{3: 4, 5: 1})
+	var block residentBlock
+	block.regroup(batch)
+	scorer := rawScorer(t)
+	st := &blockStage{scorer: scorer, block: &block}
+	st.begin(nil, 3)
+	want := newPairwiseStage(scorer, batch, nil, 3)
+	beyond := uint32(len(block.dir) + 1000)
+	for _, d := range []*document.Document{
+		docOf(1, map[uint32]int{3: 2, 6: 1, beyond: 5}),
+		docOf(2, map[uint32]int{0: 1, beyond: 1}),
+		docOf(3, map[uint32]int{6: 2, beyond: 3}),
+	} {
+		st.score(d)
+		want.score(d)
+	}
+	if st.falsePasses != 1 || want.falsePasses != 1 {
+		t.Errorf("%d false passes, pairwise %d; want 1", st.falsePasses, want.falsePasses)
+	}
+	for slot := range batch {
+		got, exp := st.trackers[slot].Results(), want.trackers[slot].Results()
+		if err := exactSameResults([]Result{{Matches: got}}, []Result{{Matches: exp}}); err != nil {
+			t.Errorf("slot %d: %v", slot, err)
 		}
 	}
 }
@@ -278,6 +361,40 @@ func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
 			t.Errorf("backward=%v: %.0f allocations in one pass, %.0f in %d; want at most %.0f", backward, one, many, passes, budget)
 		}
 	}
+}
+
+// BenchmarkBlockScore times the block kernel per comparison on hhnl_scan's
+// shape: a resident batch of a third of a WSJ/96 collection (343
+// documents), regrouped once, and the inner WSJ/96 documents streamed past
+// it one per iteration under raw tf — blockStage.score's accumulate and
+// finish, the loop a forward HHNL join spends its CPU in. It must allocate
+// nothing.
+//
+//	go test -run '^$' -bench BlockScore -benchmem ./internal/core
+func BenchmarkBlockScore(b *testing.B) {
+	p := corpus.WSJ.Scaled(96)
+	docs := func(seed int64, n int) []document.Document {
+		g, err := corpus.NewGenerator(p, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := make([]document.Document, n)
+		for i := range out {
+			out[i] = *g.Document(uint32(i))
+		}
+		return out
+	}
+	batch, stream := docs(2, int(p.NumDocs/3)), docs(1, int(p.NumDocs))
+	var block residentBlock
+	block.regroup(batch)
+	st := &blockStage{scorer: rawScorer(b), block: &block}
+	st.begin(nil, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.score(&stream[i%len(stream)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.comparisons), "ns/comparison")
 }
 
 // TestInlinePathAllocationsDoNotGrowWithInner is the go-test form of what

@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"textjoin/internal/collection"
@@ -267,12 +268,10 @@ type ioTracker struct {
 
 func trackIO(files ...*iosim.File) *ioTracker {
 	t := &ioTracker{}
-	seen := make(map[*iosim.File]bool)
 	for _, f := range files {
-		if f == nil || seen[f] {
+		if f == nil || slices.Contains(t.files, f) {
 			continue
 		}
-		seen[f] = true
 		t.files = append(t.files, f)
 		t.before = append(t.before, f.Stats())
 	}

@@ -268,67 +268,85 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 // applied to the block HHNL already holds). It is rebuilt for every batch
 // into the same buffers; between two regroups only acc changes.
 type residentBlock struct {
-	ids  []uint32         // slot → document id
-	dir  map[uint32]int32 // term → its entry
-	offs []int32          // entry e's postings are post[offs[e]:offs[e+1]]
-	post []codec.Cell
-	acc  *accum.Flat // over the slots: the streamed document being scored
+	ids []uint32 // slot → document id
+	// dir is indexed by term number: 0 for a term the batch lacks, 1+e for
+	// entry e, whose term is terms[e]. Only the batch's own terms are
+	// non-zero, so the next regroup clears it through terms.
+	dir   []int32
+	terms []uint32
+	offs  []int32 // entry e's postings are post[offs[e]:offs[e+1]]
+	post  []codec.Cell
+	acc   *accum.Flat // over the slots: the streamed document being scored
 }
 
 // regroup is a counting sort of the batch's cells by term. The first pass
-// counts each term's cells (held negated in dir); the second numbers the
-// terms in first-seen order, which makes entry e's postings start where
-// entry e-1's end, and places the cells. Cells are visited in slot order,
-// so each term's postings ascend by slot.
+// counts each term's cells (held negated in dir) and lists the terms in
+// first-seen order; numbering them in that order makes entry e's postings
+// start where entry e-1's end; the second pass places the cells. Cells are
+// visited in slot order, so each term's postings ascend by slot.
 func (b *residentBlock) regroup(batch []document.Document) {
-	if b.dir == nil {
-		b.dir = make(map[uint32]int32)
+	for _, t := range b.terms {
+		b.dir[t] = 0
 	}
-	clear(b.dir)
 	if b.acc == nil || cap(b.ids) < len(batch) {
 		b.ids = make([]uint32, 0, batchSlack(len(batch)))
 		b.acc = accum.NewFlat(cap(b.ids))
 	}
 	b.ids = b.ids[:0]
-	cells := 0
+	cells, top := 0, -1
 	for i := range batch {
 		b.ids = append(b.ids, batch[i].ID)
-		for _, c := range batch[i].Cells {
-			b.dir[c.Term]--
+		if n := len(batch[i].Cells); n > 0 {
+			cells += n
+			top = max(top, int(batch[i].Cells[n-1].Term)) // cells ascend by term
 		}
-		cells += len(batch[i].Cells)
+	}
+	if top >= len(b.dir) {
+		b.dir = make([]int32, batchSlack(top+1))
+	}
+	dir, terms := b.dir, b.terms[:0]
+	for i := range batch {
+		for _, c := range batch[i].Cells {
+			if dir[c.Term] == 0 {
+				terms = append(terms, c.Term)
+			}
+			dir[c.Term]--
+		}
+	}
+	// offs[e+1] is entry e's cursor: its start once the entry is numbered,
+	// its end — the start of entry e+1 — once its cells are placed.
+	offs := append(slices.Grow(b.offs[:0], len(terms)+1), 0)
+	next := int32(0)
+	for e, t := range terms {
+		offs = append(offs, next)
+		next -= dir[t]
+		dir[t] = int32(e) + 1
 	}
 	if cap(b.post) < cells {
 		b.post = make([]codec.Cell, batchSlack(cells)) // the first batch is a full one
 	}
 	post := b.post[:cells]
-	// offs[e+1] is entry e's cursor: its start when the entry is numbered,
-	// its end — the start of entry e+1 — once its cells are placed.
-	offs := append(slices.Grow(b.offs[:0], len(b.dir)+1), 0)
-	next := int32(0)
 	for i := range batch {
 		for _, c := range batch[i].Cells {
-			e := b.dir[c.Term]
-			if e < 0 {
-				count := -e
-				e = int32(len(offs) - 1)
-				b.dir[c.Term] = e
-				offs = append(offs, next)
-				next += count
-			}
-			post[offs[e+1]] = codec.Cell{Number: uint32(i), Weight: c.Weight}
-			offs[e+1]++
+			k := dir[c.Term]
+			post[offs[k]] = codec.Cell{Number: uint32(i), Weight: c.Weight}
+			offs[k]++
 		}
 	}
-	b.offs, b.post = offs, post
+	b.terms, b.offs, b.post = terms, offs, post
 }
 
 // accumulate streams d's cells past the block's postings into acc: per slot
-// the products arrive in d's ascending term order (DESIGN §6).
+// the products arrive in d's ascending term order (DESIGN §6). A term
+// beyond the directory is one no resident document holds.
 func (b *residentBlock) accumulate(scorer *document.Scorer, d *document.Document) {
+	dir, offs, post := b.dir, b.offs, b.post
 	for _, c := range d.Cells {
-		if e, ok := b.dir[c.Term]; ok {
-			b.acc.AddCells(b.post[b.offs[e]:b.offs[e+1]], float64(c.Weight), scorer.TermFactor(c.Term))
+		if int(c.Term) >= len(dir) {
+			break // so is every later one: cells ascend by term
+		}
+		if k := dir[c.Term]; k != 0 {
+			b.acc.AddCells(post[offs[k-1]:offs[k]], float64(c.Weight), scorer.TermFactor(c.Term))
 		}
 	}
 }
@@ -360,30 +378,44 @@ func (s *blockStage) begin(lists [][]int32, lambda int) {
 
 // score offers d1 to the tracker of every slot it reached — of every
 // listed slot it reached, under slot lists. A slot it did not reach has
-// similarity zero, which no tracker keeps.
+// similarity zero, which no tracker keeps. A dense row is read in place,
+// in slot order, and then Reset; a sparse one is drained.
 func (s *blockStage) score(d1 *document.Document) {
 	s.block.accumulate(s.scorer, d1)
-	ids, acc := s.block.ids, s.block.acc
-	anyHit := false
-	offer := func(slot uint32, raw float64) {
-		if sim := s.scorer.Finalize(ids[slot], d1.ID, raw); sim != 0 {
-			anyHit = true
-			s.trackers[slot].Offer(d1.ID, sim)
-		}
-	}
-	if s.lists == nil {
-		for _, sum := range acc.Drain() {
-			offer(sum.ID, sum.V)
-		}
-		s.comparisons += int64(len(ids))
-	} else {
-		slots := s.lists[d1.ID]
+	ids, acc, scorer, inner := s.block.ids, s.block.acc, s.scorer, d1.ID
+	anyHit, compared := false, len(ids)
+	switch {
+	case s.lists != nil:
+		slots := s.lists[inner]
 		for _, slot := range slots {
-			offer(uint32(slot), acc.Take(uint32(slot)))
+			if sim := scorer.Finalize(ids[slot], inner, acc.Take(uint32(slot))); sim != 0 {
+				anyHit = true
+				s.trackers[slot].Offer(inner, sim)
+			}
 		}
 		acc.Reset()
-		s.comparisons += int64(len(slots))
+		compared = len(slots)
+	case acc.Dense():
+		trackers := s.trackers[:len(ids)]
+		for slot, raw := range acc.Row()[:len(ids)] {
+			if raw == 0 {
+				continue
+			}
+			if sim := scorer.Finalize(ids[slot], inner, raw); sim != 0 {
+				anyHit = true
+				trackers[slot].Offer(inner, sim)
+			}
+		}
+		acc.Reset()
+	default:
+		for _, sum := range acc.Drain() {
+			if sim := scorer.Finalize(ids[sum.ID], inner, sum.V); sim != 0 {
+				anyHit = true
+				s.trackers[sum.ID].Offer(inner, sim)
+			}
+		}
 	}
+	s.comparisons += int64(compared)
 	if !anyHit {
 		s.falsePasses++
 	}
@@ -404,8 +436,11 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	tel, trace := opts.Telemetry, opts.Trace
 
-	trackers := make(map[uint32]*topk.TopK)
-	var order []uint32
+	// Every pass streams the outer side in the same Documents() order, so a
+	// document's position in the stream names its result row and tracker;
+	// the first pass creates both.
+	results := make([]Result, 0, in.Outer.NumDocs())
+	trackers := make([]*topk.TopK, 0, in.Outer.NumDocs())
 	filler := newBatchFiller(in.Inner.Scan().NextReuse, budget, 0, "inner", in.Inner.NumDocs(), in.Inner.AvgDocBytes())
 	// The same kernel with the roles swapped: the inner block is resident
 	// and regrouped, each outer document streams past it.
@@ -434,7 +469,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 		// the reuse path applies.
 		score := trace.StartChild(reqtrace.PhaseScore, "hhnl.backward.outer-scan")
 		outerIt := in.Outer.Documents()
-		for {
+		for pos := 0; ; pos++ {
 			d2, err := collection.NextReuse(outerIt)
 			if err == io.EOF {
 				break
@@ -443,31 +478,38 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 				score.End()
 				return nil, nil, err
 			}
-			tk := trackers[d2.ID]
-			if tk == nil {
-				tk = topk.New(opts.Lambda)
-				trackers[d2.ID] = tk
-				order = append(order, d2.ID)
-			}
 			if firstPass {
-				stats.OuterDocs++
+				results = append(results, Result{Outer: d2.ID})
+				trackers = append(trackers, topk.New(opts.Lambda))
 			}
 			// The other finishing shape: the streamed document is the row,
-			// and every resident document it reached goes to its one tracker.
+			// and every resident document it reached goes to its one tracker
+			// — in slot order from a dense row, read in place.
+			tk, acc := trackers[pos], block.acc
 			block.accumulate(scorer, d2)
 			fin := scorer.Row(d2.ID)
-			for _, sum := range block.acc.Drain() {
-				d1 := block.ids[sum.ID]
-				tk.Offer(d1, fin.Finalize(d1, sum.V))
+			if acc.Dense() {
+				for slot, raw := range acc.Row()[:len(batch)] {
+					if raw != 0 {
+						d1 := block.ids[slot]
+						tk.Offer(d1, fin.Finalize(d1, raw))
+					}
+				}
+				acc.Reset()
+			} else {
+				for _, sum := range acc.Drain() {
+					d1 := block.ids[sum.ID]
+					tk.Offer(d1, fin.Finalize(d1, sum.V))
+				}
 			}
 			stats.Comparisons += int64(len(batch))
 		}
 		score.End()
 	}
+	stats.OuterDocs = int64(len(results))
 	flush := trace.StartChild(reqtrace.PhaseFinalize, "hhnl.backward.finalize")
-	results := make([]Result, 0, len(order))
-	for _, id := range order {
-		results = append(results, Result{Outer: id, Matches: trackers[id].Results()})
+	for i, tk := range trackers {
+		results[i].Matches = tk.Results()
 	}
 	flush.End()
 	stats.IO = track.delta()
