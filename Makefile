@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify race perf perf-aa trace-smoke obs-smoke bench-json bench-load smoke-bin loadgen-smoke slo-smoke lint lint-report
+.PHONY: build test verify fuzz-smoke race perf perf-aa trace-smoke obs-smoke bench-json bench-load smoke-bin loadgen-smoke slo-smoke lint lint-report
 
 build:
 	$(GO) build ./...
@@ -34,10 +34,10 @@ test: build
 # finishes with the observability smokes: the self-driving textjoind
 # endpoint check, the load-generator gate, the SLO/error-budget gate, the
 # command-line run piped into tracecheck, and the page-read grid checked
-# against its baseline. benchmark/ is a module of its own that root ./...
-# patterns never reach, so it is vetted and tested by name: a facade
-# rename must not break it unnoticed.
-verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json
+# against its baseline, and a short fuzz of every decoder. benchmark/ is a
+# module of its own that root ./... patterns never reach, so it is vetted
+# and tested by name: a facade rename must not break it unnoticed.
+verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
@@ -58,6 +58,18 @@ lint-report:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke runs each decode fuzz target for a fixed 10 s beyond its
+# seeds: the re-encode identity, the four-wide record decode against a
+# per-cell reference, the B+tree cell decoder, and the document-side twin
+# against the record decode. go test takes one fuzz target per run. A failing input is
+# written under the package's testdata/fuzz, which is what to commit as a
+# regression seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordInto$$' -fuzztime 10s ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBTreeCell$$' -fuzztime 10s ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInto$$' -fuzztime 10s ./internal/document
 
 # perf is the one instrument that measures time: the four workloads of
 # BENCHMARK.json, end to end and layer by layer (benchmark/README.md).

@@ -13,6 +13,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -197,13 +198,22 @@ func DecodeRecord(b []byte) (Record, int64, error) {
 	return Record{Number: number, Cells: cells}, size, nil
 }
 
+// GroupWindow is the window the four-wide cell unpack reads per step: four
+// 8-byte little-endian loads at offsets 0, 5, 10 and 15, each keeping its
+// low five bytes. A record body of n cells runs its groups while at least
+// GroupWindow bytes remain, and finishes one cell at a time.
+const GroupWindow = 3*CellSize + 8
+
 // DecodeRecordInto is the batch decode kernel behind DecodeRecord: it
 // decodes one packed record from the start of b, appending the cells to
 // dst (whose capacity is reused, so a caller recycling its buffer decodes
 // without allocating). Bounds are checked once against the full record
-// size; the unpack loop then runs without per-cell checks, and the
-// strictly-ascending invariant is verified with a flag folded into the
-// loop rather than a per-cell early exit.
+// size; the unpack loop then takes four cells per step behind one check
+// on a GroupWindow-byte window, and a one-cell tail takes the rest.
+// Strict ascent is checked without branches: ok keeps the sign bit of
+// every prev−n, which is negative exactly when n > prev (numbers are
+// below 2²⁴, so the int32 difference cannot overflow), and a clear sign
+// bit at the end rejects the record.
 func DecodeRecordInto(b []byte, dst []Cell) (number uint32, cells []Cell, consumed int64, err error) {
 	if len(b) < DocHeaderSize {
 		return 0, dst, 0, fmt.Errorf("%w: need %d header bytes, have %d", ErrShortBuffer, DocHeaderSize, len(b))
@@ -223,16 +233,32 @@ func DecodeRecordInto(b []byte, dst []Cell) (number uint32, cells []Cell, consum
 	dst = dst[:base+count]
 	out := dst[base:]
 	body := b[DocHeaderSize:size:size]
-	ascending := true
-	prev := int64(-1)
-	for i := range out {
-		c := body[i*CellSize : i*CellSize+CellSize]
-		n := uint32(c[0]) | uint32(c[1])<<8 | uint32(c[2])<<16
-		out[i] = Cell{Number: n, Weight: uint16(c[3]) | uint16(c[4])<<8}
-		ascending = ascending && int64(n) > prev
-		prev = int64(n)
+	ok, prev := int32(-1), int32(-1)
+	i := 0
+	for ; len(body) >= GroupWindow; body = body[4*CellSize:] {
+		w := body[:GroupWindow:GroupWindow]
+		v0 := binary.LittleEndian.Uint64(w[0:])
+		v1 := binary.LittleEndian.Uint64(w[CellSize:])
+		v2 := binary.LittleEndian.Uint64(w[2*CellSize:])
+		v3 := binary.LittleEndian.Uint64(w[3*CellSize:])
+		n0, n1, n2, n3 := int32(v0&MaxNumber), int32(v1&MaxNumber), int32(v2&MaxNumber), int32(v3&MaxNumber)
+		ok &= (prev - n0) & (n0 - n1) & (n1 - n2) & (n2 - n3)
+		prev = n3
+		o := out[i : i+4 : i+4]
+		o[0] = Cell{Number: uint32(n0), Weight: uint16(v0 >> 24)}
+		o[1] = Cell{Number: uint32(n1), Weight: uint16(v1 >> 24)}
+		o[2] = Cell{Number: uint32(n2), Weight: uint16(v2 >> 24)}
+		o[3] = Cell{Number: uint32(n3), Weight: uint16(v3 >> 24)}
+		i += 4
 	}
-	if !ascending {
+	for ; len(body) >= CellSize; body = body[CellSize:] {
+		n := int32(body[0]) | int32(body[1])<<8 | int32(body[2])<<16
+		ok &= prev - n
+		prev = n
+		out[i] = Cell{Number: uint32(n), Weight: uint16(body[3]) | uint16(body[4])<<8}
+		i++
+	}
+	if ok >= 0 {
 		return 0, dst[:base], 0, fmt.Errorf("%w: cells not strictly ascending", ErrCorrupt)
 	}
 	return number, dst, size, nil

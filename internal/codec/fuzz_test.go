@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -44,6 +45,9 @@ func FuzzDecodeRecordInto(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(1))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), uint8(7))
 	f.Add(append([]byte{9, 0, 0, 2, 0, 0}, bytes.Repeat([]byte{5, 0, 0, 1, 0}, 2)...), uint8(2))
+	for i, seed := range decodeSeeds() {
+		f.Add(seed, uint8(i%5))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, prefill uint8) {
 		// Reference: header reads plus a per-cell DecodeCell loop.
 		refRec, refConsumed, refErr := func() (Record, int64, error) {
@@ -107,6 +111,93 @@ func FuzzDecodeRecordInto(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rawRecord packs a record without AppendRecord's ascent check, so a seed
+// can hold the cells a decoder must reject.
+func rawRecord(number uint32, cells []Cell) []byte {
+	b := make([]byte, DocHeaderSize, EncodedRecordSize(len(cells)))
+	PutUint24(b, number)
+	PutUint24(b[DocNumberSize:], uint32(len(cells)))
+	for _, c := range cells {
+		var buf [CellSize]byte
+		PutUint24(buf[:], c.Number)
+		PutUint16(buf[TermNumberSize:], c.Weight)
+		b = append(b, buf[:]...)
+	}
+	return b
+}
+
+// ascending returns n strictly ascending cells with weights that use both
+// bytes.
+func ascending(n int) []Cell {
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = Cell{Number: uint32(3*i + 1), Weight: uint16(0x0101 * (i + 1))}
+	}
+	return cells
+}
+
+// decodeSeeds are the records the four-wide decode is most likely to get
+// wrong. With nine cells the groups take cells 0–3 and 4–7 and the tail
+// takes cell 8, so a bad pair is placed at the first position (0,1),
+// inside a group (1,2), across the group boundary (3,4) and in the tail
+// (7,8), once as a duplicate and once descending. Then records of 0 to 9
+// cells, to cover every tail length, and records that reach MaxNumber
+// and MaxWeight in a group and in the tail.
+func decodeSeeds() [][]byte {
+	var seeds [][]byte
+	for n := 0; n <= 9; n++ {
+		seeds = append(seeds, rawRecord(uint32(n), ascending(n)))
+	}
+	for _, at := range []int{0, 1, 3, 7} {
+		dup, desc := ascending(9), ascending(9)
+		dup[at+1].Number = dup[at].Number
+		desc[at+1].Number = desc[at].Number - 1
+		seeds = append(seeds, rawRecord(1, dup), rawRecord(2, desc))
+	}
+	for _, n := range []int{5, 9} {
+		top := ascending(n)
+		top[n-1] = Cell{Number: MaxNumber, Weight: MaxWeight}
+		twice := ascending(n)
+		twice[n-2], twice[n-1] = top[n-1], top[n-1]
+		seeds = append(seeds, rawRecord(MaxNumber, top), rawRecord(MaxNumber, twice))
+	}
+	return seeds
+}
+
+// BenchmarkDecodeRecordInto times the batch decode kernel per cell over a
+// buffer of records of 1 to 255 cells, so that groups and every tail
+// length are in the mix, decoding into one recycled cell buffer.
+func BenchmarkDecodeRecordInto(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	var buf []byte
+	cells := 0
+	for range 256 {
+		n := 1 + r.Intn(255)
+		rec := make([]Cell, n)
+		next := uint32(r.Intn(8))
+		for i := range rec {
+			rec[i] = Cell{Number: next, Weight: uint16(1 + r.Intn(12))}
+			next += 1 + uint32(r.Intn(300))
+		}
+		buf, _ = AppendRecord(buf, Record{Number: uint32(r.Intn(MaxNumber)), Cells: rec})
+		cells += n
+	}
+	var dst []Cell
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for off := 0; off < len(buf); {
+			_, got, consumed, err := DecodeRecordInto(buf[off:], dst[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst = got
+			off += int(consumed)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 }
 
 // FuzzDecodeBTreeCell covers the 9-byte leaf-cell decoder.

@@ -77,18 +77,28 @@ func TestJoinsStartNoGoroutines(t *testing.T) {
 }
 
 // TestJoinFilesHoldNoMaps pins the term-indexed decision (DESIGN §8): no
-// join file names a map type — not in a field, a local, a make or a
-// literal. Terms, documents, slots and stream positions are dense
-// numbers, so every table a join keeps is a slice indexed by one, and a
-// hash on a join path is a regression. There is no allowlist.
+// join file, nor a file of the entry cache HVNL probes per outer cell,
+// names a map type — not in a field, a local, a make or a literal — or
+// imports container/heap, whose interface boxes every push.
+// Terms, documents, slots and stream positions are dense numbers, so
+// every table a join keeps is a slice indexed by one, and a hash on a
+// join path is a regression. There is no allowlist.
 func TestJoinFilesHoldNoMaps(t *testing.T) {
-	for name, f := range parseNonTest(t, ".") {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if m, ok := n.(*ast.MapType); ok {
-				t.Errorf("%s names %s; index a slice by the dense number instead", name, types.ExprString(m))
+	for _, dir := range []string{".", "../entrycache"} {
+		for name, f := range parseNonTest(t, dir) {
+			name = filepath.Join(dir, name)
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"container/heap"` {
+					t.Errorf("%s imports container/heap; keep a typed heap of dense indices", name)
+				}
 			}
-			return true
-		})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if m, ok := n.(*ast.MapType); ok {
+					t.Errorf("%s names %s; index a slice by the dense number instead", name, types.ExprString(m))
+				}
+				return true
+			})
+		}
 	}
 }
 

@@ -86,6 +86,10 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	// computation ... no extra effort is needed to get them").
 	cache := entrycache.New(cacheBudget, opts.CachePolicy, in.Outer.DF)
 	cache.SetTelemetry(tel)
+	if cells := index.Cells(); len(cells) > 0 {
+		// Only terms of C1 are cached, and the index is term-sorted.
+		cache.Reserve(int(cells[len(cells)-1].Term) + 1)
+	}
 
 	stats := &Stats{Algorithm: HVNL, InnerDocs: in.Inner.NumDocs()}
 	if pf != nil {
@@ -131,8 +135,8 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 			stats.Passes = 1 // one sequential sweep of the inverted file
 		}
 	}
-	var ordered []document.Cell // reusable cached-first ordering scratch
-	var scratch []byte          // stitches the entries that cross a page
+	var ordered, uncached []document.Cell // reusable cached-first ordering scratch
+	var scratch []byte                    // stitches the entries that cross a page
 
 	// With a prefilter, candidate outer documents whose signature is
 	// disjoint from the inner root aggregate are skipped before the
@@ -184,19 +188,17 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 
 			// Order terms: cached entries first (the paper's reuse
 			// optimization), then the rest in term order. Cells are already
-			// term-sorted, so a stable two-pass split needs no sort and no
-			// per-document allocation.
-			ordered = ordered[:0]
+			// term-sorted, so a stable split that asks the cache once per
+			// cell needs no sort and no per-document allocation.
+			ordered, uncached = ordered[:0], uncached[:0]
 			for _, c := range d2.Cells {
 				if cache.Contains(c.Term) {
 					ordered = append(ordered, c)
+				} else {
+					uncached = append(uncached, c)
 				}
 			}
-			for _, c := range d2.Cells {
-				if !cache.Contains(c.Term) {
-					ordered = append(ordered, c)
-				}
-			}
+			ordered = append(ordered, uncached...)
 
 			for _, c := range ordered {
 				if !index.Contains(c.Term) {

@@ -13,6 +13,7 @@
 package document
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -117,11 +118,11 @@ func (d *Document) Clone() *Document {
 
 // DecodeInto decodes one packed record from the start of b directly into
 // d, reusing d's cell capacity so a steady-state decode loop allocates
-// nothing. It is the document-side twin of codec.DecodeRecordInto: one
-// bounds check against the full record size up front, then a straight
-// 5-byte unpack loop, with the strictly-ascending invariant verified by a
-// flag instead of a per-cell early exit. On error d is left with zero
-// cells. Returns the number of bytes consumed.
+// nothing. It is the document-side twin of codec.DecodeRecordInto, with
+// the same loop: one bounds check against the full record size up front,
+// four cells per step from a codec.GroupWindow-byte window, a one-cell
+// tail, and strict ascent kept branch-free in the sign bit of ok. On error
+// d is left with zero cells. Returns the number of bytes consumed.
 func DecodeInto(d *Document, b []byte) (int64, error) {
 	if len(b) < codec.DocHeaderSize {
 		d.Cells = d.Cells[:0]
@@ -137,18 +138,35 @@ func DecodeInto(d *Document, b []byte) (int64, error) {
 	if cap(d.Cells) < count {
 		d.Cells = make([]Cell, count)
 	}
-	d.Cells = d.Cells[:count]
+	out := d.Cells[:count]
+	d.Cells = out
 	body := b[codec.DocHeaderSize:size:size]
-	ascending := true
-	prev := int64(-1)
-	for i := range d.Cells {
-		c := body[i*codec.CellSize : i*codec.CellSize+codec.CellSize]
-		t := uint32(c[0]) | uint32(c[1])<<8 | uint32(c[2])<<16
-		d.Cells[i] = Cell{Term: t, Weight: uint16(c[3]) | uint16(c[4])<<8}
-		ascending = ascending && int64(t) > prev
-		prev = int64(t)
+	ok, prev := int32(-1), int32(-1)
+	i := 0
+	for ; len(body) >= codec.GroupWindow; body = body[4*codec.CellSize:] {
+		w := body[:codec.GroupWindow:codec.GroupWindow]
+		v0 := binary.LittleEndian.Uint64(w[0:])
+		v1 := binary.LittleEndian.Uint64(w[codec.CellSize:])
+		v2 := binary.LittleEndian.Uint64(w[2*codec.CellSize:])
+		v3 := binary.LittleEndian.Uint64(w[3*codec.CellSize:])
+		t0, t1, t2, t3 := int32(v0&codec.MaxNumber), int32(v1&codec.MaxNumber), int32(v2&codec.MaxNumber), int32(v3&codec.MaxNumber)
+		ok &= (prev - t0) & (t0 - t1) & (t1 - t2) & (t2 - t3)
+		prev = t3
+		o := out[i : i+4 : i+4]
+		o[0] = Cell{Term: uint32(t0), Weight: uint16(v0 >> 24)}
+		o[1] = Cell{Term: uint32(t1), Weight: uint16(v1 >> 24)}
+		o[2] = Cell{Term: uint32(t2), Weight: uint16(v2 >> 24)}
+		o[3] = Cell{Term: uint32(t3), Weight: uint16(v3 >> 24)}
+		i += 4
 	}
-	if !ascending {
+	for ; len(body) >= codec.CellSize; body = body[codec.CellSize:] {
+		t := int32(body[0]) | int32(body[1])<<8 | int32(body[2])<<16
+		ok &= prev - t
+		prev = t
+		out[i] = Cell{Term: uint32(t), Weight: uint16(body[3]) | uint16(body[4])<<8}
+		i++
+	}
+	if ok >= 0 {
 		d.Cells = d.Cells[:0]
 		return 0, fmt.Errorf("document: %w: cells not strictly ascending", codec.ErrCorrupt)
 	}

@@ -15,7 +15,6 @@
 package entrycache
 
 import (
-	"container/heap"
 	"fmt"
 
 	"textjoin/internal/invfile"
@@ -62,24 +61,26 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// item is one cached entry, kept in the cache's item arena.
 type item struct {
-	term  uint32
 	entry *invfile.Entry
 	size  int64
 	// key orders the eviction heap: the fixed outer document frequency
 	// under MinOuterDF, the last-access tick under LRU. Lower = evicted
-	// first.
-	key int64
-	// idx is the item's position in the heap, maintained by the heap
-	// interface methods.
-	idx int
+	// first; equal keys go lowest term first, so the order is total.
+	key  int64
+	term uint32
+	at   int32 // the item's position in the heap
 }
 
 // Cache is a byte-budgeted inverted-file entry cache. It is not safe for
 // concurrent use; a join runs single-threaded over its own cache.
 //
-// Put allocates nothing once the cache has held as many entries as it
-// holds: a removed item is kept for the next insertion, and the evicted
+// Every table is indexed by a dense number: slot by term number, the item
+// arena by slot, and the eviction heap holds arena indices. A lookup is
+// one slice read, and Put allocates nothing once the cache has held as
+// many entries as it holds and the slot table covers the term: a removed
+// item's arena index is kept for the next insertion, and the evicted
 // terms come back in a buffer the next Put overwrites. The entries
 // themselves are recycled as well: an evicted entry goes onto a short free
 // list, and Spare hands its cell slab to the next miss to decode into. An
@@ -90,14 +91,18 @@ type Cache struct {
 	budget   int64
 	used     int64
 	priority func(term uint32) int64
-	items    map[uint32]*item
-	heap     evictHeap
 	clock    int64
 	stats    Stats
 
-	spareItems []*item
-	evicted    []uint32
-	spares     []*invfile.Entry // evicted entries, for Spare
+	// slot is indexed by term number: 0 for an absent term, 1+i for
+	// items[i]. Reserve sizes it; a Put past its end grows it.
+	slot  []int32
+	items []item
+	free  []int32 // unused indices of items
+	heap  []int32 // binary min-heap of indices of items, over (key, term)
+
+	evicted []uint32
+	spares  []*invfile.Entry // evicted entries, for Spare
 
 	// Telemetry counters keyed by policy name, resolved once by
 	// SetTelemetry; nil (no-op) when telemetry is disabled.
@@ -114,11 +119,17 @@ func New(budget int64, policy Policy, priority func(uint32) int64) *Cache {
 	if policy == MinOuterDF && priority == nil {
 		panic("entrycache: MinOuterDF policy requires a priority function")
 	}
-	return &Cache{
-		policy:   policy,
-		budget:   budget,
-		priority: priority,
-		items:    make(map[uint32]*item),
+	return &Cache{policy: policy, budget: budget, priority: priority}
+}
+
+// Reserve sizes the slot table for term numbers below terms, so that no
+// Put grows it. A caller that knows its term universe (HVNL: the loaded
+// index's largest term + 1) calls it once, before the first Put.
+func (c *Cache) Reserve(terms int) {
+	if terms > len(c.slot) {
+		grown := make([]int32, terms)
+		copy(grown, c.slot)
+		c.slot = grown
 	}
 }
 
@@ -144,36 +155,43 @@ func (c *Cache) Budget() int64 { return c.budget }
 func (c *Cache) Used() int64 { return c.used }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int { return len(c.items) }
+func (c *Cache) Len() int { return len(c.heap) }
 
 // Stats returns the hit/miss/eviction counters.
 func (c *Cache) Stats() Stats { return c.stats }
+
+// find returns the arena index of term's item, or -1 when term is absent.
+func (c *Cache) find(term uint32) int32 {
+	if int(term) < len(c.slot) {
+		return c.slot[term] - 1
+	}
+	return -1
+}
 
 // Contains reports whether term is cached, without counting a lookup and
 // without touching LRU recency. HVNL uses it to order a document's terms
 // so that cached entries are consumed first ("terms in d1 whose
 // corresponding inverted file entries are already in the memory are
 // considered first").
-func (c *Cache) Contains(term uint32) bool {
-	_, ok := c.items[term]
-	return ok
-}
+func (c *Cache) Contains(term uint32) bool { return c.find(term) >= 0 }
 
 // Get returns the cached entry for term, counting a hit or miss and (under
 // LRU) refreshing recency.
 func (c *Cache) Get(term uint32) (*invfile.Entry, bool) {
-	it, ok := c.items[term]
-	if !ok {
+	i := c.find(term)
+	if i < 0 {
 		c.stats.Misses++
 		c.telMisses.Add(1)
 		return nil, false
 	}
 	c.stats.Hits++
 	c.telHits.Add(1)
+	it := &c.items[i]
 	if c.policy == LRU {
+		// The newest tick is the largest key, so the item only sinks.
 		c.clock++
 		it.key = c.clock
-		heap.Fix(&c.heap, it.idx)
+		c.down(int(it.at))
 	}
 	return it.entry, true
 }
@@ -203,8 +221,8 @@ func (c *Cache) Spare() *invfile.Entry {
 // cached term replaces the old copy. It returns the evicted terms, in
 // eviction order, in a buffer the next Put overwrites.
 func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
-	if old, ok := c.items[term]; ok {
-		c.removeItem(old)
+	if i := c.find(term); i >= 0 {
+		c.remove(i)
 	}
 	if size > c.budget {
 		c.stats.Rejected++
@@ -213,93 +231,123 @@ func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 	}
 	c.evicted = c.evicted[:0]
 	for c.used+size > c.budget {
-		victim := c.heap.items[0]
+		victim := c.heap[0]
 		if len(c.spares) < maxSpares {
-			c.spares = append(c.spares, victim.entry)
+			c.spares = append(c.spares, c.items[victim].entry)
 		}
-		c.evicted = append(c.evicted, victim.term)
-		c.removeItem(victim)
+		c.evicted = append(c.evicted, c.items[victim].term)
+		c.remove(victim)
 		c.stats.Evictions++
 		c.telEvictions.Add(1)
 	}
-	var it *item
-	if n := len(c.spareItems); n > 0 {
-		it = c.spareItems[n-1]
-		c.spareItems = c.spareItems[:n-1]
-	} else {
-		it = &item{}
+	if int(term) >= len(c.slot) {
+		c.Reserve(max(int(term)+1, 2*len(c.slot)))
 	}
-	*it = item{term: term, entry: entry, size: size}
+	var i int32
+	if n := len(c.free); n > 0 {
+		i = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		i = int32(len(c.items))
+		c.items = append(c.items, item{})
+	}
+	var key int64
 	switch c.policy {
 	case MinOuterDF:
-		it.key = c.priority(term)
+		key = c.priority(term)
 	case LRU:
 		c.clock++
-		it.key = c.clock
+		key = c.clock
 	}
-	c.items[term] = it
-	heap.Push(&c.heap, it)
+	c.items[i] = item{entry: entry, size: size, key: key, term: term}
+	c.slot[term] = i + 1
+	c.heap = append(c.heap, i)
+	c.up(len(c.heap) - 1)
 	c.used += size
 	return c.evicted
 }
 
 // Remove drops term from the cache if present.
 func (c *Cache) Remove(term uint32) {
-	if it, ok := c.items[term]; ok {
-		c.removeItem(it)
+	if i := c.find(term); i >= 0 {
+		c.remove(i)
 	}
 }
 
 // Terms returns the cached terms in unspecified order.
 func (c *Cache) Terms() []uint32 {
-	out := make([]uint32, 0, len(c.items))
-	for t := range c.items {
-		out = append(out, t)
+	out := make([]uint32, len(c.heap))
+	for k, i := range c.heap {
+		out[k] = c.items[i].term
 	}
 	return out
 }
 
-// removeItem drops it from the cache and keeps it for the next insertion.
-func (c *Cache) removeItem(it *item) {
-	heap.Remove(&c.heap, it.idx)
-	delete(c.items, it.term)
+// remove drops items[i] from the heap and the slot table and keeps its
+// index for the next insertion.
+func (c *Cache) remove(i int32) {
+	it := &c.items[i]
+	at, last := int(it.at), len(c.heap)-1
+	moved := c.heap[last]
+	c.heap = c.heap[:last]
+	if at != last {
+		c.heap[at] = moved
+		c.items[moved].at = int32(at)
+		if !c.down(at) {
+			c.up(at)
+		}
+	}
+	c.slot[it.term] = 0
 	c.used -= it.size
 	it.entry = nil
-	c.spareItems = append(c.spareItems, it)
+	c.free = append(c.free, i)
 }
 
-// evictHeap is a min-heap over item.key with index maintenance.
-type evictHeap struct {
-	items []*item
+// less orders items a and b for eviction: lower key first, then lower term.
+func (c *Cache) less(a, b int32) bool {
+	x, y := &c.items[a], &c.items[b]
+	return x.key < y.key || x.key == y.key && x.term < y.term
 }
 
-func (h evictHeap) Len() int { return len(h.items) }
-
-func (h evictHeap) Less(i, j int) bool {
-	if h.items[i].key != h.items[j].key {
-		return h.items[i].key < h.items[j].key
+// up moves the heap element at position j toward the root until its
+// parent precedes it.
+func (c *Cache) up(j int) {
+	h := c.heap
+	x := h[j]
+	for j > 0 {
+		p := (j - 1) / 2
+		if !c.less(x, h[p]) {
+			break
+		}
+		h[j] = h[p]
+		c.items[h[j]].at = int32(j)
+		j = p
 	}
-	// Deterministic tie-break by term number.
-	return h.items[i].term < h.items[j].term
+	h[j] = x
+	c.items[x].at = int32(j)
 }
 
-func (h evictHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].idx = i
-	h.items[j].idx = j
-}
-
-func (h *evictHeap) Push(x any) {
-	it := x.(*item)
-	it.idx = len(h.items)
-	h.items = append(h.items, it)
-}
-
-func (h *evictHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	h.items = old[:n-1]
-	return it
+// down moves the heap element at position j toward the leaves until it
+// precedes both children, and reports whether it moved.
+func (c *Cache) down(j int) bool {
+	h := c.heap
+	x, start := h[j], j
+	for {
+		m := 2*j + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && c.less(h[r], h[m]) {
+			m = r
+		}
+		if !c.less(h[m], x) {
+			break
+		}
+		h[j] = h[m]
+		c.items[h[j]].at = int32(j)
+		j = m
+	}
+	h[j] = x
+	c.items[x].at = int32(j)
+	return j > start
 }

@@ -173,7 +173,7 @@ func TestRemove(t *testing.T) {
 // TestRecycleHandsOutEvictedEntries pins the storage half of the cache:
 // Spare hands out the entries eviction released, last first, then fresh
 // ones; and once the cache has held as many entries as it holds, a miss's
-// Spare and Put allocate nothing.
+// Spare and Put of a reserved term allocate nothing.
 func TestRecycleHandsOutEvictedEntries(t *testing.T) {
 	c := New(30, LRU, nil)
 	a, b := entry(1, 4), entry(2, 4)
@@ -191,6 +191,7 @@ func TestRecycleHandsOutEvictedEntries(t *testing.T) {
 		t.Errorf("third Spare = %p, want a fresh entry once the free list is empty", got)
 	}
 	term := uint32(10)
+	c.Reserve(int(term) + 200)
 	if allocs := testing.AllocsPerRun(100, func() {
 		term++
 		e := c.Spare()
@@ -298,4 +299,205 @@ func TestQuickMinDFEvictsLowest(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// model is the reference the cache is held to: the same policy over a
+// plain list, every lookup and every victim choice a linear scan.
+type model struct {
+	policy   Policy
+	budget   int64
+	used     int64
+	priority func(uint32) int64
+	clock    int64
+	stats    Stats
+	items    []modelItem
+}
+
+type modelItem struct {
+	term  uint32
+	entry *invfile.Entry
+	size  int64
+	key   int64
+}
+
+func (m *model) find(term uint32) int {
+	for i, it := range m.items {
+		if it.term == term {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *model) drop(i int) {
+	m.used -= m.items[i].size
+	m.items = append(m.items[:i], m.items[i+1:]...)
+}
+
+func (m *model) get(term uint32) (*invfile.Entry, bool) {
+	i := m.find(term)
+	if i < 0 {
+		m.stats.Misses++
+		return nil, false
+	}
+	m.stats.Hits++
+	if m.policy == LRU {
+		m.clock++
+		m.items[i].key = m.clock
+	}
+	return m.items[i].entry, true
+}
+
+func (m *model) put(term uint32, e *invfile.Entry, size int64) []uint32 {
+	if i := m.find(term); i >= 0 {
+		m.drop(i)
+	}
+	if size > m.budget {
+		m.stats.Rejected++
+		return nil
+	}
+	var evicted []uint32
+	for m.used+size > m.budget {
+		v := 0
+		for i, it := range m.items {
+			if best := m.items[v]; it.key < best.key || it.key == best.key && it.term < best.term {
+				v = i
+			}
+		}
+		evicted = append(evicted, m.items[v].term)
+		m.drop(v)
+		m.stats.Evictions++
+	}
+	key := m.priority(term)
+	if m.policy == LRU {
+		m.clock++
+		key = m.clock
+	}
+	m.items = append(m.items, modelItem{term: term, entry: e, size: size, key: key})
+	m.used += size
+	return evicted
+}
+
+// TestVictimSequenceMatchesModel replays seeded traces of Get, Put and
+// Remove through the cache and the linear-scan model under both policies,
+// with and without a reserved slot table: every Get must agree on hit and
+// entry, every Put on its evicted terms in order, and after every
+// operation Hits, Misses, Evictions, Rejected, Used and Len must match.
+// The traces are built to hold what the heap could get wrong: keys shared
+// by many terms, re-inserts of cached terms, entries larger than the
+// budget, Puts that evict several victims, and terms past the slot table.
+func TestVictimSequenceMatchesModel(t *testing.T) {
+	const budget = 120
+	df := func(term uint32) int64 { return int64(term % 5) }
+	for _, policy := range []Policy{MinOuterDF, LRU} {
+		var ties, reinserts, rejected, multi int
+		for seed := int64(1); seed <= 40; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			c := New(budget, policy, df)
+			if seed%2 == 0 {
+				c.Reserve(64)
+			}
+			m := &model{policy: policy, budget: budget, priority: df}
+			for op := 0; op < 400; op++ {
+				term := uint32(r.Intn(48))
+				if r.Intn(20) == 0 {
+					term = 64 + uint32(r.Intn(2000))
+				}
+				switch k := r.Intn(10); {
+				case k < 5:
+					e, hit := c.Get(term)
+					me, mhit := m.get(term)
+					if hit != mhit || e != me {
+						t.Fatalf("%v seed %d op %d: Get(%d) = %p, %v; model %p, %v", policy, seed, op, term, e, hit, me, mhit)
+					}
+					if hit {
+						break
+					}
+					fallthrough
+				case k < 9:
+					size := int64(1 + r.Intn(50))
+					if r.Intn(25) == 0 {
+						size = budget + 1 + int64(r.Intn(10))
+						rejected++
+					}
+					if m.find(term) >= 0 {
+						reinserts++
+					}
+					e := entry(term, 1)
+					want := m.put(term, e, size)
+					got := c.Put(term, e, size)
+					if len(got) != len(want) {
+						t.Fatalf("%v seed %d op %d: Put(%d, %d) evicted %v; model %v", policy, seed, op, term, size, got, want)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%v seed %d op %d: Put(%d, %d) evicted %v; model %v", policy, seed, op, term, size, got, want)
+						}
+					}
+					if len(want) > 1 {
+						multi++
+					}
+					for _, v := range want {
+						for _, it := range m.items {
+							if it.term != term && it.key == df(v) && policy == MinOuterDF {
+								ties++
+							}
+						}
+					}
+				default:
+					c.Remove(term)
+					if i := m.find(term); i >= 0 {
+						m.drop(i)
+					}
+				}
+				if c.Stats() != m.stats || c.Used() != m.used || c.Len() != len(m.items) {
+					t.Fatalf("%v seed %d op %d: stats %+v used %d len %d; model %+v used %d len %d",
+						policy, seed, op, c.Stats(), c.Used(), c.Len(), m.stats, m.used, len(m.items))
+				}
+			}
+		}
+		if reinserts == 0 || rejected == 0 || multi == 0 || policy == MinOuterDF && ties == 0 {
+			t.Errorf("%v traces too tame: %d re-inserts, %d rejected, %d multi-victim Puts, %d tied victims",
+				policy, reinserts, rejected, multi, ties)
+		}
+	}
+}
+
+// BenchmarkCacheGetPut times one access of HVNL's probe pattern under the
+// paper's policy: a seeded Zipf stream of terms, a miss Put back, and a
+// budget a quarter of the bytes the stream touches, so hits, misses and
+// evictions all happen. The priority is each term's frequency in the
+// stream, standing in for its outer document frequency. Each iteration
+// builds a new cache, as a join does.
+func BenchmarkCacheGetPut(b *testing.B) {
+	const terms = 40000
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.1, 4, terms-1)
+	stream := make([]uint32, 100000)
+	freq := make([]int64, terms)
+	for i := range stream {
+		stream[i] = uint32(zipf.Uint64())
+		freq[stream[i]]++
+	}
+	entries := make([]*invfile.Entry, terms)
+	var touched int64
+	for _, term := range stream {
+		if entries[term] == nil {
+			entries[term] = entry(term, 1+r.Intn(64))
+			touched += entries[term].Bytes() + 3
+		}
+	}
+	priority := func(term uint32) int64 { return freq[term] }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c := New(touched/4, MinOuterDF, priority)
+		for _, term := range stream {
+			if _, ok := c.Get(term); !ok {
+				e := entries[term]
+				c.Put(term, e, e.Bytes()+3)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/access")
 }
