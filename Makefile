@@ -9,18 +9,18 @@ test: build
 	$(GO) test ./...
 
 # verify is the CI gate for the concurrent join paths: vet everything,
-# run the in-repo static-analysis suite (cmd/lintcheck, seven analyzers:
-# package-DAG — its program rows included: a cmd/ or examples/ package
-# reaches the storage and join stack through the facade only —
-# map-iteration determinism, wall-clock hygiene,
-# nil-receiver guards, plus the CFG-based resource-leak (trace spans
-# included), dropped-error and mutex-hygiene rules — fails on any
-# finding or unexplained lint:ignore; a mutex copied by value is go
-# vet's finding, not the suite's, which is why vet stays ahead of
-# lintcheck here), then race-check the packages that run concurrently (the
-# analysis engine's CFG/dataflow tests included; in internal/core the
-# joins run concurrently on views of one disk, each on its caller's
-# goroutine), the accumulator layer the joins share, the entry cache HVNL
+# run the in-repo static-analysis suite (cmd/lintcheck, six analyzers
+# over types loaded from the compiler's export data: map-iteration
+# determinism, wall-clock hygiene, nil-receiver guards, dropped errors,
+# plus the CFG-based resource-leak (trace spans included) and
+# mutex-hygiene rules — fails on any finding or unexplained lint:ignore;
+# a mutex copied by value is go vet's finding, not the suite's, which is
+# why vet stays ahead of lintcheck here; the package DAG — its program
+# rows included: a cmd/ or examples/ package reaches the storage and join
+# stack through the facade only — is internal/analysis's arch test, part
+# of go test), then race-check the packages that run concurrently (in
+# internal/core the joins run concurrently on views of one disk, each on
+# its caller's goroutine), the accumulator layer the joins share, the entry cache HVNL
 # drives and the inverted file and paged store under it (ReadSpan hands
 # concurrent views aliases of the shared page images), the term tables
 # concurrent views read once memoized (B+tree image, document frequencies,
@@ -41,11 +41,12 @@ verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
-	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./internal/analysis/... ./cmd/textjoind/...
+	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
 
-# lint runs the repo's own static-analysis suite over the whole module:
-# seven analyzers driven by the checked-in policy table in
-# internal/analysis/policy.go (see DESIGN.md §11). Exit 1 on findings.
+# lint runs the repo's own static-analysis suite over the whole module
+# and benchmark/: six analyzers driven by the checked-in policy table in
+# internal/analysis/policy.go (see DESIGN.md §11); the seventh check, the
+# package DAG, is the arch test in internal/analysis. Exit 1 on findings.
 # By-value mutex copies are go vet's (copylocks): run `go vet ./...`
 # with it, as verify does.
 lint:

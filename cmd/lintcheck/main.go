@@ -1,26 +1,26 @@
 // Command lintcheck runs the repo's static-analysis suite
 // (internal/analysis) over the whole module and exits non-zero on any
-// finding. It is the `make lint` gate: the seven analyzers encode the
-// project's architectural promises — the DESIGN.md package DAG
-// (importlayer), deterministic result production (mapdeterminism),
-// byte-stable baselines (wallclock), the nil-safe telemetry contract
-// (nilrecv), released resources and ended trace spans (resourceleak),
-// consulted errors (errdrop) and leaf locks never held across simulated
-// I/O or a whole join (mutexhygiene) — plus the lintdirective hygiene
-// rule that keeps every //lint:ignore explained and load-bearing.
+// finding. It is the `make lint` gate: the six analyzers encode the
+// project's architectural promises — deterministic result production
+// (mapdeterminism), byte-stable baselines (wallclock), the nil-safe
+// telemetry contract (nilrecv), released resources and ended trace spans
+// (resourceleak), consulted errors (errdrop) and leaf locks never held
+// across simulated I/O or a whole join (mutexhygiene) — plus the
+// lintdirective hygiene rule that keeps every //lint:ignore explained
+// and load-bearing. The package DAG is internal/analysis's
+// TestArchitecture, not a rule here.
 //
 // Usage:
 //
-//	lintcheck [-root dir] [-rule r1,r2] [-pkg p1,p2] [-report] [-q]
+//	lintcheck [-root dir] [-report] [-q]
 //
 // With no flags it finds the module root by walking up from the
 // working directory to go.mod and prints go-vet-style findings, one
-// per line. -rule and -pkg narrow the run (stale-ignore detection is
-// skipped on narrowed runs; the loader skips type checking when no
-// selected rule needs it, so `-rule importlayer,nilrecv` is the
-// parse-only edit-loop run). -report prints a human summary: every
-// rule that ran with its finding count, files visited, pre-suppression
-// diagnostics and wall time, plus the suppression tally.
+// per line. Every run type-checks every package of the module, and of
+// each module nested in it, from the compiler's export data. -report
+// prints a human summary: every rule with its finding count, files
+// visited, pre-suppression diagnostics and wall time, plus the
+// suppression tally.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load/type-check error.
 package main
@@ -31,41 +31,41 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"textjoin/internal/analysis"
 )
 
 func main() {
-	var (
-		root    = flag.String("root", "", "module root (default: nearest go.mod above the working directory)")
-		rules   = flag.String("rule", "", "comma-separated rule names to run (default: all)")
-		pkgs    = flag.String("pkg", "", "comma-separated module-relative package paths (prefixes) to check")
-		summary = flag.Bool("report", false, "print a per-rule summary instead of one line per finding")
-		quiet   = flag.Bool("q", false, "suppress the trailing ok/finding-count line")
-	)
-	flag.Parse()
-	os.Exit(run(*root, *rules, *pkgs, *summary, *quiet, os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(root, rules, pkgs string, summary, quiet bool, stdout, stderr io.Writer) int {
-	if root == "" {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lintcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		root    = fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
+		summary = fs.Bool("report", false, "print a per-rule summary instead of one line per finding")
+		quiet   = fs.Bool("q", false, "suppress the trailing ok/finding-count line")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *root == "" {
 		r, err := findRoot()
 		if err != nil {
 			fmt.Fprintf(stderr, "lintcheck: %v\n", err)
 			return 2
 		}
-		root = r
+		*root = r
 	}
-	opts := analysis.RunOptions{Rules: splitList(rules), Packages: splitList(pkgs), Now: time.Now}
-	report, err := analysis.Run(root, analysis.DefaultPolicy(), opts)
+	report, err := analysis.Run(*root, analysis.DefaultPolicy(), analysis.RunOptions{Now: time.Now})
 	if err != nil {
 		fmt.Fprintf(stderr, "lintcheck: %v\n", err)
 		return 2
 	}
 
-	if summary {
+	if *summary {
 		printSummary(stdout, report)
 	} else {
 		for _, d := range report.Diagnostics {
@@ -74,20 +74,20 @@ func run(root, rules, pkgs string, summary, quiet bool, stdout, stderr io.Writer
 	}
 
 	if len(report.Diagnostics) > 0 {
-		if !quiet {
+		if !*quiet {
 			fmt.Fprintf(stderr, "lintcheck: %d finding(s) in %d package(s)\n",
 				len(report.Diagnostics), len(report.Packages))
 		}
 		return 1
 	}
-	if !quiet {
+	if !*quiet {
 		fmt.Fprintf(stdout, "lintcheck: ok (%d packages, %d rules, %d suppressed)\n",
 			len(report.Packages), len(report.Rules), report.Suppressed)
 	}
 	return 0
 }
 
-// printSummary renders the -report mode: each rule that ran with its
+// printSummary renders the -report mode: each rule with its
 // finding count, files visited, pre-suppression diagnostics and wall
 // time, then the suppression tally — the review-friendly view for
 // deciding which findings to fix and which to justify.
@@ -130,17 +130,4 @@ func findRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -28,20 +28,21 @@ func repoRoot(t *testing.T) string {
 
 // TestLiveRepoClean is the shipped-tree acceptance bar through the
 // actual driver, and tier-1's one typed pass over the live tree: the
-// checked-in module must lint clean under all seven rules plus
-// directive hygiene — every finding fixed, every suppression explained
-// and load-bearing. It runs in -report mode so the same pass pins the
-// per-rule stats columns; a finding would print under its rule's name.
+// checked-in module, benchmark/ included, must lint clean under all six
+// rules plus directive hygiene — every finding fixed, every suppression
+// explained and load-bearing. It runs in -report mode so the same pass
+// pins the per-rule stats columns; a finding would print under its
+// rule's name.
 func TestLiveRepoClean(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run(repoRoot(t), "", "", true, false, &stdout, &stderr)
+	code := run([]string{"-root", repoRoot(t), "-report"}, &stdout, &stderr)
 	out := stdout.String()
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, stderr.String(), out)
 	}
 	for _, want := range []string{
-		"lintcheck: ok", "7 rules", "file(s)",
-		"importlayer", "mapdeterminism", "wallclock", "nilrecv", "resourceleak", "errdrop", "mutexhygiene",
+		"lintcheck: ok (41 packages, 6 rules", "file(s)",
+		"mapdeterminism", "wallclock", "nilrecv", "resourceleak", "errdrop", "mutexhygiene",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -50,8 +51,7 @@ func TestLiveRepoClean(t *testing.T) {
 }
 
 // writeInjected builds a temp module containing a deliberate wallclock
-// violation in a package missing from the import-layer table, and a
-// program that reaches past the facade for the simulated disk.
+// violation.
 func writeInjected(t *testing.T) string {
 	t.Helper()
 	return writeModule(t, map[string]string{
@@ -64,14 +64,6 @@ import "time"
 // Stamp reads the wall clock from library code.
 func Stamp() int64 { return time.Now().UnixNano() }
 `,
-		"internal/iosim/iosim.go": "// Package iosim stands in for the simulated disk.\npackage iosim\n",
-		"cmd/textjoin/main.go": `// Command textjoin goes around the facade on purpose.
-package main
-
-import _ "injected/internal/iosim"
-
-func main() {}
-`,
 	})
 }
 
@@ -79,31 +71,13 @@ func main() {}
 // verify` acceptance criterion: a module with a violation makes the
 // driver exit 1 and name the finding.
 func TestInjectedViolationFails(t *testing.T) {
-	root := writeInjected(t)
 	var stdout, stderr bytes.Buffer
-	code := run(root, "wallclock", "", false, false, &stdout, &stderr)
+	code := run([]string{"-root", writeInjected(t)}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "must not read the wall clock") {
 		t.Errorf("finding not printed: %s", stdout.String())
-	}
-
-	// An unfiltered run additionally flags the package as missing from
-	// the import-layer policy table.
-	stdout.Reset()
-	stderr.Reset()
-	code = run(root, "", "", false, false, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("full run exit = %d, want 1; stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "not in the import-layer policy table") {
-		t.Errorf("policy-table finding missing: %s", stdout.String())
-	}
-	// ... and the program for importing a storage package its policy
-	// row does not list.
-	if !strings.Contains(stdout.String(), "not an allowed dependency of cmd/textjoin") {
-		t.Errorf("program-import finding missing: %s", stdout.String())
 	}
 }
 
@@ -111,7 +85,7 @@ func TestInjectedViolationFails(t *testing.T) {
 // finding count.
 func TestReportMode(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run(writeInjected(t), "wallclock", "", true, false, &stdout, &stderr)
+	code := run([]string{"-root", writeInjected(t), "-report"}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -140,17 +114,17 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // TestInjectedPathSensitiveViolationsFail is the negative test for the
-// CFG-based analyzers and for the live policy's rows: for each case, a
+// typed analyzers and for the live policy's rows: for each case, a
 // temp module with one deliberate violation, linted under
 // DefaultPolicy, must make the driver exit 1 and print the finding.
 func TestInjectedPathSensitiveViolationsFail(t *testing.T) {
 	cases := []struct {
-		name, rule string
-		files      map[string]string
-		want       string
+		name  string
+		files map[string]string
+		want  string
 	}{
 		{
-			name: "resourceleak", rule: "resourceleak",
+			name: "resourceleak",
 			files: map[string]string{"internal/badpkg/bad.go": `// Package badpkg leaks a listener on purpose.
 package badpkg
 
@@ -170,7 +144,7 @@ func Leak() error {
 		},
 		{
 			// The span rows: a phase span leaked on an early error return.
-			name: "span-leak", rule: "resourceleak",
+			name: "span-leak",
 			files: map[string]string{
 				"internal/reqtrace/reqtrace.go": `// Package reqtrace stubs the span provider.
 package reqtrace
@@ -206,7 +180,7 @@ func Scan(parent *reqtrace.Span, fail bool) error {
 			want: "returns without releasing sp",
 		},
 		{
-			name: "errdrop", rule: "errdrop",
+			name: "errdrop",
 			files: map[string]string{"cmd/bad/main.go": `// Command bad drops an error on purpose.
 package main
 
@@ -222,7 +196,7 @@ func main() {
 		},
 		{
 			// The leaf-lock rule: any nested acquire, cyclic or not.
-			name: "mutexhygiene", rule: "mutexhygiene",
+			name: "mutexhygiene",
 			files: map[string]string{"internal/badpkg/bad.go": `// Package badpkg nests its locks on purpose.
 package badpkg
 
@@ -245,7 +219,7 @@ func (s *S) AB() {
 		},
 		{
 			// The held-call rows: simulated I/O under a scrape-path lock.
-			name: "held-call", rule: "mutexhygiene",
+			name: "held-call",
 			files: map[string]string{
 				"internal/iosim/iosim.go": `// Package iosim stubs the simulated disk.
 package iosim
@@ -283,7 +257,7 @@ func (e *E) Refresh() {
 			tc.files["go.mod"] = "module injected\n\ngo 1.22\n"
 			root := writeModule(t, tc.files)
 			var stdout, stderr bytes.Buffer
-			code := run(root, tc.rule, "", false, false, &stdout, &stderr)
+			code := run([]string{"-root", root}, &stdout, &stderr)
 			if code != 1 {
 				t.Fatalf("exit = %d, want 1; stderr: %s\nstdout: %s", code, stderr.String(), stdout.String())
 			}
@@ -294,17 +268,36 @@ func (e *E) Refresh() {
 	}
 }
 
-// TestUsageErrors exit with status 2, distinct from findings.
+// TestUsageErrors exit with status 2, distinct from findings: a flag
+// the driver does not have (the -rule and -pkg narrowing flags are gone)
+// and a directory with no module.
 func TestUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run(repoRoot(t), "nosuchrule", "", false, false, &stdout, &stderr); code != 2 {
-		t.Errorf("unknown rule exit = %d, want 2", code)
+	if code := run([]string{"-rule", "wallclock"}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown flag exit = %d, want 2", code)
 	}
-	if !strings.Contains(stderr.String(), "unknown rule") {
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -rule") {
 		t.Errorf("stderr = %s", stderr.String())
 	}
 	stderr.Reset()
-	if code := run(t.TempDir(), "", "", false, false, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-root", t.TempDir()}, &stdout, &stderr); code != 2 {
 		t.Errorf("rootless dir exit = %d, want 2", code)
+	}
+}
+
+// TestTypeErrorFailsLoad: a module that does not compile is a load
+// error, exit 2, and the message names the package that failed.
+func TestTypeErrorFailsLoad(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":                 "module injected\n\ngo 1.22\n",
+		"internal/fine/fine.go":  "// Package fine compiles.\npackage fine\n",
+		"internal/broken/bad.go": "// Package broken does not compile.\npackage broken\n\n// N is not an int.\nfunc N() int { return \"n\" }\n",
+	})
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-root", root}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit = %d, want 2; stdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "injected/internal/broken") {
+		t.Errorf("stderr does not name the failing package:\n%s", stderr.String())
 	}
 }

@@ -1,16 +1,16 @@
 // Package analysis is the repo's in-tree static-analysis engine: a
-// stdlib-only (go/parser, go/ast, go/types, go/importer) loader plus
-// seven analyzers that lock the project's architectural promises into
-// CI — the DESIGN.md package DAG (importlayer), deterministic result
-// production (mapdeterminism), byte-stable baselines with no stray
-// wall-clock or global-rand reads (wallclock), the telemetry layer's
-// nil-receiver contract (nilrecv), and the three rules that reason
-// about paths over one CFG + dataflow core (cfg.go, dataflow.go):
-// resources — trace spans included — released on every path
-// (resourceleak), errors consulted before they are dropped (errdrop),
-// and no lock held across another acquire or a forbidden call
-// (mutexhygiene). A new must-release or must-not-hold invariant is a
-// row in the Policy table those rules read, not an analyzer of its own.
+// loader that type-checks the module from the compiler's export data
+// (go list -export plus go/importer, all in the Go toolchain) and six
+// analyzers that lock the project's architectural promises into CI —
+// deterministic result production (mapdeterminism), byte-stable
+// baselines with no stray wall-clock or global-rand reads (wallclock),
+// the telemetry layer's nil-receiver contract (nilrecv), errors consulted
+// rather than discarded (errdrop), and the two rules that reason about
+// paths over one CFG + dataflow core (cfg.go, dataflow.go): resources —
+// trace spans included — released on every path (resourceleak), and no
+// lock held across another acquire or a forbidden call (mutexhygiene). A
+// new must-release or must-not-hold invariant is a row in the Policy
+// table those rules read, not an analyzer of its own.
 //
 // The engine mirrors the shape of golang.org/x/tools/go/analysis at a
 // fraction of its surface, because the container bakes in only the Go
@@ -25,9 +25,11 @@
 // diagnostics (rule "lintdirective"), so the tree can be held to "zero
 // diagnostics and zero unexplained or stale ignores".
 //
-// cmd/lintcheck is the driver; internal/analysis/arch_test.go runs the
-// import-layer analyzer against the live repo so `go test ./...` alone
-// catches layer violations even without the Makefile.
+// cmd/lintcheck is the driver. The package DAG is not an analyzer: the
+// go command already rejects import cycles, external modules and
+// imports of a program, and internal/analysis/arch_test.go holds the
+// per-package allow table, so `go test ./...` alone catches a layer
+// violation.
 package analysis
 
 import (
@@ -36,7 +38,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -56,25 +57,24 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
 }
 
-// Package is one loaded, parsed and (when the selected analyzers need
-// it) type-checked package of the module under analysis.
+// Package is one loaded, parsed and type-checked package of the module
+// under analysis.
 type Package struct {
-	// Module is the module path from go.mod.
+	// Module is the root module's path from go.mod; a package of a
+	// nested module (benchmark/) carries the root's, so "." in a policy
+	// row still names the facade.
 	Module string
-	// Path is the full import path ("<module>" or "<module>/<rel>").
+	// Path is the package's import path.
 	Path string
-	// Rel is the module-root-relative directory ("" for the root).
+	// Rel is the directory relative to the root ("" for the root).
 	Rel string
 	// Fset positions all Files.
 	Fset *token.FileSet
 	// Files holds the parsed non-test source files, sorted by name.
 	Files []*ast.File
-	// Types and Info are nil unless the loader type-checked the
-	// package (Loader.Types). Info is populated even when the check
-	// reported errors; TypeErrors then says what went wrong.
-	Types      *types.Package
-	Info       *types.Info
-	TypeErrors []error
+	// Types and Info are the package's type-check result.
+	Types *types.Package
+	Info  *types.Info
 }
 
 // Position resolves pos against the package's file set, with the
@@ -126,30 +126,21 @@ func objOf(p *Package, id *ast.Ident) types.Object {
 
 // Analyzer inspects one package and reports findings. Analyzers are
 // constructed from a Policy (see Analyzers) so every repo-specific
-// fact — the import DAG, the determinism-sensitive packages, the
-// nil-guarded types — lives in the checked-in policy table, not in
+// fact — the determinism-sensitive packages, the nil-guarded types, the
+// resource and lock rows — lives in the checked-in policy table, not in
 // analyzer code.
 type Analyzer interface {
-	// Name is the rule name used in diagnostics, -rule filters and
-	// lint:ignore directives.
+	// Name is the rule name used in diagnostics and lint:ignore
+	// directives.
 	Name() string
 	// Doc is a one-paragraph description for `lintcheck -report`.
 	Doc() string
-	// NeedsTypes reports whether Check reads Package.Info. When every
-	// selected analyzer is syntactic the loader skips type checking,
-	// which keeps the arch_test smoke fast.
-	NeedsTypes() bool
 	// Check returns the findings for one package.
 	Check(p *Package) []Diagnostic
 }
 
-// RunOptions filter an engine run.
+// RunOptions configure an engine run.
 type RunOptions struct {
-	// Rules selects analyzers by name; empty means all.
-	Rules []string
-	// Packages selects packages whose module-relative path equals one
-	// of the entries or sits beneath it; empty means the whole module.
-	Packages []string
 	// Now, when set, is sampled around each analyzer's Check to fill
 	// RuleStat.WallNS. The clock is injected by the driver so this
 	// package itself stays free of wall-clock reads (its own wallclock
@@ -181,66 +172,31 @@ type Report struct {
 	// Suppressed counts findings silenced by lint:ignore directives.
 	Suppressed int
 	// RuleStats carries per-analyzer file/diagnostic counts and wall
-	// time, ordered by rule name.
+	// time, in Rules order.
 	RuleStats []RuleStat
 }
 
-// Run loads every package of the module rooted at root, runs the
-// analyzers selected by opts, applies lint:ignore suppression, and
-// returns the findings sorted by position. Load or type-check failures
-// abort the run: the repo is expected to compile before it is linted.
+// Run loads every package of the module rooted at root, runs every
+// analyzer over each, applies lint:ignore suppression, reports stale
+// directives, and returns the findings sorted by position. A load or
+// type-check failure aborts the run: the repo is expected to compile
+// before it is linted.
 func Run(root string, pol *Policy, opts RunOptions) (*Report, error) {
-	all := Analyzers(pol)
-	selected, err := selectAnalyzers(all, opts.Rules)
+	module, pkgs, err := load(root)
 	if err != nil {
 		return nil, err
 	}
-	needTypes := false
-	for _, a := range selected {
-		if a.NeedsTypes() {
-			needTypes = true
-		}
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	loader.Types = needTypes
-
-	rels, err := loader.PackageDirs()
-	if err != nil {
-		return nil, err
-	}
-	// The ignore bookkeeping needs the unfiltered directive set of each
-	// analyzed package, so filtering happens per package, not per walk.
-	report := &Report{Module: loader.Module}
-	stats := make(map[string]*RuleStat, len(selected))
-	for _, a := range selected {
+	analyzers := Analyzers(pol)
+	report := &Report{Module: module, RuleStats: make([]RuleStat, len(analyzers))}
+	for i, a := range analyzers {
 		report.Rules = append(report.Rules, a.Name())
-		stats[a.Name()] = &RuleStat{Rule: a.Name()}
+		report.RuleStats[i].Rule = a.Name()
 	}
-	sort.Strings(report.Rules)
-
-	// An ignore directive is "stale" only when the analyzer it names
-	// actually ran; partial runs (-rule, -pkg) skip staleness checks.
-	fullRun := len(opts.Rules) == 0 && len(opts.Packages) == 0
-
-	for _, rel := range rels {
-		if !selectPackage(rel, opts.Packages) {
-			continue
-		}
-		pkg, err := loader.Load(rel)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: load %s: %w", relOrRoot(rel), err)
-		}
-		if needTypes && len(pkg.TypeErrors) > 0 {
-			return nil, fmt.Errorf("analysis: type-check %s: %v", pkg.Path, pkg.TypeErrors[0])
-		}
+	for _, pkg := range pkgs {
 		report.Packages = append(report.Packages, pkg.Path)
-
 		var diags []Diagnostic
-		for _, a := range selected {
-			st := stats[a.Name()]
+		for i, a := range analyzers {
+			st := &report.RuleStats[i]
 			st.Files += len(pkg.Files)
 			var begin time.Time
 			if opts.Now != nil {
@@ -253,21 +209,15 @@ func Run(root string, pol *Policy, opts RunOptions) (*Report, error) {
 			st.Diagnostics += len(found)
 			diags = append(diags, found...)
 		}
-		ignores, malformed := collectIgnores(pkg, knownRules(all))
+		ignores, malformed := collectIgnores(pkg, report.Rules)
 		kept, suppressed := applyIgnores(diags, ignores)
 		kept = append(kept, malformed...)
 		report.Suppressed += suppressed
-		if fullRun {
-			kept = append(kept, staleIgnores(pkg, ignores)...)
-		}
+		kept = append(kept, staleIgnores(pkg, ignores)...)
 		report.Diagnostics = append(report.Diagnostics, kept...)
 	}
 	sort.Strings(report.Packages)
 	sortDiagnostics(report.Diagnostics)
-	report.RuleStats = make([]RuleStat, 0, len(stats))
-	for _, name := range report.Rules {
-		report.RuleStats = append(report.RuleStats, *stats[name])
-	}
 	return report, nil
 }
 
@@ -288,59 +238,4 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-func selectAnalyzers(all []Analyzer, rules []string) ([]Analyzer, error) {
-	if len(rules) == 0 {
-		return all, nil
-	}
-	byName := make(map[string]Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name()] = a
-	}
-	var out []Analyzer
-	for _, r := range rules {
-		a, ok := byName[r]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown rule %q (have %s)", r, strings.Join(knownRules(all), ", "))
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func selectPackage(rel string, filters []string) bool {
-	if len(filters) == 0 {
-		return true
-	}
-	for _, f := range filters {
-		f = strings.Trim(f, "/")
-		if f == "." || f == "" {
-			if rel == "" {
-				return true
-			}
-			continue
-		}
-		if rel == f || strings.HasPrefix(rel, f+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// knownRules returns the sorted rule names of all registered analyzers.
-func knownRules(all []Analyzer) []string {
-	names := make([]string, 0, len(all))
-	for _, a := range all {
-		names = append(names, a.Name())
-	}
-	sort.Strings(names)
-	return names
-}
-
-func relOrRoot(rel string) string {
-	if rel == "" {
-		return "."
-	}
-	return rel
 }

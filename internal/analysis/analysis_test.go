@@ -114,33 +114,3 @@ func TestApplyIgnores(t *testing.T) {
 		t.Errorf("stale = %v, want one suppresses-nothing diagnostic", stale)
 	}
 }
-
-// TestRunUnknownRule: the driver's -rule flag surfaces a load-time
-// error, not an empty report.
-func TestRunUnknownRule(t *testing.T) {
-	_, err := Run("testdata/module", fixturePolicy(), RunOptions{Rules: []string{"nosuchrule"}})
-	if err == nil || !strings.Contains(err.Error(), "unknown rule") {
-		t.Fatalf("err = %v, want unknown rule error", err)
-	}
-}
-
-func TestSelectPackage(t *testing.T) {
-	cases := []struct {
-		rel     string
-		filters []string
-		want    bool
-	}{
-		{"internal/core", nil, true},
-		{"internal/core", []string{"internal/core"}, true},
-		{"internal/core/deep", []string{"internal/core"}, true},
-		{"internal/corpus", []string{"internal/core"}, false},
-		{"", []string{"."}, true},
-		{"cmd/lintcheck", []string{"internal"}, false},
-		{"internal/core", []string{"internal/core/"}, true},
-	}
-	for _, c := range cases {
-		if got := selectPackage(c.rel, c.filters); got != c.want {
-			t.Errorf("selectPackage(%q, %v) = %v, want %v", c.rel, c.filters, got, c.want)
-		}
-	}
-}

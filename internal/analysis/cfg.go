@@ -8,7 +8,7 @@ import (
 )
 
 // cfg.go builds the intraprocedural control-flow graph the
-// path-sensitive analyzers (resourceleak, errdrop, mutexhygiene) run on.
+// path-sensitive analyzers (resourceleak, mutexhygiene) run on.
 // One graph covers one function scope: a FuncDecl body or a FuncLit
 // body — never both, a literal is its own scope (eachScope enumerates
 // them, inspectScope walks one without entering the next).

@@ -9,28 +9,17 @@ import (
 	"testing"
 )
 
-// The golden tests run the engine over the fixture modules under
-// testdata/ and compare every diagnostic against `// want <rule>
-// "<message substring>"` annotations in the fixture sources — the
-// analysistest idiom rebuilt on the in-repo engine. Every want must be
+// The golden tests compare every diagnostic over a fixture module under
+// testdata/ against `// want <rule> "<message substring>"` annotations
+// in its sources — the analysistest idiom rebuilt on the in-repo engine
+// (TestGoldenModule here, TestArchitecture's layers half in
+// arch_test.go). Every want must be
 // hit and every diagnostic must be wanted, so both false negatives and
 // false positives fail loudly.
 
 // fixturePolicy is the policy testdata/module is written against.
 func fixturePolicy() *Policy {
 	return &Policy{
-		ImportLayer: map[string][]string{
-			"internal/clock":     {},
-			"internal/core":      {},
-			"internal/errs":      {},
-			"internal/guards":    {},
-			"internal/iosim":     {},
-			"internal/locks":     {"internal/iosim"},
-			"internal/order":     {},
-			"internal/reqtrace":  {},
-			"internal/resources": {"internal/iosim"},
-			"internal/spans":     {"internal/reqtrace"},
-		},
 		MapDeterminism: []string{"internal/core"},
 		NilRecv:        map[string][]string{"internal/guards": {"Thing"}},
 		Resources: []ResourceRule{
@@ -49,27 +38,18 @@ func fixturePolicy() *Policy {
 	}
 }
 
-// layersPolicy is the policy testdata/layers is written against.
-// internal/notable is deliberately missing from the table, and so is
-// cmd/tool: only a program with a row (cmd/door) is held to it.
-func layersPolicy() *Policy {
-	return &Policy{
-		ImportLayer: map[string][]string{
-			"internal/a": {},
-			"internal/b": {"internal/a"},
-			"internal/c": {},
-			"cmd/door":   {"internal/a"},
-		},
-	}
-}
-
-// TestGoldenModule runs the full suite (all rules, full-run mode, so
-// stale-ignore detection is live) over the type-checked fixture.
+// TestGoldenModule runs the suite (stale-ignore detection included)
+// over the type-checked fixture.
 func TestGoldenModule(t *testing.T) {
-	report := runGolden(t, "testdata/module", fixturePolicy(), RunOptions{})
+	report, err := Run("testdata/module", fixturePolicy(), RunOptions{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	matchWants(t, "testdata/module", report.Diagnostics)
 	// One used suppression per fixture package that carries one:
 	// mapdeterminism (core), wallclock (clock), nilrecv (guards),
-	// errdrop (errs), resourceleak twice (resources, and the span rows in
+	// errdrop (errs: a bare-statement discard, which the syntactic rule
+	// still sees), resourceleak twice (resources, and the span rows in
 	// spans) and mutexhygiene twice (the held-call rows in locks, the
 	// leaf-lock rule in order).
 	if report.Suppressed != 8 {
@@ -77,21 +57,13 @@ func TestGoldenModule(t *testing.T) {
 	}
 }
 
-// TestGoldenLayers runs the syntactic import-layer rule over the
-// fixture whose imports deliberately break every layer invariant.
-func TestGoldenLayers(t *testing.T) {
-	runGolden(t, "testdata/layers", layersPolicy(), RunOptions{Rules: []string{"importlayer"}})
-}
-
-func runGolden(t *testing.T, root string, pol *Policy, opts RunOptions) *Report {
+// matchWants compares diags with the want annotations of the fixture
+// sources under root.
+func matchWants(t *testing.T, root string, diags []Diagnostic) {
 	t.Helper()
-	report, err := Run(root, pol, opts)
-	if err != nil {
-		t.Fatalf("Run(%s): %v", root, err)
-	}
 	wants := parseWants(t, root)
 	matched := make(map[*want]bool)
-	for _, d := range report.Diagnostics {
+	for _, d := range diags {
 		w := findWant(wants, d)
 		if w == nil {
 			t.Errorf("unexpected diagnostic: %s", d)
@@ -104,7 +76,6 @@ func runGolden(t *testing.T, root string, pol *Policy, opts RunOptions) *Report 
 			t.Errorf("missing diagnostic: %s:%d wants %s %q", w.file, w.line, w.rule, w.substr)
 		}
 	}
-	return report
 }
 
 type want struct {
@@ -157,38 +128,4 @@ func findWant(wants []*want, d Diagnostic) *want {
 		}
 	}
 	return nil
-}
-
-// TestGoldenRuleFilter pins that -rule narrows the run: with only
-// wallclock selected the map-iteration fixture produces nothing.
-func TestGoldenRuleFilter(t *testing.T) {
-	report, err := Run("testdata/module", fixturePolicy(), RunOptions{Rules: []string{"wallclock"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range report.Diagnostics {
-		if d.Rule != "wallclock" {
-			t.Errorf("rule filter leaked %s diagnostic: %s", d.Rule, d)
-		}
-	}
-	if len(report.Diagnostics) == 0 {
-		t.Error("wallclock run over the fixture found nothing")
-	}
-}
-
-// TestGoldenPackageFilter pins that -pkg narrows the run and disables
-// stale-ignore reporting for the skipped analyzers' directives.
-func TestGoldenPackageFilter(t *testing.T) {
-	report, err := Run("testdata/module", fixturePolicy(), RunOptions{Packages: []string{"internal/guards"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Packages) != 1 || !strings.HasSuffix(report.Packages[0], "internal/guards") {
-		t.Fatalf("packages = %v, want just internal/guards", report.Packages)
-	}
-	for _, d := range report.Diagnostics {
-		if !strings.HasPrefix(d.File, "internal/guards/") {
-			t.Errorf("package filter leaked diagnostic: %s", d)
-		}
-	}
 }

@@ -112,9 +112,8 @@ func applyIgnores(diags []Diagnostic, ignores []*ignoreDirective) ([]Diagnostic,
 	return kept, suppressed
 }
 
-// staleIgnores reports directives that suppressed nothing. Only full
-// runs call this: under -rule or -pkg filtering an unused directive
-// usually just means its analyzer did not run.
+// staleIgnores reports directives that suppressed nothing. Every run
+// is a full run, so an unused directive always means a stale one.
 func staleIgnores(pkg *Package, ignores []*ignoreDirective) []Diagnostic {
 	var diags []Diagnostic
 	for _, ig := range ignores {

@@ -1,246 +1,172 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// Loader parses and type-checks the packages of one module without any
-// tooling beyond the standard library. Module-internal imports resolve
-// to the module's own directories; everything else resolves through the
-// stdlib source importer (go/importer "source"), which reads GOROOT and
-// therefore works no matter how the module is laid out. Loaded packages
-// are cached, so a whole-module run type-checks each package once.
-type Loader struct {
-	// Root is the absolute module root (the directory with go.mod).
-	Root string
-	// Module is the module path declared in go.mod.
-	Module string
-	// Types enables type checking. Syntactic runs (import-layer only)
-	// leave it off and skip the cost entirely.
-	Types bool
-
-	fset     *token.FileSet
-	std      types.Importer
-	pkgs     map[string]*Package // keyed by rel
-	checking map[string]bool     // import-cycle guard
+// listedPackage is the part of `go list -json` output the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	DepOnly    bool
+	Module     *struct{ Path string }
 }
 
-// NewLoader builds a loader for the module rooted at root.
-func NewLoader(root string) (*Loader, error) {
+// load parses and type-checks every package of the module rooted at
+// root and of each module nested beneath it (benchmark/ has a go.mod of
+// its own but is linted with the tree). Each module is listed once with
+// `go list -export -deps -json ./...`, which compiles what is stale and
+// names the export data of every dependency; each listed package of the
+// module itself is then parsed from its GoFiles (test files are out of
+// scope: tests may cross layers, read clocks and iterate maps) and
+// type-checked against that export data through the gc importer. A
+// package that does not compile fails the load with its import path,
+// from go list or from the check. It returns the root module's path
+// and the packages in listing order.
+func load(root string) (string, []*Package, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	module, err := modulePath(filepath.Join(abs, "go.mod"))
+	dirs, err := moduleDirs(abs)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	fset := token.NewFileSet()
-	return &Loader{
-		Root:     abs,
-		Module:   module,
-		fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil),
-		pkgs:     make(map[string]*Package),
-		checking: make(map[string]bool),
-	}, nil
-}
-
-// modulePath extracts the module declaration from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", fmt.Errorf("analysis: reading %s: %w", gomod, err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+	var module string
+	var pkgs []*Package
+	for _, dir := range dirs {
+		listed, err := goList(dir)
+		if err != nil {
+			return "", nil, err
+		}
+		exports := make(map[string]string, len(listed))
+		for _, lp := range listed {
+			exports[lp.ImportPath] = lp.Export
+		}
+		imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			file := exports[path]
+			if file == "" {
+				return nil, fmt.Errorf("no export data for %s", path)
+			}
+			return os.Open(file)
+		})
+		for _, lp := range listed {
+			if lp.DepOnly || len(lp.GoFiles) == 0 {
+				continue
+			}
+			if module == "" && lp.Module != nil {
+				module = lp.Module.Path
+			}
+			pkg, err := check(fset, imp, abs, lp)
+			if err != nil {
+				return "", nil, err
+			}
+			pkgs = append(pkgs, pkg)
 		}
 	}
-	return "", fmt.Errorf("analysis: no module declaration in %s", gomod)
+	for _, pkg := range pkgs {
+		pkg.Module = module
+	}
+	return module, pkgs, nil
 }
 
-// PackageDirs walks the module and returns the module-relative
-// directory of every buildable package ("" for the root), sorted.
-// Hidden directories, underscore directories and testdata trees are
-// skipped, mirroring the go tool's matching rules.
-func (l *Loader) PackageDirs() ([]string, error) {
-	var rels []string
-	err := filepath.WalkDir(l.Root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+// moduleDirs returns root and every directory beneath it holding a
+// go.mod, skipping what the go tool skips: hidden, underscore and
+// testdata directories.
+func moduleDirs(root string) ([]string, error) {
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		return nil, fmt.Errorf("analysis: %s is not a module root: %w", root, err)
+	}
+	dirs := []string{root}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.Root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+		if name := d.Name(); strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
 			return filepath.SkipDir
 		}
-		has, err := hasGoFiles(path)
-		if err != nil {
-			return err
-		}
-		if has {
-			rel, err := filepath.Rel(l.Root, path)
-			if err != nil {
-				return err
-			}
-			if rel == "." {
-				rel = ""
-			}
-			rels = append(rels, filepath.ToSlash(rel))
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			dirs = append(dirs, path)
 		}
 		return nil
 	})
+	return dirs, err
+}
+
+// goList runs `go list -export -deps -json ./...` in the module at dir.
+func goList(dir string) ([]listedPackage, error) {
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,DepOnly,Module", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list in %s: %v\n%s", dir, err, strings.TrimSpace(stderr.String()))
+	}
+	var listed []listedPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var lp listedPackage
+		if err := dec.Decode(&lp); errors.Is(err, io.EOF) {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("analysis: decoding go list output in %s: %w", dir, err)
+		}
+		listed = append(listed, lp)
+	}
+}
+
+// check parses one listed package and type-checks it. Positions carry
+// the path relative to root, so diagnostics are stable across checkouts
+// and readable in CI logs.
+func check(fset *token.FileSet, imp types.Importer, root string, lp listedPackage) (*Package, error) {
+	rel, err := filepath.Rel(root, lp.Dir)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(rels)
-	return rels, nil
-}
-
-func hasGoFiles(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, err
+	rel = filepath.ToSlash(rel)
+	if rel == "." {
+		rel = ""
 	}
-	for _, e := range entries {
-		if !e.IsDir() && isSourceFile(e.Name()) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// isSourceFile reports whether name is a non-test Go source file. Test
-// files are out of scope for every analyzer: tests may legitimately
-// cross layers, read clocks and iterate maps.
-func isSourceFile(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
-}
-
-// Load parses (and, when l.Types is set, type-checks) the package in
-// the module-relative directory rel. Results are cached.
-func (l *Loader) Load(rel string) (*Package, error) {
-	if p, ok := l.pkgs[rel]; ok {
-		return p, nil
-	}
-	if l.checking[rel] {
-		return nil, fmt.Errorf("import cycle through %s", relOrRoot(rel))
-	}
-	l.checking[rel] = true
-	defer delete(l.checking, rel)
-
-	dir := filepath.Join(l.Root, filepath.FromSlash(rel))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && isSourceFile(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go source files in %s", relOrRoot(rel))
-	}
-
-	pkg := &Package{
-		Module: l.Module,
-		Path:   l.importPath(rel),
-		Rel:    rel,
-		Fset:   l.fset,
-	}
-	for _, name := range names {
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
+	pkg := &Package{Path: lp.ImportPath, Rel: rel, Fset: fset}
+	for _, name := range lp.GoFiles {
+		display := filepath.ToSlash(filepath.Join(filepath.FromSlash(rel), name))
+		src, err := os.ReadFile(filepath.Join(lp.Dir, name))
 		if err != nil {
 			return nil, err
 		}
-		// Positions carry the module-relative path so diagnostics are
-		// stable across checkouts and readable in CI logs.
-		display := filepath.ToSlash(filepath.Join(filepath.FromSlash(rel), name))
-		f, err := parser.ParseFile(l.fset, display, src, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, display, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
-
-	if l.Types {
-		if err := l.typeCheck(pkg); err != nil {
-			return nil, err
-		}
-	}
-	l.pkgs[rel] = pkg
-	return pkg, nil
-}
-
-func (l *Loader) importPath(rel string) string {
-	if rel == "" {
-		return l.Module
-	}
-	return l.Module + "/" + rel
-}
-
-// typeCheck runs go/types over the parsed files. Errors are collected
-// softly into pkg.TypeErrors (Info stays usable for whatever did
-// resolve); the engine decides whether they are fatal.
-func (l *Loader) typeCheck(pkg *Package) error {
-	info := &types.Info{
+	pkg.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	cfg := &types.Config{
-		Importer: l,
-		Error: func(err error) {
-			pkg.TypeErrors = append(pkg.TypeErrors, err)
-		},
+	conf := &types.Config{Importer: imp}
+	if pkg.Types, err = conf.Check(lp.ImportPath, fset, pkg.Files, pkg.Info); err != nil {
+		return nil, fmt.Errorf("analysis: type-check %s: %v", lp.ImportPath, err)
 	}
-	tpkg, err := cfg.Check(pkg.Path, l.fset, pkg.Files, info)
-	if err != nil && len(pkg.TypeErrors) == 0 {
-		pkg.TypeErrors = append(pkg.TypeErrors, err)
-	}
-	pkg.Types = tpkg
-	pkg.Info = info
-	return nil
-}
-
-// Import implements types.Importer: module paths load from the module
-// tree, "unsafe" maps to types.Unsafe, and everything else goes to the
-// stdlib source importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if path == l.Module || strings.HasPrefix(path, l.Module+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.Module), "/")
-		p, err := l.Load(rel)
-		if err != nil {
-			return nil, err
-		}
-		if len(p.TypeErrors) > 0 {
-			return nil, fmt.Errorf("package %s has type errors: %v", path, p.TypeErrors[0])
-		}
-		return p.Types, nil
-	}
-	return l.std.Import(path)
+	return pkg, nil
 }

@@ -24,7 +24,6 @@ func (a *mapDeterminism) Name() string { return "mapdeterminism" }
 func (a *mapDeterminism) Doc() string {
 	return "flag map iteration in result-producing packages unless the enclosing function sorts afterwards"
 }
-func (a *mapDeterminism) NeedsTypes() bool { return true }
 
 // sortFuncs are the package-level functions of sort and slices that
 // restore a deterministic order.
@@ -36,7 +35,7 @@ var sortFuncs = map[string]bool{
 }
 
 func (a *mapDeterminism) Check(p *Package) []Diagnostic {
-	if !containsString(a.pol.MapDeterminism, p.Rel) || p.Info == nil {
+	if !containsString(a.pol.MapDeterminism, p.Rel) {
 		return nil
 	}
 	var diags []Diagnostic
@@ -97,7 +96,7 @@ func (a *mapDeterminism) feedsSort(p *Package, fd *ast.FuncDecl, rs *ast.RangeSt
 // "" when e is not a package qualifier.
 func pkgPathOf(p *Package, e ast.Expr) string {
 	id, ok := e.(*ast.Ident)
-	if !ok || p.Info == nil {
+	if !ok {
 		return ""
 	}
 	if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {

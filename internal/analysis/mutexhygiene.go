@@ -55,7 +55,6 @@ func (a *mutexHygiene) Name() string { return "mutexhygiene" }
 func (a *mutexHygiene) Doc() string {
 	return "no lock acquired while another is held (every lock is a leaf; same-package callees included), and no lock held across a direct call into iosim in the scrape-lock-free packages or a facade Join* call in the front ends"
 }
-func (a *mutexHygiene) NeedsTypes() bool { return true }
 
 const mhHeld fact = 1
 
@@ -73,9 +72,6 @@ type mhScan struct {
 }
 
 func (a *mutexHygiene) Check(p *Package) []Diagnostic {
-	if p.Info == nil {
-		return nil
-	}
 	sc := &mhScan{a: a, p: p, leaf: matchScope(a.pol.LockOrder, p.Rel)}
 	for i := range a.pol.HeldCalls {
 		if r := &a.pol.HeldCalls[i]; matchScope(r.Scope, p.Rel) {

@@ -25,7 +25,6 @@ func (a *nilRecv) Name() string { return "nilrecv" }
 func (a *nilRecv) Doc() string {
 	return "exported pointer-receiver methods on the nil-safe telemetry/metrics types must begin with a nil-receiver guard"
 }
-func (a *nilRecv) NeedsTypes() bool { return false }
 
 func (a *nilRecv) Check(p *Package) []Diagnostic {
 	typeNames := a.pol.NilRecv[p.Rel]

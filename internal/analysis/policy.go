@@ -1,23 +1,12 @@
 package analysis
 
 // Policy is the checked-in table of repo-specific facts the analyzers
-// enforce. DESIGN.md §11 documents it as the source of truth for the
-// package DAG: a PR that adds a dependency edge must extend this table,
-// which makes layering changes reviewable instead of accidental.
+// enforce. A PR that changes which packages produce results, hold
+// nil-safe types, acquire resources or take locks edits this table in
+// the same diff, which keeps those decisions reviewable. The package
+// DAG is not here: it is the allow table of internal/analysis's
+// TestArchitecture.
 type Policy struct {
-	// ImportLayer is the package DAG. Key: module-relative package
-	// path. Value: the complete list of module-internal packages it may
-	// import (stdlib is always allowed; anything outside the module is
-	// never allowed — the repo is dependency-free by design). Every
-	// package under internal/ MUST have an entry: an internal package
-	// missing from the table is itself a violation, so new packages
-	// declare their layer on arrival. A program (cmd/*, examples/*)
-	// with an entry may import the facade plus the internal packages
-	// its entry lists; packages outside internal/ without one (the
-	// facade itself, the benchmark harness) may import any module
-	// package. Nothing may import cmd/* binaries.
-	ImportLayer map[string][]string
-
 	// MapDeterminism lists the result-producing packages in which a
 	// `for range` over a map is flagged unless the loop's function
 	// later feeds a sort (or the site carries an ignore directive).
@@ -36,8 +25,7 @@ type Policy struct {
 
 	// ErrDrop lists the package scopes (prefix semantics; "." is the
 	// module root) in which the errdrop analyzer polices dropped
-	// errors: _-assignments, bare-statement discards, and error values
-	// overwritten or abandoned before being consulted.
+	// errors: _-assignments and bare-statement discards.
 	ErrDrop []string
 
 	// ErrDropExempt lists the packages whose functions' and types'
@@ -83,82 +71,13 @@ type HeldCallRule struct {
 	Why    string
 }
 
-// DefaultPolicy returns the live repo's policy. The ImportLayer table
-// transcribes the DESIGN.md layer diagram: telemetry is zero-dep,
-// codec/costmodel/relation/topk/analysis are stdlib-only, accum (whose
-// AddCells takes the cells it multiplies) and document sit one rung
-// above codec, metrics and reqtrace see only
-// telemetry among internal packages (reqtrace to derive the phase
-// histograms from its finished trees), and the join core is the only
-// package that may pull the whole storage stack together. The program
-// rows are the one-door rule: a program gets its disk, collections,
-// inverted files and joins from the facade, and lists only what it is
-// about besides — data generation (corpus), pure formulas (costmodel,
-// simulate), observability, the lint engine — never a storage or join
-// package.
+// DefaultPolicy returns the live repo's policy. internal/core is not a
+// MapDeterminism package: its TestJoinFilesHoldNoMaps rejects every map
+// type in its non-test files, and one promise has one guard.
 func DefaultPolicy() *Policy {
 	return &Policy{
-		ImportLayer: map[string][]string{
-			"internal/analysis":  {},
-			"internal/codec":     {},
-			"internal/costmodel": {},
-			"internal/relation":  {},
-			"internal/telemetry": {},
-			"internal/topk":      {},
-
-			"internal/accum":    {"internal/codec"},
-			"internal/document": {"internal/codec"},
-			"internal/iosim":    {"internal/telemetry"},
-			"internal/metrics":  {"internal/telemetry"},
-			"internal/reqtrace": {"internal/telemetry"},
-			"internal/slo":      {"internal/metrics", "internal/telemetry"},
-
-			"internal/btree":      {"internal/codec", "internal/iosim"},
-			"internal/termmap":    {"internal/codec", "internal/document"},
-			"internal/tokenize":   {"internal/document", "internal/termmap"},
-			"internal/collection": {"internal/codec", "internal/document", "internal/iosim"},
-			"internal/stats":      {"internal/collection", "internal/document"},
-			"internal/invfile":    {"internal/btree", "internal/codec", "internal/collection", "internal/iosim"},
-			"internal/entrycache": {"internal/invfile", "internal/telemetry"},
-			"internal/cluster":    {"internal/collection", "internal/document", "internal/iosim"},
-			"internal/lsh":        {"internal/collection", "internal/document", "internal/iosim"},
-			"internal/signature":  {"internal/collection", "internal/document", "internal/iosim"},
-			"internal/corpus":     {"internal/collection", "internal/costmodel", "internal/document", "internal/iosim"},
-
-			"internal/core": {
-				"internal/accum", "internal/codec", "internal/collection",
-				"internal/costmodel", "internal/document", "internal/entrycache",
-				"internal/invfile", "internal/iosim", "internal/lsh",
-				"internal/reqtrace", "internal/signature", "internal/stats",
-				"internal/telemetry", "internal/topk",
-			},
-			"internal/query": {
-				"internal/collection", "internal/core", "internal/costmodel",
-				"internal/document", "internal/invfile", "internal/lsh",
-				"internal/relation", "internal/telemetry",
-			},
-			"internal/simulate": {"internal/corpus", "internal/costmodel"},
-
-			"cmd/benchreport": {"internal/corpus", "internal/costmodel"},
-			"cmd/corpusgen":   {"internal/corpus"},
-			"cmd/lintcheck":   {"internal/analysis"},
-			"cmd/loadgen":     {"internal/metrics"},
-			"cmd/simulate":    {"internal/corpus", "internal/costmodel", "internal/simulate"},
-			"cmd/textjoin":    {"internal/corpus", "internal/reqtrace"},
-			"cmd/textjoind": {
-				"internal/costmodel", "internal/metrics", "internal/reqtrace",
-				"internal/telemetry",
-			},
-			"cmd/tracecheck": {"internal/reqtrace", "internal/telemetry"},
-
-			"examples/clustering":   {},
-			"examples/costexplorer": {},
-			"examples/jobmatch":     {},
-			"examples/multidb":      {},
-			"examples/reviewers":    {},
-		},
 		MapDeterminism: []string{
-			"internal/accum", "internal/core", "internal/invfile", "internal/query",
+			"internal/accum", "internal/invfile", "internal/query",
 			"internal/lsh", "internal/metrics", "internal/reqtrace", "internal/slo",
 		},
 		NilRecv: map[string][]string{
@@ -228,15 +147,15 @@ func matchScope(list []string, rel string) bool {
 	return false
 }
 
-// Analyzers instantiates the full analyzer suite over a policy.
+// Analyzers instantiates the full analyzer suite over a policy, in
+// rule-name order (the order reports list them in).
 func Analyzers(pol *Policy) []Analyzer {
 	return []Analyzer{
-		&importLayer{pol: pol},
+		&errDrop{pol: pol},
 		&mapDeterminism{pol: pol},
-		&wallClock{},
+		&mutexHygiene{pol: pol},
 		&nilRecv{pol: pol},
 		&resourceLeak{pol: pol},
-		&errDrop{pol: pol},
-		&mutexHygiene{pol: pol},
+		&wallClock{},
 	}
 }

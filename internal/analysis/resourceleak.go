@@ -51,12 +51,8 @@ func (a *resourceLeak) Name() string { return "resourceleak" }
 func (a *resourceLeak) Doc() string {
 	return "every acquired resource (trace spans, iosim views, workspace snapshots, listeners, cmd/ file handles) is released, deferred, returned or handed off on every path to exit"
 }
-func (a *resourceLeak) NeedsTypes() bool { return true }
 
 func (a *resourceLeak) Check(p *Package) []Diagnostic {
-	if p.Info == nil {
-		return nil
-	}
 	var rules []*ResourceRule
 	for i := range a.pol.Resources {
 		r := &a.pol.Resources[i]

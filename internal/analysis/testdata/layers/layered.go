@@ -1,10 +1,8 @@
 // Package layered is the fixture's facade: free to import any module
-// package except cmd binaries.
+// package.
 package layered
 
 import (
-	_ "layered/cmd/tool" // want importlayer "never importable"
-
 	_ "layered/internal/a"
 	_ "layered/internal/b"
 )

@@ -1,11 +1,12 @@
 // Package errs exercises the errdrop analyzer: error results on this
 // (policy-listed) path must be consulted — no blank assignments, no
-// bare-statement discards, no overwrite or abandonment before use.
+// bare-statement discards.
 package errs
 
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 )
 
 func fail() error        { return fmt.Errorf("boom") }
@@ -28,69 +29,13 @@ func TupleBlank() {
 	sink(v)
 }
 
-// Overwrite clobbers a fresh error before anything consulted it.
-func Overwrite() error {
-	err := fail()
-	err = fail() // want errdrop "overwrites err before the previous error"
-	return err
-}
-
-// OverwriteNamed is the named-result flavor.
-func OverwriteNamed() (err error) {
-	err = fail()
-	err = nil // want errdrop "overwrites err before the previous error"
-	return
-}
-
-// AbandonAtReturn drops the error on the flag path only; the other
-// paths consult it, so the finding sits on the one bad return.
-func AbandonAtReturn(flag bool) int {
-	err := fail()
-	if flag {
-		return 1 // want errdrop "still unconsulted on this path"
-	}
-	if err != nil {
-		return 2
-	}
-	return 3
-}
-
-// AbandonAtEnd never consults the error on any reachable path. The
-// lexical use behind the goto keeps the compiler satisfied without
-// putting a consult on a live path.
-func AbandonAtEnd() {
-	err := fail() // want errdrop "never consults it"
-	goto done
-	_ = err
-done:
-}
-
-// CleanChecked is the canonical consulted error.
-func CleanChecked() error {
-	err := fail()
-	if err != nil {
-		return err
-	}
-	return nil
-}
-
-// CleanReturned forwards the error to the caller — returning IS
-// consulting.
-func CleanReturned() error {
-	err := fail()
-	return err
-}
-
-// CleanWrapped consults the error inside the return expression.
-func CleanWrapped() error {
-	err := fail()
-	return fmt.Errorf("wrapped: %w", err)
-}
-
-// CleanNamedBareReturn forwards a named result through a bare return.
-func CleanNamedBareReturn() (err error) {
-	err = fail()
-	return
+// ReadAll is the shape of the one drop the rule has caught in the live
+// tree (cmd/loadgen): a plain = into an existing variable, the error
+// component into _, so a truncated body passed for a whole one.
+func ReadAll(r io.Reader) []byte {
+	var body []byte
+	body, _ = io.ReadAll(r) // want errdrop "assigns an error to _"
+	return body
 }
 
 // CleanExempt calls into a policy-exempt package whose errors are
@@ -108,22 +53,6 @@ func CleanExemptInterface() uint64 {
 	h.Write([]byte("x"))
 	_, _ = h.Write([]byte("y"))
 	return h.Sum64()
-}
-
-// CleanAddressTaken has consumers the intraprocedural flow cannot see.
-func CleanAddressTaken(capture func(*error)) {
-	var err error
-	capture(&err)
-	err = fail()
-}
-
-// CleanClosureCaptured likewise: the closure may consult it later.
-func CleanClosureCaptured() func() error {
-	err := fail()
-	return func() error {
-		err = fail()
-		return err
-	}
 }
 
 // Suppressed documents a deliberate drop with a reasoned directive.

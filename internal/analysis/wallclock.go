@@ -27,7 +27,6 @@ func (a *wallClock) Name() string { return "wallclock" }
 func (a *wallClock) Doc() string {
 	return "forbid time.Now/time.Since/time.Until and math/rand global-state calls in internal packages"
 }
-func (a *wallClock) NeedsTypes() bool { return true }
 
 var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
@@ -39,7 +38,7 @@ var randConstructors = map[string]bool{
 }
 
 func (a *wallClock) Check(p *Package) []Diagnostic {
-	if !strings.HasPrefix(p.Rel, "internal/") || p.Info == nil {
+	if !strings.HasPrefix(p.Rel, "internal/") {
 		return nil
 	}
 	var diags []Diagnostic

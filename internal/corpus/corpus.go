@@ -394,20 +394,3 @@ func ReadText(r io.Reader) ([]*document.Document, error) {
 	}
 	return docs, nil
 }
-
-// BuildFromDocs loads pre-built documents (e.g. parsed from the text
-// format) into a new collection; ids are reassigned densely in slice
-// order.
-func BuildFromDocs(name string, file *iosim.File, docs []*document.Document) (*collection.Collection, error) {
-	b, err := collection.NewBuilder(name, file)
-	if err != nil {
-		return nil, err
-	}
-	for i, d := range docs {
-		nd := &document.Document{ID: uint32(i), Cells: d.Cells}
-		if err := b.Add(nd); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish()
-}

@@ -264,31 +264,6 @@ func TestReadTextErrors(t *testing.T) {
 	}
 }
 
-func TestBuildFromDocs(t *testing.T) {
-	input := "7 5:2\n9 3:1\n"
-	docs, err := ReadText(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := iosim.NewDisk()
-	f, _ := d.Create("c")
-	c, err := BuildFromDocs("c", f, docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// IDs are reassigned densely regardless of the ids in the file.
-	if c.NumDocs() != 2 {
-		t.Fatalf("N = %d", c.NumDocs())
-	}
-	d0, err := c.Fetch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d0.Weight(5) != 2 {
-		t.Errorf("doc 0 = %+v", d0)
-	}
-}
-
 func TestGenerateClusteredScattered(t *testing.T) {
 	d := iosim.NewDisk()
 	p := ClusteredProfile{
