@@ -60,10 +60,11 @@ lint-report:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke runs each decode fuzz target for a fixed 10 s beyond its
-# seeds: the re-encode identity, the four-wide record decode against a
-# per-cell reference, the B+tree cell decoder, and the document-side twin
-# against the record decode. go test takes one fuzz target per run. A failing input is
+# fuzz-smoke runs each fuzz target for a fixed 10 s beyond its seeds: the
+# re-encode identity, the four-wide record decode against a per-cell
+# reference, the B+tree cell decoder, the document-side twin against the
+# record decode, and the corpus generator's table-resolved Zipf sampler
+# against math/rand's. go test takes one fuzz target per run. A failing input is
 # written under the package's testdata/fuzz, which is what to commit as a
 # regression seed.
 fuzz-smoke:
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordInto$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBTreeCell$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInto$$' -fuzztime 10s ./internal/document
+	$(GO) test -run '^$$' -fuzz '^FuzzZipfMatchesStdlib$$' -fuzztime 10s ./internal/corpus
 
 # perf is the one instrument that measures time: the four workloads of
 # BENCHMARK.json, end to end and layer by layer (benchmark/README.md).

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Sizes of the on-disk primitives, in bytes.
@@ -111,17 +112,6 @@ type Cell struct {
 	Weight uint16
 }
 
-// AppendCell appends the 5-byte encoding of c to dst.
-func AppendCell(dst []byte, c Cell) ([]byte, error) {
-	if c.Number > MaxNumber {
-		return dst, fmt.Errorf("%w: cell number %d", ErrRange, c.Number)
-	}
-	var buf [CellSize]byte
-	PutUint24(buf[:], c.Number)
-	PutUint16(buf[TermNumberSize:], c.Weight)
-	return append(dst, buf[:]...), nil
-}
-
 // DecodeCell decodes one cell from the start of b.
 func DecodeCell(b []byte) (Cell, error) {
 	if len(b) < CellSize {
@@ -161,7 +151,9 @@ func EncodedRecordSize(n int) int64 {
 
 // AppendRecord appends the packed encoding of r to dst. Cells must be
 // sorted by strictly ascending Number; this is validated because both the
-// similarity merge and the VVM scan rely on it.
+// similarity merge and the VVM scan rely on it. dst grows once, by the
+// record's packed size; on an error it holds the header and the cells
+// before the offending one.
 func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	if r.Number > MaxNumber {
 		return dst, fmt.Errorf("%w: record number %d", ErrRange, r.Number)
@@ -169,21 +161,27 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	if len(r.Cells) > MaxNumber {
 		return dst, fmt.Errorf("%w: %d cells", ErrRange, len(r.Cells))
 	}
-	var hdr [DocHeaderSize]byte
-	PutUint24(hdr[:], r.Number)
-	PutUint24(hdr[DocNumberSize:], uint32(len(r.Cells)))
-	dst = append(dst, hdr[:]...)
+	n, size := len(dst), int(EncodedRecordSize(len(r.Cells)))
+	dst = slices.Grow(dst, size)[:n+size]
+	PutUint24(dst[n:], r.Number)
+	PutUint24(dst[n+DocNumberSize:], uint32(len(r.Cells)))
+	body := dst[n+DocHeaderSize:]
 	prev := int64(-1)
-	for _, c := range r.Cells {
-		if int64(c.Number) <= prev {
+	for i, c := range r.Cells {
+		if int64(c.Number) <= prev || c.Number > MaxNumber {
+			dst = dst[:n+DocHeaderSize+i*CellSize]
+			if c.Number > MaxNumber {
+				return dst, fmt.Errorf("%w: cell number %d", ErrRange, c.Number)
+			}
 			return dst, fmt.Errorf("%w: cells not strictly ascending (%d after %d)", ErrCorrupt, c.Number, prev)
 		}
 		prev = int64(c.Number)
-		var err error
-		dst, err = AppendCell(dst, c)
-		if err != nil {
-			return dst, err
-		}
+		w := body[i*CellSize : i*CellSize+CellSize : i*CellSize+CellSize]
+		w[0] = byte(c.Number)
+		w[1] = byte(c.Number >> 8)
+		w[2] = byte(c.Number >> 16)
+		w[3] = byte(c.Weight)
+		w[4] = byte(c.Weight >> 8)
 	}
 	return dst, nil
 }

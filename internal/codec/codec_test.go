@@ -41,14 +41,14 @@ func TestPutUint24Overflow(t *testing.T) {
 }
 
 func TestCellRoundTrip(t *testing.T) {
-	dst, err := AppendCell(nil, Cell{Number: 123456, Weight: 789})
+	dst, err := AppendRecord(nil, Record{Number: 1, Cells: []Cell{{Number: 123456, Weight: 789}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dst) != CellSize {
-		t.Fatalf("encoded size = %d, want %d", len(dst), CellSize)
+	if len(dst) != DocHeaderSize+CellSize {
+		t.Fatalf("encoded size = %d, want %d", len(dst), DocHeaderSize+CellSize)
 	}
-	c, err := DecodeCell(dst)
+	c, err := DecodeCell(dst[DocHeaderSize:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,12 @@ func TestCellRoundTrip(t *testing.T) {
 }
 
 func TestCellErrors(t *testing.T) {
-	if _, err := AppendCell(nil, Cell{Number: MaxNumber + 1}); !errors.Is(err, ErrRange) {
-		t.Errorf("AppendCell overflow err = %v, want ErrRange", err)
+	dst, err := AppendRecord(nil, Record{Number: 1, Cells: []Cell{{Number: 4, Weight: 1}, {Number: MaxNumber + 1}}})
+	if !errors.Is(err, ErrRange) {
+		t.Errorf("AppendRecord cell overflow err = %v, want ErrRange", err)
+	}
+	if len(dst) != DocHeaderSize+CellSize {
+		t.Errorf("after the error dst holds %d bytes, want the header and the cell before it (%d)", len(dst), DocHeaderSize+CellSize)
 	}
 	if _, err := DecodeCell([]byte{1, 2}); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("DecodeCell short err = %v, want ErrShortBuffer", err)
@@ -124,12 +128,12 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 	PutUint24(hdr[:], 1)
 	PutUint24(hdr[3:], 2)
 	b = append(b, hdr[:]...)
-	b, _ = AppendCell(b, Cell{9, 1})
-	// Append a lower-numbered cell manually.
-	var cb [CellSize]byte
-	PutUint24(cb[:], 3)
-	PutUint16(cb[3:], 1)
-	b = append(b, cb[:]...)
+	for _, n := range []uint32{9, 3} {
+		var cb [CellSize]byte
+		PutUint24(cb[:], n)
+		PutUint16(cb[3:], 1)
+		b = append(b, cb[:]...)
+	}
 	if _, _, err := DecodeRecord(b); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
 	}

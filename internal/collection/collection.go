@@ -110,6 +110,8 @@ type Builder struct {
 	cells    int64
 	finished bool
 	buf      []byte
+	// rec holds the record cells of the document being added.
+	rec []codec.Cell
 }
 
 // NewBuilder starts building a collection named name in the given empty
@@ -149,7 +151,7 @@ func distinctTerms(df []uint32) int64 {
 }
 
 // Add appends one document. The document id must equal the number of
-// documents added so far.
+// documents added so far. Add keeps nothing of d, so a caller may reuse it.
 func (b *Builder) Add(d *document.Document) error {
 	if b.finished {
 		return ErrFinished
@@ -160,9 +162,12 @@ func (b *Builder) Add(d *document.Document) error {
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("collection: %v", err)
 	}
-	rec := d.ToRecord()
+	b.rec = b.rec[:0]
+	for _, c := range d.Cells {
+		b.rec = append(b.rec, codec.Cell{Number: c.Term, Weight: c.Weight})
+	}
 	var err error
-	b.buf, err = codec.AppendRecord(b.buf[:0], rec)
+	b.buf, err = codec.AppendRecord(b.buf[:0], codec.Record{Number: d.ID, Cells: b.rec})
 	if err != nil {
 		return err
 	}

