@@ -33,10 +33,11 @@ test: build
 # (collector + trace on/off invariance, concurrent snapshots). It
 # finishes with the observability smokes: the self-driving textjoind
 # endpoint check, the load-generator gate, the SLO/error-budget gate, the
-# command-line run piped into tracecheck, and the page-read grid checked
-# against its baseline, and a short fuzz of every decoder. benchmark/ is a
-# module of its own that root ./... patterns never reach, so it is vetted
-# and tested by name: a facade rename must not break it unnoticed.
+# command-line run's exposition and trace piped into tracecheck, the
+# page-read grid checked against its baseline, and a short fuzz of every
+# decoder. benchmark/ is a module of its own that root ./... patterns
+# never reach, so it is vetted and tested by name: a facade rename must
+# not break it unnoticed.
 verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
@@ -85,18 +86,18 @@ perf-aa:
 	bash benchmark/run.sh -aa 5
 
 # trace-smoke runs a real join with -telemetry json and validates what it
-# emits against the two schemas (cmd/tracecheck). One line covers both:
-# the run prints a snapshot and then its request trace, tracecheck checks
-# each document against the schema its kind selects, and its verdict
-# ("snapshot, request trace ok") names the kinds it saw. Telemetry goes
-# to stderr, results to stdout, so 2>&1 1>/dev/null routes only the two
-# documents into the checker.
+# emits (cmd/tracecheck). One line covers both formats: the run prints
+# the Prometheus exposition and then its request trace, tracecheck checks
+# the first with metrics.Lint and the second with reqtrace.Validate, and
+# its verdict ("exposition, request trace ok") names what it saw.
+# Telemetry goes to stderr, results to stdout, so 2>&1 1>/dev/null routes
+# only the two into the checker.
 trace-smoke:
 	$(GO) run ./cmd/textjoin -p1 wsj -p2 wsj -scale 8192 -alg auto -lambda 5 -mem 200 -show 0 -telemetry json 2>&1 1>/dev/null | $(GO) run ./cmd/tracecheck
 
 # obs-smoke boots textjoind on an ephemeral loopback port, drives every
-# endpoint (/healthz, /join alone and in a concurrent burst, /metrics twice so rate
-# gauges appear, /debug/requests, /debug/pprof/), validates the exposition
+# endpoint (/healthz, /join alone and in a concurrent burst, /metrics,
+# /debug/requests, /debug/pprof/), validates the exposition
 # with the strict parser and a request's trace with the tracecheck schema,
 # and shuts down cleanly — all in-process, no curl needed.
 obs-smoke:

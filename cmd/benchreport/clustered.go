@@ -96,10 +96,8 @@ func buildClusteredShape(sh pfShape, cfg BenchConfig) (*shapeEnv, *textjoin.Pref
 	if _, err := inv2.LoadIndex(); err != nil {
 		return nil, nil, err
 	}
-	tel := textjoin.NewTelemetry()
 	ws.ResetIOStats()
-	ws.SetTelemetry(tel)
-	env := &shapeEnv{ws: ws, c1: lay.Collection, c2: c2, inv1: lay.InvertedFile, inv2: inv2, tel: tel}
+	env := &shapeEnv{ws: ws, c1: lay.Collection, c2: c2, inv1: lay.InvertedFile, inv2: inv2}
 	return env, &textjoin.Prefilter{Inner: lay.Signatures, Outer: sig2}, nil
 }
 

@@ -213,7 +213,6 @@ type shapeEnv struct {
 	ws         *textjoin.Workspace
 	c1, c2     *textjoin.Collection
 	inv1, inv2 *textjoin.InvertedFile
-	tel        *textjoin.Telemetry
 }
 
 func buildShape(sh shape, cfg BenchConfig) (*shapeEnv, error) {
@@ -243,10 +242,8 @@ func buildShape(sh shape, cfg BenchConfig) (*shapeEnv, error) {
 	if _, err := inv2.LoadIndex(); err != nil {
 		return nil, err
 	}
-	tel := textjoin.NewTelemetry()
 	ws.ResetIOStats()
-	ws.SetTelemetry(tel)
-	return &shapeEnv{ws: ws, c1: c1, c2: c2, inv1: inv1, inv2: inv2, tel: tel}, nil
+	return &shapeEnv{ws: ws, c1: c1, c2: c2, inv1: inv1, inv2: inv2}, nil
 }
 
 func (e *shapeEnv) inputs() textjoin.Inputs {
@@ -254,7 +251,7 @@ func (e *shapeEnv) inputs() textjoin.Inputs {
 }
 
 func (e *shapeEnv) options(cfg BenchConfig) textjoin.Options {
-	return textjoin.Options{Lambda: cfg.Lambda, MemoryPages: cfg.MemoryPages, Telemetry: e.tel}
+	return textjoin.Options{Lambda: cfg.Lambda, MemoryPages: cfg.MemoryPages}
 }
 
 // runCell measures one grid point: alg under opts on the shape, filed

@@ -107,7 +107,7 @@ func TestScrapeSLO(t *testing.T) {
 	}
 	col.Counter("ok").Add(99)
 	col.Counter("bad").Add(1)
-	exp := metrics.NewExporter(col, metrics.WithExtraGauges(eng.Gauges))
+	exp := metrics.NewExporter(col, eng.Gauges)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/metrics" {
 			http.NotFound(w, r)
@@ -132,7 +132,7 @@ func TestScrapeSLO(t *testing.T) {
 
 	// A server without the SLO layer is an explicit error, not an empty
 	// success.
-	bare := metrics.NewExporter(col)
+	bare := metrics.NewExporter(col, nil)
 	hs2 := httptest.NewServer(bare)
 	defer hs2.Close()
 	if _, err := scrapeSLO(hs2.URL); err == nil {

@@ -47,30 +47,29 @@ func main() {
 	explain := flag.Bool("explain", false, "print the integrated algorithm's cost estimates")
 	queries := flag.String("queries", "", "run a memory-resident query batch (portable text format) against C1 instead of a stored C2")
 	saveDisk := flag.String("save-disk", "", "after building, snapshot the whole simulated disk to this file")
-	telemetryMode := flag.String("telemetry", "", "emit a telemetry snapshot, then the run's span tree, to stderr after the join: text or json")
+	telemetryMode := flag.String("telemetry", "", "after the join, write the Prometheus exposition, then the run's span tree as text or json, to stderr")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); with -telemetry also /metrics")
 	flag.Parse()
 
 	// With -telemetry the run is one traced request: a collector for the
 	// counts, one root span for where the time went.
 	var tel *textjoin.Telemetry
-	var sink textjoin.TelemetrySink
+	var exp *textjoin.MetricsExporter
 	var root *textjoin.RequestSpan
 	if *telemetryMode != "" {
-		var err error
-		sink, err = textjoin.TelemetrySinkFor(*telemetryMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "textjoin:", err)
+		if *telemetryMode != "text" && *telemetryMode != "json" {
+			fmt.Fprintf(os.Stderr, "textjoin: unknown -telemetry %q (want text or json)\n", *telemetryMode)
 			os.Exit(1)
 		}
 		tel = textjoin.NewTelemetry()
+		exp = textjoin.NewMetricsExporter(tel, nil)
 		root = textjoin.NewRequestTracer(1).StartTrace("textjoin")
 	}
 	if *pprofAddr != "" {
 		// Alongside pprof, expose the live collector (when -telemetry is
 		// on) in the format textjoind serves.
 		if tel != nil {
-			http.Handle("/metrics", textjoin.NewMetricsExporter(tel))
+			http.Handle("/metrics", exp)
 		}
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -92,7 +91,7 @@ func main() {
 	if tel != nil {
 		trace := root.Data()
 		reqtrace.ObservePhases(tel, trace)
-		if err = sink.Export(os.Stderr, tel.Snapshot()); err == nil {
+		if err = exp.WriteMetrics(os.Stderr); err == nil {
 			err = reqtrace.Export(os.Stderr, *telemetryMode, trace)
 		}
 		if err != nil {

@@ -8,8 +8,8 @@
 //	               vvm, lsh), mode (exact, lsh), recall, lambda,
 //	               weighting (raw, cosine, tfidf), prefilter, show;
 //	               responds with JSON
-//	/metrics       Prometheus text exposition of the telemetry collector,
-//	               with per-second rate gauges between scrapes
+//	/metrics       Prometheus text exposition of the telemetry collector
+//	               (totals only: rates are the scraper's rate())
 //	/healthz       liveness plus workspace summary, JSON
 //	/debug/requests
 //	               the flight recorder: the slowest and most recent

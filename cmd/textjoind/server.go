@@ -177,7 +177,7 @@ func newServer(cfg config) (*server, error) {
 		sig2:     sig2,
 		lsh1:     lsh1,
 		tel:      tel,
-		exporter: textjoin.NewMetricsExporter(tel, textjoin.WithSLOGauges(sloEng)),
+		exporter: textjoin.NewMetricsExporter(tel, sloEng),
 		tracer:   textjoin.NewRequestTracer(cfg.TraceSeed),
 		recorder: textjoin.NewFlightRecorder(cfg.RecorderCap),
 		slo:      sloEng,

@@ -189,23 +189,6 @@ func runSmoke(cfg config, out io.Writer) error {
 			}
 			return nil
 		}},
-		{"metrics rates", func() error {
-			// A second scrape after more work carries rate gauges.
-			if _, err := get("/join?alg=hvnl&show=0"); err != nil {
-				return err
-			}
-			body, err := get("/metrics")
-			if err != nil {
-				return err
-			}
-			if err := metrics.Lint(body); err != nil {
-				return fmt.Errorf("exposition rejected: %v", err)
-			}
-			if !strings.Contains(string(body), "_per_second") {
-				return fmt.Errorf("second scrape carries no rate gauges")
-			}
-			return nil
-		}},
 		{"request trace", func() error {
 			// A traced join: the response names its trace, the flight
 			// recorder serves the full tree, and the tree validates

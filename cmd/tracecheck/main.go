@@ -1,11 +1,12 @@
-// Command tracecheck validates telemetry exports. Each input is a stream
-// of JSON documents of two kinds, told apart by the presence of the
-// reqtrace_schema key: request traces (the textjoind
-// /debug/requests/{traceID} format: a reqtrace span tree with exactly
-// one root and resolvable parents) and aggregate snapshots (the
-// -telemetry json exporter schema: counters and histograms sorted and
-// well-formed, bucket counts consistent). A command-line run with
-// -telemetry json emits one of each, which is why an input is a stream.
+// Command tracecheck validates what the observability layer exports.
+// An input is an optional Prometheus text exposition (what /metrics
+// serves), checked with metrics.Lint, followed by any number of JSON
+// request traces (the textjoind /debug/requests/{traceID} format: a
+// reqtrace span tree with exactly one root and resolvable parents),
+// each checked with reqtrace.Validate. The first line that opens a JSON
+// object ends the exposition. A command-line run with -telemetry json
+// writes the exposition and then its trace, which is why an input is a
+// stream.
 //
 // With no arguments it reads stdin, so it can terminate a pipeline like
 //
@@ -27,8 +28,8 @@ import (
 	"os"
 	"strings"
 
+	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 )
 
 func main() {
@@ -79,35 +80,48 @@ func run(paths []string, stdin io.Reader, stdout, stderr io.Writer, quiet bool) 
 	return 0
 }
 
-// validate checks every JSON document of the stream against the schema
-// of its kind — a document carrying reqtrace_schema is a request trace,
-// any other must be a snapshot — and names the kinds it found, in order.
-// The first invalid document fails the input, with that one schema's
-// error; so does a stream holding no document at all.
+// validate checks the leading exposition, if any, and then every JSON
+// document after it, and names what it found, in order. The first
+// invalid part fails the input; so does an input holding neither an
+// exposition nor a document.
 func validate(data []byte) (string, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
 	var kinds []string
-	for {
+	expo, docs := splitExposition(data)
+	if len(bytes.TrimSpace(expo)) > 0 {
+		if err := metrics.Lint(expo); err != nil {
+			return "", fmt.Errorf("exposition: %v", err)
+		}
+		kinds = append(kinds, "exposition")
+	}
+	dec := json.NewDecoder(bytes.NewReader(docs))
+	for n := 1; ; n++ {
 		var doc json.RawMessage
 		if err := dec.Decode(&doc); err == io.EOF {
 			break
 		} else if err != nil {
-			return "", fmt.Errorf("document %d: not JSON: %v", len(kinds)+1, err)
+			return "", fmt.Errorf("document %d: not JSON: %v", n, err)
 		}
-		kind, check := "snapshot", telemetry.ValidateJSON
-		var probe struct {
-			Schema *json.RawMessage `json:"reqtrace_schema"`
+		if err := reqtrace.Validate(doc); err != nil {
+			return "", fmt.Errorf("document %d: %v", n, err)
 		}
-		if json.Unmarshal(doc, &probe) == nil && probe.Schema != nil {
-			kind, check = "request trace", reqtrace.Validate
-		}
-		if err := check(doc); err != nil {
-			return "", fmt.Errorf("document %d: %v", len(kinds)+1, err)
-		}
-		kinds = append(kinds, kind)
+		kinds = append(kinds, "request trace")
 	}
 	if len(kinds) == 0 {
-		return "", errors.New("no JSON document")
+		return "", errors.New("empty input: no exposition and no JSON document")
 	}
 	return strings.Join(kinds, ", "), nil
+}
+
+// splitExposition cuts data before its first line that opens a JSON
+// object. No exposition line starts with "{": it is a comment or begins
+// with a metric name.
+func splitExposition(data []byte) (expo, docs []byte) {
+	off := 0
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if bytes.HasPrefix(bytes.TrimSpace(line), []byte("{")) {
+			return data[:off], data[off:]
+		}
+		off += len(line)
+	}
+	return data, nil
 }

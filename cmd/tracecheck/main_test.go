@@ -8,31 +8,29 @@ import (
 	"testing"
 	"time"
 
+	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 )
 
-func snapshotJSON(t *testing.T) []byte {
+// exposition renders a small collector the way /metrics serves it.
+func exposition(t *testing.T) []byte {
 	t.Helper()
 	c := telemetry.New()
 	c.Counter("join.hhnl.outer_docs").Add(3)
 	c.Histogram("phase.scan.ns", telemetry.DefaultLatencyBuckets).Observe(1000)
-	sink, err := telemetry.SinkFor("json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sb strings.Builder
-	if err := sink.Export(&sb, c.Snapshot()); err != nil {
+	if err := metrics.NewExporter(c, nil).WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
 	return []byte(sb.String())
 }
 
 // runStream is what a command-line run with -telemetry json emits: the
-// snapshot, then the run's trace.
+// exposition, then the run's trace.
 func runStream(t *testing.T) []byte {
 	t.Helper()
-	return append(snapshotJSON(t), requestTraceJSON(t)...)
+	return append(exposition(t), requestTraceJSON(t)...)
 }
 
 func write(t *testing.T, dir, name string, data []byte) string {
@@ -45,43 +43,41 @@ func write(t *testing.T, dir, name string, data []byte) string {
 }
 
 func TestValidateFormats(t *testing.T) {
-	if f, err := validate(snapshotJSON(t)); err != nil || f != "snapshot" {
-		t.Errorf("snapshot: format %q err %v", f, err)
+	if f, err := validate(exposition(t)); err != nil || f != "exposition" {
+		t.Errorf("exposition: format %q err %v", f, err)
 	}
-	if f, err := validate(runStream(t)); err != nil || f != "snapshot, request trace" {
-		t.Errorf("two-document stream: format %q err %v", f, err)
+	if f, err := validate(runStream(t)); err != nil || f != "exposition, request trace" {
+		t.Errorf("exposition then trace: format %q err %v", f, err)
 	}
-	// The second document is checked too, and the error says which.
-	if _, err := validate(append(snapshotJSON(t), `{"reqtrace_schema":1}`...)); err == nil {
+	// Every document after the exposition is checked, and the error
+	// says which.
+	if _, err := validate(append(runStream(t), `{"reqtrace_schema":1}`...)); err == nil {
 		t.Error("stream with an invalid second document accepted")
 	} else if !strings.Contains(err.Error(), "document 2") {
 		t.Errorf("error does not name the failing document: %v", err)
 	}
-	for name, doc := range map[string]string{
-		"garbage": "nonsense\n",
-		"empty":   "",
-		// Valid under neither schema: one error, from the one schema the
-		// document's keys select.
-		"neither": `{"spans":[]}`,
-	} {
-		_, err := validate([]byte(doc))
-		if err == nil {
-			t.Errorf("%s accepted", name)
-		} else if strings.Count(err.Error(), "telemetry:")+strings.Count(err.Error(), "reqtrace:") > 1 {
-			t.Errorf("%s: more than one schema's error reported: %v", name, err)
-		}
+	// A sample with no TYPE line fails the exposition, by name.
+	if _, err := validate([]byte("textjoin_x_total 1\n")); err == nil {
+		t.Error("exposition without a TYPE line accepted")
+	} else if !strings.Contains(err.Error(), "exposition") || !strings.Contains(err.Error(), "TYPE") {
+		t.Errorf("error does not name the exposition's fault: %v", err)
 	}
-	// A snapshot from before the trace ring was removed is rejected by
-	// name, not read as its counters alone.
-	stale := `{"counters":[],"histograms":[],"trace":[],"trace_dropped":0}`
-	if _, err := validate([]byte(stale)); err == nil || !strings.Contains(err.Error(), `unknown field "trace"`) {
-		t.Errorf("stale trace key: err %v, want the unknown field named", err)
+	for name, doc := range map[string]string{
+		"empty":         "",
+		"whitespace":    " \n\t\n",
+		"garbage":       "nonsense\n",
+		"json snapshot": `{"counters":[],"histograms":[]}`,
+		"neither":       `{"spans":[]}`,
+	} {
+		if f, err := validate([]byte(doc)); err == nil {
+			t.Errorf("%s accepted as %q", name, f)
+		}
 	}
 }
 
 func TestRunMultipleFiles(t *testing.T) {
 	dir := t.TempDir()
-	good1 := write(t, dir, "snap.json", snapshotJSON(t))
+	good1 := write(t, dir, "metrics.txt", exposition(t))
 	good2 := write(t, dir, "run.json", runStream(t))
 	bad := write(t, dir, "bad.json", []byte("{broken\n"))
 
@@ -89,7 +85,7 @@ func TestRunMultipleFiles(t *testing.T) {
 	if code := run([]string{good1, good2}, nil, &out, &errOut, false); code != 0 {
 		t.Errorf("all-valid run exited %d: %s", code, errOut.String())
 	}
-	if got := out.String(); !strings.Contains(got, "snapshot ok") || !strings.Contains(got, "snapshot, request trace ok") {
+	if got := out.String(); !strings.Contains(got, "exposition ok") || !strings.Contains(got, "exposition, request trace ok") {
 		t.Errorf("missing ok lines:\n%s", got)
 	}
 
@@ -128,10 +124,10 @@ func TestRunMultipleFiles(t *testing.T) {
 
 func TestRunStdin(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run(nil, strings.NewReader(string(snapshotJSON(t))), &out, &errOut, false); code != 0 {
+	if code := run(nil, strings.NewReader(string(exposition(t))), &out, &errOut, false); code != 0 {
 		t.Errorf("stdin run exited %d: %s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "<stdin>: snapshot ok") {
+	if !strings.Contains(out.String(), "<stdin>: exposition ok") {
 		t.Errorf("stdin verdict missing:\n%s", out.String())
 	}
 }
@@ -160,7 +156,7 @@ func requestTraceJSON(t *testing.T) []byte {
 }
 
 // TestValidateRequestTrace: a request trace is recognised by its schema
-// key and malformed trees are rejected, never passed as a snapshot.
+// key and malformed trees are rejected, never passed as an exposition.
 func TestValidateRequestTrace(t *testing.T) {
 	good := requestTraceJSON(t)
 	if f, err := validate(good); err != nil || f != "request trace" {
@@ -194,10 +190,10 @@ func TestValidateRequestTrace(t *testing.T) {
 	}
 
 	// Cross-format isolation: neither kind passes as the other.
-	if err := telemetry.ValidateJSON(good); err == nil {
-		t.Error("request trace accepted as a snapshot")
+	if err := metrics.Lint(good); err == nil {
+		t.Error("request trace accepted as an exposition")
 	}
-	if err := reqtrace.Validate(snapshotJSON(t)); err == nil {
-		t.Error("snapshot accepted as a request trace")
+	if err := reqtrace.Validate(exposition(t)); err == nil {
+		t.Error("exposition accepted as a request trace")
 	}
 }

@@ -86,7 +86,7 @@ var importLayers = map[string][]string{
 		"internal/costmodel", "internal/metrics", "internal/reqtrace",
 		"internal/telemetry",
 	},
-	"cmd/tracecheck": {"internal/reqtrace", "internal/telemetry"},
+	"cmd/tracecheck": {"internal/metrics", "internal/reqtrace"},
 
 	"examples/clustering":   {},
 	"examples/costexplorer": {},

@@ -110,12 +110,10 @@ type Disk struct {
 	lastFile   *File
 	faults     *faultState
 
-	// tel, when set, receives per-file read/write/fault counters and
-	// record-fetch size and latency histograms. nil disables all
-	// instrumentation (the default): the per-read cost is one nil check.
-	tel          *telemetry.Collector
-	telReadPages *telemetry.Histogram
-	telReadNanos *telemetry.Histogram
+	// tel, when set, receives per-file read/write/fault counters. nil
+	// disables all instrumentation (the default): the per-read cost is
+	// one nil check.
+	tel *telemetry.Collector
 }
 
 // Option configures a Disk.
@@ -184,29 +182,15 @@ func (d *Disk) SetAlpha(alpha float64) {
 
 // SetCollector attaches a telemetry collector to the disk: every file
 // (present and future) gets per-file sequential/random read and write
-// counters ("io.file.<name>.seq" etc.), record fetches feed size and
-// latency histograms, and injected faults count in
+// counters ("io.file.<name>.seq" etc.), and injected faults count in
 // "io.file.<name>.faults". Passing nil detaches instrumentation.
 func (d *Disk) SetCollector(c *telemetry.Collector) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.tel = c
-	if c != nil {
-		d.telReadPages = c.Histogram("io.readat.pages", telemetry.DefaultSizeBuckets)
-		d.telReadNanos = c.Histogram("io.readat.ns", telemetry.DefaultLatencyBuckets)
-	} else {
-		d.telReadPages, d.telReadNanos = nil, nil
-	}
 	for _, f := range d.files {
 		f.attachTelemetryLocked()
 	}
-}
-
-// readHists returns the record-fetch histograms under the disk lock.
-func (d *Disk) readHists() (pages, nanos *telemetry.Histogram) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.telReadPages, d.telReadNanos
 }
 
 // Create creates a new empty file.
@@ -516,34 +500,12 @@ func (f *File) ReadAt(off, length int64) ([]byte, error) {
 // record (document or inverted-file entry) that may cross page
 // boundaries. A range inside one page is returned as a slice of the page
 // image, which must not be modified; a range crossing pages is stitched
-// into scratch, grown if it is too small. Either way the page reads, their
-// sequential/random classification and the record-fetch histograms are
-// ReadAt's.
+// into scratch, grown if it is too small. Either way the page reads and
+// their sequential/random classification are ReadAt's.
 func (f *File) ReadSpan(off, length int64, scratch []byte) ([]byte, error) {
 	if err := checkRange(off, length); err != nil {
 		return nil, err
 	}
-	if hPages, hNanos := f.disk.readHists(); hPages != nil {
-		// This branch only runs with telemetry enabled, so the clock
-		// reads are telemetry timing, not simulation state: no counted
-		// cost or stored byte ever depends on them.
-		start := time.Now() //lint:ignore wallclock readat latency histogram is telemetry timing on the enabled path only
-		out, err := f.readSpan(off, length, scratch)
-		hNanos.Observe(time.Since(start).Nanoseconds()) //lint:ignore wallclock readat latency histogram is telemetry timing on the enabled path only
-		hPages.Observe(SpannedPages(off, length, f.disk.pageSize))
-		return out, err
-	}
-	return f.readSpan(off, length, scratch)
-}
-
-func checkRange(off, length int64) error {
-	if length < 0 || off < 0 {
-		return fmt.Errorf("iosim: negative offset or length (off=%d len=%d)", off, length)
-	}
-	return nil
-}
-
-func (f *File) readSpan(off, length int64, scratch []byte) ([]byte, error) {
 	ps := int64(f.disk.pageSize)
 	if pageOff := off % ps; length > 0 && pageOff+length <= ps {
 		page, err := f.ReadPage(off / ps)
@@ -565,6 +527,13 @@ func (f *File) readSpan(off, length int64, scratch []byte) ([]byte, error) {
 		remaining -= take
 	}
 	return out, nil
+}
+
+func checkRange(off, length int64) error {
+	if length < 0 || off < 0 {
+		return fmt.Errorf("iosim: negative offset or length (off=%d len=%d)", off, length)
+	}
+	return nil
 }
 
 // Writer returns an appending byte writer that packs bytes tightly into

@@ -14,9 +14,7 @@
 //   - join counters keep the algorithm in the family name, per the
 //     naming scheme textjoin_join_<alg>_* (DESIGN.md §10),
 //   - telemetry histograms become Prometheus histograms with cumulative
-//     buckets,
-//   - successive scrapes additionally export per-second rate gauges
-//     computed from Snapshot.Diff (see Exporter).
+//     buckets.
 //
 // The mapping is pure renaming: no counter is merged, split or rescaled,
 // so a Prometheus query over textjoin_join_vvm_io_seq_total sees exactly
@@ -143,7 +141,7 @@ func mapCounter(name string) (string, []labelPair) {
 // gaugeFamilies are families fed by telemetry counters that the serving
 // layer moves both up and down (Add(±1) around a state change): their
 // exported value is a level, not a monotone total, so they are typed
-// gauge, carry no _total suffix, and get no derived per-second rate.
+// gauge and carry no _total suffix.
 var gaugeFamilies = map[string]bool{
 	Namespace + "_http_inflight":    true,
 	Namespace + "_http_queue_depth": true,
@@ -152,7 +150,6 @@ var gaugeFamilies = map[string]bool{
 // mapHistogram translates a telemetry histogram name into a family name
 // plus labels:
 //
-//	io.readat.pages / io.readat.ns → textjoin_iosim_readat_{pages,ns}
 //	phase.<phase>.ns               → textjoin_phase_ns {phase}
 //	http.request.<endpoint>.ns     → textjoin_http_request_ns {endpoint}
 //	<alg>.accum.occupancy          → textjoin_join_<alg>_accum_occupancy
@@ -160,8 +157,6 @@ var gaugeFamilies = map[string]bool{
 func mapHistogram(name string) (string, []labelPair) {
 	parts := strings.Split(name, ".")
 	switch {
-	case strings.HasPrefix(name, "io.readat."):
-		return Namespace + "_iosim_readat_" + sanitize(strings.TrimPrefix(name, "io.readat.")), nil
 	case len(parts) == 3 && parts[0] == "phase" && parts[2] == "ns":
 		return Namespace + "_phase_ns", []labelPair{{"phase", parts[1]}}
 	case len(parts) == 4 && parts[0] == "http" && parts[1] == "request" && parts[3] == "ns":
@@ -186,10 +181,6 @@ func helpFor(name string) string {
 		return "Page writes per simulated file."
 	case strings.HasPrefix(name, Namespace+"_iosim_file_faults"):
 		return "Injected read faults per simulated file."
-	case name == Namespace+"_iosim_readat_pages":
-		return "Pages spanned per record fetch."
-	case name == Namespace+"_iosim_readat_ns":
-		return "Record fetch latency in nanoseconds."
 	case strings.HasPrefix(name, Namespace+"_entrycache_"):
 		return "Entry cache events by replacement policy."
 	case name == Namespace+"_plan_chosen_total":
@@ -268,11 +259,6 @@ func (fs *familySet) addInt(name, typ string, labels []labelPair, v int64) {
 	f.ser = append(f.ser, series{labels: labels, isInt: true, ival: v})
 }
 
-func (fs *familySet) addFloat(name, typ string, labels []labelPair, v float64) {
-	f := fs.get(name, typ)
-	f.ser = append(f.ser, series{labels: labels, value: v})
-}
-
 // addSnapshot folds a snapshot's counters and histograms into the set.
 func (fs *familySet) addSnapshot(s *telemetry.Snapshot) {
 	for _, c := range s.Counters {
@@ -290,25 +276,6 @@ func (fs *familySet) addSnapshot(s *telemetry.Snapshot) {
 	}
 }
 
-// addRates folds per-second rate gauges derived from a counter-delta
-// snapshot (Snapshot.Diff between two scrapes) over elapsed seconds.
-// Families keep their mapped name with "_total" replaced by
-// "_per_second".
-func (fs *familySet) addRates(diff *telemetry.Snapshot, elapsed float64) {
-	if diff == nil || elapsed <= 0 {
-		return
-	}
-	for _, c := range diff.Counters {
-		name, labels := mapCounter(c.Name)
-		if gaugeFamilies[name] {
-			// A level can fall between scrapes; its delta is not a rate.
-			continue
-		}
-		name = strings.TrimSuffix(name, "_total") + "_per_second"
-		fs.addFloat(name, "gauge", labels, float64(c.Value)/elapsed)
-	}
-}
-
 // labelString renders a label set (plus an optional le pair) for a
 // sample line.
 func labelString(labels []labelPair, le string) string {
@@ -321,13 +288,13 @@ func labelString(labels []labelPair, le string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.key, escapeLabel(l.value))
+		b.WriteString(l.key + `="` + escapeLabel(l.value) + `"`)
 	}
 	if le != "" {
 		if len(labels) > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "le=%q", le)
+		b.WriteString(`le="` + le + `"`)
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -391,16 +358,4 @@ func (e *errWriter) printf(format string, args ...any) {
 	if e.err == nil {
 		_, e.err = fmt.Fprintf(e.w, format, args...)
 	}
-}
-
-// Encode writes one snapshot as Prometheus text with no rate gauges —
-// the stateless rendering used by -prom flags and tests. Use an Exporter
-// for scrape-to-scrape rates.
-func Encode(w io.Writer, s *telemetry.Snapshot) error {
-	if s == nil {
-		s = &telemetry.Snapshot{}
-	}
-	fs := newFamilySet()
-	fs.addSnapshot(s)
-	return fs.write(w)
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"textjoin/internal/telemetry"
 )
@@ -27,19 +26,25 @@ func demoCollector() *telemetry.Collector {
 	c.Counter("http.queue_depth").Add(1)
 	c.Counter("http.rejected").Add(4)
 	c.Histogram("http.request.join.ns", telemetry.DefaultLatencyBuckets).Observe(5000)
-	c.Histogram("io.readat.pages", telemetry.DefaultSizeBuckets).Observe(3)
+	c.Histogram("plan.error.log2", telemetry.DefaultSizeBuckets).Observe(3)
 	c.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets).Observe(17)
 	c.Histogram("phase.scan.ns", telemetry.DefaultLatencyBuckets).Observe(2000)
 	return c
 }
 
-// TestEncodeNaming pins the stable naming scheme of DESIGN.md §10.
-func TestEncodeNaming(t *testing.T) {
+// scrape renders one exposition through e.
+func scrape(t *testing.T, e *Exporter) string {
+	t.Helper()
 	var sb strings.Builder
-	if err := Encode(&sb, demoCollector().Snapshot()); err != nil {
+	if err := e.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
+	return sb.String()
+}
+
+// TestEncodeNaming pins the stable naming scheme of DESIGN.md §10.
+func TestEncodeNaming(t *testing.T) {
+	out := scrape(t, NewExporter(demoCollector(), nil))
 	wantLines := []string{
 		`textjoin_iosim_file_seq_reads_total{file="c1.inv"} 12`,
 		`textjoin_iosim_file_rand_reads_total{file="c1.inv"} 3`,
@@ -62,7 +67,7 @@ func TestEncodeNaming(t *testing.T) {
 		`textjoin_http_request_ns_count{endpoint="join"} 1`,
 		"# TYPE textjoin_phase_ns histogram",
 		`textjoin_phase_ns_count{phase="scan"} 1`,
-		"# TYPE textjoin_iosim_readat_pages histogram",
+		"# TYPE textjoin_plan_error_log2 histogram",
 		"# TYPE textjoin_join_hvnl_accum_occupancy histogram",
 		`textjoin_join_hvnl_accum_occupancy_bucket{le="+Inf"} 1`,
 	}
@@ -76,103 +81,81 @@ func TestEncodeNaming(t *testing.T) {
 // TestEncodePassesLint is the exposition-format spot check: everything
 // the encoder produces must survive the strict parser.
 func TestEncodePassesLint(t *testing.T) {
-	var sb strings.Builder
-	if err := Encode(&sb, demoCollector().Snapshot()); err != nil {
-		t.Fatal(err)
+	out := scrape(t, NewExporter(demoCollector(), nil))
+	if err := Lint([]byte(out)); err != nil {
+		t.Fatalf("encoder output rejected by parser: %v\n%s", err, out)
 	}
-	if err := Lint([]byte(sb.String())); err != nil {
-		t.Fatalf("encoder output rejected by parser: %v\n%s", err, sb.String())
-	}
-	// The empty snapshot is a valid exposition too.
-	sb.Reset()
-	if err := Encode(&sb, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := Lint([]byte(sb.String())); err != nil {
+	// An empty collector is a valid exposition too.
+	if err := Lint([]byte(scrape(t, NewExporter(telemetry.New(), nil)))); err != nil {
 		t.Fatalf("empty exposition rejected: %v", err)
 	}
 }
 
-func TestExporterRates(t *testing.T) {
-	c := telemetry.New()
-	ct := c.Counter("join.hvnl.comparisons")
-	ct.Add(10)
-
-	now := time.Unix(100, 0)
-	e := NewExporter(c, WithExporterClock(func() time.Time {
-		now = now.Add(2 * time.Second)
-		return now
-	}))
-
-	var first strings.Builder
-	if err := e.WriteMetrics(&first); err != nil {
-		t.Fatal(err)
+// TestScrapesAreStateless: a scrape renders totals only, so two scrapes
+// with no work between them differ in the scrape counter alone — no
+// scrape leaves state, such as a rate window, that changes the next.
+func TestScrapesAreStateless(t *testing.T) {
+	e := NewExporter(demoCollector(), func() []Gauge {
+		return []Gauge{{Family: Namespace + "_slo_target", LabelKey: "objective", LabelValue: "latency", Value: 0.99}}
+	})
+	first := strings.Split(scrape(t, e), "\n")
+	second := strings.Split(scrape(t, e), "\n")
+	if len(first) != len(second) {
+		t.Fatalf("second scrape has %d lines, first %d", len(second), len(first))
 	}
-	if strings.Contains(first.String(), "_per_second") {
-		t.Error("first scrape should have no rate gauges")
-	}
-	if !strings.Contains(first.String(), "textjoin_scrapes_total 1\n") {
-		t.Error("first scrape lacks scrape counter")
-	}
-
-	ct.Add(30)
-	var second strings.Builder
-	if err := e.WriteMetrics(&second); err != nil {
-		t.Fatal(err)
-	}
-	if want := "textjoin_join_hvnl_comparisons_per_second 15\n"; !strings.Contains(second.String(), want) {
-		t.Errorf("second scrape lacks %q:\n%s", want, second.String())
-	}
-	if err := Lint([]byte(second.String())); err != nil {
-		t.Fatalf("rated scrape rejected by parser: %v", err)
+	for i := range first {
+		if first[i] == second[i] {
+			continue
+		}
+		if first[i] != Namespace+"_scrapes_total 1" || second[i] != Namespace+"_scrapes_total 2" {
+			t.Errorf("line %d: %q became %q", i+1, first[i], second[i])
+		}
 	}
 }
 
-// TestGaugeFamiliesGetNoRates: serving-level gauges (inflight, queue
-// depth) move both ways, so a per-second delta would be meaningless —
-// the rate pass must skip them while still rating true counters.
-func TestGaugeFamiliesGetNoRates(t *testing.T) {
-	c := telemetry.New()
-	inflight := c.Counter("http.inflight")
-	inflight.Add(3)
-	rejected := c.Counter("http.rejected")
-	rejected.Add(1)
-
-	now := time.Unix(100, 0)
-	e := NewExporter(c, WithExporterClock(func() time.Time {
-		now = now.Add(2 * time.Second)
-		return now
-	}))
-	var first strings.Builder
-	if err := e.WriteMetrics(&first); err != nil {
-		t.Fatal(err)
-	}
-	inflight.Add(-2) // requests finished
-	rejected.Add(6)
-	var second strings.Builder
-	if err := e.WriteMetrics(&second); err != nil {
-		t.Fatal(err)
-	}
-	out := second.String()
-	if strings.Contains(out, "textjoin_http_inflight_per_second") ||
-		strings.Contains(out, "textjoin_http_queue_depth_per_second") {
-		t.Errorf("gauge family got a rate series:\n%s", out)
-	}
-	if !strings.Contains(out, "textjoin_http_rejected_per_second 3\n") {
-		t.Errorf("counter family lost its rate series:\n%s", out)
-	}
-	if !strings.Contains(out, "textjoin_http_inflight 1\n") {
-		t.Errorf("gauge level not exported:\n%s", out)
-	}
-	if err := Lint([]byte(out)); err != nil {
-		t.Fatalf("scrape rejected by parser: %v\n%s", err, out)
+// TestLabelValuesRoundTrip: a label value is escaped once, so what a
+// scraper unescapes is the name the caller gave, whatever it holds.
+func TestLabelValuesRoundTrip(t *testing.T) {
+	for _, v := range []string{
+		`a"b\c`,
+		"two\nlines",
+		`trailing\`,
+		`"\"`,
+		"tab\tand\x01control",
+	} {
+		c := telemetry.New()
+		c.Counter("io.file." + v + ".seq").Add(1)
+		out := scrape(t, NewExporter(c, func() []Gauge {
+			return []Gauge{{Family: Namespace + "_slo_target", LabelKey: "objective", LabelValue: v, Value: 1}}
+		}))
+		if err := Lint([]byte(out)); err != nil {
+			t.Fatalf("%q: exposition rejected: %v\n%s", v, err, out)
+		}
+		for _, want := range []struct{ family, key string }{
+			{Namespace + "_iosim_file_seq_reads_total", "file"},
+			{Namespace + "_slo_target", "objective"},
+		} {
+			var got []string
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, want.family+"{") {
+					_, labels, _, err := splitSample(line)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, labels[want.key])
+				}
+			}
+			if len(got) != 1 || got[0] != v {
+				t.Errorf("%s: label value %q came back as %q", want.family, v, got)
+			}
+		}
 	}
 }
 
 // TestExporterNilCollector: a server with telemetry disabled still
 // answers /metrics with a valid (nearly empty) exposition.
 func TestExporterNilCollector(t *testing.T) {
-	e := NewExporter(nil)
+	e := NewExporter(nil, nil)
 	var sb strings.Builder
 	if err := e.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
@@ -220,10 +203,10 @@ func TestLintRejects(t *testing.T) {
 
 func TestSanitize(t *testing.T) {
 	cases := map[string]string{
-		"abc":       "abc",
-		"a.b-c":     "a_b_c",
-		"3x":        "_3x",
-		"io.readat": "io_readat",
+		"abc":     "abc",
+		"a.b-c":   "a_b_c",
+		"3x":      "_3x",
+		"io.file": "io_file",
 	}
 	for in, want := range cases {
 		if got := sanitize(in); got != want {

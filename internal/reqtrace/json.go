@@ -7,9 +7,8 @@ import (
 	"fmt"
 )
 
-// SchemaVersion identifies the per-request trace JSON shape. The field
-// name ("reqtrace_schema") is unique to this format: its presence is how
-// cmd/tracecheck tells a request trace from a telemetry snapshot.
+// SchemaVersion identifies the per-request trace JSON shape, carried in
+// the "reqtrace_schema" field; Validate rejects any other version.
 const SchemaVersion = 1
 
 // TraceData is the wire form of one finished request trace: exactly

@@ -47,7 +47,7 @@ func writeTree(b *strings.Builder, d *TraceData) {
 }
 
 // Export writes a finished trace in a -telemetry flag's mode, after the
-// telemetry snapshot of the same run: "json" is the indented TraceData
+// metrics exposition of the same run: "json" is the indented TraceData
 // document Validate accepts, "text" a header line and the span tree.
 func Export(w io.Writer, mode string, d *TraceData) error {
 	switch mode {

@@ -242,8 +242,8 @@ func (e *Engine) Collect() []Status {
 }
 
 // Gauges runs Collect and renders the result as exporter gauges — the
-// textjoin_slo_* families. Wire it with metrics.WithExtraGauges so
-// every /metrics scrape re-evaluates the window. Nil engine returns
+// textjoin_slo_* families. Pass it as metrics.NewExporter's extra
+// callback so every /metrics scrape re-evaluates the window. Nil engine returns
 // nil.
 func (e *Engine) Gauges() []metrics.Gauge {
 	if e == nil {

@@ -176,9 +176,7 @@ func TestGaugesRenderAndLint(t *testing.T) {
 
 	// The full exposition with the SLO gauges injected passes the strict
 	// linter — the acceptance criterion for textjoin_slo_*.
-	exp := metrics.NewExporter(col,
-		metrics.WithExporterClock(ck.now),
-		metrics.WithExtraGauges(e.Gauges))
+	exp := metrics.NewExporter(col, e.Gauges)
 	var b strings.Builder
 	if err := exp.WriteMetrics(&b); err != nil {
 		t.Fatal(err)

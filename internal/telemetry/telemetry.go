@@ -1,6 +1,7 @@
 // Package telemetry is the aggregate instrumentation layer of the join
-// system: atomic counters and bucketed histograms, exported through a
-// Sink.
+// system: atomic counters and bucketed histograms, read back as a
+// Snapshot. Rendering a snapshot is internal/metrics' job: the one wire
+// format is its Prometheus text exposition.
 //
 // The paper's whole argument is built on counting — page reads, cache
 // hits, pass counts — and this package makes those counts observable
@@ -178,32 +179,32 @@ var (
 
 // CounterValue is one counter in a Snapshot.
 type CounterValue struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
+	Name  string
+	Value int64
 }
 
 // Bucket is one histogram bucket in a Snapshot: the count of
 // observations v with previousBound < v <= Le. The overflow bucket has
 // Le == math.MaxInt64 and renders as "+Inf".
 type Bucket struct {
-	Le    int64 `json:"le"`
-	Count int64 `json:"count"`
+	Le    int64
+	Count int64
 }
 
 // HistogramValue is one histogram in a Snapshot. Bucket counts are
 // per-bucket (not cumulative) and sum to Count.
 type HistogramValue struct {
-	Name    string   `json:"name"`
-	Count   int64    `json:"count"`
-	Sum     int64    `json:"sum"`
-	Buckets []Bucket `json:"buckets"`
+	Name    string
+	Count   int64
+	Sum     int64
+	Buckets []Bucket
 }
 
 // Snapshot is a point-in-time copy of everything the collector holds,
-// ready for a Sink. Counters and histograms are sorted by name.
+// ready for rendering. Counters and histograms are sorted by name.
 type Snapshot struct {
-	Counters   []CounterValue   `json:"counters"`
-	Histograms []HistogramValue `json:"histograms"`
+	Counters   []CounterValue
+	Histograms []HistogramValue
 }
 
 const maxInt64 = int64(^uint64(0) >> 1)

@@ -176,35 +176,27 @@ type (
 	Tokenizer = tokenize.Tokenizer
 )
 
-// Telemetry layer.
-type (
-	// Telemetry is the aggregate instrumentation collector: I/O, cache
-	// and join counters and histograms. It reads no clock — timing is
-	// the RequestSpan tree's job. A nil *Telemetry disables collection
-	// everywhere it is passed.
-	Telemetry = telemetry.Collector
-	// TelemetrySink renders a snapshot as text or JSON.
-	TelemetrySink = telemetry.Sink
-)
+// Telemetry is the aggregate instrumentation collector: I/O, cache and
+// join counters and histograms. It reads no clock — timing is the
+// RequestSpan tree's job. A nil *Telemetry disables collection
+// everywhere it is passed.
+type Telemetry = telemetry.Collector
 
 // NewTelemetry creates an enabled collector. Attach it to a join via
 // Options.Telemetry (or QueryOptions.Telemetry) and to the storage layer
-// via Workspace.SetTelemetry; read it back with its Snapshot method and
-// a TelemetrySink.
+// via Workspace.SetTelemetry; render it with a MetricsExporter.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
-// TelemetrySinkFor maps "text" or "json" to a sink.
-func TelemetrySinkFor(mode string) (TelemetrySink, error) { return telemetry.SinkFor(mode) }
-
-// MetricsExporter serves a collector as a Prometheus text exposition,
-// computing per-second rates between successive scrapes.
+// MetricsExporter renders a collector as a Prometheus text exposition,
+// the one wire format of a telemetry snapshot. It serves /metrics as an
+// http.Handler, and WriteMetrics writes the same exposition anywhere.
 type MetricsExporter = metrics.Exporter
 
-// NewMetricsExporter creates a /metrics handler over a collector (nil is
-// allowed and serves an empty exposition). Options extend the scrape —
-// WithSLOGauges adds the SLO engine's families.
-func NewMetricsExporter(t *Telemetry, opts ...MetricsExporterOption) *MetricsExporter {
-	return metrics.NewExporter(t, opts...)
+// NewMetricsExporter creates an exporter over a collector (nil is
+// allowed and serves an empty exposition). A non-nil SLO engine adds its
+// textjoin_slo_* gauge families to every scrape.
+func NewMetricsExporter(t *Telemetry, e *SLOEngine) *MetricsExporter {
+	return metrics.NewExporter(t, e.Gauges) // a nil engine's Gauges is nil
 }
 
 // Request tracing and SLO layer.
@@ -224,8 +216,6 @@ type (
 	SLOEngine = slo.Engine
 	// SLOObjective is one availability or latency objective.
 	SLOObjective = slo.Objective
-	// MetricsExporterOption configures a MetricsExporter.
-	MetricsExporterOption = metrics.ExporterOption
 )
 
 // DefaultSLOWindow is the default rolling window for SLO objectives.
@@ -251,15 +241,9 @@ func FlightRecorderHandler(rec *FlightRecorder, prefix string) http.Handler {
 
 // NewSLOEngine creates an SLO engine over a collector, evaluating the
 // objectives over a rolling window against the wall clock. Export its
-// gauges by constructing the exporter with WithSLOGauges.
+// gauges by passing it to NewMetricsExporter.
 func NewSLOEngine(t *Telemetry, window time.Duration, objectives []SLOObjective) (*SLOEngine, error) {
 	return slo.New(t, time.Now, window, objectives)
-}
-
-// WithSLOGauges injects an SLO engine's textjoin_slo_* gauge families
-// into every scrape of a MetricsExporter.
-func WithSLOGauges(e *SLOEngine) MetricsExporterOption {
-	return metrics.WithExtraGauges(e.Gauges)
 }
 
 // ParseAlgorithm maps "hhnl", "hvnl", "vvm" or "lsh" to an Algorithm.
