@@ -9,18 +9,18 @@ test: build
 	$(GO) test ./...
 
 # verify is the CI gate for the concurrent join paths: vet everything,
-# run the in-repo static-analysis suite (cmd/lintcheck, six analyzers
+# run the in-repo static-analysis suite (cmd/lintcheck, three analyzers
 # over types loaded from the compiler's export data: map-iteration
-# determinism, wall-clock hygiene, nil-receiver guards, dropped errors,
-# plus the CFG-based resource-leak (trace spans included) and
-# mutex-hygiene rules — fails on any finding or unexplained lint:ignore;
-# a mutex copied by value is go vet's finding, not the suite's, which is
-# why vet stays ahead of lintcheck here; the package DAG — its program
-# rows included: a cmd/ or examples/ package reaches the storage and join
-# stack through the facade only — is internal/analysis's arch test, part
-# of go test), then race-check the packages that run concurrently (in
-# internal/core the joins run concurrently on views of one disk, each on
-# its caller's goroutine), the accumulator layer the joins share, the entry cache HVNL
+# determinism, dropped errors and the CFG-based resource-leak rule,
+# trace spans included — fails on any finding or unexplained
+# lint:ignore; a mutex copied by value is go vet's finding, not the
+# suite's, which is why vet stays ahead of lintcheck here; the package
+# DAG — its program rows included: a cmd/ or examples/ package reaches
+# the storage and join stack through the facade only — and the wall
+# clock are internal/analysis's arch test, nil receivers and lock
+# hygiene are tests too, all part of go test), then race-check the
+# packages that run concurrently (in internal/core the joins run
+# concurrently on views of one disk, each on its caller's goroutine), the accumulator layer the joins share, the entry cache HVNL
 # drives and the inverted file and paged store under it (ReadSpan hands
 # concurrent views aliases of the shared page images), the term tables
 # concurrent views read once memoized (B+tree image, document frequencies,
@@ -45,9 +45,10 @@ verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
 
 # lint runs the repo's own static-analysis suite over the whole module
-# and benchmark/: six analyzers driven by the checked-in policy table in
-# internal/analysis/policy.go (see DESIGN.md §11); the seventh check, the
-# package DAG, is the arch test in internal/analysis. Exit 1 on findings.
+# and benchmark/: three analyzers driven by the checked-in policy table in
+# internal/analysis/policy.go (see DESIGN.md §11); the package DAG and the
+# wall-clock check are the arch test in internal/analysis. Exit 1 on
+# findings.
 # By-value mutex copies are go vet's (copylocks): run `go vet ./...`
 # with it, as verify does.
 lint:

@@ -4,12 +4,21 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"textjoin/internal/metrics"
+	"textjoin/internal/reqtrace"
+	"textjoin/internal/slo"
+	"textjoin/internal/telemetry"
 )
 
 // persistenceReadHalf is the one allowlist of TestFacadeExportsHaveProgramCallers:
@@ -136,6 +145,55 @@ func TestFacadeExportsHaveProgramCallers(t *testing.T) {
 	for name := range persistenceReadHalf {
 		if _, ok := exported[name]; !ok {
 			t.Errorf("allowlist names %s, which the facade no longer exports", name)
+		}
+	}
+}
+
+// TestNilReceiversAreNoOps pins the disabled-path contract (DESIGN §9):
+// instrumented code holds plain pointer fields and calls them
+// unconditionally, so a nil collector, counter, histogram, exporter,
+// tracer, span, recorder or SLO engine must answer every exported method
+// without panicking. Each method is called on a typed nil with zero
+// arguments, except that an interface parameter gets a working value
+// from the table below. A method added to one of these types is covered
+// on arrival.
+func TestNilReceiversAreNoOps(t *testing.T) {
+	nils := []any{
+		(*telemetry.Collector)(nil), (*telemetry.Counter)(nil), (*telemetry.Histogram)(nil),
+		(*metrics.Exporter)(nil),
+		(*reqtrace.Tracer)(nil), (*reqtrace.Span)(nil), (*reqtrace.Recorder)(nil),
+		(*slo.Engine)(nil),
+	}
+	ifaceArgs := map[reflect.Type]reflect.Value{
+		reflect.TypeFor[io.Writer]():           reflect.ValueOf(io.Discard),
+		reflect.TypeFor[http.ResponseWriter](): reflect.ValueOf(httptest.NewRecorder()),
+	}
+	for _, recv := range nils {
+		v := reflect.ValueOf(recv)
+		for i := 0; i < v.NumMethod(); i++ {
+			name := v.Type().String() + "." + v.Type().Method(i).Name
+			m := v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				in := m.Type().In(j)
+				if in.Kind() == reflect.Interface {
+					w, ok := ifaceArgs[in]
+					if !ok {
+						t.Fatalf("%s takes a %s; give the argument table a working value for it", name, in)
+					}
+					args[j] = w
+				} else {
+					args[j] = reflect.Zero(in)
+				}
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on a nil receiver panics: %v", name, r)
+					}
+				}()
+				m.Call(args)
+			}()
 		}
 	}
 }

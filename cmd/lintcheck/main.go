@@ -1,14 +1,13 @@
 // Command lintcheck runs the repo's static-analysis suite
 // (internal/analysis) over the whole module and exits non-zero on any
-// finding. It is the `make lint` gate: the six analyzers encode the
+// finding. It is the `make lint` gate: the three analyzers encode the
 // project's architectural promises — deterministic result production
-// (mapdeterminism), byte-stable baselines (wallclock), the nil-safe
-// telemetry contract (nilrecv), released resources and ended trace spans
-// (resourceleak), consulted errors (errdrop) and leaf locks never held
-// across simulated I/O or a whole join (mutexhygiene) — plus the
+// (mapdeterminism), released resources and ended trace spans
+// (resourceleak) and consulted errors (errdrop) — plus the
 // lintdirective hygiene rule that keeps every //lint:ignore explained
-// and load-bearing. The package DAG is internal/analysis's
-// TestArchitecture, not a rule here.
+// and load-bearing. The package DAG and the internal packages' freedom
+// from wall-clock and global-rand reads are internal/analysis's
+// TestArchitecture, not rules here.
 //
 // Usage:
 //

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -219,5 +221,112 @@ func TestJoinTimingFields(t *testing.T) {
 	}
 	if j.QueueSeconds != 0 {
 		t.Errorf("queue_seconds = %v on an idle server, want 0", j.QueueSeconds)
+	}
+}
+
+// TestNoRequestWaitsOnAnotherJoin is the lock promise of DESIGN §13 as
+// behaviour: no request queues behind another request's join. Every
+// simulated page read is slowed, so a join stays in flight for hundreds
+// of milliseconds while the test checks two things, each the order of
+// two events rather than a latency bound:
+//   - /metrics, /healthz and /debug/requests, asked while a join is in
+//     flight, all answer before that join's exec span ends;
+//   - two admitted joins run at the same time: their exec spans overlap.
+//
+// A handler that held a server mutex across a join, and a scrape that
+// took the same mutex, would fail both.
+func TestNoRequestWaitsOnAnotherJoin(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.Scale = 2048 // each join makes two delayed page reads
+	cfg.IODelay = 150 * time.Millisecond
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.handler())
+	defer hs.Close()
+
+	type reply struct {
+		path string
+		body []byte
+		at   int64 // wall clock when the reply had been read, in ns
+		err  error
+	}
+	fetch := func(wg *sync.WaitGroup, r *reply) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := hs.Client().Get(hs.URL + r.path)
+			if err == nil {
+				r.body, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err == nil && resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("status %d: %s", resp.StatusCode, r.body)
+				}
+			}
+			r.at, r.err = time.Now().UnixNano(), err
+		}()
+	}
+
+	joins := []reply{{path: "/join?alg=hvnl&show=0"}, {path: "/join?alg=vvm&show=0"}}
+	var joinWG sync.WaitGroup
+	for i := range joins {
+		fetch(&joinWG, &joins[i])
+	}
+	done := make(chan struct{})
+	go func() { joinWG.Wait(); close(done) }()
+
+	// Ask once a join has been admitted: from then on its exec span
+	// outlasts two delayed reads.
+	for inflight := s.tel.Counter("http.inflight"); inflight.Value() == 0; {
+		select {
+		case <-done:
+			t.Fatalf("both joins ended before either was seen in flight: %v, %v", joins[0].err, joins[1].err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	scrapes := []reply{{path: "/metrics"}, {path: "/healthz"}, {path: "/debug/requests"}}
+	var scrapeWG sync.WaitGroup
+	for i := range scrapes {
+		fetch(&scrapeWG, &scrapes[i])
+	}
+	scrapeWG.Wait()
+	<-done
+	for _, r := range append(joins, scrapes...) {
+		if r.err != nil {
+			t.Fatalf("%s: %v", r.path, r.err)
+		}
+	}
+
+	// The exec spans on the wall clock, from the flight recorder.
+	type interval struct{ start, end int64 }
+	execs := make([]interval, len(joins))
+	for i, r := range joins {
+		var j joinReply
+		if err := json.Unmarshal(r.body, &j); err != nil {
+			t.Fatalf("%s: %v", r.path, err)
+		}
+		d := fetchTrace(t, hs, j.TraceID)
+		for _, sp := range d.Spans {
+			if sp.Phase == "exec" {
+				start := d.StartUnixNanos + sp.StartNanos
+				execs[i] = interval{start, start + sp.DurNanos}
+			}
+		}
+		if execs[i].end == 0 {
+			t.Fatalf("%s: trace %s has no exec span", r.path, j.TraceID)
+		}
+	}
+	firstEnd := min(execs[0].end, execs[1].end)
+	for _, r := range scrapes {
+		if r.at >= firstEnd {
+			t.Errorf("%s answered %v after the first join's exec span ended: it waited on the join",
+				r.path, time.Duration(r.at-firstEnd))
+		}
+	}
+	if a, b := execs[0], execs[1]; a.start >= b.end || b.start >= a.end {
+		at := func(ns int64) time.Duration { return time.Duration(ns - min(a.start, b.start)) }
+		t.Errorf("the two joins ran one after the other: exec spans %s %v..%v, %s %v..%v",
+			joins[0].path, at(a.start), at(a.end), joins[1].path, at(b.start), at(b.end))
 	}
 }

@@ -1,16 +1,13 @@
 // Package analysis is the repo's in-tree static-analysis engine: a
 // loader that type-checks the module from the compiler's export data
-// (go list -export plus go/importer, all in the Go toolchain) and six
+// (go list -export plus go/importer, all in the Go toolchain) and three
 // analyzers that lock the project's architectural promises into CI —
-// deterministic result production (mapdeterminism), byte-stable
-// baselines with no stray wall-clock or global-rand reads (wallclock),
-// the telemetry layer's nil-receiver contract (nilrecv), errors consulted
-// rather than discarded (errdrop), and the two rules that reason about
-// paths over one CFG + dataflow core (cfg.go, dataflow.go): resources —
-// trace spans included — released on every path (resourceleak), and no
-// lock held across another acquire or a forbidden call (mutexhygiene). A
-// new must-release or must-not-hold invariant is a row in the Policy
-// table those rules read, not an analyzer of its own.
+// deterministic result production (mapdeterminism), errors consulted
+// rather than discarded (errdrop), and resources — trace spans included
+// — released on every path (resourceleak), the rule that reasons about
+// paths over one CFG + dataflow core (cfg.go, dataflow.go). A new
+// must-release invariant is a row in the Policy table that rule reads,
+// not an analyzer of its own.
 //
 // The engine mirrors the shape of golang.org/x/tools/go/analysis at a
 // fraction of its surface, because the container bakes in only the Go
@@ -29,7 +26,8 @@
 // go command already rejects import cycles, external modules and
 // imports of a program, and internal/analysis/arch_test.go holds the
 // per-package allow table, so `go test ./...` alone catches a layer
-// violation.
+// violation. The same test, parse-only, keeps every internal package
+// off the wall clock and the global rand source.
 package analysis
 
 import (
@@ -126,8 +124,8 @@ func objOf(p *Package, id *ast.Ident) types.Object {
 
 // Analyzer inspects one package and reports findings. Analyzers are
 // constructed from a Policy (see Analyzers) so every repo-specific
-// fact — the determinism-sensitive packages, the nil-guarded types, the
-// resource and lock rows — lives in the checked-in policy table, not in
+// fact — the determinism-sensitive packages, the resource rows, the
+// error-policed scopes — lives in the checked-in policy table, not in
 // analyzer code.
 type Analyzer interface {
 	// Name is the rule name used in diagnostics and lint:ignore
@@ -143,8 +141,9 @@ type Analyzer interface {
 type RunOptions struct {
 	// Now, when set, is sampled around each analyzer's Check to fill
 	// RuleStat.WallNS. The clock is injected by the driver so this
-	// package itself stays free of wall-clock reads (its own wallclock
-	// rule applies here too); a nil Now leaves every WallNS zero.
+	// package itself stays free of wall-clock reads (TestArchitecture
+	// holds it to that like every internal package); a nil Now leaves
+	// every WallNS zero.
 	Now func() time.Time
 }
 

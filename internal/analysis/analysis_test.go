@@ -32,26 +32,26 @@ func parsePkg(t *testing.T, src string) *Package {
 func TestDirectiveStrictness(t *testing.T) {
 	pkg := parsePkg(t, `package p
 
-//lint:ignore wallclock benchmark timing is the measurement itself
+//lint:ignore errdrop shutdown must not mask the primary error
 var a int
 
-// lint:ignore wallclock this is prose discussing the directive syntax
+// lint:ignore errdrop this is prose discussing the directive syntax
 var b int
 
-/*lint:ignore nilrecv block comments are directives too*/
+/*lint:ignore resourceleak block comments are directives too*/
 var c int
 `)
-	ignores, malformed := collectIgnores(pkg, []string{"wallclock", "nilrecv"})
+	ignores, malformed := collectIgnores(pkg, []string{"errdrop", "resourceleak"})
 	if len(malformed) != 0 {
 		t.Fatalf("malformed = %v, want none", malformed)
 	}
 	if len(ignores) != 2 {
 		t.Fatalf("ignores = %d, want 2 (prose must not parse)", len(ignores))
 	}
-	if ignores[0].Rule != "wallclock" || ignores[1].Rule != "nilrecv" {
+	if ignores[0].Rule != "errdrop" || ignores[1].Rule != "resourceleak" {
 		t.Errorf("parsed rules = %s, %s", ignores[0].Rule, ignores[1].Rule)
 	}
-	if !strings.Contains(ignores[0].Reason, "measurement") {
+	if !strings.Contains(ignores[0].Reason, "primary error") {
 		t.Errorf("reason not captured: %q", ignores[0].Reason)
 	}
 }
@@ -64,13 +64,13 @@ func TestMalformedDirectives(t *testing.T) {
 //lint:ignore nosuchrule because reasons
 var a int
 
-//lint:ignore wallclock
+//lint:ignore errdrop
 var b int
 
 //lint:ignore
 var c int
 `)
-	ignores, malformed := collectIgnores(pkg, []string{"wallclock"})
+	ignores, malformed := collectIgnores(pkg, []string{"errdrop"})
 	if len(ignores) != 0 {
 		t.Fatalf("ignores = %v, want none", ignores)
 	}
@@ -94,13 +94,13 @@ var c int
 // directly above, same rule, same file.
 func TestApplyIgnores(t *testing.T) {
 	diags := []Diagnostic{
-		{Rule: "wallclock", File: "p/p.go", Line: 5, Col: 2, Message: "x"},
-		{Rule: "wallclock", File: "p/p.go", Line: 9, Col: 2, Message: "y"},
-		{Rule: "nilrecv", File: "p/p.go", Line: 5, Col: 2, Message: "z"},
+		{Rule: "errdrop", File: "p/p.go", Line: 5, Col: 2, Message: "x"},
+		{Rule: "errdrop", File: "p/p.go", Line: 9, Col: 2, Message: "y"},
+		{Rule: "resourceleak", File: "p/p.go", Line: 5, Col: 2, Message: "z"},
 	}
 	ignores := []*ignoreDirective{
-		{Rule: "wallclock", File: "p/p.go", Line: 4}, // line above diag 0
-		{Rule: "wallclock", File: "p/q.go", Line: 9}, // wrong file
+		{Rule: "errdrop", File: "p/p.go", Line: 4}, // line above diag 0
+		{Rule: "errdrop", File: "p/q.go", Line: 9}, // wrong file
 	}
 	kept, suppressed := applyIgnores(diags, ignores)
 	if suppressed != 1 || len(kept) != 2 {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -125,9 +126,12 @@ func repoRoot(t *testing.T) string {
 }
 
 // TestArchitecture holds the package DAG: the import block of every
-// non-test file, parsed alone, against the allow table. The live tree
-// must produce nothing; testdata/layers, whose imports break every rule
-// the table states, must produce exactly its `// want importlayer`
+// non-test file against the allow table. It also keeps every internal
+// package off the wall clock and the global rand source (wallClockUses),
+// which is what keeps page counts, result digests and trace IDs
+// byte-stable across runs. The live tree must produce nothing;
+// testdata/layers, whose files break every rule stated here, must
+// produce exactly its `// want importlayer` and `// want wallclock`
 // annotations.
 func TestArchitecture(t *testing.T) {
 	t.Run("live", func(t *testing.T) {
@@ -141,8 +145,8 @@ func TestArchitecture(t *testing.T) {
 }
 
 // layerViolations checks every non-test file of the module at root
-// against table, skipping hidden and testdata directories like the go
-// tool.
+// against table, and every one under internal/ with wallClockUses,
+// skipping hidden and testdata directories like the go tool.
 func layerViolations(t *testing.T, root, module string, table map[string][]string) []Diagnostic {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -161,7 +165,7 @@ func layerViolations(t *testing.T, root, module string, table map[string][]strin
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -199,10 +203,77 @@ func layerViolations(t *testing.T, root, module string, table map[string][]strin
 				report(imp.Pos(), "import of %s: not an allowed dependency of %s (its row: %v)", path, rel, allowed)
 			}
 		}
+		if internal {
+			for _, d := range wallClockUses(fset, f) {
+				d.Package, d.File = rel, file
+				diags = append(diags, d)
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return diags
+}
+
+// seededRand is what an internal package may name in math/rand and
+// math/rand/v2: the constructors of an explicitly seeded generator and
+// the types they return. Everything else there reads or writes the
+// global source.
+var seededRand = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
+	"Rand": true, "Source": true, "Source64": true, "Zipf": true, "PCG": true, "ChaCha8": true,
+}
+
+// wallClockUses reports, in one parsed file, every read of the wall
+// clock (time.Now, time.Since, time.Until, called or stored as a value)
+// and every use of the global rand source, under whatever name the file
+// imports time, math/rand and math/rand/v2. A dot-import of any of them
+// hides its uses from this check, so it is itself a finding.
+// time.Sleep, time.Duration and the other constants stay legal: they
+// read no clock.
+func wallClockUses(fset *token.FileSet, f *ast.File) []Diagnostic {
+	local := map[string]string{} // file-local name → import path
+	var diags []Diagnostic
+	report := func(pos token.Pos, format string, args ...any) {
+		p := fset.Position(pos)
+		diags = append(diags, Diagnostic{Rule: "wallclock", Line: p.Line, Col: p.Column,
+			Message: fmt.Sprintf(format, args...)})
+	}
+	for _, imp := range f.Imports {
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil || path != "time" && path != "math/rand" && path != "math/rand/v2" {
+			continue
+		}
+		name := "rand"
+		if path == "time" {
+			name = "time"
+		}
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		if name == "." {
+			report(imp.Pos(), "dot-import of %s: name the package so its clock and global-rand uses stay visible", path)
+		}
+		local[name] = path
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		x, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		switch path, name := local[x.Name], sel.Sel.Name; {
+		case path == "time" && (name == "Now" || name == "Since" || name == "Until"):
+			report(sel.Pos(), "time.%s: internal packages must not read the wall clock; take an injected clock", name)
+		case strings.HasPrefix(path, "math/rand") && !seededRand[name]:
+			report(sel.Pos(), "rand.%s uses the global rand state: seed an explicit *rand.Rand so runs stay reproducible", name)
+		}
+		return true
+	})
 	return diags
 }

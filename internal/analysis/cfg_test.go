@@ -269,9 +269,9 @@ func TestDataflowMayMerge(t *testing.T) {
 	}
 }
 
-// TestDataflowMustMerge pins the intersection join mutexhygiene uses: a
-// fact set on only one branch does NOT survive the merge, while a fact
-// set on both does.
+// TestDataflowMustMerge pins the intersection join a must-analysis
+// uses: a fact set on only one branch does NOT survive the merge, while
+// a fact set on both does.
 func TestDataflowMustMerge(t *testing.T) {
 	g := buildTestCFG(t, `
 	if cond {

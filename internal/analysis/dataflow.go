@@ -5,7 +5,7 @@ import (
 )
 
 // dataflow.go is the lattice-based forward-dataflow framework the
-// path-sensitive analyzers share. An analysis instantiates flow with a
+// path-sensitive analyzers run on. An analysis instantiates flow with a
 // per-entity join (the lattice's least upper bound — or greatest lower
 // bound for must-analyses; the framework only requires monotonicity), a
 // transfer function applied to each CFG node, and an optional
@@ -13,10 +13,10 @@ import (
 // path-sensitivity hook: on the true edge of `err != nil` a resource
 // tied to err is known invalid.
 //
-// States are small maps from tracked entities (a types.Object, a lock
-// key string) to one-byte facts, with the zero fact as bottom: an
-// absent key and a zero fact are the same thing, so joins never grow
-// states with dead entries. Iteration is merge-over-paths to a
+// States are small maps from tracked entities (a types.Object, or any
+// other comparable key) to one-byte facts, with the zero fact as
+// bottom: an absent key and a zero fact are the same thing, so joins
+// never grow states with dead entries. Iteration is merge-over-paths to a
 // fixpoint over a worklist; the first propagation into a block seeds
 // its in-state rather than joining against bottom, which gives
 // may-analyses (join = max) a bottom start and must-analyses (join =

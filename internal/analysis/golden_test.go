@@ -21,7 +21,6 @@ import (
 func fixturePolicy() *Policy {
 	return &Policy{
 		MapDeterminism: []string{"internal/core"},
-		NilRecv:        map[string][]string{"internal/guards": {"Thing"}},
 		Resources: []ResourceRule{
 			{Pkg: "internal/iosim", Call: "Open", Release: "Close"},
 			{Pkg: "internal/iosim", Call: "OpenPair", Release: "Close"},
@@ -30,11 +29,6 @@ func fixturePolicy() *Policy {
 		},
 		ErrDrop:       []string{"internal/errs"},
 		ErrDropExempt: []string{"fmt", "hash"},
-		LockOrder:     []string{"internal/order"},
-		HeldCalls: []HeldCallRule{
-			{Scope: []string{"internal/locks"}, Pkg: "internal/iosim", Why: "no simulated I/O under a lock"},
-			{Scope: []string{"cmd/served"}, Pkg: ".", Prefix: "Join", Why: "join unlocked"},
-		},
 	}
 }
 
@@ -47,13 +41,11 @@ func TestGoldenModule(t *testing.T) {
 	}
 	matchWants(t, "testdata/module", report.Diagnostics)
 	// One used suppression per fixture package that carries one:
-	// mapdeterminism (core), wallclock (clock), nilrecv (guards),
-	// errdrop (errs: a bare-statement discard, which the syntactic rule
-	// still sees), resourceleak twice (resources, and the span rows in
-	// spans) and mutexhygiene twice (the held-call rows in locks, the
-	// leaf-lock rule in order).
-	if report.Suppressed != 8 {
-		t.Errorf("suppressed = %d, want 8", report.Suppressed)
+	// mapdeterminism (core), errdrop (errs: a bare-statement discard,
+	// which the syntactic rule still sees) and resourceleak twice
+	// (resources, and the span rows in spans).
+	if report.Suppressed != 4 {
+		t.Errorf("suppressed = %d, want 4", report.Suppressed)
 	}
 }
 

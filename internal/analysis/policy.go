@@ -1,21 +1,15 @@
 package analysis
 
 // Policy is the checked-in table of repo-specific facts the analyzers
-// enforce. A PR that changes which packages produce results, hold
-// nil-safe types, acquire resources or take locks edits this table in
-// the same diff, which keeps those decisions reviewable. The package
-// DAG is not here: it is the allow table of internal/analysis's
-// TestArchitecture.
+// enforce. A PR that changes which packages produce results, acquire
+// resources or drop errors edits this table in the same diff, which
+// keeps those decisions reviewable. The package DAG is not here: it is
+// the allow table of internal/analysis's TestArchitecture.
 type Policy struct {
 	// MapDeterminism lists the result-producing packages in which a
 	// `for range` over a map is flagged unless the loop's function
 	// later feeds a sort (or the site carries an ignore directive).
 	MapDeterminism []string
-
-	// NilRecv maps a package to the types whose exported
-	// pointer-receiver methods must begin with a nil-receiver guard
-	// (the telemetry disabled-path contract).
-	NilRecv map[string][]string
 
 	// Resources is the acquire→release pairing table for the CFG-based
 	// resourceleak analyzer: each rule names an acquiring function and
@@ -34,17 +28,6 @@ type Policy struct {
 	// A call through an interface is judged by the package of the
 	// receiver's static type: every hash/fnv hash is a hash.Hash.
 	ErrDropExempt []string
-
-	// LockOrder lists the package scopes in which mutexhygiene enforces
-	// the one lock order the tree uses: every lock is a leaf, so no lock
-	// is acquired — directly or through a same-package callee — while
-	// another (or the same one) is held.
-	LockOrder []string
-
-	// HeldCalls is the must-not-hold table of mutexhygiene: each rule
-	// names calls that must not be made while any lock is held. A new
-	// must-not-hold invariant is a row here, not an analyzer.
-	HeldCalls []HeldCallRule
 }
 
 // ResourceRule pairs an acquiring call with the release method its
@@ -60,31 +43,15 @@ type ResourceRule struct {
 	Scope   []string
 }
 
-// HeldCallRule forbids, within the Scope package prefixes, calling any
-// function or method of package Pkg (same spelling as ResourceRule.Pkg)
-// whose name starts with Prefix while a lock is held on every path into
-// the call. Why ends the diagnostic: what the caller should do instead.
-type HeldCallRule struct {
-	Scope  []string
-	Pkg    string
-	Prefix string
-	Why    string
-}
-
-// DefaultPolicy returns the live repo's policy. internal/core is not a
-// MapDeterminism package: its TestJoinFilesHoldNoMaps rejects every map
-// type in its non-test files, and one promise has one guard.
+// DefaultPolicy returns the live repo's policy. internal/core,
+// internal/accum and internal/invfile are not MapDeterminism packages:
+// internal/core's TestJoinFilesHoldNoMaps rejects every map type in
+// their non-test files, and one promise has one guard.
 func DefaultPolicy() *Policy {
 	return &Policy{
 		MapDeterminism: []string{
-			"internal/accum", "internal/invfile", "internal/query",
-			"internal/lsh", "internal/metrics", "internal/reqtrace", "internal/slo",
-		},
-		NilRecv: map[string][]string{
-			"internal/telemetry": {"Collector", "Counter", "Histogram", "Snapshot"},
-			"internal/metrics":   {"Exporter"},
-			"internal/reqtrace":  {"Tracer", "Span", "Recorder"},
-			"internal/slo":       {"Engine"},
+			"internal/query", "internal/lsh", "internal/metrics",
+			"internal/reqtrace", "internal/slo",
 		},
 		Resources: []ResourceRule{
 			// Trace spans, module-wide: a span that some path never Ends
@@ -111,20 +78,6 @@ func DefaultPolicy() *Policy {
 		},
 		ErrDropExempt: []string{
 			"fmt", "strings", "bytes", "hash", "hash/maphash", "math/rand",
-		},
-		LockOrder: []string{"internal", "cmd", "."},
-		HeldCalls: []HeldCallRule{
-			// The scrape-lock-free promise: /metrics and /debug/requests
-			// snapshot atomics under short mutexes and never sit on a
-			// lock waiting for simulated disk I/O.
-			{Scope: []string{"internal/metrics", "internal/telemetry", "cmd/textjoind"},
-				Pkg: "internal/iosim",
-				Why: "the scrape-lock-free layer must not block on simulated I/O under a lock"},
-			// A front end that runs a whole join under a lock serializes
-			// every concurrent request behind that join's device I/O.
-			{Scope: []string{"cmd/benchreport", "cmd/textjoin", "cmd/textjoind"},
-				Pkg: ".", Prefix: "Join",
-				Why: "serve joins from a snapshot view instead of locking across the whole join"},
 		},
 	}
 }
@@ -153,9 +106,6 @@ func Analyzers(pol *Policy) []Analyzer {
 	return []Analyzer{
 		&errDrop{pol: pol},
 		&mapDeterminism{pol: pol},
-		&mutexHygiene{pol: pol},
-		&nilRecv{pol: pol},
 		&resourceLeak{pol: pol},
-		&wallClock{},
 	}
 }

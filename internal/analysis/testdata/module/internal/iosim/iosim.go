@@ -1,5 +1,5 @@
-// Package iosim is the fixture's stand-in for the simulated disk: the
-// mutexhygiene analyzer treats calls into it as I/O.
+// Package iosim is the fixture's stand-in for the simulated disk, whose
+// files the resourceleak rows pair with Close.
 package iosim
 
 // File is a stub paged file.

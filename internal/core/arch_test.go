@@ -77,16 +77,17 @@ func TestJoinsStartNoGoroutines(t *testing.T) {
 }
 
 // TestJoinFilesHoldNoMaps pins the term-indexed decision (DESIGN §8): no
-// join file, nor a file of the entry cache HVNL probes per outer cell or
-// of the inverted files it fetches from (FetchEntryInto is on HVNL's
-// probe path, and the builds count into arenas), names a map type — not
-// in a field, a local, a make or a literal — or imports container/heap,
-// whose interface boxes every push.
+// join file, nor a file of the accumulators every join scores into
+// (AddCells), of the entry cache HVNL probes per outer cell or of the
+// inverted files it fetches from (FetchEntryInto is on HVNL's probe
+// path, and the builds count into arenas), names a map type — not in a
+// field, a local, a make or a literal — or imports container/heap, whose
+// interface boxes every push.
 // Terms, documents, slots and stream positions are dense numbers, so
 // every table a join keeps is a slice indexed by one, and a hash on a
 // join path is a regression. There is no allowlist.
 func TestJoinFilesHoldNoMaps(t *testing.T) {
-	for _, dir := range []string{".", "../entrycache", "../invfile"} {
+	for _, dir := range []string{".", "../accum", "../entrycache", "../invfile"} {
 		for name, f := range parseNonTest(t, dir) {
 			name = filepath.Join(dir, name)
 			for _, imp := range f.Imports {

@@ -16,7 +16,7 @@
 //
 // Two rules shape the implementation:
 //
-//   - Determinism under the wallclock lint. IDs come from a seeded
+//   - Determinism under the wall-clock check. IDs come from a seeded
 //     splitmix64 sequence, never from a global RNG, and every timestamp
 //     is read through the injected clock a Tracer is constructed with.
 //     The package itself never calls time.Now, so it stays inside the

@@ -20,7 +20,7 @@
 //	                                               the SLO allows)
 //	budget remaining = 1 - burn rate              (negative = SLO blown)
 //
-// Like every internal package under the wallclock lint, the engine
+// Like every internal package under the wall-clock check, the engine
 // reads time only through the injected clock.
 package slo
 

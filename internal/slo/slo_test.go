@@ -11,7 +11,7 @@ import (
 )
 
 // clock is a settable fake time source shared by the collector and the
-// engine, as the wallclock lint demands.
+// engine, as the wall-clock check demands.
 type clock struct{ t time.Time }
 
 func newClock() *clock                   { return &clock{t: time.Unix(1700000000, 0)} }
