@@ -11,7 +11,8 @@
 //	textjoin -c1 a.txt -c2 b.txt -alg vvm -show 3
 //
 // With -alg auto the integrated algorithm estimates all three costs and
-// runs the cheapest; -explain prints the estimates.
+// runs the cheapest; -explain prints the estimates and the bytes the
+// planned join holds.
 //
 // The program is written on the textjoin facade alone: its disk,
 // collections and inverted files come from a Workspace, so a -save-disk
@@ -44,7 +45,7 @@ func main() {
 	alpha := flag.Float64("alpha", 5, "random/sequential I/O cost ratio α")
 	weighting := flag.String("weighting", "raw", "similarity weighting: raw, cosine, tfidf")
 	show := flag.Int("show", 5, "print the matches of the first N outer documents")
-	explain := flag.Bool("explain", false, "print the integrated algorithm's cost estimates")
+	explain := flag.Bool("explain", false, "print the plan: the integrated algorithm's cost estimates and the bytes the join holds")
 	queries := flag.String("queries", "", "run a memory-resident query batch (portable text format) against C1 instead of a stored C2")
 	saveDisk := flag.String("save-disk", "", "after building, snapshot the whole simulated disk to this file")
 	telemetryMode := flag.String("telemetry", "", "after the join, write the Prometheus exposition, then the run's span tree as text or json, to stderr")
@@ -78,12 +79,7 @@ func main() {
 		}()
 	}
 
-	var err error
-	if *queries != "" {
-		err = runBatch(*c1Path, *p1, *scale, *seed, *queries, *lambda, *mem, *alpha, *weighting, *show, tel, root)
-	} else {
-		_, err = run(*c1Path, *c2Path, *p1, *p2, *scale, *seed, *alg, *lambda, *mem, *alpha, *weighting, *show, *explain, *saveDisk, tel, root)
-	}
+	_, err := run(*c1Path, *c2Path, *p1, *p2, *scale, *seed, *queries, *alg, *lambda, *mem, *alpha, *weighting, *show, *explain, *saveDisk, tel, root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "textjoin:", err)
 		os.Exit(1)
@@ -183,54 +179,36 @@ func printMatches(who string, results []textjoin.Result, show int) {
 	}
 }
 
-// runBatch joins an ad-hoc query batch (no stored collection, no inverted
-// file on the batch) against C1 — the paper's batch-query scenario. The
-// integrated algorithm picks between HHNL and HVNL; VVM is inapplicable.
-func runBatch(c1Path, p1 string, scale, seed int64, queriesPath string, lambda int, mem int64, alpha float64, weighting string, show int, tel *textjoin.Telemetry, trace *textjoin.RequestSpan) error {
-	ws := textjoin.NewWorkspace(textjoin.WithAlpha(alpha))
-	c1, err := load(ws, "c1", c1Path, p1, scale, seed)
-	if err != nil {
-		return err
-	}
-	docs, err := readDocs(queriesPath)
-	if err != nil {
-		return err
-	}
-	batch, err := textjoin.NewBatch("queries", docs)
-	if err != nil {
-		return err
-	}
-	ws.ResetIOStats()
-	ws.SetTelemetry(tel)
-
-	w, err := textjoin.ParseWeighting(weighting)
-	if err != nil {
-		return err
-	}
-	in := textjoin.Inputs{Outer: batch, Inner: c1.c, InnerInv: c1.inv}
-	opts := textjoin.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
-	results, stats, dec, err := textjoin.JoinIntegrated(in, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("batch: %d queries against %s (N=%d)\n", batch.NumDocs(), c1.label, c1.c.NumDocs())
-	fmt.Printf("integrated choice: %v (VVM inapplicable for a batch)\n", dec.Chosen)
-	fmt.Printf("I/O: %s  cost=%.0f\n", stats.IO, stats.Cost)
-	printMatches("query", results, show)
-	return nil
-}
-
-// run joins two stored collections and returns the full result set next
-// to what it printed.
-func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambda int, mem int64, alpha float64, weighting string, show int, explain bool, saveDisk string, tel *textjoin.Telemetry, trace *textjoin.RequestSpan) ([]textjoin.Result, error) {
+// run joins C1 with C2 — a stored collection or, given queriesPath, a
+// memory-resident query batch (the paper's batch-query scenario: the batch
+// has no inverted file, so VVM is inapplicable) — and returns the full
+// result set next to what it printed.
+func run(c1Path, c2Path, p1, p2 string, scale, seed int64, queriesPath, algName string, lambda int, mem int64, alpha float64, weighting string, show int, explain bool, saveDisk string, tel *textjoin.Telemetry, trace *textjoin.RequestSpan) ([]textjoin.Result, error) {
 	ws := textjoin.NewWorkspace(textjoin.WithAlpha(alpha))
 	c1, err := load(ws, "c1", c1Path, p1, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	c2, err := load(ws, "c2", c2Path, p2, scale, seed+1)
-	if err != nil {
-		return nil, err
+	in := textjoin.Inputs{Inner: c1.c, InnerInv: c1.inv}
+	who, outer := "C2 doc", ""
+	if queriesPath != "" {
+		docs, err := readDocs(queriesPath)
+		if err != nil {
+			return nil, err
+		}
+		batch, err := textjoin.NewBatch("queries", docs)
+		if err != nil {
+			return nil, err
+		}
+		in.Outer, who, outer = batch, "query", fmt.Sprintf("%d queries (a memory-resident batch)", batch.NumDocs())
+	} else {
+		c2, err := load(ws, "c2", c2Path, p2, scale, seed+1)
+		if err != nil {
+			return nil, err
+		}
+		st2 := c2.c.Stats()
+		in.Outer, in.OuterInv = c2.c, c2.inv
+		outer = fmt.Sprintf("%s  N=%d K=%.1f T=%d D=%d pages", c2.label, st2.N, st2.K, st2.T, st2.D)
 	}
 	if saveDisk != "" {
 		if err := saveSnapshot(ws, saveDisk); err != nil {
@@ -245,36 +223,28 @@ func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambd
 	if err != nil {
 		return nil, err
 	}
-	in := textjoin.Inputs{Outer: c2.c, Inner: c1.c, InnerInv: c1.inv, OuterInv: c2.inv}
 	opts := textjoin.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
-
-	st1, st2 := c1.c.Stats(), c2.c.Stats()
+	st1 := c1.c.Stats()
 	fmt.Printf("C1: %s  N=%d K=%.1f T=%d D=%d pages\n", c1.label, st1.N, st1.K, st1.T, st1.D)
-	fmt.Printf("C2: %s  N=%d K=%.1f T=%d D=%d pages\n", c2.label, st2.N, st2.K, st2.T, st2.D)
+	fmt.Printf("C2: %s\n", outer)
 
-	var results []textjoin.Result
-	var stats *textjoin.JoinStats
-	if algName == "auto" {
-		var dec textjoin.Decision
-		results, stats, dec, err = textjoin.JoinIntegrated(in, opts)
-		if err != nil {
-			return nil, err
+	a, err := textjoin.ParseAlgorithm(algName)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := textjoin.Plan(a, in, opts)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("plan: %v  peak=%d bytes\n", dec.Chosen, dec.PeakBytes)
+	if explain {
+		for _, e := range dec.Estimates {
+			fmt.Printf("  %-5v seq=%.0f rand=%.0f\n", e.Algorithm, e.Seq, e.Rand)
 		}
-		fmt.Printf("integrated choice: %v\n", dec.Chosen)
-		if explain {
-			for _, e := range dec.Estimates {
-				fmt.Printf("  %-5v seq=%.0f rand=%.0f\n", e.Algorithm, e.Seq, e.Rand)
-			}
-		}
-	} else {
-		a, err := textjoin.ParseAlgorithm(algName)
-		if err != nil {
-			return nil, err
-		}
-		results, stats, err = textjoin.Join(a, in, opts)
-		if err != nil {
-			return nil, err
-		}
+	}
+	results, stats, err := dec.Run(in, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	fmt.Printf("join: %v  outer=%d inner=%d passes=%d\n",
@@ -284,6 +254,6 @@ func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambd
 		fmt.Printf("cache: hits=%d misses=%d evictions=%d hit-rate=%.2f\n",
 			stats.Cache.Hits, stats.Cache.Misses, stats.Cache.Evictions, stats.Cache.HitRate())
 	}
-	printMatches("C2 doc", results, show)
+	printMatches(who, results, show)
 	return results, nil
 }

@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"textjoin"
-	"textjoin/internal/costmodel"
 )
 
-// Admission control: every /join request is charged an estimated memory
-// footprint before it runs. A bytes-weighted semaphore admits requests
-// while their footprints fit the configured budget; excess requests wait
-// in a bounded FIFO queue with a deadline. The queue is the only place a
+// Admission control: every /join request is planned first and charged
+// its plan's PeakBytes, the bytes the join holds (textjoin.Plan); a plan
+// that cannot run is answered uncharged. A bytes-weighted semaphore admits
+// requests while their charges fit the budget; excess requests wait in a
+// bounded FIFO queue with a deadline. The queue is the only place a
 // request can park, so the server's peak memory is budget + one page of
 // bookkeeping per queued request — it can neither OOM under a burst nor
 // build an unbounded backlog.
@@ -24,13 +24,13 @@ var (
 	errQueueWait = errors.New("admission wait deadline exceeded")
 )
 
-// waiter is one parked request: ready is closed when its footprint fits.
+// waiter is one parked request: ready is closed when its charge fits.
 type waiter struct {
 	cost  int64
 	ready chan struct{}
 }
 
-// admitter is the bytes-weighted FIFO semaphore. Footprints larger than
+// admitter is the bytes-weighted FIFO semaphore. Charges larger than
 // the whole budget are clamped to it, so an oversized request is never
 // rejected permanently — it simply runs alone.
 type admitter struct {
@@ -136,40 +136,4 @@ func (a *admitter) release(cost int64) {
 	}
 	a.mu.Unlock()
 	a.tel.Counter("http.inflight").Add(-1)
-}
-
-// footprintBytes estimates the peak memory one join request pins while
-// it runs: the page-buffer working set (bounded by both the memory
-// budget B and the data actually on disk) plus the similarity
-// accumulators the algorithms allocate — the λ-tracker over the outer
-// collection and, for the inverted-file algorithms, one accumulator
-// array over the inner collection. The two block families, "hhnl" and
-// "lsh", hold no inner accumulator. The estimate reuses the cost model's
-// S/D formulas and SimBytes constant so it tracks the same corpus
-// statistics the planner sees.
-// "auto" charges the worst case across algorithms, since the choice is
-// not known until after admission.
-func (s *server) footprintBytes(algName string, lambda int) int64 {
-	st1, st2 := s.c1.Stats(), s.c2.Stats()
-	pageSize := int64(s.c1.File().PageSize())
-
-	// Working set: the join never buffers more than B pages, and never
-	// more than both collections plus their inverted files (≈ D again).
-	dataPages := 2 * (st1.D + st2.D)
-	bufPages := s.cfg.MemoryPages
-	if dataPages < bufPages {
-		bufPages = dataPages
-	}
-	buffer := bufPages * pageSize
-
-	// λ-tracker: λ best matches for every outer document.
-	tracker := int64(costmodel.SimBytes) * int64(lambda) * st2.N
-
-	// Accumulators: HVNL and VVM keep one similarity slot per inner
-	// document.
-	accum := int64(costmodel.SimBytes) * st1.N
-	if algName == "hhnl" || algName == "lsh" {
-		accum = 0
-	}
-	return buffer + tracker + accum
 }

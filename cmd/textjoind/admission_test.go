@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestAdmitterAdmitsWithinBudget(t *testing.T) {
 	}
 }
 
-// TestAdmitterClampsOversized: a footprint beyond the whole budget is
+// TestAdmitterClampsOversized: a charge beyond the whole budget is
 // clamped, never rejected outright — the request simply runs alone.
 func TestAdmitterClampsOversized(t *testing.T) {
 	a := testAdmitter(100, 4, time.Second)
@@ -165,38 +166,58 @@ func TestAdmitterConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestFootprintBlockFamiliesHoldNoWorkerState: HHNL and LSH allocate no
-// inner accumulator, so they are charged the same — under both spellings
-// of the approximate join — while an accumulating family is charged its
-// accumulator on top.
-func TestFootprintBlockFamiliesHoldNoWorkerState(t *testing.T) {
-	s, hs := testServer(t, 4096)
-	block := s.footprintBytes("hhnl", 5)
-	if got := s.footprintBytes("lsh", 5); got != block {
-		t.Errorf("footprint(lsh) = %d, want the HHNL charge %d", got, block)
-	}
-	if vvm := s.footprintBytes("vvm", 5); vvm <= block {
-		t.Errorf("footprint(vvm) = %d, want more than the HHNL charge %d", vvm, block)
-	}
-	for _, path := range []string{"/join?alg=lsh&lambda=5&show=0", "/join?mode=lsh&lambda=5&show=0"} {
-		status, body := get(t, hs, path)
+// TestAdmissionChargesThePlan: every request is charged exactly the
+// bytes its plan holds — the in-process plan's PeakBytes, which its plan
+// span reports too — auto is charged for the algorithm it ran, and both
+// spellings of the approximate join are one plan.
+func TestAdmissionChargesThePlan(t *testing.T) {
+	s, hs := testServer(t, 512)
+	in := textjoin.Inputs{Outer: s.c2, Inner: s.c1, InnerInv: s.inv1, OuterInv: s.inv2}
+	charged := map[string]int64{}
+	for _, kind := range []struct{ query, alg string }{
+		{"alg=hhnl", "hhnl"}, {"alg=hvnl", "hvnl"}, {"alg=vvm", "vvm"},
+		{"alg=lsh", "lsh"}, {"mode=lsh", "lsh"}, {"alg=auto", "auto"},
+	} {
+		status, body := get(t, hs, "/join?show=0&lambda=5&"+kind.query)
 		if status != 200 {
-			t.Fatalf("GET %s: status %d: %s", path, status, body)
+			t.Fatalf("%s: status %d: %s", kind.query, status, body)
 		}
 		var j joinResponse
 		if err := json.Unmarshal(body, &j); err != nil {
 			t.Fatal(err)
 		}
-		charged := ""
+		attrs := map[string]string{}
 		for _, sp := range fetchTrace(t, hs, j.TraceID).Spans {
 			for _, a := range sp.Attrs {
-				if a.Key == "queue.cost_bytes" {
-					charged = a.Value
-				}
+				attrs[a.Key] = a.Value
 			}
 		}
-		if charged != strconv.FormatInt(block, 10) {
-			t.Errorf("GET %s: admission charged %s bytes, want %d", path, charged, block)
+		opts := textjoin.Options{Lambda: 5, MemoryPages: s.cfg.MemoryPages}
+		if kind.alg == "lsh" {
+			opts.LSH = s.lsh1
 		}
+		alg, err := textjoin.ParseAlgorithm(kind.alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := textjoin.Plan(alg, in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := strconv.FormatInt(dec.PeakBytes, 10)
+		if attrs["queue.cost_bytes"] != want || attrs["plan.peak_bytes"] != want {
+			t.Errorf("%s: charged %s bytes, plan span %s, want the plan's %s",
+				kind.query, attrs["queue.cost_bytes"], attrs["plan.peak_bytes"], want)
+		}
+		if ran := strings.ToLower(j.Algorithm); kind.alg == "auto" {
+			if ran == "auto" || charged[ran] != dec.PeakBytes {
+				t.Errorf("auto ran %s and was charged %d bytes, want that plan's %d", ran, dec.PeakBytes, charged[ran])
+			}
+		} else if ran != kind.alg {
+			t.Errorf("%s ran %s", kind.query, ran)
+		} else if c, ok := charged[ran]; ok && c != dec.PeakBytes {
+			t.Errorf("%s charged %d bytes, the other spelling %d", kind.query, dec.PeakBytes, c)
+		}
+		charged[kind.alg] = dec.PeakBytes
 	}
 }

@@ -86,7 +86,7 @@ func TestConcurrentJoinsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestSerializeMode: with a budget smaller than any footprint (what
+// TestSerializeMode: with a budget smaller than any plan's bytes (what
 // -budget-mb 0 becomes) every request charges the whole budget, so
 // requests still succeed concurrently — they just take turns.
 func TestSerializeMode(t *testing.T) {
@@ -180,7 +180,8 @@ func TestQueueWaitDeadline(t *testing.T) {
 
 // TestJoinErrorMapping: a join the workspace cannot run (memory budget
 // below the algorithm's minimal working set) maps to 422, not to a
-// generic failure — and malformed parameters never reach admission.
+// generic failure, and is answered at plan time, before admission — as
+// malformed parameters are.
 func TestJoinErrorMapping(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Scale = 4096
@@ -192,9 +193,25 @@ func TestJoinErrorMapping(t *testing.T) {
 	hs := httptest.NewServer(s.handler())
 	defer hs.Close()
 
+	// The plan fails before admission: nothing is charged or queued.
+	inflight, queued := s.tel.Counter("http.inflight").Value(), s.tel.Counter("http.queue_depth").Value()
 	status, body := get(t, hs, "/join?alg=vvm&show=0")
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("insufficient memory: status %d, want 422: %s", status, body)
+	}
+	var reply struct {
+		TraceID string `json:"trace_id"`
+	}
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range fetchTrace(t, hs, reply.TraceID).Spans {
+		if sp.Phase == "queue" {
+			t.Errorf("a plan that cannot run was queued: %+v", sp)
+		}
+	}
+	if i, q := s.tel.Counter("http.inflight").Value(), s.tel.Counter("http.queue_depth").Value(); i != inflight || q != queued {
+		t.Errorf("inflight %d -> %d, queue depth %d -> %d: want both unchanged", inflight, i, queued, q)
 	}
 
 	// Parameter errors reject before admission: the inflight gauge

@@ -137,7 +137,7 @@ func TestJoinReplyMatchesEncodingJSON(t *testing.T) {
 		{Outer: 3, Matches: []textjoin.Match{}},
 	}
 	header := joinResponse{TraceID: "00f067aa0ba902b74bf92f3577b34da6", Algorithm: "HVNL", Lambda: 3, Cost: 12.5,
-		Prefilter: &prefilterStats{PagesSkipped: 2}}
+		Prefilter: &textjoin.PrefilterStats{PagesSkipped: 2}}
 	for _, show := range []int{-1, 0, 2, len(results) + 1} {
 		rec := httptest.NewRecorder()
 		if err := writeJoinReply(rec, &header, results, show); err != nil {

@@ -25,9 +25,9 @@ type config struct {
 	MemoryPages int64
 	Alpha       float64
 	Lambda      int
-	// BudgetBytes caps the summed footprint of concurrently running
+	// BudgetBytes caps the summed plan bytes of concurrently running
 	// joins; QueueLen and QueueWait bound the FIFO wait queue behind
-	// it. A footprint larger than the budget is charged all of it, so
+	// it. A plan larger than the budget is charged all of it, so
 	// a budget of 0 runs one join at a time (the pre-concurrency
 	// behavior; bench-load's baseline server).
 	BudgetBytes int64
@@ -77,7 +77,7 @@ func defaultConfig() config {
 // the workspace disk (its own head positions and counters over the same
 // immutable pages), so overlapping joins return results and stats
 // byte-identical to serial runs. The admitter bounds how many run at
-// once by their estimated memory footprints; /metrics, /debug/requests
+// once by the bytes their plans hold; /metrics, /debug/requests
 // and /healthz bypass admission entirely and stay responsive under load.
 type server struct {
 	cfg        config
@@ -269,37 +269,21 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // admission queue and ExecSeconds the share actually executing the join,
 // so saturation (queue growth) is distinguishable from slow joins.
 type joinResponse struct {
-	TraceID      string          `json:"trace_id,omitempty"`
-	Algorithm    string          `json:"algorithm"`
-	Integrated   bool            `json:"integrated"`
-	Lambda       int             `json:"lambda"`
-	OuterDocs    int64           `json:"outer_docs"`
-	InnerDocs    int64           `json:"inner_docs"`
-	Passes       int             `json:"passes"`
-	SeqReads     int64           `json:"seq_reads"`
-	RandReads    int64           `json:"rand_reads"`
-	Cost         float64         `json:"cost"`
-	WallSeconds  float64         `json:"wall_seconds"`
-	QueueSeconds float64         `json:"queue_seconds"`
-	ExecSeconds  float64         `json:"exec_seconds"`
-	Prefilter    *prefilterStats `json:"prefilter,omitempty"`
-	LSH          *lshStats       `json:"lsh,omitempty"`
-}
-
-// lshStats reports the approximate join's candidate generation outcome.
-type lshStats struct {
-	BucketProbes int64 `json:"bucket_probes"`
-	Candidates   int64 `json:"candidates"`
-	PagesSkipped int64 `json:"pages_skipped"`
-	DocsSkipped  int64 `json:"docs_skipped"`
-}
-
-// prefilterStats reports the signature prefilter's pruning outcome.
-type prefilterStats struct {
-	PagesSkipped    int64 `json:"pages_skipped"`
-	ClustersSkipped int64 `json:"clusters_skipped"`
-	DocsSkipped     int64 `json:"docs_skipped"`
-	FalsePasses     int64 `json:"false_passes"`
+	TraceID      string                   `json:"trace_id,omitempty"`
+	Algorithm    string                   `json:"algorithm"`
+	Integrated   bool                     `json:"integrated"`
+	Lambda       int                      `json:"lambda"`
+	OuterDocs    int64                    `json:"outer_docs"`
+	InnerDocs    int64                    `json:"inner_docs"`
+	Passes       int                      `json:"passes"`
+	SeqReads     int64                    `json:"seq_reads"`
+	RandReads    int64                    `json:"rand_reads"`
+	Cost         float64                  `json:"cost"`
+	WallSeconds  float64                  `json:"wall_seconds"`
+	QueueSeconds float64                  `json:"queue_seconds"`
+	ExecSeconds  float64                  `json:"exec_seconds"`
+	Prefilter    *textjoin.PrefilterStats `json:"prefilter,omitempty"`
+	LSH          *textjoin.LSHStats       `json:"lsh,omitempty"`
 }
 
 // handleJoin runs one join, on the request's goroutine. Parameters: alg
@@ -312,24 +296,22 @@ type prefilterStats struct {
 // to alg=auto's planner under that recall SLO. Any other parameter is
 // ignored.
 //
-// Every parameter is validated before the request is admitted, so a
-// malformed request never occupies budget or queue space. Admitted
-// requests run on a private I/O view and release their footprint when
-// done. Failure classes map to distinct statuses: bad parameters → 400,
-// admission rejection → 503 (with Retry-After), a join the workspace
-// cannot run (memory budget, missing structure) → 422, anything else →
-// 500.
+// A request is validated, then planned, then admitted: a malformed
+// request never occupies budget or queue space, and neither does a join
+// the workspace cannot run. The admitter charges the plan's PeakBytes;
+// the admitted request binds a private I/O view, runs that same plan and
+// releases the charge when done. Failure classes map to distinct
+// statuses: bad parameters → 400, a join the workspace cannot run (memory
+// budget, missing structure) → 422, admission rejection → 503 (with
+// Retry-After), anything else → 500.
 func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	span := reqtrace.FromContext(r.Context())
 	algName := param(r, "alg", "auto")
-	var alg textjoin.Algorithm // unused under alg=auto
-	var err error
-	if algName != "auto" {
-		if alg, err = textjoin.ParseAlgorithm(algName); err != nil {
-			s.joinError(w, span, http.StatusBadRequest, err)
-			return
-		}
+	alg, err := textjoin.ParseAlgorithm(algName)
+	if err != nil {
+		s.joinError(w, span, http.StatusBadRequest, err)
+		return
 	}
 	lambda, err := intParam(r, "lambda", s.cfg.Lambda)
 	if err == nil && lambda <= 0 {
@@ -359,10 +341,10 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.joinError(w, span, http.StatusBadRequest, fmt.Errorf("parameter mode: want exact or lsh, got %q", mode))
 		return
 	}
-	if algName == "lsh" {
-		mode = "lsh"
-	} else if mode == "lsh" {
+	if mode == "lsh" {
 		alg = textjoin.LSH
+	} else if alg == textjoin.LSH {
+		mode = "lsh"
 	}
 	recall, err := floatParam(r, "recall", 0)
 	if err == nil && recall != 0 && (recall <= 0 || recall > 1) {
@@ -383,15 +365,31 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		span.SetFloat("join.recall_slo", recall)
 	}
 
-	// Admission: charge the estimated footprint against the budget.
-	family := algName
-	if mode == "lsh" {
-		family = "lsh"
+	opts := textjoin.Options{
+		Lambda:      lambda,
+		MemoryPages: s.cfg.MemoryPages,
+		Weighting:   weighting,
+		Telemetry:   s.tel,
+		Trace:       span,
 	}
-	cost := s.footprintBytes(family, lambda)
+	if prefilter == "on" {
+		opts.Prefilter = &textjoin.Prefilter{Inner: s.sig1, Outer: s.sig2}
+	}
+	if mode == "lsh" || recall != 0 {
+		opts.LSH = s.lsh1
+		opts.RecallSLO = recall
+	}
+	in := textjoin.Inputs{Outer: s.c2, Inner: s.c1, InnerInv: s.inv1, OuterInv: s.inv2}
+	dec, err := textjoin.Plan(alg, in, opts)
+	if err != nil {
+		s.joinError(w, span, joinStatus(err), err)
+		return
+	}
+
+	// Admission: charge the plan's bytes against the budget.
 	qspan := span.StartChild("queue", "admission")
-	qspan.SetInt("queue.cost_bytes", cost)
-	queued, err := s.adm.admit(cost)
+	qspan.SetInt("queue.cost_bytes", dec.PeakBytes)
+	queued, err := s.adm.admit(dec.PeakBytes)
 	qspan.SetInt("queue.wait_ns", queued.Nanoseconds())
 	if err != nil {
 		qspan.SetAttr("queue.rejected", "true")
@@ -401,14 +399,13 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	qspan.End()
-	defer s.adm.release(cost)
+	defer s.adm.release(dec.PeakBytes)
 
 	// Snapshot: bind the inputs to a private I/O view so this join's
 	// page reads move private head positions and counters.
 	snap := span.StartChild("snapshot", "view")
 	v := s.ws.Snapshot()
 	defer v.Close()
-	in := textjoin.Inputs{Outer: s.c2, Inner: s.c1, InnerInv: s.inv1, OuterInv: s.inv2}
 	in, err = in.WithView(v)
 	snap.End()
 	if err != nil {
@@ -416,43 +413,16 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	exec := span.StartChild("exec", "join "+algName)
-	opts := textjoin.Options{
-		Lambda:      lambda,
-		MemoryPages: s.cfg.MemoryPages,
-		Weighting:   weighting,
-		Telemetry:   s.tel,
-		Trace:       exec,
-	}
-	if prefilter == "on" {
-		opts.Prefilter = &textjoin.Prefilter{Inner: s.sig1, Outer: s.sig2}
-	}
-	if mode == "lsh" || recall != 0 {
-		opts.LSH = s.lsh1
-		opts.RecallSLO = recall
-	}
-
-	resp := joinResponse{Lambda: lambda}
-	var results []textjoin.Result
-	var stats *textjoin.JoinStats
-
+	opts.Trace = exec
 	execBegin := time.Now()
-	if algName == "auto" && mode != "lsh" {
-		results, stats, _, err = textjoin.JoinIntegrated(in, opts)
-		resp.Integrated = true
-	} else {
-		results, stats, err = textjoin.Join(alg, in, opts)
-	}
+	results, stats, err := dec.Run(in, opts)
 	// The reply's exec_seconds is the exec span's interval: both clocks
 	// stop here, before the view's I/O breakdown is formatted.
 	execSeconds := time.Since(execBegin).Seconds()
 	exec.End()
 	recordViewIO(span, v)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, textjoin.ErrInsufficientMemory) || errors.Is(err, textjoin.ErrMissingInput) {
-			status = http.StatusUnprocessableEntity
-		}
-		s.joinError(w, span, status, err)
+		s.joinError(w, span, joinStatus(err), err)
 		return
 	}
 	// Everything from here to the last byte handed to the connection:
@@ -466,8 +436,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("join.chosen", stats.Algorithm.String())
 	span.SetInt("result.rows", int64(len(results)))
 	span.SetAttr("result.hash", textjoin.ResultDigest(results))
-	resp.TraceID = traceIDString(span)
-
+	resp := joinResponse{TraceID: traceIDString(span), Integrated: alg == textjoin.Auto, Lambda: lambda}
 	resp.Algorithm = stats.Algorithm.String()
 	resp.OuterDocs = stats.OuterDocs
 	resp.InnerDocs = stats.InnerDocs
@@ -479,20 +448,10 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	resp.QueueSeconds = queued.Seconds()
 	resp.ExecSeconds = execSeconds
 	if stats.Prefilter.Enabled {
-		resp.Prefilter = &prefilterStats{
-			PagesSkipped:    stats.Prefilter.PagesSkipped,
-			ClustersSkipped: stats.Prefilter.ClustersSkipped,
-			DocsSkipped:     stats.Prefilter.DocsSkipped,
-			FalsePasses:     stats.Prefilter.FalsePasses,
-		}
+		resp.Prefilter = &stats.Prefilter
 	}
 	if stats.LSH.Enabled {
-		resp.LSH = &lshStats{
-			BucketProbes: stats.LSH.BucketProbes,
-			Candidates:   stats.LSH.Candidates,
-			PagesSkipped: stats.LSH.PagesSkipped,
-			DocsSkipped:  stats.LSH.DocsSkipped,
-		}
+		resp.LSH = &stats.LSH
 	}
 	if err := writeJoinReply(w, &resp, results, show); err != nil {
 		reply.SetAttr("error", err.Error())
@@ -505,6 +464,15 @@ func traceIDString(span *textjoin.RequestSpan) string {
 		return ""
 	}
 	return span.TraceID().String()
+}
+
+// joinStatus is a failed plan's or join's status: 422 for a join the
+// workspace cannot run (memory budget, missing structure), else 500.
+func joinStatus(err error) int {
+	if errors.Is(err, textjoin.ErrInsufficientMemory) || errors.Is(err, textjoin.ErrMissingInput) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusInternalServerError
 }
 
 // joinError finishes a failed /join: it stamps the outcome on the root

@@ -83,11 +83,8 @@ var importLayers = map[string][]string{
 	"cmd/loadgen":     {"internal/metrics"},
 	"cmd/simulate":    {"internal/corpus", "internal/costmodel", "internal/simulate"},
 	"cmd/textjoin":    {"internal/corpus", "internal/reqtrace"},
-	"cmd/textjoind": {
-		"internal/costmodel", "internal/metrics", "internal/reqtrace",
-		"internal/telemetry",
-	},
-	"cmd/tracecheck": {"internal/metrics", "internal/reqtrace"},
+	"cmd/textjoind":   {"internal/metrics", "internal/reqtrace", "internal/telemetry"},
+	"cmd/tracecheck":  {"internal/metrics", "internal/reqtrace"},
 
 	"examples/clustering":   {},
 	"examples/costexplorer": {},

@@ -309,6 +309,9 @@ func (c *Collection) DF(term uint32) int64 {
 	return int64(c.df[term])
 }
 
+// TermSpan is the length of a table indexed by its term numbers.
+func (c *Collection) TermSpan() int64 { return int64(len(c.df)) }
+
 // HasTerm reports whether term occurs anywhere in the collection.
 func (c *Collection) HasTerm(term uint32) bool { return c.DF(term) > 0 }
 

@@ -67,8 +67,11 @@ func (a Algorithm) String() string {
 }
 
 // ParseAlgorithm converts a flag string (the paper's name, or its
-// lower-case form) to an Algorithm.
+// lower-case form, or "auto") to an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
+	if s == "auto" {
+		return Auto, nil
+	}
 	for a, name := range algNames {
 		if s == name || s == strings.ToLower(name) {
 			return Algorithm(a), nil
@@ -195,7 +198,8 @@ type Stats struct {
 	Cost float64
 	// Cache reports HVNL's entry-cache effectiveness.
 	Cache entrycache.Stats
-	// PeakMemoryBytes is the maximum working-set estimate observed.
+	// PeakMemoryBytes is the most the join held, counted as planMemory
+	// counts it; its result rows come on top.
 	PeakMemoryBytes int64
 	// Prefilter reports the signature pruning outcome when
 	// Options.Prefilter was set.
@@ -205,21 +209,21 @@ type Stats struct {
 }
 
 // LSHStats reports what the approximate join's candidate generation
-// did. Comparisons in the parent Stats counts the exact-scorer
-// verifications of the candidates.
+// did; Comparisons in the enclosing Stats counts the exact-scorer
+// verifications of the candidates. Its JSON form is textjoind's "lsh".
 type LSHStats struct {
 	// Enabled records whether the run was an LSH join.
-	Enabled bool
+	Enabled bool `json:"-"`
 	// BucketProbes counts band-bucket lookups (outer docs × bands).
-	BucketProbes int64
+	BucketProbes int64 `json:"bucket_probes"`
 	// Candidates counts distinct (outer, inner) candidate pairs sent to
 	// verification.
-	Candidates int64
+	Candidates int64 `json:"candidates"`
 	// PagesSkipped counts inner collection pages the verify scan never
 	// read because no resident outer document had a candidate there.
-	PagesSkipped int64
+	PagesSkipped int64 `json:"pages_skipped"`
 	// DocsSkipped counts inner documents never decoded.
-	DocsSkipped int64
+	DocsSkipped int64 `json:"docs_skipped"`
 }
 
 // Inputs bundles the representations available to the join. Every
@@ -349,24 +353,4 @@ func alpha(files ...*iosim.File) float64 {
 		}
 	}
 	return iosim.DefaultAlpha
-}
-
-// Join runs the given algorithm.
-func Join(alg Algorithm, in Inputs, opts Options) ([]Result, *Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
-	switch alg {
-	case HHNL:
-		return runHHNL(in, opts)
-	case HVNL:
-		return runHVNL(in, opts)
-	case VVM:
-		return runVVM(in, opts)
-	case LSH:
-		return runLSH(in, opts)
-	default:
-		return nil, nil, fmt.Errorf("core: unknown algorithm %v", alg)
-	}
 }

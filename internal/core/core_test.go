@@ -11,6 +11,7 @@ import (
 
 	"textjoin/internal/collection"
 	"textjoin/internal/corpus"
+	"textjoin/internal/costmodel"
 	"textjoin/internal/document"
 	"textjoin/internal/entrycache"
 	"textjoin/internal/invfile"
@@ -162,6 +163,11 @@ func TestAlgorithmString(t *testing.T) {
 }
 
 func TestParseAlgorithm(t *testing.T) {
+	for a := HHNL; a <= LSH; a++ {
+		if m := costmodel.Algorithm(a).String(); m != a.String() {
+			t.Errorf("costmodel names %v %s", a, m)
+		}
+	}
 	for _, c := range []struct {
 		in   string
 		want Algorithm
@@ -674,7 +680,7 @@ func TestSelfJoinClusteringSpecialCase(t *testing.T) {
 
 func TestChooseIntegrated(t *testing.T) {
 	e := buildEnv(t, 18, 30, 25, 60, 15, 256)
-	dec, err := Choose(e.inputs(), Options{Lambda: 5, MemoryPages: 100})
+	dec, err := Plan(Auto, e.inputs(), Options{Lambda: 5, MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +706,7 @@ func TestChooseIntegrated(t *testing.T) {
 func TestChooseFallsBackWithoutStructures(t *testing.T) {
 	e := buildEnv(t, 19, 10, 10, 30, 10, 256)
 	in := Inputs{Outer: e.c2, Inner: e.c1} // no inverted files
-	dec, err := Choose(in, Options{Lambda: 3, MemoryPages: 50})
+	dec, err := Plan(Auto, in, Options{Lambda: 3, MemoryPages: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +725,7 @@ func TestChooseFallsBackToCheapestAvailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := Inputs{Outer: sub, Inner: e.c1, InnerInv: e.inv1} // no OuterInv
-	dec, err := Choose(in, Options{Lambda: 3, MemoryPages: 30})
+	dec, err := Plan(Auto, in, Options{Lambda: 3, MemoryPages: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

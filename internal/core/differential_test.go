@@ -303,7 +303,7 @@ func TestTelemetryInvariance(t *testing.T) {
 func TestNilTracePhaseDoesNotAllocate(t *testing.T) {
 	var opts Options
 	st := &Stats{Algorithm: HVNL, Prefilter: PrefilterStats{Enabled: true}}
-	dec := Decision{Chosen: HHNL, Estimates: []costmodel.Estimate{{Algorithm: costmodel.AlgHHNL, Seq: 10, Rand: 20}}}
+	dec := Decision{Chosen: HHNL, Estimates: []costmodel.Estimate{{Algorithm: costmodel.AlgHHNL, Seq: 10, Rand: 20}}, estimate: 10}
 	allocs := testing.AllocsPerRun(100, func() {
 		phase := opts.Trace.StartChild(reqtrace.PhaseScan, "hhnl.fill-batch")
 		phase.End()

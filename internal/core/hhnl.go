@@ -50,18 +50,15 @@ import (
 // batch's OR-signature — a provably zero similarity for every resident
 // outer document, so results are byte-identical. The backward variant
 // ignores the prefilter (its resident side is the inner collection).
-func runHHNL(in Inputs, opts Options) ([]Result, *Stats, error) {
-	if in.Outer == nil || in.Inner == nil {
-		return nil, nil, fmt.Errorf("%w: HHNL needs both document collections", ErrMissingInput)
-	}
+func runHHNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	scorer, err := in.scorer(opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if opts.Backward {
-		return hhnlBackward(in, opts, scorer)
+		return hhnlBackward(in, opts, scorer, m)
 	}
-	b := blockJoin{in: in, opts: opts, scorer: scorer, scanName: "hhnl.inner-scan",
+	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, scanName: "hhnl.inner-scan",
 		stats: &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}}
 	pf, err := activePrefilter(in, opts)
 	if err != nil {
@@ -79,6 +76,7 @@ func runHHNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 			q = batchSig(cfg, batch, q)
 			var err error
 			need, err = sidecarNeed(pf.Inner, in.Inner, q, need, &b.stats.Prefilter)
+			b.extra = int64(len(need))
 			return need, nil, err
 		}
 	}
@@ -115,7 +113,7 @@ func batchSlack(n int) int { return n + n/16 + 1 }
 // newBatchFiller sizes the arena for a full batch of average documents of
 // a stream of n documents of avgBytes packed bytes each.
 func newBatchFiller(next func() (*document.Document, error), budget, overhead int64, side string, n int64, avgBytes float64) *batchFiller {
-	docs := min(float64(n), float64(budget)/(avgBytes+float64(overhead)))
+	docs := batchDocs(n, budget, avgBytes, overhead)
 	cells := docs * (avgBytes - codec.DocHeaderSize) / codec.CellSize
 	return &batchFiller{next: next, budget: budget, overhead: overhead, side: side,
 		docs:  make([]document.Document, 0, batchSlack(int(docs))),
@@ -161,8 +159,10 @@ func (f *batchFiller) fill() (batch []document.Document, used int64, err error) 
 type blockJoin struct {
 	in     Inputs
 	opts   Options
+	mem    memory
 	scorer *document.Scorer
 	stats  *Stats
+	extra  int64 // what prepare holds beside the block, for PeakMemoryBytes
 	// prepare, when non-nil, runs once per batch: keep marks the inner
 	// documents the scan reads (nil: all of them — the filtered scan never
 	// reads a page without a kept document), lists maps an inner id to the
@@ -173,22 +173,13 @@ type blockJoin struct {
 
 func (b *blockJoin) run() ([]Result, *Stats, error) {
 	in, opts, stats := b.in, b.opts, b.stats
-	// ⌈S1⌉ pages hold the streamed inner document; the rest is the outer
-	// batch's, each document charging 4λ bytes for its similarity slots.
-	pageSize := int64(in.Inner.File().PageSize())
-	reserve := streamReserve(in.Inner.AvgDocBytes(), pageSize)
-	budget := opts.MemoryPages*pageSize - reserve
-	if budget <= 0 {
-		return nil, nil, fmt.Errorf("%w: B=%d pages cannot hold one inner document (%d bytes reserved)",
-			ErrInsufficientMemory, opts.MemoryPages, reserve)
-	}
 	tel, trace := opts.Telemetry, opts.Trace
 	name := strings.ToLower(stats.Algorithm.String())
 	fillName, invertName, flushName := name+".fill-batch", name+".invert-batch", name+".flush-batch"
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	outer := in.Outer.Documents()
 	filler := newBatchFiller(func() (*document.Document, error) { return collection.NextReuse(outer) },
-		budget, 4*int64(opts.Lambda), "outer", in.Outer.NumDocs(), in.Outer.AvgDocBytes())
+		b.mem.batch, 4*int64(opts.Lambda), "outer", in.Outer.NumDocs(), in.Outer.AvgDocBytes())
 	// The block, its accumulator and the stage's trackers are built once and
 	// reused by every batch.
 	var block residentBlock
@@ -207,7 +198,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		}
 		stats.Passes++
 		stats.OuterDocs += int64(len(batch))
-		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, used)
+		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, b.mem.reserve+used)
 
 		var keep []bool
 		var lists [][]int32
@@ -254,6 +245,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		}
 		flush.End()
 	}
+	stats.PeakMemoryBytes += block.bytes() + int64(len(st.trackers)*opts.Lambda)*matchBytes + b.extra
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
 	recordJoinStats(tel, trace, stats)
@@ -334,6 +326,12 @@ func (b *residentBlock) regroup(batch []document.Document) {
 		}
 	}
 	b.terms, b.offs, b.post = terms, offs, post
+}
+
+// bytes is what the block holds beside the batch it regroups: its
+// accumulator and its directory.
+func (b *residentBlock) bytes() int64 {
+	return int64(cap(b.ids))*accumBytes + int64(len(b.dir))*slotBytes
 }
 
 // accumulate streams d's cells past the block's postings into acc: per slot
@@ -421,18 +419,11 @@ func (s *blockStage) score(d1 *document.Document) {
 	}
 }
 
-func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *Stats, error) {
+func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer, m memory) ([]Result, *Stats, error) {
 	stats := &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}
 	// Swap roles for batch sizing: blocks of C1 are resident, one C2
 	// document at a time streams past, and every C2 document keeps a λ
 	// tracker alive for the whole join.
-	pageSize := int64(in.Inner.File().PageSize())
-	trackerBytes := 4 * int64(opts.Lambda) * in.Outer.NumDocs()
-	budget := opts.MemoryPages*pageSize - streamReserve(in.Outer.AvgDocBytes(), pageSize) - trackerBytes
-	if budget <= 0 {
-		return nil, nil, fmt.Errorf("%w: B=%d pages cannot hold the %d outer trackers plus one outer document",
-			ErrInsufficientMemory, opts.MemoryPages, in.Outer.NumDocs())
-	}
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	tel, trace := opts.Telemetry, opts.Trace
 
@@ -441,7 +432,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 	// the first pass creates both.
 	results := make([]Result, 0, in.Outer.NumDocs())
 	trackers := make([]*topk.TopK, 0, in.Outer.NumDocs())
-	filler := newBatchFiller(in.Inner.Scan().NextReuse, budget, 0, "inner", in.Inner.NumDocs(), in.Inner.AvgDocBytes())
+	filler := newBatchFiller(in.Inner.Scan().NextReuse, m.batch, 0, "inner", in.Inner.NumDocs(), in.Inner.AvgDocBytes())
 	// The same kernel with the roles swapped: the inner block is resident
 	// and regrouped, each outer document streams past it.
 	var block residentBlock
@@ -459,7 +450,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 		}
 		if len(batch) > 0 {
 			stats.Passes++
-			stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, used+trackerBytes)
+			stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, m.reserve+used)
 		}
 		invert := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.invert-batch")
 		block.regroup(batch)
@@ -512,6 +503,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 		results[i].Matches = tk.Results()
 	}
 	flush.End()
+	stats.PeakMemoryBytes += block.bytes() + int64(len(trackers)*opts.Lambda)*matchBytes
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
 	recordJoinStats(tel, trace, stats)

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"textjoin/internal/accum"
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/entrycache"
-	"textjoin/internal/iosim"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
@@ -38,11 +36,8 @@ import (
 //
 // The cache budget realizes the paper's X (number of resident entries):
 // B·P bytes minus one outer document (⌈S2⌉ pages), the B+tree (Bt1 pages),
-// the accumulator reservation, and the in-memory term list.
-func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
-	if in.Outer == nil || in.InnerInv == nil || in.Inner == nil {
-		return nil, nil, fmt.Errorf("%w: HVNL needs the outer documents and the inner inverted file", ErrMissingInput)
-	}
+// the accumulator reservation, and the in-memory term list (planMemory).
+func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	scorer, err := in.scorer(opts)
 	if err != nil {
 		return nil, nil, err
@@ -63,33 +58,14 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pageSize := int64(invFile.PageSize())
-	btreeBytes := index.SizePages(int(pageSize)) * pageSize
-
-	// Memory budget for the entry cache.
-	total := opts.MemoryPages * pageSize
-	outerDocBytes := iosim.PagesForBytes(int64(in.Outer.AvgDocBytes()+0.999), int(pageSize)) * pageSize
-	accBytes := int64(4 * float64(in.Inner.NumDocs()) * opts.Delta)
-	// The in-memory term list costs |t#| = 3 bytes per resident entry;
-	// approximate with 3 bytes per N1·δ distinct cached terms folded into
-	// the per-entry size below (the paper adds X·|t#|/P to the memory
-	// use; we charge 3 bytes on each cached entry instead).
-	cacheBudget := total - outerDocBytes - btreeBytes - accBytes
-	if cacheBudget <= 0 {
-		return nil, nil, fmt.Errorf("%w: B=%d pages leaves no room for inverted entries (doc %d + btree %d + accumulators %d bytes)",
-			ErrInsufficientMemory, opts.MemoryPages, outerDocBytes, btreeBytes, accBytes)
-	}
-
 	// Outer document frequencies drive the replacement policy. For a
 	// selection subset the base collection's statistics are used, as an
 	// IR system would ("document frequencies are stored for similarity
 	// computation ... no extra effort is needed to get them").
-	cache := entrycache.New(cacheBudget, opts.CachePolicy, in.Outer.DF)
+	cache := entrycache.New(m.cache, opts.CachePolicy, in.Outer.DF)
 	cache.SetTelemetry(tel)
-	if cells := index.Cells(); len(cells) > 0 {
-		// Only terms of C1 are cached, and the index is term-sorted.
-		cache.Reserve(int(cells[len(cells)-1].Term) + 1)
-	}
+	// Only terms of C1 are cached.
+	cache.Reserve(int(in.Inner.TermSpan()))
 
 	stats := &Stats{Algorithm: HVNL, InnerDocs: in.Inner.NumDocs()}
 	if pf != nil {
@@ -104,7 +80,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	// sequential sweep beats the expected random fetches.
 	invStats := in.InnerInv.Stats()
 	totalEntryBytes := invStats.Bytes + 3*invStats.Entries
-	if totalEntryBytes > 0 && totalEntryBytes <= cacheBudget {
+	if totalEntryBytes > 0 && totalEntryBytes <= m.cache {
 		var neededPages int64
 		for _, cell := range index.Cells() {
 			if in.Outer.DF(cell.Term) > 0 {
@@ -150,6 +126,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		stats.PeakMemoryBytes = int64(len(opf.need) + len(opf.keep))
 	}
 
 	// Each outer document is fully processed before the next is read, so
@@ -157,6 +134,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	rows := &hvnlRows{acc: accum.NewFlat(int(in.Inner.NumDocs())), tk: topk.New(opts.Lambda), scorer: scorer,
 		occupancy: tel.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets),
 		results:   make([]Result, 0, in.Outer.NumDocs())}
+	var cacheUsed int64
 	sweep := func() error {
 		var outer collection.DocIterator
 		if opf == nil {
@@ -229,9 +207,7 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 				stats.Prefilter.FalsePasses++
 			}
 			rows.flush(d2.ID)
-			if mem := cache.Used() + btreeBytes + accBytes + outerDocBytes; mem > stats.PeakMemoryBytes {
-				stats.PeakMemoryBytes = mem
-			}
+			cacheUsed = max(cacheUsed, cache.Used())
 		}
 	}
 	probe := trace.StartChild(reqtrace.PhaseProbe, "hvnl.outer-sweep")
@@ -241,6 +217,11 @@ func runHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 		return nil, nil, err
 	}
 
+	// The outer document, the B+tree, the entries, the accumulator, the
+	// slot table and the one tracker.
+	pageSize := int64(invFile.PageSize())
+	stats.PeakMemoryBytes += m.outerDoc + index.SizePages(int(pageSize))*pageSize + cacheUsed +
+		in.Inner.NumDocs()*accumBytes + in.Inner.TermSpan()*slotBytes + int64(opts.Lambda)*matchBytes
 	stats.Cache = cache.Stats()
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(invFile))

@@ -43,120 +43,60 @@ func modelInput(in Inputs) (costmodel.Input, error) {
 	return mi, nil
 }
 
-// modelSystem derives the cost-model system parameters from the disk
-// backing the inner collection and the memory budget in the options.
-func modelSystem(in Inputs, opts Options) costmodel.System {
-	opts = opts.withDefaults()
-	sys := costmodel.System{B: opts.MemoryPages, P: 4096, Alpha: 5}
-	if in.Inner != nil {
-		f := in.Inner.File()
-		sys.P = int64(f.PageSize())
-		sys.Alpha = f.Disk().Alpha()
-	}
-	return sys
-}
-
-// Decision records why the integrated algorithm picked what it picked.
-type Decision struct {
-	Chosen    Algorithm
-	Estimates []costmodel.Estimate
-	// Prefiltered marks that the winning plan uses the signature
-	// prefilter (only possible when Options.Prefilter was supplied).
-	Prefiltered bool
-	// EstimatedRecall is the recall the chosen plan promises: exactly 1
-	// for the exact algorithms, the banding S-curve estimate when the
-	// approximate LSH join won (which requires Options.LSH and a
-	// RecallSLO strictly between 0 and 1 that the estimate meets).
-	EstimatedRecall float64
-}
-
-// Choose runs only the selection step of the integrated algorithm: it
-// estimates all three costs from the inputs' measured statistics and
-// returns the cheapest runnable algorithm.
-func Choose(in Inputs, opts Options) (Decision, error) {
-	opts = opts.withDefaults()
+// choose is the selection step of the integrated algorithm: it estimates
+// every candidate plan's cost from the inputs' measured statistics and
+// picks the cheapest one B can hold whose structures are present.
+func choose(in Inputs, opts Options) (Decision, error) {
 	mi, err := modelInput(in)
 	if err != nil {
 		return Decision{}, err
 	}
-	sys := modelSystem(in, opts)
+	// The system parameters: B, and the disk backing the inner collection.
+	f := in.Inner.File()
+	sys := costmodel.System{B: opts.MemoryPages, P: int64(f.PageSize()), Alpha: f.Disk().Alpha()}
 	q := costmodel.Query{Lambda: int64(opts.Lambda), Delta: opts.Delta}
-	_, ests := costmodel.Choose(mi, sys, q)
-	dec := Decision{Estimates: ests}
-	// Pick the cheapest algorithm whose structures are actually present:
-	// HVNL needs the inner inverted file; VVM needs both inverted files
-	// and a stored (not memory-resident) outer collection.
-	available := func(a costmodel.Algorithm) bool {
-		switch a {
-		case costmodel.AlgHVNL:
-			return in.InnerInv != nil
-		case costmodel.AlgVVM:
-			return in.InnerInv != nil && in.OuterInv != nil && in.Outer.Base() != nil
-		default:
-			return true
-		}
-	}
-	best := costmodel.AlgHHNL
-	bestCost := ests[0].Seq
-	for _, e := range ests {
-		if !available(e.Algorithm) {
-			continue
-		}
-		if e.Seq < bestCost || (e.Algorithm == costmodel.AlgHHNL && e.Seq == bestCost) {
-			best = e.Algorithm
-			bestCost = e.Seq
-		}
-	}
+	dec := Decision{Estimates: costmodel.EstimateAll(mi, sys, q), EstimatedRecall: 1}
 	// With sidecars on offer, the prefiltered HHNL/HVNL variants compete
 	// too: their estimates discount the measured skip fractions and
-	// charge the sidecar load. A strict win is required — on a tie the
-	// unfiltered plan (no sidecar dependency) stands.
+	// charge the sidecar load.
 	pf, err := activePrefilter(in, opts)
 	if err != nil {
 		return Decision{}, err
 	}
 	if pf != nil {
-		pests := costmodel.EstimateAllPrefilter(mi, sys, q, measurePrefilter(pf))
-		dec.Estimates = append(dec.Estimates, pests...)
-		for _, e := range pests {
-			if !available(e.Algorithm) {
-				continue
-			}
-			if e.Seq < bestCost {
-				best = e.Algorithm
-				bestCost = e.Seq
-				dec.Prefiltered = true
-			}
-		}
+		dec.Estimates = append(dec.Estimates, costmodel.EstimateAllPrefilter(mi, sys, q, measurePrefilter(pf))...)
 	}
 	// With a MinHash sidecar on offer and a recall SLO strictly below 1,
-	// the approximate join competes: it must promise at least the SLO's
-	// recall AND strictly beat every exact plan's cost. SLO 0 (unset) and
-	// SLO 1 both keep the planner exact — the SLO is an explicit opt-in
-	// to approximation, and no banding shape promises recall 1.
-	dec.EstimatedRecall = 1
+	// the approximate join competes if it promises at least the SLO's
+	// recall. SLO 0 (unset) and SLO 1 both keep the planner exact — the
+	// SLO is an explicit opt-in to approximation, and no banding shape
+	// promises recall 1.
 	if opts.LSH != nil && opts.RecallSLO > 0 && opts.RecallSLO < 1 {
 		if _, err := activeLSH(in, opts); err != nil {
 			return Decision{}, err
 		}
-		lest := costmodel.EstimateLSH(mi, sys, q, measureLSH(opts.LSH))
-		dec.Estimates = append(dec.Estimates, lest)
-		if lest.Recall >= opts.RecallSLO && lest.Seq < bestCost {
-			best = costmodel.AlgLSH
-			dec.Prefiltered = false
-			dec.EstimatedRecall = lest.Recall
+		dec.Estimates = append(dec.Estimates, costmodel.EstimateLSH(mi, sys, q, measureLSH(opts.LSH)))
+	}
+	// A later candidate must win strictly: on a tie the paper's order
+	// HHNL, HVNL, VVM stands, and so does the plan with fewer sidecars.
+	// When B holds no plan, HHNL stands, for Plan to reject.
+	best, found := 0, false
+	for i, e := range dec.Estimates {
+		alg := Algorithm(e.Algorithm) // costmodel mirrors core's identifiers
+		if _, err := planMemory(alg, in, opts); err != nil || e.Algorithm == costmodel.AlgLSH && e.Recall < opts.RecallSLO {
+			continue
+		}
+		if !found || e.Seq < dec.Estimates[best].Seq {
+			best, found, dec.Chosen = i, true, alg
 		}
 	}
-	for a, m := range modelAlgs {
-		if m == best {
-			dec.Chosen = Algorithm(a)
-		}
+	e := dec.Estimates[best]
+	dec.Prefiltered, dec.estimate = e.Prefiltered, e.Seq
+	if dec.Chosen == LSH {
+		dec.EstimatedRecall = e.Recall
 	}
 	return dec, nil
 }
-
-// modelAlgs maps each core algorithm id to its costmodel counterpart.
-var modelAlgs = [...]costmodel.Algorithm{HHNL: costmodel.AlgHHNL, HVNL: costmodel.AlgHVNL, VVM: costmodel.AlgVVM, LSH: costmodel.AlgLSH}
 
 // recordPlan publishes the planner's decision: the choice and every
 // candidate's estimate as attributes of the plan span, so one trace
@@ -164,9 +104,7 @@ var modelAlgs = [...]costmodel.Algorithm{HHNL: costmodel.AlgHHNL, HVNL: costmode
 func recordPlan(tel *telemetry.Collector, span *reqtrace.Span, dec Decision) {
 	if span != nil {
 		span.SetAttr("plan.chosen", dec.Chosen.String())
-		if est := chosenEstimate(dec); !math.IsNaN(est) {
-			span.SetFloat("plan.estimated_cost", est)
-		}
+		span.SetFloat("plan.estimated_cost", dec.estimate)
 		span.SetFloat("plan.estimated_recall", dec.EstimatedRecall)
 		if dec.Prefiltered {
 			span.SetAttr("plan.prefiltered", "true")
@@ -188,18 +126,6 @@ func recordPlan(tel *telemetry.Collector, span *reqtrace.Span, dec Decision) {
 	}
 }
 
-// chosenEstimate returns the estimated cost of the plan the decision
-// picked (matching algorithm and prefilter flag), or NaN when the
-// estimate list lacks it.
-func chosenEstimate(dec Decision) float64 {
-	for _, e := range dec.Estimates {
-		if e.Algorithm == modelAlgs[dec.Chosen] && e.Prefiltered == dec.Prefiltered {
-			return e.Seq
-		}
-	}
-	return math.NaN()
-}
-
 // PlanErrorBuckets are the bounds of the "plan.error.log2" histogram:
 // signed milli-log2 of measured/estimated cost, so one bucket is a
 // fixed multiplicative error band (±1000 ≙ a factor of 2, ±250 ≙
@@ -214,7 +140,7 @@ var PlanErrorBuckets = []int64{-4000, -2000, -1000, -500, -250, -100, 0, 100, 25
 // estimates.
 func recordPlanAudit(tel *telemetry.Collector, trace *reqtrace.Span, dec Decision, measured float64) {
 	trace.SetFloat("plan.measured_cost", measured)
-	est := chosenEstimate(dec)
+	est := dec.estimate
 	if math.IsNaN(est) || math.IsInf(est, 0) || est <= 0 || measured <= 0 {
 		return
 	}
@@ -224,30 +150,4 @@ func recordPlanAudit(tel *telemetry.Collector, trace *reqtrace.Span, dec Decisio
 	if tel != nil {
 		tel.Histogram("plan.error.log2", PlanErrorBuckets).Observe(milliLog2)
 	}
-}
-
-// JoinIntegrated implements the paper's integrated algorithm: estimate the
-// cost of each basic algorithm from the collection statistics, system
-// parameters and query parameters, then run the one with the lowest
-// estimated cost.
-func JoinIntegrated(in Inputs, opts Options) ([]Result, *Stats, Decision, error) {
-	tel, trace := opts.Telemetry, opts.Trace
-	span := trace.StartChild(reqtrace.PhasePlan, "integrated.choose")
-	dec, err := Choose(in, opts)
-	if err != nil {
-		span.End()
-		return nil, nil, dec, err
-	}
-	recordPlan(tel, span, dec)
-	span.End()
-	if !dec.Prefiltered {
-		// The unfiltered plan won on estimated cost; run it without the
-		// filter so the measured cost matches the estimate.
-		opts.Prefilter = nil
-	}
-	results, stats, err := Join(dec.Chosen, in, opts)
-	if err == nil {
-		recordPlanAudit(tel, trace, dec, stats.Cost)
-	}
-	return results, stats, dec, err
 }

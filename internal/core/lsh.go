@@ -29,10 +29,7 @@ import (
 // Options.LSH must hold the sidecar built over Inputs.Inner's current
 // layout. Options.Prefilter is ignored: bucket candidate generation
 // subsumes the signature skip.
-func runLSH(in Inputs, opts Options) ([]Result, *Stats, error) {
-	if in.Outer == nil || in.Inner == nil {
-		return nil, nil, fmt.Errorf("%w: LSH needs both document collections", ErrMissingInput)
-	}
+func runLSH(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	sc, err := activeLSH(in, opts)
 	if err != nil {
 		return nil, nil, err
@@ -41,11 +38,12 @@ func runLSH(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	b := blockJoin{in: in, opts: opts, scorer: scorer, prepName: "lsh.candidates", scanName: "lsh.verify-scan",
+	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, prepName: "lsh.candidates", scanName: "lsh.verify-scan",
 		stats: &Stats{Algorithm: LSH, InnerDocs: in.Inner.NumDocs(), LSH: LSHStats{Enabled: true}}}
 	gen := newLSHCandidates(sc, in)
 	b.prepare = func(batch []document.Document) ([]bool, [][]int32, error) {
 		err := gen.generate(batch, b.stats)
+		b.extra = max(b.extra, gen.bytes())
 		return gen.keep, gen.lists, err
 	}
 	return b.run()
@@ -134,6 +132,16 @@ func (g *lshCandidates) generate(batch []document.Document, st *Stats) error {
 	}
 	st.LSH.PagesSkipped += g.in.Inner.File().Pages() - touched
 	return nil
+}
+
+// bytes is what the candidate state holds: per inner document a list
+// header, a keep flag and a stamp, and the lists' candidates.
+func (g *lshCandidates) bytes() int64 {
+	n := int64(len(g.lists)) * lshDocBytes
+	for _, l := range g.lists {
+		n += int64(cap(l)) * 4
+	}
+	return n
 }
 
 // measureLSH probes the sidecar's resident bucket tables for the

@@ -1,0 +1,281 @@
+package core
+
+import (
+	"fmt"
+	"math"
+
+	"textjoin/internal/accum"
+	"textjoin/internal/codec"
+	"textjoin/internal/collection"
+	"textjoin/internal/costmodel"
+	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
+)
+
+// Auto asks Plan for the integrated algorithm's choice.
+const Auto Algorithm = -1
+
+// Decision is a planned join: the algorithm it runs, why, and the bytes it
+// holds. Plan makes one, for the integrated choice or a forced algorithm,
+// and Run executes it.
+type Decision struct {
+	Chosen Algorithm
+	// Estimates are every candidate's cost estimates (nil when forced).
+	Estimates []costmodel.Estimate
+	// Prefiltered marks that the plan uses the signature prefilter (only
+	// possible when Options.Prefilter was supplied).
+	Prefiltered bool
+	// EstimatedRecall is the recall the chosen plan promises: exactly 1
+	// for the exact algorithms, the banding S-curve estimate when the
+	// approximate LSH join won (which requires Options.LSH and a
+	// RecallSLO strictly between 0 and 1 that the estimate meets).
+	EstimatedRecall float64
+	// PeakBytes is the most memory the plan holds at once, its result
+	// rows included: what an admission budget charges for it.
+	PeakBytes int64
+
+	estimate float64 // the chosen plan's estimated cost
+	mem      memory
+}
+
+// Plan plans one join without reading a page: alg is a forced algorithm,
+// or Auto for the integrated algorithm's cheapest estimate. Its error is
+// the join's own when the inputs lack a structure the algorithm needs
+// (ErrMissingInput) or B cannot hold its minimal working set
+// (ErrInsufficientMemory). A forced plan allocates nothing.
+func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
+	opts = opts.withDefaults()
+	if err := opts.validate(); err != nil {
+		return Decision{}, err
+	}
+	dec := Decision{Chosen: alg, EstimatedRecall: 1}
+	name := "forced"
+	if alg == Auto {
+		name = "integrated.choose"
+	}
+	span := opts.Trace.StartChild(reqtrace.PhasePlan, name)
+	defer span.End()
+	var err error
+	if alg == Auto {
+		if dec, err = choose(in, opts); err != nil {
+			return dec, err
+		}
+		recordPlan(opts.Telemetry, span, dec)
+	} else {
+		span.SetAttr("plan.chosen", alg.String())
+		dec.Prefiltered = opts.Prefilter != nil && (alg == HVNL || alg == HHNL && !opts.Backward)
+	}
+	if !dec.Prefiltered {
+		opts.Prefilter = nil
+	}
+	dec.mem, err = planMemory(dec.Chosen, in, opts)
+	dec.PeakBytes = dec.mem.held
+	span.SetInt("plan.peak_bytes", dec.PeakBytes)
+	return dec, err
+}
+
+// Run executes the plan on in, which may be the planned inputs bound to
+// another I/O view; opts must be the planned options (Trace and Telemetry
+// aside).
+func (d Decision) Run(in Inputs, opts Options) ([]Result, *Stats, error) {
+	if d.mem == (memory{}) {
+		return nil, nil, fmt.Errorf("core: Decision.Run needs a Decision made by Plan")
+	}
+	opts = opts.withDefaults()
+	if !d.Prefiltered {
+		// The unfiltered plan won on estimated cost; run it without the
+		// filter so the measured cost matches the estimate.
+		opts.Prefilter = nil
+	}
+	results, stats, err := runs[d.Chosen](in, opts, d.mem)
+	if err == nil && d.Estimates != nil {
+		recordPlanAudit(opts.Telemetry, opts.Trace, d, stats.Cost)
+	}
+	return results, stats, err
+}
+
+// runs are the join families, each given its memory plan.
+var runs = [...]func(Inputs, Options, memory) ([]Result, *Stats, error){
+	HHNL: runHHNL, HVNL: runHVNL, VVM: runVVM, LSH: runLSH}
+
+// Join runs the given algorithm: Plan, then Run.
+func Join(alg Algorithm, in Inputs, opts Options) ([]Result, *Stats, error) {
+	dec, err := Plan(alg, in, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dec.Run(in, opts)
+}
+
+// JoinIntegrated implements the paper's integrated algorithm: estimate the
+// cost of each basic algorithm from the collection statistics, system
+// parameters and query parameters, then run the one with the lowest
+// estimated cost.
+func JoinIntegrated(in Inputs, opts Options) ([]Result, *Stats, Decision, error) {
+	dec, err := Plan(Auto, in, opts)
+	if err != nil {
+		return nil, nil, dec, err
+	}
+	results, stats, err := dec.Run(in, opts)
+	return results, stats, dec, err
+}
+
+// Bytes of the structures a join holds beside its share of B.
+const (
+	accumBytes = 8  // a float64 similarity accumulator
+	slotBytes  = 4  // an int32 slot of a table indexed by term number
+	matchBytes = 16 // a kept match: inner id and float64 similarity
+	rowBytes   = 32 // a Result: outer id and match slice
+)
+
+// memory is the one memory model. It splits B·P bytes among a join
+// family's parts exactly as the paper's formulas do, and adds up what the
+// join will hold: the parts of that split the data can fill, plus what
+// lies outside it — the float64 accumulators, the term-indexed tables, the
+// λ-trackers and the result rows held until the reply is written.
+// Stats.PeakMemoryBytes counts the same parts as the join allocates them.
+type memory struct {
+	reserve, batch  int64 // block families: ⌈S⌉ pages for the streamed document, the resident batch's rest
+	outerDoc, cache int64 // HVNL: ⌈S2⌉ pages, the entry cache's share
+	passBytes       int64 // VVM: M = (B − ⌈J1⌉ − ⌈J2⌉)·P
+	passes          int   // VVM: ⌈SM/M⌉ ranges, at most one per outer document
+	held            int64
+}
+
+// planMemory computes alg's memory plan from Options and the inputs'
+// resident statistics.
+func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
+	var m memory
+	missing := ""
+	switch {
+	case alg < HHNL || alg > LSH:
+		return m, fmt.Errorf("core: unknown algorithm %v", alg)
+	case in.Outer == nil || in.Inner == nil:
+		missing = "both document collections"
+	case alg == HVNL && in.InnerInv == nil:
+		missing = "the inner inverted file"
+	case alg == VVM && (in.InnerInv == nil || in.OuterInv == nil):
+		missing = "both inverted files"
+	case alg == VVM && in.Outer.Base() == nil:
+		// A memory-resident query batch has no inverted file — the paper's
+		// point that "the availability of inverted files means the
+		// applicability of certain algorithms".
+		missing = "a stored outer collection, not a query batch"
+	}
+	if missing != "" {
+		return m, fmt.Errorf("%w: %v needs %s", ErrMissingInput, alg, missing)
+	}
+	n1, n2, lambda := in.Inner.NumDocs(), in.Outer.NumDocs(), int64(opts.Lambda)
+	pageSize := int64(in.Inner.File().PageSize())
+	if alg == HVNL || alg == VVM {
+		pageSize = int64(in.InnerInv.File().PageSize())
+	}
+	total := opts.MemoryPages * pageSize
+	tracker := lambda * matchBytes
+	rows := n2 * (rowBytes + tracker)
+	switch {
+	case alg == HHNL && opts.Backward:
+		// C1 is resident, and every C2 document keeps a 4λ-byte tracker.
+		m.reserve = streamReserve(in.Outer.AvgDocBytes(), pageSize)
+		if m.batch = total - m.reserve - 4*lambda*n2; m.batch <= 0 {
+			return m, fmt.Errorf("%w: B=%d pages cannot hold the %d outer trackers plus one outer document",
+				ErrInsufficientMemory, opts.MemoryPages, n2)
+		}
+		slots := int64(batchSlack(int(batchDocs(n1, m.batch, in.Inner.AvgDocBytes(), 0))))
+		data := int64(math.Ceil(in.Inner.AvgDocBytes() * float64(n1)))
+		m.held = m.reserve + min(m.batch, data) + slots*accumBytes + dirBytes(in.Inner) + n2*tracker + rows
+	case alg == HHNL || alg == LSH:
+		// X = (B − ⌈S1⌉) / (S2 + 4λ/P), in bytes (runHHNL).
+		m.reserve = streamReserve(in.Inner.AvgDocBytes(), pageSize)
+		if m.batch = total - m.reserve; m.batch <= 0 {
+			return m, fmt.Errorf("%w: B=%d pages cannot hold one inner document (%d bytes reserved)",
+				ErrInsufficientMemory, opts.MemoryPages, m.reserve)
+		}
+		slots := int64(batchSlack(int(batchDocs(n2, m.batch, in.Outer.AvgDocBytes(), 4*lambda))))
+		data := int64(math.Ceil(in.Outer.AvgDocBytes()*float64(n2))) + 4*lambda*n2
+		m.held = m.reserve + min(m.batch, data) + slots*(accumBytes+tracker) + dirBytes(in.Outer) + rows
+		if alg == HHNL && opts.Prefilter != nil {
+			m.held += n1 // the keep vector
+		} else if alg == LSH {
+			sc, err := activeLSH(in, opts)
+			if err != nil {
+				return m, err
+			}
+			// Each resident document's candidates, in per-inner lists
+			// grown by appending: up to twice their length.
+			candFrac, _ := sc.SelfProbe()
+			m.held += n1*lshDocBytes + 2*4*int64(candFrac*float64(slots*n1))
+		}
+	case alg == HVNL:
+		// The entry cache's X (runHVNL); the B+tree has 9 bytes per term.
+		inv := in.InnerInv.Stats()
+		m.outerDoc = iosim.PagesForBytes(int64(in.Outer.AvgDocBytes()+0.999), int(pageSize)) * pageSize
+		btree := iosim.PagesForBytes(inv.Entries*codec.BTreeCellSize, int(pageSize)) * pageSize
+		acc := int64(4 * float64(n1) * opts.Delta)
+		if m.cache = total - m.outerDoc - btree - acc; m.cache <= 0 {
+			return m, fmt.Errorf("%w: B=%d pages leaves no room for inverted entries (doc %d + btree %d + accumulators %d bytes)",
+				ErrInsufficientMemory, opts.MemoryPages, m.outerDoc, btree, acc)
+		}
+		// The in-memory term list costs |t#| = 3 bytes per resident entry:
+		// the paper adds X·|t#|/P to the memory use, the cache charges 3
+		// bytes on each entry beside its packed size. A prefilter adds its
+		// keep vector.
+		m.held = m.outerDoc + btree + min(m.cache, inv.Bytes+3*inv.Entries) + n1*accumBytes +
+			in.Inner.TermSpan()*slotBytes + tracker + rows
+		if opts.Prefilter != nil {
+			m.held += n2
+		}
+	case alg == VVM:
+		// ⌈SM/M⌉ ranges of the outer documents (runVVM).
+		sm := int64(4 * opts.Delta * float64(n1) * float64(n2))
+		j1 := iosim.PagesForBytes(int64(in.InnerInv.Stats().J*float64(pageSize)+0.999), int(pageSize))
+		j2 := iosim.PagesForBytes(int64(in.OuterInv.Stats().J*float64(pageSize)+0.999), int(pageSize))
+		if m.passBytes = total - (j1+j2)*pageSize; m.passBytes <= 0 {
+			return m, fmt.Errorf("%w: B=%d pages cannot hold one inverted entry from each file", ErrInsufficientMemory, opts.MemoryPages)
+		}
+		m.passes = int(min(n2, max(1, (sm+m.passBytes-1)/m.passBytes)))
+		// The store holds at most the largest pass's matrix (at least the
+		// smallest table, 16 key-value slots); a pass that starts as the
+		// table drains into a tracker per row.
+		largest, trackers := int64(m.largest(int(n2))), int64(1)
+		if !accum.UseDense(int(largest), int(n1), m.passBytes) {
+			trackers += largest
+		}
+		m.held = (j1+j2)*pageSize + max(largest*n1*accumBytes, 16*16) + trackers*tracker + rows
+	}
+	return m, nil
+}
+
+// lshDocBytes is LSH's state per inner document: list header, flag, stamp.
+const lshDocBytes = 24 + 1 + 8
+
+// largest returns the row count of VVM's largest pass over n outer
+// documents: every pass has ⌊n/passes⌋ or ⌈n/passes⌉ rows, the last the
+// ceiling.
+func (m memory) largest(n int) int {
+	if m.passes == 0 {
+		return 0
+	}
+	return n - (m.passes-1)*n/m.passes
+}
+
+// batchDocs is how many documents of avgBytes packed bytes, each charging
+// overhead more, a full resident batch of a stream of n holds.
+func batchDocs(n, budget int64, avgBytes float64, overhead int64) float64 {
+	return min(float64(n), float64(budget)/(avgBytes+float64(overhead)))
+}
+
+// dirBytes is a resident block's term-indexed directory over r's terms.
+func dirBytes(r collection.Reader) int64 { return slotBytes * int64(batchSlack(int(termSpan(r)))) }
+
+// termSpan is the length of a table indexed by r's term numbers.
+func termSpan(r collection.Reader) int64 {
+	if base := r.Base(); base != nil {
+		return base.TermSpan()
+	}
+	terms := r.Terms() // a memory-resident batch: its own terms
+	if len(terms) == 0 {
+		return 0
+	}
+	return int64(terms[len(terms)-1]) + 1
+}

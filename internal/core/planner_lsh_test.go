@@ -49,7 +49,7 @@ func TestPlannerRecallSLOContract(t *testing.T) {
 					s += (r.Float64() - 0.5) * 0.04
 				}
 				opts := Options{Lambda: 4, MemoryPages: mem, LSH: sc, RecallSLO: s}
-				dec, err := Choose(e.inputs(), opts)
+				dec, err := Plan(Auto, e.inputs(), opts)
 				if err != nil {
 					t.Fatalf("seed %d mem %d slo %v: %v", seed, mem, s, err)
 				}
@@ -114,7 +114,7 @@ func TestPlannerChoosesLSHWhenCheaper(t *testing.T) {
 
 	in := Inputs{Outer: e.c2, Inner: e.c1} // no inverted files: HHNL vs LSH
 	opts := Options{Lambda: 3, MemoryPages: 24, LSH: sc, RecallSLO: 0.9}
-	dec, err := Choose(in, opts)
+	dec, err := Plan(Auto, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPlannerChoosesLSHWhenCheaper(t *testing.T) {
 	// similarity must push the planner back to exact.
 	promised := costmodel.Recall(8, 1, costmodel.DefaultMatchSim)
 	opts.RecallSLO = math.Nextafter(promised, 1)
-	dec, err = Choose(in, opts)
+	dec, err = Plan(Auto, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,22 +30,23 @@ type Prefilter struct {
 	Outer *signature.Sidecar
 }
 
-// PrefilterStats reports the pruning outcome of one join.
+// PrefilterStats reports the pruning outcome of one join. Its JSON form
+// is textjoind's "prefilter" reply field.
 type PrefilterStats struct {
 	// Enabled records whether Options.Prefilter was active.
-	Enabled bool
+	Enabled bool `json:"-"`
 	// PagesSkipped counts collection pages the join avoided reading.
-	PagesSkipped int64
+	PagesSkipped int64 `json:"pages_skipped"`
 	// ClustersSkipped counts whole clusters disqualified by one
 	// aggregate AND.
-	ClustersSkipped int64
+	ClustersSkipped int64 `json:"clusters_skipped"`
 	// DocsSkipped counts documents never decoded (HHNL inner side) or
 	// never probed (HVNL outer side), including those inside skipped
 	// clusters.
-	DocsSkipped int64
+	DocsSkipped int64 `json:"docs_skipped"`
 	// FalsePasses counts documents that passed the filter but produced
 	// no overlap — the code's false-positive rate in the data.
-	FalsePasses int64
+	FalsePasses int64 `json:"false_passes"`
 }
 
 // activePrefilter validates Options.Prefilter against the inputs and

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"textjoin/internal/accum"
@@ -9,7 +8,6 @@ import (
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/invfile"
-	"textjoin/internal/iosim"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
@@ -44,35 +42,35 @@ import (
 // and the whole join runs on the calling goroutine (DESIGN §8): each entry
 // pair is accumulated before the scan moves on, so the scanners' reuse
 // arenas suffice.
-func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
-	if in.InnerInv == nil || in.OuterInv == nil || in.Outer == nil || in.Inner == nil {
-		return nil, nil, fmt.Errorf("%w: VVM needs both inverted files and both collections' statistics", ErrMissingInput)
-	}
-	if in.Outer.Base() == nil {
-		// A memory-resident query batch has no inverted file — the
-		// paper's point that "the availability of inverted files means
-		// the applicability of certain algorithms".
-		return nil, nil, fmt.Errorf("%w: VVM needs a stored outer collection, not a query batch", ErrMissingInput)
-	}
+func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	scorer, err := in.scorer(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	plan, err := vvmPlan(in, opts)
-	if err != nil {
-		return nil, nil, err
+	// The outer document ids to join, ascending: all of C2, or the
+	// selection.
+	var outerIDs []uint32
+	if sub, ok := in.Outer.(*collection.Subset); ok {
+		outerIDs = sub.IDs()
+	} else {
+		outerIDs = make([]uint32, in.Outer.NumDocs())
+		for i := range outerIDs {
+			outerIDs[i] = uint32(i)
+		}
 	}
-	stats := plan.stats
+	n1 := in.Inner.NumDocs()
+	stats := &Stats{Algorithm: VVM, InnerDocs: n1, OuterDocs: int64(len(outerIDs))}
+	track := trackIO(in.InnerInv.File(), in.OuterInv.File(), treeFile(in.InnerInv), treeFile(in.OuterInv))
 	tel, trace := opts.Telemetry, opts.Trace
 	occupancy := tel.Histogram("vvm.accum.occupancy", telemetry.DefaultSizeBuckets)
-	acc := accum.New(0, int(in.Inner.NumDocs()), plan.passBytes)
-	acc.Reserve(plan.largest())
+	acc := accum.New(0, int(n1), m.passBytes)
+	acc.Reserve(m.largest(len(outerIDs)))
 	pass := &vvmPass{acc: acc, tk: topk.New(opts.Lambda)}
 
-	results := make([]Result, 0, len(plan.outerIDs))
-	for p := 0; p < plan.passes; p++ {
-		rangeIDs := plan.rangeIDs(p)
+	results := make([]Result, 0, len(outerIDs))
+	var store int64
+	for p := 0; p < m.passes; p++ {
+		rangeIDs := m.rangeIDs(outerIDs, p)
 		if len(rangeIDs) == 0 {
 			continue
 		}
@@ -100,7 +98,7 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		pass.emit(scorer, opts.Lambda)
 		finalize.End()
 		stats.Accumulations += pass.count
-		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, pass.acc.Bytes())
+		store = max(store, pass.acc.Bytes())
 		occupancy.Observe(pass.pairs)
 		if tel != nil {
 			// The regime the pass finished in: dense, table or promoted.
@@ -108,7 +106,11 @@ func runVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		}
 	}
 
-	stats.IO = plan.track.delta()
+	// One entry from each file, the store and the trackers.
+	pageSize := int64(in.InnerInv.File().PageSize())
+	stats.PeakMemoryBytes = opts.MemoryPages*pageSize - m.passBytes + store +
+		int64((1+len(pass.rows))*opts.Lambda)*matchBytes
+	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.InnerInv.File()))
 	recordJoinStats(tel, trace, stats)
 	return results, stats, nil
@@ -208,66 +210,9 @@ func (s *vvmPass) emit(scorer *document.Scorer, lambda int) {
 	}
 }
 
-// vvmPlanned is VVM's partitioning: the outer id list (always ascending — 0..N2-1 for a full
-// collection, Subset.IDs order for a selection), the pass count, and the
-// per-pass accumulator budget M in bytes.
-type vvmPlanned struct {
-	outerIDs  []uint32
-	passes    int
-	passBytes int64
-	stats     *Stats
-	track     *ioTracker
-}
-
 // rangeIDs returns pass p's slice of the outer ids.
-func (pl *vvmPlanned) rangeIDs(p int) []uint32 {
-	lo := p * len(pl.outerIDs) / pl.passes
-	hi := (p + 1) * len(pl.outerIDs) / pl.passes
-	return pl.outerIDs[lo:hi]
-}
-
-// largest returns the row count of the largest pass, which the store sizes
-// its one matrix by. Every pass has ⌊N2/passes⌋ or ⌈N2/passes⌉ rows and the
-// last has the ceiling, so the largest pass is always still to come.
-func (pl *vvmPlanned) largest() int {
-	if pl.passes == 0 {
-		return 0
-	}
-	return len(pl.rangeIDs(pl.passes - 1))
-}
-
-// vvmPlan computes the outer id list, pass count, pass memory budget, base
-// statistics and I/O tracker.
-func vvmPlan(in Inputs, opts Options) (*vvmPlanned, error) {
-	// The outer document ids to join: all of C2, or the selection.
-	var outerIDs []uint32
-	if sub, ok := in.Outer.(*collection.Subset); ok {
-		outerIDs = sub.IDs()
-	} else {
-		n := in.Outer.NumDocs()
-		outerIDs = make([]uint32, n)
-		for i := range outerIDs {
-			outerIDs[i] = uint32(i)
-		}
-	}
-
-	// Partitioning: ⌈SM/M⌉ ranges of the outer ids.
-	pageSize := int64(in.InnerInv.File().PageSize())
-	n1 := in.Inner.NumDocs()
-	n2 := int64(len(outerIDs))
-	smBytes := int64(4 * opts.Delta * float64(n1) * float64(n2))
-	j1Pages := iosim.PagesForBytes(int64(in.InnerInv.Stats().J*float64(pageSize)+0.999), int(pageSize))
-	j2Pages := iosim.PagesForBytes(int64(in.OuterInv.Stats().J*float64(pageSize)+0.999), int(pageSize))
-	mBytes := opts.MemoryPages*pageSize - (j1Pages+j2Pages)*pageSize
-	if mBytes <= 0 {
-		return nil, fmt.Errorf("%w: B=%d pages cannot hold one inverted entry from each file", ErrInsufficientMemory, opts.MemoryPages)
-	}
-	// At least one pass, at most one per outer document (none without any).
-	passes := int(min(n2, max(1, (smBytes+mBytes-1)/mBytes)))
-
-	stats := &Stats{Algorithm: VVM, InnerDocs: n1, OuterDocs: n2}
-	track := trackIO(in.InnerInv.File(), in.OuterInv.File(), treeFile(in.InnerInv), treeFile(in.OuterInv))
-	return &vvmPlanned{outerIDs: outerIDs, passes: passes, passBytes: mBytes, stats: stats, track: track}, nil
+func (m memory) rangeIDs(ids []uint32, p int) []uint32 {
+	return ids[p*len(ids)/m.passes : (p+1)*len(ids)/m.passes]
 }
 
 // mergeScan runs one parallel scan over both inverted files, invoking fn

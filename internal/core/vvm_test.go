@@ -36,14 +36,14 @@ func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
 		}
 		return Inputs{Outer: sub, Inner: c1, InnerInv: inv1, OuterInv: inv2}
 	}
-	plan, err := vvmPlan(prefix(1), opts)
+	plan, err := Plan(VVM, prefix(1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rows per pass under M; at six or more, ⌈SM/M⌉ is exactly 2 and 6.
-	rows := int(float64(plan.passBytes) / (4 * opts.Delta * 150))
+	rows := int(float64(plan.mem.passBytes) / (4 * opts.Delta * 150))
 	if rows < 6 || 6*rows > 400 {
-		t.Fatalf("M = %d bytes: %d rows per pass, want 6..66", plan.passBytes, rows)
+		t.Fatalf("M = %d bytes: %d rows per pass, want 6..66", plan.mem.passBytes, rows)
 	}
 	allocated := func(passes int) (bytes uint64, st *Stats) {
 		in := prefix(passes * rows)
@@ -64,11 +64,12 @@ func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
 		return bytes, st
 	}
 	two, _ := allocated(2)
-	six, st := allocated(6)
-	t.Logf("%d rows per pass: 2 passes %d bytes, 6 passes %d, store %d", rows, two, six, st.PeakMemoryBytes)
-	if int64(six)-int64(two) >= st.PeakMemoryBytes {
+	six, _ := allocated(6)
+	store := int64(rows) * 150 * accumBytes // a pass's matrix: its first promotes
+	t.Logf("%d rows per pass: 2 passes %d bytes, 6 passes %d, store %d", rows, two, six, store)
+	if int64(six)-int64(two) >= store {
 		t.Errorf("6 passes allocate %d bytes, 2 passes %d: %d more, want under one store's %d",
-			six, two, int64(six)-int64(two), st.PeakMemoryBytes)
+			six, two, int64(six)-int64(two), store)
 	}
 }
 
@@ -76,17 +77,17 @@ func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
 // pass of the partition is a largest one, for every N2 and pass count, so
 // a matrix sized for the largest pass is one the join still reaches.
 func TestVVMLargestPassIsLast(t *testing.T) {
-	if got := (&vvmPlanned{}).largest(); got != 0 {
+	if got := (memory{}).largest(0); got != 0 {
 		t.Fatalf("no outer documents: largest %d, want 0", got)
 	}
 	for n := 1; n <= 60; n++ {
 		for passes := 1; passes <= n; passes++ {
-			pl := &vvmPlanned{outerIDs: make([]uint32, n), passes: passes}
+			m, ids := memory{passes: passes}, make([]uint32, n)
 			most := 0
 			for p := range passes {
-				most = max(most, len(pl.rangeIDs(p)))
+				most = max(most, len(m.rangeIDs(ids, p)))
 			}
-			if got := pl.largest(); got != most {
+			if got := m.largest(n); got != most {
 				t.Fatalf("%d documents in %d passes: largest %d, want %d", n, passes, got, most)
 			}
 		}

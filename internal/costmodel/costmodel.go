@@ -25,7 +25,8 @@ const (
 	CellBytes = 5
 	// BTreeCellBytes is the size of a B+tree leaf cell: 3 + 4 + 2.
 	BTreeCellBytes = 9
-	// SimBytes is the memory taken by one intermediate similarity value.
+	// SimBytes is the paper's 4-byte similarity, for page formulas only:
+	// joins hold float64s, and admission charges core's memory model.
 	SimBytes = 4
 	// TermNumBytes is |t#|, charged per entry in HVNL's resident term
 	// list.

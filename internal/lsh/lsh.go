@@ -187,12 +187,13 @@ func (c Config) batchKeys(d *document.Document, minima, dst []uint64) []uint64 {
 // memory: Bucket(b, key) lists every document whose band b folded to
 // key, in ascending document id order.
 type Sidecar struct {
-	cfg      Config
-	file     *iosim.File
-	numDocs  int
-	keys     []uint64 // numDocs × Bands band keys
-	nonEmpty []byte   // bitmap: bit id set iff document id has terms
-	buckets  []map[uint64][]uint32
+	cfg            Config
+	file           *iosim.File
+	numDocs        int
+	keys           []uint64 // numDocs × Bands band keys
+	nonEmpty       []byte   // bitmap: bit id set iff document id has terms
+	buckets        []map[uint64][]uint32
+	candFrac, runs float64 // SelfProbe's, measured with the buckets
 }
 
 // Build scans c, computes every document's band keys under cfg and
@@ -308,7 +309,8 @@ func (s *Sidecar) write() error {
 	return w.Flush()
 }
 
-// buildBuckets partitions the documents into per-band hash tables.
+// buildBuckets partitions the documents into per-band hash tables and
+// takes SelfProbe's measures over them.
 // Ascending id insertion order makes every bucket's member list sorted,
 // which the joins rely on for deterministic candidate order.
 func (s *Sidecar) buildBuckets() {
@@ -325,6 +327,7 @@ func (s *Sidecar) buildBuckets() {
 			s.buckets[b][key] = append(s.buckets[b][key], uint32(id))
 		}
 	}
+	s.candFrac, s.runs = s.selfProbe()
 }
 
 func (s *Sidecar) hasTerms(id uint32) bool {
@@ -370,14 +373,18 @@ func (s *Sidecar) Bucket(b int, key uint64) []uint32 {
 // maxProbeSamples bounds SelfProbe's work.
 const maxProbeSamples = 256
 
-// SelfProbe measures the sidecar's candidate volume for the planner by
-// probing its own documents against its buckets: up to maxProbeSamples
-// evenly spaced documents each collect the deduplicated union of their
-// buckets' members. It returns the mean candidate fraction (candidates
-// per probe over NumDocs) and the mean number of contiguous-id
-// candidate runs per probe (each run a filtered scan resumes costs one
-// random seek). CPU-only over the resident tables, fully deterministic.
-func (s *Sidecar) SelfProbe() (candFrac, runs float64) {
+// SelfProbe returns the sidecar's candidate volume for the planner: the
+// mean candidate fraction (candidates per probe over NumDocs) and the mean
+// number of contiguous-id candidate runs per probe (each run a filtered
+// scan resumes costs one random seek). It allocates nothing: selfProbe
+// measured both when the buckets were built.
+func (s *Sidecar) SelfProbe() (candFrac, runs float64) { return s.candFrac, s.runs }
+
+// selfProbe probes the sidecar's own documents against its buckets: up
+// to maxProbeSamples evenly spaced documents each collect the
+// deduplicated union of their buckets' members. CPU-only over the
+// resident tables, fully deterministic.
+func (s *Sidecar) selfProbe() (candFrac, runs float64) {
 	if s.numDocs == 0 {
 		return 0, 0
 	}

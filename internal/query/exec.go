@@ -121,7 +121,7 @@ type ResultSet struct {
 	// Algorithm actually executed (or chosen, under ExplainOnly).
 	Algorithm core.Algorithm
 	// Estimates are the integrated algorithm's cost estimates (nil when
-	// forced).
+	// forced, the plan then being the forced algorithm's alone).
 	Estimates []costmodel.Estimate
 	// JoinStats reports the join's I/O work (nil under ExplainOnly).
 	JoinStats *core.Stats
@@ -316,10 +316,10 @@ func (e *Engine) Execute(q *Query, opts Options) (*ResultSet, error) {
 		innerIDMap = idMap
 	}
 
-	// Choose and run. The RECALL SLO only reaches the planner when the
-	// bound sidecar still describes the join's actual inner side: a
-	// selection-materialized inner is a different collection, whose band
-	// keys the sidecar does not cover.
+	// Plan once, then explain or run. The RECALL SLO only reaches the
+	// planner when the bound sidecar still describes the join's actual
+	// inner side: a selection-materialized inner is a different
+	// collection, whose band keys the sidecar does not cover.
 	jopts := core.Options{
 		Lambda:      sp.Lambda,
 		MemoryPages: opts.MemoryPages,
@@ -330,48 +330,33 @@ func (e *Engine) Execute(q *Query, opts Options) (*ResultSet, error) {
 		jopts.LSH = innerBind.LSH
 		jopts.RecallSLO = sp.Recall
 	}
-	rs := &ResultSet{}
+	alg := core.Auto
+	if opts.Force != nil {
+		alg = *opts.Force
+	}
+	dec, err := core.Plan(alg, in, jopts)
+	if err != nil {
+		return nil, err
+	}
+	rs := &ResultSet{Algorithm: dec.Chosen, Estimates: dec.Estimates}
 	if opts.ExplainOnly {
-		dec, err := core.Choose(in, jopts)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Force != nil {
-			dec.Chosen = *opts.Force
-		}
-		rs.Algorithm = dec.Chosen
-		rs.Estimates = dec.Estimates
 		rs.Plan = append(rs.Plan,
-			fmt.Sprintf("textual join: %s SIMILAR_TO(%d) %s", sp.Left, sp.Lambda, sp.Right))
-		rs.Plan = append(rs.Plan,
+			fmt.Sprintf("textual join: %s SIMILAR_TO(%d) %s", sp.Left, sp.Lambda, sp.Right),
 			fmt.Sprintf("outer %s: %d of %d documents after selections",
-				outerTable.ref.Name(), len(outerTable.surviving), outerTable.rel.NumRows()))
-		rs.Plan = append(rs.Plan,
+				outerTable.ref.Name(), len(outerTable.surviving), outerTable.rel.NumRows()),
 			fmt.Sprintf("inner %s: %d of %d documents after selections",
 				innerTable.ref.Name(), len(innerTable.surviving), innerTable.rel.NumRows()))
 		for _, e := range dec.Estimates {
-			rs.Plan = append(rs.Plan,
-				fmt.Sprintf("estimate %v: seq=%.0f rand=%.0f", e.Algorithm, e.Seq, e.Rand))
+			rs.Plan = append(rs.Plan, fmt.Sprintf("estimate %v: seq=%.0f rand=%.0f", e.Algorithm, e.Seq, e.Rand))
 		}
 		if sp.Recall > 0 {
-			rs.Plan = append(rs.Plan,
-				fmt.Sprintf("recall SLO %.3g: estimated recall %.3g", sp.Recall, dec.EstimatedRecall))
+			rs.Plan = append(rs.Plan, fmt.Sprintf("recall SLO %.3g: estimated recall %.3g", sp.Recall, dec.EstimatedRecall))
 		}
-		rs.Plan = append(rs.Plan, fmt.Sprintf("chosen: %v", dec.Chosen))
+		rs.Plan = append(rs.Plan, fmt.Sprintf("chosen: %v, holding %d bytes", dec.Chosen, dec.PeakBytes))
 		opts.Telemetry.Counter("query.explains").Add(1)
 		return rs, nil
 	}
-	var results []core.Result
-	var stats *core.Stats
-	if opts.Force != nil {
-		rs.Algorithm = *opts.Force
-		results, stats, err = core.Join(rs.Algorithm, in, jopts)
-	} else {
-		var dec core.Decision
-		results, stats, dec, err = core.JoinIntegrated(in, jopts)
-		rs.Algorithm = dec.Chosen
-		rs.Estimates = dec.Estimates
-	}
+	results, stats, err := dec.Run(in, jopts)
 	if err != nil {
 		return nil, err
 	}

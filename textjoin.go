@@ -87,7 +87,8 @@ type (
 	Match = core.Match
 	// JoinStats reports a join's I/O and work counters.
 	JoinStats = core.Stats
-	// Decision explains an integrated-algorithm choice.
+	// Decision is a planned join: Plan makes it, Decision.Run executes
+	// it, and Decision.PeakBytes is the memory it holds.
 	Decision = core.Decision
 )
 
@@ -97,6 +98,8 @@ const (
 	HVNL = core.HVNL
 	VVM  = core.VVM
 	LSH  = core.LSH
+	// Auto plans the integrated algorithm's choice.
+	Auto = core.Auto
 )
 
 // Storage and document model.
@@ -246,7 +249,8 @@ func NewSLOEngine(t *Telemetry, window time.Duration, objectives []SLOObjective)
 	return slo.New(t, time.Now, window, objectives)
 }
 
-// ParseAlgorithm maps "hhnl", "hvnl", "vvm" or "lsh" to an Algorithm.
+// ParseAlgorithm maps "hhnl", "hvnl", "vvm", "lsh" or "auto" to an
+// Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
 // ParseWeighting maps "raw", "cosine" or "tfidf" to a Weighting.
@@ -458,6 +462,12 @@ func JoinIntegrated(in Inputs, opts Options) ([]Result, *JoinStats, Decision, er
 	return core.JoinIntegrated(in, opts)
 }
 
+// Plan plans a join without reading a page — alg forced, or Auto — and
+// fails as the join would (ErrInsufficientMemory, ErrMissingInput).
+func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
+	return core.Plan(alg, in, opts)
+}
+
 // ResultDigest fingerprints a result set — outer ids, match ids and the
 // exact similarity bits, each as an 8-byte little-endian word through
 // FNV-1a — so two joins that produced byte-identical rankings share it.
@@ -480,9 +490,9 @@ func ResultDigest(results []Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Choose runs only the integrated algorithm's selection step.
+// Choose plans the integrated algorithm without running it: Plan(Auto).
 func Choose(in Inputs, opts Options) (Decision, error) {
-	return core.Choose(in, opts)
+	return core.Plan(core.Auto, in, opts)
 }
 
 // EstimateCosts evaluates all six cost formulas of Section 5.

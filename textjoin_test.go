@@ -217,3 +217,56 @@ func TestPublicQueryLayer(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanningReadsNoPage: a plan comes from resident statistics alone.
+// Planning the integrated choice and every forced algorithm — with the
+// sidecars offered — on a freshly built workspace, whose B+trees are not
+// loaded yet, moves no I/O counter, and planning a forced algorithm
+// allocates nothing. So a server can plan before it binds a view without
+// changing any join's I/O.
+func TestPlanningReadsNoPage(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	ws := NewWorkspace(WithPageSize(512))
+	var in Inputs
+	var pf Prefilter
+	var sc *LSHSidecar
+	for i, n := range []int{30, 25} {
+		c, err := ws.NewCollection([]string{"c1", "c2"}[i], randomDocuments(r, n, 60, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := ws.BuildInvertedFile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := ws.BuildSignatures(c, SignatureConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			in.Inner, in.InnerInv, pf.Inner = c, inv, sig
+			if sc, err = ws.BuildLSH(c, LSHConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			in.Outer, in.OuterInv, pf.Outer = c, inv, sig
+		}
+	}
+	opts := Options{Lambda: 4, MemoryPages: 100, Prefilter: &pf, LSH: sc, RecallSLO: 0.5}
+	before := ws.Disk().Stats()
+	for _, alg := range []Algorithm{Auto, HHNL, HVNL, VVM, LSH} {
+		dec, err := Plan(alg, in, opts)
+		if err != nil || dec.PeakBytes <= 0 {
+			t.Fatalf("plan %v: %+v, %v", alg, dec, err)
+		}
+		if after := ws.Disk().Stats(); after != before {
+			t.Fatalf("planning %v moved the I/O counters: %+v -> %+v", alg, before, after)
+		}
+		if alg == Auto {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = Plan(alg, in, opts) }); allocs != 0 {
+			t.Errorf("planning %v allocates %.0f times, want 0", alg, allocs)
+		}
+	}
+}
