@@ -14,17 +14,20 @@
 //     quarter of the ids are touched, so each accumulation is a single
 //     indexed add. A sparse row is finished through Drain, a dense one by
 //     a scan in place (Row, then Reset).
-//   - Store is VVM's: one per join, Reset between passes. It has
-//     two representations and picks between them by size, not by an
-//     expected population. A pass starts as the dense rows×cols matrix
-//     when that fits the budget M (UseDense), otherwise as a power-of-two
+//   - Store is VVM's: one per join, Reset between passes. It has two
+//     representations. A pass starts as the dense rows×cols matrix when
+//     that fits the store's limit (UseDense), otherwise as a power-of-two
 //     open-addressing table keyed by (row, inner); and when the table's
 //     next growth would make it larger than the matrix, the store moves
-//     into the matrix instead of growing. It never holds more bytes than a
-//     table fed the same adds would have reached, and Bytes is what it
-//     holds — what Stats.PeakMemoryBytes reports. The matrix is allocated
-//     once, with room for the join's largest pass when that pass will be
-//     dense as well. Both fill a dense row with the same kernel, addRow.
+//     into the matrix instead of growing. The limit is the caller's: VVM's
+//     planner passes the budget M, or the largest pass's matrix when an
+//     expected population — δ̂·rows·cols pairs — would promote the table
+//     anyway (Promotes, the same rule Add applies). So the table and its
+//     promotion are the safety net for an estimate that falls short. Bytes
+//     is what the store holds — what Stats.PeakMemoryBytes reports. The
+//     matrix is allocated once, with room for the join's largest pass when
+//     that pass will be dense as well. Both fill a dense row with the same
+//     kernel, addRow.
 //
 // Both accumulate exactly like a map[key]float64 fed the same adds in the
 // same order: per-key float sums are bit-identical (a promotion copies
@@ -194,6 +197,26 @@ func UseDense(rows, cols int, budgetBytes int64) bool {
 	return cells <= budgetBytes/8
 }
 
+// outgrows is the promotion rule: a full table of slots slots moves into
+// the rows×cols matrix instead of growing when its next growth would hold
+// more bytes than the matrix.
+func outgrows(slots, rows, cols int) bool {
+	return 2*int64(slots)*16 > int64(rows)*int64(cols)*8
+}
+
+// Promotes reports whether a pass of rows×cols that starts as the table
+// and is fed pairs distinct pairs finishes promoted into the matrix: the
+// question Store.Add answers at each full table, asked ahead of the pass.
+// It allocates nothing.
+func Promotes(rows, cols int, pairs int64) bool {
+	for slots := tableMinSize; pairs > int64(slots)*3/4; slots *= 2 {
+		if outgrows(slots, rows, cols) {
+			return true
+		}
+	}
+	return false
+}
+
 // Store is VVM's similarity store: values accumulate against (row, inner)
 // where row indexes a pass's block of outer ids and inner is an inner
 // document number 0..cols-1. It is created once per join and readied for
@@ -205,8 +228,8 @@ type Store struct {
 	rows, cols int
 	most       int // the rows of the join's largest pass
 	// limit is the largest matrix, in bytes, a pass may start dense in:
-	// the budget M, raised by every promotion to the table size the store
-	// declined to grow to.
+	// the limit New was given, raised by every promotion to the table
+	// size the store declined to grow to.
 	limit    int64
 	dense    bool
 	promoted bool      // this pass moved from the table into the matrix
@@ -214,10 +237,10 @@ type Store struct {
 	table    table     // while not dense
 }
 
-// New returns a store over cols inner documents with budgetBytes of the
-// pass budget M, readied for a pass of rows rows.
-func New(rows, cols int, budgetBytes int64) *Store {
-	s := &Store{cols: cols, limit: budgetBytes}
+// New returns a store over cols inner documents, readied for a pass of
+// rows rows, whose passes start dense while their matrix fits limitBytes.
+func New(rows, cols int, limitBytes int64) *Store {
+	s := &Store{cols: cols, limit: limitBytes}
 	s.Reset(rows)
 	return s
 }
@@ -267,7 +290,7 @@ func (s *Store) Add(row int, inner uint32, v float64) {
 	}
 	key := uint64(row)<<32 | uint64(inner)
 	for !s.table.add(key, v) {
-		if 2*s.table.bytes() > int64(s.rows)*int64(s.cols)*8 { // the matrix's bytes
+		if outgrows(len(s.table.keys), s.rows, s.cols) {
 			s.promote()
 			s.matrix[row*s.cols+int(inner)] += v
 			return

@@ -589,6 +589,35 @@ func TestStoreKeepsWhatItPromotedInto(t *testing.T) {
 	}
 }
 
+// TestPromotesMatchesStore holds the planner's question to the store's
+// answer: for random rows, cols and n distinct pairs fed to a store that
+// starts as the table, Promotes(rows, cols, n) is whether the store ends
+// promoted.
+func TestPromotesMatchesStore(t *testing.T) {
+	ended := map[bool]int{}
+	check := func(seed int64, rows8, cols8 uint8, n16 uint16) bool {
+		rows, cols := int(rows8%40)+1, int(cols8%60)+1
+		n := int(n16) % (rows*cols + 1)
+		s := New(rows, cols, 0)
+		for _, k := range rand.New(rand.NewSource(seed)).Perm(rows * cols)[:n] {
+			s.Add(k/cols, uint32(k%cols), 1)
+		}
+		promoted := s.Kind() == "promoted"
+		ended[promoted]++
+		if got := Promotes(rows, cols, int64(n)); got != promoted {
+			t.Errorf("%d×%d fed %d pairs: Promotes %v, store ended %s", rows, cols, n, got, s.Kind())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if ended[true] == 0 || ended[false] == 0 {
+		t.Errorf("stores ended promoted %d times, table %d: want both", ended[true], ended[false])
+	}
+}
+
 // TestStoreAllocatesOneMatrix runs VVM's passes on vvm_merge's shape, 1542
 // outer documents in seven passes of 220 or 221 rows over 1542 columns.
 // The first pass starts as the table and promotes; the matrix it promotes

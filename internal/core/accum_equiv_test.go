@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/telemetry"
 )
@@ -15,14 +16,40 @@ import (
 // produce byte-identical top-λ lists. These tests pin that across the
 // regime boundaries.
 
-// regimeCorpora are a dense corpus, whose tight passes outgrow the table
-// and move into the matrix, and a sparse one (a large vocabulary, short
-// documents), whose tight passes stay tables.
+// regimeCorpora are three shapes whose tight passes finish in different
+// regimes. A dense corpus has δ̂ near 1, so its tight passes are planned
+// into the matrix and start dense. A sparse one (a large vocabulary, short
+// documents) keeps its tight passes tables. In the third every document
+// holds exactly one of three terms, so δ = 1/3 exceeds the independence
+// estimate δ̂ = 1 − (1 − 1/9)³ ≈ 0.298: the plan starts its tight passes as
+// the table, which promotes.
 var regimeCorpora = []struct {
-	name          string
-	seed          int64
-	vocab, maxLen int
-}{{"dense", 0, 70, 16}, {"sparse", 3, 600, 6}}
+	name  string
+	seed  int64
+	docs  func(r *rand.Rand, n int) []*document.Document
+	tight string // a regime some tight pass finishes in
+}{
+	{"dense", 0, func(r *rand.Rand, n int) []*document.Document { return randomDocs(r, n, 70, 16) }, "dense"},
+	{"sparse", 3, func(r *rand.Rand, n int) []*document.Document { return randomDocs(r, n, 600, 6) }, "table"},
+	{"one-of-three", 0, oneTermDocs(3), "promoted"},
+}
+
+// oneTermDocs draws documents that each hold one of k terms, document i
+// term i mod k, at a random frequency of 1 to 3.
+func oneTermDocs(k int) func(r *rand.Rand, n int) []*document.Document {
+	return func(r *rand.Rand, n int) []*document.Document {
+		docs := make([]*document.Document, n)
+		for i := range docs {
+			docs[i] = document.New(uint32(i), map[uint32]int{uint32(i % k): 1 + r.Intn(3)})
+		}
+		return docs
+	}
+}
+
+// finishedIn returns how many passes reporting to tel finished in kind.
+func finishedIn(tel *telemetry.Collector, kind string) int64 {
+	return tel.Counter("join.vvm.accum." + kind).Value()
+}
 
 // coversRegimes fails unless some pass of the joins reporting to tel
 // finished in each of the store's three regimes (join.vvm.accum.<kind>):
@@ -31,7 +58,7 @@ var regimeCorpora = []struct {
 func coversRegimes(t *testing.T, tel *telemetry.Collector) {
 	t.Helper()
 	for _, kind := range []string{"dense", "table", "promoted"} {
-		if tel.Counter("join.vvm.accum."+kind).Value() == 0 {
+		if finishedIn(tel, kind) == 0 {
 			t.Errorf("no pass finished %s", kind)
 		}
 	}
@@ -39,12 +66,12 @@ func coversRegimes(t *testing.T, tel *telemetry.Collector) {
 
 // TestVVMAccumulatorRegimes runs the same join in the dense regime (one
 // roomy pass) and in many-pass splits (δ ≥ 0.5 forces the sparse estimate
-// over budget), expecting identical results, on a corpus whose tight
-// passes promote and one whose tight passes stay tables.
+// over budget), expecting identical results, on corpora whose tight passes
+// start dense, stay tables and promote.
 func TestVVMAccumulatorRegimes(t *testing.T) {
 	tel := telemetry.New()
 	for _, corpus := range regimeCorpora {
-		e := buildEnv(t, 51+corpus.seed, 45, 38, corpus.vocab, corpus.maxLen, 128)
+		e := buildEnvOf(t, 51+corpus.seed, 45, 38, 128, corpus.docs)
 		base, baseStats, err := Join(VVM, e.inputs(), Options{Lambda: 4, MemoryPages: 4000, Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
@@ -52,6 +79,7 @@ func TestVVMAccumulatorRegimes(t *testing.T) {
 		if baseStats.Passes != 1 {
 			t.Fatalf("%s base run: %d passes, want 1 (dense single pass)", corpus.name, baseStats.Passes)
 		}
+		tight := finishedIn(tel, corpus.tight)
 		for _, opts := range []Options{
 			{Lambda: 4, MemoryPages: 12, Delta: 1.0, Telemetry: tel}, // sparse, multi-pass
 			{Lambda: 4, MemoryPages: 20, Delta: 0.5, Telemetry: tel},
@@ -67,6 +95,9 @@ func TestVVMAccumulatorRegimes(t *testing.T) {
 				t.Fatalf("%s opts %+v: %v", corpus.name, opts, err)
 			}
 		}
+		if finishedIn(tel, corpus.tight) == tight {
+			t.Errorf("%s: no tight pass finished %s", corpus.name, corpus.tight)
+		}
 	}
 	coversRegimes(t, tel)
 }
@@ -77,7 +108,7 @@ func TestVVMAccumulatorRegimes(t *testing.T) {
 func TestVVMSubsetAcrossRegimes(t *testing.T) {
 	tel := telemetry.New()
 	for _, corpus := range regimeCorpora {
-		e := buildEnv(t, 53+corpus.seed, 35, 40, corpus.vocab, corpus.maxLen, 128)
+		e := buildEnvOf(t, 53+corpus.seed, 35, 40, 128, corpus.docs)
 		sub, err := e.c2.Subset([]uint32{0, 3, 4, 11, 17, 18, 19, 31, 39})
 		if err != nil {
 			t.Fatal(err)
@@ -88,10 +119,15 @@ func TestVVMSubsetAcrossRegimes(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := reference(t, sub, e.c1, 4, scorer)
-		for _, opts := range []Options{
+		var tight int64
+		for i, opts := range []Options{
 			{Lambda: 4, MemoryPages: 2000, Telemetry: tel},           // dense
-			{Lambda: 4, MemoryPages: 10, Delta: 1.0, Telemetry: tel}, // table or promoted, partitioned
+			{Lambda: 4, MemoryPages: 10, Delta: 1.0, Telemetry: tel}, // partitioned
+			{Lambda: 4, MemoryPages: 16, Delta: 1.0, Telemetry: tel}, // one pass over M
 		} {
+			if i == 1 {
+				tight = finishedIn(tel, corpus.tight)
+			}
 			got, _, err := Join(VVM, in, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -99,6 +135,9 @@ func TestVVMSubsetAcrossRegimes(t *testing.T) {
 			if err := sameResults(want, got); err != nil {
 				t.Fatalf("%s opts %+v: %v", corpus.name, opts, err)
 			}
+		}
+		if finishedIn(tel, corpus.tight) == tight {
+			t.Errorf("%s: no tight pass finished %s", corpus.name, corpus.tight)
 		}
 	}
 	coversRegimes(t, tel)

@@ -85,10 +85,18 @@ func randomDocs(r *rand.Rand, n, vocab, maxLen int) []*document.Document {
 
 func buildEnv(tb testing.TB, seed int64, n1, n2, vocab, maxLen, pageSize int) *env {
 	tb.Helper()
+	return buildEnvOf(tb, seed, n1, n2, pageSize, func(r *rand.Rand, n int) []*document.Document {
+		return randomDocs(r, n, vocab, maxLen)
+	})
+}
+
+// buildEnvOf is buildEnv over any document shape: docs draws n documents.
+func buildEnvOf(tb testing.TB, seed int64, n1, n2, pageSize int, docs func(r *rand.Rand, n int) []*document.Document) *env {
+	tb.Helper()
 	r := rand.New(rand.NewSource(seed))
 	d := iosim.NewDisk(iosim.WithPageSize(pageSize))
-	c1 := buildColl(tb, d, "c1", randomDocs(r, n1, vocab, maxLen))
-	c2 := buildColl(tb, d, "c2", randomDocs(r, n2, vocab, maxLen))
+	c1 := buildColl(tb, d, "c1", docs(r, n1))
+	c2 := buildColl(tb, d, "c2", docs(r, n2))
 	inv1 := buildInv(tb, d, c1, "c1")
 	inv2 := buildInv(tb, d, c2, "c2")
 	d.ResetStats()

@@ -10,6 +10,7 @@ import (
 	"textjoin/internal/costmodel"
 	"textjoin/internal/iosim"
 	"textjoin/internal/reqtrace"
+	"textjoin/internal/stats"
 )
 
 // Auto asks Plan for the integrated algorithm's choice.
@@ -139,6 +140,7 @@ type memory struct {
 	outerDoc, cache int64 // HVNL: ⌈S2⌉ pages, the entry cache's share
 	passBytes       int64 // VVM: M = (B − ⌈J1⌉ − ⌈J2⌉)·P
 	passes          int   // VVM: ⌈SM/M⌉ ranges, at most one per outer document
+	storeBytes      int64 // VVM: the largest matrix a pass starts dense in
 	held            int64
 }
 
@@ -234,13 +236,24 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 			return m, fmt.Errorf("%w: B=%d pages cannot hold one inverted entry from each file", ErrInsufficientMemory, opts.MemoryPages)
 		}
 		m.passes = int(min(n2, max(1, (sm+m.passBytes-1)/m.passBytes)))
-		// The store holds at most the largest pass's matrix (at least the
-		// smallest table, 16 key-value slots); a pass that starts as the
-		// table drains into a tracker per row.
+		// A pass starts dense when its matrix fits M. Otherwise it starts
+		// as the table unless δ̂·rows·N1 pairs, δ̂ measured from the
+		// document-frequency tables, would promote that table anyway: then
+		// every pass starts in the largest pass's matrix.
 		largest, trackers := int64(m.largest(int(n2))), int64(1)
+		m.storeBytes = m.passBytes
 		if !accum.UseDense(int(largest), int(n1), m.passBytes) {
-			trackers += largest
+			pairs := int64(stats.Delta(in.Inner, in.Outer.Base()) * float64(largest) * float64(n1))
+			if accum.Promotes(int(largest), int(n1), pairs) {
+				m.storeBytes = largest * n1 * accumBytes
+			} else {
+				// A pass that starts as the table drains into a tracker
+				// per row.
+				trackers += largest
+			}
 		}
+		// The store holds at most the largest pass's matrix (at least the
+		// smallest table, 16 key-value slots).
 		m.held = (j1+j2)*pageSize + max(largest*n1*accumBytes, 16*16) + trackers*tracker + rows
 	}
 	return m, nil

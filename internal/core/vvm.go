@@ -27,11 +27,14 @@ import (
 // ranges and both inverted files are re-scanned once per range.
 //
 // The similarity store is one accum.Store for the whole join, Reset
-// between passes: a pass starts as the dense range×N1 matrix when it fits
-// M, as an open-addressing table otherwise, and the table moves into the
-// matrix once it would outgrow it — never a Go map, whose hashing
-// dominated the accumulation hot loop. The store is told the largest
-// pass's rows, so the matrix is allocated once per join.
+// between passes — never a Go map, whose hashing dominated the
+// accumulation hot loop. The plan gives it its dense limit: a pass starts
+// as the dense range×N1 matrix when it fits M, or when the largest pass's
+// expected pairs, δ̂·rows·N1 with δ̂ measured from the document-frequency
+// tables, would promote a table anyway; otherwise it starts as an
+// open-addressing table, which moves into the matrix once it would outgrow
+// it. The store is told the largest pass's rows, so the matrix is
+// allocated once per join.
 //
 // When Inputs.Outer is a selection subset, only i-cells of its documents
 // accumulate — but the inverted files are still scanned in full, the
@@ -63,7 +66,7 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	track := trackIO(in.InnerInv.File(), in.OuterInv.File(), treeFile(in.InnerInv), treeFile(in.OuterInv))
 	tel, trace := opts.Telemetry, opts.Trace
 	occupancy := tel.Histogram("vvm.accum.occupancy", telemetry.DefaultSizeBuckets)
-	acc := accum.New(0, int(n1), m.passBytes)
+	acc := accum.New(0, int(n1), m.storeBytes)
 	acc.Reserve(m.largest(len(outerIDs)))
 	pass := &vvmPass{acc: acc, tk: topk.New(opts.Lambda)}
 

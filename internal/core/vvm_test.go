@@ -14,8 +14,9 @@ import (
 // and trackers are built once per join and Reset from pass to pass. A store
 // costs what its pass's rows cost, so the test holds the pass size fixed
 // and varies how many passes there are: prefixes of one outer collection,
-// two and six passes' worth of rows under one budget, on the dense corpus
-// whose first pass promotes. The longer join's extra bytes — its extra
+// two and six passes' worth of rows under one budget, on a dense corpus
+// whose passes are planned into the matrix: δ̂ says a table would promote.
+// The longer join's extra bytes — its extra
 // result rows and one pair of scans per extra pass — must stay under one
 // store's Bytes(); a store rebuilt per pass costs a store per extra pass.
 func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
@@ -65,7 +66,7 @@ func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
 	}
 	two, _ := allocated(2)
 	six, _ := allocated(6)
-	store := int64(rows) * 150 * accumBytes // a pass's matrix: its first promotes
+	store := int64(rows) * 150 * accumBytes // a pass's matrix
 	t.Logf("%d rows per pass: 2 passes %d bytes, 6 passes %d, store %d", rows, two, six, store)
 	if int64(six)-int64(two) >= store {
 		t.Errorf("6 passes allocate %d bytes, 2 passes %d: %d more, want under one store's %d",

@@ -52,24 +52,22 @@ func OverlapQReader(inner *collection.Collection, outer collection.Reader) float
 //
 // The product is evaluated in log space for stability, summed in ascending
 // term order so that the estimate is the same to the last bit on every
-// call. No documents are read.
+// call. No documents are read and nothing is allocated: the walk is over
+// the two term-indexed document-frequency tables, so a planner may call it
+// per join.
 func Delta(c1, c2 *collection.Collection) float64 {
 	n1, n2 := c1.NumDocs(), c2.NumDocs()
 	if n1 == 0 || n2 == 0 {
 		return 0
 	}
-	// Walk the smaller vocabulary.
-	small, other := c1, c2
-	if c2.Stats().T < c1.Stats().T {
-		small, other = c2, c1
-	}
 	logNone := 0.0
 	total := float64(n1) * float64(n2)
-	for _, term := range small.Terms() {
-		if !other.HasTerm(term) {
+	for term := range uint32(min(c1.TermSpan(), c2.TermSpan())) {
+		df1, df2 := c1.DF(term), c2.DF(term)
+		if df1 == 0 || df2 == 0 {
 			continue
 		}
-		p := float64(c1.DF(term)) * float64(c2.DF(term)) / total
+		p := float64(df1) * float64(df2) / total
 		if p >= 1 {
 			return 1
 		}

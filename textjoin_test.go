@@ -222,8 +222,11 @@ func TestPublicQueryLayer(t *testing.T) {
 // Planning the integrated choice and every forced algorithm — with the
 // sidecars offered — on a freshly built workspace, whose B+trees are not
 // loaded yet, moves no I/O counter, and planning a forced algorithm
-// allocates nothing. So a server can plan before it binds a view without
-// changing any join's I/O.
+// allocates nothing. That includes a VVM plan at a B whose largest pass's
+// matrix (25 rows × 30 columns × 8 bytes) does not fit M, which measures
+// δ̂ from the document-frequency tables to pick the pass's starting store.
+// So a server can plan before it binds a view without changing any join's
+// I/O.
 func TestPlanningReadsNoPage(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ws := NewWorkspace(WithPageSize(512))
@@ -253,20 +256,25 @@ func TestPlanningReadsNoPage(t *testing.T) {
 		}
 	}
 	opts := Options{Lambda: 4, MemoryPages: 100, Prefilter: &pf, LSH: sc, RecallSLO: 0.5}
+	tight := opts
+	tight.MemoryPages = 3
 	before := ws.Disk().Stats()
-	for _, alg := range []Algorithm{Auto, HHNL, HVNL, VVM, LSH} {
+	for i, alg := range []Algorithm{Auto, HHNL, HVNL, VVM, LSH, VVM} {
+		if i == 5 {
+			opts = tight
+		}
 		dec, err := Plan(alg, in, opts)
 		if err != nil || dec.PeakBytes <= 0 {
 			t.Fatalf("plan %v: %+v, %v", alg, dec, err)
 		}
 		if after := ws.Disk().Stats(); after != before {
-			t.Fatalf("planning %v moved the I/O counters: %+v -> %+v", alg, before, after)
+			t.Fatalf("planning %v at B=%d moved the I/O counters: %+v -> %+v", alg, opts.MemoryPages, before, after)
 		}
 		if alg == Auto {
 			continue
 		}
 		if allocs := testing.AllocsPerRun(10, func() { _, _ = Plan(alg, in, opts) }); allocs != 0 {
-			t.Errorf("planning %v allocates %.0f times, want 0", alg, allocs)
+			t.Errorf("planning %v at B=%d allocates %.0f times, want 0", alg, opts.MemoryPages, allocs)
 		}
 	}
 }
