@@ -66,10 +66,10 @@ race:
 # re-encode identity, the four-wide record decode against a per-cell
 # reference, the B+tree cell decoder, the document-side twin against the
 # record decode, and the corpus generator's table-resolved Zipf sampler
-# against math/rand's, and VVM's similarity store against a map through its
-# promotions. go test takes one fuzz target per run. A failing input is
-# written under the package's testdata/fuzz, which is what to commit as a
-# regression seed.
+# against math/rand's, VVM's similarity store against a map through its
+# promotions, and the λ-tracker slab against a tracker per slot. go test
+# takes one fuzz target per run. A failing input is written under the
+# package's testdata/fuzz, which is what to commit as a regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordInto$$' -fuzztime 10s ./internal/codec
@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInto$$' -fuzztime 10s ./internal/document
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfMatchesStdlib$$' -fuzztime 10s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesMap$$' -fuzztime 10s ./internal/accum
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockMatchesTopK$$' -fuzztime 10s ./internal/topk
 
 # perf is the one instrument that measures time: the four workloads of
 # BENCHMARK.json, end to end and layer by layer (benchmark/README.md).

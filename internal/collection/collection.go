@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -374,21 +375,35 @@ func (c *Collection) IDF() []float64 {
 }
 
 // Fetch reads document id with a random access, touching the ⌈S⌉-ish pages
-// the record spans.
+// the record spans, into a new document.
 func (c *Collection) Fetch(id uint32) (*document.Document, error) {
-	ref, err := c.Ref(id)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.file.ReadAt(ref.Off, int64(ref.Len))
-	if err != nil {
-		return nil, err
-	}
 	d := &document.Document{}
-	if _, err := document.DecodeInto(d, raw); err != nil {
+	if _, err := c.FetchInto(id, d, nil); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// FetchInto is Fetch decoding into d, reusing its cells. A record inside
+// one page is decoded straight out of the page image; one that crosses a
+// page is stitched into scratch, which is returned, grown, for the next
+// call — so a fetch loop that keeps both allocates nothing once they have
+// grown. It reads exactly the pages Fetch does.
+func (c *Collection) FetchInto(id uint32, d *document.Document, scratch []byte) ([]byte, error) {
+	ref, err := c.Ref(id)
+	if err != nil {
+		return scratch, err
+	}
+	off, length := ref.Off, int64(ref.Len)
+	if iosim.SpannedPages(off, length, c.file.PageSize()) > 1 {
+		scratch = slices.Grow(scratch[:0], int(length))
+	}
+	raw, err := c.file.ReadSpan(off, length, scratch)
+	if err != nil {
+		return scratch, err
+	}
+	_, err = document.DecodeInto(d, raw)
+	return scratch, err
 }
 
 // Scanner iterates documents in storage order, reading every page of the
@@ -673,32 +688,40 @@ func (s *Subset) Documents() DocIterator {
 }
 
 type subsetIterator struct {
-	s    *Subset
-	next int
+	s       *Subset
+	next    int
+	doc     document.Document // arena for NextReuse
+	scratch []byte            // stitches a record that crosses a page
 }
 
 var _ ReuseIterator = (*subsetIterator)(nil)
 
-// NextReuse is Next: random fetches decode into fresh documents (the
-// random-I/O path is dominated by page reads, not allocation), which
-// trivially satisfies the reuse contract.
-func (it *subsetIterator) NextReuse() (*document.Document, error) { return it.Next() }
-
-func (it *subsetIterator) Next() (*document.Document, error) {
+// NextReuse fetches the next selected document into the iterator's one
+// arena document, through one kept scratch buffer (Collection.FetchInto):
+// an HVNL sweep over a selection allocates nothing per document.
+func (it *subsetIterator) NextReuse() (*document.Document, error) {
 	if it.next >= len(it.s.ids) {
 		return nil, io.EOF
 	}
 	id := it.s.ids[it.next]
 	it.next++
-	doc, err := it.s.c.Fetch(id)
-	if err != nil {
+	var err error
+	if it.scratch, err = it.s.c.FetchInto(id, &it.doc, it.scratch); err != nil {
 		return nil, err
 	}
 	// Park the head so the next fetch is again charged as random: the
 	// selected documents are scattered through an originally large file
 	// and the device is assumed to serve other requests in between.
 	it.s.c.file.ParkHead()
-	return doc, nil
+	return &it.doc, nil
+}
+
+func (it *subsetIterator) Next() (*document.Document, error) {
+	d, err := it.NextReuse()
+	if err != nil {
+		return nil, err
+	}
+	return d.Clone(), nil
 }
 
 // VocabularyGrowth is the paper's estimate of the number of distinct terms

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -340,6 +341,71 @@ func TestSubsetIterationIsRandomIO(t *testing.T) {
 	}
 	if s.RandReads < 3 {
 		t.Errorf("RandReads = %d, want >= 1 per doc", s.RandReads)
+	}
+}
+
+// TestSubsetNextReuseFetchesInPlace holds the subset iterator's reuse
+// path to its stable one: on a page size most records cross, NextReuse
+// yields the selected documents in id order, with the cells Next yields,
+// at the same page reads, while allocating nothing per document — one
+// arena document and one scratch buffer serve the sweep. A fetch that
+// allocates its document or its read buffer costs at least one object per
+// document and fails at once.
+func TestSubsetNextReuseFetchesInPlace(t *testing.T) {
+	d := newDisk(64)
+	r := rand.New(rand.NewSource(13))
+	c := buildDocs(t, d, "c", randomDocs(r, 400, 80, 12))
+	var ids []uint32
+	for id := uint32(0); id < 400; id += 2 {
+		ids = append(ids, id)
+	}
+	sub, err := c.Subset(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(reuse bool) (docs []*document.Document, st iosim.Stats) {
+		d.ResetStats()
+		it := sub.Documents()
+		for {
+			var doc *document.Document
+			var err error
+			if reuse {
+				doc, err = NextReuse(it)
+			} else {
+				doc, err = it.Next()
+			}
+			if err == io.EOF {
+				return docs, d.Stats()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, doc.Clone())
+		}
+	}
+	want, wantIO := sweep(false)
+	got, gotIO := sweep(true)
+	if gotIO != wantIO {
+		t.Errorf("NextReuse sweep read %+v, Next %+v", gotIO, wantIO)
+	}
+	if len(got) != len(ids) || len(want) != len(ids) {
+		t.Fatalf("swept %d and %d documents, want %d", len(got), len(want), len(ids))
+	}
+	for i := range got {
+		if got[i].ID != ids[i] || !slices.Equal(got[i].Cells, want[i].Cells) {
+			t.Fatalf("document %d: NextReuse %+v, Next %+v", i, got[i], want[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		it := sub.Documents()
+		for {
+			if _, err := NextReuse(it); err != nil {
+				break
+			}
+		}
+	})
+	if allocs >= float64(len(ids))/4 {
+		t.Errorf("a NextReuse sweep of %d documents allocates %.0f objects, want far fewer than one per document", len(ids), allocs)
 	}
 }
 

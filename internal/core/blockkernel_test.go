@@ -195,11 +195,11 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 					key := name + string(rune('0'+mode))
 					st := stages[key]
 					if st == nil {
-						st = &blockStage{block: &block}
+						st = &blockStage{block: &block, tk: topk.NewBlock(0, lambda)}
 						stages[key] = st
 					}
 					st.scorer = scorer
-					st.begin(lists, lambda)
+					st.begin(lists)
 					want := newPairwiseStage(scorer, batch, lists, lambda)
 					for i := range streamed {
 						st.score(&streamed[i])
@@ -209,8 +209,9 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 						t.Errorf("seed %d %s lists %d batch %d: comparisons %d false passes %d, pairwise %d and %d",
 							seed, name, mode, batchNo, st.comparisons, st.falsePasses, want.comparisons, want.falsePasses)
 					}
+					rows := stageResults(st, len(batch))
 					for slot := range batch {
-						got, exp := st.trackers[slot].Results(), want.trackers[slot].Results()
+						got, exp := rows[slot], want.trackers[slot].Results()
 						if err := exactSameResults([]Result{{Matches: got}}, []Result{{Matches: exp}}); err != nil {
 							t.Fatalf("seed %d %s lists %d batch %d slot %d: %v", seed, name, mode, batchNo, slot, err)
 						}
@@ -219,6 +220,14 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stageResults is the kept matches of the stage's first n slots, as the
+// forward join flushes them.
+func stageResults(st *blockStage, n int) [][]Match {
+	rows := make([][]Match, n)
+	st.tk.Flush(n, func(slot int, kept []Match) { rows[slot] = kept })
+	return rows
 }
 
 // blockOf is a resident batch of one document per term-count map, ids from
@@ -240,7 +249,7 @@ func blockOf(counts ...map[uint32]int) []document.Document {
 // the vocabulary.
 func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
 	var block residentBlock
-	st := &blockStage{scorer: rawScorer(t), block: &block}
+	st := &blockStage{scorer: rawScorer(t), block: &block, tk: topk.NewBlock(0, 3)}
 	d := docOf(7, map[uint32]int{5: 3})
 	for i, tc := range []struct {
 		batch       []document.Document
@@ -251,11 +260,11 @@ func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
 		{blockOf(map[uint32]int{2: 1, 3: 1}, map[uint32]int{3: 2}), 0, 1},
 	} {
 		block.regroup(tc.batch)
-		st.begin(nil, 3)
+		st.begin(nil)
 		st.score(d)
 		reached := 0
-		for slot := range tc.batch {
-			reached += len(st.trackers[slot].Results())
+		for _, kept := range stageResults(st, len(tc.batch)) {
+			reached += len(kept)
 		}
 		if reached != tc.reached || st.falsePasses != tc.falsePasses || st.comparisons != 2 {
 			t.Errorf("batch %d: reached %d slots, %d false passes, %d comparisons; want %d, %d, 2",
@@ -274,8 +283,8 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 	var block residentBlock
 	block.regroup(batch)
 	scorer := rawScorer(t)
-	st := &blockStage{scorer: scorer, block: &block}
-	st.begin(nil, 3)
+	st := &blockStage{scorer: scorer, block: &block, tk: topk.NewBlock(0, 3)}
+	st.begin(nil)
 	want := newPairwiseStage(scorer, batch, nil, 3)
 	beyond := uint32(len(block.dir) + 1000)
 	for _, d := range []*document.Document{
@@ -289,8 +298,9 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 	if st.falsePasses != 1 || want.falsePasses != 1 {
 		t.Errorf("%d false passes, pairwise %d; want 1", st.falsePasses, want.falsePasses)
 	}
+	rows := stageResults(st, len(batch))
 	for slot := range batch {
-		got, exp := st.trackers[slot].Results(), want.trackers[slot].Results()
+		got, exp := rows[slot], want.trackers[slot].Results()
 		if err := exactSameResults([]Result{{Matches: got}}, []Result{{Matches: exp}}); err != nil {
 			t.Errorf("slot %d: %v", slot, err)
 		}
@@ -299,26 +309,27 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 
 // TestBlockJoinAllocationsDoNotGrowWithPasses is the go-test form of
 // alloc_kb_per_op's bound on the benchmark's hhnl_scan: the cell arena,
-// the regrouped block, every stage's accumulator and its trackers are
+// the regrouped block, every stage's accumulator and its tracker slab are
 // built once per join and reused by every batch. So, first, regrouping a
 // batch into a block that has held one as large, and readying a stage for
 // it, allocates nothing; second, the same collections joined in four or
-// more passes allocate what one pass allocates, give or take a scanner per
-// pass — and forward, where a tracker belongs to a resident slot, a whole
-// object per outer document less. A tracker set rebuilt per batch costs
-// two objects per outer document and fails the second at once.
+// more passes allocate at most what one pass allocates plus a scanner per
+// pass; third, one pass allocates fewer objects than there are outer
+// documents, forward and backward: the trackers are one slab and a batch's
+// result rows one array. A tracker or a result slice per outer document
+// fails the third at once.
 func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	batch := kernelDocs(r, 50, 0, 0, 40, 10)
 	var block residentBlock
-	st := &blockStage{block: &block}
+	st := &blockStage{block: &block, tk: topk.NewBlock(0, 3)}
 	block.regroup(batch)
-	st.begin(nil, 3)
+	st.begin(nil)
 	if allocs := testing.AllocsPerRun(10, func() {
 		block.regroup(batch[:20])
-		st.begin(nil, 3)
+		st.begin(nil)
 		block.regroup(batch)
-		st.begin(nil, 3)
+		st.begin(nil)
 	}); allocs != 0 {
 		t.Errorf("regrouping into a warm block allocates %.0f objects, want 0", allocs)
 	}
@@ -351,14 +362,11 @@ func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
 		}
 		// A pass opens one scan of the streamed side: a scanner and its
 		// buffers.
-		budget := one + 8*float64(passes)
-		if !backward {
-			// One pass builds a tracker — two objects — per outer document,
-			// four passes or more at most a quarter of them.
-			budget -= n2
-		}
-		if many > budget {
+		if budget := one + 8*float64(passes); many > budget {
 			t.Errorf("backward=%v: %.0f allocations in one pass, %.0f in %d; want at most %.0f", backward, one, many, passes, budget)
+		}
+		if one >= n2 {
+			t.Errorf("backward=%v: %.0f allocations in one pass over %d outer documents; want fewer", backward, one, n2)
 		}
 	}
 }
@@ -387,8 +395,8 @@ func BenchmarkBlockScore(b *testing.B) {
 	batch, stream := docs(2, int(p.NumDocs/3)), docs(1, int(p.NumDocs))
 	var block residentBlock
 	block.regroup(batch)
-	st := &blockStage{scorer: rawScorer(b), block: &block}
-	st.begin(nil, 20)
+	st := &blockStage{scorer: rawScorer(b), block: &block, tk: topk.NewBlock(0, 20)}
+	st.begin(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

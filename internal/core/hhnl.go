@@ -180,10 +180,11 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	outer := in.Outer.Documents()
 	filler := newBatchFiller(func() (*document.Document, error) { return collection.NextReuse(outer) },
 		b.mem.batch, 4*int64(opts.Lambda), "outer", in.Outer.NumDocs(), in.Outer.AvgDocBytes())
-	// The block, its accumulator and the stage's trackers are built once and
-	// reused by every batch.
+	// The block, its accumulator and the stage's tracker slab are built once
+	// and reused by every batch, except the slab's matches: each batch's
+	// become its result rows.
 	var block residentBlock
-	st := &blockStage{scorer: b.scorer, block: &block}
+	st := &blockStage{scorer: b.scorer, block: &block, tk: topk.NewBlock(0, opts.Lambda)}
 
 	results := make([]Result, 0, in.Outer.NumDocs())
 	for {
@@ -212,7 +213,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		}
 		invert := trace.StartChild(reqtrace.PhaseScan, invertName)
 		block.regroup(batch)
-		st.begin(lists, opts.Lambda)
+		st.begin(lists)
 		invert.End()
 
 		// One scan of the (kept) inner documents per batch. Each is scored
@@ -240,12 +241,12 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		}
 
 		flush := trace.StartChild(reqtrace.PhaseFlush, flushName)
-		for i := range batch {
-			results = append(results, Result{Outer: batch[i].ID, Matches: st.trackers[i].Results()})
-		}
+		st.tk.Flush(len(batch), func(i int, kept []Match) {
+			results = append(results, Result{Outer: batch[i].ID, Matches: kept})
+		})
 		flush.End()
 	}
-	stats.PeakMemoryBytes += block.bytes() + int64(len(st.trackers)*opts.Lambda)*matchBytes + b.extra
+	stats.PeakMemoryBytes += block.bytes() + int64(st.tk.Slots())*trackerBytes(opts.Lambda) + b.extra
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
 	recordJoinStats(tel, trace, stats)
@@ -355,32 +356,32 @@ type blockStage struct {
 	scorer *document.Scorer
 	block  *residentBlock
 	lists  [][]int32 // inner id → slots to score, ascending; nil: every slot
-	// trackers[:len(block.ids)] are the batch's; the set grows to the
-	// largest batch and is reset, not rebuilt, from batch to batch.
-	trackers []*topk.TopK
+	// tk holds a tracker per slot of the batch. It grows to the largest
+	// batch and is reset, not rebuilt, from batch to batch; Flush hands each
+	// batch's matches to its result rows.
+	tk *topk.Block
 
 	comparisons int64 // pairs the scan stands for: slots (or listed slots) per document
 	falsePasses int64 // documents that scored zero against every slot
 }
 
 // begin readies the stage for the batch the block now holds.
-func (s *blockStage) begin(lists [][]int32, lambda int) {
+func (s *blockStage) begin(lists [][]int32) {
 	s.lists, s.comparisons, s.falsePasses = lists, 0, 0
-	for len(s.trackers) < len(s.block.ids) {
-		s.trackers = append(s.trackers, topk.New(lambda))
-	}
-	for _, tk := range s.trackers[:len(s.block.ids)] {
-		tk.Reset()
-	}
+	s.tk.Reset(len(s.block.ids))
 }
 
 // score offers d1 to the tracker of every slot it reached — of every
 // listed slot it reached, under slot lists. A slot it did not reach has
 // similarity zero, which no tracker keeps. A dense row is read in place,
 // in slot order, and then Reset; a sparse one is drained.
+//
+// A dense row under an identity Finalize is the join's hot loop: each
+// pair costs one compare against the slot's bar, read in place from the
+// bar vector, and only a similarity that can enter calls into the slab.
 func (s *blockStage) score(d1 *document.Document) {
 	s.block.accumulate(s.scorer, d1)
-	ids, acc, scorer, inner := s.block.ids, s.block.acc, s.scorer, d1.ID
+	ids, acc, scorer, tk, inner := s.block.ids, s.block.acc, s.scorer, s.tk, d1.ID
 	anyHit, compared := false, len(ids)
 	switch {
 	case s.lists != nil:
@@ -388,20 +389,30 @@ func (s *blockStage) score(d1 *document.Document) {
 		for _, slot := range slots {
 			if sim := scorer.Finalize(ids[slot], inner, acc.Take(uint32(slot))); sim != 0 {
 				anyHit = true
-				s.trackers[slot].Offer(inner, sim)
+				tk.Offer(int(slot), inner, sim)
 			}
 		}
 		acc.Reset()
 		compared = len(slots)
+	case acc.Dense() && scorer.Identity():
+		row, bars := acc.Row()[:len(ids)], tk.Bars()[:len(ids)]
+		for slot, sim := range row {
+			if sim >= bars[slot] && sim > 0 {
+				anyHit = true
+				tk.Offer(slot, inner, sim)
+			}
+		}
+		// A row no tracker could take may still have reached a slot.
+		anyHit = anyHit || slices.ContainsFunc(row, func(sim float64) bool { return sim != 0 })
+		acc.Reset()
 	case acc.Dense():
-		trackers := s.trackers[:len(ids)]
 		for slot, raw := range acc.Row()[:len(ids)] {
 			if raw == 0 {
 				continue
 			}
 			if sim := scorer.Finalize(ids[slot], inner, raw); sim != 0 {
 				anyHit = true
-				trackers[slot].Offer(inner, sim)
+				tk.Offer(slot, inner, sim)
 			}
 		}
 		acc.Reset()
@@ -409,7 +420,7 @@ func (s *blockStage) score(d1 *document.Document) {
 		for _, sum := range acc.Drain() {
 			if sim := scorer.Finalize(ids[sum.ID], inner, sum.V); sim != 0 {
 				anyHit = true
-				s.trackers[sum.ID].Offer(inner, sim)
+				tk.Offer(int(sum.ID), inner, sim)
 			}
 		}
 	}
@@ -428,10 +439,10 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer, m memory) ([
 	tel, trace := opts.Telemetry, opts.Trace
 
 	// Every pass streams the outer side in the same Documents() order, so a
-	// document's position in the stream names its result row and tracker;
-	// the first pass creates both.
+	// document's position in the stream names its result row and its slot
+	// of the one tracker slab; the first pass creates the row.
 	results := make([]Result, 0, in.Outer.NumDocs())
-	trackers := make([]*topk.TopK, 0, in.Outer.NumDocs())
+	trackers := topk.NewBlock(int(in.Outer.NumDocs()), opts.Lambda)
 	filler := newBatchFiller(in.Inner.Scan().NextReuse, m.batch, 0, "inner", in.Inner.NumDocs(), in.Inner.AvgDocBytes())
 	// The same kernel with the roles swapped: the inner block is resident
 	// and regrouped, each outer document streams past it.
@@ -471,26 +482,31 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer, m memory) ([
 			}
 			if firstPass {
 				results = append(results, Result{Outer: d2.ID})
-				trackers = append(trackers, topk.New(opts.Lambda))
 			}
 			// The other finishing shape: the streamed document is the row,
 			// and every resident document it reached goes to its one tracker
-			// — in slot order from a dense row, read in place.
-			tk, acc := trackers[pos], block.acc
+			// — in slot order from a dense row, read in place, with the
+			// tracker's bar in a local.
+			acc := block.acc
 			block.accumulate(scorer, d2)
 			fin := scorer.Row(d2.ID)
 			if acc.Dense() {
+				bar := trackers.Bars()[pos]
 				for slot, raw := range acc.Row()[:len(batch)] {
-					if raw != 0 {
-						d1 := block.ids[slot]
-						tk.Offer(d1, fin.Finalize(d1, raw))
+					if raw == 0 {
+						continue
+					}
+					d1 := block.ids[slot]
+					if sim := fin.Finalize(d1, raw); sim >= bar && sim > 0 {
+						trackers.Offer(pos, d1, sim)
+						bar = trackers.Bars()[pos]
 					}
 				}
 				acc.Reset()
 			} else {
 				for _, sum := range acc.Drain() {
 					d1 := block.ids[sum.ID]
-					tk.Offer(d1, fin.Finalize(d1, sum.V))
+					trackers.Offer(pos, d1, fin.Finalize(d1, sum.V))
 				}
 			}
 			stats.Comparisons += int64(len(batch))
@@ -499,11 +515,9 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer, m memory) ([
 	}
 	stats.OuterDocs = int64(len(results))
 	flush := trace.StartChild(reqtrace.PhaseFinalize, "hhnl.backward.finalize")
-	for i, tk := range trackers {
-		results[i].Matches = tk.Results()
-	}
+	trackers.Flush(len(results), func(i int, kept []Match) { results[i].Matches = kept })
 	flush.End()
-	stats.PeakMemoryBytes += block.bytes() + int64(len(trackers)*opts.Lambda)*matchBytes
+	stats.PeakMemoryBytes += block.bytes() + int64(trackers.Slots())*trackerBytes(opts.Lambda)
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
 	recordJoinStats(tel, trace, stats)

@@ -242,17 +242,23 @@ type hvnlRows struct {
 
 // flush turns the accumulator into the outer document's row and readies it
 // for the next: every inner document the row reached is offered to the
-// tracker. A dense row is read in place, in id order, and then Reset; a
-// sparse one is drained, in first-touch order.
+// tracker. A dense row is read in place, in id order, with the tracker's
+// bar in a local, and then Reset; a sparse one is drained, in first-touch
+// order.
 func (r *hvnlRows) flush(outer uint32) {
 	fin, tk := r.scorer.Row(outer), r.tk
 	tk.Reset()
 	reached := 0
 	if r.acc.Dense() {
+		bar := tk.Bar()
 		for id, v := range r.acc.Row() {
-			if v != 0 {
-				reached++
-				tk.Offer(uint32(id), fin.Finalize(uint32(id), v))
+			if v == 0 {
+				continue
+			}
+			reached++
+			if sim := fin.Finalize(uint32(id), v); sim >= bar && sim > 0 {
+				tk.Offer(uint32(id), sim)
+				bar = tk.Bar()
 			}
 		}
 		r.acc.Reset()

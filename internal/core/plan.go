@@ -126,8 +126,13 @@ const (
 	accumBytes = 8  // a float64 similarity accumulator
 	slotBytes  = 4  // an int32 slot of a table indexed by term number
 	matchBytes = 16 // a kept match: inner id and float64 similarity
+	barBytes   = 12 // a tracker slab's slot beside its matches: an int32 count and a float64 bar
 	rowBytes   = 32 // a Result: outer id and match slice
 )
+
+// trackerBytes is one slot of a tracker slab (topk.Block): λ kept matches,
+// their count and the bar.
+func trackerBytes(lambda int) int64 { return int64(lambda)*matchBytes + barBytes }
 
 // memory is the one memory model. It splits B·P bytes among a join
 // family's parts exactly as the paper's formulas do, and adds up what the
@@ -173,11 +178,12 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 		pageSize = int64(in.InnerInv.File().PageSize())
 	}
 	total := opts.MemoryPages * pageSize
-	tracker := lambda * matchBytes
+	tracker, slabSlot := lambda*matchBytes, trackerBytes(opts.Lambda)
 	rows := n2 * (rowBytes + tracker)
 	switch {
 	case alg == HHNL && opts.Backward:
-		// C1 is resident, and every C2 document keeps a 4λ-byte tracker.
+		// C1 is resident, and every C2 document keeps a 4λ-byte tracker,
+		// held as a slot of one slab.
 		m.reserve = streamReserve(in.Outer.AvgDocBytes(), pageSize)
 		if m.batch = total - m.reserve - 4*lambda*n2; m.batch <= 0 {
 			return m, fmt.Errorf("%w: B=%d pages cannot hold the %d outer trackers plus one outer document",
@@ -185,7 +191,7 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 		}
 		slots := int64(batchSlack(int(batchDocs(n1, m.batch, in.Inner.AvgDocBytes(), 0))))
 		data := int64(math.Ceil(in.Inner.AvgDocBytes() * float64(n1)))
-		m.held = m.reserve + min(m.batch, data) + slots*accumBytes + dirBytes(in.Inner) + n2*tracker + rows
+		m.held = m.reserve + min(m.batch, data) + slots*accumBytes + dirBytes(in.Inner) + n2*slabSlot + rows
 	case alg == HHNL || alg == LSH:
 		// X = (B − ⌈S1⌉) / (S2 + 4λ/P), in bytes (runHHNL).
 		m.reserve = streamReserve(in.Inner.AvgDocBytes(), pageSize)
@@ -195,7 +201,7 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 		}
 		slots := int64(batchSlack(int(batchDocs(n2, m.batch, in.Outer.AvgDocBytes(), 4*lambda))))
 		data := int64(math.Ceil(in.Outer.AvgDocBytes()*float64(n2))) + 4*lambda*n2
-		m.held = m.reserve + min(m.batch, data) + slots*(accumBytes+tracker) + dirBytes(in.Outer) + rows
+		m.held = m.reserve + min(m.batch, data) + slots*(accumBytes+slabSlot) + dirBytes(in.Outer) + rows
 		if alg == HHNL && opts.Prefilter != nil {
 			m.held += n1 // the keep vector
 		} else if alg == LSH {
@@ -240,21 +246,21 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 		// as the table unless δ̂·rows·N1 pairs, δ̂ measured from the
 		// document-frequency tables, would promote that table anyway: then
 		// every pass starts in the largest pass's matrix.
-		largest, trackers := int64(m.largest(int(n2))), int64(1)
+		largest, tableRows := int64(m.largest(int(n2))), int64(0)
 		m.storeBytes = m.passBytes
 		if !accum.UseDense(int(largest), int(n1), m.passBytes) {
 			pairs := int64(stats.Delta(in.Inner, in.Outer.Base()) * float64(largest) * float64(n1))
 			if accum.Promotes(int(largest), int(n1), pairs) {
 				m.storeBytes = largest * n1 * accumBytes
 			} else {
-				// A pass that starts as the table drains into a tracker
-				// per row.
-				trackers += largest
+				// A pass that starts as the table drains into a slab
+				// with a tracker per row.
+				tableRows = largest
 			}
 		}
 		// The store holds at most the largest pass's matrix (at least the
 		// smallest table, 16 key-value slots).
-		m.held = (j1+j2)*pageSize + max(largest*n1*accumBytes, 16*16) + trackers*tracker + rows
+		m.held = (j1+j2)*pageSize + max(largest*n1*accumBytes, 16*16) + tracker + tableRows*slabSlot + rows
 	}
 	return m, nil
 }

@@ -202,11 +202,13 @@ type outerPrefilter struct {
 	pos  int64
 	n    int64
 
-	// Subset path.
-	sub  *collection.Subset
-	base *collection.Collection
-	ids  []uint32
-	keep []bool
+	// Subset path: each kept document is fetched into doc through scratch.
+	sub     *collection.Subset
+	base    *collection.Collection
+	ids     []uint32
+	keep    []bool
+	doc     document.Document
+	scratch []byte
 
 	// On-the-fly path.
 	plain collection.DocIterator
@@ -326,12 +328,11 @@ func (o *outerPrefilter) next() (d *document.Document, skippedID uint32, skipped
 			return nil, id, true, nil
 		}
 		// Mirror the subset iterator: one random fetch per document.
-		d, err := o.base.Fetch(id)
-		if err != nil {
+		if o.scratch, err = o.base.FetchInto(id, &o.doc, o.scratch); err != nil {
 			return nil, 0, false, err
 		}
 		o.base.File().ParkHead()
-		return d, 0, false, nil
+		return &o.doc, 0, false, nil
 	default:
 		d, err := collection.NextReuse(o.plain)
 		if err != nil {

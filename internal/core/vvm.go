@@ -98,7 +98,7 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 		}
 
 		finalize := trace.StartChild(reqtrace.PhaseFinalize, "vvm.emit-range")
-		pass.emit(scorer, opts.Lambda)
+		pass.emit(scorer)
 		finalize.End()
 		stats.Accumulations += pass.count
 		store = max(store, pass.acc.Bytes())
@@ -109,10 +109,11 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 		}
 	}
 
-	// One entry from each file, the store and the trackers.
+	// One entry from each file, the store, the dense drain's tracker and
+	// the table drain's slab.
 	pageSize := int64(in.InnerInv.File().PageSize())
 	stats.PeakMemoryBytes = opts.MemoryPages*pageSize - m.passBytes + store +
-		int64((1+len(pass.rows))*opts.Lambda)*matchBytes
+		int64(opts.Lambda)*matchBytes + int64(len(pass.rows))*trackerBytes(opts.Lambda)
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.InnerInv.File()))
 	recordJoinStats(tel, trace, stats)
@@ -124,9 +125,11 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 type vvmPass struct {
 	acc *accum.Store
 	tk  *topk.TopK // the dense drain's one tracker
-	// rows are the table drain's per-row trackers, grown to the largest
-	// pass and reused from pass to pass.
+	// rows and tks are the table drain's per-row state and trackers, made
+	// by the first table drain, grown to the largest pass and reused from
+	// pass to pass; each pass's result rows take its slab of matches.
 	rows []vvmRow
+	tks  *topk.Block
 
 	set   *accum.IDSet
 	ids   []uint32 // the pass's outer ids, ascending
@@ -139,7 +142,6 @@ type vvmPass struct {
 type vvmRow struct {
 	live bool // the pass offered this row a pair
 	fin  document.Row
-	tk   *topk.TopK
 }
 
 // begin readies the pass over ids, emitted into out.
@@ -165,18 +167,23 @@ func (s *vvmPass) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
 // emit writes the λ best matches for every outer document of the pass,
 // including documents with no non-zero similarity (nil Matches). ids is
 // ascending, so row order is emission order. A dense store drains row by
-// row through the one tracker; a table drains in slot order into a
-// tracker per row.
-func (s *vvmPass) emit(scorer *document.Scorer, lambda int) {
+// row through the one tracker, its bar in a local; a table drains in slot
+// order into a slab with a tracker per row.
+func (s *vvmPass) emit(scorer *document.Scorer) {
 	if s.acc.Dense() {
 		for row, id := range s.ids {
 			fin, touched := scorer.Row(id), false
 			s.tk.Reset()
+			bar := s.tk.Bar()
 			for inner, raw := range s.acc.Row(row) {
-				if raw != 0 {
-					touched = true
-					s.pairs++
-					s.tk.Offer(uint32(inner), fin.Finalize(uint32(inner), raw))
+				if raw == 0 {
+					continue
+				}
+				touched = true
+				s.pairs++
+				if sim := fin.Finalize(uint32(inner), raw); sim >= bar && sim > 0 {
+					s.tk.Offer(uint32(inner), sim)
+					bar = s.tk.Bar()
 				}
 			}
 			s.out[row] = Result{Outer: id}
@@ -186,31 +193,31 @@ func (s *vvmPass) emit(scorer *document.Scorer, lambda int) {
 		}
 		return
 	}
-	for len(s.rows) < len(s.ids) {
-		s.rows = append(s.rows, vvmRow{})
+	if len(s.rows) < len(s.ids) {
+		s.rows = make([]vvmRow, len(s.ids))
+	}
+	if s.tks == nil {
+		s.tks = topk.NewBlock(0, s.tk.K())
 	}
 	rows := s.rows[:len(s.ids)]
 	for i := range rows {
 		rows[i].live = false
 	}
+	s.tks.Reset(len(rows))
 	s.acc.ForEach(func(row int, inner uint32, raw float64) {
 		s.pairs++
 		r := &rows[row]
 		if !r.live {
 			r.live, r.fin = true, scorer.Row(s.ids[row])
-			if r.tk == nil {
-				r.tk = topk.New(lambda)
-			}
-			r.tk.Reset()
 		}
-		r.tk.Offer(inner, r.fin.Finalize(inner, raw))
+		s.tks.Offer(row, inner, r.fin.Finalize(inner, raw))
 	})
-	for row, id := range s.ids {
-		s.out[row] = Result{Outer: id}
+	s.tks.Flush(len(rows), func(row int, kept []Match) {
+		s.out[row] = Result{Outer: s.ids[row]}
 		if rows[row].live {
-			s.out[row].Matches = rows[row].tk.Results()
+			s.out[row].Matches = kept
 		}
-	}
+	})
 }
 
 // rangeIDs returns pass p's slice of the outer ids.

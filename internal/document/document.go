@@ -333,6 +333,10 @@ func (s *Scorer) Finalize(outer, inner uint32, raw float64) float64 {
 	return s.Row(outer).Finalize(inner, raw)
 }
 
+// Identity reports whether Finalize returns every raw score unchanged, as
+// under every weighting but cosine, so a caller may skip the call.
+func (s *Scorer) Identity() bool { return s.weighting != Cosine }
+
 // Row is the scorer fixed to one outer document, so a join finalizing many
 // pairs of the same outer document looks its norm up once.
 type Row struct {

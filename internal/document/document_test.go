@@ -186,8 +186,8 @@ func TestScorerRaw(t *testing.T) {
 	if s.TermFactor(3) != 1 {
 		t.Errorf("TermFactor = %v, want 1", s.TermFactor(3))
 	}
-	if got := s.Finalize(1, 2, 20); got != 20 {
-		t.Errorf("Finalize = %v, want identity", got)
+	if got := s.Finalize(1, 2, 20); got != 20 || !s.Identity() {
+		t.Errorf("Finalize = %v, Identity %v; want identity", got, s.Identity())
 	}
 }
 
@@ -217,6 +217,9 @@ func TestScorerCosine(t *testing.T) {
 	if got, want := s.Row(1).Finalize(2, 10), s.Finalize(1, 2, 10); got != want || got != 10.0/50 {
 		t.Errorf("Row(1).Finalize(2, 10) = %v, Finalize %v, want 0.2", got, want)
 	}
+	if s.Identity() {
+		t.Error("a cosine scorer reports an identity Finalize")
+	}
 }
 
 func TestScorerTFIDF(t *testing.T) {
@@ -236,6 +239,9 @@ func TestScorerTFIDF(t *testing.T) {
 	}
 	if got := s.TermFactor(999); got != 0 {
 		t.Errorf("TermFactor(unknown) = %v, want 0", got)
+	}
+	if got := s.Finalize(1, 2, 14); got != 14 || !s.Identity() {
+		t.Errorf("Finalize = %v, Identity %v; want identity", got, s.Identity())
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package topk tracks the λ largest similarities for one outer document.
+// Package topk tracks the λ largest similarities per outer document.
 //
 // Every join algorithm in the paper ends the processing of an outer
 // document by identifying the λ documents of the inner collection with the
@@ -6,11 +6,18 @@
 // incrementally ("keep track of only those documents ... which have the λ
 // largest similarities"), replacing the smallest kept similarity whenever a
 // larger one arrives. This package implements that structure as a sorted
-// array of λ with an inline bar: the kept matches are held best-first, and
-// once the array is full a candidate below the worst kept similarity is
-// rejected by one comparison that inlines into every caller, so a join
-// pays a call only for a candidate that can enter. Ties break by document
-// number, so all three algorithms produce byte-identical results.
+// array of λ with a bar: the kept matches are held best-first, and once the
+// array is full a candidate below the worst kept similarity is rejected by
+// one comparison, so a join pays a call only for a candidate that can
+// enter. Ties break by document number, so all three algorithms produce
+// byte-identical results.
+//
+// A TopK is one tracker, for a join that finishes one outer document at a
+// time. A Block is n trackers in one slab, for a join that keeps a row per
+// resident document: their kept matches in one array, which becomes the
+// rows' results, and their bars in one vector, which a drain tests in
+// place. Both insert through one routine, so a Block's slot keeps exactly
+// what a TopK would.
 //
 // Only non-zero similarities are candidates: the paper's accumulating
 // algorithms store only non-zero intermediate similarities, so a document
@@ -34,10 +41,39 @@ func Less(a, b Match) bool {
 	return a.Doc < b.Doc
 }
 
+// insert places m, which cleared the bar, among the n matches kept
+// best-first at the front of kept, whose length is the capacity λ, and
+// returns the new count, or -1 when m is not kept. It walks up from the
+// worst end, so a candidate that only just clears the bar lands near it:
+// first past every kept match of lower similarity, one compare per step,
+// then past the equal ones of higher document number — the place Less
+// gives. A full array drops its worst match, or m itself when m ties the
+// bar by a higher document number.
+func insert(kept []Match, n int, m Match) int {
+	i := n
+	if n == len(kept) {
+		i--
+		if !Less(m, kept[i]) {
+			return -1
+		}
+	} else {
+		n++
+	}
+	for ; i > 0 && kept[i-1].Sim < m.Sim; i-- {
+		kept[i] = kept[i-1]
+	}
+	for ; i > 0 && kept[i-1].Sim == m.Sim && kept[i-1].Doc > m.Doc; i-- {
+		kept[i] = kept[i-1]
+	}
+	kept[i] = m
+	return n
+}
+
 // TopK keeps the k best matches seen so far.
 //
 // The zero value is not usable; create with New. TopK is not safe for
-// concurrent use: each outer document owns its own tracker.
+// concurrent use: a join reuses its tracker from one outer document to the
+// next.
 type TopK struct {
 	// kept holds the matches best-first; its capacity is k.
 	kept []Match
@@ -61,38 +97,30 @@ func (t *TopK) K() int { return cap(t.kept) }
 // Len returns how many matches are currently kept.
 func (t *TopK) Len() int { return len(t.kept) }
 
+// Bar returns the similarity a candidate must reach to be considered: 0
+// until the tracker is full, then its worst kept similarity. It changes
+// only when an Offer keeps its candidate, so a drain over one tracker may
+// hold it in a local and test sim >= bar && sim > 0, Offer's own test,
+// before calling Offer.
+func (t *TopK) Bar() float64 { return t.bar }
+
 // Offer considers a candidate match and reports whether it was kept.
 // Candidates with zero or negative similarity are never kept.
 func (t *TopK) Offer(doc uint32, sim float64) bool {
-	if sim < t.bar || sim <= 0 {
-		return false
+	if sim >= t.bar && sim > 0 {
+		return t.insert(Match{Doc: doc, Sim: sim})
 	}
-	return t.insert(Match{Doc: doc, Sim: sim})
+	return false
 }
 
-// insert places a candidate that cleared the bar, walking up from the
-// worst end, so one that only just clears it lands near it; it shifts
-// every kept match it beats, at most λ. A full tracker drops its worst
-// match — or the candidate, when it ties the bar by a higher document
-// number.
 func (t *TopK) insert(m Match) bool {
-	kept := t.kept
-	i := len(kept)
-	if i == cap(kept) {
-		i--
-		if !Less(m, kept[i]) {
-			return false
-		}
-	} else {
-		kept = kept[:i+1]
+	n := insert(t.kept[:cap(t.kept)], len(t.kept), m)
+	if n < 0 {
+		return false
 	}
-	for ; i > 0 && Less(m, kept[i-1]); i-- {
-		kept[i] = kept[i-1]
-	}
-	kept[i] = m
-	t.kept = kept
-	if len(kept) == cap(kept) {
-		t.bar = kept[len(kept)-1].Sim
+	t.kept = t.kept[:n]
+	if n == cap(t.kept) {
+		t.bar = t.kept[n-1].Sim
 	}
 	return true
 }
@@ -107,6 +135,91 @@ func (t *TopK) Results() []Match {
 
 // Reset empties the tracker for reuse on the next outer document.
 func (t *TopK) Reset() { t.kept, t.bar = t.kept[:0], 0 }
+
+// Block is n trackers of k in one slab: slot s keeps its matches
+// best-first in kept[s·k:], their count in lens[s] and its bar in bars[s].
+// A drain that offers a row to many slots tests the bar vector in place
+// and calls into the slab only for a candidate that can enter.
+//
+// The zero value is not usable; create with NewBlock. A Block is not safe
+// for concurrent use.
+type Block struct {
+	k    int
+	n    int // slots in use, at most len(bars)
+	kept []Match
+	lens []int32
+	bars []float64
+}
+
+// NewBlock creates n empty trackers keeping the k best matches each. k
+// must be positive.
+func NewBlock(n, k int) *Block {
+	if k <= 0 {
+		panic("topk: k must be positive")
+	}
+	b := &Block{k: k}
+	b.Reset(n)
+	return b
+}
+
+// Reset readies slots 0..n-1, empty, for reuse. It keeps the slab unless
+// Flush gave it away or n outgrows it, and the count and bar vectors
+// unless n exceeds every earlier n.
+func (b *Block) Reset(n int) {
+	if n > len(b.bars) {
+		b.lens = make([]int32, n)
+		b.bars = make([]float64, n)
+	}
+	if len(b.kept) < n*b.k {
+		b.kept = make([]Match, n*b.k)
+	}
+	b.n = n
+	clear(b.lens[:n])
+	clear(b.bars[:n])
+}
+
+// Slots returns the most slots any Reset has readied.
+func (b *Block) Slots() int { return len(b.bars) }
+
+// Bars returns the bar of every slot in use, indexed by slot: what TopK.Bar
+// is for one tracker. A caller may read it, in place, to skip an Offer
+// that could not keep its candidate; it must not write it.
+func (b *Block) Bars() []float64 { return b.bars[:b.n] }
+
+// Offer considers a candidate match for slot and reports whether it was
+// kept, exactly as TopK.Offer does.
+func (b *Block) Offer(slot int, doc uint32, sim float64) bool {
+	if sim >= b.bars[slot] && sim > 0 {
+		return b.insert(slot, Match{Doc: doc, Sim: sim})
+	}
+	return false
+}
+
+func (b *Block) insert(slot int, m Match) bool {
+	kept := b.kept[slot*b.k : (slot+1)*b.k]
+	n := insert(kept, int(b.lens[slot]), m)
+	if n < 0 {
+		return false
+	}
+	b.lens[slot] = int32(n)
+	if n == b.k {
+		b.bars[slot] = kept[n-1].Sim
+	}
+	return true
+}
+
+// Flush hands the kept matches of slots 0..n-1 to emit in slot order,
+// best-first, each a slice of the slab with its capacity cut to its length
+// (non-nil, an empty one included), and gives the slab away with them: no
+// match is copied, and the next Reset starts a new slab. Only Reset may
+// follow Flush.
+func (b *Block) Flush(n int, emit func(slot int, kept []Match)) {
+	for slot, l := range b.lens[:n] {
+		lo, hi := slot*b.k, slot*b.k+int(l)
+		emit(slot, b.kept[lo:hi:hi])
+	}
+	b.kept, b.n = nil, 0
+}
 
 // Select returns the k best matches of a full candidate slice, best-first,
 // using the same candidate rules as TopK (non-positive similarities are

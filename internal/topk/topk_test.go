@@ -294,3 +294,137 @@ func TestQuickResultsOrderUnderTies(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzBlockMatchesTopK holds the slab to the single tracker: a Block and a
+// TopK per slot take the same stream of Resets — to a random slot count,
+// shrinking and growing the slab — and offers, whose small integer
+// similarities make ties at the bar common and include zeros and
+// negatives. Every Offer must answer as its slot's TopK's does, every bar
+// must equal its TopK's, and before each Reset and at the end every slot's
+// flushed row must be its TopK's Results, which must be a sort-and-cut of
+// the slot's offers — and the row must still hold them at the end, after
+// the slab has been reset and refilled. The sort-and-cut catches a fault
+// in the insert routine the two trackers share.
+//
+// Each byte of ops is an op: 0xf0 and above resets to the next byte mod 40
+// slots; any other is an offer to slot op mod n of document (next byte) mod
+// 32 at similarity (byte after) mod 9 − 2.
+func FuzzBlockMatchesTopK(f *testing.F) {
+	f.Add(uint8(2), []byte{0xf0, 3, 0, 1, 5, 1, 2, 5, 2, 3, 5, 0, 4, 5, 0, 0, 2, 0xf1, 1, 0, 9, 8})
+	f.Add(uint8(0), []byte{0xff, 5, 4, 7, 2, 4, 3, 2, 4, 2, 2, 4, 1, 0, 0xf0, 39, 38, 1, 1})
+	f.Add(uint8(7), []byte{0xf2, 0, 1, 2, 3, 0xf3, 2, 1, 2, 10})
+	f.Add(uint8(0), []byte{0xf0, 2, 0, 1, 8, 0xf0, 2, 0, 2, 3}) // a full slot, Reset, then a lower offer
+	f.Add(uint8(1), []byte{0xf0, 1, 0, 5, 7, 0, 3, 7, 0, 1, 7}) // ties arriving by falling document
+	f.Fuzz(func(t *testing.T, kSeed uint8, ops []byte) {
+		k := int(kSeed%8) + 1
+		blk := NewBlock(0, k)
+		var tks []*TopK
+		var offered [][]Match // each slot's candidates since its Reset
+		// Every row flushed so far, with what it must still hold.
+		var rows, wants [][]Match
+		same := func(got, want []Match) bool {
+			if got == nil || len(got) != len(want) || cap(got) != len(got) {
+				return false
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+			return true
+		}
+		check := func() {
+			n := 0
+			blk.Flush(len(tks), func(slot int, kept []Match) {
+				n++
+				want := tks[slot].Results()
+				if ref := referenceSelect(k, offered[slot]); !same(want, ref) {
+					t.Fatalf("k=%d slot %d: TopK %v, sort-and-cut %v", k, slot, want, ref)
+				}
+				if !same(kept, want) {
+					t.Fatalf("k=%d slot %d: flushed %v (cap %d), TopK %v", k, slot, kept, cap(kept), want)
+				}
+				rows, wants = append(rows, kept), append(wants, want)
+			})
+			if n != len(tks) {
+				t.Fatalf("k=%d: Flush emitted %d of %d slots", k, n, len(tks))
+			}
+		}
+		for i := 0; i < len(ops); i++ {
+			op := ops[i]
+			if op >= 0xf0 {
+				check()
+				n := 0
+				if i+1 < len(ops) {
+					i++
+					n = int(ops[i] % 40)
+				}
+				blk.Reset(n)
+				tks, offered = tks[:0], offered[:0]
+				for len(tks) < n {
+					tks, offered = append(tks, New(k)), append(offered, nil)
+				}
+				if len(blk.Bars()) != n || blk.Slots() < n {
+					t.Fatalf("Reset(%d): %d bars, %d slots", n, len(blk.Bars()), blk.Slots())
+				}
+				continue
+			}
+			if len(tks) == 0 || i+2 >= len(ops) {
+				continue
+			}
+			slot := int(op) % len(tks)
+			doc, sim := uint32(ops[i+1]%32), float64(int(ops[i+2]%9)-2)
+			i += 2
+			offered[slot] = append(offered[slot], Match{Doc: doc, Sim: sim})
+			if got, want := blk.Offer(slot, doc, sim), tks[slot].Offer(doc, sim); got != want {
+				t.Fatalf("k=%d slot %d: Offer(%d, %v) = %v, TopK %v", k, slot, doc, sim, got, want)
+			}
+			if bar := blk.Bars()[slot]; bar != tks[slot].Bar() {
+				t.Fatalf("k=%d slot %d: bar %v, TopK %v", k, slot, bar, tks[slot].Bar())
+			}
+		}
+		check()
+		for i := range rows {
+			if !same(rows[i], wants[i]) {
+				t.Fatalf("k=%d: flushed row %d now holds %v, want %v", k, i, rows[i], wants[i])
+			}
+		}
+	})
+}
+
+// A round of a block — Reset, offers, Flush — allocates one object, the
+// slab Flush hands out as the rows, however many slots there are: it runs
+// once per batch on the block joins' flush path. The rows handed out
+// survive the next round.
+func TestBlockFlushHandsOverTheSlab(t *testing.T) {
+	blk := NewBlock(50, 4)
+	var first [][]Match
+	round := func(bonus float64) {
+		blk.Reset(50)
+		for slot := 0; slot < 50; slot++ {
+			for doc := uint32(0); doc < uint32(slot%7); doc++ {
+				blk.Offer(slot, doc, float64(doc+1)+bonus)
+			}
+		}
+		blk.Flush(50, func(slot int, kept []Match) {
+			if len(first) < 50 {
+				first = append(first, kept)
+			}
+		})
+	}
+	round(0)
+	if allocs := testing.AllocsPerRun(100, func() { round(10) }); allocs != 1 {
+		t.Errorf("a round of 50 slots allocates %.0f objects, want 1", allocs)
+	}
+	for slot, kept := range first {
+		want := min(slot%7, 4)
+		if kept == nil || len(kept) != want || cap(kept) != want {
+			t.Fatalf("slot %d: flushed %v (cap %d), want %d matches", slot, kept, cap(kept), want)
+		}
+		for i, m := range kept {
+			if w := (Match{Doc: uint32(slot%7 - 1 - i), Sim: float64(slot%7 - i)}); m != w {
+				t.Fatalf("slot %d after later rounds: %v, want %v at %d", slot, kept, w, i)
+			}
+		}
+	}
+}
