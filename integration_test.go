@@ -44,11 +44,6 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	}
 	variants := []variant{
 		{"hhnl", func() ([]Result, *JoinStats, error) { return Join(HHNL, in, opts) }},
-		{"hhnl-backward", func() ([]Result, *JoinStats, error) {
-			o := opts
-			o.Backward = true
-			return Join(HHNL, in, o)
-		}},
 		{"hvnl", func() ([]Result, *JoinStats, error) { return Join(HVNL, in, opts) }},
 		{"vvm", func() ([]Result, *JoinStats, error) { return Join(VVM, in, opts) }},
 	}

@@ -83,7 +83,7 @@ func TestJoinsStartNoGoroutines(t *testing.T) {
 // path, and the builds count into arenas), names a map type — not in a
 // field, a local, a make or a literal — or imports container/heap, whose
 // interface boxes every push.
-// Terms, documents, slots and stream positions are dense numbers, so
+// Terms, documents and slots are dense numbers, so
 // every table a join keeps is a slice indexed by one, and a hash on a
 // join path is a regression. There is no allowlist.
 func TestJoinFilesHoldNoMaps(t *testing.T) {

@@ -83,8 +83,7 @@ type kernelScorer struct {
 func kernelScorers(t *testing.T, r *rand.Rand, resident, streamed []document.Document, vocab int) []kernelScorer {
 	t.Helper()
 	// One norm table serves as both sides' (a map for the outer side, a
-	// slice by id for the inner): the test scores every pair in both role
-	// assignments.
+	// slice by id for the inner).
 	norms := map[uint32]float64{}
 	var innerNorms []float64
 	for _, docs := range [][]document.Document{resident, streamed} {
@@ -139,8 +138,7 @@ func kernelLists(r *rand.Rand, mode, streamed, slots int) [][]int32 {
 // and slot-list regime, the similarities the shared kernel (accum.Flat's
 // AddCells, fed by residentBlock.accumulate) leaves, as its dense Row or
 // its sparse Drain hands them out, are the pairwise scorer's to the last
-// bit — in both role assignments, forward
-// HHNL's and backward HHNL's — and a stage fed through it ends with the
+// bit, and a stage fed through it ends with the
 // trackers, comparisons and false passes of the pairwise loop. Each trial
 // runs several batches through one block and one stage, as a join does.
 func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
@@ -179,13 +177,9 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 					}
 					for slot := range batch {
 						res, raw := &batch[slot], drained[uint32(slot)]
-						fwd := scorer.Finalize(res.ID, d.ID, raw)
-						if want := scorer.Score(res, d); math.Float64bits(fwd) != math.Float64bits(want) {
-							t.Fatalf("seed %d %s batch %d: resident %d × streamed %d = %v, pairwise %v", seed, name, batchNo, res.ID, d.ID, fwd, want)
-						}
-						bwd := scorer.Finalize(d.ID, res.ID, raw)
-						if want := scorer.Score(d, res); math.Float64bits(bwd) != math.Float64bits(want) {
-							t.Fatalf("seed %d %s batch %d: streamed %d × resident %d = %v, pairwise %v", seed, name, batchNo, d.ID, res.ID, bwd, want)
+						sim := scorer.Finalize(res.ID, d.ID, raw)
+						if want := scorer.Score(res, d); math.Float64bits(sim) != math.Float64bits(want) {
+							t.Fatalf("seed %d %s batch %d: resident %d × streamed %d = %v, pairwise %v", seed, name, batchNo, res.ID, d.ID, sim, want)
 						}
 					}
 				}
@@ -223,7 +217,7 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 }
 
 // stageResults is the kept matches of the stage's first n slots, as the
-// forward join flushes them.
+// join flushes them.
 func stageResults(st *blockStage, n int) [][]Match {
 	rows := make([][]Match, n)
 	st.tk.Flush(n, func(slot int, kept []Match) { rows[slot] = kept })
@@ -315,8 +309,8 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 // it, allocates nothing; second, the same collections joined in four or
 // more passes allocate at most what one pass allocates plus a scanner per
 // pass; third, one pass allocates fewer objects than there are outer
-// documents, forward and backward: the trackers are one slab and a batch's
-// result rows one array. A tracker or a result slice per outer document
+// documents: the trackers are one slab and a batch's result rows one
+// array. A tracker or a result slice per outer document
 // fails the third at once.
 func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -339,35 +333,29 @@ func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
 	c1 := buildColl(t, d, "c1", randomDocs(r, 60, 50, 10))
 	c2 := buildColl(t, d, "c2", randomDocs(r, n2, 50, 10))
 	in := Inputs{Outer: c2, Inner: c1}
-	for _, backward := range []bool{false, true} {
-		allocs := func(pages int64) (allocs float64, passes int) {
-			opts := Options{Lambda: 3, MemoryPages: pages, Backward: backward}
-			allocs = testing.AllocsPerRun(5, func() {
-				res, st, err := Join(HHNL, in, opts)
-				if err != nil || len(res) != n2 {
-					t.Fatalf("backward=%v B=%d: rows=%d stats=%+v err=%v", backward, pages, len(res), st, err)
-				}
-				passes = st.Passes
-			})
-			return allocs, passes
-		}
-		pages := int64(8)
-		if backward {
-			pages = 12 // the outer trackers are resident as well
-		}
-		one, passes1 := allocs(4000)
-		many, passes := allocs(pages)
-		if passes1 != 1 || passes < 4 {
-			t.Fatalf("backward=%v: %d and %d passes, want 1 and at least 4", backward, passes1, passes)
-		}
-		// A pass opens one scan of the streamed side: a scanner and its
-		// buffers.
-		if budget := one + 8*float64(passes); many > budget {
-			t.Errorf("backward=%v: %.0f allocations in one pass, %.0f in %d; want at most %.0f", backward, one, many, passes, budget)
-		}
-		if one >= n2 {
-			t.Errorf("backward=%v: %.0f allocations in one pass over %d outer documents; want fewer", backward, one, n2)
-		}
+	allocs := func(pages int64) (allocs float64, passes int) {
+		opts := Options{Lambda: 3, MemoryPages: pages}
+		allocs = testing.AllocsPerRun(5, func() {
+			res, st, err := Join(HHNL, in, opts)
+			if err != nil || len(res) != n2 {
+				t.Fatalf("B=%d: rows=%d stats=%+v err=%v", pages, len(res), st, err)
+			}
+			passes = st.Passes
+		})
+		return allocs, passes
+	}
+	one, passes1 := allocs(4000)
+	many, passes := allocs(8)
+	if passes1 != 1 || passes < 4 {
+		t.Fatalf("%d and %d passes, want 1 and at least 4", passes1, passes)
+	}
+	// A pass opens one scan of the streamed side: a scanner and its
+	// buffers.
+	if budget := one + 8*float64(passes); many > budget {
+		t.Errorf("%.0f allocations in one pass, %.0f in %d; want at most %.0f", one, many, passes, budget)
+	}
+	if one >= n2 {
+		t.Errorf("%.0f allocations in one pass over %d outer documents; want fewer", one, n2)
 	}
 }
 
@@ -375,7 +363,7 @@ func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
 // shape: a resident batch of a third of a WSJ/96 collection (343
 // documents), regrouped once, and the inner WSJ/96 documents streamed past
 // it one per iteration under raw tf — blockStage.score's accumulate and
-// finish, the loop a forward HHNL join spends its CPU in. It must allocate
+// finish, the loop an HHNL join spends its CPU in. It must allocate
 // nothing.
 //
 //	go test -run '^$' -bench BlockScore -benchmem ./internal/core

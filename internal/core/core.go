@@ -117,9 +117,6 @@ type Options struct {
 	// to size HVNL's accumulator reservation and VVM's partitions.
 	// Defaults to 0.1, the paper's base value.
 	Delta float64
-	// Backward runs HHNL in backward order (C1 outer): an extension the
-	// paper mentions and defers to the technical report.
-	Backward bool
 	// CachePolicy selects HVNL's entry replacement policy. The default
 	// is the paper's MinOuterDF.
 	CachePolicy entrycache.Policy

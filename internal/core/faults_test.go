@@ -45,15 +45,6 @@ func TestJoinsPropagateStorageFaults(t *testing.T) {
 	}
 }
 
-func TestBackwardHHNLPropagatesFaults(t *testing.T) {
-	e := buildEnv(t, 32, 20, 20, 40, 10, 128)
-	e.disk.InjectFaults(iosim.FaultPlan{FailAfterReads: 5, Repeat: true})
-	_, _, err := Join(HHNL, e.inputs(), Options{Lambda: 3, MemoryPages: 100, Backward: true})
-	if !errors.Is(err, iosim.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-}
-
 func TestHVNLPropagatesBTreeFaults(t *testing.T) {
 	e := buildEnv(t, 33, 20, 20, 40, 10, 128)
 	// Fail reads of the B+tree file specifically: LoadIndex must fail.

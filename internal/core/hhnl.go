@@ -41,22 +41,14 @@ import (
 // postings into an accumulator (residentBlock.accumulate), not X merge
 // walks. The whole join runs on the calling goroutine.
 //
-// With Options.Backward the loop order flips (an extension the paper
-// defers to the technical report): blocks of C1 are held in memory while
-// C2 is scanned once per block, with all C2 trackers kept across blocks.
-//
 // With Options.Prefilter the inner scan of each batch skips clusters,
 // pages and documents whose aggregate signatures are disjoint from the
 // batch's OR-signature — a provably zero similarity for every resident
-// outer document, so results are byte-identical. The backward variant
-// ignores the prefilter (its resident side is the inner collection).
+// outer document, so results are byte-identical.
 func runHHNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	scorer, err := in.scorer(opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	if opts.Backward {
-		return hhnlBackward(in, opts, scorer, m)
 	}
 	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, scanName: "hhnl.inner-scan",
 		stats: &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}}
@@ -98,7 +90,6 @@ type batchFiller struct {
 	next     func() (*document.Document, error)
 	budget   int64
 	overhead int64
-	side     string // "outer" or "inner", for the oversized-document error
 	pending  *document.Document
 	done     bool
 	docs     []document.Document
@@ -112,10 +103,10 @@ func batchSlack(n int) int { return n + n/16 + 1 }
 
 // newBatchFiller sizes the arena for a full batch of average documents of
 // a stream of n documents of avgBytes packed bytes each.
-func newBatchFiller(next func() (*document.Document, error), budget, overhead int64, side string, n int64, avgBytes float64) *batchFiller {
+func newBatchFiller(next func() (*document.Document, error), budget, overhead, n int64, avgBytes float64) *batchFiller {
 	docs := batchDocs(n, budget, avgBytes, overhead)
 	cells := docs * (avgBytes - codec.DocHeaderSize) / codec.CellSize
-	return &batchFiller{next: next, budget: budget, overhead: overhead, side: side,
+	return &batchFiller{next: next, budget: budget, overhead: overhead,
 		docs:  make([]document.Document, 0, batchSlack(int(docs))),
 		cells: make([]document.Cell, 0, batchSlack(int(cells)))}
 }
@@ -141,8 +132,8 @@ func (f *batchFiller) fill() (batch []document.Document, used int64, err error) 
 				f.pending = d
 				break
 			}
-			return nil, 0, fmt.Errorf("%w: %s document %d (%d bytes) exceeds the batch budget %d",
-				ErrInsufficientMemory, f.side, d.ID, cost, f.budget)
+			return nil, 0, fmt.Errorf("%w: outer document %d (%d bytes) exceeds the batch budget %d",
+				ErrInsufficientMemory, d.ID, cost, f.budget)
 		}
 		start := len(f.cells)
 		f.cells = append(f.cells, d.Cells...)
@@ -152,7 +143,7 @@ func (f *batchFiller) fill() (batch []document.Document, used int64, err error) 
 	return f.docs, used, nil
 }
 
-// blockJoin is the block skeleton forward HHNL and LSH share: fill a
+// blockJoin is the block skeleton HHNL and LSH share: fill a
 // resident outer batch → prepare it (the prefilter's keep vector, or the
 // LSH candidate lists) → regroup it by term → stream the inner documents
 // the preparation kept through the scoring stage → flush the batch's rows.
@@ -179,7 +170,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	outer := in.Outer.Documents()
 	filler := newBatchFiller(func() (*document.Document, error) { return collection.NextReuse(outer) },
-		b.mem.batch, 4*int64(opts.Lambda), "outer", in.Outer.NumDocs(), in.Outer.AvgDocBytes())
+		b.mem.batch, 4*int64(opts.Lambda), in.Outer.NumDocs(), in.Outer.AvgDocBytes())
 	// The block, its accumulator and the stage's tracker slab are built once
 	// and reused by every batch, except the slab's matches: each batch's
 	// become its result rows.
@@ -428,98 +419,4 @@ func (s *blockStage) score(d1 *document.Document) {
 	if !anyHit {
 		s.falsePasses++
 	}
-}
-
-func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer, m memory) ([]Result, *Stats, error) {
-	stats := &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}
-	// Swap roles for batch sizing: blocks of C1 are resident, one C2
-	// document at a time streams past, and every C2 document keeps a λ
-	// tracker alive for the whole join.
-	track := trackIO(in.Outer.File(), in.Inner.File())
-	tel, trace := opts.Telemetry, opts.Trace
-
-	// Every pass streams the outer side in the same Documents() order, so a
-	// document's position in the stream names its result row and its slot
-	// of the one tracker slab; the first pass creates the row.
-	results := make([]Result, 0, in.Outer.NumDocs())
-	trackers := topk.NewBlock(int(in.Outer.NumDocs()), opts.Lambda)
-	filler := newBatchFiller(in.Inner.Scan().NextReuse, m.batch, 0, "inner", in.Inner.NumDocs(), in.Inner.AvgDocBytes())
-	// The same kernel with the roles swapped: the inner block is resident
-	// and regrouped, each outer document streams past it.
-	var block residentBlock
-	for firstPass := true; ; firstPass = false {
-		fill := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.fill-batch")
-		batch, used, err := filler.fill()
-		fill.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		// An empty inner collection still gets its one outer sweep: every
-		// outer document yields a result row, with no matches.
-		if len(batch) == 0 && !firstPass {
-			break
-		}
-		if len(batch) > 0 {
-			stats.Passes++
-			stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, m.reserve+used)
-		}
-		invert := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.invert-batch")
-		block.regroup(batch)
-		invert.End()
-
-		// The streamed outer side is consumed one document at a time, so
-		// the reuse path applies.
-		score := trace.StartChild(reqtrace.PhaseScore, "hhnl.backward.outer-scan")
-		outerIt := in.Outer.Documents()
-		for pos := 0; ; pos++ {
-			d2, err := collection.NextReuse(outerIt)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				score.End()
-				return nil, nil, err
-			}
-			if firstPass {
-				results = append(results, Result{Outer: d2.ID})
-			}
-			// The other finishing shape: the streamed document is the row,
-			// and every resident document it reached goes to its one tracker
-			// — in slot order from a dense row, read in place, with the
-			// tracker's bar in a local.
-			acc := block.acc
-			block.accumulate(scorer, d2)
-			fin := scorer.Row(d2.ID)
-			if acc.Dense() {
-				bar := trackers.Bars()[pos]
-				for slot, raw := range acc.Row()[:len(batch)] {
-					if raw == 0 {
-						continue
-					}
-					d1 := block.ids[slot]
-					if sim := fin.Finalize(d1, raw); sim >= bar && sim > 0 {
-						trackers.Offer(pos, d1, sim)
-						bar = trackers.Bars()[pos]
-					}
-				}
-				acc.Reset()
-			} else {
-				for _, sum := range acc.Drain() {
-					d1 := block.ids[sum.ID]
-					trackers.Offer(pos, d1, fin.Finalize(d1, sum.V))
-				}
-			}
-			stats.Comparisons += int64(len(batch))
-		}
-		score.End()
-	}
-	stats.OuterDocs = int64(len(results))
-	flush := trace.StartChild(reqtrace.PhaseFinalize, "hhnl.backward.finalize")
-	trackers.Flush(len(results), func(i int, kept []Match) { results[i].Matches = kept })
-	flush.End()
-	stats.PeakMemoryBytes += block.bytes() + int64(trackers.Slots())*trackerBytes(opts.Lambda)
-	stats.IO = track.delta()
-	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
-	recordJoinStats(tel, trace, stats)
-	return results, stats, nil
 }

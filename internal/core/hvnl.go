@@ -242,25 +242,14 @@ type hvnlRows struct {
 
 // flush turns the accumulator into the outer document's row and readies it
 // for the next: every inner document the row reached is offered to the
-// tracker. A dense row is read in place, in id order, with the tracker's
-// bar in a local, and then Reset; a sparse one is drained, in first-touch
-// order.
+// tracker. A dense row is read in place by offerRow and then Reset; a
+// sparse one is drained, in first-touch order.
 func (r *hvnlRows) flush(outer uint32) {
 	fin, tk := r.scorer.Row(outer), r.tk
 	tk.Reset()
 	reached := 0
 	if r.acc.Dense() {
-		bar := tk.Bar()
-		for id, v := range r.acc.Row() {
-			if v == 0 {
-				continue
-			}
-			reached++
-			if sim := fin.Finalize(uint32(id), v); sim >= bar && sim > 0 {
-				tk.Offer(uint32(id), sim)
-				bar = tk.Bar()
-			}
-		}
+		reached = offerRow(tk, fin, r.acc.Row())
 		r.acc.Reset()
 	} else {
 		sums := r.acc.Drain()
@@ -271,4 +260,23 @@ func (r *hvnlRows) flush(outer uint32) {
 	}
 	r.occupancy.Observe(int64(reached))
 	r.results = append(r.results, Result{Outer: outer, Matches: tk.Results()})
+}
+
+// offerRow is the dense drain of a row with one tracker, HVNL's and VVM's:
+// every inner document the row reached, in id order, is finalized and
+// offered to tk, whose bar is held in a local and re-read only after an
+// Offer. It returns how many inner documents the row reached.
+func offerRow(tk *topk.TopK, fin document.Row, row []float64) (reached int) {
+	bar := tk.Bar()
+	for id, raw := range row {
+		if raw == 0 {
+			continue
+		}
+		reached++
+		if sim := fin.Finalize(uint32(id), raw); sim >= bar && sim > 0 {
+			tk.Offer(uint32(id), sim)
+			bar = tk.Bar()
+		}
+	}
+	return reached
 }

@@ -81,7 +81,6 @@ func TestPlanChargesWhatJoinsHold(t *testing.T) {
 		pages [2]int64
 	}{
 		{"hhnl", HHNL, Options{}, [2]int64{10000, 10}},
-		{"hhnl-backward", HHNL, Options{Backward: true}, [2]int64{10000, 10}},
 		{"hhnl-prefilter", HHNL, Options{Prefilter: &Prefilter{Inner: sig1, Outer: sig2}}, [2]int64{10000, 10}},
 		{"hvnl", HVNL, Options{}, [2]int64{10000, 20}},
 		{"vvm", VVM, Options{}, [2]int64{10000, 20}},

@@ -64,7 +64,7 @@ func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
 		recordPlan(opts.Telemetry, span, dec)
 	} else {
 		span.SetAttr("plan.chosen", alg.String())
-		dec.Prefiltered = opts.Prefilter != nil && (alg == HVNL || alg == HHNL && !opts.Backward)
+		dec.Prefiltered = opts.Prefilter != nil && (alg == HVNL || alg == HHNL)
 	}
 	if !dec.Prefiltered {
 		opts.Prefilter = nil
@@ -181,17 +181,6 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 	tracker, slabSlot := lambda*matchBytes, trackerBytes(opts.Lambda)
 	rows := n2 * (rowBytes + tracker)
 	switch {
-	case alg == HHNL && opts.Backward:
-		// C1 is resident, and every C2 document keeps a 4λ-byte tracker,
-		// held as a slot of one slab.
-		m.reserve = streamReserve(in.Outer.AvgDocBytes(), pageSize)
-		if m.batch = total - m.reserve - 4*lambda*n2; m.batch <= 0 {
-			return m, fmt.Errorf("%w: B=%d pages cannot hold the %d outer trackers plus one outer document",
-				ErrInsufficientMemory, opts.MemoryPages, n2)
-		}
-		slots := int64(batchSlack(int(batchDocs(n1, m.batch, in.Inner.AvgDocBytes(), 0))))
-		data := int64(math.Ceil(in.Inner.AvgDocBytes() * float64(n1)))
-		m.held = m.reserve + min(m.batch, data) + slots*accumBytes + dirBytes(in.Inner) + n2*slabSlot + rows
 	case alg == HHNL || alg == LSH:
 		// X = (B − ⌈S1⌉) / (S2 + 4λ/P), in bytes (runHHNL).
 		m.reserve = streamReserve(in.Inner.AvgDocBytes(), pageSize)

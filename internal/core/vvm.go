@@ -167,27 +167,16 @@ func (s *vvmPass) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
 // emit writes the λ best matches for every outer document of the pass,
 // including documents with no non-zero similarity (nil Matches). ids is
 // ascending, so row order is emission order. A dense store drains row by
-// row through the one tracker, its bar in a local; a table drains in slot
-// order into a slab with a tracker per row.
+// row through the one tracker (offerRow); a table drains in slot order into
+// a slab with a tracker per row.
 func (s *vvmPass) emit(scorer *document.Scorer) {
 	if s.acc.Dense() {
 		for row, id := range s.ids {
-			fin, touched := scorer.Row(id), false
 			s.tk.Reset()
-			bar := s.tk.Bar()
-			for inner, raw := range s.acc.Row(row) {
-				if raw == 0 {
-					continue
-				}
-				touched = true
-				s.pairs++
-				if sim := fin.Finalize(uint32(inner), raw); sim >= bar && sim > 0 {
-					s.tk.Offer(uint32(inner), sim)
-					bar = s.tk.Bar()
-				}
-			}
+			reached := offerRow(s.tk, scorer.Row(id), s.acc.Row(row))
+			s.pairs += int64(reached)
 			s.out[row] = Result{Outer: id}
-			if touched {
+			if reached > 0 {
 				s.out[row].Matches = s.tk.Results()
 			}
 		}

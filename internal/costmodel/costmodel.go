@@ -234,71 +234,6 @@ func HHNLRand(in Input, sys System, q Query) float64 {
 	return hhs + math.Ceil(in.C1.D(sys)/spare)*(sys.Alpha-1)
 }
 
-// HHNLBackwardBatch returns X for HHNL's backward order (C1 outer): the
-// number of inner documents held per batch when memory also carries one
-// C2 document and a λ-tracker for every C2 document:
-//
-//	X = (B − ⌈S2⌉ − 4·λ·N2/P) / S1
-//
-// The paper mentions the backward order ("can be more efficient if C1 is
-// much smaller than C2") and defers it to the technical report; this is
-// the symmetric derivation under the same memory policy.
-func HHNLBackwardBatch(in Input, sys System, q Query) float64 {
-	in = in.normalize()
-	trackerPages := float64(SimBytes) * float64(q.Lambda) * float64(in.C2.N) / float64(sys.P)
-	avail := float64(sys.B) - math.Ceil(in.C2.S(sys)) - trackerPages
-	if avail <= 0 {
-		return 0
-	}
-	per := in.C1.S(sys)
-	if per <= 0 {
-		return 0
-	}
-	x := avail / per
-	if x < 1 {
-		if float64(sys.B) >= math.Ceil(in.C1.S(sys))+math.Ceil(in.C2.S(sys))+trackerPages {
-			return 1
-		}
-		return 0
-	}
-	return x
-}
-
-// HHNLBackwardSeq returns the all-sequential cost of backward HHNL:
-// scan C1 once, re-scan C2 once per C1 batch.
-func HHNLBackwardSeq(in Input, sys System, q Query) float64 {
-	in = in.normalize()
-	x := HHNLBackwardBatch(in, sys, q)
-	if x <= 0 {
-		return Infeasible
-	}
-	scans := math.Ceil(float64(in.C1.N) / x)
-	if in.C1.N == 0 {
-		scans = 0
-	}
-	return in.C1.D(sys) + scans*in.c2ReadCost(sys)
-}
-
-// HHNLBackwardRand mirrors hhr for the backward order.
-func HHNLBackwardRand(in Input, sys System, q Query) float64 {
-	in = in.normalize()
-	seq := HHNLBackwardSeq(in, sys, q)
-	if math.IsInf(seq, 1) {
-		return Infeasible
-	}
-	x := HHNLBackwardBatch(in, sys, q)
-	n1 := float64(in.C1.N)
-	if n1 >= x {
-		randomsPerScan := 1 + math.Min(in.C2.D(sys), float64(in.C2.N))
-		return seq + math.Ceil(n1/x)*randomsPerScan*(sys.Alpha-1)
-	}
-	spare := (x - n1) * in.C1.S(sys)
-	if spare <= 0 {
-		return seq + in.C2.D(sys)*(sys.Alpha-1)
-	}
-	return seq + math.Ceil(in.C2.D(sys)/spare)*(sys.Alpha-1)
-}
-
 // ---- HVNL (Section 5.2) ----
 
 // HVNLBufferEntries returns the paper's X for HVNL: the number of inverted
