@@ -8,10 +8,9 @@ import (
 )
 
 // TestIntegrationFullPipeline drives the complete system at a few hundred
-// documents: synthetic corpora → collections → inverted files → all five
-// join execution paths (three serial algorithms, two parallel variants) →
-// clustered reordering → selection subsets → the query layer — asserting
-// cross-consistency everywhere.
+// documents: synthetic corpora → collections → inverted files → the three
+// exact algorithms → clustered reordering → selection subsets → the query
+// layer — asserting cross-consistency everywhere.
 func TestIntegrationFullPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")

@@ -9,49 +9,6 @@ import (
 	"textjoin/internal/document"
 )
 
-// Joining a memory-resident query batch against a stored collection — the
-// paper's batch-query scenario. HHNL and HVNL apply; VVM cannot (no
-// inverted file exists for the batch).
-func TestBatchJoin(t *testing.T) {
-	e := buildEnv(t, 51, 30, 1, 50, 12, 256)
-	r := rand.New(rand.NewSource(51))
-	queries := randomDocs(r, 8, 50, 10)
-	batch, err := collection.NewBatch("queries", queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := Inputs{Outer: batch, Inner: e.c1, InnerInv: e.inv1}
-	opts := Options{Lambda: 4, MemoryPages: 200}
-
-	want := reference(t, batch, e.c1, 4, rawScorer(t))
-
-	hh, hhStats, err := Join(HHNL, in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameResults(hh, want); err != nil {
-		t.Fatal(err)
-	}
-	hv, _, err := Join(HVNL, in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameResults(hv, want); err != nil {
-		t.Fatal(err)
-	}
-	// The batch itself costs no reads: HHNL's I/O is exactly the inner
-	// scans.
-	d1 := e.c1.Stats().D
-	if got := hhStats.IO.Reads(); got != int64(hhStats.Passes)*d1 {
-		t.Errorf("HHNL reads = %d, want passes %d × D1 %d", got, hhStats.Passes, d1)
-	}
-
-	// VVM is inapplicable for a batch.
-	if _, _, err := Join(VVM, Inputs{Outer: batch, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}, opts); !errors.Is(err, ErrMissingInput) {
-		t.Errorf("VVM on batch err = %v, want ErrMissingInput", err)
-	}
-}
-
 func TestBatchJoinSparseIDs(t *testing.T) {
 	// Batch ids need not be dense; results keep the original ids.
 	e := buildEnv(t, 52, 15, 1, 30, 8, 256)

@@ -229,7 +229,7 @@ func stageResults(st *blockStage, n int) [][]Match {
 func blockOf(counts ...map[uint32]int) []document.Document {
 	batch := make([]document.Document, len(counts))
 	for i, c := range counts {
-		batch[i] = *docOf(100+uint32(i), c)
+		batch[i] = *document.New(100+uint32(i), c)
 	}
 	return batch
 }
@@ -244,7 +244,7 @@ func blockOf(counts ...map[uint32]int) []document.Document {
 func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
 	var block residentBlock
 	st := &blockStage{scorer: rawScorer(t), block: &block, tk: topk.NewBlock(0, 3)}
-	d := docOf(7, map[uint32]int{5: 3})
+	d := document.New(7, map[uint32]int{5: 3})
 	for i, tc := range []struct {
 		batch       []document.Document
 		reached     int
@@ -282,9 +282,9 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 	want := newPairwiseStage(scorer, batch, nil, 3)
 	beyond := uint32(len(block.dir) + 1000)
 	for _, d := range []*document.Document{
-		docOf(1, map[uint32]int{3: 2, 6: 1, beyond: 5}),
-		docOf(2, map[uint32]int{0: 1, beyond: 1}),
-		docOf(3, map[uint32]int{6: 2, beyond: 3}),
+		document.New(1, map[uint32]int{3: 2, 6: 1, beyond: 5}),
+		document.New(2, map[uint32]int{0: 1, beyond: 1}),
+		document.New(3, map[uint32]int{6: 2, beyond: 3}),
 	} {
 		st.score(d)
 		want.score(d)
@@ -408,7 +408,7 @@ func TestInlinePathAllocationsDoNotGrowWithInner(t *testing.T) {
 		d := iosim.NewDisk(iosim.WithPageSize(256))
 		docs := make([]*document.Document, inner)
 		for i := range docs {
-			docs[i] = docOf(uint32(i), map[uint32]int{1: 1 + r.Intn(3), 2: 1, 3: 1 + r.Intn(2)})
+			docs[i] = document.New(uint32(i), map[uint32]int{1: 1 + r.Intn(3), 2: 1, 3: 1 + r.Intn(2)})
 		}
 		c1 := buildColl(t, d, "c1", docs)
 		c2 := buildColl(t, d, "c2", docs[:1])

@@ -113,10 +113,6 @@ type Options struct {
 	// Weighting selects the similarity function (raw occurrence dot
 	// product by default, as in the paper's analysis).
 	Weighting document.Weighting
-	// Delta is δ: the estimated fraction of non-zero similarities, used
-	// to size HVNL's accumulator reservation and VVM's partitions.
-	// Defaults to 0.1, the paper's base value.
-	Delta float64
 	// CachePolicy selects HVNL's entry replacement policy. The default
 	// is the paper's MinOuterDF.
 	CachePolicy entrycache.Policy
@@ -158,15 +154,11 @@ func (o Options) withDefaults() Options {
 	if o.MemoryPages == 0 {
 		o.MemoryPages = 10000
 	}
-	if o.Delta == 0 {
-		o.Delta = 0.1
-	}
 	return o
 }
 
 func (o Options) validate() error {
-	if o.Lambda < 0 || o.MemoryPages < 0 || o.Delta < 0 || o.Delta > 1 ||
-		o.RecallSLO < 0 || o.RecallSLO > 1 {
+	if o.Lambda < 0 || o.MemoryPages < 0 || o.RecallSLO < 0 || o.RecallSLO > 1 {
 		return fmt.Errorf("core: invalid options %+v", o)
 	}
 	return nil

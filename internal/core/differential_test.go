@@ -1,16 +1,14 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"textjoin/internal/collection"
 	"textjoin/internal/costmodel"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
@@ -20,9 +18,10 @@ import (
 )
 
 // This file is the differential harness promised by the telemetry layer:
-// every exact join family must return the identical top-λ on a corpus of
-// adversarial shapes, and attaching a telemetry collector must change
-// neither the results nor one byte of the Stats.
+// a corpus of adversarial shapes, on which the conformance matrix holds
+// every join family to the reference, and the check that attaching a
+// telemetry collector changes neither the results nor one byte of the
+// Stats.
 
 // diffShape describes one seeded corpus shape. build returns the two
 // document sets; the remaining fields parameterize the join. Each call
@@ -34,20 +33,31 @@ type diffShape struct {
 	pageSize int
 	lambda   int
 	mem      int64
-	delta    float64
-	build    func(r *rand.Rand) (c1, c2 []*document.Document)
+	// splits lists the families (LSH is HHNL's) whose join the smallest
+	// budget their plan admits splits over every outer kind of the
+	// conformance matrix.
+	splits []Algorithm
+	// recall is the LSH join's recall floor under lshDiffConfig. Everything
+	// is seeded, so measured recall is an exact repeatable number per shape
+	// and weighting; the floor sits under it with margin for intentional
+	// algorithm changes (1 where pairs that share a term collide surely).
+	recall float64
+	build  func(r *rand.Rand) (c1, c2 []*document.Document)
 }
 
-// docOf builds one document from explicit term counts.
-func docOf(id uint32, counts map[uint32]int) *document.Document {
-	return document.New(id, counts)
+// splitsFamily reports whether the shape runs alg's split cells.
+func (s diffShape) splitsFamily(alg Algorithm) bool {
+	if alg == LSH {
+		alg = HHNL
+	}
+	return slices.Contains(s.splits, alg)
 }
 
 func diffShapes() []diffShape {
 	return []diffShape{
 		{
 			// Baseline: uniform random terms.
-			name: "uniform", pageSize: 256, lambda: 4, mem: 300,
+			name: "uniform", pageSize: 256, lambda: 4, mem: 300, splits: []Algorithm{HHNL, HVNL, VVM}, recall: 0.85,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				return randomDocs(r, 40, 60, 12), randomDocs(r, 35, 60, 12)
 			},
@@ -56,7 +66,7 @@ func diffShapes() []diffShape {
 			// Heavily skewed document frequencies: a few terms appear
 			// almost everywhere (stresses HVNL's cache policy and VVM's
 			// merge).
-			name: "skewed-df", pageSize: 256, lambda: 4, mem: 300,
+			name: "skewed-df", pageSize: 256, lambda: 4, mem: 300, splits: []Algorithm{HHNL, HVNL, VVM}, recall: 0.85,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				z := rand.NewZipf(r, 1.3, 1, 49)
 				gen := func(n int) []*document.Document {
@@ -66,7 +76,7 @@ func diffShapes() []diffShape {
 						for j, l := 0, r.Intn(12)+1; j < l; j++ {
 							counts[uint32(z.Uint64())]++
 						}
-						docs[i] = docOf(uint32(i), counts)
+						docs[i] = document.New(uint32(i), counts)
 					}
 					return docs
 				}
@@ -77,20 +87,20 @@ func diffShapes() []diffShape {
 			// Every third document is empty on both sides: rows must
 			// still appear (with no matches) and nothing may divide by a
 			// zero norm.
-			name: "empty-docs", pageSize: 256, lambda: 3, mem: 300,
+			name: "empty-docs", pageSize: 256, lambda: 3, mem: 300, splits: []Algorithm{HHNL, HVNL}, recall: 0.85,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				gen := func(n int) []*document.Document {
 					docs := make([]*document.Document, n)
 					for i := range docs {
 						if i%3 == 0 {
-							docs[i] = docOf(uint32(i), nil)
+							docs[i] = document.New(uint32(i), nil)
 							continue
 						}
 						counts := make(map[uint32]int)
 						for j, l := 0, r.Intn(10)+1; j < l; j++ {
 							counts[uint32(r.Intn(40))]++
 						}
-						docs[i] = docOf(uint32(i), counts)
+						docs[i] = document.New(uint32(i), counts)
 					}
 					return docs
 				}
@@ -100,7 +110,7 @@ func diffShapes() []diffShape {
 		{
 			// λ exceeds the inner collection: every outer document keeps
 			// all non-zero inner matches.
-			name: "lambda-gt-n1", pageSize: 256, lambda: 9, mem: 200,
+			name: "lambda-gt-n1", pageSize: 256, lambda: 9, mem: 200, splits: []Algorithm{HHNL}, recall: 0.80,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				return randomDocs(r, 4, 25, 8), randomDocs(r, 12, 25, 8)
 			},
@@ -108,7 +118,7 @@ func diffShapes() []diffShape {
 		{
 			// Both collections fit one 4K page: the degenerate I/O case
 			// (a single sequential read per scan).
-			name: "one-page", pageSize: 4096, lambda: 3, mem: 100,
+			name: "one-page", pageSize: 4096, lambda: 3, mem: 100, recall: 0.80,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				return randomDocs(r, 8, 10, 3), randomDocs(r, 8, 10, 3)
 			},
@@ -116,7 +126,7 @@ func diffShapes() []diffShape {
 		{
 			// Disjoint vocabularies: every similarity is zero, so every
 			// algorithm must emit empty match lists for every outer row.
-			name: "disjoint-vocab", pageSize: 256, lambda: 3, mem: 200,
+			name: "disjoint-vocab", pageSize: 256, lambda: 3, mem: 200, splits: []Algorithm{HHNL}, recall: 1,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				gen := func(n, lo int) []*document.Document {
 					docs := make([]*document.Document, n)
@@ -125,7 +135,7 @@ func diffShapes() []diffShape {
 						for j, l := 0, r.Intn(8)+1; j < l; j++ {
 							counts[uint32(lo+r.Intn(30))]++
 						}
-						docs[i] = docOf(uint32(i), counts)
+						docs[i] = document.New(uint32(i), counts)
 					}
 					return docs
 				}
@@ -135,12 +145,12 @@ func diffShapes() []diffShape {
 		{
 			// Every document identical: all similarities tie, so results
 			// are decided purely by the deterministic tie-break order.
-			name: "identical-docs", pageSize: 256, lambda: 5, mem: 200,
+			name: "identical-docs", pageSize: 256, lambda: 5, mem: 200, splits: []Algorithm{HHNL, HVNL}, recall: 1,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				gen := func(n int) []*document.Document {
 					docs := make([]*document.Document, n)
 					for i := range docs {
-						docs[i] = docOf(uint32(i), map[uint32]int{1: 2, 5: 1, 9: 3})
+						docs[i] = document.New(uint32(i), map[uint32]int{1: 2, 5: 1, 9: 3})
 					}
 					return docs
 				}
@@ -150,12 +160,12 @@ func diffShapes() []diffShape {
 		{
 			// One term per document from a tiny vocabulary: maximal
 			// entry sharing in the inverted files.
-			name: "single-term-docs", pageSize: 256, lambda: 4, mem: 200,
+			name: "single-term-docs", pageSize: 256, lambda: 4, mem: 200, splits: []Algorithm{HHNL}, recall: 1,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				gen := func(n int) []*document.Document {
 					docs := make([]*document.Document, n)
 					for i := range docs {
-						docs[i] = docOf(uint32(i), map[uint32]int{uint32(r.Intn(6)): r.Intn(3) + 1})
+						docs[i] = document.New(uint32(i), map[uint32]int{uint32(r.Intn(6)): r.Intn(3) + 1})
 					}
 					return docs
 				}
@@ -163,9 +173,10 @@ func diffShapes() []diffShape {
 			},
 		},
 		{
-			// Tight memory and δ=1 force VVM into multiple partitions
-			// (and HHNL into multiple batches).
-			name: "multi-pass", pageSize: 64, lambda: 3, mem: 30, delta: 1,
+			// Small pages and a tight budget: at mem HHNL and LSH run in
+			// two batches and HVNL's cache evicts, but VVM runs one pass;
+			// at their smallest budgets every family splits.
+			name: "multi-pass", pageSize: 64, lambda: 3, mem: 30, splits: []Algorithm{HHNL, HVNL, VVM}, recall: 0.85,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				return randomDocs(r, 50, 40, 10), randomDocs(r, 50, 40, 10)
 			},
@@ -190,7 +201,7 @@ func buildDiffEnv(tb testing.TB, s diffShape, seed int64) *env {
 }
 
 func (s diffShape) options() Options {
-	return Options{Lambda: s.lambda, MemoryPages: s.mem, Delta: s.delta}
+	return Options{Lambda: s.lambda, MemoryPages: s.mem}
 }
 
 // diffFamilies are the join families the harness runs on every shape.
@@ -206,31 +217,6 @@ func variantEnv(tb testing.TB, shape diffShape) (*env, Options) {
 	opts := shape.options()
 	opts.LSH = buildDiffLSH(tb, e, lshDiffConfig)
 	return e, opts
-}
-
-// TestDifferentialShapes is the cross-algorithm harness: on every shape
-// HVNL and VVM must equal the HHNL baseline.
-func TestDifferentialShapes(t *testing.T) {
-	for _, shape := range diffShapes() {
-		shape := shape
-		t.Run(shape.name, func(t *testing.T) {
-			baseEnv := buildDiffEnv(t, shape, 1)
-			want, _, err := Join(HHNL, baseEnv.inputs(), shape.options())
-			if err != nil {
-				t.Fatalf("baseline HHNL: %v", err)
-			}
-			for _, alg := range []Algorithm{HVNL, VVM} {
-				e := buildDiffEnv(t, shape, 1)
-				got, _, err := Join(alg, e.inputs(), shape.options())
-				if err != nil {
-					t.Fatalf("%v: %v", alg, err)
-				}
-				if err := sameResults(want, got); err != nil {
-					t.Errorf("%v differs from baseline: %v", alg, err)
-				}
-			}
-		})
-	}
 }
 
 // TestTelemetryInvariance pins the telemetry contract: an attached
@@ -354,7 +340,7 @@ func TestTelemetryConcurrentSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		if err := sameResults(want, got); err != nil {
+		if err := exactSameResults(want, got); err != nil {
 			t.Errorf("%v under concurrent snapshots: %v", alg, err)
 		}
 	}
@@ -373,24 +359,6 @@ func TestTelemetryConcurrentSnapshots(t *testing.T) {
 // recall floors below are meaningful rather than vacuously tiny.
 var lshDiffConfig = lsh.Config{Bands: 32, Rows: 1, Seed: 7}
 
-// lshRecallFloors maps shape name → the measured-recall floor under
-// lshDiffConfig. Everything is seeded and deterministic, so measured
-// recall is an exact repeatable number per shape; the floors sit under
-// the observed values with margin for intentional algorithm changes.
-func lshRecallFloors() map[string]float64 {
-	return map[string]float64{
-		"uniform":          0.85,
-		"skewed-df":        0.85,
-		"empty-docs":       0.85,
-		"lambda-gt-n1":     0.80,
-		"one-page":         0.80,
-		"disjoint-vocab":   1.00, // no exact pairs: recall is trivially 1
-		"identical-docs":   1.00, // Jaccard 1 pairs always collide
-		"single-term-docs": 1.00, // sharing the single term ⇒ same MinHash
-		"multi-pass":       0.85,
-	}
-}
-
 // buildDiffLSH builds the inner collection's MinHash sidecar on the
 // shape's disk and re-zeroes the I/O stats, so runs being compared start
 // from identical head positions whether or not they built a sidecar.
@@ -408,27 +376,9 @@ func buildDiffLSH(tb testing.TB, e *env, cfg lsh.Config) *lsh.Sidecar {
 	return sc
 }
 
-// collectDocs reads a whole collection into an id-indexed map.
-func collectDocs(tb testing.TB, c *collection.Collection) map[uint32]*document.Document {
-	tb.Helper()
-	out := make(map[uint32]*document.Document)
-	sc := c.Scan()
-	for {
-		d, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			tb.Fatal(err)
-		}
-		out[d.ID] = d
-	}
-	return out
-}
-
-// exactSameResults is sameResults with byte-for-byte similarity
-// equality — the LSH axis demands the verified scores be bit-identical
-// to the exact scorer, not merely within tolerance.
+// exactSameResults reports the first difference between two result sets:
+// the same rows, and in each the same matches with bit-identical
+// similarities.
 func exactSameResults(a, b []Result) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("result count %d vs %d", len(a), len(b))
@@ -448,119 +398,4 @@ func exactSameResults(a, b []Result) error {
 		}
 	}
 	return nil
-}
-
-// TestDifferentialLSH is the approximate join's axis of the harness: on
-// every shape, the LSH join must (1) return one row per outer document
-// in outer order, (2) achieve measured recall ≥ the configured floor
-// against the exact ground truth, (3) show perfect precision — every
-// returned similarity byte-for-byte equal to the exact scorer on the
-// underlying documents. (Its run-to-run determinism is a row of
-// TestTelemetryInvariance.)
-func TestDifferentialLSH(t *testing.T) {
-	floors := lshRecallFloors()
-	for _, shape := range diffShapes() {
-		shape := shape
-		t.Run(shape.name, func(t *testing.T) {
-			baseEnv := buildDiffEnv(t, shape, 1)
-			exact := reference(t, baseEnv.c2, baseEnv.c1, shape.lambda, rawScorer(t))
-
-			e := buildDiffEnv(t, shape, 1)
-			sc := buildDiffLSH(t, e, lshDiffConfig)
-			opts := shape.options()
-			opts.LSH = sc
-			got, st, err := Join(LSH, e.inputs(), opts)
-			if err != nil {
-				t.Fatalf("LSH join: %v", err)
-			}
-			if st.Algorithm != LSH || !st.LSH.Enabled {
-				t.Fatalf("stats not marked as LSH: %+v", st)
-			}
-
-			// (1) Row shape: same outer documents, same order, non-nil
-			// match lists (empty rows must still appear).
-			if len(got) != len(exact) {
-				t.Fatalf("LSH returned %d rows, exact %d", len(got), len(exact))
-			}
-			for i := range got {
-				if got[i].Outer != exact[i].Outer {
-					t.Fatalf("row %d outer %d, exact has %d", i, got[i].Outer, exact[i].Outer)
-				}
-				if got[i].Matches == nil {
-					t.Fatalf("outer %d: nil match list", got[i].Outer)
-				}
-			}
-
-			// (3) Perfect precision: re-score every returned pair.
-			innerDocs := collectDocs(t, e.c1)
-			outerDocs := collectDocs(t, e.c2)
-			scorer := rawScorer(t)
-			for _, res := range got {
-				for _, m := range res.Matches {
-					if m.Sim <= 0 {
-						t.Fatalf("outer %d returned non-positive similarity %v for doc %d", res.Outer, m.Sim, m.Doc)
-					}
-					want := scorer.Score(outerDocs[res.Outer], innerDocs[m.Doc])
-					if math.Float64bits(m.Sim) != math.Float64bits(want) {
-						t.Fatalf("outer %d doc %d: returned sim %v (bits %x), exact scorer %v (bits %x)",
-							res.Outer, m.Doc, m.Sim, math.Float64bits(m.Sim), want, math.Float64bits(want))
-					}
-				}
-			}
-
-			// (2) Measured recall over the exact top-λ pair set.
-			type pair struct{ o, i uint32 }
-			exactPairs := make(map[pair]bool)
-			for _, res := range exact {
-				for _, m := range res.Matches {
-					exactPairs[pair{res.Outer, m.Doc}] = true
-				}
-			}
-			hits := 0
-			for _, res := range got {
-				for _, m := range res.Matches {
-					if exactPairs[pair{res.Outer, m.Doc}] {
-						hits++
-					}
-				}
-			}
-			recall := 1.0
-			if len(exactPairs) > 0 {
-				recall = float64(hits) / float64(len(exactPairs))
-			}
-			floor, ok := floors[shape.name]
-			if !ok {
-				t.Fatalf("no recall floor configured for shape %q", shape.name)
-			}
-			if recall < floor {
-				t.Errorf("measured recall %.4f below floor %.2f (%d of %d exact pairs)",
-					recall, floor, hits, len(exactPairs))
-			}
-			t.Logf("recall %.4f (floor %.2f), %d candidates, %d pages skipped",
-				recall, floor, st.LSH.Candidates, st.LSH.PagesSkipped)
-		})
-	}
-}
-
-// TestDifferentialReference anchors the harness itself: the serial HHNL
-// baseline must match the brute-force reference on every shape, so shape
-// bugs cannot hide behind all algorithms agreeing on a wrong answer.
-func TestDifferentialReference(t *testing.T) {
-	for _, shape := range diffShapes() {
-		shape := shape
-		t.Run(shape.name, func(t *testing.T) {
-			e := buildDiffEnv(t, shape, 1)
-			got, _, err := Join(HHNL, e.inputs(), shape.options())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := reference(t, e.c2, e.c1, shape.lambda, rawScorer(t))
-			if err := sameResults(want, got); err != nil {
-				t.Fatal(err)
-			}
-			if errors.Is(err, ErrInsufficientMemory) {
-				t.Fatal("shape parameters must be feasible")
-			}
-		})
-	}
 }

@@ -179,7 +179,7 @@ func TestJoinRecoversAfterDisarm(t *testing.T) {
 		t.Fatalf("after disarm: %v", err)
 	}
 	want := reference(t, e.c2, e.c1, 3, rawScorer(t))
-	if err := sameResults(res, want); err != nil {
+	if err := exactSameResults(res, want); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"io"
 	"math"
 	"runtime"
 	"testing"
 
-	"textjoin/internal/collection"
 	"textjoin/internal/corpus"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
@@ -27,16 +25,9 @@ func wsjHVNLEnv(t *testing.T, outer int) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var docs []*document.Document
-	for sc := generated.Scan(); outer == 0 || len(docs) < outer; {
-		doc, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, doc)
+	docs := scanDocs(t, generated)
+	if outer > 0 {
+		docs = docs[:outer]
 	}
 	e := &env{disk: d, c1: c1, c2: buildColl(t, d, "c2", docs), inv1: buildInv(t, d, c1, "c1")}
 	d.ResetStats()
@@ -91,62 +82,16 @@ func TestHVNLAllocationsDoNotGrowWithFetches(t *testing.T) {
 	}
 }
 
-// TestHVNLSubsetAgainstReference joins a scattered selection subset,
-// with every entry cached and with a budget that evicts, against the
-// brute-force reference.
-func TestHVNLSubsetAgainstReference(t *testing.T) {
-	subsetIDs := []uint32{1, 2, 6, 9, 16, 23, 24, 40, 43}
-	build := func() Inputs {
-		e := buildEnv(t, 62, 38, 44, 58, 13, 128)
-		sub, err := e.c2.Subset(subsetIDs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Inputs{Outer: sub, Inner: e.c1, InnerInv: e.inv1, OuterInv: e.inv2}
-	}
-	refIn := build()
-	scorer, err := refIn.scorer(Options{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reference(t, refIn.Outer, refIn.Inner, 4, scorer)
-	for _, opts := range []Options{
-		{Lambda: 4, MemoryPages: 4000},
-		{Lambda: 4, MemoryPages: 50},
-	} {
-		got, _, err := Join(HVNL, build(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameResults(want, got); err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
-		}
-	}
-}
-
 // TestHVNLOccupancyCountsReachedDocuments holds hvnl.accum.occupancy to
 // the brute-force count of inner documents each outer document shares a
 // term with, on a corpus whose rows stay sparse and rows that turn dense
 // (a quarter of the inner ids).
 func TestHVNLOccupancyCountsReachedDocuments(t *testing.T) {
 	e := buildEnv(t, 71, 60, 50, 400, 30, 256)
-	docs := func(c *collection.Collection) []*document.Document {
-		var out []*document.Document
-		for sc := c.Scan(); ; {
-			doc, err := sc.Next()
-			if err == io.EOF {
-				return out
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, doc)
-		}
-	}
-	inner := docs(e.c1)
+	inner := scanDocs(t, e.c1)
 	var want int64
 	sparse, dense := 0, 0
-	for _, d2 := range docs(e.c2) {
+	for _, d2 := range scanDocs(t, e.c2) {
 		reached := 0
 		for _, d1 := range inner {
 			if document.CommonTerms(d2, d1) > 0 {

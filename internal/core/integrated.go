@@ -54,7 +54,7 @@ func choose(in Inputs, opts Options) (Decision, error) {
 	// The system parameters: B, and the disk backing the inner collection.
 	f := in.Inner.File()
 	sys := costmodel.System{B: opts.MemoryPages, P: int64(f.PageSize()), Alpha: f.Disk().Alpha()}
-	q := costmodel.Query{Lambda: int64(opts.Lambda), Delta: opts.Delta}
+	q := costmodel.Query{Lambda: int64(opts.Lambda), Delta: delta}
 	dec := Decision{Estimates: costmodel.EstimateAll(mi, sys, q), EstimatedRecall: 1}
 	// With sidecars on offer, the prefiltered HHNL/HVNL variants compete
 	// too: their estimates discount the measured skip fractions and

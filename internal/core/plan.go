@@ -121,6 +121,11 @@ func JoinIntegrated(in Inputs, opts Options) ([]Result, *Stats, Decision, error)
 	return results, stats, dec, err
 }
 
+// delta is δ, the estimated fraction of non-zero similarities that sizes
+// HVNL's accumulator reservation and VVM's partitions: the paper's base
+// value.
+const delta = 0.1
+
 // Bytes of the structures a join holds beside its share of B.
 const (
 	accumBytes = 8  // a float64 similarity accumulator
@@ -208,7 +213,7 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 		inv := in.InnerInv.Stats()
 		m.outerDoc = iosim.PagesForBytes(int64(in.Outer.AvgDocBytes()+0.999), int(pageSize)) * pageSize
 		btree := iosim.PagesForBytes(inv.Entries*codec.BTreeCellSize, int(pageSize)) * pageSize
-		acc := int64(4 * float64(n1) * opts.Delta)
+		acc := int64(4 * float64(n1) * delta)
 		if m.cache = total - m.outerDoc - btree - acc; m.cache <= 0 {
 			return m, fmt.Errorf("%w: B=%d pages leaves no room for inverted entries (doc %d + btree %d + accumulators %d bytes)",
 				ErrInsufficientMemory, opts.MemoryPages, m.outerDoc, btree, acc)
@@ -224,7 +229,7 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 		}
 	case alg == VVM:
 		// ⌈SM/M⌉ ranges of the outer documents (runVVM).
-		sm := int64(4 * opts.Delta * float64(n1) * float64(n2))
+		sm := int64(4 * delta * float64(n1) * float64(n2))
 		j1 := iosim.PagesForBytes(int64(in.InnerInv.Stats().J*float64(pageSize)+0.999), int(pageSize))
 		j2 := iosim.PagesForBytes(int64(in.OuterInv.Stats().J*float64(pageSize)+0.999), int(pageSize))
 		if m.passBytes = total - (j1+j2)*pageSize; m.passBytes <= 0 {

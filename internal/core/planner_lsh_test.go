@@ -11,22 +11,6 @@ import (
 	"textjoin/internal/lsh"
 )
 
-// buildEnvLSH attaches a MinHash sidecar to a standard test environment,
-// re-zeroing the disk stats afterwards.
-func buildEnvLSH(tb testing.TB, e *env, cfg lsh.Config) *lsh.Sidecar {
-	tb.Helper()
-	f, err := e.disk.Create("c1.lsh")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sc, err := lsh.Build(e.c1, f, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	e.disk.ResetStats()
-	return sc
-}
-
 // TestPlannerRecallSLOContract is the property test pinning the
 // planner's recall contract across seeds, memory budgets and the whole
 // SLO range:
@@ -40,7 +24,7 @@ func TestPlannerRecallSLOContract(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for seed := int64(1); seed <= 4; seed++ {
 		e := buildEnv(t, seed, 60, 50, 80, 10, 256)
-		sc := buildEnvLSH(t, e, lsh.Config{})
+		sc := buildDiffLSH(t, e, lsh.Config{})
 		for _, mem := range []int64{40, 120, 400} {
 			for slo := 0.0; slo <= 1.0; slo += 0.05 {
 				// Perturb the grid so the sweep is not only round numbers.
@@ -110,7 +94,7 @@ func TestPlannerChoosesLSHWhenCheaper(t *testing.T) {
 	c1 := buildColl(t, d, "c1", sparse(400, 0))
 	c2 := buildColl(t, d, "c2", sparse(600, 0))
 	e := &env{disk: d, c1: c1, c2: c2}
-	sc := buildEnvLSH(t, e, lsh.Config{Bands: 8, Rows: 1})
+	sc := buildDiffLSH(t, e, lsh.Config{Bands: 8, Rows: 1})
 
 	in := Inputs{Outer: e.c2, Inner: e.c1} // no inverted files: HHNL vs LSH
 	opts := Options{Lambda: 3, MemoryPages: 24, LSH: sc, RecallSLO: 0.9}

@@ -7,13 +7,13 @@ import (
 	"textjoin/internal/signature"
 )
 
-// This file extends the differential harness to the prefilter axis:
-// every prefilter-aware entry point, serial and parallel, must return
-// results byte-identical to the unfiltered serial HHNL baseline on
-// every shape — including under deliberately tiny codes whose false
-// positives stress the skip-never-admit invariant from both sides.
+// This file holds the prefilter's helpers and its accounting test; the
+// conformance matrix holds every prefiltered join to the reference, the
+// shapes taking turns at the codes below — including deliberately tiny
+// codes whose false positives stress the skip-never-admit invariant from
+// both sides.
 
-// pfTestConfigs are the signature codes the harness runs under: the
+// pfTestConfigs are the signature codes the matrix runs under: the
 // defaults, a tiny saturating code (maximal false passes — pruning must
 // degrade to a no-op, never to a wrong answer), and an odd-shaped code
 // exercising rounding, bucketing and small clusters.
@@ -44,88 +44,6 @@ func buildTestPrefilter(tb testing.TB, e *env, cfg signature.Config) *Prefilter 
 	pf := &Prefilter{Inner: build(e.c1), Outer: build(e.c2)}
 	e.disk.ResetStats()
 	return pf
-}
-
-// TestDifferentialPrefilter runs the full prefilter axis: on every
-// shape, HHNL and HVNL, which honor Options.Prefilter, and VVM, which must
-// ignore it, must equal the unfiltered HHNL baseline exactly under every
-// code.
-func TestDifferentialPrefilter(t *testing.T) {
-	for _, shape := range diffShapes() {
-		shape := shape
-		t.Run(shape.name, func(t *testing.T) {
-			baseEnv := buildDiffEnv(t, shape, 1)
-			want, _, err := Join(HHNL, baseEnv.inputs(), shape.options())
-			if err != nil {
-				t.Fatalf("baseline HHNL: %v", err)
-			}
-			for ci, cfg := range pfTestConfigs() {
-				for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
-					e := buildDiffEnv(t, shape, 1)
-					opts := shape.options()
-					opts.Prefilter = buildTestPrefilter(t, e, cfg)
-					got, st, err := Join(alg, e.inputs(), opts)
-					if err != nil {
-						t.Fatalf("cfg%d/%v: %v", ci, alg, err)
-					}
-					if err := sameResults(want, got); err != nil {
-						t.Errorf("cfg%d/%v differs from unfiltered baseline: %v", ci, alg, err)
-					}
-					if alg != VVM && !st.Prefilter.Enabled {
-						t.Errorf("cfg%d/%v: prefilter stats not marked enabled", ci, alg)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestPrefilterSubsetOuter covers the selection path: with a Subset
-// outer reader, the prefilter tests each selected id against the inner
-// root and saves the skipped ids' random fetches, with results
-// identical to the unfiltered run. The on-the-fly path (no outer
-// sidecar) is exercised in the same sweep.
-func TestPrefilterSubsetOuter(t *testing.T) {
-	for _, shape := range diffShapes()[:3] {
-		shape := shape
-		t.Run(shape.name, func(t *testing.T) {
-			baseEnv := buildDiffEnv(t, shape, 1)
-			baseSub, err := baseEnv.c2.Subset([]uint32{1, 3, 7, 11, 13})
-			if err != nil {
-				t.Fatal(err)
-			}
-			baseIn := baseEnv.inputs()
-			baseIn.Outer = baseSub
-			want, _, err := Join(HVNL, baseIn, shape.options())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, withOuter := range []bool{true, false} {
-				e := buildDiffEnv(t, shape, 1)
-				sub, err := e.c2.Subset([]uint32{1, 3, 7, 11, 13})
-				if err != nil {
-					t.Fatal(err)
-				}
-				in := e.inputs()
-				in.Outer = sub
-				opts := shape.options()
-				opts.Prefilter = buildTestPrefilter(t, e, signature.Config{})
-				if !withOuter {
-					opts.Prefilter.Outer = nil
-				}
-				got, st, err := Join(HVNL, in, opts)
-				if err != nil {
-					t.Fatalf("outer=%v: %v", withOuter, err)
-				}
-				if err := sameResults(want, got); err != nil {
-					t.Errorf("outer=%v differs from unfiltered subset join: %v", withOuter, err)
-				}
-				if !st.Prefilter.Enabled {
-					t.Errorf("outer=%v: prefilter stats not marked enabled", withOuter)
-				}
-			}
-		})
-	}
 }
 
 // TestPrefilterStatsParity pins HVNL's prefilter accounting across its

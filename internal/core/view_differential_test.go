@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"textjoin/internal/iosim"
 	"textjoin/internal/signature"
 )
 
@@ -98,7 +97,7 @@ func TestConcurrentViewsMatchSerial(t *testing.T) {
 				}
 				wantRes[i], wantSt[i] = res, st
 			}
-			serialDelta := statsDelta(serialBase, e.disk.Stats())
+			serialDelta := e.disk.Stats().Sub(serialBase)
 
 			// Concurrent pass: every request at once, fresh views.
 			concBase := e.disk.Stats()
@@ -115,13 +114,13 @@ func TestConcurrentViewsMatchSerial(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			concDelta := statsDelta(concBase, e.disk.Stats())
+			concDelta := e.disk.Stats().Sub(concBase)
 
 			for i, req := range reqs {
 				if errs[i] != nil {
 					t.Fatalf("%s concurrent: %v", req.name, errs[i])
 				}
-				if err := sameResults(wantRes[i], gotRes[i]); err != nil {
+				if err := exactSameResults(wantRes[i], gotRes[i]); err != nil {
 					t.Errorf("%s: concurrent results diverge: %v", req.name, err)
 				}
 				if *gotSt[i] != *wantSt[i] {
@@ -138,15 +137,6 @@ func TestConcurrentViewsMatchSerial(t *testing.T) {
 					serialDelta, concDelta)
 			}
 		})
-	}
-}
-
-// statsDelta subtracts two disk-stat snapshots field by field.
-func statsDelta(before, after iosim.Stats) iosim.Stats {
-	return iosim.Stats{
-		SeqReads:  after.SeqReads - before.SeqReads,
-		RandReads: after.RandReads - before.RandReads,
-		Writes:    after.Writes - before.Writes,
 	}
 }
 
@@ -177,7 +167,7 @@ func TestViewBindingIsolatesSharedHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameResults(wantRes, gotRes); err != nil {
+	if err := exactSameResults(wantRes, gotRes); err != nil {
 		t.Fatalf("results changed after view-bound join: %v", err)
 	}
 	if *gotSt != *wantSt {

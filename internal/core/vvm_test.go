@@ -25,7 +25,7 @@ func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
 	c1 := buildColl(t, d, "c1", randomDocs(r, 150, 70, 16))
 	c2 := buildColl(t, d, "c2", randomDocs(r, 400, 70, 16))
 	inv1, inv2 := buildInv(t, d, c1, "c1"), buildInv(t, d, c2, "c2")
-	opts := Options{Lambda: 3, MemoryPages: 120, Delta: 1}.withDefaults()
+	opts := Options{Lambda: 3, MemoryPages: 14}.withDefaults()
 	prefix := func(n int) Inputs {
 		ids := make([]uint32, n)
 		for i := range ids {
@@ -42,7 +42,7 @@ func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rows per pass under M; at six or more, ⌈SM/M⌉ is exactly 2 and 6.
-	rows := int(float64(plan.mem.passBytes) / (4 * opts.Delta * 150))
+	rows := int(float64(plan.mem.passBytes) / (4 * delta * 150))
 	if rows < 6 || 6*rows > 400 {
 		t.Fatalf("M = %d bytes: %d rows per pass, want 6..66", plan.mem.passBytes, rows)
 	}
