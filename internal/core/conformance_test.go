@@ -120,7 +120,7 @@ var memoryMisses = map[string]bool{
 	"sparse/VVM": true,
 }
 
-// conformWorld is one shape built once for all its cells.
+// conformWorld is one shape built once for every cell any test runs on it.
 type conformWorld struct {
 	shape  diffShape
 	e      *env
@@ -134,14 +134,43 @@ type conformWorld struct {
 	// document i) and the scorer it was computed with.
 	ref     map[document.Weighting][]Result
 	scorers map[document.Weighting]*document.Scorer
-	// tel counts the regimes VVM's passes finish in, over the whole matrix.
+	// tel counts the regimes this shape's VVM passes finish in.
 	tel *telemetry.Collector
 }
 
-func newConformWorld(t *testing.T, shape diffShape, code signature.Config, tel *telemetry.Collector) *conformWorld {
+// conformShapes are the matrix's shapes: those of the differential harness,
+// the two store-regime shapes and the large one.
+func conformShapes() []diffShape {
+	return append(append(diffShapes(), storeShapes...), wsjShape)
+}
+
+// conform is the matrix's state in one test binary: each shape's world,
+// built once, and by shape and cell every cell some test ran — whether the
+// cell applies — so that TestJoinConformance runs only the cells no named
+// slice ran before it.
+var conform = struct {
+	worlds map[string]*conformWorld
+	ran    map[string]map[conformCell]bool
+}{map[string]*conformWorld{}, map[string]map[conformCell]bool{}}
+
+// worldOf returns shape's world, building it on first use. The shapes take
+// turns at the prefilter's signature codes.
+func worldOf(t *testing.T, shape diffShape) *conformWorld {
+	t.Helper()
+	if w := conform.worlds[shape.name]; w != nil {
+		return w
+	}
+	i := slices.IndexFunc(conformShapes(), func(s diffShape) bool { return s.name == shape.name })
+	codes := pfTestConfigs()
+	w := newConformWorld(t, shape, codes[i%len(codes)])
+	conform.worlds[shape.name] = w
+	return w
+}
+
+func newConformWorld(t *testing.T, shape diffShape, code signature.Config) *conformWorld {
 	t.Helper()
 	e := buildDiffEnv(t, shape, 1)
-	w := &conformWorld{shape: shape, e: e, tel: tel, pf: buildTestPrefilter(t, e, code),
+	w := &conformWorld{shape: shape, e: e, tel: telemetry.New(), pf: buildTestPrefilter(t, e, code),
 		lsh: buildDiffLSH(t, e, lshDiffConfig), inner: scanDocs(t, e.c1), outer: scanDocs(t, e.c2),
 		ref: map[document.Weighting][]Result{}, scorers: map[document.Weighting]*document.Scorer{}}
 	var docs []*document.Document
@@ -399,34 +428,211 @@ func eachCell(fn func(c conformCell)) {
 	}
 }
 
-// TestJoinConformance runs every cell of the matrix on every shape and
-// then demands that each cell some family can run was entered by at
-// least one shape. With -v it logs the large shape's memory rows and the
-// coverage table: per cell, how many shapes entered it under raw, cosine
-// and tf-idf weighting ("-": the family cannot run there).
-func TestJoinConformance(t *testing.T) {
-	entered, na, tel := map[conformCell]int{}, map[conformCell]bool{}, telemetry.New()
-	for i, shape := range append(append(diffShapes(), storeShapes...), wsjShape) {
-		// The shapes take turns at the prefilter's signature codes.
-		codes := pfTestConfigs()
-		w := newConformWorld(t, shape, codes[i%len(codes)], tel)
+// of reports whether the cell's family is one of names.
+func (c conformCell) of(names ...string) bool {
+	return slices.Contains(names, conformFamilies[c.family].name)
+}
+
+// conformSlice runs, on each of shapes, every cell of the matrix that keep
+// selects and the shape runs — its split cells only for the families it
+// lists in splits — and records it.
+func conformSlice(t *testing.T, shapes []diffShape, keep func(c conformCell) bool) {
+	t.Helper()
+	for _, shape := range shapes {
 		eachCell(func(c conformCell) {
-			switch {
-			case c.regime == 1 && !shape.splitsFamily(conformFamilies[c.family].alg):
-			case w.run(t, c):
-				entered[c]++
-			default:
-				na[c] = true
+			if !keep(c) || c.regime == 1 && !shape.splitsFamily(conformFamilies[c.family].alg) {
+				return
 			}
+			if conform.ran[shape.name] == nil {
+				conform.ran[shape.name] = map[conformCell]bool{}
+			}
+			conform.ran[shape.name][c] = worldOf(t, shape).run(t, c)
 		})
 	}
-	// Some VVM pass finished in each of the store's regimes: dense from its
-	// start, a table throughout, and a table promoted into the matrix.
+}
+
+// conformByShape runs the cells keep selects on every differential shape,
+// each shape as a subtest.
+func conformByShape(t *testing.T, keep func(c conformCell) bool) {
+	for _, shape := range diffShapes() {
+		t.Run(shape.name, func(t *testing.T) { conformSlice(t, []diffShape{shape}, keep) })
+	}
+}
+
+// finishedIn returns how many VVM passes over shapes finished in kind.
+func finishedIn(shapes []diffShape, kind string) (n int64) {
+	for _, shape := range shapes {
+		if w := conform.worlds[shape.name]; w != nil {
+			n += w.tel.Counter("join.vvm.accum." + kind).Value()
+		}
+	}
+	return n
+}
+
+// coversRegimes fails unless some VVM pass over shapes finished in each of
+// the store's regimes: dense from its start, a table throughout, and a
+// table promoted into the matrix.
+func coversRegimes(t *testing.T, shapes []diffShape) {
+	t.Helper()
 	for _, kind := range []string{"dense", "table", "promoted"} {
-		if tel.Counter("join.vvm.accum."+kind).Value() == 0 {
+		if finishedIn(shapes, kind) == 0 {
 			t.Errorf("no VVM pass finished %s", kind)
 		}
 	}
+}
+
+// The named slices of the matrix. Each runs the cells one part of the
+// paper's claim rests on; TestJoinConformance then runs the cells none of
+// them ran.
+
+// TestDifferentialReference holds HHNL, the baseline every family used to
+// be compared with, to the reference on every differential shape.
+func TestDifferentialReference(t *testing.T) {
+	conformByShape(t, func(c conformCell) bool { return c.of("HHNL") })
+}
+
+// TestDifferentialShapes holds HVNL and VVM to the reference on every
+// differential shape.
+func TestDifferentialShapes(t *testing.T) {
+	conformByShape(t, func(c conformCell) bool { return c.of("HVNL", "VVM") })
+}
+
+// TestDifferentialPrefilter holds HHNL and HVNL joined with the signature
+// prefilter to the reference on every differential shape, the shapes
+// taking turns at pfTestConfigs' codes.
+func TestDifferentialPrefilter(t *testing.T) {
+	conformByShape(t, func(c conformCell) bool { return c.of("HHNL+pf", "HVNL+pf") })
+}
+
+// TestDifferentialLSH holds the LSH join to precision 1 and to the
+// shape's recall floor on every differential shape.
+func TestDifferentialLSH(t *testing.T) {
+	conformByShape(t, func(c conformCell) bool { return c.of("LSH") })
+}
+
+// TestPrefilterSubsetOuter covers the prefilter's selection paths on the
+// first three shapes: a subset outer tests each selected id through the
+// outer sidecar, and a query batch, which has none, builds its signatures
+// on the fly.
+func TestPrefilterSubsetOuter(t *testing.T) {
+	for _, shape := range diffShapes()[:3] {
+		t.Run(shape.name, func(t *testing.T) {
+			conformSlice(t, []diffShape{shape}, func(c conformCell) bool {
+				return c.of("HHNL+pf", "HVNL+pf") && c.kind != 0
+			})
+		})
+	}
+}
+
+// TestJoinDispatch runs every family once per differential shape — raw
+// weighting, one pass over C2 — and checks Stats.Algorithm and one row per
+// outer document; an unknown algorithm is an error.
+func TestJoinDispatch(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool {
+		return c.regime == 0 && c.kind == 0 && c.view == 0 && c.w == document.RawTF
+	})
+	e := buildEnv(t, 2, 5, 5, 20, 8, 256)
+	if _, _, err := Join(Algorithm(42), e.inputs(), Options{}); err == nil {
+		t.Error("unknown algorithm: want error")
+	}
+}
+
+// TestHHNLAgainstReference holds one-pass HHNL to the reference with
+// Comparisons = N1·N2 and its document counts.
+func TestHHNLAgainstReference(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("HHNL") && c.regime == 0 })
+}
+
+// TestHHNLSmallMemoryMultipleBatches holds HHNL at the smallest budget it
+// admits to the reference: several batches, each scanning C1, so inner
+// reads ≥ passes × D1.
+func TestHHNLSmallMemoryMultipleBatches(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("HHNL") && c.regime == 1 })
+}
+
+// TestHVNLAgainstReference holds one-pass HVNL to the reference; it must
+// look entries up, fetching them or preloading the inverted file.
+func TestHVNLAgainstReference(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("HVNL") && c.regime == 0 })
+}
+
+// TestHVNLSubsetAgainstReference joins a scattered selection with HVNL,
+// every entry cached and with a budget that evicts, against the reference.
+func TestHVNLSubsetAgainstReference(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("HVNL") && c.kind == 1 })
+}
+
+// TestVVMAgainstReference holds one-pass VVM to the reference: one scan of
+// each inverted file, reads = I1 + I2.
+func TestVVMAgainstReference(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("VVM") && c.regime == 0 })
+}
+
+// TestVVMPartitioned holds VVM at the smallest budget it admits to the
+// reference: several passes, reads = passes × (I1 + I2).
+func TestVVMPartitioned(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("VVM") && c.regime == 1 })
+}
+
+// TestSubsetJoinAllAlgorithms holds every family over a scattered
+// selection of C2 to the reference, one pass and split.
+func TestSubsetJoinAllAlgorithms(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.kind == 1 && c.view == 0 })
+}
+
+// TestWeightingsAcrossAlgorithms holds every family to the reference under
+// cosine and tf-idf weighting: bit-exact, but for HVNL, whose cached-first
+// sums agree up to ties (DESIGN §6).
+func TestWeightingsAcrossAlgorithms(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool {
+		return c.w != document.RawTF && c.kind == 0 && c.view == 0
+	})
+}
+
+// TestBatchJoin joins a memory-resident query batch, the paper's
+// batch-query scenario: HHNL and HVNL apply and equal the reference, HHNL's
+// reads are exactly its inner scans, and VVM, with no inverted file for the
+// batch, fails with ErrMissingInput.
+func TestBatchJoin(t *testing.T) {
+	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.kind == 2 && c.view == 0 })
+}
+
+// TestVVMAccumulatorRegimes holds VVM to the reference on the store-regime
+// shapes, whose passes finish dense, as tables and promoted.
+func TestVVMAccumulatorRegimes(t *testing.T) {
+	conformSlice(t, storeShapes, func(c conformCell) bool { return c.of("VVM") })
+	coversRegimes(t, storeShapes)
+}
+
+// TestVVMSubsetAcrossRegimes joins a scattered selection with VVM on the
+// store-regime shapes, one pass and split, against the reference.
+func TestVVMSubsetAcrossRegimes(t *testing.T) {
+	conformSlice(t, storeShapes, func(c conformCell) bool { return c.of("VVM") && c.kind == 1 })
+}
+
+// TestPlanChargesWhatJoinsHold runs every cell of the large shape, where
+// the one memory model's bound — measured ≤ charged ≤ 2 × measured, which
+// every cell checks — is measured at scale. With -v it logs each family,
+// weighting and regime's charge, measured bytes and allocation.
+func TestPlanChargesWhatJoinsHold(t *testing.T) {
+	conformSlice(t, []diffShape{wsjShape}, func(conformCell) bool { return true })
+}
+
+// TestJoinConformance completes the matrix: it runs every cell of every
+// shape that no test before it ran, then demands that some VVM pass
+// finished in each store regime and that each cell some family can run
+// was entered by at least one shape. With -v it logs the coverage table:
+// per cell, how many shapes entered it under raw, cosine and tf-idf
+// weighting ("-": the family cannot run there).
+func TestJoinConformance(t *testing.T) {
+	shapes := conformShapes()
+	for _, shape := range shapes {
+		conformSlice(t, []diffShape{shape}, func(c conformCell) bool {
+			_, ran := conform.ran[shape.name][c]
+			return !ran
+		})
+	}
+	coversRegimes(t, shapes)
 
 	var table strings.Builder
 	table.WriteString("family   regime  ")
@@ -440,14 +646,23 @@ func TestJoinConformance(t *testing.T) {
 		if c.kind == 0 && c.view == 0 && c.w == document.RawTF {
 			fmt.Fprintf(&table, "\n%-8s %-8s", conformFamilies[c.family].name, conformRegimes[c.regime])
 		}
+		entered, na := 0, false
+		for _, shape := range shapes {
+			switch applies, ran := conform.ran[shape.name][c]; {
+			case applies:
+				entered++
+			case ran:
+				na = true
+			}
+		}
 		switch {
-		case na[c]:
+		case na:
 			group += "-"
-		case entered[c] == 0:
+		case entered == 0:
 			t.Errorf("%s: no shape entered the cell", c)
 			fallthrough
 		default:
-			group += fmt.Sprint(entered[c])
+			group += fmt.Sprint(entered)
 		}
 		if c.w != document.TFIDF {
 			group += "/"

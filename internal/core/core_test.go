@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"textjoin/internal/collection"
 	"textjoin/internal/corpus"
@@ -160,9 +161,6 @@ func TestMissingInputs(t *testing.T) {
 	}
 	if _, _, err := Join(VVM, Inputs{Outer: e.c2, Inner: e.c1, InnerInv: e.inv1}, Options{}); !errors.Is(err, ErrMissingInput) {
 		t.Errorf("VVM err = %v", err)
-	}
-	if _, _, err := Join(Algorithm(42), e.inputs(), Options{}); err == nil {
-		t.Error("unknown algorithm: want error")
 	}
 }
 
@@ -572,6 +570,44 @@ func FuzzJoinsAgree(f *testing.F) {
 	}
 	f.Add(int64(3763983438644698974), uint8(8), uint8(0x92), false)
 	f.Fuzz(joinsAgree)
+}
+
+// The three properties below draw their cases from a fixed source, so every
+// run checks the same ones.
+func quickCheck(t *testing.T, count int, f any) {
+	t.Helper()
+	if err := quick.Check(f, &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickCrossAlgorithmEquality is the paper's central invariant over
+// random corpora, budgets of 6 to 45 pages and λ.
+func TestQuickCrossAlgorithmEquality(t *testing.T) {
+	quickCheck(t, 40, func(seed int64, pages, lambda uint8) bool {
+		joinsAgree(t, seed, pages%40+6, lambda, false)
+		return true
+	})
+}
+
+// TestQuickMemoryInvariance holds every budget from 2 pages to the default
+// to the same reference, so results do not depend on the budget.
+func TestQuickMemoryInvariance(t *testing.T) {
+	quickCheck(t, 10, func(seed int64) bool {
+		for _, budget := range []uint8{2, 3, 4, 8, 20, 100, 0} {
+			joinsAgree(t, seed, budget, 3, false)
+		}
+		return true
+	})
+}
+
+// TestQuickAccumRegimesEqual is the invariant over random selections of
+// C2, whose tight budgets split the joins and change VVM's store regime.
+func TestQuickAccumRegimesEqual(t *testing.T) {
+	quickCheck(t, 40, func(seed int64, pages, lambda uint8) bool {
+		joinsAgree(t, seed, pages%40+6, lambda, true)
+		return true
+	})
 }
 
 // TestCrossAlgorithmTieAtRounding pins a case a random draw once found:
