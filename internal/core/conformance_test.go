@@ -14,8 +14,8 @@ import (
 	"textjoin/internal/collection"
 	"textjoin/internal/corpus"
 	"textjoin/internal/document"
+	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
-	"textjoin/internal/signature"
 	"textjoin/internal/telemetry"
 )
 
@@ -24,6 +24,8 @@ import (
 // the same top-λ join, held against the brute-force reference in every
 // cell of family × weighting × regime × outer kind × view, on every shape
 // of the differential harness, two store-regime shapes and one WSJ shape.
+// Its cells are split among named tests (conformTests), so a run of the
+// package runs each cell once.
 
 // conformFamily is one value of the family axis.
 type conformFamily struct {
@@ -113,18 +115,23 @@ var storeShapes = []diffShape{
 // on a listed cell that stops missing, so the list only shrinks.
 var memoryMisses = map[string]bool{
 	// At B = 2 HHNL's batches hold more documents than the average-size
-	// estimate: the block and its trackers come to 1.6% above PeakBytes.
+	// estimate: the block and its trackers come to 1.6% above PeakBytes,
+	// so admission can let the join exceed its budget (ROADMAP item 17).
 	"skewed-df/HHNL": true, "skewed-df/HHNL+pf": true,
 	// The tight passes stay tables, but the plan charges the matrix a table
-	// may promote into: 2.4 times what the join holds.
+	// may promote into: 2.4 times what the join holds (ROADMAP item 10(c)).
 	"sparse/VVM": true,
 }
 
 // conformWorld is one shape built once for every cell any test runs on it.
 type conformWorld struct {
-	shape  diffShape
-	e      *env
-	pf     *Prefilter
+	shape diffShape
+	e     *env
+	// pfs holds a prefilter per pfTestConfigs code; code is the one the
+	// shape's cells run under, but for the one-pass base cells of the
+	// prefiltered families, which run under every code.
+	pfs    []*Prefilter
+	code   int
 	lsh    *lsh.Sidecar
 	outers []collection.Reader // by outer kind
 	ids    []uint32            // the selection's outer ids
@@ -144,35 +151,24 @@ func conformShapes() []diffShape {
 	return append(append(diffShapes(), storeShapes...), wsjShape)
 }
 
-// conform is the matrix's state in one test binary: each shape's world,
-// built once, and by shape and cell every cell some test ran — whether the
-// cell applies — so that TestJoinConformance runs only the cells no named
-// slice ran before it.
-var conform = struct {
-	worlds map[string]*conformWorld
-	ran    map[string]map[conformCell]bool
-}{map[string]*conformWorld{}, map[string]map[conformCell]bool{}}
+// conformWorlds holds each shape's world, built on first use.
+var conformWorlds = map[string]*conformWorld{}
 
-// worldOf returns shape's world, building it on first use. The shapes take
-// turns at the prefilter's signature codes.
+// worldOf returns shape's world. The shapes take turns at the prefilter's
+// signature codes.
 func worldOf(t *testing.T, shape diffShape) *conformWorld {
 	t.Helper()
-	if w := conform.worlds[shape.name]; w != nil {
+	if w := conformWorlds[shape.name]; w != nil {
 		return w
 	}
-	i := slices.IndexFunc(conformShapes(), func(s diffShape) bool { return s.name == shape.name })
-	codes := pfTestConfigs()
-	w := newConformWorld(t, shape, codes[i%len(codes)])
-	conform.worlds[shape.name] = w
-	return w
-}
-
-func newConformWorld(t *testing.T, shape diffShape, code signature.Config) *conformWorld {
-	t.Helper()
 	e := buildDiffEnv(t, shape, 1)
-	w := &conformWorld{shape: shape, e: e, tel: telemetry.New(), pf: buildTestPrefilter(t, e, code),
-		lsh: buildDiffLSH(t, e, lshDiffConfig), inner: scanDocs(t, e.c1), outer: scanDocs(t, e.c2),
+	w := &conformWorld{shape: shape, e: e, tel: telemetry.New(), lsh: buildDiffLSH(t, e, lshDiffConfig),
+		inner: scanDocs(t, e.c1), outer: scanDocs(t, e.c2),
 		ref: map[document.Weighting][]Result{}, scorers: map[document.Weighting]*document.Scorer{}}
+	for _, code := range pfTestConfigs() {
+		w.pfs = append(w.pfs, buildTestPrefilter(t, e, code))
+	}
+	w.code = slices.IndexFunc(conformShapes(), func(s diffShape) bool { return s.name == shape.name }) % len(w.pfs)
 	var docs []*document.Document
 	for id, d := range w.outer {
 		if id%3 != 0 {
@@ -195,6 +191,7 @@ func newConformWorld(t *testing.T, shape diffShape, code signature.Config) *conf
 		}
 		w.ref[wt] = reference(t, e.c2, e.c1, shape.lambda, w.scorers[wt])
 	}
+	conformWorlds[shape.name] = w
 	return w
 }
 
@@ -238,18 +235,38 @@ func smallestBudget(t *testing.T, alg Algorithm, in Inputs, opts Options) int64 
 	return 0
 }
 
-// run joins one cell and returns whether the cell applies: a cell whose
-// family cannot run on its inputs must fail with ErrMissingInput. Every
-// violation is reported under the cell's name.
-func (w *conformWorld) run(t *testing.T, c conformCell) (applies bool) {
+// splitJoin reports whether a join split: several passes or batches, or an
+// entry cache that evicted.
+func splitJoin(st *Stats) bool { return st.Passes > 1 || st.Cache.Evictions > 0 }
+
+// run joins one cell, the one-pass base cell of a prefiltered family under
+// every signature code.
+func (w *conformWorld) run(t *testing.T, c conformCell) {
+	t.Helper()
+	pfs := w.pfs[w.code : w.code+1]
+	if conformFamilies[c.family].pf && c.regime == 0 && c.kind == 0 && c.view == 0 {
+		pfs = w.pfs
+	}
+	for _, pf := range pfs {
+		w.runWith(t, c, pf)
+	}
+}
+
+// runWith joins one cell with prefilter pf, which only the prefiltered
+// families use. A cell whose family cannot run on its inputs must fail
+// with ErrMissingInput. Every violation is reported under the cell's name.
+func (w *conformWorld) runWith(t *testing.T, c conformCell, pf *Prefilter) {
 	t.Helper()
 	fam, e, lambda := conformFamilies[c.family], w.e, w.shape.lambda
 	name := w.shape.name + "/" + c.String()
+	if fam.pf {
+		name += fmt.Sprintf("/code %d", slices.Index(w.pfs, pf))
+	}
 	in := e.inputs()
 	in.Outer = w.outers[c.kind]
 	opts := Options{Lambda: lambda, Weighting: c.w, LSH: w.lsh}
 	if fam.pf || fam.alg == VVM || fam.alg == LSH {
-		opts.Prefilter = w.pf // which VVM and LSH must ignore
+		opts.Prefilter = pf // which VVM and LSH must ignore
 	}
 	if fam.alg == VVM {
 		opts.Telemetry = w.tel
@@ -258,7 +275,7 @@ func (w *conformWorld) run(t *testing.T, c conformCell) (applies bool) {
 		if _, err := Plan(VVM, in, opts); !errors.Is(err, ErrMissingInput) {
 			t.Errorf("%s: err = %v, want ErrMissingInput", name, err)
 		}
-		return false
+		return
 	}
 	if c.regime == 1 {
 		opts.MemoryPages = smallestBudget(t, fam.alg, in, opts)
@@ -267,9 +284,9 @@ func (w *conformWorld) run(t *testing.T, c conformCell) (applies bool) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	run := in
+	run, v := in, (*iosim.View)(nil)
 	if c.view == 1 {
-		v := e.disk.View()
+		v = e.disk.View()
 		defer v.Close()
 		if run, err = in.WithView(v); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -280,6 +297,7 @@ func (w *conformWorld) run(t *testing.T, c conformCell) (applies bool) {
 	if large {
 		runtime.ReadMemStats(&before)
 	}
+	innerBefore := e.c1.File().Stats()
 	got, st, err := dec.Run(run, opts)
 	if large {
 		runtime.ReadMemStats(&after)
@@ -287,11 +305,15 @@ func (w *conformWorld) run(t *testing.T, c conformCell) (applies bool) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	if v != nil {
+		v.Close() // which merges the view's reads into the base files' counters
+	}
+	innerReads := e.c1.File().Stats().Sub(innerBefore).Reads()
 	fail := func(format string, args ...any) {
 		t.Errorf("%s (B=%d): %s", name, opts.MemoryPages, fmt.Sprintf(format, args...))
 	}
 
-	if split := st.Passes > 1 || st.Cache.Evictions > 0; split != (c.regime == 1) {
+	if splitJoin(st) != (c.regime == 1) {
 		fail("%d passes, %d evictions: regime not entered", st.Passes, st.Cache.Evictions)
 	}
 
@@ -328,10 +350,10 @@ func (w *conformWorld) run(t *testing.T, c conformCell) (applies bool) {
 	}
 	switch reads, d1 := st.IO.Reads(), e.c1.Stats().D; {
 	case fam.alg == HHNL && !fam.pf:
-		// One scan of C1 per batch; a query batch costs no reads.
-		if st.Comparisons != n1*n2 || reads < int64(st.Passes)*d1 || c.kind == 2 && reads != int64(st.Passes)*d1 {
-			fail("%d comparisons, %d reads in %d passes; want N1·N2 = %d, passes × D1 = %d inner reads",
-				st.Comparisons, reads, st.Passes, n1*n2, int64(st.Passes)*d1)
+		// One scan of C1 per batch; a query batch costs no other read.
+		if st.Comparisons != n1*n2 || innerReads != int64(st.Passes)*d1 || c.kind == 2 && reads != innerReads {
+			fail("%d comparisons, %d reads of which %d of C1, in %d passes; want N1·N2 = %d, passes × D1 = %d reads of C1",
+				st.Comparisons, reads, innerReads, st.Passes, n1*n2, int64(st.Passes)*d1)
 		}
 	case fam.alg == HHNL:
 		if st.Comparisons > n1*n2 {
@@ -372,7 +394,6 @@ func (w *conformWorld) run(t *testing.T, c conformCell) (applies bool) {
 			fail("allocated %d bytes, charged %d: want allocated ≤ 2 × charged", alloc, dec.PeakBytes)
 		}
 	}
-	return true
 }
 
 // checkLSH holds the approximate join to precision 1: one row per outer
@@ -433,206 +454,154 @@ func (c conformCell) of(names ...string) bool {
 	return slices.Contains(names, conformFamilies[c.family].name)
 }
 
-// conformSlice runs, on each of shapes, every cell of the matrix that keep
-// selects and the shape runs — its split cells only for the families it
-// lists in splits — and records it.
-func conformSlice(t *testing.T, shapes []diffShape, keep func(c conformCell) bool) {
+// scheduled reports whether shape runs cell c: its split cells only for
+// the families it lists in splits.
+func scheduled(shape diffShape, c conformCell) bool {
+	return c.regime == 0 || shape.splitsFamily(conformFamilies[c.family].alg)
+}
+
+// conformTest is one named test's share of the matrix: the cells keep
+// selects on shapes.
+type conformTest struct {
+	name   string
+	shapes []diffShape
+	keep   func(c conformCell) bool
+}
+
+// conformTests split the matrix among tests that each hold one part of the
+// paper's claim. A cell on a shape belongs to the first entry that selects
+// it, so each runs in exactly one test; TestJoinConformance runs the cells
+// no entry selects. A full run of the package runs the whole matrix.
+var conformTests = []conformTest{
+	// Every differential shape over C2, on disk and through a view; the
+	// prefiltered families' one-pass disk cells under every code.
+	{"TestDifferentialReference", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("HHNL") }},
+	{"TestDifferentialShapes", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("HVNL", "VVM") }},
+	{"TestDifferentialPrefilter", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("HHNL+pf", "HVNL+pf") }},
+	{"TestDifferentialLSH", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("LSH") }},
+	// Every differential shape, outer a selection or a query batch.
+	{"TestPrefilterSubsetOuter", diffShapes(), func(c conformCell) bool { return c.kind != 0 && c.of("HHNL+pf", "HVNL+pf") }},
+	{"TestHVNLSubsetAgainstReference", diffShapes(), func(c conformCell) bool { return c.kind == 1 && c.of("HVNL") }},
+	{"TestSubsetJoinAllAlgorithms", diffShapes(), func(c conformCell) bool { return c.kind == 1 }},
+	{"TestBatchJoin", diffShapes(), func(c conformCell) bool { return c.kind == 2 }},
+	// The store-regime shapes: VVM's passes finish dense, as tables and
+	// promoted; the remaining families' cosine and tf-idf cells.
+	{"TestVVMAgainstReference", storeShapes, func(c conformCell) bool {
+		return c.of("VVM") && c.regime == 0 && c.kind == 0 && c.view == 0
+	}},
+	{"TestVVMPartitioned", storeShapes, func(c conformCell) bool { return c.of("VVM") && c.kind == 0 && c.view == 0 }},
+	{"TestVVMSubsetAcrossRegimes", storeShapes, func(c conformCell) bool { return c.of("VVM") && c.kind == 1 }},
+	{"TestVVMAccumulatorRegimes", storeShapes, func(c conformCell) bool { return c.of("VVM") }},
+	{"TestHHNLAgainstReference", storeShapes, func(c conformCell) bool { return c.of("HHNL") && c.regime == 0 }},
+	{"TestHHNLSmallMemoryMultipleBatches", storeShapes, func(c conformCell) bool { return c.of("HHNL") }},
+	{"TestHVNLAgainstReference", storeShapes, func(c conformCell) bool { return c.of("HVNL") }},
+	{"TestWeightingsAcrossAlgorithms", storeShapes, func(c conformCell) bool { return c.w != document.RawTF }},
+	// The large shape, where the memory bound is measured at scale.
+	{"TestPlanChargesWhatJoinsHold", []diffShape{wsjShape}, func(conformCell) bool { return true }},
+}
+
+// owner names the test that runs cell c on shape.
+func owner(shape diffShape, c conformCell) string {
+	for _, ct := range conformTests {
+		if ct.keep(c) && slices.ContainsFunc(ct.shapes, func(s diffShape) bool { return s.name == shape.name }) {
+			return ct.name
+		}
+	}
+	return "TestJoinConformance"
+}
+
+// runOwned runs, on shape, every cell it schedules that test owns.
+func runOwned(t *testing.T, test string, shape diffShape) {
 	t.Helper()
-	for _, shape := range shapes {
-		eachCell(func(c conformCell) {
-			if !keep(c) || c.regime == 1 && !shape.splitsFamily(conformFamilies[c.family].alg) {
-				return
-			}
-			if conform.ran[shape.name] == nil {
-				conform.ran[shape.name] = map[conformCell]bool{}
-			}
-			conform.ran[shape.name][c] = worldOf(t, shape).run(t, c)
-		})
+	eachCell(func(c conformCell) {
+		if scheduled(shape, c) && owner(shape, c) == test {
+			worldOf(t, shape).run(t, c)
+		}
+	})
+}
+
+// runConformTest runs the calling test's share of the matrix, a subtest
+// per shape.
+func runConformTest(t *testing.T) {
+	i := slices.IndexFunc(conformTests, func(ct conformTest) bool { return ct.name == t.Name() })
+	for _, shape := range conformTests[i].shapes {
+		t.Run(shape.name, func(t *testing.T) { runOwned(t, conformTests[i].name, shape) })
 	}
 }
 
-// conformByShape runs the cells keep selects on every differential shape,
-// each shape as a subtest.
-func conformByShape(t *testing.T, keep func(c conformCell) bool) {
-	for _, shape := range diffShapes() {
-		t.Run(shape.name, func(t *testing.T) { conformSlice(t, []diffShape{shape}, keep) })
-	}
-}
+// The named shares of the matrix; conformTests says which cells each runs.
+// With -v, TestPlanChargesWhatJoinsHold logs each family, weighting and
+// regime's charge, measured bytes and allocation over C2 on disk at scale.
+func TestDifferentialReference(t *testing.T)          { runConformTest(t) }
+func TestDifferentialShapes(t *testing.T)             { runConformTest(t) }
+func TestDifferentialPrefilter(t *testing.T)          { runConformTest(t) }
+func TestDifferentialLSH(t *testing.T)                { runConformTest(t) }
+func TestPrefilterSubsetOuter(t *testing.T)           { runConformTest(t) }
+func TestHVNLSubsetAgainstReference(t *testing.T)     { runConformTest(t) }
+func TestSubsetJoinAllAlgorithms(t *testing.T)        { runConformTest(t) }
+func TestBatchJoin(t *testing.T)                      { runConformTest(t) }
+func TestVVMAgainstReference(t *testing.T)            { runConformTest(t) }
+func TestVVMPartitioned(t *testing.T)                 { runConformTest(t) }
+func TestVVMSubsetAcrossRegimes(t *testing.T)         { runConformTest(t) }
+func TestHHNLAgainstReference(t *testing.T)           { runConformTest(t) }
+func TestHHNLSmallMemoryMultipleBatches(t *testing.T) { runConformTest(t) }
+func TestHVNLAgainstReference(t *testing.T)           { runConformTest(t) }
+func TestWeightingsAcrossAlgorithms(t *testing.T)     { runConformTest(t) }
+func TestPlanChargesWhatJoinsHold(t *testing.T)       { runConformTest(t) }
 
-// finishedIn returns how many VVM passes over shapes finished in kind.
-func finishedIn(shapes []diffShape, kind string) (n int64) {
+// storeRegimes are the regimes a VVM pass can finish in: dense from its
+// start, a table throughout, and a table promoted into the matrix.
+var storeRegimes = []string{"dense", "table", "promoted"}
+
+// finishedIn counts, by store regime, the VVM passes run on shapes.
+func finishedIn(shapes []diffShape) []int64 {
+	n := make([]int64, len(storeRegimes))
 	for _, shape := range shapes {
-		if w := conform.worlds[shape.name]; w != nil {
-			n += w.tel.Counter("join.vvm.accum." + kind).Value()
+		if w := conformWorlds[shape.name]; w != nil {
+			for i, kind := range storeRegimes {
+				n[i] += w.tel.Counter("join.vvm.accum." + kind).Value()
+			}
 		}
 	}
 	return n
 }
 
-// coversRegimes fails unless some VVM pass over shapes finished in each of
-// the store's regimes: dense from its start, a table throughout, and a
-// table promoted into the matrix.
-func coversRegimes(t *testing.T, shapes []diffShape) {
-	t.Helper()
-	for _, kind := range []string{"dense", "table", "promoted"} {
-		if finishedIn(shapes, kind) == 0 {
+// TestVVMAccumulatorRegimes runs its share of the matrix — VVM through a
+// view on the store-regime shapes, one pass and split — and demands that
+// those passes finished in each of the store's regimes.
+func TestVVMAccumulatorRegimes(t *testing.T) {
+	before := finishedIn(storeShapes)
+	runConformTest(t)
+	after := finishedIn(storeShapes)
+	for i, kind := range storeRegimes {
+		if after[i] == before[i] {
 			t.Errorf("no VVM pass finished %s", kind)
 		}
 	}
 }
 
-// The named slices of the matrix. Each runs the cells one part of the
-// paper's claim rests on; TestJoinConformance then runs the cells none of
-// them ran.
-
-// TestDifferentialReference holds HHNL, the baseline every family used to
-// be compared with, to the reference on every differential shape.
-func TestDifferentialReference(t *testing.T) {
-	conformByShape(t, func(c conformCell) bool { return c.of("HHNL") })
-}
-
-// TestDifferentialShapes holds HVNL and VVM to the reference on every
-// differential shape.
-func TestDifferentialShapes(t *testing.T) {
-	conformByShape(t, func(c conformCell) bool { return c.of("HVNL", "VVM") })
-}
-
-// TestDifferentialPrefilter holds HHNL and HVNL joined with the signature
-// prefilter to the reference on every differential shape, the shapes
-// taking turns at pfTestConfigs' codes.
-func TestDifferentialPrefilter(t *testing.T) {
-	conformByShape(t, func(c conformCell) bool { return c.of("HHNL+pf", "HVNL+pf") })
-}
-
-// TestDifferentialLSH holds the LSH join to precision 1 and to the
-// shape's recall floor on every differential shape.
-func TestDifferentialLSH(t *testing.T) {
-	conformByShape(t, func(c conformCell) bool { return c.of("LSH") })
-}
-
-// TestPrefilterSubsetOuter covers the prefilter's selection paths on the
-// first three shapes: a subset outer tests each selected id through the
-// outer sidecar, and a query batch, which has none, builds its signatures
-// on the fly.
-func TestPrefilterSubsetOuter(t *testing.T) {
-	for _, shape := range diffShapes()[:3] {
-		t.Run(shape.name, func(t *testing.T) {
-			conformSlice(t, []diffShape{shape}, func(c conformCell) bool {
-				return c.of("HHNL+pf", "HVNL+pf") && c.kind != 0
-			})
-		})
-	}
-}
-
-// TestJoinDispatch runs every family once per differential shape — raw
-// weighting, one pass over C2 — and checks Stats.Algorithm and one row per
-// outer document; an unknown algorithm is an error.
-func TestJoinDispatch(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool {
-		return c.regime == 0 && c.kind == 0 && c.view == 0 && c.w == document.RawTF
-	})
-	e := buildEnv(t, 2, 5, 5, 20, 8, 256)
-	if _, _, err := Join(Algorithm(42), e.inputs(), Options{}); err == nil {
-		t.Error("unknown algorithm: want error")
-	}
-}
-
-// TestHHNLAgainstReference holds one-pass HHNL to the reference with
-// Comparisons = N1·N2 and its document counts.
-func TestHHNLAgainstReference(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("HHNL") && c.regime == 0 })
-}
-
-// TestHHNLSmallMemoryMultipleBatches holds HHNL at the smallest budget it
-// admits to the reference: several batches, each scanning C1, so inner
-// reads ≥ passes × D1.
-func TestHHNLSmallMemoryMultipleBatches(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("HHNL") && c.regime == 1 })
-}
-
-// TestHVNLAgainstReference holds one-pass HVNL to the reference; it must
-// look entries up, fetching them or preloading the inverted file.
-func TestHVNLAgainstReference(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("HVNL") && c.regime == 0 })
-}
-
-// TestHVNLSubsetAgainstReference joins a scattered selection with HVNL,
-// every entry cached and with a budget that evicts, against the reference.
-func TestHVNLSubsetAgainstReference(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("HVNL") && c.kind == 1 })
-}
-
-// TestVVMAgainstReference holds one-pass VVM to the reference: one scan of
-// each inverted file, reads = I1 + I2.
-func TestVVMAgainstReference(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("VVM") && c.regime == 0 })
-}
-
-// TestVVMPartitioned holds VVM at the smallest budget it admits to the
-// reference: several passes, reads = passes × (I1 + I2).
-func TestVVMPartitioned(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.of("VVM") && c.regime == 1 })
-}
-
-// TestSubsetJoinAllAlgorithms holds every family over a scattered
-// selection of C2 to the reference, one pass and split.
-func TestSubsetJoinAllAlgorithms(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.kind == 1 && c.view == 0 })
-}
-
-// TestWeightingsAcrossAlgorithms holds every family to the reference under
-// cosine and tf-idf weighting: bit-exact, but for HVNL, whose cached-first
-// sums agree up to ties (DESIGN §6).
-func TestWeightingsAcrossAlgorithms(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool {
-		return c.w != document.RawTF && c.kind == 0 && c.view == 0
-	})
-}
-
-// TestBatchJoin joins a memory-resident query batch, the paper's
-// batch-query scenario: HHNL and HVNL apply and equal the reference, HHNL's
-// reads are exactly its inner scans, and VVM, with no inverted file for the
-// batch, fails with ErrMissingInput.
-func TestBatchJoin(t *testing.T) {
-	conformSlice(t, diffShapes(), func(c conformCell) bool { return c.kind == 2 && c.view == 0 })
-}
-
-// TestVVMAccumulatorRegimes holds VVM to the reference on the store-regime
-// shapes, whose passes finish dense, as tables and promoted.
-func TestVVMAccumulatorRegimes(t *testing.T) {
-	conformSlice(t, storeShapes, func(c conformCell) bool { return c.of("VVM") })
-	coversRegimes(t, storeShapes)
-}
-
-// TestVVMSubsetAcrossRegimes joins a scattered selection with VVM on the
-// store-regime shapes, one pass and split, against the reference.
-func TestVVMSubsetAcrossRegimes(t *testing.T) {
-	conformSlice(t, storeShapes, func(c conformCell) bool { return c.of("VVM") && c.kind == 1 })
-}
-
-// TestPlanChargesWhatJoinsHold runs every cell of the large shape, where
-// the one memory model's bound — measured ≤ charged ≤ 2 × measured, which
-// every cell checks — is measured at scale. With -v it logs each family,
-// weighting and regime's charge, measured bytes and allocation.
-func TestPlanChargesWhatJoinsHold(t *testing.T) {
-	conformSlice(t, []diffShape{wsjShape}, func(conformCell) bool { return true })
-}
-
-// TestJoinConformance completes the matrix: it runs every cell of every
-// shape that no test before it ran, then demands that some VVM pass
-// finished in each store regime and that each cell some family can run
-// was entered by at least one shape. With -v it logs the coverage table:
-// per cell, how many shapes entered it under raw, cosine and tf-idf
-// weighting ("-": the family cannot run there).
+// TestJoinConformance completes the matrix: it runs the cells no named
+// test owns, then demands that each named test owns some cell and that
+// each cell some family can run is run by at least one shape — where every
+// run asserts that the cell entered its regime. With -v it logs the
+// coverage table: per cell, how many shapes run it under raw, cosine and
+// tf-idf weighting ("-": the family cannot run there).
 func TestJoinConformance(t *testing.T) {
 	shapes := conformShapes()
+	owned := map[string]bool{}
 	for _, shape := range shapes {
-		conformSlice(t, []diffShape{shape}, func(c conformCell) bool {
-			_, ran := conform.ran[shape.name][c]
-			return !ran
+		runOwned(t, t.Name(), shape)
+		eachCell(func(c conformCell) {
+			if scheduled(shape, c) {
+				owned[owner(shape, c)] = true
+			}
 		})
 	}
-	coversRegimes(t, shapes)
+	for _, ct := range conformTests {
+		if !owned[ct.name] {
+			t.Errorf("%s owns no cell", ct.name)
+		}
+	}
 
 	var table strings.Builder
 	table.WriteString("family   regime  ")
@@ -646,23 +615,20 @@ func TestJoinConformance(t *testing.T) {
 		if c.kind == 0 && c.view == 0 && c.w == document.RawTF {
 			fmt.Fprintf(&table, "\n%-8s %-8s", conformFamilies[c.family].name, conformRegimes[c.regime])
 		}
-		entered, na := 0, false
+		n := 0
 		for _, shape := range shapes {
-			switch applies, ran := conform.ran[shape.name][c]; {
-			case applies:
-				entered++
-			case ran:
-				na = true
+			if scheduled(shape, c) {
+				n++
 			}
 		}
 		switch {
-		case na:
+		case c.of("VVM") && c.kind == 2:
 			group += "-"
-		case entered == 0:
-			t.Errorf("%s: no shape entered the cell", c)
+		case n == 0:
+			t.Errorf("%s: no shape runs the cell", c)
 			fallthrough
 		default:
-			group += fmt.Sprint(entered)
+			group += fmt.Sprint(n)
 		}
 		if c.w != document.TFIDF {
 			group += "/"
@@ -671,5 +637,5 @@ func TestJoinConformance(t *testing.T) {
 		fmt.Fprintf(&table, " %-16s", group)
 		group = ""
 	})
-	t.Logf("shapes entering each cell (raw/cosine/tfidf):\n%s", table.String())
+	t.Logf("shapes running each cell (raw/cosine/tfidf):\n%s", table.String())
 }

@@ -173,10 +173,10 @@ func diffShapes() []diffShape {
 			},
 		},
 		{
-			// Small pages and a tight budget: at mem HHNL and LSH run in
-			// two batches and HVNL's cache evicts, but VVM runs one pass;
-			// at their smallest budgets every family splits.
-			name: "multi-pass", pageSize: 64, lambda: 3, mem: 30, splits: []Algorithm{HHNL, HVNL, VVM}, recall: 0.85,
+			// Small pages and a tight budget: at mem every family splits
+			// (HHNL and LSH run three batches, VVM two passes, and HVNL's
+			// cache evicts), and so it does at the smallest budgets.
+			name: "multi-pass", pageSize: 64, lambda: 3, mem: 16, splits: []Algorithm{HHNL, HVNL, VVM}, recall: 0.85,
 			build: func(r *rand.Rand) ([]*document.Document, []*document.Document) {
 				return randomDocs(r, 50, 40, 10), randomDocs(r, 50, 40, 10)
 			},
@@ -221,8 +221,9 @@ func variantEnv(tb testing.TB, shape diffShape) (*env, Options) {
 
 // TestTelemetryInvariance pins the telemetry contract: an attached
 // collector and request trace change neither the results nor a single
-// byte of the Stats, for every family on every shape. Fresh environments
-// per run keep the disk head positions (and so the seq/rand
+// byte of the Stats, for every family on every shape; on multi-pass each
+// family's join must split, so the contract covers several passes. Fresh
+// environments per run keep the disk head positions (and so the seq/rand
 // classification) comparable.
 func TestTelemetryInvariance(t *testing.T) {
 	for _, shape := range diffShapes() {
@@ -252,6 +253,9 @@ func TestTelemetryInvariance(t *testing.T) {
 				}
 				if *offSt != *onSt {
 					t.Errorf("%v: telemetry changed stats:\noff %+v\non  %+v", alg, *offSt, *onSt)
+				}
+				if shape.name == "multi-pass" && !splitJoin(offSt) {
+					t.Errorf("%v: %d passes, %d evictions: the multi-pass shape must split", alg, offSt.Passes, offSt.Cache.Evictions)
 				}
 				// The run's trace is a well-formed tree, and the phase
 				// histograms derived from it count exactly its spans.

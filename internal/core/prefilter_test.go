@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"textjoin/internal/collection"
@@ -8,10 +9,9 @@ import (
 )
 
 // This file holds the prefilter's helpers and its accounting test; the
-// conformance matrix holds every prefiltered join to the reference, the
-// shapes taking turns at the codes below — including deliberately tiny
-// codes whose false positives stress the skip-never-admit invariant from
-// both sides.
+// conformance matrix holds every prefiltered join to the reference under
+// each of the codes below — including deliberately tiny codes whose false
+// positives stress the skip-never-admit invariant from both sides.
 
 // pfTestConfigs are the signature codes the matrix runs under: the
 // defaults, a tiny saturating code (maximal false passes — pruning must
@@ -25,13 +25,14 @@ func pfTestConfigs() []signature.Config {
 	}
 }
 
-// buildTestPrefilter builds both sidecars on the env's disk and resets
-// the I/O counters so the measured join starts clean, like buildDiffEnv.
+// buildTestPrefilter builds both sidecars on the env's disk, in files
+// named by the code so that one disk can hold several, and resets the I/O
+// counters so the measured join starts clean, like buildDiffEnv.
 func buildTestPrefilter(tb testing.TB, e *env, cfg signature.Config) *Prefilter {
 	tb.Helper()
 	build := func(coll *collection.Collection) *signature.Sidecar {
 		tb.Helper()
-		f, err := e.disk.Create(coll.Name() + ".sig")
+		f, err := e.disk.Create(fmt.Sprintf("%s.%v.sig", coll.Name(), cfg))
 		if err != nil {
 			tb.Fatal(err)
 		}

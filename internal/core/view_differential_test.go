@@ -73,8 +73,9 @@ func runOnView(e *env, req viewRequest, opts Options, pf *Prefilter) ([]Result, 
 // TestConcurrentViewsMatchSerial is the tentpole check: on every shape,
 // the full request mix run concurrently (each request on its own view)
 // must return results and per-request Stats identical to the same
-// requests run one at a time. Run under -race this also proves the
-// view-bound read path is data-race free.
+// requests run one at a time; on multi-pass every request's join splits.
+// Run under -race this also proves the view-bound read path is data-race
+// free.
 func TestConcurrentViewsMatchSerial(t *testing.T) {
 	for _, shape := range diffShapes() {
 		shape := shape
@@ -94,6 +95,9 @@ func TestConcurrentViewsMatchSerial(t *testing.T) {
 				res, st, err := runOnView(e, req, opts, pf)
 				if err != nil {
 					t.Fatalf("%s serial: %v", req.name, err)
+				}
+				if shape.name == "multi-pass" && !splitJoin(st) {
+					t.Errorf("%s: %d passes, %d evictions: the multi-pass shape must split", req.name, st.Passes, st.Cache.Evictions)
 				}
 				wantRes[i], wantSt[i] = res, st
 			}
