@@ -67,11 +67,12 @@ race:
 # reference, the B+tree cell decoder, the document-side twin against the
 # record decode, and the corpus generator's table-resolved Zipf sampler
 # against math/rand's, VVM's similarity store against a map through its
-# promotions, the λ-tracker slab against a tracker per slot, and every
-# exact join family against the brute-force reference on random corpora,
-# budgets and selections. go test takes one fuzz target per run. A failing
-# input is written under the package's testdata/fuzz, which is what to
-# commit as a regression seed.
+# promotions, the λ-tracker slab against a tracker per slot, the paged
+# store's sequential record stream against ReadAt and the pages its
+# records span, and every exact join family against the brute-force
+# reference on random corpora, budgets and selections. go test takes one
+# fuzz target per run. A failing input is written under the package's
+# testdata/fuzz, which is what to commit as a regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordInto$$' -fuzztime 10s ./internal/codec
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfMatchesStdlib$$' -fuzztime 10s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesMap$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockMatchesTopK$$' -fuzztime 10s ./internal/topk
+	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/iosim
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinsAgree$$' -fuzztime 10s ./internal/core
 
 # perf is the one instrument that measures time: the four workloads of

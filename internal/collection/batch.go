@@ -86,8 +86,6 @@ type batchIterator struct {
 	next int
 }
 
-var _ ReuseIterator = (*batchIterator)(nil)
-
 func (it *batchIterator) Next() (*document.Document, error) {
 	if it.next >= len(it.b.docs) {
 		return nil, io.EOF

@@ -229,45 +229,33 @@ func Open(name string, file *iosim.File, expectedDocs int64) (*Collection, error
 		stats: Stats{PageSize: file.PageSize()},
 		der:   &derived{},
 	}
-	var buf []byte
-	var nextPage, off int64
+	st := file.Stream()
+	var d document.Document
+	var off int64
 	for id := int64(0); id < expectedDocs; id++ {
-		// Buffer enough bytes for the header, then the whole record.
-		need := int64(codec.DocHeaderSize)
-		for int64(len(buf)) < need {
-			page, err := file.ReadPage(nextPage)
-			if err != nil {
-				return nil, fmt.Errorf("collection %s: doc %d: %w", name, id, err)
-			}
-			nextPage++
-			buf = append(buf, page...)
-		}
-		size, err := codec.PeekRecordSize(buf)
+		hdr, err := st.Peek(codec.DocHeaderSize)
 		if err != nil {
 			return nil, fmt.Errorf("collection %s: doc %d: %w", name, id, err)
 		}
-		for int64(len(buf)) < size {
-			page, err := file.ReadPage(nextPage)
-			if err != nil {
-				return nil, fmt.Errorf("collection %s: doc %d: %w", name, id, err)
-			}
-			nextPage++
-			buf = append(buf, page...)
-		}
-		rec, consumed, err := codec.DecodeRecord(buf)
+		size, err := codec.PeekRecordSize(hdr)
 		if err != nil {
 			return nil, fmt.Errorf("collection %s: doc %d: %w", name, id, err)
 		}
-		if int64(rec.Number) != id {
-			return nil, fmt.Errorf("collection %s: record %d has id %d (not a collection file?)", name, id, rec.Number)
+		raw, err := st.Next(int(size))
+		if err != nil {
+			return nil, fmt.Errorf("collection %s: doc %d: %w", name, id, err)
 		}
-		buf = buf[consumed:]
-		d := document.FromRecord(rec)
-		c.refs = append(c.refs, DocRef{Off: off, Len: int32(consumed), Terms: int32(len(d.Cells))})
+		if _, err := document.DecodeInto(&d, raw); err != nil {
+			return nil, fmt.Errorf("collection %s: doc %d: %w", name, id, err)
+		}
+		if int64(d.ID) != id {
+			return nil, fmt.Errorf("collection %s: record %d has id %d (not a collection file?)", name, id, d.ID)
+		}
+		c.refs = append(c.refs, DocRef{Off: off, Len: int32(size), Terms: int32(len(d.Cells))})
 		c.df = countTerms(c.df, d.Cells)
 		c.norms = append(c.norms, d.Norm())
 		c.stats.TotalCells += int64(len(d.Cells))
-		off += consumed
+		off += size
 	}
 	c.stats.N = expectedDocs
 	c.stats.T = distinctTerms(c.df)
@@ -406,32 +394,33 @@ func (c *Collection) FetchInto(id uint32, d *document.Document, scratch []byte) 
 	return scratch, err
 }
 
-// Scanner iterates documents in storage order, reading every page of the
-// collection exactly once (the paper's sequential scan costing D pages).
-//
-// The scanner consumes records from a page-backed window: a record that
-// lies entirely within the current page is decoded straight out of the
-// page image, and only records crossing a page boundary are stitched
-// through a small reused scratch buffer — nothing re-copies every page
-// into a growing buffer.
+// Scanner iterates documents in storage order through one iosim.Stream,
+// decoding each record straight out of the page image unless it crosses
+// a page. Scan reads every page of the collection exactly once (the
+// paper's sequential scan costing D pages). ScanFiltered decodes only the
+// documents its keep predicate reports true for and reads only the pages
+// they span: it is the storage half of the signature prefilter and of
+// LSH's verify scan, where a skip saves real page reads and resuming
+// after a gap costs one random read, like any seek.
 type Scanner struct {
-	c        *Collection
-	nextPage int64
-	// window is the unconsumed tail of the most recently read page (it
-	// aliases the page image, or scratch after a stitch).
-	window  []byte
-	scratch []byte
-	doc     document.Document // arena for NextReuse
-	next    int               // next document id to return
-	err     error
+	c      *Collection
+	stream *iosim.Stream
+	keep   func(id uint32) bool // nil keeps every document
+	doc    document.Document    // arena for NextReuse
+	next   int                  // next document id to consider
+	err    error
 }
 
 // Scan starts a sequential scan from the first document.
-func (c *Collection) Scan() *Scanner {
-	return &Scanner{c: c}
+func (c *Collection) Scan() *Scanner { return c.ScanFiltered(nil) }
+
+// ScanFiltered starts a storage-order scan that yields only the
+// documents keep reports true for; a nil keep yields every document.
+func (c *Collection) ScanFiltered(keep func(id uint32) bool) *Scanner {
+	return &Scanner{c: c, stream: c.file.Stream(), keep: keep}
 }
 
-// NextReuse returns the next document, or io.EOF when the scan is
+// NextReuse returns the next (kept) document, or io.EOF when the scan is
 // complete. The returned document lives in the scanner's arena: it is
 // valid only until the next call, and callers that retain it must Clone
 // it. The steady state allocates nothing.
@@ -439,34 +428,24 @@ func (s *Scanner) NextReuse() (*document.Document, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
+	for s.keep != nil && s.next < len(s.c.refs) && !s.keep(uint32(s.next)) {
+		s.next++
+	}
 	if s.next >= len(s.c.refs) {
 		s.err = io.EOF
 		return nil, io.EOF
 	}
-	need := int(s.c.refs[s.next].Len)
-	if len(s.window) < need {
-		// The record extends past the window: stitch it (and the rest of
-		// the page it ends on) into scratch. The window may already alias
-		// scratch; append copies via memmove, so the overlap is safe.
-		s.scratch = append(s.scratch[:0], s.window...)
-		for len(s.scratch) < need {
-			page, err := s.c.file.ReadPage(s.nextPage)
-			if err != nil {
-				s.err = err
-				return nil, err
-			}
-			s.nextPage++
-			s.scratch = append(s.scratch, page...)
-		}
-		s.window = s.scratch
+	ref := s.c.refs[s.next]
+	s.next++
+	s.stream.SkipTo(ref.Off)
+	raw, err := s.stream.Next(int(ref.Len))
+	if err == nil {
+		_, err = document.DecodeInto(&s.doc, raw)
 	}
-	consumed, err := document.DecodeInto(&s.doc, s.window[:need])
 	if err != nil {
 		s.err = err
 		return nil, err
 	}
-	s.window = s.window[consumed:]
-	s.next++
 	return &s.doc, nil
 }
 
@@ -513,33 +492,15 @@ type Reader interface {
 	BaseStats() Stats
 }
 
-// DocIterator yields documents until io.EOF. Documents returned by Next
-// are stable: they remain valid after further calls.
+// DocIterator yields documents until io.EOF. A document returned by
+// NextReuse lives in the iterator's arena: it is valid only until the
+// next call (of either method), callers that retain it must Clone it,
+// and none may mutate it. Memory-resident sources may return stable
+// documents from NextReuse; callers must not assume so. Documents
+// returned by Next are stable: they remain valid after further calls.
 type DocIterator interface {
 	Next() (*document.Document, error)
-}
-
-// ReuseIterator is a DocIterator that can additionally yield documents
-// from an internal arena. A document returned by NextReuse is valid only
-// until the next call (of either method); callers that retain it must
-// Clone it. Memory-resident sources may return stable documents from
-// NextReuse — the contract is simply that callers must not assume
-// stability, and must never mutate the yielded document.
-type ReuseIterator interface {
-	DocIterator
 	NextReuse() (*document.Document, error)
-}
-
-// NextReuse advances it through the reuse path when the iterator offers
-// one, falling back to the allocating Next otherwise. Join hot loops that
-// consume each document transiently use this helper so any Reader
-// implementation benefits from arena iteration without being required to
-// provide it.
-func NextReuse(it DocIterator) (*document.Document, error) {
-	if r, ok := it.(ReuseIterator); ok {
-		return r.NextReuse()
-	}
-	return it.Next()
 }
 
 // Collection implements Reader over all its documents.
@@ -693,8 +654,6 @@ type subsetIterator struct {
 	doc     document.Document // arena for NextReuse
 	scratch []byte            // stitches a record that crosses a page
 }
-
-var _ ReuseIterator = (*subsetIterator)(nil)
 
 // NextReuse fetches the next selected document into the iterator's one
 // arena document, through one kept scratch buffer (Collection.FetchInto):

@@ -370,7 +370,7 @@ func TestSubsetNextReuseFetchesInPlace(t *testing.T) {
 			var doc *document.Document
 			var err error
 			if reuse {
-				doc, err = NextReuse(it)
+				doc, err = it.NextReuse()
 			} else {
 				doc, err = it.Next()
 			}
@@ -399,7 +399,7 @@ func TestSubsetNextReuseFetchesInPlace(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		it := sub.Documents()
 		for {
-			if _, err := NextReuse(it); err != nil {
+			if _, err := it.NextReuse(); err != nil {
 				break
 			}
 		}

@@ -8,35 +8,37 @@ import (
 	"textjoin/internal/iosim"
 )
 
+const filteredDocs = 40
+
+// filteredCollection stores 40 documents of varied sizes on 64-byte
+// pages, so that some span several pages and keep-gaps span pages.
+func filteredCollection(t *testing.T) (*Collection, *iosim.Disk) {
+	d := newDisk(64)
+	docs := make([]*document.Document, filteredDocs)
+	for i := range docs {
+		counts := map[uint32]int{}
+		for j := 0; j <= (i*7)%23; j++ {
+			counts[uint32(i*31+j)] = 1 + j%3
+		}
+		docs[i] = document.New(uint32(i), counts)
+	}
+	return buildDocs(t, d, "c", docs), d
+}
+
+// filteredKeeps are the keep predicates both filtered-scan tests run.
+var filteredKeeps = map[string]func(uint32) bool{
+	"all":       nil,
+	"none":      func(uint32) bool { return false },
+	"even":      func(id uint32) bool { return id%2 == 0 },
+	"sparse":    func(id uint32) bool { return id%7 == 3 },
+	"tail-half": func(id uint32) bool { return id >= filteredDocs/2 },
+}
+
 // TestScanFiltered pins the filtered scan against the plain scan for
 // several keep predicates, including multi-page records and keep-gaps
 // spanning pages.
 func TestScanFiltered(t *testing.T) {
-	d := iosim.NewDisk(iosim.WithPageSize(64))
-	f, err := d.Create("c.col")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBuilder("c", f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40
-	for i := 0; i < n; i++ {
-		counts := map[uint32]int{}
-		// Vary sizes: some docs span multiple 64-byte pages.
-		for j := 0; j <= (i*7)%23; j++ {
-			counts[uint32(i*31+j)] = 1 + j%3
-		}
-		if err := b.Add(document.New(uint32(i), counts)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	c, _ := filteredCollection(t)
 	want := make(map[uint32]*document.Document)
 	sc := c.Scan()
 	for {
@@ -50,14 +52,7 @@ func TestScanFiltered(t *testing.T) {
 		want[doc.ID] = doc
 	}
 
-	keeps := map[string]func(uint32) bool{
-		"all":       nil,
-		"none":      func(uint32) bool { return false },
-		"even":      func(id uint32) bool { return id%2 == 0 },
-		"sparse":    func(id uint32) bool { return id%7 == 3 },
-		"tail-half": func(id uint32) bool { return id >= n/2 },
-	}
-	for name, keep := range keeps {
+	for name, keep := range filteredKeeps {
 		fs := c.ScanFiltered(keep)
 		seen := 0
 		for {
@@ -83,7 +78,7 @@ func TestScanFiltered(t *testing.T) {
 			seen++
 		}
 		wantSeen := 0
-		for id := uint32(0); id < n; id++ {
+		for id := uint32(0); id < filteredDocs; id++ {
 			if keep == nil || keep(id) {
 				wantSeen++
 			}
@@ -94,50 +89,49 @@ func TestScanFiltered(t *testing.T) {
 	}
 }
 
-// TestScanFilteredReadsFewerPages pins the point of the filter: skipping
-// documents must skip their pages.
+// TestScanFilteredReadsFewerPages pins what a filtered scan reads: exactly
+// the pages its kept documents span, each once, and nothing else. From a
+// parked head, every maximal run of consecutive touched pages costs one
+// random read and the rest of the run sequential ones. A plain Scan reads
+// what ScanFiltered(nil) reads: all D pages, one random read and D − 1
+// sequential ones.
 func TestScanFilteredReadsFewerPages(t *testing.T) {
-	d := iosim.NewDisk(iosim.WithPageSize(64))
-	f, err := d.Create("c.col")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBuilder("c", f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		counts := map[uint32]int{}
-		for j := 0; j < 12; j++ {
-			counts[uint32(i*100+j)] = 1
-		}
-		if err := b.Add(document.New(uint32(i), counts)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	drain := func(keep func(uint32) bool) iosim.Stats {
+	c, d := filteredCollection(t)
+	drain := func(sc *Scanner) iosim.Stats {
 		d.ResetStats()
-		f.ParkHead()
-		fs := c.ScanFiltered(keep)
+		d.ParkHeads()
 		for {
-			if _, err := fs.NextReuse(); err != nil {
-				break
+			if _, err := sc.NextReuse(); err == io.EOF {
+				return d.Stats()
+			} else if err != nil {
+				t.Fatal(err)
 			}
 		}
-		return d.Stats()
 	}
-	full := drain(nil)
-	half := drain(func(id uint32) bool { return id < 8 })
-	if half.Reads() >= full.Reads() {
-		t.Fatalf("filtered scan read %d pages, full scan %d — no saving", half.Reads(), full.Reads())
+	ps := int64(c.Stats().PageSize)
+	for name, keep := range filteredKeeps {
+		touched := map[int64]bool{}
+		for id, ref := range c.refs {
+			if keep == nil || keep(uint32(id)) {
+				for p := ref.Off / ps; p <= (ref.Off+int64(ref.Len)-1)/ps; p++ {
+					touched[p] = true
+				}
+			}
+		}
+		var want iosim.Stats
+		for p := range touched {
+			if touched[p-1] {
+				want.SeqReads++
+			} else {
+				want.RandReads++
+			}
+		}
+		if got := drain(c.ScanFiltered(keep)); got != want {
+			t.Errorf("%s: filtered scan read %v, its kept documents span %v", name, got, want)
+		}
 	}
-	none := drain(func(uint32) bool { return false })
-	if none.Reads() != 0 {
-		t.Fatalf("empty keep read %d pages, want 0", none.Reads())
+	scan, all := drain(c.Scan()), drain(c.ScanFiltered(nil))
+	if scan != all || scan != (iosim.Stats{SeqReads: c.Stats().D - 1, RandReads: 1}) {
+		t.Errorf("Scan read %v, ScanFiltered(nil) %v, want %d pages from a parked head", scan, all, c.Stats().D)
 	}
 }

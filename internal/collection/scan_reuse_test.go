@@ -104,7 +104,7 @@ func TestScanReuseArenaSemantics(t *testing.T) {
 
 // TestScanReuseSweepAllocs guards the claim that the reuse path is
 // allocation-free in the steady state: a full NextReuse sweep allocates
-// its scanner, page window and the arena's few growth steps — a constant
+// its scanner, its page stream and the arena's few growth steps — a constant
 // that does not grow with the number of records. The same bound holds
 // for N and 4N documents; one allocation per record would break it at
 // either size.

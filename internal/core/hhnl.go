@@ -8,7 +8,6 @@ import (
 
 	"textjoin/internal/accum"
 	"textjoin/internal/codec"
-	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/reqtrace"
@@ -169,7 +168,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	fillName, invertName, flushName := name+".fill-batch", name+".invert-batch", name+".flush-batch"
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	outer := in.Outer.Documents()
-	filler := newBatchFiller(func() (*document.Document, error) { return collection.NextReuse(outer) },
+	filler := newBatchFiller(outer.NextReuse,
 		b.mem.batch, 4*int64(opts.Lambda), in.Outer.NumDocs(), in.Outer.AvgDocBytes())
 	// The block, its accumulator and the stage's tracker slab are built once
 	// and reused by every batch, except the slab's matches: each batch's
@@ -210,10 +209,11 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		// One scan of the (kept) inner documents per batch. Each is scored
 		// before the next is read, so the scan's reuse arena suffices — the
 		// hot loop allocates nothing.
-		var scan collection.ReuseIterator = in.Inner.Scan()
+		var kept func(id uint32) bool
 		if keep != nil {
-			scan = in.Inner.ScanFiltered(func(id uint32) bool { return keep[id] })
+			kept = func(id uint32) bool { return keep[id] }
 		}
+		scan := in.Inner.ScanFiltered(kept)
 		score := trace.StartChild(reqtrace.PhaseScore, b.scanName)
 		for {
 			var d1 *document.Document

@@ -153,7 +153,7 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 					continue
 				}
 			} else {
-				d2, err = collection.NextReuse(outer)
+				d2, err = outer.NextReuse()
 			}
 			if err == io.EOF {
 				return nil

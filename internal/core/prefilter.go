@@ -198,7 +198,7 @@ type outerPrefilter struct {
 	// Full-collection path.
 	coll *collection.Collection
 	need []bool
-	fsc  *collection.FilteredScanner
+	fsc  *collection.Scanner
 	pos  int64
 	n    int64
 
@@ -303,7 +303,7 @@ func docPages(c *collection.Collection, id uint32) (first, last int64, err error
 
 // next yields the next outer document (skipped == false) or the id of a
 // skipped one (skipped == true, d == nil). io.EOF ends the sweep. Kept
-// documents follow the reuse contract of collection.NextReuse.
+// documents follow the reuse contract of collection.DocIterator.
 func (o *outerPrefilter) next() (d *document.Document, skippedID uint32, skipped bool, err error) {
 	switch {
 	case o.coll != nil:
@@ -334,7 +334,7 @@ func (o *outerPrefilter) next() (d *document.Document, skippedID uint32, skipped
 		o.base.File().ParkHead()
 		return &o.doc, 0, false, nil
 	default:
-		d, err := collection.NextReuse(o.plain)
+		d, err := o.plain.NextReuse()
 		if err != nil {
 			return nil, 0, false, err
 		}

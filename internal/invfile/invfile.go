@@ -468,19 +468,12 @@ func (f *InvertedFile) DocFreq(term uint32) (int64, error) {
 }
 
 // Scanner iterates entries in ascending term order, reading the entry file
-// sequentially exactly once (the access pattern of VVM's merge scan).
-//
-// Like collection.Scanner, it consumes records from a page-backed window:
-// an entry that lies entirely within the current page is decoded straight
-// out of the page image, and only entries crossing a page boundary are
-// stitched through a reused scratch buffer.
+// sequentially exactly once (the access pattern of VVM's merge scan)
+// through one iosim.Stream, like collection.Scanner: an entry inside one
+// page is decoded straight out of the page image.
 type Scanner struct {
 	f        *InvertedFile
-	nextPage int64
-	// window is the unconsumed tail of the most recently read page (it
-	// aliases the page image, or scratch after a stitch).
-	window   []byte
-	scratch  []byte
+	stream   *iosim.Stream
 	entry    Entry // arena for NextReuse
 	consumed int64
 	err      error
@@ -488,7 +481,7 @@ type Scanner struct {
 
 // Scan starts a sequential scan over all entries.
 func (f *InvertedFile) Scan() *Scanner {
-	return &Scanner{f: f}
+	return &Scanner{f: f, stream: f.entries.Stream()}
 }
 
 // NextReuse returns the next entry, or io.EOF after the last one. The
@@ -503,27 +496,29 @@ func (s *Scanner) NextReuse() (*Entry, error) {
 		s.err = io.EOF
 		return nil, io.EOF
 	}
-	// Ensure the record header is windowed, then the whole record.
-	if err := s.ensure(codec.EntryHeaderSize); err != nil {
-		return nil, err
-	}
-	size, err := codec.PeekRecordSize(s.window)
+	hdr, err := s.stream.Peek(codec.EntryHeaderSize)
 	if err != nil {
 		s.err = err
 		return nil, err
 	}
-	if err := s.ensure(size); err != nil {
+	size, err := codec.PeekRecordSize(hdr)
+	if err != nil {
+		s.err = err
 		return nil, err
 	}
-	term, cells, consumed, err := codec.DecodeRecordInto(s.window[:size], s.entry.Cells[:0])
+	raw, err := s.stream.Next(int(size))
+	if err != nil {
+		s.err = err
+		return nil, err
+	}
+	term, cells, _, err := codec.DecodeRecordInto(raw, s.entry.Cells[:0])
 	if err != nil {
 		s.err = err
 		return nil, err
 	}
 	s.entry.Term = term
 	s.entry.Cells = cells
-	s.window = s.window[consumed:]
-	s.consumed += consumed
+	s.consumed += size
 	return &s.entry, nil
 }
 
@@ -535,25 +530,4 @@ func (s *Scanner) Next() (*Entry, error) {
 		return nil, err
 	}
 	return e.Clone(), nil
-}
-
-// ensure stitches pages into scratch until the window holds at least n
-// bytes. The window may already alias scratch; append copies via memmove,
-// so the overlap is safe.
-func (s *Scanner) ensure(n int64) error {
-	if int64(len(s.window)) >= n {
-		return nil
-	}
-	s.scratch = append(s.scratch[:0], s.window...)
-	for int64(len(s.scratch)) < n {
-		page, err := s.f.entries.ReadPage(s.nextPage)
-		if err != nil {
-			s.err = err
-			return err
-		}
-		s.nextPage++
-		s.scratch = append(s.scratch, page...)
-	}
-	s.window = s.scratch
-	return nil
 }

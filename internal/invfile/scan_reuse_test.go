@@ -160,7 +160,7 @@ func TestFetchEntryIntoAllocs(t *testing.T) {
 
 // TestScanReuseSweepAllocs guards the claim that the reuse path is
 // allocation-free in the steady state: a full NextReuse sweep of the
-// inverted file allocates its scanner, page window and the arena's few
+// inverted file allocates its scanner, its page stream and the arena's few
 // growth steps — a constant that does not grow with the number of
 // entries. The same bound holds for N and 4N documents over a vocabulary
 // that grows with them; one allocation per entry would break it at

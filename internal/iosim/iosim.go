@@ -463,24 +463,6 @@ func (f *File) readPageLocked(idx int64) ([]byte, error) {
 	return pages[idx], nil
 }
 
-// ReadRange reads pages [first, first+n) in order, invoking fn for each
-// page. The first page of the range is classified by head position; the
-// rest are sequential.
-func (f *File) ReadRange(first, n int64, fn func(idx int64, page []byte) error) error {
-	for i := int64(0); i < n; i++ {
-		f.disk.mu.Lock()
-		page, err := f.readPageLocked(first + i)
-		f.disk.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if err := fn(first+i, page); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadAt copies length bytes starting at byte offset off, reading every
 // page the range spans: ReadSpan into a buffer the caller owns.
 func (f *File) ReadAt(off, length int64) ([]byte, error) {

@@ -265,39 +265,28 @@ func TestReadAtErrors(t *testing.T) {
 	}
 }
 
+// TestReadRange reads a whole-page range through ReadAt, as the sidecar
+// loaders do: the range's pages in order, the first priced by the head
+// and the rest sequential, and a range past the end fails.
 func TestReadRange(t *testing.T) {
 	d := NewDisk(WithPageSize(4))
 	f, _ := d.Create("f")
 	for i := 0; i < 5; i++ {
 		f.AppendPage([]byte{byte('a' + i)})
 	}
-	var seen []int64
-	err := f.ReadRange(1, 3, func(idx int64, page []byte) error {
-		seen = append(seen, idx)
-		if page[0] != byte('a'+idx) {
-			t.Errorf("page %d content = %c", idx, page[0])
-		}
-		return nil
-	})
+	got, err := f.ReadAt(4, 3*4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 3 || seen[0] != 1 || seen[2] != 3 {
-		t.Errorf("seen = %v", seen)
+	if want := []byte("b\x00\x00\x00c\x00\x00\x00d\x00\x00\x00"); !bytes.Equal(got, want) {
+		t.Errorf("pages 1-3 = %q, want %q", got, want)
 	}
 	s := f.Stats()
 	if s.RandReads != 1 || s.SeqReads != 2 {
 		t.Errorf("stats = %+v, want 1 rand / 2 seq", s)
 	}
-	stop := errors.New("stop")
-	err = f.ReadRange(0, 5, func(idx int64, _ []byte) error {
-		if idx == 2 {
-			return stop
-		}
-		return nil
-	})
-	if !errors.Is(err, stop) {
-		t.Errorf("ReadRange propagated err = %v, want stop", err)
+	if _, err := f.ReadAt(3*4, 3*4); !errors.Is(err, ErrPageRange) {
+		t.Errorf("range past the end err = %v, want ErrPageRange", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package lsh
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
@@ -11,9 +12,9 @@ import (
 
 // buildColl stores docs (term multisets) on a small disk and returns the
 // collection plus its disk.
-func buildColl(t *testing.T, pageSize int, docs [][]uint32) (*collection.Collection, *iosim.Disk) {
+func buildColl(t *testing.T, pageSize int, docs [][]uint32, opts ...iosim.Option) (*collection.Collection, *iosim.Disk) {
 	t.Helper()
-	d := iosim.NewDisk(iosim.WithPageSize(pageSize))
+	d := iosim.NewDisk(append([]iosim.Option{iosim.WithPageSize(pageSize)}, opts...)...)
 	f, err := d.Create("c.col")
 	if err != nil {
 		t.Fatal(err)
@@ -318,5 +319,37 @@ func TestSelfProbe(t *testing.T) {
 	c2, r2 := sc.SelfProbe()
 	if c2 != candFrac || r2 != runs {
 		t.Errorf("SelfProbe not deterministic: (%v,%v) vs (%v,%v)", candFrac, runs, c2, r2)
+	}
+}
+
+// TestOpenPaysReadDelay: loading a sidecar reads its pages like any other
+// read, so on a delayed disk each page costs the delay, and the I/O
+// accounting is what a free disk reports.
+func TestOpenPaysReadDelay(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	open := func(opts ...iosim.Option) (iosim.Stats, time.Duration, int64) {
+		c, d := buildColl(t, 128, testDocs, opts...)
+		f, err := d.Create("c.lsh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Build(c, f, Config{Bands: 8, Rows: 2, Seed: 42}); err != nil {
+			t.Fatal(err)
+		}
+		d.ResetStats()
+		d.ParkHeads()
+		begin := time.Now()
+		if _, err := Open(f); err != nil {
+			t.Fatal(err)
+		}
+		return d.Stats(), time.Since(begin), f.Pages()
+	}
+	slow, took, pages := open(iosim.WithReadDelay(delay))
+	free, _, _ := open()
+	if pages < 2 || took < time.Duration(pages)*delay {
+		t.Errorf("opening a %d-page sidecar took %v, want at least %v", pages, took, time.Duration(pages)*delay)
+	}
+	if slow != free || free.Reads() != pages {
+		t.Errorf("delayed open read %+v, free %+v, want %d pages each", slow, free, pages)
 	}
 }

@@ -231,11 +231,7 @@ func Build(c *collection.Collection, f *iosim.File, cfg Config) (*Sidecar, error
 // Open reads a sidecar previously written by Build back from f with one
 // sequential sweep (charged to the iosim file).
 func Open(f *iosim.File) (*Sidecar, error) {
-	raw := make([]byte, 0, f.Size())
-	err := f.ReadRange(0, f.Pages(), func(_ int64, page []byte) error {
-		raw = append(raw, page...)
-		return nil
-	})
+	raw, err := f.ReadAt(0, f.Size())
 	if err != nil {
 		return nil, fmt.Errorf("signature: %q: %w", f.Name(), err)
 	}

@@ -2,6 +2,7 @@ package signature
 
 import (
 	"testing"
+	"time"
 
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
@@ -10,9 +11,9 @@ import (
 
 // buildColl stores docs (term sets) on a small disk and returns the
 // collection plus its disk.
-func buildColl(t *testing.T, pageSize int, docs [][]uint32) (*collection.Collection, *iosim.Disk) {
+func buildColl(t *testing.T, pageSize int, docs [][]uint32, opts ...iosim.Option) (*collection.Collection, *iosim.Disk) {
 	t.Helper()
-	d := iosim.NewDisk(iosim.WithPageSize(pageSize))
+	d := iosim.NewDisk(append([]iosim.Option{iosim.WithPageSize(pageSize)}, opts...)...)
 	f, err := d.Create("c.col")
 	if err != nil {
 		t.Fatal(err)
@@ -187,5 +188,37 @@ func TestSkipMeasures(t *testing.T) {
 	}
 	if skipped+runs > sc.NumPages()+runs {
 		t.Fatalf("impossible page accounting")
+	}
+}
+
+// TestOpenPaysReadDelay: loading a sidecar reads its pages like any other
+// read, so on a delayed disk each page costs the delay, and the I/O
+// accounting is what a free disk reports.
+func TestOpenPaysReadDelay(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	open := func(opts ...iosim.Option) (iosim.Stats, time.Duration, int64) {
+		c, d := buildColl(t, 128, [][]uint32{{1, 2, 3}, {3, 4}, {1000, 2000, 3000}, {7}, {8, 9, 10, 11}}, opts...)
+		f, err := d.Create("c.sig")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Build(c, f, Config{Bits: 192, Hashes: 2, Granularity: 3, ClusterDocs: 2}); err != nil {
+			t.Fatal(err)
+		}
+		d.ResetStats()
+		d.ParkHeads()
+		begin := time.Now()
+		if _, err := Open(f); err != nil {
+			t.Fatal(err)
+		}
+		return d.Stats(), time.Since(begin), f.Pages()
+	}
+	slow, took, pages := open(iosim.WithReadDelay(delay))
+	free, _, _ := open()
+	if pages < 2 || took < time.Duration(pages)*delay {
+		t.Errorf("opening a %d-page sidecar took %v, want at least %v", pages, took, time.Duration(pages)*delay)
+	}
+	if slow != free || free.Reads() != pages {
+		t.Errorf("delayed open read %+v, free %+v, want %d pages each", slow, free, pages)
 	}
 }
