@@ -25,12 +25,13 @@ test: build
 # concurrent views aliases of the shared page images), the term tables
 # concurrent views read once memoized (B+tree image, document frequencies,
 # idf and norms, and the scorer that holds them), the telemetry
-# collector whose counters and histograms they all add to, the request
+# collector the programs add each answered request to once
+# (textjoin.RecordJoin; no join, cache or disk writes to it), the request
 # tracer whose span tree is the only timing any of them takes and the
 # flight recorder that keeps the finished trees, the SLO engine computing
 # error budgets over the collector, and the observability server that
 # scrapes both during in-flight joins. The core run includes the differential harness
-# (collector + trace on/off invariance, concurrent snapshots). It
+# (trace on/off invariance; RecordJoin under concurrent snapshots). It
 # finishes with the observability smokes: the self-driving textjoind
 # endpoint check, the load-generator gate, the SLO/error-budget gate, the
 # command-line run's exposition and trace piped into tracecheck, the

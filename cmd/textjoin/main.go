@@ -217,13 +217,12 @@ func run(c1Path, c2Path, p1, p2 string, scale, seed int64, queriesPath, algName 
 		fmt.Printf("disk snapshot written to %s\n", saveDisk)
 	}
 	ws.ResetIOStats()
-	ws.SetTelemetry(tel)
 
 	w, err := textjoin.ParseWeighting(weighting)
 	if err != nil {
 		return nil, err
 	}
-	opts := textjoin.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
+	opts := textjoin.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Trace: trace}
 	st1 := c1.c.Stats()
 	fmt.Printf("C1: %s  N=%d K=%.1f T=%d D=%d pages\n", c1.label, st1.N, st1.K, st1.T, st1.D)
 	fmt.Printf("C2: %s\n", outer)
@@ -242,10 +241,18 @@ func run(c1Path, c2Path, p1, p2 string, scale, seed int64, queriesPath, algName 
 			fmt.Printf("  %-5v seq=%.0f rand=%.0f\n", e.Algorithm, e.Seq, e.Rand)
 		}
 	}
+	// The join reads through a view, as textjoind's do: its per-file
+	// page reads are the I/O counters -telemetry reports.
+	v := ws.Snapshot()
+	defer v.Close()
+	if in, err = in.WithView(v); err != nil {
+		return nil, err
+	}
 	results, stats, err := dec.Run(in, opts)
 	if err != nil {
 		return nil, err
 	}
+	textjoin.RecordJoin(tel, dec, stats, v)
 
 	fmt.Printf("join: %v  outer=%d inner=%d passes=%d\n",
 		stats.Algorithm, stats.OuterDocs, stats.InnerDocs, stats.Passes)

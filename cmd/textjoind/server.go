@@ -144,9 +144,8 @@ func newServer(cfg config) (*server, error) {
 
 	tel := textjoin.NewTelemetry()
 	ws.ResetIOStats()
-	ws.SetTelemetry(tel)
 
-	// The SLO layer reads the same collector the joins write: the
+	// The SLO layer reads the same collector the requests fill: the
 	// availability objective classifies join outcomes, the latency
 	// objective classifies the per-request /join latency histogram.
 	sloEng, err := textjoin.NewSLOEngine(tel, cfg.SLOWindow, []textjoin.SLOObjective{
@@ -369,7 +368,6 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		Lambda:      lambda,
 		MemoryPages: s.cfg.MemoryPages,
 		Weighting:   weighting,
-		Telemetry:   s.tel,
 		Trace:       span,
 	}
 	if prefilter == "on" {
@@ -381,6 +379,12 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	in := textjoin.Inputs{Outer: s.c2, Inner: s.c1, InnerInv: s.inv1, OuterInv: s.inv2}
 	dec, err := textjoin.Plan(alg, in, opts)
+	// However the request ends from here on, its counters reach the
+	// collector once: the plan's, the join's if it completed, and the
+	// page reads of its view if it bound one.
+	var stats *textjoin.JoinStats
+	var v *textjoin.IOView
+	defer func() { textjoin.RecordJoin(s.tel, dec, stats, v) }()
 	if err != nil {
 		s.joinError(w, span, joinStatus(err), err)
 		return
@@ -404,7 +408,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// Snapshot: bind the inputs to a private I/O view so this join's
 	// page reads move private head positions and counters.
 	snap := span.StartChild("snapshot", "view")
-	v := s.ws.Snapshot()
+	v = s.ws.Snapshot()
 	defer v.Close()
 	in, err = in.WithView(v)
 	snap.End()
@@ -415,7 +419,8 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	exec := span.StartChild("exec", "join "+algName)
 	opts.Trace = exec
 	execBegin := time.Now()
-	results, stats, err := dec.Run(in, opts)
+	var results []textjoin.Result
+	results, stats, err = dec.Run(in, opts)
 	// The reply's exec_seconds is the exec span's interval: both clocks
 	// stop here, before the view's I/O breakdown is formatted.
 	execSeconds := time.Since(execBegin).Seconds()

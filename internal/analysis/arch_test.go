@@ -26,12 +26,15 @@ import (
 // require), no import of a program.
 //
 // The rows transcribe the layer diagram: telemetry is zero-dep,
-// codec/costmodel/relation/topk/analysis are stdlib-only, accum (whose
+// codec/costmodel/relation/topk/analysis/iosim are stdlib-only, accum (whose
 // AddCells takes the cells it multiplies) and document sit one rung above
 // codec, metrics and reqtrace see only telemetry among internal packages
 // (reqtrace to derive the phase histograms from its finished trees), and
 // the join core is the only package that may pull the whole storage stack
-// together. The program rows are the one-door rule: a program gets its
+// together. The collector belongs to the programs: no storage, cache, join
+// or query package may import telemetry, so a join's numbers leave it only
+// through the Stats it returns and its span, and a program adds them to its
+// collector once per request (textjoin.RecordJoin). The program rows are the one-door rule: a program gets its
 // disk, collections, inverted files and joins from the facade, and lists
 // only what it is about besides — data generation (corpus), pure formulas
 // (costmodel, simulate), observability, the lint engine — never a storage
@@ -46,7 +49,7 @@ var importLayers = map[string][]string{
 
 	"internal/accum":    {"internal/codec"},
 	"internal/document": {"internal/codec"},
-	"internal/iosim":    {"internal/telemetry"},
+	"internal/iosim":    {},
 	"internal/metrics":  {"internal/telemetry"},
 	"internal/reqtrace": {"internal/telemetry"},
 	"internal/slo":      {"internal/metrics", "internal/telemetry"},
@@ -57,7 +60,7 @@ var importLayers = map[string][]string{
 	"internal/collection": {"internal/codec", "internal/document", "internal/iosim"},
 	"internal/stats":      {"internal/collection", "internal/document"},
 	"internal/invfile":    {"internal/btree", "internal/codec", "internal/collection", "internal/iosim"},
-	"internal/entrycache": {"internal/invfile", "internal/telemetry"},
+	"internal/entrycache": {"internal/invfile"},
 	"internal/cluster":    {"internal/collection", "internal/document", "internal/iosim"},
 	"internal/lsh":        {"internal/collection", "internal/document", "internal/iosim"},
 	"internal/signature":  {"internal/collection", "internal/document", "internal/iosim"},
@@ -68,12 +71,12 @@ var importLayers = map[string][]string{
 		"internal/costmodel", "internal/document", "internal/entrycache",
 		"internal/invfile", "internal/iosim", "internal/lsh",
 		"internal/reqtrace", "internal/signature", "internal/stats",
-		"internal/telemetry", "internal/topk",
+		"internal/topk",
 	},
 	"internal/query": {
 		"internal/collection", "internal/core", "internal/costmodel",
 		"internal/document", "internal/invfile", "internal/lsh",
-		"internal/relation", "internal/telemetry",
+		"internal/relation",
 	},
 	"internal/simulate": {"internal/corpus", "internal/costmodel"},
 

@@ -10,13 +10,14 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"textjoin/internal/collection"
 	"textjoin/internal/corpus"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
-	"textjoin/internal/telemetry"
+	"textjoin/internal/reqtrace"
 )
 
 // This file is the conformance matrix: the paper's claim that HHNL, HVNL
@@ -141,8 +142,9 @@ type conformWorld struct {
 	// document i) and the scorer it was computed with.
 	ref     map[document.Weighting][]Result
 	scorers map[document.Weighting]*document.Scorer
-	// tel counts the regimes this shape's VVM passes finish in.
-	tel *telemetry.Collector
+	// regimes counts, by store regime, the VVM passes this shape ran: the
+	// vvm.accum attribute of each pass's merge span.
+	regimes map[string]int64
 }
 
 // conformShapes are the matrix's shapes: those of the differential harness,
@@ -162,7 +164,7 @@ func worldOf(t *testing.T, shape diffShape) *conformWorld {
 		return w
 	}
 	e := buildDiffEnv(t, shape, 1)
-	w := &conformWorld{shape: shape, e: e, tel: telemetry.New(), lsh: buildDiffLSH(t, e, lshDiffConfig),
+	w := &conformWorld{shape: shape, e: e, regimes: map[string]int64{}, lsh: buildDiffLSH(t, e, lshDiffConfig),
 		inner: scanDocs(t, e.c1), outer: scanDocs(t, e.c2),
 		ref: map[document.Weighting][]Result{}, scorers: map[document.Weighting]*document.Scorer{}}
 	for _, code := range pfTestConfigs() {
@@ -268,8 +270,10 @@ func (w *conformWorld) runWith(t *testing.T, c conformCell, pf *Prefilter) {
 	if fam.pf || fam.alg == VVM || fam.alg == LSH {
 		opts.Prefilter = pf // which VVM and LSH must ignore
 	}
+	var trace *reqtrace.Span
 	if fam.alg == VVM {
-		opts.Telemetry = w.tel
+		trace = reqtrace.NewTracer(1, time.Now).StartTrace(name)
+		opts.Trace = trace
 	}
 	if fam.alg == VVM && c.kind == 2 {
 		if _, err := Plan(VVM, in, opts); !errors.Is(err, ErrMissingInput) {
@@ -311,6 +315,22 @@ func (w *conformWorld) runWith(t *testing.T, c conformCell, pf *Prefilter) {
 	innerReads := e.c1.File().Stats().Sub(innerBefore).Reads()
 	fail := func(format string, args ...any) {
 		t.Errorf("%s (B=%d): %s", name, opts.MemoryPages, fmt.Sprintf(format, args...))
+	}
+	if trace != nil {
+		// Each VVM pass names the store regime it finished in on its span.
+		trace.End()
+		passes := 0
+		for _, sp := range trace.Data().Spans {
+			for _, a := range sp.Attrs {
+				if a.Key == "vvm.accum" {
+					w.regimes[a.Value]++
+					passes++
+				}
+			}
+		}
+		if passes != st.Passes {
+			fail("%d passes name their store regime, want all %d", passes, st.Passes)
+		}
 	}
 
 	if splitJoin(st) != (c.regime == 1) {
@@ -385,7 +405,7 @@ func (w *conformWorld) runWith(t *testing.T, c conformCell, pf *Prefilter) {
 		alloc := int64(after.TotalAlloc - before.TotalAlloc)
 		if c.kind == 0 && c.view == 0 {
 			t.Logf("%-8s %-6v %-8s B=%-5d passes=%-2d charged=%8d measured=%8d (%.2f) alloc=%8d (%.2f of charged)",
-				fam.name, c.w, conformRegimes[c.regime], opts.withDefaults().MemoryPages, st.Passes, dec.PeakBytes, measured,
+				fam.name, c.w, conformRegimes[c.regime], opts.withDefaults(in).MemoryPages, st.Passes, dec.PeakBytes, measured,
 				float64(dec.PeakBytes)/float64(measured), alloc, float64(alloc)/float64(dec.PeakBytes))
 		}
 		// A VVM plan starts a pass in the matrix when the table would
@@ -559,7 +579,7 @@ func finishedIn(shapes []diffShape) []int64 {
 	for _, shape := range shapes {
 		if w := conformWorlds[shape.name]; w != nil {
 			for i, kind := range storeRegimes {
-				n[i] += w.tel.Counter("join.vvm.accum." + kind).Value()
+				n[i] += w.regimes[kind]
 			}
 		}
 	}

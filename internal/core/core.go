@@ -36,7 +36,6 @@ import (
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
 
@@ -105,7 +104,8 @@ type Result struct {
 // Options configures a join run.
 type Options struct {
 	// Lambda is λ: how many inner documents to return per outer
-	// document. Defaults to 20, the paper's base value.
+	// document. Defaults to 20, the paper's base value. A row keeps at
+	// most N1 matches, so Plan and Run use λ′ = max(1, min(λ, N1)).
 	Lambda int
 	// MemoryPages is B: the buffer budget in pages. Defaults to 10000,
 	// the paper's base value.
@@ -116,11 +116,6 @@ type Options struct {
 	// CachePolicy selects HVNL's entry replacement policy. The default
 	// is the paper's MinOuterDF.
 	CachePolicy entrycache.Policy
-	// Telemetry receives counters and histograms while the join runs.
-	// nil (the default) disables instrumentation with near-zero
-	// overhead; enabling it never changes results or Stats, which the
-	// differential test harness pins.
-	Telemetry *telemetry.Collector
 	// Trace is the parent span the join runs under: every phase hangs a
 	// child span under it, and the finished join's Stats land on it as
 	// attributes. It is the only timing the join takes. nil (the
@@ -146,10 +141,15 @@ type Options struct {
 	RecallSLO float64
 }
 
-// withDefaults fills in the paper's base values.
-func (o Options) withDefaults() Options {
+// withDefaults fills in the paper's base values and bounds λ by the
+// inner collection: a row keeps at most N1 matches, so a larger λ plans,
+// charges and runs as λ′ = max(1, min(λ, N1)).
+func (o Options) withDefaults(in Inputs) Options {
 	if o.Lambda == 0 {
 		o.Lambda = 20
+	}
+	if in.Inner != nil && o.Lambda > 0 {
+		o.Lambda = int(max(1, min(int64(o.Lambda), in.Inner.NumDocs())))
 	}
 	if o.MemoryPages == 0 {
 		o.MemoryPages = 10000
@@ -170,15 +170,20 @@ type Stats struct {
 	Algorithm Algorithm
 	// OuterDocs and InnerDocs are the document counts seen.
 	OuterDocs, InnerDocs int64
-	// Comparisons counts full document-pair similarity computations
-	// (HHNL only).
+	// Comparisons counts full document-pair similarity computations:
+	// HHNL's resident × streamed pairs, and LSH's verified candidates.
 	Comparisons int64
 	// Accumulations counts cell-product accumulations (HVNL and VVM).
 	Accumulations int64
 	// EntryFetches counts inverted-file entries read from storage
 	// (HVNL).
 	EntryFetches int64
-	// Passes counts outer blocks (HHNL) or partitions (VVM).
+	// Pairs counts the non-zero outer × inner similarities the join
+	// found (HVNL and VVM): the measured δ·N1·N2.
+	Pairs int64
+	// Passes counts outer batches (HHNL, LSH) or partitions (VVM); HVNL
+	// reports 1 when it preloads the inverted file in one sequential
+	// sweep, else 0.
 	Passes int
 	// IO is the page I/O performed by the join across the files it
 	// touched.
@@ -288,49 +293,50 @@ func (t *ioTracker) delta() iosim.Stats {
 	return total
 }
 
-// recordJoinStats publishes a finished join's Stats twice under the same
-// "join.<alg>.*" names: as telemetry counters, so one snapshot carries
-// the counts the Stats struct reports after the fact, and as attributes
-// of the span the join ran under, so one request's trace answers what it
-// cost without a second lookup. The entry cache counts itself per policy
-// ("cache.<policy>.*"), so its outcome goes on the span only. No-op when
-// both sinks are nil; never mutates stats, so enabled and disabled runs
-// stay byte-identical.
-func recordJoinStats(tel *telemetry.Collector, trace *reqtrace.Span, st *Stats) {
-	if tel == nil && trace == nil {
-		return
-	}
+// Counts calls fn with each count of a finished join under its
+// "join.<alg>.*" name: the span attributes recordJoinStats writes, and
+// the counters a program's collector adds once per join.
+func (st *Stats) Counts(fn func(name string, v int64)) {
 	p := "join." + strings.ToLower(st.Algorithm.String())
-	publish := func(name string, v int64) {
-		name = p + name
-		tel.Counter(name).Add(v)
-		trace.SetInt(name, v)
+	fn(p+".outer_docs", st.OuterDocs)
+	fn(p+".inner_docs", st.InnerDocs)
+	fn(p+".comparisons", st.Comparisons)
+	fn(p+".accumulations", st.Accumulations)
+	fn(p+".entry_fetches", st.EntryFetches)
+	fn(p+".passes", int64(st.Passes))
+	fn(p+".io.seq", st.IO.SeqReads)
+	fn(p+".io.rand", st.IO.RandReads)
+	fn(p+".peak_bytes", st.PeakMemoryBytes)
+	if st.Algorithm == HVNL || st.Algorithm == VVM {
+		fn(p+".pairs", st.Pairs)
 	}
-	publish(".outer_docs", st.OuterDocs)
-	publish(".inner_docs", st.InnerDocs)
-	publish(".comparisons", st.Comparisons)
-	publish(".accumulations", st.Accumulations)
-	publish(".entry_fetches", st.EntryFetches)
-	publish(".passes", int64(st.Passes))
-	publish(".io.seq", st.IO.SeqReads)
-	publish(".io.rand", st.IO.RandReads)
-	publish(".peak_bytes", st.PeakMemoryBytes)
 	if st.Prefilter.Enabled {
-		publish(".prefilter.pages_skipped", st.Prefilter.PagesSkipped)
-		publish(".prefilter.clusters_skipped", st.Prefilter.ClustersSkipped)
-		publish(".prefilter.docs_skipped", st.Prefilter.DocsSkipped)
-		publish(".prefilter.false_passes", st.Prefilter.FalsePasses)
+		fn(p+".prefilter.pages_skipped", st.Prefilter.PagesSkipped)
+		fn(p+".prefilter.clusters_skipped", st.Prefilter.ClustersSkipped)
+		fn(p+".prefilter.docs_skipped", st.Prefilter.DocsSkipped)
+		fn(p+".prefilter.false_passes", st.Prefilter.FalsePasses)
 	}
 	if st.LSH.Enabled {
-		publish(".bucket_probes", st.LSH.BucketProbes)
-		publish(".candidates", st.LSH.Candidates)
-		publish(".pages_skipped", st.LSH.PagesSkipped)
-		publish(".docs_skipped", st.LSH.DocsSkipped)
+		fn(p+".bucket_probes", st.LSH.BucketProbes)
+		fn(p+".candidates", st.LSH.Candidates)
+		fn(p+".pages_skipped", st.LSH.PagesSkipped)
+		fn(p+".docs_skipped", st.LSH.DocsSkipped)
 	}
+}
+
+// recordJoinStats writes a finished join's Counts, and HVNL's cache
+// outcome, on the span the join ran under, so one request's trace
+// answers what it cost. The join's only other record is the Stats it
+// returns. No-op on a nil span; never mutates stats.
+func recordJoinStats(trace *reqtrace.Span, st *Stats) {
+	if trace == nil {
+		return
+	}
+	st.Counts(trace.SetInt)
 	if st.Algorithm == HVNL {
-		trace.SetInt(p+".cache.hits", st.Cache.Hits)
-		trace.SetInt(p+".cache.misses", st.Cache.Misses)
-		trace.SetInt(p+".cache.evictions", st.Cache.Evictions)
+		trace.SetInt("join.hvnl.cache.hits", st.Cache.Hits)
+		trace.SetInt("join.hvnl.cache.misses", st.Cache.Misses)
+		trace.SetInt("join.hvnl.cache.evictions", st.Cache.Evictions)
 	}
 }
 

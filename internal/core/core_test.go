@@ -636,3 +636,45 @@ func TestQuickAccumRegimesEqual(t *testing.T) {
 func TestCrossAlgorithmTieAtRounding(t *testing.T) {
 	joinsAgree(t, 3763983438644698974, 8, 0x92, false)
 }
+
+// TestHugeLambdaRunsAsN1 holds every family at λ = 2⁴⁰ to its run at
+// λ = N1: a row keeps at most N1 matches, so Plan and Run bound λ by N1
+// and the plan charges the bounded λ. Each returns the λ = N1 results, or
+// the same typed error — never a tracker sized by the asked-for λ.
+func TestHugeLambdaRunsAsN1(t *testing.T) {
+	for _, shape := range diffShapes() {
+		for _, alg := range diffFamilies {
+			e, opts := variantEnv(t, shape)
+			opts.Lambda = int(e.c1.NumDocs())
+			wantDec, wantErr := Plan(alg, e.inputs(), opts)
+			var want []Result
+			if wantErr == nil {
+				want, _, wantErr = wantDec.Run(e.inputs(), opts)
+			}
+
+			e, opts = variantEnv(t, shape)
+			opts.Lambda = 1 << 40
+			dec, err := Plan(alg, e.inputs(), opts)
+			var got []Result
+			if err == nil {
+				got, _, err = dec.Run(e.inputs(), opts)
+			}
+			name := shape.name + "/" + alg.String()
+			switch {
+			case wantErr != nil:
+				if !errors.Is(err, ErrInsufficientMemory) && !errors.Is(err, ErrMissingInput) || err.Error() != wantErr.Error() {
+					t.Errorf("%s: err = %v, want the λ = N1 error %v", name, err, wantErr)
+				}
+			case err != nil:
+				t.Errorf("%s: %v", name, err)
+			default:
+				if dec.PeakBytes != wantDec.PeakBytes {
+					t.Errorf("%s: charged %d bytes, λ = N1 charges %d", name, dec.PeakBytes, wantDec.PeakBytes)
+				}
+				if err := exactSameResults(want, got); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+}

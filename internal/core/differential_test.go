@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
+	"strconv"
 	"testing"
 	"time"
 
@@ -17,11 +17,10 @@ import (
 	"textjoin/internal/telemetry"
 )
 
-// This file is the differential harness promised by the telemetry layer:
-// a corpus of adversarial shapes, on which the conformance matrix holds
-// every join family to the reference, and the check that attaching a
-// telemetry collector changes neither the results nor one byte of the
-// Stats.
+// This file is the differential harness: a corpus of adversarial shapes,
+// on which the conformance matrix holds every join family to the
+// reference, and the check that tracing a join changes neither the
+// results nor one byte of the Stats.
 
 // diffShape describes one seeded corpus shape. build returns the two
 // document sets; the remaining fields parameterize the join. Each call
@@ -219,12 +218,13 @@ func variantEnv(tb testing.TB, shape diffShape) (*env, Options) {
 	return e, opts
 }
 
-// TestTelemetryInvariance pins the telemetry contract: an attached
-// collector and request trace change neither the results nor a single
-// byte of the Stats, for every family on every shape; on multi-pass each
-// family's join must split, so the contract covers several passes. Fresh
-// environments per run keep the disk head positions (and so the seq/rand
-// classification) comparable.
+// TestTelemetryInvariance pins the trace contract: a request trace
+// changes neither the results nor a single byte of the Stats, for every
+// family on every shape; on multi-pass each family's join must split, so
+// the contract covers several passes. The span the join ran under carries
+// its Stats.Counts, and the phase histograms derived from the trace count
+// exactly its spans. Fresh environments per run keep the disk head
+// positions (and so the seq/rand classification) comparable.
 func TestTelemetryInvariance(t *testing.T) {
 	for _, shape := range diffShapes() {
 		shape := shape
@@ -237,9 +237,6 @@ func TestTelemetryInvariance(t *testing.T) {
 				}
 
 				on, opts := variantEnv(t, shape)
-				tel := telemetry.New()
-				on.disk.SetCollector(tel)
-				opts.Telemetry = tel
 				root := reqtrace.NewTracer(1, time.Now).StartTrace(alg.String())
 				opts.Trace = root
 				onRes, onSt, err := Join(alg, on.inputs(), opts)
@@ -249,30 +246,44 @@ func TestTelemetryInvariance(t *testing.T) {
 				}
 
 				if err := exactSameResults(offRes, onRes); err != nil {
-					t.Errorf("%v: telemetry changed results: %v", alg, err)
+					t.Errorf("%v: tracing changed results: %v", alg, err)
 				}
 				if *offSt != *onSt {
-					t.Errorf("%v: telemetry changed stats:\noff %+v\non  %+v", alg, *offSt, *onSt)
+					t.Errorf("%v: tracing changed stats:\noff %+v\non  %+v", alg, *offSt, *onSt)
 				}
 				if shape.name == "multi-pass" && !splitJoin(offSt) {
 					t.Errorf("%v: %d passes, %d evictions: the multi-pass shape must split", alg, offSt.Passes, offSt.Cache.Evictions)
 				}
-				// The run's trace is a well-formed tree, and the phase
-				// histograms derived from it count exactly its spans.
+				// The run's trace is a well-formed tree whose root carries
+				// the join's counts, and the phase histograms derived from
+				// it count exactly its spans.
 				trace := root.Data()
 				if err := reqtrace.ValidateData(trace); err != nil {
 					t.Errorf("%v: %v", alg, err)
 				}
+				attrs := map[string]string{}
+				for _, sp := range trace.Spans {
+					if sp.Parent == "" {
+						for _, a := range sp.Attrs {
+							attrs[a.Key] = a.Value
+						}
+					}
+				}
+				onSt.Counts(func(name string, v int64) {
+					if got := attrs[name]; got != strconv.FormatInt(v, 10) {
+						t.Errorf("%v: span attribute %s = %q, want %d", alg, name, got, v)
+					}
+				})
+				tel := telemetry.New()
 				reqtrace.ObservePhases(tel, trace)
 				spans := map[string]int64{}
 				for _, sp := range trace.Spans {
 					spans["phase."+sp.Phase+".ns"]++
 				}
-				s := tel.Snapshot()
-				if len(s.Counters) == 0 || len(spans) < 2 {
-					t.Errorf("%v: enabled collector or trace recorded nothing", alg)
+				if len(spans) < 2 {
+					t.Errorf("%v: trace recorded nothing", alg)
 				}
-				for _, h := range s.Histograms {
+				for _, h := range tel.Snapshot().Histograms {
 					if n, ok := spans[h.Name]; ok && n != h.Count {
 						t.Errorf("%v: %s counts %d, trace has %d such spans", alg, h.Name, h.Count, n)
 					}
@@ -287,9 +298,9 @@ func TestTelemetryInvariance(t *testing.T) {
 }
 
 // TestNilTracePhaseDoesNotAllocate pins the disabled path of the one span
-// model: with no trace and no collector, opening and closing a phase and
-// publishing a finished join's Stats, plan and plan audit are nil checks
-// only — nothing allocates (and, the spans being nil, no clock is read).
+// model: with no trace, opening and closing a phase and writing a
+// finished join's Stats, plan and plan audit on it are nil checks only —
+// nothing allocates (and, the spans being nil, no clock is read).
 func TestNilTracePhaseDoesNotAllocate(t *testing.T) {
 	var opts Options
 	st := &Stats{Algorithm: HVNL, Prefilter: PrefilterStats{Enabled: true}}
@@ -297,63 +308,14 @@ func TestNilTracePhaseDoesNotAllocate(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		phase := opts.Trace.StartChild(reqtrace.PhaseScan, "hhnl.fill-batch")
 		phase.End()
-		recordJoinStats(opts.Telemetry, opts.Trace, st)
+		recordJoinStats(opts.Trace, st)
 		plan := opts.Trace.StartChild(reqtrace.PhasePlan, "integrated.choose")
-		recordPlan(opts.Telemetry, plan, dec)
+		recordPlan(plan, dec)
 		plan.End()
-		recordPlanAudit(opts.Telemetry, opts.Trace, dec, 12)
+		recordPlanAudit(opts.Trace, dec, 12)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-trace phase path allocates %.1f per op, want 0", allocs)
-	}
-}
-
-// TestTelemetryConcurrentSnapshots runs joins while another goroutine
-// snapshots the shared collector continuously: collection must be safe
-// under concurrency and still not perturb the results.
-func TestTelemetryConcurrentSnapshots(t *testing.T) {
-	shape := diffShapes()[0]
-	baseEnv := buildDiffEnv(t, shape, 1)
-	want, _, err := Join(HHNL, baseEnv.inputs(), shape.options())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tel := telemetry.New()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				tel.Snapshot()
-			}
-		}
-	}()
-
-	for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
-		e := buildDiffEnv(t, shape, 1)
-		e.disk.SetCollector(tel)
-		opts := shape.options()
-		opts.Telemetry = tel
-		got, _, err := Join(alg, e.inputs(), opts)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if err := exactSameResults(want, got); err != nil {
-			t.Errorf("%v under concurrent snapshots: %v", alg, err)
-		}
-	}
-	close(done)
-	wg.Wait()
-
-	snap := tel.Snapshot()
-	if len(snap.Counters) == 0 {
-		t.Error("no counters collected")
 	}
 }
 

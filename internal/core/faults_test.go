@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,36 +12,29 @@ import (
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
 	"textjoin/internal/signature"
-	"textjoin/internal/telemetry"
 )
 
 // Every join algorithm must propagate storage errors instead of masking
-// them or returning partial results, and an attached collector must count
-// the storage-level fault against the file it hit.
+// them or returning partial results, and the error must name the file the
+// fault hit, so the caller can tell the storage-level cause.
 func TestJoinsPropagateStorageFaults(t *testing.T) {
 	for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			e := buildEnv(t, 31, 20, 20, 40, 10, 128)
-			tel := telemetry.New()
-			e.disk.SetCollector(tel)
 			// Fail the 10th read of any file once the join starts.
 			e.disk.InjectFaults(iosim.FaultPlan{FailAfterReads: 10, Repeat: true})
-			res, _, err := Join(alg, e.inputs(), Options{Lambda: 3, MemoryPages: 100, Telemetry: tel})
+			res, _, err := Join(alg, e.inputs(), Options{Lambda: 3, MemoryPages: 100})
 			if !errors.Is(err, iosim.ErrInjected) {
 				t.Fatalf("err = %v, want ErrInjected", err)
 			}
 			if res != nil {
 				t.Errorf("partial results returned alongside error")
 			}
-			var faults int64
-			for _, c := range tel.Snapshot().Counters {
-				if strings.HasPrefix(c.Name, "io.file.") && strings.HasSuffix(c.Name, ".faults") {
-					faults += c.Value
-				}
-			}
-			if faults == 0 {
-				t.Error("no io.file.<file>.faults counter on the collector")
+			if !slices.ContainsFunc(e.disk.Files(), func(name string) bool {
+				return strings.Contains(err.Error(), fmt.Sprintf("%q", name))
+			}) {
+				t.Errorf("error %q names no file of the disk %v", err, e.disk.Files())
 			}
 		})
 	}

@@ -163,7 +163,7 @@ type blockJoin struct {
 
 func (b *blockJoin) run() ([]Result, *Stats, error) {
 	in, opts, stats := b.in, b.opts, b.stats
-	tel, trace := opts.Telemetry, opts.Trace
+	trace := opts.Trace
 	name := strings.ToLower(stats.Algorithm.String())
 	fillName, invertName, flushName := name+".fill-batch", name+".invert-batch", name+".flush-batch"
 	track := trackIO(in.Outer.File(), in.Inner.File())
@@ -240,7 +240,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	stats.PeakMemoryBytes += block.bytes() + int64(st.tk.Slots())*trackerBytes(opts.Lambda) + b.extra
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
-	recordJoinStats(tel, trace, stats)
+	recordJoinStats(trace, stats)
 	return results, stats, nil
 }
 

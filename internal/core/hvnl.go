@@ -8,7 +8,6 @@ import (
 	"textjoin/internal/document"
 	"textjoin/internal/entrycache"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
 
@@ -49,7 +48,7 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 
 	invFile := in.InnerInv.File()
 	track := trackIO(in.Outer.File(), invFile, treeFile(in.InnerInv))
-	tel, trace := opts.Telemetry, opts.Trace
+	trace := opts.Trace
 
 	// One-time load of the B+tree into memory.
 	setup := trace.StartChild(reqtrace.PhaseSetup, "hvnl.load-index")
@@ -63,7 +62,6 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	// IR system would ("document frequencies are stored for similarity
 	// computation ... no extra effort is needed to get them").
 	cache := entrycache.New(m.cache, opts.CachePolicy, in.Outer.DF)
-	cache.SetTelemetry(tel)
 	// Only terms of C1 are cached.
 	cache.Reserve(int(in.Inner.TermSpan()))
 
@@ -132,8 +130,7 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
 	rows := &hvnlRows{acc: accum.NewFlat(int(in.Inner.NumDocs())), tk: topk.New(opts.Lambda), scorer: scorer,
-		occupancy: tel.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets),
-		results:   make([]Result, 0, in.Outer.NumDocs())}
+		results: make([]Result, 0, in.Outer.NumDocs())}
 	var cacheUsed int64
 	sweep := func() error {
 		var outer collection.DocIterator
@@ -223,9 +220,10 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	stats.PeakMemoryBytes += m.outerDoc + index.SizePages(int(pageSize))*pageSize + cacheUsed +
 		in.Inner.NumDocs()*accumBytes + in.Inner.TermSpan()*slotBytes + int64(opts.Lambda)*matchBytes
 	stats.Cache = cache.Stats()
+	stats.Pairs = rows.pairs
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(invFile))
-	recordJoinStats(tel, trace, stats)
+	recordJoinStats(trace, stats)
 	return rows.results, stats, nil
 }
 
@@ -233,11 +231,11 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 // accum.Flat over the inner ids 0..N1-1 and one tracker serve the whole
 // join, reused from document to document.
 type hvnlRows struct {
-	acc       *accum.Flat
-	tk        *topk.TopK
-	scorer    *document.Scorer
-	occupancy *telemetry.Histogram // inner documents each row reached
-	results   []Result
+	acc     *accum.Flat
+	tk      *topk.TopK
+	scorer  *document.Scorer
+	pairs   int64 // inner documents the rows reached, summed
+	results []Result
 }
 
 // flush turns the accumulator into the outer document's row and readies it
@@ -258,7 +256,7 @@ func (r *hvnlRows) flush(outer uint32) {
 			tk.Offer(sum.ID, fin.Finalize(sum.ID, sum.V))
 		}
 	}
-	r.occupancy.Observe(int64(reached))
+	r.pairs += int64(reached)
 	r.results = append(r.results, Result{Outer: outer, Matches: tk.Results()})
 }
 

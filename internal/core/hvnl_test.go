@@ -8,7 +8,6 @@ import (
 	"textjoin/internal/corpus"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
-	"textjoin/internal/telemetry"
 )
 
 // wsjHVNLEnv builds the eviction-heavy input of TestHVNLPolicies on a fresh
@@ -82,10 +81,10 @@ func TestHVNLAllocationsDoNotGrowWithFetches(t *testing.T) {
 	}
 }
 
-// TestHVNLOccupancyCountsReachedDocuments holds hvnl.accum.occupancy to
-// the brute-force count of inner documents each outer document shares a
-// term with, on a corpus whose rows stay sparse and rows that turn dense
-// (a quarter of the inner ids).
+// TestHVNLOccupancyCountsReachedDocuments holds Stats.Pairs to the
+// brute-force count of inner documents each outer document shares a term
+// with, on a corpus whose rows stay sparse and rows that turn dense (a
+// quarter of the inner ids).
 func TestHVNLOccupancyCountsReachedDocuments(t *testing.T) {
 	e := buildEnv(t, 71, 60, 50, 400, 30, 256)
 	inner := scanDocs(t, e.c1)
@@ -108,18 +107,11 @@ func TestHVNLOccupancyCountsReachedDocuments(t *testing.T) {
 	if sparse == 0 || dense == 0 {
 		t.Fatalf("%d sparse and %d dense rows, want both", sparse, dense)
 	}
-	tel := telemetry.New()
-	if _, _, err := Join(HVNL, e.inputs(), Options{Lambda: 5, MemoryPages: 4000, Telemetry: tel}); err != nil {
+	_, st, err := Join(HVNL, e.inputs(), Options{Lambda: 5, MemoryPages: 4000})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got telemetry.HistogramValue
-	for _, h := range tel.Snapshot().Histograms {
-		if h.Name == "hvnl.accum.occupancy" {
-			got = h
-		}
-	}
-	if got.Count != e.c2.NumDocs() || got.Sum != want {
-		t.Errorf("occupancy %d rows summing to %d, want %d rows summing to %d",
-			got.Count, got.Sum, e.c2.NumDocs(), want)
+	if st.Pairs != want {
+		t.Errorf("Pairs = %d, want %d", st.Pairs, want)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"textjoin/internal/costmodel"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/stats"
-	"textjoin/internal/telemetry"
 )
 
 // modelInput derives the cost-model description of a join from measured
@@ -98,56 +97,50 @@ func choose(in Inputs, opts Options) (Decision, error) {
 	return dec, nil
 }
 
-// recordPlan publishes the planner's decision: the choice and every
-// candidate's estimate as attributes of the plan span, so one trace
-// shows estimated next to measured cost, and the choice as counters.
-func recordPlan(tel *telemetry.Collector, span *reqtrace.Span, dec Decision) {
-	if span != nil {
-		span.SetAttr("plan.chosen", dec.Chosen.String())
-		span.SetFloat("plan.estimated_cost", dec.estimate)
-		span.SetFloat("plan.estimated_recall", dec.EstimatedRecall)
-		if dec.Prefiltered {
-			span.SetAttr("plan.prefiltered", "true")
-		}
-		for _, e := range dec.Estimates {
-			name := "plan.estimate." + strings.ToLower(e.Algorithm.String())
-			if e.Prefiltered {
-				name += ".prefilter"
-			}
-			span.SetFloat(name+".seq", e.Seq)
-			span.SetFloat(name+".rand", e.Rand)
-		}
+// recordPlan writes the planner's decision on the plan span: the choice
+// and every candidate's estimate, so one trace shows estimated next to
+// measured cost. No-op on a nil span.
+func recordPlan(span *reqtrace.Span, dec Decision) {
+	if span == nil {
+		return
 	}
-	if tel != nil {
-		tel.Counter("plan.chosen." + strings.ToLower(dec.Chosen.String())).Add(1)
-		if dec.Prefiltered {
-			tel.Counter("plan.prefilter.on").Add(1)
+	span.SetAttr("plan.chosen", dec.Chosen.String())
+	span.SetFloat("plan.estimated_cost", dec.estimate)
+	span.SetFloat("plan.estimated_recall", dec.EstimatedRecall)
+	if dec.Prefiltered {
+		span.SetAttr("plan.prefiltered", "true")
+	}
+	for _, e := range dec.Estimates {
+		name := "plan.estimate." + strings.ToLower(e.Algorithm.String())
+		if e.Prefiltered {
+			name += ".prefilter"
 		}
+		span.SetFloat(name+".seq", e.Seq)
+		span.SetFloat(name+".rand", e.Rand)
 	}
 }
 
-// PlanErrorBuckets are the bounds of the "plan.error.log2" histogram:
-// signed milli-log2 of measured/estimated cost, so one bucket is a
-// fixed multiplicative error band (±1000 ≙ a factor of 2, ±250 ≙
-// ~19%). Symmetric around zero because the model can miss both ways.
-var PlanErrorBuckets = []int64{-4000, -2000, -1000, -500, -250, -100, 0, 100, 250, 500, 1000, 2000, 4000}
-
-// recordPlanAudit publishes the per-request estimated-vs-measured
-// comparison once the chosen plan has run: the live counterpart of the
-// offline calibration report. The signed milli-log2 cost error goes to
-// the "plan.error.log2" telemetry histogram, and the request span gets
-// the measured cost and error as attributes next to the plan span's
-// estimates.
-func recordPlanAudit(tel *telemetry.Collector, trace *reqtrace.Span, dec Decision, measured float64) {
-	trace.SetFloat("plan.measured_cost", measured)
-	est := dec.estimate
+// CostError is the planner's error on a join the plan ran: the signed
+// milli-log2 of measured over estimated cost, so ±1000 is a factor of 2
+// either way. ok is false when either cost is not a positive number.
+func (d Decision) CostError(measured float64) (milliLog2 int64, ok bool) {
+	est := d.estimate
 	if math.IsNaN(est) || math.IsInf(est, 0) || est <= 0 || measured <= 0 {
+		return 0, false
+	}
+	return int64(math.Round(math.Log2(measured/est) * 1000)), true
+}
+
+// recordPlanAudit writes the estimated-vs-measured comparison on the
+// request span once the chosen plan has run: the live counterpart of
+// the offline calibration report. No-op on a nil span.
+func recordPlanAudit(trace *reqtrace.Span, dec Decision, measured float64) {
+	if trace == nil {
 		return
 	}
-	milliLog2 := int64(math.Round(math.Log2(measured/est) * 1000))
-	trace.SetFloat("plan.estimated_cost", est)
-	trace.SetInt("plan.error_log2_milli", milliLog2)
-	if tel != nil {
-		tel.Histogram("plan.error.log2", PlanErrorBuckets).Observe(milliLog2)
+	trace.SetFloat("plan.measured_cost", measured)
+	if milliLog2, ok := dec.CostError(measured); ok {
+		trace.SetFloat("plan.estimated_cost", dec.estimate)
+		trace.SetInt("plan.error_log2_milli", milliLog2)
 	}
 }

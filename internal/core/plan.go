@@ -45,7 +45,7 @@ type Decision struct {
 // (ErrMissingInput) or B cannot hold its minimal working set
 // (ErrInsufficientMemory). A forced plan allocates nothing.
 func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(in)
 	if err := opts.validate(); err != nil {
 		return Decision{}, err
 	}
@@ -61,7 +61,7 @@ func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
 		if dec, err = choose(in, opts); err != nil {
 			return dec, err
 		}
-		recordPlan(opts.Telemetry, span, dec)
+		recordPlan(span, dec)
 	} else {
 		span.SetAttr("plan.chosen", alg.String())
 		dec.Prefiltered = opts.Prefilter != nil && (alg == HVNL || alg == HHNL)
@@ -76,13 +76,12 @@ func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
 }
 
 // Run executes the plan on in, which may be the planned inputs bound to
-// another I/O view; opts must be the planned options (Trace and Telemetry
-// aside).
+// another I/O view; opts must be the planned options (Trace aside).
 func (d Decision) Run(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if d.mem == (memory{}) {
 		return nil, nil, fmt.Errorf("core: Decision.Run needs a Decision made by Plan")
 	}
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(in)
 	if !d.Prefiltered {
 		// The unfiltered plan won on estimated cost; run it without the
 		// filter so the measured cost matches the estimate.
@@ -90,7 +89,7 @@ func (d Decision) Run(in Inputs, opts Options) ([]Result, *Stats, error) {
 	}
 	results, stats, err := runs[d.Chosen](in, opts, d.mem)
 	if err == nil && d.Estimates != nil {
-		recordPlanAudit(opts.Telemetry, opts.Trace, d, stats.Cost)
+		recordPlanAudit(opts.Trace, d, stats.Cost)
 	}
 	return results, stats, err
 }

@@ -1,0 +1,140 @@
+package core_test
+
+import (
+	"strings"
+	"sync"
+	"testing"
+
+	"textjoin"
+)
+
+// TestTelemetryConcurrentSnapshots runs joins of every exact family and
+// the integrated plan concurrently, each through its own view, while
+// another goroutine snapshots the shared collector continuously and
+// textjoin.RecordJoin adds each finished join to it. Recording must be safe
+// under concurrency, leave the results as a serial run returns them, and
+// add up to exactly what the joins returned: their Stats, their plans and
+// the disk's merged page-read ledger.
+func TestTelemetryConcurrentSnapshots(t *testing.T) {
+	ws := textjoin.NewWorkspace()
+	c1, err := ws.GenerateProfile("c1", "wsj", 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := ws.GenerateProfile("c2", "fr", 1024, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv1, err := ws.BuildInvertedFile(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv2, err := ws.BuildInvertedFile(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := textjoin.Inputs{Outer: c2, Inner: c1, InnerInv: inv1, OuterInv: inv2}
+	opts := textjoin.Options{Lambda: 5, MemoryPages: 50}
+	algs := []textjoin.Algorithm{textjoin.HHNL, textjoin.HVNL, textjoin.VVM, textjoin.Auto}
+	want := map[textjoin.Algorithm]string{}
+	for _, alg := range algs {
+		res, _, err := textjoin.Join(alg, in, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		want[alg] = textjoin.ResultDigest(res)
+	}
+	// Binding a view loads the term indexes through the shared files, as
+	// textjoind does at startup: load them before the ledger is reset.
+	for _, inv := range []*textjoin.InvertedFile{inv1, inv2} {
+		if _, err := inv.LoadIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws.ResetIOStats()
+
+	tel := textjoin.NewTelemetry()
+	done := make(chan struct{})
+	var snapshots sync.WaitGroup
+	snapshots.Add(1)
+	go func() {
+		defer snapshots.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				tel.Snapshot()
+			}
+		}
+	}()
+
+	var mu sync.Mutex
+	outerDocs, chosen := map[string]int64{}, map[string]int64{}
+	var joins sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for _, alg := range algs {
+			joins.Add(1)
+			go func() {
+				defer joins.Done()
+				dec, err := textjoin.Plan(alg, in, opts)
+				if err != nil {
+					t.Errorf("%v: %v", alg, err)
+					return
+				}
+				v := ws.Snapshot()
+				defer v.Close()
+				bound, err := in.WithView(v)
+				if err != nil {
+					t.Errorf("%v: %v", alg, err)
+					return
+				}
+				res, st, err := dec.Run(bound, opts)
+				if err != nil {
+					t.Errorf("%v: %v", alg, err)
+					return
+				}
+				textjoin.RecordJoin(tel, dec, st, v)
+				if got := textjoin.ResultDigest(res); got != want[alg] {
+					t.Errorf("%v under concurrent snapshots: digest %s, want %s", alg, got, want[alg])
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				outerDocs[strings.ToLower(st.Algorithm.String())] += st.OuterDocs
+				if alg == textjoin.Auto {
+					chosen[strings.ToLower(dec.Chosen.String())]++
+				}
+			}()
+		}
+	}
+	joins.Wait()
+	close(done)
+	snapshots.Wait()
+
+	counters := map[string]int64{}
+	for _, c := range tel.Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	for alg, n := range outerDocs {
+		if got := counters["join."+alg+".outer_docs"]; got != n {
+			t.Errorf("join.%s.outer_docs = %d, want %d", alg, got, n)
+		}
+	}
+	for alg, n := range chosen {
+		if got := counters["plan.chosen."+alg]; got != n {
+			t.Errorf("plan.chosen.%s = %d, want %d", alg, got, n)
+		}
+	}
+	var seq, rand int64
+	for name, v := range counters {
+		switch {
+		case strings.HasPrefix(name, "io.file.") && strings.HasSuffix(name, ".seq"):
+			seq += v
+		case strings.HasPrefix(name, "io.file.") && strings.HasSuffix(name, ".rand"):
+			rand += v
+		}
+	}
+	if disk := ws.Disk().Stats(); seq != disk.SeqReads || rand != disk.RandReads {
+		t.Errorf("io.file counters sum to seq=%d rand=%d, the disk's ledger is %v", seq, rand, disk)
+	}
+}

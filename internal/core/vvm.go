@@ -9,7 +9,6 @@ import (
 	"textjoin/internal/document"
 	"textjoin/internal/invfile"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
 
@@ -64,8 +63,7 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	n1 := in.Inner.NumDocs()
 	stats := &Stats{Algorithm: VVM, InnerDocs: n1, OuterDocs: int64(len(outerIDs))}
 	track := trackIO(in.InnerInv.File(), in.OuterInv.File(), treeFile(in.InnerInv), treeFile(in.OuterInv))
-	tel, trace := opts.Telemetry, opts.Trace
-	occupancy := tel.Histogram("vvm.accum.occupancy", telemetry.DefaultSizeBuckets)
+	trace := opts.Trace
 	acc := accum.New(0, int(n1), m.storeBytes)
 	acc.Reserve(m.largest(len(outerIDs)))
 	pass := &vvmPass{acc: acc, tk: topk.New(opts.Lambda)}
@@ -84,7 +82,8 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 		stats.Passes++
 
 		// The merge span covers readying the store: a pass's matrix is
-		// zeroed, or first allocated, here.
+		// zeroed, or first allocated, here. It records the regime the pass
+		// finished in: dense, table or promoted.
 		merge := trace.StartChild(reqtrace.PhaseMerge, "vvm.merge-scan")
 		pass.begin(rangeIDs, results[n:])
 		err := mergeScan(in.InnerInv, in.OuterInv, func(term uint32, e1, e2 *invfile.Entry) {
@@ -92,6 +91,7 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 				pass.add(factor, e1, e2.Cells)
 			}
 		})
+		merge.SetAttr("vvm.accum", pass.acc.Kind())
 		merge.End()
 		if err != nil {
 			return nil, nil, err
@@ -101,12 +101,8 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 		pass.emit(scorer)
 		finalize.End()
 		stats.Accumulations += pass.count
+		stats.Pairs += pass.pairs
 		store = max(store, pass.acc.Bytes())
-		occupancy.Observe(pass.pairs)
-		if tel != nil {
-			// The regime the pass finished in: dense, table or promoted.
-			tel.Counter("join.vvm.accum." + pass.acc.Kind()).Add(1)
-		}
 	}
 
 	// One entry from each file, the store, the dense drain's tracker and
@@ -116,7 +112,7 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 		int64(opts.Lambda)*matchBytes + int64(len(pass.rows))*trackerBytes(opts.Lambda)
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.InnerInv.File()))
-	recordJoinStats(tel, trace, stats)
+	recordJoinStats(trace, stats)
 	return results, stats, nil
 }
 

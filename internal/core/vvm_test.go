@@ -25,7 +25,7 @@ func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
 	c1 := buildColl(t, d, "c1", randomDocs(r, 150, 70, 16))
 	c2 := buildColl(t, d, "c2", randomDocs(r, 400, 70, 16))
 	inv1, inv2 := buildInv(t, d, c1, "c1"), buildInv(t, d, c2, "c2")
-	opts := Options{Lambda: 3, MemoryPages: 14}.withDefaults()
+	opts := Options{Lambda: 3, MemoryPages: 14}.withDefaults(Inputs{Inner: c1})
 	prefix := func(n int) Inputs {
 		ids := make([]uint32, n)
 		for i := range ids {

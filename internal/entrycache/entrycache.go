@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"textjoin/internal/invfile"
-	"textjoin/internal/telemetry"
 )
 
 // Policy selects the replacement victim.
@@ -44,8 +43,9 @@ func (p Policy) String() string {
 	}
 }
 
-// Stats reports cache effectiveness.
+// Stats reports cache effectiveness under the cache's policy.
 type Stats struct {
+	Policy    Policy
 	Hits      int64
 	Misses    int64
 	Evictions int64
@@ -103,13 +103,6 @@ type Cache struct {
 
 	evicted []uint32
 	spares  []*invfile.Entry // evicted entries, for Spare
-
-	// Telemetry counters keyed by policy name, resolved once by
-	// SetTelemetry; nil (no-op) when telemetry is disabled.
-	telHits      *telemetry.Counter
-	telMisses    *telemetry.Counter
-	telEvictions *telemetry.Counter
-	telRejected  *telemetry.Counter
 }
 
 // New creates a cache with the given byte budget. priority returns the
@@ -119,7 +112,7 @@ func New(budget int64, policy Policy, priority func(uint32) int64) *Cache {
 	if policy == MinOuterDF && priority == nil {
 		panic("entrycache: MinOuterDF policy requires a priority function")
 	}
-	return &Cache{policy: policy, budget: budget, priority: priority}
+	return &Cache{policy: policy, budget: budget, priority: priority, stats: Stats{Policy: policy}}
 }
 
 // Reserve sizes the slot table for term numbers below terms, so that no
@@ -133,21 +126,6 @@ func (c *Cache) Reserve(terms int) {
 	}
 }
 
-// SetTelemetry attaches live hit/miss/eviction counters, named by the
-// cache's policy ("cache.<policy>.hits" etc.) so ablation runs comparing
-// policies stay distinguishable in one snapshot. A nil collector is a
-// no-op: the cache keeps its own Stats either way.
-func (c *Cache) SetTelemetry(t *telemetry.Collector) {
-	if t == nil {
-		return
-	}
-	p := c.policy.String()
-	c.telHits = t.Counter("cache." + p + ".hits")
-	c.telMisses = t.Counter("cache." + p + ".misses")
-	c.telEvictions = t.Counter("cache." + p + ".evictions")
-	c.telRejected = t.Counter("cache." + p + ".rejected")
-}
-
 // Budget returns the byte budget.
 func (c *Cache) Budget() int64 { return c.budget }
 
@@ -157,7 +135,7 @@ func (c *Cache) Used() int64 { return c.used }
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return len(c.heap) }
 
-// Stats returns the hit/miss/eviction counters.
+// Stats returns the policy and the hit/miss/eviction counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 // find returns the arena index of term's item, or -1 when term is absent.
@@ -181,11 +159,9 @@ func (c *Cache) Get(term uint32) (*invfile.Entry, bool) {
 	i := c.find(term)
 	if i < 0 {
 		c.stats.Misses++
-		c.telMisses.Add(1)
 		return nil, false
 	}
 	c.stats.Hits++
-	c.telHits.Add(1)
 	it := &c.items[i]
 	if c.policy == LRU {
 		// The newest tick is the largest key, so the item only sinks.
@@ -226,7 +202,6 @@ func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 	}
 	if size > c.budget {
 		c.stats.Rejected++
-		c.telRejected.Add(1)
 		return nil
 	}
 	c.evicted = c.evicted[:0]
@@ -238,7 +213,6 @@ func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 		c.evicted = append(c.evicted, c.items[victim].term)
 		c.remove(victim)
 		c.stats.Evictions++
-		c.telEvictions.Add(1)
 	}
 	if int(term) >= len(c.slot) {
 		c.Reserve(max(int(term)+1, 2*len(c.slot)))

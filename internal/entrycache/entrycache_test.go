@@ -397,7 +397,7 @@ func TestVictimSequenceMatchesModel(t *testing.T) {
 			if seed%2 == 0 {
 				c.Reserve(64)
 			}
-			m := &model{policy: policy, budget: budget, priority: df}
+			m := &model{policy: policy, budget: budget, priority: df, stats: Stats{Policy: policy}}
 			for op := 0; op < 400; op++ {
 				term := uint32(r.Intn(48))
 				if r.Intn(20) == 0 {

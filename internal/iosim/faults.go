@@ -62,8 +62,5 @@ func (d *Disk) checkFault(f *File) error {
 		return nil
 	}
 	fs.fired = true
-	// Count the fault before surfacing it, so operators can correlate
-	// clean error propagation in the join with the storage-level cause.
-	d.tel.Counter("io.file." + f.name + ".faults").Add(1)
 	return fmt.Errorf("%w: read %d of %q", ErrInjected, fs.reads, f.name)
 }

@@ -22,8 +22,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"textjoin/internal/telemetry"
 )
 
 // DefaultPageSize is the page size used throughout the paper (4 KB).
@@ -109,11 +107,6 @@ type Disk struct {
 	sharedHead bool
 	lastFile   *File
 	faults     *faultState
-
-	// tel, when set, receives per-file read/write/fault counters. nil
-	// disables all instrumentation (the default): the per-read cost is
-	// one nil check.
-	tel *telemetry.Collector
 }
 
 // Option configures a Disk.
@@ -139,7 +132,7 @@ func WithSharedHead() Option {
 // WithReadDelay charges every successful page read d of real wall-clock
 // time, slept outside the disk lock so concurrent readers overlap their
 // waits exactly as they would on a real device. The accounting (Stats,
-// cost model, telemetry) is unchanged — the knob only makes simulated
+// cost model) is unchanged — the knob only makes simulated
 // I/O take real time, which is what serving benchmarks need to expose
 // the difference between serialized and concurrent execution.
 func WithReadDelay(d time.Duration) Option {
@@ -180,19 +173,6 @@ func (d *Disk) SetAlpha(alpha float64) {
 	d.alpha = alpha
 }
 
-// SetCollector attaches a telemetry collector to the disk: every file
-// (present and future) gets per-file sequential/random read and write
-// counters ("io.file.<name>.seq" etc.), and injected faults count in
-// "io.file.<name>.faults". Passing nil detaches instrumentation.
-func (d *Disk) SetCollector(c *telemetry.Collector) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.tel = c
-	for _, f := range d.files {
-		f.attachTelemetryLocked()
-	}
-}
-
 // Create creates a new empty file.
 func (d *Disk) Create(name string) (*File, error) {
 	d.mu.Lock()
@@ -204,7 +184,6 @@ func (d *Disk) Create(name string) (*File, error) {
 		return nil, fmt.Errorf("%w: %q", ErrFileExists, name)
 	}
 	f := &File{disk: d, name: name, head: -1}
-	f.attachTelemetryLocked()
 	d.files[name] = f
 	return f, nil
 }
@@ -305,26 +284,6 @@ type File struct {
 	// to this session, and the counters merge into base on View.Close.
 	base *File
 	view *View
-
-	// Telemetry counters, resolved once per file when a collector is
-	// attached; nil (no-op) otherwise. View clones delegate to their
-	// base file's counters so SetCollector keeps working mid-session.
-	telSeq    *telemetry.Counter
-	telRand   *telemetry.Counter
-	telWrites *telemetry.Counter
-}
-
-// attachTelemetryLocked resolves the file's counters against the disk's
-// collector. Called with the disk lock held.
-func (f *File) attachTelemetryLocked() {
-	c := f.disk.tel
-	if c == nil {
-		f.telSeq, f.telRand, f.telWrites = nil, nil, nil
-		return
-	}
-	f.telSeq = c.Counter("io.file." + f.name + ".seq")
-	f.telRand = c.Counter("io.file." + f.name + ".rand")
-	f.telWrites = c.Counter("io.file." + f.name + ".writes")
 }
 
 // Name returns the file name.
@@ -382,7 +341,6 @@ func (f *File) AppendPage(data []byte) (int64, error) {
 	f.pages = append(f.pages, page)
 	f.stats.Writes++
 	f.disk.stats.Writes++
-	f.telWrites.Add(1)
 	return int64(len(f.pages) - 1), nil
 }
 
@@ -411,7 +369,6 @@ func (f *File) WritePage(idx int64, data []byte) error {
 	}
 	f.stats.Writes++
 	f.disk.stats.Writes++
-	f.telWrites.Add(1)
 	return nil
 }
 
@@ -441,9 +398,9 @@ func (f *File) readPageLocked(idx int64) ([]byte, error) {
 	}
 	// A view session carries its own shared-head position and its own
 	// disk-level counters; direct reads use the disk's.
-	lastFile, aggStats, tel := &f.disk.lastFile, &f.disk.stats, f
+	lastFile, aggStats := &f.disk.lastFile, &f.disk.stats
 	if f.view != nil {
-		lastFile, aggStats, tel = &f.view.lastFile, &f.view.stats, f.base
+		lastFile, aggStats = &f.view.lastFile, &f.view.stats
 	}
 	sequential := f.head >= 0 && idx == f.head+1
 	if f.disk.sharedHead && *lastFile != f {
@@ -452,11 +409,9 @@ func (f *File) readPageLocked(idx int64) ([]byte, error) {
 	if sequential {
 		f.stats.SeqReads++
 		aggStats.SeqReads++
-		tel.telSeq.Add(1)
 	} else {
 		f.stats.RandReads++
 		aggStats.RandReads++
-		tel.telRand.Add(1)
 	}
 	f.head = idx
 	*lastFile = f

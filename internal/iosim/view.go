@@ -22,7 +22,7 @@ var ErrViewClosed = errors.New("iosim: view is closed")
 // request its own session: every file accessed through the view gets a
 // private head position (starting parked) and private Stats, while the
 // page bytes are served from the shared immutable store. Faults inject
-// and telemetry counters fire exactly as for direct reads.
+// exactly as for direct reads.
 //
 // Views are cheap — a small struct plus one clone File per distinct file
 // touched — and safe for concurrent use alongside other views and direct
@@ -48,7 +48,7 @@ func (d *Disk) View() *View {
 func (v *View) Disk() *Disk { return v.disk }
 
 // File returns the view's session file for base. The clone shares the
-// base file's pages (and telemetry counters) but owns its head position
+// base file's pages but owns its head position
 // — initially parked — and its Stats. Calling File twice with the same
 // base returns the same clone, so pointer identity within one view is
 // preserved (I/O trackers that deduplicate by pointer keep working).
@@ -89,16 +89,20 @@ type FileStat struct {
 	Stats Stats
 }
 
-// FileStats returns the per-file I/O performed through the view so
-// far, sorted by file name — the per-request breakdown a trace span
-// attaches before the view closes. Files the view never touched do
-// not appear.
+// FileStats returns the I/O performed through the view so far for
+// every file of the disk, sorted by file name, files the view never
+// touched at zero: one request's page-read ledger, which a trace span
+// and a program's collector take from the view.
 func (v *View) FileStats() []FileStat {
 	v.disk.mu.Lock()
 	defer v.disk.mu.Unlock()
-	out := make([]FileStat, 0, len(v.clones))
-	for base, c := range v.clones {
-		out = append(out, FileStat{Name: base.name, Stats: c.stats})
+	out := make([]FileStat, 0, len(v.disk.files))
+	for _, base := range v.disk.files {
+		var st Stats
+		if c := v.clones[base]; c != nil {
+			st = c.stats
+		}
+		out = append(out, FileStat{Name: base.name, Stats: st})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -3,10 +3,9 @@ package iosim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
-
-	"textjoin/internal/telemetry"
 )
 
 // viewFixture builds a disk with nFiles files of nPages pages each and
@@ -202,22 +201,24 @@ func TestViewFaultInjection(t *testing.T) {
 	}
 }
 
+// TestViewTelemetry holds the one I/O record a program's collector takes
+// from a request, View.FileStats: the view's own reads per file, every
+// file of the disk listed, untouched ones at zero, and none of another
+// view's reads.
 func TestViewTelemetry(t *testing.T) {
-	d, files := viewFixture(t, 1, 4)
-	tel := telemetry.New()
-	d.SetCollector(tel)
+	d, files := viewFixture(t, 2, 4)
+	other := d.View()
+	defer other.Close()
+	scanThrough(t, other.File(files[1]))
 	v := d.View()
 	scanThrough(t, v.File(files[0]))
+	want := []FileStat{{Name: "f0", Stats: Stats{SeqReads: 3, RandReads: 1}}, {Name: "f1"}}
+	if got := v.FileStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("FileStats = %+v, want %+v", got, want)
+	}
 	v.Close()
-	counters := make(map[string]int64)
-	for _, c := range tel.Snapshot().Counters {
-		counters[c.Name] = c.Value
-	}
-	if got := counters["io.file.f0.rand"]; got != 1 {
-		t.Errorf("io.file.f0.rand = %d, want 1", got)
-	}
-	if got := counters["io.file.f0.seq"]; got != 3 {
-		t.Errorf("io.file.f0.seq = %d, want 3", got)
+	if got := v.FileStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("FileStats after Close = %+v, want %+v", got, want)
 	}
 }
 

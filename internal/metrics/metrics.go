@@ -3,10 +3,11 @@
 // standard library.
 //
 // The paper's analysis lives and dies by counters — page reads split
-// sequential/random, cache hits, pass counts — and internal/telemetry
-// already collects all of them while a join runs. This package gives
-// those counters a stable wire shape so a long-running join service can
-// be watched by any Prometheus-compatible scraper:
+// sequential/random, cache hits, pass counts — and a program's
+// internal/telemetry collector holds all of them, added once per finished
+// request. This package gives those counters a stable wire shape so a
+// long-running join service can be watched by any Prometheus-compatible
+// scraper:
 //
 //   - every metric is namespaced "textjoin_",
 //   - structured telemetry names become families with labels
@@ -70,14 +71,13 @@ type family struct {
 }
 
 // mapCounter translates a telemetry counter name into a metric family
-// name plus labels. The rules mirror the namespaces the instrumented
-// layers use (DESIGN.md §10 documents the scheme):
+// name plus labels. The rules mirror the names textjoin.RecordJoin and
+// the serving layer add (DESIGN.md §10 documents the scheme):
 //
-//	io.file.<file>.seq|rand|writes|faults
-//	                               → textjoin_iosim_file_{seq,rand}_reads_total /
-//	                                 textjoin_iosim_file_{writes,faults}_total {file}
+//	io.file.<file>.seq|rand|writes → textjoin_iosim_file_{seq,rand}_reads_total /
+//	                                 textjoin_iosim_file_writes_total {file}
 //	cache.<policy>.<event>         → textjoin_entrycache_<event>_total {policy}
-//	join.<alg>.accum.<kind>        → textjoin_join_<alg>_accum_total   {kind}
+//	join.<alg>.prefilter.<stat>    → textjoin_prefilter_<stat>_total   {alg}
 //	join.<alg>.<stat>              → textjoin_join_<alg>_<stat>_total
 //	plan.chosen.<alg>              → textjoin_plan_chosen_total        {alg}
 //	query.<stat>                   → textjoin_query_<stat>_total
@@ -95,8 +95,8 @@ func mapCounter(name string) (string, []labelPair) {
 			case "seq", "rand":
 				return Namespace + "_iosim_file_" + kind + "_reads_total",
 					[]labelPair{{"file", file}}
-			case "writes", "faults":
-				return Namespace + "_iosim_file_" + kind + "_total",
+			case "writes":
+				return Namespace + "_iosim_file_writes_total",
 					[]labelPair{{"file", file}}
 			}
 		}
@@ -111,17 +111,12 @@ func mapCounter(name string) (string, []labelPair) {
 		parts := strings.Split(name, ".")
 		if len(parts) >= 3 {
 			alg := sanitize(parts[1])
-			switch {
-			case parts[2] == "accum" && len(parts) == 4:
-				return Namespace + "_join_" + alg + "_accum_total",
-					[]labelPair{{"kind", parts[3]}}
-			case parts[2] == "prefilter" && len(parts) == 4:
+			if parts[2] == "prefilter" && len(parts) == 4 {
 				return Namespace + "_prefilter_" + sanitize(parts[3]) + "_total",
 					[]labelPair{{"alg", parts[1]}}
-			default:
-				stat := sanitize(strings.Join(parts[2:], "_"))
-				return Namespace + "_join_" + alg + "_" + stat + "_total", nil
 			}
+			stat := sanitize(strings.Join(parts[2:], "_"))
+			return Namespace + "_join_" + alg + "_" + stat + "_total", nil
 		}
 	case strings.HasPrefix(name, "plan.chosen."):
 		return Namespace + "_plan_chosen_total",
@@ -152,7 +147,7 @@ var gaugeFamilies = map[string]bool{
 //
 //	phase.<phase>.ns               → textjoin_phase_ns {phase}
 //	http.request.<endpoint>.ns     → textjoin_http_request_ns {endpoint}
-//	<alg>.accum.occupancy          → textjoin_join_<alg>_accum_occupancy
+//	plan.error.log2                → textjoin_plan_error_log2
 //	anything else                  → textjoin_<sanitized>
 func mapHistogram(name string) (string, []labelPair) {
 	parts := strings.Split(name, ".")
@@ -161,8 +156,6 @@ func mapHistogram(name string) (string, []labelPair) {
 		return Namespace + "_phase_ns", []labelPair{{"phase", parts[1]}}
 	case len(parts) == 4 && parts[0] == "http" && parts[1] == "request" && parts[3] == "ns":
 		return Namespace + "_http_request_ns", []labelPair{{"endpoint", sanitize(parts[2])}}
-	case len(parts) == 3 && parts[1] == "accum" && parts[2] == "occupancy":
-		return Namespace + "_join_" + sanitize(parts[0]) + "_accum_occupancy", nil
 	case name == "plan.error.log2":
 		return Namespace + "_plan_error_log2", nil
 	}
@@ -179,8 +172,6 @@ func helpFor(name string) string {
 		return "Random page reads per simulated file."
 	case strings.HasPrefix(name, Namespace+"_iosim_file_writes"):
 		return "Page writes per simulated file."
-	case strings.HasPrefix(name, Namespace+"_iosim_file_faults"):
-		return "Injected read faults per simulated file."
 	case strings.HasPrefix(name, Namespace+"_entrycache_"):
 		return "Entry cache events by replacement policy."
 	case name == Namespace+"_plan_chosen_total":

@@ -14,20 +14,19 @@ func demoCollector() *telemetry.Collector {
 	c.Counter("io.file.c1.inv.seq").Add(12)
 	c.Counter("io.file.c1.inv.rand").Add(3)
 	c.Counter("io.file.c1.writes").Add(7)
-	c.Counter("io.file.c1.bt.faults").Add(1)
 	c.Counter("cache.min-outer-df.hits").Add(40)
 	c.Counter("cache.min-outer-df.misses").Add(9)
 	c.Counter("join.hvnl.outer_docs").Add(100)
 	c.Counter("join.hvnl.io.seq").Add(55)
-	c.Counter("join.vvm.accum.flat").Add(2)
+	c.Counter("join.vvm.pairs").Add(2)
+	c.Counter("join.hhnl.prefilter.pages_skipped").Add(6)
 	c.Counter("plan.chosen.hvnl").Add(1)
-	c.Counter("query.statements").Add(5)
+	c.Counter("query.joins").Add(5)
 	c.Counter("http.inflight").Add(2)
 	c.Counter("http.queue_depth").Add(1)
 	c.Counter("http.rejected").Add(4)
 	c.Histogram("http.request.join.ns", telemetry.DefaultLatencyBuckets).Observe(5000)
-	c.Histogram("plan.error.log2", telemetry.DefaultSizeBuckets).Observe(3)
-	c.Histogram("hvnl.accum.occupancy", telemetry.DefaultSizeBuckets).Observe(17)
+	c.Histogram("plan.error.log2", telemetry.ExpBuckets(1, 2, 16)).Observe(3)
 	c.Histogram("phase.scan.ns", telemetry.DefaultLatencyBuckets).Observe(2000)
 	return c
 }
@@ -49,14 +48,14 @@ func TestEncodeNaming(t *testing.T) {
 		`textjoin_iosim_file_seq_reads_total{file="c1.inv"} 12`,
 		`textjoin_iosim_file_rand_reads_total{file="c1.inv"} 3`,
 		`textjoin_iosim_file_writes_total{file="c1"} 7`,
-		`textjoin_iosim_file_faults_total{file="c1.bt"} 1`,
 		`textjoin_entrycache_hits_total{policy="min-outer-df"} 40`,
 		`textjoin_entrycache_misses_total{policy="min-outer-df"} 9`,
 		`textjoin_join_hvnl_outer_docs_total 100`,
 		`textjoin_join_hvnl_io_seq_total 55`,
-		`textjoin_join_vvm_accum_total{kind="flat"} 2`,
+		`textjoin_join_vvm_pairs_total 2`,
+		`textjoin_prefilter_pages_skipped_total{alg="hhnl"} 6`,
 		`textjoin_plan_chosen_total{alg="hvnl"} 1`,
-		`textjoin_query_statements_total 5`,
+		`textjoin_query_joins_total 5`,
 		"# TYPE textjoin_http_inflight gauge",
 		`textjoin_http_inflight 2`,
 		"# TYPE textjoin_http_queue_depth gauge",
@@ -68,8 +67,7 @@ func TestEncodeNaming(t *testing.T) {
 		"# TYPE textjoin_phase_ns histogram",
 		`textjoin_phase_ns_count{phase="scan"} 1`,
 		"# TYPE textjoin_plan_error_log2 histogram",
-		"# TYPE textjoin_join_hvnl_accum_occupancy histogram",
-		`textjoin_join_hvnl_accum_occupancy_bucket{le="+Inf"} 1`,
+		`textjoin_plan_error_log2_bucket{le="+Inf"} 1`,
 	}
 	for _, want := range wantLines {
 		if !strings.Contains(out, want+"\n") {

@@ -13,7 +13,6 @@ import (
 	"textjoin/internal/invfile"
 	"textjoin/internal/lsh"
 	"textjoin/internal/relation"
-	"textjoin/internal/telemetry"
 )
 
 // TextBinding attaches the storage structures of a textual attribute: the
@@ -109,9 +108,6 @@ type Options struct {
 	// The ResultSet carries the plan (Algorithm, Estimates, Plan) and no
 	// rows.
 	ExplainOnly bool
-	// Telemetry, when non-nil, collects counters and histograms from
-	// the join the query executes.
-	Telemetry *telemetry.Collector
 }
 
 // ResultSet is a query's output plus the planner's explanation.
@@ -158,8 +154,6 @@ type boundTable struct {
 // Execute runs a parsed query: push selections down, choose the join
 // algorithm by estimated cost, run it, and project the results.
 func (e *Engine) Execute(q *Query, opts Options) (*ResultSet, error) {
-	// Nil-safe: with no collector attached these are single nil checks.
-	opts.Telemetry.Counter("query.statements").Add(1)
 	if len(q.From) != 2 {
 		return nil, fmt.Errorf("query: exactly two relations required, got %d", len(q.From))
 	}
@@ -324,7 +318,6 @@ func (e *Engine) Execute(q *Query, opts Options) (*ResultSet, error) {
 		Lambda:      sp.Lambda,
 		MemoryPages: opts.MemoryPages,
 		Weighting:   opts.Weighting,
-		Telemetry:   opts.Telemetry,
 	}
 	if innerBind.LSH != nil && in.Inner == innerBind.Collection {
 		jopts.LSH = innerBind.LSH
@@ -353,7 +346,6 @@ func (e *Engine) Execute(q *Query, opts Options) (*ResultSet, error) {
 			rs.Plan = append(rs.Plan, fmt.Sprintf("recall SLO %.3g: estimated recall %.3g", sp.Recall, dec.EstimatedRecall))
 		}
 		rs.Plan = append(rs.Plan, fmt.Sprintf("chosen: %v, holding %d bytes", dec.Chosen, dec.PeakBytes))
-		opts.Telemetry.Counter("query.explains").Add(1)
 		return rs, nil
 	}
 	results, stats, err := dec.Run(in, jopts)
@@ -404,7 +396,6 @@ func (e *Engine) Execute(q *Query, opts Options) (*ResultSet, error) {
 			rs.Rows = append(rs.Rows, row)
 		}
 	}
-	opts.Telemetry.Counter("query.rows").Add(int64(len(rs.Rows)))
 	return rs, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"textjoin/internal/core"
 	"textjoin/internal/query"
 	"textjoin/internal/relation"
-	"textjoin/internal/telemetry"
 	"textjoin/internal/termmap"
 	"textjoin/internal/tokenize"
 )
@@ -372,10 +371,13 @@ func TestExecuteUnqualifiedAndAmbiguous(t *testing.T) {
 	}
 }
 
+// TestExecuteTelemetryCounters: the engine keeps no collector. What a
+// statement did comes back in its ResultSet — the rows, the plan, and the
+// executed join's Stats (none under ExplainOnly) — and a program adds
+// those Stats to its own collector with textjoin.RecordJoin.
 func TestExecuteTelemetryCounters(t *testing.T) {
 	e := buildJobEnv(t)
-	tel := telemetry.New()
-	opts := query.Options{MemoryPages: 100, Telemetry: tel}
+	opts := query.Options{MemoryPages: 100}
 	rs, err := e.engine.ExecuteString(`
 		Select P.Title, A.Name
 		From Positions P, Applicants A
@@ -383,32 +385,35 @@ func TestExecuteTelemetryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.ExplainOnly = true
-	if _, err := e.engine.ExecuteString(`
-		Select P.Title From Positions P, Applicants A
-		Where A.Resume SIMILAR_TO(1) P.Job_descr`, opts); err != nil {
-		t.Fatal(err)
+	st := rs.JoinStats
+	if st == nil || len(rs.Rows) == 0 || st.Algorithm != rs.Algorithm {
+		t.Fatalf("executed statement: %d rows, algorithm %v, join stats %+v", len(rs.Rows), rs.Algorithm, st)
 	}
-
-	s := tel.Snapshot()
+	tel := textjoin.NewTelemetry()
+	textjoin.RecordJoin(tel, textjoin.Decision{Chosen: rs.Algorithm, Estimates: rs.Estimates}, st, nil)
 	counters := map[string]int64{}
-	for _, c := range s.Counters {
+	for _, c := range tel.Snapshot().Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters["query.statements"] != 2 {
-		t.Errorf("query.statements = %d, want 2", counters["query.statements"])
+	alg := strings.ToLower(rs.Algorithm.String())
+	if got := counters["plan.chosen."+alg]; got != 1 {
+		t.Errorf("plan.chosen.%s = %d, want 1", alg, got)
 	}
-	if counters["query.explains"] != 1 {
-		t.Errorf("query.explains = %d, want 1", counters["query.explains"])
-	}
-	if counters["query.rows"] != int64(len(rs.Rows)) {
-		t.Errorf("query.rows = %d, want %d", counters["query.rows"], len(rs.Rows))
-	}
+	st.Counts(func(name string, v int64) {
+		if counters[name] != v {
+			t.Errorf("%s = %d, want the statement's %d", name, counters[name], v)
+		}
+	})
 
-	// A nil collector must stay nil-safe end to end.
-	if _, err := e.engine.ExecuteString(`
+	opts.ExplainOnly = true
+	rs, err = e.engine.ExecuteString(`
 		Select P.Title From Positions P, Applicants A
-		Where A.Resume SIMILAR_TO(1) P.Job_descr`, query.Options{MemoryPages: 100}); err != nil {
+		Where A.Resume SIMILAR_TO(1) P.Job_descr`, opts)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rs.JoinStats != nil || len(rs.Rows) != 0 || len(rs.Plan) == 0 {
+		t.Errorf("explained statement: %d rows, join stats %+v, %d plan lines; want no rows or stats, a plan",
+			len(rs.Rows), rs.JoinStats, len(rs.Plan))
 	}
 }

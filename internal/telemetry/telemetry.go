@@ -4,29 +4,25 @@
 // format is its Prometheus text exposition.
 //
 // The paper's whole argument is built on counting — page reads, cache
-// hits, pass counts — and this package makes those counts observable
-// while a join runs instead of only in the coarse Stats struct after the
-// fact. Every layer that does work reports here: iosim classifies page
-// reads per file, the entry cache reports hits and evictions by policy,
-// and the joins publish their Stats and accumulator occupancy. Timing
-// is not measured here: the package reads no clock. Where a request's
-// time went is internal/reqtrace's span tree, and the per-phase duration
-// histograms ("phase.<phase>.ns") are derived from a finished tree by
-// reqtrace.ObservePhases.
+// hits, pass counts — and every join returns those counts in its Stats.
+// This package aggregates them across requests for a long-running
+// program. No join, cache or disk writes here: the programs that own a
+// collector add each answered request once (textjoin.RecordJoin), from
+// its plan, Stats and I/O view. Timing is not measured here: the package
+// reads no clock. Where a request's time went is internal/reqtrace's
+// span tree, and the per-phase duration histograms ("phase.<phase>.ns")
+// are derived from a finished tree by reqtrace.ObservePhases.
 //
-// The package is zero-dependency and near-zero-overhead when disabled:
-// a nil *Collector disables everything. All Collector, Counter and
-// Histogram methods are nil-safe no-ops, so instrumented code holds
-// plain fields and calls them unconditionally — the disabled path is a
-// predictable nil check and performs no allocation. Instrumented hot
-// loops resolve their counters once, outside the loop, so the
-// per-operation cost is one atomic add when enabled and one branch when
-// not.
+// The package is zero-dependency and allocation-free when disabled: a
+// nil *Collector disables everything. All Collector, Counter and
+// Histogram methods are nil-safe no-ops, so a caller holds plain fields
+// and calls them unconditionally — the disabled path is a predictable
+// nil check and performs no allocation.
 //
 // Collectors are safe for concurrent use: counters and histogram buckets
-// are atomics, and Snapshot can run while writers are active (the
-// differential harness pins that results are identical with collection
-// running concurrently).
+// are atomics, and Snapshot can run while writers are active
+// (TestTelemetryConcurrentSnapshots records concurrent joins while
+// another goroutine snapshots).
 package telemetry
 
 import (
@@ -168,14 +164,9 @@ func ExpBuckets(start, factor int64, n int) []int64 {
 	return out
 }
 
-// Default bucket shapes shared by the instrumented layers.
-var (
-	// DefaultLatencyBuckets spans 1µs .. ~4.3s in powers of 4 (ns).
-	DefaultLatencyBuckets = ExpBuckets(1000, 4, 12)
-	// DefaultSizeBuckets spans 1 .. 32768 in powers of 2 (pages, cells,
-	// entries — any small cardinality).
-	DefaultSizeBuckets = ExpBuckets(1, 2, 16)
-)
+// DefaultLatencyBuckets spans 1µs .. ~4.3s in powers of 4 (ns): the
+// shape of every duration histogram.
+var DefaultLatencyBuckets = ExpBuckets(1000, 4, 12)
 
 // CounterValue is one counter in a Snapshot.
 type CounterValue struct {

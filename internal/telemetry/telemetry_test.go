@@ -95,7 +95,7 @@ func TestCountersConcurrent(t *testing.T) {
 			defer wg.Done()
 			// Resolve inside the goroutine so the map path races too.
 			ct := c.Counter("shared")
-			h := c.Histogram("shared.h", DefaultSizeBuckets)
+			h := c.Histogram("shared.h", ExpBuckets(1, 2, 16))
 			for i := 0; i < adds; i++ {
 				ct.Add(1)
 				h.Observe(int64(i))
@@ -121,7 +121,7 @@ func TestNilCollectorIsDisabled(t *testing.T) {
 	if v := c.Counter("x").Value(); v != 0 {
 		t.Errorf("nil counter value = %d", v)
 	}
-	c.Histogram("h", DefaultSizeBuckets).Observe(5)
+	c.Histogram("h", ExpBuckets(1, 2, 16)).Observe(5)
 	if n := c.Histogram("h", nil).Count(); n != 0 {
 		t.Errorf("nil histogram count = %d", n)
 	}
@@ -136,7 +136,7 @@ func TestNilCollectorIsDisabled(t *testing.T) {
 func TestDisabledPathDoesNotAllocate(t *testing.T) {
 	var c *Collector
 	ct := c.Counter("x")
-	h := c.Histogram("h", DefaultSizeBuckets)
+	h := c.Histogram("h", ExpBuckets(1, 2, 16))
 	cases := []struct {
 		name string
 		fn   func()
@@ -182,7 +182,7 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		ct := c.Counter("w")
-		h := c.Histogram("wh", DefaultSizeBuckets)
+		h := c.Histogram("wh", ExpBuckets(1, 2, 16))
 		i := int64(0)
 		for {
 			select {

@@ -50,6 +50,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"time"
 
 	"textjoin/internal/cluster"
@@ -179,16 +180,70 @@ type (
 	Tokenizer = tokenize.Tokenizer
 )
 
-// Telemetry is the aggregate instrumentation collector: I/O, cache and
-// join counters and histograms. It reads no clock — timing is the
-// RequestSpan tree's job. A nil *Telemetry disables collection
-// everywhere it is passed.
+// Telemetry is a program's aggregate collector of counters and
+// histograms. No join, cache or disk writes to it: the program adds each
+// finished request once, with RecordJoin, and its phase histograms from
+// the finished trace. It reads no clock — timing is the RequestSpan
+// tree's job. A nil *Telemetry collects nothing.
 type Telemetry = telemetry.Collector
 
-// NewTelemetry creates an enabled collector. Attach it to a join via
-// Options.Telemetry (or QueryOptions.Telemetry) and to the storage layer
-// via Workspace.SetTelemetry; render it with a MetricsExporter.
+// NewTelemetry creates an enabled collector. Fill it with RecordJoin;
+// render it with a MetricsExporter.
 func NewTelemetry() *Telemetry { return telemetry.New() }
+
+// planErrorBuckets are the bounds of the "plan.error.log2" histogram,
+// Decision.CostError in signed milli-log2: one bucket is a fixed
+// multiplicative error band (±1000 ≙ a factor of 2, ±250 ≙ ~19%),
+// symmetric because the model can miss both ways.
+var planErrorBuckets = []int64{-4000, -2000, -1000, -500, -250, -100, 0, 100, 250, 500, 1000, 2000, 4000}
+
+// RecordJoin adds one request's counters to t, once, from what the
+// request holds when it is answered, under the names /metrics renders
+// (DESIGN.md §10):
+//
+//   - an integrated plan (dec.Estimates set) counts "plan.chosen.<alg>"
+//     and, when prefiltered, "plan.prefilter.on" — whether or not it ran;
+//   - a completed join (stats non-nil) adds Stats.Counts ("join.<alg>.*"),
+//     HVNL's "cache.<policy>.*" and an integrated plan's CostError in the
+//     "plan.error.log2" histogram;
+//   - the view the request read through (v non-nil) adds every file's
+//     "io.file.<name>.{seq,rand,writes}", a failed join's reads included.
+//
+// A nil t records nothing.
+func RecordJoin(t *Telemetry, dec Decision, stats *JoinStats, v *IOView) {
+	if t == nil {
+		return
+	}
+	if dec.Estimates != nil {
+		t.Counter("plan.chosen." + strings.ToLower(dec.Chosen.String())).Add(1)
+		if dec.Prefiltered {
+			t.Counter("plan.prefilter.on").Add(1)
+		}
+		if stats != nil {
+			if milliLog2, ok := dec.CostError(stats.Cost); ok {
+				t.Histogram("plan.error.log2", planErrorBuckets).Observe(milliLog2)
+			}
+		}
+	}
+	if stats != nil {
+		stats.Counts(func(name string, n int64) { t.Counter(name).Add(n) })
+		if stats.Algorithm == HVNL {
+			p := "cache." + stats.Cache.Policy.String() + "."
+			t.Counter(p + "hits").Add(stats.Cache.Hits)
+			t.Counter(p + "misses").Add(stats.Cache.Misses)
+			t.Counter(p + "evictions").Add(stats.Cache.Evictions)
+			t.Counter(p + "rejected").Add(stats.Cache.Rejected)
+		}
+	}
+	if v != nil {
+		for _, fs := range v.FileStats() {
+			p := "io.file." + fs.Name + "."
+			t.Counter(p + "seq").Add(fs.Stats.SeqReads)
+			t.Counter(p + "rand").Add(fs.Stats.RandReads)
+			t.Counter(p + "writes").Add(fs.Stats.Writes)
+		}
+	}
+}
 
 // MetricsExporter renders a collector as a Prometheus text exposition,
 // the one wire format of a telemetry snapshot. It serves /metrics as an
@@ -331,11 +386,6 @@ type IOView = iosim.View
 // built structures. Call Close on the returned view when the request is
 // done so its I/O counters merge into the workspace totals.
 func (w *Workspace) Snapshot() *IOView { return w.disk.View() }
-
-// SetTelemetry attaches a collector to the workspace disk so per-file
-// sequential/random read counters and page/latency histograms are
-// recorded; nil detaches.
-func (w *Workspace) SetTelemetry(t *Telemetry) { w.disk.SetCollector(t) }
 
 // NewCollection stores documents (ids must be dense from 0) as a
 // collection on the workspace disk.
