@@ -24,14 +24,15 @@ test: build
 # drives and the inverted file and paged store under it (ReadSpan hands
 # concurrent views aliases of the shared page images), the term tables
 # concurrent views read once memoized (B+tree image, document frequencies,
-# idf and norms, and the scorer that holds them), the telemetry
-# collector the programs add each answered request to once
-# (textjoin.RecordJoin; no join, cache or disk writes to it), the request
+# idf and norms, and the scorer that holds them), the one collector,
+# internal/metrics, whose families /metrics writes as they are and which
+# the programs add each answered request to once (textjoin.RecordJoin;
+# no join, cache or disk writes to it), the request
 # tracer whose span tree is the only timing any of them takes and the
 # flight recorder that keeps the finished trees, the SLO engine computing
 # error budgets over the collector, and the observability server that
 # scrapes both during in-flight joins. The core run includes the differential harness
-# (trace on/off invariance; RecordJoin under concurrent snapshots). It
+# (trace on/off invariance; RecordJoin under concurrent scrapes). It
 # finishes with the observability smokes: the self-driving textjoind
 # endpoint check, the load-generator gate, the SLO/error-budget gate, the
 # command-line run's exposition and trace piped into tracecheck, the
@@ -43,7 +44,7 @@ verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
-	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
+	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
 
 # lint runs the repo's own static-analysis suite over the whole module
 # and benchmark/: three analyzers driven by the checked-in policy table in

@@ -18,7 +18,6 @@ import (
 	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/slo"
-	"textjoin/internal/telemetry"
 )
 
 // persistenceReadHalf is the one allowlist of TestFacadeExportsHaveProgramCallers:
@@ -154,12 +153,12 @@ func TestFacadeExportsHaveProgramCallers(t *testing.T) {
 // unconditionally, so a nil collector, counter, histogram, exporter,
 // tracer, span, recorder or SLO engine must answer every exported method
 // without panicking. Each method is called on a typed nil with zero
-// arguments, except that an interface parameter gets a working value
-// from the table below. A method added to one of these types is covered
-// on arrival.
+// arguments (a variadic one with none), except that an interface
+// parameter gets a working value from the table below. A method added
+// to one of these types is covered on arrival.
 func TestNilReceiversAreNoOps(t *testing.T) {
 	nils := []any{
-		(*telemetry.Collector)(nil), (*telemetry.Counter)(nil), (*telemetry.Histogram)(nil),
+		(*metrics.Collector)(nil), (*metrics.Counter)(nil), (*metrics.Histogram)(nil),
 		(*metrics.Exporter)(nil),
 		(*reqtrace.Tracer)(nil), (*reqtrace.Span)(nil), (*reqtrace.Recorder)(nil),
 		(*slo.Engine)(nil),
@@ -192,7 +191,11 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 						t.Errorf("%s on a nil receiver panics: %v", name, r)
 					}
 				}()
-				m.Call(args)
+				if m.Type().IsVariadic() {
+					m.CallSlice(args) // no variadic arguments: a nil slice
+				} else {
+					m.Call(args)
+				}
 			}()
 		}
 	}

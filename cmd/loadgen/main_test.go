@@ -11,7 +11,6 @@ import (
 
 	"textjoin/internal/metrics"
 	"textjoin/internal/slo"
-	"textjoin/internal/telemetry"
 )
 
 // TestClassify pins the outcome buckets: 503 is load shedding, 422 is a
@@ -98,15 +97,15 @@ func TestSanitySLO(t *testing.T) {
 // the same wiring textjoind serves, so the parser is pinned to the
 // exposition the SLO layer actually emits.
 func TestScrapeSLO(t *testing.T) {
-	col := telemetry.New()
+	col := metrics.New()
 	eng, err := slo.New(col, time.Now, time.Minute, []slo.Objective{
-		{Name: "availability", Target: 0.99, Good: []string{"ok"}, Bad: []string{"bad"}},
+		{Name: "availability", Target: 0.99, Good: []string{"textjoin_http_join_ok_total"}, Bad: []string{"textjoin_http_join_err_total"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	col.Counter("ok").Add(99)
-	col.Counter("bad").Add(1)
+	col.Counter("textjoin_http_join_ok_total").Add(99)
+	col.Counter("textjoin_http_join_err_total").Add(1)
 	exp := metrics.NewExporter(col, eng.Gauges)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/metrics" {

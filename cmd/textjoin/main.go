@@ -86,7 +86,7 @@ func main() {
 	}
 	if tel != nil {
 		trace := root.Data()
-		reqtrace.ObservePhases(tel, trace)
+		textjoin.ObservePhases(tel, root)
 		if err = exp.WriteMetrics(os.Stderr); err == nil {
 			err = reqtrace.Export(os.Stderr, *telemetryMode, trace)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"textjoin"
+	"textjoin/internal/metrics"
 )
 
 // Admission control: every /join request is planned first and charged
@@ -37,7 +38,8 @@ type admitter struct {
 	budget   int64
 	maxQueue int
 	maxWait  time.Duration
-	tel      *textjoin.Telemetry
+	// The admission series: the two levels and the rejection count.
+	inflight, queued, rejected *metrics.Counter
 
 	mu    sync.Mutex
 	inUse int64
@@ -48,12 +50,14 @@ func newAdmitter(budget int64, maxQueue int, maxWait time.Duration, tel *textjoi
 	if budget <= 0 {
 		budget = 1
 	}
-	// Materialize the admission families at zero so the first scrape
-	// already carries the levels, not just scrapes that follow load.
-	tel.Counter("http.inflight").Add(0)
-	tel.Counter("http.queue_depth").Add(0)
-	tel.Counter("http.rejected").Add(0)
-	return &admitter{budget: budget, maxQueue: maxQueue, maxWait: maxWait, tel: tel}
+	// Resolving the admission series creates them at zero, so the first
+	// scrape already carries the levels, not just scrapes that follow load.
+	return &admitter{
+		budget: budget, maxQueue: maxQueue, maxWait: maxWait,
+		inflight: tel.Gauge("textjoin_http_inflight"),
+		queued:   tel.Gauge("textjoin_http_queue_depth"),
+		rejected: tel.Counter("textjoin_http_rejected_total"),
+	}
 }
 
 // clamp bounds a request's charge to the whole budget.
@@ -77,26 +81,26 @@ func (a *admitter) admit(cost int64) (time.Duration, error) {
 	if len(a.queue) == 0 && a.inUse+cost <= a.budget {
 		a.inUse += cost
 		a.mu.Unlock()
-		a.tel.Counter("http.inflight").Add(1)
+		a.inflight.Add(1)
 		return 0, nil
 	}
 	if len(a.queue) >= a.maxQueue {
 		a.mu.Unlock()
-		a.tel.Counter("http.rejected").Add(1)
+		a.rejected.Add(1)
 		return 0, errQueueFull
 	}
 	w := &waiter{cost: cost, ready: make(chan struct{})}
 	a.queue = append(a.queue, w)
 	a.mu.Unlock()
-	a.tel.Counter("http.queue_depth").Add(1)
+	a.queued.Add(1)
 
 	begin := time.Now()
 	timer := time.NewTimer(a.maxWait)
 	defer timer.Stop()
 	select {
 	case <-w.ready:
-		a.tel.Counter("http.queue_depth").Add(-1)
-		a.tel.Counter("http.inflight").Add(1)
+		a.queued.Add(-1)
+		a.inflight.Add(1)
 		return time.Since(begin), nil
 	case <-timer.C:
 	}
@@ -107,15 +111,15 @@ func (a *admitter) admit(cost int64) (time.Duration, error) {
 		if q == w {
 			a.queue = append(a.queue[:i], a.queue[i+1:]...)
 			a.mu.Unlock()
-			a.tel.Counter("http.queue_depth").Add(-1)
-			a.tel.Counter("http.rejected").Add(1)
+			a.queued.Add(-1)
+			a.rejected.Add(1)
 			return time.Since(begin), errQueueWait
 		}
 	}
 	a.mu.Unlock()
 	<-w.ready
-	a.tel.Counter("http.queue_depth").Add(-1)
-	a.tel.Counter("http.inflight").Add(1)
+	a.queued.Add(-1)
+	a.inflight.Add(1)
 	return time.Since(begin), nil
 }
 
@@ -135,5 +139,5 @@ func (a *admitter) release(cost int64) {
 		close(w.ready)
 	}
 	a.mu.Unlock()
-	a.tel.Counter("http.inflight").Add(-1)
+	a.inflight.Add(-1)
 }

@@ -110,7 +110,7 @@ func TestSerializeMode(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := s.joins.Load(); n != 4 {
+	if n := s.tel.Value("textjoin_http_join_ok_total"); n != 4 {
 		t.Fatalf("joins = %d, want 4", n)
 	}
 }
@@ -194,7 +194,7 @@ func TestJoinErrorMapping(t *testing.T) {
 	defer hs.Close()
 
 	// The plan fails before admission: nothing is charged or queued.
-	inflight, queued := s.tel.Counter("http.inflight").Value(), s.tel.Counter("http.queue_depth").Value()
+	inflight, queued := s.adm.inflight.Value(), s.adm.queued.Value()
 	status, body := get(t, hs, "/join?alg=vvm&show=0")
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("insufficient memory: status %d, want 422: %s", status, body)
@@ -210,17 +210,17 @@ func TestJoinErrorMapping(t *testing.T) {
 			t.Errorf("a plan that cannot run was queued: %+v", sp)
 		}
 	}
-	if i, q := s.tel.Counter("http.inflight").Value(), s.tel.Counter("http.queue_depth").Value(); i != inflight || q != queued {
+	if i, q := s.adm.inflight.Value(), s.adm.queued.Value(); i != inflight || q != queued {
 		t.Errorf("inflight %d -> %d, queue depth %d -> %d: want both unchanged", inflight, i, queued, q)
 	}
 
 	// Parameter errors reject before admission: the inflight gauge
 	// stays untouched.
-	before := s.tel.Counter("http.rejected").Value()
+	before := s.adm.rejected.Value()
 	if status, _ := get(t, hs, "/join?alg=bogus"); status != http.StatusBadRequest {
 		t.Fatalf("alg=bogus: status %d, want 400", status)
 	}
-	if after := s.tel.Counter("http.rejected").Value(); after != before {
+	if after := s.adm.rejected.Value(); after != before {
 		t.Errorf("malformed request touched admission (rejected %d -> %d)", before, after)
 	}
 }
@@ -295,7 +295,7 @@ func TestNoRequestWaitsOnAnotherJoin(t *testing.T) {
 
 	// Ask once a join has been admitted: from then on its exec span
 	// outlasts two delayed reads.
-	for inflight := s.tel.Counter("http.inflight"); inflight.Value() == 0; {
+	for s.adm.inflight.Value() == 0 {
 		select {
 		case <-done:
 			t.Fatalf("both joins ended before either was seen in flight: %v, %v", joins[0].err, joins[1].err)

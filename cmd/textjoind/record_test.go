@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -128,5 +129,173 @@ func TestServerHugeLambda(t *testing.T) {
 	want := rows(strconv.FormatInt(s.c1.Stats().N, 10))
 	if got := rows("1099511627776"); len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("lambda=2^40 answered %d rows unlike the %d rows of lambda=N1", len(got), len(want))
+	}
+}
+
+// joinKinds is one /join request of each kind textjoind serves: the
+// integrated plan (with and without a recall SLO), each exact family,
+// LSH and the prefiltered join.
+var joinKinds = []string{
+	"/join?alg=auto&show=0", "/join?alg=auto&recall=0.9&show=0",
+	"/join?alg=hhnl&show=0", "/join?alg=hvnl&weighting=tfidf&show=0",
+	"/join?alg=vvm&weighting=cosine&show=0", "/join?mode=lsh&show=0",
+	"/join?alg=hhnl&prefilter=on&show=0",
+}
+
+// failEachWay answers one /join with 422, a plan the memory budget cannot
+// hold, and one with 503, turned away by admission while the whole
+// budget is held (the server must have no queue), so the server has
+// seen every join outcome.
+func failEachWay(t *testing.T, s *server, h http.Handler) {
+	t.Helper()
+	mem := s.cfg.MemoryPages
+	s.cfg.MemoryPages = 1
+	if rec := serve(h, "/join?alg=vvm&show=0"); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("memory budget of one page: status %d, want 422: %s", rec.Code, rec.Body)
+	}
+	s.cfg.MemoryPages = mem
+	if _, err := s.adm.admit(s.adm.budget); err != nil {
+		t.Fatal(err)
+	}
+	defer s.adm.release(s.adm.budget)
+	if rec := serve(h, "/join?alg=hhnl&show=0"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("budget held, no queue: status %d, want 503: %s", rec.Code, rec.Body)
+	}
+}
+
+// outcomeServer is a small server with no admission queue that has
+// answered every kind of /join once, one 422 and one 503.
+func outcomeServer(t *testing.T) (*server, http.Handler) {
+	t.Helper()
+	cfg := defaultConfig()
+	cfg.Scale = 1024
+	cfg.QueueLen = 0
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.handler()
+	for _, path := range joinKinds {
+		if rec := serve(h, path); rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	failEachWay(t, s, h)
+	return s, h
+}
+
+// TestSLOCountsServedTraffic: the objectives read the series the server
+// writes. An objective naming a series nobody writes would see no events,
+// comply fully and pass every budget gate; here the availability window
+// must hold the k answered joins as good and the 422 and the 503 as bad,
+// and the latency window every /join request sent.
+func TestSLOCountsServedTraffic(t *testing.T) {
+	s, _ := outcomeServer(t)
+	k := int64(len(joinKinds))
+	statuses := s.slo.Collect()
+	if len(statuses) != 2 {
+		t.Fatalf("%d objectives, want availability and latency", len(statuses))
+	}
+	for _, st := range statuses {
+		switch st.Name {
+		case "availability":
+			if st.Good != k || st.Bad != 2 {
+				t.Errorf("availability window: good %d, bad %d; want %d and 2", st.Good, st.Bad, k)
+			}
+		case "latency":
+			if st.Good+st.Bad != k+2 {
+				t.Errorf("latency window: %d good + %d bad, want every one of the %d /join requests", st.Good, st.Bad, k+2)
+			}
+		default:
+			t.Errorf("unexpected objective %q", st.Name)
+		}
+	}
+}
+
+// TestMetricsFamilies pins the families textjoind serves: after one
+// request of each /join kind, one 422 and one 503, the exposition holds
+// exactly these families, each with its type and label keys. A producer
+// spells each name where it adds to the series, so a drifted name
+// fails here.
+func TestMetricsFamilies(t *testing.T) {
+	_, h := outcomeServer(t)
+	serve(h, "/metrics") // so the second scrape carries the metrics endpoint's latency
+	body := serve(h, "/metrics").Body.String()
+	if err := metrics.Lint([]byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	types := map[string]string{}
+	keys := map[string]map[string]bool{}
+	var family string
+	for _, line := range strings.Split(body, "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(f, " ")
+			family, types[name], keys[name] = name, typ, map[string]bool{}
+			continue
+		}
+		_, labels, ok := strings.Cut(line, "{")
+		if line == "" || line[0] == '#' || !ok {
+			continue
+		}
+		labels, _, _ = strings.Cut(labels, "}")
+		for _, pair := range strings.Split(labels, ",") {
+			if key, _, _ := strings.Cut(pair, "="); key != "le" {
+				keys[family][key] = true
+			}
+		}
+	}
+	var got []string
+	for name, typ := range types {
+		var ks []string
+		for k := range keys[name] {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		got = append(got, strings.TrimSpace(name+" "+typ+" "+strings.Join(ks, ",")))
+	}
+	sort.Strings(got)
+	want := []string{
+		"textjoin_entrycache_evictions_total counter policy",
+		"textjoin_entrycache_hits_total counter policy",
+		"textjoin_entrycache_misses_total counter policy",
+		"textjoin_entrycache_rejected_total counter policy",
+		"textjoin_http_inflight gauge",
+		"textjoin_http_join_err_total counter",
+		"textjoin_http_join_ok_total counter",
+		"textjoin_http_queue_depth gauge",
+		"textjoin_http_rejected_total counter",
+		"textjoin_http_request_ns histogram endpoint",
+		"textjoin_iosim_file_rand_reads_total counter file",
+		"textjoin_iosim_file_seq_reads_total counter file",
+		"textjoin_iosim_file_writes_total counter file",
+	}
+	for _, alg := range []string{"hhnl", "hvnl", "lsh", "vvm"} {
+		counts := []string{"accumulations", "comparisons", "entry_fetches", "inner_docs", "io_rand", "io_seq", "outer_docs", "passes", "peak_bytes"}
+		switch alg {
+		case "hvnl", "vvm":
+			counts = append(counts, "pairs")
+		case "lsh":
+			counts = append(counts, "bucket_probes", "candidates", "docs_skipped", "pages_skipped")
+		}
+		for _, c := range counts {
+			want = append(want, "textjoin_join_"+alg+"_"+c+"_total counter")
+		}
+	}
+	want = append(want,
+		"textjoin_phase_ns histogram phase",
+		"textjoin_plan_chosen_total counter alg",
+		"textjoin_plan_error_log2 histogram",
+		"textjoin_prefilter_clusters_skipped_total counter alg",
+		"textjoin_prefilter_docs_skipped_total counter alg",
+		"textjoin_prefilter_false_passes_total counter alg",
+		"textjoin_prefilter_pages_skipped_total counter alg",
+		"textjoin_scrapes_total counter",
+	)
+	for _, f := range []string{"burn_rate", "compliance", "error_budget_remaining", "target", "window_seconds"} {
+		want = append(want, "textjoin_slo_"+f+" gauge objective")
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("families served:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

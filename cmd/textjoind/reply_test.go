@@ -283,7 +283,7 @@ func TestJoinReplyStopsAtFirstFailedWrite(t *testing.T) {
 	s.adm.mu.Lock()
 	inUse := s.adm.inUse
 	s.adm.mu.Unlock()
-	if inflight := s.tel.Counter("http.inflight").Value(); inUse != 0 || inflight != 0 {
+	if inflight := s.adm.inflight.Value(); inUse != 0 || inflight != 0 {
 		t.Errorf("after the request: %d bytes admitted, %d requests in flight; want 0 and 0", inUse, inflight)
 	}
 }

@@ -8,12 +8,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"textjoin"
+	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 )
 
 // config describes the workspace the server builds at startup and the
@@ -42,7 +41,8 @@ type config struct {
 	TraceSeed   uint64
 	RecorderCap int
 	// The SLO layer: availability (join outcomes) and latency
-	// (http.request.join.ns against SLOLatency) objectives evaluated
+	// (textjoin_http_request_ns{endpoint="join"} against SLOLatency)
+	// objectives evaluated
 	// over a rolling SLOWindow and exported as textjoin_slo_* gauges.
 	SLOWindow        time.Duration
 	SLOAvailTarget   float64
@@ -94,8 +94,6 @@ type server struct {
 	slo        *textjoin.SLOEngine
 	adm        *admitter
 	start      time.Time
-
-	joins atomic.Int64
 }
 
 func newServer(cfg config) (*server, error) {
@@ -152,13 +150,13 @@ func newServer(cfg config) (*server, error) {
 		{
 			Name:   "availability",
 			Target: cfg.SLOAvailTarget,
-			Good:   []string{"http.join.ok"},
-			Bad:    []string{"http.join.err", "http.rejected"},
+			Good:   []string{"textjoin_http_join_ok_total"},
+			Bad:    []string{"textjoin_http_join_err_total", "textjoin_http_rejected_total"},
 		},
 		{
 			Name:           "latency",
 			Target:         cfg.SLOLatencyTarget,
-			Histogram:      "http.request.join.ns",
+			Histogram:      `textjoin_http_request_ns{endpoint="join"}`,
 			ThresholdNanos: cfg.SLOLatency.Nanoseconds(),
 		},
 	})
@@ -197,7 +195,7 @@ func (s *server) timed(endpoint string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
 		h.ServeHTTP(w, r)
-		s.tel.Histogram("http.request."+endpoint+".ns", telemetry.DefaultLatencyBuckets).
+		s.tel.Histogram("textjoin_http_request_ns", metrics.DefaultLatencyBuckets, "endpoint", endpoint).
 			Observe(time.Since(begin).Nanoseconds())
 	})
 }
@@ -230,7 +228,7 @@ func (s *server) traced(name string, h http.Handler) http.Handler {
 // histograms, which are thereby the tree's own measurements.
 func (s *server) finishTrace(span *textjoin.RequestSpan) {
 	s.recorder.Record(span)
-	reqtrace.ObservePhases(s.tel, span.Data())
+	textjoin.ObservePhases(s.tel, span)
 }
 
 func (s *server) handler() http.Handler {
@@ -254,7 +252,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
-		"joins":          s.joins.Load(),
+		"joins":          s.tel.Value("textjoin_http_join_ok_total"),
 		"collections": []map[string]any{
 			{"name": "c1", "profile": s.cfg.P1, "docs": st1.N, "terms": st1.T, "pages": st1.D},
 			{"name": "c2", "profile": s.cfg.P2, "docs": st2.N, "terms": st2.T, "pages": st2.D},
@@ -434,9 +432,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// result digest, streamed JSON encode and write.
 	reply := span.StartChild("reply", "encode")
 	defer reply.End()
-	s.joins.Add(1)
-	s.tel.Counter("query.joins").Add(1)
-	s.tel.Counter("http.join.ok").Add(1)
+	s.tel.Counter("textjoin_http_join_ok_total").Add(1)
 	span.SetInt("http.status", http.StatusOK)
 	span.SetAttr("join.chosen", stats.Algorithm.String())
 	span.SetInt("result.rows", int64(len(results)))
@@ -482,14 +478,14 @@ func joinStatus(err error) int {
 
 // joinError finishes a failed /join: it stamps the outcome on the root
 // span, counts the failure for the availability SLO (503 rejections are
-// already counted by the admitter as http.rejected), and answers with
-// the error and the trace ID so the caller can pull the full tree from
-// /debug/requests.
+// already counted by the admitter in textjoin_http_rejected_total), and
+// answers with the error and the trace ID so the caller can pull the
+// full tree from /debug/requests.
 func (s *server) joinError(w http.ResponseWriter, span *textjoin.RequestSpan, status int, err error) {
 	span.SetInt("http.status", int64(status))
 	span.SetAttr("error", err.Error())
 	if status != http.StatusServiceUnavailable {
-		s.tel.Counter("http.join.err").Add(1)
+		s.tel.Counter("textjoin_http_join_err_total").Add(1)
 	}
 	body := map[string]string{"error": err.Error()}
 	if id := traceIDString(span); id != "" {

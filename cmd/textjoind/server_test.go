@@ -70,8 +70,8 @@ func TestServerEndpoints(t *testing.T) {
 	if !j.Integrated || j.Lambda != 3 || j.OuterDocs == 0 || len(j.Results) > 2 {
 		t.Errorf("join response: %+v", j)
 	}
-	if s.joins.Load() != 1 {
-		t.Errorf("joins counter = %d, want 1", s.joins.Load())
+	if n := s.tel.Value("textjoin_http_join_ok_total"); n != 1 {
+		t.Errorf("joins counter = %d, want 1", n)
 	}
 
 	status, body = get(t, hs, "/metrics")

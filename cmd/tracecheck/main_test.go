@@ -10,15 +10,14 @@ import (
 
 	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 )
 
 // exposition renders a small collector the way /metrics serves it.
 func exposition(t *testing.T) []byte {
 	t.Helper()
-	c := telemetry.New()
-	c.Counter("join.hhnl.outer_docs").Add(3)
-	c.Histogram("phase.scan.ns", telemetry.DefaultLatencyBuckets).Observe(1000)
+	c := metrics.New()
+	c.Counter("textjoin_join_hhnl_outer_docs_total").Add(3)
+	c.Histogram("textjoin_phase_ns", metrics.DefaultLatencyBuckets, "phase", "scan").Observe(1000)
 	var sb strings.Builder
 	if err := metrics.NewExporter(c, nil).WriteMetrics(&sb); err != nil {
 		t.Fatal(err)

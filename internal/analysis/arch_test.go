@@ -25,16 +25,16 @@ import (
 // enforces by itself: no import cycle, no external module (go.mod has no
 // require), no import of a program.
 //
-// The rows transcribe the layer diagram: telemetry is zero-dep,
-// codec/costmodel/relation/topk/analysis/iosim are stdlib-only, accum (whose
-// AddCells takes the cells it multiplies) and document sit one rung above
-// codec, metrics and reqtrace see only telemetry among internal packages
-// (reqtrace to derive the phase histograms from its finished trees), and
-// the join core is the only package that may pull the whole storage stack
-// together. The collector belongs to the programs: no storage, cache, join
-// or query package may import telemetry, so a join's numbers leave it only
-// through the Stats it returns and its span, and a program adds them to its
-// collector once per request (textjoin.RecordJoin). The program rows are the one-door rule: a program gets its
+// The rows transcribe the layer diagram: the collector (metrics), the
+// tracer (reqtrace) and codec/costmodel/relation/topk/analysis/iosim are
+// stdlib-only, slo sees only metrics, accum (whose AddCells takes the
+// cells it multiplies) and document sit one rung above codec, and the
+// join core is the only package that may pull the whole storage stack
+// together. The collector belongs to the programs: no storage, cache,
+// join, query or tracing package may import metrics, so a join's numbers
+// leave it only through the Stats it returns and its span, and a program
+// adds them, and the phase histograms of its finished trace, to its
+// collector once per request (textjoin.RecordJoin, ObservePhases). The program rows are the one-door rule: a program gets its
 // disk, collections, inverted files and joins from the facade, and lists
 // only what it is about besides — data generation (corpus), pure formulas
 // (costmodel, simulate), observability, the lint engine — never a storage
@@ -43,16 +43,15 @@ var importLayers = map[string][]string{
 	"internal/analysis":  {},
 	"internal/codec":     {},
 	"internal/costmodel": {},
+	"internal/metrics":   {},
 	"internal/relation":  {},
-	"internal/telemetry": {},
+	"internal/reqtrace":  {},
 	"internal/topk":      {},
 
 	"internal/accum":    {"internal/codec"},
 	"internal/document": {"internal/codec"},
 	"internal/iosim":    {},
-	"internal/metrics":  {"internal/telemetry"},
-	"internal/reqtrace": {"internal/telemetry"},
-	"internal/slo":      {"internal/metrics", "internal/telemetry"},
+	"internal/slo":      {"internal/metrics"},
 
 	"internal/btree":      {"internal/codec", "internal/iosim"},
 	"internal/termmap":    {"internal/codec", "internal/document"},
@@ -86,7 +85,7 @@ var importLayers = map[string][]string{
 	"cmd/loadgen":     {"internal/metrics"},
 	"cmd/simulate":    {"internal/corpus", "internal/costmodel", "internal/simulate"},
 	"cmd/textjoin":    {"internal/corpus", "internal/reqtrace"},
-	"cmd/textjoind":   {"internal/metrics", "internal/reqtrace", "internal/telemetry"},
+	"cmd/textjoind":   {"internal/metrics", "internal/reqtrace"},
 	"cmd/tracecheck":  {"internal/metrics", "internal/reqtrace"},
 
 	"examples/clustering":   {},

@@ -293,34 +293,36 @@ func (t *ioTracker) delta() iosim.Stats {
 	return total
 }
 
-// Counts calls fn with each count of a finished join under its
-// "join.<alg>.*" name: the span attributes recordJoinStats writes, and
-// the counters a program's collector adds once per join.
-func (st *Stats) Counts(fn func(name string, v int64)) {
-	p := "join." + strings.ToLower(st.Algorithm.String())
-	fn(p+".outer_docs", st.OuterDocs)
-	fn(p+".inner_docs", st.InnerDocs)
-	fn(p+".comparisons", st.Comparisons)
-	fn(p+".accumulations", st.Accumulations)
-	fn(p+".entry_fetches", st.EntryFetches)
-	fn(p+".passes", int64(st.Passes))
-	fn(p+".io.seq", st.IO.SeqReads)
-	fn(p+".io.rand", st.IO.RandReads)
-	fn(p+".peak_bytes", st.PeakMemoryBytes)
+// Counts calls fn with each count of a finished join: its group ("" for
+// the join's own counts, "io" for its page reads, "prefilter" for the
+// signature prefilter's), its name in the group and its value. It is the
+// one list of a join's counts. The join's span carries each as the
+// attribute join.<alg>[.<group>].<count> (recordJoinStats); a program's
+// collector holds it in the family /metrics prints (textjoin.RecordJoin).
+func (st *Stats) Counts(fn func(group, count string, v int64)) {
+	fn("", "outer_docs", st.OuterDocs)
+	fn("", "inner_docs", st.InnerDocs)
+	fn("", "comparisons", st.Comparisons)
+	fn("", "accumulations", st.Accumulations)
+	fn("", "entry_fetches", st.EntryFetches)
+	fn("", "passes", int64(st.Passes))
+	fn("io", "seq", st.IO.SeqReads)
+	fn("io", "rand", st.IO.RandReads)
+	fn("", "peak_bytes", st.PeakMemoryBytes)
 	if st.Algorithm == HVNL || st.Algorithm == VVM {
-		fn(p+".pairs", st.Pairs)
+		fn("", "pairs", st.Pairs)
 	}
 	if st.Prefilter.Enabled {
-		fn(p+".prefilter.pages_skipped", st.Prefilter.PagesSkipped)
-		fn(p+".prefilter.clusters_skipped", st.Prefilter.ClustersSkipped)
-		fn(p+".prefilter.docs_skipped", st.Prefilter.DocsSkipped)
-		fn(p+".prefilter.false_passes", st.Prefilter.FalsePasses)
+		fn("prefilter", "pages_skipped", st.Prefilter.PagesSkipped)
+		fn("prefilter", "clusters_skipped", st.Prefilter.ClustersSkipped)
+		fn("prefilter", "docs_skipped", st.Prefilter.DocsSkipped)
+		fn("prefilter", "false_passes", st.Prefilter.FalsePasses)
 	}
 	if st.LSH.Enabled {
-		fn(p+".bucket_probes", st.LSH.BucketProbes)
-		fn(p+".candidates", st.LSH.Candidates)
-		fn(p+".pages_skipped", st.LSH.PagesSkipped)
-		fn(p+".docs_skipped", st.LSH.DocsSkipped)
+		fn("", "bucket_probes", st.LSH.BucketProbes)
+		fn("", "candidates", st.LSH.Candidates)
+		fn("", "pages_skipped", st.LSH.PagesSkipped)
+		fn("", "docs_skipped", st.LSH.DocsSkipped)
 	}
 }
 
@@ -332,7 +334,13 @@ func recordJoinStats(trace *reqtrace.Span, st *Stats) {
 	if trace == nil {
 		return
 	}
-	st.Counts(trace.SetInt)
+	p := "join." + strings.ToLower(st.Algorithm.String()) + "."
+	st.Counts(func(group, count string, v int64) {
+		if group != "" {
+			count = group + "." + count
+		}
+		trace.SetInt(p+count, v)
+	})
 	if st.Algorithm == HVNL {
 		trace.SetInt("join.hvnl.cache.hits", st.Cache.Hits)
 		trace.SetInt("join.hvnl.cache.misses", st.Cache.Misses)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // TestTelemetryConcurrentSnapshots runs joins of every exact family and
 // the integrated plan concurrently, each through its own view, while
-// another goroutine snapshots the shared collector continuously and
+// another goroutine scrapes the shared collector continuously and
 // textjoin.RecordJoin adds each finished join to it. Recording must be safe
 // under concurrency, leave the results as a serial run returns them, and
 // add up to exactly what the joins returned: their Stats, their plans and
@@ -54,6 +55,7 @@ func TestTelemetryConcurrentSnapshots(t *testing.T) {
 	ws.ResetIOStats()
 
 	tel := textjoin.NewTelemetry()
+	exp := textjoin.NewMetricsExporter(tel, nil)
 	done := make(chan struct{})
 	var snapshots sync.WaitGroup
 	snapshots.Add(1)
@@ -64,7 +66,10 @@ func TestTelemetryConcurrentSnapshots(t *testing.T) {
 			case <-done:
 				return
 			default:
-				tel.Snapshot()
+				if err := exp.WriteMetrics(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()
@@ -111,30 +116,24 @@ func TestTelemetryConcurrentSnapshots(t *testing.T) {
 	close(done)
 	snapshots.Wait()
 
-	counters := map[string]int64{}
-	for _, c := range tel.Snapshot().Counters {
-		counters[c.Name] = c.Value
-	}
 	for alg, n := range outerDocs {
-		if got := counters["join."+alg+".outer_docs"]; got != n {
-			t.Errorf("join.%s.outer_docs = %d, want %d", alg, got, n)
+		series := "textjoin_join_" + alg + "_outer_docs_total"
+		if got := tel.Value(series); got != n {
+			t.Errorf("%s = %d, want %d", series, got, n)
 		}
 	}
 	for alg, n := range chosen {
-		if got := counters["plan.chosen."+alg]; got != n {
-			t.Errorf("plan.chosen.%s = %d, want %d", alg, got, n)
+		series := `textjoin_plan_chosen_total{alg="` + alg + `"}`
+		if got := tel.Value(series); got != n {
+			t.Errorf("%s = %d, want %d", series, got, n)
 		}
 	}
 	var seq, rand int64
-	for name, v := range counters {
-		switch {
-		case strings.HasPrefix(name, "io.file.") && strings.HasSuffix(name, ".seq"):
-			seq += v
-		case strings.HasPrefix(name, "io.file.") && strings.HasSuffix(name, ".rand"):
-			rand += v
-		}
+	for _, file := range ws.Disk().Files() {
+		seq += tel.Value(`textjoin_iosim_file_seq_reads_total{file="` + file + `"}`)
+		rand += tel.Value(`textjoin_iosim_file_rand_reads_total{file="` + file + `"}`)
 	}
-	if disk := ws.Disk().Stats(); seq != disk.SeqReads || rand != disk.RandReads {
-		t.Errorf("io.file counters sum to seq=%d rand=%d, the disk's ledger is %v", seq, rand, disk)
+	if disk := ws.Disk().Stats(); seq != disk.SeqReads || rand != disk.RandReads || seq+rand == 0 {
+		t.Errorf("textjoin_iosim_file series sum to seq=%d rand=%d, the disk's ledger is %v", seq, rand, disk)
 	}
 }

@@ -1,36 +1,30 @@
 package metrics
 
 import (
+	"bytes"
 	"io"
 	"net/http"
-	"sync/atomic"
-
-	"textjoin/internal/telemetry"
 )
 
-// Exporter serves a collector's state as Prometheus text. It keeps no
-// state between scrapes beyond its own scrape counter: every scrape
-// renders the totals as they are, and rates are the scraper's to
-// compute (PromQL's rate()), so no caller's scrape moves another's
-// window.
+// Exporter serves a collector's families as Prometheus text. It keeps no
+// state between scrapes beyond its scrape counter
+// (textjoin_scrapes_total, a series of the collector): every scrape
+// renders the totals as they are, and rates are the scraper's to compute
+// (PromQL's rate()), so no caller's scrape moves another's window.
 //
-// Scraping never blocks a running join's hot path: taking a snapshot
-// reads counters and buckets atomically and holds the collector's short
-// map mutex only while listing them — the same operations the
-// differential harness pins as safe concurrent with collection. A nil
-// collector exports only the exporter's own scrape counter, so a server
-// with telemetry disabled still answers /metrics.
+// Scraping never blocks a running join's hot path: adding to a series is
+// an atomic, and the collector's mutex is held only while the families
+// are rendered into a buffer, never while the buffer is written out.
 //
 // Exporter is safe for concurrent use.
 type Exporter struct {
-	col     *telemetry.Collector
-	extra   func() []Gauge
-	scrapes atomic.Int64
+	col   *Collector
+	extra func() []Gauge
 }
 
 // Gauge is one externally-computed gauge sample injected into a scrape
 // by an Exporter's extra callback — the hook the SLO engine uses to
-// export textjoin_slo_* families next to the telemetry-derived ones.
+// export textjoin_slo_* families next to the collector's.
 type Gauge struct {
 	// Family is the full family name, e.g. "textjoin_slo_burn_rate".
 	Family string
@@ -41,37 +35,48 @@ type Gauge struct {
 	Value                float64
 }
 
-// NewExporter creates an exporter over col (which may be nil). extra,
-// when not nil, is called on every scrape; the gauges it returns are
-// rendered alongside the snapshot-derived families.
-func NewExporter(col *telemetry.Collector, extra func() []Gauge) *Exporter {
+// NewExporter creates an exporter over col. A nil col gets a collector
+// of its own, which holds only the scrape counter, so a program with
+// telemetry disabled still answers /metrics. extra, when not nil, is
+// called on every scrape; the gauges it returns are rendered alongside
+// the collector's families.
+func NewExporter(col *Collector, extra func() []Gauge) *Exporter {
+	if col == nil {
+		col = New()
+	}
 	return &Exporter{col: col, extra: extra}
 }
 
-// WriteMetrics renders a snapshot of the collector, the scrape counter
+// WriteMetrics counts the scrape and renders the collector's families
 // and the extra gauges. A nil exporter writes nothing — the same
 // disabled-path contract as a nil collector.
 func (e *Exporter) WriteMetrics(w io.Writer) error {
 	if e == nil {
 		return nil
 	}
-	fs := newFamilySet()
-	fs.addSnapshot(e.col.Snapshot())
-	fs.addInt(Namespace+"_scrapes_total", "counter", nil, e.scrapes.Add(1))
+	e.col.Counter(Namespace + "_scrapes_total").Add(1)
+	extra := map[string]*family{}
 	if e.extra != nil {
 		for _, g := range e.extra() {
-			f := fs.get(g.Family, "gauge")
+			f := extra[g.Family]
+			if f == nil {
+				f = &family{typ: "gauge", help: helpFor(g.Family), series: make(map[string]series)}
+				extra[g.Family] = f
+			}
 			if g.Help != "" {
 				f.help = g.Help
 			}
-			var labels []labelPair
+			var labels []string
 			if g.LabelKey != "" {
-				labels = []labelPair{{g.LabelKey, g.LabelValue}}
+				labels = []string{g.LabelKey, g.LabelValue}
 			}
-			f.ser = append(f.ser, series{labels: labels, value: g.Value})
+			f.series[labelPairs(labels)] = gaugeValue(g.Value)
 		}
 	}
-	return fs.write(w)
+	var b bytes.Buffer
+	e.col.write(&b, extra)
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // ServeHTTP implements the /metrics endpoint. A nil exporter answers
@@ -82,8 +87,6 @@ func (e *Exporter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", ContentType)
-	if err := e.WriteMetrics(w); err != nil {
-		// Headers are gone; all we can do is drop the connection early.
-		return
-	}
+	// An error means the connection is gone; there is no one to tell.
+	_ = e.WriteMetrics(w)
 }

@@ -1,35 +1,39 @@
-// Package metrics exports telemetry snapshots in the Prometheus text
-// exposition format (version 0.0.4), with zero dependencies beyond the
-// standard library.
+// Package metrics is a program's collector of counters, gauges and
+// histograms, and its one wire format: the Prometheus text exposition
+// (version 0.0.4), with zero dependencies beyond the standard library.
 //
-// The paper's analysis lives and dies by counters — page reads split
-// sequential/random, cache hits, pass counts — and a program's
-// internal/telemetry collector holds all of them, added once per finished
-// request. This package gives those counters a stable wire shape so a
-// long-running join service can be watched by any Prometheus-compatible
-// scraper:
+// The paper's whole argument is built on counting — page reads split
+// sequential/random, cache hits, pass counts — and every join returns
+// those counts in its Stats. A long-running program aggregates them
+// here. No join, cache or disk writes to a collector: the programs that
+// own one add each answered request once (textjoin.RecordJoin). Every
+// series is created under the family, type and labels /metrics prints,
+// so its name is spelled once, where its producer adds to it:
 //
-//   - every metric is namespaced "textjoin_",
-//   - structured telemetry names become families with labels
-//     (io.file.c1.inv.seq → textjoin_iosim_file_seq_reads_total{file="c1.inv"}),
-//   - join counters keep the algorithm in the family name, per the
-//     naming scheme textjoin_join_<alg>_* (DESIGN.md §10),
-//   - telemetry histograms become Prometheus histograms with cumulative
-//     buckets.
+//	col.Counter("textjoin_join_hvnl_io_seq_total").Add(n)
+//	col.Gauge("textjoin_http_inflight").Add(1)
+//	col.Histogram("textjoin_phase_ns", DefaultLatencyBuckets, "phase", "scan").Observe(ns)
 //
-// The mapping is pure renaming: no counter is merged, split or rescaled,
-// so a Prometheus query over textjoin_join_vvm_io_seq_total sees exactly
-// the numbers the paper's Stats struct reports.
+// and the Exporter writes the collector's families as they are. Timing
+// is not measured here: the package reads no clock.
+//
+// A nil *Collector is the disabled collector: it, and the nil *Counter
+// and *Histogram it returns, answer every method as a no-op without
+// allocating, so a caller holds plain fields and calls them
+// unconditionally. A Collector is safe for concurrent use: values are
+// atomics, and a scrape may run while writers are active
+// (TestSnapshotDuringWrites).
 package metrics
 
 import (
+	"bytes"
 	"fmt"
-	"io"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
-
-	"textjoin/internal/telemetry"
+	"sync"
+	"sync/atomic"
 )
 
 // Namespace prefixes every exported metric name.
@@ -38,132 +42,254 @@ const Namespace = "textjoin"
 // ContentType is the HTTP content type of the text exposition format.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// labelPair is one metric label. Pairs are kept sorted by key; the
-// histogram "le" label is appended last by the encoder, as the format
-// requires for bucket series.
-type labelPair struct{ key, value string }
-
-// series is one sample line of a counter or gauge family.
-type series struct {
-	labels []labelPair
-	value  float64
-	// isInt selects integer formatting (counters), keeping the output
-	// byte-stable across platforms.
-	isInt bool
-	ival  int64
+// Collector holds metric families by name. Create one with New.
+type Collector struct {
+	mu       sync.Mutex
+	families map[string]*family
 }
 
-// histSeries is one labelled histogram within a histogram family.
-type histSeries struct {
-	labels  []labelPair
-	buckets []telemetry.Bucket // per-bucket counts, as in the snapshot
-	sum     int64
-	count   int64
-}
-
-// family is one named metric family of a single type.
+// family is one metric family: its type, its HELP text and its series
+// by label set.
 type family struct {
-	name string
-	help string
-	typ  string // "counter", "gauge" or "histogram"
-	ser  []series
-	hist []histSeries
+	typ, help string
+	series    map[string]series // by label pairs as printed, `k="v",…`; "" for none
 }
 
-// mapCounter translates a telemetry counter name into a metric family
-// name plus labels. The rules mirror the names textjoin.RecordJoin and
-// the serving layer add (DESIGN.md §10 documents the scheme):
-//
-//	io.file.<file>.seq|rand|writes → textjoin_iosim_file_{seq,rand}_reads_total /
-//	                                 textjoin_iosim_file_writes_total {file}
-//	cache.<policy>.<event>         → textjoin_entrycache_<event>_total {policy}
-//	join.<alg>.prefilter.<stat>    → textjoin_prefilter_<stat>_total   {alg}
-//	join.<alg>.<stat>              → textjoin_join_<alg>_<stat>_total
-//	plan.chosen.<alg>              → textjoin_plan_chosen_total        {alg}
-//	query.<stat>                   → textjoin_query_<stat>_total
-//	http.<stat>                    → textjoin_http_<stat>_total, or the
-//	                                 suffix-less gauge family for levels
-//	                                 (see gaugeFamilies)
-//	anything else                  → textjoin_<sanitized>_total
-func mapCounter(name string) (string, []labelPair) {
-	switch {
-	case strings.HasPrefix(name, "io.file."):
-		rest := strings.TrimPrefix(name, "io.file.")
-		if i := strings.LastIndex(rest, "."); i > 0 {
-			file, kind := rest[:i], rest[i+1:]
-			switch kind {
-			case "seq", "rand":
-				return Namespace + "_iosim_file_" + kind + "_reads_total",
-					[]labelPair{{"file", file}}
-			case "writes":
-				return Namespace + "_iosim_file_writes_total",
-					[]labelPair{{"file", file}}
-			}
-		}
-	case strings.HasPrefix(name, "cache."):
-		rest := strings.TrimPrefix(name, "cache.")
-		if i := strings.LastIndex(rest, "."); i > 0 {
-			policy, event := rest[:i], rest[i+1:]
-			return Namespace + "_entrycache_" + sanitize(event) + "_total",
-				[]labelPair{{"policy", policy}}
-		}
-	case strings.HasPrefix(name, "join."):
-		parts := strings.Split(name, ".")
-		if len(parts) >= 3 {
-			alg := sanitize(parts[1])
-			if parts[2] == "prefilter" && len(parts) == 4 {
-				return Namespace + "_prefilter_" + sanitize(parts[3]) + "_total",
-					[]labelPair{{"alg", parts[1]}}
-			}
-			stat := sanitize(strings.Join(parts[2:], "_"))
-			return Namespace + "_join_" + alg + "_" + stat + "_total", nil
-		}
-	case strings.HasPrefix(name, "plan.chosen."):
-		return Namespace + "_plan_chosen_total",
-			[]labelPair{{"alg", strings.TrimPrefix(name, "plan.chosen.")}}
-	case strings.HasPrefix(name, "query."):
-		return Namespace + "_query_" + sanitize(strings.TrimPrefix(name, "query.")) + "_total", nil
-	case strings.HasPrefix(name, "http."):
-		stat := sanitize(strings.TrimPrefix(name, "http."))
-		if g := Namespace + "_http_" + stat; gaugeFamilies[g] {
-			return g, nil
-		}
-		return Namespace + "_http_" + stat + "_total", nil
+// series is one instrument of a family: it writes its sample lines.
+type series interface {
+	write(b *bytes.Buffer, name, labels string)
+}
+
+// New creates an enabled collector.
+func New() *Collector { return &Collector{families: make(map[string]*family)} }
+
+// Counter returns the counter series of family with the given label
+// (a key and a value, or none), creating it on first use. A nil collector
+// returns a nil counter, whose methods are no-ops: resolve once and call
+// Add unconditionally.
+func (c *Collector) Counter(family string, labels ...string) *Counter {
+	if c == nil {
+		return nil
 	}
-	return Namespace + "_" + sanitize(name) + "_total", nil
+	return c.resolve(family, "counter", labels, nil).(*Counter)
 }
 
-// gaugeFamilies are families fed by telemetry counters that the serving
-// layer moves both up and down (Add(±1) around a state change): their
-// exported value is a level, not a monotone total, so they are typed
-// gauge and carry no _total suffix.
-var gaugeFamilies = map[string]bool{
-	Namespace + "_http_inflight":    true,
-	Namespace + "_http_queue_depth": true,
-}
-
-// mapHistogram translates a telemetry histogram name into a family name
-// plus labels:
-//
-//	phase.<phase>.ns               → textjoin_phase_ns {phase}
-//	http.request.<endpoint>.ns     → textjoin_http_request_ns {endpoint}
-//	plan.error.log2                → textjoin_plan_error_log2
-//	anything else                  → textjoin_<sanitized>
-func mapHistogram(name string) (string, []labelPair) {
-	parts := strings.Split(name, ".")
-	switch {
-	case len(parts) == 3 && parts[0] == "phase" && parts[2] == "ns":
-		return Namespace + "_phase_ns", []labelPair{{"phase", parts[1]}}
-	case len(parts) == 4 && parts[0] == "http" && parts[1] == "request" && parts[3] == "ns":
-		return Namespace + "_http_request_ns", []labelPair{{"endpoint", sanitize(parts[2])}}
-	case name == "plan.error.log2":
-		return Namespace + "_plan_error_log2", nil
+// Gauge returns a gauge series, a level its producer moves both ways
+// with Add, like Counter.
+func (c *Collector) Gauge(family string, labels ...string) *Counter {
+	if c == nil {
+		return nil
 	}
-	return Namespace + "_" + sanitize(name), nil
+	return c.resolve(family, "gauge", labels, nil).(*Counter)
 }
 
-// helpFor returns the HELP text of a family. Known families get specific
-// text; mapped fallbacks a generic one.
+// Histogram returns a histogram series like Counter, creating it with
+// the given bucket upper bounds on first use; later calls return the
+// existing histogram whatever their bounds.
+func (c *Collector) Histogram(family string, bounds []int64, labels ...string) *Histogram {
+	if c == nil {
+		return nil
+	}
+	return c.resolve(family, "histogram", labels, bounds).(*Histogram)
+}
+
+// resolve returns family name's series under labels, creating the
+// family, of type typ, and the series on first use. A family holds one
+// type: resolving it as another is a programming error and panics.
+func (c *Collector) resolve(name, typ string, labels []string, bounds []int64) series {
+	ls := labelPairs(labels)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := c.families[name]
+	if f == nil {
+		f = &family{typ: typ, help: helpFor(name), series: make(map[string]series)}
+		c.families[name] = f
+	} else if f.typ != typ {
+		panic("metrics: " + name + " is a " + f.typ + ", not a " + typ)
+	}
+	s := f.series[ls]
+	if s == nil {
+		if typ == "histogram" {
+			s = newHistogram(bounds)
+		} else {
+			s = new(Counter)
+		}
+		f.series[ls] = s
+	}
+	return s
+}
+
+// Value reads one series without creating it, by the name /metrics
+// prints it under: the family and its labels, as in
+// `textjoin_plan_chosen_total{alg="hvnl"}`. A counter reads its total, a
+// gauge its level and a histogram its observation count; a series not
+// yet written reads 0.
+func (c *Collector) Value(series string) int64 {
+	switch s := c.lookup(series).(type) {
+	case *Counter:
+		return s.Value()
+	case *Histogram:
+		return s.Count()
+	}
+	return 0
+}
+
+// AtMost reads a histogram series named as for Value: the observations
+// in buckets whose upper bound is at most le, and all of them.
+func (c *Collector) AtMost(series string, le int64) (atMost, all int64) {
+	h, _ := c.lookup(series).(*Histogram)
+	if h == nil {
+		return 0, 0
+	}
+	for i := range h.counts {
+		n := h.counts[i].Load()
+		all += n
+		if i < len(h.bounds) && h.bounds[i] <= le {
+			atMost += n
+		}
+	}
+	return atMost, all
+}
+
+func (c *Collector) lookup(name string) series {
+	if c == nil {
+		return nil
+	}
+	name, labels, _ := strings.Cut(name, "{")
+	labels = strings.TrimSuffix(labels, "}")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f := c.families[name]; f != nil {
+		return f.series[labels]
+	}
+	return nil
+}
+
+// write renders the collector's families, and extra ones, in name order
+// into b. Rendering into a buffer keeps the lock off the scraper's
+// connection.
+func (c *Collector) write(b *bytes.Buffer, extra map[string]*family) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	maps.Copy(extra, c.families)
+	for _, name := range sortedKeys(extra) {
+		f := extra[name]
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.typ)
+		for _, ls := range sortedKeys(f.series) {
+			f.series[ls].write(b, name, ls)
+		}
+	}
+}
+
+// Counter is one counter or gauge series: an atomic int64.
+type Counter struct{ v atomic.Int64 }
+
+// Add accumulates n. No-op on a nil counter.
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
+
+// Value returns the current count, 0 on a nil counter.
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
+
+func (c *Counter) write(b *bytes.Buffer, name, labels string) {
+	fmt.Fprintf(b, "%s%s %d\n", name, braces(labels, ""), c.v.Load())
+}
+
+// gaugeValue is one float gauge sample, computed at scrape time (the
+// Exporter's extra gauges).
+type gaugeValue float64
+
+func (g gaugeValue) write(b *bytes.Buffer, name, labels string) {
+	fmt.Fprintf(b, "%s%s %s\n", name, braces(labels, ""), strconv.FormatFloat(float64(g), 'g', -1, 64))
+}
+
+// Histogram is a bucketed histogram over int64 observations (latencies
+// in nanoseconds, sizes in bytes or pages). Buckets are defined by
+// ascending inclusive upper bounds; one implicit overflow bucket catches
+// everything above the last bound.
+type Histogram struct {
+	bounds []int64
+	counts []atomic.Int64 // len(bounds)+1; last is the overflow bucket
+	sum    atomic.Int64
+}
+
+func newHistogram(bounds []int64) *Histogram {
+	b := append([]int64(nil), bounds...)
+	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+}
+
+// Observe records one value. No-op on a nil histogram.
+func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	h.counts[i].Add(1)
+	h.sum.Add(v)
+}
+
+// Count returns the number of observations, 0 on a nil histogram.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// write renders cumulative buckets, the sum and the count. The count is
+// the buckets' total as read, so it equals the +Inf bucket even while
+// writers are active.
+func (h *Histogram) write(b *bytes.Buffer, name, labels string) {
+	var cum int64
+	for i := range h.counts {
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = strconv.FormatInt(h.bounds[i], 10)
+		}
+		cum += h.counts[i].Load()
+		fmt.Fprintf(b, "%s_bucket%s %d\n", name, braces(labels, `le="`+le+`"`), cum)
+	}
+	fmt.Fprintf(b, "%s_sum%s %d\n", name, braces(labels, ""), h.sum.Load())
+	fmt.Fprintf(b, "%s_count%s %d\n", name, braces(labels, ""), cum)
+}
+
+// ExpBuckets returns n ascending bucket bounds starting at start and
+// multiplying by factor: the standard shape for latency and size
+// histograms.
+func ExpBuckets(start, factor int64, n int) []int64 {
+	if start <= 0 || factor < 2 || n <= 0 {
+		panic("metrics: ExpBuckets needs start > 0, factor >= 2, n > 0")
+	}
+	out := make([]int64, n)
+	v := start
+	for i := range out {
+		out[i] = v
+		v *= factor
+	}
+	return out
+}
+
+// DefaultLatencyBuckets spans 1µs .. ~4.3s in powers of 4 (ns): the
+// shape of every duration histogram.
+var DefaultLatencyBuckets = ExpBuckets(1000, 4, 12)
+
+// helpFor returns the HELP text of a family.
 func helpFor(name string) string {
 	switch {
 	case strings.HasPrefix(name, Namespace+"_iosim_file_seq"):
@@ -194,31 +320,24 @@ func helpFor(name string) string {
 		return "Service-level objective gauge computed over the rolling SLO window."
 	case strings.HasPrefix(name, Namespace+"_join_"):
 		return "Join execution counter (see DESIGN.md §10 naming scheme)."
-	case strings.HasPrefix(name, Namespace+"_query_"):
-		return "Extended-SQL query layer counter."
 	case name == Namespace+"_scrapes_total":
 		return "Metrics scrapes served by this exporter."
 	}
 	return "Telemetry metric exported by textjoin."
 }
 
-// sanitize rewrites s into a legal metric-name fragment:
-// [a-zA-Z0-9_], never starting with a digit.
-func sanitize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i, r := range s {
-		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9')
-		if !ok {
-			b.WriteByte('_')
-			continue
-		}
-		if i == 0 && r >= '0' && r <= '9' {
-			b.WriteByte('_')
-		}
-		b.WriteRune(r)
+// labelPairs renders labels (key, value) as a sample line's label set,
+// `k="v"`, the value escaped per the exposition format. A series takes
+// at most one label, so one label set has one spelling, the one Value
+// reads it by.
+func labelPairs(kv []string) string {
+	switch len(kv) {
+	case 0:
+		return ""
+	case 2:
+		return kv[0] + `="` + escapeLabel(kv[1]) + `"`
 	}
-	return b.String()
+	panic("metrics: a series takes at most one label, a key and a value")
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -229,124 +348,25 @@ func escapeLabel(v string) string {
 	return v
 }
 
-// familySet accumulates series into families keyed by name.
-type familySet struct {
-	byName map[string]*family
-}
-
-func newFamilySet() *familySet { return &familySet{byName: make(map[string]*family)} }
-
-func (fs *familySet) get(name, typ string) *family {
-	f, ok := fs.byName[name]
-	if !ok {
-		f = &family{name: name, help: helpFor(name), typ: typ}
-		fs.byName[name] = f
-	}
-	return f
-}
-
-func (fs *familySet) addInt(name, typ string, labels []labelPair, v int64) {
-	f := fs.get(name, typ)
-	f.ser = append(f.ser, series{labels: labels, isInt: true, ival: v})
-}
-
-// addSnapshot folds a snapshot's counters and histograms into the set.
-func (fs *familySet) addSnapshot(s *telemetry.Snapshot) {
-	for _, c := range s.Counters {
-		name, labels := mapCounter(c.Name)
-		typ := "counter"
-		if gaugeFamilies[name] {
-			typ = "gauge"
-		}
-		fs.addInt(name, typ, labels, c.Value)
-	}
-	for _, h := range s.Histograms {
-		name, labels := mapHistogram(h.Name)
-		f := fs.get(name, "histogram")
-		f.hist = append(f.hist, histSeries{labels: labels, buckets: h.Buckets, sum: h.Sum, count: h.Count})
-	}
-}
-
-// labelString renders a label set (plus an optional le pair) for a
-// sample line.
-func labelString(labels []labelPair, le string) string {
-	if len(labels) == 0 && le == "" {
+// braces joins a label set and an optional le pair into a sample line's
+// label block; both empty give none.
+func braces(labels, le string) string {
+	switch {
+	case le == "" && labels == "":
 		return ""
+	case le == "":
+		return "{" + labels + "}"
+	case labels == "":
+		return "{" + le + "}"
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.key + `="` + escapeLabel(l.value) + `"`)
-	}
-	if le != "" {
-		if len(labels) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(`le="` + le + `"`)
-	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + labels + "," + le + "}"
 }
 
-// leString formats a bucket bound; the overflow bucket renders "+Inf".
-func leString(le int64) string {
-	if le == int64(^uint64(0)>>1) {
-		return "+Inf"
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return strconv.FormatInt(le, 10)
-}
-
-// write renders the set in name order.
-func (fs *familySet) write(w io.Writer) error {
-	names := make([]string, 0, len(fs.byName))
-	for n := range fs.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ew := &errWriter{w: w}
-	for _, n := range names {
-		f := fs.byName[n]
-		sort.Slice(f.ser, func(i, j int) bool {
-			return labelString(f.ser[i].labels, "") < labelString(f.ser[j].labels, "")
-		})
-		sort.Slice(f.hist, func(i, j int) bool {
-			return labelString(f.hist[i].labels, "") < labelString(f.hist[j].labels, "")
-		})
-		ew.printf("# HELP %s %s\n", f.name, f.help)
-		ew.printf("# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.ser {
-			if s.isInt {
-				ew.printf("%s%s %d\n", f.name, labelString(s.labels, ""), s.ival)
-			} else {
-				ew.printf("%s%s %s\n", f.name, labelString(s.labels, ""), formatFloat(s.value))
-			}
-		}
-		for _, h := range f.hist {
-			cum := int64(0)
-			for _, b := range h.buckets {
-				cum += b.Count
-				ew.printf("%s_bucket%s %d\n", f.name, labelString(h.labels, leString(b.Le)), cum)
-			}
-			ew.printf("%s_sum%s %d\n", f.name, labelString(h.labels, ""), h.sum)
-			ew.printf("%s_count%s %d\n", f.name, labelString(h.labels, ""), h.count)
-		}
-	}
-	return ew.err
-}
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// errWriter folds the repeated error checks of sequential Fprintf calls.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err == nil {
-		_, e.err = fmt.Fprintf(e.w, format, args...)
-	}
+	sort.Strings(keys)
+	return keys
 }

@@ -3,31 +3,29 @@ package metrics
 import (
 	"strings"
 	"testing"
-
-	"textjoin/internal/telemetry"
 )
 
-// demoCollector populates one counter/histogram of every namespace the
-// instrumented layers use, exercising each naming rule.
-func demoCollector() *telemetry.Collector {
-	c := telemetry.New()
-	c.Counter("io.file.c1.inv.seq").Add(12)
-	c.Counter("io.file.c1.inv.rand").Add(3)
-	c.Counter("io.file.c1.writes").Add(7)
-	c.Counter("cache.min-outer-df.hits").Add(40)
-	c.Counter("cache.min-outer-df.misses").Add(9)
-	c.Counter("join.hvnl.outer_docs").Add(100)
-	c.Counter("join.hvnl.io.seq").Add(55)
-	c.Counter("join.vvm.pairs").Add(2)
-	c.Counter("join.hhnl.prefilter.pages_skipped").Add(6)
-	c.Counter("plan.chosen.hvnl").Add(1)
-	c.Counter("query.joins").Add(5)
-	c.Counter("http.inflight").Add(2)
-	c.Counter("http.queue_depth").Add(1)
-	c.Counter("http.rejected").Add(4)
-	c.Histogram("http.request.join.ns", telemetry.DefaultLatencyBuckets).Observe(5000)
-	c.Histogram("plan.error.log2", telemetry.ExpBuckets(1, 2, 16)).Observe(3)
-	c.Histogram("phase.scan.ns", telemetry.DefaultLatencyBuckets).Observe(2000)
+// demoCollector holds one series of every family shape the programs
+// create: plain and labelled counters, gauges, and plain and labelled
+// histograms.
+func demoCollector() *Collector {
+	c := New()
+	c.Counter("textjoin_iosim_file_seq_reads_total", "file", "c1.inv").Add(12)
+	c.Counter("textjoin_iosim_file_rand_reads_total", "file", "c1.inv").Add(3)
+	c.Counter("textjoin_iosim_file_writes_total", "file", "c1").Add(7)
+	c.Counter("textjoin_entrycache_hits_total", "policy", "min-outer-df").Add(40)
+	c.Counter("textjoin_entrycache_misses_total", "policy", "min-outer-df").Add(9)
+	c.Counter("textjoin_join_hvnl_outer_docs_total").Add(100)
+	c.Counter("textjoin_join_hvnl_io_seq_total").Add(55)
+	c.Counter("textjoin_join_vvm_pairs_total").Add(2)
+	c.Counter("textjoin_prefilter_pages_skipped_total", "alg", "hhnl").Add(6)
+	c.Counter("textjoin_plan_chosen_total", "alg", "hvnl").Add(1)
+	c.Gauge("textjoin_http_inflight").Add(2)
+	c.Gauge("textjoin_http_queue_depth").Add(1)
+	c.Counter("textjoin_http_rejected_total").Add(4)
+	c.Histogram("textjoin_http_request_ns", DefaultLatencyBuckets, "endpoint", "join").Observe(5000)
+	c.Histogram("textjoin_plan_error_log2", ExpBuckets(1, 2, 16)).Observe(3)
+	c.Histogram("textjoin_phase_ns", DefaultLatencyBuckets, "phase", "scan").Observe(2000)
 	return c
 }
 
@@ -41,7 +39,8 @@ func scrape(t *testing.T, e *Exporter) string {
 	return sb.String()
 }
 
-// TestEncodeNaming pins the stable naming scheme of DESIGN.md §10.
+// TestEncodeNaming: a series is written under the family, type and
+// labels it was created with, and its family's HELP text.
 func TestEncodeNaming(t *testing.T) {
 	out := scrape(t, NewExporter(demoCollector(), nil))
 	wantLines := []string{
@@ -55,7 +54,7 @@ func TestEncodeNaming(t *testing.T) {
 		`textjoin_join_vvm_pairs_total 2`,
 		`textjoin_prefilter_pages_skipped_total{alg="hhnl"} 6`,
 		`textjoin_plan_chosen_total{alg="hvnl"} 1`,
-		`textjoin_query_joins_total 5`,
+		"# HELP textjoin_plan_chosen_total Integrated-algorithm choices by algorithm.",
 		"# TYPE textjoin_http_inflight gauge",
 		`textjoin_http_inflight 2`,
 		"# TYPE textjoin_http_queue_depth gauge",
@@ -84,7 +83,7 @@ func TestEncodePassesLint(t *testing.T) {
 		t.Fatalf("encoder output rejected by parser: %v\n%s", err, out)
 	}
 	// An empty collector is a valid exposition too.
-	if err := Lint([]byte(scrape(t, NewExporter(telemetry.New(), nil)))); err != nil {
+	if err := Lint([]byte(scrape(t, NewExporter(New(), nil)))); err != nil {
 		t.Fatalf("empty exposition rejected: %v", err)
 	}
 }
@@ -121,8 +120,8 @@ func TestLabelValuesRoundTrip(t *testing.T) {
 		`"\"`,
 		"tab\tand\x01control",
 	} {
-		c := telemetry.New()
-		c.Counter("io.file." + v + ".seq").Add(1)
+		c := New()
+		c.Counter(Namespace+"_iosim_file_seq_reads_total", "file", v).Add(1)
 		out := scrape(t, NewExporter(c, func() []Gauge {
 			return []Gauge{{Family: Namespace + "_slo_target", LabelKey: "objective", LabelValue: v, Value: 1}}
 		}))
@@ -199,16 +198,19 @@ func TestLintRejects(t *testing.T) {
 	}
 }
 
+// TestSanitize: the collector rewrites no name. A family is written as
+// its producer spelled it, so an illegal name reaches the exposition
+// unchanged and Lint, the guard every /metrics test runs, rejects it.
 func TestSanitize(t *testing.T) {
-	cases := map[string]string{
-		"abc":     "abc",
-		"a.b-c":   "a_b_c",
-		"3x":      "_3x",
-		"io.file": "io_file",
-	}
-	for in, want := range cases {
-		if got := sanitize(in); got != want {
-			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
+	for _, name := range []string{"a.b_total", "a-b_total", "3x_total"} {
+		c := New()
+		c.Counter(name).Add(1)
+		out := scrape(t, NewExporter(c, nil))
+		if !strings.Contains(out, "\n"+name+" 1\n") {
+			t.Errorf("%s: not written as spelled:\n%s", name, out)
+		}
+		if err := Lint([]byte(out)); err == nil || !strings.Contains(err.Error(), "invalid metric name") {
+			t.Errorf("%s: Lint error %v, want an invalid metric name", name, err)
 		}
 	}
 }

@@ -391,19 +391,27 @@ func TestExecuteTelemetryCounters(t *testing.T) {
 	}
 	tel := textjoin.NewTelemetry()
 	textjoin.RecordJoin(tel, textjoin.Decision{Chosen: rs.Algorithm, Estimates: rs.Estimates}, st, nil)
-	counters := map[string]int64{}
-	for _, c := range tel.Snapshot().Counters {
-		counters[c.Name] = c.Value
-	}
 	alg := strings.ToLower(rs.Algorithm.String())
-	if got := counters["plan.chosen."+alg]; got != 1 {
-		t.Errorf("plan.chosen.%s = %d, want 1", alg, got)
+	if got := tel.Value(`textjoin_plan_chosen_total{alg="` + alg + `"}`); got != 1 {
+		t.Errorf("textjoin_plan_chosen_total{alg=%q} = %d, want 1", alg, got)
 	}
-	st.Counts(func(name string, v int64) {
-		if counters[name] != v {
-			t.Errorf("%s = %d, want the statement's %d", name, counters[name], v)
+	// Each of the join's Stats.Counts reaches its family.
+	n := 0
+	st.Counts(func(group, count string, want int64) {
+		n++
+		series := "textjoin_join_" + alg + "_" + count + "_total"
+		if group == "prefilter" {
+			series = "textjoin_prefilter_" + count + `_total{alg="` + alg + `"}`
+		} else if group != "" {
+			series = "textjoin_join_" + alg + "_" + group + "_" + count + "_total"
+		}
+		if got := tel.Value(series); got != want {
+			t.Errorf("%s = %d, want the statement's %d", series, got, want)
 		}
 	})
+	if n < 9 {
+		t.Errorf("the statement's join reports %d counts, want at least 9", n)
+	}
 
 	opts.ExplainOnly = true
 	rs, err = e.engine.ExecuteString(`

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"textjoin/internal/telemetry"
 )
 
 // renderTrace is a finished trace whose children end out of start order,
@@ -48,26 +46,5 @@ func TestExport(t *testing.T) {
 	}
 	if err := Export(&doc, "xml", d); err == nil {
 		t.Error("unknown mode accepted")
-	}
-}
-
-// TestObservePhases: the derived histograms hold one observation per
-// span, under the span's phase, with the span's own duration.
-func TestObservePhases(t *testing.T) {
-	d := renderTrace()
-	tel := telemetry.New()
-	ObservePhases(tel, d)
-	got := map[string]telemetry.HistogramValue{}
-	for _, h := range tel.Snapshot().Histograms {
-		got[h.Name] = h
-	}
-	if len(got) != len(d.Spans) {
-		t.Fatalf("histograms %v, want one per span of %+v", got, d.Spans)
-	}
-	for _, sp := range d.Spans {
-		h := got["phase."+sp.Phase+".ns"]
-		if h.Count != 1 || h.Sum != sp.DurNanos {
-			t.Errorf("phase %s: count %d sum %d, want 1 and %d", sp.Phase, h.Count, h.Sum, sp.DurNanos)
-		}
 	}
 }

@@ -3,7 +3,7 @@
 // built from parent/child spans with string attributes, identified by
 // 128-bit trace IDs and 64-bit span IDs.
 //
-// Where internal/telemetry aggregates (counters and histograms, no
+// Where internal/metrics aggregates (counters and histograms, no
 // clock, no request identity), reqtrace preserves causality: every span
 // knows its parent, every trace is one request, and the finished tree
 // records where that request's milliseconds went — queue wait, plan
@@ -12,7 +12,7 @@
 // estimated-vs-measured comparison (Section 5) exists per request on
 // the live server, not only in offline calibration runs. The aggregate
 // per-phase duration histograms are derived from finished trees
-// (ObservePhases), never measured a second time.
+// (textjoin.ObservePhases), never measured a second time.
 //
 // Two rules shape the implementation:
 //
@@ -23,7 +23,7 @@
 //     repo's wall-clock hygiene rule; a fixed seed plus a fake clock
 //     reproduces a trace byte for byte.
 //
-//   - The nil disabled path. Like a nil *telemetry.Collector, a nil
+//   - The nil disabled path. Like a nil *metrics.Collector, a nil
 //     *Tracer, *Span or *Recorder is the disabled tracer: every method
 //     is a nil-check no-op that performs no allocation and reads no
 //     clock, so instrumented code threads spans unconditionally and a

@@ -1,13 +1,13 @@
 // Package slo computes service-level objectives — availability and
-// latency targets — over rolling windows of telemetry snapshots, and
-// derives the two numbers an operator actually pages on: error budget
-// remaining and burn rate.
+// latency targets — over rolling windows of a metrics collector's
+// series, and derives the two numbers an operator actually pages on:
+// error budget remaining and burn rate.
 //
 // The engine is deliberately thin: it owns no clock ticker and no
 // goroutine. Each /metrics scrape (or loadgen -check probe) drives one
-// Collect, which snapshots the collector, appends a timestamped sample
-// of the cumulative good/bad counts per objective, trims samples that
-// fell out of the window, and reports the delta between the newest
+// Collect, which reads the objectives' series, appends a timestamped
+// sample of the cumulative good/bad counts per objective, trims samples
+// that fell out of the window, and reports the delta between the newest
 // sample and the oldest retained one. Between scrapes nothing runs and
 // nothing is locked, so the join hot path never sees this package.
 //
@@ -30,22 +30,22 @@ import (
 	"time"
 
 	"textjoin/internal/metrics"
-	"textjoin/internal/telemetry"
 )
 
 // DefaultWindow is the rolling window when New is given none.
 const DefaultWindow = 5 * time.Minute
 
-// Objective is one service-level objective. Exactly one of the two
-// shapes is set:
+// Objective is one service-level objective. It names its series as
+// /metrics prints them, e.g. `textjoin_http_request_ns{endpoint="join"}`.
+// Exactly one of the two shapes is set:
 //
-//   - Latency: Histogram names a telemetry histogram (nanosecond
+//   - Latency: Histogram names a histogram series (nanosecond
 //     observations); an observation is good when its bucket's upper
 //     bound is <= ThresholdNanos. Classification is bucket-resolution:
 //     a bucket straddling the threshold counts bad, so the reported
 //     compliance is a lower bound.
-//   - Availability: Good and Bad name telemetry counters; their sums
-//     are the good/bad event counts.
+//   - Availability: Good and Bad name counter series; their sums are
+//     the good/bad event counts.
 type Objective struct {
 	// Name labels the objective in exported gauges.
 	Name string
@@ -104,11 +104,11 @@ type sample struct {
 	good, bad []int64 // indexed by objective
 }
 
-// Engine evaluates objectives against a telemetry collector. Safe for
+// Engine evaluates objectives against a metrics collector. Safe for
 // concurrent use; Collect serializes on one short mutex. A nil *Engine
 // is the disabled engine: Collect and Gauges return nothing.
 type Engine struct {
-	col        *telemetry.Collector
+	col        *metrics.Collector
 	now        func() time.Time
 	window     time.Duration
 	objectives []Objective
@@ -119,10 +119,10 @@ type Engine struct {
 
 // New creates an engine over col with the given rolling window
 // (DefaultWindow when <= 0). The clock is required, as everywhere in
-// this repo outside package telemetry. The engine seeds itself with
+// this repo's internal packages. The engine seeds itself with
 // one sample at creation, so the first Collect already has a baseline
 // — objectives measure from engine start, not from process start.
-func New(col *telemetry.Collector, now func() time.Time, window time.Duration, objectives []Objective) (*Engine, error) {
+func New(col *metrics.Collector, now func() time.Time, window time.Duration, objectives []Objective) (*Engine, error) {
 	if now == nil {
 		panic("slo: New needs a clock")
 	}
@@ -154,35 +154,17 @@ func (e *Engine) read() sample {
 		good: make([]int64, len(e.objectives)),
 		bad:  make([]int64, len(e.objectives)),
 	}
-	snap := e.col.Snapshot()
-	hists := make(map[string]*telemetry.HistogramValue, len(snap.Histograms))
-	for i := range snap.Histograms {
-		hists[snap.Histograms[i].Name] = &snap.Histograms[i]
-	}
-	counters := make(map[string]int64, len(snap.Counters))
-	for _, c := range snap.Counters {
-		counters[c.Name] = c.Value
-	}
 	for i, o := range e.objectives {
 		if o.Histogram != "" {
-			h, ok := hists[o.Histogram]
-			if !ok {
-				continue
-			}
-			for _, b := range h.Buckets {
-				if b.Le <= o.ThresholdNanos {
-					s.good[i] += b.Count
-				} else {
-					s.bad[i] += b.Count
-				}
-			}
+			good, all := e.col.AtMost(o.Histogram, o.ThresholdNanos)
+			s.good[i], s.bad[i] = good, all-good
 			continue
 		}
 		for _, name := range o.Good {
-			s.good[i] += counters[name]
+			s.good[i] += e.col.Value(name)
 		}
 		for _, name := range o.Bad {
-			s.bad[i] += counters[name]
+			s.bad[i] += e.col.Value(name)
 		}
 	}
 	return s
@@ -194,9 +176,10 @@ func (e *Engine) Collect() []Status {
 	if e == nil {
 		return nil
 	}
-	cur := e.read()
-
+	// The sample is taken under the lock, so samples are appended in the
+	// order of their times and the trim below may assume it.
 	e.mu.Lock()
+	cur := e.read()
 	// Drop samples older than the window, but always keep the newest
 	// too-old one: it is the baseline the window delta measures from.
 	cutoff := cur.at.Add(-e.window)

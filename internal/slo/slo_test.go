@@ -3,11 +3,12 @@ package slo
 import (
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"textjoin/internal/metrics"
-	"textjoin/internal/telemetry"
 )
 
 // clock is a settable fake time source shared by the collector and the
@@ -22,8 +23,8 @@ func availObjective() Objective {
 	return Objective{
 		Name:   "availability",
 		Target: 0.99,
-		Good:   []string{"http.join.ok"},
-		Bad:    []string{"http.join.err", "http.rejected"},
+		Good:   []string{"textjoin_http_join_ok_total"},
+		Bad:    []string{"textjoin_http_join_err_total", "textjoin_http_rejected_total"},
 	}
 }
 
@@ -31,12 +32,12 @@ func latencyObjective() Objective {
 	return Objective{
 		Name:           "latency",
 		Target:         0.95,
-		Histogram:      "http.request.join.ns",
+		Histogram:      `textjoin_http_request_ns{endpoint="join"}`,
 		ThresholdNanos: 1 << 20, // ~1ms, a power-of-4 bucket boundary multiple
 	}
 }
 
-func mustEngine(t *testing.T, col *telemetry.Collector, ck *clock, window time.Duration, obj ...Objective) *Engine {
+func mustEngine(t *testing.T, col *metrics.Collector, ck *clock, window time.Duration, obj ...Objective) *Engine {
 	t.Helper()
 	e, err := New(col, ck.now, window, obj)
 	if err != nil {
@@ -64,7 +65,7 @@ func TestObjectiveValidation(t *testing.T) {
 
 func TestAvailabilityWindow(t *testing.T) {
 	ck := newClock()
-	col := telemetry.New()
+	col := metrics.New()
 	e := mustEngine(t, col, ck, time.Minute, availObjective())
 
 	// No traffic: perfect compliance, full budget.
@@ -75,9 +76,9 @@ func TestAvailabilityWindow(t *testing.T) {
 	}
 
 	// 98 good, 2 bad: 2%% bad against a 1%% allowance → burn 2, budget -1.
-	col.Counter("http.join.ok").Add(98)
-	col.Counter("http.join.err").Add(1)
-	col.Counter("http.rejected").Add(1)
+	col.Counter("textjoin_http_join_ok_total").Add(98)
+	col.Counter("textjoin_http_join_err_total").Add(1)
+	col.Counter("textjoin_http_rejected_total").Add(1)
 	ck.advance(time.Second)
 	st = e.Collect()[0]
 	if st.Good != 98 || st.Bad != 2 {
@@ -94,7 +95,7 @@ func TestAvailabilityWindow(t *testing.T) {
 	// remains, the budget recovers.
 	for i := 0; i < 10; i++ {
 		ck.advance(20 * time.Second)
-		col.Counter("http.join.ok").Add(50)
+		col.Counter("textjoin_http_join_ok_total").Add(50)
 		st = e.Collect()[0]
 	}
 	if st.Bad != 0 || st.BudgetRemaining != 1 {
@@ -107,10 +108,10 @@ func TestAvailabilityWindow(t *testing.T) {
 
 func TestLatencyObjective(t *testing.T) {
 	ck := newClock()
-	col := telemetry.New()
+	col := metrics.New()
 	e := mustEngine(t, col, ck, time.Minute, latencyObjective())
 
-	h := col.Histogram("http.request.join.ns", telemetry.DefaultLatencyBuckets)
+	h := col.Histogram("textjoin_http_request_ns", metrics.DefaultLatencyBuckets, "endpoint", "join")
 	// 19 fast (well under 1ms), 1 slow (over): 95% compliance exactly.
 	for i := 0; i < 19; i++ {
 		h.Observe(2000)
@@ -131,11 +132,11 @@ func TestLatencyObjective(t *testing.T) {
 
 func TestEngineMeasuresFromCreation(t *testing.T) {
 	ck := newClock()
-	col := telemetry.New()
+	col := metrics.New()
 	// Pre-existing failures before the engine attaches must not count.
-	col.Counter("http.join.err").Add(1000)
+	col.Counter("textjoin_http_join_err_total").Add(1000)
 	e := mustEngine(t, col, ck, time.Minute, availObjective())
-	col.Counter("http.join.ok").Add(10)
+	col.Counter("textjoin_http_join_ok_total").Add(10)
 	ck.advance(time.Second)
 	st := e.Collect()[0]
 	if st.Bad != 0 || st.Good != 10 {
@@ -145,9 +146,9 @@ func TestEngineMeasuresFromCreation(t *testing.T) {
 
 func TestGaugesRenderAndLint(t *testing.T) {
 	ck := newClock()
-	col := telemetry.New()
+	col := metrics.New()
 	e := mustEngine(t, col, ck, time.Minute, availObjective(), latencyObjective())
-	col.Counter("http.join.ok").Add(5)
+	col.Counter("textjoin_http_join_ok_total").Add(5)
 	ck.advance(time.Second)
 
 	gauges := e.Gauges()
@@ -194,5 +195,49 @@ func TestNilEngine(t *testing.T) {
 	var e *Engine
 	if e.Collect() != nil || e.Gauges() != nil || e.Objectives() != nil {
 		t.Fatal("nil engine must be inert")
+	}
+}
+
+// TestConcurrentCollectsKeepTimeOrder: a Collect whose clock is read
+// before a concurrent Collect's must not append its sample after that
+// one. The clock stalls the first Collect right after it reads its time
+// until the second has finished or a moment has passed; taking the
+// sample outside the lock lets the second append first.
+func TestConcurrentCollectsKeepTimeOrder(t *testing.T) {
+	base := time.Unix(1700000000, 0)
+	var calls atomic.Int32
+	stalled, second := make(chan struct{}), make(chan struct{})
+	now := func() time.Time {
+		switch calls.Add(1) {
+		case 2: // the first Collect
+			close(stalled)
+			select {
+			case <-second:
+			case <-time.After(200 * time.Millisecond):
+			}
+			return base.Add(time.Second)
+		case 3: // the second Collect
+			return base.Add(2 * time.Second)
+		}
+		return base
+	}
+	e, err := New(metrics.New(), now, time.Minute, []Objective{availObjective()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.Collect()
+	}()
+	<-stalled
+	e.Collect()
+	close(second)
+	wg.Wait()
+	for i := 1; i < len(e.samples); i++ {
+		if e.samples[i].at.Before(e.samples[i-1].at) {
+			t.Fatalf("samples out of time order: %v after %v", e.samples[i].at, e.samples[i-1].at)
+		}
 	}
 }

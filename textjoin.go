@@ -68,7 +68,6 @@ import (
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/signature"
 	"textjoin/internal/slo"
-	"textjoin/internal/telemetry"
 	"textjoin/internal/termmap"
 	"textjoin/internal/tokenize"
 )
@@ -180,34 +179,39 @@ type (
 	Tokenizer = tokenize.Tokenizer
 )
 
-// Telemetry is a program's aggregate collector of counters and
-// histograms. No join, cache or disk writes to it: the program adds each
-// finished request once, with RecordJoin, and its phase histograms from
-// the finished trace. It reads no clock — timing is the RequestSpan
-// tree's job. A nil *Telemetry collects nothing.
-type Telemetry = telemetry.Collector
+// Telemetry is a program's aggregate collector of counters, gauges and
+// histograms, each created under the family and labels /metrics prints.
+// No join, cache or disk writes to it: the program adds each finished
+// request once, with RecordJoin, and its phase histograms from the
+// finished trace with ObservePhases. It reads no clock — timing is the
+// RequestSpan tree's job. Value reads a series back by its printed name.
+// A nil *Telemetry collects nothing.
+type Telemetry = metrics.Collector
 
-// NewTelemetry creates an enabled collector. Fill it with RecordJoin;
-// render it with a MetricsExporter.
-func NewTelemetry() *Telemetry { return telemetry.New() }
+// NewTelemetry creates an enabled collector. Fill it with RecordJoin and
+// ObservePhases; render it with a MetricsExporter.
+func NewTelemetry() *Telemetry { return metrics.New() }
 
-// planErrorBuckets are the bounds of the "plan.error.log2" histogram,
-// Decision.CostError in signed milli-log2: one bucket is a fixed
-// multiplicative error band (±1000 ≙ a factor of 2, ±250 ≙ ~19%),
+// planErrorBuckets are the bounds of the textjoin_plan_error_log2
+// histogram, Decision.CostError in signed milli-log2: one bucket is a
+// fixed multiplicative error band (±1000 ≙ a factor of 2, ±250 ≙ ~19%),
 // symmetric because the model can miss both ways.
 var planErrorBuckets = []int64{-4000, -2000, -1000, -500, -250, -100, 0, 100, 250, 500, 1000, 2000, 4000}
 
 // RecordJoin adds one request's counters to t, once, from what the
-// request holds when it is answered, under the names /metrics renders
-// (DESIGN.md §10):
+// request holds when it is answered, under the families /metrics prints:
 //
-//   - an integrated plan (dec.Estimates set) counts "plan.chosen.<alg>"
-//     and, when prefiltered, "plan.prefilter.on" — whether or not it ran;
-//   - a completed join (stats non-nil) adds Stats.Counts ("join.<alg>.*"),
-//     HVNL's "cache.<policy>.*" and an integrated plan's CostError in the
-//     "plan.error.log2" histogram;
+//   - an integrated plan (dec.Estimates set) counts
+//     textjoin_plan_chosen_total{alg} and, when prefiltered,
+//     textjoin_plan_prefilter_on_total — whether or not it ran;
+//   - a completed join (stats non-nil) adds each of its Stats.Counts as
+//     textjoin_join_<alg>[_<group>]_<count>_total, the prefilter group's
+//     as textjoin_prefilter_<count>_total{alg}, HVNL's cache outcome as
+//     textjoin_entrycache_<event>_total{policy}, and an integrated plan's
+//     CostError in textjoin_plan_error_log2;
 //   - the view the request read through (v non-nil) adds every file's
-//     "io.file.<name>.{seq,rand,writes}", a failed join's reads included.
+//     textjoin_iosim_file_{seq_reads,rand_reads,writes}_total{file}, a
+//     failed join's reads included.
 //
 // A nil t records nothing.
 func RecordJoin(t *Telemetry, dec Decision, stats *JoinStats, v *IOView) {
@@ -215,38 +219,66 @@ func RecordJoin(t *Telemetry, dec Decision, stats *JoinStats, v *IOView) {
 		return
 	}
 	if dec.Estimates != nil {
-		t.Counter("plan.chosen." + strings.ToLower(dec.Chosen.String())).Add(1)
+		t.Counter("textjoin_plan_chosen_total", "alg", strings.ToLower(dec.Chosen.String())).Add(1)
 		if dec.Prefiltered {
-			t.Counter("plan.prefilter.on").Add(1)
+			t.Counter("textjoin_plan_prefilter_on_total").Add(1)
 		}
 		if stats != nil {
 			if milliLog2, ok := dec.CostError(stats.Cost); ok {
-				t.Histogram("plan.error.log2", planErrorBuckets).Observe(milliLog2)
+				t.Histogram("textjoin_plan_error_log2", planErrorBuckets).Observe(milliLog2)
 			}
 		}
 	}
 	if stats != nil {
-		stats.Counts(func(name string, n int64) { t.Counter(name).Add(n) })
+		alg := strings.ToLower(stats.Algorithm.String())
+		stats.Counts(func(group, count string, n int64) {
+			switch group {
+			case "prefilter":
+				t.Counter("textjoin_prefilter_"+count+"_total", "alg", alg).Add(n)
+			case "":
+				t.Counter("textjoin_join_" + alg + "_" + count + "_total").Add(n)
+			default:
+				t.Counter("textjoin_join_" + alg + "_" + group + "_" + count + "_total").Add(n)
+			}
+		})
 		if stats.Algorithm == HVNL {
-			p := "cache." + stats.Cache.Policy.String() + "."
-			t.Counter(p + "hits").Add(stats.Cache.Hits)
-			t.Counter(p + "misses").Add(stats.Cache.Misses)
-			t.Counter(p + "evictions").Add(stats.Cache.Evictions)
-			t.Counter(p + "rejected").Add(stats.Cache.Rejected)
+			c, policy := stats.Cache, stats.Cache.Policy.String()
+			t.Counter("textjoin_entrycache_hits_total", "policy", policy).Add(c.Hits)
+			t.Counter("textjoin_entrycache_misses_total", "policy", policy).Add(c.Misses)
+			t.Counter("textjoin_entrycache_evictions_total", "policy", policy).Add(c.Evictions)
+			t.Counter("textjoin_entrycache_rejected_total", "policy", policy).Add(c.Rejected)
 		}
 	}
 	if v != nil {
 		for _, fs := range v.FileStats() {
-			p := "io.file." + fs.Name + "."
-			t.Counter(p + "seq").Add(fs.Stats.SeqReads)
-			t.Counter(p + "rand").Add(fs.Stats.RandReads)
-			t.Counter(p + "writes").Add(fs.Stats.Writes)
+			t.Counter("textjoin_iosim_file_seq_reads_total", "file", fs.Name).Add(fs.Stats.SeqReads)
+			t.Counter("textjoin_iosim_file_rand_reads_total", "file", fs.Name).Add(fs.Stats.RandReads)
+			t.Counter("textjoin_iosim_file_writes_total", "file", fs.Name).Add(fs.Stats.Writes)
 		}
 	}
 }
 
+// ObservePhases adds a finished request trace to t's per-phase duration
+// histograms, textjoin_phase_ns{phase}: every span's duration is
+// observed once, under its phase. Call it where the trace finishes, so
+// the histograms and the tree are one measurement of each interval.
+// No-op on a nil t or span.
+func ObservePhases(t *Telemetry, span *RequestSpan) {
+	if t == nil {
+		return
+	}
+	d := span.Data()
+	if d == nil {
+		return
+	}
+	for i := range d.Spans {
+		sp := &d.Spans[i]
+		t.Histogram("textjoin_phase_ns", metrics.DefaultLatencyBuckets, "phase", sp.Phase).Observe(sp.DurNanos)
+	}
+}
+
 // MetricsExporter renders a collector as a Prometheus text exposition,
-// the one wire format of a telemetry snapshot. It serves /metrics as an
+// the one wire format of its families. It serves /metrics as an
 // http.Handler, and WriteMetrics writes the same exposition anywhere.
 type MetricsExporter = metrics.Exporter
 
@@ -270,7 +302,7 @@ type (
 	// request traces for /debug/requests.
 	FlightRecorder = reqtrace.Recorder
 	// SLOEngine evaluates availability and latency objectives over
-	// rolling windows of telemetry snapshots.
+	// rolling windows of a collector's series.
 	SLOEngine = slo.Engine
 	// SLOObjective is one availability or latency objective.
 	SLOObjective = slo.Objective
@@ -298,8 +330,10 @@ func FlightRecorderHandler(rec *FlightRecorder, prefix string) http.Handler {
 }
 
 // NewSLOEngine creates an SLO engine over a collector, evaluating the
-// objectives over a rolling window against the wall clock. Export its
-// gauges by passing it to NewMetricsExporter.
+// objectives over a rolling window against the wall clock. An objective
+// names its series as /metrics prints them, e.g.
+// `textjoin_http_join_ok_total` or `textjoin_http_request_ns{endpoint="join"}`.
+// Export its gauges by passing it to NewMetricsExporter.
 func NewSLOEngine(t *Telemetry, window time.Duration, objectives []SLOObjective) (*SLOEngine, error) {
 	return slo.New(t, time.Now, window, objectives)
 }
