@@ -27,7 +27,9 @@ test: build
 # idf and norms, and the scorer that holds them), the one collector,
 # internal/metrics, whose families /metrics writes as they are and which
 # the programs add each answered request to once (textjoin.RecordJoin;
-# no join, cache or disk writes to it), the request
+# no join, cache or disk writes to it), the corpus generator (its draws
+# stay on the caller's goroutine while a second one sorts and encodes
+# each batch of documents), the request
 # tracer whose span tree is the only timing any of them takes and the
 # flight recorder that keeps the finished trees, the SLO engine computing
 # error budgets over the collector, and the observability server that
@@ -44,7 +46,7 @@ verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
-	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
+	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/corpus/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
 
 # lint runs the repo's own static-analysis suite over the whole module
 # and benchmark/: three analyzers driven by the checked-in policy table in

@@ -97,7 +97,7 @@ func TestAccumulatorEquivalence(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -165,7 +165,7 @@ func TestStorePromotesExactlyAcrossResets(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 	for _, kind := range []string{"table", "promoted", "dense"} {
@@ -262,7 +262,7 @@ func TestFlatEquivalence(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 	for _, end := range []string{"finish/sparse", "finish/dense", "take/sparse", "take/dense"} {
@@ -471,7 +471,13 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+	// The fixed source below ends every row dense, so one row of each
+	// regime is built explicitly, over 50 columns (a 12-id listing limit):
+	// seed 562 draws 2 terms with one cell in 12 and ends sparse, seed 1
+	// draws 27 with one in 6 and ends dense.
+	check(562, 0, 49)
+	check(1, 0, 49)
+	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 	if regimes[false] == 0 || regimes[true] == 0 {
@@ -610,7 +616,7 @@ func TestPromotesMatchesStore(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 	if ended[true] == 0 || ended[false] == 0 {
@@ -748,7 +754,7 @@ func TestIDSetQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -276,3 +276,109 @@ func wallClockUses(fset *token.FileSet, f *ast.File) []Diagnostic {
 	})
 	return diags
 }
+
+// TestQuickChecksAreSeeded keeps every testing/quick property on a fixed
+// source: a quick.Config without a Rand, or a nil config, draws its cases
+// from the clock, so a case that fails once may never come back. It
+// parses every test file of the module and of benchmark/; the live tree
+// must produce nothing, and testdata/quick exactly its want annotations.
+func TestQuickChecksAreSeeded(t *testing.T) {
+	t.Run("live", func(t *testing.T) {
+		for _, d := range unseededQuick(t, repoRoot(t)) {
+			t.Errorf("%s", d)
+		}
+	})
+	t.Run("quick", func(t *testing.T) {
+		matchWants(t, "testdata/quick", unseededQuick(t, "testdata/quick"))
+	})
+}
+
+// unseededQuick reports, in every _test.go file under root, each
+// quick.Config literal without a non-nil Rand and each quick.Check or
+// quick.CheckEqual call given a nil config, skipping hidden and testdata
+// directories below root like the go tool.
+func unseededQuick(t *testing.T, root string) []Diagnostic {
+	t.Helper()
+	fset := token.NewFileSet()
+	var diags []Diagnostic
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		name := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"testing/quick"` {
+				name = "quick"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		report := func(pos token.Pos, msg string) {
+			p := fset.Position(pos)
+			diags = append(diags, Diagnostic{Rule: "quickseed", File: filepath.ToSlash(rel),
+				Line: p.Line, Col: p.Column, Message: msg})
+		}
+		isQuick := func(e ast.Expr, names ...string) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			x, ok := sel.X.(*ast.Ident)
+			return ok && x.Name == name && slices.Contains(names, sel.Sel.Name)
+		}
+		isNil := func(e ast.Expr) bool {
+			id, ok := e.(*ast.Ident)
+			return ok && id.Name == "nil"
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if !isQuick(n.Type, "Config") {
+					return true
+				}
+				seeded := slices.ContainsFunc(n.Elts, func(e ast.Expr) bool {
+					kv, ok := e.(*ast.KeyValueExpr)
+					if !ok {
+						return false
+					}
+					key, ok := kv.Key.(*ast.Ident)
+					return ok && key.Name == "Rand" && !isNil(kv.Value)
+				})
+				if !seeded {
+					report(n.Pos(), "quick.Config without Rand draws its cases from the clock: give it rand.New(rand.NewSource(n))")
+				}
+			case *ast.CallExpr:
+				if isQuick(n.Fun, "Check", "CheckEqual") && len(n.Args) > 0 && isNil(n.Args[len(n.Args)-1]) {
+					report(n.Pos(), "quick check with a nil config draws its cases from the clock: pass a quick.Config with a seeded Rand")
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags
+}

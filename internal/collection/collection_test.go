@@ -572,7 +572,7 @@ func TestQuickBuildScanRoundTrip(t *testing.T) {
 		}
 		return d.Stats().Reads() == c.Stats().D
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -603,7 +603,7 @@ func TestQuickFetchMatchesScan(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

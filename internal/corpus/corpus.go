@@ -163,12 +163,12 @@ type Generator struct {
 	p    Profile
 	r    *rand.Rand
 	zipf *zipf
-	// stamp[t] == mark while term t is in the document being assembled;
+	// stamp[t] == mark while term t is in the document being drawn;
 	// mark moves on per document, so nothing is cleared between them.
 	stamp []uint32
 	mark  uint32
-	// keys holds the document's cells as term<<16 | weight, so one sort
-	// of plain integers puts them in term order.
+	// keys receives the drawn cells as term<<16 | weight, so one sort of
+	// plain integers puts a document in term order.
 	keys []uint64
 }
 
@@ -212,36 +212,38 @@ func (g *Generator) lengthAt(f float64) int {
 
 // Document generates the document with the given id.
 func (g *Generator) Document(id uint32) *document.Document {
+	g.keys = g.keys[:0]
+	g.draw()
 	d := &document.Document{}
-	g.fill(d, id)
+	assemble(d, id, g.keys)
 	return d
 }
 
-// fill generates the document with the given id into d, reusing d's cells.
-func (g *Generator) fill(d *document.Document, id uint32) {
+// draw appends one document's cells to keys, unsorted.
+func (g *Generator) draw() {
 	length := g.docLength()
-	g.begin()
+	base := g.begin()
 	// Sample Zipf-distributed distinct terms; if the rejection loop
 	// stalls (length close to T), sweep the vocabulary deterministically.
 	attempts := 0
-	for len(g.keys) < length && attempts < 20*length {
+	for len(g.keys)-base < length && attempts < 20*length {
 		g.add(uint32(g.zipf.next()))
 		attempts++
 	}
-	for term := uint32(0); len(g.keys) < length && int64(term) < g.p.DistinctTerms; term++ {
+	for term := uint32(0); len(g.keys)-base < length && int64(term) < g.p.DistinctTerms; term++ {
 		g.add(term)
 	}
-	g.finish(d, id)
 }
 
-// begin starts assembling a new document.
-func (g *Generator) begin() {
+// begin starts drawing a new document and returns where its cells start
+// in keys.
+func (g *Generator) begin() int {
 	g.mark++
 	if g.mark == 0 { // wrapped: stale stamps could collide
 		clear(g.stamp)
 		g.mark = 1
 	}
-	g.keys = g.keys[:0]
+	return len(g.keys)
 }
 
 // add puts term in the document unless it is there already, drawing its
@@ -255,16 +257,6 @@ func (g *Generator) add(term uint32) {
 	g.keys = append(g.keys, uint64(term)<<16|uint64(min(1+g.occurrences(), math.MaxUint16)))
 }
 
-// finish sorts the document's cells into term order and writes them to d.
-func (g *Generator) finish(d *document.Document, id uint32) {
-	slices.Sort(g.keys)
-	d.ID = id
-	d.Cells = slices.Grow(d.Cells[:0], len(g.keys))[:len(g.keys)]
-	for i, k := range g.keys {
-		d.Cells[i] = document.Cell{Term: uint32(k >> 16), Weight: uint16(k)}
-	}
-}
-
 // occurrences samples the extra occurrences beyond the first: a geometric
 // tail truncated at MaxOccurrences.
 func (g *Generator) occurrences() int {
@@ -273,6 +265,89 @@ func (g *Generator) occurrences() int {
 		extra++
 	}
 	return extra
+}
+
+// assemble sorts one document's cells into term order and writes them to
+// d, reusing d's cells.
+func assemble(d *document.Document, id uint32, keys []uint64) {
+	slices.Sort(keys)
+	d.ID = id
+	d.Cells = slices.Grow(d.Cells[:0], len(keys))[:len(keys)]
+	for i, k := range keys {
+		d.Cells[i] = document.Cell{Term: uint32(k >> 16), Weight: uint16(k)}
+	}
+}
+
+// batchDocs is how many documents one batch carries between the two
+// stages of build.
+const batchDocs = 64
+
+// batch is the drawn cells of batchDocs consecutive documents (fewer in
+// the last), handed from the drawing stage to the building stage and back.
+type batch struct {
+	keys []uint64 // every document's unsorted cells, one after another
+	ends []int    // the batch's i-th document's cells end at keys[ends[i]]
+	err  error    // the building stage's first error, set on the way back
+}
+
+// build generates documents 0..n-1 into b in two stages. The calling
+// goroutine runs draw, which appends document id's unsorted cells to
+// g.keys and is the only code that touches the random source, so the
+// draws happen in the order a one-document-at-a-time loop makes them and
+// every document comes out the same. A second goroutine sorts each
+// document and adds it to b in id order. Two batches move back and forth
+// between them; after a failed Add the drawing stops when the batch that
+// failed comes back, and build returns that error once the second
+// goroutine has ended.
+func (g *Generator) build(b *collection.Builder, n int64, draw func(id int64)) (*collection.Collection, error) {
+	// Each channel has room for both batches, so no send ever waits.
+	full, free := make(chan *batch, 2), make(chan *batch, 2)
+	free <- new(batch)
+	free <- new(batch)
+	done := make(chan error)
+	go func() { done <- addBatches(b, full, free) }()
+	for first := int64(0); first < n; first += batchDocs {
+		bt := <-free
+		if bt.err != nil {
+			break
+		}
+		g.keys, bt.ends = bt.keys[:0], bt.ends[:0]
+		for id := first; id < min(first+batchDocs, n); id++ {
+			draw(id)
+			bt.ends = append(bt.ends, len(g.keys))
+		}
+		bt.keys = g.keys
+		full <- bt
+	}
+	close(full)
+	if err := <-done; err != nil {
+		return nil, err
+	}
+	return b.Finish()
+}
+
+// addBatches is build's second stage: it assembles and adds every
+// document of every batch until the first error, and hands each batch
+// back with that error.
+func addBatches(b *collection.Builder, full <-chan *batch, free chan<- *batch) error {
+	// Builder.Add copies what it keeps, so one document serves every id.
+	var d document.Document
+	var err error
+	id := uint32(0)
+	for bt := range full {
+		start := 0
+		for _, end := range bt.ends {
+			if err != nil {
+				break
+			}
+			assemble(&d, id, bt.keys[start:end])
+			err = b.Add(&d)
+			id, start = id+1, end
+		}
+		bt.err = err
+		free <- bt
+	}
+	return err
 }
 
 // Generate builds a full collection matching the profile into the given
@@ -286,15 +361,7 @@ func Generate(p Profile, seed int64, file *iosim.File) (*collection.Collection, 
 	if err != nil {
 		return nil, err
 	}
-	// Builder.Add copies what it keeps, so one document serves every id.
-	var d document.Document
-	for id := int64(0); id < p.NumDocs; id++ {
-		g.fill(&d, uint32(id))
-		if err := b.Add(&d); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish()
+	return g.build(b, p.NumDocs, func(int64) { g.draw() })
 }
 
 // ClusteredProfile configures planted-topic corpus generation for
@@ -350,31 +417,22 @@ func GenerateClustered(p ClusteredProfile, seed int64, file *iosim.File) (*colle
 		return nil, err
 	}
 	perTopic := (p.NumDocs + int64(p.Topics) - 1) / int64(p.Topics)
-	var d document.Document
-	for id := int64(0); id < p.NumDocs; id++ {
+	return g.build(b, p.NumDocs, func(id int64) {
 		topic := id % int64(p.Topics)
 		if !p.Scatter {
-			topic = id / perTopic
-			if topic >= int64(p.Topics) {
-				topic = int64(p.Topics) - 1
-			}
+			topic = min(id/perTopic, int64(p.Topics)-1)
 		}
 		length := g.docLength()
-		g.begin()
+		base := g.begin()
 		lo := topic * topicWidth
-		for len(g.keys) < length {
+		for len(g.keys)-base < length {
 			if g.r.Float64() < frac {
 				g.add(uint32(lo + g.r.Int63n(topicWidth)))
 			} else {
 				g.add(uint32(g.zipf.next()))
 			}
 		}
-		g.finish(&d, uint32(id))
-		if err := b.Add(&d); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish()
+	})
 }
 
 // GenerateOn is a convenience that creates the file on the disk and

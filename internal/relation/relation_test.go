@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -185,7 +186,7 @@ func TestQuickLikeSubstring(t *testing.T) {
 		x := strings.Map(stripWild, string(xRaw))
 		return Like("%"+s+"%", x) == strings.Contains(x, s)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -197,7 +198,7 @@ func TestQuickLikeExact(t *testing.T) {
 		b := strings.Map(stripWild, string(bRaw))
 		return Like(a, b) == (a == b)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
