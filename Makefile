@@ -9,16 +9,16 @@ test: build
 	$(GO) test ./...
 
 # verify is the CI gate for the concurrent join paths: vet everything,
-# run the in-repo static-analysis suite (cmd/lintcheck, three analyzers
+# run the in-repo static-analysis suite (cmd/lintcheck, two analyzers
 # over types loaded from the compiler's export data: map-iteration
-# determinism, dropped errors and the CFG-based resource-leak rule,
-# trace spans included — fails on any finding or unexplained
+# determinism and dropped errors — fails on any finding or unexplained
 # lint:ignore; a mutex copied by value is go vet's finding, not the
 # suite's, which is why vet stays ahead of lintcheck here; the package
 # DAG — its program rows included: a cmd/ or examples/ package reaches
 # the storage and join stack through the facade only — and the wall
-# clock are internal/analysis's arch test, nil receivers and lock
-# hygiene are tests too, all part of go test), then race-check the
+# clock are internal/analysis's arch test, nil receivers, lock hygiene,
+# ended spans and closed views and cmd/ files are tests too, all part of
+# go test), then race-check the
 # packages that run concurrently (in internal/core the joins run
 # concurrently on views of one disk, each on its caller's goroutine), the accumulator layer the joins share, the entry cache HVNL
 # drives and the inverted file and paged store under it (ReadSpan hands
@@ -49,7 +49,7 @@ verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/corpus/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
 
 # lint runs the repo's own static-analysis suite over the whole module
-# and benchmark/: three analyzers driven by the checked-in policy table in
+# and benchmark/: two analyzers driven by the checked-in policy table in
 # internal/analysis/policy.go (see DESIGN.md §11); the package DAG and the
 # wall-clock check are the arch test in internal/analysis. Exit 1 on
 # findings.

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"textjoin"
@@ -58,16 +59,27 @@ func run(profileName string, scale, nDocs int64, termsPerDoc float64, vocab, see
 		generated = append(generated, g.Document(uint32(id)))
 	}
 
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if out == "-" {
+		return write(os.Stdout, p, seed, generated)
 	}
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	// Backstop release for the error path; the success path checks the
+	// explicit Close below, where a failed write can still surface, and
+	// the second Close is a no-op.
+	defer f.Close()
+	if err := write(f, p, seed, generated); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// write emits the corpus: a header line naming the profile, then one
+// line per document.
+func write(w io.Writer, p corpus.Profile, seed int64, docs []*textjoin.Document) error {
 	fmt.Fprintf(w, "# profile=%s docs=%d terms/doc=%.1f vocab=%d seed=%d\n",
 		p.Name, p.NumDocs, p.TermsPerDoc, p.DistinctTerms, seed)
-	return corpus.WriteText(w, generated)
+	return corpus.WriteText(w, docs)
 }

@@ -1,13 +1,14 @@
 // Command lintcheck runs the repo's static-analysis suite
 // (internal/analysis) over the whole module and exits non-zero on any
-// finding. It is the `make lint` gate: the three analyzers encode the
+// finding. It is the `make lint` gate: the two analyzers encode the
 // project's architectural promises — deterministic result production
-// (mapdeterminism), released resources and ended trace spans
-// (resourceleak) and consulted errors (errdrop) — plus the
+// (mapdeterminism) and consulted errors (errdrop) — plus the
 // lintdirective hygiene rule that keeps every //lint:ignore explained
 // and load-bearing. The package DAG and the internal packages' freedom
 // from wall-clock and global-rand reads are internal/analysis's
-// TestArchitecture, not rules here.
+// TestArchitecture, not rules here; an ended span and a closed view are
+// checked at run time by the tests that drive them, and the programs'
+// files and listeners by TestCmdReleasesFilesAndListeners.
 //
 // Usage:
 //

@@ -79,7 +79,8 @@ func main() {
 		}()
 	}
 
-	_, err := run(*c1Path, *c2Path, *p1, *p2, *scale, *seed, *queries, *alg, *lambda, *mem, *alpha, *weighting, *show, *explain, *saveDisk, tel, root)
+	ws := textjoin.NewWorkspace(textjoin.WithAlpha(*alpha))
+	_, err := run(ws, *c1Path, *c2Path, *p1, *p2, *scale, *seed, *queries, *alg, *lambda, *mem, *weighting, *show, *explain, *saveDisk, tel, root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "textjoin:", err)
 		os.Exit(1)
@@ -181,10 +182,9 @@ func printMatches(who string, results []textjoin.Result, show int) {
 
 // run joins C1 with C2 — a stored collection or, given queriesPath, a
 // memory-resident query batch (the paper's batch-query scenario: the batch
-// has no inverted file, so VVM is inapplicable) — and returns the full
-// result set next to what it printed.
-func run(c1Path, c2Path, p1, p2 string, scale, seed int64, queriesPath, algName string, lambda int, mem int64, alpha float64, weighting string, show int, explain bool, saveDisk string, tel *textjoin.Telemetry, trace *textjoin.RequestSpan) ([]textjoin.Result, error) {
-	ws := textjoin.NewWorkspace(textjoin.WithAlpha(alpha))
+// has no inverted file, so VVM is inapplicable) — on the empty workspace
+// ws, and returns the full result set next to what it printed.
+func run(ws *textjoin.Workspace, c1Path, c2Path, p1, p2 string, scale, seed int64, queriesPath, algName string, lambda int, mem int64, weighting string, show int, explain bool, saveDisk string, tel *textjoin.Telemetry, trace *textjoin.RequestSpan) ([]textjoin.Result, error) {
 	c1, err := load(ws, "c1", c1Path, p1, scale, seed)
 	if err != nil {
 		return nil, err
@@ -256,7 +256,7 @@ func run(c1Path, c2Path, p1, p2 string, scale, seed int64, queriesPath, algName 
 
 	fmt.Printf("join: %v  outer=%d inner=%d passes=%d\n",
 		stats.Algorithm, stats.OuterDocs, stats.InnerDocs, stats.Passes)
-	fmt.Printf("I/O: %s  cost=%.0f (alpha=%.1f)\n", stats.IO, stats.Cost, alpha)
+	fmt.Printf("I/O: %s  cost=%.0f (alpha=%.1f)\n", stats.IO, stats.Cost, ws.Disk().Alpha())
 	if stats.Algorithm == textjoin.HVNL {
 		fmt.Printf("cache: hits=%d misses=%d evictions=%d hit-rate=%.2f\n",
 			stats.Cache.Hits, stats.Cache.Misses, stats.Cache.Evictions, stats.Cache.HitRate())

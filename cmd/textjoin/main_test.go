@@ -22,10 +22,23 @@ func silence(t *testing.T) {
 	})
 }
 
+// workspace is a fresh workspace for one run of the command; the test
+// fails if the run returned with a view of it still open.
+func workspace(t *testing.T) *textjoin.Workspace {
+	t.Helper()
+	ws := textjoin.NewWorkspace(textjoin.WithAlpha(5))
+	t.Cleanup(func() {
+		if n := ws.Disk().OpenViews(); n != 0 {
+			t.Errorf("the run left %d view(s) open", n)
+		}
+	})
+	return ws
+}
+
 func TestRunProfilesAllAlgorithms(t *testing.T) {
 	silence(t)
 	for _, alg := range []string{"auto", "hhnl", "hvnl", "vvm"} {
-		if _, err := run("", "", "wsj", "wsj", 4096, 1, "", alg, 3, 200, 5, "raw", 2, true, "", nil, nil); err != nil {
+		if _, err := run(workspace(t), "", "", "wsj", "wsj", 4096, 1, "", alg, 3, 200, "raw", 2, true, "", nil, nil); err != nil {
 			t.Errorf("alg %q: %v", alg, err)
 		}
 	}
@@ -34,7 +47,7 @@ func TestRunProfilesAllAlgorithms(t *testing.T) {
 func TestRunWeightings(t *testing.T) {
 	silence(t)
 	for _, w := range []string{"raw", "cosine", "tfidf"} {
-		if _, err := run("", "", "doe", "doe", 4096, 1, "", "hhnl", 2, 200, 5, w, 1, false, "", nil, nil); err != nil {
+		if _, err := run(workspace(t), "", "", "doe", "doe", 4096, 1, "", "hhnl", 2, 200, w, 1, false, "", nil, nil); err != nil {
 			t.Errorf("weighting %q: %v", w, err)
 		}
 	}
@@ -48,7 +61,7 @@ func TestRunFromFiles(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(path, path, "", "", 1, 1, "", "vvm", 2, 100, 5, "raw", 3, false, "", nil, nil); err != nil {
+	if _, err := run(workspace(t), path, path, "", "", 1, 1, "", "vvm", 2, 100, "raw", 3, false, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -60,17 +73,17 @@ func TestRunBatch(t *testing.T) {
 	if err := os.WriteFile(queries, []byte("0 1:1 2:1\n1 5:2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run("", "", "wsj", "", 4096, 1, queries, "auto", 2, 200, 5, "raw", 2, false, "", nil, nil); err != nil {
+	if _, err := run(workspace(t), "", "", "wsj", "", 4096, 1, queries, "auto", 2, 200, "raw", 2, false, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Errors: missing query file, bad weighting, missing C1.
-	if _, err := run("", "", "wsj", "", 4096, 1, "/nonexistent.txt", "auto", 2, 200, 5, "raw", 2, false, "", nil, nil); err == nil {
+	if _, err := run(workspace(t), "", "", "wsj", "", 4096, 1, "/nonexistent.txt", "auto", 2, 200, "raw", 2, false, "", nil, nil); err == nil {
 		t.Error("missing query file: want error")
 	}
-	if _, err := run("", "", "wsj", "", 4096, 1, queries, "auto", 2, 200, 5, "bogus", 2, false, "", nil, nil); err == nil {
+	if _, err := run(workspace(t), "", "", "wsj", "", 4096, 1, queries, "auto", 2, 200, "bogus", 2, false, "", nil, nil); err == nil {
 		t.Error("bad weighting: want error")
 	}
-	if _, err := run("", "", "", "", 4096, 1, queries, "auto", 2, 200, 5, "raw", 2, false, "", nil, nil); err == nil {
+	if _, err := run(workspace(t), "", "", "", "", 4096, 1, queries, "auto", 2, 200, "raw", 2, false, "", nil, nil); err == nil {
 		t.Error("missing C1: want error")
 	}
 }
@@ -81,7 +94,7 @@ func TestRunBatch(t *testing.T) {
 func TestRunSaveDisk(t *testing.T) {
 	silence(t)
 	snap := filepath.Join(t.TempDir(), "disk.tjdk")
-	want, err := run("", "", "wsj", "wsj", 4096, 1, "", "hvnl", 2, 200, 5, "raw", 1, false, snap, nil, nil)
+	want, err := run(workspace(t), "", "", "wsj", "wsj", 4096, 1, "", "hvnl", 2, 200, "raw", 1, false, snap, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +131,7 @@ func TestRunSaveDisk(t *testing.T) {
 		t.Errorf("restored snapshot: result digest %s, the writing run had %s", g, w)
 	}
 	// Bad path errors out.
-	if _, err := run("", "", "wsj", "wsj", 4096, 1, "", "hhnl", 2, 200, 5, "raw", 1, false, "/no-such-dir/x", nil, nil); err == nil {
+	if _, err := run(workspace(t), "", "", "wsj", "wsj", 4096, 1, "", "hhnl", 2, 200, "raw", 1, false, "/no-such-dir/x", nil, nil); err == nil {
 		t.Error("bad snapshot path: want error")
 	}
 }
@@ -126,23 +139,23 @@ func TestRunSaveDisk(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	silence(t)
 	// No source for C1.
-	if _, err := run("", "", "", "wsj", 4096, 1, "", "auto", 2, 100, 5, "raw", 1, false, "", nil, nil); err == nil {
+	if _, err := run(workspace(t), "", "", "", "wsj", 4096, 1, "", "auto", 2, 100, "raw", 1, false, "", nil, nil); err == nil {
 		t.Error("missing C1 source: want error")
 	}
 	// Unknown algorithm.
-	if _, err := run("", "", "wsj", "wsj", 4096, 1, "", "bogus", 2, 100, 5, "raw", 1, false, "", nil, nil); err == nil {
+	if _, err := run(workspace(t), "", "", "wsj", "wsj", 4096, 1, "", "bogus", 2, 100, "raw", 1, false, "", nil, nil); err == nil {
 		t.Error("unknown algorithm: want error")
 	}
 	// Unknown weighting.
-	if _, err := run("", "", "wsj", "wsj", 4096, 1, "", "hhnl", 2, 100, 5, "bogus", 1, false, "", nil, nil); err == nil {
+	if _, err := run(workspace(t), "", "", "wsj", "wsj", 4096, 1, "", "hhnl", 2, 100, "bogus", 1, false, "", nil, nil); err == nil {
 		t.Error("unknown weighting: want error")
 	}
 	// Unknown profile.
-	if _, err := run("", "", "trec", "wsj", 4096, 1, "", "hhnl", 2, 100, 5, "raw", 1, false, "", nil, nil); err == nil {
+	if _, err := run(workspace(t), "", "", "trec", "wsj", 4096, 1, "", "hhnl", 2, 100, "raw", 1, false, "", nil, nil); err == nil {
 		t.Error("unknown profile: want error")
 	}
 	// Missing file.
-	if _, err := run("/nonexistent.txt", "", "", "wsj", 4096, 1, "", "hhnl", 2, 100, 5, "raw", 1, false, "", nil, nil); err == nil {
+	if _, err := run(workspace(t), "/nonexistent.txt", "", "", "wsj", 4096, 1, "", "hhnl", 2, 100, "raw", 1, false, "", nil, nil); err == nil {
 		t.Error("missing file: want error")
 	}
 }

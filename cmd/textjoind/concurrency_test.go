@@ -55,10 +55,11 @@ func getJoin(t *testing.T, hs *httptest.Server, path string) joinReply {
 // TestConcurrentJoinsMatchSerial is the serving-layer acceptance check:
 // the mixed request set run all at once returns, request for request,
 // exactly the response a serial run produced — same results, same
-// per-request I/O stats, same costs. Under -race this also proves the
-// unlocked join path is data-race free end to end.
+// per-request I/O stats, same costs — and every request closed the view
+// it bound. Under -race this also proves the unlocked join path, and the
+// disk's count of open views, data-race free end to end.
 func TestConcurrentJoinsMatchSerial(t *testing.T) {
-	_, hs := testServer(t, 2048)
+	s, hs := testServer(t, 2048)
 	paths := joinPaths()
 
 	want := make([]joinReply, len(paths))
@@ -83,6 +84,9 @@ func TestConcurrentJoinsMatchSerial(t *testing.T) {
 			t.Errorf("%s: concurrent response diverges from serial:\nserial:     %+v\nconcurrent: %+v",
 				p, want[i], got[i])
 		}
+	}
+	if n := s.ws.Disk().OpenViews(); n != 0 {
+		t.Errorf("%d view(s) still open after every reply was read", n)
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 	"sync"
 	"testing"
 
+	"textjoin/internal/iosim"
 	"textjoin/internal/metrics"
+	"textjoin/internal/reqtrace"
 )
 
 // serve answers one request in process, without a socket.
@@ -142,29 +144,44 @@ var joinKinds = []string{
 	"/join?alg=hhnl&prefilter=on&show=0",
 }
 
-// failEachWay answers one /join with 422, a plan the memory budget cannot
-// hold, and one with 503, turned away by admission while the whole
-// budget is held (the server must have no queue), so the server has
-// seen every join outcome.
+// failEachWay answers one /join with each failure outcome: 422, a plan
+// the memory budget cannot hold; 500, a page read that fails after the
+// request bound its view; and 503, turned away by admission while the
+// whole budget is held (the server must have no queue). No outcome may
+// leave a view open, and every trace the recorder holds must have ended
+// each span it started.
 func failEachWay(t *testing.T, s *server, h http.Handler) {
 	t.Helper()
+	expect := func(path string, status int) {
+		t.Helper()
+		if rec := serve(h, path); rec.Code != status {
+			t.Fatalf("GET %s: status %d, want %d: %s", path, rec.Code, status, rec.Body)
+		}
+		if n := s.ws.Disk().OpenViews(); n != 0 {
+			t.Fatalf("GET %s answered with %d view(s) open", path, n)
+		}
+	}
 	mem := s.cfg.MemoryPages
 	s.cfg.MemoryPages = 1
-	if rec := serve(h, "/join?alg=vvm&show=0"); rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("memory budget of one page: status %d, want 422: %s", rec.Code, rec.Body)
-	}
+	expect("/join?alg=vvm&show=0", http.StatusUnprocessableEntity)
 	s.cfg.MemoryPages = mem
+	s.ws.Disk().InjectFaults(iosim.FaultPlan{Repeat: true})
+	expect("/join?alg=hhnl&show=0", http.StatusInternalServerError)
+	s.ws.Disk().InjectFaults(iosim.FaultPlan{})
 	if _, err := s.adm.admit(s.adm.budget); err != nil {
 		t.Fatal(err)
 	}
 	defer s.adm.release(s.adm.budget)
-	if rec := serve(h, "/join?alg=hhnl&show=0"); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("budget held, no queue: status %d, want 503: %s", rec.Code, rec.Body)
+	expect("/join?alg=hhnl&show=0", http.StatusServiceUnavailable)
+	for _, d := range s.recorder.Recent() {
+		if err := reqtrace.ValidateData(d); err != nil {
+			t.Errorf("recorded trace %s: %v", d.Name, err)
+		}
 	}
 }
 
 // outcomeServer is a small server with no admission queue that has
-// answered every kind of /join once, one 422 and one 503.
+// answered every kind of /join once, one 422, one 500 and one 503.
 func outcomeServer(t *testing.T) (*server, http.Handler) {
 	t.Helper()
 	cfg := defaultConfig()
@@ -187,8 +204,8 @@ func outcomeServer(t *testing.T) (*server, http.Handler) {
 // TestSLOCountsServedTraffic: the objectives read the series the server
 // writes. An objective naming a series nobody writes would see no events,
 // comply fully and pass every budget gate; here the availability window
-// must hold the k answered joins as good and the 422 and the 503 as bad,
-// and the latency window every /join request sent.
+// must hold the k answered joins as good and the 422, the 500 and the 503
+// as bad, and the latency window every /join request sent.
 func TestSLOCountsServedTraffic(t *testing.T) {
 	s, _ := outcomeServer(t)
 	k := int64(len(joinKinds))
@@ -199,12 +216,12 @@ func TestSLOCountsServedTraffic(t *testing.T) {
 	for _, st := range statuses {
 		switch st.Name {
 		case "availability":
-			if st.Good != k || st.Bad != 2 {
-				t.Errorf("availability window: good %d, bad %d; want %d and 2", st.Good, st.Bad, k)
+			if st.Good != k || st.Bad != 3 {
+				t.Errorf("availability window: good %d, bad %d; want %d and 3", st.Good, st.Bad, k)
 			}
 		case "latency":
-			if st.Good+st.Bad != k+2 {
-				t.Errorf("latency window: %d good + %d bad, want every one of the %d /join requests", st.Good, st.Bad, k+2)
+			if st.Good+st.Bad != k+3 {
+				t.Errorf("latency window: %d good + %d bad, want every one of the %d /join requests", st.Good, st.Bad, k+3)
 			}
 		default:
 			t.Errorf("unexpected objective %q", st.Name)
@@ -213,7 +230,7 @@ func TestSLOCountsServedTraffic(t *testing.T) {
 }
 
 // TestMetricsFamilies pins the families textjoind serves: after one
-// request of each /join kind, one 422 and one 503, the exposition holds
+// request of each /join kind, one 422, one 500 and one 503, the exposition holds
 // exactly these families, each with its type and label keys. A producer
 // spells each name where it adds to the series, so a drifted name
 // fails here.

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"textjoin/internal/iosim"
 	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
 )
@@ -56,34 +58,69 @@ func fetchTrace(t *testing.T, hs *httptest.Server, traceID string) reqtrace.Trac
 	return d
 }
 
-// TestEveryJoinOutcomeYieldsTrace: accepted, malformed and rejected
-// requests each leave exactly one well-formed trace behind, announced
-// in the Traceparent response header and (where there is a JSON body
-// field for it) in the body.
+// TestEveryJoinOutcomeYieldsTrace: accepted, malformed, unrunnable,
+// failed and rejected requests each leave exactly one well-formed trace
+// behind, every span in it ended, announced in the Traceparent response
+// header and (where there is a JSON body field for it) in the body. A
+// failed request's body is the error alone, with no partial result.
 func TestEveryJoinOutcomeYieldsTrace(t *testing.T) {
-	_, hs := tracedServer(t, false)
+	s, hs := tracedServer(t, false)
+	s.adm.maxQueue = 0 // a held budget turns a request away at once
 
 	cases := []struct {
 		path       string
 		wantStatus int
 		wantPhases []string
+		// arm, when set, sets the server up for the outcome and returns
+		// what undoes it.
+		arm func() (disarm func())
 	}{
-		{"/join?alg=hvnl&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
-		{"/join?mode=lsh&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
-		{"/join?alg=hvnl&weighting=tfidf&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
-		{"/join?alg=hhnl&prefilter=on&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}},
-		{"/join?alg=auto&show=0", http.StatusOK, []string{"request", "queue", "exec", "io", "plan"}},
-		{"/join?alg=bogus", http.StatusBadRequest, []string{"request"}},
-		{"/join?lambda=-1", http.StatusBadRequest, []string{"request"}},
+		{"/join?alg=hvnl&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}, nil},
+		{"/join?mode=lsh&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}, nil},
+		{"/join?alg=hvnl&weighting=tfidf&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}, nil},
+		{"/join?alg=hhnl&prefilter=on&show=0", http.StatusOK, []string{"request", "queue", "exec", "io"}, nil},
+		{"/join?alg=auto&show=0", http.StatusOK, []string{"request", "queue", "exec", "io", "plan"}, nil},
+		{"/join?alg=bogus", http.StatusBadRequest, []string{"request"}, nil},
+		{"/join?lambda=-1", http.StatusBadRequest, []string{"request"}, nil},
+		{"/join?alg=vvm&show=0", http.StatusUnprocessableEntity, []string{"request"}, func() func() {
+			mem := s.cfg.MemoryPages
+			s.cfg.MemoryPages = 1
+			return func() { s.cfg.MemoryPages = mem }
+		}},
+		{"/join?alg=hhnl&show=0", http.StatusServiceUnavailable, []string{"request", "queue"}, func() func() {
+			if _, err := s.adm.admit(s.adm.budget); err != nil {
+				t.Fatal(err)
+			}
+			return func() { s.adm.release(s.adm.budget) }
+		}},
+		{"/join?alg=hhnl&show=0", http.StatusInternalServerError, []string{"request", "queue", "snapshot", "exec", "io"}, func() func() {
+			s.ws.Disk().InjectFaults(iosim.FaultPlan{Repeat: true})
+			return func() { s.ws.Disk().InjectFaults(iosim.FaultPlan{}) }
+		}},
 	}
 	for _, tc := range cases {
+		disarm := func() {}
+		if tc.arm != nil {
+			disarm = tc.arm()
+		}
 		resp, err := hs.Client().Get(hs.URL + tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		disarm()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != tc.wantStatus {
 			t.Fatalf("%s: status %d, want %d", tc.path, resp.StatusCode, tc.wantStatus)
+		}
+		if tc.wantStatus != http.StatusOK {
+			var reply map[string]any
+			if err := json.Unmarshal(body, &reply); err != nil || reply["error"] == nil || reply["results"] != nil {
+				t.Errorf("%s: a failed request answered %s", tc.path, body)
+			}
 		}
 		tp := resp.Header.Get(reqtrace.TraceparentHeader)
 		traceID, _, err := reqtrace.ParseTraceparent(tp)

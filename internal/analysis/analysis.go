@@ -1,13 +1,14 @@
 // Package analysis is the repo's in-tree static-analysis engine: a
 // loader that type-checks the module from the compiler's export data
-// (go list -export plus go/importer, all in the Go toolchain) and three
+// (go list -export plus go/importer, all in the Go toolchain) and two
 // analyzers that lock the project's architectural promises into CI —
-// deterministic result production (mapdeterminism), errors consulted
-// rather than discarded (errdrop), and resources — trace spans included
-// — released on every path (resourceleak), the rule that reasons about
-// paths over one CFG + dataflow core (cfg.go, dataflow.go). A new
-// must-release invariant is a row in the Policy table that rule reads,
-// not an analyzer of its own.
+// deterministic result production (mapdeterminism) and errors consulted
+// rather than discarded (errdrop). Both are syntactic over typed
+// function bodies. That a span is ended and an iosim view closed on
+// every path is not a rule here: the tests that drive those paths check
+// it at run time (reqtrace.ValidateData rejects a trace sealed over an
+// open span, iosim.Disk.OpenViews counts unclosed views), and the
+// programs' files and listeners are TestCmdReleasesFilesAndListeners.
 //
 // The engine mirrors the shape of golang.org/x/tools/go/analysis at a
 // fraction of its surface, because the container bakes in only the Go
@@ -114,19 +115,10 @@ func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// objOf resolves an identifier to the object it defines or uses.
-func objOf(p *Package, id *ast.Ident) types.Object {
-	if o := p.Info.Defs[id]; o != nil {
-		return o
-	}
-	return p.Info.Uses[id]
-}
-
 // Analyzer inspects one package and reports findings. Analyzers are
 // constructed from a Policy (see Analyzers) so every repo-specific
-// fact — the determinism-sensitive packages, the resource rows, the
-// error-policed scopes — lives in the checked-in policy table, not in
-// analyzer code.
+// fact — the determinism-sensitive packages, the error-policed scopes —
+// lives in the checked-in policy table, not in analyzer code.
 type Analyzer interface {
 	// Name is the rule name used in diagnostics and lint:ignore
 	// directives.

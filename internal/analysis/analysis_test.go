@@ -38,17 +38,17 @@ var a int
 // lint:ignore errdrop this is prose discussing the directive syntax
 var b int
 
-/*lint:ignore resourceleak block comments are directives too*/
+/*lint:ignore mapdeterminism block comments are directives too*/
 var c int
 `)
-	ignores, malformed := collectIgnores(pkg, []string{"errdrop", "resourceleak"})
+	ignores, malformed := collectIgnores(pkg, []string{"errdrop", "mapdeterminism"})
 	if len(malformed) != 0 {
 		t.Fatalf("malformed = %v, want none", malformed)
 	}
 	if len(ignores) != 2 {
 		t.Fatalf("ignores = %d, want 2 (prose must not parse)", len(ignores))
 	}
-	if ignores[0].Rule != "errdrop" || ignores[1].Rule != "resourceleak" {
+	if ignores[0].Rule != "errdrop" || ignores[1].Rule != "mapdeterminism" {
 		t.Errorf("parsed rules = %s, %s", ignores[0].Rule, ignores[1].Rule)
 	}
 	if !strings.Contains(ignores[0].Reason, "primary error") {
@@ -96,7 +96,7 @@ func TestApplyIgnores(t *testing.T) {
 	diags := []Diagnostic{
 		{Rule: "errdrop", File: "p/p.go", Line: 5, Col: 2, Message: "x"},
 		{Rule: "errdrop", File: "p/p.go", Line: 9, Col: 2, Message: "y"},
-		{Rule: "resourceleak", File: "p/p.go", Line: 5, Col: 2, Message: "z"},
+		{Rule: "mapdeterminism", File: "p/p.go", Line: 5, Col: 2, Message: "z"},
 	}
 	ignores := []*ignoreDirective{
 		{Rule: "errdrop", File: "p/p.go", Line: 4}, // line above diag 0

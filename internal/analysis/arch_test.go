@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -148,32 +149,10 @@ func TestArchitecture(t *testing.T) {
 // skipping hidden and testdata directories like the go tool.
 func layerViolations(t *testing.T, root, module string, table map[string][]string) []Diagnostic {
 	t.Helper()
-	fset := token.NewFileSet()
 	var diags []Diagnostic
 	unlisted := map[string]bool{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		file := filepath.ToSlash(filepath.Join(dir, d.Name()))
-		rel := filepath.ToSlash(dir)
+	eachGoFile(t, root, false, func(fset *token.FileSet, file string, f *ast.File) {
+		rel := path.Dir(file)
 		if rel == "." {
 			rel = ""
 		}
@@ -190,10 +169,7 @@ func layerViolations(t *testing.T, root, module string, table map[string][]strin
 			report(f.Name.Pos(), "internal package %s is not in the import-layer policy table; give it a row in importLayers", rel)
 		}
 		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return err
-			}
+			path, _ := strconv.Unquote(imp.Path.Value) // the parser accepted it
 			dep, inModule := strings.CutPrefix(path, module+"/")
 			switch {
 			case path == module && internal:
@@ -208,12 +184,44 @@ func layerViolations(t *testing.T, root, module string, table map[string][]strin
 				diags = append(diags, d)
 			}
 		}
+	})
+	return diags
+}
+
+// eachGoFile parses every Go file under root — only the _test.go files
+// when tests is set, only the others when not — skipping hidden and
+// testdata directories below root like the go tool, and hands each to
+// fn with its slash-separated path relative to root.
+func eachGoFile(t *testing.T, root string, tests bool, fn func(fset *token.FileSet, file string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") != tests {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		fn(fset, filepath.ToSlash(rel), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return diags
 }
 
 // seededRand is what an internal package may name in math/rand and
@@ -299,25 +307,8 @@ func TestQuickChecksAreSeeded(t *testing.T) {
 // directories below root like the go tool.
 func unseededQuick(t *testing.T, root string) []Diagnostic {
 	t.Helper()
-	fset := token.NewFileSet()
 	var diags []Diagnostic
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	eachGoFile(t, root, true, func(fset *token.FileSet, file string, f *ast.File) {
 		name := ""
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"testing/quick"` {
@@ -328,15 +319,11 @@ func unseededQuick(t *testing.T, root string) []Diagnostic {
 			}
 		}
 		if name == "" {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
+			return
 		}
 		report := func(pos token.Pos, msg string) {
 			p := fset.Position(pos)
-			diags = append(diags, Diagnostic{Rule: "quickseed", File: filepath.ToSlash(rel),
+			diags = append(diags, Diagnostic{Rule: "quickseed", File: file,
 				Line: p.Line, Col: p.Column, Message: msg})
 		}
 		isQuick := func(e ast.Expr, names ...string) bool {
@@ -375,10 +362,138 @@ func unseededQuick(t *testing.T, root string) []Diagnostic {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return diags
+}
+
+// TestCmdReleasesFilesAndListeners holds the programs under cmd/ to the
+// release rule a view and a span meet at run time: each os.Open,
+// os.Create, os.OpenFile and net.Listen result is closed by a defer in
+// the block that opened it, returned, or handed to Serve, which closes
+// the listener. A file opened for writing also needs an explicit Close
+// whose error is checked, since a failed write can surface only there.
+// The live programs must produce nothing, and testdata/release exactly
+// its want annotations.
+func TestCmdReleasesFilesAndListeners(t *testing.T) {
+	t.Run("live", func(t *testing.T) {
+		for _, d := range unreleased(t, filepath.Join(repoRoot(t), "cmd")) {
+			t.Errorf("%s", d)
+		}
+	})
+	t.Run("release", func(t *testing.T) {
+		matchWants(t, "testdata/release", unreleased(t, "testdata/release"))
+	})
+}
+
+// unreleased reports, in every non-test file under root, each file or
+// listener that TestCmdReleasesFilesAndListeners' rule rejects. The
+// package names os and net are taken as spelled; no program renames them.
+func unreleased(t *testing.T, root string) []Diagnostic {
+	t.Helper()
+	var diags []Diagnostic
+	eachGoFile(t, root, false, func(fset *token.FileSet, file string, f *ast.File) {
+		report := func(n ast.Node, msg string) {
+			p := fset.Position(n.Pos())
+			diags = append(diags, Diagnostic{Rule: "release", File: file, Line: p.Line, Col: p.Column, Message: msg})
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			kept := map[ast.Node]bool{} // acquires bound to a variable or returned
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ReturnStmt:
+					for _, r := range n.Results {
+						kept[r] = true
+					}
+				case *ast.BlockStmt:
+					for _, st := range n.List {
+						if as, ok := st.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && acquired(as.Rhs[0]) != "" {
+							if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+								kept[as.Rhs[0]] = true
+								for _, msg := range releaseFaults(fd.Body, n, id.Name, acquired(as.Rhs[0])) {
+									report(as, msg)
+								}
+							}
+						}
+					}
+				case *ast.CallExpr:
+					if what := acquired(n); what != "" && !kept[n] {
+						report(n, what+" result is not kept in a variable, so nothing can close it")
+					}
+				}
+				return true
+			})
+		}
+	})
+	return diags
+}
+
+// acquired names the call n makes when the release rule tracks it,
+// "os.Create" say, and is "" otherwise.
+func acquired(n ast.Node) string {
+	switch x, name := callOn(n); x + "." + name {
+	case "os.Open", "os.Create", "os.OpenFile", "net.Listen":
+		return x + "." + name
+	}
+	return ""
+}
+
+// releaseFaults says what the variable name, bound by the call what in
+// block blk of the function body, is missing: a release (a deferred
+// Close in blk, a return, or a hand-off to Serve), and for a file opened
+// for writing an explicit Close whose error is read.
+func releaseFaults(body, blk *ast.BlockStmt, name, what string) []string {
+	isVar := func(e ast.Expr) bool { id, ok := e.(*ast.Ident); return ok && id.Name == name }
+	released := slices.ContainsFunc(blk.List, func(s ast.Stmt) bool {
+		ds, ok := s.(*ast.DeferStmt)
+		return ok && isClose(ds.Call, name)
+	})
+	checked := false
+	dropped := map[ast.Node]bool{} // calls whose results nothing reads
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.DeferStmt:
+			dropped[n.Call] = true
+		case *ast.ExprStmt:
+			dropped[n.X] = true
+		case *ast.ReturnStmt:
+			released = released || slices.ContainsFunc(n.Results, isVar)
+		case *ast.CallExpr:
+			_, fn := callOn(n)
+			released = released || fn == "Serve" && slices.ContainsFunc(n.Args, isVar)
+			checked = checked || isClose(n, name) && !dropped[n]
+		}
+		return true
+	})
+	var faults []string
+	if !released {
+		faults = append(faults, fmt.Sprintf("%s result %s is neither closed by a defer in its block, returned, nor passed to Serve", what, name))
+	}
+	if (what == "os.Create" || what == "os.OpenFile") && !checked {
+		faults = append(faults, fmt.Sprintf("%s file %s is written, but no explicit Close has its error checked", what, name))
+	}
+	return faults
+}
+
+// isClose reports whether n is the call name.Close().
+func isClose(n ast.Node, name string) bool {
+	x, fn := callOn(n)
+	return x == name && fn == "Close"
+}
+
+// callOn splits a call x.name(...) into x and name, x "" when the
+// receiver is not a plain name; both "" for any other node.
+func callOn(n ast.Node) (x, name string) {
+	if call, ok := n.(*ast.CallExpr); ok {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok {
+				x = id.Name
+			}
+			return x, sel.Sel.Name
+		}
+	}
+	return "", ""
 }

@@ -21,8 +21,9 @@ import (
 //   - an error-typed call result assigned to the blank identifier, in
 //     single-value or tuple position, with := or plain =.
 //
-// go and defer statements are never flagged here (a deferred Close's
-// error is a separate idiom, policed by resourceleak's pairing instead).
+// go and defer statements are never flagged here: a deferred Close is
+// the backstop release of an error path, and a file written in cmd/
+// must also check an explicit Close (TestCmdReleasesFilesAndListeners).
 type errDrop struct{ pol *Policy }
 
 func (a *errDrop) Name() string { return "errdrop" }
@@ -141,4 +142,39 @@ var errorType = types.Universe.Lookup("error").Type()
 
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, errorType)
+}
+
+// eachScope calls fn once per function scope of the package, in source
+// order: every FuncDecl body under the function's name, then each
+// function literal inside it as "<name> literal".
+func eachScope(p *Package, fn func(name string, body *ast.BlockStmt)) {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn(fd.Name.Name, fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					fn(fd.Name.Name+" literal", lit.Body)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// inspectScope walks scope without descending into nested function
+// literals (each literal is its own scope).
+func inspectScope(scope *ast.BlockStmt, fn func(ast.Node)) {
+	ast.Inspect(scope, func(n ast.Node) bool {
+		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != scope {
+			return false
+		}
+		if n != nil {
+			fn(n)
+		}
+		return true
+	})
 }

@@ -21,14 +21,8 @@ import (
 func fixturePolicy() *Policy {
 	return &Policy{
 		MapDeterminism: []string{"internal/core"},
-		Resources: []ResourceRule{
-			{Pkg: "internal/iosim", Call: "Open", Release: "Close"},
-			{Pkg: "internal/iosim", Call: "OpenPair", Release: "Close"},
-			{Pkg: "internal/reqtrace", Call: "StartSpan", Release: "End"},
-			{Pkg: "internal/reqtrace", Call: "StartChild", Release: "End"},
-		},
-		ErrDrop:       []string{"internal/errs"},
-		ErrDropExempt: []string{"fmt", "hash"},
+		ErrDrop:        []string{"internal/errs"},
+		ErrDropExempt:  []string{"fmt", "hash"},
 	}
 }
 
@@ -40,12 +34,10 @@ func TestGoldenModule(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	matchWants(t, "testdata/module", report.Diagnostics)
-	// One used suppression per fixture package that carries one:
-	// mapdeterminism (core), errdrop (errs: a bare-statement discard,
-	// which the syntactic rule still sees) and resourceleak twice
-	// (resources, and the span rows in spans).
-	if report.Suppressed != 4 {
-		t.Errorf("suppressed = %d, want 4", report.Suppressed)
+	// One used suppression per fixture package: mapdeterminism (core)
+	// and errdrop (errs: a bare-statement discard).
+	if report.Suppressed != 2 {
+		t.Errorf("suppressed = %d, want 2", report.Suppressed)
 	}
 }
 

@@ -1,21 +1,15 @@
 package analysis
 
 // Policy is the checked-in table of repo-specific facts the analyzers
-// enforce. A PR that changes which packages produce results, acquire
-// resources or drop errors edits this table in the same diff, which
-// keeps those decisions reviewable. The package DAG is not here: it is
+// enforce. A change to which packages produce results or drop errors
+// edits this table in the same diff, which keeps those decisions
+// reviewable. The package DAG is not here: it is
 // the allow table of internal/analysis's TestArchitecture.
 type Policy struct {
 	// MapDeterminism lists the result-producing packages in which a
 	// `for range` over a map is flagged unless the loop's function
 	// later feeds a sort (or the site carries an ignore directive).
 	MapDeterminism []string
-
-	// Resources is the acquire→release pairing table for the CFG-based
-	// resourceleak analyzer: each rule names an acquiring function and
-	// the release method its result owes on every path to exit. A new
-	// must-release invariant is a row here, not an analyzer.
-	Resources []ResourceRule
 
 	// ErrDrop lists the package scopes (prefix semantics; "." is the
 	// module root) in which the errdrop analyzer polices dropped
@@ -30,19 +24,6 @@ type Policy struct {
 	ErrDropExempt []string
 }
 
-// ResourceRule pairs an acquiring call with the release method its
-// result must see on every path. Pkg is "." for the module root, a
-// module-relative path for internal packages, or a stdlib import path;
-// Call is the acquiring function or method name; Release the method
-// that frees the result. Scope, when non-empty, restricts enforcement
-// to the listed package prefixes.
-type ResourceRule struct {
-	Pkg     string
-	Call    string
-	Release string
-	Scope   []string
-}
-
 // DefaultPolicy returns the live repo's policy. internal/core,
 // internal/accum and internal/invfile are not MapDeterminism packages:
 // internal/core's TestJoinFilesHoldNoMaps rejects every map type in
@@ -52,24 +33,6 @@ func DefaultPolicy() *Policy {
 		MapDeterminism: []string{
 			"internal/query", "internal/lsh", "internal/metrics",
 			"internal/reqtrace", "internal/slo",
-		},
-		Resources: []ResourceRule{
-			// Trace spans, module-wide: a span that some path never Ends
-			// is missing from the recorded tree, so the phase it timed
-			// drops out of the trace exactly when the trace is needed.
-			{Pkg: "internal/reqtrace", Call: "StartTrace", Release: "End"},
-			{Pkg: "internal/reqtrace", Call: "StartLinkedTrace", Release: "End"},
-			{Pkg: "internal/reqtrace", Call: "StartChild", Release: "End"},
-			// iosim view sessions: a leaked view never merges its IOStats
-			// into the shared ledger, corrupting the Section-5 accounting.
-			{Pkg: "internal/iosim", Call: "View", Release: "Close"},
-			// The facade's Snapshot is the same session one layer up.
-			{Pkg: ".", Call: "Snapshot", Release: "Close"},
-			// Network listeners and OS file handles in the front ends.
-			{Pkg: "net", Call: "Listen", Release: "Close"},
-			{Pkg: "os", Call: "Open", Release: "Close", Scope: []string{"cmd"}},
-			{Pkg: "os", Call: "Create", Release: "Close", Scope: []string{"cmd"}},
-			{Pkg: "os", Call: "OpenFile", Release: "Close", Scope: []string{"cmd"}},
 		},
 		ErrDrop: []string{
 			"internal/iosim", "internal/btree", "internal/invfile",
@@ -106,6 +69,5 @@ func Analyzers(pol *Policy) []Analyzer {
 	return []Analyzer{
 		&errDrop{pol: pol},
 		&mapDeterminism{pol: pol},
-		&resourceLeak{pol: pol},
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/signature"
 )
 
@@ -76,8 +77,9 @@ func waitGoroutines(tb testing.TB, want int) {
 // TestFanOutLeavesNoWorkersOnFailure walks every way a join can fail — a
 // storage fault while the resident side fills, one mid-scan/probe/merge,
 // and a sidecar that does not match its collection — and requires the
-// error, no partial results, and the goroutine count back at its pre-call
-// value: a join leaves no worker goroutine behind, because it starts none.
+// error, no partial results, a trace whose every phase span was ended on
+// the error path, and the goroutine count back at its pre-call value: a
+// join leaves no worker goroutine behind, because it starts none.
 func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
 	type failure struct {
 		name  string
@@ -142,6 +144,8 @@ func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
 					opts.Prefilter = &Prefilter{Inner: sc}
 				}
 				e.disk.InjectFaults(fc.fault)
+				root := reqtrace.NewTracer(1, time.Now).StartTrace(fam.alg.String())
+				opts.Trace = root
 				before := runtime.NumGoroutine()
 				res, st, err := Join(fam.alg, e.inputs(), opts)
 				if fc.stale {
@@ -153,6 +157,9 @@ func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
 				}
 				if res != nil || st != nil {
 					t.Error("partial results returned alongside error")
+				}
+				if err := reqtrace.ValidateData(root.Data()); err != nil {
+					t.Errorf("the failed join's trace: %v", err)
 				}
 				waitGoroutines(t, before)
 			})

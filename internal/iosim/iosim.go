@@ -93,6 +93,9 @@ type Disk struct {
 	files    map[string]*File
 	stats    Stats
 	closed   bool
+	// openViews counts the views opened and not yet closed; a view
+	// left open never merges its counters into stats.
+	openViews int
 
 	// readDelay, when positive, charges every page read that much real
 	// wall-clock time, outside the disk lock — the device-latency knob

@@ -39,9 +39,22 @@ type View struct {
 	closed   bool
 }
 
-// View opens a new read-only session on the disk.
+// View opens a new read-only session on the disk. Its owner must Close
+// it; OpenViews counts the views that have not been closed.
 func (d *Disk) View() *View {
+	d.mu.Lock()
+	d.openViews++
+	d.mu.Unlock()
 	return &View{disk: d, clones: make(map[*File]*File)}
+}
+
+// OpenViews returns how many views of the disk are open: opened and not
+// yet closed. Tests read it after a request to prove no path leaked a
+// view, whose reads would then never reach the disk's totals.
+func (d *Disk) OpenViews() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.openViews
 }
 
 // Disk returns the disk the view reads from.
@@ -129,6 +142,7 @@ func (v *View) Close() {
 		return
 	}
 	v.closed = true
+	v.disk.openViews--
 	for base, c := range v.clones {
 		base.stats.Add(c.stats)
 	}

@@ -180,8 +180,14 @@ func TestViewClosed(t *testing.T) {
 	d, files := viewFixture(t, 1, 2)
 	v := d.View()
 	c := v.File(files[0])
+	if n := d.OpenViews(); n != 1 {
+		t.Errorf("OpenViews with one view open = %d, want 1", n)
+	}
 	v.Close()
 	v.Close() // idempotent
+	if n := d.OpenViews(); n != 0 {
+		t.Errorf("OpenViews after a double Close = %d, want 0", n)
+	}
 	if _, err := c.ReadPage(0); !errors.Is(err, ErrViewClosed) {
 		t.Errorf("read after Close err = %v, want ErrViewClosed", err)
 	}

@@ -29,6 +29,10 @@ type TraceData struct {
 	// Spans lists every finished span, in end order; the root (empty
 	// parent) is last.
 	Spans []SpanData `json:"spans"`
+	// OpenSpans counts the child spans started but not ended when the
+	// trace was sealed: a leaked span. Omitted when zero, so a clean
+	// trace's document has no such field.
+	OpenSpans int64 `json:"open_spans,omitempty"`
 }
 
 // SpanData is the wire form of one finished span.
@@ -66,10 +70,10 @@ func Validate(data []byte) error {
 
 // ValidateData checks the invariants every finished trace holds:
 // schema version, a parseable non-zero trace ID, a non-negative
-// duration, and a well-formed span tree — at least one span, exactly
-// one root, unique parseable span IDs, every parent resolving to a
-// span in the trace, every span with end >= start and a non-empty
-// phase and name.
+// duration, no child span left open at seal, and a well-formed span
+// tree — at least one span, exactly one root, unique parseable span
+// IDs, every parent resolving to a span in the trace, every span with
+// end >= start and a non-empty phase and name.
 func ValidateData(t *TraceData) error {
 	if t.Schema != SchemaVersion {
 		return fmt.Errorf("reqtrace: schema %d, want %d", t.Schema, SchemaVersion)
@@ -84,6 +88,9 @@ func ValidateData(t *TraceData) error {
 		if _, err := ParseSpanID(t.RemoteParent); err != nil {
 			return err
 		}
+	}
+	if t.OpenSpans != 0 {
+		return fmt.Errorf("reqtrace: trace %s: %d child span(s) never ended", t.TraceID, t.OpenSpans)
 	}
 	if len(t.Spans) == 0 {
 		return fmt.Errorf("reqtrace: trace %s has no spans", t.TraceID)

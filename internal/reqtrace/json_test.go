@@ -52,6 +52,7 @@ func TestValidateNegativeCases(t *testing.T) {
 		{"empty phase", func(d *TraceData) { d.Spans[0].Phase = "" }, "empty phase"},
 		{"empty name", func(d *TraceData) { d.Spans[0].Name = "" }, "empty phase or name"},
 		{"bad remote parent", func(d *TraceData) { d.RemoteParent = "zz" }, "span id"},
+		{"open child", func(d *TraceData) { d.OpenSpans = 2 }, "2 child span(s) never ended"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -184,6 +184,10 @@ type Trace struct {
 	start        time.Time
 
 	root *Span
+	// open counts the child spans started and not yet ended. Data
+	// records it at seal, so a span some path never ended shows in
+	// the trace and ValidateData rejects it.
+	open atomic.Int64
 
 	mu    sync.Mutex
 	spans []SpanData
@@ -241,6 +245,7 @@ func (s *Span) StartChild(phase, name string) *Span {
 		return nil
 	}
 	t := s.trace
+	t.open.Add(1)
 	return &Span{
 		trace:  t,
 		id:     SpanID(t.tracer.nextID()),
@@ -296,6 +301,7 @@ func (s *Span) End() {
 	}
 	if s.parent != 0 {
 		sd.Parent = s.parent.String()
+		t.open.Add(-1)
 	}
 	t.mu.Lock()
 	t.spans = append(t.spans, sd)
@@ -308,7 +314,9 @@ func (s *Span) End() {
 
 // Data returns the finished trace tree. The root span must have been
 // ended; Data on an unfinished trace ends the root implicitly so a
-// panic-path Record still yields a closed tree. The result is built
+// panic-path Record still yields a closed tree. A child span still
+// open at that moment is not ended for it: it is counted in
+// TraceData.OpenSpans, which ValidateData rejects. The result is built
 // once and immutable afterwards — safe to share with concurrent
 // readers. Nil on a nil span.
 func (s *Span) Data() *TraceData {
@@ -335,6 +343,7 @@ func (s *Span) Data() *TraceData {
 		StartUnixNanos: t.start.UnixNano(),
 		DurNanos:       t.end.Sub(t.start).Nanoseconds(),
 		Spans:          t.spans,
+		OpenSpans:      t.open.Load(),
 	}
 	if t.remoteParent != 0 {
 		d.RemoteParent = t.remoteParent.String()

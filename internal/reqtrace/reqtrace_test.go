@@ -102,6 +102,9 @@ func TestTraceTreeRoundTrip(t *testing.T) {
 	if err := Validate(raw); err != nil {
 		t.Fatalf("marshaled trace fails Validate: %v", err)
 	}
+	if strings.Contains(string(raw), "open_spans") {
+		t.Fatalf("a trace with no open span carries the field: %s", raw)
+	}
 	// Data is built once.
 	if root.Data() != d {
 		t.Fatal("Data is not cached")
@@ -120,6 +123,13 @@ func TestDataSealsOpenRoot(t *testing.T) {
 	}
 	if d.DurNanos <= 0 {
 		t.Fatalf("sealed trace has duration %d", d.DurNanos)
+	}
+	// A child still open when the trace seals is a leaked span.
+	leaky := tr.StartTrace("join")
+	leaky.StartChild("scan", "outer")
+	err := ValidateData(leaky.Data())
+	if err == nil || !strings.Contains(err.Error(), "1 child span(s) never ended") {
+		t.Fatalf("trace sealed over an open child: err = %v", err)
 	}
 }
 
