@@ -28,7 +28,6 @@ type Batch struct {
 	docs  []*document.Document
 	df    map[uint32]int64
 	norms map[uint32]float64
-	bytes int64
 	cells int64
 	terms int64
 }
@@ -57,7 +56,6 @@ func NewBatch(name string, docs []*document.Document) (*Batch, error) {
 			b.df[c.Term]++
 		}
 		b.norms[d.ID] = d.Norm()
-		b.bytes += codec.EncodedRecordSize(len(d.Cells))
 		b.cells += int64(len(d.Cells))
 	}
 	b.terms = int64(len(b.df))
@@ -70,12 +68,10 @@ func (b *Batch) Name() string { return b.name }
 // NumDocs returns the number of queries.
 func (b *Batch) NumDocs() int64 { return int64(len(b.docs)) }
 
-// AvgDocBytes returns the average packed size the queries would occupy.
-func (b *Batch) AvgDocBytes() float64 {
-	if len(b.docs) == 0 {
-		return 0
-	}
-	return float64(b.bytes) / float64(len(b.docs))
+// DocSize returns the packed bytes the i-th query would occupy and its
+// cell count (Reader interface).
+func (b *Batch) DocSize(i int) (bytes int64, cells int) {
+	return codec.EncodedRecordSize(len(b.docs[i].Cells)), len(b.docs[i].Cells)
 }
 
 // Documents iterates the queries in slice order, costing no I/O.

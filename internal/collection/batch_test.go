@@ -42,8 +42,10 @@ func TestBatchBasics(t *testing.T) {
 	if st.D != 0 || st.Bytes != 0 {
 		t.Errorf("memory-resident batch has storage sizes: %+v", st)
 	}
-	if b.AvgDocBytes() <= 0 {
-		t.Error("AvgDocBytes should reflect packed size")
+	for i, d := range docs {
+		if bytes, cells := b.DocSize(i); bytes != d.EncodedSize() || cells != len(d.Cells) {
+			t.Errorf("DocSize(%d) = %d bytes, %d cells; want the packed size %d and %d", i, bytes, cells, d.EncodedSize(), len(d.Cells))
+		}
 	}
 }
 
@@ -75,7 +77,7 @@ func TestBatchEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumDocs() != 0 || b.AvgDocBytes() != 0 || b.BaseStats().K != 0 {
+	if b.NumDocs() != 0 || b.BaseStats().K != 0 {
 		t.Errorf("empty batch: %+v", b.BaseStats())
 	}
 	if _, err := b.Documents().Next(); err != io.EOF {

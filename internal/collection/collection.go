@@ -468,8 +468,10 @@ type Reader interface {
 	Name() string
 	// NumDocs returns the number of documents the source yields.
 	NumDocs() int64
-	// AvgDocBytes returns the average packed document size in bytes.
-	AvgDocBytes() float64
+	// DocSize returns the packed bytes and the cell count of the i-th
+	// document Documents yields, 0 ≤ i < NumDocs(), without reading a
+	// page.
+	DocSize(i int) (bytes int64, cells int)
 	// Documents starts a new iteration over the source's documents.
 	Documents() DocIterator
 	// Base returns the underlying collection, or nil for sources that
@@ -506,13 +508,9 @@ type DocIterator interface {
 // Collection implements Reader over all its documents.
 var _ Reader = (*Collection)(nil)
 
-// AvgDocBytes returns the average packed document size in bytes.
-func (c *Collection) AvgDocBytes() float64 {
-	if c.stats.N == 0 {
-		return 0
-	}
-	return float64(c.stats.Bytes) / float64(c.stats.N)
-}
+// DocSize returns document i's packed bytes and cell count from the
+// directory (Reader interface).
+func (c *Collection) DocSize(i int) (int64, int) { return int64(c.refs[i].Len), int(c.refs[i].Terms) }
 
 // Documents starts a sequential scan (Reader interface).
 func (c *Collection) Documents() DocIterator { return c.Scan() }
@@ -540,8 +538,6 @@ type Subset struct {
 type subsetDerived struct {
 	statsOnce sync.Once
 	stats     Stats
-	avgOnce   sync.Once
-	avgBytes  float64
 }
 
 var _ Reader = (*Subset)(nil)
@@ -596,21 +592,9 @@ func (s *Subset) Terms() []uint32 { return s.c.Terms() }
 // storage costs are governed by the original, originally large file.
 func (s *Subset) BaseStats() Stats { return s.c.stats }
 
-// AvgDocBytes returns the average packed size of the selected documents,
-// computed from the directory once and memoized.
-func (s *Subset) AvgDocBytes() float64 {
-	s.der.avgOnce.Do(func() {
-		if len(s.ids) == 0 {
-			return
-		}
-		var total int64
-		for _, id := range s.ids {
-			total += int64(s.c.refs[id].Len)
-		}
-		s.der.avgBytes = float64(total) / float64(len(s.ids))
-	})
-	return s.der.avgBytes
-}
+// DocSize returns the i-th selected document's packed bytes and cell
+// count from the base collection's directory (Reader interface).
+func (s *Subset) DocSize(i int) (bytes int64, cells int) { return s.c.DocSize(int(s.ids[i])) }
 
 // Stats estimates the statistics of the subset viewed as a collection of
 // its own: N and K are measured from the document directory (no I/O), and

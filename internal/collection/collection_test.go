@@ -266,8 +266,10 @@ func TestReaderInterface(t *testing.T) {
 	if r.NumDocs() != 2 || r.Base() != c {
 		t.Error("Reader basics wrong")
 	}
-	if r.AvgDocBytes() != float64(c.Stats().Bytes)/2 {
-		t.Errorf("AvgDocBytes = %v", r.AvgDocBytes())
+	b0, n0 := r.DocSize(0)
+	b1, n1 := r.DocSize(1)
+	if b0+b1 != c.Stats().Bytes || n0 != 1 || n1 != 1 {
+		t.Errorf("DocSize = (%d, %d), (%d, %d); want %d bytes in all, 1 cell each", b0, n0, b1, n1, c.Stats().Bytes)
 	}
 	it := r.Documents()
 	n := 0
@@ -439,8 +441,11 @@ func TestReaderAccessors(t *testing.T) {
 	if len(terms) != 2 || terms[0] != 1 {
 		t.Errorf("subset Terms = %v", terms)
 	}
-	if sub.AvgDocBytes() <= 0 {
-		t.Error("subset AvgDocBytes")
+	for i, id := range sub.IDs() {
+		ref, _ := c.Ref(id)
+		if bytes, cells := sub.DocSize(i); bytes != int64(ref.Len) || cells != int(ref.Terms) {
+			t.Errorf("subset DocSize(%d) = %d bytes, %d cells; document %d has %+v", i, bytes, cells, id, ref)
+		}
 	}
 }
 
@@ -463,9 +468,6 @@ func TestSubsetStats(t *testing.T) {
 	empty, _ := c.Subset(nil)
 	if est := empty.Stats(); est.N != 0 || est.K != 0 {
 		t.Errorf("empty subset stats = %+v", est)
-	}
-	if empty.AvgDocBytes() != 0 {
-		t.Errorf("empty AvgDocBytes = %v", empty.AvgDocBytes())
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"textjoin/internal/corpus"
@@ -151,9 +152,10 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 			// No term in common with any batch.
 			streamed = kernelDocs(r, 5, 0, uint32(vocab), vocab, 12)
 		}
-		var block residentBlock
+		sizes := []int{1 + r.Intn(20), 1, 1 + r.Intn(40)}
+		block := newResidentBlock(slices.Max(sizes), 12*slices.Max(sizes), int64(vocab))
 		stages := map[string]*blockStage{}
-		for batchNo, size := range []int{1 + r.Intn(20), 1, 1 + r.Intn(40)} {
+		for batchNo, size := range sizes {
 			batch := kernelDocs(r, size, uint32(1000*(batchNo+1)), 0, vocab, 12)
 			block.regroup(batch)
 			for _, ks := range kernelScorers(t, r, batch, streamed, vocab) {
@@ -189,7 +191,7 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 					key := name + string(rune('0'+mode))
 					st := stages[key]
 					if st == nil {
-						st = &blockStage{block: &block, tk: topk.NewBlock(0, lambda)}
+						st = &blockStage{block: block, tk: topk.NewBlock(0, lambda)}
 						stages[key] = st
 					}
 					st.scorer = scorer
@@ -234,6 +236,23 @@ func blockOf(counts ...map[uint32]int) []document.Document {
 	return batch
 }
 
+// blockFor is a block sized, as a join sizes it from its plan, for the
+// largest of batches: its slots, its cells and its largest term.
+func blockFor(batches ...[]document.Document) *residentBlock {
+	slots, cells, terms := 0, 0, int64(0)
+	for _, batch := range batches {
+		n := 0
+		for _, d := range batch {
+			if k := len(d.Cells); k > 0 {
+				n += k
+				terms = max(terms, int64(d.Cells[k-1].Term)+1) // cells ascend by term
+			}
+		}
+		slots, cells = max(slots, len(batch)), max(cells, n)
+	}
+	return newResidentBlock(slots, cells, terms)
+}
+
 // TestBlockDirectoryResetsThroughTermList regroups two batches into one
 // block, the second lacking term 5 of the first and holding as many
 // entries, so the directory keeps its size and a stale entry for term 5
@@ -242,17 +261,18 @@ func blockOf(counts ...map[uint32]int) []document.Document {
 // clears the directory through the previous batch's term list, not over
 // the vocabulary.
 func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
-	var block residentBlock
-	st := &blockStage{scorer: rawScorer(t), block: &block, tk: topk.NewBlock(0, 3)}
-	d := document.New(7, map[uint32]int{5: 3})
-	for i, tc := range []struct {
+	cases := []struct {
 		batch       []document.Document
 		reached     int
 		falsePasses int64
 	}{
 		{blockOf(map[uint32]int{1: 1, 5: 2}, map[uint32]int{5: 1}), 2, 0},
 		{blockOf(map[uint32]int{2: 1, 3: 1}, map[uint32]int{3: 2}), 0, 1},
-	} {
+	}
+	block := blockFor(cases[0].batch, cases[1].batch)
+	st := &blockStage{scorer: rawScorer(t), block: block, tk: topk.NewBlock(0, 3)}
+	d := document.New(7, map[uint32]int{5: 3})
+	for i, tc := range cases {
 		block.regroup(tc.batch)
 		st.begin(nil)
 		st.score(d)
@@ -274,10 +294,10 @@ func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
 // passes, so a document of such terms alone reaches no slot.
 func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 	batch := blockOf(map[uint32]int{0: 2, 3: 1}, map[uint32]int{3: 4, 5: 1})
-	var block residentBlock
+	block := blockFor(batch)
 	block.regroup(batch)
 	scorer := rawScorer(t)
-	st := &blockStage{scorer: scorer, block: &block, tk: topk.NewBlock(0, 3)}
+	st := &blockStage{scorer: scorer, block: block, tk: topk.NewBlock(0, 3)}
 	st.begin(nil)
 	want := newPairwiseStage(scorer, batch, nil, 3)
 	beyond := uint32(len(block.dir) + 1000)
@@ -315,8 +335,8 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	batch := kernelDocs(r, 50, 0, 0, 40, 10)
-	var block residentBlock
-	st := &blockStage{block: &block, tk: topk.NewBlock(0, 3)}
+	block := blockFor(batch)
+	st := &blockStage{block: block, tk: topk.NewBlock(0, 3)}
 	block.regroup(batch)
 	st.begin(nil)
 	if allocs := testing.AllocsPerRun(10, func() {
@@ -381,9 +401,9 @@ func BenchmarkBlockScore(b *testing.B) {
 		return out
 	}
 	batch, stream := docs(2, int(p.NumDocs/3)), docs(1, int(p.NumDocs))
-	var block residentBlock
+	block := blockFor(batch)
 	block.regroup(batch)
-	st := &blockStage{scorer: rawScorer(b), block: &block, tk: topk.NewBlock(0, 20)}
+	st := &blockStage{scorer: rawScorer(b), block: block, tk: topk.NewBlock(0, 20)}
 	st.begin(nil)
 	b.ReportAllocs()
 	b.ResetTimer()

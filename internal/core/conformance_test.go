@@ -43,7 +43,8 @@ var conformFamilies = []conformFamily{
 // The remaining axes. A one-pass cell runs at the default budget, which
 // holds every shape whole. A split cell runs at the smallest budget its
 // plan admits, which must split the join: several passes, or an entry
-// cache that evicts for HVNL. Only the shapes that list a family in
+// cache that evicts for HVNL. HHNL, HHNL+pf and LSH split cells also run
+// at every larger budget that still splits, on every shape but WSJ/512. Only the shapes that list a family in
 // splits run its split cells. The outer kinds are C2 itself, a scattered
 // selection of two thirds of it, and the same documents as a
 // memory-resident query batch; a view cell binds the planned inputs to a
@@ -115,10 +116,6 @@ var storeShapes = []diffShape{
 // until the model covers them. The matrix fails on a miss not listed and
 // on a listed cell that stops missing, so the list only shrinks.
 var memoryMisses = map[string]bool{
-	// At B = 2 HHNL's batches hold more documents than the average-size
-	// estimate: the block and its trackers come to 1.6% above PeakBytes,
-	// so admission can let the join exceed its budget (ROADMAP item 17).
-	"skewed-df/HHNL": true, "skewed-df/HHNL+pf": true,
 	// The tight passes stay tables, but the plan charges the matrix a table
 	// may promote into: 2.4 times what the join holds (ROADMAP item 10(c)).
 	"sparse/VVM": true,
@@ -225,6 +222,27 @@ func (w *conformWorld) want(kind int, wt document.Weighting) []Result {
 	return rows
 }
 
+// splitBudgets are the budgets a split cell runs at: the smallest alg's
+// plan admits on in and, for a block family on a small shape, every larger
+// one whose plan still cuts the outer side into several batches.
+func splitBudgets(t *testing.T, shape diffShape, alg Algorithm, in Inputs, opts Options) []int64 {
+	t.Helper()
+	budgets := []int64{smallestBudget(t, alg, in, opts)}
+	if alg != HHNL && alg != LSH || shape.name == wsjShape.name {
+		return budgets
+	}
+	for opts.MemoryPages = budgets[0] + 1; ; opts.MemoryPages++ {
+		dec, err := Plan(alg, in, opts)
+		if err != nil {
+			t.Fatalf("%v at B=%d: %v", alg, opts.MemoryPages, err)
+		}
+		if dec.mem.cut.batches <= 1 {
+			return budgets
+		}
+		budgets = append(budgets, opts.MemoryPages)
+	}
+}
+
 // smallestBudget is the fewest pages alg's plan admits on in.
 func smallestBudget(t *testing.T, alg Algorithm, in Inputs, opts Options) int64 {
 	t.Helper()
@@ -255,25 +273,20 @@ func (w *conformWorld) run(t *testing.T, c conformCell) {
 }
 
 // runWith joins one cell with prefilter pf, which only the prefiltered
-// families use. A cell whose family cannot run on its inputs must fail
-// with ErrMissingInput. Every violation is reported under the cell's name.
+// families use, at each of its budgets. A cell whose family cannot run on
+// its inputs must fail with ErrMissingInput.
 func (w *conformWorld) runWith(t *testing.T, c conformCell, pf *Prefilter) {
 	t.Helper()
-	fam, e, lambda := conformFamilies[c.family], w.e, w.shape.lambda
+	fam := conformFamilies[c.family]
 	name := w.shape.name + "/" + c.String()
 	if fam.pf {
 		name += fmt.Sprintf("/code %d", slices.Index(w.pfs, pf))
 	}
-	in := e.inputs()
+	in := w.e.inputs()
 	in.Outer = w.outers[c.kind]
-	opts := Options{Lambda: lambda, Weighting: c.w, LSH: w.lsh}
+	opts := Options{Lambda: w.shape.lambda, Weighting: c.w, LSH: w.lsh}
 	if fam.pf || fam.alg == VVM || fam.alg == LSH {
 		opts.Prefilter = pf // which VVM and LSH must ignore
-	}
-	var trace *reqtrace.Span
-	if fam.alg == VVM {
-		trace = reqtrace.NewTracer(1, time.Now).StartTrace(name)
-		opts.Trace = trace
 	}
 	if fam.alg == VVM && c.kind == 2 {
 		if _, err := Plan(VVM, in, opts); !errors.Is(err, ErrMissingInput) {
@@ -281,8 +294,26 @@ func (w *conformWorld) runWith(t *testing.T, c conformCell, pf *Prefilter) {
 		}
 		return
 	}
+	budgets := []int64{opts.MemoryPages}
 	if c.regime == 1 {
-		opts.MemoryPages = smallestBudget(t, fam.alg, in, opts)
+		budgets = splitBudgets(t, w.shape, fam.alg, in, opts)
+	}
+	for _, b := range budgets {
+		opts.MemoryPages = b
+		w.check(t, c, name, in, opts)
+	}
+}
+
+// check joins one cell at one budget and holds it to the reference, its
+// regime and the memory model. Every violation is reported under the
+// cell's name and budget.
+func (w *conformWorld) check(t *testing.T, c conformCell, name string, in Inputs, opts Options) {
+	t.Helper()
+	fam, e, lambda := conformFamilies[c.family], w.e, w.shape.lambda
+	var trace *reqtrace.Span
+	if fam.alg == VVM {
+		trace = reqtrace.NewTracer(1, time.Now).StartTrace(name)
+		opts.Trace = trace
 	}
 	dec, err := Plan(fam.alg, in, opts)
 	if err != nil {
@@ -335,6 +366,10 @@ func (w *conformWorld) runWith(t *testing.T, c conformCell, pf *Prefilter) {
 
 	if splitJoin(st) != (c.regime == 1) {
 		fail("%d passes, %d evictions: regime not entered", st.Passes, st.Cache.Evictions)
+	}
+	// The run fills the batches the plan cut.
+	if (fam.alg == HHNL || fam.alg == LSH) && st.Passes != dec.mem.cut.batches {
+		fail("%d passes, the plan cut %d batches", st.Passes, dec.mem.cut.batches)
 	}
 
 	want, diff := w.want(c.kind, c.w), error(nil)

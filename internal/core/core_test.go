@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,7 @@ import (
 	"textjoin/internal/entrycache"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
+	"textjoin/internal/lsh"
 	"textjoin/internal/topk"
 )
 
@@ -190,11 +192,99 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestHHNLInsufficientMemory: an outer document no resident batch can hold
+// is rejected at plan time. Plan(HHNL) and Plan(LSH) fail with
+// ErrInsufficientMemory before a page is read, and the integrated plan
+// either picks a family whose run succeeds or fails the same way. The
+// shapes: documents of up to 20 terms where λ above N1 charges N1 slots
+// each, and one 120-term query among 20 one-term queries.
 func TestHHNLInsufficientMemory(t *testing.T) {
-	e := buildEnv(t, 6, 10, 10, 30, 20, 64)
-	_, _, err := Join(HHNL, e.inputs(), Options{Lambda: 100000, MemoryPages: 2})
-	if !errors.Is(err, ErrInsufficientMemory) {
-		t.Errorf("err = %v, want ErrInsufficientMemory", err)
+	wide := buildEnv(t, 6, 10, 10, 30, 20, 64)
+	long := buildEnv(t, 7, 30, 5, 400, 6, 256)
+	sidecars := map[*env]*lsh.Sidecar{wide: buildDiffLSH(t, wide, lshDiffConfig), long: buildDiffLSH(t, long, lshDiffConfig)}
+	queries := make([]*document.Document, 21)
+	for i := range 20 {
+		queries[i] = document.New(uint32(i), map[uint32]int{uint32(i): 1})
+	}
+	counts := map[uint32]int{}
+	for term := range 120 {
+		counts[uint32(term)] = 1
+	}
+	queries[20] = document.New(20, counts)
+	batch, err := collection.NewBatch("queries", queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		e     *env
+		outer collection.Reader
+		opts  Options
+	}{
+		{"λ above N1/B=2", wide, wide.c2, Options{Lambda: 100000, MemoryPages: 2}},
+		{"long query/B=2", long, batch, Options{MemoryPages: 2}},
+		{"long query/B=3", long, batch, Options{MemoryPages: 3}},
+	} {
+		in := tc.e.inputs()
+		in.Outer = tc.outer
+		opts := tc.opts
+		opts.LSH, opts.RecallSLO = sidecars[tc.e], 0.5
+		before := tc.e.disk.Stats()
+		for _, alg := range []Algorithm{HHNL, LSH} {
+			if _, err := Plan(alg, in, opts); !errors.Is(err, ErrInsufficientMemory) {
+				t.Errorf("%s: Plan(%v) err = %v, want ErrInsufficientMemory", tc.name, alg, err)
+			}
+		}
+		if after := tc.e.disk.Stats(); after != before {
+			t.Errorf("%s: planning read pages: %+v -> %+v", tc.name, before, after)
+		}
+		dec, err := Plan(Auto, in, opts)
+		if err != nil {
+			if !errors.Is(err, ErrInsufficientMemory) {
+				t.Errorf("%s: Plan(Auto) err = %v, want ErrInsufficientMemory", tc.name, err)
+			}
+			continue
+		}
+		if _, _, err := dec.Run(in, opts); err != nil {
+			t.Errorf("%s: Plan(Auto) chose %v, whose run fails: %v", tc.name, dec.Chosen, err)
+		}
+	}
+}
+
+// paddedSizes is an outer side whose directory reports every document one
+// byte larger than its stream packs it.
+type paddedSizes struct{ collection.Reader }
+
+func (p paddedSizes) DocSize(i int) (int64, int) {
+	bytes, cells := p.Reader.DocSize(i)
+	return bytes + 1, cells
+}
+
+// TestBlockRunChecksThePlannedCut: the run fills the batches the plan cut
+// from the outer directory into buffers sized for the largest. A batch
+// whose documents pack otherwise than the directory says, or one larger
+// than the plan's largest, is an error, not a wrong charge or a panic.
+func TestBlockRunChecksThePlannedCut(t *testing.T) {
+	e := buildEnv(t, 12, 20, 20, 30, 8, 128)
+	padded, small := e.inputs(), e.inputs()
+	padded.Outer = paddedSizes{e.c2}
+	sub, err := e.c2.Subset([]uint32{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.Outer = sub
+	opts := Options{Lambda: 3, MemoryPages: 4, LSH: buildDiffLSH(t, e, lshDiffConfig)}
+	for _, alg := range []Algorithm{HHNL, LSH} {
+		if _, _, err := Join(alg, padded, opts); err == nil || !strings.Contains(err.Error(), "the plan cut") {
+			t.Errorf("%v: err = %v, want the fill to reject a batch that packs otherwise", alg, err)
+		}
+		dec, err := Plan(alg, small, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := dec.Run(e.inputs(), opts); err == nil || !strings.Contains(err.Error(), "the plan cut") {
+			t.Errorf("%v: err = %v, want the fill to reject a batch past the plan's largest", alg, err)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"textjoin/internal/accum"
 	"textjoin/internal/codec"
 	"textjoin/internal/document"
-	"textjoin/internal/iosim"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/signature"
 	"textjoin/internal/topk"
@@ -28,11 +27,14 @@ import (
 //
 // realized in exact bytes: ⌈S1⌉ pages are reserved to hold one inner
 // document, and each outer document charges its packed size plus 4λ bytes
-// for its similarity slots. The resident batch is held regrouped by term
-// (residentBlock): the same cells in another order, a slot number and a
-// weight per cell and a directory entry per distinct term in place of a
-// header per document. It is charged to the same B by that same rule, so X,
-// the passes and the page reads are what the paper's formula says.
+// for its similarity slots. Plan cuts the batches from the outer directory
+// by that rule (nextBatch) and the run fills the batches it cut, so the
+// plan charges the largest one exactly. The resident batch is held
+// regrouped by term (residentBlock): the same cells in another order, a
+// slot number and a weight per cell and a directory entry per distinct
+// term in place of a header per document. It is charged to the same B by
+// that same rule, so X, the passes and the page reads are what the paper's
+// formula says.
 //
 // The paper prices the similarity computation at nothing; here it is the
 // whole CPU cost, so "compute its similarity with every resident C2
@@ -74,72 +76,41 @@ func runHHNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	return b.run()
 }
 
-// streamReserve is the whole pages (at least one) set aside for the one
-// resident document of the streamed side.
-func streamReserve(avgDocBytes float64, pageSize int64) int64 {
-	return max(pageSize, iosim.PagesForBytes(int64(avgDocBytes+0.999), int(pageSize))*pageSize)
+// batchArena holds the resident batch in one cell arena reused from batch
+// to batch, so the stream may yield reuse-path documents: each is copied
+// before the next is read.
+type batchArena struct {
+	docs  []document.Document
+	cells []document.Cell
 }
 
-// batchFiller cuts a document stream into memory-budgeted resident
-// batches, carrying the document that overflowed one batch into the next.
-// Each document charges its packed size plus overhead bytes. The batches
-// live in one cell arena reused from batch to batch, so next may yield
-// reuse-path documents: each is copied before the following call.
-type batchFiller struct {
-	next     func() (*document.Document, error)
-	budget   int64
-	overhead int64
-	pending  *document.Document
-	done     bool
-	docs     []document.Document
-	cells    []document.Cell
-}
-
-// batchSlack pads a buffer sized from one full batch, measured or
-// expected: batches are cut by bytes, so their document and cell counts
-// differ by a few percent, and a sixteenth more makes a regrow rare.
-func batchSlack(n int) int { return n + n/16 + 1 }
-
-// newBatchFiller sizes the arena for a full batch of average documents of
-// a stream of n documents of avgBytes packed bytes each.
-func newBatchFiller(next func() (*document.Document, error), budget, overhead, n int64, avgBytes float64) *batchFiller {
-	docs := batchDocs(n, budget, avgBytes, overhead)
-	cells := docs * (avgBytes - codec.DocHeaderSize) / codec.CellSize
-	return &batchFiller{next: next, budget: budget, overhead: overhead,
-		docs:  make([]document.Document, 0, batchSlack(int(docs))),
-		cells: make([]document.Cell, 0, batchSlack(int(cells)))}
-}
-
-// fill returns the next batch and the bytes it charges; an empty batch
-// means the stream is exhausted. The batch is valid until the next fill.
-func (f *batchFiller) fill() (batch []document.Document, used int64, err error) {
-	f.docs, f.cells = f.docs[:0], f.cells[:0]
-	for !f.done {
-		d := f.pending
-		f.pending = nil
-		if d == nil {
-			if d, err = f.next(); err == io.EOF {
-				f.done = true
-				break
-			} else if err != nil {
-				return nil, 0, err
-			}
+// fill reads the batch of the next n documents, valid until the next fill,
+// and the bytes it charges: the packed sizes plus overhead each. A batch
+// that packs otherwise than the directory the plan cut is an error, and so
+// is one the arena, sized for the plan's largest, cannot hold: the fill
+// stops short of it.
+func (a *batchArena) fill(next func() (*document.Document, error), n int, overhead, planned int64) ([]document.Document, int64, error) {
+	a.docs, a.cells = a.docs[:0], a.cells[:0]
+	var used int64
+	for range n {
+		d, err := next()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, 0, err
 		}
-		cost := d.EncodedSize() + f.overhead
-		if used+cost > f.budget {
-			if len(f.docs) > 0 {
-				f.pending = d
-				break
-			}
-			return nil, 0, fmt.Errorf("%w: outer document %d (%d bytes) exceeds the batch budget %d",
-				ErrInsufficientMemory, d.ID, cost, f.budget)
+		if len(a.docs) == cap(a.docs) || len(a.cells)+len(d.Cells) > cap(a.cells) {
+			break
 		}
-		start := len(f.cells)
-		f.cells = append(f.cells, d.Cells...)
-		f.docs = append(f.docs, document.Document{ID: d.ID, Cells: f.cells[start:len(f.cells):len(f.cells)]})
-		used += cost
+		start := len(a.cells)
+		a.cells = append(a.cells, d.Cells...)
+		a.docs = append(a.docs, document.Document{ID: d.ID, Cells: a.cells[start:len(a.cells):len(a.cells)]})
+		used += d.EncodedSize() + overhead
 	}
-	return f.docs, used, nil
+	if used != planned {
+		return nil, 0, fmt.Errorf("core: an outer batch of %d documents charges %d bytes, the plan cut %d bytes", n, used, planned)
+	}
+	return a.docs, used, nil
 }
 
 // blockJoin is the block skeleton HHNL and LSH share: fill a
@@ -168,28 +139,27 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	fillName, invertName, flushName := name+".fill-batch", name+".invert-batch", name+".flush-batch"
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	outer := in.Outer.Documents()
-	filler := newBatchFiller(outer.NextReuse,
-		b.mem.batch, 4*int64(opts.Lambda), in.Outer.NumDocs(), in.Outer.AvgDocBytes())
-	// The block, its accumulator and the stage's tracker slab are built once
-	// and reused by every batch, except the slab's matches: each batch's
-	// become its result rows.
-	var block residentBlock
-	st := &blockStage{scorer: b.scorer, block: &block, tk: topk.NewBlock(0, opts.Lambda)}
+	// The arena, the block, its accumulator and the stage's tracker slab
+	// are sized for the plan's largest batch and reused by every batch,
+	// except the slab's matches: each batch's become its result rows.
+	cut, overhead := b.mem.cut, 4*int64(opts.Lambda)
+	arena := batchArena{docs: make([]document.Document, 0, cut.slots), cells: make([]document.Cell, 0, cut.cells)}
+	block := newResidentBlock(cut.slots, cut.cells, termSpan(in.Outer))
+	st := &blockStage{scorer: b.scorer, block: block, tk: topk.NewBlock(0, opts.Lambda)}
 
 	results := make([]Result, 0, in.Outer.NumDocs())
-	for {
+	for start, n := 0, int(in.Outer.NumDocs()); start < n; {
+		end, planned, _ := nextBatch(in.Outer, start, cut.budget, overhead)
 		fill := trace.StartChild(reqtrace.PhaseScan, fillName)
-		batch, used, err := filler.fill()
+		batch, used, err := arena.fill(outer.NextReuse, end-start, overhead, planned)
 		fill.End()
 		if err != nil {
 			return nil, nil, err
 		}
-		if len(batch) == 0 {
-			break
-		}
+		start = end
 		stats.Passes++
 		stats.OuterDocs += int64(len(batch))
-		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, b.mem.reserve+used)
+		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, cut.reserve+used)
 
 		var keep []bool
 		var lists [][]int32
@@ -250,7 +220,8 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 // so that one streamed document is scored against the whole batch by
 // walking its cells past the postings (the paper's HVNL idea, Section 4.2,
 // applied to the block HHNL already holds). It is rebuilt for every batch
-// into the same buffers; between two regroups only acc changes.
+// into the same buffers, sized once for the largest; between two regroups
+// only acc changes.
 type residentBlock struct {
 	ids []uint32 // slot → document id
 	// dir is indexed by term number: 0 for a term the batch lacks, 1+e for
@@ -263,33 +234,27 @@ type residentBlock struct {
 	acc   *accum.Flat // over the slots: the streamed document being scored
 }
 
+// newResidentBlock sizes a block for batches of at most slots documents and
+// cells cells whose term numbers lie below terms.
+func newResidentBlock(slots, cells int, terms int64) *residentBlock {
+	return &residentBlock{ids: make([]uint32, 0, slots), acc: accum.NewFlat(slots),
+		dir: make([]int32, terms), post: make([]codec.Cell, cells)}
+}
+
 // regroup is a counting sort of the batch's cells by term. The first pass
 // counts each term's cells (held negated in dir) and lists the terms in
 // first-seen order; numbering them in that order makes entry e's postings
 // start where entry e-1's end; the second pass places the cells. Cells are
-// visited in slot order, so each term's postings ascend by slot.
+// visited in slot order, so each term's postings ascend by slot. The block
+// must have been sized for the batch (newResidentBlock).
 func (b *residentBlock) regroup(batch []document.Document) {
 	for _, t := range b.terms {
 		b.dir[t] = 0
 	}
-	if b.acc == nil || cap(b.ids) < len(batch) {
-		b.ids = make([]uint32, 0, batchSlack(len(batch)))
-		b.acc = accum.NewFlat(cap(b.ids))
-	}
 	b.ids = b.ids[:0]
-	cells, top := 0, -1
-	for i := range batch {
-		b.ids = append(b.ids, batch[i].ID)
-		if n := len(batch[i].Cells); n > 0 {
-			cells += n
-			top = max(top, int(batch[i].Cells[n-1].Term)) // cells ascend by term
-		}
-	}
-	if top >= len(b.dir) {
-		b.dir = make([]int32, batchSlack(top+1))
-	}
 	dir, terms := b.dir, b.terms[:0]
 	for i := range batch {
+		b.ids = append(b.ids, batch[i].ID)
 		for _, c := range batch[i].Cells {
 			if dir[c.Term] == 0 {
 				terms = append(terms, c.Term)
@@ -306,10 +271,7 @@ func (b *residentBlock) regroup(batch []document.Document) {
 		next -= dir[t]
 		dir[t] = int32(e) + 1
 	}
-	if cap(b.post) < cells {
-		b.post = make([]codec.Cell, batchSlack(cells)) // the first batch is a full one
-	}
-	post := b.post[:cells]
+	post := b.post
 	for i := range batch {
 		for _, c := range batch[i].Cells {
 			k := dir[c.Term]
@@ -317,7 +279,7 @@ func (b *residentBlock) regroup(batch []document.Document) {
 			offs[k]++
 		}
 	}
-	b.terms, b.offs, b.post = terms, offs, post
+	b.terms, b.offs = terms, offs
 }
 
 // bytes is what the block holds beside the batch it regroups: its

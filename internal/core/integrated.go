@@ -45,7 +45,7 @@ func modelInput(in Inputs) (costmodel.Input, error) {
 // choose is the selection step of the integrated algorithm: it estimates
 // every candidate plan's cost from the inputs' measured statistics and
 // picks the cheapest one B can hold whose structures are present.
-func choose(in Inputs, opts Options) (Decision, error) {
+func choose(in Inputs, opts Options, cut outerCut) (Decision, error) {
 	mi, err := modelInput(in)
 	if err != nil {
 		return Decision{}, err
@@ -82,7 +82,7 @@ func choose(in Inputs, opts Options) (Decision, error) {
 	best, found := 0, false
 	for i, e := range dec.Estimates {
 		alg := Algorithm(e.Algorithm) // costmodel mirrors core's identifiers
-		if _, err := planMemory(alg, in, opts); err != nil || e.Algorithm == costmodel.AlgLSH && e.Recall < opts.RecallSLO {
+		if _, err := planMemory(alg, in, opts, cut); err != nil || e.Algorithm == costmodel.AlgLSH && e.Recall < opts.RecallSLO {
 			continue
 		}
 		if !found || e.Seq < dec.Estimates[best].Seq {

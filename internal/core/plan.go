@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"textjoin/internal/accum"
 	"textjoin/internal/codec"
@@ -56,9 +55,10 @@ func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
 	}
 	span := opts.Trace.StartChild(reqtrace.PhasePlan, name)
 	defer span.End()
+	cut := cutOuter(in, opts)
 	var err error
 	if alg == Auto {
-		if dec, err = choose(in, opts); err != nil {
+		if dec, err = choose(in, opts, cut); err != nil {
 			return dec, err
 		}
 		recordPlan(span, dec)
@@ -69,7 +69,7 @@ func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
 	if !dec.Prefiltered {
 		opts.Prefilter = nil
 	}
-	dec.mem, err = planMemory(dec.Chosen, in, opts)
+	dec.mem, err = planMemory(dec.Chosen, in, opts, cut)
 	dec.PeakBytes = dec.mem.held
 	span.SetInt("plan.peak_bytes", dec.PeakBytes)
 	return dec, err
@@ -145,17 +145,17 @@ func trackerBytes(lambda int) int64 { return int64(lambda)*matchBytes + barBytes
 // λ-trackers and the result rows held until the reply is written.
 // Stats.PeakMemoryBytes counts the same parts as the join allocates them.
 type memory struct {
-	reserve, batch  int64 // block families: ⌈S⌉ pages for the streamed document, the resident batch's rest
-	outerDoc, cache int64 // HVNL: ⌈S2⌉ pages, the entry cache's share
-	passBytes       int64 // VVM: M = (B − ⌈J1⌉ − ⌈J2⌉)·P
-	passes          int   // VVM: ⌈SM/M⌉ ranges, at most one per outer document
-	storeBytes      int64 // VVM: the largest matrix a pass starts dense in
+	cut             outerCut // block families: the resident batches
+	outerDoc, cache int64    // HVNL: ⌈S2⌉ pages, the entry cache's share
+	passBytes       int64    // VVM: M = (B − ⌈J1⌉ − ⌈J2⌉)·P
+	passes          int      // VVM: ⌈SM/M⌉ ranges, at most one per outer document
+	storeBytes      int64    // VVM: the largest matrix a pass starts dense in
 	held            int64
 }
 
-// planMemory computes alg's memory plan from Options and the inputs'
-// resident statistics.
-func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
+// planMemory computes alg's memory plan from Options, the inputs' resident
+// statistics and the plan's walk of the outer directory.
+func planMemory(alg Algorithm, in Inputs, opts Options, cut outerCut) (memory, error) {
 	var m memory
 	missing := ""
 	switch {
@@ -186,15 +186,16 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 	rows := n2 * (rowBytes + tracker)
 	switch {
 	case alg == HHNL || alg == LSH:
-		// X = (B − ⌈S1⌉) / (S2 + 4λ/P), in bytes (runHHNL).
-		m.reserve = streamReserve(in.Inner.AvgDocBytes(), pageSize)
-		if m.batch = total - m.reserve; m.batch <= 0 {
-			return m, fmt.Errorf("%w: B=%d pages cannot hold one inner document (%d bytes reserved)",
-				ErrInsufficientMemory, opts.MemoryPages, m.reserve)
+		// X = (B − ⌈S1⌉) / (S2 + 4λ/P), in bytes (runHHNL): the cut's
+		// largest batch, its slots and its directory.
+		m.cut = cut
+		if cut.over >= 0 {
+			bytes, _ := in.Outer.DocSize(cut.over)
+			return m, fmt.Errorf("%w: B=%d pages cannot hold outer document %d of %s (%d bytes with its similarity slots) beside one inner document (%d bytes reserved)",
+				ErrInsufficientMemory, opts.MemoryPages, cut.over, in.Outer.Name(), bytes+4*lambda, cut.reserve)
 		}
-		slots := int64(batchSlack(int(batchDocs(n2, m.batch, in.Outer.AvgDocBytes(), 4*lambda))))
-		data := int64(math.Ceil(in.Outer.AvgDocBytes()*float64(n2))) + 4*lambda*n2
-		m.held = m.reserve + min(m.batch, data) + slots*(accumBytes+slabSlot) + dirBytes(in.Outer) + rows
+		slots := int64(cut.slots)
+		m.held = cut.reserve + cut.fill + slots*(accumBytes+slabSlot) + termSpan(in.Outer)*slotBytes + rows
 		if alg == HHNL && opts.Prefilter != nil {
 			m.held += n1 // the keep vector
 		} else if alg == LSH {
@@ -210,7 +211,7 @@ func planMemory(alg Algorithm, in Inputs, opts Options) (memory, error) {
 	case alg == HVNL:
 		// The entry cache's X (runHVNL); the B+tree has 9 bytes per term.
 		inv := in.InnerInv.Stats()
-		m.outerDoc = iosim.PagesForBytes(int64(in.Outer.AvgDocBytes()+0.999), int(pageSize)) * pageSize
+		m.outerDoc = iosim.PagesForBytes(int64(avgBytes(cut.bytes, n2)+0.999), int(pageSize)) * pageSize
 		btree := iosim.PagesForBytes(inv.Entries*codec.BTreeCellSize, int(pageSize)) * pageSize
 		acc := int64(4 * float64(n1) * delta)
 		if m.cache = total - m.outerDoc - btree - acc; m.cache <= 0 {
@@ -271,14 +272,64 @@ func (m memory) largest(n int) int {
 	return n - (m.passes-1)*n/m.passes
 }
 
-// batchDocs is how many documents of avgBytes packed bytes, each charging
-// overhead more, a full resident batch of a stream of n holds.
-func batchDocs(n, budget int64, avgBytes float64, overhead int64) float64 {
-	return min(float64(n), float64(budget)/(avgBytes+float64(overhead)))
+// outerCut is Plan's one walk of the outer directory: the outer side's
+// packed bytes, and its cut by nextBatch into HHNL's and LSH's batches.
+type outerCut struct {
+	bytes           int64 // the outer documents' packed bytes in all
+	reserve, budget int64 // ⌈S1⌉ whole pages (at least one) for the streamed inner document; the rest of B·P
+	batches         int
+	slots, cells    int   // the most documents, and the most cells, one batch holds
+	fill            int64 // the most bytes one batch charges
+	over            int   // the first document no batch can hold, -1 for none
 }
 
-// dirBytes is a resident block's term-indexed directory over r's terms.
-func dirBytes(r collection.Reader) int64 { return slotBytes * int64(batchSlack(int(termSpan(r)))) }
+// cutOuter walks the outer directory once for Plan. It reads no page.
+func cutOuter(in Inputs, opts Options) outerCut {
+	c := outerCut{over: -1}
+	if in.Outer == nil || in.Inner == nil {
+		return c
+	}
+	st, pageSize := in.Inner.Stats(), int64(in.Inner.File().PageSize())
+	c.reserve = max(pageSize, iosim.PagesForBytes(int64(avgBytes(st.Bytes, st.N)+0.999), int(pageSize))*pageSize)
+	c.budget = opts.MemoryPages*pageSize - c.reserve
+	overhead := 4 * int64(opts.Lambda)
+	for start, n := 0, int(in.Outer.NumDocs()); start < n; {
+		end, used, cells := nextBatch(in.Outer, start, c.budget, overhead)
+		if used > c.budget && c.over < 0 {
+			c.over = start
+		}
+		c.batches++
+		c.slots, c.cells, c.fill = max(c.slots, end-start), max(c.cells, cells), max(c.fill, used)
+		c.bytes += used - int64(end-start)*overhead
+		start = end
+	}
+	return c
+}
+
+// nextBatch is the one rule, the plan's and the run's, that cuts the outer
+// stream: the batch from document start on ends before the first document
+// that would overflow budget, each charging its packed bytes plus overhead.
+// It returns the end, the bytes charged and the cells held. A batch holds
+// at least one document, which may alone overflow.
+func nextBatch(r collection.Reader, start int, budget, overhead int64) (end int, used int64, cells int) {
+	n := int(r.NumDocs())
+	for end = start; end < n; end++ {
+		bytes, k := r.DocSize(end)
+		if end > start && used+bytes+overhead > budget {
+			break
+		}
+		used, cells = used+bytes+overhead, cells+k
+	}
+	return end, used, cells
+}
+
+// avgBytes is the average size of n documents of bytes packed bytes in all.
+func avgBytes(bytes, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(bytes) / float64(n)
+}
 
 // termSpan is the length of a table indexed by r's term numbers.
 func termSpan(r collection.Reader) int64 {
