@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fuzz-smoke race perf perf-aa trace-smoke obs-smoke bench-json bench-load smoke-bin loadgen-smoke slo-smoke lint lint-report
+.PHONY: build test verify fuzz-smoke race perf perf-aa trace-smoke obs-smoke bench-json bench-load smoke-bin lint lint-report
 
 build:
 	$(GO) build ./...
@@ -34,15 +34,20 @@ test: build
 # flight recorder that keeps the finished trees, the SLO engine computing
 # error budgets over the collector, and the observability server that
 # scrapes both during in-flight joins. The core run includes the differential harness
-# (trace on/off invariance; RecordJoin under concurrent scrapes). It
-# finishes with the observability smokes: the self-driving textjoind
-# endpoint check, the load-generator gate, the SLO/error-budget gate, the
+# (trace on/off invariance; RecordJoin under concurrent scrapes), and the
+# textjoind run includes TestServingSchedule, the seeded in-process
+# serving harness: concurrent joins with scrapes in flight, 400, 422,
+# admission 503s and a mid-join fault, with admission, views, the I/O
+# ledger, counters, SLO windows and traces checked after every step. It
+# took over what the load-generator and SLO gates checked with a real
+# server and client process, so neither runs here any more. It
+# finishes with the smokes: one real-socket textjoind boot, the
 # command-line run's exposition and trace piped into tracecheck, the
 # page-read grid checked against its baseline, and a short fuzz of every
 # decoder. benchmark/ is a module of its own that root ./... patterns
 # never reach, so it is vetted and tested by name: a facade rename must
 # not break it unnoticed.
-verify: obs-smoke loadgen-smoke slo-smoke trace-smoke bench-json fuzz-smoke
+verify: obs-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
@@ -108,11 +113,9 @@ perf-aa:
 trace-smoke:
 	$(GO) run ./cmd/textjoin -p1 wsj -p2 wsj -scale 8192 -alg auto -lambda 5 -mem 200 -show 0 -telemetry json 2>&1 1>/dev/null | $(GO) run ./cmd/tracecheck
 
-# obs-smoke boots textjoind on an ephemeral loopback port, drives every
-# endpoint (/healthz, /join alone and in a concurrent burst, /metrics,
-# /debug/requests, /debug/pprof/), validates the exposition
-# with the strict parser and a request's trace with the tracecheck schema,
-# and shuts down cleanly — all in-process, no curl needed.
+# obs-smoke boots textjoind on an ephemeral loopback port, answers one
+# /join and one /metrics scrape over real HTTP, checks the exposition with
+# the strict parser, and shuts down cleanly — no curl needed.
 obs-smoke:
 	$(GO) run ./cmd/textjoind -smoke
 
@@ -131,12 +134,12 @@ obs-smoke:
 bench-json:
 	$(GO) run ./cmd/benchreport -q -baseline BENCH_BASELINE.json
 
-# The load-generator targets run a real server process and a real client
-# process. Their binaries are built where benchmark/run.sh builds its own,
-# under the ignored .bench_build/bin (under names of their own: the
-# benchmark's textjoind may be running), so make verify writes nothing
-# outside the checkout. smoke-bin runs once per make invocation and leaves
-# rebuilding to the Go build cache.
+# bench-load runs a real server process and a real client process. Their
+# binaries are built where benchmark/run.sh builds its own, under the
+# ignored .bench_build/bin (under names of their own: the benchmark's
+# textjoind may be running), so nothing is written outside the checkout.
+# smoke-bin runs once per make invocation and leaves rebuilding to the Go
+# build cache.
 SMOKE_BIN := .bench_build/bin
 SMOKE_SERVER := $(SMOKE_BIN)/textjoind.smoke
 SMOKE_CLIENT := $(SMOKE_BIN)/loadgen.smoke
@@ -144,31 +147,6 @@ smoke-bin:
 	@mkdir -p $(SMOKE_BIN)
 	$(GO) build -o $(SMOKE_SERVER) ./cmd/textjoind
 	$(GO) build -o $(SMOKE_CLIENT) ./cmd/loadgen
-
-# loadgen-smoke is the CI check for the concurrent serving path: boot a
-# real textjoind on a loopback port, fire a short open-loop run over the
-# mixed request profiles, and fail unless every request completed with
-# plausible latency percentiles. The server is killed whether or not the
-# check passes.
-LOADGEN_PORT ?= 18573
-loadgen-smoke: smoke-bin
-	@$(SMOKE_SERVER) -addr 127.0.0.1:$(LOADGEN_PORT) -scale 4096 & \
-	pid=$$!; \
-	$(SMOKE_CLIENT) -addr http://127.0.0.1:$(LOADGEN_PORT) -wait 30s -rate 40 -duration 2s -check; \
-	rc=$$?; kill $$pid 2>/dev/null; exit $$rc
-
-# slo-smoke is the CI gate for the SLO layer: boot a real textjoind,
-# drive a fixed-rate run, then scrape /metrics (-slo) so the run fails
-# unless the textjoin_slo_* families pass the strict exposition parser
-# AND both error budgets (availability, latency) end the run with
-# budget remaining. -check also enforces the client-vs-server clock
-# gates: no reply may claim more server time than the client measured.
-SLO_PORT ?= 18574
-slo-smoke: smoke-bin
-	@$(SMOKE_SERVER) -addr 127.0.0.1:$(SLO_PORT) -scale 4096 & \
-	pid=$$!; \
-	$(SMOKE_CLIENT) -addr http://127.0.0.1:$(SLO_PORT) -wait 30s -rate 40 -duration 3s -slo -check; \
-	rc=$$?; kill $$pid 2>/dev/null; exit $$rc
 
 # bench-load reproduces the checked-in BENCH_PR7.json: the identical
 # open-loop arrival process against a serialized server (-budget-mb 0:

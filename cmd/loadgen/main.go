@@ -14,7 +14,6 @@
 //	loadgen -addr http://localhost:8080 -rate 50 -duration 10s
 //	loadgen -target serialized=http://:8081 -target concurrent=http://:8082 \
 //	        -rate 200 -duration 10s -json BENCH_PR7.json
-//	loadgen -addr http://localhost:8080 -wait 15s -check   # CI smoke
 package main
 
 import (
@@ -26,12 +25,9 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"textjoin/internal/metrics"
 )
 
 // target is one server under load.
@@ -108,21 +104,8 @@ type runStat struct {
 	ServerP50Ms float64 `json:"server_p50_ms"`
 	GapP50Ms    float64 `json:"gap_p50_ms"`
 	// ServerOverruns counts replies whose self-reported time exceeded
-	// the client-measured latency — impossible if both clocks are sane,
-	// so any non-zero value fails -check.
+	// the client-measured latency — impossible if both clocks are sane.
 	ServerOverruns int64 `json:"server_overruns"`
-	// SLO is the target's textjoin_slo_* state scraped after the run
-	// (present only with -slo).
-	SLO []sloStat `json:"slo,omitempty"`
-}
-
-// sloStat is one objective's error-budget state scraped from /metrics.
-type sloStat struct {
-	Objective       string  `json:"objective"`
-	Target          float64 `json:"target"`
-	Compliance      float64 `json:"compliance"`
-	BudgetRemaining float64 `json:"budget_remaining"`
-	BurnRate        float64 `json:"burn_rate"`
 }
 
 func main() {
@@ -136,8 +119,6 @@ func main() {
 	mix := flag.String("mix", defaultMix, "request profiles, '|'-separated /join query fragments, cycled per arrival")
 	wait := flag.Duration("wait", 0, "poll each target's /healthz this long before loading (0 = no wait)")
 	jsonPath := flag.String("json", "", "write the machine-readable report here")
-	check := flag.Bool("check", false, "exit non-zero unless every request succeeded and percentiles are sane (CI smoke)")
-	sloScrape := flag.Bool("slo", false, "after each run, scrape the target's /metrics for textjoin_slo_* error budgets; with -check, a blown budget fails")
 	flag.Parse()
 
 	if len(targets) == 0 {
@@ -161,16 +142,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		st := runLoad(tgt, *rate, *duration, *lambda, profiles)
-		if *sloScrape {
-			slo, err := scrapeSLO(tgt.URL)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: %s: slo: %v\n", tgt.Label, err)
-				os.Exit(1)
-			}
-			st.SLO = slo
-		}
-		rep.Runs = append(rep.Runs, st)
+		rep.Runs = append(rep.Runs, runLoad(tgt, *rate, *duration, *lambda, profiles))
 	}
 
 	printTable(os.Stdout, rep.Runs)
@@ -185,13 +157,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("loadgen: wrote %s\n", *jsonPath)
-	}
-	if *check {
-		if err := sanity(rep.Runs); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen: check:", err)
-			os.Exit(1)
-		}
-		fmt.Println("loadgen: check ok")
 	}
 }
 
@@ -332,72 +297,6 @@ arrivals:
 	return st
 }
 
-// scrapeSLO pulls one target's /metrics, insists the exposition is
-// Lint-clean and carries the textjoin_slo_* families, and decodes every
-// objective's error-budget state.
-func scrapeSLO(base string) ([]sloStat, error) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics: status %d", resp.StatusCode)
-	}
-	if err := metrics.Lint(body); err != nil {
-		return nil, fmt.Errorf("/metrics exposition rejected: %v", err)
-	}
-	byName := map[string]*sloStat{}
-	order := []string{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, "textjoin_slo_") {
-			continue
-		}
-		family, rest, ok := strings.Cut(line, `{objective="`)
-		if !ok {
-			continue
-		}
-		name, rest, ok := strings.Cut(rest, `"} `)
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad sample %q: %v", line, err)
-		}
-		s := byName[name]
-		if s == nil {
-			s = &sloStat{Objective: name}
-			byName[name] = s
-			order = append(order, name)
-		}
-		switch family {
-		case "textjoin_slo_target":
-			s.Target = v
-		case "textjoin_slo_compliance":
-			s.Compliance = v
-		case "textjoin_slo_error_budget_remaining":
-			s.BudgetRemaining = v
-		case "textjoin_slo_burn_rate":
-			s.BurnRate = v
-		}
-	}
-	if len(order) == 0 {
-		return nil, fmt.Errorf("exposition carries no textjoin_slo_* families")
-	}
-	sort.Strings(order)
-	out := make([]sloStat, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byName[name])
-	}
-	return out, nil
-}
-
 // outcome is a completed request's classification.
 type outcome int
 
@@ -462,43 +361,4 @@ func printTable(w io.Writer, runs []runStat) {
 			r.ThroughputPerSec, r.P50Ms, r.P90Ms, r.P99Ms, r.P999Ms, r.MaxMs,
 			r.ServerP50Ms, r.GapP50Ms)
 	}
-	for _, r := range runs {
-		for _, s := range r.SLO {
-			fmt.Fprintf(w, "%-12s slo %-14s target=%.3f compliance=%.4f budget=%.3f burn=%.3f\n",
-				r.Label, s.Objective, s.Target, s.Compliance, s.BudgetRemaining, s.BurnRate)
-		}
-	}
-}
-
-// sanity is the CI gate behind -check: the short smoke run must complete
-// every request (no errors, no rejections) with ordered, non-zero
-// percentiles.
-func sanity(runs []runStat) error {
-	for _, r := range runs {
-		switch {
-		case r.Requests == 0:
-			return fmt.Errorf("%s: no requests issued", r.Label)
-		case r.Errors > 0:
-			return fmt.Errorf("%s: %d requests failed", r.Label, r.Errors)
-		case r.Rejected > 0:
-			return fmt.Errorf("%s: %d requests rejected", r.Label, r.Rejected)
-		case r.Unprocessable > 0:
-			return fmt.Errorf("%s: %d requests unprocessable", r.Label, r.Unprocessable)
-		case r.OK != r.Requests:
-			return fmt.Errorf("%s: %d of %d requests unaccounted for", r.Label, r.Requests-r.OK, r.Requests)
-		case r.P50Ms <= 0 || r.P99Ms < r.P50Ms || r.MaxMs < r.P99Ms:
-			return fmt.Errorf("%s: implausible percentiles p50=%v p99=%v max=%v", r.Label, r.P50Ms, r.P99Ms, r.MaxMs)
-		case r.ServerOverruns > 0:
-			return fmt.Errorf("%s: %d replies reported more server time than the client measured", r.Label, r.ServerOverruns)
-		case r.ServerP50Ms > r.P50Ms:
-			return fmt.Errorf("%s: server p50 %vms exceeds client p50 %vms", r.Label, r.ServerP50Ms, r.P50Ms)
-		}
-		for _, s := range r.SLO {
-			if s.BudgetRemaining < 0 {
-				return fmt.Errorf("%s: SLO %q violated: budget remaining %v (burn rate %v)",
-					r.Label, s.Objective, s.BudgetRemaining, s.BurnRate)
-			}
-		}
-	}
-	return nil
 }

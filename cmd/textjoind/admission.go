@@ -105,11 +105,13 @@ func (a *admitter) admit(cost int64) (time.Duration, error) {
 	case <-timer.C:
 	}
 	// Deadline fired. Remove ourselves — unless release admitted us in
-	// the race window, in which case the admission stands.
+	// the race window, in which case the admission stands. A head that
+	// leaves may uncover waiters behind it that already fit.
 	a.mu.Lock()
 	for i, q := range a.queue {
 		if q == w {
 			a.queue = append(a.queue[:i], a.queue[i+1:]...)
+			a.drain()
 			a.mu.Unlock()
 			a.queued.Add(-1)
 			a.rejected.Add(1)
@@ -123,12 +125,20 @@ func (a *admitter) admit(cost int64) (time.Duration, error) {
 	return time.Since(begin), nil
 }
 
-// release returns an admitted request's charge and wakes every queued
-// waiter that now fits, in arrival order.
+// release returns an admitted request's charge and wakes the waiters
+// that now fit.
 func (a *admitter) release(cost int64) {
 	cost = a.clamp(cost)
 	a.mu.Lock()
 	a.inUse -= cost
+	a.drain()
+	a.mu.Unlock()
+	a.inflight.Add(-1)
+}
+
+// drain admits queued waiters in arrival order while the head fits. It
+// runs with a.mu held, whenever the budget frees or the head leaves.
+func (a *admitter) drain() {
 	for len(a.queue) > 0 {
 		w := a.queue[0]
 		if a.inUse+w.cost > a.budget {
@@ -138,6 +148,4 @@ func (a *admitter) release(cost int64) {
 		a.queue = a.queue[1:]
 		close(w.ready)
 	}
-	a.mu.Unlock()
-	a.inflight.Add(-1)
 }

@@ -86,6 +86,44 @@ func TestAdmitterDeadline(t *testing.T) {
 	}
 }
 
+// TestAdmitterDeadlineWakesNext: when a head waiter that does not fit
+// gives up, a waiter behind it that fits is admitted then, not left
+// parked until its own deadline.
+func TestAdmitterDeadlineWakesNext(t *testing.T) {
+	a := testAdmitter(100, 4, 100*time.Millisecond)
+	if _, err := a.admit(60); err != nil {
+		t.Fatal(err)
+	}
+	head := make(chan error, 1)
+	go func() {
+		_, err := a.admit(50)
+		head <- err
+	}()
+	for {
+		a.mu.Lock()
+		parked := len(a.queue) == 1
+		a.mu.Unlock()
+		if parked {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Park behind the head well before its deadline, so this waiter's own
+	// deadline is 50 ms after the head's.
+	time.Sleep(50 * time.Millisecond)
+	if _, err := a.admit(10); err != nil {
+		t.Fatalf("a waiter that fits once the head left: %v", err)
+	}
+	if err := <-head; !errors.Is(err, errQueueWait) {
+		t.Fatalf("head waiter: err = %v, want errQueueWait", err)
+	}
+	a.release(10)
+	a.release(60)
+	if a.inUse != 0 || len(a.queue) != 0 {
+		t.Fatalf("inUse %d, queue %d after release, want both 0", a.inUse, len(a.queue))
+	}
+}
+
 // TestAdmitterFIFO: waiters are admitted strictly in arrival order as
 // budget frees up.
 func TestAdmitterFIFO(t *testing.T) {

@@ -6,15 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
 
 // joinPaths is the mixed request set: all three algorithms under every
-// weighting, prefilter on and off — more than eight requests in flight at
-// once.
+// weighting, prefilter on and off.
 func joinPaths() []string {
 	return []string{
 		"/join?alg=hhnl&show=2",
@@ -52,44 +50,6 @@ func getJoin(t *testing.T, hs *httptest.Server, path string) joinReply {
 	return j
 }
 
-// TestConcurrentJoinsMatchSerial is the serving-layer acceptance check:
-// the mixed request set run all at once returns, request for request,
-// exactly the response a serial run produced — same results, same
-// per-request I/O stats, same costs — and every request closed the view
-// it bound. Under -race this also proves the unlocked join path, and the
-// disk's count of open views, data-race free end to end.
-func TestConcurrentJoinsMatchSerial(t *testing.T) {
-	s, hs := testServer(t, 2048)
-	paths := joinPaths()
-
-	want := make([]joinReply, len(paths))
-	for i, p := range paths {
-		want[i] = deterministic(getJoin(t, hs, p))
-	}
-
-	got := make([]joinReply, len(paths))
-	var wg sync.WaitGroup
-	for i, p := range paths {
-		i, p := i, p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = deterministic(getJoin(t, hs, p))
-		}()
-	}
-	wg.Wait()
-
-	for i, p := range paths {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("%s: concurrent response diverges from serial:\nserial:     %+v\nconcurrent: %+v",
-				p, want[i], got[i])
-		}
-	}
-	if n := s.ws.Disk().OpenViews(); n != 0 {
-		t.Errorf("%d view(s) still open after every reply was read", n)
-	}
-}
-
 // TestSerializeMode: with a budget smaller than any plan's bytes (what
 // -budget-mb 0 becomes) every request charges the whole budget, so
 // requests still succeed concurrently — they just take turns.
@@ -116,69 +76,6 @@ func TestSerializeMode(t *testing.T) {
 	wg.Wait()
 	if n := s.tel.Value("textjoin_http_join_ok_total"); n != 4 {
 		t.Fatalf("joins = %d, want 4", n)
-	}
-}
-
-// TestQueueFullRejects: with the budget held and no queue capacity, a
-// join is turned away with 503 and a Retry-After hint instead of
-// parking unboundedly.
-func TestQueueFullRejects(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.Scale = 4096
-	cfg.QueueLen = 0
-	s, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(s.handler())
-	defer hs.Close()
-
-	// Occupy the entire budget, as a long-running join would.
-	if _, err := s.adm.admit(cfg.BudgetBytes); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := hs.Client().Get(hs.URL + "/join?alg=hhnl&show=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 reply carries no Retry-After header")
-	}
-	s.adm.release(cfg.BudgetBytes)
-
-	// With the budget free again the same request succeeds.
-	getJoin(t, hs, "/join?alg=hhnl&show=0")
-}
-
-// TestQueueWaitDeadline: a request that queues but never fits is
-// rejected with 503 once the configured deadline passes.
-func TestQueueWaitDeadline(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.Scale = 4096
-	cfg.QueueLen = 4
-	cfg.QueueWait = 30 * time.Millisecond
-	s, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(s.handler())
-	defer hs.Close()
-
-	if _, err := s.adm.admit(cfg.BudgetBytes); err != nil {
-		t.Fatal(err)
-	}
-	defer s.adm.release(cfg.BudgetBytes)
-	resp, err := hs.Client().Get(hs.URL + "/join?alg=hhnl&show=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
 }
 

@@ -25,7 +25,7 @@
 // Usage:
 //
 //	textjoind -addr localhost:8080 -p1 wsj -p2 wsj -scale 2048
-//	textjoind -smoke        # self-drive every endpoint once and exit
+//	textjoind -smoke        # boot on loopback, one /join, one /metrics scrape, exit
 package main
 
 import (
@@ -39,7 +39,7 @@ import (
 func main() {
 	cfg := defaultConfig()
 	addr := flag.String("addr", "localhost:8080", "listen address (port 0 picks a free port)")
-	smoke := flag.Bool("smoke", false, "start on a loopback port, exercise every endpoint, shut down; exit non-zero on failure")
+	smoke := flag.Bool("smoke", false, "start on a loopback port, answer one /join and one Lint-checked /metrics scrape, shut down; exit non-zero on failure")
 	flag.StringVar(&cfg.P1, "p1", cfg.P1, "inner collection profile: wsj, fr, doe")
 	flag.StringVar(&cfg.P2, "p2", cfg.P2, "outer collection profile: wsj, fr, doe")
 	flag.Int64Var(&cfg.Scale, "scale", cfg.Scale, "profile shrink divisor")

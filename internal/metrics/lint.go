@@ -15,9 +15,10 @@ import (
 // and histograms with ascending bucket bounds, non-decreasing cumulative
 // counts, a "+Inf" bucket, and a _count equal to the +Inf bucket.
 //
-// It is the spot-check parser behind the /metrics tests and the
-// textjoind -smoke self-check; a scrape that passes Lint is ingestible
-// by a Prometheus scraper.
+// It is the spot-check parser behind the /metrics tests (textjoind's
+// serving harness runs every scrape it takes through it), the one scrape
+// of textjoind -smoke and cmd/tracecheck; a scrape that passes Lint is
+// ingestible by a Prometheus scraper.
 func Lint(data []byte) error {
 	l := &linter{
 		types:  make(map[string]string),

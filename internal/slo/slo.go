@@ -4,7 +4,7 @@
 // error budget remaining and burn rate.
 //
 // The engine is deliberately thin: it owns no clock ticker and no
-// goroutine. Each /metrics scrape (or loadgen -check probe) drives one
+// goroutine. Each /metrics scrape (or a test calling Collect) drives one
 // Collect, which reads the objectives' series, appends a timestamped
 // sample of the cumulative good/bad counts per objective, trims samples
 // that fell out of the window, and reports the delta between the newest
