@@ -26,8 +26,10 @@
 //     promotion are the safety net for an estimate that falls short. Bytes
 //     is what the store holds — what Stats.PeakMemoryBytes reports. The
 //     matrix is allocated once, with room for the join's largest pass when
-//     that pass will be dense as well. Both fill a dense row with the same
-//     kernel, addRow.
+//     that pass will be dense as well; Restart keeps its array for the
+//     next join, so Bytes reports the matrix this join sized, not the
+//     array that backs it. Both fill a dense row with the same kernel,
+//     addRow.
 //
 // Both accumulate exactly like a map[key]float64 fed the same adds in the
 // same order: per-key float sums are bit-identical (a promotion copies
@@ -44,6 +46,7 @@ package accum
 
 import (
 	"math"
+	"slices"
 
 	"textjoin/internal/codec"
 )
@@ -76,7 +79,17 @@ type Sum struct {
 
 // NewFlat returns a Flat over ids 0..n-1.
 func NewFlat(n int) *Flat {
-	return &Flat{vals: make([]float64, n), limit: n / 4}
+	f := &Flat{}
+	f.Resize(n)
+	return f
+}
+
+// Resize empties f and readies it, as NewFlat would, for ids 0..n-1. It
+// keeps f's arrays, growing them only past every earlier n.
+func (f *Flat) Resize(n int) {
+	f.vals = slices.Grow(f.vals[:0], n)[:n]
+	clear(f.vals)
+	f.touched, f.dense, f.limit = f.touched[:0], false, n/4
 }
 
 // Add accumulates v into id.
@@ -152,17 +165,14 @@ func (f *Flat) Drain() []Sum {
 	if f.dense {
 		panic("accum: Drain of a dense row; read Row and Reset")
 	}
-	if f.sums == nil {
-		f.sums = make([]Sum, 0, f.limit)
-	}
-	vals, dst := f.vals, f.sums[:0]
+	vals, dst := f.vals, slices.Grow(f.sums[:0], f.limit)
 	for _, id := range f.touched {
 		if v := vals[id]; v != 0 {
 			dst = append(dst, Sum{ID: id, V: v})
 			vals[id] = 0
 		}
 	}
-	f.touched = f.touched[:0]
+	f.touched, f.sums = f.touched[:0], dst
 	return dst
 }
 
@@ -233,16 +243,28 @@ type Store struct {
 	limit    int64
 	dense    bool
 	promoted bool      // this pass moved from the table into the matrix
-	matrix   []float64 // rows×cols, row-major, while dense
-	table    table     // while not dense
+	matrix   []float64 // rows×cols, row-major, while dense: a prefix of buf
+	// size is the cells of the matrix the join has sized, 0 while not
+	// dense: what Bytes reports. buf backs it, and outlives the join.
+	size  int
+	buf   []float64
+	table table // while not dense
 }
 
 // New returns a store over cols inner documents, readied for a pass of
 // rows rows, whose passes start dense while their matrix fits limitBytes.
 func New(rows, cols int, limitBytes int64) *Store {
-	s := &Store{cols: cols, limit: limitBytes}
-	s.Reset(rows)
+	s := &Store{}
+	s.Restart(rows, cols, limitBytes)
 	return s
+}
+
+// Restart readies s for another join exactly as New(rows, cols,
+// limitBytes) would, but keeps the matrix's array: a join whose matrix
+// fits it allocates none. The table starts afresh.
+func (s *Store) Restart(rows, cols int, limitBytes int64) {
+	*s = Store{cols: cols, limit: limitBytes, buf: s.buf}
+	s.Reset(rows)
 }
 
 // Reserve tells the store the rows of the caller's largest pass, which
@@ -259,27 +281,34 @@ func (s *Store) Reset(rows int) {
 	s.rows, s.promoted = rows, false
 	s.dense = UseDense(rows, s.cols, s.limit)
 	if !s.dense {
-		s.matrix = nil
+		s.matrix, s.size = nil, 0
 		s.table.reset()
 		return
 	}
 	s.table = table{}
-	if n := rows * s.cols; n <= cap(s.matrix) {
-		s.matrix = s.matrix[:n]
+	if n := rows * s.cols; n <= s.size {
+		s.matrix = s.buf[:n]
 		clear(s.matrix)
 	} else {
-		s.matrix = s.alloc()
+		s.alloc()
 	}
 }
 
-// alloc returns a zeroed matrix for the pass, with room for the reserved
-// largest pass when that pass would start dense.
-func (s *Store) alloc() []float64 {
+// alloc sizes a zeroed matrix for the pass, with room for the reserved
+// largest pass when that pass would start dense. It takes a new array
+// only when buf is smaller than that.
+func (s *Store) alloc() {
 	n := s.rows * s.cols
+	s.size = n
 	if s.most > s.rows && UseDense(s.most, s.cols, s.limit) {
-		return make([]float64, n, s.most*s.cols)
+		s.size = s.most * s.cols
 	}
-	return make([]float64, n)
+	if s.size > cap(s.buf) {
+		s.buf = make([]float64, s.size)
+	} else {
+		clear(s.buf[:n])
+	}
+	s.matrix = s.buf[:n]
 }
 
 // Add accumulates v into (row, inner).
@@ -316,7 +345,7 @@ func (s *Store) AddCells(cells []codec.Cell, row int, w, factor float64) {
 // copied exactly, and drops the table.
 func (s *Store) promote() {
 	s.limit = max(s.limit, 2*s.table.bytes())
-	s.matrix = s.alloc()
+	s.alloc()
 	s.table.forEach(func(row int, inner uint32, v float64) {
 		s.matrix[row*s.cols+int(inner)] = v
 	})
@@ -363,10 +392,10 @@ func (s *Store) Len() int {
 }
 
 // Bytes returns the resident size of the representation held: the
-// matrix's capacity or the table's key and value arrays.
+// matrix the join sized or the table's key and value arrays.
 func (s *Store) Bytes() int64 {
 	if s.dense {
-		return int64(cap(s.matrix)) * 8
+		return int64(s.size) * 8
 	}
 	return s.table.bytes()
 }

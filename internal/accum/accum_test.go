@@ -668,7 +668,7 @@ func TestIDSetContiguous(t *testing.T) {
 	if !s.contiguous {
 		t.Fatal("want contiguous representation")
 	}
-	checkIDSet(t, s, ids)
+	checkIDSet(t, &s, ids)
 }
 
 func TestIDSetBitmap(t *testing.T) {
@@ -677,7 +677,7 @@ func TestIDSetBitmap(t *testing.T) {
 	if s.words == nil {
 		t.Fatal("want bitmap representation")
 	}
-	checkIDSet(t, s, ids)
+	checkIDSet(t, &s, ids)
 }
 
 func TestIDSetSparseFallback(t *testing.T) {
@@ -686,7 +686,7 @@ func TestIDSetSparseFallback(t *testing.T) {
 	if s.ids == nil {
 		t.Fatal("want binary-search representation")
 	}
-	checkIDSet(t, s, ids)
+	checkIDSet(t, &s, ids)
 }
 
 func TestIDSetEmpty(t *testing.T) {

@@ -38,8 +38,8 @@ const bitmapMaxSpanFactor = 64
 
 // NewIDSet builds an IDSet over ids, which must be sorted ascending with
 // no duplicates (as Subset.IDs and the full-collection ranges guarantee).
-func NewIDSet(ids []uint32) *IDSet {
-	s := &IDSet{n: len(ids)}
+func NewIDSet(ids []uint32) IDSet {
+	s := IDSet{n: len(ids)}
 	if len(ids) == 0 {
 		return s
 	}

@@ -82,6 +82,10 @@ type Collection struct {
 	// suffice because N is below 2^24 (codec.MaxNumber).
 	df    []uint32
 	norms []float64
+	// largest is the longest record's packed bytes and the most cells a
+	// record holds: what a scanner's stitch window and arena document
+	// need (Scanner.Reset).
+	largest DocRef
 
 	// der holds the lazily built derived tables behind a pointer shared
 	// by every view-bound copy of the collection, so WithView can return
@@ -206,14 +210,25 @@ func (b *Builder) Finish() (*Collection, error) {
 		stats.S = float64(stats.Bytes) / float64(n) / float64(stats.PageSize)
 	}
 	return &Collection{
-		name:  b.name,
-		file:  b.file,
-		refs:  b.refs,
-		stats: stats,
-		df:    b.df,
-		norms: b.norms,
-		der:   &derived{},
+		name:    b.name,
+		file:    b.file,
+		refs:    b.refs,
+		stats:   stats,
+		df:      b.df,
+		norms:   b.norms,
+		largest: largestRecord(b.refs),
+		der:     &derived{},
 	}, nil
+}
+
+// largestRecord returns the most bytes and the most cells any record of
+// refs holds.
+func largestRecord(refs []DocRef) DocRef {
+	var l DocRef
+	for _, r := range refs {
+		l.Len, l.Terms = max(l.Len, r.Len), max(l.Terms, r.Terms)
+	}
+	return l
 }
 
 // Open re-attaches to a collection file written earlier (e.g. restored
@@ -257,6 +272,7 @@ func Open(name string, file *iosim.File, expectedDocs int64) (*Collection, error
 		c.stats.TotalCells += int64(len(d.Cells))
 		off += size
 	}
+	c.largest = largestRecord(c.refs)
 	c.stats.N = expectedDocs
 	c.stats.T = distinctTerms(c.df)
 	c.stats.Bytes = off
@@ -404,7 +420,7 @@ func (c *Collection) FetchInto(id uint32, d *document.Document, scratch []byte) 
 // after a gap costs one random read, like any seek.
 type Scanner struct {
 	c      *Collection
-	stream *iosim.Stream
+	stream iosim.Stream
 	keep   func(id uint32) bool // nil keeps every document
 	doc    document.Document    // arena for NextReuse
 	next   int                  // next document id to consider
@@ -417,7 +433,24 @@ func (c *Collection) Scan() *Scanner { return c.ScanFiltered(nil) }
 // ScanFiltered starts a storage-order scan that yields only the
 // documents keep reports true for; a nil keep yields every document.
 func (c *Collection) ScanFiltered(keep func(id uint32) bool) *Scanner {
-	return &Scanner{c: c, stream: c.file.Stream(), keep: keep}
+	s := &Scanner{}
+	s.Reset(c, keep)
+	return s
+}
+
+// Reset restarts s as c.ScanFiltered(keep) would, keeping its buffers:
+// the stream's stitch window and the arena document's cells hold c's
+// largest record, so no scan of c grows them. A nil c detaches s from
+// its collection, its file and keep.
+func (s *Scanner) Reset(c *Collection, keep func(id uint32) bool) {
+	var f *iosim.File
+	var l DocRef
+	if c != nil {
+		f, l = c.file, c.largest
+	}
+	s.stream.Reset(f, int(l.Len))
+	s.c, s.keep, s.next, s.err = c, keep, 0, nil
+	s.doc = document.Document{Cells: slices.Grow(s.doc.Cells[:0], int(l.Terms))}
 }
 
 // NextReuse returns the next (kept) document, or io.EOF when the scan is

@@ -102,20 +102,17 @@ func TestScanReuseArenaSemantics(t *testing.T) {
 	}
 }
 
-// TestScanReuseSweepAllocs guards the claim that the reuse path is
-// allocation-free in the steady state: a full NextReuse sweep allocates
-// its scanner, its page stream and the arena's few growth steps — a constant
-// that does not grow with the number of records. The same bound holds
-// for N and 4N documents; one allocation per record would break it at
-// either size.
+// TestScanReuseSweepAllocs guards the reuse path: a scanner sizes its
+// buffers for the collection's largest record, so a sweep by a scanner
+// Reset onto the collection allocates nothing, at N and 4N documents.
 func TestScanReuseSweepAllocs(t *testing.T) {
-	const bound = 16
 	for _, n := range []int{200, 800} {
 		r := rand.New(rand.NewSource(7))
 		d := iosim.NewDisk(iosim.WithPageSize(4096))
 		c := buildDocs(t, d, "c", randomDocs(r, n, 400, 40))
-		sweep := func() {
-			sc := c.Scan()
+		sc := c.Scan()
+		if got := testing.AllocsPerRun(5, func() {
+			sc.Reset(c, nil)
 			for {
 				if _, err := sc.NextReuse(); err == io.EOF {
 					return
@@ -123,12 +120,8 @@ func TestScanReuseSweepAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		}
-		// AllocsPerRun's own first call is the warm-up sweep.
-		got := testing.AllocsPerRun(5, sweep)
-		t.Logf("%d documents: %.0f allocations per sweep", n, got)
-		if got > bound {
-			t.Errorf("%d documents: %.0f allocations per sweep, want ≤ %d", n, got, bound)
+		}); got != 0 {
+			t.Errorf("%d documents: %.0f allocations per sweep, want 0", n, got)
 		}
 	}
 }

@@ -8,8 +8,6 @@ import (
 
 	"textjoin/internal/corpus"
 	"textjoin/internal/document"
-	"textjoin/internal/iosim"
-	"textjoin/internal/lsh"
 	"textjoin/internal/topk"
 )
 
@@ -321,64 +319,6 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 	}
 }
 
-// TestBlockJoinAllocationsDoNotGrowWithPasses is the go-test form of
-// alloc_kb_per_op's bound on the benchmark's hhnl_scan: the cell arena,
-// the regrouped block, every stage's accumulator and its tracker slab are
-// built once per join and reused by every batch. So, first, regrouping a
-// batch into a block that has held one as large, and readying a stage for
-// it, allocates nothing; second, the same collections joined in four or
-// more passes allocate at most what one pass allocates plus a scanner per
-// pass; third, one pass allocates fewer objects than there are outer
-// documents: the trackers are one slab and a batch's result rows one
-// array. A tracker or a result slice per outer document
-// fails the third at once.
-func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	batch := kernelDocs(r, 50, 0, 0, 40, 10)
-	block := blockFor(batch)
-	st := &blockStage{block: block, tk: topk.NewBlock(0, 3)}
-	block.regroup(batch)
-	st.begin(nil)
-	if allocs := testing.AllocsPerRun(10, func() {
-		block.regroup(batch[:20])
-		st.begin(nil)
-		block.regroup(batch)
-		st.begin(nil)
-	}); allocs != 0 {
-		t.Errorf("regrouping into a warm block allocates %.0f objects, want 0", allocs)
-	}
-
-	const n2 = 200
-	d := iosim.NewDisk(iosim.WithPageSize(256))
-	c1 := buildColl(t, d, "c1", randomDocs(r, 60, 50, 10))
-	c2 := buildColl(t, d, "c2", randomDocs(r, n2, 50, 10))
-	in := Inputs{Outer: c2, Inner: c1}
-	allocs := func(pages int64) (allocs float64, passes int) {
-		opts := Options{Lambda: 3, MemoryPages: pages}
-		allocs = testing.AllocsPerRun(5, func() {
-			res, st, err := Join(HHNL, in, opts)
-			if err != nil || len(res) != n2 {
-				t.Fatalf("B=%d: rows=%d stats=%+v err=%v", pages, len(res), st, err)
-			}
-			passes = st.Passes
-		})
-		return allocs, passes
-	}
-	one, passes1 := allocs(4000)
-	many, passes := allocs(8)
-	if passes1 != 1 || passes < 4 {
-		t.Fatalf("%d and %d passes, want 1 and at least 4", passes1, passes)
-	}
-	// A pass opens one scan of the streamed side: a scanner and its
-	// buffers.
-	if budget := one + 8*float64(passes); many > budget {
-		t.Errorf("%.0f allocations in one pass, %.0f in %d; want at most %.0f", one, many, passes, budget)
-	}
-	if one >= n2 {
-		t.Errorf("%.0f allocations in one pass over %d outer documents; want fewer", one, n2)
-	}
-}
-
 // BenchmarkBlockScore times the block kernel per comparison on hhnl_scan's
 // shape: a resident batch of a third of a WSJ/96 collection (343
 // documents), regrouped once, and the inner WSJ/96 documents streamed past
@@ -411,56 +351,4 @@ func BenchmarkBlockScore(b *testing.B) {
 		st.score(&stream[i%len(stream)])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.comparisons), "ns/comparison")
-}
-
-// TestInlinePathAllocationsDoNotGrowWithInner is the go-test form of what
-// alloc_kb_per_op on the benchmark's hhnl_scan measures: the inner scan
-// reuses one arena document, so a four times larger inner collection must
-// not cost more allocations. A scan through the stable Next path allocates
-// at least two objects per inner document and fails this at once.
-func TestInlinePathAllocationsDoNotGrowWithInner(t *testing.T) {
-	const n = 150
-	// Every document shares one vocabulary, so with its single-row bands the
-	// LSH join sees every inner document as a candidate of the one outer
-	// document: its verify scan is as long as HHNL's inner scan.
-	build := func(inner int) (Inputs, Options) {
-		r := rand.New(rand.NewSource(7))
-		d := iosim.NewDisk(iosim.WithPageSize(256))
-		docs := make([]*document.Document, inner)
-		for i := range docs {
-			docs[i] = document.New(uint32(i), map[uint32]int{1: 1 + r.Intn(3), 2: 1, 3: 1 + r.Intn(2)})
-		}
-		c1 := buildColl(t, d, "c1", docs)
-		c2 := buildColl(t, d, "c2", docs[:1])
-		f, err := d.Create("c1.lsh")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := lsh.Build(c1, f, lshDiffConfig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Inputs{Outer: c2, Inner: c1}, Options{Lambda: 5, MemoryPages: 4000, LSH: sc}
-	}
-	for _, tc := range []struct {
-		alg Algorithm
-		// perDoc is the state the family legitimately keeps per candidate
-		// inner document: LSH's one-entry candidate list.
-		perDoc float64
-	}{{HHNL, 0}, {LSH, 1}} {
-		allocs := func(inner int) float64 {
-			in, opts := build(inner)
-			return testing.AllocsPerRun(5, func() {
-				res, st, err := Join(tc.alg, in, opts)
-				if err != nil || len(res) != 1 || st.Comparisons != int64(inner) {
-					t.Fatalf("%v over %d inner docs: rows=%d stats=%+v err=%v", tc.alg, inner, len(res), st, err)
-				}
-			})
-		}
-		small, large := allocs(n), allocs(4*n)
-		if budget := small + tc.perDoc*3*n + 8; large > budget {
-			t.Errorf("%v: %.0f allocations over %d inner docs, %.0f over %d; want at most %.0f",
-				tc.alg, small, n, large, 4*n, budget)
-		}
-	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"textjoin/internal/accum"
 	"textjoin/internal/codec"
+	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/signature"
@@ -46,17 +47,15 @@ import (
 // pages and documents whose aggregate signatures are disjoint from the
 // batch's OR-signature — a provably zero similarity for every resident
 // outer document, so results are byte-identical.
-func runHHNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
-	scorer, err := in.scorer(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, scanName: "hhnl.inner-scan",
-		stats: &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}}
+func runHHNL(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Result, *Stats, error) {
 	pf, err := activePrefilter(in, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	ws := blockStates.get()
+	defer blockStates.put(ws)
+	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, ws: ws, scanName: "hhnl.inner-scan",
+		stats: &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}}
 	if pf != nil {
 		// Disqualify inner clusters, pages and documents against the
 		// batch's OR-signature before each scan.
@@ -76,12 +75,37 @@ func runHHNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	return b.run()
 }
 
+// blockState is the run state of the block joins, HHNL's and LSH's: the
+// batch arena, the regrouped block with its accumulator, the inner
+// scanner and LSH's candidate lists.
+type blockState struct {
+	arena batchArena
+	block residentBlock
+	inner collection.Scanner
+	lsh   lshLists
+}
+
+func (s *blockState) release() {
+	s.inner.Reset(nil, nil) // drops the scan's keep vector too
+}
+
 // batchArena holds the resident batch in one cell arena reused from batch
 // to batch, so the stream may yield reuse-path documents: each is copied
 // before the next is read.
 type batchArena struct {
 	docs  []document.Document
 	cells []document.Cell
+	// slots and most bound a batch: the plan's largest batch's documents
+	// and cells.
+	slots, most int
+}
+
+// reset readies the arena for batches of at most slots documents and most
+// cells, keeping its arrays.
+func (a *batchArena) reset(slots, most int) {
+	a.docs = slices.Grow(a.docs[:0], slots)
+	a.cells = slices.Grow(a.cells[:0], most)
+	a.slots, a.most = slots, most
 }
 
 // fill reads the batch of the next n documents, valid until the next fill,
@@ -99,7 +123,7 @@ func (a *batchArena) fill(next func() (*document.Document, error), n int, overhe
 		} else if err != nil {
 			return nil, 0, err
 		}
-		if len(a.docs) == cap(a.docs) || len(a.cells)+len(d.Cells) > cap(a.cells) {
+		if len(a.docs) == a.slots || len(a.cells)+len(d.Cells) > a.most {
 			break
 		}
 		start := len(a.cells)
@@ -122,6 +146,7 @@ type blockJoin struct {
 	opts   Options
 	mem    memory
 	scorer *document.Scorer
+	ws     *blockState
 	stats  *Stats
 	extra  int64 // what prepare holds beside the block, for PeakMemoryBytes
 	// prepare, when non-nil, runs once per batch: keep marks the inner
@@ -143,9 +168,10 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	// are sized for the plan's largest batch and reused by every batch,
 	// except the slab's matches: each batch's become its result rows.
 	cut, overhead := b.mem.cut, 4*int64(opts.Lambda)
-	arena := batchArena{docs: make([]document.Document, 0, cut.slots), cells: make([]document.Cell, 0, cut.cells)}
-	block := newResidentBlock(cut.slots, cut.cells, termSpan(in.Outer))
-	st := &blockStage{scorer: b.scorer, block: block, tk: topk.NewBlock(0, opts.Lambda)}
+	arena, block, scan := &b.ws.arena, &b.ws.block, &b.ws.inner
+	arena.reset(cut.slots, cut.cells)
+	block.resize(cut.slots, cut.cells, termSpan(in.Outer))
+	st := &blockStage{scorer: b.scorer, block: block, tk: topk.NewBlock(cut.slots, opts.Lambda)}
 
 	results := make([]Result, 0, in.Outer.NumDocs())
 	for start, n := 0, int(in.Outer.NumDocs()); start < n; {
@@ -183,7 +209,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		if keep != nil {
 			kept = func(id uint32) bool { return keep[id] }
 		}
-		scan := in.Inner.ScanFiltered(kept)
+		scan.Reset(in.Inner, kept)
 		score := trace.StartChild(reqtrace.PhaseScore, b.scanName)
 		for {
 			var d1 *document.Document
@@ -232,13 +258,29 @@ type residentBlock struct {
 	offs  []int32 // entry e's postings are post[offs[e]:offs[e+1]]
 	post  []codec.Cell
 	acc   *accum.Flat // over the slots: the streamed document being scored
+	slots int         // the most documents a batch holds
 }
 
 // newResidentBlock sizes a block for batches of at most slots documents and
 // cells cells whose term numbers lie below terms.
 func newResidentBlock(slots, cells int, terms int64) *residentBlock {
-	return &residentBlock{ids: make([]uint32, 0, slots), acc: accum.NewFlat(slots),
-		dir: make([]int32, terms), post: make([]codec.Cell, cells)}
+	b := &residentBlock{}
+	b.resize(slots, cells, terms)
+	return b
+}
+
+// resize empties the block and sizes it as newResidentBlock does, keeping
+// its arrays.
+func (b *residentBlock) resize(slots, cells int, terms int64) {
+	if b.acc == nil {
+		b.acc = &accum.Flat{}
+	}
+	b.acc.Resize(slots)
+	b.ids, b.slots = slices.Grow(b.ids[:0], slots), slots
+	b.dir = slices.Grow(b.dir[:0], int(terms))[:terms]
+	clear(b.dir)
+	b.terms, b.offs = b.terms[:0], b.offs[:0]
+	b.post = slices.Grow(b.post[:0], cells)[:cells]
 }
 
 // regroup is a counting sort of the batch's cells by term. The first pass
@@ -285,7 +327,7 @@ func (b *residentBlock) regroup(batch []document.Document) {
 // bytes is what the block holds beside the batch it regroups: its
 // accumulator and its directory.
 func (b *residentBlock) bytes() int64 {
-	return int64(cap(b.ids))*accumBytes + int64(len(b.dir))*slotBytes
+	return int64(b.slots)*accumBytes + int64(len(b.dir))*slotBytes
 }
 
 // accumulate streams d's cells past the block's postings into acc: per slot

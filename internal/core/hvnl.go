@@ -7,6 +7,7 @@ import (
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/entrycache"
+	"textjoin/internal/invfile"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/topk"
 )
@@ -36,11 +37,7 @@ import (
 // The cache budget realizes the paper's X (number of resident entries):
 // B·P bytes minus one outer document (⌈S2⌉ pages), the B+tree (Bt1 pages),
 // the accumulator reservation, and the in-memory term list (planMemory).
-func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
-	scorer, err := in.scorer(opts)
-	if err != nil {
-		return nil, nil, err
-	}
+func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Result, *Stats, error) {
 	pf, err := activePrefilter(in, opts)
 	if err != nil {
 		return nil, nil, err
@@ -57,11 +54,14 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	ws := hvnlStates.get()
+	defer hvnlStates.put(ws)
 	// Outer document frequencies drive the replacement policy. For a
 	// selection subset the base collection's statistics are used, as an
 	// IR system would ("document frequencies are stored for similarity
 	// computation ... no extra effort is needed to get them").
-	cache := entrycache.New(m.cache, opts.CachePolicy, in.Outer.DF)
+	cache := &ws.cache
+	cache.Reset(m.cache, opts.CachePolicy, in.Outer.DF)
 	// Only terms of C1 are cached.
 	cache.Reserve(int(in.Inner.TermSpan()))
 
@@ -93,24 +93,14 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 		randCost := float64(neededPages) * invFile.Disk().Alpha()
 		if seqCost < randCost {
 			preload := trace.StartChild(reqtrace.PhaseScan, "hvnl.preload")
-			sc := in.InnerInv.Scan()
-			for {
-				entry, err := sc.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					preload.End()
-					return nil, nil, err
-				}
-				cache.Put(entry.Term, entry, entry.Bytes()+3)
-			}
+			err := ws.preload(in.InnerInv)
 			preload.End()
+			if err != nil {
+				return nil, nil, err
+			}
 			stats.Passes = 1 // one sequential sweep of the inverted file
 		}
 	}
-	var ordered, uncached []document.Cell // reusable cached-first ordering scratch
-	var scratch []byte                    // stitches the entries that cross a page
 
 	// With a prefilter, candidate outer documents whose signature is
 	// disjoint from the inner root aggregate are skipped before the
@@ -129,8 +119,10 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
-	rows := &hvnlRows{acc: accum.NewFlat(int(in.Inner.NumDocs())), tk: topk.New(opts.Lambda), scorer: scorer,
-		results: make([]Result, 0, in.Outer.NumDocs())}
+	ws.acc.Resize(int(in.Inner.NumDocs()))
+	n2 := int(in.Outer.NumDocs())
+	rows := &hvnlRows{acc: &ws.acc, tks: topk.NewBlock(n2, opts.Lambda), scorer: scorer,
+		results: make([]Result, 0, n2)}
 	var cacheUsed int64
 	sweep := func() error {
 		var outer collection.DocIterator
@@ -146,7 +138,7 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 				d2, skippedID, skipped, err = opf.next()
 				if err == nil && skipped {
 					stats.OuterDocs++
-					rows.results = append(rows.results, Result{Outer: skippedID, Matches: emptyMatches()})
+					rows.results = append(rows.results, Result{Outer: skippedID})
 					continue
 				}
 			} else {
@@ -165,7 +157,7 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 			// optimization), then the rest in term order. Cells are already
 			// term-sorted, so a stable split that asks the cache once per
 			// cell needs no sort and no per-document allocation.
-			ordered, uncached = ordered[:0], uncached[:0]
+			ordered, uncached := ws.ordered[:0], ws.uncached[:0]
 			for _, c := range d2.Cells {
 				if cache.Contains(c.Term) {
 					ordered = append(ordered, c)
@@ -174,6 +166,7 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 				}
 			}
 			ordered = append(ordered, uncached...)
+			ws.ordered, ws.uncached = ordered, uncached
 
 			for _, c := range ordered {
 				if !index.Contains(c.Term) {
@@ -182,9 +175,11 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 				entry, ok := cache.Get(c.Term)
 				if !ok {
 					// An entry's cells are added before the next Put, so the
-					// slab of an entry the cache evicted can take this miss.
-					entry = cache.Spare()
-					if scratch, err = in.InnerInv.FetchEntryInto(c.Term, entry, scratch); err != nil {
+					// slab of an entry the cache evicted can take this miss:
+					// one with room for the cells the index counts.
+					cell, _ := index.Lookup(c.Term)
+					entry = cache.Spare(int(cell.DocFreq))
+					if ws.scratch, err = in.InnerInv.FetchEntryInto(c.Term, entry, ws.scratch); err != nil {
 						return err
 					}
 					stats.EntryFetches++
@@ -213,6 +208,7 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	rows.tks.Flush(len(rows.results), func(i int, kept []Match) { rows.results[i].Matches = kept })
 
 	// The outer document, the B+tree, the entries, the accumulator, the
 	// slot table and the one tracker.
@@ -227,12 +223,49 @@ func runHVNL(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	return rows.results, stats, nil
 }
 
+// hvnlState is HVNL's run state: the accumulator over the inner ids, the
+// entry cache with its slot table, heap and cell slabs, the preload's
+// scanner, the cached-first ordering and the fetch path's stitch buffer.
+type hvnlState struct {
+	acc               accum.Flat
+	cache             entrycache.Cache
+	scan              invfile.Scanner
+	ordered, uncached []document.Cell
+	scratch           []byte
+}
+
+func (s *hvnlState) release() {
+	s.cache.Reset(0, entrycache.LRU, nil) // drops the outer side's priority
+	s.scan.Reset(nil)
+}
+
+// preload reads the whole inverted file in one sequential sweep into the
+// cache, each entry copied from the scanner's arena into a slab of the
+// cache's: the budget holds every entry, so nothing is evicted.
+func (s *hvnlState) preload(inv *invfile.InvertedFile) error {
+	sc := &s.scan
+	sc.Reset(inv)
+	for {
+		entry, err := sc.NextReuse()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		e := s.cache.Spare(len(entry.Cells))
+		e.Term, e.Cells = entry.Term, append(e.Cells[:0], entry.Cells...)
+		s.cache.Put(e.Term, e, e.Bytes()+3)
+	}
+}
+
 // hvnlRows turns the sweep's outer documents into result rows. One
-// accum.Flat over the inner ids 0..N1-1 and one tracker serve the whole
-// join, reused from document to document.
+// accum.Flat over the inner ids 0..N1-1 serves the whole join, reused
+// from document to document; tks holds a tracker per row, whose slab the
+// rows take when the sweep ends.
 type hvnlRows struct {
 	acc     *accum.Flat
-	tk      *topk.TopK
+	tks     *topk.Block
 	scorer  *document.Scorer
 	pairs   int64 // inner documents the rows reached, summed
 	results []Result
@@ -240,40 +273,40 @@ type hvnlRows struct {
 
 // flush turns the accumulator into the outer document's row and readies it
 // for the next: every inner document the row reached is offered to the
-// tracker. A dense row is read in place by offerRow and then Reset; a
-// sparse one is drained, in first-touch order.
+// row's tracker. A dense row is read in place by offerRow and then Reset;
+// a sparse one is drained, in first-touch order.
 func (r *hvnlRows) flush(outer uint32) {
-	fin, tk := r.scorer.Row(outer), r.tk
-	tk.Reset()
+	fin, slot := r.scorer.Row(outer), len(r.results)
 	reached := 0
 	if r.acc.Dense() {
-		reached = offerRow(tk, fin, r.acc.Row())
+		reached = offerRow(r.tks, slot, fin, r.acc.Row())
 		r.acc.Reset()
 	} else {
 		sums := r.acc.Drain()
 		reached = len(sums)
 		for _, sum := range sums {
-			tk.Offer(sum.ID, fin.Finalize(sum.ID, sum.V))
+			r.tks.Offer(slot, sum.ID, fin.Finalize(sum.ID, sum.V))
 		}
 	}
 	r.pairs += int64(reached)
-	r.results = append(r.results, Result{Outer: outer, Matches: tk.Results()})
+	r.results = append(r.results, Result{Outer: outer})
 }
 
-// offerRow is the dense drain of a row with one tracker, HVNL's and VVM's:
-// every inner document the row reached, in id order, is finalized and
-// offered to tk, whose bar is held in a local and re-read only after an
-// Offer. It returns how many inner documents the row reached.
-func offerRow(tk *topk.TopK, fin document.Row, row []float64) (reached int) {
-	bar := tk.Bar()
+// offerRow is the dense drain of a row into one slot of a tracker slab,
+// HVNL's and VVM's: every inner document the row reached, in id order, is
+// finalized and offered to the slot, whose bar is held in a local and
+// re-read only after an Offer. It returns how many inner documents the
+// row reached.
+func offerRow(tks *topk.Block, slot int, fin document.Row, row []float64) (reached int) {
+	bar := tks.Bars()[slot]
 	for id, raw := range row {
 		if raw == 0 {
 			continue
 		}
 		reached++
 		if sim := fin.Finalize(uint32(id), raw); sim >= bar && sim > 0 {
-			tk.Offer(uint32(id), sim)
-			bar = tk.Bar()
+			tks.Offer(slot, uint32(id), sim)
+			bar = tks.Bars()[slot]
 		}
 	}
 	return reached

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"textjoin/internal/costmodel"
 	"textjoin/internal/document"
@@ -29,18 +31,16 @@ import (
 // Options.LSH must hold the sidecar built over Inputs.Inner's current
 // layout. Options.Prefilter is ignored: bucket candidate generation
 // subsumes the signature skip.
-func runLSH(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
+func runLSH(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Result, *Stats, error) {
 	sc, err := activeLSH(in, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	scorer, err := in.scorer(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, prepName: "lsh.candidates", scanName: "lsh.verify-scan",
+	ws := blockStates.get()
+	defer blockStates.put(ws)
+	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, ws: ws, prepName: "lsh.candidates", scanName: "lsh.verify-scan",
 		stats: &Stats{Algorithm: LSH, InnerDocs: in.Inner.NumDocs(), LSH: LSHStats{Enabled: true}}}
-	gen := newLSHCandidates(sc, in)
+	gen := newLSHCandidates(sc, in, &ws.lsh)
 	b.prepare = func(batch []document.Document) ([]bool, [][]int32, error) {
 		err := gen.generate(batch, b.stats)
 		b.extra = max(b.extra, gen.bytes())
@@ -64,33 +64,35 @@ func activeLSH(in Inputs, opts Options) (*lsh.Sidecar, error) {
 	return sc, nil
 }
 
-// lshCandidates owns the per-batch candidate state, reused across
-// batches: for each inner document, the batch indices of the resident
-// outer documents it must be verified against, plus the keep vector the
-// filtered scan consumes.
+// lshCandidates is the per-batch candidate state of one join: for each
+// inner document, the batch indices of the resident outer documents it
+// must be verified against, plus the keep vector the filtered scan
+// consumes. Its lists live in the block state and are reused across
+// batches and joins.
 type lshCandidates struct {
-	sc    *lsh.Sidecar
-	in    Inputs
+	*lshLists
+	sc *lsh.Sidecar
+	in Inputs
+}
+
+// lshLists is LSH's part of the block state.
+type lshLists struct {
 	lists [][]int32 // inner id → batch indices, ascending
 	keep  []bool
-	stamp []int // inner id → last outer probe that added it
-	probe int
+	stamp []int   // inner id → last outer probe that added it
+	most  []int32 // inner id → the longest its list grew in this join
+	probe int     // never reset, so every stamp of an earlier join is below it
 	keys  []uint64
 }
 
-func newLSHCandidates(sc *lsh.Sidecar, in Inputs) *lshCandidates {
+func newLSHCandidates(sc *lsh.Sidecar, in Inputs, l *lshLists) *lshCandidates {
 	n := int(in.Inner.NumDocs())
-	g := &lshCandidates{
-		sc:    sc,
-		in:    in,
-		lists: make([][]int32, n),
-		keep:  make([]bool, n),
-		stamp: make([]int, n),
-	}
-	for i := range g.stamp {
-		g.stamp[i] = -1
-	}
-	return g
+	l.lists = slices.Grow(l.lists[:0], n)[:n]
+	l.keep = slices.Grow(l.keep[:0], n)[:n]
+	l.stamp = slices.Grow(l.stamp[:0], n)[:n]
+	l.most = slices.Grow(l.most[:0], n)[:n]
+	clear(l.most)
+	return &lshCandidates{lshLists: l, sc: sc, in: in}
 }
 
 // generate probes the buckets with every batch document's band keys.
@@ -135,13 +137,49 @@ func (g *lshCandidates) generate(batch []document.Document, st *Stats) error {
 }
 
 // bytes is what the candidate state holds: per inner document a list
-// header, a keep flag and a stamp, and the lists' candidates.
+// header, a keep flag and a stamp, and the lists' candidates, each list
+// charged the capacity appending has grown it to in this join: so a list
+// kept from an earlier join charges what a new one would.
 func (g *lshCandidates) bytes() int64 {
+	longest := int32(0)
+	for id, l := range g.lists {
+		g.most[id] = max(g.most[id], int32(len(l)))
+		longest = max(longest, g.most[id])
+	}
+	caps := appendCaps(int(longest))
 	n := int64(len(g.lists)) * lshDocBytes
-	for _, l := range g.lists {
-		n += int64(cap(l)) * 4
+	for _, most := range g.most {
+		n += int64(caps[most]) * 4
 	}
 	return n
+}
+
+// listGrowth memoizes appendCaps across joins.
+var listGrowth struct {
+	sync.Mutex
+	caps []int
+}
+
+// appendCaps returns caps with caps[n], for every n up to most, the
+// capacity of a []int32 grown from nil by one append at a time once it
+// holds n elements. The table grows, measured by appending, only past the
+// longest list a join has held.
+func appendCaps(most int) []int {
+	listGrowth.Lock()
+	defer listGrowth.Unlock()
+	caps := listGrowth.caps
+	if caps == nil {
+		caps = []int{0}
+	}
+	for n := len(caps); n <= most; n++ {
+		c := caps[n-1]
+		if n > c {
+			c = cap(append(make([]int32, c), 0))
+		}
+		caps = append(caps, c)
+	}
+	listGrowth.caps = caps
+	return caps
 }
 
 // measureLSH probes the sidecar's resident bucket tables for the

@@ -7,6 +7,7 @@ import (
 	"textjoin/internal/codec"
 	"textjoin/internal/collection"
 	"textjoin/internal/costmodel"
+	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/stats"
@@ -87,15 +88,19 @@ func (d Decision) Run(in Inputs, opts Options) ([]Result, *Stats, error) {
 		// filter so the measured cost matches the estimate.
 		opts.Prefilter = nil
 	}
-	results, stats, err := runs[d.Chosen](in, opts, d.mem)
+	scorer, err := in.scorer(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, stats, err := runs[d.Chosen](in, opts, d.mem, scorer)
 	if err == nil && d.Estimates != nil {
 		recordPlanAudit(opts.Trace, d, stats.Cost)
 	}
 	return results, stats, err
 }
 
-// runs are the join families, each given its memory plan.
-var runs = [...]func(Inputs, Options, memory) ([]Result, *Stats, error){
+// runs are the join families, each given its memory plan and scorer.
+var runs = [...]func(Inputs, Options, memory, *document.Scorer) ([]Result, *Stats, error){
 	HHNL: runHHNL, HVNL: runHVNL, VVM: runVVM, LSH: runLSH}
 
 // Join runs the given algorithm: Plan, then Run.

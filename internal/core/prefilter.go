@@ -174,11 +174,6 @@ func batchSig(cfg signature.Config, batch []document.Document, q signature.Sig) 
 	return q
 }
 
-// emptyMatches is the empty result row a prefilter skip fabricates; it
-// matches topk.Results() on an empty tracker (non-nil, zero length) so
-// skipped and scored-to-zero rows are byte-identical.
-func emptyMatches() []Match { return make([]Match, 0) }
-
 // outerPrefilter drives HVNL's outer sweep under a prefilter: it yields
 // either the next kept document or the id of a skipped one (whose
 // result row is empty by proof). The storage pattern depends on the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"slices"
 
 	"textjoin/internal/accum"
 	"textjoin/internal/codec"
@@ -43,12 +44,10 @@ import (
 // The merge scan is one sequential sweep of each inverted file per pass,
 // and the whole join runs on the calling goroutine (DESIGN §8): each entry
 // pair is accumulated before the scan moves on, so the scanners' reuse
-// arenas suffice.
-func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
-	scorer, err := in.scorer(opts)
-	if err != nil {
-		return nil, nil, err
-	}
+// arenas suffice. The store, the scanners and the table drain's rows are
+// the family's run state (vvmState); the result rows are cut from one
+// tracker slab per join.
+func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Result, *Stats, error) {
 	// The outer document ids to join, ascending: all of C2, or the
 	// selection.
 	var outerIDs []uint32
@@ -64,29 +63,31 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 	stats := &Stats{Algorithm: VVM, InnerDocs: n1, OuterDocs: int64(len(outerIDs))}
 	track := trackIO(in.InnerInv.File(), in.OuterInv.File(), treeFile(in.InnerInv), treeFile(in.OuterInv))
 	trace := opts.Trace
-	acc := accum.New(0, int(n1), m.storeBytes)
-	acc.Reserve(m.largest(len(outerIDs)))
-	pass := &vvmPass{acc: acc, tk: topk.New(opts.Lambda)}
+	ws := vvmStates.get()
+	defer vvmStates.put(ws)
+	ws.acc.Restart(0, int(n1), m.storeBytes)
+	ws.acc.Reserve(m.largest(len(outerIDs)))
+	ws.live = slices.Grow(ws.live[:0], len(outerIDs))[:len(outerIDs)]
+	clear(ws.live)
+	pass := &vvmPass{vvmState: ws, scorer: scorer, tks: topk.NewBlock(len(outerIDs), opts.Lambda)}
 
-	results := make([]Result, 0, len(outerIDs))
+	// Every pass's rows, in place: outerIDs ascends, so rank order is
+	// emission order.
+	results := make([]Result, len(outerIDs))
 	var store int64
-	for p := 0; p < m.passes; p++ {
+	for p, base := 0, 0; p < m.passes; p++ {
 		rangeIDs := m.rangeIDs(outerIDs, p)
 		if len(rangeIDs) == 0 {
 			continue
 		}
-		// The pass's rows, in place: rangeIDs ascends, so rank order is
-		// emission order.
-		n := len(results)
-		results = results[:n+len(rangeIDs)]
 		stats.Passes++
 
 		// The merge span covers readying the store: a pass's matrix is
 		// zeroed, or first allocated, here. It records the regime the pass
 		// finished in: dense, table or promoted.
 		merge := trace.StartChild(reqtrace.PhaseMerge, "vvm.merge-scan")
-		pass.begin(rangeIDs, results[n:])
-		err := mergeScan(in.InnerInv, in.OuterInv, func(term uint32, e1, e2 *invfile.Entry) {
+		pass.begin(rangeIDs, base)
+		err := ws.mergeScan(in.InnerInv, in.OuterInv, func(term uint32, e1, e2 *invfile.Entry) {
 			if factor := scorer.TermFactor(term); factor != 0 {
 				pass.add(factor, e1, e2.Cells)
 			}
@@ -98,38 +99,63 @@ func runVVM(in Inputs, opts Options, m memory) ([]Result, *Stats, error) {
 		}
 
 		finalize := trace.StartChild(reqtrace.PhaseFinalize, "vvm.emit-range")
-		pass.emit(scorer)
+		pass.emit()
 		finalize.End()
 		stats.Accumulations += pass.count
 		stats.Pairs += pass.pairs
 		store = max(store, pass.acc.Bytes())
+		base += len(rangeIDs)
 	}
+	pass.tks.Flush(len(outerIDs), func(i int, kept []Match) {
+		results[i] = Result{Outer: outerIDs[i]}
+		if ws.live[i] {
+			results[i].Matches = kept
+		}
+	})
 
 	// One entry from each file, the store, the dense drain's tracker and
 	// the table drain's slab.
 	pageSize := int64(in.InnerInv.File().PageSize())
 	stats.PeakMemoryBytes = opts.MemoryPages*pageSize - m.passBytes + store +
-		int64(opts.Lambda)*matchBytes + int64(len(pass.rows))*trackerBytes(opts.Lambda)
+		int64(opts.Lambda)*matchBytes + int64(pass.tableRows)*trackerBytes(opts.Lambda)
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.InnerInv.File()))
 	recordJoinStats(trace, stats)
 	return results, stats, nil
 }
 
-// vvmPass accumulates and emits one pass's outer ids. The store and the
-// trackers are the join's; the remaining fields are the current pass's.
-type vvmPass struct {
-	acc *accum.Store
-	tk  *topk.TopK // the dense drain's one tracker
-	// rows and tks are the table drain's per-row state and trackers, made
-	// by the first table drain, grown to the largest pass and reused from
-	// pass to pass; each pass's result rows take its slab of matches.
+// vvmState is VVM's run state: the store, the two scanners of the merge,
+// the table drain's per-row state and the per-row mark of a row some
+// inner document reached.
+type vvmState struct {
+	acc          accum.Store
+	inner, outer invfile.Scanner
+	// rows are the table drain's per-row state, grown to the largest pass
+	// that drains a table and reused from pass to pass.
 	rows []vvmRow
-	tks  *topk.Block
+	live []bool // by outer rank: the row reached an inner document
+}
 
-	set   *accum.IDSet
+func (s *vvmState) release() {
+	s.inner.Reset(nil)
+	s.outer.Reset(nil)
+	clear(s.rows) // each holds the scorer's norms
+}
+
+// vvmPass accumulates and emits one pass's outer ids. The run state and
+// the tracker slab are the join's; the remaining fields are the current
+// pass's.
+type vvmPass struct {
+	*vvmState
+	scorer *document.Scorer
+	// tks holds a tracker per outer rank; its slab becomes the result
+	// rows.
+	tks       *topk.Block
+	tableRows int // the most rows a table drain took
+
+	set   accum.IDSet
 	ids   []uint32 // the pass's outer ids, ascending
-	out   []Result // the pass's rows of the results
+	base  int      // the rank of ids[0]
 	count int64    // cell products accumulated
 	pairs int64    // non-zero (outer, inner) pairs emit found
 }
@@ -140,9 +166,9 @@ type vvmRow struct {
 	fin  document.Row
 }
 
-// begin readies the pass over ids, emitted into out.
-func (s *vvmPass) begin(ids []uint32, out []Result) {
-	s.set, s.ids, s.out = accum.NewIDSet(ids), ids, out
+// begin readies the pass over ids, whose ranks start at base.
+func (s *vvmPass) begin(ids []uint32, base int) {
+	s.set, s.ids, s.base = accum.NewIDSet(ids), ids, base
 	s.count, s.pairs = 0, 0
 	s.acc.Reset(len(ids))
 }
@@ -160,48 +186,35 @@ func (s *vvmPass) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
 	}
 }
 
-// emit writes the λ best matches for every outer document of the pass,
-// including documents with no non-zero similarity (nil Matches). ids is
-// ascending, so row order is emission order. A dense store drains row by
-// row through the one tracker (offerRow); a table drains in slot order into
-// a slab with a tracker per row.
-func (s *vvmPass) emit(scorer *document.Scorer) {
+// emit offers the pass's pairs to the trackers of its outer ranks and
+// marks the ranks a pair reached. A dense store drains row by row
+// (offerRow); a table drains in slot order, finishing each row through
+// the state the row's first pair fixes.
+func (s *vvmPass) emit() {
 	if s.acc.Dense() {
 		for row, id := range s.ids {
-			s.tk.Reset()
-			reached := offerRow(s.tk, scorer.Row(id), s.acc.Row(row))
+			reached := offerRow(s.tks, s.base+row, s.scorer.Row(id), s.acc.Row(row))
 			s.pairs += int64(reached)
-			s.out[row] = Result{Outer: id}
-			if reached > 0 {
-				s.out[row].Matches = s.tk.Results()
-			}
+			s.live[s.base+row] = reached > 0
 		}
 		return
 	}
+	s.tableRows = max(s.tableRows, len(s.ids))
 	if len(s.rows) < len(s.ids) {
 		s.rows = make([]vvmRow, len(s.ids))
-	}
-	if s.tks == nil {
-		s.tks = topk.NewBlock(0, s.tk.K())
 	}
 	rows := s.rows[:len(s.ids)]
 	for i := range rows {
 		rows[i].live = false
 	}
-	s.tks.Reset(len(rows))
 	s.acc.ForEach(func(row int, inner uint32, raw float64) {
 		s.pairs++
 		r := &rows[row]
 		if !r.live {
-			r.live, r.fin = true, scorer.Row(s.ids[row])
+			r.live, r.fin = true, s.scorer.Row(s.ids[row])
+			s.live[s.base+row] = true
 		}
-		s.tks.Offer(row, inner, r.fin.Finalize(inner, raw))
-	})
-	s.tks.Flush(len(rows), func(row int, kept []Match) {
-		s.out[row] = Result{Outer: s.ids[row]}
-		if rows[row].live {
-			s.out[row].Matches = kept
-		}
+		s.tks.Offer(s.base+row, inner, r.fin.Finalize(inner, raw))
 	})
 }
 
@@ -210,13 +223,14 @@ func (m memory) rangeIDs(ids []uint32, p int) []uint32 {
 	return ids[p*len(ids)/m.passes : (p+1)*len(ids)/m.passes]
 }
 
-// mergeScan runs one parallel scan over both inverted files, invoking fn
-// for every term present in both (e1 from inner/C1, e2 from outer/C2).
-// Entries are yielded from the scanners' arenas and are valid only for the
-// duration of fn.
-func mergeScan(inner, outer *invfile.InvertedFile, fn func(term uint32, e1, e2 *invfile.Entry)) error {
-	s1 := inner.Scan()
-	s2 := outer.Scan()
+// mergeScan runs one parallel scan over both inverted files through the
+// state's scanners, invoking fn for every term present in both (e1 from
+// inner/C1, e2 from outer/C2). Entries are yielded from the scanners'
+// arenas and are valid only for the duration of fn.
+func (ws *vvmState) mergeScan(inner, outer *invfile.InvertedFile, fn func(term uint32, e1, e2 *invfile.Entry)) error {
+	s1, s2 := &ws.inner, &ws.outer
+	s1.Reset(inner)
+	s2.Reset(outer)
 	e1, err1 := s1.NextReuse()
 	e2, err2 := s2.NextReuse()
 	for err1 == nil && err2 == nil {

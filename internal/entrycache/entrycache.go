@@ -16,6 +16,9 @@ package entrycache
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"textjoin/internal/invfile"
 )
@@ -83,9 +86,11 @@ type item struct {
 // item's arena index is kept for the next insertion, and the evicted
 // terms come back in a buffer the next Put overwrites. The entries
 // themselves are recycled as well: an evicted entry goes onto a short free
-// list, and Spare hands its cell slab to the next miss to decode into. An
-// evicted entry is the cache's to overwrite, so a caller must hold no
-// cached entry, nor any sub-slice of its cells, past the next Put.
+// list of its size class, and Spare hands a cell slab with room for the
+// next miss to decode into. An evicted entry is the cache's to overwrite,
+// so a caller must hold no cached entry, nor any sub-slice of its cells,
+// past the next Put. Reset readies the cache for another join and keeps
+// all of it, the cached entries' slabs included.
 type Cache struct {
 	policy   Policy
 	budget   int64
@@ -102,17 +107,42 @@ type Cache struct {
 	heap  []int32 // binary min-heap of indices of items, over (key, term)
 
 	evicted []uint32
-	spares  []*invfile.Entry // evicted entries, for Spare
+	// spares[k] holds released entries, for Spare, whose cell capacity
+	// lies in [2^k, 2^(k+1)) (class).
+	spares [][]*invfile.Entry
+	// heads and chunk.Cells are carved into new entries: a header each
+	// and a slab of cells each, so a cold cache allocates per chunk, not
+	// per entry.
+	heads []invfile.Entry
+	chunk invfile.Entry
 }
 
 // New creates a cache with the given byte budget. priority returns the
 // eviction key for a term under MinOuterDF (the term's document frequency
 // in the outer collection); it may be nil for LRU.
 func New(budget int64, policy Policy, priority func(uint32) int64) *Cache {
+	c := &Cache{}
+	c.Reset(budget, policy, priority)
+	return c
+}
+
+// Reset empties the cache and readies it, as New would, for the given
+// budget, policy and priority. It keeps what the cache has allocated: the
+// slot table, the item arena and the heap, and every cached entry, whose
+// slab Spare hands out again.
+func (c *Cache) Reset(budget int64, policy Policy, priority func(uint32) int64) {
 	if policy == MinOuterDF && priority == nil {
 		panic("entrycache: MinOuterDF policy requires a priority function")
 	}
-	return &Cache{policy: policy, budget: budget, priority: priority, stats: Stats{Policy: policy}}
+	for _, i := range c.heap {
+		it := &c.items[i]
+		c.slot[it.term] = 0
+		c.release(it.entry, math.MaxInt)
+		*it = item{}
+	}
+	c.items, c.free, c.heap = c.items[:0], c.free[:0], c.heap[:0]
+	c.policy, c.budget, c.used, c.priority, c.clock = policy, budget, 0, priority, 0
+	c.stats = Stats{Policy: policy}
 }
 
 // Reserve sizes the slot table for term numbers below terms, so that no
@@ -172,23 +202,60 @@ func (c *Cache) Get(term uint32) (*invfile.Entry, bool) {
 	return it.entry, true
 }
 
-// maxSpares bounds the free list of evicted entries. A cache under
-// pressure evicts about one entry per insertion, so a few spares cover
-// the misses in between.
+// maxSpares bounds each size class's free list of evicted entries. A
+// cache under pressure evicts about one entry per insertion, so a few
+// spares cover the misses in between.
 const maxSpares = 16
 
-// Spare returns an entry for the next miss to decode into: the last
-// evicted entry on the free list, whose cell slab the decode reuses (or
-// outgrows), or a new entry when the list is empty.
-func (c *Cache) Spare() *invfile.Entry {
-	last := len(c.spares) - 1
-	if last < 0 {
-		return &invfile.Entry{}
+// chunkCells is how many cells one allocation carves into new entries'
+// slabs. An entry of more than a quarter of it gets a slab of its own,
+// rounded up to a power of two: any released slab of its size class then
+// has room for any entry of that class.
+const chunkCells = 4096
+
+// class is the size class of a slab of n cells: ⌊log2 n⌋, 0 for none.
+func class(n int) int { return max(0, bits.Len(uint(n))-1) }
+
+// Spare returns an entry for the next miss to decode an entry of the
+// given cell count into, without growing: the last released entry of the
+// smallest size class that has room, or a new one.
+func (c *Cache) Spare(cells int) *invfile.Entry {
+	for k := class(cells); k < len(c.spares); k++ {
+		list := c.spares[k]
+		if last := len(list) - 1; last >= 0 && cap(list[last].Cells) >= cells {
+			e := list[last]
+			list[last] = nil
+			c.spares[k] = list[:last]
+			return e
+		}
 	}
-	e := c.spares[last]
-	c.spares[last] = nil
-	c.spares = c.spares[:last]
+	if len(c.heads) == 0 {
+		c.heads = make([]invfile.Entry, 64)
+	}
+	e := &c.heads[0]
+	c.heads = c.heads[1:]
+	if cells > chunkCells/4 {
+		e.Cells = slices.Grow(e.Cells, 1<<bits.Len(uint(cells-1)))
+		return e
+	}
+	free := c.chunk.Cells
+	if cells > len(free) {
+		free = slices.Grow(free[:0:0], chunkCells)[:chunkCells]
+	}
+	e.Cells, c.chunk.Cells = free[:0:cells], free[cells:]
 	return e
+}
+
+// release puts e on its size class's free list when the list holds fewer
+// than most entries.
+func (c *Cache) release(e *invfile.Entry, most int) {
+	k := class(cap(e.Cells))
+	for len(c.spares) <= k {
+		c.spares = append(c.spares, nil)
+	}
+	if len(c.spares[k]) < most {
+		c.spares[k] = append(c.spares[k], e)
+	}
 }
 
 // Put inserts an entry of the given byte size, evicting victims until it
@@ -207,9 +274,7 @@ func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 	c.evicted = c.evicted[:0]
 	for c.used+size > c.budget {
 		victim := c.heap[0]
-		if len(c.spares) < maxSpares {
-			c.spares = append(c.spares, c.items[victim].entry)
-		}
+		c.release(c.items[victim].entry, maxSpares)
 		c.evicted = append(c.evicted, c.items[victim].term)
 		c.remove(victim)
 		c.stats.Evictions++

@@ -181,20 +181,20 @@ func TestRecycleHandsOutEvictedEntries(t *testing.T) {
 	c.Put(2, b, 10)
 	c.Put(3, entry(3, 4), 10)
 	c.Put(4, entry(4, 4), 20) // evicts 1, then 2
-	if got := c.Spare(); got != b {
+	if got := c.Spare(4); got != b {
 		t.Errorf("Spare = %p, want %p (b, evicted last)", got, b)
 	}
-	if got := c.Spare(); got != a {
+	if got := c.Spare(4); got != a {
 		t.Errorf("second Spare = %p, want %p (a)", got, a)
 	}
-	if got := c.Spare(); got == a || got == b {
+	if got := c.Spare(4); got == a || got == b {
 		t.Errorf("third Spare = %p, want a fresh entry once the free list is empty", got)
 	}
 	term := uint32(10)
 	c.Reserve(int(term) + 200)
 	if allocs := testing.AllocsPerRun(100, func() {
 		term++
-		e := c.Spare()
+		e := c.Spare(4)
 		e.Term = term
 		c.Put(term, e, 10)
 	}); allocs != 0 {

@@ -65,15 +65,6 @@ func (e *Entry) Bytes() int64 { return codec.EncodedRecordSize(len(e.Cells)) }
 // DocFreq returns the entry's document frequency.
 func (e *Entry) DocFreq() int { return len(e.Cells) }
 
-// Clone returns a deep copy of e whose cells do not alias e's. Reuse-style
-// scanning (Scanner.NextReuse) overwrites the yielded entry on the next
-// call; callers that retain entries across calls clone them first.
-func (e *Entry) Clone() *Entry {
-	cells := make([]codec.Cell, len(e.Cells))
-	copy(cells, e.Cells)
-	return &Entry{Term: e.Term, Cells: cells}
-}
-
 // InvertedFile is a handle to a built inverted file and its B+tree.
 type InvertedFile struct {
 	entries *iosim.File
@@ -83,6 +74,9 @@ type InvertedFile struct {
 	// by every view-bound copy of the handle, so the one-time LoadIndex
 	// happens exactly once even when concurrent sessions race to it.
 	idx *indexState
+	// largest is the packed size of the longest entry: a scanner's stitch
+	// window, and with it the most cells an entry decodes to.
+	largest int64
 }
 
 // indexState holds the loaded term index, the in-memory B+tree image. The
@@ -301,7 +295,23 @@ func writeEntries(entryFile, treeFile *iosim.File, terms []uint32, offs []int, a
 	if stats.Entries > 0 {
 		stats.J = float64(stats.Bytes) / float64(stats.Entries) / float64(stats.PageSize)
 	}
-	return &InvertedFile{entries: entryFile, tree: tree, stats: stats, idx: &indexState{}}, nil
+	return &InvertedFile{entries: entryFile, tree: tree, stats: stats, idx: &indexState{},
+		largest: largestEntry(treeCells, stats.Bytes)}, nil
+}
+
+// largestEntry returns the packed size of the longest entry laid out at
+// the addresses of cells, in a file of bytes bytes: an entry ends where
+// the next one starts.
+func largestEntry(cells []codec.BTreeCell, bytes int64) int64 {
+	var l int64
+	for i, c := range cells {
+		end := bytes
+		if i+1 < len(cells) {
+			end = int64(cells[i+1].Addr)
+		}
+		l = max(l, end-int64(c.Addr))
+	}
+	return l
 }
 
 // Open re-attaches to an inverted file and its B+tree written earlier
@@ -354,6 +364,7 @@ func Open(entryFile, treeFile *iosim.File) (*InvertedFile, error) {
 		entryFile.ParkHead()
 		f.stats.Bytes = int64(last.Addr) + size
 		f.stats.J = float64(f.stats.Bytes) / float64(f.stats.Entries) / float64(f.stats.PageSize)
+		f.largest = largestEntry(cells, f.stats.Bytes)
 	}
 	f.idx.index.Store(idx)
 	return f, nil
@@ -473,7 +484,7 @@ func (f *InvertedFile) DocFreq(term uint32) (int64, error) {
 // page is decoded straight out of the page image.
 type Scanner struct {
 	f        *InvertedFile
-	stream   *iosim.Stream
+	stream   iosim.Stream
 	entry    Entry // arena for NextReuse
 	consumed int64
 	err      error
@@ -481,12 +492,29 @@ type Scanner struct {
 
 // Scan starts a sequential scan over all entries.
 func (f *InvertedFile) Scan() *Scanner {
-	return &Scanner{f: f, stream: f.entries.Stream()}
+	s := &Scanner{}
+	s.Reset(f)
+	return s
+}
+
+// Reset restarts s as f.Scan would, keeping its buffers: the stream's
+// stitch window and the arena entry's cells hold f's largest entry, so
+// no scan of f grows them. A nil f detaches s from its file.
+func (s *Scanner) Reset(f *InvertedFile) {
+	var file *iosim.File
+	var largest int64
+	if f != nil {
+		file, largest = f.entries, f.largest
+	}
+	s.stream.Reset(file, int(largest))
+	s.f, s.consumed, s.err = f, 0, nil
+	cells := max(0, (largest-codec.EntryHeaderSize)/codec.CellSize)
+	s.entry = Entry{Cells: slices.Grow(s.entry.Cells[:0], int(cells))}
 }
 
 // NextReuse returns the next entry, or io.EOF after the last one. The
 // entry lives in the scanner's arena: it is valid only until the next
-// call, and callers that retain it must Clone it. The steady state
+// call, and a caller that retains it copies it. The steady state
 // allocates nothing.
 func (s *Scanner) NextReuse() (*Entry, error) {
 	if s.err != nil {
@@ -520,14 +548,4 @@ func (s *Scanner) NextReuse() (*Entry, error) {
 	s.entry.Cells = cells
 	s.consumed += size
 	return &s.entry, nil
-}
-
-// Next returns the next entry, or io.EOF after the last one. The entry is
-// freshly allocated and safe to retain (HVNL's preload caches it).
-func (s *Scanner) Next() (*Entry, error) {
-	e, err := s.NextReuse()
-	if err != nil {
-		return nil, err
-	}
-	return e.Clone(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -98,7 +99,7 @@ func TestBuildSmall(t *testing.T) {
 
 	// Scan yields entries in ascending term order with correct cells.
 	sc := inv.Scan()
-	e1, err := sc.Next()
+	e1, err := sc.NextReuse()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +112,15 @@ func TestBuildSmall(t *testing.T) {
 	if e1.Cells[1].Number != 2 || e1.Cells[1].Weight != 1 {
 		t.Errorf("term 1 cell 1 = %+v", e1.Cells[1])
 	}
-	e2, _ := sc.Next()
+	e2, _ := sc.NextReuse()
 	if e2.Term != 2 || e2.DocFreq() != 2 {
 		t.Errorf("entry 2 = %+v", e2)
 	}
-	e3, _ := sc.Next()
+	e3, _ := sc.NextReuse()
 	if e3.Term != 3 || e3.DocFreq() != 1 || e3.Cells[0].Number != 1 {
 		t.Errorf("entry 3 = %+v", e3)
 	}
-	if _, err := sc.Next(); err != io.EOF {
+	if _, err := sc.NextReuse(); err != io.EOF {
 		t.Errorf("after last entry err = %v, want EOF", err)
 	}
 }
@@ -385,7 +386,7 @@ func TestScanIsSequentialAndCostsI(t *testing.T) {
 	sc := inv.Scan()
 	count := int64(0)
 	for {
-		_, err := sc.Next()
+		_, err := sc.NextReuse()
 		if err == io.EOF {
 			break
 		}
@@ -440,7 +441,7 @@ func TestEmptyCollection(t *testing.T) {
 	if err != nil || ok {
 		t.Errorf("Contains on empty = %v, %v", ok, err)
 	}
-	if _, err := inv.Scan().Next(); err != io.EOF {
+	if _, err := inv.Scan().NextReuse(); err != io.EOF {
 		t.Errorf("scan empty err = %v, want EOF", err)
 	}
 }
@@ -476,7 +477,7 @@ func TestQuickInversionRoundTrip(t *testing.T) {
 		sc := inv.Scan()
 		var prevTerm int64 = -1
 		for {
-			e, err := sc.Next()
+			e, err := sc.NextReuse()
 			if err == io.EOF {
 				break
 			}
@@ -542,14 +543,14 @@ func TestQuickFetchMatchesScan(t *testing.T) {
 		byTerm := make(map[uint32]*Entry)
 		sc := inv.Scan()
 		for {
-			e, err := sc.Next()
+			e, err := sc.NextReuse()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				return false
 			}
-			byTerm[e.Term] = e
+			byTerm[e.Term] = &Entry{Term: e.Term, Cells: slices.Clone(e.Cells)}
 		}
 		for _, term := range c.Terms() {
 			fetched, err := inv.FetchEntry(term)

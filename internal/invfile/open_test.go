@@ -51,8 +51,8 @@ func TestOpenRebuildsStatsAndEntries(t *testing.T) {
 	// Sequential scans agree too.
 	s1, s2 := built.Scan(), reopened.Scan()
 	for {
-		e1, err1 := s1.Next()
-		e2, err2 := s2.Next()
+		e1, err1 := s1.NextReuse()
+		e2, err2 := s2.NextReuse()
 		if err1 == io.EOF || err2 == io.EOF {
 			if err1 != err2 {
 				t.Fatalf("scan lengths differ: %v vs %v", err1, err2)

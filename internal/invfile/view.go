@@ -27,5 +27,6 @@ func (f *InvertedFile) WithView(v *iosim.View) (*InvertedFile, error) {
 		tree:    f.tree,
 		stats:   f.stats,
 		idx:     f.idx,
+		largest: f.largest,
 	}, nil
 }

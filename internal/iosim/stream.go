@@ -1,5 +1,7 @@
 package iosim
 
+import "slices"
+
 // Stream reads a file's bytes in order, one packed record at a time: the
 // sequential access every scan makes. A record inside one page is
 // returned as a slice of the page image, which must not be modified; one
@@ -24,6 +26,13 @@ type Stream struct {
 
 // Stream starts a sequential read at the file's first byte.
 func (f *File) Stream() *Stream { return &Stream{f: f} }
+
+// Reset restarts s at f's first byte, as f.Stream would, keeping its
+// scratch grown to window bytes: a scan whose records are at most window
+// bytes long then never grows it. A nil f detaches s from its file.
+func (s *Stream) Reset(f *File, window int) {
+	*s = Stream{f: f, scratch: slices.Grow(s.scratch[:0], window)}
+}
 
 // Peek returns the next n bytes without consuming them, reading the
 // pages they reach into. The slice is valid until the next call.

@@ -139,7 +139,12 @@ func (c Config) Keys(d *document.Document, dst []uint64) []uint64 {
 		dst = make([]uint64, c.Bands)
 	}
 	dst = dst[:c.Bands]
-	rows := make([]uint64, c.Rows)
+	var small [8]uint64 // a band's row minima, without an allocation when they fit
+	rows := small[:]
+	if c.Rows > len(small) {
+		rows = make([]uint64, c.Rows)
+	}
+	rows = rows[:c.Rows]
 	for b := 0; b < c.Bands; b++ {
 		for j := 0; j < c.Rows; j++ {
 			salt := c.rowSalt(b*c.Rows + j)
