@@ -20,7 +20,9 @@ test: build
 # ended spans and closed views and cmd/ files are tests too, all part of
 # go test), then race-check the
 # packages that run concurrently (in internal/core the joins run
-# concurrently on views of one disk, each on its caller's goroutine), the accumulator layer the joins share, the entry cache HVNL
+# concurrently on views of one disk, each on its caller's goroutine), the
+# free lists the joins' run states and the server's row sets and reply
+# buffers come from, the accumulator layer the joins share, the entry cache HVNL
 # drives and the inverted file and paged store under it (ReadSpan hands
 # concurrent views aliases of the shared page images), the term tables
 # concurrent views read once memoized (B+tree image, document frequencies,
@@ -51,7 +53,7 @@ verify: obs-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
-	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/corpus/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
+	$(GO) test -race ./internal/core/... ./internal/freelist/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/corpus/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
 
 # lint runs the repo's own static-analysis suite over the whole module
 # and benchmark/: two analyzers driven by the checked-in policy table in

@@ -41,7 +41,7 @@ func TestLiveRepoClean(t *testing.T) {
 		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, stderr.String(), out)
 	}
 	for _, want := range []string{
-		"lintcheck: ok (40 packages, 2 rules", "file(s)",
+		"lintcheck: ok (41 packages, 2 rules", "file(s)",
 		"mapdeterminism", "errdrop",
 	} {
 		if !strings.Contains(out, want) {

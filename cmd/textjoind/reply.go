@@ -20,7 +20,8 @@ import (
 // byte for byte what json.Marshal makes of the header with the rows as
 // struct fields, but the rows are appended straight from the join's
 // []textjoin.Result into one buffer that is handed to the connection
-// whenever it fills: no copy of the rows, and no whole-reply buffer.
+// whenever it fills: no copy of the rows, and no whole-reply buffer. The
+// buffer is the caller's, kept from request to request (replySet).
 
 const (
 	// replyBufBytes is the size of the one buffer a reply is encoded in.
@@ -31,11 +32,13 @@ const (
 )
 
 // writeJoinReply answers a /join with status 200, the header fields of
-// resp and the first show rows of results. It stops at the first failed
+// resp and the first show rows of results, encoded in buf: its capacity,
+// at least replyBufBytes (a smaller buf is replaced by a new one), is
+// what each write hands the connection. It stops at the first failed
 // write and returns that error, so a client that hung up costs no further
 // encoding. A header encoding/json rejects is returned before anything is
 // written.
-func writeJoinReply(w http.ResponseWriter, resp *joinResponse, results []textjoin.Result, show int) error {
+func writeJoinReply(w http.ResponseWriter, resp *joinResponse, results []textjoin.Result, show int, buf []byte) error {
 	head, err := json.Marshal(resp)
 	if err != nil {
 		return err
@@ -46,7 +49,10 @@ func writeJoinReply(w http.ResponseWriter, resp *joinResponse, results []textjoi
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 
-	e := replyEncoder{w: w, buf: make([]byte, 0, replyBufBytes)}
+	if cap(buf) < replyBufBytes {
+		buf = make([]byte, 0, replyBufBytes)
+	}
+	e := replyEncoder{w: w, buf: buf[:0]}
 	// The header document without its closing brace; the rows and the
 	// brace follow.
 	e.buf = append(e.buf, head[:len(head)-1]...)
@@ -108,8 +114,14 @@ func (e *replyEncoder) room() error {
 // shortest decimal that reads back as f, in %f form unless |f| < 1e-6 or
 // |f| ≥ 1e21, which take %e form with a one-digit negative exponent
 // written without its leading zero (1e-7, not 1e-07). f must be finite.
+// An integral f below 2⁵³ in magnitude, every raw-tf similarity, is its
+// integer's digits, appended without the shortest-decimal search; zero
+// takes the float path, which keeps −0's sign.
 func appendJSONFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
+	if abs != 0 && abs < 1<<53 && f == math.Trunc(f) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -140,7 +140,7 @@ func TestJoinReplyMatchesEncodingJSON(t *testing.T) {
 		Prefilter: &textjoin.PrefilterStats{PagesSkipped: 2}}
 	for _, show := range []int{-1, 0, 2, len(results) + 1} {
 		rec := httptest.NewRecorder()
-		if err := writeJoinReply(rec, &header, results, show); err != nil {
+		if err := writeJoinReply(rec, &header, results, show, nil); err != nil {
 			t.Fatal(err)
 		}
 		sameBytes(t, fmt.Sprintf("synthetic rows, show=%d", show), rec.Body.Bytes(), referenceReply(t, header, results, show))
@@ -160,16 +160,32 @@ func checkJSONFloat(t *testing.T, f float64) {
 	}
 }
 
+// integralFloats are the edges of appendJSONFloat's integer path: 2⁵³ − 1
+// takes it; 2⁵³, the next float above it, 1e20 and 1e21 do not. Each is
+// signed both ways.
+var integralFloats = []float64{
+	1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 2, -(1<<53 + 2), 1e20, -1e20, 1e21, -1e21,
+}
+
 // TestAppendJSONFloatMatchesEncodingJSON covers both of encoding/json's
-// float formats at and around their cut-offs, the extremes of float64, a
-// sweep of decimal magnitudes and a seeded sweep of random finite bit
-// patterns.
+// float formats at and around their cut-offs, the extremes of float64, the
+// integral path (every integer to 10⁵ and each power of two to 2⁵³ and
+// its neighbours, signed both ways, and integralFloats), a sweep of
+// decimal magnitudes and a seeded sweep of random finite bit patterns.
 func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 	values := []float64{
 		0, math.Copysign(0, -1), 1e-7, -1e-7, 9.99e-7, -9.99e-7, 1e-6, -1e-6,
 		1e20, 1e21, -1e21, math.Nextafter(1e21, 0), math.Nextafter(1e-6, 0),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		math.MaxFloat64, -math.MaxFloat64, 0.1, 1, 2.5, 123456789.125,
+	}
+	values = append(values, integralFloats...)
+	for i := 0; i <= 100_000; i++ {
+		values = append(values, float64(i), -float64(i))
+	}
+	for e := 0; e <= 53; e++ {
+		p := math.Ldexp(1, e)
+		values = append(values, p-1, p, p+1, -(p - 1), -p, -(p + 1))
 	}
 	rng := rand.New(rand.NewSource(29))
 	for exp := -30; exp <= 30; exp++ {
@@ -190,8 +206,8 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 // FuzzAppendJSONFloat holds the formatter to encoding/json on any finite
 // float64; its seeds are the cut-offs and extremes.
 func FuzzAppendJSONFloat(f *testing.F) {
-	for _, v := range []float64{0, 1e-7, -1e-7, 9.99e-7, 1e-6, 1e20, 1e21,
-		math.SmallestNonzeroFloat64, math.MaxFloat64, 0.3333333333333333} {
+	for _, v := range append([]float64{0, math.Copysign(0, -1), 1, -1, 3, 1e-7, -1e-7, 9.99e-7, 1e-6,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, 0.3333333333333333}, integralFloats...) {
 		f.Add(v)
 	}
 	f.Fuzz(func(t *testing.T, v float64) {
@@ -289,9 +305,9 @@ func TestJoinReplyStopsAtFirstFailedWrite(t *testing.T) {
 }
 
 // TestJoinReplyAllocationIsBounded: streaming serve_mix's largest reply
-// shape — 771 rows of λ = 20 matches, about 0.6 MB of JSON — allocates
-// the one encode buffer and the marshalled header, not a copy of the rows
-// or a buffer the size of the reply.
+// shape — 771 rows of λ = 20 matches, about 0.6 MB of JSON — through the
+// caller's encode buffer allocates the marshalled header alone, not a copy
+// of the rows, a buffer of its own or one the size of the reply.
 func TestJoinReplyAllocationIsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	results := make([]textjoin.Result, 771)
@@ -306,13 +322,14 @@ func TestJoinReplyAllocationIsBounded(t *testing.T) {
 		OuterDocs: 771, InnerDocs: 1542, Passes: 1, SeqReads: 60, Cost: 67.17,
 		WallSeconds: 0.03, ExecSeconds: 0.01}
 	w := &brokenWriter{header: http.Header{}, limit: math.MaxInt}
+	buf := make([]byte, 0, replyBufBytes)
 
-	const bound = 64 << 10
+	const bound = 4 << 10
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := writeJoinReply(w, &header, results, len(results)); err != nil {
+		if err := writeJoinReply(w, &header, results, len(results), buf); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

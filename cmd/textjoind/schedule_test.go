@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -547,4 +549,41 @@ func TestSLOCountsServedTraffic(t *testing.T) {
 	hs := newHarness(t)
 	hs.do("", step{"400", hs.badRequest}, step{"422", hs.unrunnable}, step{"fault", hs.fault},
 		step{"queue full", hs.queueFull})
+}
+
+// TestServedJoinReusesItsRows: once a kind has run, a /join of each
+// serve_mix kind at its λ of 20, rows and all, allocates at most 64 KiB
+// and at most a quarter of the bytes its plan charges for its rows — a
+// Result of 32 bytes and λ matches of 16 per outer document. The join
+// fills the row set the last request gave back, and the reply is encoded
+// in that request's buffer; what is left is the request's trace, plan and
+// header. Each kind is judged by the least of five requests after one to
+// warm it, so a collection that freed the idle set between two requests,
+// or a formatter the race detector's sync.Pool dropped, spoils one of them
+// only.
+func TestServedJoinReusesItsRows(t *testing.T) {
+	hs := newHarness(t)
+	w := &brokenWriter{header: http.Header{}, limit: math.MaxInt}
+	for _, k := range serveMixKinds {
+		path := "/join?" + k.query + "&lambda=20&show=100000"
+		warm := hs.join(path, http.StatusOK, "").reply
+		rows := warm.OuterDocs * int64(32+16*warm.Lambda)
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			clear(w.header)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			hs.h.ServeHTTP(w, req)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%-15s %d rows charged %d bytes; a request allocates %d", k.name, warm.OuterDocs, rows, least)
+		if least > 64<<10 || 4*int64(least) > rows {
+			t.Errorf("%s: a warm request allocates %d bytes, want at most 64 KiB and a quarter of its rows' %d", k.name, least, rows)
+		}
+	}
+	if w.failed {
+		t.Fatal("a reply write failed")
+	}
 }

@@ -7,10 +7,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"time"
 
 	"textjoin"
+	"textjoin/internal/freelist"
 	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
 )
@@ -304,13 +306,14 @@ type joinResponse struct {
 func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	span := reqtrace.FromContext(r.Context())
-	algName := param(r, "alg", "auto")
+	q := r.URL.Query()
+	algName := param(q, "alg", "auto")
 	alg, err := textjoin.ParseAlgorithm(algName)
 	if err != nil {
 		s.joinError(w, span, http.StatusBadRequest, err)
 		return
 	}
-	lambda, err := intParam(r, "lambda", s.cfg.Lambda)
+	lambda, err := intParam(q, "lambda", s.cfg.Lambda)
 	if err == nil && lambda <= 0 {
 		err = fmt.Errorf("lambda must be positive")
 	}
@@ -318,22 +321,22 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.joinError(w, span, http.StatusBadRequest, err)
 		return
 	}
-	show, err := intParam(r, "show", 3)
+	show, err := intParam(q, "show", 3)
 	if err != nil {
 		s.joinError(w, span, http.StatusBadRequest, err)
 		return
 	}
-	weighting, err := textjoin.ParseWeighting(param(r, "weighting", "raw"))
+	weighting, err := textjoin.ParseWeighting(param(q, "weighting", "raw"))
 	if err != nil {
 		s.joinError(w, span, http.StatusBadRequest, err)
 		return
 	}
-	prefilter := param(r, "prefilter", "off")
+	prefilter := param(q, "prefilter", "off")
 	if prefilter != "on" && prefilter != "off" {
 		s.joinError(w, span, http.StatusBadRequest, fmt.Errorf("parameter prefilter: want on or off, got %q", prefilter))
 		return
 	}
-	mode := param(r, "mode", "exact")
+	mode := param(q, "mode", "exact")
 	if mode != "exact" && mode != "lsh" {
 		s.joinError(w, span, http.StatusBadRequest, fmt.Errorf("parameter mode: want exact or lsh, got %q", mode))
 		return
@@ -343,7 +346,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	} else if alg == textjoin.LSH {
 		mode = "lsh"
 	}
-	recall, err := floatParam(r, "recall", 0)
+	recall, err := floatParam(q, "recall", 0)
 	if err == nil && recall != 0 && (recall <= 0 || recall > 1) {
 		err = fmt.Errorf("parameter recall: want a value in (0, 1], got %v", recall)
 	}
@@ -402,6 +405,10 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	qspan.End()
 	defer s.adm.release(dec.PeakBytes)
+	// The admitted request's row set and reply buffer, given back once
+	// the reply is written or the request has failed.
+	set := replySets.Get()
+	defer replySets.Put(set)
 
 	// Snapshot: bind the inputs to a private I/O view so this join's
 	// page reads move private head positions and counters.
@@ -418,7 +425,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	opts.Trace = exec
 	execBegin := time.Now()
 	var results []textjoin.Result
-	results, stats, err = dec.Run(in, opts)
+	results, stats, err = dec.RunInto(in, opts, &set.rows)
 	// The reply's exec_seconds is the exec span's interval: both clocks
 	// stop here, before the view's I/O breakdown is formatted.
 	execSeconds := time.Since(execBegin).Seconds()
@@ -454,10 +461,24 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if stats.LSH.Enabled {
 		resp.LSH = &stats.LSH
 	}
-	if err := writeJoinReply(w, &resp, results, show); err != nil {
+	if err := writeJoinReply(w, &resp, results, show, set.buf[:]); err != nil {
 		reply.SetAttr("error", err.Error())
 	}
 }
+
+// replySet is what an admitted /join works its answer in: the row set its
+// join fills and the buffer its reply is encoded in. A request takes one
+// from replySets and gives it back on every exit path, so a steady server
+// allocates per request little beyond its reply's header and its trace:
+// the rows and the buffer are the last request's.
+type replySet struct {
+	rows textjoin.Rows
+	buf  [replyBufBytes]byte
+}
+
+// replySets are the idle reply sets, at most one per request that ran at
+// once; two collections that find one idle free it.
+var replySets = freelist.New[replySet](nil)
 
 // traceIDString is the request's trace ID, or "" when tracing is off.
 func traceIDString(span *textjoin.RequestSpan) string {
@@ -507,8 +528,8 @@ func recordViewIO(span *textjoin.RequestSpan, v *textjoin.IOView) {
 		if fs.Stats.Reads() == 0 && fs.Stats.Writes == 0 {
 			continue
 		}
-		io.SetAttr("io.file."+fs.Name, fmt.Sprintf("seq=%d rand=%d writes=%d",
-			fs.Stats.SeqReads, fs.Stats.RandReads, fs.Stats.Writes))
+		io.SetAttr("io.file."+fs.Name, "seq="+strconv.FormatInt(fs.Stats.SeqReads, 10)+
+			" rand="+strconv.FormatInt(fs.Stats.RandReads, 10)+" writes="+strconv.FormatInt(fs.Stats.Writes, 10))
 		seq += fs.Stats.SeqReads
 		rand += fs.Stats.RandReads
 		writes += fs.Stats.Writes
@@ -530,15 +551,15 @@ func retryAfter(wait time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-func param(r *http.Request, name, def string) string {
-	if v := r.URL.Query().Get(name); v != "" {
+func param(q url.Values, name, def string) string {
+	if v := q.Get(name); v != "" {
 		return v
 	}
 	return def
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -549,8 +570,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
+func floatParam(q url.Values, name string, def float64) (float64, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}

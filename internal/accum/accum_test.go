@@ -664,8 +664,9 @@ func TestStoreAllocatesOneMatrix(t *testing.T) {
 
 func TestIDSetContiguous(t *testing.T) {
 	ids := []uint32{5, 6, 7, 8, 9}
-	s := NewIDSet(ids)
-	if !s.contiguous {
+	var s IDSet
+	s.Reset(ids)
+	if s.mode != contiguous {
 		t.Fatal("want contiguous representation")
 	}
 	checkIDSet(t, &s, ids)
@@ -673,8 +674,9 @@ func TestIDSetContiguous(t *testing.T) {
 
 func TestIDSetBitmap(t *testing.T) {
 	ids := []uint32{3, 4, 9, 64, 65, 130, 200}
-	s := NewIDSet(ids)
-	if s.words == nil {
+	var s IDSet
+	s.Reset(ids)
+	if s.mode != bitmap {
 		t.Fatal("want bitmap representation")
 	}
 	checkIDSet(t, &s, ids)
@@ -682,15 +684,39 @@ func TestIDSetBitmap(t *testing.T) {
 
 func TestIDSetSparseFallback(t *testing.T) {
 	ids := []uint32{1, 1000000, 9000000}
-	s := NewIDSet(ids)
-	if s.ids == nil {
+	var s IDSet
+	s.Reset(ids)
+	if s.mode != search {
 		t.Fatal("want binary-search representation")
 	}
 	checkIDSet(t, &s, ids)
 }
 
+// TestIDSetResetAcrossModes rebuilds one set through every representation
+// and back, as VVM's passes do: each rebuild answers for its own ids only,
+// and a rebuild no more scattered than an earlier one allocates nothing.
+func TestIDSetResetAcrossModes(t *testing.T) {
+	sets := [][]uint32{
+		{1, 1000000, 9000000}, {3, 4, 9, 64, 65, 130, 200}, {5, 6, 7, 8, 9},
+		{2, 5, 70}, nil, {1, 3, 5, 7, 9, 11}, {4, 2000000},
+	}
+	var s IDSet
+	for _, ids := range sets {
+		s.Reset(ids)
+		checkIDSet(t, &s, ids)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, ids := range sets {
+			s.Reset(ids)
+		}
+	}); allocs != 0 {
+		t.Errorf("rebuilding a warm set allocates %.0f objects, want 0", allocs)
+	}
+}
+
 func TestIDSetEmpty(t *testing.T) {
-	s := NewIDSet(nil)
+	var s IDSet
+	s.Reset(nil)
 	if s.Len() != 0 || s.Contains(0) {
 		t.Fatal("empty set misbehaves")
 	}
@@ -741,7 +767,8 @@ func TestIDSetQuick(t *testing.T) {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		s := NewIDSet(ids)
+		var s IDSet
+		s.Reset(ids)
 		for probe := 0; probe < 100; probe++ {
 			id := uint32(r.Intn(span + 10))
 			rank, ok := s.Rank(id)

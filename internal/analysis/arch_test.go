@@ -27,8 +27,8 @@ import (
 // require), no import of a program.
 //
 // The rows transcribe the layer diagram: the collector (metrics), the
-// tracer (reqtrace) and codec/costmodel/relation/topk/analysis/iosim are
-// stdlib-only, slo sees only metrics, accum (whose AddCells takes the
+// tracer (reqtrace), the free lists (freelist) and
+// codec/costmodel/relation/topk/analysis/iosim are stdlib-only, slo sees only metrics, accum (whose AddCells takes the
 // cells it multiplies) and document sit one rung above codec, and the
 // join core is the only package that may pull the whole storage stack
 // together. The collector belongs to the programs: no storage, cache,
@@ -44,6 +44,7 @@ var importLayers = map[string][]string{
 	"internal/analysis":  {},
 	"internal/codec":     {},
 	"internal/costmodel": {},
+	"internal/freelist":  {},
 	"internal/metrics":   {},
 	"internal/relation":  {},
 	"internal/reqtrace":  {},
@@ -69,7 +70,7 @@ var importLayers = map[string][]string{
 	"internal/core": {
 		"internal/accum", "internal/codec", "internal/collection",
 		"internal/costmodel", "internal/document", "internal/entrycache",
-		"internal/invfile", "internal/iosim", "internal/lsh",
+		"internal/freelist", "internal/invfile", "internal/iosim", "internal/lsh",
 		"internal/reqtrace", "internal/signature", "internal/stats",
 		"internal/topk",
 	},
@@ -86,7 +87,7 @@ var importLayers = map[string][]string{
 	"cmd/loadgen":     {},
 	"cmd/simulate":    {"internal/corpus", "internal/costmodel", "internal/simulate"},
 	"cmd/textjoin":    {"internal/corpus", "internal/reqtrace"},
-	"cmd/textjoind":   {"internal/metrics", "internal/reqtrace"},
+	"cmd/textjoind":   {"internal/freelist", "internal/metrics", "internal/reqtrace"},
 	"cmd/tracecheck":  {"internal/metrics", "internal/reqtrace"},
 
 	"examples/clustering":   {},

@@ -538,6 +538,41 @@ type DocIterator interface {
 	NextReuse() (*document.Document, error)
 }
 
+// Cursor is one reusable iteration over any Reader, for a caller that
+// sweeps a reader per task and keeps the cursor between tasks: Documents
+// restarts it over the reader in the buffers its last sweep of that kind
+// grew, so a sweep of a reader no larger than one swept before allocates
+// nothing. Its zero value is ready to use.
+type Cursor struct {
+	scan  Scanner
+	sub   subsetIterator
+	batch batchIterator
+}
+
+// Documents starts a new iteration over r, as r.Documents() does. The
+// iterator is the cursor's: it is valid until the next Documents or Reset.
+func (c *Cursor) Documents(r Reader) DocIterator {
+	switch r := r.(type) {
+	case *Collection:
+		c.scan.Reset(r, nil)
+		return &c.scan
+	case *Subset:
+		c.sub.s, c.sub.next = r, 0
+		return &c.sub
+	case *Batch:
+		c.batch = batchIterator{b: r}
+		return &c.batch
+	}
+	return r.Documents()
+}
+
+// Reset drops the cursor's reader, keeping its buffers.
+func (c *Cursor) Reset() {
+	c.scan.Reset(nil, nil)
+	c.sub.s = nil
+	c.batch = batchIterator{}
+}
+
 // Collection implements Reader over all its documents.
 var _ Reader = (*Collection)(nil)
 

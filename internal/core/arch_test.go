@@ -133,42 +133,3 @@ func TestWeightProductsLiveInAccumOnly(t *testing.T) {
 		})
 	}
 }
-
-// storeConstructors are the accum calls that build a VVM similarity store.
-var storeConstructors = map[string]bool{"New": true, "NewDense": true, "NewTable": true}
-
-// TestStoresAreBuiltOutsideLoops pins one store per join: no accum.New
-// (nor the NewDense/NewTable of older trees) in a join file sits inside a
-// for statement, where it would be rebuilt per pass instead of Reset.
-func TestStoresAreBuiltOutsideLoops(t *testing.T) {
-	for name, f := range parseNonTest(t, ".") {
-		var loops []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
-				loops = append(loops, n)
-			}
-			return true
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "accum" || !storeConstructors[sel.Sel.Name] {
-				return true
-			}
-			for _, loop := range loops {
-				if loop.Pos() <= call.Pos() && call.End() <= loop.End() {
-					t.Errorf("%s: accum.%s inside a for statement; build the store once per join and Reset it", name, sel.Sel.Name)
-					break
-				}
-			}
-			return true
-		})
-	}
-}

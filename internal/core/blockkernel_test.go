@@ -189,11 +189,12 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 					key := name + string(rune('0'+mode))
 					st := stages[key]
 					if st == nil {
-						st = &blockStage{block: block, tk: topk.NewBlock(0, lambda)}
+						st = &blockStage{block: block, tk: &topk.Block{}}
 						stages[key] = st
 					}
 					st.scorer = scorer
-					st.begin(lists)
+					st.tk.Reset(len(batch), lambda)
+					st.begin(lists, 0)
 					want := newPairwiseStage(scorer, batch, lists, lambda)
 					for i := range streamed {
 						st.score(&streamed[i])
@@ -268,11 +269,12 @@ func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
 		{blockOf(map[uint32]int{2: 1, 3: 1}, map[uint32]int{3: 2}), 0, 1},
 	}
 	block := blockFor(cases[0].batch, cases[1].batch)
-	st := &blockStage{scorer: rawScorer(t), block: block, tk: topk.NewBlock(0, 3)}
+	st := &blockStage{scorer: rawScorer(t), block: block, tk: &topk.Block{}}
 	d := document.New(7, map[uint32]int{5: 3})
 	for i, tc := range cases {
 		block.regroup(tc.batch)
-		st.begin(nil)
+		st.tk.Reset(len(tc.batch), 3)
+		st.begin(nil, 0)
 		st.score(d)
 		reached := 0
 		for _, kept := range stageResults(st, len(tc.batch)) {
@@ -295,8 +297,9 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 	block := blockFor(batch)
 	block.regroup(batch)
 	scorer := rawScorer(t)
-	st := &blockStage{scorer: scorer, block: block, tk: topk.NewBlock(0, 3)}
-	st.begin(nil)
+	st := &blockStage{scorer: scorer, block: block, tk: &topk.Block{}}
+	st.tk.Reset(len(batch), 3)
+	st.begin(nil, 0)
 	want := newPairwiseStage(scorer, batch, nil, 3)
 	beyond := uint32(len(block.dir) + 1000)
 	for _, d := range []*document.Document{
@@ -343,8 +346,9 @@ func BenchmarkBlockScore(b *testing.B) {
 	batch, stream := docs(2, int(p.NumDocs/3)), docs(1, int(p.NumDocs))
 	block := blockFor(batch)
 	block.regroup(batch)
-	st := &blockStage{scorer: rawScorer(b), block: block, tk: topk.NewBlock(0, 20)}
-	st.begin(nil)
+	st := &blockStage{scorer: rawScorer(b), block: block, tk: &topk.Block{}}
+	st.tk.Reset(len(batch), 20)
+	st.begin(nil, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -101,6 +101,29 @@ type Result struct {
 	Matches []Match
 }
 
+// Rows is a caller-held row set: the rows of a join and the tracker slab
+// their matches are cut from, one slot of λ per outer document. Its zero
+// value is ready to use. Decision.RunInto fills it and returns its rows,
+// which alias it: they hold until the next RunInto on the set, which
+// reuses its arrays, so a join into a recycled set no smaller than it
+// needs allocates no rows. Decision.Run joins into a new set, so its
+// caller owns the rows it gets. A Rows is not safe for concurrent use.
+type Rows struct {
+	results []Result
+	tks     topk.Block
+}
+
+// reset readies the set for a join of n outer documents at λ lambda and
+// returns its empty rows, with room for exactly n: non-nil even for none,
+// as a join's rows have always been.
+func (r *Rows) reset(n, lambda int) []Result {
+	r.tks.Reset(n, lambda)
+	if cap(r.results) < n || r.results == nil {
+		r.results = make([]Result, n)
+	}
+	return r.results[:0:n]
+}
+
 // Options configures a join run.
 type Options struct {
 	// Lambda is λ: how many inner documents to return per outer

@@ -47,14 +47,14 @@ import (
 // pages and documents whose aggregate signatures are disjoint from the
 // batch's OR-signature — a provably zero similarity for every resident
 // outer document, so results are byte-identical.
-func runHHNL(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Result, *Stats, error) {
+func runHHNL(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Rows) ([]Result, *Stats, error) {
 	pf, err := activePrefilter(in, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	ws := blockStates.get()
-	defer blockStates.put(ws)
-	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, ws: ws, scanName: "hhnl.inner-scan",
+	ws := blockStates.Get()
+	defer blockStates.Put(ws)
+	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, ws: ws, rows: rows, scanName: "hhnl.inner-scan",
 		stats: &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}}
 	if pf != nil {
 		// Disqualify inner clusters, pages and documents against the
@@ -76,16 +76,18 @@ func runHHNL(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Resu
 }
 
 // blockState is the run state of the block joins, HHNL's and LSH's: the
-// batch arena, the regrouped block with its accumulator, the inner
-// scanner and LSH's candidate lists.
+// batch arena, the regrouped block with its accumulator, the outer
+// iterator, the inner scanner and LSH's candidate lists.
 type blockState struct {
 	arena batchArena
 	block residentBlock
+	outer collection.Cursor
 	inner collection.Scanner
 	lsh   lshLists
 }
 
 func (s *blockState) release() {
+	s.outer.Reset()
 	s.inner.Reset(nil, nil) // drops the scan's keep vector too
 }
 
@@ -140,13 +142,15 @@ func (a *batchArena) fill(next func() (*document.Document, error), n int, overhe
 // blockJoin is the block skeleton HHNL and LSH share: fill a
 // resident outer batch → prepare it (the prefilter's keep vector, or the
 // LSH candidate lists) → regroup it by term → stream the inner documents
-// the preparation kept through the scoring stage → flush the batch's rows.
+// the preparation kept through the scoring stage into the trackers of the
+// batch's rows; once every batch ran, flush the rows.
 type blockJoin struct {
 	in     Inputs
 	opts   Options
 	mem    memory
 	scorer *document.Scorer
 	ws     *blockState
+	rows   *Rows
 	stats  *Stats
 	extra  int64 // what prepare holds beside the block, for PeakMemoryBytes
 	// prepare, when non-nil, runs once per batch: keep marks the inner
@@ -161,20 +165,21 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	in, opts, stats := b.in, b.opts, b.stats
 	trace := opts.Trace
 	name := strings.ToLower(stats.Algorithm.String())
-	fillName, invertName, flushName := name+".fill-batch", name+".invert-batch", name+".flush-batch"
+	fillName, invertName := name+".fill-batch", name+".invert-batch"
 	track := trackIO(in.Outer.File(), in.Inner.File())
-	outer := in.Outer.Documents()
-	// The arena, the block, its accumulator and the stage's tracker slab
-	// are sized for the plan's largest batch and reused by every batch,
-	// except the slab's matches: each batch's become its result rows.
+	outer := b.ws.outer.Documents(in.Outer)
+	// The arena, the block and its accumulator are sized for the plan's
+	// largest batch and reused by every batch. The row set holds a tracker
+	// per outer document: each batch scores into its own documents' slots.
 	cut, overhead := b.mem.cut, 4*int64(opts.Lambda)
 	arena, block, scan := &b.ws.arena, &b.ws.block, &b.ws.inner
 	arena.reset(cut.slots, cut.cells)
 	block.resize(cut.slots, cut.cells, termSpan(in.Outer))
-	st := &blockStage{scorer: b.scorer, block: block, tk: topk.NewBlock(cut.slots, opts.Lambda)}
+	n := int(in.Outer.NumDocs())
+	results := b.rows.reset(n, opts.Lambda)
+	st := &blockStage{scorer: b.scorer, block: block, tk: &b.rows.tks}
 
-	results := make([]Result, 0, in.Outer.NumDocs())
-	for start, n := 0, int(in.Outer.NumDocs()); start < n; {
+	for start := 0; start < n; {
 		end, planned, _ := nextBatch(in.Outer, start, cut.budget, overhead)
 		fill := trace.StartChild(reqtrace.PhaseScan, fillName)
 		batch, used, err := arena.fill(outer.NextReuse, end-start, overhead, planned)
@@ -199,7 +204,10 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		}
 		invert := trace.StartChild(reqtrace.PhaseScan, invertName)
 		block.regroup(batch)
-		st.begin(lists)
+		st.begin(lists, len(results))
+		for i := range batch {
+			results = append(results, Result{Outer: batch[i].ID})
+		}
 		invert.End()
 
 		// One scan of the (kept) inner documents per batch. Each is scored
@@ -226,14 +234,11 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		if stats.Prefilter.Enabled {
 			stats.Prefilter.FalsePasses += st.falsePasses
 		}
-
-		flush := trace.StartChild(reqtrace.PhaseFlush, flushName)
-		st.tk.Flush(len(batch), func(i int, kept []Match) {
-			results = append(results, Result{Outer: batch[i].ID, Matches: kept})
-		})
-		flush.End()
 	}
-	stats.PeakMemoryBytes += block.bytes() + int64(st.tk.Slots())*trackerBytes(opts.Lambda) + b.extra
+	flush := trace.StartChild(reqtrace.PhaseFlush, name+".flush")
+	st.tk.Flush(len(results), func(i int, kept []Match) { results[i].Matches = kept })
+	flush.End()
+	stats.PeakMemoryBytes += block.bytes() + int64(n)*barBytes + b.extra
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
 	recordJoinStats(trace, stats)
@@ -346,24 +351,23 @@ func (b *residentBlock) accumulate(scorer *document.Scorer, d *document.Document
 }
 
 // blockStage is the scoring stage of the block skeleton: it scores inner
-// documents against the resident block, the resident slot being the row.
+// documents against the resident block, resident slot s being row base+s.
 type blockStage struct {
 	scorer *document.Scorer
 	block  *residentBlock
 	lists  [][]int32 // inner id → slots to score, ascending; nil: every slot
-	// tk holds a tracker per slot of the batch. It grows to the largest
-	// batch and is reset, not rebuilt, from batch to batch; Flush hands each
-	// batch's matches to its result rows.
-	tk *topk.Block
+	// tk holds a tracker per row of the join; the batch's are base on.
+	tk   *topk.Block
+	base int
 
 	comparisons int64 // pairs the scan stands for: slots (or listed slots) per document
 	falsePasses int64 // documents that scored zero against every slot
 }
 
-// begin readies the stage for the batch the block now holds.
-func (s *blockStage) begin(lists [][]int32) {
-	s.lists, s.comparisons, s.falsePasses = lists, 0, 0
-	s.tk.Reset(len(s.block.ids))
+// begin readies the stage for the batch the block now holds, whose rows
+// start at base.
+func (s *blockStage) begin(lists [][]int32, base int) {
+	s.lists, s.base, s.comparisons, s.falsePasses = lists, base, 0, 0
 }
 
 // score offers d1 to the tracker of every slot it reached — of every
@@ -376,7 +380,7 @@ func (s *blockStage) begin(lists [][]int32) {
 // bar vector, and only a similarity that can enter calls into the slab.
 func (s *blockStage) score(d1 *document.Document) {
 	s.block.accumulate(s.scorer, d1)
-	ids, acc, scorer, tk, inner := s.block.ids, s.block.acc, s.scorer, s.tk, d1.ID
+	ids, acc, scorer, tk, base, inner := s.block.ids, s.block.acc, s.scorer, s.tk, s.base, d1.ID
 	anyHit, compared := false, len(ids)
 	switch {
 	case s.lists != nil:
@@ -384,17 +388,17 @@ func (s *blockStage) score(d1 *document.Document) {
 		for _, slot := range slots {
 			if sim := scorer.Finalize(ids[slot], inner, acc.Take(uint32(slot))); sim != 0 {
 				anyHit = true
-				tk.Offer(int(slot), inner, sim)
+				tk.Offer(base+int(slot), inner, sim)
 			}
 		}
 		acc.Reset()
 		compared = len(slots)
 	case acc.Dense() && scorer.Identity():
-		row, bars := acc.Row()[:len(ids)], tk.Bars()[:len(ids)]
+		row, bars := acc.Row()[:len(ids)], tk.Bars()[base:base+len(ids)]
 		for slot, sim := range row {
 			if sim >= bars[slot] && sim > 0 {
 				anyHit = true
-				tk.Offer(slot, inner, sim)
+				tk.Offer(base+slot, inner, sim)
 			}
 		}
 		// A row no tracker could take may still have reached a slot.
@@ -407,7 +411,7 @@ func (s *blockStage) score(d1 *document.Document) {
 			}
 			if sim := scorer.Finalize(ids[slot], inner, raw); sim != 0 {
 				anyHit = true
-				tk.Offer(slot, inner, sim)
+				tk.Offer(base+slot, inner, sim)
 			}
 		}
 		acc.Reset()
@@ -415,7 +419,7 @@ func (s *blockStage) score(d1 *document.Document) {
 		for _, sum := range acc.Drain() {
 			if sim := scorer.Finalize(ids[sum.ID], inner, sum.V); sim != 0 {
 				anyHit = true
-				tk.Offer(int(sum.ID), inner, sim)
+				tk.Offer(base+int(sum.ID), inner, sim)
 			}
 		}
 	}

@@ -37,7 +37,7 @@ import (
 // The cache budget realizes the paper's X (number of resident entries):
 // B·P bytes minus one outer document (⌈S2⌉ pages), the B+tree (Bt1 pages),
 // the accumulator reservation, and the in-memory term list (planMemory).
-func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Result, *Stats, error) {
+func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Rows) ([]Result, *Stats, error) {
 	pf, err := activePrefilter(in, opts)
 	if err != nil {
 		return nil, nil, err
@@ -54,8 +54,8 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	ws := hvnlStates.get()
-	defer hvnlStates.put(ws)
+	ws := hvnlStates.Get()
+	defer hvnlStates.Put(ws)
 	// Outer document frequencies drive the replacement policy. For a
 	// selection subset the base collection's statistics are used, as an
 	// IR system would ("document frequencies are stored for similarity
@@ -120,14 +120,13 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Resu
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
 	ws.acc.Resize(int(in.Inner.NumDocs()))
-	n2 := int(in.Outer.NumDocs())
-	rows := &hvnlRows{acc: &ws.acc, tks: topk.NewBlock(n2, opts.Lambda), scorer: scorer,
-		results: make([]Result, 0, n2)}
+	rows := &hvnlRows{acc: &ws.acc, tks: &set.tks, scorer: scorer,
+		results: set.reset(int(in.Outer.NumDocs()), opts.Lambda)}
 	var cacheUsed int64
 	sweep := func() error {
 		var outer collection.DocIterator
 		if opf == nil {
-			outer = in.Outer.Documents()
+			outer = ws.outer.Documents(in.Outer)
 		}
 		for {
 			var d2 *document.Document
@@ -225,11 +224,13 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Resu
 
 // hvnlState is HVNL's run state: the accumulator over the inner ids, the
 // entry cache with its slot table, heap and cell slabs, the preload's
-// scanner, the cached-first ordering and the fetch path's stitch buffer.
+// scanner, the outer iterator, the cached-first ordering and the fetch
+// path's stitch buffer.
 type hvnlState struct {
 	acc               accum.Flat
 	cache             entrycache.Cache
 	scan              invfile.Scanner
+	outer             collection.Cursor
 	ordered, uncached []document.Cell
 	scratch           []byte
 }
@@ -237,6 +238,7 @@ type hvnlState struct {
 func (s *hvnlState) release() {
 	s.cache.Reset(0, entrycache.LRU, nil) // drops the outer side's priority
 	s.scan.Reset(nil)
+	s.outer.Reset()
 }
 
 // preload reads the whole inverted file in one sequential sweep into the
@@ -261,8 +263,8 @@ func (s *hvnlState) preload(inv *invfile.InvertedFile) error {
 
 // hvnlRows turns the sweep's outer documents into result rows. One
 // accum.Flat over the inner ids 0..N1-1 serves the whole join, reused
-// from document to document; tks holds a tracker per row, whose slab the
-// rows take when the sweep ends.
+// from document to document; tks, the row set's, holds a tracker per row,
+// whose slab the rows alias when the sweep ends.
 type hvnlRows struct {
 	acc     *accum.Flat
 	tks     *topk.Block

@@ -31,14 +31,14 @@ import (
 // Options.LSH must hold the sidecar built over Inputs.Inner's current
 // layout. Options.Prefilter is ignored: bucket candidate generation
 // subsumes the signature skip.
-func runLSH(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Result, *Stats, error) {
+func runLSH(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Rows) ([]Result, *Stats, error) {
 	sc, err := activeLSH(in, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	ws := blockStates.get()
-	defer blockStates.put(ws)
-	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, ws: ws, prepName: "lsh.candidates", scanName: "lsh.verify-scan",
+	ws := blockStates.Get()
+	defer blockStates.Put(ws)
+	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, ws: ws, rows: rows, prepName: "lsh.candidates", scanName: "lsh.verify-scan",
 		stats: &Stats{Algorithm: LSH, InnerDocs: in.Inner.NumDocs(), LSH: LSHStats{Enabled: true}}}
 	gen := newLSHCandidates(sc, in, &ws.lsh)
 	b.prepare = func(batch []document.Document) ([]bool, [][]int32, error) {

@@ -77,8 +77,15 @@ func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
 }
 
 // Run executes the plan on in, which may be the planned inputs bound to
-// another I/O view; opts must be the planned options (Trace aside).
+// another I/O view; opts must be the planned options (Trace aside). The
+// rows it returns are the caller's: it joins into a new row set.
 func (d Decision) Run(in Inputs, opts Options) ([]Result, *Stats, error) {
+	return d.RunInto(in, opts, new(Rows))
+}
+
+// RunInto is Run into the caller's row set: the rows it returns alias
+// rows, and hold until the next RunInto on it.
+func (d Decision) RunInto(in Inputs, opts Options, rows *Rows) ([]Result, *Stats, error) {
 	if d.mem == (memory{}) {
 		return nil, nil, fmt.Errorf("core: Decision.Run needs a Decision made by Plan")
 	}
@@ -92,15 +99,16 @@ func (d Decision) Run(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	results, stats, err := runs[d.Chosen](in, opts, d.mem, scorer)
+	results, stats, err := runs[d.Chosen](in, opts, d.mem, scorer, rows)
 	if err == nil && d.Estimates != nil {
 		recordPlanAudit(opts.Trace, d, stats.Cost)
 	}
 	return results, stats, err
 }
 
-// runs are the join families, each given its memory plan and scorer.
-var runs = [...]func(Inputs, Options, memory, *document.Scorer) ([]Result, *Stats, error){
+// runs are the join families, each given its memory plan, its scorer and
+// the row set it fills.
+var runs = [...]func(Inputs, Options, memory, *document.Scorer, *Rows) ([]Result, *Stats, error){
 	HHNL: runHHNL, HVNL: runHVNL, VVM: runVVM, LSH: runLSH}
 
 // Join runs the given algorithm: Plan, then Run.
@@ -192,7 +200,8 @@ func planMemory(alg Algorithm, in Inputs, opts Options, cut outerCut) (memory, e
 	switch {
 	case alg == HHNL || alg == LSH:
 		// X = (B − ⌈S1⌉) / (S2 + 4λ/P), in bytes (runHHNL): the cut's
-		// largest batch, its slots and its directory.
+		// largest batch, its slots and its directory, and beside the rows'
+		// matches the count and bar of every outer document's tracker.
 		m.cut = cut
 		if cut.over >= 0 {
 			bytes, _ := in.Outer.DocSize(cut.over)
@@ -200,7 +209,7 @@ func planMemory(alg Algorithm, in Inputs, opts Options, cut outerCut) (memory, e
 				ErrInsufficientMemory, opts.MemoryPages, cut.over, in.Outer.Name(), bytes+4*lambda, cut.reserve)
 		}
 		slots := int64(cut.slots)
-		m.held = cut.reserve + cut.fill + slots*(accumBytes+slabSlot) + termSpan(in.Outer)*slotBytes + rows
+		m.held = cut.reserve + cut.fill + slots*accumBytes + n2*barBytes + termSpan(in.Outer)*slotBytes + rows
 		if alg == HHNL && opts.Prefilter != nil {
 			m.held += n1 // the keep vector
 		} else if alg == LSH {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,36 +20,43 @@ import (
 // allocationGate is the go-test form of alloc_kb_per_op's bound on every
 // workload: a join works in its family's run state, left by the last
 // finished join, so a warm join allocates the same number of objects
-// whatever its size, fewer than it has outer documents, and no more bytes
-// than its result rows (a Result, λ matches and a tracker's count and bar
-// each) and a small constant. Each row grows fourfold the side that drives
-// its family's work: VVM's passes, at a fixed pass size on a corpus whose
-// passes start dense; HVNL's outer documents, which triple its entry
-// fetches under an evicting cache; the inner documents HHNL and LSH scan
-// in every one of their batches. HHNL's passes are the one growth that
-// allocates: each batch's tracker slab becomes its rows. One table, one
-// check; each family's test below runs its rows of it.
+// whatever its size, at most the row's objects, and on average over ten
+// joins, as alloc_kb_per_op averages, no more bytes than its result rows
+// (a Result, λ matches and a tracker's count and bar each) and a small
+// constant; into a recycled row set (RunInto) it allocates at most 16 KiB,
+// rows included. Each row grows fourfold the side that drives its
+// family's work: VVM's passes, at a fixed pass size on a corpus whose
+// passes start dense, over the first outer documents and over the odd
+// ones, whose id set is a bitmap; HVNL's outer documents, which triple its
+// entry fetches under an evicting cache; the inner documents HHNL and LSH
+// scan in every one of their batches; HHNL's batches. No growth allocates:
+// every batch scores into the row set's one slab. One table, one check;
+// each family's test below runs its rows of it.
 var allocationGate = []struct {
 	name    string
 	alg     Algorithm
 	build   func(t *testing.T, n int) (Inputs, Options) // the join at size n, 1 or 4
 	work    func(st *Stats) int64
-	perWork float64 // the allocations one more unit of work may add
+	objects float64 // the most objects a warm join allocates, its new row set's included
 }{
-	{"VVM passes", VVM, vvmPassesJoin, passesOf, 0},
+	{"VVM passes", VVM, func(t *testing.T, n int) (Inputs, Options) { return vvmPassesJoin(t, n, 1) }, passesOf, 14},
+	{"VVM scattered passes", VVM, func(t *testing.T, n int) (Inputs, Options) { return vvmPassesJoin(t, n, 2) }, passesOf, 14},
 	{"HVNL fetches", HVNL, func(t *testing.T, n int) (Inputs, Options) {
 		return wsjHVNLEnv(t, n*int(wsjHVNLEnv(t, 0).c2.NumDocs())/4).inputs(), wsjHVNLOptions
-	}, func(st *Stats) int64 { return st.EntryFetches }, 0},
-	{"HHNL inner", HHNL, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60*n, 8) }, comparisonsOf, 0},
-	{"LSH inner", LSH, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60*n, 8) }, comparisonsOf, 0},
-	{"HHNL passes", HHNL, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60, 8+int64(4-n)*1000) }, passesOf, 1},
+	}, func(st *Stats) int64 { return st.EntryFetches }, 15},
+	{"HHNL inner", HHNL, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60*n, 8) }, comparisonsOf, 17},
+	{"LSH inner", LSH, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60*n, 8) }, comparisonsOf, 24},
+	{"HHNL passes", HHNL, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60, 8+int64(4-n)*1000) }, passesOf, 17},
 }
 
 func passesOf(st *Stats) int64      { return int64(st.Passes) }
 func comparisonsOf(st *Stats) int64 { return st.Comparisons }
 
-// TestVVMAllocationsDoNotGrowWithPasses: 2 and 8 passes of one size.
-func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) { checkAllocationGate(t, "VVM passes") }
+// TestVVMAllocationsDoNotGrowWithPasses: 2 and 8 passes of one size, over
+// the first outer documents and over the odd ones.
+func TestVVMAllocationsDoNotGrowWithPasses(t *testing.T) {
+	checkAllocationGate(t, "VVM passes", "VVM scattered passes")
+}
 
 // TestHVNLAllocationsDoNotGrowWithFetches: four times the outer documents,
 // over three times the entry fetches.
@@ -60,8 +68,8 @@ func TestInlinePathAllocationsDoNotGrowWithInner(t *testing.T) {
 	checkAllocationGate(t, "HHNL inner", "LSH inner")
 }
 
-// TestBlockJoinAllocationsDoNotGrowWithPasses: HHNL in 1 and 5 passes, at
-// most one allocation (the tracker slab) per extra batch.
+// TestBlockJoinAllocationsDoNotGrowWithPasses: HHNL in 1 and 5 passes
+// allocates the same objects.
 func TestBlockJoinAllocationsDoNotGrowWithPasses(t *testing.T) { checkAllocationGate(t, "HHNL passes") }
 
 // checkAllocationGate runs the named rows of allocationGate.
@@ -75,35 +83,48 @@ func checkAllocationGate(t *testing.T, names ...string) {
 			allocs, work := [2]float64{}, [2]int64{}
 			for i, n := range []int{1, 4} {
 				in, opts := tc.build(t, n)
+				dec, err := Plan(tc.alg, in, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var st *Stats
-				join := func() {
-					var err error
-					if _, st, err = Join(tc.alg, in, opts); err != nil {
+				var rows Rows
+				fresh := func() {
+					if _, st, err = dec.Run(in, opts); err != nil {
 						t.Fatal(err)
 					}
 				}
-				// The first join at a new size may grow the state, and a
-				// collection's own bookkeeping may land in a measurement:
-				// the least of three counts is the join's.
-				join()
-				allocs[i] = min(testing.AllocsPerRun(2, join), testing.AllocsPerRun(2, join), testing.AllocsPerRun(2, join))
+				into := func() {
+					if _, st, err = dec.RunInto(in, opts, &rows); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The first join at a new size may grow the state and the
+				// row set, and a collection's own bookkeeping may land in a
+				// measurement: the least of three counts is the join's.
+				fresh()
+				into()
+				least := func(join func()) float64 {
+					return min(testing.AllocsPerRun(2, join), testing.AllocsPerRun(2, join), testing.AllocsPerRun(2, join))
+				}
+				allocs[i] = least(fresh)
+				reused := least(into)
 				work[i] = tc.work(st)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				join()
-				runtime.ReadMemStats(&after)
 				n2 := in.Outer.NumDocs()
-				rows, bytes := n2*(rowBytes+trackerBytes(opts.Lambda)), int64(after.TotalAlloc-before.TotalAlloc)
-				t.Logf("size %d: %d outer documents, work %d, %.0f allocations, %d bytes (rows %d)", n, n2, work[i], allocs[i], bytes, rows)
-				if bytes > rows+16<<10 || allocs[i] >= float64(n2) {
-					t.Errorf("size %d: a warm join allocates %d bytes in %.0f objects, want at most its rows' %d + 16 KiB in fewer than %d",
-						n, bytes, allocs[i], rows, n2)
+				charged, bytes, reusedBytes := n2*(rowBytes+trackerBytes(opts.Lambda)), allocated(fresh), allocated(into)
+				t.Logf("size %d: %d outer documents, work %d, %.0f allocations, %d bytes (rows %d); into a recycled row set %.0f and %d",
+					n, n2, work[i], allocs[i], bytes, charged, reused, reusedBytes)
+				if bytes > charged+16<<10 || allocs[i] > tc.objects {
+					t.Errorf("size %d: a warm join allocates %d bytes in %.0f objects, want at most its rows' %d + 16 KiB in %.0f",
+						n, bytes, allocs[i], charged, tc.objects)
+				}
+				if reusedBytes > 16<<10 {
+					t.Errorf("size %d: a warm join into a recycled row set allocates %d bytes, want at most 16 KiB", n, reusedBytes)
 				}
 			}
-			if most := allocs[0] + tc.perWork*float64(work[1]-work[0]); work[1] < 3*work[0] ||
-				allocs[1] > most || tc.perWork == 0 && allocs[1] != most {
-				t.Errorf("work %d and %d, %.0f and %.0f allocations per join: want three times the work in %.0f allocations",
-					work[0], work[1], allocs[0], allocs[1], most)
+			if work[1] < 3*work[0] || allocs[1] != allocs[0] {
+				t.Errorf("work %d and %d, %.0f and %.0f allocations per join: want three times the work in as many allocations",
+					work[0], work[1], allocs[0], allocs[1])
 			}
 		})
 	}
@@ -112,10 +133,22 @@ func checkAllocationGate(t *testing.T, names ...string) {
 	}
 }
 
-// vvmPassesJoin is VVM over prefixes of one outer collection, 2n passes
-// of one size under one budget, on a dense corpus whose passes δ̂ plans
-// into the matrix.
-func vvmPassesJoin(t *testing.T, n int) (Inputs, Options) {
+// allocated is the bytes a call of join allocates, averaged over ten.
+func allocated(join func()) int64 {
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		join()
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// vvmPassesJoin is VVM over every stride-th document of a prefix of one
+// outer collection, stride-1 on: 2n passes of one size under one budget, on
+// a dense corpus whose passes δ̂ plans into the matrix.
+func vvmPassesJoin(t *testing.T, n, stride int) (Inputs, Options) {
 	r := rand.New(rand.NewSource(12))
 	d := iosim.NewDisk(iosim.WithPageSize(256))
 	c1 := buildColl(t, d, "c1", randomDocs(r, 150, 70, 16))
@@ -128,7 +161,7 @@ func vvmPassesJoin(t *testing.T, n int) (Inputs, Options) {
 	}
 	ids := make([]uint32, 2*n*int(float64(plan.mem.passBytes)/(4*delta*150))) // 2n passes' rows under M
 	for i := range ids {
-		ids[i] = uint32(i)
+		ids[i] = uint32(stride*i + stride - 1)
 	}
 	if in.Outer, err = c2.Subset(ids); err != nil {
 		t.Fatal(err)
@@ -225,9 +258,9 @@ func TestRecycledStatesLeakNothing(t *testing.T) {
 	rows, stats := make([][]Result, len(jobs)), make([]Stats, len(jobs))
 	for i, j := range jobs {
 		for range 2 { // two collections' worth of aging empties every free list
-			vvmStates.age()
-			hvnlStates.age()
-			blockStates.age()
+			vvmStates.Age()
+			hvnlStates.Age()
+			blockStates.Age()
 		}
 		got, st := j.run(t)
 		rows[i], stats[i] = copyRows(got), st
@@ -248,6 +281,43 @@ func TestRecycledStatesLeakNothing(t *testing.T) {
 			}
 		}
 		prev, kept = got, copyRows(got)
+	}
+}
+
+// TestRecycledRowSetShowsNoEarlierRows runs every recycling job into one
+// row set, the largest first (outer documents × λ), so each join runs in a
+// set an earlier, larger join filled: more rows, longer match lists. Each
+// join's rows and Stats must equal, byte for byte, those of a fresh Run of
+// it — rows without matches included, nil or empty as Run gives them —
+// and the jobs must hold such rows.
+func TestRecycledRowSetShowsNoEarlierRows(t *testing.T) {
+	jobs := recycleJobs(t)
+	size := func(j recycleJob) int64 { return j.in.Outer.NumDocs() * int64(j.opts.withDefaults(j.in).Lambda) }
+	slices.SortStableFunc(jobs, func(a, b recycleJob) int { return cmp.Compare(size(b), size(a)) })
+	var rows Rows
+	empty := 0
+	for _, j := range jobs {
+		want, wantSt := j.run(t)
+		dec, err := Plan(j.alg, j.in, j.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		j.w.e.disk.ParkHeads()
+		got, st, err := dec.RunInto(j.in, j.opts, &rows)
+		if err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(wantSt, *st) {
+			t.Fatalf("%s: the rows or Stats of a join into a recycled row set differ from a fresh Run's", j.name)
+		}
+		for _, r := range got {
+			if len(r.Matches) == 0 {
+				empty++
+			}
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no job returned a row without matches")
 	}
 }
 
@@ -287,7 +357,7 @@ func joinWeakly(t *testing.T, alg Algorithm) map[string]func() bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runs[alg](run, opts.withDefaults(run), dec.mem, scorer); err != nil {
+	if _, _, err := runs[alg](run, opts.withDefaults(run), dec.mem, scorer, new(Rows)); err != nil {
 		t.Fatal(err)
 	}
 	trace.End()

@@ -45,9 +45,9 @@ import (
 // and the whole join runs on the calling goroutine (DESIGN §8): each entry
 // pair is accumulated before the scan moves on, so the scanners' reuse
 // arenas suffice. The store, the scanners and the table drain's rows are
-// the family's run state (vvmState); the result rows are cut from one
-// tracker slab per join.
-func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Result, *Stats, error) {
+// the family's run state (vvmState); the result rows are cut from the
+// tracker slab of the caller's row set.
+func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Rows) ([]Result, *Stats, error) {
 	// The outer document ids to join, ascending: all of C2, or the
 	// selection.
 	var outerIDs []uint32
@@ -63,17 +63,17 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Resul
 	stats := &Stats{Algorithm: VVM, InnerDocs: n1, OuterDocs: int64(len(outerIDs))}
 	track := trackIO(in.InnerInv.File(), in.OuterInv.File(), treeFile(in.InnerInv), treeFile(in.OuterInv))
 	trace := opts.Trace
-	ws := vvmStates.get()
-	defer vvmStates.put(ws)
+	ws := vvmStates.Get()
+	defer vvmStates.Put(ws)
 	ws.acc.Restart(0, int(n1), m.storeBytes)
 	ws.acc.Reserve(m.largest(len(outerIDs)))
 	ws.live = slices.Grow(ws.live[:0], len(outerIDs))[:len(outerIDs)]
 	clear(ws.live)
-	pass := &vvmPass{vvmState: ws, scorer: scorer, tks: topk.NewBlock(len(outerIDs), opts.Lambda)}
+	results := rows.reset(len(outerIDs), opts.Lambda)[:len(outerIDs)]
+	pass := &vvmPass{vvmState: ws, scorer: scorer, tks: &rows.tks}
 
 	// Every pass's rows, in place: outerIDs ascends, so rank order is
 	// emission order.
-	results := make([]Result, len(outerIDs))
 	var store int64
 	for p, base := 0, 0; p < m.passes; p++ {
 		rangeIDs := m.rangeIDs(outerIDs, p)
@@ -125,11 +125,12 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer) ([]Resul
 }
 
 // vvmState is VVM's run state: the store, the two scanners of the merge,
-// the table drain's per-row state and the per-row mark of a row some
-// inner document reached.
+// the pass's id set, the table drain's per-row state and the per-row mark
+// of a row some inner document reached.
 type vvmState struct {
 	acc          accum.Store
 	inner, outer invfile.Scanner
+	set          accum.IDSet // the pass's outer ids, rebuilt in place
 	// rows are the table drain's per-row state, grown to the largest pass
 	// that drains a table and reused from pass to pass.
 	rows []vvmRow
@@ -148,12 +149,11 @@ func (s *vvmState) release() {
 type vvmPass struct {
 	*vvmState
 	scorer *document.Scorer
-	// tks holds a tracker per outer rank; its slab becomes the result
-	// rows.
+	// tks, the row set's, holds a tracker per outer rank; the result rows
+	// alias its slab.
 	tks       *topk.Block
 	tableRows int // the most rows a table drain took
 
-	set   accum.IDSet
 	ids   []uint32 // the pass's outer ids, ascending
 	base  int      // the rank of ids[0]
 	count int64    // cell products accumulated
@@ -168,7 +168,8 @@ type vvmRow struct {
 
 // begin readies the pass over ids, whose ranks start at base.
 func (s *vvmPass) begin(ids []uint32, base int) {
-	s.set, s.ids, s.base = accum.NewIDSet(ids), ids, base
+	s.set.Reset(ids)
+	s.ids, s.base = ids, base
 	s.count, s.pairs = 0, 0
 	s.acc.Reset(len(ids))
 }

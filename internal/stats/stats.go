@@ -30,6 +30,24 @@ func OverlapQ(inner, outer *collection.Collection) float64 {
 // OverlapQReader measures q for any outer document source (collection,
 // subset or memory-resident batch) against the inner collection.
 func OverlapQReader(inner *collection.Collection, outer collection.Reader) float64 {
+	if base := outer.Base(); base != nil {
+		// A stored source's terms are its base collection's: walk its
+		// document-frequency table instead of listing them, so a planner
+		// that asks per join allocates nothing.
+		distinct, shared := 0, 0
+		for term := range uint32(base.TermSpan()) {
+			if base.DF(term) > 0 {
+				distinct++
+				if inner.HasTerm(term) {
+					shared++
+				}
+			}
+		}
+		if distinct == 0 {
+			return 0
+		}
+		return float64(shared) / float64(distinct)
+	}
 	terms := outer.Terms()
 	if len(terms) == 0 {
 		return 0

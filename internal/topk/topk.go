@@ -14,8 +14,8 @@
 //
 // A TopK is one tracker, for a join that finishes one outer document at a
 // time. A Block is n trackers in one slab, for a join that keeps a row per
-// resident document: their kept matches in one array, which becomes the
-// rows' results, and their bars in one vector, which a drain tests in
+// resident document: their kept matches in one array, which the rows'
+// results alias, and their bars in one vector, which a drain tests in
 // place. Both insert through one routine, so a Block's slot keeps exactly
 // what a TopK would.
 //
@@ -141,8 +141,8 @@ func (t *TopK) Reset() { t.kept, t.bar = t.kept[:0], 0 }
 // A drain that offers a row to many slots tests the bar vector in place
 // and calls into the slab only for a candidate that can enter.
 //
-// The zero value is not usable; create with NewBlock. A Block is not safe
-// for concurrent use.
+// The zero value is an empty block; Reset readies its slots. A Block is
+// not safe for concurrent use.
 type Block struct {
 	k    int
 	n    int // slots in use, at most len(bars)
@@ -151,35 +151,25 @@ type Block struct {
 	bars []float64
 }
 
-// NewBlock creates n empty trackers keeping the k best matches each. k
-// must be positive.
-func NewBlock(n, k int) *Block {
+// Reset readies slots 0..n-1, empty, each keeping the k best matches. It
+// keeps the slab and the count and bar vectors unless n·k or n outgrows
+// them, so a block reset to no more than it held before allocates
+// nothing. k must be positive.
+func (b *Block) Reset(n, k int) {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	b := &Block{k: k}
-	b.Reset(n)
-	return b
-}
-
-// Reset readies slots 0..n-1, empty, for reuse. It keeps the slab unless
-// Flush gave it away or n outgrows it, and the count and bar vectors
-// unless n exceeds every earlier n.
-func (b *Block) Reset(n int) {
 	if n > len(b.bars) {
 		b.lens = make([]int32, n)
 		b.bars = make([]float64, n)
 	}
-	if len(b.kept) < n*b.k {
-		b.kept = make([]Match, n*b.k)
+	if len(b.kept) < n*k {
+		b.kept = make([]Match, n*k)
 	}
-	b.n = n
+	b.k, b.n = k, n
 	clear(b.lens[:n])
 	clear(b.bars[:n])
 }
-
-// Slots returns the most slots any Reset has readied.
-func (b *Block) Slots() int { return len(b.bars) }
 
 // Bars returns the bar of every slot in use, indexed by slot: what TopK.Bar
 // is for one tracker. A caller may read it, in place, to skip an Offer
@@ -210,15 +200,14 @@ func (b *Block) insert(slot int, m Match) bool {
 
 // Flush hands the kept matches of slots 0..n-1 to emit in slot order,
 // best-first, each a slice of the slab with its capacity cut to its length
-// (non-nil, an empty one included), and gives the slab away with them: no
-// match is copied, and the next Reset starts a new slab. Only Reset may
-// follow Flush.
+// (non-nil, an empty one included). No match is copied: the rows alias
+// the slab, so they hold their matches until the next Reset, which hands
+// the slab to the next round.
 func (b *Block) Flush(n int, emit func(slot int, kept []Match)) {
 	for slot, l := range b.lens[:n] {
 		lo, hi := slot*b.k, slot*b.k+int(l)
 		emit(slot, b.kept[lo:hi:hi])
 	}
-	b.kept, b.n = nil, 0
 }
 
 // Select returns the k best matches of a full candidate slice, best-first,

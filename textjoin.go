@@ -90,6 +90,10 @@ type (
 	// Decision is a planned join: Plan makes it, Decision.Run executes
 	// it, and Decision.PeakBytes is the memory it holds.
 	Decision = core.Decision
+	// Rows is a caller-held row set: Decision.RunInto fills it, and the
+	// rows it returns alias it until the next RunInto on the set. Its
+	// zero value is ready to use.
+	Rows = core.Rows
 )
 
 // The three exact algorithms, plus the approximate MinHash join.
