@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"textjoin"
 	"textjoin/internal/iosim"
 	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
@@ -557,17 +558,16 @@ func TestSLOCountsServedTraffic(t *testing.T) {
 // Result of 32 bytes and λ matches of 16 per outer document. The join
 // fills the row set the last request gave back, and the reply is encoded
 // in that request's buffer; what is left is the request's trace, plan and
-// header. Each kind is judged by the least of five requests after one to
-// warm it, so a collection that freed the idle set between two requests,
-// or a formatter the race detector's sync.Pool dropped, spoils one of them
-// only.
+// header. A join whose rows outgrow what an idle set may keep (λ = N1
+// here) is the exception: its set is not given back, so a repeat of it
+// allocates its rows again. Each request is judged by the least of five
+// after one to warm it, so a collection that freed the idle set between
+// two requests, or a formatter the race detector's sync.Pool dropped,
+// spoils one of them only.
 func TestServedJoinReusesItsRows(t *testing.T) {
 	hs := newHarness(t)
 	w := &brokenWriter{header: http.Header{}, limit: math.MaxInt}
-	for _, k := range serveMixKinds {
-		path := "/join?" + k.query + "&lambda=20&show=100000"
-		warm := hs.join(path, http.StatusOK, "").reply
-		rows := warm.OuterDocs * int64(32+16*warm.Lambda)
+	allocated := func(path string) int64 {
 		least := uint64(math.MaxUint64)
 		for range 5 {
 			req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -578,10 +578,26 @@ func TestServedJoinReusesItsRows(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
+		return int64(least)
+	}
+	for _, k := range serveMixKinds {
+		path := "/join?" + k.query + "&lambda=20&show=100000"
+		warm := hs.join(path, http.StatusOK, "").reply
+		rows := warm.OuterDocs * int64(32+16*warm.Lambda)
+		least := allocated(path)
 		t.Logf("%-15s %d rows charged %d bytes; a request allocates %d", k.name, warm.OuterDocs, rows, least)
-		if least > 64<<10 || 4*int64(least) > rows {
+		if least > 64<<10 || 4*least > rows {
 			t.Errorf("%s: a warm request allocates %d bytes, want at most 64 KiB and a quarter of its rows' %d", k.name, least, rows)
 		}
+	}
+	huge := "/join?alg=hvnl&lambda=1000000&show=0"
+	hs.join(huge, http.StatusOK, "")
+	rows := setRowBytes(textjoin.Inputs{Outer: hs.s.c2, Inner: hs.s.c1}, 1000000)
+	least := allocated(huge)
+	t.Logf("λ = N1: rows %d bytes; a request allocates %d", rows, least)
+	if rows <= maxIdleRowBytes || least < rows {
+		t.Errorf("λ = N1: a repeated request allocates %d bytes, want at least its rows' %d, more than an idle set keeps (%d)",
+			least, rows, maxIdleRowBytes)
 	}
 	if w.failed {
 		t.Fatal("a reply write failed")

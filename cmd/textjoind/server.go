@@ -406,9 +406,16 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	qspan.End()
 	defer s.adm.release(dec.PeakBytes)
 	// The admitted request's row set and reply buffer, given back once
-	// the reply is written or the request has failed.
-	set := replySets.Get()
-	defer replySets.Put(set)
+	// the reply is written or the request has failed — unless its rows
+	// would outgrow what an idle set may keep (a huge λ): such a join
+	// works in a set of its own, which the collector takes after it.
+	var set *replySet
+	if setRowBytes(in, lambda) <= maxIdleRowBytes {
+		set = replySets.Get()
+		defer replySets.Put(set)
+	} else {
+		set = new(replySet)
+	}
 
 	// Snapshot: bind the inputs to a private I/O view so this join's
 	// page reads move private head positions and counters.
@@ -480,6 +487,19 @@ type replySet struct {
 // once; two collections that find one idle free it.
 var replySets = freelist.New[replySet](nil)
 
+// maxIdleRowBytes bounds the rows a reply set may keep between requests.
+// A set keeps the arrays of the largest join it served, and no admission
+// charge covers it while it is idle, so only a set whose joins all fit
+// goes back to replySets: 512 KiB holds about 1 500 outer documents at
+// λ = 20.
+const maxIdleRowBytes = 512 << 10
+
+// setRowBytes is what a join's rows take in its row set: a Result and λ′
+// = min(λ, N1) matches per outer document.
+func setRowBytes(in textjoin.Inputs, lambda int) int64 {
+	return in.Outer.NumDocs() * (32 + 16*min(int64(lambda), in.Inner.NumDocs()))
+}
+
 // traceIDString is the request's trace ID, or "" when tracing is off.
 func traceIDString(span *textjoin.RequestSpan) string {
 	if span == nil {
@@ -528,8 +548,8 @@ func recordViewIO(span *textjoin.RequestSpan, v *textjoin.IOView) {
 		if fs.Stats.Reads() == 0 && fs.Stats.Writes == 0 {
 			continue
 		}
-		io.SetAttr("io.file."+fs.Name, "seq="+strconv.FormatInt(fs.Stats.SeqReads, 10)+
-			" rand="+strconv.FormatInt(fs.Stats.RandReads, 10)+" writes="+strconv.FormatInt(fs.Stats.Writes, 10))
+		io.SetAttr("io.file."+fs.Name, fmt.Sprintf("seq=%d rand=%d writes=%d",
+			fs.Stats.SeqReads, fs.Stats.RandReads, fs.Stats.Writes))
 		seq += fs.Stats.SeqReads
 		rand += fs.Stats.RandReads
 		writes += fs.Stats.Writes

@@ -193,7 +193,7 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 						stages[key] = st
 					}
 					st.scorer = scorer
-					st.tk.Reset(len(batch), lambda)
+					st.tk.Reset(len(batch), lambda, nil)
 					st.begin(lists, 0)
 					want := newPairwiseStage(scorer, batch, lists, lambda)
 					for i := range streamed {
@@ -273,7 +273,7 @@ func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
 	d := document.New(7, map[uint32]int{5: 3})
 	for i, tc := range cases {
 		block.regroup(tc.batch)
-		st.tk.Reset(len(tc.batch), 3)
+		st.tk.Reset(len(tc.batch), 3, nil)
 		st.begin(nil, 0)
 		st.score(d)
 		reached := 0
@@ -298,7 +298,7 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 	block.regroup(batch)
 	scorer := rawScorer(t)
 	st := &blockStage{scorer: scorer, block: block, tk: &topk.Block{}}
-	st.tk.Reset(len(batch), 3)
+	st.tk.Reset(len(batch), 3, nil)
 	st.begin(nil, 0)
 	want := newPairwiseStage(scorer, batch, nil, 3)
 	beyond := uint32(len(block.dir) + 1000)
@@ -347,7 +347,7 @@ func BenchmarkBlockScore(b *testing.B) {
 	block := blockFor(batch)
 	block.regroup(batch)
 	st := &blockStage{scorer: rawScorer(b), block: block, tk: &topk.Block{}}
-	st.tk.Reset(len(batch), 20)
+	st.tk.Reset(len(batch), 20, nil)
 	st.begin(nil, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -101,26 +101,29 @@ type Result struct {
 	Matches []Match
 }
 
-// Rows is a caller-held row set: the rows of a join and the tracker slab
-// their matches are cut from, one slot of λ per outer document. Its zero
-// value is ready to use. Decision.RunInto fills it and returns its rows,
-// which alias it: they hold until the next RunInto on the set, which
-// reuses its arrays, so a join into a recycled set no smaller than it
-// needs allocates no rows. Decision.Run joins into a new set, so its
-// caller owns the rows it gets. A Rows is not safe for concurrent use.
+// Rows is a caller-held row set: the rows of a join and the slab their
+// matches are cut from, λ per outer document. Its zero value is ready to
+// use. Decision.RunInto fills it and returns its rows, which alias it:
+// they hold until the next RunInto on the set, which reuses its arrays, so
+// a join into a recycled set no smaller than it needs allocates no rows.
+// A set keeps the arrays of the largest join it served. Decision.Run joins
+// into a new set, so its caller owns the rows it gets. A Rows is not safe
+// for concurrent use.
 type Rows struct {
 	results []Result
-	tks     topk.Block
+	slab    []Match
 }
 
-// reset readies the set for a join of n outer documents at λ lambda and
-// returns its empty rows, with room for exactly n: non-nil even for none,
-// as a join's rows have always been.
-func (r *Rows) reset(n, lambda int) []Result {
-	r.tks.Reset(n, lambda)
+// reset readies the set for a join of n outer documents at λ lambda, whose
+// trackers, tks, keep their matches in the set's slab, and returns its
+// empty rows, with room for exactly n: non-nil even for none, as a join's
+// rows have always been.
+func (r *Rows) reset(n, lambda int, tks *topk.Block) []Result {
+	r.slab = tks.Reset(n, lambda, r.slab)
 	if cap(r.results) < n || r.results == nil {
 		r.results = make([]Result, n)
 	}
+	clear(r.results) // a row past n would keep an earlier slab alive
 	return r.results[:0:n]
 }
 

@@ -61,15 +61,13 @@ func runHHNL(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *R
 		// batch's OR-signature before each scan.
 		b.stats.Prefilter.Enabled = true
 		cfg := pf.Inner.Config()
-		var q signature.Sig
-		var need []bool
 		b.prepName = "hhnl.prefilter"
 		b.prepare = func(batch []document.Document) ([]bool, [][]int32, error) {
-			q = batchSig(cfg, batch, q)
+			ws.sig = batchSig(cfg, batch, ws.sig)
 			var err error
-			need, err = sidecarNeed(pf.Inner, in.Inner, q, need, &b.stats.Prefilter)
-			b.extra = int64(len(need))
-			return need, nil, err
+			ws.need, err = sidecarNeed(pf.Inner, in.Inner, ws.sig, ws.need, &b.stats.Prefilter)
+			b.extra = int64(len(ws.need))
+			return ws.need, nil, err
 		}
 	}
 	return b.run()
@@ -77,18 +75,23 @@ func runHHNL(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *R
 
 // blockState is the run state of the block joins, HHNL's and LSH's: the
 // batch arena, the regrouped block with its accumulator, the outer
-// iterator, the inner scanner and LSH's candidate lists.
+// iterator, the inner scanner, the trackers of the join's rows, HHNL's
+// prefilter signature and keep vector, and LSH's candidate lists.
 type blockState struct {
 	arena batchArena
 	block residentBlock
 	outer collection.Cursor
 	inner collection.Scanner
+	tks   topk.Block
+	sig   signature.Sig
+	need  []bool
 	lsh   lshLists
 }
 
 func (s *blockState) release() {
 	s.outer.Reset()
 	s.inner.Reset(nil, nil) // drops the scan's keep vector too
+	s.tks.Drop()
 }
 
 // batchArena holds the resident batch in one cell arena reused from batch
@@ -169,15 +172,16 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	outer := b.ws.outer.Documents(in.Outer)
 	// The arena, the block and its accumulator are sized for the plan's
-	// largest batch and reused by every batch. The row set holds a tracker
-	// per outer document: each batch scores into its own documents' slots.
+	// largest batch and reused by every batch. The trackers, one per outer
+	// document over the row set's slab, are the join's: each batch scores
+	// into its own documents' slots.
 	cut, overhead := b.mem.cut, 4*int64(opts.Lambda)
 	arena, block, scan := &b.ws.arena, &b.ws.block, &b.ws.inner
 	arena.reset(cut.slots, cut.cells)
 	block.resize(cut.slots, cut.cells, termSpan(in.Outer))
 	n := int(in.Outer.NumDocs())
-	results := b.rows.reset(n, opts.Lambda)
-	st := &blockStage{scorer: b.scorer, block: block, tk: &b.rows.tks}
+	results := b.rows.reset(n, opts.Lambda, &b.ws.tks)
+	st := &blockStage{scorer: b.scorer, block: block, tk: &b.ws.tks}
 
 	for start := 0; start < n; {
 		end, planned, _ := nextBatch(in.Outer, start, cut.budget, overhead)

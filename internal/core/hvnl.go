@@ -120,8 +120,8 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
 	ws.acc.Resize(int(in.Inner.NumDocs()))
-	rows := &hvnlRows{acc: &ws.acc, tks: &set.tks, scorer: scorer,
-		results: set.reset(int(in.Outer.NumDocs()), opts.Lambda)}
+	rows := &hvnlRows{acc: &ws.acc, tks: &ws.tks, scorer: scorer,
+		results: set.reset(int(in.Outer.NumDocs()), opts.Lambda, &ws.tks)}
 	var cacheUsed int64
 	sweep := func() error {
 		var outer collection.DocIterator
@@ -231,6 +231,7 @@ type hvnlState struct {
 	cache             entrycache.Cache
 	scan              invfile.Scanner
 	outer             collection.Cursor
+	tks               topk.Block
 	ordered, uncached []document.Cell
 	scratch           []byte
 }
@@ -239,6 +240,7 @@ func (s *hvnlState) release() {
 	s.cache.Reset(0, entrycache.LRU, nil) // drops the outer side's priority
 	s.scan.Reset(nil)
 	s.outer.Reset()
+	s.tks.Drop()
 }
 
 // preload reads the whole inverted file in one sequential sweep into the
@@ -263,8 +265,8 @@ func (s *hvnlState) preload(inv *invfile.InvertedFile) error {
 
 // hvnlRows turns the sweep's outer documents into result rows. One
 // accum.Flat over the inner ids 0..N1-1 serves the whole join, reused
-// from document to document; tks, the row set's, holds a tracker per row,
-// whose slab the rows alias when the sweep ends.
+// from document to document; tks holds a tracker per row over the row
+// set's slab, which the rows alias when the sweep ends.
 type hvnlRows struct {
 	acc     *accum.Flat
 	tks     *topk.Block

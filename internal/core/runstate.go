@@ -3,12 +3,13 @@ package core
 import "textjoin/internal/freelist"
 
 // A join family's run state is what its joins only work in: the
-// accumulators, the entry cache, the batch arena and block, the scanners'
-// buffers and the outer iterator. It outlives the join. Run takes one from
+// accumulators, the entry cache, the batch arena and block, the trackers'
+// count and bar vectors, the scanners' buffers and the outer iterator. It
+// outlives the join. Run takes one from
 // its family's free list, the join resizes it to its memory plan, and
 // every exit path gives it back holding no reference to the join's
-// inputs, view, scorer or trace (release). The result rows never come
-// from it: they come from the caller's row set (Rows), which Run makes new
+// inputs, view, scorer, trace or row set (release). The result rows never
+// come from it: they come from the caller's row set (Rows), which Run makes new
 // and RunInto takes from its caller. So a join no larger than one its
 // family ran before allocates little beyond its rows, and nothing beyond
 // them when its row set is recycled too.

@@ -20,11 +20,9 @@ import (
 // allocationGate is the go-test form of alloc_kb_per_op's bound on every
 // workload: a join works in its family's run state, left by the last
 // finished join, so a warm join allocates the same number of objects
-// whatever its size, at most the row's objects, and on average over ten
-// joins, as alloc_kb_per_op averages, no more bytes than its result rows
-// (a Result, λ matches and a tracker's count and bar each) and a small
-// constant; into a recycled row set (RunInto) it allocates at most 16 KiB,
-// rows included. Each row grows fourfold the side that drives its
+// whatever its size, at most the row's objects, and no more bytes than its
+// result rows (a Result and λ matches each) and a small constant; into a
+// recycled row set (RunInto) it allocates at most 16 KiB, rows included. Each row grows fourfold the side that drives its
 // family's work: VVM's passes, at a fixed pass size on a corpus whose
 // passes start dense, over the first outer documents and over the odd
 // ones, whose id set is a bitmap; HVNL's outer documents, which triple its
@@ -39,14 +37,14 @@ var allocationGate = []struct {
 	work    func(st *Stats) int64
 	objects float64 // the most objects a warm join allocates, its new row set's included
 }{
-	{"VVM passes", VVM, func(t *testing.T, n int) (Inputs, Options) { return vvmPassesJoin(t, n, 1) }, passesOf, 14},
-	{"VVM scattered passes", VVM, func(t *testing.T, n int) (Inputs, Options) { return vvmPassesJoin(t, n, 2) }, passesOf, 14},
+	{"VVM passes", VVM, func(t *testing.T, n int) (Inputs, Options) { return vvmPassesJoin(t, n, 1) }, passesOf, 12},
+	{"VVM scattered passes", VVM, func(t *testing.T, n int) (Inputs, Options) { return vvmPassesJoin(t, n, 2) }, passesOf, 12},
 	{"HVNL fetches", HVNL, func(t *testing.T, n int) (Inputs, Options) {
 		return wsjHVNLEnv(t, n*int(wsjHVNLEnv(t, 0).c2.NumDocs())/4).inputs(), wsjHVNLOptions
-	}, func(st *Stats) int64 { return st.EntryFetches }, 15},
-	{"HHNL inner", HHNL, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60*n, 8) }, comparisonsOf, 17},
-	{"LSH inner", LSH, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60*n, 8) }, comparisonsOf, 24},
-	{"HHNL passes", HHNL, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60, 8+int64(4-n)*1000) }, passesOf, 17},
+	}, func(st *Stats) int64 { return st.EntryFetches }, 13},
+	{"HHNL inner", HHNL, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60*n, 8) }, comparisonsOf, 15},
+	{"LSH inner", LSH, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60*n, 8) }, comparisonsOf, 22},
+	{"HHNL passes", HHNL, func(t *testing.T, n int) (Inputs, Options) { return blockJoinOf(t, 60, 8+int64(4-n)*1000) }, passesOf, 15},
 }
 
 func passesOf(st *Stats) int64      { return int64(st.Passes) }
@@ -101,7 +99,8 @@ func checkAllocationGate(t *testing.T, names ...string) {
 				}
 				// The first join at a new size may grow the state and the
 				// row set, and a collection's own bookkeeping may land in a
-				// measurement: the least of three counts is the join's.
+				// measurement: the least of three counts, and of three
+				// joins' bytes, is the join's.
 				fresh()
 				into()
 				least := func(join func()) float64 {
@@ -111,7 +110,7 @@ func checkAllocationGate(t *testing.T, names ...string) {
 				reused := least(into)
 				work[i] = tc.work(st)
 				n2 := in.Outer.NumDocs()
-				charged, bytes, reusedBytes := n2*(rowBytes+trackerBytes(opts.Lambda)), allocated(fresh), allocated(into)
+				charged, bytes, reusedBytes := n2*(rowBytes+int64(opts.Lambda)*matchBytes), allocated(fresh), allocated(into)
 				t.Logf("size %d: %d outer documents, work %d, %.0f allocations, %d bytes (rows %d); into a recycled row set %.0f and %d",
 					n, n2, work[i], allocs[i], bytes, charged, reused, reusedBytes)
 				if bytes > charged+16<<10 || allocs[i] > tc.objects {
@@ -133,16 +132,18 @@ func checkAllocationGate(t *testing.T, names ...string) {
 	}
 }
 
-// allocated is the bytes a call of join allocates, averaged over ten.
+// allocated is the least of the bytes three calls of join allocate, each
+// measured alone.
 func allocated(join func()) int64 {
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
+	least := int64(math.MaxInt64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		join()
+		runtime.ReadMemStats(&after)
+		least = min(least, int64(after.TotalAlloc-before.TotalAlloc))
 	}
-	runtime.ReadMemStats(&after)
-	return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	return least
 }
 
 // vvmPassesJoin is VVM over every stride-th document of a prefix of one
@@ -321,10 +322,44 @@ func TestRecycledRowSetShowsNoEarlierRows(t *testing.T) {
 	}
 }
 
+// TestRowSetPinsNoEarlierSlab: a join into a row set that held more rows
+// at a smaller λ outgrows the set's slab, so the set takes a new one, and
+// the set's rows past the join's own, which pointed into the old slab, are
+// cleared: the old slab is collected.
+func TestRowSetPinsNoEarlierSlab(t *testing.T) {
+	e := buildEnv(t, 5, 30, 40, 40, 10, 256)
+	sub, err := e.c2.Subset([]uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows Rows
+	join := func(in Inputs, lambda int) {
+		opts := Options{Lambda: lambda}
+		dec, err := Plan(HHNL, in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := dec.RunInto(in, opts, &rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := e.inputs()
+	join(in, 1)
+	old := weak.Make(&rows.slab[0])
+	in.Outer = sub
+	join(in, 20)
+	runtime.GC()
+	if old.Value() != nil {
+		t.Error("the slab of the larger join before outlives a join that outgrew it")
+	}
+	runtime.KeepAlive(&rows)
+}
+
 // TestFinishedJoinPinsNothing holds that a run state put back holds no
 // reference to the join it served: once a join of each family has run on
 // a fresh disk through a view, with a trace and a cosine scorer, the
-// disk, the view, the scorer and the trace are collected.
+// disk, the view, the scorer, the trace and the slab of the join's row set
+// are collected.
 func TestFinishedJoinPinsNothing(t *testing.T) {
 	for _, alg := range []Algorithm{HHNL, HVNL, VVM, LSH} {
 		pinned := joinWeakly(t, alg)
@@ -357,11 +392,13 @@ func joinWeakly(t *testing.T, alg Algorithm) map[string]func() bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runs[alg](run, opts.withDefaults(run), dec.mem, scorer, new(Rows)); err != nil {
+	rows := new(Rows)
+	if _, _, err := runs[alg](run, opts.withDefaults(run), dec.mem, scorer, rows); err != nil {
 		t.Fatal(err)
 	}
 	trace.End()
-	disk, view, sc, tr := weak.Make(e.disk), weak.Make(v), weak.Make(scorer), weak.Make(trace)
+	disk, view, sc, tr, slab := weak.Make(e.disk), weak.Make(v), weak.Make(scorer), weak.Make(trace), weak.Make(&rows.slab[0])
 	return map[string]func() bool{"disk": func() bool { return disk.Value() != nil }, "view": func() bool { return view.Value() != nil },
-		"scorer": func() bool { return sc.Value() != nil }, "trace": func() bool { return tr.Value() != nil }}
+		"scorer": func() bool { return sc.Value() != nil }, "trace": func() bool { return tr.Value() != nil },
+		"row set's slab": func() bool { return slab.Value() != nil }}
 }

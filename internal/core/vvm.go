@@ -69,8 +69,8 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Ro
 	ws.acc.Reserve(m.largest(len(outerIDs)))
 	ws.live = slices.Grow(ws.live[:0], len(outerIDs))[:len(outerIDs)]
 	clear(ws.live)
-	results := rows.reset(len(outerIDs), opts.Lambda)[:len(outerIDs)]
-	pass := &vvmPass{vvmState: ws, scorer: scorer, tks: &rows.tks}
+	results := rows.reset(len(outerIDs), opts.Lambda, &ws.tks)[:len(outerIDs)]
+	pass := &vvmPass{vvmState: ws, scorer: scorer}
 
 	// Every pass's rows, in place: outerIDs ascends, so rank order is
 	// emission order.
@@ -125,12 +125,15 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Ro
 }
 
 // vvmState is VVM's run state: the store, the two scanners of the merge,
-// the pass's id set, the table drain's per-row state and the per-row mark
-// of a row some inner document reached.
+// the pass's id set, the trackers of the outer ranks, the table drain's
+// per-row state and the per-row mark of a row some inner document reached.
 type vvmState struct {
 	acc          accum.Store
 	inner, outer invfile.Scanner
 	set          accum.IDSet // the pass's outer ids, rebuilt in place
+	// tks holds a tracker per outer rank over the row set's slab, which
+	// the result rows alias.
+	tks topk.Block
 	// rows are the table drain's per-row state, grown to the largest pass
 	// that drains a table and reused from pass to pass.
 	rows []vvmRow
@@ -141,17 +144,14 @@ func (s *vvmState) release() {
 	s.inner.Reset(nil)
 	s.outer.Reset(nil)
 	clear(s.rows) // each holds the scorer's norms
+	s.tks.Drop()
 }
 
-// vvmPass accumulates and emits one pass's outer ids. The run state and
-// the tracker slab are the join's; the remaining fields are the current
-// pass's.
+// vvmPass accumulates and emits one pass's outer ids. The run state is
+// the join's; the remaining fields are the current pass's.
 type vvmPass struct {
 	*vvmState
-	scorer *document.Scorer
-	// tks, the row set's, holds a tracker per outer rank; the result rows
-	// alias its slab.
-	tks       *topk.Block
+	scorer    *document.Scorer
 	tableRows int // the most rows a table drain took
 
 	ids   []uint32 // the pass's outer ids, ascending
@@ -194,7 +194,7 @@ func (s *vvmPass) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
 func (s *vvmPass) emit() {
 	if s.acc.Dense() {
 		for row, id := range s.ids {
-			reached := offerRow(s.tks, s.base+row, s.scorer.Row(id), s.acc.Row(row))
+			reached := offerRow(&s.tks, s.base+row, s.scorer.Row(id), s.acc.Row(row))
 			s.pairs += int64(reached)
 			s.live[s.base+row] = reached > 0
 		}

@@ -48,19 +48,7 @@ func (id TraceID) IsZero() bool { return id.Hi == 0 && id.Lo == 0 }
 
 // String renders the ID as 32 lowercase hex digits.
 func (id TraceID) String() string {
-	var b [32]byte
-	return string(appendHex16(appendHex16(b[:0], id.Hi), id.Lo))
-}
-
-// appendHex16 appends v as 16 lowercase hex digits, leading zeros kept:
-// every span ends by naming its ID and its parent's, and fmt's %016x cost
-// a formatter state for each.
-func appendHex16(b []byte, v uint64) []byte {
-	const digits = "0123456789abcdef"
-	for shift := 60; shift >= 0; shift -= 4 {
-		b = append(b, digits[v>>shift&0xf])
-	}
-	return b
+	return fmt.Sprintf("%016x%016x", id.Hi, id.Lo)
 }
 
 // ParseTraceID parses 32 hex digits into a TraceID. The all-zero ID is
@@ -89,10 +77,7 @@ func ParseTraceID(s string) (TraceID, error) {
 type SpanID uint64
 
 // String renders the ID as 16 lowercase hex digits.
-func (id SpanID) String() string {
-	var b [16]byte
-	return string(appendHex16(b[:0], uint64(id)))
-}
+func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
 // ParseSpanID parses 16 hex digits into a SpanID, rejecting zero.
 func ParseSpanID(s string) (SpanID, error) {
@@ -319,6 +304,11 @@ func (s *Span) End() {
 		t.open.Add(-1)
 	}
 	t.mu.Lock()
+	if t.spans == nil {
+		// A served join's trace ends some ten spans: one list holds
+		// them, where a list grown from nil would be allocated five times.
+		t.spans = make([]SpanData, 0, 16)
+	}
 	t.spans = append(t.spans, sd)
 	if s.parent == 0 && !t.done {
 		t.done = true

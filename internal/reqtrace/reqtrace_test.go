@@ -3,7 +3,6 @@ package reqtrace
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -224,14 +223,6 @@ func TestContextRoundTrip(t *testing.T) {
 func TestTraceparentRoundTrip(t *testing.T) {
 	id := TraceID{Hi: 0xdeadbeef, Lo: 0x12345678}
 	sp := SpanID(0xabcdef01)
-	for _, v := range []uint64{0, 1, 0xabcdef01, 1 << 63, ^uint64(0)} {
-		if got, want := SpanID(v).String(), fmt.Sprintf("%016x", v); got != want {
-			t.Errorf("SpanID(%#x) = %s, want %s", v, got, want)
-		}
-		if got, want := (TraceID{Hi: v, Lo: ^v}).String(), fmt.Sprintf("%016x%016x", v, ^v); got != want {
-			t.Errorf("TraceID{%#x, %#x} = %s, want %s", v, ^v, got, want)
-		}
-	}
 	v := FormatTraceparent(id, sp)
 	gotID, gotSpan, err := ParseTraceparent(v)
 	if err != nil {

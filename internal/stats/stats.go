@@ -28,37 +28,22 @@ func OverlapQ(inner, outer *collection.Collection) float64 {
 }
 
 // OverlapQReader measures q for any outer document source (collection,
-// subset or memory-resident batch) against the inner collection.
+// subset or memory-resident batch) against the inner collection: the
+// share of the source's T distinct terms that the inner collection holds.
+// It walks the inner document-frequency table instead of listing the
+// source's terms, so a planner may call it per join without allocating.
 func OverlapQReader(inner *collection.Collection, outer collection.Reader) float64 {
-	if base := outer.Base(); base != nil {
-		// A stored source's terms are its base collection's: walk its
-		// document-frequency table instead of listing them, so a planner
-		// that asks per join allocates nothing.
-		distinct, shared := 0, 0
-		for term := range uint32(base.TermSpan()) {
-			if base.DF(term) > 0 {
-				distinct++
-				if inner.HasTerm(term) {
-					shared++
-				}
-			}
-		}
-		if distinct == 0 {
-			return 0
-		}
-		return float64(shared) / float64(distinct)
-	}
-	terms := outer.Terms()
-	if len(terms) == 0 {
+	distinct := outer.BaseStats().T
+	if distinct == 0 {
 		return 0
 	}
 	shared := 0
-	for _, term := range terms {
-		if inner.HasTerm(term) {
+	for term := range uint32(inner.TermSpan()) {
+		if inner.DF(term) > 0 && outer.DF(term) > 0 {
 			shared++
 		}
 	}
-	return float64(shared) / float64(len(terms))
+	return float64(shared) / float64(distinct)
 }
 
 // Delta estimates δ, the fraction of document pairs with non-zero

@@ -136,10 +136,13 @@ func (t *TopK) Results() []Match {
 // Reset empties the tracker for reuse on the next outer document.
 func (t *TopK) Reset() { t.kept, t.bar = t.kept[:0], 0 }
 
-// Block is n trackers of k in one slab: slot s keeps its matches
+// Block is n trackers of k over one slab: slot s keeps its matches
 // best-first in kept[s·k:], their count in lens[s] and its bar in bars[s].
 // A drain that offers a row to many slots tests the bar vector in place
-// and calls into the slab only for a candidate that can enter.
+// and calls into the slab only for a candidate that can enter. The slab is
+// the caller's, so the rows cut from it can outlive the block's round,
+// while the count and bar vectors are the block's, so a block kept from
+// round to round lends them to every round.
 //
 // The zero value is an empty block; Reset readies its slots. A Block is
 // not safe for concurrent use.
@@ -151,11 +154,12 @@ type Block struct {
 	bars []float64
 }
 
-// Reset readies slots 0..n-1, empty, each keeping the k best matches. It
-// keeps the slab and the count and bar vectors unless n·k or n outgrows
-// them, so a block reset to no more than it held before allocates
-// nothing. k must be positive.
-func (b *Block) Reset(n, k int) {
+// Reset readies slots 0..n-1, empty, each keeping the k best matches in
+// slab, and returns the slab: slab itself when it holds n·k matches, else
+// a new one. It keeps the count and bar vectors unless n outgrows them, so
+// a block reset to no more slots than before, over a slab that holds
+// them, allocates nothing. k must be positive.
+func (b *Block) Reset(n, k int, slab []Match) []Match {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
@@ -163,13 +167,18 @@ func (b *Block) Reset(n, k int) {
 		b.lens = make([]int32, n)
 		b.bars = make([]float64, n)
 	}
-	if len(b.kept) < n*k {
-		b.kept = make([]Match, n*k)
+	if len(slab) < n*k {
+		slab = make([]Match, n*k)
 	}
-	b.k, b.n = k, n
+	b.k, b.n, b.kept = k, n, slab
 	clear(b.lens[:n])
 	clear(b.bars[:n])
+	return slab
 }
+
+// Drop lets go of the slab, so that a block kept past its round does not
+// keep the rows cut from it alive. Only Reset may follow.
+func (b *Block) Drop() { b.k, b.n, b.kept = 0, 0, nil }
 
 // Bars returns the bar of every slot in use, indexed by slot: what TopK.Bar
 // is for one tracker. A caller may read it, in place, to skip an Offer
@@ -201,8 +210,8 @@ func (b *Block) insert(slot int, m Match) bool {
 // Flush hands the kept matches of slots 0..n-1 to emit in slot order,
 // best-first, each a slice of the slab with its capacity cut to its length
 // (non-nil, an empty one included). No match is copied: the rows alias
-// the slab, so they hold their matches until the next Reset, which hands
-// the slab to the next round.
+// the slab, so they hold their matches until the slab's owner hands it to
+// another round.
 func (b *Block) Flush(n int, emit func(slot int, kept []Match)) {
 	for slot, l := range b.lens[:n] {
 		lo, hi := slot*b.k, slot*b.k+int(l)

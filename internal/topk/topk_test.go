@@ -317,6 +317,7 @@ func FuzzBlockMatchesTopK(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kSeed uint8, ops []byte) {
 		k := int(kSeed%8) + 1
 		var blk Block
+		var slab []Match
 		var tks []*TopK
 		var offered [][]Match // each slot's candidates since its Reset
 		same := func(got, want []Match) bool {
@@ -355,7 +356,7 @@ func FuzzBlockMatchesTopK(f *testing.F) {
 					i++
 					n = int(ops[i] % 40)
 				}
-				blk.Reset(n, k)
+				slab = blk.Reset(n, k, slab)
 				tks, offered = tks[:0], offered[:0]
 				for len(tks) < n {
 					tks, offered = append(tks, New(k)), append(offered, nil)
@@ -386,12 +387,13 @@ func FuzzBlockMatchesTopK(f *testing.F) {
 // A round of a block — Reset, offers, Flush — allocates nothing once the
 // slab holds its slots, however many there are: the row set a served join
 // reuses takes one round per join. The rows a Flush hands out alias the
-// slab and hold their matches until the next Reset.
+// slab and hold their matches until it serves another round.
 func TestBlockRoundAllocatesNothing(t *testing.T) {
 	var blk Block
+	var slab []Match
 	var rows [][]Match
 	round := func(bonus float64) {
-		blk.Reset(50, 4)
+		slab = blk.Reset(50, 4, slab)
 		for slot := 0; slot < 50; slot++ {
 			for doc := uint32(0); doc < uint32(slot%7); doc++ {
 				blk.Offer(slot, doc, float64(doc+1)+bonus)
