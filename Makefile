@@ -76,7 +76,8 @@ race:
 # fuzz-smoke runs each fuzz target for a fixed 10 s beyond its seeds: the
 # re-encode identity, the four-wide record decode against a per-cell
 # reference, the B+tree cell decoder, the document-side twin against the
-# record decode, and the corpus generator's table-resolved Zipf sampler
+# record decode, the cosine admission rule against the division it skips,
+# and the corpus generator's table-resolved Zipf sampler
 # against math/rand's, VVM's similarity store against a map through its
 # promotions, the λ-tracker slab against a tracker per slot, the paged
 # store's sequential record stream against ReadAt and the pages its
@@ -89,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordInto$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBTreeCell$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInto$$' -fuzztime 10s ./internal/document
+	$(GO) test -run '^$$' -fuzz '^FuzzCosineAdmission$$' -fuzztime 10s ./internal/document
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfMatchesStdlib$$' -fuzztime 10s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesMap$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockMatchesTopK$$' -fuzztime 10s ./internal/topk

@@ -252,7 +252,7 @@ func run(ws *textjoin.Workspace, c1Path, c2Path, p1, p2 string, scale, seed int6
 	if err != nil {
 		return nil, err
 	}
-	textjoin.RecordJoin(tel, dec, stats, v)
+	textjoin.RecordJoin(tel, dec, stats, v.FileStats())
 
 	fmt.Printf("join: %v  outer=%d inner=%d passes=%d\n",
 		stats.Algorithm, stats.OuterDocs, stats.InnerDocs, stats.Passes)

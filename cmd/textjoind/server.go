@@ -385,7 +385,13 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// page reads of its view if it bound one.
 	var stats *textjoin.JoinStats
 	var v *textjoin.IOView
-	defer func() { textjoin.RecordJoin(s.tel, dec, stats, v) }()
+	var files []textjoin.IOFileStat // v's, taken once the join is done
+	defer func() {
+		if v != nil && files == nil {
+			files = v.FileStats()
+		}
+		textjoin.RecordJoin(s.tel, dec, stats, files)
+	}()
 	if err != nil {
 		s.joinError(w, span, joinStatus(err), err)
 		return
@@ -437,7 +443,8 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// stop here, before the view's I/O breakdown is formatted.
 	execSeconds := time.Since(execBegin).Seconds()
 	exec.End()
-	recordViewIO(span, v)
+	files = v.FileStats()
+	recordViewIO(span, files)
 	if err != nil {
 		s.joinError(w, span, joinStatus(err), err)
 		return
@@ -538,18 +545,21 @@ func (s *server) joinError(w http.ResponseWriter, span *textjoin.RequestSpan, st
 // recordViewIO hangs one "io" span off the request with the view's
 // per-file page-read breakdown — which files this request touched, and
 // how sequentially.
-func recordViewIO(span *textjoin.RequestSpan, v *textjoin.IOView) {
+func recordViewIO(span *textjoin.RequestSpan, files []textjoin.IOFileStat) {
 	if span == nil {
 		return
 	}
 	io := span.StartChild("io", "view")
 	var seq, rand, writes int64
-	for _, fs := range v.FileStats() {
+	var b [64]byte
+	for _, fs := range files {
 		if fs.Stats.Reads() == 0 && fs.Stats.Writes == 0 {
 			continue
 		}
-		io.SetAttr("io.file."+fs.Name, fmt.Sprintf("seq=%d rand=%d writes=%d",
-			fs.Stats.SeqReads, fs.Stats.RandReads, fs.Stats.Writes))
+		v := strconv.AppendInt(append(b[:0], "seq="...), fs.Stats.SeqReads, 10)
+		v = strconv.AppendInt(append(v, " rand="...), fs.Stats.RandReads, 10)
+		v = strconv.AppendInt(append(v, " writes="...), fs.Stats.Writes, 10)
+		io.SetAttr("io.file."+fs.Name, string(v))
 		seq += fs.Stats.SeqReads
 		rand += fs.Stats.RandReads
 		writes += fs.Stats.Writes

@@ -27,7 +27,7 @@ type Batch struct {
 	name  string
 	docs  []*document.Document
 	df    map[uint32]int64
-	norms map[uint32]float64
+	norms []float64 // by rank
 	cells int64
 	terms int64
 }
@@ -41,7 +41,7 @@ func NewBatch(name string, docs []*document.Document) (*Batch, error) {
 		name:  name,
 		docs:  docs,
 		df:    make(map[uint32]int64),
-		norms: make(map[uint32]float64, len(docs)),
+		norms: make([]float64, 0, len(docs)),
 	}
 	seen := make(map[uint32]bool, len(docs))
 	for _, d := range docs {
@@ -55,7 +55,7 @@ func NewBatch(name string, docs []*document.Document) (*Batch, error) {
 		for _, c := range d.Cells {
 			b.df[c.Term]++
 		}
-		b.norms[d.ID] = d.Norm()
+		b.norms = append(b.norms, d.Norm())
 		b.cells += int64(len(d.Cells))
 	}
 	b.terms = int64(len(b.df))
@@ -105,8 +105,9 @@ func (b *Batch) File() *iosim.File { return nil }
 // explicitly collected statistics the paper mentions).
 func (b *Batch) DF(term uint32) int64 { return b.df[term] }
 
-// Norms returns the batch documents' pre-computed norms.
-func (b *Batch) Norms() map[uint32]float64 { return b.norms }
+// Norms returns the queries' pre-computed norms in slice order: by rank,
+// since ids need not be dense.
+func (b *Batch) Norms() []float64 { return b.norms }
 
 // Terms returns the distinct terms of the batch in ascending order.
 func (b *Batch) Terms() []uint32 {

@@ -31,9 +31,9 @@ func TestBatchBasics(t *testing.T) {
 	if len(terms) != 2 || terms[0] != 1 || terms[1] != 5 {
 		t.Errorf("terms = %v", terms)
 	}
-	norms := b.Norms()
-	if math.Abs(norms[3]-math.Sqrt(5)) > 1e-12 {
-		t.Errorf("norm(3) = %v", norms[3])
+	// Norms are by rank: ids 3 and 9 are ranks 0 and 1.
+	if norms := b.Norms(); len(norms) != 2 || math.Abs(norms[0]-math.Sqrt(5)) > 1e-12 || norms[1] != 3 {
+		t.Errorf("norms = %v", norms)
 	}
 	st := b.BaseStats()
 	if st.N != 2 || st.T != 2 || st.TotalCells != 3 || st.K != 1.5 {

@@ -96,10 +96,8 @@ type Collection struct {
 
 // derived memoizes tables built once on first use and shared afterwards.
 type derived struct {
-	normOnce sync.Once
-	normMap  map[uint32]float64
-	idfOnce  sync.Once
-	idf      []float64
+	idfOnce sync.Once
+	idf     []float64
 }
 
 // Builder accumulates documents into a collection file. Documents must be
@@ -340,28 +338,15 @@ func (c *Collection) Norm(id uint32) float64 {
 	return c.norms[id]
 }
 
-// DocNorms returns every document's pre-computed norm, indexed by id, for
-// cosine scoring: non-nil, even for an empty collection, since a nil table
-// means "no norms" to document.NewScorer. Callers must not modify it.
-func (c *Collection) DocNorms() []float64 {
+// Norms returns every document's pre-computed norm, indexed by id, which
+// is also its rank (Reader interface): non-nil, even for an empty
+// collection, since a nil table means "no norms" to document.NewScorer.
+// Callers must not modify it.
+func (c *Collection) Norms() []float64 {
 	if c.norms == nil {
 		return []float64{}
 	}
 	return c.norms
-}
-
-// Norms returns the norm table keyed by document id (Reader interface).
-// The table is computed once and the same map is returned on every call;
-// callers must not modify it.
-func (c *Collection) Norms() map[uint32]float64 {
-	c.der.normOnce.Do(func() {
-		m := make(map[uint32]float64, len(c.norms))
-		for id, n := range c.norms {
-			m[uint32(id)] = n
-		}
-		c.der.normMap = m
-	})
-	return c.der.normMap
 }
 
 // IDF returns every term's idf weight, indexed by term number and 0 for a
@@ -520,8 +505,10 @@ type Reader interface {
 	// Terms returns the distinct terms of the source's universe in
 	// ascending order.
 	Terms() []uint32
-	// Norms returns pre-computed document norms keyed by document id.
-	Norms() map[uint32]float64
+	// Norms returns the pre-computed norm of every document by rank: the
+	// i-th entry is the norm of the i-th document Documents yields. It is
+	// non-nil, and built at most once per source.
+	Norms() []float64
 	// BaseStats returns the statistics governing the source's storage
 	// costs (zero sizes for memory-resident sources).
 	BaseStats() Stats
@@ -606,6 +593,8 @@ type Subset struct {
 type subsetDerived struct {
 	statsOnce sync.Once
 	stats     Stats
+	normOnce  sync.Once
+	norms     []float64
 }
 
 var _ Reader = (*Subset)(nil)
@@ -650,8 +639,18 @@ func (s *Subset) File() *iosim.File { return s.c.file }
 // system keeps the full table regardless of selections.
 func (s *Subset) DF(term uint32) int64 { return s.c.DF(term) }
 
-// Norms returns the base collection's norm table (ids are shared).
-func (s *Subset) Norms() map[uint32]float64 { return s.c.Norms() }
+// Norms returns the selected documents' norms by rank, from the base
+// collection's table, built on first use.
+func (s *Subset) Norms() []float64 {
+	s.der.normOnce.Do(func() {
+		base := s.c.Norms()
+		s.der.norms = make([]float64, len(s.ids))
+		for i, id := range s.ids {
+			s.der.norms[i] = base[id]
+		}
+	})
+	return s.der.norms
+}
 
 // Terms returns the base collection's distinct terms.
 func (s *Subset) Terms() []uint32 { return s.c.Terms() }

@@ -181,9 +181,6 @@ func TestNorms(t *testing.T) {
 	if len(norms) != 1 || norms[0] != c.Norm(0) {
 		t.Errorf("Norms = %v", norms)
 	}
-	if dn := c.DocNorms(); len(dn) != 1 || dn[0] != c.Norm(0) {
-		t.Errorf("DocNorms = %v", dn)
-	}
 }
 
 func TestFetch(t *testing.T) {
@@ -434,8 +431,9 @@ func TestReaderAccessors(t *testing.T) {
 	if sr.DF(2) != c.DF(2) {
 		t.Errorf("subset DF = %d", sr.DF(2))
 	}
-	if len(sr.Norms()) != 2 {
-		t.Errorf("subset Norms = %v", sr.Norms())
+	// A subset's norms are by rank: its one document is base id 1.
+	if norms := sr.Norms(); len(norms) != 1 || norms[0] != c.Norm(1) {
+		t.Errorf("subset Norms = %v", norms)
 	}
 	terms := sr.Terms()
 	if len(terms) != 2 || terms[0] != 1 {

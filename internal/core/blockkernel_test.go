@@ -77,25 +77,23 @@ type kernelScorer struct {
 }
 
 // kernelScorers builds the three weightings over the two sides. Cosine
-// gives one document in five a zero norm; tf-idf leaves one term in five
-// without a weight, so its factor is 0.
+// takes the resident batch's norms by slot, its rank in a stage begun at
+// base 0, and the streamed documents' by id; an empty document (one in
+// six) has norm zero. Tf-idf leaves one term in five without a weight, so
+// its factor is 0.
 func kernelScorers(t *testing.T, r *rand.Rand, resident, streamed []document.Document, vocab int) []kernelScorer {
 	t.Helper()
-	// One norm table serves as both sides' (a map for the outer side, a
-	// slice by id for the inner).
-	norms := map[uint32]float64{}
+	norms := make([]float64, len(resident))
+	for i := range resident {
+		norms[i] = resident[i].Norm()
+	}
 	var innerNorms []float64
-	for _, docs := range [][]document.Document{resident, streamed} {
-		for i := range docs {
-			id := docs[i].ID
-			if int(id) >= len(innerNorms) {
-				innerNorms = append(innerNorms, make([]float64, int(id)+1-len(innerNorms))...)
-			}
-			if r.Intn(5) > 0 {
-				norms[id] = docs[i].Norm()
-				innerNorms[id] = norms[id]
-			}
+	for i := range streamed {
+		id := streamed[i].ID
+		if int(id) >= len(innerNorms) {
+			innerNorms = append(innerNorms, make([]float64, int(id)+1-len(innerNorms))...)
 		}
+		innerNorms[id] = streamed[i].Norm()
 	}
 	idf := make([]float64, vocab)
 	for term := range idf {
@@ -175,9 +173,12 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 						}
 						drained[sum.ID] = sum.V
 					}
+					outer, inner := scorer.Norms()
 					for slot := range batch {
-						res, raw := &batch[slot], drained[uint32(slot)]
-						sim := scorer.Finalize(res.ID, d.ID, raw)
+						res, sim := &batch[slot], drained[uint32(slot)]
+						if outer != nil {
+							sim = document.Finalize(sim, outer[slot], inner[d.ID])
+						}
 						if want := scorer.Score(res, d); math.Float64bits(sim) != math.Float64bits(want) {
 							t.Fatalf("seed %d %s batch %d: resident %d × streamed %d = %v, pairwise %v", seed, name, batchNo, res.ID, d.ID, sim, want)
 						}
@@ -189,7 +190,7 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 					key := name + string(rune('0'+mode))
 					st := stages[key]
 					if st == nil {
-						st = &blockStage{block: block, tk: &topk.Block{}}
+						st = &blockStage{block: block, tk: &topk.Block{}, countFalse: true}
 						stages[key] = st
 					}
 					st.scorer = scorer
@@ -269,7 +270,7 @@ func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
 		{blockOf(map[uint32]int{2: 1, 3: 1}, map[uint32]int{3: 2}), 0, 1},
 	}
 	block := blockFor(cases[0].batch, cases[1].batch)
-	st := &blockStage{scorer: rawScorer(t), block: block, tk: &topk.Block{}}
+	st := &blockStage{scorer: rawScorer(t), block: block, tk: &topk.Block{}, countFalse: true}
 	d := document.New(7, map[uint32]int{5: 3})
 	for i, tc := range cases {
 		block.regroup(tc.batch)
@@ -285,6 +286,13 @@ func TestBlockDirectoryResetsThroughTermList(t *testing.T) {
 				i+1, reached, st.falsePasses, st.comparisons, tc.reached, tc.falsePasses)
 		}
 	}
+	// Without a prefilter no false pass is reported, so none is counted.
+	st.countFalse = false
+	st.tk.Reset(len(cases[1].batch), 3, nil)
+	st.begin(nil, 0)
+	if st.score(d); st.falsePasses != 0 || st.comparisons != 2 {
+		t.Errorf("a stage not counting false passes counted %d (%d comparisons)", st.falsePasses, st.comparisons)
+	}
 }
 
 // TestBlockSkipsTermsBeyondDirectory streams documents holding terms
@@ -297,7 +305,7 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 	block := blockFor(batch)
 	block.regroup(batch)
 	scorer := rawScorer(t)
-	st := &blockStage{scorer: scorer, block: block, tk: &topk.Block{}}
+	st := &blockStage{scorer: scorer, block: block, tk: &topk.Block{}, countFalse: true}
 	st.tk.Reset(len(batch), 3, nil)
 	st.begin(nil, 0)
 	want := newPairwiseStage(scorer, batch, nil, 3)

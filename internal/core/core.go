@@ -272,7 +272,7 @@ func (in Inputs) scorer(o Options) (*document.Scorer, error) {
 		if in.Inner == nil || in.Outer == nil {
 			return nil, fmt.Errorf("%w: cosine weighting needs both collections", ErrMissingInput)
 		}
-		return document.NewScorer(document.Cosine, nil, in.Outer.Norms(), in.Inner.DocNorms())
+		return document.NewScorer(document.Cosine, nil, in.Outer.Norms(), in.Inner.Norms())
 	case document.TFIDF:
 		if in.Inner == nil {
 			return nil, fmt.Errorf("%w: tfidf weighting needs the inner collection", ErrMissingInput)

@@ -181,7 +181,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	block.resize(cut.slots, cut.cells, termSpan(in.Outer))
 	n := int(in.Outer.NumDocs())
 	results := b.rows.reset(n, opts.Lambda, &b.ws.tks)
-	st := &blockStage{scorer: b.scorer, block: block, tk: &b.ws.tks}
+	st := &blockStage{scorer: b.scorer, block: block, tk: &b.ws.tks, countFalse: stats.Prefilter.Enabled}
 
 	for start := 0; start < n; {
 		end, planned, _ := nextBatch(in.Outer, start, cut.budget, overhead)
@@ -235,9 +235,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 			return nil, nil, err
 		}
 		stats.Comparisons += st.comparisons
-		if stats.Prefilter.Enabled {
-			stats.Prefilter.FalsePasses += st.falsePasses
-		}
+		stats.Prefilter.FalsePasses += st.falsePasses
 	}
 	flush := trace.StartChild(reqtrace.PhaseFlush, name+".flush")
 	st.tk.Flush(len(results), func(i int, kept []Match) { results[i].Matches = kept })
@@ -363,15 +361,27 @@ type blockStage struct {
 	// tk holds a tracker per row of the join; the batch's are base on.
 	tk   *topk.Block
 	base int
+	// outer is nil unless the scorer is cosine: then it holds the norm of
+	// every resident slot, the batch's part of the outer norms by rank,
+	// and inner the inner norms by id.
+	outer, inner []float64
+	// countFalse asks score to count the false passes, which only the
+	// prefilter reports.
+	countFalse bool
 
 	comparisons int64 // pairs the scan stands for: slots (or listed slots) per document
 	falsePasses int64 // documents that scored zero against every slot
 }
 
 // begin readies the stage for the batch the block now holds, whose rows
-// start at base.
+// start at base: under cosine it takes the resident slots' outer norms.
 func (s *blockStage) begin(lists [][]int32, base int) {
 	s.lists, s.base, s.comparisons, s.falsePasses = lists, base, 0, 0
+	outer, inner := s.scorer.Norms()
+	if outer != nil {
+		outer = outer[base : base+len(s.block.ids)]
+	}
+	s.outer, s.inner = outer, inner
 }
 
 // score offers d1 to the tracker of every slot it reached — of every
@@ -379,56 +389,72 @@ func (s *blockStage) begin(lists [][]int32, base int) {
 // similarity zero, which no tracker keeps. A dense row is read in place,
 // in slot order, and then Reset; a sparse one is drained.
 //
-// A dense row under an identity Finalize is the join's hot loop: each
-// pair costs one compare against the slot's bar, read in place from the
-// bar vector, and only a similarity that can enter calls into the slab.
+// A dense row under an identity scorer is the join's hot loop: each pair
+// costs one compare against the slot's bar, read in place from the bar
+// vector, and only a similarity that can enter calls into the slab. Under
+// cosine a pair first meets the admission rule against the slot's bar and
+// norm (document.Admit), which divides only a pair that can enter.
 func (s *blockStage) score(d1 *document.Document) {
 	s.block.accumulate(s.scorer, d1)
-	ids, acc, scorer, tk, base, inner := s.block.ids, s.block.acc, s.scorer, s.tk, s.base, d1.ID
-	anyHit, compared := false, len(ids)
+	ids, acc, tk, base, inner := s.block.ids, s.block.acc, s.tk, s.base, d1.ID
+	bars, outer, ni := tk.Bars()[base:base+len(ids)], s.outer, 0.0
+	if outer != nil {
+		ni = s.inner[inner]
+	}
+	hit, compared := false, len(ids)
 	switch {
 	case s.lists != nil:
 		slots := s.lists[inner]
 		for _, slot := range slots {
-			if sim := scorer.Finalize(ids[slot], inner, acc.Take(uint32(slot))); sim != 0 {
-				anyHit = true
-				tk.Offer(base+int(slot), inner, sim)
+			sim := acc.Take(uint32(slot))
+			if sim == 0 {
+				continue
 			}
+			hit = true
+			if outer != nil {
+				sim = document.Admit(sim, bars[slot], outer[slot], ni)
+			}
+			tk.Offer(base+int(slot), inner, sim)
 		}
 		acc.Reset()
 		compared = len(slots)
-	case acc.Dense() && scorer.Identity():
-		row, bars := acc.Row()[:len(ids)], tk.Bars()[base:base+len(ids)]
+	case acc.Dense() && outer == nil:
+		row := acc.Row()[:len(ids)]
 		for slot, sim := range row {
 			if sim >= bars[slot] && sim > 0 {
-				anyHit = true
+				hit = true
 				tk.Offer(base+slot, inner, sim)
 			}
 		}
 		// A row no tracker could take may still have reached a slot.
-		anyHit = anyHit || slices.ContainsFunc(row, func(sim float64) bool { return sim != 0 })
+		if s.countFalse && !hit {
+			hit = slices.ContainsFunc(row, func(sim float64) bool { return sim != 0 })
+		}
 		acc.Reset()
 	case acc.Dense():
-		for slot, raw := range acc.Row()[:len(ids)] {
+		row, outer := acc.Row()[:len(ids)], outer[:len(ids)]
+		for slot, raw := range row {
 			if raw == 0 {
 				continue
 			}
-			if sim := scorer.Finalize(ids[slot], inner, raw); sim != 0 {
-				anyHit = true
+			hit = true
+			if sim := document.Admit(raw, bars[slot], outer[slot], ni); sim >= bars[slot] && sim > 0 {
 				tk.Offer(base+slot, inner, sim)
 			}
 		}
 		acc.Reset()
 	default:
 		for _, sum := range acc.Drain() {
-			if sim := scorer.Finalize(ids[sum.ID], inner, sum.V); sim != 0 {
-				anyHit = true
-				tk.Offer(base+int(sum.ID), inner, sim)
+			hit = true
+			sim := sum.V
+			if outer != nil {
+				sim = document.Admit(sim, bars[sum.ID], outer[sum.ID], ni)
 			}
+			tk.Offer(base+int(sum.ID), inner, sim)
 		}
 	}
 	s.comparisons += int64(compared)
-	if !anyHit {
+	if s.countFalse && !hit {
 		s.falsePasses++
 	}
 }

@@ -277,41 +277,73 @@ type hvnlRows struct {
 
 // flush turns the accumulator into the outer document's row and readies it
 // for the next: every inner document the row reached is offered to the
-// row's tracker. A dense row is read in place by offerRow and then Reset;
-// a sparse one is drained, in first-touch order.
+// row's tracker, whose slot is the document's rank. A dense row is read in
+// place by offerRow and then Reset; a sparse one is drained, in
+// first-touch order.
 func (r *hvnlRows) flush(outer uint32) {
-	fin, slot := r.scorer.Row(outer), len(r.results)
-	reached := 0
+	slot := len(r.results)
 	if r.acc.Dense() {
-		reached = offerRow(r.tks, slot, fin, r.acc.Row())
+		r.pairs += int64(offerRow(r.tks, slot, r.scorer, r.acc.Row()))
 		r.acc.Reset()
 	} else {
 		sums := r.acc.Drain()
-		reached = len(sums)
-		for _, sum := range sums {
-			r.tks.Offer(slot, sum.ID, fin.Finalize(sum.ID, sum.V))
-		}
+		r.pairs += int64(len(sums))
+		offerSums(r.tks, slot, r.scorer, sums)
 	}
-	r.pairs += int64(reached)
 	r.results = append(r.results, Result{Outer: outer})
 }
 
 // offerRow is the dense drain of a row into one slot of a tracker slab,
 // HVNL's and VVM's: every inner document the row reached, in id order, is
-// finalized and offered to the slot, whose bar is held in a local and
-// re-read only after an Offer. It returns how many inner documents the
-// row reached.
-func offerRow(tks *topk.Block, slot int, fin document.Row, row []float64) (reached int) {
+// offered to the slot, whose rank is the outer document's. The slot's bar
+// is held in a local, re-read only after an Offer; under cosine so is the
+// admission limit, and only a pair the rule admits is divided
+// (document.Limit). It returns how many inner documents the row reached.
+func offerRow(tks *topk.Block, slot int, scorer *document.Scorer, row []float64) (reached int) {
 	bar := tks.Bars()[slot]
+	outer, inner := scorer.Norms()
+	if outer == nil {
+		for id, sim := range row {
+			if sim == 0 {
+				continue
+			}
+			reached++
+			if sim >= bar && sim > 0 {
+				tks.Offer(slot, uint32(id), sim)
+				bar = tks.Bars()[slot]
+			}
+		}
+		return reached
+	}
+	o, norms := outer[slot], inner[:len(row)]
+	limit := document.Limit(bar, o)
 	for id, raw := range row {
 		if raw == 0 {
 			continue
 		}
 		reached++
-		if sim := fin.Finalize(uint32(id), raw); sim >= bar && sim > 0 {
+		if !document.Admits(raw, limit, norms[id]) {
+			continue
+		}
+		if sim := document.Finalize(raw, o, norms[id]); sim >= bar && sim > 0 {
 			tks.Offer(slot, uint32(id), sim)
 			bar = tks.Bars()[slot]
+			limit = document.Limit(bar, o)
 		}
 	}
 	return reached
+}
+
+// offerSums is offerRow for a sparse row's drained sums, in first-touch
+// order, each pair under cosine through the admission rule
+// (document.Admit).
+func offerSums(tks *topk.Block, slot int, scorer *document.Scorer, sums []accum.Sum) {
+	outer, inner := scorer.Norms()
+	for _, sum := range sums {
+		sim := sum.V
+		if outer != nil {
+			sim = document.Admit(sim, tks.Bars()[slot], outer[slot], inner[sum.ID])
+		}
+		tks.Offer(slot, sum.ID, sim)
+	}
 }

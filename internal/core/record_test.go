@@ -99,7 +99,7 @@ func TestTelemetryConcurrentSnapshots(t *testing.T) {
 					t.Errorf("%v: %v", alg, err)
 					return
 				}
-				textjoin.RecordJoin(tel, dec, st, v)
+				textjoin.RecordJoin(tel, dec, st, v.FileStats())
 				if got := textjoin.ResultDigest(res); got != want[alg] {
 					t.Errorf("%v under concurrent snapshots: digest %s, want %s", alg, got, want[alg])
 				}

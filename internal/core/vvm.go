@@ -48,23 +48,24 @@ import (
 // the family's run state (vvmState); the result rows are cut from the
 // tracker slab of the caller's row set.
 func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Rows) ([]Result, *Stats, error) {
-	// The outer document ids to join, ascending: all of C2, or the
-	// selection.
+	ws := vvmStates.Get()
+	defer vvmStates.Put(ws)
+	// The outer document ids to join, ascending: all of C2, numbered in
+	// the run state, or the selection.
 	var outerIDs []uint32
 	if sub, ok := in.Outer.(*collection.Subset); ok {
 		outerIDs = sub.IDs()
 	} else {
-		outerIDs = make([]uint32, in.Outer.NumDocs())
+		outerIDs = slices.Grow(ws.ids[:0], int(in.Outer.NumDocs()))[:in.Outer.NumDocs()]
 		for i := range outerIDs {
 			outerIDs[i] = uint32(i)
 		}
+		ws.ids = outerIDs
 	}
 	n1 := in.Inner.NumDocs()
 	stats := &Stats{Algorithm: VVM, InnerDocs: n1, OuterDocs: int64(len(outerIDs))}
 	track := trackIO(in.InnerInv.File(), in.OuterInv.File(), treeFile(in.InnerInv), treeFile(in.OuterInv))
 	trace := opts.Trace
-	ws := vvmStates.Get()
-	defer vvmStates.Put(ws)
 	ws.acc.Restart(0, int(n1), m.storeBytes)
 	ws.acc.Reserve(m.largest(len(outerIDs)))
 	ws.live = slices.Grow(ws.live[:0], len(outerIDs))[:len(outerIDs)]
@@ -125,25 +126,23 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Ro
 }
 
 // vvmState is VVM's run state: the store, the two scanners of the merge,
-// the pass's id set, the trackers of the outer ranks, the table drain's
-// per-row state and the per-row mark of a row some inner document reached.
+// the pass's id set, the trackers of the outer ranks, the per-row mark of
+// a row some inner document reached and the ids of a whole outer
+// collection.
 type vvmState struct {
 	acc          accum.Store
 	inner, outer invfile.Scanner
 	set          accum.IDSet // the pass's outer ids, rebuilt in place
 	// tks holds a tracker per outer rank over the row set's slab, which
 	// the result rows alias.
-	tks topk.Block
-	// rows are the table drain's per-row state, grown to the largest pass
-	// that drains a table and reused from pass to pass.
-	rows []vvmRow
-	live []bool // by outer rank: the row reached an inner document
+	tks  topk.Block
+	live []bool   // by outer rank: the row reached an inner document
+	ids  []uint32 // 0..N2-1, when the outer side is a whole collection
 }
 
 func (s *vvmState) release() {
 	s.inner.Reset(nil)
 	s.outer.Reset(nil)
-	clear(s.rows) // each holds the scorer's norms
 	s.tks.Drop()
 }
 
@@ -158,12 +157,6 @@ type vvmPass struct {
 	base  int      // the rank of ids[0]
 	count int64    // cell products accumulated
 	pairs int64    // non-zero (outer, inner) pairs emit found
-}
-
-// vvmRow is one outer document's state in the table drain.
-type vvmRow struct {
-	live bool // the pass offered this row a pair
-	fin  document.Row
 }
 
 // begin readies the pass over ids, whose ranks start at base.
@@ -189,33 +182,28 @@ func (s *vvmPass) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
 
 // emit offers the pass's pairs to the trackers of its outer ranks and
 // marks the ranks a pair reached. A dense store drains row by row
-// (offerRow); a table drains in slot order, finishing each row through
-// the state the row's first pair fixes.
+// (offerRow); a table drains in slot order, each pair under cosine through
+// the admission rule of its rank's slot (document.Admit).
 func (s *vvmPass) emit() {
 	if s.acc.Dense() {
-		for row, id := range s.ids {
-			reached := offerRow(&s.tks, s.base+row, s.scorer.Row(id), s.acc.Row(row))
+		for row := range s.ids {
+			reached := offerRow(&s.tks, s.base+row, s.scorer, s.acc.Row(row))
 			s.pairs += int64(reached)
 			s.live[s.base+row] = reached > 0
 		}
 		return
 	}
 	s.tableRows = max(s.tableRows, len(s.ids))
-	if len(s.rows) < len(s.ids) {
-		s.rows = make([]vvmRow, len(s.ids))
-	}
-	rows := s.rows[:len(s.ids)]
-	for i := range rows {
-		rows[i].live = false
-	}
-	s.acc.ForEach(func(row int, inner uint32, raw float64) {
+	outer, inner := s.scorer.Norms()
+	bars := s.tks.Bars()
+	s.acc.ForEach(func(row int, id uint32, sim float64) {
 		s.pairs++
-		r := &rows[row]
-		if !r.live {
-			r.live, r.fin = true, s.scorer.Row(s.ids[row])
-			s.live[s.base+row] = true
+		slot := s.base + row
+		s.live[slot] = true
+		if outer != nil {
+			sim = document.Admit(sim, bars[slot], outer[slot], inner[id])
 		}
-		s.tks.Offer(s.base+row, inner, r.fin.Finalize(inner, raw))
+		s.tks.Offer(slot, id, sim)
 	})
 }
 

@@ -280,24 +280,33 @@ type Scorer struct {
 	weighting Weighting
 	// idf is indexed by term number, 0 past its end (TFIDF only).
 	idf []float64
-	// outerNorms maps outer document id -> norm; innerNorms is indexed by
-	// inner document id, which is contiguous (Cosine only).
-	outerNorms map[uint32]float64
-	innerNorms []float64
+	// outerNorms is indexed by outer rank — a document's place in the order
+	// its source yields the outer documents, which is the row a join keeps
+	// for it — and innerNorms by inner document id, which is contiguous
+	// (Cosine only).
+	outerNorms, innerNorms []float64
 }
+
+// rawScorer is every raw scorer: it holds no table, and a scorer is never
+// modified, so a join under raw weighting allocates none.
+var rawScorer = &Scorer{weighting: RawTF}
 
 // NewScorer builds a scorer for the given weighting. idf, indexed by term
 // number, may be nil unless the weighting is TFIDF; the norms may be nil
-// unless it is Cosine. The scorer holds the tables it is given; callers
-// must not modify them.
-func NewScorer(w Weighting, idf []float64, outerNorms map[uint32]float64, innerNorms []float64) (*Scorer, error) {
-	s := &Scorer{weighting: w, idf: idf, outerNorms: outerNorms, innerNorms: innerNorms}
+// unless it is Cosine: outerNorms by outer rank, innerNorms by inner id,
+// one for every inner document a join can reach. The scorer holds the
+// tables it is given; callers must not modify them.
+func NewScorer(w Weighting, idf, outerNorms, innerNorms []float64) (*Scorer, error) {
+	if w == RawTF {
+		return rawScorer, nil
+	}
+	s := &Scorer{weighting: w, idf: idf}
 	switch w {
-	case RawTF:
 	case Cosine:
 		if outerNorms == nil || innerNorms == nil {
 			return nil, fmt.Errorf("document: cosine weighting requires pre-computed norms")
 		}
+		s.outerNorms, s.innerNorms = outerNorms, innerNorms
 	case TFIDF:
 		if idf == nil {
 			return nil, fmt.Errorf("document: tfidf weighting requires idf weights")
@@ -326,52 +335,70 @@ func (s *Scorer) TermFactor(term uint32) float64 {
 	return w * w
 }
 
-// Finalize applies the per-pair normalization to an accumulated raw score
-// (division by the norms for cosine; identity otherwise). outer is the C2
-// document id, inner the C1 document id.
-func (s *Scorer) Finalize(outer, inner uint32, raw float64) float64 {
-	return s.Row(outer).Finalize(inner, raw)
-}
+// Norms returns a cosine scorer's norm tables, the outer one by rank and
+// the inner one by id, and nil tables under any other weighting, where a
+// raw score is the similarity itself. A drain takes them once, before its
+// loop, and finishes each cosine pair through the admission rule.
+func (s *Scorer) Norms() (outer, inner []float64) { return s.outerNorms, s.innerNorms }
 
-// Identity reports whether Finalize returns every raw score unchanged, as
-// under every weighting but cosine, so a caller may skip the call.
-func (s *Scorer) Identity() bool { return s.weighting != Cosine }
+// The cosine admission rule. A drain offers a pair to a tracker slot whose
+// bar is bar; the pair's similarity is raw/(o·nᵢ), o the outer and nᵢ the
+// inner document's norm, and the slot keeps it only if it is ≥ bar. The
+// rule decides most pairs without dividing: a pair with
+//
+//	raw < bar·(1−2⁻⁴⁸)·o·nᵢ
+//
+// computed as three float64 products (Limit, then Admits), finalizes below
+// bar, so the drain skips it; every other pair is finished by Finalize and
+// meets the slot's own test. The skip is exact: each product and the
+// division round by at most 2⁻⁵³ relative, and a correctly rounded
+// division is monotone, so a skipped pair's quotient lies at least
+// 2⁻⁴⁸ − 4·2⁻⁵³ > 2⁻⁴⁹ relative below bar — many ulps — and rounds below
+// it. That holds while the products stay in float64's normal range, which
+// a join's norms (≥ 1 for a document with a cell) and bars (a kept
+// similarity, ≥ 1/(o·nᵢ)) keep them far inside. The rule only certifies a
+// rejection against the bar it was given, so it is valid in any offer
+// order; after an offer changes the bar, take a new Limit. A zero norm
+// makes the limit 0: the pair is admitted and Finalize returns 0, which no
+// slot keeps. FuzzCosineAdmission holds the rule to Finalize.
+const admitSlack = 1 - 0x1p-48
 
-// Row is the scorer fixed to one outer document, so a join finalizing many
-// pairs of the same outer document looks its norm up once.
-type Row struct {
-	cosine     bool
-	outerNorm  float64
-	innerNorms []float64
-}
+// Limit is the part of the admission bound a slot fixes: its bar times
+// (1−2⁻⁴⁸) times the outer norm. A drain holds it until the slot's bar
+// moves.
+func Limit(bar, outerNorm float64) float64 { return bar * admitSlack * outerNorm }
 
-// Row returns the scorer fixed to outer document outer.
-func (s *Scorer) Row(outer uint32) Row {
-	if s.weighting != Cosine {
-		return Row{}
-	}
-	return Row{cosine: true, outerNorm: s.outerNorms[outer], innerNorms: s.innerNorms}
-}
+// Admits reports whether a pair of raw score raw and inner norm innerNorm
+// can reach the bar limit was taken for. A pair it refuses finalizes below
+// that bar; a pair it admits still meets the slot's own test.
+func Admits(raw, limit, innerNorm float64) bool { return raw >= limit*innerNorm }
 
-// Finalize is Scorer.Finalize for the row's outer document.
-func (r Row) Finalize(inner uint32, raw float64) float64 {
-	if !r.cosine {
-		return raw
-	}
-	var ni float64
-	if int(inner) < len(r.innerNorms) {
-		ni = r.innerNorms[inner]
-	}
-	if r.outerNorm == 0 || ni == 0 {
+// Admit applies the rule to one pair offered to a slot whose bar is bar:
+// it returns 0, which no slot keeps, for a pair the rule refuses, and the
+// pair's similarity (Finalize) for one it admits. A drain that offers many
+// pairs to one slot holds Limit instead, until the bar moves.
+func Admit(raw, bar, outerNorm, innerNorm float64) float64 {
+	if !Admits(raw, Limit(bar, outerNorm), innerNorm) {
 		return 0
 	}
-	return raw / (r.outerNorm * ni)
+	return Finalize(raw, outerNorm, innerNorm)
+}
+
+// Finalize is the cosine similarity of a pair: its raw score divided by
+// the product of the two norms, or 0 when either norm is 0. It is the one
+// division of a cosine join.
+func Finalize(raw, outerNorm, innerNorm float64) float64 {
+	if outerNorm == 0 || innerNorm == 0 {
+		return 0
+	}
+	return raw / (outerNorm * innerNorm)
 }
 
 // Score computes the full similarity of two documents under the scorer
 // with one merge walk: the reference implementation, whose summation order
-// and product association every join is held to by its tests. No join
-// calls it.
+// and product association every join is held to by its tests. Under cosine
+// it divides by the documents' own norms, which are the pre-computed ones:
+// a collection stores Norm of each document it holds. No join calls it.
 func (s *Scorer) Score(outer, inner *Document) float64 {
 	var raw float64
 	i, j := 0, 0
@@ -388,5 +415,8 @@ func (s *Scorer) Score(outer, inner *Document) float64 {
 			j++
 		}
 	}
-	return s.Finalize(outer.ID, inner.ID, raw)
+	if s.weighting != Cosine {
+		return raw
+	}
+	return Finalize(raw, outer.Norm(), inner.Norm())
 }

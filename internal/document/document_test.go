@@ -186,17 +186,15 @@ func TestScorerRaw(t *testing.T) {
 	if s.TermFactor(3) != 1 {
 		t.Errorf("TermFactor = %v, want 1", s.TermFactor(3))
 	}
-	if got := s.Finalize(1, 2, 20); got != 20 || !s.Identity() {
-		t.Errorf("Finalize = %v, Identity %v; want identity", got, s.Identity())
+	if outer, inner := s.Norms(); outer != nil || inner != nil {
+		t.Errorf("Norms = %v, %v; want none", outer, inner)
 	}
 }
 
 func TestScorerCosine(t *testing.T) {
 	d1 := doc(1, 1, 3, 2, 4) // norm 5
 	d2 := doc(2, 1, 6, 2, 8) // norm 10
-	norms1 := map[uint32]float64{1: d1.Norm()}
-	norms2 := []float64{2: d2.Norm()}
-	s, err := NewScorer(Cosine, nil, norms1, norms2)
+	s, err := NewScorer(Cosine, nil, []float64{d1.Norm()}, []float64{2: d2.Norm()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,21 +202,44 @@ func TestScorerCosine(t *testing.T) {
 	if math.Abs(got-1) > 1e-12 { // parallel vectors => cosine 1
 		t.Errorf("cosine Score = %v, want 1", got)
 	}
-	// Missing norm: treated as zero similarity rather than dividing by 0.
-	if got := s.Finalize(99, 2, 10); got != 0 {
-		t.Errorf("Finalize missing norm = %v, want 0", got)
-	}
-	// Inner norms are a slice by id: below its length, past it.
-	for _, inner := range []uint32{0, 7} {
-		if got := s.Row(1).Finalize(inner, 10); got != 0 {
-			t.Errorf("Finalize missing inner norm %d = %v, want 0", inner, got)
+	// A zero norm is zero similarity rather than a division by 0.
+	for _, norms := range [][2]float64{{0, 10}, {5, 0}, {0, 0}} {
+		if got := Finalize(10, norms[0], norms[1]); got != 0 {
+			t.Errorf("Finalize(10, %v, %v) = %v, want 0", norms[0], norms[1], got)
 		}
 	}
-	if got, want := s.Row(1).Finalize(2, 10), s.Finalize(1, 2, 10); got != want || got != 10.0/50 {
-		t.Errorf("Row(1).Finalize(2, 10) = %v, Finalize %v, want 0.2", got, want)
+	if got := Finalize(10, 5, 10); got != 10.0/50 {
+		t.Errorf("Finalize(10, 5, 10) = %v, want 0.2", got)
 	}
-	if s.Identity() {
-		t.Error("a cosine scorer reports an identity Finalize")
+	if outer, inner := s.Norms(); len(outer) != 1 || outer[0] != 5 || len(inner) != 3 || inner[2] != 10 {
+		t.Errorf("Norms = %v, %v", outer, inner)
+	}
+}
+
+// TestCosineAdmissionAtTheBar: a pair whose similarity is exactly the bar
+// is admitted and finishes at it; the next raw score down by one ulp
+// finishes below the bar, and the rule, which leaves 2⁻⁴⁸ of room, still
+// admits it (it is Offer's test that turns it away).
+func TestCosineAdmissionAtTheBar(t *testing.T) {
+	o, ni := 5.0, 10.0
+	raw := 20.0
+	bar := Finalize(raw, o, ni)
+	limit := Limit(bar, o)
+	if !Admits(raw, limit, ni) {
+		t.Fatalf("a pair at the bar %v is refused", bar)
+	}
+	below := math.Nextafter(raw, 0)
+	if sim := Finalize(below, o, ni); sim >= bar {
+		t.Fatalf("Finalize one ulp below = %v, want < %v", sim, bar)
+	}
+	if !Admits(below, limit, ni) {
+		t.Errorf("one ulp below the bar is refused; the rule leaves 2⁻⁴⁸ of room")
+	}
+	if far := raw * (1 - 0x1p-40); Admits(far, limit, ni) {
+		t.Errorf("a pair 2⁻⁴⁰ below the bar is admitted")
+	}
+	if !Admits(1, Limit(bar, 0), 0) || Finalize(1, 0, 0) != 0 {
+		t.Errorf("zero norms: want admitted and finalized to 0")
 	}
 }
 
@@ -240,8 +261,8 @@ func TestScorerTFIDF(t *testing.T) {
 	if got := s.TermFactor(999); got != 0 {
 		t.Errorf("TermFactor(unknown) = %v, want 0", got)
 	}
-	if got := s.Finalize(1, 2, 14); got != 14 || !s.Identity() {
-		t.Errorf("Finalize = %v, Identity %v; want identity", got, s.Identity())
+	if outer, inner := s.Norms(); outer != nil || inner != nil {
+		t.Errorf("Norms = %v, %v; want none", outer, inner)
 	}
 }
 

@@ -2,6 +2,7 @@ package document
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"textjoin/internal/codec"
@@ -63,6 +64,66 @@ func FuzzDecodeInto(f *testing.F) {
 			if d.Cells[i] != (Cell{Term: c.Number, Weight: c.Weight}) {
 				t.Fatalf("cell %d: DecodeInto %+v vs codec %+v", i, d.Cells[i], c)
 			}
+		}
+	})
+}
+
+// FuzzCosineAdmission holds the cosine admission rule (Limit and Admits,
+// and Admit, which applies them) to Finalize and Finalize to the division
+// it has always been. Norms span
+// ten decades, 10⁻³ to 10⁷, one draw in eight is zero; the bar lies in
+// [0, 1]; the raw score lies within 8 ulps of bar·o·nᵢ on either side, or,
+// under tie, within 8 ulps of a raw score whose similarity is the bar
+// exactly. The rule must never refuse a pair Offer's test would keep
+// (Finalize ≥ bar and > 0); Finalize must be raw/(o·nᵢ), 0 for a zero
+// norm, and Admit Finalize's value or, for a refused pair, 0, to the last
+// bit.
+func FuzzCosineAdmission(f *testing.F) {
+	f.Add(uint64(0), uint8(3), uint64(0), uint8(4), uint64(1)<<63, int8(0), false)
+	f.Add(uint64(12345), uint8(0), uint64(678910), uint8(9), uint64(1)<<62, int8(-1), true)
+	f.Add(uint64(1)<<52, uint8(5), uint64(3)<<50, uint8(2), ^uint64(0), int8(1), true)    // bar 1
+	f.Add(uint64(8), uint8(6), uint64(99), uint8(1), uint64(0), int8(8), false)           // bar 0, zero norm
+	f.Add(uint64(1)<<40, uint8(4), uint64(1)<<41, uint8(4), uint64(7)<<58, int8(0), true) // an exact tie
+	f.Add(uint64(77777), uint8(8), uint64(3), uint8(3), uint64(5)<<59, int8(-8), true)
+	f.Fuzz(func(t *testing.T, om uint64, oe uint8, nm uint64, ne uint8, barBits uint64, ulps int8, tie bool) {
+		norm := func(m uint64, e uint8) float64 {
+			if m%8 == 7 {
+				return 0
+			}
+			return (1 + float64(m>>11)*0x1p-53) * math.Pow(10, float64(int(e%10)-3))
+		}
+		o, ni := norm(om, oe), norm(nm, ne)
+		bar := float64(barBits>>10) / float64(1<<54-1) // [0, 1]
+		raw := bar * o * ni
+		if tie && o != 0 && ni != 0 {
+			// A raw score whose similarity is the bar: the bar is a kept
+			// similarity, so make it one.
+			bar = Finalize(raw, o, ni)
+		}
+		for k := ulps % 9; k != 0; {
+			if k > 0 {
+				raw, k = math.Nextafter(raw, math.Inf(1)), k-1
+			} else {
+				raw, k = math.Nextafter(raw, 0), k+1
+			}
+		}
+		sim := Finalize(raw, o, ni)
+		want := 0.0
+		if o != 0 && ni != 0 {
+			want = raw / (o * ni)
+		}
+		if math.Float64bits(sim) != math.Float64bits(want) {
+			t.Fatalf("Finalize(%v, %v, %v) = %v, want %v", raw, o, ni, sim, want)
+		}
+		admitted := Admits(raw, Limit(bar, o), ni)
+		if sim >= bar && sim > 0 && !admitted {
+			t.Fatalf("raw %v, norms %v and %v: the rule refuses a pair of similarity %v at bar %v", raw, o, ni, sim, bar)
+		}
+		if !admitted {
+			sim = 0
+		}
+		if got := Admit(raw, bar, o, ni); math.Float64bits(got) != math.Float64bits(sim) {
+			t.Fatalf("Admit(%v, %v, %v, %v) = %v, want %v", raw, bar, o, ni, got, sim)
 		}
 	})
 }

@@ -85,9 +85,10 @@ type item struct {
 // many entries as it holds and the slot table covers the term: a removed
 // item's arena index is kept for the next insertion, and the evicted
 // terms come back in a buffer the next Put overwrites. The entries
-// themselves are recycled as well: an evicted entry goes onto a short free
-// list of its size class, and Spare hands a cell slab with room for the
-// next miss to decode into. An evicted entry is the cache's to overwrite,
+// themselves are recycled as well: an evicted entry goes onto the free
+// list of its size class unless the free lists would then hold entries
+// charged more than the budget, and Spare hands a cell slab with room for
+// the next miss to decode into. An evicted entry is the cache's to overwrite,
 // so a caller must hold no cached entry, nor any sub-slice of its cells,
 // past the next Put. Reset readies the cache for another join and keeps
 // all of it, the cached entries' slabs included.
@@ -108,8 +109,10 @@ type Cache struct {
 
 	evicted []uint32
 	// spares[k] holds released entries, for Spare, whose cell capacity
-	// lies in [2^k, 2^(k+1)) (class).
-	spares [][]*invfile.Entry
+	// lies in [2^k, 2^(k+1)) (class); they were charged spareBytes when
+	// cached.
+	spares     [][]spare
+	spareBytes int64
 	// heads and chunk.Cells are carved into new entries: a header each
 	// and a slab of cells each, so a cold cache allocates per chunk, not
 	// per entry.
@@ -137,7 +140,7 @@ func (c *Cache) Reset(budget int64, policy Policy, priority func(uint32) int64) 
 	for _, i := range c.heap {
 		it := &c.items[i]
 		c.slot[it.term] = 0
-		c.release(it.entry, math.MaxInt)
+		c.release(it, math.MaxInt64)
 		*it = item{}
 	}
 	c.items, c.free, c.heap = c.items[:0], c.free[:0], c.heap[:0]
@@ -202,10 +205,11 @@ func (c *Cache) Get(term uint32) (*invfile.Entry, bool) {
 	return it.entry, true
 }
 
-// maxSpares bounds each size class's free list of evicted entries. A
-// cache under pressure evicts about one entry per insertion, so a few
-// spares cover the misses in between.
-const maxSpares = 16
+// spare is a released entry with the bytes it was charged when cached.
+type spare struct {
+	entry *invfile.Entry
+	size  int64
+}
 
 // chunkCells is how many cells one allocation carves into new entries'
 // slabs. An entry of more than a quarter of it gets a slab of its own,
@@ -217,16 +221,21 @@ const chunkCells = 4096
 func class(n int) int { return max(0, bits.Len(uint(n))-1) }
 
 // Spare returns an entry for the next miss to decode an entry of the
-// given cell count into, without growing: the last released entry of the
-// smallest size class that has room, or a new one.
+// given cell count into, without growing: the last released entry with
+// room of the smallest size class that has one, or a new one. A slab cut
+// from a chunk is exactly its first entry's size, so the entry's own class
+// is searched through: its last entry may lack the room an earlier one has.
 func (c *Cache) Spare(cells int) *invfile.Entry {
 	for k := class(cells); k < len(c.spares); k++ {
 		list := c.spares[k]
-		if last := len(list) - 1; last >= 0 && cap(list[last].Cells) >= cells {
-			e := list[last]
-			list[last] = nil
-			c.spares[k] = list[:last]
-			return e
+		for i := len(list) - 1; i >= 0; i-- {
+			if cap(list[i].entry.Cells) >= cells {
+				sp, last := list[i], len(list)-1
+				list[i], list[last] = list[last], spare{}
+				c.spares[k] = list[:last]
+				c.spareBytes -= sp.size
+				return sp.entry
+			}
 		}
 	}
 	if len(c.heads) == 0 {
@@ -246,16 +255,18 @@ func (c *Cache) Spare(cells int) *invfile.Entry {
 	return e
 }
 
-// release puts e on its size class's free list when the list holds fewer
-// than most entries.
-func (c *Cache) release(e *invfile.Entry, most int) {
-	k := class(cap(e.Cells))
+// release puts the entry of it on its size class's free list when the
+// spares, it included, were charged at most most bytes when cached.
+func (c *Cache) release(it *item, most int64) {
+	if c.spareBytes+it.size > most {
+		return
+	}
+	k := class(cap(it.entry.Cells))
 	for len(c.spares) <= k {
 		c.spares = append(c.spares, nil)
 	}
-	if len(c.spares[k]) < most {
-		c.spares[k] = append(c.spares[k], e)
-	}
+	c.spares[k] = append(c.spares[k], spare{it.entry, it.size})
+	c.spareBytes += it.size
 }
 
 // Put inserts an entry of the given byte size, evicting victims until it
@@ -274,7 +285,7 @@ func (c *Cache) Put(term uint32, entry *invfile.Entry, size int64) []uint32 {
 	c.evicted = c.evicted[:0]
 	for c.used+size > c.budget {
 		victim := c.heap[0]
-		c.release(c.items[victim].entry, maxSpares)
+		c.release(&c.items[victim], c.budget)
 		c.evicted = append(c.evicted, c.items[victim].term)
 		c.remove(victim)
 		c.stats.Evictions++

@@ -202,6 +202,46 @@ func TestRecycleHandsOutEvictedEntries(t *testing.T) {
 	}
 }
 
+// TestSpareSearchesItsClass: a miss takes a released slab of its own size
+// class with room even when the last one released there is too small, as
+// a slab cut from a chunk is exactly its first entry's size; only a class
+// with no such slab sends it up a class or to a new slab.
+func TestSpareSearchesItsClass(t *testing.T) {
+	c := New(100, LRU, nil)
+	big, small := entry(1, 7), entry(2, 5) // both of class 2, [4, 8) cells
+	c.Put(1, big, 10)
+	c.Put(2, small, 10)
+	c.Put(3, entry(3, 1), 95) // evicts 1, then 2
+	if got := c.Spare(6); got != big {
+		t.Errorf("Spare(6) = %p, want %p (7 cells, released before the 5-cell one)", got, big)
+	}
+	if got := c.Spare(5); got != small {
+		t.Errorf("Spare(5) = %p, want %p", got, small)
+	}
+}
+
+// TestSparesBoundedByBudget: the free lists keep evicted entries while the
+// entries they hold were charged at most the budget when cached; an
+// eviction past it lets its entry go.
+func TestSparesBoundedByBudget(t *testing.T) {
+	c := New(30, LRU, nil)
+	a, b, d := entry(1, 4), entry(2, 4), entry(4, 4)
+	c.Put(1, a, 10)
+	c.Put(2, b, 10)
+	c.Put(3, entry(3, 4), 10)
+	c.Put(4, d, 30) // evicts 1, 2 and 3: spares charged 30, the budget
+	c.Put(5, entry(5, 4), 30)
+	// Evicting d would make them 60: d goes.
+	for range 3 {
+		if got := c.Spare(4); got == d {
+			t.Fatal("Spare handed out an entry evicted past the budget")
+		}
+	}
+	if got := c.Spare(4); got == a || got == b || got == d {
+		t.Errorf("fourth Spare = %p, want a new entry", got)
+	}
+}
+
 func TestTerms(t *testing.T) {
 	c := New(100, LRU, nil)
 	c.Put(3, entry(3, 1), 10)

@@ -3,7 +3,8 @@ package iosim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // ErrReadOnlyView is returned when a write is attempted through a view
@@ -117,7 +118,7 @@ func (v *View) FileStats() []FileStat {
 		}
 		out = append(out, FileStat{Name: base.name, Stats: st})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b FileStat) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

@@ -46,6 +46,7 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 type Collector struct {
 	mu       sync.Mutex
 	families map[string]*family
+	memo     map[string]any // Memo's values, by key
 }
 
 // family is one metric family: its type, its HELP text and its series
@@ -117,6 +118,28 @@ func (c *Collector) resolve(name, typ string, labels []string, bounds []int64) s
 		f.series[ls] = s
 	}
 	return s
+}
+
+// Memo returns the value c keeps under key, which build makes on c's
+// first call for key: what a producer resolves once per collector rather
+// than on every record, such as the handles of the series it adds to.
+// build runs under c's lock, so it must not use c. A nil collector
+// returns nil.
+func Memo[T any](c *Collector, key string, build func() *T) *T {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.memo[key].(*T); ok {
+		return v
+	}
+	if c.memo == nil {
+		c.memo = make(map[string]any)
+	}
+	v := build()
+	c.memo[key] = v
+	return v
 }
 
 // Value reads one series without creating it, by the name /metrics

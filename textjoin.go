@@ -51,6 +51,7 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"textjoin/internal/cluster"
@@ -213,17 +214,22 @@ var planErrorBuckets = []int64{-4000, -2000, -1000, -500, -250, -100, 0, 100, 25
 //     as textjoin_prefilter_<count>_total{alg}, HVNL's cache outcome as
 //     textjoin_entrycache_<event>_total{policy}, and an integrated plan's
 //     CostError in textjoin_plan_error_log2;
-//   - the view the request read through (v non-nil) adds every file's
+//   - the files of the view the request read through (IOView.FileStats,
+//     nil for none) add their
 //     textjoin_iosim_file_{seq_reads,rand_reads,writes}_total{file}, a
 //     failed join's reads included.
 //
-// A nil t records nothing.
-func RecordJoin(t *Telemetry, dec Decision, stats *JoinStats, v *IOView) {
+// t resolves each series once and keeps its handle, so a request's record
+// builds no name. A nil t records nothing.
+func RecordJoin(t *Telemetry, dec Decision, stats *JoinStats, files []IOFileStat) {
 	if t == nil {
 		return
 	}
+	h := metrics.Memo(t, "textjoin.RecordJoin", newRecordHandles)
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if dec.Estimates != nil {
-		t.Counter("textjoin_plan_chosen_total", "alg", strings.ToLower(dec.Chosen.String())).Add(1)
+		h.counter(t, recordKey{alg: dec.Chosen, group: "plan"}).Add(1)
 		if dec.Prefiltered {
 			t.Counter("textjoin_plan_prefilter_on_total").Add(1)
 		}
@@ -234,32 +240,78 @@ func RecordJoin(t *Telemetry, dec Decision, stats *JoinStats, v *IOView) {
 		}
 	}
 	if stats != nil {
-		alg := strings.ToLower(stats.Algorithm.String())
+		alg := stats.Algorithm
 		stats.Counts(func(group, count string, n int64) {
-			switch group {
-			case "prefilter":
-				t.Counter("textjoin_prefilter_"+count+"_total", "alg", alg).Add(n)
-			case "":
-				t.Counter("textjoin_join_" + alg + "_" + count + "_total").Add(n)
-			default:
-				t.Counter("textjoin_join_" + alg + "_" + group + "_" + count + "_total").Add(n)
-			}
+			h.counter(t, recordKey{alg: alg, group: group, count: count}).Add(n)
 		})
-		if stats.Algorithm == HVNL {
+		if alg == HVNL {
 			c, policy := stats.Cache, stats.Cache.Policy.String()
-			t.Counter("textjoin_entrycache_hits_total", "policy", policy).Add(c.Hits)
-			t.Counter("textjoin_entrycache_misses_total", "policy", policy).Add(c.Misses)
-			t.Counter("textjoin_entrycache_evictions_total", "policy", policy).Add(c.Evictions)
-			t.Counter("textjoin_entrycache_rejected_total", "policy", policy).Add(c.Rejected)
+			h.counter(t, recordKey{group: "entrycache", count: "hits", policy: policy}).Add(c.Hits)
+			h.counter(t, recordKey{group: "entrycache", count: "misses", policy: policy}).Add(c.Misses)
+			h.counter(t, recordKey{group: "entrycache", count: "evictions", policy: policy}).Add(c.Evictions)
+			h.counter(t, recordKey{group: "entrycache", count: "rejected", policy: policy}).Add(c.Rejected)
 		}
 	}
-	if v != nil {
-		for _, fs := range v.FileStats() {
-			t.Counter("textjoin_iosim_file_seq_reads_total", "file", fs.Name).Add(fs.Stats.SeqReads)
-			t.Counter("textjoin_iosim_file_rand_reads_total", "file", fs.Name).Add(fs.Stats.RandReads)
-			t.Counter("textjoin_iosim_file_writes_total", "file", fs.Name).Add(fs.Stats.Writes)
+	for _, fs := range files {
+		c := h.files[fs.Name]
+		if c == nil {
+			c = &[3]*metrics.Counter{
+				t.Counter("textjoin_iosim_file_seq_reads_total", "file", fs.Name),
+				t.Counter("textjoin_iosim_file_rand_reads_total", "file", fs.Name),
+				t.Counter("textjoin_iosim_file_writes_total", "file", fs.Name),
+			}
+			h.files[fs.Name] = c
 		}
+		c[0].Add(fs.Stats.SeqReads)
+		c[1].Add(fs.Stats.RandReads)
+		c[2].Add(fs.Stats.Writes)
 	}
+}
+
+// recordHandles are the series RecordJoin adds to in one collector, each
+// resolved on its first use: by recordKey, and the three of each file by
+// its name.
+type recordHandles struct {
+	mu    sync.Mutex
+	keys  map[recordKey]*metrics.Counter
+	files map[string]*[3]*metrics.Counter
+}
+
+func newRecordHandles() *recordHandles {
+	return &recordHandles{keys: make(map[recordKey]*metrics.Counter), files: make(map[string]*[3]*metrics.Counter)}
+}
+
+// recordKey names one series of RecordJoin: a Stats.Counts count of an
+// algorithm (group "", "io" or "prefilter"), the algorithm an integrated
+// plan chose (group "plan") or an entry-cache event under a policy (group
+// "entrycache").
+type recordKey struct {
+	alg                  Algorithm
+	group, count, policy string
+}
+
+// counter returns k's series, resolving it on first use. Call it with
+// h.mu held.
+func (h *recordHandles) counter(t *Telemetry, k recordKey) *metrics.Counter {
+	if c := h.keys[k]; c != nil {
+		return c
+	}
+	alg := strings.ToLower(k.alg.String())
+	var c *metrics.Counter
+	switch k.group {
+	case "plan":
+		c = t.Counter("textjoin_plan_chosen_total", "alg", alg)
+	case "entrycache":
+		c = t.Counter("textjoin_entrycache_"+k.count+"_total", "policy", k.policy)
+	case "prefilter":
+		c = t.Counter("textjoin_prefilter_"+k.count+"_total", "alg", alg)
+	case "":
+		c = t.Counter("textjoin_join_" + alg + "_" + k.count + "_total")
+	default:
+		c = t.Counter("textjoin_join_" + alg + "_" + k.group + "_" + k.count + "_total")
+	}
+	h.keys[k] = c
+	return c
 }
 
 // ObservePhases adds a finished request trace to t's per-phase duration
@@ -275,10 +327,29 @@ func ObservePhases(t *Telemetry, span *RequestSpan) {
 	if d == nil {
 		return
 	}
+	h := metrics.Memo(t, "textjoin.ObservePhases", newPhaseHandles)
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for i := range d.Spans {
 		sp := &d.Spans[i]
-		t.Histogram("textjoin_phase_ns", metrics.DefaultLatencyBuckets, "phase", sp.Phase).Observe(sp.DurNanos)
+		hist := h.byPhase[sp.Phase]
+		if hist == nil {
+			hist = t.Histogram("textjoin_phase_ns", metrics.DefaultLatencyBuckets, "phase", sp.Phase)
+			h.byPhase[sp.Phase] = hist
+		}
+		hist.Observe(sp.DurNanos)
 	}
+}
+
+// phaseHandles are ObservePhases' histograms in one collector, by phase,
+// each resolved on its first use.
+type phaseHandles struct {
+	mu      sync.Mutex
+	byPhase map[string]*metrics.Histogram
+}
+
+func newPhaseHandles() *phaseHandles {
+	return &phaseHandles{byPhase: make(map[string]*metrics.Histogram)}
 }
 
 // MetricsExporter renders a collector as a Prometheus text exposition,
@@ -419,6 +490,10 @@ func (w *Workspace) ParkHeads() { w.disk.ParkHeads() }
 // can run concurrently, each reporting the same results and Stats a
 // serial run would.
 type IOView = iosim.View
+
+// IOFileStat is one file's page I/O through a view, as IOView.FileStats
+// lists it.
+type IOFileStat = iosim.FileStat
 
 // Snapshot opens a read-only I/O session over the workspace's immutable
 // built structures. Call Close on the returned view when the request is
