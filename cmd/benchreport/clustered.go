@@ -12,11 +12,13 @@ import (
 // The clustered shapes measure the signature + cluster pruning layer
 // and the approximate LSH join (lsh.go) on corpora where they can act:
 // planted-topic collections run through the cluster-driven build path
-// (greedy reorder → signature sidecar → id-remapped inverted file). Each
-// (shape, algorithm) pair is run twice — prefilter off and on — and the
-// run itself fails unless the two result hashes are identical:
-// the baseline file cannot even be generated from a filter that changes
-// results. The off cells double as the LSH cells' exact ground truth.
+// (greedy reorder → signature sidecar → id-remapped inverted file). HHNL
+// runs twice — prefilter off and on — and the run itself fails unless the
+// two result hashes are identical: the baseline file cannot even be
+// generated from a filter that changes results. HVNL, whose resident
+// B+tree already skips every term a signature could rule out, runs once,
+// unfiltered. The HHNL off cell doubles as the LSH cells' exact ground
+// truth.
 
 // pfShape is one clustered pairing of the grid.
 type pfShape struct {
@@ -27,11 +29,10 @@ type pfShape struct {
 	topics1, topics2 int
 }
 
-// pfShapes returns the clustered pairings: a self-similar pair
-// of equal vocabularies (inner-scan pruning carries HHNL) and a pair
-// where the outer vocabulary is four times wider, so three quarters of
-// the outer documents are provably disjoint from the inner collection
-// (outer-sweep pruning carries HVNL).
+// pfShapes returns the clustered pairings: a self-similar pair of equal
+// vocabularies and a pair where the outer vocabulary is four times wider,
+// so three quarters of the outer documents are provably disjoint from the
+// inner collection.
 func pfShapes() []pfShape {
 	return []pfShape{
 		{"clustered-eq", 512, 512, 64, 16384, 16384, 16, 16},
@@ -111,10 +112,9 @@ const (
 )
 
 // runClustered appends the clustered shapes' cells to the report, each
-// shape built once: the exact cells off and on, gated on exact
-// result-hash equality, then the LSH cells (lsh.go) measured against the
-// HHNL result as ground truth. It fails unless the LSH cells meet
-// the frontier gate.
+// shape built once: HHNL off and on, gated on exact result-hash equality,
+// HVNL, then the LSH cells (lsh.go) measured against the HHNL result as
+// ground truth. It fails unless the LSH cells meet the frontier gate.
 func runClustered(cfg BenchConfig, report *Report) error {
 	cfg.MemoryPages = clusteredPages
 	for _, sh := range pfShapes() {
@@ -122,32 +122,28 @@ func runClustered(cfg BenchConfig, report *Report) error {
 		if err != nil {
 			return fmt.Errorf("%s: %v", sh.name, err)
 		}
-		var truth map[lshPair]bool
-		for _, alg := range []textjoin.Algorithm{textjoin.HHNL, textjoin.HVNL} {
-			cfg := cfg
-			if alg == textjoin.HVNL {
-				cfg.MemoryPages = clusteredHVNLPages
-			}
-			opts := env.options(cfg)
-			off, results, err := runCell(env, sh.name, alg.String(), alg, opts)
-			if err != nil {
-				return err
-			}
-			opts.Prefilter = pf
-			on, _, err := runCell(env, sh.name, alg.String()+"+pf", alg, opts)
-			if err != nil {
-				return err
-			}
-			if on.ResultsHash != off.ResultsHash {
-				return fmt.Errorf("%s: prefilter changed results: hash %s (on) vs %s (off)",
-					off.key(), on.ResultsHash, off.ResultsHash)
-			}
-			report.Cells = append(report.Cells, off, on)
-			if alg == textjoin.HHNL {
-				truth = lshPairSet(results)
-			}
+		opts := env.options(cfg)
+		off, results, err := runCell(env, sh.name, "HHNL", textjoin.HHNL, opts)
+		if err != nil {
+			return err
 		}
-		if err := runLSHCells(env, sh.name, cfg, truth, report); err != nil {
+		opts.Prefilter = pf
+		on, _, err := runCell(env, sh.name, "HHNL+pf", textjoin.HHNL, opts)
+		if err != nil {
+			return err
+		}
+		if on.ResultsHash != off.ResultsHash {
+			return fmt.Errorf("%s: prefilter changed results: hash %s (on) vs %s (off)",
+				off.key(), on.ResultsHash, off.ResultsHash)
+		}
+		hvnlCfg := cfg
+		hvnlCfg.MemoryPages = clusteredHVNLPages
+		hvnl, _, err := runCell(env, sh.name, "HVNL", textjoin.HVNL, env.options(hvnlCfg))
+		if err != nil {
+			return err
+		}
+		report.Cells = append(report.Cells, off, on, hvnl)
+		if err := runLSHCells(env, sh.name, cfg, lshPairSet(results), report); err != nil {
 			return err
 		}
 	}

@@ -57,9 +57,9 @@ func (t *targetList) Set(v string) error {
 }
 
 // defaultMix cycles through the serving profiles: all three exact
-// algorithms, prefilter on and off, the approximate LSH join, plus the
-// integrated planner.
-const defaultMix = "alg=hhnl|alg=hvnl|alg=vvm|alg=hhnl&prefilter=on|alg=hvnl&prefilter=on|mode=lsh|alg=auto"
+// algorithms, HHNL with the prefilter (the one family that prunes with
+// it), the approximate LSH join, plus the integrated planner.
+const defaultMix = "alg=hhnl|alg=hvnl|alg=vvm|alg=hhnl&prefilter=on|mode=lsh|alg=auto"
 
 // report is the JSON artifact. Field order is fixed by the struct, all
 // floats are rounded to fixed precision, and no timestamps are recorded

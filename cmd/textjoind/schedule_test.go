@@ -553,7 +553,7 @@ func TestSLOCountsServedTraffic(t *testing.T) {
 }
 
 // TestServedJoinReusesItsRows: once a kind has run, a /join of each
-// serve_mix kind at its λ of 20, rows and all, allocates at most 64 KiB
+// serve_mix kind at its λ of 20, rows and all, allocates at most 24 KiB
 // and at most a quarter of the bytes its plan charges for its rows — a
 // Result of 32 bytes and λ matches of 16 per outer document. The join
 // fills the row set the last request gave back, and the reply is encoded
@@ -586,8 +586,8 @@ func TestServedJoinReusesItsRows(t *testing.T) {
 		rows := warm.OuterDocs * int64(32+16*warm.Lambda)
 		least := allocated(path)
 		t.Logf("%-15s %d rows charged %d bytes; a request allocates %d", k.name, warm.OuterDocs, rows, least)
-		if least > 64<<10 || 4*least > rows {
-			t.Errorf("%s: a warm request allocates %d bytes, want at most 64 KiB and a quarter of its rows' %d", k.name, least, rows)
+		if least > 24<<10 || 4*least > rows {
+			t.Errorf("%s: a warm request allocates %d bytes, want at most 24 KiB and a quarter of its rows' %d", k.name, least, rows)
 		}
 	}
 	huge := "/join?alg=hvnl&lambda=1000000&show=0"

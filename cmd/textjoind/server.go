@@ -289,7 +289,7 @@ type joinResponse struct {
 // (auto, hhnl, hvnl, vvm, lsh; default auto), lambda, weighting (raw,
 // cosine, tfidf), show (result rows to include, default 3), prefilter (on,
 // off; default off) to offer the signature sidecars to the join — results
-// are byte-identical either way, only the I/O pattern changes. mode
+// are byte-identical either way, only HHNL's inner reads change. mode
 // (exact, lsh; default exact) set to lsh runs the approximate MinHash join
 // (alg=lsh is the same request), and recall in (0, 1] offers the LSH plan
 // to alg=auto's planner under that recall SLO. Any other parameter is

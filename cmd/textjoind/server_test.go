@@ -121,7 +121,8 @@ func TestServerEndpoints(t *testing.T) {
 // TestServerWorkers pins that the workers parameter, which the
 // benchmark's serve_mix still sends, is ignored like any other unknown
 // one: the request answers 200 with the results of the same request
-// without it, and they are the facade's results under the one digest.
+// without it, and they are the facade's results under the one digest. So
+// is prefilter=on for HVNL, which does not prune.
 func TestServerWorkers(t *testing.T) {
 	s, hs := testServer(t, 4096)
 
@@ -149,6 +150,12 @@ func TestServerWorkers(t *testing.T) {
 	asked, askedHash := run("/join?alg=vvm&weighting=cosine&workers=2&show=3")
 	if askedHash != plainHash || !reflect.DeepEqual(deterministic(asked), deterministic(plain)) {
 		t.Errorf("workers=2 replied %+v (hash %s), without it %+v (hash %s)", asked, askedHash, plain, plainHash)
+	}
+	// HVNL prunes with no prefilter: prefilter=on answers plain HVNL's reply.
+	hvnl, hvnlHash := run("/join?alg=hvnl&show=3")
+	if offered, hash := run("/join?alg=hvnl&prefilter=on&show=3"); hash != hvnlHash || offered.Prefilter != nil ||
+		!reflect.DeepEqual(deterministic(offered), deterministic(hvnl)) {
+		t.Errorf("alg=hvnl&prefilter=on replied %+v (hash %s), without it %+v (hash %s)", offered, hash, hvnl, hvnlHash)
 	}
 	// The third value: the facade run of the same inputs under the one
 	// digest, which is also what a BENCH_BASELINE.json cell records.

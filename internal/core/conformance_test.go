@@ -32,8 +32,11 @@ import (
 type conformFamily struct {
 	name string
 	alg  Algorithm
-	pf   bool // joined with the signature prefilter
+	pf   bool // offered the signature prefilter, which only HHNL prunes with
 }
+
+// prunes reports whether the family joins with the prefilter it is offered.
+func (f conformFamily) prunes() bool { return f.pf && f.alg == HHNL }
 
 var conformFamilies = []conformFamily{
 	{"HHNL", HHNL, false}, {"HHNL+pf", HHNL, true}, {"HVNL", HVNL, false},
@@ -259,12 +262,12 @@ func smallestBudget(t *testing.T, alg Algorithm, in Inputs, opts Options) int64 
 // entry cache that evicted.
 func splitJoin(st *Stats) bool { return st.Passes > 1 || st.Cache.Evictions > 0 }
 
-// run joins one cell, the one-pass base cell of a prefiltered family under
+// run joins one cell, the one-pass base cell of a pruning family under
 // every signature code.
 func (w *conformWorld) run(t *testing.T, c conformCell) {
 	t.Helper()
 	pfs := w.pfs[w.code : w.code+1]
-	if conformFamilies[c.family].pf && c.regime == 0 && c.kind == 0 && c.view == 0 {
+	if conformFamilies[c.family].prunes() && c.regime == 0 && c.kind == 0 && c.view == 0 {
 		pfs = w.pfs
 	}
 	for _, pf := range pfs {
@@ -272,21 +275,21 @@ func (w *conformWorld) run(t *testing.T, c conformCell) {
 	}
 }
 
-// runWith joins one cell with prefilter pf, which only the prefiltered
-// families use, at each of its budgets. A cell whose family cannot run on
+// runWith joins one cell with prefilter pf, which only HHNL+pf prunes
+// with, at each of its budgets. A cell whose family cannot run on
 // its inputs must fail with ErrMissingInput.
 func (w *conformWorld) runWith(t *testing.T, c conformCell, pf *Prefilter) {
 	t.Helper()
 	fam := conformFamilies[c.family]
 	name := w.shape.name + "/" + c.String()
-	if fam.pf {
+	if fam.prunes() {
 		name += fmt.Sprintf("/code %d", slices.Index(w.pfs, pf))
 	}
 	in := w.e.inputs()
 	in.Outer = w.outers[c.kind]
 	opts := Options{Lambda: w.shape.lambda, Weighting: c.w, LSH: w.lsh}
 	if fam.pf || fam.alg == VVM || fam.alg == LSH {
-		opts.Prefilter = pf // which VVM and LSH must ignore
+		opts.Prefilter = pf // which HVNL, VVM and LSH must ignore
 	}
 	if fam.alg == VVM && c.kind == 2 {
 		if _, err := Plan(VVM, in, opts); !errors.Is(err, ErrMissingInput) {
@@ -390,7 +393,7 @@ func (w *conformWorld) check(t *testing.T, c conformCell, name string, in Inputs
 		fail("Stats say %v over %d outer and %d inner documents, want %v over %d and %d",
 			st.Algorithm, st.OuterDocs, st.InnerDocs, fam.alg, n2, n1)
 	}
-	if st.Prefilter.Enabled != fam.pf {
+	if st.Prefilter.Enabled != fam.prunes() {
 		fail("prefilter enabled %v", st.Prefilter.Enabled)
 	}
 	if st.IO.Reads() > 0 && st.Cost <= 0 {
@@ -404,7 +407,7 @@ func (w *conformWorld) check(t *testing.T, c conformCell, name string, in Inputs
 		fail("%d accumulations, cache %+v, %d entry fetches, %d passes", st.Accumulations, st.Cache, st.EntryFetches, st.Passes)
 	}
 	switch reads, d1 := st.IO.Reads(), e.c1.Stats().D; {
-	case fam.alg == HHNL && !fam.pf:
+	case fam.alg == HHNL && !fam.prunes():
 		// One scan of C1 per batch; a query batch costs no other read.
 		if st.Comparisons != n1*n2 || innerReads != int64(st.Passes)*d1 || c.kind == 2 && reads != innerReads {
 			fail("%d comparisons, %d reads of which %d of C1, in %d passes; want N1·N2 = %d, passes × D1 = %d reads of C1",
@@ -436,6 +439,12 @@ func (w *conformWorld) check(t *testing.T, c conformCell, name string, in Inputs
 		fail("charged %d bytes, measured %d: want measured ≤ charged ≤ 2 × measured (listed as a miss: %v)",
 			dec.PeakBytes, measured, known)
 	}
+	// A family offered a prefilter it does not prune with ignores it.
+	if opts.Prefilter != nil && !fam.prunes() {
+		if err := ignoresPrefilter(e, fam.alg, in, opts); err != nil {
+			fail("%v", err)
+		}
+	}
 	if large {
 		alloc := int64(after.TotalAlloc - before.TotalAlloc)
 		if c.kind == 0 && c.view == 0 {
@@ -449,6 +458,29 @@ func (w *conformWorld) check(t *testing.T, c conformCell, name string, in Inputs
 			fail("allocated %d bytes, charged %d: want allocated ≤ 2 × charged", alloc, dec.PeakBytes)
 		}
 	}
+}
+
+// ignoresPrefilter joins alg on in without and with opts.Prefilter, each
+// from parked heads and a loaded index, and returns the first difference:
+// in the Stats, page reads included, or in the results.
+func ignoresPrefilter(e *env, alg Algorithm, in Inputs, opts Options) error {
+	if _, err := e.inv1.LoadIndex(); err != nil {
+		return err
+	}
+	var rows [2][]Result
+	var sts [2]*Stats
+	for i, offered := range []*Prefilter{nil, opts.Prefilter} {
+		opts.Prefilter, opts.Trace = offered, nil
+		e.disk.ParkHeads()
+		var err error
+		if rows[i], sts[i], err = Join(alg, in, opts); err != nil {
+			return err
+		}
+	}
+	if *sts[1] != *sts[0] {
+		return fmt.Errorf("Stats offered the prefilter:\n%+v\nwithout:\n%+v", *sts[1], *sts[0])
+	}
+	return exactSameResults(rows[0], rows[1])
 }
 
 // checkLSH holds the approximate join to precision 1: one row per outer
@@ -528,14 +560,15 @@ type conformTest struct {
 // it, so each runs in exactly one test; TestJoinConformance runs the cells
 // no entry selects. A full run of the package runs the whole matrix.
 var conformTests = []conformTest{
-	// Every differential shape over C2, on disk and through a view; the
-	// prefiltered families' one-pass disk cells under every code.
+	// Every differential shape over C2, on disk and through a view (HHNL+pf's
+	// one-pass disk cells under every code), and HVNL+pf over every kind.
 	{"TestDifferentialReference", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("HHNL") }},
 	{"TestDifferentialShapes", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("HVNL", "VVM") }},
-	{"TestDifferentialPrefilter", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("HHNL+pf", "HVNL+pf") }},
+	{"TestPrefilterStatsParity", diffShapes(), func(c conformCell) bool { return c.of("HVNL+pf") }},
+	{"TestDifferentialPrefilter", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("HHNL+pf") }},
 	{"TestDifferentialLSH", diffShapes(), func(c conformCell) bool { return c.kind == 0 && c.of("LSH") }},
 	// Every differential shape, outer a selection or a query batch.
-	{"TestPrefilterSubsetOuter", diffShapes(), func(c conformCell) bool { return c.kind != 0 && c.of("HHNL+pf", "HVNL+pf") }},
+	{"TestPrefilterSubsetOuter", diffShapes(), func(c conformCell) bool { return c.kind != 0 && c.of("HHNL+pf") }},
 	{"TestHVNLSubsetAgainstReference", diffShapes(), func(c conformCell) bool { return c.kind == 1 && c.of("HVNL") }},
 	{"TestSubsetJoinAllAlgorithms", diffShapes(), func(c conformCell) bool { return c.kind == 1 }},
 	{"TestBatchJoin", diffShapes(), func(c conformCell) bool { return c.kind == 2 }},
@@ -589,6 +622,7 @@ func runConformTest(t *testing.T) {
 // regime's charge, measured bytes and allocation over C2 on disk at scale.
 func TestDifferentialReference(t *testing.T)          { runConformTest(t) }
 func TestDifferentialShapes(t *testing.T)             { runConformTest(t) }
+func TestPrefilterStatsParity(t *testing.T)           { runConformTest(t) }
 func TestDifferentialPrefilter(t *testing.T)          { runConformTest(t) }
 func TestDifferentialLSH(t *testing.T)                { runConformTest(t) }
 func TestPrefilterSubsetOuter(t *testing.T)           { runConformTest(t) }

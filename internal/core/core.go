@@ -149,10 +149,12 @@ type Options struct {
 	// allocation; tracing never changes results or Stats.
 	Trace *reqtrace.Span
 	// Prefilter supplies signature sidecars for pruning provably
-	// zero-similarity work from HHNL and HVNL (VVM's merge already
-	// touches only co-occurring terms and ignores it). nil disables
-	// pruning. Signatures only ever prove non-overlap, so prefiltered
-	// results are byte-identical to unfiltered ones.
+	// zero-similarity inner pages from HHNL's scans. HVNL (whose resident
+	// B+tree already skips every term a signature could rule out), VVM
+	// (whose merge touches only co-occurring terms) and LSH ignore it;
+	// Plan validates it for every family. nil disables pruning.
+	// Signatures only ever prove non-overlap, so prefiltered results are
+	// byte-identical to unfiltered ones.
 	Prefilter *Prefilter
 	// LSH supplies the inner collection's MinHash sidecar. Required by
 	// the LSH join; offered to the integrated planner, which may pick the
@@ -319,36 +321,61 @@ func (t *ioTracker) delta() iosim.Stats {
 	return total
 }
 
-// Counts calls fn with each count of a finished join: its group ("" for
-// the join's own counts, "io" for its page reads, "prefilter" for the
-// signature prefilter's), its name in the group and its value. It is the
-// one list of a join's counts. The join's span carries each as the
-// attribute join.<alg>[.<group>].<count> (recordJoinStats); a program's
-// collector holds it in the family /metrics prints (textjoin.RecordJoin).
+// joinCounts names a finished join's counts, in the order Counts yields
+// them: each count's group ("" for the join's own counts, "io" for its
+// page reads, "prefilter" for the signature prefilter's) and its name in
+// the group.
+var joinCounts = [...]struct{ group, name string }{
+	{"", "outer_docs"}, {"", "inner_docs"}, {"", "comparisons"}, {"", "accumulations"}, {"", "entry_fetches"},
+	{"", "passes"}, {"io", "seq"}, {"io", "rand"}, {"", "peak_bytes"}, {"", "pairs"},
+	{"prefilter", "pages_skipped"}, {"prefilter", "clusters_skipped"}, {"prefilter", "docs_skipped"}, {"prefilter", "false_passes"},
+	{"", "bucket_probes"}, {"", "candidates"}, {"", "pages_skipped"}, {"", "docs_skipped"},
+}
+
+// spanKeys are the span attribute names of joinCounts by family,
+// join.<alg>[.<group>].<count>, named once.
+var spanKeys = func() (keys [LSH + 1][len(joinCounts)]string) {
+	for alg := range keys {
+		p := "join." + strings.ToLower(Algorithm(alg).String()) + "."
+		for c, jc := range joinCounts {
+			if keys[alg][c] = p + jc.name; jc.group != "" {
+				keys[alg][c] = p + jc.group + "." + jc.name
+			}
+		}
+	}
+	return keys
+}()
+
+// Counts calls fn with each count of a finished join: its group, its name
+// in the group (joinCounts) and its value. It is the one list of a join's
+// counts. The join's span carries each as the attribute
+// join.<alg>[.<group>].<count> (recordJoinStats); a program's collector
+// holds it in the family /metrics prints (textjoin.RecordJoin).
 func (st *Stats) Counts(fn func(group, count string, v int64)) {
-	fn("", "outer_docs", st.OuterDocs)
-	fn("", "inner_docs", st.InnerDocs)
-	fn("", "comparisons", st.Comparisons)
-	fn("", "accumulations", st.Accumulations)
-	fn("", "entry_fetches", st.EntryFetches)
-	fn("", "passes", int64(st.Passes))
-	fn("io", "seq", st.IO.SeqReads)
-	fn("io", "rand", st.IO.RandReads)
-	fn("", "peak_bytes", st.PeakMemoryBytes)
+	st.counts(func(c int, v int64) { fn(joinCounts[c].group, joinCounts[c].name, v) })
+}
+
+// counts calls fn with the index in joinCounts and the value of each count
+// the join reports: pairs for HVNL and VVM, the prefilter's when it ran,
+// LSH's for an LSH join.
+func (st *Stats) counts(fn func(c int, v int64)) {
+	own := [...]int64{st.OuterDocs, st.InnerDocs, st.Comparisons, st.Accumulations, st.EntryFetches,
+		int64(st.Passes), st.IO.SeqReads, st.IO.RandReads, st.PeakMemoryBytes}
+	for c, v := range own {
+		fn(c, v)
+	}
 	if st.Algorithm == HVNL || st.Algorithm == VVM {
-		fn("", "pairs", st.Pairs)
+		fn(len(own), st.Pairs)
 	}
-	if st.Prefilter.Enabled {
-		fn("prefilter", "pages_skipped", st.Prefilter.PagesSkipped)
-		fn("prefilter", "clusters_skipped", st.Prefilter.ClustersSkipped)
-		fn("prefilter", "docs_skipped", st.Prefilter.DocsSkipped)
-		fn("prefilter", "false_passes", st.Prefilter.FalsePasses)
+	if pf := st.Prefilter; pf.Enabled {
+		for i, v := range [...]int64{pf.PagesSkipped, pf.ClustersSkipped, pf.DocsSkipped, pf.FalsePasses} {
+			fn(len(own)+1+i, v)
+		}
 	}
-	if st.LSH.Enabled {
-		fn("", "bucket_probes", st.LSH.BucketProbes)
-		fn("", "candidates", st.LSH.Candidates)
-		fn("", "pages_skipped", st.LSH.PagesSkipped)
-		fn("", "docs_skipped", st.LSH.DocsSkipped)
+	if l := st.LSH; l.Enabled {
+		for i, v := range [...]int64{l.BucketProbes, l.Candidates, l.PagesSkipped, l.DocsSkipped} {
+			fn(len(own)+5+i, v)
+		}
 	}
 }
 
@@ -360,13 +387,8 @@ func recordJoinStats(trace *reqtrace.Span, st *Stats) {
 	if trace == nil {
 		return
 	}
-	p := "join." + strings.ToLower(st.Algorithm.String()) + "."
-	st.Counts(func(group, count string, v int64) {
-		if group != "" {
-			count = group + "." + count
-		}
-		trace.SetInt(p+count, v)
-	})
+	keys := &spanKeys[st.Algorithm]
+	st.counts(func(c int, v int64) { trace.SetInt(keys[c], v) })
 	if st.Algorithm == HVNL {
 		trace.SetInt("join.hvnl.cache.hits", st.Cache.Hits)
 		trace.SetInt("join.hvnl.cache.misses", st.Cache.Misses)

@@ -5,13 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"textjoin/internal/costmodel"
 	"textjoin/internal/document"
+	"textjoin/internal/entrycache"
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
 	"textjoin/internal/reqtrace"
@@ -260,24 +260,12 @@ func TestTelemetryInvariance(t *testing.T) {
 				if err := reqtrace.ValidateData(trace); err != nil {
 					t.Errorf("%v: %v", alg, err)
 				}
-				attrs := map[string]string{}
-				for _, sp := range trace.Spans {
-					if sp.Parent == "" {
-						for _, a := range sp.Attrs {
-							attrs[a.Key] = a.Value
-						}
-					}
+				// The root carries what recordJoinStats writes (TestJoinSpanAttributes).
+				want := reqtrace.NewTracer(1, time.Now).StartTrace(alg.String())
+				recordJoinStats(want, onSt)
+				if got, want := trace.Spans[len(trace.Spans)-1].Attrs, want.Data().Spans[0].Attrs; !slices.Equal(got, want) {
+					t.Errorf("%v: root attributes %v, want %v", alg, got, want)
 				}
-				p := "join." + strings.ToLower(alg.String()) + "."
-				onSt.Counts(func(group, count string, v int64) {
-					name := p + count
-					if group != "" {
-						name = p + group + "." + count
-					}
-					if got := attrs[name]; got != strconv.FormatInt(v, 10) {
-						t.Errorf("%v: span attribute %s = %q, want %d", alg, name, got, v)
-					}
-				})
 				// Every phase hangs its spans under the root: a traced
 				// join records more than the root's own phase.
 				phases := map[string]int{}
@@ -311,6 +299,37 @@ func TestNilTracePhaseDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-trace phase path allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestJoinSpanAttributes holds every family's span attributes, in order, to
+// a table: the names and values of a Stats whose every count differs.
+func TestJoinSpanAttributes(t *testing.T) {
+	own := "outer_docs=1 inner_docs=2 comparisons=3 accumulations=4 entry_fetches=5 passes=6 io.seq=7 io.rand=8 peak_bytes=9"
+	for _, c := range []struct {
+		alg  Algorithm
+		want string
+	}{
+		{HHNL, own}, {VVM, own + " pairs=10"},
+		{HHNL, own + " prefilter.pages_skipped=11 prefilter.clusters_skipped=12 prefilter.docs_skipped=13 prefilter.false_passes=14"},
+		{HVNL, own + " pairs=10 cache.hits=19 cache.misses=20 cache.evictions=21"},
+		{LSH, own + " bucket_probes=15 candidates=16 pages_skipped=17 docs_skipped=18"},
+	} {
+		st := &Stats{Algorithm: c.alg, OuterDocs: 1, InnerDocs: 2, Comparisons: 3, Accumulations: 4, EntryFetches: 5, Passes: 6,
+			IO: iosim.Stats{SeqReads: 7, RandReads: 8}, PeakMemoryBytes: 9, Pairs: 10,
+			Prefilter: PrefilterStats{Enabled: strings.Contains(c.want, "prefilter"), PagesSkipped: 11, ClustersSkipped: 12, DocsSkipped: 13, FalsePasses: 14},
+			LSH:       LSHStats{Enabled: c.alg == LSH, BucketProbes: 15, Candidates: 16, PagesSkipped: 17, DocsSkipped: 18},
+			Cache:     entrycache.Stats{Hits: 19, Misses: 20, Evictions: 21}}
+		root := reqtrace.NewTracer(1, time.Now).StartTrace("join")
+		recordJoinStats(root, st)
+		var got []string
+		for _, a := range root.Data().Spans[0].Attrs {
+			got = append(got, a.Key+"="+a.Value)
+		}
+		p := " join." + strings.ToLower(c.alg.String()) + "."
+		if want := strings.ReplaceAll(" "+c.want, " ", p)[1:]; strings.Join(got, " ") != want {
+			t.Errorf("%v:\n got %s\nwant %s", c.alg, strings.Join(got, " "), want)
+		}
 	}
 }
 

@@ -76,10 +76,11 @@ func waitGoroutines(tb testing.TB, want int) {
 
 // TestFanOutLeavesNoWorkersOnFailure walks every way a join can fail — a
 // storage fault while the resident side fills, one mid-scan/probe/merge,
-// and a sidecar that does not match its collection — and requires the
-// error, no partial results, a trace whose every phase span was ended on
-// the error path, and the goroutine count back at its pre-call value: a
-// join leaves no worker goroutine behind, because it starts none.
+// and a sidecar that does not match its collection, which Plan rejects for
+// every family — and requires the error, no partial results, a trace whose
+// every phase span was ended on the error path, and the goroutine count
+// back at its pre-call value: a join leaves no worker goroutine behind,
+// because it starts none.
 func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
 	type failure struct {
 		name  string
@@ -107,6 +108,7 @@ func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
 		{VVM, 100, []failure{
 			{name: "merge-scan-first", fault: iosim.FaultPlan{FailFile: "c1.inv", Repeat: true}},
 			{name: "merge-scan", fault: iosim.FaultPlan{FailFile: "c2.inv", FailAfterReads: 2, Repeat: true}},
+			{name: "stale-prefilter", stale: true}, // rejected though VVM does not prune
 		}},
 		{LSH, 100, []failure{
 			{name: "fill", fault: iosim.FaultPlan{FailFile: "c2", Repeat: true}},
@@ -133,15 +135,7 @@ func TestFanOutLeavesNoWorkersOnFailure(t *testing.T) {
 						t.Fatal(err)
 					}
 				} else if fc.stale {
-					f, err := e.disk.Create("side.sig")
-					if err != nil {
-						t.Fatal(err)
-					}
-					sc, err := signature.Build(sidecarOver, f, signature.Config{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.Prefilter = &Prefilter{Inner: sc}
+					opts.Prefilter = &Prefilter{Inner: buildTestPrefilter(t, e, signature.Config{}).Outer} // over C2
 				}
 				e.disk.InjectFaults(fc.fault)
 				root := reqtrace.NewTracer(1, time.Now).StartTrace(fam.alg.String())

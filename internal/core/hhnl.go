@@ -48,10 +48,7 @@ import (
 // batch's OR-signature — a provably zero similarity for every resident
 // outer document, so results are byte-identical.
 func runHHNL(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Rows) ([]Result, *Stats, error) {
-	pf, err := activePrefilter(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
+	pf := opts.Prefilter // validated by Plan
 	ws := blockStates.Get()
 	defer blockStates.Put(ws)
 	b := blockJoin{in: in, opts: opts, mem: m, scorer: scorer, ws: ws, rows: rows, scanName: "hhnl.inner-scan",

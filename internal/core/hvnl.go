@@ -38,11 +38,6 @@ import (
 // B·P bytes minus one outer document (⌈S2⌉ pages), the B+tree (Bt1 pages),
 // the accumulator reservation, and the in-memory term list (planMemory).
 func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Rows) ([]Result, *Stats, error) {
-	pf, err := activePrefilter(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	invFile := in.InnerInv.File()
 	track := trackIO(in.Outer.File(), invFile, treeFile(in.InnerInv))
 	trace := opts.Trace
@@ -66,9 +61,6 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 	cache.Reserve(int(in.Inner.TermSpan()))
 
 	stats := &Stats{Algorithm: HVNL, InnerDocs: in.Inner.NumDocs()}
-	if pf != nil {
-		stats.Prefilter.Enabled = true
-	}
 
 	// Paper, first regime of hvs: when memory holds all inverted file
 	// entries (X ≥ T1), "we can either read in the entire inverted file
@@ -102,21 +94,6 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 		}
 	}
 
-	// With a prefilter, candidate outer documents whose signature is
-	// disjoint from the inner root aggregate are skipped before the
-	// probe: their result row is empty by proof, and (with an outer
-	// sidecar) their pages are never read.
-	var opf *outerPrefilter
-	if pf != nil {
-		filter := trace.StartChild(reqtrace.PhaseSetup, "hvnl.prefilter")
-		opf, err = newOuterPrefilter(in, pf, stats)
-		filter.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.PeakMemoryBytes = int64(len(opf.need) + len(opf.keep))
-	}
-
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
 	ws.acc.Resize(int(in.Inner.NumDocs()))
@@ -124,25 +101,9 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 		results: set.reset(int(in.Outer.NumDocs()), opts.Lambda, &ws.tks)}
 	var cacheUsed int64
 	sweep := func() error {
-		var outer collection.DocIterator
-		if opf == nil {
-			outer = ws.outer.Documents(in.Outer)
-		}
+		outer := ws.outer.Documents(in.Outer)
 		for {
-			var d2 *document.Document
-			var err error
-			if opf != nil {
-				var skippedID uint32
-				var skipped bool
-				d2, skippedID, skipped, err = opf.next()
-				if err == nil && skipped {
-					stats.OuterDocs++
-					rows.results = append(rows.results, Result{Outer: skippedID})
-					continue
-				}
-			} else {
-				d2, err = outer.NextReuse()
-			}
+			d2, err := outer.NextReuse()
 			if err == io.EOF {
 				return nil
 			}
@@ -150,7 +111,6 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 				return err
 			}
 			stats.OuterDocs++
-			accBefore := stats.Accumulations
 
 			// Order terms: cached entries first (the paper's reuse
 			// optimization), then the rest in term order. Cells are already
@@ -193,10 +153,6 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 				rows.acc.AddCells(entry.Cells, float64(c.Weight), factor)
 				stats.Accumulations += int64(len(entry.Cells))
 			}
-
-			if pf != nil && stats.Accumulations == accBefore {
-				stats.Prefilter.FalsePasses++
-			}
 			rows.flush(d2.ID)
 			cacheUsed = max(cacheUsed, cache.Used())
 		}
@@ -212,7 +168,7 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 	// The outer document, the B+tree, the entries, the accumulator, the
 	// slot table and the one tracker.
 	pageSize := int64(invFile.PageSize())
-	stats.PeakMemoryBytes += m.outerDoc + index.SizePages(int(pageSize))*pageSize + cacheUsed +
+	stats.PeakMemoryBytes = m.outerDoc + index.SizePages(int(pageSize))*pageSize + cacheUsed +
 		in.Inner.NumDocs()*accumBytes + in.Inner.TermSpan()*slotBytes + int64(opts.Lambda)*matchBytes
 	stats.Cache = cache.Stats()
 	stats.Pairs = rows.pairs

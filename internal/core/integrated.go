@@ -55,15 +55,11 @@ func choose(in Inputs, opts Options, cut outerCut) (Decision, error) {
 	sys := costmodel.System{B: opts.MemoryPages, P: int64(f.PageSize()), Alpha: f.Disk().Alpha()}
 	q := costmodel.Query{Lambda: int64(opts.Lambda), Delta: delta}
 	dec := Decision{Estimates: costmodel.EstimateAll(mi, sys, q), EstimatedRecall: 1}
-	// With sidecars on offer, the prefiltered HHNL/HVNL variants compete
-	// too: their estimates discount the measured skip fractions and
-	// charge the sidecar load.
-	pf, err := activePrefilter(in, opts)
-	if err != nil {
-		return Decision{}, err
-	}
-	if pf != nil {
-		dec.Estimates = append(dec.Estimates, costmodel.EstimateAllPrefilter(mi, sys, q, measurePrefilter(pf))...)
+	// With sidecars on offer (Plan has validated them), prefiltered HHNL
+	// competes too: its estimate discounts the measured page skip and
+	// charges the sidecar load.
+	if opts.Prefilter != nil {
+		dec.Estimates = append(dec.Estimates, costmodel.EstimateHHNLPrefilter(mi, sys, q, measurePrefilter(opts.Prefilter)))
 	}
 	// With a MinHash sidecar on offer and a recall SLO strictly below 1,
 	// the approximate join competes if it promises at least the SLO's

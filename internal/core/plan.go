@@ -23,8 +23,8 @@ type Decision struct {
 	Chosen Algorithm
 	// Estimates are every candidate's cost estimates (nil when forced).
 	Estimates []costmodel.Estimate
-	// Prefiltered marks that the plan uses the signature prefilter (only
-	// possible when Options.Prefilter was supplied).
+	// Prefiltered marks that the plan uses the signature prefilter: an
+	// HHNL plan offered Options.Prefilter.
 	Prefiltered bool
 	// EstimatedRecall is the recall the chosen plan promises: exactly 1
 	// for the exact algorithms, the banding S-curve estimate when the
@@ -49,6 +49,9 @@ func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
 	if err := opts.validate(); err != nil {
 		return Decision{}, err
 	}
+	if _, err := activePrefilter(in, opts); err != nil {
+		return Decision{}, err
+	}
 	dec := Decision{Chosen: alg, EstimatedRecall: 1}
 	name := "forced"
 	if alg == Auto {
@@ -65,7 +68,7 @@ func Plan(alg Algorithm, in Inputs, opts Options) (Decision, error) {
 		recordPlan(span, dec)
 	} else {
 		span.SetAttr("plan.chosen", alg.String())
-		dec.Prefiltered = opts.Prefilter != nil && (alg == HVNL || alg == HHNL)
+		dec.Prefiltered = opts.Prefilter != nil && alg == HHNL
 	}
 	if !dec.Prefiltered {
 		opts.Prefilter = nil
@@ -91,8 +94,8 @@ func (d Decision) RunInto(in Inputs, opts Options, rows *Rows) ([]Result, *Stats
 	}
 	opts = opts.withDefaults(in)
 	if !d.Prefiltered {
-		// The unfiltered plan won on estimated cost; run it without the
-		// filter so the measured cost matches the estimate.
+		// The unfiltered plan won on estimated cost, or the family does
+		// not prune: run it without the filter.
 		opts.Prefilter = nil
 	}
 	scorer, err := in.scorer(opts)
@@ -234,13 +237,9 @@ func planMemory(alg Algorithm, in Inputs, opts Options, cut outerCut) (memory, e
 		}
 		// The in-memory term list costs |t#| = 3 bytes per resident entry:
 		// the paper adds X·|t#|/P to the memory use, the cache charges 3
-		// bytes on each entry beside its packed size. A prefilter adds its
-		// keep vector.
+		// bytes on each entry beside its packed size.
 		m.held = m.outerDoc + btree + min(m.cache, inv.Bytes+3*inv.Entries) + n1*accumBytes +
 			in.Inner.TermSpan()*slotBytes + tracker + rows
-		if opts.Prefilter != nil {
-			m.held += n2
-		}
 	case alg == VVM:
 		// ⌈SM/M⌉ ranges of the outer documents (runVVM).
 		sm := int64(4 * delta * float64(n1) * float64(n2))

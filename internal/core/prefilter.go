@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"textjoin/internal/collection"
 	"textjoin/internal/costmodel"
@@ -10,14 +9,20 @@ import (
 	"textjoin/internal/signature"
 )
 
-// Prefilter supplies the signature sidecars the joins prune with.
+// Prefilter supplies the signature sidecars HHNL prunes its inner scans
+// with.
 //
 // Inner is required: it must describe Inputs.Inner's current layout
 // (build the sidecar after any reordering). Outer is optional and must
-// describe the outer base collection; when present, HVNL skips
-// candidate outer documents before reading them, otherwise outer
-// signatures are computed on the fly from each decoded document (a
-// CPU-only skip).
+// describe the outer base collection; the planner probes the inner page
+// aggregates with its root to price the filtered scan, and without it
+// prices no skip. Each batch's own signature is computed from its
+// decoded documents.
+//
+// Only HHNL prunes. HVNL's resident B+tree already decides for free
+// whether a term appears in C1, so a signature could save it no more
+// than an outer document's own pages; HVNL, VVM and LSH run unfiltered
+// when offered one. Plan validates an offered prefilter for every family.
 //
 // Pruning never changes results: a zero AND between signatures proves
 // the term sets are disjoint, the pair's similarity is exactly zero,
@@ -35,14 +40,14 @@ type Prefilter struct {
 type PrefilterStats struct {
 	// Enabled records whether Options.Prefilter was active.
 	Enabled bool `json:"-"`
-	// PagesSkipped counts collection pages the join avoided reading.
+	// PagesSkipped counts inner collection pages the join avoided
+	// reading.
 	PagesSkipped int64 `json:"pages_skipped"`
 	// ClustersSkipped counts whole clusters disqualified by one
 	// aggregate AND.
 	ClustersSkipped int64 `json:"clusters_skipped"`
-	// DocsSkipped counts documents never decoded (HHNL inner side) or
-	// never probed (HVNL outer side), including those inside skipped
-	// clusters.
+	// DocsSkipped counts inner documents never decoded, including those
+	// inside skipped clusters.
 	DocsSkipped int64 `json:"docs_skipped"`
 	// FalsePasses counts documents that passed the filter but produced
 	// no overlap — the code's false-positive rate in the data.
@@ -50,8 +55,10 @@ type PrefilterStats struct {
 }
 
 // activePrefilter validates Options.Prefilter against the inputs and
-// returns it, or nil when pruning is off. A sidecar that does not match
+// returns it, or nil when none is offered. A sidecar that does not match
 // its collection is an error: stale signatures could skip real matches.
+// Plan calls it for every family, so a join offered a stale sidecar fails
+// whether or not it prunes.
 func activePrefilter(in Inputs, opts Options) (*Prefilter, error) {
 	pf := opts.Prefilter
 	if pf == nil {
@@ -174,88 +181,6 @@ func batchSig(cfg signature.Config, batch []document.Document, q signature.Sig) 
 	return q
 }
 
-// outerPrefilter drives HVNL's outer sweep under a prefilter: it yields
-// either the next kept document or the id of a skipped one (whose
-// result row is empty by proof). The storage pattern depends on the
-// outer reader:
-//
-//   - full collection with an outer sidecar: the keep vector is computed
-//     up front from the aggregates and a filtered scan reads only the
-//     kept documents' pages;
-//   - selection subset with an outer sidecar: skipped ids save their
-//     random fetches;
-//   - anything else: documents are read as usual and tested on the fly
-//     (a CPU-only skip of the probe work).
-type outerPrefilter struct {
-	st   *Stats
-	root signature.Sig
-
-	// Full-collection path.
-	coll *collection.Collection
-	need []bool
-	fsc  *collection.Scanner
-	pos  int64
-	n    int64
-
-	// Subset path: each kept document is fetched into doc through scratch.
-	sub     *collection.Subset
-	base    *collection.Collection
-	ids     []uint32
-	keep    []bool
-	doc     document.Document
-	scratch []byte
-
-	// On-the-fly path.
-	plain collection.DocIterator
-	cfg   signature.Config
-	sig   signature.Sig
-}
-
-// newOuterPrefilter builds the sweep driver; st accrues the skip
-// counters as the keep decisions are made.
-func newOuterPrefilter(in Inputs, pf *Prefilter, st *Stats) (*outerPrefilter, error) {
-	o := &outerPrefilter{st: st, root: pf.Inner.Root()}
-	if pf.Outer != nil {
-		switch r := in.Outer.(type) {
-		case *collection.Collection:
-			o.coll = r
-			o.n = r.NumDocs()
-			need, err := sidecarNeed(pf.Outer, r, o.root, nil, &st.Prefilter)
-			if err != nil {
-				return nil, err
-			}
-			o.need = need
-			o.fsc = r.ScanFiltered(func(id uint32) bool { return need[id] })
-			return o, nil
-		case *collection.Subset:
-			o.sub = r
-			o.base = r.Base()
-			o.ids = r.IDs()
-			o.keep = make([]bool, len(o.ids))
-			for i, id := range o.ids {
-				keep := signature.Overlaps(pf.Outer.Cluster(pf.Outer.ClusterOf(id)), o.root) &&
-					signature.Overlaps(pf.Outer.Doc(id), o.root)
-				o.keep[i] = keep
-				if !keep {
-					st.Prefilter.DocsSkipped++
-					// A skipped random fetch saves every page the document spans.
-					first, last, err := docPages(o.base, id)
-					if err != nil {
-						return nil, err
-					}
-					st.Prefilter.PagesSkipped += last - first + 1
-				}
-			}
-			return o, nil
-		}
-	}
-	// No usable outer sidecar: read and test on the fly.
-	o.plain = in.Outer.Documents()
-	o.cfg = pf.Inner.Config()
-	o.sig = o.cfg.New()
-	return o, nil
-}
-
 // measurePrefilter measures the sidecars' pruning power for the planner.
 // All measures are CPU-only over the memory-resident aggregates. The
 // inner-scan skip is probed with the outer root aggregate — every HHNL
@@ -263,25 +188,18 @@ func newOuterPrefilter(in Inputs, pf *Prefilter, st *Stats) (*outerPrefilter, er
 // bound on the skip each batch actually achieves (the plan never
 // overstates the saving). Without an outer sidecar the skip terms stay
 // zero: the planner then sees only the sidecar-load surcharge and keeps
-// the unfiltered plan, matching the on-the-fly path's CPU-only savings.
+// the unfiltered plan.
 func measurePrefilter(pf *Prefilter) costmodel.Prefilter {
 	mp := costmodel.Prefilter{SidecarPages: float64(pf.Inner.Pages())}
 	if pf.Outer == nil {
 		return mp
 	}
 	mp.SidecarPages += float64(pf.Outer.Pages())
-	innerRoot := pf.Inner.Root()
-	outerRoot := pf.Outer.Root()
-	skipped, runs := pf.Inner.PageSkip(outerRoot)
+	skipped, runs := pf.Inner.PageSkip(pf.Outer.Root())
 	if np := pf.Inner.NumPages(); np > 0 {
 		mp.PageSkip = float64(skipped) / float64(np)
 	}
 	mp.ScanRuns = float64(runs)
-	if n := pf.Outer.NumDocs(); n > 0 {
-		mp.DocSkip = float64(pf.Outer.DocSkip(innerRoot)) / float64(n)
-	}
-	_, outerRuns := pf.Outer.PageSkip(innerRoot)
-	mp.OuterRuns = float64(outerRuns)
 	return mp
 }
 
@@ -294,53 +212,4 @@ func docPages(c *collection.Collection, id uint32) (first, last int64, err error
 	}
 	ps := int64(c.File().PageSize())
 	return ref.Off / ps, (ref.Off + int64(ref.Len) - 1) / ps, nil
-}
-
-// next yields the next outer document (skipped == false) or the id of a
-// skipped one (skipped == true, d == nil). io.EOF ends the sweep. Kept
-// documents follow the reuse contract of collection.DocIterator.
-func (o *outerPrefilter) next() (d *document.Document, skippedID uint32, skipped bool, err error) {
-	switch {
-	case o.coll != nil:
-		if o.pos >= o.n {
-			return nil, 0, false, io.EOF
-		}
-		id := uint32(o.pos)
-		o.pos++
-		if !o.need[id] {
-			return nil, id, true, nil
-		}
-		d, err := o.fsc.NextReuse()
-		return d, 0, false, err
-	case o.sub != nil:
-		if o.pos >= int64(len(o.ids)) {
-			return nil, 0, false, io.EOF
-		}
-		i := o.pos
-		o.pos++
-		id := o.ids[i]
-		if !o.keep[i] {
-			return nil, id, true, nil
-		}
-		// Mirror the subset iterator: one random fetch per document.
-		if o.scratch, err = o.base.FetchInto(id, &o.doc, o.scratch); err != nil {
-			return nil, 0, false, err
-		}
-		o.base.File().ParkHead()
-		return &o.doc, 0, false, nil
-	default:
-		d, err := o.plain.NextReuse()
-		if err != nil {
-			return nil, 0, false, err
-		}
-		for i := range o.sig {
-			o.sig[i] = 0
-		}
-		o.sig = o.cfg.FromDoc(o.sig, d)
-		if !signature.Overlaps(o.sig, o.root) {
-			o.st.Prefilter.DocsSkipped++
-			return nil, d.ID, true, nil
-		}
-		return d, 0, false, nil
-	}
 }

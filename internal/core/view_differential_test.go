@@ -22,9 +22,9 @@ type viewRequest struct {
 	prefilter bool
 }
 
-// viewRequests is the request mix: every harness family twice plus
-// prefiltered runs of the families that honor Options.Prefilter — ten
-// requests, comfortably past the N>=8 the serving layer needs.
+// viewRequests is the request mix: every harness family twice plus a
+// prefiltered HHNL run — nine requests, past the N>=8 the serving layer
+// needs.
 func viewRequests() []viewRequest {
 	var reqs []viewRequest
 	for round := 1; round <= 2; round++ {
@@ -32,10 +32,7 @@ func viewRequests() []viewRequest {
 			reqs = append(reqs, viewRequest{name: fmt.Sprintf("%v-%d", alg, round), alg: alg})
 		}
 	}
-	return append(reqs,
-		viewRequest{name: "HHNL-pf", alg: HHNL, prefilter: true},
-		viewRequest{name: "HVNL-pf", alg: HVNL, prefilter: true},
-	)
+	return append(reqs, viewRequest{name: "HHNL-pf", alg: HHNL, prefilter: true})
 }
 
 // preloadIndexes forces both inverted files' one-time term-index loads

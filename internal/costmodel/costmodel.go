@@ -484,7 +484,7 @@ type Estimate struct {
 	// Rand is the worst-case cost (hhr/hvr/vvr).
 	Rand float64
 	// Prefiltered marks a signature-prefiltered plan variant (see
-	// EstimateAllPrefilter).
+	// EstimateHHNLPrefilter).
 	Prefiltered bool
 	// Recall is the estimated recall of an approximate plan. Only
 	// meaningful when Algorithm is AlgLSH (see EstimateLSH); the exact

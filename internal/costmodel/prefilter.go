@@ -19,12 +19,6 @@ type Prefilter struct {
 	// filtered inner scan: resuming after each gap costs one random
 	// read.
 	ScanRuns float64
-	// DocSkip is the fraction of C2 documents HVNL never probes (their
-	// signatures are disjoint from C1's root aggregate).
-	DocSkip float64
-	// OuterRuns is the number of retained runs of HVNL's filtered outer
-	// sweep.
-	OuterRuns float64
 }
 
 // filteredScanCost prices one sequential sweep of `pages` pages when a
@@ -41,66 +35,24 @@ func filteredScanCost(pages, skipFrac, runs float64, sys System) float64 {
 	return math.Min(cost, pages)
 }
 
-// HHNLPrefilterSeq is hhs with the inner scans priced under the page
-// skip fraction, plus the sidecar load.
-func HHNLPrefilterSeq(in Input, sys System, q Query, pf Prefilter) float64 {
+// EstimateHHNLPrefilter is the prefiltered plan variant: hhs with the
+// inner scans priced under the page skip fraction, plus the sidecar load,
+// and hhr adds HHNLRand's contention surcharge to it. Only HHNL has one:
+// VVM's merge already touches only co-occurring terms, and HVNL's resident
+// B+tree already skips every term a signature could rule out.
+func EstimateHHNLPrefilter(in Input, sys System, q Query, pf Prefilter) Estimate {
+	e := Estimate{Algorithm: AlgHHNL, Seq: Infeasible, Rand: Infeasible, Prefiltered: true}
 	in = in.normalize()
 	x := HHNLBatch(in, sys, q)
 	if x <= 0 {
-		return Infeasible
+		return e
 	}
 	scans := math.Ceil(float64(in.C2.N) / x)
 	if in.C2.N == 0 {
 		scans = 0
 	}
 	inner := filteredScanCost(in.C1.D(sys), pf.PageSkip, pf.ScanRuns, sys)
-	return in.c2ReadCost(sys) + scans*inner + pf.SidecarPages
-}
-
-// HHNLPrefilterRand is hhr under the prefilter: the same contention
-// surcharge as HHNLRand on top of the prefiltered sequential cost.
-func HHNLPrefilterRand(in Input, sys System, q Query, pf Prefilter) float64 {
-	seq := HHNLPrefilterSeq(in, sys, q, pf)
-	if math.IsInf(seq, 1) {
-		return Infeasible
-	}
-	return seq + (HHNLRand(in, sys, q) - HHNLSeq(in, sys, q))
-}
-
-// hvnlPrefilterScale shrinks C2 to the unskipped fraction: a skipped
-// document is neither read nor probed.
-func hvnlPrefilterScale(in Input, pf Prefilter) Input {
-	scaled := in
-	scaled.C2.N = int64(math.Round((1 - pf.DocSkip) * float64(in.C2.N)))
-	return scaled
-}
-
-// HVNLPrefilterSeq is hvs over the unskipped outer documents, plus the
-// outer sweep's run resumptions and the sidecar load.
-func HVNLPrefilterSeq(in Input, sys System, q Query, pf Prefilter) float64 {
-	in = in.normalize()
-	base := HVNLSeq(hvnlPrefilterScale(in, pf), sys, q)
-	if math.IsInf(base, 1) {
-		return Infeasible
-	}
-	return base + pf.OuterRuns*(sys.Alpha-1) + pf.SidecarPages
-}
-
-// HVNLPrefilterRand is hvr under the prefilter.
-func HVNLPrefilterRand(in Input, sys System, q Query, pf Prefilter) float64 {
-	in = in.normalize()
-	base := HVNLRand(hvnlPrefilterScale(in, pf), sys, q)
-	if math.IsInf(base, 1) {
-		return Infeasible
-	}
-	return base + pf.OuterRuns*(sys.Alpha-1) + pf.SidecarPages
-}
-
-// EstimateAllPrefilter evaluates the prefiltered plan variants (VVM's
-// merge already touches only co-occurring terms, so it has none).
-func EstimateAllPrefilter(in Input, sys System, q Query, pf Prefilter) []Estimate {
-	return []Estimate{
-		{Algorithm: AlgHHNL, Seq: HHNLPrefilterSeq(in, sys, q, pf), Rand: HHNLPrefilterRand(in, sys, q, pf), Prefiltered: true},
-		{Algorithm: AlgHVNL, Seq: HVNLPrefilterSeq(in, sys, q, pf), Rand: HVNLPrefilterRand(in, sys, q, pf), Prefiltered: true},
-	}
+	e.Seq = in.c2ReadCost(sys) + scans*inner + pf.SidecarPages
+	e.Rand = e.Seq + (HHNLRand(in, sys, q) - HHNLSeq(in, sys, q))
+	return e
 }

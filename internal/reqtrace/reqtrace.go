@@ -48,7 +48,16 @@ func (id TraceID) IsZero() bool { return id.Hi == 0 && id.Lo == 0 }
 
 // String renders the ID as 32 lowercase hex digits.
 func (id TraceID) String() string {
-	return fmt.Sprintf("%016x%016x", id.Hi, id.Lo)
+	var b [32]byte
+	return string(appendHex(appendHex(b[:0], id.Hi), id.Lo))
+}
+
+// appendHex appends v as 16 lowercase hex digits, zero-padded.
+func appendHex(b []byte, v uint64) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[v>>shift&0xf])
+	}
+	return b
 }
 
 // ParseTraceID parses 32 hex digits into a TraceID. The all-zero ID is
@@ -77,7 +86,10 @@ func ParseTraceID(s string) (TraceID, error) {
 type SpanID uint64
 
 // String renders the ID as 16 lowercase hex digits.
-func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id SpanID) String() string {
+	var b [16]byte
+	return string(appendHex(b[:0], uint64(id)))
+}
 
 // ParseSpanID parses 16 hex digits into a SpanID, rejecting zero.
 func ParseSpanID(s string) (SpanID, error) {

@@ -231,6 +231,9 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if gotID != id || gotSpan != sp {
 		t.Fatalf("round trip: %v/%v, want %v/%v", gotID, gotSpan, id, sp)
 	}
+	if v != "00-00000000deadbeef0000000012345678-00000000abcdef01-01" {
+		t.Errorf("rendered %s: want zero-padded lowercase hex IDs, high word first", v)
+	}
 
 	bad := []string{
 		"",

@@ -397,16 +397,6 @@ func (s *Sidecar) PageSkip(q Sig) (skipped, runs int64) {
 	return skipped, runs
 }
 
-// DocSkip counts the documents whose signature is disjoint from q.
-func (s *Sidecar) DocSkip(q Sig) (skipped int64) {
-	for i := 0; i < s.numDocs; i++ {
-		if !Overlaps(s.doc(uint32(i)), q) {
-			skipped++
-		}
-	}
-	return skipped
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

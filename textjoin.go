@@ -726,9 +726,10 @@ type (
 	// SignatureSidecar is a collection's signature file: per-document,
 	// per-page and per-cluster aggregates, memory-resident once opened.
 	SignatureSidecar = signature.Sidecar
-	// Prefilter supplies sidecars to a join via Options.Prefilter; the
-	// joins use them only to skip provably empty work, so results are
-	// byte-identical with and without it.
+	// Prefilter supplies sidecars to a join via Options.Prefilter; HHNL
+	// uses them only to skip provably empty inner pages, so results are
+	// byte-identical with and without it, and the other families ignore
+	// them.
 	Prefilter = core.Prefilter
 	// PrefilterStats reports pages/clusters/docs skipped and false
 	// passes for one join (JoinStats.Prefilter).
