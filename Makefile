@@ -48,9 +48,12 @@ test: build
 # page-read grid checked against its baseline, and a short fuzz of every
 # decoder. benchmark/ is a module of its own that root ./... patterns
 # never reach, so it is vetted and tested by name: a facade rename must
-# not break it unnoticed.
+# not break it unnoticed. The vector column kernel is amd64 assembly
+# (go vet's asmdecl checks its frames); GOARCH=arm64 vet keeps the pure-Go
+# build every other platform takes compiling.
 verify: obs-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/lintcheck
 	$(GO) test -race ./internal/core/... ./internal/freelist/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/corpus/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
@@ -65,12 +68,14 @@ verify: obs-smoke trace-smoke bench-json fuzz-smoke
 lint:
 	$(GO) run ./cmd/lintcheck
 
-# lines prints the two Go line counts a simplicity change is judged by:
-# non-test and _test.go lines outside the benchmark/ module.
+# lines prints the line counts a simplicity change is judged by:
+# non-test and _test.go lines outside the benchmark/ module, and the
+# assembly (*.s) lines there.
 GOFILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.git/*'
 lines:
 	@echo "non-test Go: $$($(GOFILES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@echo "_test.go:    $$($(GOFILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@echo "assembly:    $$(find . -name '*.s' -not -path './benchmark/*' -not -path './.git/*' -print0 | xargs -0 -r cat | wc -l)"
 
 # lint-report prints the review-friendly view: every rule with its doc
 # line and finding count, the suppression tally, then each finding.
@@ -84,6 +89,7 @@ race:
 # re-encode identity, the four-wide record decode against a per-cell
 # reference, the B+tree cell decoder, the document-side twin against the
 # record decode, the cosine admission rule against the division it skips,
+# the vector column kernel against its Go reference, bit for bit,
 # and the corpus generator's table-resolved Zipf sampler
 # against math/rand's, VVM's similarity store against a map through its
 # promotions, the λ-tracker slab against a tracker per slot, the paged
@@ -100,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCosineAdmission$$' -fuzztime 10s ./internal/document
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfMatchesStdlib$$' -fuzztime 10s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesMap$$' -fuzztime 10s ./internal/accum
+	$(GO) test -run '^$$' -fuzz '^FuzzAddColumn$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockMatchesTopK$$' -fuzztime 10s ./internal/topk
 	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/iosim
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinsAgree$$' -fuzztime 10s ./internal/core

@@ -415,6 +415,57 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		flatCase(fmt.Sprintf("switch at cell %d", k), 64, pre, fresh, true)
 	}
 
+	// AddColumn of a posting equals AddCells of the same cells, through the
+	// vector kernel and through the Go one: into a Flat row still listing
+	// (pre touches one id) and one already dense (pre touches a quarter),
+	// and into a dense Store row holding the same sums as the reference row.
+	columnCase := func(name string, n int, pre, cells []codec.Cell) {
+		t.Helper()
+		w, factor := float64(1+r.Intn(60000)), math.Sqrt(r.Float64()*9)
+		col := FillColumn(nil, cells, n)
+		flat, ref := NewFlat(n), NewFlat(n)
+		s := New(2, n, 2*int64(n)*8)
+		for _, c := range pre {
+			flat.Add(c.Number, float64(c.Weight))
+			ref.Add(c.Number, float64(c.Weight))
+			s.Add(0, c.Number, float64(c.Weight))
+			s.Add(1, c.Number, float64(c.Weight))
+		}
+		flat.AddColumn(col, w, factor)
+		ref.AddCells(cells, w, factor)
+		if !flat.Dense() || !ref.Dense() {
+			t.Fatalf("%s: dense = %v after AddColumn, %v after AddCells; want both", name, flat.Dense(), ref.Dense())
+		}
+		got, want := finished(t, flat), finished(t, ref)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d ids finished, AddCells leaves %d", name, len(got), len(want))
+		}
+		for id, bits := range want {
+			if got[id] != bits {
+				t.Fatalf("%s: id %d = %v, AddCells leaves %v", name, id, math.Float64frombits(got[id]), math.Float64frombits(bits))
+			}
+		}
+		s.AddColumn(col, 1, w, factor)
+		s.AddCells(cells, 0, w, factor)
+		for id, v := range s.Row(0) {
+			if math.Float64bits(s.Row(1)[id]) != math.Float64bits(v) {
+				t.Fatalf("%s, store: id %d = %v, AddCells leaves %v", name, id, s.Row(1)[id], v)
+			}
+		}
+	}
+	for _, on := range []bool{true, false} {
+		was := setVector(on)
+		for _, n := range []int{1, 4, 7, 16, 33, 64, 301} {
+			for _, k := range []int{(n + 3) / 4, (n + 1) / 2, n} {
+				cells := postingOf(r, n, k)
+				name := fmt.Sprintf("column of %d over %d, vector %v", k, n, vector)
+				columnCase(name+", listing", n, postingOf(r, n, 1), cells)
+				columnCase(name+", dense", n, postingOf(r, n, (n+3)/4), cells)
+			}
+		}
+		setVector(was)
+	}
+
 	regimes := map[bool]int{}
 	check := func(seed int64, rows8, cols8 uint8) bool {
 		rows, cols := int(rows8%20)+1, int(cols8%50)+1

@@ -149,7 +149,7 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 			streamed = kernelDocs(r, 5, 0, uint32(vocab), vocab, 12)
 		}
 		sizes := []int{1 + r.Intn(20), 1, 1 + r.Intn(40)}
-		block := newResidentBlock(slices.Max(sizes), 12*slices.Max(sizes), int64(vocab))
+		block := newResidentBlock(slices.Max(sizes), int64(vocab))
 		stages := map[string]*blockStage{}
 		for batchNo, size := range sizes {
 			batch := kernelDocs(r, size, uint32(1000*(batchNo+1)), 0, vocab, 12)
@@ -237,20 +237,18 @@ func blockOf(counts ...map[uint32]int) []document.Document {
 }
 
 // blockFor is a block sized, as a join sizes it from its plan, for the
-// largest of batches: its slots, its cells and its largest term.
+// largest of batches: its slots and its largest term.
 func blockFor(batches ...[]document.Document) *residentBlock {
-	slots, cells, terms := 0, 0, int64(0)
+	slots, terms := 0, int64(0)
 	for _, batch := range batches {
-		n := 0
 		for _, d := range batch {
 			if k := len(d.Cells); k > 0 {
-				n += k
 				terms = max(terms, int64(d.Cells[k-1].Term)+1) // cells ascend by term
 			}
 		}
-		slots, cells = max(slots, len(batch)), max(cells, n)
+		slots = max(slots, len(batch))
 	}
-	return newResidentBlock(slots, cells, terms)
+	return newResidentBlock(slots, terms)
 }
 
 // TestBlockDirectoryResetsThroughTermList regroups two batches into one

@@ -175,7 +175,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	cut, overhead := b.mem.cut, 4*int64(opts.Lambda)
 	arena, block, scan := &b.ws.arena, &b.ws.block, &b.ws.inner
 	arena.reset(cut.slots, cut.cells)
-	block.resize(cut.slots, cut.cells, termSpan(in.Outer))
+	block.resize(cut.slots, termSpan(in.Outer))
 	n := int(in.Outer.NumDocs())
 	results := b.rows.reset(n, opts.Lambda, &b.ws.tks)
 	st := &blockStage{scorer: b.scorer, block: block, tk: &b.ws.tks, countFalse: stats.Prefilter.Enabled}
@@ -249,33 +249,38 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 // the slot) of every resident document containing it, ascending by slot —
 // so that one streamed document is scored against the whole batch by
 // walking its cells past the postings (the paper's HVNL idea, Section 4.2,
-// applied to the block HHNL already holds). It is rebuilt for every batch
-// into the same buffers, sized once for the largest; between two regroups
-// only acc changes.
+// applied to the block HHNL already holds). A term that at least a quarter
+// of the plan's slots hold is written as a column over the batch's slots
+// instead (accum.Columnar). It is rebuilt for every batch into the same
+// buffers, which keep the largest batch's size; between two regroups only
+// acc changes.
 type residentBlock struct {
 	ids []uint32 // slot → document id
 	// dir is indexed by term number: 0 for a term the batch lacks, 1+e for
-	// entry e, whose term is terms[e]. Only the batch's own terms are
-	// non-zero, so the next regroup clears it through terms.
+	// posting entry e, −1−k for column k. Only the batch's own terms, which
+	// terms lists, are non-zero, so the next regroup clears it through
+	// terms.
 	dir   []int32
 	terms []uint32
 	offs  []int32 // entry e's postings are post[offs[e]:offs[e+1]]
 	post  []codec.Cell
+	cols  []uint16    // column k is cols[k·len(ids):(k+1)·len(ids)]
 	acc   *accum.Flat // over the slots: the streamed document being scored
 	slots int         // the most documents a batch holds
 }
 
-// newResidentBlock sizes a block for batches of at most slots documents and
-// cells cells whose term numbers lie below terms.
-func newResidentBlock(slots, cells int, terms int64) *residentBlock {
+// newResidentBlock sizes a block for batches of at most slots documents
+// whose term numbers lie below terms. Its postings and columns grow to the
+// largest batch it regroups.
+func newResidentBlock(slots int, terms int64) *residentBlock {
 	b := &residentBlock{}
-	b.resize(slots, cells, terms)
+	b.resize(slots, terms)
 	return b
 }
 
 // resize empties the block and sizes it as newResidentBlock does, keeping
 // its arrays.
-func (b *residentBlock) resize(slots, cells int, terms int64) {
+func (b *residentBlock) resize(slots int, terms int64) {
 	if b.acc == nil {
 		b.acc = &accum.Flat{}
 	}
@@ -284,13 +289,13 @@ func (b *residentBlock) resize(slots, cells int, terms int64) {
 	b.dir = slices.Grow(b.dir[:0], int(terms))[:terms]
 	clear(b.dir)
 	b.terms, b.offs = b.terms[:0], b.offs[:0]
-	b.post = slices.Grow(b.post[:0], cells)[:cells]
 }
 
 // regroup is a counting sort of the batch's cells by term. The first pass
 // counts each term's cells (held negated in dir) and lists the terms in
-// first-seen order; numbering them in that order makes entry e's postings
-// start where entry e-1's end; the second pass places the cells. Cells are
+// first-seen order; numbering the posting entries in that order makes
+// entry e's postings start where entry e-1's end, and a Columnar term is
+// numbered a column instead; the second pass places the cells. Cells are
 // visited in slot order, so each term's postings ascend by slot. The block
 // must have been sized for the batch (newResidentBlock).
 func (b *residentBlock) regroup(batch []document.Document) {
@@ -311,21 +316,32 @@ func (b *residentBlock) regroup(batch []document.Document) {
 	// offs[e+1] is entry e's cursor: its start once the entry is numbered,
 	// its end — the start of entry e+1 — once its cells are placed.
 	offs := append(slices.Grow(b.offs[:0], len(terms)+1), 0)
-	next := int32(0)
-	for e, t := range terms {
-		offs = append(offs, next)
-		next -= dir[t]
-		dir[t] = int32(e) + 1
-	}
-	post := b.post
-	for i := range batch {
-		for _, c := range batch[i].Cells {
-			k := dir[c.Term]
-			post[offs[k]] = codec.Cell{Number: uint32(i), Weight: c.Weight}
-			offs[k]++
+	next, cols := int32(0), int32(0)
+	for _, t := range terms {
+		if count := -dir[t]; accum.Columnar(int(count), b.slots) {
+			cols++
+			dir[t] = -cols
+		} else {
+			offs = append(offs, next)
+			next += count
+			dir[t] = int32(len(offs) - 1)
 		}
 	}
-	b.terms, b.offs = terms, offs
+	width := len(batch)
+	post := slices.Grow(b.post[:0], int(next))[:next]
+	col := slices.Grow(b.cols[:0], int(cols)*width)[:int(cols)*width]
+	clear(col)
+	for i := range batch {
+		for _, c := range batch[i].Cells {
+			if k := dir[c.Term]; k > 0 {
+				post[offs[k]] = codec.Cell{Number: uint32(i), Weight: c.Weight}
+				offs[k]++
+			} else {
+				col[int(-1-k)*width+i] = c.Weight
+			}
+		}
+	}
+	b.terms, b.offs, b.post, b.cols = terms, offs, post, col
 }
 
 // bytes is what the block holds beside the batch it regroups: its
@@ -334,17 +350,20 @@ func (b *residentBlock) bytes() int64 {
 	return int64(b.slots)*accumBytes + int64(len(b.dir))*slotBytes
 }
 
-// accumulate streams d's cells past the block's postings into acc: per slot
-// the products arrive in d's ascending term order (DESIGN §6). A term
-// beyond the directory is one no resident document holds.
+// accumulate streams d's cells past the block's postings and columns into
+// acc: per slot the products arrive in d's ascending term order (DESIGN
+// §6). A term beyond the directory is one no resident document holds.
 func (b *residentBlock) accumulate(scorer *document.Scorer, d *document.Document) {
-	dir, offs, post := b.dir, b.offs, b.post
+	dir, offs, post, cols, width := b.dir, b.offs, b.post, b.cols, len(b.ids)
 	for _, c := range d.Cells {
 		if int(c.Term) >= len(dir) {
 			break // so is every later one: cells ascend by term
 		}
-		if k := dir[c.Term]; k != 0 {
+		switch k := int(dir[c.Term]); {
+		case k > 0:
 			b.acc.AddCells(post[offs[k-1]:offs[k]], float64(c.Weight), scorer.TermFactor(c.Term))
+		case k < 0:
+			b.acc.AddColumn(cols[(-1-k)*width:-k*width], float64(c.Weight), scorer.TermFactor(c.Term))
 		}
 	}
 }

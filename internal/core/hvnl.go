@@ -33,6 +33,11 @@ import (
 //     The store itself is an accum.Flat — inner ids are contiguous
 //     0..N1-1, so each accumulation is one indexed add, and the touched
 //     list keeps a sparse row's drain proportional to the non-zero count.
+//   - An entry that covers at least a quarter of C1 is cached as its
+//     column of N1 weights in place of its cells (accum.Columnar), built
+//     once as it enters the cache and added to the row in one sweep. It is
+//     charged as its cells are, so the cache's hits, misses and evictions
+//     are the paper's.
 //
 // The cache budget realizes the paper's X (number of resident entries):
 // B·P bytes minus one outer document (⌈S2⌉ pages), the B+tree (Bt1 pages),
@@ -61,6 +66,7 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 	cache.Reserve(int(in.Inner.TermSpan()))
 
 	stats := &Stats{Algorithm: HVNL, InnerDocs: in.Inner.NumDocs()}
+	n1 := int(in.Inner.NumDocs())
 
 	// Paper, first regime of hvs: when memory holds all inverted file
 	// entries (X ≥ T1), "we can either read in the entire inverted file
@@ -85,7 +91,7 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 		randCost := float64(neededPages) * invFile.Disk().Alpha()
 		if seqCost < randCost {
 			preload := trace.StartChild(reqtrace.PhaseScan, "hvnl.preload")
-			err := ws.preload(in.InnerInv)
+			err := ws.preload(in.InnerInv, n1)
 			preload.End()
 			if err != nil {
 				return nil, nil, err
@@ -96,7 +102,7 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
-	ws.acc.Resize(int(in.Inner.NumDocs()))
+	ws.acc.Resize(n1)
 	rows := &hvnlRows{acc: &ws.acc, tks: &ws.tks, scorer: scorer,
 		results: set.reset(int(in.Outer.NumDocs()), opts.Lambda, &ws.tks)}
 	var cacheUsed int64
@@ -133,12 +139,8 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 				}
 				entry, ok := cache.Get(c.Term)
 				if !ok {
-					// An entry's cells are added before the next Put, so the
-					// slab of an entry the cache evicted can take this miss:
-					// one with room for the cells the index counts.
 					cell, _ := index.Lookup(c.Term)
-					entry = cache.Spare(int(cell.DocFreq))
-					if ws.scratch, err = in.InnerInv.FetchEntryInto(c.Term, entry, ws.scratch); err != nil {
+					if entry, err = ws.fetch(in.InnerInv, c.Term, int(cell.DocFreq), n1); err != nil {
 						return err
 					}
 					stats.EntryFetches++
@@ -150,8 +152,12 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 				if factor == 0 {
 					continue
 				}
-				rows.acc.AddCells(entry.Cells, float64(c.Weight), factor)
-				stats.Accumulations += int64(len(entry.Cells))
+				if entry.Column != nil {
+					rows.acc.AddColumn(entry.Column, float64(c.Weight), factor)
+				} else {
+					rows.acc.AddCells(entry.Cells, float64(c.Weight), factor)
+				}
+				stats.Accumulations += int64(entry.DocFreq())
 			}
 			rows.flush(d2.ID)
 			cacheUsed = max(cacheUsed, cache.Used())
@@ -179,9 +185,10 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 }
 
 // hvnlState is HVNL's run state: the accumulator over the inner ids, the
-// entry cache with its slot table, heap and cell slabs, the preload's
-// scanner, the outer iterator, the cached-first ordering and the fetch
-// path's stitch buffer.
+// entry cache with its slot table, heap and cell and column slabs, the
+// preload's scanner, the outer iterator, the cached-first ordering, and
+// the fetch path's stitch buffer and the cells it decodes a column's entry
+// into.
 type hvnlState struct {
 	acc               accum.Flat
 	cache             entrycache.Cache
@@ -190,6 +197,7 @@ type hvnlState struct {
 	tks               topk.Block
 	ordered, uncached []document.Cell
 	scratch           []byte
+	cells             invfile.Entry
 }
 
 func (s *hvnlState) release() {
@@ -199,10 +207,38 @@ func (s *hvnlState) release() {
 	s.tks.Drop()
 }
 
+// fetch reads term's entry on a miss, with the document frequency df the
+// index counts, into a slab the cache spares: an entry's postings are
+// added before the next Put, so the slab of an entry the cache evicted can
+// take it. An entry Columnar over the n inner ids is decoded into the
+// state's cells and held as its column; any other into a cell slab with
+// room for df cells.
+func (s *hvnlState) fetch(inv *invfile.InvertedFile, term uint32, df, n int) (*invfile.Entry, error) {
+	var err error
+	if !accum.Columnar(df, n) {
+		e := s.cache.Spare(df)
+		s.scratch, err = inv.FetchEntryInto(term, e, s.scratch)
+		return e, err
+	}
+	if s.scratch, err = inv.FetchEntryInto(term, &s.cells, s.scratch); err != nil {
+		return nil, err
+	}
+	return s.column(&s.cells, n), nil
+}
+
+// column returns e, a decoded entry, held as its column over ids 0..n-1 in
+// a slab the cache spares.
+func (s *hvnlState) column(e *invfile.Entry, n int) *invfile.Entry {
+	c := s.cache.SpareColumn(n)
+	c.HoldColumn(e.Term, accum.FillColumn(c.Column, e.Cells, n), len(e.Cells))
+	return c
+}
+
 // preload reads the whole inverted file in one sequential sweep into the
 // cache, each entry copied from the scanner's arena into a slab of the
-// cache's: the budget holds every entry, so nothing is evicted.
-func (s *hvnlState) preload(inv *invfile.InvertedFile) error {
+// cache's, or held as its column over the n inner ids when Columnar: the
+// budget holds every entry, so nothing is evicted.
+func (s *hvnlState) preload(inv *invfile.InvertedFile, n int) error {
 	sc := &s.scan
 	sc.Reset(inv)
 	for {
@@ -213,8 +249,13 @@ func (s *hvnlState) preload(inv *invfile.InvertedFile) error {
 		if err != nil {
 			return err
 		}
-		e := s.cache.Spare(len(entry.Cells))
-		e.Term, e.Cells = entry.Term, append(e.Cells[:0], entry.Cells...)
+		var e *invfile.Entry
+		if accum.Columnar(len(entry.Cells), n) {
+			e = s.column(entry, n)
+		} else {
+			e = s.cache.Spare(len(entry.Cells))
+			e.Term, e.Cells = entry.Term, append(e.Cells[:0], entry.Cells...)
+		}
 		s.cache.Put(e.Term, e, e.Bytes()+3)
 	}
 }

@@ -71,7 +71,7 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Ro
 	ws.live = slices.Grow(ws.live[:0], len(outerIDs))[:len(outerIDs)]
 	clear(ws.live)
 	results := rows.reset(len(outerIDs), opts.Lambda, &ws.tks)[:len(outerIDs)]
-	pass := &vvmPass{vvmState: ws, scorer: scorer}
+	pass := &vvmPass{vvmState: ws, scorer: scorer, n1: int(n1)}
 
 	// Every pass's rows, in place: outerIDs ascends, so rank order is
 	// emission order.
@@ -127,8 +127,8 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Ro
 
 // vvmState is VVM's run state: the store, the two scanners of the merge,
 // the pass's id set, the trackers of the outer ranks, the per-row mark of
-// a row some inner document reached and the ids of a whole outer
-// collection.
+// a row some inner document reached, the ids of a whole outer collection
+// and the column of the inner entry being merged.
 type vvmState struct {
 	acc          accum.Store
 	inner, outer invfile.Scanner
@@ -138,6 +138,7 @@ type vvmState struct {
 	tks  topk.Block
 	live []bool   // by outer rank: the row reached an inner document
 	ids  []uint32 // 0..N2-1, when the outer side is a whole collection
+	col  []uint16 // N1 weights: a Columnar inner entry, for a dense pass
 }
 
 func (s *vvmState) release() {
@@ -152,6 +153,7 @@ type vvmPass struct {
 	*vvmState
 	scorer    *document.Scorer
 	tableRows int // the most rows a table drain took
+	n1        int // the inner ids
 
 	ids   []uint32 // the pass's outer ids, ascending
 	base  int      // the rank of ids[0]
@@ -168,14 +170,25 @@ func (s *vvmPass) begin(ids []uint32, base int) {
 }
 
 // add accumulates every (outer cell, inner cell) product of one term.
-// Cells of documents outside the pass's id set are skipped.
+// Cells of documents outside the pass's id set are skipped. While the
+// store is the matrix, an inner entry Columnar over the inner ids is
+// filled into the state's column once, at the first outer cell of the
+// pass, and every outer cell adds the column to its row.
 func (s *vvmPass) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
+	columnar, filled := accum.Columnar(len(e1.Cells), s.n1), false
 	for _, c2 := range cells {
 		rank, ok := s.set.Rank(c2.Number)
 		if !ok {
 			continue
 		}
-		s.acc.AddCells(e1.Cells, rank, float64(c2.Weight), factor)
+		if columnar && s.acc.Dense() {
+			if !filled {
+				s.col, filled = accum.FillColumn(s.col, e1.Cells, s.n1), true
+			}
+			s.acc.AddColumn(s.col, rank, float64(c2.Weight), factor)
+		} else {
+			s.acc.AddCells(e1.Cells, rank, float64(c2.Weight), factor)
+		}
 		s.count += int64(len(e1.Cells))
 	}
 }

@@ -88,7 +88,9 @@ type item struct {
 // themselves are recycled as well: an evicted entry goes onto the free
 // list of its size class unless the free lists would then hold entries
 // charged more than the budget, and Spare hands a cell slab with room for
-// the next miss to decode into. An evicted entry is the cache's to overwrite,
+// the next miss to decode into. An entry held as a column (Entry.Column)
+// is recycled the same way, through a free list of its own that
+// SpareColumn hands out from. An evicted entry is the cache's to overwrite,
 // so a caller must hold no cached entry, nor any sub-slice of its cells,
 // past the next Put. Reset readies the cache for another join and keeps
 // all of it, the cached entries' slabs included.
@@ -111,7 +113,10 @@ type Cache struct {
 	// spares[k] holds released entries, for Spare, whose cell capacity
 	// lies in [2^k, 2^(k+1)) (class); they were charged spareBytes when
 	// cached.
-	spares     [][]spare
+	spares [][]spare
+	// columns holds released column entries, for SpareColumn; they count
+	// in spareBytes too.
+	columns    []spare
 	spareBytes int64
 	// heads and chunk.Cells are carved into new entries: a header each
 	// and a slab of cells each, so a cold cache allocates per chunk, not
@@ -238,11 +243,7 @@ func (c *Cache) Spare(cells int) *invfile.Entry {
 			}
 		}
 	}
-	if len(c.heads) == 0 {
-		c.heads = make([]invfile.Entry, 64)
-	}
-	e := &c.heads[0]
-	c.heads = c.heads[1:]
+	e := c.head()
 	if cells > chunkCells/4 {
 		e.Cells = slices.Grow(e.Cells, 1<<bits.Len(uint(cells-1)))
 		return e
@@ -255,10 +256,44 @@ func (c *Cache) Spare(cells int) *invfile.Entry {
 	return e
 }
 
-// release puts the entry of it on its size class's free list when the
-// spares, it included, were charged at most most bytes when cached.
+// SpareColumn returns an entry for the next miss to hold a column of n
+// weights in, as Spare does for cells: the last released column entry
+// with room for n, or a new one.
+func (c *Cache) SpareColumn(n int) *invfile.Entry {
+	for i := len(c.columns) - 1; i >= 0; i-- {
+		if cap(c.columns[i].entry.Column) >= n {
+			sp, last := c.columns[i], len(c.columns)-1
+			c.columns[i], c.columns[last] = c.columns[last], spare{}
+			c.columns = c.columns[:last]
+			c.spareBytes -= sp.size
+			return sp.entry
+		}
+	}
+	e := c.head()
+	e.Column = make([]uint16, 0, n)
+	return e
+}
+
+// head returns a new entry's header, carved from a block of 64.
+func (c *Cache) head() *invfile.Entry {
+	if len(c.heads) == 0 {
+		c.heads = make([]invfile.Entry, 64)
+	}
+	e := &c.heads[0]
+	c.heads = c.heads[1:]
+	return e
+}
+
+// release puts the entry of it on its size class's free list, or a column
+// entry on the column list, when the spares, it included, were charged at
+// most most bytes when cached.
 func (c *Cache) release(it *item, most int64) {
 	if c.spareBytes+it.size > most {
+		return
+	}
+	if it.entry.Column != nil {
+		c.columns = append(c.columns, spare{it.entry, it.size})
+		c.spareBytes += it.size
 		return
 	}
 	k := class(cap(it.entry.Cells))

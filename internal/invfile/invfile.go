@@ -57,13 +57,31 @@ type Entry struct {
 	// Cells are the i-cells: (document number, occurrences) pairs sorted
 	// by ascending document number.
 	Cells []codec.Cell
+	// Column, when non-nil, holds the entry in place of Cells, which is
+	// then nil: the occurrences of every document of the collection by
+	// number, 0 for a document without the term. HVNL's cache holds an
+	// entry so when it covers at least a quarter of the documents
+	// (accum.Columnar). df is the count of the cells it was filled from.
+	Column []uint16
+	df     int
 }
 
 // Bytes returns the packed size of the entry.
-func (e *Entry) Bytes() int64 { return codec.EncodedRecordSize(len(e.Cells)) }
+func (e *Entry) Bytes() int64 { return codec.EncodedRecordSize(e.DocFreq()) }
 
 // DocFreq returns the entry's document frequency.
-func (e *Entry) DocFreq() int { return len(e.Cells) }
+func (e *Entry) DocFreq() int {
+	if e.Column != nil {
+		return e.df
+	}
+	return len(e.Cells)
+}
+
+// HoldColumn makes e term's entry in column form: col, filled from df
+// cells, in place of any cells.
+func (e *Entry) HoldColumn(term uint32, col []uint16, df int) {
+	e.Term, e.Cells, e.Column, e.df = term, nil, col, df
+}
 
 // InvertedFile is a handle to a built inverted file and its B+tree.
 type InvertedFile struct {
