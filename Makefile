@@ -49,8 +49,9 @@ test: build
 # decoder. benchmark/ is a module of its own that root ./... patterns
 # never reach, so it is vetted and tested by name: a facade rename must
 # not break it unnoticed. The vector column kernel is amd64 assembly
-# (go vet's asmdecl checks its frames); GOARCH=arm64 vet keeps the pure-Go
-# build every other platform takes compiling.
+# (go vet's asmdecl checks its frames), and so is the block maxima kernel
+# of the dense drain; GOARCH=arm64 vet keeps the pure-Go build every
+# other platform takes, and their Go bodies, compiling.
 verify: obs-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -89,8 +90,9 @@ race:
 # re-encode identity, the four-wide record decode against a per-cell
 # reference, the B+tree cell decoder, the document-side twin against the
 # record decode, the cosine admission rule against the division it skips,
-# the vector column kernel against its Go reference, bit for bit,
-# and the corpus generator's table-resolved Zipf sampler
+# the vector column kernel and the block maxima kernel against their Go
+# references, bit for bit, the seeded dense drain against the unseeded
+# one it replaced, and the corpus generator's table-resolved Zipf sampler
 # against math/rand's, VVM's similarity store against a map through its
 # promotions, the λ-tracker slab against a tracker per slot, the paged
 # store's sequential record stream against ReadAt and the pages its
@@ -107,9 +109,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfMatchesStdlib$$' -fuzztime 10s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesMap$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzAddColumn$$' -fuzztime 10s ./internal/accum
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockMaxima$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockMatchesTopK$$' -fuzztime 10s ./internal/topk
 	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/iosim
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinsAgree$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseDrain$$' -fuzztime 10s ./internal/core
 
 # perf is the one instrument that measures time: the four workloads of
 # BENCHMARK.json, end to end and layer by layer (benchmark/README.md).

@@ -28,6 +28,15 @@ func haveVector() bool {
 //go:noescape
 func addColumnVector(vals []float64, col []uint16, w, factor float64)
 
+// blockMaximaVector is the AVX2 block maxima kernel: for each whole block
+// of 16 ids it stores the largest of row[i]·scale[i] (row[i] when scale
+// is empty) in maxes, and it returns how many of row's values are
+// non-zero. len(row) must be 16·len(maxes), and a non-empty scale as long
+// as row.
+//
+//go:noescape
+func blockMaximaVector(maxes, row, scale []float64) (nonzero int)
+
 func cpuid(eax, ecx uint32) (a, b, c, d uint32)
 
 func xgetbv() uint32

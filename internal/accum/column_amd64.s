@@ -63,6 +63,70 @@ done:
 	VZEROUPPER
 	RET
 
+// func blockMaximaVector(maxes, row, scale []float64) (nonzero int)
+//
+// Per block of 16 ids: four YMM loads of the row; VCMPPD against zero
+// gives -1 in each lane that holds a non-zero value, which VPSUBQ counts
+// into Y13; under a scale, VMULPD multiplies each value by its scale, one
+// rounding as blockMaximaGo's; VMAXPD reduces the sixteen to one, stored
+// in maxes. Maxima of non-negative values are exact in any order.
+TEXT ·blockMaximaVector(SB), NOSPLIT, $0-80
+	MOVQ   maxes_base+0(FP), DI
+	MOVQ   row_base+24(FP), SI
+	MOVQ   row_len+32(FP), CX
+	MOVQ   scale_base+48(FP), R8
+	MOVQ   scale_len+56(FP), R9
+	VXORPD Y15, Y15, Y15
+	VPXOR  Y13, Y13, Y13
+	SHRQ   $4, CX
+
+block:
+	TESTQ   CX, CX
+	JZ      count
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VCMPPD  $4, Y15, Y0, Y4
+	VCMPPD  $4, Y15, Y1, Y5
+	VCMPPD  $4, Y15, Y2, Y6
+	VCMPPD  $4, Y15, Y3, Y7
+	VPSUBQ  Y4, Y13, Y13
+	VPSUBQ  Y5, Y13, Y13
+	VPSUBQ  Y6, Y13, Y13
+	VPSUBQ  Y7, Y13, Y13
+	TESTQ   R9, R9
+	JZ      reduce
+	VMULPD  (R8), Y0, Y0
+	VMULPD  32(R8), Y1, Y1
+	VMULPD  64(R8), Y2, Y2
+	VMULPD  96(R8), Y3, Y3
+	ADDQ    $128, R8
+
+reduce:
+	VMAXPD       Y1, Y0, Y0
+	VMAXPD       Y3, Y2, Y2
+	VMAXPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD       X1, X0, X0
+	VPERMILPD    $1, X0, X1
+	VMAXSD       X1, X0, X0
+	VMOVSD       X0, (DI)
+	ADDQ         $128, SI
+	ADDQ         $8, DI
+	DECQ         CX
+	JMP          block
+
+count:
+	VEXTRACTI128 $1, Y13, X1
+	VPADDQ       X1, X13, X13
+	VPSHUFD      $0x4e, X13, X1
+	VPADDQ       X1, X13, X13
+	VMOVQ        X13, AX
+	MOVQ         AX, nonzero+72(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eax, ecx uint32) (a, b, c, d uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eax+0(FP), AX

@@ -9,3 +9,8 @@ func haveVector() bool { return false }
 func addColumnVector(vals []float64, col []uint16, w, factor float64) {
 	addColumnGo(vals, col, w, factor)
 }
+
+// blockMaximaVector is never called here: vector is always false.
+func blockMaximaVector(maxes, row, scale []float64) int {
+	return blockMaximaGo(maxes, row, scale)
+}

@@ -96,8 +96,8 @@ type Collection struct {
 
 // derived memoizes tables built once on first use and shared afterwards.
 type derived struct {
-	idfOnce sync.Once
-	idf     []float64
+	idfOnce, recipOnce sync.Once
+	idf, recip         []float64
 }
 
 // Builder accumulates documents into a collection file. Documents must be
@@ -347,6 +347,25 @@ func (c *Collection) Norms() []float64 {
 		return []float64{}
 	}
 	return c.norms
+}
+
+// Reciprocals returns 1/‖d‖ for every document d, indexed by id, and 0
+// for a document whose norm is 0: the factors a cosine drain bounds a
+// row's similarities with, one multiplication per id where the similarity
+// itself takes a division (DESIGN §6). The table is computed once, beside
+// the norms, and the same slice is returned on every call; callers must
+// not modify it.
+func (c *Collection) Reciprocals() []float64 {
+	c.der.recipOnce.Do(func() {
+		recip := make([]float64, len(c.norms))
+		for id, n := range c.norms {
+			if n != 0 {
+				recip[id] = 1 / n
+			}
+		}
+		c.der.recip = recip
+	})
+	return c.der.recip
 }
 
 // IDF returns every term's idf weight, indexed by term number and 0 for a

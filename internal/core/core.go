@@ -209,6 +209,10 @@ type Stats struct {
 	// Pairs counts the non-zero outer × inner similarities the join
 	// found (HVNL and VVM): the measured δ·N1·N2.
 	Pairs int64
+	// TrackerEntries counts the matches the top-λ trackers kept, one per
+	// insert, including those a better match later displaced: the work
+	// of "identifying the λ documents with the largest similarities".
+	TrackerEntries int64
 	// Passes counts outer batches (HHNL, LSH) or partitions (VVM); HVNL
 	// reports 1 when it preloads the inverted file in one sequential
 	// sweep, else 0.
@@ -327,7 +331,8 @@ func (t *ioTracker) delta() iosim.Stats {
 // the group.
 var joinCounts = [...]struct{ group, name string }{
 	{"", "outer_docs"}, {"", "inner_docs"}, {"", "comparisons"}, {"", "accumulations"}, {"", "entry_fetches"},
-	{"", "passes"}, {"io", "seq"}, {"io", "rand"}, {"", "peak_bytes"}, {"", "pairs"},
+	{"", "passes"}, {"io", "seq"}, {"io", "rand"}, {"", "peak_bytes"}, {"", "tracker_entries"},
+	{"", "pairs"},
 	{"prefilter", "pages_skipped"}, {"prefilter", "clusters_skipped"}, {"prefilter", "docs_skipped"}, {"prefilter", "false_passes"},
 	{"", "bucket_probes"}, {"", "candidates"}, {"", "pages_skipped"}, {"", "docs_skipped"},
 }
@@ -360,7 +365,7 @@ func (st *Stats) Counts(fn func(group, count string, v int64)) {
 // LSH's for an LSH join.
 func (st *Stats) counts(fn func(c int, v int64)) {
 	own := [...]int64{st.OuterDocs, st.InnerDocs, st.Comparisons, st.Accumulations, st.EntryFetches,
-		int64(st.Passes), st.IO.SeqReads, st.IO.RandReads, st.PeakMemoryBytes}
+		int64(st.Passes), st.IO.SeqReads, st.IO.RandReads, st.PeakMemoryBytes, st.TrackerEntries}
 	for c, v := range own {
 		fn(c, v)
 	}

@@ -237,6 +237,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	flush := trace.StartChild(reqtrace.PhaseFlush, name+".flush")
 	st.tk.Flush(len(results), func(i int, kept []Match) { results[i].Matches = kept })
 	flush.End()
+	stats.TrackerEntries = st.tk.Entries()
 	stats.PeakMemoryBytes += block.bytes() + int64(n)*barBytes + b.extra
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"slices"
 
 	"textjoin/internal/accum"
 	"textjoin/internal/collection"
@@ -103,7 +104,8 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
 	ws.acc.Resize(n1)
-	rows := &hvnlRows{acc: &ws.acc, tks: &ws.tks, scorer: scorer,
+	ws.drain.reset(scorer, in.Inner, n1, opts.Lambda)
+	rows := &hvnlRows{acc: &ws.acc, tks: &ws.tks, drain: &ws.drain, scorer: scorer,
 		results: set.reset(int(in.Outer.NumDocs()), opts.Lambda, &ws.tks)}
 	var cacheUsed int64
 	sweep := func() error {
@@ -178,6 +180,7 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 		in.Inner.NumDocs()*accumBytes + in.Inner.TermSpan()*slotBytes + int64(opts.Lambda)*matchBytes
 	stats.Cache = cache.Stats()
 	stats.Pairs = rows.pairs
+	stats.TrackerEntries = rows.tks.Entries()
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(invFile))
 	recordJoinStats(trace, stats)
@@ -195,6 +198,7 @@ type hvnlState struct {
 	scan              invfile.Scanner
 	outer             collection.Cursor
 	tks               topk.Block
+	drain             denseDrain
 	ordered, uncached []document.Cell
 	scratch           []byte
 	cells             invfile.Entry
@@ -205,6 +209,7 @@ func (s *hvnlState) release() {
 	s.scan.Reset(nil)
 	s.outer.Reset()
 	s.tks.Drop()
+	s.drain.release()
 }
 
 // fetch reads term's entry on a miss, with the document frequency df the
@@ -267,6 +272,7 @@ func (s *hvnlState) preload(inv *invfile.InvertedFile, n int) error {
 type hvnlRows struct {
 	acc     *accum.Flat
 	tks     *topk.Block
+	drain   *denseDrain
 	scorer  *document.Scorer
 	pairs   int64 // inner documents the rows reached, summed
 	results []Result
@@ -275,12 +281,12 @@ type hvnlRows struct {
 // flush turns the accumulator into the outer document's row and readies it
 // for the next: every inner document the row reached is offered to the
 // row's tracker, whose slot is the document's rank. A dense row is read in
-// place by offerRow and then Reset; a sparse one is drained, in
+// place by the dense drain and then Reset; a sparse one is drained, in
 // first-touch order.
 func (r *hvnlRows) flush(outer uint32) {
 	slot := len(r.results)
 	if r.acc.Dense() {
-		r.pairs += int64(offerRow(r.tks, slot, r.scorer, r.acc.Row()))
+		r.pairs += int64(r.drain.offer(r.tks, slot, r.acc.Row()))
 		r.acc.Reset()
 	} else {
 		sums := r.acc.Drain()
@@ -290,48 +296,144 @@ func (r *hvnlRows) flush(outer uint32) {
 	r.results = append(r.results, Result{Outer: outer})
 }
 
-// offerRow is the dense drain of a row into one slot of a tracker slab,
-// HVNL's and VVM's: every inner document the row reached, in id order, is
-// offered to the slot, whose rank is the outer document's. The slot's bar
-// is held in a local, re-read only after an Offer; under cosine so is the
-// admission limit, and only a pair the rule admits is divided
-// (document.Limit). It returns how many inner documents the row reached.
-func offerRow(tks *topk.Block, slot int, scorer *document.Scorer, row []float64) (reached int) {
-	bar := tks.Bars()[slot]
-	outer, inner := scorer.Norms()
-	if outer == nil {
-		for id, sim := range row {
-			if sim == 0 {
+// denseDrain is the dense drain of a row into one slot of a tracker slab,
+// HVNL's and VVM's: every inner document the row reached that can enter
+// the slot, whose rank is the outer document's, is offered to it in id
+// order. It first takes the row's block maxima — under cosine of
+// raw·(1/nᵢ) — and its non-zero count in one pass (accum.BlockMaxima),
+// seeds the slot's bar at the λ-th largest maximum, and then tests ids
+// one by one only in the blocks whose maximum can reach the bar. That is
+// exact (DESIGN §6): λ block maxima are λ distinct ids at or above the
+// seed, so no id below it can be among the row's λ best, and a block
+// below the bar holds no id that reaches it. Under cosine the seed and
+// the block test take drainSlack, which covers the reciprocal's
+// rounding, and a pair the block test lets through meets the admission
+// rule (document.Limit) and the slot's own test as before.
+//
+// The drain holds the row's block maxima and the selection's λ floats,
+// sized once per join, and under cosine the norm tables and the inner
+// reciprocals, which the inner collection builds once.
+type denseDrain struct {
+	outer, inner []float64 // cosine: norms by outer rank and inner id; else nil
+	recip        []float64 // cosine: 1/nᵢ by inner id, 0 for a zero norm
+	maxes        []float64 // the block maxima of the row being drained
+	top          []float64 // the selection's min-heap of λ maxima
+}
+
+// drainSlack is 1−2⁻⁴⁰: the margin a cosine seed and block test give
+// away to the rounding of raw·(1/nᵢ) against raw/(o·nᵢ), a few 2⁻⁵³.
+const drainSlack = 1 - 0x1p-40
+
+// reset readies the drain for a join's rows of n inner ids into slots
+// keeping λ matches, under scorer, whose inner norms are inner's.
+// A nil inner leaves the reciprocals to the caller.
+func (d *denseDrain) reset(scorer *document.Scorer, inner *collection.Collection, n, lambda int) {
+	d.outer, d.inner = scorer.Norms()
+	d.recip = nil
+	if d.outer != nil && inner != nil {
+		d.recip = inner.Reciprocals()
+	}
+	d.maxes = slices.Grow(d.maxes[:0], accum.MaxBlocks(n))
+	d.top = slices.Grow(d.top[:0], lambda)[:lambda]
+}
+
+// release drops the norm tables, so an idle run state pins no collection.
+func (d *denseDrain) release() { d.outer, d.inner, d.recip = nil, nil, nil }
+
+// offer drains row into slot and returns how many inner documents the row
+// reached.
+func (d *denseDrain) offer(tks *topk.Block, slot int, row []float64) (reached int) {
+	maxes := d.maxes[:accum.MaxBlocks(len(row))]
+	var o float64
+	var recip []float64
+	if d.outer != nil {
+		o, recip = d.outer[slot], d.recip[:len(row)]
+	}
+	reached = accum.BlockMaxima(maxes, row, recip)
+	if reached == 0 || d.outer != nil && o == 0 {
+		return reached // nothing to offer: a zero outer norm finalizes every pair to 0
+	}
+	seed := 0.0
+	if len(d.top) <= len(maxes) {
+		seed = kthLargest(maxes, d.top)
+		if d.outer != nil {
+			seed = seed / o * drainSlack
+		}
+	}
+	bar := max(seed, tks.Bars()[slot])
+	if d.outer == nil {
+		for b, m := range maxes {
+			if m < bar || m == 0 {
 				continue
 			}
-			reached++
-			if sim >= bar && sim > 0 {
-				tks.Offer(slot, uint32(id), sim)
-				bar = tks.Bars()[slot]
+			lo := b * accum.MaxBlock
+			for id, sim := range row[lo:min(lo+accum.MaxBlock, len(row))] {
+				if sim >= bar && sim > 0 {
+					tks.Offer(slot, uint32(lo+id), sim)
+					bar = max(seed, tks.Bars()[slot])
+				}
 			}
 		}
 		return reached
 	}
-	o, norms := outer[slot], inner[:len(row)]
-	limit := document.Limit(bar, o)
-	for id, raw := range row {
-		if raw == 0 {
+	norms := d.inner[:len(row)]
+	limit, blockLimit := document.Limit(bar, o), bar*drainSlack*o
+	for b, m := range maxes {
+		if m < blockLimit || m == 0 {
 			continue
 		}
-		reached++
-		if !document.Admits(raw, limit, norms[id]) {
-			continue
-		}
-		if sim := document.Finalize(raw, o, norms[id]); sim >= bar && sim > 0 {
-			tks.Offer(slot, uint32(id), sim)
-			bar = tks.Bars()[slot]
-			limit = document.Limit(bar, o)
+		lo := b * accum.MaxBlock
+		for id := lo; id < min(lo+accum.MaxBlock, len(row)); id++ {
+			raw := row[id]
+			if raw == 0 || !document.Admits(raw, limit, norms[id]) {
+				continue
+			}
+			if sim := document.Finalize(raw, o, norms[id]); sim >= bar && sim > 0 {
+				tks.Offer(slot, uint32(id), sim)
+				bar = max(seed, tks.Bars()[slot])
+				limit, blockLimit = document.Limit(bar, o), bar*drainSlack*o
+			}
 		}
 	}
 	return reached
 }
 
-// offerSums is offerRow for a sparse row's drained sums, in first-touch
+// kthLargest returns the len(top)-th largest of vals, which must hold at
+// least that many, through top as a min-heap of the largest seen.
+func kthLargest(vals, top []float64) float64 {
+	k := len(top)
+	copy(top, vals[:k])
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(top, i)
+	}
+	for _, v := range vals[k:] {
+		if v > top[0] {
+			top[0] = v
+			siftDown(top, 0)
+		}
+	}
+	return top[0]
+}
+
+// siftDown restores the min-heap order of h below i.
+func siftDown(h []float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// offerSums is the drain for a sparse row's drained sums, in first-touch
 // order, each pair under cosine through the admission rule
 // (document.Admit).
 func offerSums(tks *topk.Block, slot int, scorer *document.Scorer, sums []accum.Sum) {

@@ -281,6 +281,16 @@ func copyRows(rows []Result) []Result {
 	return out
 }
 
+// emptyRunStates empties every family's free list, so that the next join
+// of each family builds its run state: two collections' worth of aging.
+func emptyRunStates() {
+	for range 2 {
+		vvmStates.Age()
+		hvnlStates.Age()
+		blockStates.Age()
+	}
+}
+
 // TestRecycledStatesLeakNothing runs the conformance cells in one process
 // in a seeded interleaved order, across shapes, families, weightings,
 // outer kinds and budgets, so each join takes the run state some other
@@ -292,11 +302,7 @@ func TestRecycledStatesLeakNothing(t *testing.T) {
 	jobs := recycleJobs(t)
 	rows, stats := make([][]Result, len(jobs)), make([]Stats, len(jobs))
 	for i, j := range jobs {
-		for range 2 { // two collections' worth of aging empties every free list
-			vvmStates.Age()
-			hvnlStates.Age()
-			blockStates.Age()
-		}
+		emptyRunStates()
 		got, st := j.run(t)
 		rows[i], stats[i] = copyRows(got), st
 	}

@@ -71,6 +71,7 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Ro
 	ws.live = slices.Grow(ws.live[:0], len(outerIDs))[:len(outerIDs)]
 	clear(ws.live)
 	results := rows.reset(len(outerIDs), opts.Lambda, &ws.tks)[:len(outerIDs)]
+	ws.drain.reset(scorer, in.Inner, int(n1), opts.Lambda)
 	pass := &vvmPass{vvmState: ws, scorer: scorer, n1: int(n1)}
 
 	// Every pass's rows, in place: outerIDs ascends, so rank order is
@@ -119,6 +120,7 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Ro
 	pageSize := int64(in.InnerInv.File().PageSize())
 	stats.PeakMemoryBytes = opts.MemoryPages*pageSize - m.passBytes + store +
 		int64(opts.Lambda)*matchBytes + int64(pass.tableRows)*trackerBytes(opts.Lambda)
+	stats.TrackerEntries = ws.tks.Entries()
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.InnerInv.File()))
 	recordJoinStats(trace, stats)
@@ -135,16 +137,18 @@ type vvmState struct {
 	set          accum.IDSet // the pass's outer ids, rebuilt in place
 	// tks holds a tracker per outer rank over the row set's slab, which
 	// the result rows alias.
-	tks  topk.Block
-	live []bool   // by outer rank: the row reached an inner document
-	ids  []uint32 // 0..N2-1, when the outer side is a whole collection
-	col  []uint16 // N1 weights: a Columnar inner entry, for a dense pass
+	tks   topk.Block
+	drain denseDrain // the dense rows' drain into tks
+	live  []bool     // by outer rank: the row reached an inner document
+	ids   []uint32   // 0..N2-1, when the outer side is a whole collection
+	col   []uint16   // N1 weights: a Columnar inner entry, for a dense pass
 }
 
 func (s *vvmState) release() {
 	s.inner.Reset(nil)
 	s.outer.Reset(nil)
 	s.tks.Drop()
+	s.drain.release()
 }
 
 // vvmPass accumulates and emits one pass's outer ids. The run state is
@@ -195,12 +199,12 @@ func (s *vvmPass) add(factor float64, e1 *invfile.Entry, cells []codec.Cell) {
 
 // emit offers the pass's pairs to the trackers of its outer ranks and
 // marks the ranks a pair reached. A dense store drains row by row
-// (offerRow); a table drains in slot order, each pair under cosine through
+// (denseDrain); a table drains in slot order, each pair under cosine through
 // the admission rule of its rank's slot (document.Admit).
 func (s *vvmPass) emit() {
 	if s.acc.Dense() {
 		for row := range s.ids {
-			reached := offerRow(&s.tks, s.base+row, s.scorer, s.acc.Row(row))
+			reached := s.drain.offer(&s.tks, s.base+row, s.acc.Row(row))
 			s.pairs += int64(reached)
 			s.live[s.base+row] = reached > 0
 		}

@@ -147,11 +147,12 @@ func (t *TopK) Reset() { t.kept, t.bar = t.kept[:0], 0 }
 // The zero value is an empty block; Reset readies its slots. A Block is
 // not safe for concurrent use.
 type Block struct {
-	k    int
-	n    int // slots in use, at most len(bars)
-	kept []Match
-	lens []int32
-	bars []float64
+	k       int
+	n       int   // slots in use, at most len(bars)
+	entries int64 // matches kept by an Offer since Reset
+	kept    []Match
+	lens    []int32
+	bars    []float64
 }
 
 // Reset readies slots 0..n-1, empty, each keeping the k best matches in
@@ -170,7 +171,7 @@ func (b *Block) Reset(n, k int, slab []Match) []Match {
 	if len(slab) < n*k {
 		slab = make([]Match, n*k)
 	}
-	b.k, b.n, b.kept = k, n, slab
+	b.k, b.n, b.entries, b.kept = k, n, 0, slab
 	clear(b.lens[:n])
 	clear(b.bars[:n])
 	return slab
@@ -179,6 +180,11 @@ func (b *Block) Reset(n, k int, slab []Match) []Match {
 // Drop lets go of the slab, so that a block kept past its round does not
 // keep the rows cut from it alive. Only Reset may follow.
 func (b *Block) Drop() { b.k, b.n, b.kept = 0, 0, nil }
+
+// Entries returns how many matches the slots' Offers have kept since
+// Reset, one per insert, whether or not a later one displaced it: the
+// tracker's work, which a drain that offers fewer candidates lowers.
+func (b *Block) Entries() int64 { return b.entries }
 
 // Bars returns the bar of every slot in use, indexed by slot: what TopK.Bar
 // is for one tracker. A caller may read it, in place, to skip an Offer
@@ -201,6 +207,7 @@ func (b *Block) insert(slot int, m Match) bool {
 		return false
 	}
 	b.lens[slot] = int32(n)
+	b.entries++
 	if n == b.k {
 		b.bars[slot] = kept[n-1].Sim
 	}

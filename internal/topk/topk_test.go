@@ -300,7 +300,8 @@ func TestQuickResultsOrderUnderTies(t *testing.T) {
 // shrinking and growing the slab — and offers, whose small integer
 // similarities make ties at the bar common and include zeros and
 // negatives. Every Offer must answer as its slot's TopK's does, every bar
-// must equal its TopK's, and before each Reset and at the end every slot's
+// must equal its TopK's, Entries must count the Offers that kept their
+// candidate since the last Reset, and before each Reset and at the end every slot's
 // flushed row must be its TopK's Results, which must be a sort-and-cut of
 // the slot's offers. The sort-and-cut catches a fault in the insert
 // routine the two trackers share.
@@ -320,6 +321,7 @@ func FuzzBlockMatchesTopK(f *testing.F) {
 		var slab []Match
 		var tks []*TopK
 		var offered [][]Match // each slot's candidates since its Reset
+		var entries int64     // Offers that kept their candidate since Reset
 		same := func(got, want []Match) bool {
 			if got == nil || len(got) != len(want) || cap(got) != len(got) {
 				return false
@@ -357,7 +359,7 @@ func FuzzBlockMatchesTopK(f *testing.F) {
 					n = int(ops[i] % 40)
 				}
 				slab = blk.Reset(n, k, slab)
-				tks, offered = tks[:0], offered[:0]
+				tks, offered, entries = tks[:0], offered[:0], 0
 				for len(tks) < n {
 					tks, offered = append(tks, New(k)), append(offered, nil)
 				}
@@ -373,8 +375,15 @@ func FuzzBlockMatchesTopK(f *testing.F) {
 			doc, sim := uint32(ops[i+1]%32), float64(int(ops[i+2]%9)-2)
 			i += 2
 			offered[slot] = append(offered[slot], Match{Doc: doc, Sim: sim})
-			if got, want := blk.Offer(slot, doc, sim), tks[slot].Offer(doc, sim); got != want {
+			got, want := blk.Offer(slot, doc, sim), tks[slot].Offer(doc, sim)
+			if got != want {
 				t.Fatalf("k=%d slot %d: Offer(%d, %v) = %v, TopK %v", k, slot, doc, sim, got, want)
+			}
+			if got {
+				entries++
+			}
+			if blk.Entries() != entries {
+				t.Fatalf("k=%d: %d entries counted, %d Offers kept their candidate", k, blk.Entries(), entries)
 			}
 			if bar := blk.Bars()[slot]; bar != tks[slot].Bar() {
 				t.Fatalf("k=%d slot %d: bar %v, TopK %v", k, slot, bar, tks[slot].Bar())
