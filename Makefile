@@ -49,9 +49,10 @@ test: build
 # decoder. benchmark/ is a module of its own that root ./... patterns
 # never reach, so it is vetted and tested by name: a facade rename must
 # not break it unnoticed. The vector column kernel is amd64 assembly
-# (go vet's asmdecl checks its frames), and so is the block maxima kernel
-# of the dense drain; GOARCH=arm64 vet keeps the pure-Go build every
-# other platform takes, and their Go bodies, compiling.
+# (go vet's asmdecl checks its frames), and so are the block maxima kernel
+# of the dense drain and the cell unpack every record decode runs;
+# GOARCH=arm64 vet keeps the pure-Go build every other platform takes,
+# and their Go bodies, compiling.
 verify: obs-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -87,19 +88,20 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each fuzz target for a fixed 10 s beyond its seeds: the
-# re-encode identity, the four-wide record decode against a per-cell
-# reference, the B+tree cell decoder, the document-side twin against the
-# record decode, the cosine admission rule against the division it skips,
-# the vector column kernel and the block maxima kernel against their Go
-# references, bit for bit, the seeded dense drain against the unseeded
-# one it replaced, and the corpus generator's table-resolved Zipf sampler
-# against math/rand's, VVM's similarity store against a map through its
-# promotions, the λ-tracker slab against a tracker per slot, the paged
-# store's sequential record stream against ReadAt and the pages its
-# records span, and every exact join family against the brute-force
-# reference on random corpora, budgets and selections. go test takes one
-# fuzz target per run. A failing input is written under the package's
-# testdata/fuzz, which is what to commit as a regression seed.
+# re-encode identity, the record decode and the document decode that runs
+# the same cell unpack against a per-cell reference, each with the vector
+# unpack on and off, the B+tree cell decoder, the cosine admission rule
+# against the division it skips, the vector column kernel and the block
+# maxima kernel against their Go references, bit for bit, the seeded
+# dense drain against the unseeded one it replaced, and the corpus
+# generator's table-resolved Zipf sampler against math/rand's, VVM's
+# similarity store against a map through its promotions, the λ-tracker
+# slab against a tracker per slot, the paged store's sequential record
+# stream against ReadAt and the pages its records span, and every exact
+# join family against the brute-force reference on random corpora,
+# budgets and selections. go test takes one fuzz target per run. A
+# failing input is written under the package's testdata/fuzz, which is
+# what to commit as a regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordInto$$' -fuzztime 10s ./internal/codec

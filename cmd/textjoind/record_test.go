@@ -140,7 +140,7 @@ func TestMetricsFamilies(t *testing.T) {
 		"textjoin_iosim_file_writes_total counter file",
 	}
 	for _, alg := range []string{"hhnl", "hvnl", "lsh", "vvm"} {
-		counts := []string{"accumulations", "comparisons", "entry_fetches", "inner_docs", "io_rand", "io_seq", "outer_docs", "passes", "peak_bytes", "tracker_entries"}
+		counts := []string{"accumulations", "cells_decoded", "comparisons", "entry_fetches", "inner_docs", "io_rand", "io_seq", "outer_docs", "passes", "peak_bytes", "tracker_entries"}
 		switch alg {
 		case "hvnl", "vvm":
 			counts = append(counts, "pairs")

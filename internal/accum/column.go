@@ -21,10 +21,11 @@ import (
 // states. A column reaches at least n/4 ids, so a Flat row it is added to
 // turns dense exactly as AddCells of its cells would have turned it.
 
-// vector reports whether this CPU adds a column with the vector kernel.
-// Where it does not, Columnar holds no posting as a column and the joins
-// add every posting through AddCells.
-var vector = haveVector()
+// vector reports whether this CPU adds a column with the vector kernel
+// (codec.HaveVector, the module's one CPU probe). Where it does not,
+// Columnar holds no posting as a column and the joins add every posting
+// through AddCells.
+var vector = codec.HaveVector()
 
 // Columnar reports whether a posting of df ids is held as a column over
 // an accumulator of n ids: when the vector kernel is present and
@@ -88,6 +89,6 @@ func addColumnGo(vals []float64, col []uint16, w, factor float64) {
 // the kernel.
 func setVector(on bool) bool {
 	was := vector
-	vector = on && haveVector()
+	vector = on && codec.HaveVector()
 	return was
 }

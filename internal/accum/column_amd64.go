@@ -1,24 +1,5 @@
 package accum
 
-// haveVector reports whether the CPU has AVX2 and the operating system
-// saves the YMM registers (CPUID leaf 1: OSXSAVE and AVX; XCR0: XMM and
-// YMM state; CPUID leaf 7: AVX2).
-func haveVector() bool {
-	if most, _, _, _ := cpuid(0, 0); most < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xgetbv()&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}
-
 // addColumnVector is the AVX2 column kernel: it adds (w·col[i])·factor to
 // vals[i] for every i below len(col), eight per step, then four, then
 // one at a time, with separate multiplies and adds: no fused
@@ -36,7 +17,3 @@ func addColumnVector(vals []float64, col []uint16, w, factor float64)
 //
 //go:noescape
 func blockMaximaVector(maxes, row, scale []float64) (nonzero int)
-
-func cpuid(eax, ecx uint32) (a, b, c, d uint32)
-
-func xgetbv() uint32

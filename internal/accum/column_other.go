@@ -2,9 +2,6 @@
 
 package accum
 
-// haveVector reports that this platform has no vector column kernel.
-func haveVector() bool { return false }
-
 // addColumnVector is never called here: vector is always false.
 func addColumnVector(vals []float64, col []uint16, w, factor float64) {
 	addColumnGo(vals, col, w, factor)

@@ -74,8 +74,8 @@ func TestColumnPredicate(t *testing.T) {
 	if Columnar(10, 10) {
 		t.Error("Columnar holds a posting as a column with the kernel turned off")
 	}
-	if was != haveVector() {
-		t.Errorf("the kernel was %v before the hook, the CPU reports %v", was, haveVector())
+	if was != codec.HaveVector() {
+		t.Errorf("the kernel was %v before the hook, the CPU reports %v", was, codec.HaveVector())
 	}
 }
 

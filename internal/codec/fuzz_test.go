@@ -34,10 +34,12 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzDecodeRecordInto checks the batch cell-decode kernel against a
-// reference decoder assembled from the per-cell primitives: both must
-// accept exactly the same inputs and produce identical numbers, cells and
-// consumed counts, including when the kernel appends into a dirty,
-// partially filled destination buffer.
+// reference decoder assembled from the per-cell primitives, with the
+// vector unpack on (where the CPU has one) and off: both bodies must
+// accept exactly the same inputs as the reference and produce identical
+// numbers, cells and consumed counts, including when the kernel appends
+// into a dirty, partially filled destination buffer whose spare capacity
+// holds stale cells.
 func FuzzDecodeRecordInto(f *testing.F) {
 	good, _ := AppendRecord(nil, Record{Number: 3, Cells: []Cell{{1, 2}, {7, 1}}})
 	f.Add(good, uint8(0))
@@ -48,6 +50,9 @@ func FuzzDecodeRecordInto(f *testing.F) {
 	for i, seed := range decodeSeeds() {
 		f.Add(seed, uint8(i%5))
 	}
+	// Two vector groups decoded in place, after three prefilled cells,
+	// over stale cells in the buffer's spare capacity.
+	f.Add(rawRecord(7, ascending(10)), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, prefill uint8) {
 		// Reference: header reads plus a per-cell DecodeCell loop.
 		refRec, refConsumed, refErr := func() (Record, int64, error) {
@@ -78,39 +83,51 @@ func FuzzDecodeRecordInto(f *testing.F) {
 			return Record{Number: number, Cells: cells}, size, nil
 		}()
 
-		// Kernel, appending after `prefill` sentinel cells that must
-		// survive untouched.
-		dst := make([]Cell, 0, int(prefill)+4)
-		for i := 0; i < int(prefill); i++ {
-			dst = append(dst, Cell{Number: 0xABC000 + uint32(i), Weight: 0xEE})
-		}
-		number, got, consumed, err := DecodeRecordInto(data, dst)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("accept mismatch: kernel err=%v, reference err=%v", err, refErr)
-		}
-		if err != nil {
-			if len(got) != int(prefill) {
-				t.Fatalf("error path truncated dst to %d, want %d", len(got), prefill)
-			}
-			return
-		}
-		if number != refRec.Number || consumed != refConsumed {
-			t.Fatalf("kernel (%d, %d) vs reference (%d, %d)", number, consumed, refRec.Number, refConsumed)
-		}
-		if len(got) != int(prefill)+len(refRec.Cells) {
-			t.Fatalf("kernel yielded %d cells, want %d + %d prefilled", len(got), len(refRec.Cells), prefill)
-		}
-		for i := 0; i < int(prefill); i++ {
-			if got[i] != (Cell{Number: 0xABC000 + uint32(i), Weight: 0xEE}) {
-				t.Fatalf("prefilled cell %d clobbered: %+v", i, got[i])
-			}
-		}
-		for i, c := range refRec.Cells {
-			if got[int(prefill)+i] != c {
-				t.Fatalf("cell %d: kernel %+v vs reference %+v", i, got[int(prefill)+i], c)
-			}
+		for _, on := range []bool{true, false} {
+			was := SetVector(on)
+			checkDecodeRecordInto(t, data, prefill, refRec, refConsumed, refErr)
+			SetVector(was)
 		}
 	})
+}
+
+// checkDecodeRecordInto runs the kernel on data, appending after prefill
+// sentinel cells that must survive untouched into a buffer whose spare
+// capacity, four cells per prefilled one, holds stale cells, and holds
+// the outcome to the reference's.
+func checkDecodeRecordInto(t *testing.T, data []byte, prefill uint8, refRec Record, refConsumed int64, refErr error) {
+	t.Helper()
+	dst := make([]Cell, 5*int(prefill))
+	for i := range dst {
+		dst[i] = Cell{Number: 0xABC000 + uint32(i), Weight: 0xEE}
+	}
+	dst = dst[:prefill]
+	number, got, consumed, err := DecodeRecordInto(data, dst)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("vector %v: accept mismatch: kernel err=%v, reference err=%v", vector, err, refErr)
+	}
+	if err != nil {
+		if len(got) != int(prefill) {
+			t.Fatalf("vector %v: error path truncated dst to %d, want %d", vector, len(got), prefill)
+		}
+		return
+	}
+	if number != refRec.Number || consumed != refConsumed {
+		t.Fatalf("vector %v: kernel (%d, %d) vs reference (%d, %d)", vector, number, consumed, refRec.Number, refConsumed)
+	}
+	if len(got) != int(prefill)+len(refRec.Cells) {
+		t.Fatalf("vector %v: kernel yielded %d cells, want %d + %d prefilled", vector, len(got), len(refRec.Cells), prefill)
+	}
+	for i := 0; i < int(prefill); i++ {
+		if got[i] != (Cell{Number: 0xABC000 + uint32(i), Weight: 0xEE}) {
+			t.Fatalf("vector %v: prefilled cell %d clobbered: %+v", vector, i, got[i])
+		}
+	}
+	for i, c := range refRec.Cells {
+		if got[int(prefill)+i] != c {
+			t.Fatalf("vector %v: cell %d: kernel %+v vs reference %+v", vector, i, got[int(prefill)+i], c)
+		}
+	}
 }
 
 // rawRecord packs a record without AppendRecord's ascent check, so a seed
@@ -138,31 +155,50 @@ func ascending(n int) []Cell {
 	return cells
 }
 
-// decodeSeeds are the records the four-wide decode is most likely to get
-// wrong. With nine cells the groups take cells 0–3 and 4–7 and the tail
-// takes cell 8, so a bad pair is placed at the first position (0,1),
-// inside a group (1,2), across the group boundary (3,4) and in the tail
-// (7,8), once as a duplicate and once descending. Then records of 0 to 9
-// cells, to cover every tail length, and records that reach MaxNumber
-// and MaxWeight in a group and in the tail.
+// decodeSeeds are the records the unpack is most likely to get wrong.
+// The vector body takes four cells per step while vectorWindow = 26 body
+// bytes remain, so with ten cells (50 bytes) it takes cells 0–3 and 4–7
+// and the Go tail takes 8 and 9; with nine it takes 0–3 and the Go group
+// loop 4–7. A bad pair — once a duplicate, once descending — is placed at
+// every position of the ten: inside the first group (lanes 1–3), across
+// the carry between the groups (lane 0 of the second), inside the second
+// and into the tail; and at every position of the nine. Then records of 0
+// to 14 cells, which cover every tail length and both sides of the window
+// edges (a body is five bytes a cell: 25 and 30 bytes straddle 26, 45
+// and 50 straddle 46). Then records that end at MaxNumber and MaxWeight,
+// once after a jump from a small number and once repeated, one whose ten
+// cells are the ten numbers up to MaxNumber at MaxWeight, so every byte
+// but a number's lowest is 0xff in every vector lane, and one that falls from MaxNumber to 0 inside
+// a vector group. At least two cells follow a record's last vector group,
+// so MaxNumber reaches a vector lane only in a record that must be
+// rejected.
 func decodeSeeds() [][]byte {
 	var seeds [][]byte
-	for n := 0; n <= 9; n++ {
+	for n := 0; n <= 14; n++ {
 		seeds = append(seeds, rawRecord(uint32(n), ascending(n)))
 	}
-	for _, at := range []int{0, 1, 3, 7} {
-		dup, desc := ascending(9), ascending(9)
-		dup[at+1].Number = dup[at].Number
-		desc[at+1].Number = desc[at].Number - 1
-		seeds = append(seeds, rawRecord(1, dup), rawRecord(2, desc))
+	for _, n := range []int{9, 10} {
+		for at := 0; at < n-1; at++ {
+			dup, desc := ascending(n), ascending(n)
+			dup[at+1].Number = dup[at].Number
+			desc[at+1].Number = desc[at].Number - 1
+			seeds = append(seeds, rawRecord(1, dup), rawRecord(2, desc))
+		}
 	}
-	for _, n := range []int{5, 9} {
+	for _, n := range []int{4, 5, 6, 9, 10} {
 		top := ascending(n)
 		top[n-1] = Cell{Number: MaxNumber, Weight: MaxWeight}
 		twice := ascending(n)
 		twice[n-2], twice[n-1] = top[n-1], top[n-1]
 		seeds = append(seeds, rawRecord(MaxNumber, top), rawRecord(MaxNumber, twice))
 	}
+	high := make([]Cell, 10)
+	for i := range high {
+		high[i] = Cell{Number: MaxNumber - 9 + uint32(i), Weight: MaxWeight}
+	}
+	fall := ascending(6)
+	fall[1], fall[2] = Cell{Number: MaxNumber, Weight: MaxWeight}, Cell{Number: 0, Weight: MaxWeight}
+	seeds = append(seeds, rawRecord(MaxNumber, high), rawRecord(3, fall))
 	return seeds
 }
 

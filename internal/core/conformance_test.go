@@ -145,6 +145,10 @@ type conformWorld struct {
 	// regimes counts, by store regime, the VVM passes this shape ran: the
 	// vvm.accum attribute of each pass's merge span.
 	regimes map[string]int64
+	// kindDocs holds each outer kind's documents; cells1 and cells2 count
+	// the cells of C1 and C2, which are also those of their inverted files.
+	kindDocs       [][]*document.Document
+	cells1, cells2 int64
 }
 
 // conformShapes are the matrix's shapes: those of the differential harness,
@@ -187,6 +191,8 @@ func worldOf(t *testing.T, shape diffShape) *conformWorld {
 		t.Fatal(err)
 	}
 	w.outers = []collection.Reader{e.c2, sub, batch}
+	w.kindDocs = [][]*document.Document{w.outer, docs, docs}
+	w.cells1, w.cells2 = countCells(w.inner), countCells(w.outer)
 	for _, wt := range allWeightings {
 		if w.scorers[wt], err = e.inputs().scorer(Options{Weighting: wt}); err != nil {
 			t.Fatal(err)
@@ -195,6 +201,14 @@ func worldOf(t *testing.T, shape diffShape) *conformWorld {
 	}
 	conformWorlds[shape.name] = w
 	return w
+}
+
+// countCells counts the cells of docs.
+func countCells(docs []*document.Document) (n int64) {
+	for _, d := range docs {
+		n += int64(len(d.Cells))
+	}
+	return n
 }
 
 // scanDocs reads a whole collection in id order.
@@ -435,6 +449,10 @@ func (w *conformWorld) check(t *testing.T, c conformCell, name string, in Inputs
 		}
 	}
 
+	if err := w.checkCellsDecoded(c, st); err != nil {
+		fail("%v", err)
+	}
+
 	// The one memory model: measured ≤ charged ≤ 2 × measured, where the
 	// result rows count as the model counts them.
 	measured := st.PeakMemoryBytes + int64(len(got))*rowBytes
@@ -474,6 +492,61 @@ func (w *conformWorld) check(t *testing.T, c conformCell, name string, in Inputs
 			fail("allocated %d bytes, charged %d: want allocated ≤ 2 × charged", alloc, dec.PeakBytes)
 		}
 	}
+}
+
+// checkCellsDecoded holds Stats.CellsDecoded to its closed form (ROADMAP
+// item 26(c)), where cells(outer) counts the stored outer documents:
+// unfiltered HHNL decodes cells(outer) + passes·cells(C1), one scan of C1
+// per batch; VVM passes·(cells(I1) + cells(I2)), as its merge drains both
+// files every pass; HVNL cells(outer) + Σ df over the entries it fetched,
+// plus cells(I1) when it preloads. HVNL fetches every entry the outer
+// side needs at least once and once per outer cell at most, exactly once
+// when its cache neither evicted nor rejected an entry, and none after a
+// preload. HHNL+pf and LSH skip inner documents, so they decode between
+// cells(outer) and the unfiltered count.
+func (w *conformWorld) checkCellsDecoded(c conformCell, st *Stats) error {
+	fam, outer := conformFamilies[c.family], countCells(w.kindDocs[c.kind])
+	if c.kind == 2 {
+		outer = 0 // a query batch is decoded by no one
+	}
+	passes := int64(st.Passes)
+	lo := outer + passes*w.cells1
+	hi := lo
+	switch {
+	case fam.alg == HHNL && fam.prunes(), fam.alg == LSH:
+		lo = outer
+	case fam.alg == VVM:
+		lo = passes * (w.cells1 + w.cells2)
+		hi = lo
+	case fam.alg == HVNL:
+		// Σ df over the outer side's distinct terms, and over its cells.
+		var distinct, perCell int64
+		seen := map[uint32]bool{}
+		for _, d := range w.kindDocs[c.kind] {
+			for _, cell := range d.Cells {
+				df := w.e.c1.DF(cell.Term)
+				perCell += df
+				if !seen[cell.Term] {
+					seen[cell.Term] = true
+					distinct += df
+				}
+			}
+		}
+		stored := outer
+		if st.Passes == 1 { // preloaded: every entry was decoded once, none fetched
+			stored += w.cells1
+			distinct, perCell = 0, 0
+		}
+		lo, hi = stored+distinct, stored+perCell
+		if st.Cache.Evictions == 0 && st.Cache.Rejected == 0 {
+			hi = lo
+		}
+	}
+	if st.CellsDecoded < lo || st.CellsDecoded > hi {
+		return fmt.Errorf("%d cells decoded in %d passes (cache %+v), want %d to %d (outer %d, C1 %d, C2 %d)",
+			st.CellsDecoded, st.Passes, st.Cache, lo, hi, outer, w.cells1, w.cells2)
+	}
+	return nil
 }
 
 // ignoresPrefilter joins alg on in without and with opts.Prefilter, each

@@ -213,6 +213,11 @@ type Stats struct {
 	// insert, including those a better match later displaced: the work
 	// of "identifying the λ documents with the largest similarities".
 	TrackerEntries int64
+	// CellsDecoded counts the cells of the records the join decoded, a
+	// record's count added once per record: stored outer and inner
+	// documents, and inverted-file entries fetched, preloaded or scanned.
+	// A memory-resident query batch decodes nothing.
+	CellsDecoded int64
 	// Passes counts outer batches (HHNL, LSH) or partitions (VVM); HVNL
 	// reports 1 when it preloads the inverted file in one sequential
 	// sweep, else 0.
@@ -332,7 +337,7 @@ func (t *ioTracker) delta() iosim.Stats {
 var joinCounts = [...]struct{ group, name string }{
 	{"", "outer_docs"}, {"", "inner_docs"}, {"", "comparisons"}, {"", "accumulations"}, {"", "entry_fetches"},
 	{"", "passes"}, {"io", "seq"}, {"io", "rand"}, {"", "peak_bytes"}, {"", "tracker_entries"},
-	{"", "pairs"},
+	{"", "cells_decoded"}, {"", "pairs"},
 	{"prefilter", "pages_skipped"}, {"prefilter", "clusters_skipped"}, {"prefilter", "docs_skipped"}, {"prefilter", "false_passes"},
 	{"", "bucket_probes"}, {"", "candidates"}, {"", "pages_skipped"}, {"", "docs_skipped"},
 }
@@ -365,7 +370,8 @@ func (st *Stats) Counts(fn func(group, count string, v int64)) {
 // LSH's for an LSH join.
 func (st *Stats) counts(fn func(c int, v int64)) {
 	own := [...]int64{st.OuterDocs, st.InnerDocs, st.Comparisons, st.Accumulations, st.EntryFetches,
-		int64(st.Passes), st.IO.SeqReads, st.IO.RandReads, st.PeakMemoryBytes, st.TrackerEntries}
+		int64(st.Passes), st.IO.SeqReads, st.IO.RandReads, st.PeakMemoryBytes, st.TrackerEntries,
+		st.CellsDecoded}
 	for c, v := range own {
 		fn(c, v)
 	}

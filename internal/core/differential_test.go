@@ -305,7 +305,7 @@ func TestNilTracePhaseDoesNotAllocate(t *testing.T) {
 // TestJoinSpanAttributes holds every family's span attributes, in order, to
 // a table: the names and values of a Stats whose every count differs.
 func TestJoinSpanAttributes(t *testing.T) {
-	own := "outer_docs=1 inner_docs=2 comparisons=3 accumulations=4 entry_fetches=5 passes=6 io.seq=7 io.rand=8 peak_bytes=9 tracker_entries=22"
+	own := "outer_docs=1 inner_docs=2 comparisons=3 accumulations=4 entry_fetches=5 passes=6 io.seq=7 io.rand=8 peak_bytes=9 tracker_entries=22 cells_decoded=23"
 	for _, c := range []struct {
 		alg  Algorithm
 		want string
@@ -316,7 +316,7 @@ func TestJoinSpanAttributes(t *testing.T) {
 		{LSH, own + " bucket_probes=15 candidates=16 pages_skipped=17 docs_skipped=18"},
 	} {
 		st := &Stats{Algorithm: c.alg, OuterDocs: 1, InnerDocs: 2, Comparisons: 3, Accumulations: 4, EntryFetches: 5, Passes: 6,
-			IO: iosim.Stats{SeqReads: 7, RandReads: 8}, PeakMemoryBytes: 9, TrackerEntries: 22, Pairs: 10,
+			IO: iosim.Stats{SeqReads: 7, RandReads: 8}, PeakMemoryBytes: 9, TrackerEntries: 22, CellsDecoded: 23, Pairs: 10,
 			Prefilter: PrefilterStats{Enabled: strings.Contains(c.want, "prefilter"), PagesSkipped: 11, ClustersSkipped: 12, DocsSkipped: 13, FalsePasses: 14},
 			LSH:       LSHStats{Enabled: c.alg == LSH, BucketProbes: 15, Candidates: 16, PagesSkipped: 17, DocsSkipped: 18},
 			Cache:     entrycache.Stats{Hits: 19, Misses: 20, Evictions: 21}}

@@ -179,6 +179,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	n := int(in.Outer.NumDocs())
 	results := b.rows.reset(n, opts.Lambda, &b.ws.tks)
 	st := &blockStage{scorer: b.scorer, block: block, tk: &b.ws.tks, countFalse: stats.Prefilter.Enabled}
+	stored := in.Outer.File() != nil // a query batch decodes nothing
 
 	for start := 0; start < n; {
 		end, planned, _ := nextBatch(in.Outer, start, cut.budget, overhead)
@@ -191,6 +192,9 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		start = end
 		stats.Passes++
 		stats.OuterDocs += int64(len(batch))
+		if stored {
+			stats.CellsDecoded += int64(len(arena.cells))
+		}
 		stats.PeakMemoryBytes = max(stats.PeakMemoryBytes, cut.reserve+used)
 
 		var keep []bool
@@ -220,14 +224,17 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 		}
 		scan.Reset(in.Inner, kept)
 		score := trace.StartChild(reqtrace.PhaseScore, b.scanName)
+		var decoded int64
 		for {
 			var d1 *document.Document
 			if d1, err = scan.NextReuse(); err != nil {
 				break
 			}
+			decoded += int64(len(d1.Cells))
 			st.score(d1)
 		}
 		score.End()
+		stats.CellsDecoded += decoded
 		if err != io.EOF {
 			return nil, nil, err
 		}

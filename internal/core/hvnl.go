@@ -92,11 +92,12 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 		randCost := float64(neededPages) * invFile.Disk().Alpha()
 		if seqCost < randCost {
 			preload := trace.StartChild(reqtrace.PhaseScan, "hvnl.preload")
-			err := ws.preload(in.InnerInv, n1)
+			decoded, err := ws.preload(in.InnerInv, n1)
 			preload.End()
 			if err != nil {
 				return nil, nil, err
 			}
+			stats.CellsDecoded += decoded
 			stats.Passes = 1 // one sequential sweep of the inverted file
 		}
 	}
@@ -108,6 +109,7 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 	rows := &hvnlRows{acc: &ws.acc, tks: &ws.tks, drain: &ws.drain, scorer: scorer,
 		results: set.reset(int(in.Outer.NumDocs()), opts.Lambda, &ws.tks)}
 	var cacheUsed int64
+	stored := in.Outer.File() != nil // a query batch decodes nothing
 	sweep := func() error {
 		outer := ws.outer.Documents(in.Outer)
 		for {
@@ -119,6 +121,9 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 				return err
 			}
 			stats.OuterDocs++
+			if stored {
+				stats.CellsDecoded += int64(len(d2.Cells))
+			}
 
 			// Order terms: cached entries first (the paper's reuse
 			// optimization), then the rest in term order. Cells are already
@@ -146,6 +151,7 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 						return err
 					}
 					stats.EntryFetches++
+					stats.CellsDecoded += int64(entry.DocFreq())
 					// Cache charge: packed entry size plus the 3-byte term
 					// list slot.
 					cache.Put(c.Term, entry, entry.Bytes()+3)
@@ -242,18 +248,21 @@ func (s *hvnlState) column(e *invfile.Entry, n int) *invfile.Entry {
 // preload reads the whole inverted file in one sequential sweep into the
 // cache, each entry copied from the scanner's arena into a slab of the
 // cache's, or held as its column over the n inner ids when Columnar: the
-// budget holds every entry, so nothing is evicted.
-func (s *hvnlState) preload(inv *invfile.InvertedFile, n int) error {
+// budget holds every entry, so nothing is evicted. It returns the cells it
+// decoded.
+func (s *hvnlState) preload(inv *invfile.InvertedFile, n int) (int64, error) {
 	sc := &s.scan
 	sc.Reset(inv)
+	var decoded int64
 	for {
 		entry, err := sc.NextReuse()
 		if err == io.EOF {
-			return nil
+			return decoded, nil
 		}
 		if err != nil {
-			return err
+			return decoded, err
 		}
+		decoded += int64(len(entry.Cells))
 		var e *invfile.Entry
 		if accum.Columnar(len(entry.Cells), n) {
 			e = s.column(entry, n)

@@ -89,11 +89,12 @@ func runVVM(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *Ro
 		// finished in: dense, table or promoted.
 		merge := trace.StartChild(reqtrace.PhaseMerge, "vvm.merge-scan")
 		pass.begin(rangeIDs, base)
-		err := ws.mergeScan(in.InnerInv, in.OuterInv, func(term uint32, e1, e2 *invfile.Entry) {
+		decoded, err := ws.mergeScan(in.InnerInv, in.OuterInv, func(term uint32, e1, e2 *invfile.Entry) {
 			if factor := scorer.TermFactor(term); factor != 0 {
 				pass.add(factor, e1, e2.Cells)
 			}
 		})
+		stats.CellsDecoded += decoded
 		merge.SetAttr("vvm.accum", pass.acc.Kind())
 		merge.End()
 		if err != nil {
@@ -231,39 +232,47 @@ func (m memory) rangeIDs(ids []uint32, p int) []uint32 {
 
 // mergeScan runs one parallel scan over both inverted files through the
 // state's scanners, invoking fn for every term present in both (e1 from
-// inner/C1, e2 from outer/C2). Entries are yielded from the scanners'
-// arenas and are valid only for the duration of fn.
-func (ws *vvmState) mergeScan(inner, outer *invfile.InvertedFile, fn func(term uint32, e1, e2 *invfile.Entry)) error {
+// inner/C1, e2 from outer/C2), and returns the cells it decoded. Entries
+// are yielded from the scanners' arenas and are valid only for the
+// duration of fn.
+func (ws *vvmState) mergeScan(inner, outer *invfile.InvertedFile, fn func(term uint32, e1, e2 *invfile.Entry)) (decoded int64, err error) {
 	s1, s2 := &ws.inner, &ws.outer
 	s1.Reset(inner)
 	s2.Reset(outer)
-	e1, err1 := s1.NextReuse()
-	e2, err2 := s2.NextReuse()
+	next := func(s *invfile.Scanner) (*invfile.Entry, error) {
+		e, err := s.NextReuse()
+		if err == nil {
+			decoded += int64(len(e.Cells))
+		}
+		return e, err
+	}
+	e1, err1 := next(s1)
+	e2, err2 := next(s2)
 	for err1 == nil && err2 == nil {
 		switch {
 		case e1.Term < e2.Term:
-			e1, err1 = s1.NextReuse()
+			e1, err1 = next(s1)
 		case e1.Term > e2.Term:
-			e2, err2 = s2.NextReuse()
+			e2, err2 = next(s2)
 		default:
 			fn(e1.Term, e1, e2)
-			e1, err1 = s1.NextReuse()
-			e2, err2 = s2.NextReuse()
+			e1, err1 = next(s1)
+			e2, err2 = next(s2)
 		}
 	}
 	// Drain the longer file so both scans cost their full sequential
 	// sweep, as the paper's one-scan cost I1 + I2 assumes.
 	for err1 == nil {
-		_, err1 = s1.NextReuse()
+		_, err1 = next(s1)
 	}
 	for err2 == nil {
-		_, err2 = s2.NextReuse()
+		_, err2 = next(s2)
 	}
 	if err1 != io.EOF {
-		return err1
+		return decoded, err1
 	}
 	if err2 != io.EOF {
-		return err2
+		return decoded, err2
 	}
-	return nil
+	return decoded, nil
 }

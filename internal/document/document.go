@@ -13,10 +13,10 @@
 package document
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"textjoin/internal/codec"
 )
@@ -118,60 +118,28 @@ func (d *Document) Clone() *Document {
 
 // DecodeInto decodes one packed record from the start of b directly into
 // d, reusing d's cell capacity so a steady-state decode loop allocates
-// nothing. It is the document-side twin of codec.DecodeRecordInto, with
-// the same loop: one bounds check against the full record size up front,
-// four cells per step from a codec.GroupWindow-byte window, a one-cell
-// tail, and strict ascent kept branch-free in the sign bit of ok. On error
-// d is left with zero cells. Returns the number of bytes consumed.
+// nothing. It is codec.DecodeRecordInto, the one cell unpack, decoding
+// into d's cells seen as codec cells: Cell and codec.Cell share one
+// layout (TestCellLayoutMatchesCodec). On error d is left with zero cells.
+// Returns the number of bytes consumed.
 func DecodeInto(d *Document, b []byte) (int64, error) {
-	if len(b) < codec.DocHeaderSize {
-		d.Cells = d.Cells[:0]
-		return 0, fmt.Errorf("document: %w: need %d header bytes, have %d", codec.ErrShortBuffer, codec.DocHeaderSize, len(b))
-	}
-	number := codec.Uint24(b)
-	count := int(codec.Uint24(b[codec.DocNumberSize:]))
-	size := codec.EncodedRecordSize(count)
-	if int64(len(b)) < size {
-		d.Cells = d.Cells[:0]
-		return 0, fmt.Errorf("document: %w: record needs %d bytes, have %d", codec.ErrShortBuffer, size, len(b))
-	}
-	if cap(d.Cells) < count {
-		d.Cells = make([]Cell, count)
-	}
-	out := d.Cells[:count]
-	d.Cells = out
-	body := b[codec.DocHeaderSize:size:size]
-	ok, prev := int32(-1), int32(-1)
-	i := 0
-	for ; len(body) >= codec.GroupWindow; body = body[4*codec.CellSize:] {
-		w := body[:codec.GroupWindow:codec.GroupWindow]
-		v0 := binary.LittleEndian.Uint64(w[0:])
-		v1 := binary.LittleEndian.Uint64(w[codec.CellSize:])
-		v2 := binary.LittleEndian.Uint64(w[2*codec.CellSize:])
-		v3 := binary.LittleEndian.Uint64(w[3*codec.CellSize:])
-		t0, t1, t2, t3 := int32(v0&codec.MaxNumber), int32(v1&codec.MaxNumber), int32(v2&codec.MaxNumber), int32(v3&codec.MaxNumber)
-		ok &= (prev - t0) & (t0 - t1) & (t1 - t2) & (t2 - t3)
-		prev = t3
-		o := out[i : i+4 : i+4]
-		o[0] = Cell{Term: uint32(t0), Weight: uint16(v0 >> 24)}
-		o[1] = Cell{Term: uint32(t1), Weight: uint16(v1 >> 24)}
-		o[2] = Cell{Term: uint32(t2), Weight: uint16(v2 >> 24)}
-		o[3] = Cell{Term: uint32(t3), Weight: uint16(v3 >> 24)}
-		i += 4
-	}
-	for ; len(body) >= codec.CellSize; body = body[codec.CellSize:] {
-		t := int32(body[0]) | int32(body[1])<<8 | int32(body[2])<<16
-		ok &= prev - t
-		prev = t
-		out[i] = Cell{Term: uint32(t), Weight: uint16(body[3]) | uint16(body[4])<<8}
-		i++
-	}
-	if ok >= 0 {
-		d.Cells = d.Cells[:0]
-		return 0, fmt.Errorf("document: %w: cells not strictly ascending", codec.ErrCorrupt)
+	number, cells, size, err := codec.DecodeRecordInto(b, asCodecCells(d.Cells[:0]))
+	d.Cells = asCells(cells)
+	if err != nil {
+		return 0, fmt.Errorf("document: %w", err)
 	}
 	d.ID = number
 	return size, nil
+}
+
+// asCodecCells views cells, capacity included, as codec cells.
+func asCodecCells(cells []Cell) []codec.Cell {
+	return unsafe.Slice((*codec.Cell)(unsafe.Pointer(unsafe.SliceData(cells))), cap(cells))[:len(cells)]
+}
+
+// asCells views codec cells, capacity included, as document cells.
+func asCells(cells []codec.Cell) []Cell {
+	return unsafe.Slice((*Cell)(unsafe.Pointer(unsafe.SliceData(cells))), cap(cells))[:len(cells)]
 }
 
 // Similarity computes the paper's base similarity Σ ui·vi over the common

@@ -3,16 +3,23 @@ package document
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"textjoin/internal/codec"
 )
 
-// FuzzDecodeInto holds the document-side decode to codec.DecodeRecordInto:
-// both must accept exactly the same inputs and yield the same number,
-// consumed size and cells, and a rejected record must leave d with no
-// cells. prefill dirties d first (cells, and capacity to reuse or outgrow)
-// the way a scanner's arena document is dirty from the previous record.
+// FuzzDecodeInto holds the document-side decode, which runs the codec
+// unpack on d's cells, to a reference assembled from the per-cell
+// primitives, with the vector unpack on (where the CPU has one) and off:
+// both must accept exactly the same inputs as the reference and yield the
+// same number, consumed size and cells, and a rejected record must leave d
+// with no cells. prefill dirties d first (cells, and capacity to reuse or
+// outgrow) the way a scanner's arena document is dirty from the previous
+// record.
 func FuzzDecodeInto(f *testing.F) {
 	record := func(number uint32, terms ...uint32) []byte {
 		b := make([]byte, codec.DocHeaderSize)
@@ -32,40 +39,123 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Add(record(4), uint8(3))
 	f.Add(record(5, 1, 2, 3, 4), uint8(0))
 	f.Add(record(6, 1, 2, 3, 4, 5), uint8(9))
+	f.Add(record(6, 1, 2, 3, 4, 5, 6), uint8(9)) // the first body the vector unpack takes
 	f.Add(record(7, 1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(2))
-	f.Add(record(8, 1, 2, 3, 3, 5, 6, 7, 8, 9), uint8(4))  // duplicate inside a group
-	f.Add(record(9, 1, 2, 3, 4, 2, 6, 7, 8, 9), uint8(4))  // descending across groups
-	f.Add(record(10, 1, 2, 3, 4, 5, 6, 7, 8, 8), uint8(1)) // duplicate in the tail
+	f.Add(record(7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), uint8(30)) // two vector groups, in place
+	f.Add(record(8, 1, 2, 3, 3, 5, 6, 7, 8, 9), uint8(4))      // duplicate inside a group
+	f.Add(record(9, 1, 2, 3, 4, 2, 6, 7, 8, 9), uint8(4))      // descending across groups
+	f.Add(record(9, 1, 2, 3, 4, 4, 6, 7, 8, 9, 10), uint8(4))  // duplicate across the vector carry
+	f.Add(record(10, 1, 2, 3, 4, 5, 6, 7, 8, 8), uint8(1))     // duplicate in the tail
 	f.Add(record(codec.MaxNumber, 1, 2, 3, 4, codec.MaxNumber), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, prefill uint8) {
-		number, want, wantSize, wantErr := codec.DecodeRecordInto(data, nil)
-
-		d := &Document{ID: 0xABCDEF, Cells: make([]Cell, prefill, int(prefill)+int(prefill)%3)}
-		for i := range d.Cells {
-			d.Cells[i] = Cell{Term: 0xABC000 + uint32(i), Weight: 0xEE}
-		}
-		size, err := DecodeInto(d, data)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("accept mismatch: DecodeInto err=%v, codec err=%v", err, wantErr)
-		}
-		if err != nil {
-			if len(d.Cells) != 0 {
-				t.Fatalf("rejected record left %d cells", len(d.Cells))
+		number, want, wantSize, wantErr := referenceDecode(data)
+		for _, on := range []bool{true, false} {
+			was := codec.SetVector(on)
+			d := &Document{ID: 0xABCDEF, Cells: make([]Cell, prefill, int(prefill)+int(prefill)%3)}
+			for i := range d.Cells {
+				d.Cells[i] = Cell{Term: 0xABC000 + uint32(i), Weight: 0xEE}
 			}
-			return
-		}
-		if d.ID != number || size != wantSize {
-			t.Fatalf("DecodeInto (%d, %d) vs codec (%d, %d)", d.ID, size, number, wantSize)
-		}
-		if len(d.Cells) != len(want) {
-			t.Fatalf("DecodeInto yielded %d cells, codec %d", len(d.Cells), len(want))
-		}
-		for i, c := range want {
-			if d.Cells[i] != (Cell{Term: c.Number, Weight: c.Weight}) {
-				t.Fatalf("cell %d: DecodeInto %+v vs codec %+v", i, d.Cells[i], c)
+			size, err := DecodeInto(d, data)
+			codec.SetVector(was)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("vector %v: accept mismatch: DecodeInto err=%v, reference err=%v", on, err, wantErr)
+			}
+			if err != nil {
+				if len(d.Cells) != 0 {
+					t.Fatalf("vector %v: rejected record left %d cells", on, len(d.Cells))
+				}
+				continue
+			}
+			if d.ID != number || size != wantSize {
+				t.Fatalf("vector %v: DecodeInto (%d, %d) vs reference (%d, %d)", on, d.ID, size, number, wantSize)
+			}
+			if !slices.Equal(d.Cells, want) {
+				t.Fatalf("vector %v: DecodeInto cells %v, reference %v", on, d.Cells, want)
 			}
 		}
 	})
+}
+
+// referenceDecode decodes a packed record one cell at a time through the
+// codec primitives, rejecting what DecodeInto must reject.
+func referenceDecode(data []byte) (uint32, []Cell, int64, error) {
+	if len(data) < codec.DocHeaderSize {
+		return 0, nil, 0, codec.ErrShortBuffer
+	}
+	count := int(codec.Uint24(data[codec.DocNumberSize:]))
+	size := codec.EncodedRecordSize(count)
+	if int64(len(data)) < size {
+		return 0, nil, 0, codec.ErrShortBuffer
+	}
+	cells := make([]Cell, count)
+	prev := int64(-1)
+	for i := range cells {
+		c, err := codec.DecodeCell(data[codec.DocHeaderSize+i*codec.CellSize:])
+		if err != nil {
+			return 0, nil, 0, err
+		}
+		if int64(c.Number) <= prev {
+			return 0, nil, 0, codec.ErrCorrupt
+		}
+		prev = int64(c.Number)
+		cells[i] = Cell{Term: c.Number, Weight: c.Weight}
+	}
+	return codec.Uint24(data), cells, size, nil
+}
+
+// TestCellLayoutMatchesCodec pins the layout DecodeInto's view of a
+// document's cells as codec cells relies on: the same size and alignment,
+// and fields of the same types at the same offsets.
+func TestCellLayoutMatchesCodec(t *testing.T) {
+	var d Cell
+	var c codec.Cell
+	if unsafe.Sizeof(d) != unsafe.Sizeof(c) || unsafe.Alignof(d) != unsafe.Alignof(c) {
+		t.Fatalf("Cell is %d bytes aligned to %d, codec.Cell %d aligned to %d",
+			unsafe.Sizeof(d), unsafe.Alignof(d), unsafe.Sizeof(c), unsafe.Alignof(c))
+	}
+	dt, ct := reflect.TypeOf(d), reflect.TypeOf(c)
+	if dt.NumField() != ct.NumField() {
+		t.Fatalf("Cell has %d fields, codec.Cell %d", dt.NumField(), ct.NumField())
+	}
+	for i := range dt.NumField() {
+		df, cf := dt.Field(i), ct.Field(i)
+		if df.Type != cf.Type || df.Offset != cf.Offset {
+			t.Errorf("field %d: Cell.%s %v at %d, codec.Cell.%s %v at %d", i, df.Name, df.Type, df.Offset, cf.Name, cf.Type, cf.Offset)
+		}
+	}
+}
+
+// BenchmarkDecodeInto times the document-side decode per cell over the
+// record mix BenchmarkDecodeRecordInto in internal/codec times — 256
+// seeded records of 1 to 255 cells — decoding into one recycled document.
+func BenchmarkDecodeInto(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	var buf []byte
+	cells := 0
+	for range 256 {
+		n := 1 + r.Intn(255)
+		rec := make([]codec.Cell, n)
+		next := uint32(r.Intn(8))
+		for i := range rec {
+			rec[i] = codec.Cell{Number: next, Weight: uint16(1 + r.Intn(12))}
+			next += 1 + uint32(r.Intn(300))
+		}
+		buf, _ = codec.AppendRecord(buf, codec.Record{Number: uint32(r.Intn(codec.MaxNumber)), Cells: rec})
+		cells += n
+	}
+	var d Document
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for off := 0; off < len(buf); {
+			consumed, err := DecodeInto(&d, buf[off:])
+			if err != nil {
+				b.Fatal(err)
+			}
+			off += int(consumed)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 }
 
 // FuzzCosineAdmission holds the cosine admission rule (Limit and Admits,
