@@ -7,13 +7,13 @@
 // sorted range of outer ids per pass, so the store never needs a general
 // hash map:
 //
-//   - Flat is the per-outer-document accumulator of HVNL: a []float64
-//     indexed by inner document number with a touched list while a row is
-//     sparse, so draining costs O(non-zero) — preserving the paper's "only
-//     non-zero similarities are stored" accounting — and no list once a
-//     quarter of the ids are touched, so each accumulation is a single
-//     indexed add. A sparse row is finished through Drain, a dense one by
-//     a scan in place (Row, then Reset).
+//   - Flat is the per-outer-document accumulator of HVNL and the
+//     per-streamed-document one of block HHNL: one dense []float64 row
+//     indexed by inner document number (or resident slot), so each
+//     accumulation is a single indexed add. The paper keeps "only non-zero
+//     similarities"; the row holds all n, which is what the plan charges
+//     for it, and a row is finished by a scan in place (Row, then Reset),
+//     which the caller's dense drain makes cheap (blockmax.go).
 //   - Store is VVM's: one per join, Reset between passes. It has two
 //     representations. A pass starts as the dense rows×cols matrix when
 //     that fits the store's limit (UseDense), otherwise as a power-of-two
@@ -61,28 +61,11 @@ import (
 
 // Flat accumulates values against a contiguous id space 0..n-1. It is the
 // per-streamed-document accumulator of HVNL (ids are inner document
-// numbers) and of block HHNL (ids are resident slots). It has two regimes
-// per streamed document. While sparse, it lists each id on its first
-// touch, so draining and resetting cost O(touched) instead of O(n). Once
-// the list reaches n/4 ids it is dense: it stops listing, each add is one
-// indexed add with no branch, and the caller scans all n values in place
-// (Row) — at most four times the list walk it replaces. A value of zero is
-// the first-touch mark — there is no second array — so an id whose adds so
-// far were all zero is listed again by its next add; the drain clears as
-// it reads, so the repeat reads zero, and a zero similarity is no
-// candidate.
+// numbers) and of block HHNL (ids are resident slots): one dense row, so
+// each add is one indexed add with no branch. The caller finishes a row by
+// reading it in place (Row) and then calls Reset.
 type Flat struct {
-	vals    []float64
-	touched []uint32
-	limit   int  // the list length at which the regime turns dense
-	dense   bool // the list is abandoned until the next drain or Reset
-	sums    []Sum
-}
-
-// Sum is one id's accumulated value, as Drain hands it out.
-type Sum struct {
-	ID uint32
-	V  float64
+	vals []float64
 }
 
 // NewFlat returns a Flat over ids 0..n-1.
@@ -93,29 +76,19 @@ func NewFlat(n int) *Flat {
 }
 
 // Resize empties f and readies it, as NewFlat would, for ids 0..n-1. It
-// keeps f's arrays, growing them only past every earlier n.
+// keeps f's array, growing it only past every earlier n.
 func (f *Flat) Resize(n int) {
 	f.vals = slices.Grow(f.vals[:0], n)[:n]
 	clear(f.vals)
-	f.touched, f.dense, f.limit = f.touched[:0], false, n/4
 }
 
 // Add accumulates v into id.
-func (f *Flat) Add(id uint32, v float64) {
-	if !f.dense && f.vals[id] == 0 {
-		f.touched = append(f.touched, id)
-		f.dense = len(f.touched) >= f.limit
-	}
-	f.vals[id] += v
-}
+func (f *Flat) Add(id uint32, v float64) { f.vals[id] += v }
 
 // AddCells accumulates one term's products: w is the weight of the streamed
 // document's cell, cells the other side's cells of that term, and cell c
 // adds to id c.Number. It equals one Add per cell.
 func (f *Flat) AddCells(cells []codec.Cell, w, factor float64) {
-	if !f.dense {
-		cells = f.addListed(cells, w, factor)
-	}
 	addRow(f.vals, cells, w, factor)
 }
 
@@ -136,74 +109,13 @@ func addRow(vals []float64, cells []codec.Cell, w, factor float64) {
 	}
 }
 
-// addListed is AddCells in the sparse regime. When the list reaches the
-// limit it turns the regime dense and returns the cells it left unadded.
-func (f *Flat) addListed(cells []codec.Cell, w, factor float64) []codec.Cell {
-	vals, touched := f.vals, f.touched
-	for i, c := range cells {
-		id := c.Number
-		v := vals[id]
-		vals[id] = v + (w*float64(c.Weight))*factor
-		if v == 0 {
-			touched = append(touched, id)
-			if len(touched) >= f.limit {
-				f.touched, f.dense = touched, true
-				return cells[i+1:]
-			}
-		}
-	}
-	f.touched = touched
-	return nil
-}
-
-// Dense reports whether the row has stopped listing, so Row applies.
-func (f *Flat) Dense() bool { return f.dense }
-
-// Row returns a dense row's values, indexed by id, zero for the untouched:
-// a caller finishes the row by reading it in place, in id order, and then
-// calls Reset.
+// Row returns the row's values, indexed by id, zero for the untouched: a
+// caller finishes the row by reading it in place and then calls Reset.
 func (f *Flat) Row() []float64 { return f.vals }
 
-// Drain finishes a sparse row: it returns every listed id holding a
-// non-zero value, with that value, in first-touch order, and readies the
-// accumulator for the next streamed document. The slice is the Flat's,
-// valid until the next Drain. A dense row lists no ids; it is finished
-// through Row and Reset, and Drain panics on it.
-func (f *Flat) Drain() []Sum {
-	if f.dense {
-		panic("accum: Drain of a dense row; read Row and Reset")
-	}
-	vals, dst := f.vals, slices.Grow(f.sums[:0], f.limit)
-	for _, id := range f.touched {
-		if v := vals[id]; v != 0 {
-			dst = append(dst, Sum{ID: id, V: v})
-			vals[id] = 0
-		}
-	}
-	f.touched, f.sums = f.touched[:0], dst
-	return dst
-}
-
-// Take returns what id has accumulated since the last Reset and clears it:
-// a drain of listed ids, which Reset must follow.
-func (f *Flat) Take(id uint32) float64 {
-	v := f.vals[id]
-	f.vals[id] = 0
-	return v
-}
-
-// Reset clears every value — only the listed ids while sparse — readying
-// the accumulator for the next streamed document.
-func (f *Flat) Reset() {
-	if f.dense {
-		clear(f.vals)
-	} else {
-		for _, id := range f.touched {
-			f.vals[id] = 0
-		}
-	}
-	f.touched, f.dense = f.touched[:0], false
-}
+// Reset clears every value, readying the accumulator for the next
+// streamed document.
+func (f *Flat) Reset() { clear(f.vals) }
 
 // UseDense reports whether a dense rows×cols float64 matrix fits within
 // budgetBytes. This is the paper's regime split restated in bytes: the

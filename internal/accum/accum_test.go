@@ -175,31 +175,20 @@ func TestStorePromotesExactlyAcrossResets(t *testing.T) {
 	}
 }
 
-// finished finishes f's row as a join does — a dense one by reading Row in
-// place and then Reset, a sparse one by Drain — into a map from id to the
-// value's bits, failing on an id drained twice or a zero drained at all.
-func finished(t *testing.T, f *Flat) map[uint32]uint64 {
-	t.Helper()
+// finished finishes f's row as a join does — by reading Row in place and
+// then Reset — into a map from id to the non-zero value's bits.
+func finished(f *Flat) map[uint32]uint64 {
 	out := map[uint32]uint64{}
-	if f.Dense() {
-		for id, v := range f.Row() {
-			if v != 0 {
-				out[uint32(id)] = math.Float64bits(v)
-			}
+	for id, v := range f.Row() {
+		if v != 0 {
+			out[uint32(id)] = math.Float64bits(v)
 		}
-		f.Reset()
-		return out
 	}
-	for _, s := range f.Drain() {
-		if _, dup := out[s.ID]; dup || s.V == 0 {
-			t.Fatalf("drain hands out id %d = %v twice or at zero", s.ID, s.V)
-		}
-		out[s.ID] = math.Float64bits(s.V)
-	}
+	f.Reset()
 	return out
 }
 
-// sameBits compares a drained row with the reference's non-zero sums.
+// sameBits compares a finished row with the reference's non-zero sums.
 func sameBits(t *testing.T, name string, got map[uint32]uint64, ref map[uint32]float64) {
 	t.Helper()
 	want := 0
@@ -213,135 +202,87 @@ func sameBits(t *testing.T, name string, got map[uint32]uint64, ref map[uint32]f
 		}
 	}
 	if len(got) != want {
-		t.Fatalf("%s: %d ids drained, want %d", name, len(got), want)
+		t.Fatalf("%s: %d ids finished, want %d", name, len(got), want)
 	}
 }
 
-// TestFlatEquivalence checks the HVNL per-document accumulator against map
-// semantics across rows (one per outer document), in both regimes and both
-// ways a row ends: finished (a Drain while sparse, Row and Reset while
-// dense), or a Take of listed ids followed by Reset — so
-// a row that went dense and was finished by listed Takes must leave the
-// next row clean. Every combination must occur.
+// TestFlatEquivalence checks the per-document accumulator against map
+// semantics across rows (one per outer document), each term fed through
+// Add per cell, AddCells or — a posting of at least a quarter of the ids
+// — AddColumn, bit for bit; and both ways a row ends: read whole and
+// Reset, or read in part and Reset, which must leave the next row clean.
+// Every feed and both ends must occur.
 func TestFlatEquivalence(t *testing.T) {
-	ends := map[string]int{}
+	seen := map[string]int{}
 	check := func(seed int64, n8 uint8) bool {
 		n := int(n8%60) + 1
 		r := rand.New(rand.NewSource(seed))
 		f := NewFlat(n)
 		for row := 0; row < 4; row++ {
 			ref := make(map[uint32]float64)
-			for i, adds := 0, r.Intn(n*3); i < adds; i++ {
-				id := uint32(r.Intn(n))
-				v := float64(r.Intn(100)) * r.Float64() // one add in a hundred is zero
-				f.Add(id, v)
-				ref[id] += v
-			}
-			regime := "sparse"
-			if f.dense {
-				regime = "dense"
+			for term, terms := 0, r.Intn(8); term < terms; term++ {
+				cells := postingOf(r, n, 1+r.Intn(n))
+				w, factor := float64(r.Intn(100)), r.Float64() // one weight in a hundred is zero
+				for _, c := range cells {
+					ref[c.Number] += (w * float64(c.Weight)) * factor
+				}
+				switch feed := r.Intn(3); {
+				case feed == 0:
+					seen["add"]++
+					for _, c := range cells {
+						f.Add(c.Number, (w*float64(c.Weight))*factor)
+					}
+				case feed == 1 || 4*len(cells) < n:
+					seen["cells"]++
+					f.AddCells(cells, w, factor)
+				default:
+					seen["column"]++
+					f.AddColumn(FillColumn(nil, cells, n), w, factor)
+				}
 			}
 			if r.Intn(2) == 0 {
-				ends["finish/"+regime]++
-				sameBits(t, "finish/"+regime, finished(t, f), ref)
+				seen["whole"]++
+				sameBits(t, "whole row", finished(f), ref)
 				continue
 			}
-			ends["take/"+regime]++
-			for id := 0; id < n; id++ {
-				if r.Intn(3) > 0 {
-					continue // not listed: left for Reset
-				}
-				if got := f.Take(uint32(id)); math.Float64bits(got) != math.Float64bits(ref[uint32(id)]) {
-					t.Fatalf("take/%s: id %d = %v, want %v", regime, id, got, ref[uint32(id)])
+			seen["part"]++
+			for id, v := range f.Row()[:r.Intn(n+1)] {
+				if math.Float64bits(v) != math.Float64bits(ref[uint32(id)]) {
+					t.Fatalf("part of a row: id %d = %v, want %v", id, v, ref[uint32(id)])
 				}
 			}
 			f.Reset()
 		}
-		if got := finished(t, f); len(got) != 0 {
-			t.Fatalf("an empty row drains %v", got)
+		if got := finished(f); len(got) != 0 {
+			t.Fatalf("an empty row finishes with %v", got)
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
-	for _, end := range []string{"finish/sparse", "finish/dense", "take/sparse", "take/dense"} {
-		if ends[end] == 0 {
-			t.Errorf("no row ended %s: %v", end, ends)
+	for _, k := range []string{"add", "cells", "column", "whole", "part"} {
+		if seen[k] == 0 {
+			t.Errorf("no %s: %v", k, seen)
 		}
 	}
-}
-
-// TestFlatDenseTakeThenReset is the trap of the dense regime by hand: a row
-// that stopped listing is finished by a Take of one listed id, and Reset
-// must clear the ids nobody took, or they leak into the next row.
-func TestFlatDenseTakeThenReset(t *testing.T) {
-	f := NewFlat(8) // dense at the second listed id
-	f.Add(1, 2)
-	f.Add(5, 3)
-	f.Add(6, 4)
-	if !f.dense {
-		t.Fatal("two ids of eight: want dense")
-	}
-	if got := f.Take(5); got != 3 {
-		t.Fatalf("Take(5) = %v, want 3", got)
-	}
-	f.Reset()
-	f.Add(6, 1)
-	sameBits(t, "next row", finished(t, f), map[uint32]float64{6: 1})
-}
-
-// TestFlatRowInPlace is the dense finish every join uses: while dense, Row
-// holds every value at its id, Drain refuses the row (it lists no ids),
-// and Reset leaves the next row listed and clean.
-func TestFlatRowInPlace(t *testing.T) {
-	f := NewFlat(8) // dense at the second listed id
-	f.Add(1, 2)
-	if f.Dense() {
-		t.Fatal("one id of eight: want sparse")
-	}
-	f.Add(5, 3)
-	if !f.Dense() {
-		t.Fatal("two ids of eight: want dense")
-	}
-	want := []float64{0, 2, 0, 0, 0, 3, 0, 0}
-	for id, v := range f.Row() {
-		if v != want[id] {
-			t.Fatalf("Row() = %v, want %v", f.Row(), want)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Drain of a dense row: want a panic")
-			}
-		}()
-		f.Drain()
-	}()
-	f.Reset()
-	f.Add(6, 1)
-	if f.Dense() {
-		t.Fatal("Reset must return the row to the sparse regime")
-	}
-	sameBits(t, "next row", finished(t, f), map[uint32]float64{6: 1})
 }
 
 // TestAddCellsEqualsAdds pins the one kernel: for every store, AddCells
 // leaves what the same stream of Add calls leaves, each product associated
-// (w·weight)·factor — bit for bit. For Flat the drained (id, bits) multiset
-// is compared, over rows that stay sparse and rows that turn dense in the
-// middle of an AddCells call; both must occur.
+// (w·weight)·factor — bit for bit. For Flat the finished (id, bits) rows
+// are compared.
 // Factors are irrational-looking so a different association would round
 // differently; one term in eight has factor 0. The four-wide dense kernel,
-// addRow, gets fixed cases too, through both stores: every cell count 0–9
-// in each of Flat's regimes and in a dense Store row, ids repeating inside
-// a group of four, and calls whose switch to dense leaves each remainder
-// mod 4 for the loop — and a Store row the same cells.
+// addRow, gets fixed cases too, through both stores: every cell count 0–9,
+// so every remainder mod 4 for the loop's tail, in a Flat row that already
+// holds sums and in a dense Store row, ids repeating inside a group of
+// four.
 func TestAddCellsEqualsAdds(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	// flatCase feeds pre through Add to both Flats, then cells through one
-	// AddCells and through one Add per cell, and compares the drained rows.
-	flatCase := func(name string, n int, pre, cells []codec.Cell, wantDense bool) {
+	// AddCells and through one Add per cell, and compares the finished rows.
+	flatCase := func(name string, n int, pre, cells []codec.Cell) {
 		t.Helper()
 		flat, ref := NewFlat(n), NewFlat(n)
 		w, factor := float64(1+r.Intn(60000)), math.Sqrt(r.Float64()*9)
@@ -353,12 +294,9 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		for _, c := range cells {
 			ref.Add(c.Number, (w*float64(c.Weight))*factor)
 		}
-		if flat.Dense() != wantDense {
-			t.Fatalf("%s: dense = %v, want %v", name, flat.Dense(), wantDense)
-		}
-		got, want := finished(t, flat), finished(t, ref)
+		got, want := finished(flat), finished(ref)
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d ids drained, Add leaves %d", name, len(got), len(want))
+			t.Fatalf("%s: %d ids finished, Add leaves %d", name, len(got), len(want))
 		}
 		for id, bits := range want {
 			if got[id] != bits {
@@ -400,25 +338,13 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 			ids[i] = r.Intn(12)
 		}
 		storeCase(fmt.Sprintf("store, %d cells", count), cellsOf(ids))
-		flatCase(fmt.Sprintf("sparse, %d cells", count), 64, nil, cellsOf(ids), false)                          // limit 16: stays listed
-		flatCase(fmt.Sprintf("dense, %d cells", count), 16, cellsOf([]int{12, 13, 14, 15}), cellsOf(ids), true) // limit 4: dense before the call
-	}
-	// Limit 16; 15−k ids already listed, so the call's cell k is the 16th
-	// listed id and the four-wide loop gets the 19−k cells after it.
-	for k := 0; k < 8; k++ {
-		fresh := cellsOf(r.Perm(32)[:20])
-		pre := make([]codec.Cell, 0, 15-k)
-		for id := 32; len(pre) < 15-k; id++ {
-			pre = append(pre, codec.Cell{Number: uint32(id), Weight: 1})
-		}
-		storeCase(fmt.Sprintf("store, the %d cells after switch %d", 19-k, k), fresh[k+1:])
-		flatCase(fmt.Sprintf("switch at cell %d", k), 64, pre, fresh, true)
+		flatCase(fmt.Sprintf("flat, %d cells", count), 16, cellsOf([]int{3, 10, 12, 15}), cellsOf(ids))
 	}
 
 	// AddColumn of a posting equals AddCells of the same cells, through the
-	// vector kernel and through the Go one: into a Flat row still listing
-	// (pre touches one id) and one already dense (pre touches a quarter),
-	// and into a dense Store row holding the same sums as the reference row.
+	// vector kernel and through the Go one: into a Flat row holding sums on
+	// one id or on a quarter of them, and into a dense Store row holding the
+	// same sums as the reference row.
 	columnCase := func(name string, n int, pre, cells []codec.Cell) {
 		t.Helper()
 		w, factor := float64(1+r.Intn(60000)), math.Sqrt(r.Float64()*9)
@@ -433,10 +359,7 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		}
 		flat.AddColumn(col, w, factor)
 		ref.AddCells(cells, w, factor)
-		if !flat.Dense() || !ref.Dense() {
-			t.Fatalf("%s: dense = %v after AddColumn, %v after AddCells; want both", name, flat.Dense(), ref.Dense())
-		}
-		got, want := finished(t, flat), finished(t, ref)
+		got, want := finished(flat), finished(ref)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d ids finished, AddCells leaves %d", name, len(got), len(want))
 		}
@@ -459,14 +382,13 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 			for _, k := range []int{(n + 3) / 4, (n + 1) / 2, n} {
 				cells := postingOf(r, n, k)
 				name := fmt.Sprintf("column of %d over %d, vector %v", k, n, vector)
-				columnCase(name+", listing", n, postingOf(r, n, 1), cells)
-				columnCase(name+", dense", n, postingOf(r, n, (n+3)/4), cells)
+				columnCase(name+", one sum", n, postingOf(r, n, 1), cells)
+				columnCase(name+", a quarter summed", n, postingOf(r, n, (n+3)/4), cells)
 			}
 		}
 		setVector(was)
 	}
 
-	regimes := map[bool]int{}
 	check := func(seed int64, rows8, cols8 uint8) bool {
 		rows, cols := int(rows8%20)+1, int(cols8%50)+1
 		r := rand.New(rand.NewSource(seed))
@@ -499,10 +421,9 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 				st.got.AddCells(cells, row, w, factor)
 			}
 		}
-		regimes[flat.dense]++
-		got, want := finished(t, flat), finished(t, flatRef)
+		got, want := finished(flat), finished(flatRef)
 		if len(got) != len(want) {
-			t.Fatalf("flat: %d ids drained, Add leaves %d", len(got), len(want))
+			t.Fatalf("flat: %d ids finished, Add leaves %d", len(got), len(want))
 		}
 		for id, bits := range want {
 			if got[id] != bits {
@@ -522,55 +443,9 @@ func TestAddCellsEqualsAdds(t *testing.T) {
 		}
 		return true
 	}
-	// The fixed source below ends every row dense, so one row of each
-	// regime is built explicitly, over 50 columns (a 12-id listing limit):
-	// seed 562 draws 2 terms with one cell in 12 and ends sparse, seed 1
-	// draws 27 with one in 6 and ends dense.
-	check(562, 0, 49)
-	check(1, 0, 49)
 	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
-	if regimes[false] == 0 || regimes[true] == 0 {
-		t.Errorf("rows ended sparse %d times and dense %d times, want both", regimes[false], regimes[true])
-	}
-}
-
-// TestFlatFirstTouchOrder pins the drain order, first touch, and that a
-// dense row finished in place through Row and Reset leaves the next row
-// sparse and draining in its own first-touch order.
-func TestFlatFirstTouchOrder(t *testing.T) {
-	f := NewFlat(16) // dense at the fourth listed id
-	drain := func(want ...Sum) {
-		t.Helper()
-		got := f.Drain()
-		if len(got) != len(want) {
-			t.Fatalf("drained %v, want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("drained %v, want %v", got, want)
-			}
-		}
-	}
-	f.Add(7, 1)
-	f.Add(2, 1)
-	f.Add(7, 2)
-	f.Add(0, 5)
-	drain(Sum{7, 3}, Sum{2, 1}, Sum{0, 5})
-	for _, id := range []uint32{9, 4, 12, 3, 1} {
-		f.Add(id, float64(id))
-	}
-	if !f.dense {
-		t.Fatal("five ids of sixteen: want dense")
-	}
-	sameBits(t, "dense row", finished(t, f), map[uint32]float64{1: 1, 3: 3, 4: 4, 9: 9, 12: 12})
-	f.Add(5, 1)
-	f.Add(3, 2)
-	if f.dense {
-		t.Fatal("a Reset must return the row to the sparse regime")
-	}
-	drain(Sum{5, 1}, Sum{3, 2})
 }
 
 func TestTableGrowth(t *testing.T) {
@@ -839,9 +714,7 @@ func TestIDSetQuick(t *testing.T) {
 
 // BenchmarkAddRow times the one dense kernel, addRow, per cell, over as
 // many ids as hvnl_probe's inner collection (6 171), through both callers:
-// a Flat row past its n/4 limit and a dense Store row, each fed a term of
-// 1 000 cells. flat-sparse is the listed path a Flat row takes before it
-// turns dense: a term of 64 cells, which Reset clears after each call. All
+// a Flat row and a dense Store row, each fed a term of 1 000 cells. Both
 // must allocate nothing.
 //
 //	go test -run '^$' -bench AddRow -benchmem ./internal/accum
@@ -857,18 +730,9 @@ func BenchmarkAddRow(b *testing.B) {
 		}
 		return cells
 	}
-	flat := func(dense bool) func([]codec.Cell) {
+	flat := func() func([]codec.Cell) {
 		f := NewFlat(n)
-		if dense {
-			f.AddCells(term(n/4), 1, 1)
-		}
-		if f.Dense() != dense {
-			b.Fatalf("dense = %v, want %v", f.Dense(), dense)
-		}
-		if dense {
-			return func(cells []codec.Cell) { f.AddCells(cells, 3, 0.5) }
-		}
-		return func(cells []codec.Cell) { f.AddCells(cells, 3, 0.5); f.Reset() }
+		return func(cells []codec.Cell) { f.AddCells(cells, 3, 0.5) }
 	}
 	store := func() func([]codec.Cell) {
 		s := New(1, n, n*8)
@@ -881,7 +745,7 @@ func BenchmarkAddRow(b *testing.B) {
 		name  string
 		cells int
 		add   func([]codec.Cell)
-	}{{"flat-sparse", 64, flat(false)}, {"flat-dense", 1000, flat(true)}, {"store-dense", 1000, store()}} {
+	}{{"flat-dense", 1000, flat()}, {"store-dense", 1000, store()}} {
 		b.Run(bc.name, func(b *testing.B) {
 			cells := term(bc.cells)
 			b.ReportAllocs()

@@ -12,14 +12,13 @@ import (
 // one contiguous sweep, four products per vector instruction — than as
 // its cells, each a scattered add, and it takes no more memory: its 2·n
 // bytes are at most the 8·df of the cells it replaces exactly when
-// 4·df ≥ n, Flat's own dense limit.
+// 4·df ≥ n.
 //
 // Adding a column is bit for bit adding its cells. Each present id gets
 // the same two multiplications in the same order as addRow, and an absent
 // one gets (w·0)·factor = +0, which leaves any non-negative sum as it was:
 // weights and factors are finite and non-negative, the assumption Store
-// states. A column reaches at least n/4 ids, so a Flat row it is added to
-// turns dense exactly as AddCells of its cells would have turned it.
+// states.
 
 // vector reports whether this CPU adds a column with the vector kernel
 // (codec.HaveVector, the module's one CPU probe). Where it does not,
@@ -45,10 +44,9 @@ func FillColumn(col []uint16, cells []codec.Cell, n int) []uint16 {
 
 // AddColumn accumulates one term's products, as AddCells does, from the
 // posting's column (FillColumn) over ids 0..len(col)-1. The posting must
-// be Columnar over f's range; the row is dense afterwards.
+// be Columnar over f's range.
 func (f *Flat) AddColumn(col []uint16, w, factor float64) {
 	addColumn(f.vals, col, w, factor)
-	f.dense = true
 }
 
 // AddColumn accumulates one term's products into a dense store's row, as

@@ -133,9 +133,9 @@ func kernelLists(r *rand.Rand, mode, streamed, slots int) [][]int32 {
 // TestBlockKernelMatchesPairwiseScoring is the gate of DESIGN §5.8: over
 // random resident batches and streamed documents, under every weighting
 // and slot-list regime, the similarities the shared kernel (accum.Flat's
-// AddCells, fed by residentBlock.accumulate) leaves, as its dense Row or
-// its sparse Drain hands them out, are the pairwise scorer's to the last
-// bit, and a stage fed through it ends with the
+// AddCells and AddColumn, fed by residentBlock.accumulate) leaves in its
+// row, one slot per document of the batch, are the pairwise scorer's to
+// the last bit, and a stage fed through it ends with the
 // trackers, comparisons and false passes of the pairwise loop. Each trial
 // runs several batches through one block and one stage, as a join does.
 func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
@@ -156,26 +156,19 @@ func TestBlockKernelMatchesPairwiseScoring(t *testing.T) {
 			block.regroup(batch)
 			for _, ks := range kernelScorers(t, r, batch, streamed, vocab) {
 				name, scorer := ks.name, ks.Scorer
-				acc := block.acc
+				acc := &block.acc
 				for i := range streamed {
 					d := &streamed[i]
 					block.accumulate(scorer, d)
-					drained := map[uint32]float64{}
-					if acc.Dense() {
-						for slot, v := range acc.Row()[:len(batch)] {
-							drained[uint32(slot)] = v
-						}
-						acc.Reset()
+					row := acc.Row()
+					if len(row) != len(batch) {
+						t.Fatalf("seed %d %s batch %d: a row of %d slots for a batch of %d", seed, name, batchNo, len(row), len(batch))
 					}
-					for _, sum := range acc.Drain() {
-						if _, dup := drained[sum.ID]; dup || sum.V == 0 {
-							t.Fatalf("seed %d %s: slot %d drained twice or at zero (%v)", seed, name, sum.ID, sum.V)
-						}
-						drained[sum.ID] = sum.V
-					}
+					drained := slices.Clone(row)
+					acc.Reset()
 					outer, inner := scorer.Norms()
 					for slot := range batch {
-						res, sim := &batch[slot], drained[uint32(slot)]
+						res, sim := &batch[slot], drained[slot]
 						if outer != nil {
 							sim = document.Finalize(sim, outer[slot], inner[d.ID])
 						}

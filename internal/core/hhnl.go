@@ -272,9 +272,9 @@ type residentBlock struct {
 	terms []uint32
 	offs  []int32 // entry e's postings are post[offs[e]:offs[e+1]]
 	post  []codec.Cell
-	cols  []uint16    // column k is cols[k·len(ids):(k+1)·len(ids)]
-	acc   *accum.Flat // over the slots: the streamed document being scored
-	slots int         // the most documents a batch holds
+	cols  []uint16   // column k is cols[k·len(ids):(k+1)·len(ids)]
+	acc   accum.Flat // over the batch's slots: the streamed document being scored
+	slots int        // the most documents a batch holds
 }
 
 // newResidentBlock sizes a block for batches of at most slots documents
@@ -289,10 +289,6 @@ func newResidentBlock(slots int, terms int64) *residentBlock {
 // resize empties the block and sizes it as newResidentBlock does, keeping
 // its arrays.
 func (b *residentBlock) resize(slots int, terms int64) {
-	if b.acc == nil {
-		b.acc = &accum.Flat{}
-	}
-	b.acc.Resize(slots)
 	b.ids, b.slots = slices.Grow(b.ids[:0], slots), slots
 	b.dir = slices.Grow(b.dir[:0], int(terms))[:terms]
 	clear(b.dir)
@@ -305,8 +301,10 @@ func (b *residentBlock) resize(slots int, terms int64) {
 // entry e's postings start where entry e-1's end, and a Columnar term is
 // numbered a column instead; the second pass places the cells. Cells are
 // visited in slot order, so each term's postings ascend by slot. The block
-// must have been sized for the batch (newResidentBlock).
+// must have been sized for the batch (newResidentBlock); the accumulator
+// is sized to the batch itself, so a short last batch's row is short too.
 func (b *residentBlock) regroup(batch []document.Document) {
+	b.acc.Resize(len(batch))
 	for _, t := range b.terms {
 		b.dir[t] = 0
 	}
@@ -410,27 +408,28 @@ func (s *blockStage) begin(lists [][]int32, base int) {
 
 // score offers d1 to the tracker of every slot it reached — of every
 // listed slot it reached, under slot lists. A slot it did not reach has
-// similarity zero, which no tracker keeps. A dense row is read in place,
-// in slot order, and then Reset; a sparse one is drained.
+// similarity zero, which no tracker keeps. The row is read in place, in
+// slot order, and then Reset.
 //
-// A dense row under an identity scorer is the join's hot loop: each pair
-// costs one compare against the slot's bar, read in place from the bar
-// vector, and only a similarity that can enter calls into the slab. Under
-// cosine a pair first meets the admission rule against the slot's bar and
-// norm (document.Admit), which divides only a pair that can enter.
+// Under an identity scorer this is the join's hot loop: each pair costs
+// one compare against the slot's bar, read in place from the bar vector,
+// and only a similarity that can enter calls into the slab. Under cosine
+// a pair first meets the admission rule against the slot's bar and norm
+// (document.Admit), which divides only a pair that can enter.
 func (s *blockStage) score(d1 *document.Document) {
 	s.block.accumulate(s.scorer, d1)
-	ids, acc, tk, base, inner := s.block.ids, s.block.acc, s.tk, s.base, d1.ID
+	ids, tk, base, inner := s.block.ids, s.tk, s.base, d1.ID
 	bars, outer, ni := tk.Bars()[base:base+len(ids)], s.outer, 0.0
 	if outer != nil {
 		ni = s.inner[inner]
 	}
+	row := s.block.acc.Row()[:len(ids)]
 	hit, compared := false, len(ids)
 	switch {
 	case s.lists != nil:
 		slots := s.lists[inner]
 		for _, slot := range slots {
-			sim := acc.Take(uint32(slot))
+			sim := row[slot]
 			if sim == 0 {
 				continue
 			}
@@ -440,10 +439,8 @@ func (s *blockStage) score(d1 *document.Document) {
 			}
 			tk.Offer(base+int(slot), inner, sim)
 		}
-		acc.Reset()
 		compared = len(slots)
-	case acc.Dense() && outer == nil:
-		row := acc.Row()[:len(ids)]
+	case outer == nil:
 		for slot, sim := range row {
 			if sim >= bars[slot] && sim > 0 {
 				hit = true
@@ -454,9 +451,8 @@ func (s *blockStage) score(d1 *document.Document) {
 		if s.countFalse && !hit {
 			hit = slices.ContainsFunc(row, func(sim float64) bool { return sim != 0 })
 		}
-		acc.Reset()
-	case acc.Dense():
-		row, outer := acc.Row()[:len(ids)], outer[:len(ids)]
+	default:
+		outer := outer[:len(ids)]
 		for slot, raw := range row {
 			if raw == 0 {
 				continue
@@ -466,17 +462,8 @@ func (s *blockStage) score(d1 *document.Document) {
 				tk.Offer(base+slot, inner, sim)
 			}
 		}
-		acc.Reset()
-	default:
-		for _, sum := range acc.Drain() {
-			hit = true
-			sim := sum.V
-			if outer != nil {
-				sim = document.Admit(sim, bars[sum.ID], outer[sum.ID], ni)
-			}
-			tk.Offer(base+int(sum.ID), inner, sim)
-		}
 	}
+	s.block.acc.Reset()
 	s.comparisons += int64(compared)
 	if s.countFalse && !hit {
 		s.falsePasses++

@@ -29,11 +29,12 @@ import (
 //     for the ablation benchmark).
 //   - When a new document is processed, its terms whose entries are
 //     already cached are consumed first.
-//   - Only non-zero intermediate similarities are stored; the memory
-//     reservation for them is 4·N1·δ bytes, exactly the paper's estimate.
-//     The store itself is an accum.Flat — inner ids are contiguous
-//     0..N1-1, so each accumulation is one indexed add, and the touched
-//     list keeps a sparse row's drain proportional to the non-zero count.
+//   - The paper stores only non-zero intermediate similarities, reserving
+//     4·N1·δ bytes for them. Here the store is an accum.Flat, one dense
+//     row of N1 floats — inner ids are contiguous 0..N1-1, so each
+//     accumulation is one indexed add — and the plan charges all of it.
+//     A row is finished by one pass of block maxima over it (the dense
+//     drain) and a clear, each a fraction of a nanosecond per id.
 //   - An entry that covers at least a quarter of C1 is cached as its
 //     column of N1 weights in place of its cells (accum.Columnar), built
 //     once as it enters the cache and added to the row in one sweep. It is
@@ -106,7 +107,7 @@ func runHVNL(in Inputs, opts Options, m memory, scorer *document.Scorer, set *Ro
 	// the reuse path applies: one arena document for the whole sweep.
 	ws.acc.Resize(n1)
 	ws.drain.reset(scorer, in.Inner, n1, opts.Lambda)
-	rows := &hvnlRows{acc: &ws.acc, tks: &ws.tks, drain: &ws.drain, scorer: scorer,
+	rows := &hvnlRows{acc: &ws.acc, tks: &ws.tks, drain: &ws.drain,
 		results: set.reset(int(in.Outer.NumDocs()), opts.Lambda, &ws.tks)}
 	var cacheUsed int64
 	stored := in.Outer.File() != nil // a query batch decodes nothing
@@ -282,26 +283,17 @@ type hvnlRows struct {
 	acc     *accum.Flat
 	tks     *topk.Block
 	drain   *denseDrain
-	scorer  *document.Scorer
 	pairs   int64 // inner documents the rows reached, summed
 	results []Result
 }
 
 // flush turns the accumulator into the outer document's row and readies it
-// for the next: every inner document the row reached is offered to the
-// row's tracker, whose slot is the document's rank. A dense row is read in
-// place by the dense drain and then Reset; a sparse one is drained, in
-// first-touch order.
+// for the next: the dense drain offers every inner document the row
+// reached to the row's tracker, whose slot is the document's rank, and
+// the row is Reset.
 func (r *hvnlRows) flush(outer uint32) {
-	slot := len(r.results)
-	if r.acc.Dense() {
-		r.pairs += int64(r.drain.offer(r.tks, slot, r.acc.Row()))
-		r.acc.Reset()
-	} else {
-		sums := r.acc.Drain()
-		r.pairs += int64(len(sums))
-		offerSums(r.tks, slot, r.scorer, sums)
-	}
+	r.pairs += int64(r.drain.offer(r.tks, len(r.results), r.acc.Row()))
+	r.acc.Reset()
 	r.results = append(r.results, Result{Outer: outer})
 }
 
@@ -439,19 +431,5 @@ func siftDown(h []float64, i int) {
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
-	}
-}
-
-// offerSums is the drain for a sparse row's drained sums, in first-touch
-// order, each pair under cosine through the admission rule
-// (document.Admit).
-func offerSums(tks *topk.Block, slot int, scorer *document.Scorer, sums []accum.Sum) {
-	outer, inner := scorer.Norms()
-	for _, sum := range sums {
-		sim := sum.V
-		if outer != nil {
-			sim = document.Admit(sim, tks.Bars()[slot], outer[slot], inner[sum.ID])
-		}
-		tks.Offer(slot, sum.ID, sim)
 	}
 }

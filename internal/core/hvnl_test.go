@@ -36,8 +36,8 @@ var wsjHVNLOptions = Options{Lambda: 20, MemoryPages: 11}
 
 // TestHVNLOccupancyCountsReachedDocuments holds Stats.Pairs to the
 // brute-force count of inner documents each outer document shares a term
-// with, on a corpus whose rows stay sparse and rows that turn dense (a
-// quarter of the inner ids).
+// with, on a corpus with sparse rows and dense ones (reaching less and
+// more than a quarter of the inner ids).
 func TestHVNLOccupancyCountsReachedDocuments(t *testing.T) {
 	e := buildEnv(t, 71, 60, 50, 400, 30, 256)
 	inner := scanDocs(t, e.c1)
