@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fuzz-smoke race perf perf-aa trace-smoke obs-smoke bench-json bench-load smoke-bin lint lint-report lines
+.PHONY: build test verify fuzz-smoke race perf perf-aa trace-smoke obs-smoke bench-json bench-load smoke-bin lines
 
 build:
 	$(GO) build ./...
@@ -8,17 +8,13 @@ build:
 test: build
 	$(GO) test ./...
 
-# verify is the CI gate for the concurrent join paths: vet everything,
-# run the in-repo static-analysis suite (cmd/lintcheck, two analyzers
-# over types loaded from the compiler's export data: map-iteration
-# determinism and dropped errors — fails on any finding or unexplained
-# lint:ignore; a mutex copied by value is go vet's finding, not the
-# suite's, which is why vet stays ahead of lintcheck here; the package
-# DAG — its program rows included: a cmd/ or examples/ package reaches
-# the storage and join stack through the facade only — and the wall
-# clock are internal/analysis's arch test, nil receivers, lock hygiene,
-# ended spans and closed views and cmd/ files are tests too, all part of
-# go test), then race-check the
+# verify is the CI gate for the concurrent join paths: vet everything (a
+# mutex copied by value is go vet's copylocks finding; the package DAG —
+# its program rows included: a cmd/ or examples/ package reaches the
+# storage and join stack through the facade only — the wall clock, seeded
+# quick checks and closed cmd/ files are the parse-only tests of the root
+# arch_test.go, and nil receivers, lock hygiene, ended spans and closed
+# views are tests too, all part of go test), then race-check the
 # packages that run concurrently (in internal/core the joins run
 # concurrently on views of one disk, each on its caller's goroutine), the
 # free lists the joins' run states and the server's row sets and reply
@@ -48,8 +44,11 @@ test: build
 # page-read grid checked against its baseline, and a short fuzz of every
 # decoder. benchmark/ is a module of its own that root ./... patterns
 # never reach, so it is vetted and tested by name: a facade rename must
-# not break it unnoticed. The vector column kernel is amd64 assembly
-# (go vet's asmdecl checks its frames), and so are the block maxima kernel
+# not break it unnoticed. Tier-1 holds the vet half too: the root test
+# TestBenchmarkModuleVets runs go vet inside benchmark/, so a renamed
+# method that benchmark/ calls fails go test ./... already. The vector
+# column kernel is amd64 assembly (go vet's asmdecl checks its frames),
+# and so are the block maxima kernel
 # of the dense drain and the cell unpack every record decode runs;
 # GOARCH=arm64 vet keeps the pure-Go build every other platform takes,
 # and their Go bodies, compiling.
@@ -57,18 +56,7 @@ verify: obs-smoke trace-smoke bench-json fuzz-smoke
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) run ./cmd/lintcheck
 	$(GO) test -race ./internal/core/... ./internal/freelist/... ./internal/accum/... ./internal/entrycache/... ./internal/invfile/... ./internal/iosim/... ./internal/btree/... ./internal/collection/... ./internal/document/... ./internal/corpus/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./cmd/textjoind/...
-
-# lint runs the repo's own static-analysis suite over the whole module
-# and benchmark/: two analyzers driven by the checked-in policy table in
-# internal/analysis/policy.go (see DESIGN.md §11); the package DAG and the
-# wall-clock check are the arch test in internal/analysis. Exit 1 on
-# findings.
-# By-value mutex copies are go vet's (copylocks): run `go vet ./...`
-# with it, as verify does.
-lint:
-	$(GO) run ./cmd/lintcheck
 
 # lines prints the line counts a simplicity change is judged by:
 # non-test and _test.go lines outside the benchmark/ module, and the
@@ -78,11 +66,6 @@ lines:
 	@echo "non-test Go: $$($(GOFILES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@echo "_test.go:    $$($(GOFILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@echo "assembly:    $$(find . -name '*.s' -not -path './benchmark/*' -not -path './.git/*' -print0 | xargs -0 -r cat | wc -l)"
-
-# lint-report prints the review-friendly view: every rule with its doc
-# line and finding count, the suppression tally, then each finding.
-lint-report:
-	$(GO) run ./cmd/lintcheck -report || true
 
 race:
 	$(GO) test -race ./...

@@ -169,9 +169,9 @@ func waitReady(base string, budget time.Duration) error {
 	for {
 		resp, err := client.Get(base + "/healthz")
 		if err == nil {
-			//lint:ignore errdrop readiness probe: a drain error just means another retry
+			// Readiness probe: a drain error just means another retry.
 			io.Copy(io.Discard, resp.Body)
-			//lint:ignore errdrop readiness probe: a close error just means another retry
+			// Readiness probe: a close error just means another retry.
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				return nil
@@ -229,7 +229,7 @@ arrivals:
 					if err == nil {
 						err = readErr
 					}
-					//lint:ignore errdrop body fully read above; Close carries no further signal
+					// The body was fully read above; Close carries no further signal.
 					resp.Body.Close()
 				}
 				// The client clock stops only after the body is fully

@@ -615,6 +615,6 @@ func floatParam(q url.Values, name string, def float64) (float64, error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	//lint:ignore errdrop an encode error here means the client hung up; the handler has no recourse
+	// An encode error here means the client hung up; the handler has no recourse.
 	json.NewEncoder(w).Encode(v)
 }

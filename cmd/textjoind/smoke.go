@@ -78,7 +78,7 @@ func runSmoke(cfg config, out io.Writer) error {
 		return nil
 	}
 	if err := check(); err != nil {
-		//lint:ignore errdrop a shutdown error must not mask the failing check's error
+		// A shutdown error must not mask the failing check's error.
 		hs.Close()
 		return err
 	}

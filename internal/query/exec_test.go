@@ -1,6 +1,9 @@
 package query_test
 
 import (
+	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -42,6 +45,13 @@ var applicantNames = []string{"Ada", "Bob", "Cara", "Dan", "Eve"}
 
 func buildJobEnv(t *testing.T) *jobEnv {
 	t.Helper()
+	return buildEnv(t, positionTitles, positionTexts, applicantNames, applicantTexts)
+}
+
+// buildEnv builds Positions (P# i+1, titles[i], descriptions[i]) and
+// Applicants (SSN 1000+i, names[i], resumeTexts[i]) over tokenized text.
+func buildEnv(t *testing.T, titles, descriptions, names, resumeTexts []string) *jobEnv {
+	t.Helper()
 	ws := textjoin.NewWorkspace(textjoin.WithPageSize(256))
 	dict := termmap.NewDictionary()
 	tok := tokenize.New(dict, tokenize.Options{})
@@ -65,8 +75,8 @@ func buildJobEnv(t *testing.T) *jobEnv {
 		return c, inv
 	}
 
-	resumes, resumesInv := build("resumes", applicantTexts)
-	descrs, descrsInv := build("descrs", positionTexts)
+	resumes, resumesInv := build("resumes", resumeTexts)
+	descrs, descrsInv := build("descrs", descriptions)
 
 	positions, err := relation.New("Positions", []relation.Column{
 		{Name: "P#", Type: relation.Int},
@@ -76,7 +86,7 @@ func buildJobEnv(t *testing.T) *jobEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, title := range positionTitles {
+	for i, title := range titles {
 		if err := positions.Insert(relation.IntValue(int64(i+1)), relation.StringValue(title), relation.TextValue(uint32(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +99,7 @@ func buildJobEnv(t *testing.T) *jobEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range applicantNames {
+	for i, name := range names {
 		if err := applicants.Insert(relation.IntValue(int64(1000+i)), relation.StringValue(name), relation.TextValue(uint32(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -232,6 +242,56 @@ func TestExecuteForcedAlgorithms(t *testing.T) {
 					t.Errorf("%v row %d col %d: %q vs %q", alg, i, j, rs.Rows[i][j], baseline.Rows[i][j])
 				}
 			}
+		}
+	}
+}
+
+// TestExecuteRowOrderIsStable holds a result set's order: rows follow
+// the outer relation's rows, an outer row's matches run best first, and
+// every execution returns the same rows in the same order. Sixteen outer
+// rows span more than one map group, so a map range that ordered the rows
+// would reorder them from one execution to the next and fail here.
+func TestExecuteRowOrderIsStable(t *testing.T) {
+	var titles, descriptions []string
+	for i := 0; i < 16; i++ {
+		titles = append(titles, fmt.Sprintf("Position %d", i+1))
+		descriptions = append(descriptions, positionTexts[i%len(positionTexts)]+" "+applicantTexts[i%len(applicantTexts)])
+	}
+	e := buildEnv(t, titles, descriptions, applicantNames, applicantTexts)
+	src := `Select P.P#, A.Name From Positions P, Applicants A
+		Where A.Resume SIMILAR_TO(3) P.Job_descr`
+	var runs [5][][]string
+	for i := range runs {
+		rs, err := e.engine.ExecuteString(src, query.Options{MemoryPages: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = rs.Rows
+	}
+	prev, prevSim, outers := 0, 0.0, 0
+	for _, row := range runs[0] {
+		p, err := strconv.Atoi(row[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := strconv.ParseFloat(row[2], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p < prev || p == prev && sim > prevSim {
+			t.Fatalf("row %v follows P# %d at similarity %v: rows are out of order\n%v", row, prev, prevSim, runs[0])
+		}
+		if p != prev {
+			outers++
+		}
+		prev, prevSim = p, sim
+	}
+	if outers != len(titles) {
+		t.Fatalf("rows name %d positions, want all %d:\n%v", outers, len(titles), runs[0])
+	}
+	for i, rows := range runs[1:] {
+		if !reflect.DeepEqual(rows, runs[0]) {
+			t.Fatalf("execution %d returned\n%v\nafter\n%v", i+2, rows, runs[0])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -188,6 +189,29 @@ func TestGaugesRenderAndLint(t *testing.T) {
 	}
 	if !strings.Contains(body, `textjoin_slo_burn_rate{objective="availability"}`) {
 		t.Fatalf("exposition lacks labelled slo gauges:\n%s", body)
+	}
+}
+
+// TestGaugesFollowObjectiveOrder holds Gauges to the order of the
+// objectives, five families each in a fixed order. Ten objectives are
+// more than one map group holds, so an engine that ranged over them
+// through a map would return them out of order.
+func TestGaugesFollowObjectiveOrder(t *testing.T) {
+	var objs []Objective
+	for i := 0; i < 10; i++ {
+		o := availObjective()
+		o.Name = fmt.Sprintf("objective-%d", i)
+		objs = append(objs, o)
+	}
+	e := mustEngine(t, metrics.New(), newClock(), time.Minute, objs...)
+	gauges := e.Gauges()
+	if len(gauges) != 5*len(objs) {
+		t.Fatalf("gauges = %d, want 5 per objective", len(gauges))
+	}
+	for i, g := range gauges {
+		if o := objs[i/5]; g.LabelValue != o.Name || g.Family != gauges[i%5].Family {
+			t.Fatalf("gauge %d is %s{%s}, want the %s family of objective %s", i, g.Family, g.LabelValue, gauges[i%5].Family, o.Name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package textjoin
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -113,5 +114,52 @@ func TestOpenCollectionMissing(t *testing.T) {
 	ws := NewWorkspace()
 	if _, err := ws.OpenCollection("ghost", 1); err == nil {
 		t.Error("missing collection: want error")
+	}
+}
+
+// errDiskFull is what failAt's writer returns once its budget is spent.
+var errDiskFull = errors.New("disk full")
+
+// failAt accepts the first n bytes written to it and fails every write
+// from byte n on, as a full disk or a closed pipe would.
+type failAt struct{ n int }
+
+func (w *failAt) Write(p []byte) (int, error) {
+	if len(p) <= w.n {
+		w.n -= len(p)
+		return len(p), nil
+	}
+	k := w.n
+	w.n = 0
+	return k, errDiskFull
+}
+
+// TestSaveReportsEveryWriteError holds Save to its one way of saying a
+// snapshot is incomplete: for every byte offset k of a small image, a
+// writer that fails at byte k must make Save return that failure. The
+// image is larger than Save's write buffer, so both a write that fails
+// mid-image and the final flush are offsets here.
+func TestSaveReportsEveryWriteError(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	ws := NewWorkspace(WithPageSize(512))
+	c, err := ws.NewCollection("c1", randomDocuments(r, 40, 200, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ws.BuildInvertedFile(c); err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	n, err := ws.Save(&image)
+	if err != nil || n != int64(image.Len()) {
+		t.Fatalf("Save = %d, %v; image has %d bytes", n, err, image.Len())
+	}
+	if image.Len() <= 4096 {
+		t.Fatalf("image is %d bytes; it must outgrow Save's 4096-byte buffer", image.Len())
+	}
+	for k := 0; k < image.Len(); k++ {
+		if _, err := ws.Save(&failAt{n: k}); !errors.Is(err, errDiskFull) {
+			t.Fatalf("writer failing at byte %d of %d: Save returned %v", k, image.Len(), err)
+		}
 	}
 }

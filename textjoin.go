@@ -25,9 +25,9 @@
 // The package is the one door to the storage and join stack: every
 // program under cmd/ and examples/ gets its disk, collections, inverted
 // files and sidecars from a Workspace and runs joins through Join and
-// JoinIntegrated, and the lint policy (internal/analysis) forbids them
-// the storage packages underneath. In return the facade stays as small
-// as its callers: an export no program names is deleted, not kept
+// JoinIntegrated, and the root TestArchitecture forbids them the
+// storage packages underneath. In return the facade stays as small as
+// its callers: an export no program names is deleted, not kept
 // (TestFacadeExportsHaveProgramCallers).
 //
 // # Quick start
