@@ -49,7 +49,8 @@ test: build
 # method that benchmark/ calls fails go test ./... already. The vector
 # column kernel is amd64 assembly (go vet's asmdecl checks its frames),
 # and so are the block maxima kernel
-# of the dense drain and the cell unpack every record decode runs;
+# of the dense drain, the candidate kernel of the block joins' rows and
+# the cell unpack every record decode runs;
 # GOARCH=arm64 vet keeps the pure-Go build every other platform takes,
 # and their Go bodies, compiling.
 verify: obs-smoke trace-smoke bench-json fuzz-smoke
@@ -75,7 +76,8 @@ race:
 # the same cell unpack against a per-cell reference, each with the vector
 # unpack on and off, the B+tree cell decoder, the cosine admission rule
 # against the division it skips, the vector column kernel and the block
-# maxima kernel against their Go references, bit for bit, the seeded
+# maxima kernel against their Go references, bit for bit, the candidate
+# kernel's two bodies against a per-slot test, the seeded
 # dense drain against the unseeded one it replaced, and the corpus
 # generator's table-resolved Zipf sampler against math/rand's, VVM's
 # similarity store against a map through its promotions, the λ-tracker
@@ -95,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesMap$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzAddColumn$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockMaxima$$' -fuzztime 10s ./internal/accum
+	$(GO) test -run '^$$' -fuzz '^FuzzAbove$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockMatchesTopK$$' -fuzztime 10s ./internal/topk
 	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/iosim
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinsAgree$$' -fuzztime 10s ./internal/core

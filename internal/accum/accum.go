@@ -13,7 +13,8 @@
 //     accumulation is a single indexed add. The paper keeps "only non-zero
 //     similarities"; the row holds all n, which is what the plan charges
 //     for it, and a row is finished by a scan in place (Row, then Reset),
-//     which the caller's dense drain makes cheap (blockmax.go).
+//     which HVNL's dense drain (blockmax.go) and the block joins' candidate
+//     list (above.go) make cheap.
 //   - Store is VVM's: one per join, Reset between passes. It has two
 //     representations. A pass starts as the dense rows×cols matrix when
 //     that fits the store's limit (UseDense), otherwise as a power-of-two

@@ -17,3 +17,12 @@ func addColumnVector(vals []float64, col []uint16, w, factor float64)
 //
 //go:noescape
 func blockMaximaVector(maxes, row, scale []float64) (nonzero int)
+
+// aboveVector is the AVX2 candidate kernel: it writes into dst the index
+// of every value of row that exceeds its bar (0 when bars is empty), four
+// values per step, and returns how many it wrote. len(row) must be a
+// multiple of 4, a non-empty bars as long as row, and dst at least as
+// long as row.
+//
+//go:noescape
+func aboveVector(dst []int32, row, bars []float64) (n int)

@@ -126,3 +126,99 @@ count:
 	MOVQ         AX, nonzero+72(FP)
 	VZEROUPPER
 	RET
+
+// lanes<> holds, for each 4-bit compare mask m, the lanes whose bit is
+// set, ascending, as four int32s (the rest 0); counts<> holds how many
+// there are.
+DATA lanes<>+0(SB)/8, $0x0000000000000000
+DATA lanes<>+8(SB)/8, $0x0000000000000000
+DATA lanes<>+16(SB)/8, $0x0000000000000000
+DATA lanes<>+24(SB)/8, $0x0000000000000000
+DATA lanes<>+32(SB)/8, $0x0000000000000001
+DATA lanes<>+40(SB)/8, $0x0000000000000000
+DATA lanes<>+48(SB)/8, $0x0000000100000000
+DATA lanes<>+56(SB)/8, $0x0000000000000000
+DATA lanes<>+64(SB)/8, $0x0000000000000002
+DATA lanes<>+72(SB)/8, $0x0000000000000000
+DATA lanes<>+80(SB)/8, $0x0000000200000000
+DATA lanes<>+88(SB)/8, $0x0000000000000000
+DATA lanes<>+96(SB)/8, $0x0000000200000001
+DATA lanes<>+104(SB)/8, $0x0000000000000000
+DATA lanes<>+112(SB)/8, $0x0000000100000000
+DATA lanes<>+120(SB)/8, $0x0000000000000002
+DATA lanes<>+128(SB)/8, $0x0000000000000003
+DATA lanes<>+136(SB)/8, $0x0000000000000000
+DATA lanes<>+144(SB)/8, $0x0000000300000000
+DATA lanes<>+152(SB)/8, $0x0000000000000000
+DATA lanes<>+160(SB)/8, $0x0000000300000001
+DATA lanes<>+168(SB)/8, $0x0000000000000000
+DATA lanes<>+176(SB)/8, $0x0000000100000000
+DATA lanes<>+184(SB)/8, $0x0000000000000003
+DATA lanes<>+192(SB)/8, $0x0000000300000002
+DATA lanes<>+200(SB)/8, $0x0000000000000000
+DATA lanes<>+208(SB)/8, $0x0000000200000000
+DATA lanes<>+216(SB)/8, $0x0000000000000003
+DATA lanes<>+224(SB)/8, $0x0000000200000001
+DATA lanes<>+232(SB)/8, $0x0000000000000003
+DATA lanes<>+240(SB)/8, $0x0000000100000000
+DATA lanes<>+248(SB)/8, $0x0000000300000002
+GLOBL lanes<>(SB), RODATA|NOPTR, $256
+
+DATA counts<>+0(SB)/8, $0x0302020102010100
+DATA counts<>+8(SB)/8, $0x0403030203020201
+GLOBL counts<>(SB), RODATA|NOPTR, $16
+
+// func aboveVector(dst []int32, row, bars []float64) (n int)
+//
+// Per four slots: VCMPPD with predicate GT_OQ (0x1e) sets each lane whose
+// value exceeds its bar (Y1 stays 0 when there are no bars), VMOVMSKPD
+// takes the four signs as a mask, and the mask's lanes<> entry plus the
+// group's first slot (X4) is stored as four int32s at dst; dst then
+// advances by the mask's count, so a lane past it is overwritten by the
+// next group's store. No more candidates than slots precede a group, so
+// its store never reaches past the group's own four places in dst.
+TEXT ·aboveVector(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         row_base+24(FP), SI
+	MOVQ         row_len+32(FP), DX
+	MOVQ         bars_base+48(FP), R8
+	MOVQ         bars_len+56(FP), R9
+	MOVQ         DI, R10
+	LEAQ         lanes<>(SB), R11
+	LEAQ         counts<>(SB), R12
+	VXORPD       Y1, Y1, Y1
+	VPXOR        X4, X4, X4
+	MOVL         $4, AX
+	VMOVD        AX, X5
+	VPBROADCASTD X5, X5
+	SHRQ         $2, DX
+
+group:
+	TESTQ     DX, DX
+	JZ        done
+	VMOVUPD   (SI), Y0
+	TESTQ     R9, R9
+	JZ        compare
+	VMOVUPD   (R8), Y1
+	ADDQ      $32, R8
+
+compare:
+	VCMPPD    $0x1e, Y1, Y0, Y2
+	VMOVMSKPD Y2, AX
+	MOVQ      AX, BX
+	SHLQ      $4, BX
+	VPADDD    (R11)(BX*1), X4, X3
+	VMOVDQU   X3, (DI)
+	MOVBQZX   (R12)(AX*1), AX
+	LEAQ      (DI)(AX*4), DI
+	VPADDD    X5, X4, X4
+	ADDQ      $32, SI
+	DECQ      DX
+	JMP       group
+
+done:
+	SUBQ       R10, DI
+	SHRQ       $2, DI
+	MOVQ       DI, n+72(FP)
+	VZEROUPPER
+	RET

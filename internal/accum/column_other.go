@@ -11,3 +11,8 @@ func addColumnVector(vals []float64, col []uint16, w, factor float64) {
 func blockMaximaVector(maxes, row, scale []float64) int {
 	return blockMaximaGo(maxes, row, scale)
 }
+
+// aboveVector is never called here: vector is always false.
+func aboveVector(dst []int32, row, bars []float64) int {
+	return aboveGo(dst, row, bars, 0)
+}

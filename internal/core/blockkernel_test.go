@@ -8,6 +8,8 @@ import (
 
 	"textjoin/internal/corpus"
 	"textjoin/internal/document"
+	"textjoin/internal/iosim"
+	"textjoin/internal/signature"
 	"textjoin/internal/topk"
 )
 
@@ -325,8 +327,9 @@ func TestBlockSkipsTermsBeyondDirectory(t *testing.T) {
 // shape: a resident batch of a third of a WSJ/96 collection (343
 // documents), regrouped once, and the inner WSJ/96 documents streamed past
 // it one per iteration under raw tf — blockStage.score's accumulate and
-// finish, the loop an HHNL join spends its CPU in. It must allocate
-// nothing.
+// finish, the loop an HHNL join spends its CPU in. Each lap of the stream
+// starts with empty trackers, as each batch of a join does, so every slot
+// sees its documents once and in ascending id. It must allocate nothing.
 //
 //	go test -run '^$' -bench BlockScore -benchmem ./internal/core
 func BenchmarkBlockScore(b *testing.B) {
@@ -346,12 +349,82 @@ func BenchmarkBlockScore(b *testing.B) {
 	block := blockFor(batch)
 	block.regroup(batch)
 	st := &blockStage{scorer: rawScorer(b), block: block, tk: &topk.Block{}}
-	st.tk.Reset(len(batch), 20, nil)
+	slab := st.tk.Reset(len(batch), 20, nil)
 	st.begin(nil, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%len(stream) == 0 {
+			slab = st.tk.Reset(len(batch), 20, slab)
+		}
 		st.score(&stream[i%len(stream)])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.comparisons), "ns/comparison")
+}
+
+// TestBlockJoinsOfferAscendingInnerIDs guards the order the block stage's
+// strict bar test rests on: every block join offers each slot its inner
+// documents in ascending id. Every inner document that can reach an outer
+// one here ties every other at the same similarity, and the rest share no
+// term with the outer side, so the prefilter's keep vector and LSH's lists
+// drop them. A slot of capacity λ then keeps the first λ tied documents
+// to arrive — a tie with a full slot's bar is never offered — and that is
+// the λ lowest ids, which the reference keeps, for every λ exactly when
+// the slot saw them in ascending id. So HHNL, HHNL with its prefilter and
+// LSH through its lists, each over several batches and under each
+// weighting, fail here for some λ if one slot is offered a non-ascending
+// inner id, instead of dropping a tie silently.
+func TestBlockJoinsOfferAscendingInnerIDs(t *testing.T) {
+	var inner, outer []*document.Document
+	tied := 0
+	for id := range 30 {
+		counts := map[uint32]int{40: 1, 41: 1}
+		if id%3 != 2 {
+			counts, tied = map[uint32]int{1: 1, 4: 2}, tied+1
+		}
+		inner = append(inner, document.New(uint32(id), counts))
+	}
+	for id := range 12 {
+		outer = append(outer, document.New(uint32(id), map[uint32]int{1: 1, 4: 1, 100 + uint32(id): 1}))
+	}
+	d := iosim.NewDisk(iosim.WithPageSize(64))
+	c1, c2 := buildColl(t, d, "c1", inner), buildColl(t, d, "c2", outer)
+	e := &env{disk: d, c1: c1, c2: c2, inv1: buildInv(t, d, c1, "c1"), inv2: buildInv(t, d, c2, "c2")}
+	pf := buildTestPrefilter(t, e, signature.Config{})
+	sc := buildDiffLSH(t, e, lshDiffConfig)
+	in := e.inputs()
+	for _, w := range []document.Weighting{document.RawTF, document.Cosine, document.TFIDF} {
+		scorer, err := in.scorer(Options{Weighting: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lambda := 1; lambda <= tied; lambda++ {
+			want := reference(t, c2, c1, lambda, scorer)
+			for _, run := range []struct {
+				name string
+				alg  Algorithm
+				opts Options
+			}{
+				{"HHNL", HHNL, Options{}},
+				{"HHNL+pf", HHNL, Options{Prefilter: pf}},
+				{"LSH", LSH, Options{LSH: sc}},
+			} {
+				opts := run.opts
+				opts.Lambda, opts.Weighting, opts.MemoryPages = lambda, w, 4
+				got, st, err := Join(run.alg, in, opts)
+				if err != nil {
+					t.Fatalf("%s %v λ=%d: %v", run.name, w, lambda, err)
+				}
+				if st.Passes < 2 {
+					t.Fatalf("%s %v λ=%d: %d batch, want several", run.name, w, lambda, st.Passes)
+				}
+				if skipped := st.Prefilter.DocsSkipped + st.LSH.DocsSkipped; run.name != "HHNL" && skipped == 0 {
+					t.Fatalf("%s %v λ=%d: no inner document dropped", run.name, w, lambda)
+				}
+				if err := exactSameResults(got, want); err != nil {
+					t.Fatalf("%s %v λ=%d: %v", run.name, w, lambda, err)
+				}
+			}
+		}
+	}
 }

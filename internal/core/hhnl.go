@@ -73,7 +73,8 @@ func runHHNL(in Inputs, opts Options, m memory, scorer *document.Scorer, rows *R
 // blockState is the run state of the block joins, HHNL's and LSH's: the
 // batch arena, the regrouped block with its accumulator, the outer
 // iterator, the inner scanner, the trackers of the join's rows, HHNL's
-// prefilter signature and keep vector, and LSH's candidate lists.
+// prefilter signature and keep vector, LSH's candidate lists and the
+// scoring stage's candidate slots.
 type blockState struct {
 	arena batchArena
 	block residentBlock
@@ -83,6 +84,7 @@ type blockState struct {
 	sig   signature.Sig
 	need  []bool
 	lsh   lshLists
+	cands []int32
 }
 
 func (s *blockState) release() {
@@ -178,7 +180,8 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 	block.resize(cut.slots, termSpan(in.Outer))
 	n := int(in.Outer.NumDocs())
 	results := b.rows.reset(n, opts.Lambda, &b.ws.tks)
-	st := &blockStage{scorer: b.scorer, block: block, tk: &b.ws.tks, countFalse: stats.Prefilter.Enabled}
+	b.ws.cands = slices.Grow(b.ws.cands[:0], cut.slots)
+	st := &blockStage{scorer: b.scorer, block: block, tk: &b.ws.tks, countFalse: stats.Prefilter.Enabled, cands: b.ws.cands}
 	stored := in.Outer.File() != nil // a query batch decodes nothing
 
 	for start := 0; start < n; {
@@ -390,6 +393,9 @@ type blockStage struct {
 	// countFalse asks score to count the false passes, which only the
 	// prefilter reports.
 	countFalse bool
+	// cands lists the slots a row offers (accum.Above); a join lends it
+	// the block state's, sized for the plan's largest batch.
+	cands []int32
 
 	comparisons int64 // pairs the scan stands for: slots (or listed slots) per document
 	falsePasses int64 // documents that scored zero against every slot
@@ -406,16 +412,23 @@ func (s *blockStage) begin(lists [][]int32, base int) {
 	s.outer, s.inner = outer, inner
 }
 
-// score offers d1 to the tracker of every slot it reached — of every
-// listed slot it reached, under slot lists. A slot it did not reach has
-// similarity zero, which no tracker keeps. The row is read in place, in
-// slot order, and then Reset.
+// score offers d1 to the tracker of every slot whose sum beats the
+// slot's bar — of every listed slot, under slot lists. A slot it did not
+// reach has similarity zero, which no tracker keeps. The row is read in
+// place and then Reset.
 //
-// Under an identity scorer this is the join's hot loop: each pair costs
-// one compare against the slot's bar, read in place from the bar vector,
-// and only a similarity that can enter calls into the slab. Under cosine
-// a pair first meets the admission rule against the slot's bar and norm
-// (document.Admit), which divides only a pair that can enter.
+// Under an identity scorer this is the join's hot loop: accum.Above lists
+// the slots whose sums strictly exceed their bars, read in place from the
+// bar vector, four per vector compare, and only those call into the slab.
+// Under cosine Above lists the non-zero slots, and each pair first meets
+// the admission rule against its slot's bar and norm (document.Admit),
+// which divides only a pair that can enter. Under slot lists the listed
+// slots are the candidates. All three meet one strict test: a sum that
+// only ties its slot's bar can never enter, because every block join
+// streams its inner documents in ascending id, so the slot's worst kept
+// match, which the bar is, has a lower id than d1 and comes first under
+// topk.Less. A slot not yet full has a bar of 0, which every candidate
+// beats.
 func (s *blockStage) score(d1 *document.Document) {
 	s.block.accumulate(s.scorer, d1)
 	ids, tk, base, inner := s.block.ids, s.tk, s.base, d1.ID
@@ -424,44 +437,36 @@ func (s *blockStage) score(d1 *document.Document) {
 		ni = s.inner[inner]
 	}
 	row := s.block.acc.Row()[:len(ids)]
-	hit, compared := false, len(ids)
+	var slots []int32
+	compared := len(ids)
 	switch {
 	case s.lists != nil:
-		slots := s.lists[inner]
-		for _, slot := range slots {
-			sim := row[slot]
-			if sim == 0 {
-				continue
-			}
-			hit = true
-			if outer != nil {
-				sim = document.Admit(sim, bars[slot], outer[slot], ni)
-			}
-			tk.Offer(base+int(slot), inner, sim)
-		}
+		slots = s.lists[inner]
 		compared = len(slots)
 	case outer == nil:
-		for slot, sim := range row {
-			if sim >= bars[slot] && sim > 0 {
-				hit = true
-				tk.Offer(base+slot, inner, sim)
-			}
-		}
-		// A row no tracker could take may still have reached a slot.
-		if s.countFalse && !hit {
-			hit = slices.ContainsFunc(row, func(sim float64) bool { return sim != 0 })
-		}
+		s.cands = accum.Above(s.cands, row, bars)
+		slots = s.cands
 	default:
-		outer := outer[:len(ids)]
-		for slot, raw := range row {
-			if raw == 0 {
-				continue
-			}
-			hit = true
-			if sim := document.Admit(raw, bars[slot], outer[slot], ni); sim >= bars[slot] && sim > 0 {
-				tk.Offer(base+slot, inner, sim)
-			}
+		s.cands = accum.Above(s.cands, row, nil)
+		slots = s.cands
+	}
+	hit := false
+	for _, slot := range slots {
+		sim := row[slot]
+		if sim == 0 {
+			continue
 		}
+		hit = true
+		if outer != nil {
+			sim = document.Admit(sim, bars[slot], outer[slot], ni)
+		}
+		if sim > bars[slot] {
+			tk.Offer(base+int(slot), inner, sim)
+		}
+	}
+	// A row that beat no bar may still have reached a slot.
+	if s.countFalse && !hit && s.lists == nil {
+		hit = slices.ContainsFunc(row, func(sim float64) bool { return sim != 0 })
 	}
 	s.block.acc.Reset()
 	s.comparisons += int64(compared)

@@ -19,6 +19,14 @@
 // place. Both insert through one routine, so a Block's slot keeps exactly
 // what a TopK would.
 //
+// A tracker keeps the same matches whatever order its candidates arrive
+// in, but the joins offer by rising document wherever they can, and the
+// tie walk is cheapest then: the block joins (HHNL, prefiltered HHNL,
+// LSH) stream their inner collection in ascending id, and the dense drain
+// (HVNL's rows, VVM's dense passes) reads a row in id order. VVM's table
+// drain offers in the order of its table's slots, which is not the
+// documents'.
+//
 // Only non-zero similarities are candidates: the paper's accumulating
 // algorithms store only non-zero intermediate similarities, so a document
 // pair sharing no terms can never appear in a result.
@@ -47,8 +55,13 @@ func Less(a, b Match) bool {
 // worst end, so a candidate that only just clears the bar lands near it:
 // first past every kept match of lower similarity, one compare per step,
 // then past the equal ones of higher document number — the place Less
-// gives. A full array drops its worst match, or m itself when m ties the
-// bar by a higher document number.
+// gives. The tie walk tests the document first: when candidates arrive by
+// rising document, as the block joins and the dense drain offer them, no
+// kept match has a higher one, so the walk ends on its first test,
+// whatever the similarities, and that branch always goes the same way.
+// The two tests commute, so the place is the same in any arrival order.
+// A full array drops its worst match, or m itself when m ties the bar by
+// a higher document number.
 func insert(kept []Match, n int, m Match) int {
 	i := n
 	if n == len(kept) {
@@ -62,7 +75,7 @@ func insert(kept []Match, n int, m Match) int {
 	for ; i > 0 && kept[i-1].Sim < m.Sim; i-- {
 		kept[i] = kept[i-1]
 	}
-	for ; i > 0 && kept[i-1].Sim == m.Sim && kept[i-1].Doc > m.Doc; i-- {
+	for ; i > 0 && kept[i-1].Doc > m.Doc && kept[i-1].Sim == m.Sim; i-- {
 		kept[i] = kept[i-1]
 	}
 	kept[i] = m

@@ -304,7 +304,10 @@ func TestQuickResultsOrderUnderTies(t *testing.T) {
 // candidate since the last Reset, and before each Reset and at the end every slot's
 // flushed row must be its TopK's Results, which must be a sort-and-cut of
 // the slot's offers. The sort-and-cut catches a fault in the insert
-// routine the two trackers share.
+// routine the two trackers share. Among the seeds are ties arriving by
+// falling document, the order of VVM's table drain, and by rising
+// document, the block joins' order, so the tie walk is held to the
+// reference in both.
 //
 // Each byte of ops is an op: 0xf0 and above resets to the next byte mod 40
 // slots; any other is an offer to slot op mod n of document (next byte) mod
@@ -315,6 +318,14 @@ func FuzzBlockMatchesTopK(f *testing.F) {
 	f.Add(uint8(7), []byte{0xf2, 0, 1, 2, 3, 0xf3, 2, 1, 2, 10})
 	f.Add(uint8(0), []byte{0xf0, 2, 0, 1, 8, 0xf0, 2, 0, 2, 3}) // a full slot, Reset, then a lower offer
 	f.Add(uint8(1), []byte{0xf0, 1, 0, 5, 7, 0, 3, 7, 0, 1, 7}) // ties arriving by falling document
+	// Falling documents over mixed similarities, which a tie walk testing
+	// the document alone would misplace.
+	f.Add(uint8(2), []byte{0xf0, 1, 0, 9, 8, 0, 7, 6, 0, 2, 7, 0, 1, 7})
+	// Integer ties arriving by rising document, the block joins' order:
+	// into a full slot at its bar, above it, and among equal kept ones.
+	f.Add(uint8(1), []byte{0xf0, 1, 0, 1, 7, 0, 3, 7, 0, 5, 7, 0, 6, 8, 0, 9, 8})
+	f.Add(uint8(2), []byte{0xf0, 2, 0, 0, 5, 1, 1, 4, 0, 2, 5, 1, 3, 4, 0, 4, 6, 1, 5, 4, 0, 7, 5, 1, 8, 6, 0, 9, 5})
+	f.Add(uint8(4), []byte{0xf0, 1, 0, 2, 4, 0, 3, 4, 0, 4, 5, 0, 5, 4, 0, 8, 5, 0, 9, 4, 0, 11, 5, 0, 12, 4, 0, 20, 6})
 	f.Fuzz(func(t *testing.T, kSeed uint8, ops []byte) {
 		k := int(kSeed%8) + 1
 		var blk Block
