@@ -48,7 +48,8 @@ test: build
 # TestBenchmarkModuleVets runs go vet inside benchmark/, so a renamed
 # method that benchmark/ calls fails go test ./... already. The vector
 # column kernel is amd64 assembly (go vet's asmdecl checks its frames),
-# and so are the block maxima kernel
+# and so are its int32 twin and the widen pass of the block joins' exact
+# rows, the block maxima kernel
 # of the dense drain, the candidate kernel of the block joins' rows and
 # the cell unpack every record decode runs;
 # GOARCH=arm64 vet keeps the pure-Go build every other platform takes,
@@ -75,7 +76,9 @@ race:
 # re-encode identity, the record decode and the document decode that runs
 # the same cell unpack against a per-cell reference, each with the vector
 # unpack on and off, the B+tree cell decoder, the cosine admission rule
-# against the division it skips, the vector column kernel and the block
+# against the division it skips, the vector column kernel, the int32
+# column kernel and the widen pass of the block joins' exact rows (each
+# also against the float64 path on the same integer inputs), and the block
 # maxima kernel against their Go references, bit for bit, the candidate
 # kernel's two bodies against a per-slot test, the seeded
 # dense drain against the unseeded one it replaced, and the corpus
@@ -96,6 +99,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfMatchesStdlib$$' -fuzztime 10s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesMap$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzAddColumn$$' -fuzztime 10s ./internal/accum
+	$(GO) test -run '^$$' -fuzz '^FuzzAddColumnInt32$$' -fuzztime 10s ./internal/accum
+	$(GO) test -run '^$$' -fuzz '^FuzzWiden$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockMaxima$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzAbove$$' -fuzztime 10s ./internal/accum
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockMatchesTopK$$' -fuzztime 10s ./internal/topk

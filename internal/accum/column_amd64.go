@@ -26,3 +26,17 @@ func blockMaximaVector(maxes, row, scale []float64) (nonzero int)
 //
 //go:noescape
 func aboveVector(dst []int32, row, bars []float64) (n int)
+
+// addColumnInt32Vector is the AVX2 int32 column kernel: it adds
+// w·col[i] into twin[i] for every i below len(col), sixteen per step,
+// then eight, then one at a time. twin must be at least as long as col.
+//
+//go:noescape
+func addColumnInt32Vector(twin []int32, col []uint16, w uint16)
+
+// widenVector is the AVX2 widen kernel: it writes float64(twin[i]) into
+// row[i] and clears twin[i] for every i below len(twin), eight per step,
+// then one at a time. row must be at least as long as twin.
+//
+//go:noescape
+func widenVector(row []float64, twin []int32)

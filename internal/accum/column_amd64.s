@@ -222,3 +222,97 @@ done:
 	MOVQ       DI, n+72(FP)
 	VZEROUPPER
 	RET
+
+// func addColumnInt32Vector(twin []int32, col []uint16, w uint16)
+//
+// Per eight ids: VPMOVZXWD widens eight weights to int32, VPMULLD
+// multiplies them by w (broadcast in Y15) and VPADDD adds them to twin.
+// Sixteen ids per loop step, then eight, then a scalar tail.
+TEXT ·addColumnInt32Vector(SB), NOSPLIT, $0-50
+	MOVQ         twin_base+0(FP), DI
+	MOVQ         col_base+24(FP), SI
+	MOVQ         col_len+32(FP), CX
+	MOVWLZX      w+48(FP), AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+
+loop16:
+	CMPQ      CX, $16
+	JB        loop8
+	VPMOVZXWD (SI), Y0
+	VPMOVZXWD 16(SI), Y1
+	VPMULLD   Y15, Y0, Y0
+	VPMULLD   Y15, Y1, Y1
+	VPADDD    (DI), Y0, Y0
+	VPADDD    32(DI), Y1, Y1
+	VMOVDQU   Y0, (DI)
+	VMOVDQU   Y1, 32(DI)
+	ADDQ      $32, SI
+	ADDQ      $64, DI
+	SUBQ      $16, CX
+	JMP       loop16
+
+loop8:
+	CMPQ      CX, $8
+	JB        tail
+	VPMOVZXWD (SI), Y0
+	VPMULLD   Y15, Y0, Y0
+	VPADDD    (DI), Y0, Y0
+	VMOVDQU   Y0, (DI)
+	ADDQ      $16, SI
+	ADDQ      $32, DI
+	SUBQ      $8, CX
+
+tail:
+	TESTQ   CX, CX
+	JZ      done
+	MOVWLZX (SI), BX
+	IMULL   AX, BX
+	ADDL    BX, (DI)
+	ADDQ    $2, SI
+	ADDQ    $4, DI
+	DECQ    CX
+	JMP     tail
+
+done:
+	VZEROUPPER
+	RET
+
+// func widenVector(row []float64, twin []int32)
+//
+// Per four ids: VCVTDQ2PD converts four int32s to float64, exactly, and
+// stores them over row; each group of eight then stores zeros (Y15) over
+// the twin it read. Eight ids per loop step, then a scalar tail.
+TEXT ·widenVector(SB), NOSPLIT, $0-48
+	MOVQ  row_base+0(FP), DI
+	MOVQ  twin_base+24(FP), SI
+	MOVQ  twin_len+32(FP), CX
+	VPXOR Y15, Y15, Y15
+
+loop8:
+	CMPQ      CX, $8
+	JB        tail
+	VCVTDQ2PD (SI), Y0
+	VCVTDQ2PD 16(SI), Y1
+	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y1, 32(DI)
+	VMOVDQU   Y15, (SI)
+	ADDQ      $32, SI
+	ADDQ      $64, DI
+	SUBQ      $8, CX
+	JMP       loop8
+
+tail:
+	TESTQ      CX, CX
+	JZ         done
+	VCVTSI2SDL (SI), X0, X0
+	VMOVSD     X0, (DI)
+	MOVL       $0, (SI)
+	ADDQ       $4, SI
+	ADDQ       $8, DI
+	DECQ       CX
+	JMP        tail
+
+done:
+	VZEROUPPER
+	RET

@@ -452,6 +452,12 @@ func (w *conformWorld) check(t *testing.T, c conformCell, name string, in Inputs
 	if err := w.checkCellsDecoded(c, st); err != nil {
 		fail("%v", err)
 	}
+	if fam.alg == HHNL && !fam.prunes() {
+		if want := w.blockAccumulations(c, in, dec); st.Accumulations != want {
+			fail("%d accumulations in %d passes, want Σ over batches and terms of the batch's df × C1's df = %d",
+				st.Accumulations, st.Passes, want)
+		}
+	}
 
 	// The one memory model: measured ≤ charged ≤ 2 × measured, where the
 	// result rows count as the model counts them.
@@ -547,6 +553,31 @@ func (w *conformWorld) checkCellsDecoded(c conformCell, st *Stats) error {
 			st.CellsDecoded, st.Passes, st.Cache, lo, hi, outer, w.cells1, w.cells2)
 	}
 	return nil
+}
+
+// blockAccumulations is unfiltered HHNL's Stats.Accumulations in closed
+// form: every inner document streams past every batch the plan cuts, and
+// each of its terms meets the batch's resident cells of that term, so the
+// count is Σ over batches and terms of the batch's df × C1's df. It is the
+// same whichever path, int32 or float64, adds the products.
+func (w *conformWorld) blockAccumulations(c conformCell, in Inputs, dec Decision) int64 {
+	docs := w.kindDocs[c.kind]
+	overhead := 4 * int64(max(1, min(w.shape.lambda, int(w.e.c1.NumDocs()))))
+	var total int64
+	for start := 0; start < len(docs); {
+		end, _, _ := nextBatch(in.Outer, start, dec.mem.cut.budget, overhead)
+		df := map[uint32]int64{}
+		for _, d := range docs[start:end] {
+			for _, cell := range d.Cells {
+				df[cell.Term]++
+			}
+		}
+		for term, n := range df {
+			total += n * w.e.c1.DF(term)
+		}
+		start = end
+	}
+	return total
 }
 
 // ignoresPrefilter joins alg on in without and with opts.Prefilter, each

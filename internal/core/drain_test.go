@@ -167,18 +167,23 @@ func FuzzDenseDrain(f *testing.F) {
 }
 
 // sameSlots reports the first difference between two blocks' kept
-// matches and bars.
+// matches and bars. It flushes the reference twice: a second Flush must
+// hand out the rows the first did.
 func sameSlots(got, want *topk.Block) error {
-	var rows [2][][]topk.Match
-	for i, b := range []*topk.Block{got, want} {
+	var rows [3][][]topk.Match
+	for i, b := range []*topk.Block{got, want, want} {
 		b.Flush(len(b.Bars()), func(_ int, kept []topk.Match) { rows[i] = append(rows[i], kept) })
+	}
+	same := func(a, b topk.Match) bool {
+		return a.Doc == b.Doc && math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
 	}
 	for slot := range rows[1] {
 		g, w := rows[0][slot], rows[1][slot]
-		if !slices.EqualFunc(g, w, func(a, b topk.Match) bool {
-			return a.Doc == b.Doc && math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
-		}) {
+		if !slices.EqualFunc(g, w, same) {
 			return fmt.Errorf("slot %d keeps %v, the reference %v", slot, g, w)
+		}
+		if again := rows[2][slot]; !slices.EqualFunc(again, w, same) {
+			return fmt.Errorf("slot %d: the reference's second Flush hands out %v, its first %v", slot, again, w)
 		}
 		if gb, wb := got.Bars()[slot], want.Bars()[slot]; math.Float64bits(gb) != math.Float64bits(wb) {
 			return fmt.Errorf("slot %d bar %v, the reference %v", slot, gb, wb)

@@ -242,6 +242,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 			return nil, nil, err
 		}
 		stats.Comparisons += st.comparisons
+		stats.Accumulations += st.accumulations
 		stats.Prefilter.FalsePasses += st.falsePasses
 	}
 	flush := trace.StartChild(reqtrace.PhaseFlush, name+".flush")
@@ -264,7 +265,7 @@ func (b *blockJoin) run() ([]Result, *Stats, error) {
 // of the plan's slots hold is written as a column over the batch's slots
 // instead (accum.Columnar). It is rebuilt for every batch into the same
 // buffers, which keep the largest batch's size; between two regroups only
-// acc changes.
+// acc, twin and the counts change.
 type residentBlock struct {
 	ids []uint32 // slot → document id
 	// dir is indexed by term number: 0 for a term the batch lacks, 1+e for
@@ -276,8 +277,17 @@ type residentBlock struct {
 	offs  []int32 // entry e's postings are post[offs[e]:offs[e+1]]
 	post  []codec.Cell
 	cols  []uint16   // column k is cols[k·len(ids):(k+1)·len(ids)]
+	colDF []int32    // column k's resident cells
+	most  uint16     // the batch's largest weight
 	acc   accum.Flat // over the batch's slots: the streamed document being scored
-	slots int        // the most documents a batch holds
+	// twin is acc's int32 twin over the plan's slots, zero between
+	// documents: a document accumulate adds exactly (accum.Exact) goes
+	// through it and is widened into acc.
+	twin  []int32
+	slots int // the most documents a batch holds
+	// exact counts the streamed documents added through twin since
+	// resize; only tests read it.
+	exact int64
 }
 
 // newResidentBlock sizes a block for batches of at most slots documents
@@ -292,7 +302,9 @@ func newResidentBlock(slots int, terms int64) *residentBlock {
 // resize empties the block and sizes it as newResidentBlock does, keeping
 // its arrays.
 func (b *residentBlock) resize(slots int, terms int64) {
-	b.ids, b.slots = slices.Grow(b.ids[:0], slots), slots
+	b.ids, b.slots, b.exact = slices.Grow(b.ids[:0], slots), slots, 0
+	b.twin = slices.Grow(b.twin[:0], slots)[:slots]
+	clear(b.twin)
 	b.dir = slices.Grow(b.dir[:0], int(terms))[:terms]
 	clear(b.dir)
 	b.terms, b.offs = b.terms[:0], b.offs[:0]
@@ -302,8 +314,10 @@ func (b *residentBlock) resize(slots int, terms int64) {
 // counts each term's cells (held negated in dir) and lists the terms in
 // first-seen order; numbering the posting entries in that order makes
 // entry e's postings start where entry e-1's end, and a Columnar term is
-// numbered a column instead; the second pass places the cells. Cells are
-// visited in slot order, so each term's postings ascend by slot. The block
+// numbered a column instead, and its count kept as the column's df; the
+// second pass places the cells. Cells are visited in slot order, so each
+// term's postings ascend by slot. The first pass also finds the batch's
+// largest weight, accum.Exact's bound. The block
 // must have been sized for the batch (newResidentBlock); the accumulator
 // is sized to the batch itself, so a short last batch's row is short too.
 func (b *residentBlock) regroup(batch []document.Document) {
@@ -312,7 +326,7 @@ func (b *residentBlock) regroup(batch []document.Document) {
 		b.dir[t] = 0
 	}
 	b.ids = b.ids[:0]
-	dir, terms := b.dir, b.terms[:0]
+	dir, terms, most := b.dir, b.terms[:0], uint16(0)
 	for i := range batch {
 		b.ids = append(b.ids, batch[i].ID)
 		for _, c := range batch[i].Cells {
@@ -320,16 +334,19 @@ func (b *residentBlock) regroup(batch []document.Document) {
 				terms = append(terms, c.Term)
 			}
 			dir[c.Term]--
+			most = max(most, c.Weight)
 		}
 	}
 	// offs[e+1] is entry e's cursor: its start once the entry is numbered,
 	// its end — the start of entry e+1 — once its cells are placed.
 	offs := append(slices.Grow(b.offs[:0], len(terms)+1), 0)
+	colDF := b.colDF[:0]
 	next, cols := int32(0), int32(0)
 	for _, t := range terms {
 		if count := -dir[t]; accum.Columnar(int(count), b.slots) {
 			cols++
 			dir[t] = -cols
+			colDF = append(colDF, count)
 		} else {
 			offs = append(offs, next)
 			next += count
@@ -350,31 +367,69 @@ func (b *residentBlock) regroup(batch []document.Document) {
 			}
 		}
 	}
-	b.terms, b.offs, b.post, b.cols = terms, offs, post, col
+	b.terms, b.offs, b.post, b.cols, b.colDF, b.most = terms, offs, post, col, colDF, most
 }
 
 // bytes is what the block holds beside the batch it regroups: its
-// accumulator and its directory.
+// accumulator and its twin, and its directory.
 func (b *residentBlock) bytes() int64 {
-	return int64(b.slots)*accumBytes + int64(len(b.dir))*slotBytes
+	return int64(b.slots)*(accumBytes+twinBytes) + int64(len(b.dir))*slotBytes
 }
 
-// accumulate streams d's cells past the block's postings and columns into
-// acc: per slot the products arrive in d's ascending term order (DESIGN
-// §6). A term beyond the directory is one no resident document holds.
-func (b *residentBlock) accumulate(scorer *document.Scorer, d *document.Document) {
+// accumulate streams d's cells past the block's postings and columns and
+// leaves d's row in acc, every slot written, and returns how many
+// resident cells it met: per term of d, its posting's length or its
+// column's df. Per slot the products arrive in d's ascending term order
+// (DESIGN §6). A term beyond the directory is one no resident document
+// holds.
+//
+// Under raw and cosine weighting every factor is 1, and a document whose
+// products the twin holds exactly (accum.Exact: the batch's largest
+// weight times the sum of d's) is added in int32 and widened into acc,
+// which writes the row the float path would, bit for bit. Any other
+// document clears acc and adds in float64.
+func (b *residentBlock) accumulate(scorer *document.Scorer, d *document.Document) (cells int) {
 	dir, offs, post, cols, width := b.dir, b.offs, b.post, b.cols, len(b.ids)
+	exact := false
+	if scorer.Weighting() != document.TFIDF {
+		total := uint64(0)
+		for _, c := range d.Cells {
+			total += uint64(c.Weight)
+		}
+		exact = accum.Exact(b.most, total)
+	}
+	twin := b.twin[:width]
+	if !exact {
+		b.acc.Reset()
+	}
 	for _, c := range d.Cells {
 		if int(c.Term) >= len(dir) {
 			break // so is every later one: cells ascend by term
 		}
 		switch k := int(dir[c.Term]); {
 		case k > 0:
-			b.acc.AddCells(post[offs[k-1]:offs[k]], float64(c.Weight), scorer.TermFactor(c.Term))
+			p := post[offs[k-1]:offs[k]]
+			if exact {
+				accum.AddCellsInt32(twin, p, c.Weight)
+			} else {
+				b.acc.AddCells(p, float64(c.Weight), scorer.TermFactor(c.Term))
+			}
+			cells += len(p)
 		case k < 0:
-			b.acc.AddColumn(cols[(-1-k)*width:-k*width], float64(c.Weight), scorer.TermFactor(c.Term))
+			col := cols[(-1-k)*width : -k*width]
+			if exact {
+				accum.AddColumnInt32(twin, col, c.Weight)
+			} else {
+				b.acc.AddColumn(col, float64(c.Weight), scorer.TermFactor(c.Term))
+			}
+			cells += int(b.colDF[-1-k])
 		}
 	}
+	if exact {
+		accum.Widen(b.acc.Row(), twin)
+		b.exact++
+	}
+	return cells
 }
 
 // blockStage is the scoring stage of the block skeleton: it scores inner
@@ -397,14 +452,15 @@ type blockStage struct {
 	// the block state's, sized for the plan's largest batch.
 	cands []int32
 
-	comparisons int64 // pairs the scan stands for: slots (or listed slots) per document
-	falsePasses int64 // documents that scored zero against every slot
+	comparisons   int64 // pairs the scan stands for: slots (or listed slots) per document
+	accumulations int64 // resident cells the scan's documents met (residentBlock.accumulate)
+	falsePasses   int64 // documents that scored zero against every slot
 }
 
 // begin readies the stage for the batch the block now holds, whose rows
 // start at base: under cosine it takes the resident slots' outer norms.
 func (s *blockStage) begin(lists [][]int32, base int) {
-	s.lists, s.base, s.comparisons, s.falsePasses = lists, base, 0, 0
+	s.lists, s.base, s.comparisons, s.accumulations, s.falsePasses = lists, base, 0, 0, 0
 	outer, inner := s.scorer.Norms()
 	if outer != nil {
 		outer = outer[base : base+len(s.block.ids)]
@@ -415,7 +471,7 @@ func (s *blockStage) begin(lists [][]int32, base int) {
 // score offers d1 to the tracker of every slot whose sum beats the
 // slot's bar — of every listed slot, under slot lists. A slot it did not
 // reach has similarity zero, which no tracker keeps. The row is read in
-// place and then Reset.
+// place; the next document's accumulate writes it afresh.
 //
 // Under an identity scorer this is the join's hot loop: accum.Above lists
 // the slots whose sums strictly exceed their bars, read in place from the
@@ -430,7 +486,7 @@ func (s *blockStage) begin(lists [][]int32, base int) {
 // topk.Less. A slot not yet full has a bar of 0, which every candidate
 // beats.
 func (s *blockStage) score(d1 *document.Document) {
-	s.block.accumulate(s.scorer, d1)
+	s.accumulations += int64(s.block.accumulate(s.scorer, d1))
 	ids, tk, base, inner := s.block.ids, s.tk, s.base, d1.ID
 	bars, outer, ni := tk.Bars()[base:base+len(ids)], s.outer, 0.0
 	if outer != nil {
@@ -468,7 +524,6 @@ func (s *blockStage) score(d1 *document.Document) {
 	if s.countFalse && !hit && s.lists == nil {
 		hit = slices.ContainsFunc(row, func(sim float64) bool { return sim != 0 })
 	}
-	s.block.acc.Reset()
 	s.comparisons += int64(compared)
 	if s.countFalse && !hit {
 		s.falsePasses++

@@ -144,6 +144,7 @@ const delta = 0.1
 // Bytes of the structures a join holds beside its share of B.
 const (
 	accumBytes = 8  // a float64 similarity accumulator
+	twinBytes  = 4  // its int32 twin in the block joins' row (accum.Exact)
 	slotBytes  = 4  // an int32 slot of a table indexed by term number
 	matchBytes = 16 // a kept match: inner id and float64 similarity
 	barBytes   = 12 // a tracker slab's slot beside its matches: an int32 count and a float64 bar
@@ -212,7 +213,7 @@ func planMemory(alg Algorithm, in Inputs, opts Options, cut outerCut) (memory, e
 				ErrInsufficientMemory, opts.MemoryPages, cut.over, in.Outer.Name(), bytes+4*lambda, cut.reserve)
 		}
 		slots := int64(cut.slots)
-		m.held = cut.reserve + cut.fill + slots*accumBytes + n2*barBytes + termSpan(in.Outer)*slotBytes + rows
+		m.held = cut.reserve + cut.fill + slots*(accumBytes+twinBytes) + n2*barBytes + termSpan(in.Outer)*slotBytes + rows
 		if alg == HHNL && opts.Prefilter != nil {
 			m.held += n1 // the keep vector
 		} else if alg == LSH {

@@ -17,7 +17,12 @@
 // resident document: their kept matches in one array, which the rows'
 // results alias, and their bars in one vector, which a drain tests in
 // place. Both insert through one routine, so a Block's slot keeps exactly
-// what a TopK would.
+// what a TopK would, and both lay a slot out the same way: a region of λ
+// matches that holds, while the slot is live, its similarities apart
+// from its documents, so the insert walks the similarities alone (split).
+// A Block's Flush rewrites every region as Matches in place, through a
+// scratch of the Block's, so the rows it hands out still alias the slab;
+// a TopK's Results copies its slot out and leaves it as it is.
 //
 // A tracker keeps the same matches whatever order its candidates arrive
 // in, but the joins offer by rising document wherever they can, and the
@@ -31,6 +36,8 @@
 // algorithms store only non-zero intermediate similarities, so a document
 // pair sharing no terms can never appear in a result.
 package topk
+
+import "unsafe"
 
 // Match pairs an inner document with its similarity to the outer document.
 type Match struct {
@@ -49,36 +56,67 @@ func Less(a, b Match) bool {
 	return a.Doc < b.Doc
 }
 
-// insert places m, which cleared the bar, among the n matches kept
-// best-first at the front of kept, whose length is the capacity λ, and
-// returns the new count, or -1 when m is not kept. It walks up from the
-// worst end, so a candidate that only just clears the bar lands near it:
-// first past every kept match of lower similarity, one compare per step,
-// then past the equal ones of higher document number — the place Less
-// gives. The tie walk tests the document first: when candidates arrive by
-// rising document, as the block joins and the dense drain offer them, no
-// kept match has a higher one, so the walk ends on its first test,
-// whatever the similarities, and that branch always goes the same way.
-// The two tests commute, so the place is the same in any arrival order.
-// A full array drops its worst match, or m itself when m ties the bar by
-// a higher document number.
-func insert(kept []Match, n int, m Match) int {
+// A slot is a region of λ matches, 16·λ bytes, but a tracker does not
+// hold its matches there as Matches. It keeps the region split: its λ
+// similarities in the first 8·λ bytes, their documents in the next 4·λ,
+// best-first in both, so an insert walks a dense array of similarities
+// and moves 12 bytes a step instead of 16. Match holds no pointer, so the
+// region may be viewed as either. A Block's Flush rewrites each of its
+// slots as Matches in place (unpack), which is what a join's rows read;
+// TopK's Results copies its slot out instead.
+
+// split views a slot's region as its similarities and its documents.
+func split(region []Match) (sims []float64, docs []uint32) {
+	k := len(region)
+	p := unsafe.Pointer(unsafe.SliceData(region))
+	return unsafe.Slice((*float64)(p), k), unsafe.Slice((*uint32)(unsafe.Add(p, 8*k)), k)
+}
+
+// unpack rewrites the first n matches of a split region as Matches in
+// place, best-first, and returns scratch, which holds the documents while
+// the similarities are rewritten. It goes from the worst end: Match i
+// covers similarities 2i and 2i+1, which lie at or past i and so are
+// read before they are overwritten.
+func unpack(region []Match, n int, scratch []uint32) []uint32 {
+	sims, docs := split(region)
+	scratch = append(scratch[:0], docs[:n]...)
+	for i := n - 1; i >= 0; i-- {
+		region[i] = Match{Doc: scratch[i], Sim: sims[i]}
+	}
+	return scratch
+}
+
+// insert places (doc, sim), which cleared the bar, among the n matches
+// kept best-first at the front of a split slot of capacity len(sims),
+// and returns the new count, or -1 when it is not kept. It walks up from
+// the worst end, so a candidate that only just clears the bar lands near
+// it: first past every kept match of lower similarity, one compare per
+// step, then past the equal ones of higher document number — the place
+// Less gives. The tie walk tests the document first: when candidates
+// arrive by rising document, as the block joins and the dense drain offer
+// them, no kept match has a higher one, so the walk ends on its first
+// test, whatever the similarities, and that branch always goes the same
+// way. The two tests commute, so the place is the same in any arrival
+// order. A full slot drops its worst match, or the candidate itself when
+// it ties the bar by a higher document number.
+func insert(sims []float64, docs []uint32, n int, doc uint32, sim float64) int {
+	docs = docs[:len(sims)]
 	i := n
-	if n == len(kept) {
+	if n == len(sims) {
 		i--
-		if !Less(m, kept[i]) {
+		if !Less(Match{Doc: doc, Sim: sim}, Match{Doc: docs[i], Sim: sims[i]}) {
 			return -1
 		}
 	} else {
 		n++
 	}
-	for ; i > 0 && kept[i-1].Sim < m.Sim; i-- {
-		kept[i] = kept[i-1]
+	for ; i > 0 && sims[i-1] < sim; i-- {
+		sims[i], docs[i] = sims[i-1], docs[i-1]
 	}
-	for ; i > 0 && kept[i-1].Doc > m.Doc && kept[i-1].Sim == m.Sim; i-- {
-		kept[i] = kept[i-1]
+	for ; i > 0 && docs[i-1] > doc && sims[i-1] == sim; i-- {
+		sims[i], docs[i] = sims[i-1], docs[i-1]
 	}
-	kept[i] = m
+	sims[i], docs[i] = sim, doc
 	return n
 }
 
@@ -88,9 +126,10 @@ func insert(kept []Match, n int, m Match) int {
 // concurrent use: a join reuses its tracker from one outer document to the
 // next.
 type TopK struct {
-	// kept holds the matches best-first; its capacity is k.
-	kept []Match
-	// bar is the worst kept similarity once kept is full, 0 before: a
+	// slot is the tracker's split region (split): its capacity is k, its
+	// length the count kept, and its elements are not Matches.
+	slot []Match
+	// bar is the worst kept similarity once the slot is full, 0 before: a
 	// candidate below it cannot enter. A candidate equal to it still may,
 	// by a lower document number.
 	bar float64
@@ -101,14 +140,14 @@ func New(k int) *TopK {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	return &TopK{kept: make([]Match, 0, k)}
+	return &TopK{slot: make([]Match, 0, k)}
 }
 
 // K returns the tracker's capacity λ.
-func (t *TopK) K() int { return cap(t.kept) }
+func (t *TopK) K() int { return cap(t.slot) }
 
 // Len returns how many matches are currently kept.
-func (t *TopK) Len() int { return len(t.kept) }
+func (t *TopK) Len() int { return len(t.slot) }
 
 // Bar returns the similarity a candidate must reach to be considered: 0
 // until the tracker is full, then its worst kept similarity. It changes
@@ -121,58 +160,67 @@ func (t *TopK) Bar() float64 { return t.bar }
 // Candidates with zero or negative similarity are never kept.
 func (t *TopK) Offer(doc uint32, sim float64) bool {
 	if sim >= t.bar && sim > 0 {
-		return t.insert(Match{Doc: doc, Sim: sim})
+		return t.insert(doc, sim)
 	}
 	return false
 }
 
-func (t *TopK) insert(m Match) bool {
-	n := insert(t.kept[:cap(t.kept)], len(t.kept), m)
+func (t *TopK) insert(doc uint32, sim float64) bool {
+	sims, docs := split(t.slot[:cap(t.slot)])
+	n := insert(sims, docs, len(t.slot), doc, sim)
 	if n < 0 {
 		return false
 	}
-	t.kept = t.kept[:n]
-	if n == cap(t.kept) {
-		t.bar = t.kept[n-1].Sim
+	t.slot = t.slot[:n]
+	if n == len(sims) {
+		t.bar = sims[n-1]
 	}
 	return true
 }
 
-// Results returns the kept matches ordered best-first. The tracker remains
-// usable afterwards. The returned slice is the call's only allocation.
+// Results returns the kept matches ordered best-first. It reads the slot
+// without rewriting it, so the tracker remains usable afterwards. The
+// returned slice is the call's only allocation.
 func (t *TopK) Results() []Match {
-	out := make([]Match, len(t.kept))
-	copy(out, t.kept)
+	sims, docs := split(t.slot[:cap(t.slot)])
+	out := make([]Match, len(t.slot))
+	for i := range out {
+		out[i] = Match{Doc: docs[i], Sim: sims[i]}
+	}
 	return out
 }
 
 // Reset empties the tracker for reuse on the next outer document.
-func (t *TopK) Reset() { t.kept, t.bar = t.kept[:0], 0 }
+func (t *TopK) Reset() { t.slot, t.bar = t.slot[:0], 0 }
 
-// Block is n trackers of k over one slab: slot s keeps its matches
-// best-first in kept[s·k:], their count in lens[s] and its bar in bars[s].
-// A drain that offers a row to many slots tests the bar vector in place
-// and calls into the slab only for a candidate that can enter. The slab is
-// the caller's, so the rows cut from it can outlive the block's round,
-// while the count and bar vectors are the block's, so a block kept from
-// round to round lends them to every round.
+// Block is n trackers of k over one slab: slot s's region is
+// slab[s·k:(s+1)·k], kept split as TopK's is, its count in lens[s] and
+// its bar in bars[s]. A drain that offers a row to many slots tests the
+// bar vector in place and calls into the slab only for a candidate that
+// can enter. The slab is the caller's, so the rows cut from it can
+// outlive the block's round, while the count and bar vectors and Flush's
+// scratch are the block's, so a block kept from round to round lends them
+// to every round.
 //
 // The zero value is an empty block; Reset readies its slots. A Block is
 // not safe for concurrent use.
 type Block struct {
 	k       int
 	n       int   // slots in use, at most len(bars)
+	flushed int   // slots 0..flushed-1 hold Matches: Flush has unpacked them
 	entries int64 // matches kept by an Offer since Reset
-	kept    []Match
+	slab    []Match
 	lens    []int32
 	bars    []float64
+	scratch []uint32 // unpack's documents, k of them
 }
 
 // Reset readies slots 0..n-1, empty, each keeping the k best matches in
 // slab, and returns the slab: slab itself when it holds n·k matches, else
-// a new one. It keeps the count and bar vectors unless n outgrows them, so
-// a block reset to no more slots than before, over a slab that holds
-// them, allocates nothing. k must be positive.
+// a new one. It keeps the count and bar vectors unless n outgrows them,
+// and Flush's scratch unless k does, so a block reset to no more slots
+// than before, over a slab that holds them, allocates nothing. k must be
+// positive.
 func (b *Block) Reset(n, k int, slab []Match) []Match {
 	if k <= 0 {
 		panic("topk: k must be positive")
@@ -184,7 +232,7 @@ func (b *Block) Reset(n, k int, slab []Match) []Match {
 	if len(slab) < n*k {
 		slab = make([]Match, n*k)
 	}
-	b.k, b.n, b.entries, b.kept = k, n, 0, slab
+	b.k, b.n, b.flushed, b.entries, b.slab = k, n, 0, 0, slab
 	clear(b.lens[:n])
 	clear(b.bars[:n])
 	return slab
@@ -192,7 +240,7 @@ func (b *Block) Reset(n, k int, slab []Match) []Match {
 
 // Drop lets go of the slab, so that a block kept past its round does not
 // keep the rows cut from it alive. Only Reset may follow.
-func (b *Block) Drop() { b.k, b.n, b.kept = 0, 0, nil }
+func (b *Block) Drop() { b.k, b.n, b.flushed, b.slab = 0, 0, 0, nil }
 
 // Entries returns how many matches the slots' Offers have kept since
 // Reset, one per insert, whether or not a later one displaced it: the
@@ -205,37 +253,44 @@ func (b *Block) Entries() int64 { return b.entries }
 func (b *Block) Bars() []float64 { return b.bars[:b.n] }
 
 // Offer considers a candidate match for slot and reports whether it was
-// kept, exactly as TopK.Offer does.
+// kept, exactly as TopK.Offer does. No slot may be offered a candidate
+// after a Flush until the next Reset.
 func (b *Block) Offer(slot int, doc uint32, sim float64) bool {
 	if sim >= b.bars[slot] && sim > 0 {
-		return b.insert(slot, Match{Doc: doc, Sim: sim})
+		return b.insert(slot, doc, sim)
 	}
 	return false
 }
 
-func (b *Block) insert(slot int, m Match) bool {
-	kept := b.kept[slot*b.k : (slot+1)*b.k]
-	n := insert(kept, int(b.lens[slot]), m)
+func (b *Block) insert(slot int, doc uint32, sim float64) bool {
+	sims, docs := split(b.slab[slot*b.k : (slot+1)*b.k])
+	n := insert(sims, docs, int(b.lens[slot]), doc, sim)
 	if n < 0 {
 		return false
 	}
 	b.lens[slot] = int32(n)
 	b.entries++
 	if n == b.k {
-		b.bars[slot] = kept[n-1].Sim
+		b.bars[slot] = sims[n-1]
 	}
 	return true
 }
 
 // Flush hands the kept matches of slots 0..n-1 to emit in slot order,
 // best-first, each a slice of the slab with its capacity cut to its length
-// (non-nil, an empty one included). No match is copied: the rows alias
-// the slab, so they hold their matches until the slab's owner hands it to
-// another round.
+// (non-nil, an empty one included). It first rewrites each slot's region
+// as Matches in place, once: a second Flush finds them rewritten and
+// hands out the same rows. No match is copied out of the slab: the rows
+// alias it, so they hold their matches until the slab's owner hands it
+// to another round.
 func (b *Block) Flush(n int, emit func(slot int, kept []Match)) {
+	for slot := b.flushed; slot < n; slot++ {
+		b.scratch = unpack(b.slab[slot*b.k:(slot+1)*b.k], int(b.lens[slot]), b.scratch)
+	}
+	b.flushed = max(b.flushed, n)
 	for slot, l := range b.lens[:n] {
 		lo, hi := slot*b.k, slot*b.k+int(l)
-		emit(slot, b.kept[lo:hi:hi])
+		emit(slot, b.slab[lo:hi:hi])
 	}
 }
 

@@ -280,8 +280,11 @@ func TestQuickResultsOrderUnderTies(t *testing.T) {
 			tk.Offer(uint32(doc), float64(r.Intn(4)))
 		}
 		got := tk.Results()
-		want := make([]Match, len(tk.kept))
-		copy(want, tk.kept)
+		sims, docs := split(tk.slot[:cap(tk.slot)])
+		want := make([]Match, tk.Len())
+		for i := range want {
+			want[i] = Match{Doc: docs[i], Sim: sims[i]}
+		}
 		sort.Slice(want, func(i, j int) bool { return Less(want[i], want[j]) })
 		for i := range want {
 			if got[i] != want[i] {
@@ -436,5 +439,53 @@ func TestBlockRoundAllocatesNothing(t *testing.T) {
 				t.Fatalf("slot %d: %v, want %v at %d", slot, kept, w, i)
 			}
 		}
+	}
+}
+
+// TestFlushIsIdempotentAtLargeLambda: a slot of λ = 1 000 — a served
+// join's λ = N1 request — is unpacked through the block's own scratch,
+// however large λ is, and a second Flush hands out the same rows, each a
+// sort-and-cut of its slot's offers, without unpacking them again. A
+// warm round of Reset, offers and two Flushes allocates nothing.
+func TestFlushIsIdempotentAtLargeLambda(t *testing.T) {
+	const n, k = 3, 1000
+	r := rand.New(rand.NewSource(1))
+	var blk Block
+	var slab []Match
+	offered := make([][]Match, n)
+	for slot := range offered {
+		for _, doc := range r.Perm(1500) {
+			offered[slot] = append(offered[slot], Match{Doc: uint32(doc), Sim: float64(r.Intn(40))})
+		}
+	}
+	var rows [2][][]Match
+	round := func() {
+		slab = blk.Reset(n, k, slab)
+		for slot, ms := range offered {
+			for _, m := range ms {
+				blk.Offer(slot, m.Doc, m.Sim)
+			}
+		}
+		for i := range rows {
+			rows[i] = rows[i][:0]
+			blk.Flush(n, func(_ int, kept []Match) { rows[i] = append(rows[i], kept) })
+		}
+	}
+	round()
+	for slot := range offered {
+		want := referenceSelect(k, offered[slot])
+		for i := range rows {
+			if got := rows[i][slot]; len(got) != len(want) || cap(got) != len(got) {
+				t.Fatalf("flush %d, slot %d: %d matches (cap %d), want %d", i+1, slot, len(got), cap(got), len(want))
+			}
+			for j, m := range want {
+				if rows[i][slot][j] != m {
+					t.Fatalf("flush %d, slot %d: match %d is %v, want %v", i+1, slot, j, rows[i][slot][j], m)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Errorf("a warm round at λ = %d allocates %.0f objects, want 0", k, allocs)
 	}
 }
